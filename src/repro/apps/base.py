@@ -22,7 +22,7 @@ Failure semantics mirror a real native service:
 from __future__ import annotations
 
 import abc
-from typing import Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.memory.address_space import AddressSpace, MemorySnapshot
 from repro.memory.regions import Region
@@ -138,6 +138,16 @@ class Workload(abc.ABC):
         the state recorded at the run's end index. The default is a
         no-op, matching the default :meth:`progress_state` of ``None``.
         """
+
+    def fast_path_stats(self) -> Dict[str, int]:
+        """Cumulative fast-path counters of the space and of this driver.
+
+        ``AddressSpace.fast_path_stats()`` plus whatever the workload's
+        own fused paths count (the graph engine's sweep dispositions);
+        campaigns fold deltas of this into
+        :meth:`~repro.obs.instruments.CampaignInstruments.record_memory`.
+        """
+        return self.space.fast_path_stats()
 
     # ------------------------------------------------------------------
     # Query serving

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 import struct
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
@@ -23,12 +23,24 @@ from repro.memory.allocator import HeapAllocator
 from repro.memory.stack import StackManager
 
 
+#: Magnitudes beyond this saturate to +-inf when values are packed as f32.
+_F32_LIMIT = 3.0e38
+
+
 class VertexProgram(abc.ABC):
     """One synchronous vertex computation."""
 
     @abc.abstractmethod
     def initial_value(self, vertex: int) -> float:
         """Initial vertex value."""
+
+    def initial_values(self, count: int) -> np.ndarray:
+        """Initial values of vertices ``0..count-1`` as a float64 array
+        (override to vectorize; must agree with :meth:`initial_value`)."""
+        return np.array(
+            [self.initial_value(vertex) for vertex in range(count)],
+            dtype=np.float64,
+        )
 
     @abc.abstractmethod
     def compute(
@@ -41,14 +53,15 @@ class VertexProgram(abc.ABC):
 
     # Programs may additionally provide
     #
-    #     compute_batch(values, degrees, follower_ids, counts) -> list[float]
+    #     compute_batch(values, degrees, follower_ids, segments) -> ndarray
     #
     # over float64 arrays of all current values/degrees, the concatenated
-    # in-range follower ids of the clean vertices, and the per-vertex
-    # segment lengths. It must return, per segment, exactly the float
-    # ``compute`` would — the engine only batches vertices whose follower
-    # blocks are bit-for-bit pristine, and falls back to ``compute``
-    # otherwise (and entirely, when ``compute_batch`` is absent).
+    # in-range follower ids of every vertex, and their
+    # :class:`~repro.apps.graphmining.graph.Segments`. It must return, per
+    # segment, exactly the float ``compute`` would. The engine calls it
+    # once per sweep on the build-time gather and re-computes with
+    # ``compute`` only the vertices it saw read anything else; without
+    # ``compute_batch`` every sweep runs vertex at a time.
 
 
 class SyncEngine:
@@ -67,11 +80,30 @@ class SyncEngine:
         n = graph.vertex_count
         self._value_addrs = (allocator.malloc(n * 4), allocator.malloc(n * 4))
         self._pack_all = struct.Struct(f"<{n}f")
+        # Sweep dispositions of the fused path: plain ints, updated once
+        # per sweep (see :meth:`sweep_stats`).
+        self._sweep_stats = {
+            "sweeps_fused": 0,
+            "sweeps_partial": 0,
+            "sweeps_per_vertex": 0,
+            "sweep_live_vertices": 0,
+        }
 
     @property
     def value_buffer_addrs(self):
         """Addresses of the two double-buffered value arrays."""
         return self._value_addrs
+
+    def sweep_stats(self) -> Dict[str, int]:
+        """How the fast path's sweeps were served, cumulatively.
+
+        ``sweeps_fused`` replayed every vertex from the build-time
+        gather, ``sweeps_partial`` replayed some runs and swept the rest
+        live, ``sweeps_per_vertex`` replayed nothing;
+        ``sweep_live_vertices`` totals the vertices swept live. Oracle-mode
+        sweeps and sweeps that crashed are not counted.
+        """
+        return dict(self._sweep_stats)
 
     def run(self, program: VertexProgram, iterations: int = 6) -> List[float]:
         """Execute ``iterations`` sweeps; returns the final values.
@@ -85,14 +117,21 @@ class SyncEngine:
         space = self._space
         graph = self._graph
         n = graph.vertex_count
-        space.write(
-            self._value_addrs[0],
-            self._pack_all.pack(*(program.initial_value(v) for v in range(n))),
-        )
-        out_degrees = graph.read_out_degrees()
         batch_compute = getattr(program, "compute_batch", None)
-        batched = batch_compute is not None and space.fast_path_enabled
-        degrees_f64 = np.array(out_degrees, dtype=np.float64) if batched else None
+        fused = (
+            batch_compute is not None
+            and space.fast_path_enabled
+            and graph.segments is not None
+        )
+        if fused:
+            initial = program.initial_values(n).astype("<f4").tobytes()
+        else:
+            initial = self._pack_all.pack(
+                *(program.initial_value(v) for v in range(n))
+            )
+        space.write(self._value_addrs[0], initial)
+        out_degrees = graph.read_out_degrees()
+        degrees_f64 = np.array(out_degrees, dtype=np.float64) if fused else None
         frame = self._stack.push(64)
         try:
             for iteration in range(iterations):
@@ -103,33 +142,23 @@ class SyncEngine:
                 current = self._value_addrs[selector]
                 target = self._value_addrs[1 - selector]
                 raw = space.read(current, n * 4)
-                if batched:
-                    plan = graph.pristine_plan()
-                    if plan is not None:
-                        # Whole-sweep fusion: both CSR arrays hold their
-                        # build-time bytes, so every follower slice and
-                        # block decode is the precomputed one (and no
-                        # stray out-of-range load can occur). Replay the
-                        # gather wholesale and settle the clock/counter
-                        # debt in one charge per array.
-                        values_f64 = np.frombuffer(raw, dtype="<f4").astype(
-                            np.float64
-                        )
-                        new_values = batch_compute(
-                            values_f64, degrees_f64, plan.gathered, plan.counts
-                        )
-                        graph.charge_sweep(plan)
-                    else:
-                        new_values = self._sweep_batched(
+                if fused:
+                    packed = self._pack_array(
+                        self._sweep_fused(
                             program, batch_compute, raw, out_degrees,
                             degrees_f64, current,
                         )
+                    )
                 else:
                     values = list(self._pack_all.unpack(raw))
-                    new_values = self._sweep_scalar(
-                        program, values, out_degrees, current
+                    packed = self._pack_all.pack(
+                        *self._clamp(
+                            self._sweep_scalar(
+                                program, values, out_degrees, current
+                            )
+                        )
                     )
-                space.write(target, self._pack_all.pack(*self._clamp(new_values)))
+                space.write(target, packed)
         finally:
             self._stack.pop()
         final = self._value_addrs[iterations & 1]
@@ -184,7 +213,7 @@ class SyncEngine:
             )
         return new_values
 
-    def _sweep_batched(
+    def _sweep_fused(
         self,
         program: VertexProgram,
         batch_compute,
@@ -192,86 +221,91 @@ class SyncEngine:
         out_degrees: List[int],
         degrees_f64: np.ndarray,
         current: int,
-    ) -> List[float]:
-        """One sweep batching all vertices with pristine follower blocks.
+    ) -> np.ndarray:
+        """One sweep that replays every run of vertices it can prove clean.
 
-        Issues the exact same simulated-memory accesses in the exact same
-        order as :meth:`_sweep_scalar` — offset pair, follower block, and
-        (for corrupted out-of-range ids only) the per-follower stray
-        loads — so the logical clock, counters, and any watchpoint or
-        disturbance hooks observe an identical trace. Only the Python-side
-        gather/apply arithmetic is deferred and vectorized, and solely for
-        vertices whose follower block matches the pristine bytes; every
-        other vertex goes through ``program.compute`` unchanged.
+        Guarantee (not "the same accesses"): the clock, counters, fault
+        consumption, watchpoint firings, disturbance draws, exceptions and
+        resulting values equal :meth:`_sweep_scalar`'s. Vertices in a
+        replayed run (see :meth:`CsrGraph.sweep_runs`) issue no loads at
+        all — their clock/counter debt is charged in bulk before the next
+        live vertex runs, which is unobservable because nothing hooks a
+        clean span. Every other vertex issues the scalar sweep's exact
+        loads in its exact order — offset pair, follower block, and for
+        out-of-range ids the per-follower stray loads. The gather/apply
+        arithmetic runs once per sweep over the build-time gather; only
+        live vertices that observed something else go through
+        ``program.compute``.
         """
         space = self._space
         graph = self._graph
         n = graph.vertex_count
-        values_f64 = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        values_list = None  # decoded lazily, only if a dirty vertex appears
-        clean_chunks: List[np.ndarray] = []
-        # Per vertex: an int follower count (clean → batched) or the
-        # (follower_values, follower_degrees) gather (dirty → compute()).
-        plan: List = []
         edge_count = graph.edge_count
-        for vertex in range(n):
-            start, end = graph.follower_slice(vertex)
-            if end < start or end - start > edge_count:
-                raise QueryTimeout(
-                    f"vertex {vertex} follower slice [{start}, {end}) "
-                    "is out of bounds"
-                )
-            count = end - start
-            if not count:
-                plan.append(0)
+        values_f64 = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        values_list = None  # decoded lazily, only if a vertex is recomputed
+        recomputed: Dict[int, float] = {}
+        replayed_runs = 0
+        live = 0
+        for first, stop, replayed in graph.sweep_runs():
+            if replayed:
+                replayed_runs += 1
                 continue
-            block = graph.read_followers_block(start, count)
-            followers_np = graph.clean_followers(start, count, block)
-            if followers_np is not None:
-                clean_chunks.append(followers_np)
-                plan.append(count)
-                continue
-            if values_list is None:
-                values_list = values_f64.tolist()
-            follower_values = []
-            follower_degrees = []
-            for follower in struct.unpack(f"<{count}I", block):
-                if follower < n:
-                    follower_values.append(values_list[follower])
-                    follower_degrees.append(out_degrees[follower])
-                else:
-                    follower_values.append(
-                        space.read_f32(current + follower * 4)
+            live += stop - first
+            for vertex in range(first, stop):
+                start, end = graph.follower_slice(vertex)
+                if end < start or end - start > edge_count:
+                    raise QueryTimeout(
+                        f"vertex {vertex} follower slice [{start}, {end}) "
+                        "is out of bounds"
                     )
-                    follower_degrees.append(
-                        space.read_u32(graph.out_degree_addr + follower * 4)
-                    )
-            plan.append((follower_values, follower_degrees))
-        counts = [entry for entry in plan if isinstance(entry, int)]
-        totals = iter(())
-        if counts:
-            gathered = (
-                np.concatenate(clean_chunks)
-                if clean_chunks
-                else np.empty(0, dtype=np.uint32)
-            )
-            totals = iter(
-                batch_compute(values_f64, degrees_f64, gathered, counts)
-            )
-        new_values: List[float] = []
-        for vertex, entry in enumerate(plan):
-            if isinstance(entry, int):
-                new_values.append(next(totals))
-            else:
-                new_values.append(
-                    program.compute(vertex, entry[0], entry[1])
+                count = end - start
+                block = graph.read_followers_block(start, count) if count else b""
+                if graph.holds_pristine_block(vertex, start, count, block):
+                    continue
+                if values_list is None:
+                    values_list = values_f64.tolist()
+                follower_values = []
+                follower_degrees = []
+                for follower in struct.unpack(f"<{count}I", block):
+                    if follower < n:
+                        follower_values.append(values_list[follower])
+                        follower_degrees.append(out_degrees[follower])
+                    else:
+                        follower_values.append(
+                            space.read_f32(current + follower * 4)
+                        )
+                        follower_degrees.append(
+                            space.read_u32(graph.out_degree_addr + follower * 4)
+                        )
+                recomputed[vertex] = program.compute(
+                    vertex, follower_values, follower_degrees
                 )
+        new_values = batch_compute(
+            values_f64, degrees_f64, graph.gathered, graph.segments
+        )
+        for vertex, value in recomputed.items():
+            new_values[vertex] = value
+        if not live:
+            disposition = "sweeps_fused"
+        elif replayed_runs:
+            disposition = "sweeps_partial"
+        else:
+            disposition = "sweeps_per_vertex"
+        self._sweep_stats[disposition] += 1
+        self._sweep_stats["sweep_live_vertices"] += live
         return new_values
+
+    @staticmethod
+    def _pack_array(values: np.ndarray) -> bytes:
+        """:meth:`_clamp` (in place) then f32-pack, as array expressions."""
+        values[values > _F32_LIMIT] = np.inf  # NaN compares False: propagates
+        values[values < -_F32_LIMIT] = -np.inf
+        return values.astype("<f4").tobytes()
 
     @staticmethod
     def _clamp(values: List[float]) -> List[float]:
         """Keep values packable as f32 (overflow saturates like hardware)."""
-        limit = 3.0e38
+        limit = _F32_LIMIT
         clamped = []
         for value in values:
             if value != value:  # NaN propagates

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import random
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,20 +87,49 @@ def generate_follower_graph(
     )
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """Precomputed gather of a whole pristine sweep.
+class Segments:
+    """Ragged segments of one flat array, laid out for left-to-right sums.
 
-    ``counts[v]`` is vertex v's follower count and ``gathered`` the
-    concatenated follower ids of every non-empty vertex — exactly what a
-    vertex-at-a-time sweep would decode when the CSR arrays hold their
-    build-time bytes. ``block_reads`` counts the non-empty vertices (one
-    follower-block load each) for deferred accounting.
+    Segment ``v`` owns ``counts[v]`` consecutive entries of a flat
+    (row-major) array. :meth:`sums` folds every segment strictly left to
+    right — ``((0.0 + x0) + x1) + ...``, the order of a scalar
+    ``total += x`` loop — but as one NumPy add per *column*: segments are
+    sorted by decreasing length, so the segments that still have a k-th
+    entry form a prefix and column k is one contiguous slice add. The
+    result is bit-identical to the scalar loop on every interpreter
+    (builtin ``sum`` is not: CPython >= 3.12 compensates it).
     """
 
-    counts: List[int]
-    gathered: np.ndarray
-    block_reads: int
+    def __init__(self, counts) -> None:
+        counts = np.asarray(counts, dtype=np.int64)
+        order = np.argsort(-counts, kind="stable")
+        lengths = counts[order]
+        depth = int(lengths[0]) if lengths.size else 0
+        columns = np.arange(depth)
+        # widths[k] = number of segments longer than k (a prefix of order).
+        widths = np.searchsorted(-lengths, -columns, side="left")
+        starts = (np.cumsum(counts) - counts)[order]
+        ends = np.cumsum(widths)
+        rank = np.arange(int(widths.sum())) - np.repeat(ends - widths, widths)
+        self._order = order
+        self._take = starts[rank] + np.repeat(columns, widths)
+        # Per column: (active segments, slice of the column-major array).
+        self._columns = list(
+            zip(widths.tolist(), (ends - widths).tolist(), ends.tolist())
+        )
+
+    def sums(self, flat: np.ndarray) -> np.ndarray:
+        """Per-segment left-to-right float64 sums of ``flat``."""
+        columns = flat[self._take]
+        totals = np.zeros(self._order.size)
+        add = np.add
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, inf - inf
+            for width, low, high in self._columns:
+                active = totals[:width]
+                add(active, columns[low:high], out=active)
+        sums = np.empty_like(totals)
+        sums[self._order] = totals
+        return sums
 
 
 class CsrGraph:
@@ -123,10 +153,8 @@ class CsrGraph:
         for follower_list in graph.followers:
             edge_values.extend(follower_list)
             offsets.append(len(edge_values))
-        space.write(
-            self.offsets_addr,
-            struct.pack(f"<{len(offsets)}I", *offsets),
-        )
+        offsets_raw = struct.pack(f"<{len(offsets)}I", *offsets)
+        space.write(self.offsets_addr, offsets_raw)
         edges_raw = b""
         if edge_values:
             edges_raw = struct.pack(f"<{len(edge_values)}I", *edge_values)
@@ -135,101 +163,154 @@ class CsrGraph:
             self.out_degree_addr,
             struct.pack(f"<{graph.vertex_count}I", *graph.out_degree),
         )
-        # Pristine follower blocks, keyed by (start, count). The sweep
-        # fast path compares a freshly read block against the pristine
-        # bytes: on a match the pre-decoded id array is reusable and all
-        # ids are known in-range; any corruption (bit flip, stuck cell,
-        # disturbance) misses and falls back to the exact scalar gather.
-        self._clean_blocks: Dict[Tuple[int, int], Tuple[bytes, np.ndarray]] = {}
-        for vertex in range(graph.vertex_count):
-            start, end = offsets[vertex], offsets[vertex + 1]
-            count = end - start
-            if count:
-                block = edges_raw[start * 4 : end * 4]
-                ids = np.frombuffer(block, dtype="<u4")
-                if int(ids.max()) < graph.vertex_count:
-                    self._clean_blocks[(start, count)] = (block, ids)
-        # Whole-sweep fusion state: the build-time bytes of both arrays,
-        # the precomputed gather a pristine sweep replays, and the last
-        # content versions at which the bytes were re-verified.
-        self._offsets_raw = struct.pack(f"<{len(offsets)}I", *offsets)
+        # The one pristine-data cache: the build-time bytes of both
+        # arrays and the gather a sweep over them decodes. A sweep replays
+        # it for every vertex run it can prove still reads these bytes
+        # (:meth:`sweep_runs`); ``segments`` is None when a build-time id
+        # is out of range (such a graph always sweeps vertex at a time).
+        self._offsets = offsets
+        self._offsets_raw = offsets_raw
         self._edges_raw = edges_raw
-        all_ids = np.frombuffer(edges_raw, dtype="<u4")
-        plan: Optional[SweepPlan] = None
-        if edge_values == [] or int(all_ids.max()) < graph.vertex_count:
-            counts = [
-                offsets[v + 1] - offsets[v] for v in range(graph.vertex_count)
-            ]
-            plan = SweepPlan(
-                counts=counts,
-                gathered=all_ids,
-                block_reads=sum(1 for count in counts if count),
-            )
-        self._plan = plan
-        self._verified_versions: Optional[Tuple[int, int]] = None
+        # (intp: a fancy index of any other dtype is cast on every use)
+        self.gathered = np.frombuffer(edges_raw, dtype="<u4").astype(np.intp)
+        counts = np.diff(np.asarray(offsets, dtype=np.int64))
+        # Non-empty vertices before each vertex: one block load apiece.
+        self._block_reads = [0] + np.cumsum(counts > 0).tolist()
+        self.segments: Optional[Segments] = None
+        if not edge_values or int(self.gathered.max()) < graph.vertex_count:
+            self.segments = Segments(counts)
 
-    def pristine_plan(self) -> Optional[SweepPlan]:
-        """The fused whole-sweep gather iff both CSR arrays are pristine.
+    def sweep_runs(self) -> Iterator[Tuple[int, int, bool]]:
+        """Split one sweep into vertex runs ``(first, stop, replayed)``.
 
-        Pristine means: the spans are clean (no fault, watchpoint, or
-        disturbance interaction — checked via the space's guard logic)
-        and their stored bytes equal the build-time bytes. The byte
-        comparison is keyed on the regions' content versions, so it only
-        reruns after a mutation somewhere in those regions. Returns None
-        whenever any of this fails; callers then take the exact per-vertex
-        path.
+        Yields consecutive runs covering ``[0, vertex_count)`` in vertex
+        order. A *replayed* run is proven to read exactly the build-time
+        bytes with no side effect — its offset entries and edge slice
+        pass :meth:`AddressSpace.span_is_clean` and still hold the
+        build-time bytes — so the precomputed gather stands for it and
+        its loads (one offset pair per vertex, one block per non-empty
+        follower list) are settled with ``charge_reads`` *before* the
+        run is yielded. Every other run must be swept vertex at a time
+        through the live accessors by the caller before it asks for the
+        next run; the clock is therefore exact at every run boundary,
+        which is all a watchpoint, disturbance or crash inside a live
+        vertex can observe.
+
+        Runs are cut at the vertices that can read a *suspect* byte — a
+        guarded address (fault, watchpoint, disturbance aggressor) or a
+        stored byte that differs from build time: offset entry i is read
+        by vertices i-1 and i, edge e by its owner under the build-time
+        offsets. A clean vertex's offsets are pristine, so it reads
+        nothing else. Each run is verified when it is reached, not when
+        the sweep is split, so a disturbance that fires inside a live
+        vertex demotes the later runs it touches.
         """
-        plan = self._plan
-        if plan is None:
-            return None
-        space = self._space
-        offsets_len = len(self._offsets_raw)
-        edges_len = len(self._edges_raw)
-        if not space.span_is_clean(self.offsets_addr, offsets_len):
-            return None
-        if edges_len and not space.span_is_clean(self.edges_addr, edges_len):
-            return None
-        versions = (
-            space.version_at(self.offsets_addr),
-            space.version_at(self.edges_addr),
-        )
-        if versions != self._verified_versions:
-            if space.peek(self.offsets_addr, offsets_len) != self._offsets_raw:
-                return None
-            if edges_len and (
-                space.peek(self.edges_addr, edges_len) != self._edges_raw
-            ):
-                return None
-            self._verified_versions = versions
-        return plan
-
-    def charge_sweep(self, plan: SweepPlan) -> None:
-        """Settle the deferred accounting of one fused pristine sweep:
-        one offset-pair read per vertex plus one block read per non-empty
-        follower list, exactly as the per-vertex sweep would issue."""
-        space = self._space
         n = self.vertex_count
-        space.charge_reads(self.offsets_addr, 2 * n, 8 * n)
-        if plan.block_reads:
-            space.charge_reads(
-                self.edges_addr, plan.block_reads, 4 * self.edge_count
+        versions = self._versions()
+        first = 0
+        for vertex in self._suspect_vertices() + [n]:
+            if vertex > first:
+                yield first, vertex, self._replay(first, vertex, versions)
+            if vertex < n:
+                yield vertex, vertex + 1, False
+            first = vertex + 1
+
+    def _versions(self) -> Tuple[int, int]:
+        space = self._space
+        return space.version_at(self.offsets_addr), space.version_at(self.edges_addr)
+
+    def _suspect_vertices(self) -> List[int]:
+        """Sorted vertices whose loads can touch a suspect CSR byte."""
+        guarded = self._space.guarded_addresses()
+        n = self.vertex_count
+        suspects = set()
+        for position in self._suspect_bytes(
+            self.offsets_addr, self._offsets_raw, guarded
+        ):
+            entry = position >> 2
+            if entry:
+                suspects.add(entry - 1)
+            if entry < n:
+                suspects.add(entry)
+        for position in self._suspect_bytes(
+            self.edges_addr, self._edges_raw, guarded
+        ):
+            suspects.add(bisect_right(self._offsets, position >> 2) - 1)
+        return sorted(suspects)
+
+    def _suspect_bytes(
+        self, base: int, pristine: bytes, guarded: Tuple[int, ...]
+    ) -> List[int]:
+        """Offsets into one array that are guarded or no longer pristine."""
+        end = base + len(pristine)
+        positions = [
+            addr - base
+            for addr in guarded[bisect_left(guarded, base) : bisect_left(guarded, end)]
+        ]
+        stored = self._space.peek(base, len(pristine))
+        if stored != pristine:
+            positions.extend(
+                np.flatnonzero(
+                    np.frombuffer(stored, dtype=np.uint8)
+                    != np.frombuffer(pristine, dtype=np.uint8)
+                ).tolist()
             )
+        return positions
+
+    def _replay(self, first: int, stop: int, versions: Tuple[int, int]) -> bool:
+        """Verify run ``[first, stop)`` and settle its loads; False = live.
+
+        The stored bytes were compared when the sweep was split; they are
+        compared again only if a store has bumped the content version
+        since (i.e. something fired inside an earlier live vertex).
+        """
+        space = self._space
+        stale = self._versions() != versions
+        vertices = stop - first
+        entries_addr = self.offsets_addr + 4 * first
+        entries_len = 4 * (vertices + 1)
+        if not space.span_is_clean(entries_addr, entries_len):
+            return False
+        if stale and (
+            space.peek(entries_addr, entries_len)
+            != self._offsets_raw[4 * first : 4 * (stop + 1)]
+        ):
+            return False
+        low, high = self._offsets[first], self._offsets[stop]
+        block_addr = self.edges_addr + 4 * low
+        block_len = 4 * (high - low)
+        if block_len:
+            if not space.span_is_clean(block_addr, block_len):
+                return False
+            if stale and (
+                space.peek(block_addr, block_len)
+                != self._edges_raw[4 * low : 4 * high]
+            ):
+                return False
+        space.charge_reads(entries_addr, 2 * vertices, 8 * vertices)
+        if block_len:
+            space.charge_reads(
+                block_addr,
+                self._block_reads[stop] - self._block_reads[first],
+                block_len,
+            )
+        return True
+
+    def holds_pristine_block(
+        self, vertex: int, start: int, count: int, block: bytes
+    ) -> bool:
+        """Whether a live vertex observed exactly its build-time gather
+        (same slice bounds, same block bytes) — e.g. a silent stuck-at."""
+        offsets = self._offsets
+        return (
+            start == offsets[vertex]
+            and start + count == offsets[vertex + 1]
+            and block == self._edges_raw[4 * start : 4 * (start + count)]
+        )
 
     def follower_slice(self, vertex: int):
         """Read this vertex's follower-list bounds (two u32 loads)."""
         return self._space.read_u32_pair(self.offsets_addr + vertex * 4)
-
-    def clean_followers(self, start: int, count: int, block: bytes) -> Optional[np.ndarray]:
-        """Pre-decoded follower ids iff ``block`` is bit-for-bit pristine.
-
-        Returns None when the slice is unknown or the block bytes differ
-        from the bytes written at build time (i.e. observably corrupted),
-        in which case the caller must take the exact scalar path.
-        """
-        cached = self._clean_blocks.get((start, count))
-        if cached is not None and cached[0] == block:
-            return cached[1]
-        return None
 
     def read_followers_block(self, start: int, count: int) -> bytes:
         """Block-read ``count`` follower ids beginning at edge ``start``."""

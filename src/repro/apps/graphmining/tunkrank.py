@@ -11,8 +11,6 @@ fixed sweep budget.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
 from repro.apps.graphmining.framework import VertexProgram
@@ -49,28 +47,27 @@ class TunkRank(VertexProgram):
                 total += float("inf") if contribution > 0 else float("-inf")
         return total
 
-    def compute_batch(self, values, degrees, follower_ids, counts):
-        """Vectorized gather-apply over concatenated clean segments.
+    def initial_values(self, count: int) -> np.ndarray:
+        """Uniform starting influence, as an array."""
+        return np.ones(count, dtype=np.float64)
+
+    def compute_batch(self, values, degrees, follower_ids, segments):
+        """Vectorized gather-apply over every vertex's follower segment.
 
         Bit-identical to calling :meth:`compute` per segment: elementwise
         float64 multiply/add/divide match scalar IEEE arithmetic exactly,
         the zero-degree fixup replicates the scalar branch (including its
-        NaN-contribution → -inf behaviour), and each segment is summed
-        with the same left-to-right Python float accumulation.
+        NaN-contribution → -inf behaviour), and :meth:`Segments.sums`
+        accumulates each segment in the scalar loop's left-to-right order
+        (builtin ``sum`` would not: CPython >= 3.12 compensates it).
         """
-        p = self.retweet_probability
-        if len(follower_ids):
-            contributions = 1.0 + p * values[follower_ids]
-            gathered_degrees = degrees[follower_ids]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                quotients = contributions / gathered_degrees
-            zero_degree = gathered_degrees == 0.0
-            if zero_degree.any():
-                positive = contributions > 0.0
-                quotients[zero_degree & positive] = np.inf
-                quotients[zero_degree & ~positive] = -np.inf
-            flat = quotients.tolist()
-        else:
-            flat = []
-        chunks = iter(flat)
-        return [float(sum(islice(chunks, count))) for count in counts]
+        gathered_degrees = degrees[follower_ids]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            contributions = 1.0 + self.retweet_probability * values[follower_ids]
+            quotients = contributions / gathered_degrees
+        zero_degree = gathered_degrees == 0.0
+        if zero_degree.any():
+            positive = contributions > 0.0
+            quotients[zero_degree & positive] = np.inf
+            quotients[zero_degree & ~positive] = -np.inf
+        return segments.sums(quotients)

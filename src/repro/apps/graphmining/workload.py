@@ -14,7 +14,9 @@ graph + vertex values) plus a small stack.
 from __future__ import annotations
 
 import struct
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, Optional, Tuple
+
+import numpy as np
 
 from repro.apps.base import Workload
 from repro.apps.graphmining.framework import SyncEngine
@@ -100,17 +102,15 @@ class GraphMining(Workload):
     # ------------------------------------------------------------------
     def _run_job(self) -> Tuple[Tuple[int, float], ...]:
         values = self.engine.run(self.program, iterations=self._iterations)
-        ranking: List[Tuple[float, int]] = [
-            (value, vertex) for vertex, value in enumerate(values)
-        ]
+        scores = np.array(values, dtype=np.float64)
         # NaNs sort unpredictably; replace with -inf so ordering is total.
-        ranking = [
-            (value if value == value else float("-inf"), vertex)
-            for value, vertex in ranking
-        ]
-        ranking.sort(key=lambda item: (-item[0], item[1]))
-        top = ranking[: min(TOP_INFLUENCERS, len(ranking))]
-        return tuple((vertex, _quantize(value)) for value, vertex in top)
+        scores[np.isnan(scores)] = -np.inf
+        # Descending score, ties by ascending vertex id (stable sort).
+        top = np.argsort(-scores, kind="stable")[:TOP_INFLUENCERS]
+        return tuple(
+            (vertex, _quantize(score))
+            for vertex, score in zip(top.tolist(), scores[top].tolist())
+        )
 
     @property
     def query_count(self) -> int:
@@ -124,6 +124,10 @@ class GraphMining(Workload):
         if not 0 <= query_index < self._jobs:
             raise IndexError(f"job index {query_index} out of range")
         return self._run_job()
+
+    def fast_path_stats(self):
+        """Space counters plus the engine's sweep dispositions."""
+        return {**self.space.fast_path_stats(), **self.engine.sweep_stats()}
 
     @property
     def time_scale(self) -> TimeScale:

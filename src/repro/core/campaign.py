@@ -710,7 +710,7 @@ class CharacterizationCampaign:
             for cell_def in cells:
                 cell = profile.cell(cell_def.name, cell_def.spec.label)
                 cell_key = f"{cell_def.name}|{cell_def.spec.label}"
-                memory_before = self.workload.space.fast_path_stats()
+                memory_before = self.workload.fast_path_stats()
                 cell_start = time.perf_counter()
                 plan = (
                     self.plan_cell_trials(cell_def, range(budget))
@@ -768,7 +768,7 @@ class CharacterizationCampaign:
                             }
                         )
                 if instruments is not None:
-                    memory_after = self.workload.space.fast_path_stats()
+                    memory_after = self.workload.fast_path_stats()
                     instruments.record_memory(
                         {
                             key: memory_after[key] - memory_before.get(key, 0)

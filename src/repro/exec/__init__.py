@@ -57,3 +57,12 @@ __all__ = [
     "ProgressEvent",
     "WorkerTiming",
 ]
+
+
+def __getattr__(name: str):
+    if name == "progress":
+        raise ImportError(
+            "repro.exec.progress was removed in 2.0; "
+            "import from repro.obs.progress instead"
+        )
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

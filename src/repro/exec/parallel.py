@@ -160,7 +160,7 @@ def run_shard_on(
         campaign.observer = Observer(
             sinks=[buffer], root_path=f"campaign/cell:{cell_key}"
         )
-    stats_before = campaign.workload.space.fast_path_stats()
+    stats_before = campaign.workload.fast_path_stats()
     start = time.perf_counter()
     results = []
     try:
@@ -186,7 +186,7 @@ def run_shard_on(
     finally:
         if capture_events:
             campaign.observer = original_observer
-    stats_after = campaign.workload.space.fast_path_stats()
+    stats_after = campaign.workload.fast_path_stats()
     return ShardResult(
         cell_index=shard.cell_index,
         trial_start=shard.trial_start,

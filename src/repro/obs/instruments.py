@@ -369,6 +369,15 @@ class CampaignInstruments:
             "memory_fastpath_hit_ratio",
             "Fraction of simulated-memory accesses served by the fast path",
         )
+        self.graph_sweeps = registry.counter(
+            "graph_sweeps_total",
+            "Graph-engine fast-path sweeps by disposition",
+            labels=("disposition",),
+        )
+        self.graph_sweep_live_vertices = registry.counter(
+            "graph_sweep_live_vertices_total",
+            "Vertices swept live (not replayed) by the graph engine",
+        )
         self.pruning_trials = registry.counter(
             "campaign_pruning_trials_total",
             "Trials by pruning disposition (pruned backend only)",
@@ -484,7 +493,10 @@ class CampaignInstruments:
         rather than from the event stream: the address space counts
         accesses and restore bytes itself, and campaigns fold the deltas
         at cell/shard boundaries to keep instrument cost off the trial
-        hot path. Keys match ``AddressSpace.fast_path_stats()``.
+        hot path. Keys match ``Workload.fast_path_stats()``: the
+        ``AddressSpace`` counters plus, for the graph engine, its sweep
+        dispositions (why a graph trial was slow: ``per_vertex`` sweeps
+        and many live vertices mean faults kept runs from replaying).
         """
         fast = int(stats.get("fast_accesses", 0))
         checked = int(stats.get("checked_accesses", 0))
@@ -504,6 +516,13 @@ class CampaignInstruments:
             self.memory_restore_bytes.labels(disposition="copied").inc(copied)
         if saved:
             self.memory_restore_bytes.labels(disposition="saved").inc(saved)
+        for disposition in ("fused", "partial", "per_vertex"):
+            sweeps = int(stats.get(f"sweeps_{disposition}", 0))
+            if sweeps:
+                self.graph_sweeps.labels(disposition=disposition).inc(sweeps)
+        live = int(stats.get("sweep_live_vertices", 0))
+        if live:
+            self.graph_sweep_live_vertices.labels().inc(live)
         fast_total = self.memory_fastpath.labels(path="fast").value
         checked_total = self.memory_fastpath.labels(path="checked").value
         self.memory_fastpath_hit_ratio.labels().set(

@@ -1,0 +1,315 @@
+"""Equivalence suite: fault-local sweep fusion vs the scalar oracle.
+
+The graph engine's fast path replays every run of vertices whose CSR
+bytes are provably pristine and sweeps only the vertices around a
+resident fault live (``CsrGraph.sweep_runs``). This module pins that to
+the oracle: twin graph-mining workloads — one on the fast path, one built
+under ``oracle_mode()`` — get the same fault at every *class* of CSR
+location, and after every job their responses (or exceptions), logical
+clock, access counters, fault log, fault consumption, watchpoint firings
+and stored bytes must be equal. Watchpoint timestamps and disturbance
+``injected_at`` stamps are what pin the clock *at* a dirty vertex: charging
+a replayed run after, instead of before, the live vertex that follows it
+fails here.
+"""
+
+import random
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps.graphmining import GraphMining
+from repro.memory.fastpath import oracle_mode
+
+JOBS = 2
+
+
+def _build():
+    workload = GraphMining(
+        seed=77, vertex_count=60, edges_per_vertex=4, iterations=3, jobs=JOBS
+    )
+    workload.build()
+    workload.checkpoint()
+    return workload
+
+
+@pytest.fixture(scope="module")
+def twins():
+    fast = _build()
+    with oracle_mode():
+        oracle = _build()
+    assert fast.space.fast_path_enabled and not oracle.space.fast_path_enabled
+    return fast, oracle
+
+
+def _fault_key(fault):
+    return (fault.addr, fault.bit, fault.kind, fault.stuck_value, fault.injected_at)
+
+
+def _observe(workload, job):
+    try:
+        return ("ok", workload.execute(job))
+    except Exception as error:  # noqa: BLE001 - compared between the twins
+        return ("raise", type(error).__name__, str(error))
+
+
+def run_twins(twins, inject):
+    """Reset both twins, apply ``inject(workload, events)``, compare per job.
+
+    Returns the fast twin's sweep-disposition delta so callers can assert
+    the scenario actually exercised the path it is named after.
+    """
+    events = ([], [])
+    for workload, log in zip(twins, events):
+        workload.reset()  # restore keeps watchpoints and counters
+        workload.space.clear_watchpoints()
+        workload.space.reset_access_stats()
+        inject(workload, log)
+    fast, oracle = twins
+    before = fast.engine.sweep_stats()
+    for job in range(JOBS):
+        assert _observe(fast, job) == _observe(oracle, job)
+        assert fast.space.time == oracle.space.time
+        assert fast.space.access_stats() == oracle.space.access_stats()
+        assert [_fault_key(f) for f in fast.space.fault_log.entries] == [
+            _fault_key(f) for f in oracle.space.fault_log.entries
+        ]
+        tracked = fast.space.tracked_addresses()
+        assert tracked == oracle.space.tracked_addresses()
+        for addr in tracked:
+            assert fast.space.fault_consumption(
+                addr
+            ) == oracle.space.fault_consumption(addr)
+        assert events[0] == events[1]
+        size = fast.space.size
+        assert fast.space.peek(0, size) == oracle.space.peek(0, size)
+    after = fast.engine.sweep_stats()
+    assert oracle.engine.sweep_stats()["sweeps_fused"] == 0
+    return {key: after[key] - before[key] for key in after}
+
+
+# -- where things live in the CSR arrays ----------------------------------
+def offset_entry(workload, entry):
+    return workload.csr.offsets_addr + 4 * entry
+
+
+def edge(workload, index):
+    return workload.csr.edges_addr + 4 * index
+
+
+def offsets_of(workload):
+    csr = workload.csr
+    raw = workload.space.peek(csr.offsets_addr, 4 * (csr.vertex_count + 1))
+    return list(struct.unpack(f"<{csr.vertex_count + 1}I", raw))
+
+
+def stored_bit(workload, addr, bit):
+    return (workload.space.peek(addr, 1)[0] >> bit) & 1
+
+
+def first_edge_after_empty_vertex(workload):
+    """Edge index owned by the vertex right after a zero-follower vertex."""
+    offsets = offsets_of(workload)
+    for vertex in range(workload.csr.vertex_count - 1):
+        if offsets[vertex] == offsets[vertex + 1] < offsets[vertex + 2]:
+            return offsets[vertex + 1]
+    raise AssertionError("test graph has no zero-follower vertex")
+
+
+def entry_between_busy_vertices(workload):
+    """An offsets entry whose two readers both have >= 2 followers, so a
+    +-1 corruption yields a legal but wrong slice rather than a timeout."""
+    offsets = offsets_of(workload)
+    for entry in range(1, workload.csr.vertex_count):
+        if min(offsets[entry] - offsets[entry - 1],
+               offsets[entry + 1] - offsets[entry]) >= 2:
+            return entry
+    raise AssertionError("test graph has no two adjacent busy vertices")
+
+
+def soft(addr_of, bit=0):
+    return lambda workload, _log: workload.space.inject_soft_flip(
+        addr_of(workload), bit
+    )
+
+
+def hard(addr_of, bit=0, stuck=None):
+    return lambda workload, _log: workload.space.inject_hard_fault(
+        addr_of(workload), bit, stuck_value=stuck
+    )
+
+
+def silent_stuck_at(workload, _log):
+    addr = edge(workload, workload.csr.edge_count // 2)
+    workload.space.inject_hard_fault(
+        addr, 3, stuck_value=stored_bit(workload, addr, 3)
+    )
+
+
+def two_bits_one_word(workload, _log):
+    base = edge(workload, workload.csr.edge_count // 3)
+    workload.space.inject_hard_fault(base, 1)
+    workload.space.inject_hard_fault(base + 1, 2)
+
+
+def two_distant_soft_flips(workload, _log):
+    workload.space.inject_soft_flip(edge(workload, 3), 0)
+    workload.space.inject_soft_flip(edge(workload, workload.csr.edge_count - 4), 1)
+
+
+def watchpoint_in_edges(workload, log):
+    workload.space.add_watchpoint(
+        edge(workload, workload.csr.edge_count // 2) + 1,
+        lambda *event: log.append(event),
+    )
+
+
+def disturbance_in_edges(probability, victim_of):
+    def inject(workload, _log):
+        workload.space.install_disturbance(
+            edge(workload, workload.csr.edge_count // 4),
+            victim_of(workload),
+            2,
+            probability,
+            random.Random(5),
+        )
+
+    return inject
+
+
+LAST_ENTRY = lambda w: offset_entry(w, w.csr.vertex_count)  # noqa: E731
+LAST_EDGE = lambda w: edge(w, w.csr.edge_count - 1)  # noqa: E731
+
+#: name -> (inject, expects at least one partially fused sweep)
+SCENARIOS = {
+    "first_offsets_entry_soft": (soft(lambda w: offset_entry(w, 0)), True),
+    "first_offsets_entry_hard": (hard(lambda w: offset_entry(w, 0), 1), True),
+    "last_offsets_entry_soft": (soft(LAST_ENTRY), True),
+    # end + 4: the last vertex reads past the edges array and crashes.
+    "last_offsets_entry_hard": (hard(LAST_ENTRY, 2), False),
+    "first_edge_soft": (soft(lambda w: edge(w, 0), 1), True),
+    "first_edge_hard": (hard(lambda w: edge(w, 0), 0), True),
+    "last_edge_soft": (soft(LAST_EDGE, 2), True),
+    "last_edge_hard": (hard(LAST_EDGE, 1), True),
+    "neighbour_of_empty_vertex": (
+        soft(lambda w: edge(w, first_edge_after_empty_vertex(w))),
+        True,
+    ),
+    "silent_stuck_at": (silent_stuck_at, True),
+    "two_bits_one_word": (two_bits_one_word, True),
+    "two_distant_soft_flips": (two_distant_soft_flips, True),
+    # id + 64 >= vertex_count but still mapped: stray loads, no crash.
+    "out_of_range_id_stray_loads": (
+        soft(lambda w: edge(w, w.csr.edge_count // 2), 6),
+        True,
+    ),
+    # id + 2**31: the stray load leaves the address space (segfault).
+    "out_of_range_id_segfault": (
+        hard(lambda w: edge(w, w.csr.edge_count // 2) + 3, 7, stuck=1),
+        False,
+    ),
+    # offsets[i] + 2**31: an impossible follower slice (QueryTimeout).
+    "corrupted_offset_timeout": (
+        soft(lambda w: offset_entry(w, w.csr.vertex_count // 2) + 3, 7),
+        False,
+    ),
+    # a small offset corruption: a legal but wrong slice.
+    "corrupted_offset_wrong_slice": (
+        soft(lambda w: offset_entry(w, entry_between_busy_vertices(w)), 0),
+        True,
+    ),
+    "watchpoint_in_edges": (watchpoint_in_edges, True),
+    "disturbance_victim_in_later_run": (
+        disturbance_in_edges(1.0, lambda w: edge(w, 3 * w.csr.edge_count // 4)),
+        True,
+    ),
+    "disturbance_victim_in_earlier_run": (
+        disturbance_in_edges(0.5, lambda w: offset_entry(w, 2) + 1),
+        True,
+    ),
+    "disturbance_victim_in_values": (
+        disturbance_in_edges(1.0, lambda w: w.engine.value_buffer_addrs[0] + 9),
+        True,
+    ),
+}
+
+
+class TestPartialFusionMatchesOracle:
+    def test_fault_free_sweeps_fuse_whole(self, twins):
+        stats = run_twins(twins, lambda workload, log: None)
+        assert stats["sweeps_fused"] > 0
+        assert stats["sweeps_partial"] == stats["sweeps_per_vertex"] == 0
+        assert stats["sweep_live_vertices"] == 0
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_fault_class(self, twins, name):
+        inject, expect_partial = SCENARIOS[name]
+        stats = run_twins(twins, inject)
+        if expect_partial:
+            assert stats["sweeps_partial"] > 0, stats
+
+    def test_guard_interval_spanning_clean_vertices_goes_live(self, twins):
+        """Between two distant faults the interval-based span check refuses
+        the clean run; it must sweep live (and still match), not replay."""
+        stats = run_twins(twins, two_distant_soft_flips)
+        sweeps = stats["sweeps_partial"] + stats["sweeps_per_vertex"]
+        vertices = twins[0].csr.vertex_count
+        assert stats["sweep_live_vertices"] > sweeps * vertices // 2
+
+    def test_untracked_corruption_is_still_dirty(self, twins):
+        """Bytes that differ from build time with no guard left (a repair
+        cleared the fault but not the data) are found by the byte compare."""
+
+        def inject(workload, _log):
+            addr = edge(workload, 5)
+            workload.space.inject_soft_flip(addr, 2)
+            workload.space.clear_faults_in_range(addr, 1)
+
+        stats = run_twins(twins, inject)
+        assert stats["sweeps_partial"] > 0
+        assert stats["sweeps_fused"] == 0
+
+    @given(
+        faults=st.lists(
+            st.tuples(
+                st.sampled_from(["soft", "hard", "stuck0", "stuck1", "watch", "disturb"]),
+                st.sampled_from(["offsets", "edges"]),
+                st.integers(min_value=0, max_value=10_000),
+                st.integers(min_value=0, max_value=7),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_csr_faults(self, twins, faults):
+        def inject(workload, log):
+            csr = workload.csr
+            spans = {
+                "offsets": (csr.offsets_addr, 4 * (csr.vertex_count + 1)),
+                "edges": (csr.edges_addr, 4 * csr.edge_count),
+            }
+            for kind, array, position, bit in faults:
+                base, length = spans[array]
+                addr = base + position % length
+                if kind == "soft":
+                    workload.space.inject_soft_flip(addr, bit)
+                elif kind == "hard":
+                    workload.space.inject_hard_fault(addr, bit)
+                elif kind in ("stuck0", "stuck1"):
+                    workload.space.inject_hard_fault(
+                        addr, bit, stuck_value=int(kind[-1])
+                    )
+                elif kind == "watch":
+                    workload.space.add_watchpoint(
+                        addr, lambda *event: log.append(event)
+                    )
+                else:
+                    victim = csr.edges_addr + (position * 7) % (4 * csr.edge_count)
+                    workload.space.install_disturbance(
+                        addr, victim, bit, 0.5, random.Random(position)
+                    )
+
+        run_twins(twins, inject)

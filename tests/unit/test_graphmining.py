@@ -1,16 +1,24 @@
 """Unit tests for the graph-mining workload."""
 
+import json
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from repro.apps.graphmining import (
     CsrGraph,
+    GraphMining,
     SyncEngine,
     TunkRank,
     generate_follower_graph,
 )
+from repro.apps.graphmining.graph import Segments
+from repro.core.campaign import CampaignConfig, CharacterizationCampaign
+from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT
 from repro.memory import HeapAllocator, StackManager
+from repro.obs import NULL_OBSERVER, MetricsRegistry, Observer
 
 
 @pytest.fixture
@@ -140,6 +148,151 @@ class TestTunkRank:
         # Two followers with influence 1.0 and out-degree 2 each:
         # 2 * (1 + 0.5) / 2 = 1.5
         assert program.compute(0, [1.0, 1.0], [2, 2]) == pytest.approx(1.5)
+
+
+def _batch_vs_scalar(program, values, degrees, segments_ids):
+    """(compute_batch, per-segment compute) results as float.hex lists."""
+    counts = [len(ids) for ids in segments_ids]
+    flat = np.array([i for ids in segments_ids for i in ids], dtype=np.uint32)
+    batch = program.compute_batch(
+        np.array(values, dtype=np.float64),
+        np.array(degrees, dtype=np.float64),
+        flat,
+        Segments(counts),
+    )
+    scalar = [
+        program.compute(
+            vertex, [values[i] for i in ids], [degrees[i] for i in ids]
+        )
+        for vertex, ids in enumerate(segments_ids)
+    ]
+    return [float(x).hex() for x in batch], [float(x).hex() for x in scalar]
+
+
+class TestComputeBatchMatchesCompute:
+    """compute_batch must equal compute bit for bit on every interpreter
+    (builtin sum() is Neumaier-compensated from CPython 3.12 on)."""
+
+    def test_random_segments_with_inf_and_nan(self):
+        rng = random.Random(11)
+        program = TunkRank(retweet_probability=0.37)
+        for _ in range(25):
+            n = rng.randrange(1, 40)
+            values = [rng.uniform(-50.0, 50.0) for _ in range(n)]
+            degrees = [rng.choice([0, 1, 2, 3, 7, 11]) for _ in range(n)]
+            # NaN and +-inf contributions, over zero and non-zero degrees
+            # (a zero divisor: +inf for positive, -inf for the rest, NaN
+            # included).
+            for special in (float("nan"), float("inf"), float("-inf")):
+                values[rng.randrange(n)] = special
+            segments_ids = [
+                [rng.randrange(n) for _ in range(rng.choice([0, 0, 1, 2, 5, 9, 30]))]
+                for _ in range(n)
+            ]
+            batch, scalar = _batch_vs_scalar(program, values, degrees, segments_ids)
+            assert batch == scalar
+
+    def test_compensated_sum_would_differ(self):
+        # Ten quotients of 0.1: naive left-to-right gives 0.999...9,
+        # compensated summation (math.fsum, sum() on 3.12+) gives 1.0.
+        program = TunkRank(retweet_probability=0.5)
+        batch, scalar = _batch_vs_scalar(
+            program, [0.0] * 10, [10] * 10, [list(range(10)), [], [3]]
+        )
+        assert batch == scalar
+        assert batch[0] == (0.9999999999999999).hex() != (1.0).hex()
+        assert batch[1:] == [(0.0).hex(), (0.1).hex()]
+
+    def test_segments_sum_left_to_right(self):
+        rng = random.Random(3)
+        counts = [rng.choice([0, 1, 2, 3, 8, 17]) for _ in range(50)]
+        flat = np.array([rng.uniform(-1e16, 1e16) for _ in range(sum(counts))])
+        chunks = iter(flat.tolist())
+        expected = []
+        for count in counts:
+            total = 0.0
+            for _ in range(count):
+                total += next(chunks)
+            expected.append(total.hex())
+        assert [x.hex() for x in Segments(counts).sums(flat).tolist()] == expected
+        assert Segments([]).sums(np.empty(0)).size == 0
+
+
+class TestPackArrayMatchesClamp:
+    def test_saturation_and_nan_rules(self):
+        """The array pack must equal pack(*_clamp(...)) byte for byte."""
+        rng = random.Random(2)
+        values = [
+            0.0, -0.0, 1.0, 1e-45, -1e-46, 0.1, 3.0e38, -3.0e38,
+            3.0000001e38, -3.0000001e38, 3.3e38, 1e39, -1e300,
+            float("inf"), float("-inf"), float("nan"),
+        ] + [rng.uniform(-4e38, 4e38) for _ in range(200)]
+        expected = struct.pack(f"<{len(values)}f", *SyncEngine._clamp(values))
+        assert SyncEngine._pack_array(np.array(values)) == expected
+
+
+class TestSweepDispositionCounters:
+    @pytest.fixture
+    def workload(self):
+        workload = GraphMining(
+            seed=21, vertex_count=80, edges_per_vertex=5, iterations=3, jobs=2
+        )
+        workload.build()
+        workload.checkpoint()
+        return workload
+
+    def test_single_edge_fault_leaves_at_most_two_live_vertices(self, workload):
+        workload.reset()
+        before = workload.engine.sweep_stats()
+        workload.space.inject_hard_fault(workload.csr.edges_addr + 4 * 17, 0)
+        workload.execute(0)
+        after = workload.fast_path_stats()
+        sweeps = after["sweeps_partial"] - before["sweeps_partial"]
+        assert sweeps == 3
+        assert after["sweeps_fused"] == before["sweeps_fused"]
+        assert after["sweeps_per_vertex"] == before["sweeps_per_vertex"]
+        live = after["sweep_live_vertices"] - before["sweep_live_vertices"]
+        assert 0 < live <= 2 * sweeps
+        assert "fast_accesses" in after  # next to the space's counters
+
+    def test_counters_cost_nothing_without_instruments(self, workload):
+        """Under NULL_OBSERVER nothing reads the counters (the engine only
+        bumps plain ints, once per sweep); with a registry attached the
+        same campaign folds them through record_memory — same profile."""
+        config = CampaignConfig(trials_per_cell=4, queries_per_trial=2, seed=5)
+        specs = (SINGLE_BIT_SOFT, SINGLE_BIT_HARD)
+
+        def run(observer):
+            before = workload.fast_path_stats()
+            campaign = CharacterizationCampaign(
+                workload, config=config, backend="vectorized", observer=observer
+            )
+            campaign.prepare()
+            profile = campaign.run(specs=specs)
+            after = workload.fast_path_stats()
+            delta = {key: after[key] - before[key] for key in after}
+            return json.dumps(profile.to_dict(), sort_keys=True), delta
+
+        assert NULL_OBSERVER.instruments is None
+        quiet_profile, quiet = run(NULL_OBSERVER)
+        observer = Observer(metrics=MetricsRegistry())
+        loud_profile, loud = run(observer)
+        assert quiet_profile == loud_profile
+        sweep_keys = [key for key in quiet if key.startswith("sweep")]
+        assert sweep_keys and all(quiet[key] == loud[key] for key in sweep_keys)
+        instruments = observer.instruments
+        # prepare()'s golden run happens outside any cell, so the folded
+        # cell deltas are bounded by (and here nearly all of) the total.
+        folded = sum(
+            instruments.graph_sweeps.labels(disposition=name).value
+            for name in ("fused", "partial", "per_vertex")
+        )
+        total = sum(loud[f"sweeps_{name}"] for name in ("fused", "partial", "per_vertex"))
+        assert 0 < folded <= total
+        assert (
+            instruments.graph_sweep_live_vertices.labels().value
+            <= loud["sweep_live_vertices"]
+        )
 
 
 class TestWorkload:
