@@ -4,7 +4,9 @@
 Times the three exploration backends on a 6-region × 12-candidate grid
 (12^6 ≈ 2.99M designs): the streaming scalar reference (one
 ``DesignEvaluator.evaluate`` per design, O(k) memory), the NumPy batch
-engine, and exact branch-and-bound. Every timed path is first checked
+engine, and exact branch-and-bound — plus ``auto``, the default every
+caller gets, which must cost what branch-and-bound costs whenever
+``top_k`` is set. Every timed path is first checked
 for equality against exhaustive scalar search on a reduced grid, and
 the batched Monte Carlo availability simulator is cross-checked
 statistically against the scalar event loop before their timing race.
@@ -80,6 +82,9 @@ CANDIDATES = DEFAULT_CANDIDATES + (
 
 TARGET = 0.99985
 
+#: ``auto`` is what ``explore()`` runs when no backend is named.
+BACKENDS = ("scalar", "vectorized", "branch-and-bound", "auto")
+
 
 def build_profile():
     """Deterministic synthetic 6-region profile (1000 trials per cell)."""
@@ -102,7 +107,7 @@ def check_search_equivalence(profile):
     """All backends must agree with exhaustive scalar search (small grid)."""
     regions = list(REGION_SPECS)[:3]  # 12^3 = 1728 designs
     result = {}
-    for backend in ("scalar", "vectorized", "branch-and-bound"):
+    for backend in BACKENDS:
         result[backend] = explore(
             profile,
             availability_target=TARGET,
@@ -116,10 +121,10 @@ def check_search_equivalence(profile):
         backend: [m.design.name for m in r.feasible]
         for backend, r in result.items()
     }
-    assert (
-        names["scalar"] == names["vectorized"] == names["branch-and-bound"]
+    assert all(
+        ranking == names["scalar"] for ranking in names.values()
     ), f"backend rankings diverge: {names}"
-    for backend in ("vectorized", "branch-and-bound"):
+    for backend in BACKENDS:
         for got, want in zip(result[backend].feasible, result["scalar"].feasible):
             assert got.server_cost_savings == want.server_cost_savings
             assert got.availability == want.availability
@@ -127,6 +132,7 @@ def check_search_equivalence(profile):
         "grid": f"{len(CANDIDATES)}^{len(regions)}",
         "designs_checked": result["scalar"].total_designs,
         "top_k": TOP_K,
+        "backends": list(BACKENDS),
         "identical": True,
     }
 
@@ -212,10 +218,15 @@ def bench_search(profile, smoke):
     bounded_result = explore(profile, backend="branch-and-bound", **common)
     bnb_seconds = time.perf_counter() - start
 
+    start = time.perf_counter()
+    auto_result = explore(profile, **common)
+    auto_seconds = time.perf_counter() - start
+
     vector_top = [m.design.name for m in vector_result.feasible]
     bnb_top = [m.design.name for m in bounded_result.feasible]
-    assert vector_top == bnb_top, (
-        f"full-grid rankings diverge: {vector_top} vs {bnb_top}"
+    auto_top = [m.design.name for m in auto_result.feasible]
+    assert vector_top == bnb_top == auto_top, (
+        f"full-grid rankings diverge: {vector_top} vs {bnb_top} vs {auto_top}"
     )
     if scalar_top is not None:
         assert scalar_top == vector_top, (
@@ -239,6 +250,12 @@ def bench_search(profile, smoke):
             "evaluated": bounded_result.evaluated,
             "pruned": bounded_result.pruned,
             "pruned_by": bounded_result.pruned_by,
+        },
+        "auto": {
+            "resolved": auto_result.backend,
+            "seconds": auto_seconds,
+            "evaluated": auto_result.evaluated,
+            "pruned": auto_result.pruned,
         },
         "speedup_vectorized": scalar_seconds / vectorized_seconds,
         "speedup_branch_and_bound": scalar_seconds / bnb_seconds,
@@ -355,7 +372,10 @@ def main(argv=None):
         f"  scalar {search['scalar']['seconds']:.1f}s "
         f"({search['scalar']['mode']}), "
         f"vectorized {search['vectorized']['seconds']:.1f}s, "
-        f"branch-and-bound {search['branch_and_bound']['seconds']:.2f}s"
+        f"branch-and-bound {search['branch_and_bound']['seconds']:.4f}s, "
+        f"auto ({search['auto']['resolved']}) "
+        f"{search['auto']['seconds']:.4f}s evaluating "
+        f"{search['auto']['evaluated']} of {search['total_designs']}"
     )
     print(
         f"  speedup: vectorized {search['speedup_vectorized']:.1f}x, "

@@ -9,9 +9,9 @@ Thin orchestration over the library for the common reproduction tasks:
 * ``design`` — evaluate the paper's five Table 6 design points (and
   optionally run the optimizer) against a fresh characterization;
 * ``explore`` — batch design-space exploration: rank the top-k designs
-  meeting an availability target (``--backend`` picks the scalar
-  reference, the vectorized batch engine, or exact branch-and-bound)
-  and optionally Monte Carlo-validate the winner;
+  meeting an availability target (exact branch-and-bound by default;
+  ``--backend`` names the scalar reference or the vectorized batch
+  engine instead) and optionally Monte Carlo-validate the winner;
 * ``fleet`` — simulate a heterogeneous fleet of HRM servers (Monte
   Carlo + analytic cross-check) and optionally search fractional
   design compositions for the cheapest mix meeting an availability
@@ -391,7 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     explore_cmd.add_argument(
         "--backend", choices=EXPLORE_BACKENDS, default="auto",
         help="search engine; all backends return identical designs "
-        "('auto' picks 'vectorized' when NumPy is importable)",
+        "('auto' picks 'branch-and-bound', which finds the exact top-k "
+        "without enumerating the space, so 'feasible' is a lower bound)",
     )
     explore_cmd.add_argument(
         "--top-k", type=_top_k, default=5, metavar="K",
@@ -800,6 +801,7 @@ def _cmd_explore(arguments) -> int:
             "evaluated": result.evaluated,
             "pruned": result.pruned,
             "feasible_count": result.feasible_count,
+            "feasible_count_exact": result.feasible_count_exact,
             "top": [
                 {
                     "design": metrics.design.name,
@@ -823,10 +825,11 @@ def _cmd_explore(arguments) -> int:
             f"of {result.total_designs})"
         )
         return 1
+    at_least = "" if result.feasible_count_exact else ">"
     print(
         f"backend={result.backend}  space={result.total_designs}  "
         f"evaluated={result.evaluated}  pruned={result.pruned}  "
-        f"feasible={result.feasible_count}"
+        f"feasible{at_least}={result.feasible_count}"
     )
     print(f"{'#':>2} {'design':<34} {'srv save':>9} {'avail':>10} {'inc/M':>8}")
     for rank, metrics in enumerate(result.feasible, start=1):

@@ -363,8 +363,10 @@ def explore_design_space(
     designs; they differ in cost: ``scalar`` is the one-design-at-a-time
     reference, ``vectorized`` evaluates the space in NumPy chunks,
     ``branch-and-bound`` finds exact top-k without visiting the whole
-    space, and ``auto`` (default) picks ``vectorized`` when NumPy is
-    importable. The result is an :class:`ExplorationResult` — a
+    space, and ``auto`` (default) picks ``branch-and-bound`` when
+    ``top_k`` is set, else the exhaustive ``vectorized`` (``scalar``
+    without NumPy) — only an exhaustive search can return the full
+    feasible list. The result is an :class:`ExplorationResult` — a
     backward-compatible :class:`OptimizationResult` subclass.
 
     Args:
@@ -380,8 +382,10 @@ def explore_design_space(
         backend: ``auto`` / ``scalar`` / ``vectorized`` /
             ``branch-and-bound``.
         top_k: When set, return only the k best feasible designs
-            (memory-safe on huge spaces); when ``None``, exhaustive
-            backends return the full feasible list.
+            (memory-safe on huge spaces; ``feasible_count`` is then a
+            lower bound unless an exhaustive backend is named); when
+            ``None``, exhaustive backends return the full feasible
+            list.
         simulate_months: When > 0, Monte Carlo-validate the winner over
             this many server-months (``result.simulation``).
         simulation_seed: Seed for the validation simulation.

@@ -29,9 +29,8 @@ from repro.utils.rng import poisson_variate
 #: loop; ``vectorized`` delegates to the NumPy batched simulator in
 #: :mod:`repro.explore.simulator` (statistically equivalent, different
 #: draw stream); ``fleet`` delegates a fleet-of-one to the fleet engine
-#: (:mod:`repro.fleet.simulator`); ``auto`` follows the
-#: ``explore_design_space`` convention — ``vectorized`` when NumPy is
-#: importable, else ``scalar``.
+#: (:mod:`repro.fleet.simulator`); ``auto`` is ``vectorized`` when
+#: NumPy is importable, else ``scalar``.
 SIMULATOR_BACKENDS = ("auto", "scalar", "vectorized", "fleet")
 
 

@@ -18,13 +18,21 @@ Backends return identical designs; they differ only in cost:
 ``scalar``              reference; O(space) full evaluations
 ``vectorized``          O(space) NumPy chunk evaluations
 ``branch-and-bound``    exact top-k without visiting the whole space
-``auto``                ``vectorized`` if NumPy imports, else scalar
+``auto``                ``branch-and-bound`` when ``top_k`` is set;
+                        otherwise ``vectorized`` if NumPy imports,
+                        else ``scalar``
 ======================  ============================================
 
-``top_k``: when ``None``, the result carries the *full* feasible list
-(exhaustive backends only — branch-and-bound then returns top-1). When
-set, ``feasible`` holds just the k best designs, which is what keeps
-huge spaces memory-safe.
+``auto`` does only the work the answer needs: a top-k answer needs the
+k best designs, which branch-and-bound finds exactly (pure Python, no
+NumPy) after evaluating a few dozen of millions of designs. The named
+exhaustive backends stay selectable as oracles for it.
+
+``top_k``: when ``None``, the result carries the *full* feasible list,
+which only an exhaustive backend can produce (branch-and-bound then
+returns top-1), so ``auto`` stays exhaustive. When set, ``feasible``
+holds just the k best designs, which is what keeps huge spaces
+memory-safe.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from repro.core.optimizer import (
     _numpy_available,
 )
 from repro.core.vulnerability import VulnerabilityProfile
+from repro.explore.search import BranchAndBoundSearcher, _Reversed
 from repro.obs.events import SPAN_EXPLORE, SPAN_EXPLORE_PHASE
 from repro.obs.instruments import ExplorationInstruments
 from repro.obs.trace import NULL_OBSERVER, Observer
@@ -105,13 +114,23 @@ class ExplorationResult(OptimizationResult):
     #: Feasible designs in the whole space for the exhaustive backends
     #: (== len(feasible) unless a top_k cut was applied). The
     #: branch-and-bound backend never counts designs it pruned, so there
-    #: this is just len(feasible).
+    #: this is just len(feasible): a lower bound, see
+    #: :attr:`feasible_count_exact`.
     feasible_count: int = 0
     #: Designs eliminated by branch-and-bound pruning (0 for
     #: exhaustive backends).
     pruned: int = 0
     pruned_by: Dict[str, int] = field(default_factory=dict)
     simulation: Optional[SimulationValidation] = None
+
+    @property
+    def feasible_count_exact(self) -> bool:
+        """Whether ``feasible_count`` counts the whole space.
+
+        False when the backend pruned instead of enumerating, which
+        makes ``feasible_count`` only a lower bound.
+        """
+        return self.backend != "branch-and-bound"
 
 
 def explore(
@@ -132,7 +151,13 @@ def explore(
     simulation_seed: int = 0,
     observer: Observer = NULL_OBSERVER,
 ) -> ExplorationResult:
-    """Search the HRM design space; optionally validate by simulation."""
+    """Search the HRM design space; optionally validate by simulation.
+
+    ``backend="auto"`` resolves to ``branch-and-bound`` when ``top_k``
+    is set and to the exhaustive ``vectorized`` (``scalar`` without
+    NumPy) when it is ``None``, because only an exhaustive search can
+    return the full feasible list.
+    """
     check_fraction("availability_target", availability_target)
     if backend not in EXPLORE_BACKENDS:
         raise ValueError(
@@ -144,7 +169,10 @@ def explore(
         raise ValueError(f"simulate_months must be >= 0, got {simulate_months}")
     resolved = backend
     if resolved == "auto":
-        resolved = "vectorized" if _numpy_available() else "scalar"
+        if top_k is not None:
+            resolved = "branch-and-bound"
+        else:
+            resolved = "vectorized" if _numpy_available() else "scalar"
     evaluator = DesignEvaluator(
         profile,
         cost_model=cost_model,
@@ -243,8 +271,6 @@ def _search_branch_and_bound(
     top_k: int,
     observer: Observer,
 ) -> ExplorationResult:
-    from repro.explore.search import BranchAndBoundSearcher
-
     with observer.span(SPAN_EXPLORE_PHASE, key="matrix"):
         matrix = optimizer.contribution_matrix(regions)
     with observer.span(SPAN_EXPLORE_PHASE, key="search"):
@@ -362,21 +388,6 @@ def _search_scalar_top_k(
         total_designs=evaluated,
         feasible_count=feasible_count,
     )
-
-
-class _Reversed:
-    """Inverts the ordering of a wrapped value (min-heap of maxima)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.value < self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and self.value == other.value
 
 
 def _result_order_key(metrics: DesignMetrics):

@@ -176,7 +176,7 @@ class BranchAndBoundSearcher:
                 heapq.heappushpop(heap, entry)
 
         def descend(r: int, cost_p: float, crash_p: float, inc_p: float) -> None:
-            for c in orders[r]:
+            for position, c in enumerate(orders[r]):
                 digits[r] = c
                 cost = cost_p + matrix.cost[r][c]
                 crash = crash_p + matrix.crashes[r][c]
@@ -205,7 +205,7 @@ class BranchAndBoundSearcher:
                     if matrix.server_savings_from_cost(cost_lb) < heap[0][0]:
                         # Candidates are cost-sorted: every later one
                         # bounds at least as badly. Count the rest out.
-                        remaining = len(orders[r]) - orders[r].index(c)
+                        remaining = len(orders[r]) - position
                         pruned_by["cost"] += remaining * subtree[r + 1]
                         break
                 if r + 1 == region_count:

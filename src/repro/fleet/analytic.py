@@ -36,7 +36,7 @@ sums over the server axis make each candidate composition an
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.core.availability import (
 from repro.core.design_space import SoftwareResponse
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.fleet.config import FleetConfig, FleetDesign
-from repro.fleet.layout import FleetLayout, RegionTable
+from repro.fleet.layout import FleetLayout, RegionTable, bad_batch_servers
 
 __all__ = [
     "AnalyticFleetModel",
@@ -58,24 +58,8 @@ __all__ = [
     "ci_contains",
 ]
 
-
-def _phi(x: float) -> float:
-    """Standard normal pdf."""
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def _Phi(x: float) -> float:
-    """Standard normal cdf."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def _expected_shortfall(mean: float, std: float, headroom: float) -> float:
-    """E[max(0, X - headroom)] for X ~ Normal(mean, std)."""
-    excess = mean - headroom
-    if std <= 0.0:
-        return max(0.0, excess)
-    t = excess / std
-    return excess * _Phi(t) + std * _phi(t)
+#: Elements per row block of :meth:`CompositionGrid.evaluate`.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _shock_moments(
@@ -94,25 +78,44 @@ def _shock_moments(
     return (mean, variance)
 
 
+def _per_element(function, values: np.ndarray) -> np.ndarray:
+    """``function`` (a :mod:`math` scalar) applied to every element."""
+    return np.fromiter(
+        map(function, values.ravel().tolist()),
+        dtype=np.float64,
+        count=values.size,
+    ).reshape(values.shape)
+
+
 def _routed_availability(
     mean_downtime: np.ndarray,
     var_downtime: np.ndarray,
     servers: int,
     demand_fraction: float,
 ) -> np.ndarray:
-    """Per-month routed availability from downtime moments."""
+    """Routed availability from downtime moments, elementwise.
+
+    Works on any array shape: ``(months,)`` for one layout,
+    ``(compositions, months)`` for the optimizer's grid. The arithmetic
+    is NumPy, but ``erf`` and ``exp`` go through :mod:`math` element by
+    element — NumPy has no ``erf``, and ``np.exp`` is not guaranteed to
+    round like ``math.exp``, which would move committed availabilities
+    in the last digit.
+    """
     demand_minutes = demand_fraction * servers * MINUTES_PER_MONTH
     headroom_minutes = (1.0 - demand_fraction) * servers * MINUTES_PER_MONTH
-    months = len(mean_downtime)
-    out = np.empty(months, dtype=np.float64)
-    for m in range(months):
-        shortfall = _expected_shortfall(
-            float(mean_downtime[m]),
-            math.sqrt(max(0.0, float(var_downtime[m]))),
-            headroom_minutes,
-        )
-        out[m] = 1.0 - shortfall / demand_minutes
-    return out
+    excess = mean_downtime - headroom_minutes
+    std = np.sqrt(np.maximum(0.0, var_downtime))
+    spread = std > 0.0
+    t = np.divide(excess, std, out=np.zeros_like(std), where=spread)
+    cdf = 0.5 * (1.0 + _per_element(math.erf, t / math.sqrt(2.0)))
+    pdf = _per_element(math.exp, -0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    # E[max(0, X - headroom)] for X ~ Normal(mean, std); a degenerate
+    # (std == 0) month falls back to the deterministic shortfall.
+    shortfall = np.where(
+        spread, excess * cdf + std * pdf, np.maximum(0.0, excess)
+    )
+    return 1.0 - shortfall / demand_minutes
 
 
 class AnalyticFleetResult:
@@ -294,6 +297,9 @@ class CompositionGrid:
     ) -> None:
         if not designs:
             raise ValueError("need at least one fleet design")
+        names = [design.name for design in designs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate design names in {names}")
         self.designs = list(designs)
         self.config = config
         self.params = params or AvailabilityParams()
@@ -350,49 +356,75 @@ class CompositionGrid:
         self._bad_fraction = config.correlation.bad_batch_fraction
         self._bad_extra = config.correlation.bad_batch_multiplier - 1.0
 
-    def evaluate(self, counts: Sequence[int]) -> Tuple[float, float]:
-        """(mean fleet availability, cost savings) for a composition.
+    def evaluate(self, counts) -> Tuple[np.ndarray, np.ndarray]:
+        """(mean fleet availability, cost savings) per composition.
 
-        ``counts`` aligns with the construction-time design order and
-        must sum to ``config.servers``. Blocks are contiguous in design
-        order, matching :class:`FleetLayout`.
+        ``counts`` is a ``(compositions, designs)`` integer array; each
+        row aligns with the construction-time design order and must sum
+        to ``config.servers``. Blocks are contiguous in design order,
+        matching :class:`FleetLayout`. Moments accumulate design by
+        design, left to right, so every composition sees the same
+        float64 additions it would see evaluated alone.
         """
         config = self.config
         servers = config.servers
-        if sum(counts) != servers:
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.ndim != 2 or counts.shape[1] != len(self.designs):
             raise ValueError(
-                f"composition covers {sum(counts)} servers, "
-                f"config.servers is {servers}"
+                f"counts must be (compositions, {len(self.designs)}), "
+                f"got shape {counts.shape}"
+            )
+        if (counts < 0).any():
+            raise ValueError("composition counts must be >= 0")
+        covered = counts.sum(axis=1)
+        if (covered != servers).any():
+            raise ValueError(
+                f"composition covers {int(covered[covered != servers][0])} "
+                f"servers, config.servers is {servers}"
             )
         recovery = self.params.crash_recovery_minutes
-        mean_downtime = (
+        starts = np.cumsum(counts, axis=1) - counts
+        bad_extra = self._bad_extra
+        bad_batch = bad_extra > 0 and self._bad_fraction > 0
+        if bad_batch:
+            bad_of = np.zeros(servers + 1, dtype=np.int64)
+            for size in np.unique(counts).tolist():
+                bad_of[size] = bad_batch_servers(self._bad_fraction, size)
+            bad_stops = starts + bad_of[counts]
+        base_mean = (
             self.repairs_by_month * config.repair_downtime_minutes
             + self._shock_downtime_mean
         )
-        var_downtime = np.full_like(
-            mean_downtime, self._shock_downtime_var
-        )
-        savings = 0.0
-        cursor = 0
-        for d, count in enumerate(counts):
-            if count == 0:
-                continue
-            stop = cursor + count
-            block_mult = self.cum_mult[stop, :] - self.cum_mult[cursor, :]
-            if self._bad_extra > 0 and self._bad_fraction > 0:
-                bad_stop = cursor + int(round(self._bad_fraction * count))
-                block_mult = block_mult + self._bad_extra * (
-                    self.cum_mult[bad_stop, :] - self.cum_mult[cursor, :]
-                )
-            crashes = self.crash_coeff[d] * block_mult
-            mean_downtime = mean_downtime + crashes * recovery
-            var_downtime = var_downtime + crashes * recovery**2
-            savings += self.savings[d] * (count / servers)
-            cursor = stop
-        availability = _routed_availability(
-            mean_downtime, var_downtime, servers, config.demand_fraction
-        )
-        return (float(availability.mean()), float(savings))
+        months = len(base_mean)
+        compositions = len(counts)
+        availability = np.empty(compositions, dtype=np.float64)
+        savings = np.zeros(compositions, dtype=np.float64)
+        # Row blocks keep the (rows x months) temporaries and the
+        # per-element lists of the shortfall kernel to a few MiB.
+        rows = max(1, _BLOCK_ELEMENTS // months)
+        for lo in range(0, compositions, rows):
+            block = slice(lo, min(lo + rows, compositions))
+            mean_downtime = np.tile(base_mean, (block.stop - lo, 1))
+            var_downtime = np.full_like(
+                mean_downtime, self._shock_downtime_var
+            )
+            for d in range(len(self.designs)):
+                start = starts[block, d]
+                head = self.cum_mult[start, :]
+                block_mult = self.cum_mult[start + counts[block, d], :] - head
+                if bad_batch:
+                    block_mult = block_mult + bad_extra * (
+                        self.cum_mult[bad_stops[block, d], :] - head
+                    )
+                crashes = self.crash_coeff[d] * block_mult
+                mean_downtime += crashes * recovery
+                var_downtime += crashes * recovery**2
+            availability[block] = _routed_availability(
+                mean_downtime, var_downtime, servers, config.demand_fraction
+            ).mean(axis=1)
+        for d in range(len(self.designs)):
+            savings += self.savings[d] * (counts[:, d] / servers)
+        return (availability, savings)
 
 
 def ci_contains(

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.core.design_space import RegionPolicy
 from repro.utils.dataclasses import kw_only_dataclass
@@ -276,20 +278,43 @@ def apportion_servers(
     """
     if not fractions:
         raise ValueError("need at least one design fraction")
-    total = sum(fractions.values())
-    if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
-        raise ValueError(f"fractions must sum to 1, got {total}")
-    for name, fraction in fractions.items():
-        if fraction < 0:
-            raise ValueError(f"fraction for '{name}' must be >= 0")
-    quotas: Tuple[Tuple[str, float], ...] = tuple(
-        (name, servers * fraction) for name, fraction in fractions.items()
+    names = list(fractions)
+    counts = apportion_rows(
+        servers, names, np.array([list(fractions.values())], dtype=np.float64)
     )
-    counts = {name: int(math.floor(quota)) for name, quota in quotas}
-    leftover = servers - sum(counts.values())
-    remainders = sorted(
-        quotas, key=lambda item: (-(item[1] - math.floor(item[1])), item[0])
+    return dict(zip(names, counts[0].tolist()))
+
+
+def apportion_rows(
+    servers: int, names: Sequence[str], fractions: np.ndarray
+) -> np.ndarray:
+    """:func:`apportion_servers` for every row of ``fractions`` at once.
+
+    ``fractions`` is ``(rows, len(names))``; returns the int64 counts in
+    the same shape. This is the one apportionment rule: the composition
+    optimizer calls it for its whole simplex grid.
+    """
+    totals = fractions.sum(axis=1)
+    off = ~(np.abs(totals - 1.0) <= 1e-9)
+    if off.any():
+        raise ValueError(
+            f"fractions must sum to 1, got {float(totals[off][0])}"
+        )
+    negative = fractions < 0
+    if negative.any():
+        name = names[int(np.argwhere(negative)[0][1])]
+        raise ValueError(f"fraction for '{name}' must be >= 0")
+    quotas = servers * fractions
+    floors = np.floor(quotas)
+    counts = floors.astype(np.int64)
+    leftover = servers - counts.sum(axis=1)
+    rank_of = {name: rank for rank, name in enumerate(sorted(names))}
+    name_ranks = np.broadcast_to(
+        [rank_of[name] for name in names], quotas.shape
     )
-    for name, _quota in remainders[:leftover]:
-        counts[name] += 1
+    # Position of each design when its row is sorted by (largest
+    # remainder, name); the first ``leftover`` positions get a server.
+    order = np.lexsort((name_ranks, floors - quotas), axis=1)
+    position = np.argsort(order, axis=1)
+    counts += position < leftover[:, None]
     return counts

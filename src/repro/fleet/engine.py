@@ -11,8 +11,8 @@ cheapest fleet meeting an availability target. All three accept
 five Table 6 design points) and resolve missing ``server_cost_savings``
 through the standard :class:`~repro.core.mapping.DesignEvaluator`.
 
-Backend convention matches ``explore_design_space``: ``auto`` resolves
-to ``vectorized`` when NumPy imports, else the scalar reference.
+Backend convention: ``auto`` resolves to ``vectorized`` when NumPy
+imports, else the scalar reference.
 """
 
 from __future__ import annotations

@@ -32,6 +32,16 @@ from repro.fleet.config import FleetConfig, FleetDesign
 __all__ = ["DesignBlock", "FleetLayout", "RegionTable"]
 
 
+def bad_batch_servers(bad_batch_fraction: float, block_servers: int) -> int:
+    """Servers at the head of a design block that carry the bad batch.
+
+    The one rounding rule for bad-batch membership: the simulator's
+    layout and the analytic composition grid must agree on it server
+    for server, or their means stop cross-validating.
+    """
+    return int(round(bad_batch_fraction * block_servers))
+
+
 class RegionTable:
     """Profile-derived per-region vulnerability arrays (design-free)."""
 
@@ -165,7 +175,7 @@ class FleetLayout:
             block_servers = int(counts.get(design.name, 0))
             if block_servers == 0:
                 continue
-            bad = int(round(bad_fraction * block_servers))
+            bad = bad_batch_servers(bad_fraction, block_servers)
             self.blocks.append(
                 DesignBlock(
                     design,

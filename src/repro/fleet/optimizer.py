@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.explore.pareto import pareto_indices
 from repro.fleet.analytic import CompositionGrid
-from repro.fleet.config import apportion_servers
+from repro.fleet.config import apportion_rows
 
 __all__ = [
     "CompositionMetrics",
@@ -146,47 +148,57 @@ class FleetOptimizer:
         if not 0.0 < step <= 1.0:
             raise ValueError(f"step must be in (0, 1], got {step}")
         units = max(1, round(1.0 / step))
-        designs = self.grid.designs
-        names = [design.name for design in designs]
+        names = [design.name for design in self.grid.designs]
         servers = self.grid.config.servers
-        points: List[CompositionMetrics] = []
-        for allocation in _unit_allocations(len(designs), units):
-            fractions = {
-                name: allocation[d] / units for d, name in enumerate(names)
-            }
-            counts = apportion_servers(servers, fractions)
-            availability, savings = self.grid.evaluate(
-                [counts[name] for name in names]
+        allocations = np.array(
+            list(_unit_allocations(len(names), units)), dtype=np.int64
+        )
+        fractions = allocations / units
+        counts = apportion_rows(servers, names, fractions)
+        availabilities, all_savings = (
+            column.tolist() for column in self.grid.evaluate(counts)
+        )
+        scores = list(zip(all_savings, availabilities))
+
+        def point(index: int) -> CompositionMetrics:
+            """The scored composition at ``index``.
+
+            Built only for what the result exposes (winner, front,
+            singles): a few dozen of the grid's thousands of points.
+            """
+            savings, availability = scores[index]
+            return CompositionMetrics(
+                fractions=dict(zip(names, fractions[index].tolist())),
+                counts=dict(zip(names, counts[index].tolist())),
+                fleet_availability=availability,
+                cost_savings=savings,
+                feasible=availability >= self.availability_target,
             )
-            points.append(
-                CompositionMetrics(
-                    fractions=fractions,
-                    counts=dict(counts),
-                    fleet_availability=availability,
-                    cost_savings=savings,
-                    feasible=availability >= self.availability_target,
-                )
-            )
+
+        unmixed = np.flatnonzero((counts > 0).sum(axis=1) <= 1)
         singles = {
-            point.key.split(":")[0]: point
-            for point in points
-            if not point.mixed
+            single.key.split(":")[0]: single
+            for single in map(point, unmixed.tolist())
         }
-        feasible = [point for point in points if point.feasible]
+        feasible = [
+            index
+            for index, availability in enumerate(availabilities)
+            if availability >= self.availability_target
+        ]
         best = None
         if feasible:
+            # Maximum savings, then availability; only compositions tied
+            # on both need their key built to break the tie.
+            top = max(scores[index] for index in feasible)
             best = min(
-                feasible,
-                key=lambda p: (-p.cost_savings, -p.fleet_availability, p.key),
+                (point(index) for index in feasible if scores[index] == top),
+                key=lambda p: p.key,
             )
-        front = pareto_indices(
-            [(p.cost_savings, p.fleet_availability) for p in points]
-        )
         return FleetOptimizationResult(
             availability_target=self.availability_target,
             step=1.0 / units,
-            evaluated=len(points),
+            evaluated=len(allocations),
             best=best,
-            pareto=[points[i] for i in front],
+            pareto=[point(index) for index in pareto_indices(scores)],
             singles=singles,
         )

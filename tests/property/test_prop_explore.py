@@ -22,7 +22,12 @@ from repro.core.mapping import DesignEvaluator, HRMDesign
 from repro.core.optimizer import DEFAULT_CANDIDATES, MappingOptimizer
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
-from repro.explore import BranchAndBoundSearcher, pareto_indices
+from repro.explore import (
+    EXPLORE_BACKENDS,
+    BranchAndBoundSearcher,
+    explore,
+    pareto_indices,
+)
 
 #: A wider policy pool than DEFAULT_CANDIDATES so draws exercise every
 #: technique family (including the ones only the benchmark grid uses).
@@ -64,19 +69,24 @@ def profiles(draw):
 
 
 @st.composite
-def optimizers(draw, max_candidates=4):
-    """A scalar-reference optimizer over a random profile + candidates."""
+def search_spaces(draw, max_candidates=4, pool=POLICY_POOL, unique=True):
+    """(profile, candidates, recoverable fractions) of one random space.
+
+    ``unique=False`` lets the same pool entry be drawn more than once:
+    duplicated candidates give whole families of designs with equal
+    names and equal metrics, which only the id tie-break orders.
+    """
     prof = draw(profiles())
     count = draw(st.integers(min_value=1, max_value=max_candidates))
     indices = draw(
         st.lists(
-            st.integers(min_value=0, max_value=len(POLICY_POOL) - 1),
+            st.integers(min_value=0, max_value=len(pool) - 1),
             min_size=count,
             max_size=count,
-            unique=True,
+            unique=unique,
         )
     )
-    candidates = tuple(POLICY_POOL[i] for i in indices)
+    candidates = tuple(pool[i] for i in indices)
     fractions = {
         region: draw(
             st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -84,9 +94,17 @@ def optimizers(draw, max_candidates=4):
         for region in prof.region_sizes
         if draw(st.booleans())
     }
-    evaluator = DesignEvaluator(prof)
+    return prof, candidates, fractions
+
+
+@st.composite
+def optimizers(draw, max_candidates=4):
+    """A scalar-reference optimizer over a random profile + candidates."""
+    prof, candidates, fractions = draw(search_spaces(max_candidates))
     return MappingOptimizer(
-        evaluator, candidates=candidates, recoverable_fractions=fractions
+        DesignEvaluator(prof),
+        candidates=candidates,
+        recoverable_fractions=fractions,
     )
 
 
@@ -190,6 +208,84 @@ class TestSearchEquivalence:
             m.design.name for m in scalar.feasible
         ]
         assert vectorized.evaluated == scalar.evaluated
+
+
+#: Same technique (so the same cost column) under every response, plus
+#: the less-tested twin of one of them: columns that tie on cost and
+#: differ only in crash / incorrectness contributions.
+EQUAL_COST_POOL = tuple(
+    RegionPolicy(technique=HardwareTechnique.PARITY, response=response)
+    for response in SoftwareResponse
+) + (
+    RegionPolicy(technique=HardwareTechnique.NONE),
+    RegionPolicy(technique=HardwareTechnique.NONE, less_tested=True),
+)
+
+METRIC_FIELDS = (
+    "memory_cost_savings",
+    "server_cost_savings",
+    "crashes_per_month",
+    "availability",
+    "incorrect_per_million_queries",
+)
+
+
+class TestAutoMatchesEveryNamedBackend:
+    """``auto`` with ``top_k`` is branch-and-bound; the exhaustive
+    backends are its oracles — names, metrics and order must agree on
+    exactly the inputs where ties decide the ranking."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        space=st.one_of(
+            search_spaces(max_candidates=3),
+            search_spaces(max_candidates=4, unique=False),
+            search_spaces(
+                max_candidates=4, pool=EQUAL_COST_POOL, unique=False
+            ),
+        ),
+        target=st.one_of(
+            st.floats(min_value=0.9, max_value=1.0, allow_nan=False),
+            st.sampled_from([0.0, 0.5, 1.0]),
+        ),
+        budget=st.one_of(
+            st.none(),
+            st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
+        ),
+        top_k=st.integers(min_value=1, max_value=12),
+    )
+    def test_names_metrics_and_order(self, space, target, budget, top_k):
+        pytest.importorskip("numpy")
+        prof, candidates, fractions = space
+        results = {
+            backend: explore(
+                prof,
+                availability_target=target,
+                recoverable_fractions=fractions,
+                candidates=candidates,
+                max_incorrect_per_million=budget,
+                backend=backend,
+                top_k=top_k,
+            )
+            for backend in EXPLORE_BACKENDS
+        }
+        auto = results["auto"]
+        assert auto.backend == "branch-and-bound"
+        assert auto.evaluated + auto.pruned == auto.total_designs
+        assert not auto.feasible_count_exact
+        assert auto.feasible_count <= results["scalar"].feasible_count
+        ranking = [
+            (m.design.name,) + tuple(getattr(m, f) for f in METRIC_FIELDS)
+            for m in auto.feasible
+        ]
+        for backend in ("scalar", "vectorized", "branch-and-bound"):
+            other = results[backend]
+            assert other.total_designs == auto.total_designs
+            assert ranking == [
+                (m.design.name,) + tuple(getattr(m, f) for f in METRIC_FIELDS)
+                for m in other.feasible
+            ], backend
+        assert len(ranking) == min(top_k, results["scalar"].feasible_count)
 
 
 class TestParetoSweep:

@@ -250,6 +250,29 @@ class TestExploreCommand:
         )
         assert payloads["branch-and-bound"]["pruned"] > 0
 
+    def test_feasible_is_a_lower_bound_unless_enumerated(self, capsys):
+        """The default backend prunes instead of counting, so its
+        feasible count must not read like the exhaustive one."""
+        assert main(self.BASE + ["--top-k", "3"]) == 0
+        output = capsys.readouterr().out
+        assert "backend=branch-and-bound" in output
+        assert "feasible>=3" in output
+        assert main(self.BASE + ["--top-k", "3", "--backend", "scalar"]) == 0
+        output = capsys.readouterr().out
+        assert "feasible>=" not in output and "feasible=" in output
+        exact = {}
+        for backend in ("auto", "scalar"):
+            code = main(
+                self.BASE + ["--top-k", "3", "--backend", backend, "--json"]
+            )
+            assert code == 0
+            exact[backend] = json.loads(capsys.readouterr().out)
+        assert exact["auto"]["feasible_count_exact"] is False
+        assert exact["scalar"]["feasible_count_exact"] is True
+        assert exact["auto"]["feasible_count"] == 3
+        assert exact["scalar"]["feasible_count"] > 3
+        assert exact["auto"]["top"] == exact["scalar"]["top"]
+
     def test_simulation_summary_printed(self, capsys):
         code = main(
             self.BASE + ["--top-k", "1", "--backend", "scalar",

@@ -6,6 +6,7 @@ The contract under test everywhere: every batch/bounded path must return
 """
 
 import itertools
+import sys
 
 import pytest
 
@@ -312,6 +313,73 @@ class TestExploreEngine:
             m.design.name for m in reference.feasible
         ]
         assert result.total_designs == reference.evaluated
+
+    def test_auto_is_branch_and_bound_exactly_when_top_k_is_set(
+        self, profile, optimizer
+    ):
+        pytest.importorskip("numpy")
+        kwargs = dict(
+            availability_target=0.999,
+            recoverable_fractions={"private": 0.7},
+            regions=REGIONS,
+        )
+        ranked = explore(profile, top_k=3, **kwargs)
+        assert ranked.backend == "branch-and-bound"
+        assert ranked.evaluated < ranked.total_designs
+        assert not ranked.feasible_count_exact
+        # Without top_k the answer is the whole feasible list, which
+        # only an exhaustive backend can produce.
+        full = explore(profile, **kwargs)
+        reference = optimizer.search(0.999, regions=REGIONS)
+        assert full.backend == "vectorized"
+        assert full.evaluated == full.total_designs
+        assert full.feasible_count_exact
+        assert full.feasible_count == len(reference.feasible) > 3
+        assert [m.design.name for m in full.feasible] == [
+            m.design.name for m in reference.feasible
+        ]
+        assert [m.design.name for m in ranked.feasible] == [
+            m.design.name for m in reference.feasible[:3]
+        ]
+
+    def test_auto_needs_no_numpy(self, profile, monkeypatch):
+        expected = explore(
+            profile, availability_target=0.999, backend="scalar", top_k=3
+        )
+        # A None entry makes ``import numpy`` raise ImportError.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        ranked = explore(
+            profile, availability_target=0.999, top_k=3, simulate_months=24
+        )
+        assert ranked.backend == "branch-and-bound"
+        assert ranked.simulation.backend == "scalar"
+        assert [m.design.name for m in ranked.feasible] == [
+            m.design.name for m in expected.feasible
+        ]
+        full = explore(profile, availability_target=0.999)
+        assert full.backend == "scalar"
+        assert full.feasible_count > 3
+
+    def test_duplicated_candidates_stay_cheap(self, profile):
+        """Every design has 2^regions equal-savings twins, and the cost
+        bound only cuts *strictly* worse subtrees — so this is the case
+        where branch-and-bound could quietly degrade to enumeration.
+        The pinned counts are what it evaluates today (of 4096)."""
+        for top_k, evaluated in ((1, 8), (5, 14)):
+            kwargs = dict(
+                availability_target=0.999,
+                recoverable_fractions={"private": 0.7},
+                candidates=DEFAULT_CANDIDATES * 2,
+                top_k=top_k,
+            )
+            ranked = explore(profile, **kwargs)
+            oracle = explore(profile, backend="scalar", **kwargs)
+            assert [m.design.name for m in ranked.feasible] == [
+                m.design.name for m in oracle.feasible
+            ]
+            assert ranked.total_designs == oracle.evaluated == 4096
+            assert ranked.evaluated + ranked.pruned == 4096
+            assert ranked.evaluated == evaluated
 
     def test_simulation_validation(self, profile):
         result = explore(

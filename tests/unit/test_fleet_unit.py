@@ -13,6 +13,8 @@ The acceptance behaviors pinned here:
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,8 @@ from repro.fleet import (
 )
 
 pytest.importorskip("numpy")
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 #: region -> (size, crash trials, incorrect trials) out of 1000 trials.
 REGIONS = {"private": (4000, 12, 5), "heap": (2500, 8, 9), "stack": (300, 50, 1)}
@@ -360,6 +364,97 @@ class TestOptimizer:
         )
         payload = json.loads(json.dumps(result.to_dict()))
         assert payload["evaluated"] == result.evaluated
+
+
+WEAR = dict(
+    aging=AgingConfig(),
+    correlation=CorrelationConfig(
+        shock_rate_per_month=1.0,
+        shock_cohort_fraction=0.1,
+        shock_downtime_minutes=30.0,
+        bad_batch_fraction=0.05,
+        bad_batch_multiplier=3.0,
+    ),
+)
+
+
+def golden_documents(profile, designs):
+    """``to_dict()`` of the planner's analytic paths on fixed inputs.
+
+    ``tests/golden/fleet_planner.json`` holds what this returned at
+    commit ecfe2c5, the last one with the per-composition scalar
+    evaluator (captured by calling it with that commit's ``src`` on the
+    path). The batched kernel changed no arithmetic, so the documents
+    must stay JSON-equal, floats included.
+    """
+    return {
+        # The pipeline benchmark's trade-off: shocks at 98.5% demand,
+        # a many-point front and a mixed winner; five default designs.
+        "optimize_tradeoff": optimize_fleet(
+            profile,
+            config=FleetConfig(
+                servers=400, months=24, demand_fraction=0.985, **WEAR
+            ),
+            availability_target=0.9995,
+            step=0.1,
+        ).to_dict(),
+        # No shocks, two designs, fine step: zero-variance rows (the
+        # all-Typical fleet) sit next to ordinary ones.
+        "optimize_two_designs": optimize_fleet(
+            profile,
+            designs=designs,
+            config=FleetConfig(servers=1000, months=24, demand_fraction=0.99),
+            availability_target=0.9995,
+            step=0.05,
+        ).to_dict(),
+        # Fewer servers than grid units: fractions > 0 round to zero
+        # servers, so "single" is decided by counts, not fractions.
+        "optimize_tiny_fleet": optimize_fleet(
+            profile,
+            config=FleetConfig(
+                servers=7,
+                months=12,
+                demand_fraction=0.9,
+                correlation=CorrelationConfig(
+                    shock_rate_per_month=2.0,
+                    shock_cohort_fraction=0.3,
+                    shock_downtime_minutes=600.0,
+                    mode="independent",
+                ),
+            ),
+            availability_target=0.999,
+            step=0.05,
+        ).to_dict(),
+        "analyze_wear": analyze_fleet(
+            profile,
+            config=FleetConfig(
+                servers=500, months=60, demand_fraction=0.99, **WEAR
+            ),
+        ).to_dict(),
+        "analyze_plain": analyze_fleet(
+            profile,
+            designs=designs,
+            composition={"Typical Server": 0.25, "Less-Tested (L)": 0.75},
+            config=FleetConfig(servers=120, months=36, demand_fraction=0.995),
+        ).to_dict(),
+    }
+
+
+class TestParentGoldens:
+    def test_planner_documents_unchanged(self, profile, designs):
+        golden = json.loads(
+            (GOLDEN_DIR / "fleet_planner.json").read_text()
+        )
+        documents = json.loads(json.dumps(golden_documents(profile, designs)))
+        assert set(documents) == set(golden)
+        for name, document in documents.items():
+            assert document == golden[name], name
+        # The goldens are worth keeping only while they exercise the
+        # trade-off: a real front, a mixed winner, unsaturated means.
+        tradeoff = golden["optimize_tradeoff"]
+        assert len(tradeoff["pareto"]) >= 3
+        assert tradeoff["best"]["mixed"]
+        assert golden["analyze_wear"]["mean_fleet_availability"] < 1.0
 
 
 class TestConfigValidation:
