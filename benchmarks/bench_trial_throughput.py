@@ -14,7 +14,8 @@ classify, Figure 2) for all three paper workloads in three modes:
   trace pre-classifies whole trial batches and analytically resolves
   trials whose flips land only in never-read, dead-window, or
   SEC-DED-corrected bytes; only trials touching live-read vulnerable
-  data execute. Timing includes golden-trace recording.
+  data execute. Timing includes golden-trace recording, also reported
+  on its own as ``golden_trace_seconds``.
 
 Each app runs under two protection configs: ``none`` (unprotected) and
 ``secded`` (every region SEC-DED, so single-bit trials are fully
@@ -28,6 +29,15 @@ oracle→pruned (CI-gated at 4× smoke) and fast→pruned (CI-gated at 1×
 smoke — pruning must never lose to executing — acceptance bar 2.5×
 full). The fast→pruned ratio shrinks whenever executed trials get
 cheaper, so it is reported beside the absolute trials/s, not alone.
+
+Every row also records ``planning_us_per_trial``: the wall of
+``plan_cell_trials`` over every cell of the row divided by the trials
+planned, at a fixed 512 trials per cell (``--smoke`` included) so the
+per-shard work — reset, live spans, span table — is amortized as a real
+campaign amortizes it. Planning is what a decided trial costs, and it
+must not depend on how many live spans a cell has: kvstore's heap holds
+one span per key (``planning_spans``), websearch's one to three, and CI
+gates kvstore at ≤ 2× websearch.
 
 Usage::
 
@@ -52,6 +62,7 @@ from repro.apps.graphmining.workload import GraphMining  # noqa: E402
 from repro.apps.kvstore.workload import KVStoreWorkload  # noqa: E402
 from repro.apps.websearch.workload import WebSearch  # noqa: E402
 from repro.core.campaign import CampaignConfig, CharacterizationCampaign  # noqa: E402
+from repro.exec.cells import CampaignCell  # noqa: E402
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT  # noqa: E402
 from repro.memory.fastpath import set_fastpath  # noqa: E402
 
@@ -66,6 +77,9 @@ APPS = {
 PROTECTIONS = ("none", "secded")
 
 MODES = ("oracle", "fast", "pruned")
+
+#: Trials planned per cell when timing ``plan_cell_trials``.
+PLANNING_TRIALS_PER_CELL = 512
 
 
 def _profile_json(profile):
@@ -95,17 +109,41 @@ def _run_campaign(app_factory, config, mode, region_codecs):
         campaign.prepare()
         region_count = len(workload.space.regions)
         start = time.perf_counter()
+        if mode == "pruned":
+            campaign.golden_trace()  # run() would record it; split it out
+        trace_seconds = time.perf_counter() - start
         profile = campaign.run(specs=SPECS)
         elapsed = time.perf_counter() - start
         return {
             "profile_json": _profile_json(profile),
             "seconds": elapsed,
+            "golden_trace_seconds": trace_seconds,
             "regions": region_count,
             "memory_stats": workload.space.fast_path_stats(),
             "campaign": campaign,
         }
     finally:
         set_fastpath(previous)
+
+
+def _time_planning(campaign):
+    """``plan_cell_trials`` over every cell: µs per trial, most live spans."""
+    workload = campaign.workload
+    trials = range(PLANNING_TRIALS_PER_CELL)
+    cells = [
+        CampaignCell(name=region.name, spec=spec)
+        for region in workload.space.regions
+        for spec in SPECS
+    ]
+    start = time.perf_counter()
+    for cell in cells:
+        campaign.plan_cell_trials(cell, trials)
+    elapsed = time.perf_counter() - start
+    workload.reset()
+    spans = max(
+        len(workload.sample_ranges(region)) for region in workload.space.regions
+    )
+    return elapsed * 1e6 / (len(cells) * len(trials)), spans
 
 
 def bench_app(name, app_factory, config, protection):
@@ -126,10 +164,14 @@ def bench_app(name, app_factory, config, protection):
     checked = stats["checked_accesses"]
     fast_accesses = stats["fast_accesses"]
     pruning = runs["pruned"]["campaign"].pruning_stats
+    planning_us, planning_spans = _time_planning(runs["pruned"]["campaign"])
     row = {
         "app": name,
         "protection": protection,
         "trials": trials,
+        "golden_trace_seconds": runs["pruned"]["golden_trace_seconds"],
+        "planning_us_per_trial": planning_us,
+        "planning_spans": planning_spans,
         "profiles_identical": True,
         "pruning": pruning.to_dict(),
         "pruning_rate": pruning.pruning_rate,
@@ -194,7 +236,9 @@ def main(argv=None):
                 f"fast {row['speedup']:>5.1f}x  "
                 f"pruned/fast {row['pruned_vs_fast']:>5.1f}x  "
                 f"pruned {stats['pruned']}/{budget} "
-                f"({row['pruning_rate']:.0%})"
+                f"({row['pruning_rate']:.0%})  "
+                f"planning {row['planning_us_per_trial']:.1f} us/trial "
+                f"over {row['planning_spans']} spans"
             )
 
     report = {

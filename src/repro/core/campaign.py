@@ -36,6 +36,7 @@ import logging
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -115,6 +116,17 @@ class TrialRecord:
     incorrect: int
     failed: int
     effect_delay_minutes: Optional[float]
+
+
+def _record_trial(stats, trial: TrialRecord) -> None:
+    """Fold one executed trial into its cell's statistics."""
+    stats.record(
+        outcome=trial.outcome,
+        responded=trial.responded,
+        incorrect=trial.incorrect,
+        failed=trial.failed,
+        effect_delay_minutes=trial.effect_delay_minutes,
+    )
 
 
 def _normalize_workers(workers: Optional[int]) -> int:
@@ -253,21 +265,26 @@ class CharacterizationCampaign:
     # ------------------------------------------------------------------
     # Trial seeding
     # ------------------------------------------------------------------
-    def trial_rng(
-        self, cell_name: str, error_label: str, trial_index: int
-    ) -> random.Random:
-        """Independent seed stream for one trial of one cell.
+    def trial_streams(self, cell_name: str, error_label: str):
+        """Map a trial index to its independent seed stream for one cell.
 
         The stream identity is (root seed, app, cell, error type, trial
         index) — never execution order — which is the foundation of the
-        serial ≡ parallel determinism guarantee.
+        serial ≡ parallel determinism guarantee. Everything but the
+        index is constant across a cell, so it is hashed once here (see
+        :meth:`~repro.utils.rng.SeedSequenceFactory.indexed_streams`).
         """
         if self._seed_factory is None:
             raise RuntimeError("prepare() must be called before trial_rng()")
-        label = (
-            f"trial:{self.workload.name}:{cell_name}:{error_label}:{trial_index}"
+        return self._seed_factory.indexed_streams(
+            f"trial:{self.workload.name}:{cell_name}:{error_label}:"
         )
-        return self._seed_factory.stream(label)
+
+    def trial_rng(
+        self, cell_name: str, error_label: str, trial_index: int
+    ) -> random.Random:
+        """Independent seed stream for one trial of one cell."""
+        return self.trial_streams(cell_name, error_label)(trial_index)
 
     # ------------------------------------------------------------------
     def _execute_trial(
@@ -436,7 +453,7 @@ class CharacterizationCampaign:
         return planner.plan(
             cell.spec,
             spans,
-            lambda index: self.trial_rng(cell.name, cell.spec.label, index),
+            self.trial_streams(cell.name, cell.spec.label),
             trial_indices,
         )
 
@@ -495,51 +512,71 @@ class CharacterizationCampaign:
         plan = self.plan_cell_trials(cell, trial_indices)
         return plan, self.classify_plan_trials(plan)
 
-    def synthesize_pruned_trial(
-        self, cell: CampaignCell, plan, local: int, outcome: ErrorOutcome
-    ) -> TrialRecord:
-        """Materialize one analytically decided trial without execution.
+    def fold_decided_run(
+        self, cell: CampaignCell, stats, plan, classification, start: int, stop: int
+    ) -> None:
+        """Fold local trials ``[start, stop)`` — all decided — unexecuted.
 
-        Emits a ``trial`` span (tagged ``pruned=True``) with the exact
-        attributes an executed golden-identical trial would carry, and
-        settles the golden replay's clock/counter deltas on the address
-        space so campaign accounting matches an executed run.
+        The one synthesis routine of the pruned backend, shared by the
+        serial cell loop and the parallel merge. Everything a decided
+        trial contributes is known from the golden trace, so a whole run
+        costs one counted settle of the replay's clock/counter deltas on
+        the address space, one bulk build of the run's
+        :class:`TrialRecord` entries, and one counted ``stats`` update
+        per outcome (in first-seen order, which is the order per-trial
+        folding would have inserted them). With an enabled observer each
+        trial still emits its ``trial`` span (tagged ``pruned=True``)
+        carrying the exact attributes an executed golden-identical trial
+        would.
         """
+        from repro.exec.pruning import OUTCOME_BY_CODE
+
         trace = self.golden_trace()
-        trial_index = int(plan.trial_indices[local])
-        anchor_addr = int(plan.anchor_addrs[local])
-        query_budget = min(self.config.queries_per_trial, self.workload.query_count)
-        cell_key = f"{cell.name}|{cell.spec.label}"
-        with self.observer.span(
-            SPAN_TRIAL,
-            key=str(trial_index),
-            attrs={"cell": cell_key, "trial_index": trial_index, "pruned": True},
-        ) as span:
-            self.workload.space.settle_recorded_trial(
-                trace.end_time, trace.per_region
+        responded = trace.query_budget
+        self.workload.space.settle_recorded_trial(
+            trace.end_time, trace.per_region, trials=stop - start
+        )
+        codes = classification.codes[start:stop].tolist()
+        anchors = plan.anchor_addrs[start:stop].tolist()
+        outcomes = [OUTCOME_BY_CODE[code] for code in codes]
+        if self.observer.enabled:
+            cell_key = f"{cell.name}|{cell.spec.label}"
+            for trial_index, anchor_addr, outcome in zip(
+                plan.trial_indices[start:stop].tolist(), anchors, outcomes
+            ):
+                with self.observer.span(
+                    SPAN_TRIAL,
+                    key=str(trial_index),
+                    attrs={
+                        "cell": cell_key,
+                        "trial_index": trial_index,
+                        "pruned": True,
+                    },
+                ) as span:
+                    span.set(
+                        outcome=outcome.value,
+                        masked=outcome.is_masked,
+                        anchor_addr=anchor_addr,
+                        responded=responded,
+                        incorrect=0,
+                        failed=0,
+                        effect_delay_minutes=None,
+                    )
+        if cell.spans is None:
+            name, label = cell.name, cell.spec.label
+            self.trials.extend(
+                TrialRecord(name, label, anchor_addr, outcome, responded, 0, 0, None)
+                for anchor_addr, outcome in zip(anchors, outcomes)
             )
-            span.set(
-                outcome=outcome.value,
-                masked=outcome.is_masked,
-                anchor_addr=anchor_addr,
-                responded=query_budget,
+        for code, count in Counter(codes).items():
+            stats.record(
+                outcome=OUTCOME_BY_CODE[code],
+                responded=responded,
                 incorrect=0,
                 failed=0,
                 effect_delay_minutes=None,
+                count=count,
             )
-        trial = TrialRecord(
-            region=cell.name,
-            error_label=cell.spec.label,
-            anchor_addr=anchor_addr,
-            outcome=outcome,
-            responded=query_budget,
-            incorrect=0,
-            failed=0,
-            effect_delay_minutes=None,
-        )
-        if cell.spans is None:
-            self.trials.append(trial)
-        return trial
 
     def measure_planned_trial(
         self,
@@ -577,35 +614,31 @@ class CharacterizationCampaign:
             self.trials.append(trial)
         return trial
 
-    def note_parallel_trials(
-        self, cells: Sequence[CampaignCell], results: Sequence
-    ) -> None:
-        """Mirror worker-side region trials into ``self.trials``.
+    def note_parallel_trial(self, cell: CampaignCell, result) -> None:
+        """Mirror one worker-side region trial into ``self.trials``.
 
         Keeps parity with the serial path, where ``run_trial`` appends
         every region-cell trial (custom cells never did).
         """
-        for result in results:
-            cell = cells[result.cell_index]
-            if cell.spans is not None:
-                continue
-            self.trials.append(
-                TrialRecord(
-                    region=cell.name,
-                    error_label=cell.spec.label,
-                    anchor_addr=result.anchor_addr,
-                    outcome=ErrorOutcome(result.outcome),
-                    responded=result.responded,
-                    incorrect=result.incorrect,
-                    failed=result.failed,
-                    effect_delay_minutes=result.effect_delay_minutes,
-                )
+        if cell.spans is not None:
+            return
+        self.trials.append(
+            TrialRecord(
+                region=cell.name,
+                error_label=cell.spec.label,
+                anchor_addr=result.anchor_addr,
+                outcome=ErrorOutcome(result.outcome),
+                responded=result.responded,
+                incorrect=result.incorrect,
+                failed=result.failed,
+                effect_delay_minutes=result.effect_delay_minutes,
             )
+        )
 
     def _run_planned_cell(
-        self, cell_def: CampaignCell, plan, classification=None
-    ) -> List[TrialRecord]:
-        """Execute one cell's pre-planned trials with batched telemetry.
+        self, cell_def: CampaignCell, stats, plan, classification=None
+    ) -> None:
+        """Fold one cell's pre-planned trials into ``stats``.
 
         When tracing is enabled the trials emit into an in-memory buffer
         rooted at the open cell span's path, and the buffer is replayed
@@ -613,10 +646,10 @@ class CharacterizationCampaign:
         while the metrics instruments take one batched update per cell
         instead of one per trial.
 
-        With a ``classification`` (the pruned backend), decidable trials
-        are synthesized analytically in place; only the rest execute.
-        Trials stay in canonical index order either way, so the profile
-        fold is byte-identical to the unpruned run.
+        With a ``classification`` (the pruned backend), each maximal run
+        of decided trials is folded by :meth:`fold_decided_run`; only
+        the rest execute. Trials stay in canonical index order either
+        way, so the profile fold is byte-identical to the unpruned run.
         """
         observer = self.observer
         buffer = None
@@ -627,31 +660,31 @@ class CharacterizationCampaign:
             self.observer = Observer(
                 sinks=[buffer], root_path=observer.current_path()
             )
+        runs = (
+            classification.runs()
+            if classification is not None
+            else [(0, len(plan), False)]
+        )
         try:
-            trials = []
-            for local, trial_index in enumerate(plan.trial_indices):
-                outcome = (
-                    classification.outcomes[local]
-                    if classification is not None
-                    else None
-                )
-                if outcome is not None:
-                    trials.append(
-                        self.synthesize_pruned_trial(
-                            cell_def, plan, local, outcome
-                        )
+            for start, stop, decided in runs:
+                if decided:
+                    self.fold_decided_run(
+                        cell_def, stats, plan, classification, start, stop
                     )
-                else:
-                    trials.append(
+                    continue
+                for local in range(start, stop):
+                    _record_trial(
+                        stats,
                         self.measure_planned_trial(
-                            cell_def, int(trial_index), plan.flips_for(local)
-                        )
+                            cell_def,
+                            int(plan.trial_indices[local]),
+                            plan.flips_for(local),
+                        ),
                     )
         finally:
             self.observer = observer
         if buffer is not None:
             observer.replay(buffer.events)
-        return trials
 
     # ------------------------------------------------------------------
     def _run_cells(
@@ -730,22 +763,14 @@ class CharacterizationCampaign:
                     },
                 ):
                     if plan is not None:
-                        cell_trials = self._run_planned_cell(
-                            cell_def, plan, classification
+                        self._run_planned_cell(
+                            cell_def, cell, plan, classification
                         )
                     else:
-                        cell_trials = [
-                            self.measure_trial(cell_def, trial_index)
-                            for trial_index in range(budget)
-                        ]
-                    for trial in cell_trials:
-                        cell.record(
-                            outcome=trial.outcome,
-                            responded=trial.responded,
-                            incorrect=trial.incorrect,
-                            failed=trial.failed,
-                            effect_delay_minutes=trial.effect_delay_minutes,
-                        )
+                        for trial_index in range(budget):
+                            _record_trial(
+                                cell, self.measure_trial(cell_def, trial_index)
+                            )
                 instruments = observer.instruments
                 if pruning:
                     cell_pruned = (

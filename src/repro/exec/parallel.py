@@ -39,6 +39,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.taxonomy import ErrorOutcome
@@ -49,7 +50,7 @@ from repro.exec.cells import (
     plan_shards,
     plan_shards_indexed,
 )
-from repro.obs.events import SPAN_CELL, SPAN_TRIAL, TraceEvent
+from repro.obs.events import SPAN_CELL, TraceEvent
 from repro.obs.progress import ProgressClock, emit_progress
 from repro.obs.sinks import EventBuffer
 from repro.obs.trace import NULL_OBSERVER, Observer
@@ -220,8 +221,8 @@ def merge_shard_results(
     profile: VulnerabilityProfile,
     cells: Sequence[CampaignCell],
     shard_results: Iterable[ShardResult],
-    observer: Optional[Observer] = None,
-    synthesized: Optional[Dict[int, Sequence[TrialResult]]] = None,
+    campaign=None,
+    classified: Optional[Dict[int, Tuple]] = None,
 ) -> List[TrialResult]:
     """Fold shard results into ``profile`` in canonical campaign order.
 
@@ -230,76 +231,75 @@ def merge_shard_results(
     merged profile independent of pool scheduling — the property pinned
     by the determinism test harness.
 
-    ``synthesized`` carries the pruned backend's analytically resolved
-    trials, keyed by cell index; they are folded into the same canonical
-    (cell, trial index) order as the executed results, which is what
-    keeps ``workers=N`` byte-identical to the serial pruned run.
+    ``classified`` carries the pruned backend's verdicts as
+    ``{cell index: (plan, classification)}``. Each maximal run of
+    decided trials is folded by the campaign's
+    :meth:`~repro.core.campaign.CharacterizationCampaign.fold_decided_run`
+    — the routine the serial cell loop uses — at its place in trial
+    order between the executed results, which is what keeps
+    ``workers=N`` byte-identical to the serial pruned run.
 
-    With an ``observer``, each cell's merge is wrapped in a ``cell``
-    tracing span; worker-captured events are replayed into the parent's
-    sinks when their shard is first reached in canonical order, and each
-    synthesized trial emits the same ``pruned=True`` trial span the
-    serial path does — so a parallel run's trace has the same span paths
-    as a serial run's.
+    With a ``campaign``, each cell's merge is wrapped in a ``cell``
+    tracing span on its observer, worker-captured events are replayed
+    into the parent's sinks when their shard is first reached in
+    canonical order — so a parallel run's trace has the same span paths
+    as a serial run's — and executed trials are mirrored into
+    ``campaign.trials`` at their place in that order.
 
-    Returns the flattened trial results in that canonical order.
+    Returns the executed trial results, flattened in canonical order.
     """
-    obs = observer if observer is not None else NULL_OBSERVER
+    obs = campaign.observer if campaign is not None else NULL_OBSERVER
     by_cell: Dict[int, List[ShardResult]] = {}
     for shard_result in shard_results:
         by_cell.setdefault(shard_result.cell_index, []).append(shard_result)
-    synth_by_cell = synthesized or {}
     ordered: List[TrialResult] = []
     for cell_index, cell_def in enumerate(cells):
         cell = profile.cell(cell_def.name, cell_def.spec.label)
         cell_key = f"{cell_def.name}|{cell_def.spec.label}"
+        entries = sorted(
+            (
+                (shard_result, result)
+                for shard_result in by_cell.get(cell_index, [])
+                for result in shard_result.results
+            ),
+            key=lambda entry: entry[1].trial_index,
+        )
+        plan, classification = (classified or {}).get(cell_index, (None, None))
+        runs = (
+            classification.runs()
+            if classification is not None
+            else [(0, len(entries), False)]
+        )
         with obs.span(
             SPAN_CELL,
             key=cell_key,
             attrs={"region": cell_def.name, "error_label": cell_def.spec.label},
         ):
-            entries: List[Tuple[int, Optional[ShardResult], TrialResult]] = []
-            for shard_result in by_cell.get(cell_index, []):
-                for result in shard_result.results:
-                    entries.append((result.trial_index, shard_result, result))
-            for result in synth_by_cell.get(cell_index, ()):
-                entries.append((result.trial_index, None, result))
-            entries.sort(key=lambda entry: entry[0])
+            pending = iter(entries)
             replayed: set = set()
-            for trial_index, shard_result, result in entries:
-                if shard_result is None:
-                    with obs.span(
-                        SPAN_TRIAL,
-                        key=str(trial_index),
-                        attrs={
-                            "cell": cell_key,
-                            "trial_index": trial_index,
-                            "pruned": True,
-                        },
-                    ) as span:
-                        span.set(
-                            outcome=result.outcome,
-                            masked=ErrorOutcome(result.outcome).is_masked,
-                            anchor_addr=result.anchor_addr,
-                            responded=result.responded,
-                            incorrect=result.incorrect,
-                            failed=result.failed,
-                            effect_delay_minutes=result.effect_delay_minutes,
-                        )
-                elif id(shard_result) not in replayed:
-                    replayed.add(id(shard_result))
-                    obs.replay(shard_result.events)
-                    instruments = getattr(obs, "instruments", None)
-                    if instruments is not None and shard_result.memory_stats:
-                        instruments.record_memory(shard_result.memory_stats)
-                cell.record(
-                    outcome=ErrorOutcome(result.outcome),
-                    responded=result.responded,
-                    incorrect=result.incorrect,
-                    failed=result.failed,
-                    effect_delay_minutes=result.effect_delay_minutes,
-                )
-                ordered.append(result)
+            for start, stop, decided in runs:
+                if decided:
+                    campaign.fold_decided_run(
+                        cell_def, cell, plan, classification, start, stop
+                    )
+                    continue
+                for shard_result, result in islice(pending, stop - start):
+                    if id(shard_result) not in replayed:
+                        replayed.add(id(shard_result))
+                        obs.replay(shard_result.events)
+                        instruments = obs.instruments
+                        if instruments is not None and shard_result.memory_stats:
+                            instruments.record_memory(shard_result.memory_stats)
+                    cell.record(
+                        outcome=ErrorOutcome(result.outcome),
+                        responded=result.responded,
+                        incorrect=result.incorrect,
+                        failed=result.failed,
+                        effect_delay_minutes=result.effect_delay_minutes,
+                    )
+                    if campaign is not None:
+                        campaign.note_parallel_trial(cell_def, result)
+                    ordered.append(result)
     return ordered
 
 
@@ -350,10 +350,10 @@ class ParallelCampaignRunner:
         global _WORKER_CAMPAIGN, _WORKER_TRACE
         observer = campaign.observer
         backend = getattr(campaign, "backend", "scalar")
-        synthesized: Dict[int, List[TrialResult]] = {}
+        classified: Dict[int, Tuple] = {}
         if backend == "pruned":
             shards = self._plan_pruned_shards(
-                campaign, cells, trials_per_cell, synthesized
+                campaign, cells, trials_per_cell, classified
             )
         else:
             shards = plan_shards(
@@ -361,7 +361,7 @@ class ParallelCampaignRunner:
             )
         profile = VulnerabilityProfile(app=campaign.workload.name)
         profile.region_sizes = dict(region_sizes)
-        if not shards and not synthesized:
+        if not shards and not classified:
             return profile
 
         trials_total = (
@@ -422,10 +422,7 @@ class ParallelCampaignRunner:
                     _WORKER_CAMPAIGN = None
                     _WORKER_TRACE = False
 
-        ordered = merge_shard_results(
-            profile, cells, shard_results, observer, synthesized or None
-        )
-        campaign.note_parallel_trials(cells, ordered)
+        merge_shard_results(profile, cells, shard_results, campaign, classified)
         return profile
 
     def _plan_pruned_shards(
@@ -433,20 +430,16 @@ class ParallelCampaignRunner:
         campaign,
         cells: Sequence[CampaignCell],
         trials_per_cell: int,
-        synthesized: Dict[int, List[TrialResult]],
+        classified: Dict[int, Tuple],
     ) -> List[CellShard]:
         """Pre-classify every cell and shard only the executed residue.
 
         Runs in the parent process before the pool exists: the golden
-        trace is recorded once, each cell's plan is classified, decidable
-        trials become picklable :class:`TrialResult` entries in
-        ``synthesized`` (folded back at merge time), and the remaining
-        trial indices are cut into cost-aware shards so the pool is
-        balanced by actual execution work.
+        trace is recorded once, each cell's ``(plan, classification)``
+        lands in ``classified`` (its decided runs are folded at merge
+        time), and the remaining trial indices are cut into cost-aware
+        shards so the pool is balanced by actual execution work.
         """
-        query_budget = min(
-            campaign.config.queries_per_trial, campaign.workload.query_count
-        )
         indices_by_cell: List[List[int]] = []
         run_pruned = run_executed = run_fallback = 0
         for cell_index, cell_def in enumerate(cells):
@@ -458,27 +451,12 @@ class ParallelCampaignRunner:
                 run_executed += trials_per_cell
                 run_fallback += trials_per_cell
                 continue
-            executed: List[int] = []
-            for local, trial_index in enumerate(plan.trial_indices):
-                outcome = classification.outcomes[local]
-                if outcome is None:
-                    executed.append(int(trial_index))
-                    continue
-                synthesized.setdefault(cell_index, []).append(
-                    TrialResult(
-                        cell_index=cell_index,
-                        trial_index=int(trial_index),
-                        anchor_addr=int(plan.anchor_addrs[local]),
-                        outcome=outcome.value,
-                        responded=query_budget,
-                        incorrect=0,
-                        failed=0,
-                        effect_delay_minutes=None,
-                    )
-                )
-            indices_by_cell.append(executed)
-            run_pruned += trials_per_cell - len(executed)
-            run_executed += len(executed)
+            classified[cell_index] = (plan, classification)
+            indices_by_cell.append(
+                plan.trial_indices[~classification.decidable].tolist()
+            )
+            run_pruned += classification.pruned_count
+            run_executed += classification.executed_count
         campaign.pruning_stats.add(
             pruned=run_pruned, executed=run_executed, fallback=run_fallback
         )

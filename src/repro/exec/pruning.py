@@ -43,7 +43,9 @@ therefore applies, and by the rules above no flip is ever observed.
 Execution identity also yields the exact outcome accounting: all
 queries respond correctly, and the clock/counter deltas equal the
 golden replay's (settled via
-:meth:`~repro.memory.address_space.AddressSpace.settle_recorded_trial`).
+:meth:`~repro.memory.address_space.AddressSpace.settle_recorded_trial`,
+once per maximal run of consecutive decided trials — see
+:meth:`PlanClassification.runs`).
 
 The outcome folds over flips with the taxonomy's precedence
 (consumed > overwritten > never accessed), exactly mirroring
@@ -59,7 +61,7 @@ otherwise             ``MASKED_NEVER_ACCESSED``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +76,7 @@ if TYPE_CHECKING:  # avoid exec <-> apps/core import cycles at runtime
 
 __all__ = [
     "GoldenTrace",
+    "OUTCOME_BY_CODE",
     "PlanClassification",
     "PruningStats",
     "classify_plan",
@@ -83,7 +86,7 @@ __all__ = [
 
 #: Trial outcome by folded per-flip code (0 never, 1 overwritten,
 #: 2 consumed) — the same precedence order as ``classify_outcome``.
-_OUTCOME_BY_CODE = (
+OUTCOME_BY_CODE = (
     ErrorOutcome.MASKED_NEVER_ACCESSED,
     ErrorOutcome.MASKED_OVERWRITE,
     ErrorOutcome.MASKED_LOGIC,
@@ -170,14 +173,35 @@ def corrected_byte_mask(
 class PlanClassification:
     """Pre-classification verdict for one cell's injection plan.
 
-    ``outcomes[k]`` is the analytically exact outcome of local trial
-    ``k``, or ``None`` when the trial must be executed.
+    Verdicts stay in arrays: a cell whose every trial is decided is
+    consumed run by run (:meth:`runs`), never trial by trial.
     """
 
     #: Per-trial decidability mask, aligned with the plan's trials.
     decidable: np.ndarray
-    #: Per-trial outcome (None for trials that fall through to execution).
-    outcomes: Tuple[Optional[ErrorOutcome], ...]
+    #: Per-trial index into :data:`OUTCOME_BY_CODE` (uint8); meaningful
+    #: only where ``decidable`` is set.
+    codes: np.ndarray
+
+    @property
+    def outcomes(self) -> Tuple[Optional[ErrorOutcome], ...]:
+        """Per-trial outcome (None for trials that fall through to execution)."""
+        return tuple(
+            OUTCOME_BY_CODE[code] if decided else None
+            for decided, code in zip(self.decidable.tolist(), self.codes.tolist())
+        )
+
+    def runs(self) -> List[Tuple[int, int, bool]]:
+        """Maximal ``(start, stop, decided)`` runs of local trials, in order."""
+        flags = self.decidable
+        if flags.size == 0:
+            return []
+        edges = (np.flatnonzero(flags[1:] != flags[:-1]) + 1).tolist()
+        bounds = [0, *edges, int(flags.size)]
+        return [
+            (start, stop, bool(flags[start]))
+            for start, stop in zip(bounds, bounds[1:])
+        ]
 
     @property
     def pruned_count(self) -> int:
@@ -209,8 +233,9 @@ def classify_plan(
         return None
     trials = len(plan)
     if trials == 0:
-        empty = np.zeros(0, dtype=bool)
-        return PlanClassification(decidable=empty, outcomes=())
+        return PlanClassification(
+            decidable=np.zeros(0, dtype=bool), codes=np.zeros(0, dtype=np.uint8)
+        )
     flip_addrs = plan.flip_addrs
     first = trace.first_access[flip_addrs]
     if kind is FaultKind.SOFT:
@@ -232,12 +257,9 @@ def classify_plan(
     decidable = np.minimum.reduceat(
         flip_ok.astype(np.uint8), starts
     ).astype(bool)
-    trial_code = np.maximum.reduceat(code, starts)
-    outcomes = tuple(
-        _OUTCOME_BY_CODE[int(trial_code[k])] if decidable[k] else None
-        for k in range(trials)
+    return PlanClassification(
+        decidable=decidable, codes=np.maximum.reduceat(code, starts)
     )
-    return PlanClassification(decidable=decidable, outcomes=outcomes)
 
 
 @dataclass

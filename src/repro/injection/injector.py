@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from repro.dram.fault_models import DramFaultModel
@@ -46,9 +47,9 @@ class ErrorSpec:
         if self.bits > 64:
             raise ValueError(f"multi-bit spec limited to one word (64), got {self.bits}")
 
-    @property
+    @cached_property
     def label(self) -> str:
-        """Display label, e.g. ``"single-bit soft"``."""
+        """Display label, e.g. ``"single-bit soft"`` (formatted once)."""
         multiplicity = "single-bit" if self.bits == 1 else f"{self.bits}-bit"
         return f"{multiplicity} {self.kind.value}"
 
@@ -92,31 +93,34 @@ def plan_flip_positions(
     The single source of truth for the flip-position draw sequence,
     shared by the scalar :class:`ErrorInjector` and the batched
     :class:`~repro.kernels.planner.BatchInjectionPlanner` — both consume
-    exactly ``randrange(8)`` followed by one ``sample`` call from
-    ``rng``, which is what keeps vectorized profiles bit-identical to
-    scalar ones.
+    exactly ``randrange(8)`` followed, for multi-bit specs, by one
+    ``sample`` call from ``rng``, which is what keeps vectorized
+    profiles bit-identical to scalar ones.
 
     Flips land within the 64-bit word containing the anchor byte,
     clamped to the anchor's region so they never escape into guards; the
     first flip always lands in the anchor byte itself so per-address
     statistics stay meaningful.
     """
-    word_base = addr - (addr % 8)
     region_of_addr = space.region_at(addr)
     if region_of_addr is None:
         raise ValueError(f"anchor address 0x{addr:x} is unmapped")
-    word_limit = min(word_base + 8, region_of_addr.end)
-    word_base = max(word_base, region_of_addr.base)
     anchor_bit = rng.randrange(8)
     positions = [(addr, anchor_bit)]
-    available = [
-        (byte_addr, bit)
-        for byte_addr in range(word_base, word_limit)
-        for bit in range(8)
-        if (byte_addr, bit) != (addr, anchor_bit)
-    ]
-    extra = rng.sample(available, min(spec.bits - 1, len(available)))
-    positions.extend(extra)
+    if spec.bits == 1:
+        return positions  # ``sample(..., 0)`` would draw nothing
+    word_base = addr - (addr % 8)
+    word_limit = min(word_base + 8, region_of_addr.end)
+    word_base = max(word_base, region_of_addr.base)
+    # The candidates are the word's other bits in (byte, bit) order;
+    # sampling their indices from a range draws exactly what sampling
+    # the materialized list would, and an index at or past the anchor's
+    # slot maps one slot further on.
+    anchor_slot = (addr - word_base) * 8 + anchor_bit
+    available = (word_limit - word_base) * 8 - 1
+    for index in rng.sample(range(available), min(spec.bits - 1, available)):
+        slot = index + (index >= anchor_slot)
+        positions.append((word_base + slot // 8, slot % 8))
     return positions
 
 

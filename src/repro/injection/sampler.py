@@ -9,10 +9,43 @@ one region (for the per-region characterizations of Figures 4-6).
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from repro.memory.address_space import AddressSpace
 from repro.memory.regions import Region, RegionKind
+
+
+class SpanTable:
+    """Non-empty (base, end) spans with their cumulative byte weights.
+
+    Everything about size-weighted span sampling that does not depend on
+    the random stream: build it once for a span list, then
+    :meth:`sample` any number of streams against it. The single source
+    of truth for the anchor draw sequence — one ``choices`` (one
+    ``random()`` bisected into the cumulative weights) followed by one
+    ``randrange`` over the chosen span — shared by the scalar
+    :meth:`AddressSampler.sample_from_ranges` and the batched
+    :class:`~repro.kernels.planner.BatchInjectionPlanner`.
+    ``choices(cum_weights=)`` draws exactly what ``choices(weights=)``
+    draws; it only skips re-accumulating the weights per call.
+
+    Raises:
+        ValueError: when no span is non-empty.
+    """
+
+    __slots__ = ("spans", "cum_weights")
+
+    def __init__(self, ranges: Sequence[Tuple[int, int]]) -> None:
+        self.spans = [(base, end) for base, end in ranges if end > base]
+        if not self.spans:
+            raise ValueError("sample_from_ranges requires at least one non-empty span")
+        self.cum_weights = list(accumulate(end - base for base, end in self.spans))
+
+    def sample(self, rng: random.Random) -> int:
+        """Draw one byte address from ``rng``, size-weighted over the spans."""
+        base, end = rng.choices(self.spans, cum_weights=self.cum_weights, k=1)[0]
+        return base + rng.randrange(end - base)
 
 
 class AddressSampler:
@@ -45,12 +78,7 @@ class AddressSampler:
         Raises:
             ValueError: for empty or degenerate spans.
         """
-        spans = [(base, end) for base, end in ranges if end > base]
-        if not spans:
-            raise ValueError("sample_from_ranges requires at least one non-empty span")
-        weights = [end - base for base, end in spans]
-        base, end = self._rng.choices(spans, weights=weights, k=1)[0]
-        return base + self._rng.randrange(end - base)
+        return SpanTable(ranges).sample(self._rng)
 
     def sample_many(self, count: int, region: Optional[Region] = None) -> List[int]:
         """Return ``count`` sample addresses (with replacement)."""

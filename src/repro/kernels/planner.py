@@ -4,10 +4,14 @@
 flip positions for a whole shard up front, one derived per-trial seed
 stream at a time, and stores them in flat NumPy arrays. Address
 sampling and position choice go through the exact scalar draw sequence
-(:class:`~repro.injection.sampler.AddressSampler` followed by
+(:meth:`~repro.injection.sampler.SpanTable.sample` followed by
 :func:`~repro.injection.injector.plan_flip_positions`), so a plan's
 positions are bit-identical to what the scalar path would have drawn
-trial by trial — the plan *is* the scalar plan, batched.
+trial by trial — the plan *is* the scalar plan, batched. What the
+scalar path rebuilds per trial and the planner builds once per shard is
+the :class:`~repro.injection.sampler.SpanTable`: the spans are constant
+across a shard, so filtering and accumulating them per trial only
+repeats work without touching the random stream.
 
 What is vectorized is the materialization: the whole shard's 64-bit
 word flip masks come out of one ``np.bitwise_or.reduceat`` over the
@@ -24,7 +28,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from repro.injection.injector import ErrorSpec, plan_flip_positions
-from repro.injection.sampler import AddressSampler
+from repro.injection.sampler import SpanTable
 from repro.memory.address_space import AddressSpace
 
 __all__ = ["InjectionPlan", "BatchInjectionPlanner"]
@@ -112,15 +116,16 @@ class BatchInjectionPlanner:
                 partially applied to the cell identity).
             trial_indices: Campaign-level trial indices to plan.
         """
+        table = SpanTable(spans)
+        space = self._space
         anchors: List[int] = []
         flat_addrs: List[int] = []
         flat_bits: List[int] = []
         offsets: List[int] = [0]
         for trial_index in trial_indices:
             rng = rng_for_trial(trial_index)
-            sampler = AddressSampler(self._space, rng)
-            addr = sampler.sample_from_ranges(spans)
-            positions = plan_flip_positions(self._space, rng, spec, addr)
+            addr = table.sample(rng)
+            positions = plan_flip_positions(space, rng, spec, addr)
             anchors.append(addr)
             for byte_addr, bit in positions:
                 flat_addrs.append(byte_addr)

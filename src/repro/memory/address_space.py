@@ -815,32 +815,35 @@ class AddressSpace:
         }
 
     def settle_recorded_trial(
-        self, end_time: int, per_region: Sequence[Sequence[int]]
+        self,
+        end_time: int,
+        per_region: Sequence[Sequence[int]],
+        trials: int = 1,
     ) -> None:
-        """Settle the exact accounting of one analytically resolved trial.
+        """Settle the exact accounting of analytically resolved trials.
 
         A pruned trial's execution is provably byte-identical to the
         golden replay, so its clock and counter effects are known without
         running it: the per-region deltas recorded by the golden trace
-        are added and the clock is *set* to the replay's absolute end
-        time (every trial starts from the same snapshot restore, so the
-        end time is an absolute, idempotent fact — correct after any
+        are added — ``trials`` times over for a run of consecutive
+        pruned trials — and the clock is *set* to the replay's absolute
+        end time (every trial starts from the same snapshot restore, so
+        the end time is an absolute, idempotent fact — correct after any
         interleaving of pruned and executed trials). The skipped
-        accesses are credited to the fast path, like
+        accesses are credited to the fast path once each, like
         :meth:`charge_recorded`.
         """
         ops = 0
         for index, (lops, lbytes, sops, sbytes) in enumerate(per_region):
             if lops or lbytes:
-                self._load_ops[index] += int(lops)
-                self._load_bytes[index] += int(lbytes)
+                self._load_ops[index] += int(lops) * trials
+                self._load_bytes[index] += int(lbytes) * trials
             if sops or sbytes:
-                self._store_ops[index] += int(sops)
-                self._store_bytes[index] += int(sbytes)
+                self._store_ops[index] += int(sops) * trials
+                self._store_bytes[index] += int(sbytes) * trials
             ops += int(lops) + int(sops)
-        self._fast_hits += ops
         self._time = int(end_time)
-        self._fast_hits += ops
+        self._fast_hits += ops * trials
 
     # ------------------------------------------------------------------
     # Typed accessors

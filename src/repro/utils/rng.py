@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from typing import Callable
 
 
 def derive_seed(root_seed: int, label: str) -> int:
@@ -39,6 +40,23 @@ class SeedSequenceFactory:
     def stream(self, label: str) -> random.Random:
         """Return a fresh ``random.Random`` seeded for ``label``."""
         return random.Random(derive_seed(self.root_seed, label))
+
+    def indexed_streams(self, label_prefix: str) -> Callable[[int], random.Random]:
+        """Map ``index`` to ``stream(f"{label_prefix}{index}")``.
+
+        The SHA-256 state of everything before the index is computed
+        once; each stream copies it and absorbs only the index digits —
+        the same bytes hashed, so the same seed, as :meth:`stream` on
+        the whole label.
+        """
+        prefix = hashlib.sha256(f"{self.root_seed}:{label_prefix}".encode("utf-8"))
+
+        def stream(index: int) -> random.Random:
+            state = prefix.copy()
+            state.update(str(index).encode("utf-8"))
+            return random.Random(int.from_bytes(state.digest()[:8], "little"))
+
+        return stream
 
     def child(self, label: str) -> "SeedSequenceFactory":
         """Return a sub-factory whose streams are namespaced under ``label``."""

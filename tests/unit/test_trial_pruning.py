@@ -172,6 +172,20 @@ class TestClassifyPlan:
         )
         assert cls.pruned_count == 2
 
+    def test_runs_are_maximal_and_cover_the_plan(self):
+        trace = make_trace(read_first=[20, 21], write_first=[30])
+        flips = [[(10, 0)], [(30, 1)], [(20, 2)], [(11, 3)], [(20, 4)], [(21, 5)]]
+        cls = classify_plan(make_plan(SINGLE_BIT_SOFT, flips), trace)
+        assert cls.runs() == [
+            (0, 2, True), (2, 3, False), (3, 4, True), (4, 6, False)
+        ]
+        assert cls.codes[:2].tolist() == [0, 1]
+        everything = classify_plan(
+            make_plan(SINGLE_BIT_SOFT, [[(10, 0)], [(12, 0)]]), trace
+        )
+        assert everything.runs() == [(0, 2, True)]
+        assert classify_plan(make_plan(SINGLE_BIT_SOFT, []), trace).runs() == []
+
 
 class TestAccessTrace:
     def make_space(self):
@@ -243,6 +257,19 @@ class TestAccessTrace:
         for region in ("private", "heap", "stack"):
             for key in ("load_ops", "load_bytes", "store_ops", "store_bytes"):
                 assert other_stats[region][key] == executed_stats[region][key]
+        # The two skipped accesses are credited to the fast path once.
+        assert other.fast_path_stats()["fast_accesses"] == 2
+
+    def test_counted_settle_equals_repeated_settles(self):
+        per_region = ((3, 24, 1, 8), (0, 0, 0, 0), (2, 2, 5, 40))
+        counted, repeated = self.make_space(), self.make_space()
+        counted.settle_recorded_trial(77, per_region, trials=4)
+        for _ in range(4):
+            repeated.settle_recorded_trial(77, per_region)
+        assert counted.time == repeated.time == 77
+        assert counted.access_stats() == repeated.access_stats()
+        assert counted.fast_path_stats() == repeated.fast_path_stats()
+        assert counted.fast_path_stats()["fast_accesses"] == 4 * 11
 
 
 class TestVirtualFault:
