@@ -4,19 +4,24 @@
 Times the same seeded ``repro serve`` session under both data planes —
 the scalar per-request loop and the span-fused batched plane — at a
 high offered load (so serving work, not per-tick coordination,
-dominates) and a nonzero error rate. Reported numbers, per plane:
+dominates), once at a moderate error rate and once (``faulty``) at one
+fault footprint per tick, where resident faults keep part of every
+quantum live. Reported numbers, per session and plane:
 
 * sustained requests/second and ticks/second over the session;
 * a determinism check — the session runs twice and the two ledgers
   must be byte-identical (recorded, and a hard failure here);
 * a replay audit — availability recomputed from the ledger alone must
-  equal the live instruments.
+  equal the live instruments;
+* the plane's own decision counts (fused / live, and why live).
 
 Across planes, the scalar and batched ledgers must be byte-identical
 (asserted before any timing is reported — a speedup over a divergent
-execution would be meaningless). The headline number is ``speedup``
-(batched req/s over scalar req/s), which gates CI at 2x in ``--smoke``
-mode; the committed full run targets 5x.
+execution would be meaningless), and the batched plane may execute live
+only requests whose recorded footprint meets a blocked byte, plus fatal
+tails (an exact count, no timing). The headline number is ``speedup``
+(batched req/s over scalar req/s at the moderate rate), which gates CI
+at 2x in ``--smoke`` mode; the committed full run targets 5x.
 
 Usage::
 
@@ -33,6 +38,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.serve.dataplane import DECISIONS  # noqa: E402
 from repro.serve import (  # noqa: E402
     ServeConfig,
     default_tenants,
@@ -47,6 +53,7 @@ PLANES = ("scalar", "batched")
 
 FULL = dict(duration_ticks=400, error_rate=0.25, seed=20140622)
 SMOKE = dict(duration_ticks=60, error_rate=0.25, seed=20140622)
+FAULTY_ERROR_RATE = 1.0
 SCALE = {"full": 0.5, "smoke": 0.3}
 LOAD = {"full": 16.0, "smoke": 16.0}
 
@@ -77,7 +84,15 @@ def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float)
     )
 
     requests_total = result.total_requests()
+    decisions = {
+        name: result.instruments.decisions_of(name) for name in replay.tenants
+    }
     return {
+        "decisions": decisions,
+        "decisions_total": {
+            decision: sum(tally[decision] for tally in decisions.values())
+            for decision in DECISIONS
+        },
         "wall_seconds": round(elapsed, 4),
         "ticks_per_sec": round(base["duration_ticks"] / elapsed, 2),
         "requests_per_sec": round(requests_total / elapsed, 2),
@@ -87,6 +102,78 @@ def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float)
         "determinism": {"byte_identical": byte_identical},
         "replay_audit": {"exact": audit_exact},
     }
+
+
+def bench_session(
+    base: dict, ledger_stem: Path, keep_ledger: bool, scale: float, load: float
+):
+    """Both planes over one seeded session, with the cross-plane checks.
+
+    The (identical) ledger stays at ``ledger_stem`` when ``keep_ledger``.
+    """
+    ledgers = {
+        plane: ledger_stem.with_suffix(f".{plane}.jsonl") for plane in PLANES
+    }
+    planes = {}
+    for plane in PLANES:
+        planes[plane] = bench_plane(base, plane, ledgers[plane], scale, load)
+        report = planes[plane]
+        tally = report["decisions_total"]
+        print(
+            f"  {plane:8s} {report['requests_total']} requests in "
+            f"{report['wall_seconds']:.2f}s -> {report['requests_per_sec']} "
+            f"req/s, fused={tally['fused']} live={tally['live']} "
+            f"byte_identical={report['determinism']['byte_identical']} "
+            f"replay_audit={report['replay_audit']['exact']}"
+        )
+
+    # The speedup is only meaningful over identical executions: the two
+    # planes must have written byte-identical ledgers.
+    ledger_identical = (
+        ledgers["scalar"].read_bytes() == ledgers["batched"].read_bytes()
+    )
+    ledgers["batched"].unlink()
+    if keep_ledger:
+        ledgers["scalar"].rename(ledger_stem)
+    else:
+        ledgers["scalar"].unlink()
+    tally = planes["batched"]["decisions_total"]
+    return {
+        "error_rate": base["error_rate"],
+        "planes": planes,
+        "cross_plane": {"ledger_identical": ledger_identical},
+        "speedup": round(
+            planes["batched"]["requests_per_sec"]
+            / planes["scalar"]["requests_per_sec"],
+            2,
+        ),
+        "determinism": {
+            "byte_identical": all(
+                planes[p]["determinism"]["byte_identical"] for p in PLANES
+            )
+        },
+        "replay_audit": {
+            "exact": all(planes[p]["replay_audit"]["exact"] for p in PLANES)
+        },
+        # Exact, untimed: nothing ran live for a reason other than its
+        # own footprint meeting a blocked byte or a fatal request ahead.
+        "live_only_where_reached": tally["live"]
+        <= tally["blocked"] + tally["diverged"] + tally["fatal_tail"],
+    }
+
+
+def session_failures(label: str, session: dict):
+    """Names of the hard (untimed) gates a session report fails."""
+    checks = (
+        ("scalar and batched ledgers diverge",
+         session["cross_plane"]["ledger_identical"]),
+        ("a plane is not seed-deterministic",
+         session["determinism"]["byte_identical"]),
+        ("replay audit broken", session["replay_audit"]["exact"]),
+        ("batched plane ran requests live that no fault reaches",
+         session["live_only_where_reached"]),
+    )
+    return [f"{label}: {text}" for text, ok in checks if not ok]
 
 
 def main() -> int:
@@ -101,7 +188,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--ledger-out", type=Path, default=REPO_ROOT / "serve_ledger.jsonl",
-        help="ledger path stem for the timed runs",
+        help="ledger path of the moderate-rate session's timed run",
     )
     arguments = parser.parse_args()
 
@@ -110,84 +197,56 @@ def main() -> int:
     scale = SCALE[mode]
     load = LOAD[mode]
 
-    print(
-        f"serve bench ({mode}): {base['duration_ticks']} ticks @ "
-        f"error rate {base['error_rate']}/tick, seed {base['seed']}, "
-        f"load x{load:g}, planes {', '.join(PLANES)}"
-    )
-
-    ledgers = {
-        plane: arguments.ledger_out.with_suffix(f".{plane}.jsonl")
-        for plane in PLANES
-    }
-    planes = {}
-    for plane in PLANES:
-        planes[plane] = bench_plane(base, plane, ledgers[plane], scale, load)
-        report = planes[plane]
+    sessions = {}
+    rates = {"moderate": base["error_rate"], "faulty": FAULTY_ERROR_RATE}
+    for label, rate in rates.items():
         print(
-            f"  {plane:8s} {report['requests_total']} requests in "
-            f"{report['wall_seconds']:.2f}s -> {report['requests_per_sec']} "
-            f"req/s, byte_identical="
-            f"{report['determinism']['byte_identical']} "
-            f"replay_audit={report['replay_audit']['exact']}"
+            f"serve bench ({mode}, {label}): {base['duration_ticks']} ticks @ "
+            f"error rate {rate}/tick, seed {base['seed']}, "
+            f"load x{load:g}, planes {', '.join(PLANES)}"
+        )
+        sessions[label] = bench_session(
+            dict(base, error_rate=rate),
+            arguments.ledger_out,
+            label == "moderate",
+            scale,
+            load,
+        )
+        print(
+            f"  cross-plane ledgers identical: "
+            f"{sessions[label]['cross_plane']['ledger_identical']}; "
+            f"speedup (batched/scalar): {sessions[label]['speedup']}x"
         )
 
-    # The speedup is only meaningful over identical executions: the two
-    # planes must have written byte-identical ledgers.
-    ledger_identical = (
-        ledgers["scalar"].read_bytes() == ledgers["batched"].read_bytes()
-    )
-    speedup = round(
-        planes["batched"]["requests_per_sec"]
-        / planes["scalar"]["requests_per_sec"],
-        2,
-    )
-    ledgers["batched"].unlink()
-    ledgers["scalar"].rename(arguments.ledger_out)
-
-    report = {
-        "mode": mode,
-        "config": {
+    report = dict(sessions["moderate"])
+    del report["error_rate"]
+    report.update(
+        mode=mode,
+        config={
             "duration_ticks": base["duration_ticks"],
             "error_rate": base["error_rate"],
             "seed": base["seed"],
             "scale": scale,
             "load": load,
         },
-        "planes": planes,
-        "cross_plane": {"ledger_identical": ledger_identical},
-        "speedup": speedup,
-        "determinism": {
-            "byte_identical": all(
-                planes[p]["determinism"]["byte_identical"] for p in PLANES
-            )
-        },
-        "replay_audit": {
-            "exact": all(planes[p]["replay_audit"]["exact"] for p in PLANES)
-        },
-    }
+        faulty=sessions["faulty"],
+    )
     arguments.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-    print(f"  cross-plane ledgers identical: {ledger_identical}")
-    print(f"  speedup (batched/scalar): {speedup}x")
     print(f"  report -> {arguments.out}")
 
-    if not ledger_identical:
-        print("FAIL: scalar and batched ledgers diverge", file=sys.stderr)
-        return 1
-    if not report["determinism"]["byte_identical"]:
-        print("FAIL: a plane is not seed-deterministic", file=sys.stderr)
-        return 1
-    if not report["replay_audit"]["exact"]:
-        print("FAIL: replay audit broken", file=sys.stderr)
-        return 1
+    failures = [
+        failure
+        for label, session in sessions.items()
+        for failure in session_failures(label, session)
+    ]
+    speedup = report["speedup"]
     if arguments.smoke and speedup < SMOKE_GATE_SPEEDUP:
-        print(
-            f"FAIL: {speedup}x below the {SMOKE_GATE_SPEEDUP}x smoke gate",
-            file=sys.stderr,
+        failures.append(
+            f"{speedup}x below the {SMOKE_GATE_SPEEDUP}x smoke gate"
         )
-        return 1
-    return 0
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -530,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--data-plane", type=_data_plane, default="auto", metavar="PLANE",
         help="request-execution strategy: scalar (per-request loop), "
-        "batched (span-fused pristine runs), or auto (batched when the "
+        "batched (span-fused golden runs), or auto (batched when the "
         "memory fast path is on); the seeded ledger is byte-identical "
         "either way (default auto)",
     )

@@ -506,18 +506,6 @@ class AddressSpace:
         self._load_bytes[index] += nbytes
         self._fast_hits += ops
 
-    @property
-    def guard_interval_empty(self) -> bool:
-        """True when no address needs per-access hook dispatch.
-
-        An empty guard interval means no stuck-at overlay, tracked
-        fault, watchpoint, or disturbance aggressor exists anywhere in
-        the space — every access everywhere behaves as plain memory.
-        The batched serve data plane uses this as its cheapest
-        admission check before the version-keyed content comparison.
-        """
-        return self._guard_hi < self._guard_lo
-
     def region_versions(self) -> Tuple[int, ...]:
         """Current content version of every region, in region order.
 
@@ -527,23 +515,6 @@ class AddressSpace:
         callers can memoize whole-space comparisons on it.
         """
         return tuple(self._region_versions)
-
-    def stored_bytes_equal(self, image) -> bool:
-        """Whole-space comparison of stored bytes against ``image``.
-
-        One NumPy memcmp over the raw storage (overlay *not* applied —
-        pair with :attr:`guard_interval_empty` when observed bytes must
-        match too). This is the batched data plane's pristine-run
-        verification; key it on :meth:`region_versions` to skip re-runs.
-        """
-        if len(image) != self._size:
-            return False
-        return bool(
-            np.array_equal(
-                np.frombuffer(self._mem, dtype=np.uint8),
-                np.frombuffer(image, dtype=np.uint8),
-            )
-        )
 
     def charge_recorded(
         self, time_units: int, per_region: Sequence[Sequence[int]]
@@ -593,10 +564,8 @@ class AddressSpace:
         The union of stuck-at overlay bytes, tracked soft faults,
         watchpoints, and disturbance aggressors — exactly the bytes
         where an access can observe or cause something other than
-        plain stored memory. The batched serve data plane fuses only
-        requests whose recorded golden footprint avoids every page
-        containing one of these addresses, and excuses only these
-        addresses in :meth:`stored_bytes_equal_except`.
+        plain stored memory. Fused drivers replay recorded work only
+        for spans that avoid every one of these addresses.
         """
         addrs = set(self._overlay.masks)
         addrs.update(self._tracked_faults)
@@ -607,8 +576,8 @@ class AddressSpace:
     def soft_guard_addresses(self) -> Tuple[int, ...]:
         """Sorted tracked-fault, watchpoint, and disturbance addresses.
 
-        The guarded addresses whose pages the batched data plane must
-        always avoid: tracked soft flips corrupt reads, watchpoints
+        The guarded bytes a fused serve request must never touch:
+        tracked soft flips corrupt reads, watchpoints
         have arbitrary callbacks, and disturbance aggressors flip
         victim bytes when touched. Stuck-at overlays are reported
         separately by :meth:`hard_fault_silence` because a *silent*
@@ -633,7 +602,7 @@ class AddressSpace:
         ``silent`` means applying the overlay masks to the *current*
         stored byte returns it unchanged — every read of that byte
         observes plain memory. The batched data plane may fuse reads
-        of a silent overlay byte provided nothing writes the page (a
+        of a silent overlay byte provided nothing writes that byte (a
         store could change the stored byte and wake the fault).
         """
         out = []
@@ -643,77 +612,61 @@ class AddressSpace:
             out.append((addr, ((byte & and_mask) | or_mask) == byte))
         return tuple(out)
 
-    def stored_bytes_equal_except(self, image, allowed: Sequence[int]) -> bool:
-        """Whole-space comparison of stored bytes, excusing ``allowed``.
-
-        True when stored memory matches ``image`` at every address not
-        in ``allowed`` (a sorted sequence). Used by the batched data
-        plane with ``allowed = guarded_addresses()``: stuck-at overlays
-        never mutate stored bytes and tracked soft flips mutate only
-        their own byte, so memory that matches the golden image outside
-        those addresses behaves identically to golden for any access
-        that stays off the guarded pages.
-        """
-        if len(image) != self._size:
-            return False
-        mine = np.frombuffer(self._mem, dtype=np.uint8)
-        theirs = np.frombuffer(image, dtype=np.uint8)
-        diff = np.flatnonzero(mine != theirs)
-        if diff.size == 0:
-            return True
-        if not allowed:
-            return False
-        allowed_arr = np.asarray(allowed, dtype=np.int64)
-        slots = np.searchsorted(allowed_arr, diff)
-        in_bounds = slots < allowed_arr.size
-        return bool(
-            np.all(in_bounds)
-            and np.all(allowed_arr[slots[in_bounds]] == diff[in_bounds])
-        )
-
     def begin_access_capture(self) -> None:
-        """Start recording the page footprint of every validated access.
+        """Start recording the byte span of every validated access.
 
         Shadows the two admission chokepoints (:meth:`_fast_index` and
-        :meth:`_region_index_for`) with wrappers that note the touched
-        pages — every load and store, typed or raw, fast or guarded,
-        validates through one of them — and forces
+        :meth:`_region_index_for`) with wrappers that note ``[addr,
+        addr + n)`` — every load and store, typed or raw, fast or
+        guarded, validates through one of them — and forces
         :meth:`span_is_clean` to False so drivers take their live path
         and their reads are observed. Instance-attribute shadowing
         keeps the production hot path completely untouched outside
         recording. Not reentrant; pair with :meth:`end_access_capture`.
         """
-        pages: set = set()
-        self._capture_pages = pages
+        los: List[int] = []
+        his: List[int] = []
+        self._capture_spans = (los, his)
         fast_index = type(self)._fast_index.__get__(self)
         region_index_for = type(self)._region_index_for.__get__(self)
 
         def capturing_fast_index(addr: int, n: int) -> int:
             if n > 0:
-                pages.update(
-                    range(addr >> _PAGE_SHIFT, ((addr + n - 1) >> _PAGE_SHIFT) + 1)
-                )
+                los.append(addr)
+                his.append(addr + n)
             return fast_index(addr, n)
 
         def capturing_region_index_for(addr: int, n: int) -> int:
             index = region_index_for(addr, n)
-            pages.update(
-                range(addr >> _PAGE_SHIFT, ((addr + n - 1) >> _PAGE_SHIFT) + 1)
-            )
+            los.append(addr)
+            his.append(addr + n)
             return index
 
         self._fast_index = capturing_fast_index  # type: ignore[method-assign]
         self._region_index_for = capturing_region_index_for  # type: ignore[method-assign]
         self.span_is_clean = lambda addr, n: False  # type: ignore[method-assign]
 
-    def end_access_capture(self) -> List[int]:
-        """Stop recording and return the sorted pages touched since begin."""
+    def end_access_capture(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Stop recording; return the touched bytes as coalesced intervals.
+
+        ``(lo, hi)`` are parallel int64 arrays of half-open byte
+        intervals, sorted and disjoint (overlapping and adjacent
+        accesses merge), covering exactly the bytes accessed since
+        :meth:`begin_access_capture`.
+        """
         del self._fast_index
         del self._region_index_for
         del self.span_is_clean
-        pages = sorted(self._capture_pages)
-        del self._capture_pages
-        return pages
+        los, his = self._capture_spans
+        del self._capture_spans
+        lo = np.asarray(los, dtype=np.int64)
+        hi = np.asarray(his, dtype=np.int64)
+        if lo.size == 0:
+            return lo, hi
+        order = np.argsort(lo, kind="stable")
+        lo, reach = lo[order], np.maximum.accumulate(hi[order])
+        starts = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
+        return lo[starts], reach[np.concatenate((starts[1:] - 1, [lo.size - 1]))]
 
     # ------------------------------------------------------------------
     # Byte-granular access tracing (trial-pruning golden replay)
@@ -1094,6 +1047,35 @@ class AddressSpace:
             self._bump_span_versions(addr, len(data))
             if self._fast:
                 self._mark_dirty(addr, len(data))
+
+    def stored_view(self) -> np.ndarray:
+        """Read-only uint8 view of the raw stored bytes (no copy).
+
+        The whole-space counterpart of :meth:`peek` for vectorized
+        comparisons against a golden image; the view tracks later
+        mutations of the space.
+        """
+        view = np.frombuffer(self._mem, dtype=np.uint8)
+        view.flags.writeable = False
+        return view
+
+    def poke_scattered(self, addrs: np.ndarray, values: np.ndarray) -> None:
+        """Raw-store ``values[i]`` at byte ``addrs[i]`` in one assignment.
+
+        :meth:`poke` for a scattered byte set (the batched data plane's
+        fused write image): addresses must be distinct and in bounds.
+        Every touched page is marked dirty and every touched region's
+        content version bumped once.
+        """
+        if addrs.size == 0:
+            return
+        np.frombuffer(self._mem, dtype=np.uint8)[addrs] = values
+        pages = np.unique(addrs >> _PAGE_SHIFT).tolist()
+        for index in {self._page_map[page] for page in pages}:
+            if index >= 0:
+                self._region_versions[index] += 1
+        if self._fast:
+            self._dirty_pages.update(pages)
 
     # ------------------------------------------------------------------
     # Fault injection

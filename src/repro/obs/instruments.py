@@ -70,7 +70,11 @@ class ServeInstruments:
     * ``serve_pages_retired_total{tenant}`` — pages retired;
     * ``serve_tenant_availability{tenant}`` — ok / offered so far;
     * ``serve_backlog_depth{tenant}`` — pending error-response work;
-    * ``serve_shedding{tenant}`` — 1 while admission control sheds.
+    * ``serve_shedding{tenant}`` — 1 while admission control sheds;
+    * ``serve_plane_requests_total{tenant,decision}`` — how the data
+      plane served each request (``repro.serve.dataplane.DECISIONS``:
+      fused / live, and why a live one was not fused). Provenance only:
+      deterministic for a seed, never written to the ledger.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -116,8 +120,16 @@ class ServeInstruments:
             labels=("tenant",),
             buckets=SERVE_LATENCY_BUCKETS,
         )
+        self.plane_requests = registry.counter(
+            "serve_plane_requests_total",
+            "Requests by how the data plane served them (fused, live, "
+            "and the reason a live request was not fused)",
+            labels=("tenant", "decision"),
+        )
         # tenant -> (ok, offered) backing the availability gauge.
         self._counts: Dict[str, Tuple[int, int]] = {}
+        # tenant -> data-plane decision totals published so far.
+        self._decisions: Dict[str, Dict[str, int]] = {}
 
     def record_requests(self, tenant: str, counts: Dict[str, int]) -> None:
         """Fold one tick's request dispositions for a tenant."""
@@ -133,6 +145,23 @@ class ServeInstruments:
         self.availability.labels(tenant=tenant).set(
             ok / offered if offered else 1.0
         )
+
+    def record_decisions(self, tenant: str, totals: Dict[str, int]) -> None:
+        """Publish a tenant's cumulative data-plane decision counts.
+
+        The first call creates every decision's series, zeros included.
+        """
+        seen = self._decisions.setdefault(tenant, {})
+        for decision, total in totals.items():
+            if total != seen.get(decision):
+                self.plane_requests.labels(
+                    tenant=tenant, decision=decision
+                ).inc(total - seen.get(decision, 0))
+                seen[decision] = total
+
+    def decisions_of(self, tenant: str) -> Dict[str, int]:
+        """Data-plane decision counts published for one tenant so far."""
+        return dict(self._decisions.get(tenant, {}))
 
     def record_fault(self, tenant: str, kind: str) -> None:
         """Count one routed fault event."""

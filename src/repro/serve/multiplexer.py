@@ -105,9 +105,9 @@ class ServeConfig:
         admission_high_water: Backlog depth that starts load shedding.
         admission_low_water: Backlog depth that stops it.
         data_plane: Request-execution strategy: ``"scalar"`` (the
-            per-request Python loop), ``"batched"`` (span-fused pristine
-            runs with live fallback), or ``"auto"`` (batched when the
-            memory fast path is enabled). Both planes write
+            per-request Python loop), ``"batched"`` (span-fused golden
+            runs, live only where a fault can reach), or ``"auto"``
+            (batched when the memory fast path is enabled). Both planes write
             byte-identical ledgers for the same seed, so the choice is
             pure throughput and never appears in ledger attrs.
     """
@@ -563,6 +563,9 @@ async def serve_session(
                         )
                 instruments.set_backlog(
                     tenant.name, len(states[tenant.name].backlog)
+                )
+                instruments.record_decisions(
+                    tenant.name, plane.decisions[tenant.name]
                 )
 
             if server is not None:

@@ -1,0 +1,244 @@
+"""Unit tests for the batched serve data plane's run cutting (ISSUE 16).
+
+Each case pins one clause of the fusion contract on the tiny workload
+of the property suite: only the request a fault can reach executes, a
+fatal request fails the rest of its quantum exactly as the scalar loop
+does, epoch wraps inside a quantum, a fused run's write image holds the
+last value of a byte written twice, and a resident flip survives fused
+writes to its page.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from repro.memory.errors import SegmentationFault
+from repro.memory.faults import FaultKind
+from repro.serve import BatchedDataPlane, ScalarDataPlane, ServeTenant
+from repro.serve.dataplane import DECISIONS, record_pristine_trace
+from tests.property.test_prop_serve_dataplane import (
+    WORDS,
+    MiniWorkload,
+    build_tenant,
+)
+
+
+def decisions(plane, **nonzero):
+    """Assert the plane's ``mini`` tenant counts: ``nonzero``, rest 0."""
+    assert plane.decisions["mini"] == {**dict.fromkeys(DECISIONS, 0), **nonzero}
+
+
+def count_executes(tenant):
+    """Shadow ``workload.execute`` with a call-recording wrapper."""
+    calls = []
+    execute = tenant.workload.execute
+
+    def counting(index):
+        calls.append(index)
+        return execute(index)
+
+    tenant.workload.execute = counting
+    return calls
+
+
+def heap_word(space, index):
+    return space.region_named("heap").base + 4 * index
+
+
+def word_addr(tenant, index):
+    return heap_word(tenant.space, index)
+
+
+def raise_segfault(addr, is_store, byte, now):
+    raise SegmentationFault(addr, 1, "watchpoint trap")
+
+
+class CounterWorkload(MiniWorkload):
+    """Every query overwrites the *same* word with a different value."""
+
+    def execute(self, query_index: int):
+        self._space.write_u32(heap_word(self._space, WORDS), query_index + 1)
+        return query_index
+
+
+class TestRunCutting:
+    def test_one_blocked_request_executes_alone(self):
+        tenant = build_tenant()
+        plane = BatchedDataPlane([tenant])
+        tenant.apply_fault(word_addr(tenant, 3), 0, FaultKind.SOFT)
+        calls = count_executes(tenant)
+
+        counts = plane.serve_requests(tenant, 8)
+
+        assert calls == [3]
+        assert counts == {"ok": 7, "incorrect": 1, "failed": 0, "shed": 0, "down": 0}
+        assert tenant.cursor == 8
+        decisions(plane, fused=7, live=1, blocked=1)
+
+    def test_request_reading_diverged_byte_is_live(self):
+        tenant = build_tenant()
+        plane = BatchedDataPlane([tenant])
+        addr = word_addr(tenant, 5)
+        tenant.apply_fault(addr, 2, FaultKind.SOFT)
+        tenant.retire_page(addr)  # untracked now, stored byte still flipped
+        assert addr not in tenant.space.tracked_addresses()
+        calls = count_executes(tenant)
+
+        counts = plane.serve_requests(tenant, 8)
+
+        assert calls == [5]
+        assert counts["incorrect"] == 1 and counts["ok"] == 7
+        decisions(plane, fused=7, live=1, diverged=1)
+
+    def test_fatal_request_fails_the_rest_like_the_scalar_loop(self):
+        twins = {}
+        for plane_type in (ScalarDataPlane, BatchedDataPlane):
+            tenant = build_tenant()
+            plane = plane_type([tenant])
+            tenant.space.add_watchpoint(word_addr(tenant, 3), raise_segfault)
+            calls = count_executes(tenant)
+            counts = plane.serve_requests(tenant, 8)
+            twins[plane.name] = (tenant, plane, calls, counts)
+
+        scalar, _, scalar_calls, scalar_counts = twins["scalar"]
+        batched, plane, batched_calls, batched_counts = twins["batched"]
+        assert scalar_calls == [0, 1, 2, 3] and batched_calls == [3]
+        assert batched_counts == scalar_counts
+        assert batched_counts["ok"] == 3 and batched_counts["failed"] == 5
+        assert batched.needs_restart and scalar.needs_restart
+        assert batched.cursor == scalar.cursor == 3
+        assert batched.space.time == scalar.space.time
+        decisions(plane, fused=3, live=5, blocked=1, fatal_tail=4)
+
+    def test_wrap_inside_a_quantum(self):
+        scalar, batched = build_tenant(), build_tenant()
+        scalar_plane = ScalarDataPlane([scalar])
+        plane = BatchedDataPlane([batched])
+        for tenant in (scalar, batched):
+            tenant.apply_fault(word_addr(tenant, 2), 1, FaultKind.HARD)
+        calls = count_executes(batched)
+
+        for count in (WORDS - 4, 10):
+            assert plane.serve_requests(batched, count) == (
+                scalar_plane.serve_requests(scalar, count)
+            )
+
+        # The resident hard fault is re-applied by the wrap, so query 2
+        # executes once per epoch and nothing else does.
+        assert calls == [2, 2]
+        assert batched.epochs == scalar.epochs == 1
+        assert batched.cursor == scalar.cursor == 6
+        assert batched.space.time == scalar.space.time
+        decisions(plane, fused=WORDS + 4, live=2, blocked=2)
+
+
+class TestWriteImage:
+    def test_byte_written_twice_in_one_run_keeps_the_later_value(self):
+        tenant = ServeTenant("mini", CounterWorkload(), requests_per_tick=4)
+        tenant.build()
+        trace = record_pristine_trace(tenant)
+        addrs, _ = trace.write_image(0, 5)
+        # Scattered assignment with repeated indices has no documented
+        # order: the image of a run must name each address once.
+        assert np.unique(addrs).size == addrs.size
+
+        plane = BatchedDataPlane([tenant])
+        calls = count_executes(tenant)
+        plane.serve_requests(tenant, 5)
+
+        assert calls == []
+        assert tenant.space.read_u32(word_addr(tenant, WORDS)) == 5
+        plane.serve_requests(tenant, 3)
+        assert tenant.space.read_u32(word_addr(tenant, WORDS)) == 8
+
+    def test_flip_survives_fused_writes_to_its_page(self):
+        tenant = build_tenant()
+        plane = BatchedDataPlane([tenant])
+        # Same heap page as every word the queries read and write, but a
+        # byte no query touches.
+        addr = word_addr(tenant, 2 * WORDS + 7)
+        golden = tenant.space.peek(addr)[0]
+        tenant.apply_fault(addr, 4, FaultKind.SOFT)
+        calls = count_executes(tenant)
+
+        counts = plane.serve_requests(tenant, 8)
+
+        assert calls == [] and counts["ok"] == 8
+        assert tenant.space.peek(addr)[0] == golden ^ (1 << 4)
+        assert addr in tenant.space.tracked_addresses()
+        decisions(plane, fused=8)
+
+
+class TestFusedLatency:
+    def test_one_batch_report_per_fused_run_and_live_time_billed_live(self):
+        tenant = build_tenant()
+        plane = BatchedDataPlane([tenant])
+        tenant.apply_fault(word_addr(tenant, 3), 0, FaultKind.SOFT)
+        batches, singles = [], []
+        tenant.latency_batch_sink = batches.append
+        tenant.latency_sink = singles.append
+        execute = tenant.workload.execute
+
+        def slow_execute(index):
+            time.sleep(0.05)
+            return execute(index)
+
+        tenant.workload.execute = slow_execute
+
+        plane.serve_requests(tenant, 8)
+
+        assert [len(batch) for batch in batches] == [3, 4]
+        assert len(singles) == 1 and singles[0] >= 0.05
+        for batch in batches:
+            assert len(set(batch)) == 1
+            # The live request's 50 ms is not spread over fused ones.
+            assert 0.0 <= sum(batch) < 0.05
+
+
+class TestAccessCapture:
+    def test_capture_returns_coalesced_byte_intervals(self):
+        tenant = build_tenant()
+        space = tenant.space
+        heap = space.region_named("heap").base
+        space.begin_access_capture()
+        space.read_u32(heap + 8)
+        space.read_u32(heap)
+        space.read_u32(heap + 4)  # adjacent: merges [0, 12)
+        space.read_u8(heap + 10)  # contained
+        space.write_u32(heap + 100, 7)
+        lo, hi = space.end_access_capture()
+        assert (lo - heap).tolist() == [0, 100]
+        assert (hi - heap).tolist() == [12, 104]
+
+    def test_empty_capture(self):
+        space = build_tenant().space
+        space.begin_access_capture()
+        lo, hi = space.end_access_capture()
+        assert lo.size == hi.size == 0
+
+    def test_poke_scattered_marks_pages_and_versions(self):
+        space = build_tenant().space
+        heap = space.region_named("heap")
+        space.drain_dirty_pages()
+        before = space.region_versions()
+        addrs = np.asarray([heap.base + 1, heap.base + 4097], dtype=np.int64)
+        space.poke_scattered(addrs, np.asarray([9, 8], dtype=np.uint8))
+        assert space.peek(heap.base + 1) == b"\x09"
+        assert space.peek(heap.base + 4097) == b"\x08"
+        assert space.drain_dirty_pages() == [
+            heap.base // 4096, heap.base // 4096 + 1
+        ]
+        after = space.region_versions()
+        changed = [a != b for a, b in zip(after, before)]
+        assert changed.count(True) == 1
+
+
+@pytest.mark.parametrize("plane_type", [ScalarDataPlane, BatchedDataPlane])
+def test_every_request_is_fused_or_live(plane_type):
+    tenant = build_tenant()
+    plane = plane_type([tenant])
+    plane.serve_requests(tenant, 6)
+    tally = plane.decisions["mini"]
+    assert tally["fused"] + tally["live"] == 6
+    assert tally["live"] == (6 if plane_type is ScalarDataPlane else 0)
