@@ -45,10 +45,14 @@ from repro.core.availability import (
     AvailabilityParams,
     ErrorRateModel,
 )
-from repro.core.design_space import SoftwareResponse
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.fleet.config import FleetConfig, FleetDesign
-from repro.fleet.layout import FleetLayout, RegionTable, bad_batch_servers
+from repro.fleet.layout import (
+    FleetLayout,
+    OutcomeRates,
+    RegionTable,
+    bad_batch_servers,
+)
 
 __all__ = [
     "AnalyticFleetModel",
@@ -208,7 +212,8 @@ class AnalyticFleetModel:
         config = layout.config
         months = config.months
         recovery = self.params.crash_recovery_minutes
-        mult = layout.multipliers(0, months)  # (servers, months)
+        ages = layout.ages(0, months)
+        mult = layout.multipliers(0, months, ages)  # (servers, months)
         mean_downtime = np.zeros(months, dtype=np.float64)
         var_downtime = np.zeros(months, dtype=np.float64)
         mean_errors = np.zeros(months, dtype=np.float64)
@@ -216,22 +221,12 @@ class AnalyticFleetModel:
         mean_incorrect = np.zeros(months, dtype=np.float64)
         design_downtime: Dict[str, float] = {}
         for block in layout.blocks:
-            consumed_coeff = np.where(
-                block.corrects,
-                0.0,
-                block.rates * (1.0 - block.recover_fraction),
-            )
-            crash_coeff = float(
-                (consumed_coeff * layout.table.crash_prob).sum()
-            )
+            rates = block.outcomes
+            crash_coeff = rates.crash_rate
             incorrect_coeff = float(
-                (
-                    consumed_coeff
-                    * (1.0 - layout.table.crash_prob)
-                    * block.incorrect_per_error
-                ).sum()
+                (rates.uncrashed * rates.incorrect_per_error).sum()
             )
-            error_coeff = float(block.rates.sum())
+            error_coeff = float(rates.errors.sum())
             block_mult = mult[block.start:block.stop, :].sum(axis=0)
             crashes = crash_coeff * block_mult
             mean_errors += error_coeff * block_mult
@@ -254,7 +249,7 @@ class AnalyticFleetModel:
                     per_server * block.servers * months
                 )
         if config.repair_downtime_minutes > 0:
-            repairs = layout.repairs(0, months)  # deterministic mask
+            repairs = layout.repairs(0, months, ages)  # deterministic mask
             mean_downtime += (
                 repairs.sum(axis=0) * config.repair_downtime_minutes
             )
@@ -327,21 +322,11 @@ class CompositionGrid:
                 raise ValueError(
                     "all fleet designs must map the same region set"
                 )
+            # Region by region, left to right: the committed optimizer
+            # results are pinned to this summation order.
             coeff = 0.0
-            for i, region in enumerate(regions):
-                policy = design.policies[region]
-                if policy.technique.corrects_single_bit:
-                    continue
-                rate = error_model.region_rate(
-                    float(table.weights[i]), policy.less_tested
-                )
-                recover = 0.0
-                if (
-                    policy.technique.detects_single_bit
-                    and policy.response is SoftwareResponse.RECOVER
-                ):
-                    recover = policy.recoverable_fraction
-                coeff += rate * (1.0 - recover) * float(table.crash_prob[i])
+            for rate in OutcomeRates(design, table, error_model).crash.tolist():
+                coeff += rate
             self.crash_coeff[d] = coeff
             if design.server_cost_savings is None:
                 raise ValueError(

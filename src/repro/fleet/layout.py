@@ -29,7 +29,7 @@ from repro.core.design_space import SoftwareResponse
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.fleet.config import FleetConfig, FleetDesign
 
-__all__ = ["DesignBlock", "FleetLayout", "RegionTable"]
+__all__ = ["DesignBlock", "FleetLayout", "OutcomeRates", "RegionTable"]
 
 
 def bad_batch_servers(bad_batch_fraction: float, block_servers: int) -> int:
@@ -82,8 +82,61 @@ class RegionTable:
         self.incorrect_per_error = incorrect
 
 
+class OutcomeRates:
+    """One design's per-region outcome rates (per server-month, at
+    aging multiplier 1) — the one definition of the thinned chain.
+
+    An error arriving in region ``i`` is *corrected* by the hardware,
+    *recovered* by the software response, or consumed; a consumed error
+    either *crashes* the server (``table.crash_prob``) or leaves it up
+    (*uncrashed*, costing ``incorrect_per_error`` incorrect responses).
+    Poisson thinning makes the four streams independent Poissons at
+    these rates, which is what the simulator draws and the analytic
+    model integrates.
+    """
+
+    def __init__(
+        self,
+        design: FleetDesign,
+        table: RegionTable,
+        error_model: ErrorRateModel,
+    ) -> None:
+        region_count = len(table.regions)
+        errors = np.empty(region_count, dtype=np.float64)
+        corrects = np.empty(region_count, dtype=bool)
+        recover = np.zeros(region_count, dtype=np.float64)
+        incorrect = np.array(table.incorrect_per_error, dtype=np.float64)
+        for i, region in enumerate(table.regions):
+            policy = design.policies[region]
+            errors[i] = error_model.region_rate(
+                float(table.weights[i]), policy.less_tested
+            )
+            corrects[i] = policy.technique.corrects_single_bit
+            if not corrects[i] and policy.technique.detects_single_bit:
+                if policy.response is SoftwareResponse.RECOVER:
+                    recover[i] = policy.recoverable_fraction
+                elif policy.response is SoftwareResponse.RESTART:
+                    # Controlled restarts trade incorrectness for
+                    # downtime (region_outcome_rates semantics).
+                    incorrect[i] = 0.0
+        #: Error arrivals (all outcomes).
+        self.errors = errors
+        self.corrects = corrects
+        self.recover_fraction = recover
+        #: Incorrect responses per consumed-uncrashed error (0 under
+        #: detect+RESTART, which converts harm into controlled crashes).
+        self.incorrect_per_error = incorrect
+        consumed = np.where(corrects, 0.0, errors * (1.0 - recover))
+        self.corrected = np.where(corrects, errors, 0.0)
+        self.recovered = np.where(corrects, 0.0, errors * recover)
+        self.crash = consumed * table.crash_prob
+        self.uncrashed = consumed * (1.0 - table.crash_prob)
+        #: Crashes per server-month over all regions.
+        self.crash_rate = float(self.crash.sum())
+
+
 class DesignBlock:
-    """One design's contiguous server block plus its per-region rates."""
+    """One design's contiguous server block plus its outcome rates."""
 
     def __init__(
         self,
@@ -100,31 +153,7 @@ class DesignBlock:
         self.stop = stop
         #: Servers in ``[start, bad_stop)`` carry the bad DIMM batch.
         self.bad_stop = bad_stop
-        region_count = len(table.regions)
-        rates = np.empty(region_count, dtype=np.float64)
-        corrects = np.empty(region_count, dtype=bool)
-        recover = np.zeros(region_count, dtype=np.float64)
-        incorrect = np.array(table.incorrect_per_error, dtype=np.float64)
-        for i, region in enumerate(table.regions):
-            policy = design.policies[region]
-            rates[i] = error_model.region_rate(
-                float(table.weights[i]), policy.less_tested
-            )
-            corrects[i] = policy.technique.corrects_single_bit
-            if not corrects[i] and policy.technique.detects_single_bit:
-                if policy.response is SoftwareResponse.RECOVER:
-                    recover[i] = policy.recoverable_fraction
-                elif policy.response is SoftwareResponse.RESTART:
-                    # Controlled restarts trade incorrectness for
-                    # downtime (region_outcome_rates semantics).
-                    incorrect[i] = 0.0
-        #: Errors per server-month per region at aging multiplier 1.
-        self.rates = rates
-        self.corrects = corrects
-        self.recover_fraction = recover
-        #: Incorrect responses per consumed-uncrashed error (0 under
-        #: detect+RESTART, which converts harm into controlled crashes).
-        self.incorrect_per_error = incorrect
+        self.outcomes = OutcomeRates(design, table, error_model)
 
     @property
     def servers(self) -> int:
@@ -196,16 +225,26 @@ class FleetLayout:
 
     def ages(self, start: int, stop: int) -> np.ndarray:
         """(servers, span) device ages for global months [start, stop)."""
-        months = np.arange(start, stop, dtype=np.int64)
-        return (
-            self.initial_ages[:, None] + months[None, :]
-        ) % self.config.retirement_age_months
+        retirement = self.config.retirement_age_months
+        months = np.arange(start, stop, dtype=np.int64) % retirement
+        # Both terms are below the period: one conditional subtraction
+        # is the modulo, at a third of its cost on this grid.
+        ages = self.initial_ages[:, None] + months[None, :]
+        ages[ages >= retirement] -= retirement
+        return ages
 
-    def multipliers(self, start: int, stop: int) -> np.ndarray:
-        """(servers, span) error-rate multiplier (aging × bad batch)."""
-        mult = self.config.aging.multiplier(
-            self.ages(start, stop).astype(np.float64)
+    def multipliers(self, start: int, stop: int, ages=None) -> np.ndarray:
+        """(servers, span) error-rate multiplier (aging × bad batch).
+
+        The curve is evaluated once per distinct age and gathered;
+        ``ages`` is ``self.ages(start, stop)`` if the caller has it.
+        """
+        if ages is None:
+            ages = self.ages(start, stop)
+        curve = self.config.aging.multiplier(
+            np.arange(self.config.retirement_age_months, dtype=np.float64)
         )
+        mult = curve[ages]
         bad_mult = self.config.correlation.bad_batch_multiplier
         if bad_mult != 1.0:
             for block in self.blocks:
@@ -213,17 +252,16 @@ class FleetLayout:
                     mult[block.start:block.bad_stop, :] *= bad_mult
         return mult
 
-    def repairs(self, start: int, stop: int) -> np.ndarray:
+    def repairs(self, start: int, stop: int, ages=None) -> np.ndarray:
         """(servers, span) refurbishment mask for months [start, stop).
 
         A server is refurbished in the month its staggered device age
         wraps to zero (never at month 0 — nothing has aged yet).
         """
+        if ages is None:
+            ages = self.ages(start, stop)
         months = np.arange(start, stop, dtype=np.int64)
-        wrapped = (
-            self.initial_ages[:, None] + months[None, :]
-        ) % self.config.retirement_age_months == 0
-        return wrapped & (months[None, :] > 0)
+        return (ages == 0) & (months[None, :] > 0)
 
     def composition(self) -> dict:
         """Design name -> server count (insertion order preserved)."""

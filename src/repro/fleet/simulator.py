@@ -1,27 +1,37 @@
 """Monte Carlo fleet availability simulation (servers × months).
 
-Scales the per-design Poisson/binomial chain of
-:class:`repro.explore.simulator.BatchAvailabilitySimulator` from one
-server to a composed fleet: every server runs one HRM design, carries a
-deterministic device age (staggered deployment, rolling refurbishment)
-and an optional bad-DIMM-batch multiplier, and the fleet additionally
-absorbs *correlated* shared-rank/row shock events that hit whole
-cohorts within a month. Traffic routes around downtime: demand is a
-fraction of total capacity and surviving servers absorb failed-over
-load until the headroom is gone, so fleet availability is
-``served / demand`` — a nonlinear function of composition, which is
-what the mixed-fleet optimizer exploits.
+Every server runs one HRM design, carries a deterministic device age
+(staggered deployment, rolling refurbishment) and an optional
+bad-DIMM-batch multiplier, and the fleet additionally absorbs
+*correlated* shared-rank/row shock events that hit whole cohorts within
+a month. Traffic routes around downtime: demand is a fraction of total
+capacity and surviving servers absorb failed-over load until the
+headroom is gone, so fleet availability is ``served / demand`` — a
+nonlinear function of composition the mixed-fleet optimizer exploits.
+
+Draw schedule. An error is corrected, recovered, crashes the server or
+is consumed without a crash; thinning a Poisson arrival stream by fixed
+probabilities yields *independent* Poissons, and independent Poissons
+superpose, so the chain is sampled at the granularity its outputs need
+(rates: :class:`repro.fleet.layout.OutcomeRates`, the numbers the
+analytic model integrates):
+
+* per (server, month): one ``Poisson(crash_rate × mult)`` summed over
+  regions — the per-server 43 200-minute clip must see each server;
+* per (design block, region, month): one Poisson each for corrected,
+  recovered and consumed-uncrashed errors at ``rate × Σ_servers mult``
+  — they only feed fleet-wide monthly totals;
+* per (server, month): shock hits, ``Binomial(events, cohort)`` of one
+  shared monthly event count (``correlated``) or a Poisson of its own.
 
 Determinism contract: results are **byte-identical** across runs and
-across ``workers`` counts. Months are simulated in fixed
-``config.month_chunk`` blocks; chunk ``i`` draws from a NumPy generator
-seeded only by ``derive_seed(seed, "fleet-chunk-i")``, draws in
-canonical block order, and writes a disjoint month slice — thread
-scheduling cannot reorder anything observable.
-
-The ``scalar`` backend is the honest per-event Python reference
-(statistically equivalent, different draw stream) that the fleet
-benchmark races against.
+``workers`` counts for a given seed and code version (not across
+versions — the law is pinned, not the stream:
+``tests/property/test_prop_fleet_simulator.py``). Months run in fixed
+``config.month_chunk`` blocks; chunk ``i`` draws only from
+``derive_seed(seed, "fleet-chunk-i")`` in canonical order and writes a
+disjoint month slice. The ``scalar`` backend is the per-event Python
+reference (same law, one draw per error).
 """
 
 from __future__ import annotations
@@ -96,29 +106,11 @@ class FleetSimulationResult:
         :meth:`repro.cluster.availability_sim.SimulationSummary.
         availability_percentile`.
         """
-        if not 0 <= percentile <= 100:
-            raise ValueError(
-                f"percentile must be in [0, 100], got {percentile}"
-            )
-        ordered = sorted(self.downtime_by_month)
-        index = min(
-            len(ordered) - 1,
-            max(0, math.ceil(percentile / 100 * len(ordered)) - 1),
-        )
-        return ordered[index]
+        return _percentile(self.downtime_by_month, percentile)
 
     def availability_percentile(self, percentile: float) -> float:
         """Routed availability at a percentile of months (0-100)."""
-        if not 0 <= percentile <= 100:
-            raise ValueError(
-                f"percentile must be in [0, 100], got {percentile}"
-            )
-        ordered = sorted(self.availability_by_month)
-        index = min(
-            len(ordered) - 1,
-            max(0, math.ceil(percentile / 100 * len(ordered)) - 1),
-        )
-        return ordered[index]
+        return _percentile(self.availability_by_month, percentile)
 
     def confidence_interval(
         self, metric: str = "fleet_availability", z: float = 1.96
@@ -187,6 +179,17 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
+def _percentile(values, percentile: float) -> float:
+    if not 0 <= percentile <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {percentile}")
+    ordered = sorted(values)
+    index = min(
+        len(ordered) - 1,
+        max(0, math.ceil(percentile / 100 * len(ordered)) - 1),
+    )
+    return ordered[index]
+
+
 class FleetSimulator:
     """Simulates a composed fleet's server-months.
 
@@ -241,7 +244,7 @@ class FleetSimulator:
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(run_chunk, range(len(starts))))
-        return self._merge(np, outputs, seed, workers, "vectorized")
+        return self._merge(outputs, seed, workers)
 
     def _simulate_chunk(self, np, seed: int, index: int, start: int, stop: int):
         """One deterministic month chunk; draws in canonical order."""
@@ -252,41 +255,36 @@ class FleetSimulator:
         rng = np.random.Generator(
             np.random.PCG64(derive_seed(seed, f"fleet-chunk-{index}"))
         )
-        mult = layout.multipliers(start, stop)  # (servers, span)
-        recovery_minutes = self.params.crash_recovery_minutes
-        downtime = np.zeros((servers, span), dtype=np.float64)
+        ages = layout.ages(start, stop)
+        mult = layout.multipliers(start, stop, ages)  # (servers, span)
+        crashed = np.empty((servers, span), dtype=np.int64)
         errors = np.zeros(span, dtype=np.int64)
-        crashes = np.zeros(span, dtype=np.int64)
         recoveries = np.zeros(span, dtype=np.int64)
         incorrect = np.zeros(span, dtype=np.float64)
-        design_downtime: Dict[str, float] = {}
-        design_crashes: Dict[str, int] = {}
         for block in layout.blocks:
-            lam = (
-                block.rates[None, :, None]
-                * mult[block.start:block.stop, None, :]
+            rates = block.outcomes
+            block_mult = mult[block.start:block.stop, :]
+            # Crashes, superposed over regions: the only outcome whose
+            # downtime the per-server clip has to see.
+            crashed[block.start:block.stop, :] = rng.poisson(
+                rates.crash_rate * block_mult
             )
-            counts = rng.poisson(lam=lam)
-            recovered = rng.binomial(
-                counts, block.recover_fraction[None, :, None]
+            # The rest is reported per month only: superposed over the
+            # block's servers, one draw per (outcome, region, month).
+            corrected, recovered, uncrashed = rng.poisson(
+                np.stack((rates.corrected, rates.recovered, rates.uncrashed))[
+                    :, :, None
+                ]
+                * block_mult.sum(axis=0)
             )
-            consumed = np.where(
-                block.corrects[None, :, None], 0, counts - recovered
-            )
-            crashed = rng.binomial(
-                consumed, layout.table.crash_prob[None, :, None]
-            )
-            harmed = (consumed - crashed) * block.incorrect_per_error[
-                None, :, None
-            ]
-            block_downtime = crashed.sum(axis=1) * recovery_minutes
-            downtime[block.start:block.stop, :] += block_downtime
-            errors += counts.sum(axis=(0, 1))
-            crashes += crashed.sum(axis=(0, 1))
-            recoveries += recovered.sum(axis=(0, 1))
-            incorrect += harmed.sum(axis=(0, 1))
-            design_downtime[block.name] = float(block_downtime.sum())
-            design_crashes[block.name] = int(crashed.sum())
+            errors += (corrected + recovered + uncrashed).sum(axis=0)
+            recoveries += recovered.sum(axis=0)
+            incorrect += (
+                uncrashed * rates.incorrect_per_error[:, None]
+            ).sum(axis=0)
+        crashes = crashed.sum(axis=0)
+        errors += crashes
+        downtime = crashed * float(self.params.crash_recovery_minutes)
         correlation = config.correlation
         shock_hits = np.zeros(span, dtype=np.int64)
         if correlation.shock_rate_per_month > 0:
@@ -303,22 +301,14 @@ class FleetSimulator:
                     lam=correlation.shock_marginal_rate,
                     size=(servers, span),
                 )
-            shock_downtime = hits * correlation.shock_downtime_minutes
-            for block in self.layout.blocks:
-                block_shock = shock_downtime[block.start:block.stop, :]
-                design_downtime[block.name] += float(block_shock.sum())
-            downtime += shock_downtime
+            downtime += hits * correlation.shock_downtime_minutes
             shock_hits = hits.sum(axis=0)
-        repairs_mask = layout.repairs(start, stop)
+        repairs_mask = layout.repairs(start, stop, ages)
         if config.repair_downtime_minutes > 0:
-            repair_downtime = repairs_mask * config.repair_downtime_minutes
-            for block in self.layout.blocks:
-                design_downtime[block.name] += float(
-                    repair_downtime[block.start:block.stop, :].sum()
-                )
-            downtime += repair_downtime
+            downtime += repairs_mask * config.repair_downtime_minutes
         np.clip(downtime, 0.0, MINUTES_PER_MONTH, out=downtime)
-        capacity = servers - downtime.sum(axis=0) / MINUTES_PER_MONTH
+        downtime_by_month = downtime.sum(axis=0)
+        capacity = servers - downtime_by_month / MINUTES_PER_MONTH
         demand = config.demand_fraction * servers
         served = np.minimum(demand, capacity)
         availability = served / demand
@@ -330,24 +320,33 @@ class FleetSimulator:
             "incorrect": incorrect,
             "shock_hits": shock_hits,
             "repairs": repairs_mask.sum(axis=0).astype(np.int64),
-            "downtime": downtime.sum(axis=0),
+            "downtime": downtime_by_month,
             "capacity": capacity,
             "availability": availability,
-            "design_downtime": design_downtime,
-            "design_crashes": design_crashes,
+            # Per design from the clipped array, so the design totals
+            # and the month totals are sums of the same minutes.
+            "design_downtime": {
+                block.name: float(downtime[block.start:block.stop, :].sum())
+                for block in layout.blocks
+            },
+            "design_crashes": {
+                block.name: int(crashed[block.start:block.stop, :].sum())
+                for block in layout.blocks
+            },
         }
 
-    def _merge(self, np, outputs, seed, workers, backend):
-        config = self.layout.config
-        months = config.months
+    def _empty_result(
+        self, backend: str, seed: int, workers: int
+    ) -> FleetSimulationResult:
+        months = self.layout.config.months
         composition = self.layout.composition()
-        result = FleetSimulationResult(
+        return FleetSimulationResult(
             backend=backend,
             seed=seed,
             workers=workers,
             servers=self.layout.servers,
             months=months,
-            demand_fraction=config.demand_fraction,
+            demand_fraction=self.layout.config.demand_fraction,
             composition=composition,
             errors_by_month=[0] * months,
             crashes_by_month=[0] * months,
@@ -364,32 +363,25 @@ class FleetSimulator:
                 name: count * months for name, count in composition.items()
             },
         )
+
+    def _merge(self, outputs, seed, workers):
+        result = self._empty_result("vectorized", seed, workers)
         for chunk in outputs:
             start = chunk["start"]
-            span = len(chunk["errors"])
-            for offset in range(span):
-                month = start + offset
-                result.errors_by_month[month] = int(chunk["errors"][offset])
-                result.crashes_by_month[month] = int(chunk["crashes"][offset])
-                result.recoveries_by_month[month] = int(
-                    chunk["recoveries"][offset]
-                )
-                result.incorrect_by_month[month] = float(
-                    chunk["incorrect"][offset]
-                )
-                result.shock_hits_by_month[month] = int(
-                    chunk["shock_hits"][offset]
-                )
-                result.repairs_by_month[month] = int(chunk["repairs"][offset])
-                result.downtime_by_month[month] = float(
-                    chunk["downtime"][offset]
-                )
-                result.capacity_by_month[month] = float(
-                    chunk["capacity"][offset]
-                )
-                result.availability_by_month[month] = float(
-                    chunk["availability"][offset]
-                )
+            span = slice(start, start + len(chunk["errors"]))
+            for series in (
+                "errors",
+                "crashes",
+                "recoveries",
+                "incorrect",
+                "shock_hits",
+                "repairs",
+                "downtime",
+                "capacity",
+                "availability",
+            ):
+                by_month = getattr(result, f"{series}_by_month")
+                by_month[span] = chunk[series].tolist()
             for name, value in chunk["design_downtime"].items():
                 result.downtime_by_design[name] += value
             for name, value in chunk["design_crashes"].items():
@@ -409,36 +401,14 @@ class FleetSimulator:
         servers = layout.servers
         rng = random.Random(derive_seed(seed, "fleet-scalar"))
         recovery_minutes = self.params.crash_recovery_minutes
-        composition = layout.composition()
-        result = FleetSimulationResult(
-            backend="scalar",
-            seed=seed,
-            workers=1,
-            servers=servers,
-            months=months,
-            demand_fraction=config.demand_fraction,
-            composition=composition,
-            errors_by_month=[0] * months,
-            crashes_by_month=[0] * months,
-            recoveries_by_month=[0] * months,
-            incorrect_by_month=[0.0] * months,
-            shock_hits_by_month=[0] * months,
-            repairs_by_month=[0] * months,
-            downtime_by_month=[0.0] * months,
-            capacity_by_month=[0.0] * months,
-            availability_by_month=[0.0] * months,
-            downtime_by_design={name: 0.0 for name in composition},
-            crashes_by_design={name: 0 for name in composition},
-            server_months_by_design={
-                name: count * months for name, count in composition.items()
-            },
-        )
+        result = self._empty_result("scalar", seed, 1)
         table = layout.table
         retirement = config.retirement_age_months
         bad_mult = correlation.bad_batch_multiplier
         for month in range(months):
             downtime_per_server = [0.0] * servers
             for block in layout.blocks:
+                rates = block.outcomes
                 for server in range(block.start, block.stop):
                     age = (int(layout.initial_ages[server]) + month) % retirement
                     mult = config.aging.multiplier(float(age))
@@ -450,13 +420,13 @@ class FleetSimulator:
                         # same chain AvailabilitySimulator.simulate_month
                         # runs, with the aging/batch multiplier applied.
                         count = poisson_variate(
-                            rng, float(block.rates[i]) * mult
+                            rng, float(rates.errors[i]) * mult
                         )
                         result.errors_by_month[month] += count
-                        if block.corrects[i]:
+                        if rates.corrects[i]:
                             continue
                         for _ in range(count):
-                            if rng.random() < block.recover_fraction[i]:
+                            if rng.random() < rates.recover_fraction[i]:
                                 result.recoveries_by_month[month] += 1
                                 continue
                             if rng.random() < table.crash_prob[i]:
@@ -465,7 +435,7 @@ class FleetSimulator:
                                 server_downtime += recovery_minutes
                             else:
                                 result.incorrect_by_month[month] += float(
-                                    block.incorrect_per_error[i]
+                                    rates.incorrect_per_error[i]
                                 )
                     downtime_per_server[server] += server_downtime
             if correlation.shock_rate_per_month > 0:

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.availability import ErrorRateModel
-from repro.core.mapping import less_tested, typical_server
+from repro.core.mapping import less_tested, paper_design_points, typical_server
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.fleet import (
@@ -27,6 +27,7 @@ from repro.fleet import (
     CorrelationConfig,
     FleetConfig,
     FleetDesign,
+    FleetLayout,
     analytic_matches_simulation,
     analyze_fleet,
     apportion_servers,
@@ -34,8 +35,10 @@ from repro.fleet import (
     optimize_fleet,
     simulate_fleet,
 )
+from repro.fleet.analytic import CompositionGrid
+from repro.fleet.layout import OutcomeRates
 
-pytest.importorskip("numpy")
+np = pytest.importorskip("numpy")
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -290,6 +293,143 @@ class TestBackends:
     def test_unknown_backend_rejected(self, profile, designs):
         with pytest.raises(ValueError):
             simulate_fleet(profile, designs=designs, backend="fpga")
+
+
+class TestDesignDowntimeReconciles:
+    """Per-design downtime is summed from the per-server array *after*
+    the monthly clip, on both backends: shocks longer than a month used
+    to double the design totals and push availabilities below zero."""
+
+    CONFIG = FleetConfig(
+        servers=50,
+        months=24,
+        month_chunk=16,
+        correlation=CorrelationConfig(
+            shock_rate_per_month=3.0,
+            shock_cohort_fraction=0.9,
+            shock_downtime_minutes=30000.0,
+        ),
+    )
+
+    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
+    def test_design_and_month_totals_are_the_same_minutes(
+        self, profile, designs, backend
+    ):
+        result = simulate_fleet(
+            profile,
+            designs=designs,
+            config=self.CONFIG,
+            seed=4,
+            backend=backend,
+            error_model=ErrorRateModel(errors_per_server_month=40.0),
+        )
+        # The clip binds: far more shock minutes were drawn than fit.
+        drawn = 30000.0 * sum(result.shock_hits_by_month)
+        assert drawn > 1.5 * sum(result.downtime_by_month)
+        assert sum(result.downtime_by_design.values()) == pytest.approx(
+            sum(result.downtime_by_month)
+        )
+        for name in result.composition:
+            assert 0.0 <= result.machine_availability_of(name) <= 1.0
+        assert 0.0 <= result.mean_machine_availability <= 1.0
+
+
+class TestLayoutArrays:
+    """The layout evaluates the aging curve once per distinct age and
+    derives the repair mask from the same age grid; both must equal the
+    direct per-element evaluation they replaced, element for element."""
+
+    CONFIG = FleetConfig(
+        servers=37,
+        months=130,
+        retirement_age_months=48,
+        aging=AgingConfig(),
+        correlation=CorrelationConfig(
+            bad_batch_fraction=0.2, bad_batch_multiplier=3.0
+        ),
+    )
+
+    @pytest.fixture(scope="class")
+    def layout(self, profile, designs):
+        counts = apportion_servers(
+            self.CONFIG.servers, {design.name: 0.5 for design in designs}
+        )
+        return FleetLayout(profile, designs, counts, self.CONFIG)
+
+    @pytest.mark.parametrize("window", [(0, 130), (0, 1), (47, 50), (96, 130)])
+    def test_ages_multipliers_and_repairs(self, layout, window):
+        start, stop = window
+        config = self.CONFIG
+        months = np.arange(start, stop, dtype=np.int64)
+        ages = (
+            layout.initial_ages[:, None] + months[None, :]
+        ) % config.retirement_age_months
+        assert np.array_equal(layout.ages(start, stop), ages)
+        assert layout.ages(start, stop).dtype == ages.dtype
+        expected = config.aging.multiplier(ages.astype(np.float64))
+        for block in layout.blocks:
+            assert block.bad_stop > block.start
+            expected[block.start:block.bad_stop, :] *= 3.0
+        for given in (None, ages):
+            assert np.array_equal(
+                layout.multipliers(start, stop, given), expected
+            )
+            assert np.array_equal(
+                layout.repairs(start, stop, given),
+                (ages == 0) & (months[None, :] > 0),
+            )
+
+    def test_multipliers_do_not_alias_the_curve(self, layout):
+        first = layout.multipliers(0, 12)
+        first[:] = 0.0
+        assert layout.multipliers(0, 12).min() >= 1.0
+
+
+class TestOutcomeRates:
+    """One definition of the thinned rates: the simulator draws from
+    ``DesignBlock.outcomes`` and the optimizer's grid integrates the
+    same numbers."""
+
+    @pytest.fixture(scope="class")
+    def paper_designs(self, profile):
+        return [
+            FleetDesign(
+                name=design.name,
+                policies=design.policies,
+                server_cost_savings=0.0,
+            )
+            for design in paper_design_points(sorted(profile.region_sizes))
+        ]
+
+    @pytest.fixture(scope="class")
+    def layout(self, profile, paper_designs):
+        counts = {design.name: 2 for design in paper_designs}
+        config = FleetConfig(servers=10, months=3)
+        return FleetLayout(profile, paper_designs, counts, config)
+
+    def test_outcomes_partition_the_arrivals(self, layout):
+        for block in layout.blocks:
+            rates = block.outcomes
+            total = (
+                rates.corrected + rates.recovered + rates.crash + rates.uncrashed
+            )
+            assert total == pytest.approx(rates.errors)
+            assert rates.crash_rate == pytest.approx(float(rates.crash.sum()))
+            assert (rates.corrected[~rates.corrects] == 0.0).all()
+            assert (rates.crash[rates.corrects] == 0.0).all()
+        assert layout.block_of("Typical Server").outcomes.crash_rate == 0.0
+        assert layout.block_of("Consumer PC").outcomes.corrected.sum() == 0.0
+        assert layout.block_of("Detect&Recover").outcomes.recovered.sum() > 0.0
+
+    def test_composition_grid_uses_the_same_crash_rates(
+        self, profile, paper_designs, layout
+    ):
+        grid = CompositionGrid(profile, paper_designs, layout.config)
+        assert grid.crash_coeff.tolist() == pytest.approx(
+            [block.outcomes.crash_rate for block in layout.blocks]
+        )
+        rates = OutcomeRates(paper_designs[1], layout.table, ErrorRateModel())
+        assert rates.crash_rate == layout.blocks[1].outcomes.crash_rate
 
 
 class TestOptimizer:
