@@ -10,12 +10,15 @@ classify, Figure 2) for all three paper workloads in three modes:
 * ``fast``    — backend="vectorized", fast path enabled (dirty-page
   snapshot restore, fused accessors, batched drivers, pristine-replay
   fusion).
-* ``pruned``  — backend="pruned", fast path enabled: a golden access
-  trace pre-classifies whole trial batches and analytically resolves
-  trials whose flips land only in never-read, dead-window, or
+* ``pruned``  — backend="pruned", fast path enabled: the access trace
+  pre-classifies whole trial batches and analytically resolves trials
+  whose flips land only in never-read, dead-window, or
   SEC-DED-corrected bytes; only trials touching live-read vulnerable
-  data execute. Timing includes golden-trace recording, also reported
-  on its own as ``golden_trace_seconds``.
+  data execute, and of those only the queries a fault can reach — the
+  trace serves the clean runs between them. Timing includes recording
+  the trace, also reported on its own as ``golden_trace_seconds``; each
+  row's ``pruning`` block carries the query decisions (``fused`` +
+  ``live`` = executed trials x queries), which are exact counts.
 
 Each app runs under two protection configs: ``none`` (unprotected) and
 ``secded`` (every region SEC-DED, so single-bit trials are fully
@@ -38,6 +41,12 @@ campaign amortizes it. Planning is what a decided trial costs, and it
 must not depend on how many live spans a cell has: kvstore's heap holds
 one span per key (``planning_spans``), websearch's one to three, and CI
 gates kvstore at ≤ 2× websearch.
+
+``all_live`` rows time the executed trials of cells where fusion has
+nothing to fuse (every graph job reads every CSR byte; a stuck-at in the
+websearch stack frame meets every query that pushes a frame) on one
+pruned campaign with the replay engine on and off, alternating, best of
+several passes: what those trials cost against the unfused loop.
 
 Usage::
 
@@ -146,6 +155,46 @@ def _time_planning(campaign):
     return elapsed * 1e6 / (len(cells) * len(trials)), spans
 
 
+#: (app, region, spec) cells whose executed trials cannot fuse.
+ALL_LIVE_CELLS = (
+    ("graphmining", "heap", SINGLE_BIT_HARD),
+    ("websearch", "stack", SINGLE_BIT_HARD),
+)
+
+
+def bench_all_live(name, region, spec, config, passes):
+    """Executed trials of one cell: replay engine on vs the unfused loop."""
+    campaign = CharacterizationCampaign(APPS[name](), config=config, backend="pruned")
+    campaign.prepare()
+    cell = CampaignCell(name=region, spec=spec)
+    plan, verdict = campaign.classify_cell_trials(cell, range(config.trials_per_cell))
+    executed = [
+        (int(plan.trial_indices[local]), plan.flips_for(local))
+        for local in range(len(plan))
+        if not verdict.decidable[local]
+    ]
+    engine = campaign._trial_replay
+    best = {"fused": float("inf"), "unfused": float("inf")}
+    for index in range(2 * passes):
+        mode = ("fused", "unfused")[index % 2]
+        campaign._trial_replay = engine if mode == "fused" else (lambda: None)
+        start = time.perf_counter()
+        for trial_index, flips in executed:
+            campaign.measure_planned_trial(cell, trial_index, flips)
+        best[mode] = min(best[mode], time.perf_counter() - start)
+    campaign._trial_replay = engine
+    return {
+        "app": name,
+        "cell": f"{region}|{spec.label}",
+        "executed_trials": len(executed),
+        # Per pass with the engine on; the unfused passes count live only.
+        "fused_queries_per_pass": campaign.take_decisions()["fused"] // passes,
+        "fused_seconds": best["fused"],
+        "unfused_seconds": best["unfused"],
+        "ratio": best["fused"] / best["unfused"],
+    }
+
+
 def bench_app(name, app_factory, config, protection):
     codecs = _region_codecs(app_factory, protection)
     runs = {
@@ -164,16 +213,23 @@ def bench_app(name, app_factory, config, protection):
     checked = stats["checked_accesses"]
     fast_accesses = stats["fast_accesses"]
     pruning = runs["pruned"]["campaign"].pruning_stats
+    # Query decisions are counts, not timings: a second pruned campaign
+    # must tally exactly the same.
+    again = _run_campaign(app_factory, config, "pruned", codecs)
+    decisions_repeat = again["campaign"].pruning_stats.to_dict() == pruning.to_dict()
     planning_us, planning_spans = _time_planning(runs["pruned"]["campaign"])
     row = {
         "app": name,
         "protection": protection,
         "trials": trials,
+        # min(queries per trial, the app's trace length).
+        "query_budget": runs["pruned"]["campaign"].golden_trace().query_count,
         "golden_trace_seconds": runs["pruned"]["golden_trace_seconds"],
         "planning_us_per_trial": planning_us,
         "planning_spans": planning_spans,
         "profiles_identical": True,
         "pruning": pruning.to_dict(),
+        "decisions_repeat_exactly": decisions_repeat,
         "pruning_rate": pruning.pruning_rate,
         "fastpath": {
             "fast_accesses": fast_accesses,
@@ -241,8 +297,19 @@ def main(argv=None):
                 f"over {row['planning_spans']} spans"
             )
 
+    all_live = [
+        bench_all_live(name, region, spec, config, 5 if arguments.smoke else 25)
+        for name, region, spec in ALL_LIVE_CELLS
+    ]
+    for row in all_live:
+        print(
+            f"{row['app']:<12} {row['cell']:<22} {row['executed_trials']} all-live "
+            f"trials: engine on / unfused loop = {row['ratio']:.3f}"
+        )
+
     report = {
         "mode": "smoke" if arguments.smoke else "full",
+        "all_live": all_live,
         "trials_per_cell": config.trials_per_cell,
         "queries_per_trial": config.queries_per_trial,
         "seed": arguments.seed,

@@ -287,7 +287,10 @@ class CsrGraph:
                 != self._edges_raw[4 * low : 4 * high]
             ):
                 return False
-        space.charge_reads(entries_addr, 2 * vertices, 8 * vertices)
+        # Overlapping offset pairs: 8 bytes a vertex over entries_len bytes.
+        space.charge_reads(
+            entries_addr, 2 * vertices, 8 * vertices, ((0, entries_len),)
+        )
         if block_len:
             space.charge_reads(
                 block_addr,

@@ -93,6 +93,8 @@ class KVStoreWorkload(Workload):
         self.store: Optional[KVStore] = None
         self.trace: List[Operation] = []
         self._units_per_op: float = 20.0
+        # (allocator mutation count, progress state) of the last capture.
+        self._progress = (-1, None)
 
     # ------------------------------------------------------------------
     def build(self) -> None:
@@ -165,17 +167,21 @@ class KVStoreWorkload(Workload):
 
         DELETEs free and SETs re-malloc mid-trace, so two cursors with
         identical memory bytes can still differ in Python-side heap
-        state — a ``free`` issues no store. The batched serve data plane
-        compares this against the golden replay before fusing a run.
+        state — a ``free`` issues no store. Fused replay compares this
+        against the golden replay before serving a run. The allocator
+        part is rebuilt only after a malloc or free (one op in ten).
         """
-        state = self._allocator.state()
-        return (
-            tuple(state["free"]),
-            tuple(sorted(state["live"].items())),
-            state["allocated_bytes"],
-            state["peak_bytes"],
-            self.store.item_count,
-        )
+        mutations, heap = self._progress
+        if mutations != self._allocator.mutations:
+            state = self._allocator.state()
+            heap = (
+                tuple(state["free"]),
+                tuple(sorted(state["live"].items())),
+                state["allocated_bytes"],
+                state["peak_bytes"],
+            )
+            self._progress = (self._allocator.mutations, heap)
+        return heap + (self.store.item_count,)
 
     def restore_progress(self, state) -> None:
         """Adopt the allocator bookkeeping recorded at a fused run's end."""

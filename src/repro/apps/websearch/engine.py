@@ -406,7 +406,7 @@ class SearchEngine:
         entry, ops, nbytes, spans, state = memo
         if not (self._index_pristine() or self._spans_pristine(spans, state)):
             return _LIVE
-        self._space.charge_reads(self._index_base, ops, nbytes)
+        self._space.charge_reads(self._index_base, ops, nbytes, spans)
         return entry
 
     def _replay_find_term(self, term_id: int):
@@ -474,7 +474,7 @@ class SearchEngine:
         if docs.size:
             doc_chunks.append(docs)
             contrib_chunks.append(idf * factor_values)
-        self._space.charge_reads(self._index_base, ops, nbytes)
+        self._space.charge_reads(self._index_base, ops, nbytes, spans)
         return True
 
     def _replay_scan(self, first_block_rel: int):

@@ -53,6 +53,7 @@ from repro.injection.injector import (
     ErrorInjector,
     ErrorSpec,
 )
+from repro.memory.trace import DECISIONS, TraceReplay, record_access_trace
 from repro.obs.events import (
     SPAN_CAMPAIGN,
     SPAN_CELL,
@@ -82,7 +83,9 @@ FINGERPRINT_SCHEMA_VERSION = 3
 #: reference loop, the vectorized path that pre-plans whole trial
 #: shards through :mod:`repro.kernels`, and the pruned path that
 #: additionally resolves footprint-decidable trials analytically from
-#: one golden trace (:mod:`repro.exec.pruning`) — all bit-identical.
+#: one access trace (:mod:`repro.exec.pruning`) and serves the clean
+#: queries of the trials it executes from the same trace — all
+#: bit-identical.
 BACKENDS = ("scalar", "vectorized", "pruned")
 
 
@@ -192,8 +195,11 @@ class CharacterizationCampaign:
             batches instrument updates, returning a bit-identical
             profile faster; ``"pruned"`` composes with the vectorized
             path and additionally resolves footprint-decidable trials
-            analytically from one golden trace
-            (:mod:`repro.exec.pruning`) without executing the workload.
+            analytically from one access trace
+            (:mod:`repro.exec.pruning`) without executing the workload,
+            and on a fast-path space executes, of the remaining trials,
+            only the queries a fault can reach
+            (:meth:`~repro.apps.clients.ClientDriver.run_fused`).
         region_codecs: Optional {region name: hardware codec} mapping
             (:class:`~repro.core.design_space.HardwareTechnique` or its
             value/name string). Regions whose codec corrects single-bit
@@ -224,12 +230,21 @@ class CharacterizationCampaign:
         self._driver: Optional[ClientDriver] = None
         self._rng: Optional[random.Random] = None
         self._seed_factory: Optional[SeedSequenceFactory] = None
+        self._golden: Optional[List] = None
         self._golden_trace = None
+        self._replay = None
         self._corrected_mask = None
         self.trials: List[TrialRecord] = []
         from repro.exec.pruning import PruningStats
 
         self.pruning_stats = PruningStats()
+        #: Pruned backend: "cell|error label" -> how the queries of that
+        #: cell's executed trials were served
+        #: (:data:`~repro.memory.trace.DECISIONS`). Like the serve
+        #: plane's ``decisions``, never part of a profile.
+        self.decisions: Dict[str, Dict[str, int]] = {}
+        # Tallied by executed trials since the last take_decisions().
+        self._served = dict.fromkeys(DECISIONS, 0)
 
     def prepare(self) -> None:
         """Build the workload, checkpoint it, and record golden outputs.
@@ -242,10 +257,10 @@ class CharacterizationCampaign:
         else:
             self.workload.build()
             self.workload.checkpoint()
-        golden = self.workload.golden_responses()
+        self._golden = self.workload.golden_responses()
         self.workload.reset()
         self._driver = ClientDriver(
-            self.workload, golden, failure_fraction=self.config.failure_fraction
+            self.workload, self._golden, failure_fraction=self.config.failure_fraction
         )
         self._seed_factory = SeedSequenceFactory(self.config.seed)
         self._rng = self._seed_factory.stream(f"campaign:{self.workload.name}")
@@ -306,6 +321,8 @@ class CharacterizationCampaign:
             raise RuntimeError("prepare() must be called before running trials")
         workload = self.workload
         space = workload.space
+        # Before the injection: recording the trace resets the workload.
+        replay = self._trial_replay()
         if positions is not None:
             injector = ErrorInjector(
                 space,
@@ -326,7 +343,13 @@ class CharacterizationCampaign:
 
         query_budget = min(self.config.queries_per_trial, workload.query_count)
         with self.observer.span(SPAN_CONSUME) as consume_span:
-            report = self._driver.run(range(query_budget))
+            if replay is not None:
+                report = self._driver.run_fused(replay, self._served)
+            else:
+                report = self._driver.run(range(query_budget))
+                if self.backend == "pruned":
+                    self._served["live"] += query_budget
+                    self._served["fatal_tail"] += query_budget - report.attempted
             consume_span.set(
                 queries=query_budget,
                 responded=report.responded,
@@ -463,21 +486,61 @@ class CharacterizationCampaign:
     def golden_trace(self):
         """Record (once) and return the campaign's golden access trace.
 
-        One trace serves every cell: the query budget is a config
-        constant and the fault-free replay is injection-independent.
+        One :class:`~repro.memory.trace.AccessTrace` of the query budget
+        serves every cell — classification and fused trial execution
+        alike: the budget is a config constant and the fault-free replay
+        is injection-independent.
         """
         if self._golden_trace is None:
-            from repro.exec.pruning import record_golden_trace
-
             if self._driver is None:
                 self.prepare()
             query_budget = min(
                 self.config.queries_per_trial, self.workload.query_count
             )
-            self._golden_trace = record_golden_trace(
-                self.workload, self._driver, query_budget
+            self._golden_trace = record_access_trace(
+                self.workload, query_budget, golden=self._golden
             )
         return self._golden_trace
+
+    def _trial_replay(self):
+        """The engine that fuses an executed trial's clean queries.
+
+        ``None`` runs the trial through the plain scalar loop: every
+        backend but ``"pruned"`` (they have no trace), and oracle-mode
+        spaces (fused replay needs the fast path's dirty-page tracking).
+        """
+        if self.backend != "pruned" or not self.workload.space.fast_path_enabled:
+            return None
+        if self._replay is None:
+            self._replay = TraceReplay(self.golden_trace(), self.workload)
+        return self._replay
+
+    def take_decisions(self) -> Dict[str, int]:
+        """How the queries of the trials executed since the last call
+        were served (pruned backend; see :attr:`decisions`)."""
+        taken, self._served = self._served, dict.fromkeys(DECISIONS, 0)
+        return taken
+
+    def note_decisions(
+        self, cell: CampaignCell, tallies: Sequence[Dict[str, int]]
+    ) -> Dict[str, int]:
+        """Fold one cell's query tallies — the serial loop's own
+        :meth:`take_decisions`, or its shards' from the workers — into
+        :attr:`decisions`, the pruning stats and the instruments;
+        returns their sum for the cell's span."""
+        served = self.decisions.setdefault(
+            f"{cell.name}|{cell.spec.label}", dict.fromkeys(DECISIONS, 0)
+        )
+        total = dict.fromkeys(DECISIONS, 0)
+        for tally in tallies:
+            for decision, count in tally.items():
+                total[decision] += count
+                served[decision] += count
+        self.pruning_stats.add(**total)
+        instruments = self.observer.instruments
+        if instruments is not None:
+            instruments.record_pruning(total)
+        return total
 
     def corrected_mask(self):
         """Per-byte corrected-region mask (None when nothing is protected)."""
@@ -532,7 +595,7 @@ class CharacterizationCampaign:
         from repro.exec.pruning import OUTCOME_BY_CODE
 
         trace = self.golden_trace()
-        responded = trace.query_budget
+        responded = trace.query_count
         self.workload.space.settle_recorded_trial(
             trace.end_time, trace.per_region, trials=stop - start
         )
@@ -761,7 +824,7 @@ class CharacterizationCampaign:
                         "error_label": cell_def.spec.label,
                         "trials": budget,
                     },
-                ):
+                ) as cell_span:
                     if plan is not None:
                         self._run_planned_cell(
                             cell_def, cell, plan, classification
@@ -771,6 +834,12 @@ class CharacterizationCampaign:
                             _record_trial(
                                 cell, self.measure_trial(cell_def, trial_index)
                             )
+                    if pruning:
+                        cell_span.set(
+                            decisions=self.note_decisions(
+                                cell_def, [self.take_decisions()]
+                            )
+                        )
                 instruments = observer.instruments
                 if pruning:
                     cell_pruned = (
@@ -778,20 +847,14 @@ class CharacterizationCampaign:
                         if classification is not None
                         else 0
                     )
-                    cell_fallback = budget if classification is None else 0
-                    self.pruning_stats.add(
-                        pruned=cell_pruned,
-                        executed=budget - cell_pruned,
-                        fallback=cell_fallback,
-                    )
+                    tally = {
+                        "pruned": cell_pruned,
+                        "executed": budget - cell_pruned,
+                        "fallback": budget if classification is None else 0,
+                    }
+                    self.pruning_stats.add(**tally)
                     if instruments is not None:
-                        instruments.record_pruning(
-                            {
-                                "pruned": cell_pruned,
-                                "executed": budget - cell_pruned,
-                                "fallback": cell_fallback,
-                            }
-                        )
+                        instruments.record_pruning(tally)
                 if instruments is not None:
                     memory_after = self.workload.fast_path_stats()
                     instruments.record_memory(

@@ -2,8 +2,9 @@
 
 See :mod:`repro.exec.parallel` for the determinism guarantee that makes
 parallel characterization bit-identical to serial runs, and
-:mod:`repro.exec.pruning` for the golden-trace trial pre-classifier
-behind ``backend="pruned"``.
+:mod:`repro.exec.pruning` for the access-trace trial pre-classifier
+behind ``backend="pruned"`` (the trace itself is
+:mod:`repro.memory.trace`).
 """
 
 from repro.exec.cells import (
@@ -21,12 +22,10 @@ from repro.exec.parallel import (
     run_shard_on,
 )
 from repro.exec.pruning import (
-    GoldenTrace,
     PlanClassification,
     PruningStats,
     classify_plan,
     corrected_byte_mask,
-    record_golden_trace,
 )
 from repro.exec.workers import resolve_workers
 from repro.obs.progress import (
@@ -46,12 +45,10 @@ __all__ = [
     "merge_shard_results",
     "resolve_start_method",
     "run_shard_on",
-    "GoldenTrace",
     "PlanClassification",
     "PruningStats",
     "classify_plan",
     "corrected_byte_mask",
-    "record_golden_trace",
     "resolve_workers",
     "CampaignMetrics",
     "ProgressEvent",

@@ -96,7 +96,9 @@ class ShardResult:
     parent through the result pipe (empty when tracing is disabled).
     ``memory_stats`` is the shard's delta of the worker space's
     ``fast_path_stats()`` counters, folded into the parent's metrics
-    registry at merge time.
+    registry at merge time; ``decisions`` is the worker campaign's
+    query-level tally of the shard (all zero unless the backend is
+    pruned), folded into the parent campaign's.
     """
 
     cell_index: int
@@ -108,6 +110,7 @@ class ShardResult:
     seconds: float
     events: Tuple[TraceEvent, ...] = field(default=())
     memory_stats: Dict[str, int] = field(default_factory=dict)
+    decisions: Dict[str, int] = field(default_factory=dict)
 
 
 def _worker_initializer(
@@ -201,6 +204,7 @@ def run_shard_on(
             key: stats_after[key] - stats_before.get(key, 0)
             for key in stats_after
         },
+        decisions=campaign.take_decisions() if plan is not None else {},
     )
 
 
@@ -243,8 +247,9 @@ def merge_shard_results(
     tracing span on its observer, worker-captured events are replayed
     into the parent's sinks when their shard is first reached in
     canonical order — so a parallel run's trace has the same span paths
-    as a serial run's — and executed trials are mirrored into
-    ``campaign.trials`` at their place in that order.
+    as a serial run's — executed trials are mirrored into
+    ``campaign.trials`` at their place in that order, and a pruned
+    campaign takes each cell's worker-side query decisions.
 
     Returns the executed trial results, flattened in canonical order.
     """
@@ -274,7 +279,14 @@ def merge_shard_results(
             SPAN_CELL,
             key=cell_key,
             attrs={"region": cell_def.name, "error_label": cell_def.spec.label},
-        ):
+        ) as cell_span:
+            if getattr(campaign, "backend", "scalar") == "pruned":
+                cell_span.set(
+                    decisions=campaign.note_decisions(
+                        cell_def,
+                        [shard.decisions for shard in by_cell.get(cell_index, [])],
+                    )
+                )
             pending = iter(entries)
             replayed: set = set()
             for start, stop, decided in runs:

@@ -1,23 +1,27 @@
-"""Trial pruning: golden-trace recording + vectorized pre-classification.
+"""Trial pruning: vectorized pre-classification against the access trace.
 
 The paper's central finding is that most memory errors are *masked* —
 they land in bytes the application never reads, or reads only after
 overwriting them. The characterization campaign nevertheless executes
 the full client workload for every such trial. This module resolves
-those trials analytically instead: one *golden trace* per campaign
-records the byte-granular access footprint of a fault-free replay
-(per-byte first-access direction, read-ever set, exact clock/counter
-deltas), and a vectorized pre-classifier then decides whole
-:class:`~repro.kernels.planner.InjectionPlan` batches at once. Only
-trials whose flips intersect live-read vulnerable data fall through to
-the existing fast-path execution loop.
+those trials analytically instead: the campaign's one
+:class:`~repro.memory.trace.AccessTrace` (a fault-free replay of the
+query budget, recorded on the production access path) carries the
+byte-granular footprint — per-byte first-access direction, read-ever
+set, exact clock/counter deltas — and a vectorized pre-classifier
+decides whole :class:`~repro.kernels.planner.InjectionPlan` batches at
+once. Only trials whose flips intersect live-read vulnerable data fall
+through to execution, and the same trace then serves the clean queries
+of those trials unexecuted
+(:meth:`~repro.apps.clients.ClientDriver.run_fused`);
+:class:`PruningStats` counts both levels.
 
 Decidability rules
 ------------------
 All rules are stated against the scalar-oracle access semantics (the
 fast path is bit-identical by the established equivalence suite). Every
 trial resets the workload to the same pristine checkpoint and injects
-*before* the query run, so the golden trace's per-byte classification
+*before* the query run, so the access trace's per-byte classification
 ``first_access`` ∈ {0 = never accessed, 1 = read first, 2 = written
 first} and ``read_seen`` fully determine whether an injected flip can
 ever be observed:
@@ -60,28 +64,25 @@ otherwise             ``MASKED_NEVER_ACCESSED``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.taxonomy import ErrorOutcome
 from repro.memory.faults import FaultKind
+from repro.memory.trace import DECISIONS, AccessTrace
 
-if TYPE_CHECKING:  # avoid exec <-> apps/core import cycles at runtime
-    from repro.apps.base import Workload
-    from repro.apps.clients import ClientDriver
+if TYPE_CHECKING:  # avoid exec <-> kernels import cycles at runtime
     from repro.kernels.planner import InjectionPlan
     from repro.memory.address_space import AddressSpace
 
 __all__ = [
-    "GoldenTrace",
     "OUTCOME_BY_CODE",
     "PlanClassification",
     "PruningStats",
     "classify_plan",
     "corrected_byte_mask",
-    "record_golden_trace",
 ]
 
 #: Trial outcome by folded per-flip code (0 never, 1 overwritten,
@@ -91,64 +92,6 @@ OUTCOME_BY_CODE = (
     ErrorOutcome.MASKED_OVERWRITE,
     ErrorOutcome.MASKED_LOGIC,
 )
-
-
-@dataclass(frozen=True)
-class GoldenTrace:
-    """Byte-granular footprint of one fault-free golden replay.
-
-    Recorded once per campaign (the query budget is a config constant)
-    and shared by every cell: the replay is injection-free, so its
-    footprint is a property of the workload trace alone.
-    """
-
-    #: Queries replayed (``min(queries_per_trial, query_count)``).
-    query_budget: int
-    #: Per-byte first access: 0 never, 1 read-first, 2 write-first.
-    first_access: np.ndarray
-    #: Per-byte whether any read ever touched the byte (uint8 0/1).
-    read_seen: np.ndarray
-    #: Absolute logical time the replay ended at (every trial starts
-    #: from the same snapshot restore, so this is trial-invariant).
-    end_time: int
-    #: Exact (load_ops, load_bytes, store_ops, store_bytes) deltas of
-    #: the replay, in region order.
-    per_region: Tuple[Tuple[int, int, int, int], ...]
-
-
-def record_golden_trace(
-    workload: "Workload", driver: "ClientDriver", query_budget: int
-) -> GoldenTrace:
-    """Replay the fault-free workload once and capture its footprint.
-
-    The replay runs on the oracle path (every access observed), its
-    clock/counter effects are rolled back, and the workload is reset
-    afterwards — recording is invisible to subsequent trials apart from
-    one full (rather than incremental) snapshot restore.
-    """
-    space = workload.space
-    workload.reset()
-    was_fast = space.fast_path_enabled
-    space.set_fast_path(False)
-    space.begin_access_trace()
-    try:
-        report = driver.run(range(query_budget))
-    finally:
-        raw = space.end_access_trace()
-        space.set_fast_path(was_fast)
-    workload.reset()
-    if report.failed or report.incorrect:
-        raise RuntimeError(
-            "golden replay produced failed or incorrect responses; "
-            "the access trace cannot stand in for clean execution"
-        )
-    return GoldenTrace(
-        query_budget=query_budget,
-        first_access=raw["first_access"],
-        read_seen=raw["read_seen"],
-        end_time=int(raw["end_time"]),
-        per_region=tuple(tuple(entry) for entry in raw["per_region"]),
-    )
 
 
 def corrected_byte_mask(
@@ -216,7 +159,7 @@ class PlanClassification:
 
 def classify_plan(
     plan: "InjectionPlan",
-    trace: GoldenTrace,
+    trace: AccessTrace,
     corrected: Optional[np.ndarray] = None,
 ) -> Optional[PlanClassification]:
     """Vectorized pre-classification of a whole trial batch.
@@ -264,23 +207,35 @@ def classify_plan(
 
 @dataclass
 class PruningStats:
-    """Running pruned / executed / fallback trial tallies of a campaign.
+    """Running trial- and query-level tallies of a pruned campaign.
 
-    ``executed`` counts every trial that ran the workload, including the
-    ``fallback`` subset for which no classification was available (an
-    unsupported fault kind). Surfaced through
-    :meth:`~repro.obs.instruments.CampaignInstruments.record_pruning`.
+    Trials: ``executed`` counts every trial that ran the workload,
+    including the ``fallback`` subset for which no classification was
+    available (an unsupported fault kind). Queries of executed trials:
+    ``decisions`` says how each was served, in the serve plane's
+    :data:`~repro.memory.trace.DECISIONS` vocabulary — ``fused`` +
+    ``live`` = executed trials x query budget, ``fatal_tail`` of them
+    never issued behind a fatal query. Surfaced through
+    :meth:`~repro.obs.instruments.CampaignInstruments.record_pruning`;
+    never part of a profile.
     """
 
     pruned: int = 0
     executed: int = 0
     fallback: int = 0
+    decisions: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(DECISIONS, 0)
+    )
 
-    def add(self, pruned: int = 0, executed: int = 0, fallback: int = 0) -> None:
+    def add(
+        self, pruned: int = 0, executed: int = 0, fallback: int = 0, **decisions: int
+    ) -> None:
         """Accumulate one cell's (or one merge's) tallies."""
         self.pruned += int(pruned)
         self.executed += int(executed)
         self.fallback += int(fallback)
+        for decision, count in decisions.items():
+            self.decisions[decision] += int(count)
 
     @property
     def pruning_rate(self) -> float:
@@ -294,4 +249,5 @@ class PruningStats:
             "pruned": self.pruned,
             "executed": self.executed,
             "fallback": self.fallback,
+            **self.decisions,
         }

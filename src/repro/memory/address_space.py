@@ -489,7 +489,13 @@ class AddressSpace:
         """
         return self._fast and n > 0 and self._fast_index(addr, n) >= 0
 
-    def charge_reads(self, addr: int, ops: int, nbytes: int) -> None:
+    def charge_reads(
+        self,
+        addr: int,
+        ops: int,
+        nbytes: int,
+        spans: Sequence[Tuple[int, int]] = (),
+    ) -> None:
         """Account for ``ops`` fused loads totalling ``nbytes`` bytes.
 
         Settles the exact clock/counter debt of a batch of loads that a
@@ -497,6 +503,10 @@ class AddressSpace:
         individually. Only valid for spans vetted via :meth:`span_is_clean`
         (same region, no fault/watchpoint interaction), where deferred
         bulk accounting is observationally identical to per-access updates.
+        ``spans`` names the bytes those loads read, as ``(offset,
+        length)`` pairs relative to ``addr`` (default: the ``nbytes`` at
+        ``addr``). Accounting ignores it; the access-trace recorder
+        (:mod:`repro.memory.trace`), which shadows this method, logs it.
         """
         index = self._page_map[addr >> _PAGE_SHIFT]
         if index < 0:
@@ -523,8 +533,8 @@ class AddressSpace:
 
         ``per_region`` is aligned with :attr:`regions` order; each entry
         is ``(load_ops, load_bytes, store_ops, store_bytes)``. The
-        batched data plane records these deltas during the golden
-        replay and applies them here when a pristine run is served
+        access trace records these deltas during the golden replay and
+        fused replay applies them here when a clean run is served
         without execution, so clock and per-region counters end up
         byte-for-byte where live execution would have left them.
         """
@@ -540,22 +550,19 @@ class AddressSpace:
             ops += int(lops) + int(sops)
         self._fast_hits += ops
 
-    def drain_dirty_pages(self) -> List[int]:
-        """Return and clear the pages dirtied since the last drain.
+    def dirty_pages(self) -> List[int]:
+        """Sorted pages written since the last snapshot or restore.
 
-        Recording hook for the batched data plane's golden replay: the
-        caller drains after every query to learn which pages that query
-        wrote, then hands the union back via :meth:`mark_pages_dirty`
-        before restoring, so incremental restore still copies everything
-        that diverged from the baseline. Only meaningful on the fast
-        path (the slow path does not track dirty pages).
+        Every mutation of stored bytes on the fast path (stores, pokes,
+        soft and disturbance flips) marks its pages, so a page outside
+        this list still holds its baseline bytes — fused replay confines
+        its golden-image comparison to these pages. Empty in oracle mode
+        (the slow path does not track dirty pages).
         """
-        pages = sorted(self._dirty_pages)
-        self._dirty_pages.clear()
-        return pages
+        return sorted(self._dirty_pages)
 
     def mark_pages_dirty(self, pages: Iterable[int]) -> None:
-        """Re-add drained pages to the dirty set (see :meth:`drain_dirty_pages`)."""
+        """Add pages to the dirty set (restore copies them, see above)."""
         self._dirty_pages.update(pages)
 
     def guarded_addresses(self) -> Tuple[int, ...]:
@@ -576,13 +583,11 @@ class AddressSpace:
     def soft_guard_addresses(self) -> Tuple[int, ...]:
         """Sorted tracked-fault, watchpoint, and disturbance addresses.
 
-        The guarded bytes a fused serve request must never touch:
-        tracked soft flips corrupt reads, watchpoints
-        have arbitrary callbacks, and disturbance aggressors flip
-        victim bytes when touched. Stuck-at overlays are reported
-        separately by :meth:`hard_fault_silence` because a *silent*
-        overlay (masks that fix the current stored byte) is
-        observationally absent for reads.
+        The guarded bytes a fused query must never touch: every injected
+        fault is tracked (soft flips corrupt reads, stuck-at overlays
+        reassert on reads, and a store to either is consumption
+        bookkeeping), watchpoints have arbitrary callbacks, and
+        disturbance aggressors flip victim bytes when touched.
         """
         addrs = set(self._tracked_faults)
         addrs.update(self._watchpoints)
@@ -596,176 +601,29 @@ class AddressSpace:
         disturbance aggressors never mutate stored bytes)."""
         return tuple(sorted(self._tracked_faults))
 
-    def hard_fault_silence(self) -> Tuple[Tuple[int, bool], ...]:
-        """Per stuck-at overlay byte: ``(addr, silent)``, sorted.
+    def accounting_state(self) -> tuple:
+        """Clock, per-region counters and path counters, by value.
 
-        ``silent`` means applying the overlay masks to the *current*
-        stored byte returns it unchanged — every read of that byte
-        observes plain memory. The batched data plane may fuse reads
-        of a silent overlay byte provided nothing writes that byte (a
-        store could change the stored byte and wake the fault).
+        With :meth:`restore_accounting` this makes a replay invisible to
+        accounting: :mod:`repro.memory.trace` records a fault-free run
+        between the two calls.
         """
-        out = []
-        for addr in sorted(self._overlay.masks):
-            and_mask, or_mask = self._overlay.masks[addr]
-            byte = self._mem[addr]
-            out.append((addr, ((byte & and_mask) | or_mask) == byte))
-        return tuple(out)
-
-    def begin_access_capture(self) -> None:
-        """Start recording the byte span of every validated access.
-
-        Shadows the two admission chokepoints (:meth:`_fast_index` and
-        :meth:`_region_index_for`) with wrappers that note ``[addr,
-        addr + n)`` — every load and store, typed or raw, fast or
-        guarded, validates through one of them — and forces
-        :meth:`span_is_clean` to False so drivers take their live path
-        and their reads are observed. Instance-attribute shadowing
-        keeps the production hot path completely untouched outside
-        recording. Not reentrant; pair with :meth:`end_access_capture`.
-        """
-        los: List[int] = []
-        his: List[int] = []
-        self._capture_spans = (los, his)
-        fast_index = type(self)._fast_index.__get__(self)
-        region_index_for = type(self)._region_index_for.__get__(self)
-
-        def capturing_fast_index(addr: int, n: int) -> int:
-            if n > 0:
-                los.append(addr)
-                his.append(addr + n)
-            return fast_index(addr, n)
-
-        def capturing_region_index_for(addr: int, n: int) -> int:
-            index = region_index_for(addr, n)
-            los.append(addr)
-            his.append(addr + n)
-            return index
-
-        self._fast_index = capturing_fast_index  # type: ignore[method-assign]
-        self._region_index_for = capturing_region_index_for  # type: ignore[method-assign]
-        self.span_is_clean = lambda addr, n: False  # type: ignore[method-assign]
-
-    def end_access_capture(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Stop recording; return the touched bytes as coalesced intervals.
-
-        ``(lo, hi)`` are parallel int64 arrays of half-open byte
-        intervals, sorted and disjoint (overlapping and adjacent
-        accesses merge), covering exactly the bytes accessed since
-        :meth:`begin_access_capture`.
-        """
-        del self._fast_index
-        del self._region_index_for
-        del self.span_is_clean
-        los, his = self._capture_spans
-        del self._capture_spans
-        lo = np.asarray(los, dtype=np.int64)
-        hi = np.asarray(his, dtype=np.int64)
-        if lo.size == 0:
-            return lo, hi
-        order = np.argsort(lo, kind="stable")
-        lo, reach = lo[order], np.maximum.accumulate(hi[order])
-        starts = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
-        return lo[starts], reach[np.concatenate((starts[1:] - 1, [lo.size - 1]))]
-
-    # ------------------------------------------------------------------
-    # Byte-granular access tracing (trial-pruning golden replay)
-    # ------------------------------------------------------------------
-    def begin_access_trace(self) -> None:
-        """Start recording the byte-granular read/write footprint.
-
-        The trial-pruning pre-classifier needs, for every byte, whether
-        its *first* access was a load or a store and whether it was ever
-        loaded at all. Tracing therefore requires the oracle path: with
-        the fast path pinned off, every load and store — typed, raw, or
-        bulk (which decomposes per element in oracle mode) — funnels
-        through :meth:`_read_guarded` / :meth:`_write_guarded`, and
-        ``span_is_clean`` is always False so drivers take their live
-        path. Both chokepoints are shadowed with recording wrappers via
-        the same instance-attribute pattern as
-        :meth:`begin_access_capture`. Not reentrant; pair with
-        :meth:`end_access_trace`, which also rolls the clock and
-        per-region counters back so the traced replay is invisible to
-        accounting.
-        """
-        if self._fast:
-            raise RuntimeError(
-                "access tracing requires the oracle path; "
-                "call set_fast_path(False) first"
-            )
-        first = bytearray(self._size)  # 0 never, 1 read-first, 2 write-first
-        read_seen = bytearray(self._size)
-        self._trace_first = first
-        self._trace_read_seen = read_seen
-        self._trace_saved = (
+        return (
             self._time,
             list(self._load_ops),
             list(self._load_bytes),
             list(self._store_ops),
             list(self._store_bytes),
+            self._fast_hits,
+            self._fast_fallbacks,
         )
-        read_guarded = type(self)._read_guarded.__get__(self)
-        write_guarded = type(self)._write_guarded.__get__(self)
 
-        def tracing_read_guarded(addr: int, n: int) -> bytes:
-            data = read_guarded(addr, n)
-            for a in range(addr, addr + n):
-                if not first[a]:
-                    first[a] = 1
-                read_seen[a] = 1
-            return data
-
-        def tracing_write_guarded(addr: int, data: bytes) -> None:
-            write_guarded(addr, data)
-            for a in range(addr, addr + len(data)):
-                if not first[a]:
-                    first[a] = 2
-
-        self._read_guarded = tracing_read_guarded  # type: ignore[method-assign]
-        self._write_guarded = tracing_write_guarded  # type: ignore[method-assign]
-
-    def end_access_trace(self) -> Dict[str, object]:
-        """Stop tracing; return the footprint and undo the accounting.
-
-        Returns a dict with ``first_access`` / ``read_seen`` (uint8
-        arrays, one slot per byte of the space), ``end_time`` (the
-        absolute logical time the traced run finished at), and
-        ``per_region`` — ``(load_ops, load_bytes, store_ops,
-        store_bytes)`` deltas in region order. The clock and per-region
-        counters are rolled back to their values at
-        :meth:`begin_access_trace`, so recording a golden replay leaves
-        ``access_stats()`` untouched (memory contents are the caller's
-        to restore, typically via a workload reset).
-        """
-        del self._read_guarded
-        del self._write_guarded
-        first = self._trace_first
-        read_seen = self._trace_read_seen
-        del self._trace_first
-        del self._trace_read_seen
-        saved_time, lops, lbytes, sops, sbytes = self._trace_saved
-        del self._trace_saved
-        end_time = self._time
-        per_region = tuple(
-            (
-                self._load_ops[i] - lops[i],
-                self._load_bytes[i] - lbytes[i],
-                self._store_ops[i] - sops[i],
-                self._store_bytes[i] - sbytes[i],
-            )
-            for i in range(len(self.regions))
-        )
-        self._time = saved_time
-        self._load_ops = lops
-        self._load_bytes = lbytes
-        self._store_ops = sops
-        self._store_bytes = sbytes
-        return {
-            "first_access": np.frombuffer(bytes(first), dtype=np.uint8),
-            "read_seen": np.frombuffer(bytes(read_seen), dtype=np.uint8),
-            "end_time": end_time,
-            "per_region": per_region,
-        }
+    def restore_accounting(self, state: tuple) -> None:
+        """Roll accounting back to a value of :meth:`accounting_state`."""
+        self._time, lops, lbytes, sops, sbytes, hits, fallbacks = state
+        self._load_ops, self._load_bytes = list(lops), list(lbytes)
+        self._store_ops, self._store_bytes = list(sops), list(sbytes)
+        self._fast_hits, self._fast_fallbacks = hits, fallbacks
 
     def settle_recorded_trial(
         self,

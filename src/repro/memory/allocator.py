@@ -120,6 +120,7 @@ class HeapAllocator:
         self._live: Dict[int, int] = {}  # payload addr -> payload size
         self._peak_bytes = 0
         self._allocated_bytes = 0
+        self._mutations = 0
 
     @property
     def region(self) -> Region:
@@ -146,6 +147,12 @@ class HeapAllocator:
         """Total bytes available in the free list (excludes headers)."""
         return sum(size for _, size in self._free)
 
+    @property
+    def mutations(self) -> int:
+        """Bumped by every malloc, free and :meth:`restore_state`: an
+        unchanged count proves :meth:`state` is unchanged."""
+        return self._mutations
+
     def malloc(self, size: int) -> int:
         """Allocate ``size`` payload bytes; returns the payload address.
 
@@ -155,6 +162,7 @@ class HeapAllocator:
         if size <= 0:
             raise AllocationError(f"allocation size must be positive, got {size}")
         padded = HEADER_SIZE + ((size + ALIGNMENT - 1) // ALIGNMENT) * ALIGNMENT
+        self._mutations += 1
         for index, (base, span) in enumerate(self._free):
             if span >= padded:
                 remainder = span - padded
@@ -187,6 +195,7 @@ class HeapAllocator:
             HeapCorruptionError: if the block header fails validation —
                 the simulated-memory analogue of a glibc heap abort.
         """
+        self._mutations += 1
         padded = self._live.pop(addr, None)
         if padded is None:
             raise AllocationError(f"free of non-allocated address 0x{addr:x}")
@@ -222,6 +231,7 @@ class HeapAllocator:
         self._live = dict(state["live"])
         self._allocated_bytes = state["allocated_bytes"]
         self._peak_bytes = state["peak_bytes"]
+        self._mutations += 1
 
     def live_spans(self) -> List[Tuple[int, int]]:
         """(base, end) of every live block including its header.

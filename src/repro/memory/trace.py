@@ -1,0 +1,525 @@
+"""One access trace: recorded once on the production path, read by all.
+
+A fault matters only to the accesses that reach it (delayed error
+reporting, arXiv:1810.06472). Trial pruning (:mod:`repro.exec.pruning`),
+the campaign's executed trials (:meth:`~repro.apps.clients.ClientDriver.
+run_fused`) and the serve plane (:mod:`repro.serve.dataplane`) all read
+one :class:`AccessTrace` of one fault-free replay. (Not
+:class:`repro.memory.tracing.AccessTrace`, the watchpoint log of single
+bytes.) DESIGN.md, "Access trace", has the long form.
+
+**Event log.** :func:`record_access_trace` shadows the space's two
+admission chokepoints (``_fast_index`` / ``_region_index_for``: every
+load and store validates through one of them), its two store entry
+points and ``charge_reads`` (whose ``spans`` name the bytes a driver's
+fused reads stand for) for one replay on whatever access path the space
+runs — drivers keep their fused paths. Every access becomes an ordered
+``(query, lo, hi, is_write)`` span; accounting is rolled back after.
+
+**Derived views.** All NumPy over that log, never a second replay:
+:func:`_first_cover` paints the spans first come first kept, which gives
+the per-byte ``first_access`` / ``read_seen`` of the replay and, painted
+per query, the coalesced *footprint* and *exposed-read* intervals (bytes
+whose first access inside that query is a load). The bytes each store
+left behind give the changed-bytes write image.
+
+**Fused replay** (:class:`TraceReplay`). At its recorded cursor a query
+is *blocked* when its footprint holds a guarded byte — a tracked byte
+blocks every query that touches it: a load observes the fault and a
+store is consumption bookkeeping — and *diverged* when an exposed read
+holds a byte that differs from the rolling golden image. Induction over
+a query that is neither: each load is exposed, so returns the golden
+byte, or follows the query's own store to that byte, golden by the
+induction so far; control flow, stores, response and accounting are the
+golden replay's. A diverged byte in its footprint is not an exposed
+read, hence stored to before any load, hence *healed* — from the rolled
+image: the write image omits a golden store that re-writes the value
+the byte already had.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.memory.regions import PAGE_SIZE
+
+if TYPE_CHECKING:  # apps imports memory, not the other way round
+    from repro.apps.base import Workload
+
+__all__ = ["DECISIONS", "AccessTrace", "TraceReplay", "record_access_trace", "tally_reasons"]
+
+#: Query provenance a fused consumer keeps per tenant or per cell:
+#: ``fused`` + ``live`` = queries offered; the other four say why a live
+#: query was not fused — its footprint meets a guarded byte (``blocked``),
+#: an exposed read meets a byte that differs from golden (``diverged``),
+#: Python-side progress left the golden replay (``progress``), or it was
+#: never executed behind a fatal query (``fatal_tail``).
+DECISIONS: Tuple[str, ...] = (
+    "fused", "live", "blocked", "diverged", "progress", "fatal_tail",
+)
+# Per-query verdict codes: 0 is fusable, the others name the reason.
+_REASONS: Tuple[str, ...] = ("", "blocked", "diverged", "progress")
+_BLOCKED, _DIVERGED, _PROGRESS = 1, 2, 3
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+_NO_BYTES = np.zeros(0, dtype=np.int64)
+
+
+def tally_reasons(tally: Dict[str, int], reasons: np.ndarray) -> None:
+    """Count the verdict codes of executed queries into ``tally``."""
+    hits = np.bincount(reasons, minlength=len(_REASONS)).tolist()
+    for reason, hit in zip(_REASONS[1:], hits[1:]):
+        tally[reason] += hit
+
+
+def _first_cover(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Paint half-open spans, listed in event order, first come first kept.
+
+    Returns ``(edges, first)``: the sorted span endpoints, which cut the
+    line into elementary segments ``[edges[s], edges[s + 1])``, and per
+    segment the index of the earliest span covering it (``lo.size`` where
+    none does). A span covering segments ``[l, r)`` is two overlapping
+    power-of-two blocks; ``table[j, s]`` holds the earliest span with a
+    block ``[s, s + 2**j)``, and each level is pushed down onto its two
+    halves — a sparse table run backwards, O((spans + segments) log).
+    """
+    edges = np.unique(np.concatenate((lo, hi)))
+    segments = max(edges.size - 1, 0)
+    left, right = np.searchsorted(edges, lo), np.searchsorted(edges, hi)
+    # frexp: exact floor(log2) of the positive segment counts.
+    level = np.frexp((right - left).astype(np.float64))[1].astype(np.int64) - 1
+    levels = int(level.max()) + 1 if lo.size else 1
+    table = np.full((levels, segments), lo.size, dtype=np.int64)
+    flat = table.reshape(-1)
+    for start in (left, right - (1 << level)):
+        # return_index names the first, i.e. earliest, span of each slot.
+        slots, earliest = np.unique(level * segments + start, return_index=True)
+        flat[slots] = np.minimum(flat[slots], earliest)
+    for j in range(levels - 1, 0, -1):
+        half = 1 << (j - 1)
+        np.minimum(table[j - 1], table[j], out=table[j - 1])
+        np.minimum(
+            table[j - 1, half:], table[j, : segments - half], out=table[j - 1, half:]
+        )
+    return edges, table[0]
+
+
+def _paint(size: int, lo: np.ndarray, hi: np.ndarray, kind: np.ndarray) -> np.ndarray:
+    """Per byte of ``[0, size)``: ``kind`` of the first span covering it, else 0."""
+    per_byte = np.zeros(size, dtype=np.uint8)
+    if lo.size:
+        edges, first = _first_cover(lo, hi)
+        value = np.append(kind, 0).astype(np.uint8)[first]
+        per_byte[edges[0] : edges[-1]] = np.repeat(value, np.diff(edges))
+    return per_byte
+
+
+@dataclass
+class AccessTrace:
+    """The event log of one fault-free replay and its derived views.
+
+    ``clock`` / ``counters`` are prefix sums with a leading zero row: the
+    exact debt of queries ``[i, j)`` is ``clock[j] - clock[i]`` (likewise
+    per counter column: four per region, in region order).
+    ``progress[i]`` is the workload's Python-side state before query ``i``.
+
+    Write image (CSR): entries ``write_offsets[i]:write_offsets[i + 1]``
+    are the bytes query ``i`` *changed*, as ``write_addr`` / ``write_val``
+    pairs holding the contents after the query. ``write_until[k]`` is the
+    next query that changes the same address (``query_count`` when none),
+    so the entries of a run ``[i, j)`` with ``write_until >= j`` are its
+    final bytes, each address once.
+    """
+
+    #: Bytes of the traced address space.
+    size: int
+    #: Queries replayed, from query 0.
+    query_count: int
+    #: The log, in access order: query index and half-open byte span of
+    #: every validated access, and whether it was a store.
+    event_query: np.ndarray
+    event_lo: np.ndarray
+    event_hi: np.ndarray
+    event_write: np.ndarray
+    #: Absolute logical time the replay ended at (every replay starts
+    #: from the same snapshot restore, so this is replay-invariant).
+    end_time: int
+    clock: np.ndarray
+    counters: np.ndarray
+    progress: List[object]
+    write_addr: np.ndarray
+    write_val: np.ndarray
+    write_until: np.ndarray
+    write_offsets: np.ndarray
+
+    @property
+    def per_region(self) -> Tuple[Tuple[int, int, int, int], ...]:
+        """``(load_ops, load_bytes, store_ops, store_bytes)`` of the whole
+        replay, in region order."""
+        return tuple(map(tuple, self.counters[-1].reshape(-1, 4).tolist()))
+
+    @cached_property
+    def _byte_classes(self) -> Tuple[np.ndarray, np.ndarray]:
+        reads = ~self.event_write
+        return (
+            _paint(self.size, self.event_lo, self.event_hi, 1 + self.event_write),
+            _paint(self.size, self.event_lo[reads], self.event_hi[reads], reads[reads]),
+        )
+
+    @property
+    def first_access(self) -> np.ndarray:
+        """Per byte, the replay's first access: 0 never, 1 load, 2 store."""
+        return self._byte_classes[0]
+
+    @property
+    def read_seen(self) -> np.ndarray:
+        """Per byte, whether any load ever touched it (uint8 0/1)."""
+        return self._byte_classes[1]
+
+    @cached_property
+    def _windows(self) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        # One painting for all queries: query q's spans are shifted to
+        # [q * stride, q * stride + size], and stride > size keeps the
+        # queries apart, so no painted run crosses a query boundary.
+        stride = self.size + 1
+        base = self.event_query * stride
+        edges, first = _first_cover(base + self.event_lo, base + self.event_hi)
+        covered = first < self.event_lo.size
+        exposed = covered.copy()
+        exposed[covered] = ~self.event_write[first[covered]]
+        views = []
+        for mask in (covered, exposed):
+            step = np.diff(np.concatenate(([0], mask.view(np.int8), [0])))
+            lo = edges[np.flatnonzero(step == 1)]
+            hi = edges[np.flatnonzero(step == -1)]
+            offsets = np.searchsorted(lo // stride, np.arange(self.query_count + 1))
+            views.append((lo % stride, hi % stride, offsets))
+        return tuple(views)
+
+    @property
+    def footprint(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, offsets)``: query ``i`` accessed exactly the bytes of
+        the sorted, disjoint intervals ``[lo[k], hi[k])`` for ``k`` in
+        ``offsets[i]:offsets[i + 1]`` (overlapping and adjacent accesses
+        merge)."""
+        return self._windows[0]
+
+    @property
+    def exposed_reads(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The footprint's bytes whose first access inside their query is
+        a load, in the same CSR form."""
+        return self._windows[1]
+
+    def touching(self, addrs: np.ndarray, exposed: bool = False) -> np.ndarray:
+        """Per query: does its footprint (or, with ``exposed``, do its
+        exposed reads) contain one of the sorted ``addrs``?"""
+        lo, hi, offsets = self._windows[int(exposed)]
+        hit = np.searchsorted(addrs, hi) > np.searchsorted(addrs, lo)
+        total = np.concatenate(([0], np.cumsum(hit)))
+        return total[offsets[1:]] > total[offsets[:-1]]
+
+    def write_image(self, start: int, end: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Distinct ``(addresses, values)`` left by queries ``[start, end)``."""
+        first, last = self.write_offsets[start], self.write_offsets[end]
+        keep = self.write_until[first:last] >= end
+        return self.write_addr[first:last][keep], self.write_val[first:last][keep]
+
+
+def record_access_trace(
+    workload: "Workload",
+    queries: int,
+    golden: Optional[Sequence[Hashable]] = None,
+) -> AccessTrace:
+    """Replay queries ``[0, queries)`` fault-free and record the trace.
+
+    The workload is reset to its checkpoint first and again afterwards;
+    with ``golden``, a response that differs from it raises — such a
+    replay cannot stand in for clean execution.
+    """
+    workload.reset()
+    space = workload.space
+    los: List[int] = []
+    his: List[int] = []
+    stores: List[int] = []  # indices into the log of the store events
+    fast_index, region_index_for = space._fast_index, space._region_index_for
+    charge_reads, span_is_clean = space.charge_reads, space.span_is_clean
+
+    def logged_fast_index(addr: int, n: int) -> int:
+        if n > 0:
+            los.append(addr)
+            his.append(addr + n)
+        return fast_index(addr, n)
+
+    def logged_region_index_for(addr: int, n: int) -> int:
+        index = region_index_for(addr, n)
+        los.append(addr)
+        his.append(addr + n)
+        return index
+
+    def logged_charge_reads(addr: int, ops: int, nbytes: int, spans=()) -> None:
+        for offset, length in spans or ((0, nbytes),):
+            los.append(addr + offset)
+            his.append(addr + offset + length)
+        charge_reads(addr, ops, nbytes)
+
+    def unlogged_span_is_clean(addr: int, n: int) -> bool:
+        # A question, not an access: drop what its admission check noted.
+        mark = len(los)
+        clean = span_is_clean(addr, n)
+        del los[mark:], his[mark:]
+        return clean
+
+    def logged_store(store):
+        def logged(addr, data) -> None:
+            mark = len(los)
+            store(addr, data)
+            stores.extend(range(mark, len(los)))
+
+        return logged
+
+    stored = space.stored_view()
+    saved = space.accounting_state()
+    # Clock, then four counters per region in region order, per boundary.
+    rows = [saved]
+    progress: List[object] = [workload.progress_state()]
+    bounds = [0]
+    written: List[bytes] = []  # stored bytes of each store event, at query end
+    shadows = {
+        "_fast_index": logged_fast_index,
+        "_region_index_for": logged_region_index_for,
+        "write": logged_store(space.write),
+        "write_array": logged_store(space.write_array),
+        "charge_reads": logged_charge_reads,
+        "span_is_clean": unlogged_span_is_clean,
+    }
+    vars(space).update(shadows)
+    try:
+        for index in range(queries):
+            mark = len(stores)
+            response = workload.execute(index)
+            if golden is not None and response != golden[index]:
+                raise RuntimeError(
+                    f"golden replay answered query {index} differently; "
+                    "the access trace cannot stand in for clean execution"
+                )
+            bounds.append(len(los))
+            written.extend(stored[los[k] : his[k]].tobytes() for k in stores[mark:])
+            rows.append(space.accounting_state())
+            progress.append(workload.progress_state())
+    finally:
+        for name in shadows:
+            del vars(space)[name]
+        space.restore_accounting(saved)
+        workload.reset()
+
+    clock = np.asarray([row[0] for row in rows], dtype=np.int64)
+    counters = np.asarray([row[1:5] for row in rows], dtype=np.int64)
+    counters = (counters - counters[0]).transpose(0, 2, 1).reshape(len(rows), -1)
+    event_lo = np.asarray(los, dtype=np.int64)
+    event_hi = np.asarray(his, dtype=np.int64)
+    event_query = np.repeat(np.arange(queries), np.diff(bounds))
+    store_at = np.asarray(stores, dtype=np.int64)
+    event_write = np.zeros(event_lo.size, dtype=bool)
+    event_write[store_at] = True
+    # One (address, query, value) entry per stored byte, sorted by
+    # address then query; a byte stored twice in a query repeats one
+    # value (both were read at the query's end) and is kept once.
+    lengths = event_hi[store_at] - event_lo[store_at]
+    starts = np.cumsum(lengths) - lengths
+    addr = np.repeat(event_lo[store_at] - starts, lengths) + np.arange(lengths.sum())
+    query = np.repeat(event_query[store_at], lengths)
+    value = np.frombuffer(b"".join(written), dtype=np.uint8)
+    order = np.lexsort((query, addr))
+    addr, query, value = addr[order], query[order], value[order]
+    again = addr[1:] == addr[:-1]
+    keep = np.ones(addr.size, dtype=bool)
+    keep[1:] = ~(again & (query[1:] == query[:-1]))
+    addr, query, value = addr[keep], query[keep], value[keep]
+    # Changed bytes only: drop a store of the value the byte already held.
+    again = addr[1:] == addr[:-1]
+    before = np.frombuffer(workload.checkpoint_image, dtype=np.uint8)[addr]
+    before[1:][again] = value[:-1][again]
+    keep = value != before
+    addr, query, value = addr[keep], query[keep], value[keep]
+    again = addr[1:] == addr[:-1]
+    until = np.full(addr.size, queries, dtype=np.int64)
+    until[:-1][again] = query[1:][again]
+    order = np.argsort(query, kind="stable")
+    return AccessTrace(
+        size=space.size,
+        query_count=queries,
+        event_query=event_query,
+        event_lo=event_lo,
+        event_hi=event_hi,
+        event_write=event_write,
+        end_time=int(clock[-1]),
+        clock=clock - clock[0],
+        counters=counters,
+        progress=progress,
+        write_addr=addr[order],
+        write_val=value[order],
+        write_until=until[order],
+        write_offsets=np.searchsorted(query[order], np.arange(queries + 1)),
+    )
+
+
+class TraceReplay:
+    """Serves clean runs of a recorded trace on a live workload, unexecuted.
+
+    The fusion core both consumers drive. The caller owns the cursor:
+    it asks :meth:`next_runs` how the next queries split into a clean run
+    and a stretch that must execute, serves the run with
+    :meth:`apply_run`, executes the stretch itself (then sets
+    :attr:`progress_dirty`), and calls :meth:`rewind` whenever memory was
+    restored to the checkpoint. Needs the fast path's dirty-page
+    tracking: every page where stored memory or the rolling golden image
+    differs from the checkpoint is a dirty page, so divergence is looked
+    for there and nowhere else.
+    """
+
+    def __init__(self, trace: AccessTrace, workload: "Workload") -> None:
+        self.trace = trace
+        self.workload = workload
+        #: Set after live execution or a restore: Python-side progress
+        #: must be compared with the recorded state before the next run.
+        self.progress_dirty = True
+        # Page-shaped views: the space is a whole number of pages.
+        self._stored = workload.space.stored_view().reshape(-1, PAGE_SIZE)
+        self._checkpoint = np.frombuffer(workload.checkpoint_image, dtype=np.uint8)
+        # Rolling golden image: golden memory at ``_image_cursor``.
+        self._flat_image = self._checkpoint.copy()
+        self._image = self._flat_image.reshape(-1, PAGE_SIZE)
+        self._image_cursor = 0
+        self._guarded: Optional[tuple] = None
+        self._blocked: Optional[np.ndarray] = None
+        # Addresses where stored differs from the image, valid at
+        # ``_diverged_key = (cursor, region_versions)``.
+        self._diverged = _NO_BYTES
+        self._diverged_key: Optional[tuple] = None
+        self._verdicts: Optional[np.ndarray] = None
+        self._verdict_key: Optional[tuple] = None
+
+    def rewind(self) -> None:
+        """Memory was restored to the checkpoint: the image follows."""
+        if self._image_cursor:
+            addrs, _ = self.trace.write_image(0, self._image_cursor)
+            self._flat_image[addrs] = self._checkpoint[addrs]
+            self._image_cursor = 0
+        self._diverged_key = None
+        self.progress_dirty = True
+
+    def next_runs(self, cursor: int, limit: int) -> Tuple[int, np.ndarray]:
+        """Split queries ``[cursor, cursor + limit)`` into a run and a stretch.
+
+        Returns ``(clean, reasons)``: the maximal run of fusable queries
+        from the cursor (possibly empty), then the verdict codes of the
+        maximal stretch after it that must execute live (empty when the
+        clean run reaches ``limit``). One set of verdicts serves both: a
+        fused run leaves blocked bytes alone and only shrinks the
+        diverged set. A window blocked throughout is answered from the
+        guarded set alone — no image roll, no compare, no progress check.
+        """
+        blocked = self.blocked_queries()
+        if blocked is not None and blocked[cursor : cursor + limit].all():
+            return 0, np.full(limit, _BLOCKED, dtype=np.int8)
+        self._sync(cursor)
+        if self.progress_dirty:
+            if self.workload.progress_state() != self.trace.progress[cursor]:
+                return 0, np.full(limit, _PROGRESS, dtype=np.int8)
+            self.progress_dirty = False
+        diverged = self._diverged_bytes(cursor)
+        if blocked is None and not diverged.size:
+            return limit, np.zeros(0, dtype=np.int8)
+        key = (self._guarded, diverged.tobytes())
+        if self._verdict_key != key:
+            verdicts = np.zeros(self.trace.query_count, dtype=np.int8)
+            if diverged.size:
+                verdicts[self.trace.touching(diverged, exposed=True)] = _DIVERGED
+            if blocked is not None:
+                verdicts[blocked] = _BLOCKED
+            self._verdicts, self._verdict_key = verdicts, key
+        window = self._verdicts[cursor : cursor + limit]
+        live = np.flatnonzero(window)
+        if not live.size:
+            return limit, window[:0]
+        clean = int(live[0])
+        # The stretch ends at the first gap in the live positions.
+        gaps = np.flatnonzero(np.diff(live) > 1)
+        stretch = int(gaps[0]) + 1 if gaps.size else live.size
+        return clean, window[clean : clean + stretch]
+
+    def blocked_queries(self) -> Optional[np.ndarray]:
+        """Per query, whether its footprint holds a guarded byte (None:
+        nothing is guarded); retaken only when the guarded set changes."""
+        guarded = self.workload.space.soft_guard_addresses()
+        if guarded != self._guarded:
+            self._guarded = guarded
+            self._blocked = (
+                self.trace.touching(np.asarray(guarded, dtype=np.int64))
+                if guarded
+                else None
+            )
+        return self._blocked
+
+    def _sync(self, cursor: int) -> None:
+        """Roll the golden image over the queries executed live since, and
+        mark those pages dirty: a live query that failed to issue a golden
+        store leaves a diverged byte on a page nothing wrote."""
+        if self._image_cursor < cursor:
+            addrs, values = self.trace.write_image(self._image_cursor, cursor)
+            self._flat_image[addrs] = values
+            self.workload.space.mark_pages_dirty((addrs >> _PAGE_SHIFT).tolist())
+            self._image_cursor = cursor
+
+    def _diverged_bytes(self, cursor: int) -> np.ndarray:
+        """Sorted addresses whose stored byte differs from golden, compared
+        over the dirty pages and memoized on the content versions (a
+        fused run moves memory and image together and re-keys the memo)."""
+        space = self.workload.space
+        key = (cursor, space.region_versions())
+        if self._diverged_key != key:
+            pages = np.asarray(space.dirty_pages(), dtype=np.int64)
+            rows, cols = np.nonzero(self._stored[pages] != self._image[pages])
+            self._diverged = (pages[rows] << _PAGE_SHIFT) + cols
+            self._diverged_key = key
+        return self._diverged
+
+    def apply_run(self, start: int, run: int) -> None:
+        """Serve queries ``[start, start + run)`` without executing them.
+
+        Only for a run :meth:`next_runs` just returned at ``start``.
+        """
+        trace, space = self.trace, self.workload.space
+        end = start + run
+        addrs, values = trace.write_image(start, end)
+        space.poke_scattered(addrs, values)
+        self._flat_image[addrs] = values
+        self._image_cursor = end
+        if self._diverged.size:
+            self._heal(start, end)
+        deltas = (trace.counters[end] - trace.counters[start]).reshape(-1, 4)
+        space.charge_recorded(int(trace.clock[end] - trace.clock[start]), deltas.tolist())
+        self.workload.restore_progress(trace.progress[end])
+        self._diverged_key = (end, space.region_versions())
+
+    def _heal(self, start: int, end: int) -> None:
+        """Give the diverged bytes a fused run stored to their golden value:
+        a diverged byte in a fused query's footprint was stored to before
+        any load, so it ends the run at its value in the image rolled to
+        ``end`` — which the write image alone does not restore when
+        golden re-wrote the value the byte already had."""
+        lo, hi, offsets = self.trace.footprint
+        window = slice(offsets[start], offsets[end])
+        order = np.argsort(lo[window], kind="stable")
+        if not order.size:
+            return
+        lo, reach = lo[window][order], np.maximum.accumulate(hi[window][order])
+        at = np.searchsorted(lo, self._diverged, side="right") - 1
+        healed = (at >= 0) & (self._diverged < reach[at])
+        if healed.any():
+            addrs = self._diverged[healed]
+            self.workload.space.poke_scattered(addrs, self._flat_image[addrs])
+            self._diverged = self._diverged[~healed]

@@ -416,6 +416,12 @@ class CampaignInstruments:
             "campaign_pruning_rate",
             "Running fraction of trials resolved analytically",
         )
+        self.trial_queries = registry.counter(
+            "campaign_trial_queries_total",
+            "Queries of executed trials by how they were served "
+            "(pruned backend only)",
+            labels=("decision",),
+        )
         self.trials_done = registry.gauge(
             "campaign_trials_done", "Trials completed so far"
         )
@@ -567,12 +573,16 @@ class CampaignInstruments:
         ``PruningStats.to_dict()`` — ``pruned`` trials were resolved
         analytically, ``executed`` ran the workload, and ``fallback``
         (a subset of executed) had no analytic model for their fault
-        kind.
+        kind; the :data:`~repro.memory.trace.DECISIONS` keys say how the
+        queries of executed trials were served.
         """
-        for disposition in ("pruned", "executed", "fallback"):
-            count = int(stats.get(disposition, 0))
-            if count:
-                self.pruning_trials.labels(disposition=disposition).inc(count)
+        for name, count in stats.items():
+            if not count:
+                continue
+            if name in ("pruned", "executed", "fallback"):
+                self.pruning_trials.labels(disposition=name).inc(int(count))
+            else:
+                self.trial_queries.labels(decision=name).inc(int(count))
         pruned_total = self.pruning_trials.labels(disposition="pruned").value
         executed_total = self.pruning_trials.labels(disposition="executed").value
         self.pruning_rate.labels().set(

@@ -22,6 +22,7 @@ from repro.obs.events import (
     KIND_SPAN,
     POINT_PROGRESS,
     SPAN_CAMPAIGN,
+    SPAN_CELL,
     SPAN_INJECTION,
     SPAN_TRIAL,
     TraceEvent,
@@ -93,6 +94,9 @@ class TraceSummary:
     injection_count: int = 0
     injection_seconds_total: float = 0.0
     worker_busy_seconds: Dict[int, float] = field(default_factory=dict)
+    #: Pruned backend: how the queries of executed trials were served
+    #: (fused / live / blocked / ...), summed over the cell spans.
+    query_decisions: Dict[str, int] = field(default_factory=dict)
 
     @property
     def mean_injection_seconds(self) -> float:
@@ -121,6 +125,11 @@ def summarize_trace(events: List[TraceEvent]) -> TraceSummary:
         elif event.kind == KIND_SPAN and event.name == SPAN_INJECTION:
             summary.injection_count += 1
             summary.injection_seconds_total += event.duration_seconds or 0.0
+        elif event.kind == KIND_SPAN and event.name == SPAN_CELL:
+            for decision, count in event.attrs.get("decisions", {}).items():
+                summary.query_decisions[decision] = (
+                    summary.query_decisions.get(decision, 0) + int(count)
+                )
         elif event.kind == KIND_SPAN and event.name == SPAN_CAMPAIGN:
             summary.app = str(event.attrs.get("app", summary.app))
             summary.campaign_seconds = event.duration_seconds
@@ -162,6 +171,11 @@ def render_trace_report(summary: TraceSummary) -> str:
         lines.append("outcome taxonomy totals:")
         for outcome in sorted(summary.outcome_totals):
             lines.append(f"  {outcome:<24} {summary.outcome_totals[outcome]}")
+    if any(summary.query_decisions.values()):
+        lines.append("")
+        lines.append("queries of executed trials (pruned backend):")
+        for decision, count in summary.query_decisions.items():
+            lines.append(f"  {decision:<24} {count}")
     if summary.worker_busy_seconds:
         lines.append("")
         lines.append("worker busy time:")

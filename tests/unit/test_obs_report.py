@@ -14,6 +14,7 @@ from repro.obs.events import (
     KIND_SPAN,
     POINT_PROGRESS,
     SPAN_CAMPAIGN,
+    SPAN_CELL,
     SPAN_INJECTION,
     SPAN_TRIAL,
     TraceEvent,
@@ -97,6 +98,25 @@ class TestRenderTraceReport:
     def test_empty_trace_renders(self):
         text = render_trace_report(summarize_trace([]))
         assert "trial spans: 0" in text
+
+    def test_query_decisions_of_pruned_cells_are_summed_and_printed(self):
+        cells = [
+            _event(KIND_SPAN, SPAN_CELL, attrs={"decisions": decisions})
+            for decisions in (
+                {"fused": 50, "live": 10, "blocked": 7, "fatal_tail": 3},
+                {"fused": 5, "live": 1, "blocked": 1, "fatal_tail": 0},
+            )
+        ]
+        summary = summarize_trace(_small_trace() + cells)
+        assert summary.query_decisions == {
+            "fused": 55, "live": 11, "blocked": 8, "fatal_tail": 3
+        }
+        text = render_trace_report(summary)
+        assert "queries of executed trials (pruned backend):" in text
+        assert "fused                    55" in text
+        # Other backends set no decisions: the section is left out.
+        plain = render_trace_report(summarize_trace(_small_trace()))
+        assert "queries of executed trials" not in plain
 
 
 class TestRenderRunSummary:

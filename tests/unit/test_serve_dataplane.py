@@ -1,11 +1,14 @@
-"""Unit tests for the batched serve data plane's run cutting (ISSUE 16).
+"""Unit tests for the batched serve data plane's run cutting (ISSUE 16, 18).
 
 Each case pins one clause of the fusion contract on the tiny workload
 of the property suite: only the request a fault can reach executes, a
-fatal request fails the rest of its quantum exactly as the scalar loop
-does, epoch wraps inside a quantum, a fused run's write image holds the
-last value of a byte written twice, and a resident flip survives fused
-writes to its page.
+tracked byte blocks every request that touches it (a silent stuck-at
+included), a request that stores to a diverged byte before loading it
+fuses and heals it, a fatal request fails the rest of its quantum
+exactly as the scalar loop does, epoch wraps inside a quantum, a fused
+run's write image holds the last value of a byte written twice, and a
+resident flip survives fused writes to its page. The recorder cases run
+on :func:`repro.memory.trace.record_access_trace`, the one recorder.
 """
 
 import time
@@ -15,8 +18,9 @@ import pytest
 
 from repro.memory.errors import SegmentationFault
 from repro.memory.faults import FaultKind
+from repro.memory.trace import TraceReplay, record_access_trace
 from repro.serve import BatchedDataPlane, ScalarDataPlane, ServeTenant
-from repro.serve.dataplane import DECISIONS, record_pristine_trace
+from repro.serve.dataplane import DECISIONS
 from tests.property.test_prop_serve_dataplane import (
     WORDS,
     MiniWorkload,
@@ -133,11 +137,80 @@ class TestRunCutting:
         decisions(plane, fused=WORDS + 4, live=2, blocked=2)
 
 
+class TestTrackedBytesBlock:
+    def test_silent_stuck_at_on_a_never_written_byte_still_blocks(self):
+        """One rule: a tracked byte blocks every query that touches it.
+
+        The overlay fixes the bit at the value it already stores, so
+        reads observe plain memory and nothing ever stores there — and
+        the request still executes, because its load is consumption the
+        fault bookkeeping has to see.
+        """
+        tenant = build_tenant()
+        plane = BatchedDataPlane([tenant])
+        addr = word_addr(tenant, 0)
+        stored_bit = tenant.space.peek(addr)[0] & 1
+        tenant.space.inject_hard_fault(addr, 0, stuck_value=stored_bit)
+        calls = count_executes(tenant)
+
+        counts = plane.serve_requests(tenant, 40)
+
+        assert calls == [0]
+        assert counts["ok"] == 40
+        assert tenant.space.fault_consumption(addr) == (1, False)
+        decisions(plane, fused=39, live=1, blocked=1)
+
+
+class ScratchWorkload(MiniWorkload):
+    """Every query stores the same constant to one scratch byte, then
+    loads it back: after query 0 the golden stores change nothing."""
+
+    SCRATCH = 4 * WORDS + 4 * WORDS + 64
+
+    def execute(self, query_index: int):
+        scratch = heap_word(self._space, 0) + self.SCRATCH
+        self._space.write_u8(scratch, 0xAB)
+        return self._space.read_u8(scratch) + query_index
+
+
+class TestHealing:
+    def diverge_scratch(self):
+        tenant = ServeTenant("mini", ScratchWorkload(), requests_per_tick=4)
+        tenant.build()
+        plane = BatchedDataPlane([tenant])
+        plane.serve_requests(tenant, 4)
+        scratch = word_addr(tenant, 0) + ScratchWorkload.SCRATCH
+        assert tenant.space.peek(scratch) == b"\xab"
+        tenant.space.poke(scratch, b"\x11")  # what a faulty live query leaves
+        return tenant, plane, scratch, count_executes(tenant)
+
+    def test_store_first_divergence_fuses_and_is_healed(self):
+        tenant, plane, scratch, calls = self.diverge_scratch()
+
+        counts = plane.serve_requests(tenant, 4)
+
+        # The scratch byte is in every footprint but in no exposed read.
+        assert calls == [] and counts["ok"] == 4
+        assert tenant.space.peek(scratch) == b"\xab"
+        decisions(plane, fused=8)
+
+    def test_the_changed_bytes_image_alone_cannot_heal(self, monkeypatch):
+        """Golden re-stores 0xAB over 0xAB, so the write image omits it."""
+        monkeypatch.setattr(TraceReplay, "_heal", lambda self, start, end: None)
+        tenant, plane, scratch, calls = self.diverge_scratch()
+        trace = plane._replays["mini"].trace
+        assert scratch not in trace.write_image(4, 8)[0]
+
+        plane.serve_requests(tenant, 4)
+
+        assert calls == [] and tenant.space.peek(scratch) == b"\x11"
+
+
 class TestWriteImage:
     def test_byte_written_twice_in_one_run_keeps_the_later_value(self):
         tenant = ServeTenant("mini", CounterWorkload(), requests_per_tick=4)
         tenant.build()
-        trace = record_pristine_trace(tenant)
+        trace = record_access_trace(tenant.workload, tenant.workload.query_count)
         addrs, _ = trace.write_image(0, 5)
         # Scattered assignment with repeated indices has no documented
         # order: the image of a run must name each address once.
@@ -196,39 +269,83 @@ class TestFusedLatency:
             assert 0.0 <= sum(batch) < 0.05
 
 
+class ScriptedWorkload(MiniWorkload):
+    """Each query runs one scripted list of accesses on the heap."""
+
+    def __init__(self, *scripts):
+        super().__init__()
+        self.scripts = scripts
+
+    @property
+    def query_count(self) -> int:
+        return len(self.scripts)
+
+    def execute(self, query_index: int):
+        for access in self.scripts[query_index]:
+            access(self._space, self._space.region_named("heap").base)
+        return query_index
+
+
+def record_scripts(*scripts):
+    workload = ScriptedWorkload(*scripts)
+    workload.build()
+    workload.checkpoint()
+    return workload, record_access_trace(workload, len(scripts))
+
+
 class TestAccessCapture:
     def test_capture_returns_coalesced_byte_intervals(self):
-        tenant = build_tenant()
-        space = tenant.space
-        heap = space.region_named("heap").base
-        space.begin_access_capture()
-        space.read_u32(heap + 8)
-        space.read_u32(heap)
-        space.read_u32(heap + 4)  # adjacent: merges [0, 12)
-        space.read_u8(heap + 10)  # contained
-        space.write_u32(heap + 100, 7)
-        lo, hi = space.end_access_capture()
+        workload, trace = record_scripts(
+            [
+                lambda space, heap: space.read_u32(heap + 8),
+                lambda space, heap: space.read_u32(heap),
+                lambda space, heap: space.read_u32(heap + 4),  # adjacent: [0, 12)
+                lambda space, heap: space.read_u8(heap + 10),  # contained
+                lambda space, heap: space.write_u32(heap + 100, 7),
+            ]
+        )
+        heap = workload.space.region_named("heap").base
+        lo, hi, offsets = trace.footprint
+        assert offsets.tolist() == [0, 2]
         assert (lo - heap).tolist() == [0, 100]
         assert (hi - heap).tolist() == [12, 104]
+        # The store is in the footprint but not an exposed read.
+        lo, hi, offsets = trace.exposed_reads
+        assert ((lo - heap).tolist(), (hi - heap).tolist()) == ([0], [12])
 
     def test_empty_capture(self):
-        space = build_tenant().space
-        space.begin_access_capture()
-        lo, hi = space.end_access_capture()
+        _, trace = record_scripts([], [])
+        lo, hi, offsets = trace.footprint
         assert lo.size == hi.size == 0
+        assert offsets.tolist() == [0, 0, 0]
+        assert not trace.first_access.any() and not trace.read_seen.any()
+
+    def test_exposed_reads_are_per_query_and_per_byte(self):
+        workload, trace = record_scripts(
+            [
+                lambda space, heap: space.write_u32(heap + 4, 1),
+                lambda space, heap: space.read(heap, 12),  # 4..8 stored first
+            ],
+            [lambda space, heap: space.read_u32(heap + 4)],  # exposed again
+        )
+        heap = workload.space.region_named("heap").base
+        lo, hi, offsets = trace.exposed_reads
+        assert offsets.tolist() == [0, 2, 3]
+        assert (lo - heap).tolist() == [0, 8, 4]
+        assert (hi - heap).tolist() == [4, 12, 8]
+        assert trace.first_access[heap : heap + 12].tolist() == [1] * 4 + [2] * 4 + [1] * 4
+        assert trace.read_seen[heap : heap + 12].all()
 
     def test_poke_scattered_marks_pages_and_versions(self):
         space = build_tenant().space
         heap = space.region_named("heap")
-        space.drain_dirty_pages()
+        assert space.dirty_pages() == []  # build() left it at the checkpoint
         before = space.region_versions()
         addrs = np.asarray([heap.base + 1, heap.base + 4097], dtype=np.int64)
         space.poke_scattered(addrs, np.asarray([9, 8], dtype=np.uint8))
         assert space.peek(heap.base + 1) == b"\x09"
         assert space.peek(heap.base + 4097) == b"\x08"
-        assert space.drain_dirty_pages() == [
-            heap.base // 4096, heap.base // 4096 + 1
-        ]
+        assert space.dirty_pages() == [heap.base // 4096, heap.base // 4096 + 1]
         after = space.region_versions()
         changed = [a != b for a, b in zip(after, before)]
         assert changed.count(True) == 1

@@ -1,9 +1,11 @@
 """Unit tests for the trial-pruning engine (``backend="pruned"``).
 
 Covers the vectorized decidability rules in isolation (handcrafted
-plans against handcrafted traces), the memory-layer hooks (access
-tracing, recorded-trial settlement, virtual faults), the cost-aware
-shard planner, the codec plumbing, and the pruning instruments.
+plans against handcrafted traces), the access-trace recorder against
+the per-byte oracle recorder it replaced (kept here verbatim as the
+test-local oracle), recorded-trial settlement, virtual faults, the
+cost-aware shard planner, the codec plumbing, and the pruning
+instruments.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import random
 import numpy as np
 import pytest
 
+from repro.apps.base import Workload
 from repro.apps.clients import ClientDriver
+from repro.apps.graphmining import GraphMining
+from repro.apps.kvstore import KVStoreWorkload
 from repro.apps.websearch import WebSearch
 from repro.core.campaign import (
     BACKENDS,
@@ -26,11 +31,9 @@ from repro.core.campaign import (
 from repro.core.taxonomy import ErrorOutcome
 from repro.exec.cells import CampaignCell, plan_shards_indexed
 from repro.exec.pruning import (
-    GoldenTrace,
     PruningStats,
     classify_plan,
     corrected_byte_mask,
-    record_golden_trace,
 )
 from repro.injection.injector import (
     SINGLE_BIT_HARD,
@@ -41,27 +44,37 @@ from repro.injection.injector import (
 from repro.kernels.planner import InjectionPlan
 from repro.memory import AddressSpace, standard_layout
 from repro.memory.faults import FaultKind
+from repro.memory.trace import DECISIONS, AccessTrace, record_access_trace
 from repro.obs.instruments import CampaignInstruments
 from repro.obs.metrics import MetricsRegistry
 
 
 def make_trace(size=64, read_first=(), write_first=(), read_ever=None):
-    """Handcraft a golden trace: byte classes given as address tuples."""
-    first = np.zeros(size, dtype=np.uint8)
-    read_seen = np.zeros(size, dtype=np.uint8)
-    for addr in write_first:
-        first[addr] = 2
-    for addr in read_first:
-        first[addr] = 1
-        read_seen[addr] = 1
-    for addr in read_ever if read_ever is not None else read_first:
-        read_seen[addr] = 1
-    return GoldenTrace(
-        query_budget=4,
-        first_access=first,
-        read_seen=read_seen,
+    """Handcraft a golden trace: byte classes given as address tuples.
+
+    The classes are not set, they are derived like a recorded trace's:
+    the event log stores to the write-first bytes, then loads the rest.
+    """
+    if read_ever is None:
+        read_ever = read_first
+    addrs = [*write_first, *read_first, *read_ever]
+    lo = np.asarray(addrs, dtype=np.int64)
+    nothing = np.zeros(0, dtype=np.int64)
+    return AccessTrace(
+        size=size,
+        query_count=4,
+        event_query=np.zeros(lo.size, dtype=np.int64),
+        event_lo=lo,
+        event_hi=lo + 1,
+        event_write=np.arange(lo.size) < len(write_first),
         end_time=100,
-        per_region=((1, 8, 1, 8),),
+        clock=np.asarray([0, 25, 50, 75, 100]),
+        counters=np.asarray([[0, 0, 0, 0]] * 4 + [[1, 8, 1, 8]]),
+        progress=[None] * 5,
+        write_addr=nothing,
+        write_val=nothing.astype(np.uint8),
+        write_until=nothing,
+        write_offsets=np.zeros(5, dtype=np.int64),
     )
 
 
@@ -187,6 +200,136 @@ class TestClassifyPlan:
         assert classify_plan(make_plan(SINGLE_BIT_SOFT, []), trace).runs() == []
 
 
+# ----------------------------------------------------------------------
+# The parent commit's per-byte recorder (AddressSpace.begin_access_trace /
+# end_access_trace, oracle mode, one Python loop per byte), kept verbatim
+# as the oracle the array-native recorder is pinned to.
+# ----------------------------------------------------------------------
+def oracle_begin_access_trace(self):
+    if self._fast:
+        raise RuntimeError(
+            "access tracing requires the oracle path; "
+            "call set_fast_path(False) first"
+        )
+    first = bytearray(self._size)  # 0 never, 1 read-first, 2 write-first
+    read_seen = bytearray(self._size)
+    self._trace_first = first
+    self._trace_read_seen = read_seen
+    self._trace_saved = (
+        self._time,
+        list(self._load_ops),
+        list(self._load_bytes),
+        list(self._store_ops),
+        list(self._store_bytes),
+    )
+    read_guarded = type(self)._read_guarded.__get__(self)
+    write_guarded = type(self)._write_guarded.__get__(self)
+
+    def tracing_read_guarded(addr: int, n: int) -> bytes:
+        data = read_guarded(addr, n)
+        for a in range(addr, addr + n):
+            if not first[a]:
+                first[a] = 1
+            read_seen[a] = 1
+        return data
+
+    def tracing_write_guarded(addr: int, data: bytes) -> None:
+        write_guarded(addr, data)
+        for a in range(addr, addr + len(data)):
+            if not first[a]:
+                first[a] = 2
+
+    self._read_guarded = tracing_read_guarded
+    self._write_guarded = tracing_write_guarded
+
+
+def oracle_end_access_trace(self):
+    del self._read_guarded
+    del self._write_guarded
+    first = self._trace_first
+    read_seen = self._trace_read_seen
+    del self._trace_first
+    del self._trace_read_seen
+    saved_time, lops, lbytes, sops, sbytes = self._trace_saved
+    del self._trace_saved
+    end_time = self._time
+    per_region = tuple(
+        (
+            self._load_ops[i] - lops[i],
+            self._load_bytes[i] - lbytes[i],
+            self._store_ops[i] - sops[i],
+            self._store_bytes[i] - sbytes[i],
+        )
+        for i in range(len(self.regions))
+    )
+    self._time = saved_time
+    self._load_ops = lops
+    self._load_bytes = lbytes
+    self._store_ops = sops
+    self._store_bytes = sbytes
+    return {
+        "first_access": np.frombuffer(bytes(first), dtype=np.uint8),
+        "read_seen": np.frombuffer(bytes(read_seen), dtype=np.uint8),
+        "end_time": end_time,
+        "per_region": per_region,
+    }
+
+
+def oracle_trace(workload, queries):
+    """The parent's ``record_golden_trace`` around the oracle recorder."""
+    space = workload.space
+    workload.reset()
+    was_fast = space.fast_path_enabled
+    space.set_fast_path(False)
+    oracle_begin_access_trace(space)
+    try:
+        for index in range(queries):
+            workload.execute(index)
+    finally:
+        raw = oracle_end_access_trace(space)
+        space.set_fast_path(was_fast)
+    workload.reset()
+    return raw
+
+
+def assert_matches_oracle(trace, raw):
+    assert np.array_equal(trace.first_access, raw["first_access"])
+    assert np.array_equal(trace.read_seen, raw["read_seen"])
+    assert trace.end_time == raw["end_time"]
+    assert trace.per_region == raw["per_region"]
+
+
+class ScriptWorkload(Workload):
+    """Each query runs one list of ``access(space, heap_base)`` calls."""
+
+    name = "Script"
+
+    def __init__(self, *scripts):
+        super().__init__()
+        self.scripts = scripts
+
+    def build(self) -> None:
+        self._space = AddressSpace(
+            standard_layout(private_size=4096, heap_size=4096, stack_size=4096)
+        )
+        self.checkpoint()
+
+    query_count = property(lambda self: len(self.scripts))
+    time_scale = None
+
+    def execute(self, query_index: int):
+        heap = self._space.region_named("heap").base
+        for access in self.scripts[query_index]:
+            access(self._space, heap)
+        return query_index
+
+
+def record_script(*scripts):
+    workload = ScriptWorkload(*scripts)
+    workload.build()
+    return workload, record_access_trace(workload, len(scripts))
+
+
 class TestAccessTrace:
     def make_space(self):
         return AddressSpace(
@@ -194,15 +337,15 @@ class TestAccessTrace:
         )
 
     def test_trace_classifies_first_access_direction(self):
-        space = self.make_space()
-        space.set_fast_path(False)
-        heap = space.region_named("heap")
-        space.begin_access_trace()
-        space.write(heap.base, b"xy")          # write-first bytes
-        space.read(heap.base + 8, 2)           # read-first bytes
-        space.read(heap.base, 1)               # read after write: stays 2
-        raw = space.end_access_trace()
-        first, read_seen = raw["first_access"], raw["read_seen"]
+        workload, trace = record_script(
+            [
+                lambda space, heap: space.write(heap, b"xy"),  # write-first bytes
+                lambda space, heap: space.read(heap + 8, 2),   # read-first bytes
+                lambda space, heap: space.read(heap, 1),       # read after write: stays 2
+            ]
+        )
+        heap = workload.space.region_named("heap")
+        first, read_seen = trace.first_access, trace.read_seen
         assert first[heap.base] == 2 and first[heap.base + 1] == 2
         assert first[heap.base + 8] == 1 and first[heap.base + 9] == 1
         assert first[heap.base + 16] == 0
@@ -211,47 +354,139 @@ class TestAccessTrace:
         assert read_seen[heap.base + 8] == 1
 
     def test_trace_rolls_back_clock_and_counters(self):
-        space = self.make_space()
-        space.set_fast_path(False)
-        heap = space.region_named("heap")
+        workload = ScriptWorkload(
+            [
+                lambda space, heap: space.write(heap, b"abcd"),
+                lambda space, heap: space.read(heap, 4),
+            ]
+        )
+        workload.build()
+        space = workload.space
         before_time = space.time
         before_stats = space.access_stats()
-        space.begin_access_trace()
-        space.write(heap.base, b"abcd")
-        space.read(heap.base, 4)
-        raw = space.end_access_trace()
+        before_paths = space.fast_path_stats()
+        trace = record_access_trace(workload, 1)
         assert space.time == before_time
         assert space.access_stats() == before_stats
-        assert raw["end_time"] > before_time
+        after_paths = space.fast_path_stats()
+        for key in ("fast_accesses", "checked_accesses"):
+            assert after_paths[key] == before_paths[key]
+        assert trace.end_time > before_time
         # The recorded deltas are what the replay cost.
-        deltas = raw["per_region"]
+        deltas = trace.per_region
         assert sum(entry[1] for entry in deltas) == 4   # load bytes
         assert sum(entry[3] for entry in deltas) == 4   # store bytes
 
-    def test_trace_requires_oracle_path(self):
-        space = self.make_space()
-        with pytest.raises(RuntimeError):
-            space.begin_access_trace()
+    def test_trace_records_on_either_path(self):
+        """The recorder follows the space: no forced oracle replay, and
+        the bytes it derives are the same on both access paths."""
+        script = [
+            lambda space, heap: space.write_u32(heap + 4, 9),
+            lambda space, heap: space.read_array(heap, 4),
+            lambda space, heap: space.write_array(heap + 32, np.arange(3, dtype="<u4")),
+        ]
+        fast_workload, fast = record_script(script)
+        assert fast_workload.space.fast_path_enabled
+        slow_workload = ScriptWorkload(script)
+        slow_workload.build()
+        slow_workload.space.set_fast_path(False)
+        slow = record_access_trace(slow_workload, 1)
+        assert not slow_workload.space.fast_path_enabled
+        assert np.array_equal(fast.first_access, slow.first_access)
+        assert np.array_equal(fast.read_seen, slow.read_seen)
+        assert (fast.end_time, fast.per_region) == (slow.end_time, slow.per_region)
+        assert_matches_oracle(fast, oracle_trace(fast_workload, 1))
+
+    @pytest.mark.parametrize(
+        "scripts",
+        [
+            pytest.param(
+                ([lambda space, heap: space.read(heap, 8)],), id="read"
+            ),
+            pytest.param(
+                ([lambda space, heap: space.write(heap, b"12345678")],), id="write"
+            ),
+            pytest.param(
+                (
+                    [
+                        lambda space, heap: space.read(heap + 2, 6),
+                        lambda space, heap: space.write(heap, b"abcd"),
+                        lambda space, heap: space.read_u32(heap + 6),
+                    ],
+                ),
+                id="overlap",
+            ),
+            pytest.param(
+                (
+                    [lambda space, heap: space.write_u32(heap + 4, 1)],
+                    [lambda space, heap: space.read(heap, 12)],
+                    [
+                        lambda space, heap: space.write(heap + 10, b"zz"),
+                        lambda space, heap: space.read_u8(heap + 11),
+                    ],
+                ),
+                id="read-after-write",
+            ),
+            pytest.param(([], []), id="no-access"),
+        ],
+    )
+    def test_hand_built_cases_match_the_per_byte_oracle(self, scripts):
+        workload, trace = record_script(*scripts)
+        assert_matches_oracle(trace, oracle_trace(workload, len(scripts)))
+
+    @pytest.mark.parametrize(
+        "factory,queries",
+        [
+            pytest.param(
+                lambda: WebSearch(
+                    vocabulary_size=200, doc_count=120, query_count=40,
+                    heap_size=65536,
+                ),
+                24,
+                id="websearch",
+            ),
+            pytest.param(
+                lambda: KVStoreWorkload(key_count=200, op_count=60), 60, id="kvstore"
+            ),
+            pytest.param(
+                lambda: GraphMining(
+                    vertex_count=60, edges_per_vertex=5, iterations=3, jobs=2
+                ),
+                2,
+                id="graphmining",
+            ),
+        ],
+    )
+    def test_recorder_matches_the_per_byte_oracle_on_every_app(
+        self, factory, queries
+    ):
+        """Fused driver reads included: the websearch index lookups and
+        the graph sweeps are logged from ``charge_reads`` spans."""
+        workload = factory()
+        workload.build()
+        workload.checkpoint()
+        raw = oracle_trace(workload, queries)
+        trace = record_access_trace(workload, queries)
+        assert (trace.first_access != 0).any()
+        assert_matches_oracle(trace, raw)
 
     def test_settle_recorded_trial_matches_executed_accounting(self):
-        space = self.make_space()
-        space.set_fast_path(False)
-        heap = space.region_named("heap")
-        space.begin_access_trace()
-        space.write(heap.base, b"abcd")
-        space.read(heap.base, 4)
-        raw = space.end_access_trace()
-        executed_stats = None
+        workload, trace = record_script(
+            [
+                lambda space, heap: space.write(heap, b"abcd"),
+                lambda space, heap: space.read(heap, 4),
+            ]
+        )
+        space = workload.space
         # Execute the same ops for real to get the reference accounting.
-        space.write(heap.base, b"abcd")
-        space.read(heap.base, 4)
+        workload.execute(0)
         executed_time = space.time
         executed_stats = space.access_stats()
         # A fresh identical space settled from the trace must agree on
         # the clock and per-region op/byte counters.
         other = self.make_space()
         other.set_fast_path(False)
-        other.settle_recorded_trial(raw["end_time"], raw["per_region"])
+        other.settle_recorded_trial(trace.end_time, trace.per_region)
         assert other.time == executed_time
         other_stats = other.access_stats()
         for region in ("private", "heap", "stack"):
@@ -321,8 +556,8 @@ class TestGoldenTraceRecording:
         workload.reset()
         driver = ClientDriver(workload, golden)
         budget = min(20, workload.query_count)
-        trace = record_golden_trace(workload, driver, budget)
-        assert trace.query_budget == budget
+        trace = record_access_trace(workload, budget, golden)
+        assert trace.query_count == budget
         assert trace.first_access.shape == (workload.space.size,)
         assert trace.end_time > 0
         assert (trace.first_access != 0).any()
@@ -450,7 +685,13 @@ class TestPruningStats:
         assert stats.pruning_rate == 0.0
         stats.add(pruned=6, executed=2)
         stats.add(executed=2, fallback=2)
-        assert stats.to_dict() == {"pruned": 6, "executed": 4, "fallback": 2}
+        assert stats.to_dict() == {
+            "pruned": 6, "executed": 4, "fallback": 2, **dict.fromkeys(DECISIONS, 0)
+        }
+        stats.add(fused=50, live=10, blocked=7, fatal_tail=3)
+        assert stats.to_dict()["fused"] + stats.to_dict()["live"] == 60
+        with pytest.raises(KeyError):
+            stats.add(fussed=1)
         assert stats.pruning_rate == pytest.approx(0.6)
 
     def test_record_pruning_instrument(self):
@@ -463,6 +704,11 @@ class TestPruningStats:
         assert (
             instruments.pruning_trials.labels(disposition="fallback").value == 1
         )
+        assert instruments.pruning_rate.labels().value == pytest.approx(0.8)
+        # Query decisions ride the same tally, as one labelled family.
+        instruments.record_pruning({"fused": 50, "live": 10, "diverged": 0})
+        assert instruments.trial_queries.labels(decision="fused").value == 50
+        assert instruments.trial_queries.labels(decision="live").value == 10
         assert instruments.pruning_rate.labels().value == pytest.approx(0.8)
 
 
