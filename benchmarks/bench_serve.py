@@ -13,13 +13,19 @@ quantum live. Reported numbers, per session and plane:
   must be byte-identical (recorded, and a hard failure here);
 * a replay audit — availability recomputed from the ledger alone must
   equal the live instruments;
-* the plane's own decision counts (fused / live, and why live).
+* the plane's own decision counts (fused / live, and why live);
+* per tenant, ``epochs`` (trace wraps), and the ``flushes`` and
+  ``bytes_flushed`` of its Par+R mirror — the bytes copied after the
+  build-time mirror, which alone copies the whole region.
 
 Across planes, the scalar and batched ledgers must be byte-identical
 (asserted before any timing is reported — a speedup over a divergent
 execution would be meaningless), and the batched plane may execute live
 only requests whose recorded footprint meets a blocked byte, plus fatal
-tails (an exact count, no timing). The headline number is ``speedup``
+tails (an exact count, no timing). Also exact and untimed: ``epochs``
+and ``flushes`` agree across planes, and ``bytes_flushed`` is 0 — every
+serve flush follows a checkpoint restore, so it has nothing to copy.
+The headline number is ``speedup``
 (batched req/s over scalar req/s at the moderate rate), which gates CI
 at 2x in ``--smoke`` mode; the committed full run targets 5x.
 
@@ -65,12 +71,31 @@ def run_session(base: dict, plane: str, ledger: Path, scale: float, load: float)
     start = time.perf_counter()
     result = run_serve(config, tenants=tenants, ledger_path=ledger)
     elapsed = time.perf_counter() - start
-    return result, elapsed
+    return result, elapsed, tenants
+
+
+def par_r_counts(tenant) -> dict:
+    """A tenant's wraps and what its Par+R mirrors cost after the build."""
+    mirrors = [
+        backing
+        for backing in (
+            tenant.backing_for(region.name) for region in tenant.space.regions
+        )
+        if backing is not None and backing.writable
+    ]
+    return {
+        "epochs": tenant.epochs,
+        "flushes": sum(m.stats.flushes for m in mirrors),
+        # The build-time mirror is the one full copy: the file is new.
+        "bytes_flushed": sum(
+            m.stats.bytes_flushed - m.region.size for m in mirrors
+        ),
+    }
 
 
 def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float):
     """Timed run + determinism twin + replay audit for one plane."""
-    result, elapsed = run_session(base, plane, ledger, scale, load)
+    result, elapsed, tenants = run_session(base, plane, ledger, scale, load)
 
     twin_path = ledger.with_suffix(".twin.jsonl")
     run_session(base, plane, twin_path, scale, load)
@@ -88,6 +113,7 @@ def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float)
         name: result.instruments.decisions_of(name) for name in replay.tenants
     }
     return {
+        "par_r": {tenant.name: par_r_counts(tenant) for tenant in tenants},
         "decisions": decisions,
         "decisions_total": {
             decision: sum(tally[decision] for tally in decisions.values())
@@ -159,6 +185,18 @@ def bench_session(
         # own footprint meeting a blocked byte or a fatal request ahead.
         "live_only_where_reached": tally["live"]
         <= tally["blocked"] + tally["diverged"] + tally["fatal_tail"],
+        # Exact, untimed: the planes wrap and flush alike, and a flush
+        # that follows a restore copies nothing.
+        "epoch_boundaries_agree": all(
+            planes["scalar"]["par_r"][name][key] == counts[key]
+            for name, counts in planes["batched"]["par_r"].items()
+            for key in ("epochs", "flushes")
+        ),
+        "serve_flushes_copy_nothing": all(
+            counts["bytes_flushed"] == 0
+            for plane in PLANES
+            for counts in planes[plane]["par_r"].values()
+        ),
     }
 
 
@@ -172,6 +210,9 @@ def session_failures(label: str, session: dict):
         ("replay audit broken", session["replay_audit"]["exact"]),
         ("batched plane ran requests live that no fault reaches",
          session["live_only_where_reached"]),
+        ("epochs or flushes differ across planes",
+         session["epoch_boundaries_agree"]),
+        ("a serve flush copied bytes", session["serve_flushes_copy_nothing"]),
     )
     return [f"{label}: {text}" for text, ok in checks if not ok]
 

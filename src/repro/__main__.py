@@ -1065,6 +1065,16 @@ def _cmd_serve(arguments) -> int:
     if arguments.prom_out is not None:
         arguments.prom_out.write_text(observer.metrics.render_prometheus())
     replay = result.replay
+    if not replay.complete:
+        # The table below is defined by the replay; a session that ran
+        # to its end and does not replay whole has lost events.
+        print(
+            f"repro serve: the ledger replays incomplete ({replay.ticks} of "
+            f"{arguments.duration} ticks): no serve_stop at the last tick, "
+            "or a tenant's requests event is missing",
+            file=sys.stderr,
+        )
+        return 1
     if arguments.json:
         print(json.dumps(replay.to_dict(), indent=2, sort_keys=True))
         return 0

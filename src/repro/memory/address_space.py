@@ -561,6 +561,16 @@ class AddressSpace:
         """
         return sorted(self._dirty_pages)
 
+    @property
+    def dirty_baseline(self) -> Optional[MemorySnapshot]:
+        """The snapshot :meth:`dirty_pages` is relative to.
+
+        Every page outside ``dirty_pages()`` holds this snapshot's
+        bytes. None in oracle mode and before the first snapshot or
+        restore on the fast path: nothing is tracked then.
+        """
+        return self._baseline
+
     def mark_pages_dirty(self, pages: Iterable[int]) -> None:
         """Add pages to the dirty set (restore copies them, see above)."""
         self._dirty_pages.update(pages)

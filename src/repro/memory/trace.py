@@ -426,10 +426,8 @@ class TraceReplay:
         if blocked is not None and blocked[cursor : cursor + limit].all():
             return 0, np.full(limit, _BLOCKED, dtype=np.int8)
         self._sync(cursor)
-        if self.progress_dirty:
-            if self.workload.progress_state() != self.trace.progress[cursor]:
-                return 0, np.full(limit, _PROGRESS, dtype=np.int8)
-            self.progress_dirty = False
+        if not self._progress_ok(cursor):
+            return 0, np.full(limit, _PROGRESS, dtype=np.int8)
         diverged = self._diverged_bytes(cursor)
         if blocked is None and not diverged.size:
             return limit, np.zeros(0, dtype=np.int8)
@@ -450,6 +448,42 @@ class TraceReplay:
         gaps = np.flatnonzero(np.diff(live) > 1)
         stretch = int(gaps[0]) + 1 if gaps.size else live.size
         return clean, window[clean : clean + stretch]
+
+    def pristine(self) -> bool:
+        """At cursor 0: no guarded byte, golden progress, no diverged byte.
+
+        The proofs :meth:`next_runs` takes, for the whole trace at once
+        and a little more: every query fuses *and* the checkpoint
+        restore that closes the epoch changes no stored byte, clears no
+        fault and leaves this same state — so a whole epoch is its
+        recorded accounting and a reset (:meth:`charge_epoch`).
+        """
+        if self.blocked_queries() is not None:
+            return False
+        return self._progress_ok(0) and not self._diverged_bytes(0).size
+
+    def charge_epoch(self) -> None:
+        """Settle the clock and counters of the whole trace, unexecuted.
+
+        Only in a :meth:`pristine` state, and only when the caller then
+        resets to the checkpoint: the trace's stores are not applied.
+        """
+        self._charge(0, self.trace.query_count)
+
+    def _charge(self, start: int, end: int) -> None:
+        """Settle the recorded clock/counter debt of queries ``[start, end)``."""
+        trace = self.trace
+        deltas = (trace.counters[end] - trace.counters[start]).reshape(-1, 4)
+        self.workload.space.charge_recorded(
+            int(trace.clock[end] - trace.clock[start]), deltas.tolist()
+        )
+
+    def _progress_ok(self, cursor: int) -> bool:
+        if self.progress_dirty:
+            if self.workload.progress_state() != self.trace.progress[cursor]:
+                return False
+            self.progress_dirty = False
+        return True
 
     def blocked_queries(self) -> Optional[np.ndarray]:
         """Per query, whether its footprint holds a guarded byte (None:
@@ -500,8 +534,7 @@ class TraceReplay:
         self._image_cursor = end
         if self._diverged.size:
             self._heal(start, end)
-        deltas = (trace.counters[end] - trace.counters[start]).reshape(-1, 4)
-        space.charge_recorded(int(trace.clock[end] - trace.clock[start]), deltas.tolist())
+        self._charge(start, end)
         self.workload.restore_progress(trace.progress[end])
         self._diverged_key = (end, space.region_versions())
 

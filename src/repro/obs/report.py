@@ -192,11 +192,12 @@ def render_serve_report(replay) -> str:
     ``replay`` is duck-typed (``repro.serve.ledger.LedgerReplay``):
     ``ticks``, ``config``, ``tenants`` (name → summary with
     ``availability`` / ``requests`` / ``responses`` / ``slo_fraction``),
-    and ``slo_alerts``.
+    ``slo_alerts`` and ``complete``.
     """
     config = getattr(replay, "config", {})
+    partial = "" if getattr(replay, "complete", True) else "INCOMPLETE LEDGER, "
     lines = [
-        f"serve session: {replay.ticks} ticks, "
+        f"serve session: {partial}{replay.ticks} ticks, "
         f"seed {config.get('seed', '?')}, "
         f"error rate {config.get('error_rate', '?')}/tick, "
         f"policy {config.get('policy', 'auto')}",

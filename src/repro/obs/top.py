@@ -84,7 +84,8 @@ def snapshot_from_ledger(path: Path) -> Tuple[dict, dict]:
     Replays the ledger and re-derives the SLO state offline, producing
     the same snapshot shape the live endpoint publishes at its final
     tick barrier (latency quantiles are absent offline — wall-clock
-    latency never reaches the ledger).
+    latency never reaches the ledger). ``complete`` is the replay's: a
+    truncated ledger, or one still being written, renders as running.
     """
     events = load_ledger(path)
     replay = replay_ledger(events)
@@ -121,7 +122,7 @@ def snapshot_from_ledger(path: Path) -> Tuple[dict, dict]:
     status = {
         "tick": replay.ticks,
         "duration_ticks": replay.config.get("duration_ticks", replay.ticks),
-        "complete": True,
+        "complete": replay.complete,
         "seed": replay.config.get("seed"),
         "error_rate": replay.config.get("error_rate"),
         "policy": replay.config.get("policy", "auto"),
@@ -261,6 +262,13 @@ def run_top(
             return 2
         status, slo = snapshot_from_ledger(path)
         stream.write(render_top(status, slo, source=str(path)))
+        if not status["complete"]:
+            print(
+                f"repro top: {target}: ledger is incomplete (truncated, or "
+                f"its session is still running): totals cover "
+                f"{status['tick']} of {status['duration_ticks']} ticks",
+                file=sys.stderr,
+            )
         return 0
 
     rendered = 0

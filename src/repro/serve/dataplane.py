@@ -36,6 +36,12 @@ execution would provably produce the golden response, advance the same
 cursor, and wrap the same epoch — which is why seeded sessions write
 byte-identical ledgers under either plane.
 
+Epoch boundaries cost what changed (DESIGN.md, "Epoch boundaries"): from
+a pristine state at cursor 0 a whole epoch and its closing wrap are the
+trace's total accounting plus a reset that finds nothing dirty, so a
+tenant whose trace is shorter than its quantum stops paying a write
+image and an image rewind per wrap.
+
 Both planes count, per tenant, how each request was served
 (:data:`DECISIONS`); the counts are deterministic for a seed and never
 reach the ledger.
@@ -135,7 +141,9 @@ class BatchedDataPlane:
             # Without the fast path there is no dirty-page tracking to
             # confine the divergence check: that tenant serves scalar.
             if workload.space.fast_path_enabled:
-                trace = record_access_trace(workload, workload.query_count)
+                trace = record_access_trace(
+                    workload, workload.query_count, golden=tenant.golden_responses
+                )
                 self._replays[tenant.name] = TraceReplay(trace, workload)
                 self._generations[tenant.name] = tenant.generation
 
@@ -164,6 +172,22 @@ class BatchedDataPlane:
                 self._generations[tenant.name] = tenant.generation
             started = time.perf_counter() if timed else 0.0
             cursor = tenant.cursor
+            if cursor == 0 and remaining > trace.query_count and replay.pristine():
+                # Whole epochs whose closing wrap also falls inside the
+                # quantum: the scalar loop wraps only when a request follows.
+                epochs = (remaining - 1) // trace.query_count
+                for _ in range(epochs):
+                    replay.charge_epoch()
+                    tenant.fused_advance(trace.query_count)
+                    tenant.wrap_epoch()
+                clean = epochs * trace.query_count
+                fused += clean
+                remaining -= clean
+                if timed:
+                    self._report_latency(
+                        tenant, time.perf_counter() - started, clean
+                    )
+                continue
             clean, reasons = replay.next_runs(
                 cursor, min(remaining, trace.query_count - cursor)
             )

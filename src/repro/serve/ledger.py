@@ -252,11 +252,18 @@ class LedgerReplay:
     #: ledger order. ``repro.obs.slo.audit_slo`` checks these against an
     #: offline recomputation from the ``requests`` events.
     slo_alerts: List[dict] = field(default_factory=list)
+    #: Whether the ledger holds a whole session: a ``serve_stop`` at the
+    #: tick the start event announced as ``duration_ticks``, and one
+    #: ``requests`` event per tenant for every tick before it. False for
+    #: a truncated file and for a session still running — both replay
+    #: legally, to the numbers of the ticks they hold.
+    complete: bool = False
 
     def to_dict(self) -> dict:
         """JSON-serializable replay result."""
         return {
             "ticks": self.ticks,
+            "complete": self.complete,
             "config": dict(self.config),
             "tenants": {
                 name: summary.to_dict() for name, summary in self.tenants.items()
@@ -282,11 +289,15 @@ def replay_ledger(events: List[LedgerEvent]) -> LedgerReplay:
         str(name): TenantLedgerSummary() for name in config.get("tenants", [])
     }
     ticks = 0
+    stop_tick: Optional[int] = None
     stop_attrs: Dict[str, object] = {}
     slo_alerts: List[dict] = []
+    gap_free = True
     for event in events[1:]:
         summary = tenants.get(event.tenant)
         if event.kind == EVENT_REQUESTS and summary is not None:
+            # One per tenant per tick, so the n-th carries tick n.
+            gap_free = gap_free and event.tick == summary._ticks_seen
             counts = event.attrs
             tick_bad = 0
             for name in DISPOSITIONS:
@@ -315,7 +326,7 @@ def replay_ledger(events: List[LedgerEvent]) -> LedgerReplay:
                 {"tick": event.tick, "tenant": event.tenant, **event.attrs}
             )
         elif event.kind == EVENT_STOP:
-            ticks = event.tick
+            ticks = stop_tick = event.tick
             stop_attrs = dict(event.attrs)
         ticks = max(ticks, event.tick)
     return LedgerReplay(
@@ -324,4 +335,10 @@ def replay_ledger(events: List[LedgerEvent]) -> LedgerReplay:
         config=config,
         stop_attrs=stop_attrs,
         slo_alerts=slo_alerts,
+        complete=(
+            stop_tick is not None
+            and stop_tick == config.get("duration_ticks")
+            and gap_free
+            and all(s._ticks_seen == stop_tick for s in tenants.values())
+        ),
     )

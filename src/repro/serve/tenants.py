@@ -149,6 +149,11 @@ class ServeTenant:
         return self._cursor
 
     @property
+    def golden_responses(self) -> Tuple[object, ...]:
+        """Fault-free response of every trace query (empty before build)."""
+        return tuple(self._golden)
+
+    @property
     def resident_fault_count(self) -> int:
         """Hard faults currently stuck in this tenant's memory."""
         return len(self._resident)
@@ -319,7 +324,9 @@ class ServeTenant:
         not a repair. Soft flips are healed by the restore, modeling
         corrupted data being overwritten by fresh application writes.
         Par+R writable backings take their periodic flush here (the
-        restored image *is* the checkpoint, so the mirror stays exact).
+        restored image *is* the checkpoint, so the mirror stays exact —
+        and, nothing being dirty after the restore, the flush copies
+        nothing).
         """
         self.workload.reset()
         self._cursor = 0

@@ -15,6 +15,8 @@ Three of the PR's acceptance criteria live here:
 """
 
 import asyncio
+import dataclasses
+import io
 import json
 import random
 import subprocess
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.top import run_top, snapshot_from_ledger
 from repro.serve import (
     LEDGER_VERSION,
     ServeConfig,
@@ -132,6 +135,75 @@ class TestLedgerAudit:
         )
         assert total_faults > 0
         assert total_responses > 0
+
+
+class TestTruncatedLedger:
+    """A cut ledger replays (a live session's does too) but says so."""
+
+    TICKS = 20
+
+    @pytest.fixture(scope="class")
+    def ledger(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cut") / "whole.jsonl"
+        result = run_serve(
+            ServeConfig(duration_ticks=self.TICKS, error_rate=0.5, seed=5),
+            ledger_path=path,
+            scale=SCALE,
+        )
+        assert result.replay.complete
+        return path
+
+    def cut(self, ledger: Path, keep) -> Path:
+        lines = ledger.read_text().splitlines(keepends=True)
+        path = ledger.with_name(f"cut-{keep(len(lines))}.jsonl")
+        path.write_text("".join(lines[: keep(len(lines))]))
+        return path
+
+    def test_whole_ledger_is_complete(self, ledger):
+        replay = replay_ledger(load_ledger(ledger))
+        assert replay.complete and replay.to_dict()["complete"]
+        assert replay.ticks == self.TICKS
+        assert snapshot_from_ledger(ledger)[0]["complete"]
+
+    def test_tail_cut_loses_only_the_stop_event(self, ledger):
+        whole = replay_ledger(load_ledger(ledger))
+        replay = replay_ledger(load_ledger(self.cut(ledger, lambda n: n - 1)))
+        assert not replay.complete
+        assert {n: s.offered for n, s in replay.tenants.items()} == {
+            n: s.offered for n, s in whole.tenants.items()
+        }
+
+    def test_mid_cut_replays_half_and_says_so(self, ledger, capsys):
+        whole = replay_ledger(load_ledger(ledger))
+        half = self.cut(ledger, lambda n: n // 2)
+        replay = replay_ledger(load_ledger(half))  # legal: a live session
+        assert not replay.complete
+        assert 0 < replay.ticks < self.TICKS
+        for name, summary in replay.tenants.items():
+            assert 0 < summary.offered < whole.tenants[name].offered
+        status, _ = snapshot_from_ledger(half)
+        assert not status["complete"]
+        out = io.StringIO()
+        assert run_top(str(half), out=out) == 0
+        assert "running]" in out.getvalue()
+        assert "incomplete" in capsys.readouterr().err
+
+    def test_missing_requests_event_is_incomplete(self, ledger):
+        events = load_ledger(ledger)
+        hole = next(
+            index for index, event in enumerate(events)
+            if event.kind == "requests" and event.tick == self.TICKS // 2
+        )
+        replay = replay_ledger(events[:hole] + events[hole + 1 :])
+        assert replay.stop_attrs and not replay.complete
+
+    def test_stop_before_the_announced_duration_is_incomplete(self, ledger):
+        events = load_ledger(ledger)
+        start = events[0]
+        longer = dataclasses.replace(
+            start, attrs={**start.attrs, "duration_ticks": self.TICKS + 5}
+        )
+        assert not replay_ledger([longer] + events[1:]).complete
 
 
 class TestForcedPolicies:

@@ -21,6 +21,7 @@ under both planes across random seeds and error rates and asserts the
 two JSONL ledgers are byte-identical.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -267,3 +268,256 @@ class TestSeededSessionLedgers:
             )
             ledgers[plane] = path.read_bytes()
         assert ledgers["scalar"] == ledgers["batched"]
+
+
+# ----------------------------------------------------------------------
+# Epoch boundaries (ISSUE 19): short traces wrap several times a quantum,
+# the batched plane serves whole clean epochs without touching memory,
+# and a flush copies only what was dirtied since the last mirror.
+# ----------------------------------------------------------------------
+class ShortTrace(MiniWorkload):
+    """The mini workload cut to its first ``queries`` queries."""
+
+    def __init__(self, queries: int) -> None:
+        super().__init__()
+        self.queries = queries
+
+    @property
+    def query_count(self) -> int:
+        return self.queries
+
+
+class EpochTwins:
+    """A scalar and a batched tenant of one short trace, driven alike."""
+
+    def __init__(self, queries: int, oracle: bool = False) -> None:
+        self.queries = queries
+        self.tenants = []
+        for _ in range(2):
+            tenant = ServeTenant("mini", ShortTrace(queries))
+            tenant.build()
+            if oracle:
+                tenant.space.set_fast_path(False)
+            self.tenants.append(tenant)
+        scalar, batched = self.tenants
+        self.planes = (ScalarDataPlane([scalar]), BatchedDataPlane([batched]))
+        self.served = 0
+        self.check()
+
+    def serve(self, count: int) -> None:
+        counts = [
+            plane.serve_requests(tenant, count)
+            for plane, tenant in zip(self.planes, self.tenants)
+        ]
+        assert counts[0] == counts[1]
+        assert sum(counts[0].values()) == count
+        self.served += count
+        self.check()
+
+    def fault(self, region: str, offset: int, bit: int, kind: FaultKind) -> None:
+        for tenant in self.tenants:
+            event = fault_at(tenant, region, offset, bit, kind)
+            tenant.apply_fault(event.addr, event.bit, kind)
+        self.check()
+
+    def recover(self, region: str, offset: int) -> None:
+        results = [
+            RecoverFromDiskPolicy().respond(tenant, fault_at(tenant, region, offset, 0))
+            for tenant in self.tenants
+        ]
+        assert results[0].action == results[1].action
+        self.check()
+
+    def check(self) -> None:
+        scalar, batched = self.tenants
+        assert scalar.cursor == batched.cursor
+        assert scalar.epochs == batched.epochs
+        assert scalar.generation == batched.generation
+        assert scalar.needs_restart == batched.needs_restart
+        assert scalar.space.time == batched.space.time
+        assert scalar.space.access_stats() == batched.space.access_stats()
+        # Each fault's stuck value and injection time: apply_fault read
+        # the stored bit and the clock the quantum before it left.
+        assert scalar.space.fault_log.entries == batched.space.fault_log.entries
+        assert scalar.space.guarded_addresses() == batched.space.guarded_addresses()
+        for region in scalar.space.regions:
+            assert scalar.space.peek(region.base, region.size) == batched.space.peek(
+                region.base, region.size
+            ), f"stored bytes diverge in {region.name}"
+            mine, theirs = (t.backing_for(region.name) for t in self.tenants)
+            if mine is not None:
+                assert mine.store.load(mine.path) == theirs.store.load(theirs.path)
+                assert mine.stats.flushes == theirs.stats.flushes
+                assert mine.store.write_ops == theirs.store.write_ops
+
+    @property
+    def tally(self):
+        return self.planes[1].decisions["mini"]
+
+    def heap_mirror(self, tenant_index: int = 1):
+        return self.tenants[tenant_index].backing_for("heap")
+
+
+#: Heap offset of the word query 0 loads, and of the slot it stores to
+#: (bit 0 there is 0 at the checkpoint and 1 once query 0 has run).
+READ_BYTE, WRITTEN_BYTE = 0, 4 * WORDS
+
+
+class TestEpochBoundaries:
+    @pytest.mark.parametrize("queries", [1, 2, 3])
+    def test_quanta_around_whole_epochs(self, queries):
+        twins = EpochTwins(queries)
+        quanta = [
+            k * queries + delta for k in (1, 2, 5) for delta in (0, 1, -1, 0)
+        ] + list(range(1, queries))
+        for count in filter(None, quanta):
+            twins.serve(count)
+        assert twins.tally["fused"] == twins.served
+        # Every flush followed a restore: only the build copied bytes.
+        mirror = twins.heap_mirror()
+        assert mirror.stats.flushes == twins.tenants[1].epochs + 1
+        assert mirror.stats.bytes_flushed == mirror.region.size
+
+    @pytest.mark.parametrize("queries", [1, 2, 3])
+    def test_whole_epochs_skip_the_write_image(self, queries, monkeypatch):
+        twins = EpochTwins(queries)
+        runs = []
+        replay = twins.planes[1]._replays["mini"]
+        apply_run = replay.apply_run
+        monkeypatch.setattr(
+            replay, "apply_run",
+            lambda start, run: (runs.append((start, run)), apply_run(start, run))[1],
+        )
+        twins.serve(7 * queries)  # six whole epochs, then one that stays open
+        assert runs == [(0, queries)]
+        assert twins.tenants[1].epochs == 6
+        assert twins.tenants[1].cursor == queries
+        twins.serve(1)  # the pending wrap, then a partial epoch
+        assert twins.tenants[1].epochs == 7
+
+    @pytest.mark.parametrize("queries", [1, 2, 3])
+    @pytest.mark.parametrize("kind", [FaultKind.SOFT, FaultKind.HARD])
+    @pytest.mark.parametrize("offset", [READ_BYTE, WRITTEN_BYTE])
+    @pytest.mark.parametrize("wrap_pending", [True, False])
+    def test_fault_at_an_epoch_boundary(self, queries, kind, offset, wrap_pending):
+        twins = EpochTwins(queries)
+        if wrap_pending:
+            twins.serve(3 * queries)
+            assert twins.tenants[1].cursor == queries
+        else:
+            assert twins.tenants[1].cursor == 0
+        twins.fault("heap", offset, 0, kind)
+        for count in (1, queries, 2 * queries + 1, 4 * queries, queries):
+            twins.serve(count)
+        # A soft flip is healed by the first wrap, a hard fault stays.
+        assert twins.tenants[1].resident_fault_count == (kind is FaultKind.HARD)
+
+    @pytest.mark.parametrize("queries", [1, 2, 3])
+    def test_resident_hard_fault_across_wraps(self, queries):
+        twins = EpochTwins(queries)
+        # Never read: guarded, so no epoch is served whole, yet every
+        # request still fuses and the fault is re-applied at each wrap.
+        twins.fault("heap", HEAP_SIZE - 1, 5, FaultKind.HARD)
+        for count in (4 * queries, 4 * queries + 1, 1):
+            twins.serve(count)
+        assert twins.tally["fused"] == twins.served
+        twins.fault("heap", READ_BYTE, 2, FaultKind.HARD)
+        for count in (3 * queries, 3 * queries - 1 or 1, 5 * queries + 1):
+            twins.serve(count)
+        assert twins.tally["live"] > 0
+        assert twins.tenants[1].resident_fault_count == 2
+
+    @pytest.mark.parametrize("queries", [1, 2, 3])
+    def test_untracked_corruption_at_cursor_zero(self, queries):
+        twins = EpochTwins(queries)
+        # Retirement stops tracking the flip and cannot heal the byte:
+        # nothing is guarded, yet the first epoch is not a clean one.
+        for tenant in twins.tenants:
+            event = fault_at(tenant, "heap", READ_BYTE, 0, FaultKind.SOFT)
+            tenant.apply_fault(event.addr, event.bit, FaultKind.SOFT)
+            RetirePagePolicy().respond(tenant, event)
+        assert not twins.tenants[1].space.guarded_addresses()
+        twins.serve(4 * queries + 1)
+        assert twins.tally["diverged"] == 1
+        assert twins.tally["fused"] == twins.served - 1
+
+    @pytest.mark.parametrize("queries", [2, 3])
+    def test_recover_from_disk_mid_epoch(self, queries):
+        twins = EpochTwins(queries)
+        twins.serve(2 * queries + 1)  # one query into an epoch
+        flushed = twins.heap_mirror().stats.bytes_flushed
+        twins.fault("heap", WRITTEN_BYTE, 0, FaultKind.SOFT)
+        # The mirror holds the checkpoint: the page comes back without
+        # the store query 0 made this epoch.
+        twins.recover("heap", WRITTEN_BYTE)
+        assert twins.heap_mirror().stats.pages_recovered == 1
+        for count in (queries - 1, 1, 3 * queries, 2 * queries + 1):
+            twins.serve(count)
+        assert twins.heap_mirror().stats.bytes_flushed == flushed
+
+    @pytest.mark.parametrize("queries", [1, 3])
+    def test_oracle_mode_serves_scalar_and_copies_whole_regions(self, queries):
+        twins = EpochTwins(queries, oracle=True)
+        for count in (4 * queries + 1, 2 * queries, 1):
+            twins.serve(count)
+        assert twins.tally["fused"] == 0
+        for index in (0, 1):
+            mirror = twins.heap_mirror(index)
+            assert mirror.stats.bytes_flushed == mirror.stats.flushes * HEAP_SIZE
+
+    @given(
+        queries=st.integers(min_value=1, max_value=3),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("serve"), st.integers(0, 4), st.integers(-1, 1)),
+                st.tuples(
+                    st.just("fault"),
+                    st.sampled_from([READ_BYTE, WRITTEN_BYTE, 8, HEAP_SIZE - 1]),
+                    st.sampled_from([FaultKind.SOFT, FaultKind.HARD]),
+                ),
+                st.tuples(
+                    st.just("recover"),
+                    st.sampled_from([READ_BYTE, PAGE_SIZE]),
+                    st.none(),
+                ),
+                st.tuples(st.just("restart"), st.none(), st.none()),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_walks_over_short_traces(self, queries, steps):
+        twins = EpochTwins(queries)
+        for name, first, second in steps:
+            if name == "serve":
+                twins.serve(max(1, first * queries + second))
+            elif name == "fault":
+                twins.fault("heap", first, 0, second)
+            elif name == "recover":
+                twins.recover("heap", first)
+            else:  # back to cursor 0 without an epoch wrap
+                for tenant in twins.tenants:
+                    tenant.restart(1)
+                twins.check()
+
+
+class TestSessionEpochs:
+    def test_serve_stop_epochs_equal_across_planes(self, tmp_path):
+        """Several wraps a tick (graphmining: 3 jobs, 16 requests)."""
+        stops = {}
+        for plane in ("scalar", "batched"):
+            result = run_serve(
+                ServeConfig(
+                    duration_ticks=12, error_rate=0.5, seed=19, data_plane=plane
+                ),
+                tenants=default_tenants(scale=0.1, load=16.0),
+                ledger_path=tmp_path / f"{plane}.jsonl",
+            )
+            assert result.replay.complete
+            stops[plane] = result.events[-1].attrs
+        assert stops["scalar"]["epochs"] == stops["batched"]["epochs"]
+        assert stops["batched"]["epochs"]["graphmining"] >= 12 * 5
+        assert (tmp_path / "scalar.jsonl").read_bytes() == (
+            tmp_path / "batched.jsonl"
+        ).read_bytes()

@@ -439,3 +439,25 @@ class TestServeDataPlaneFlag:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["duration_ticks"] == 4
+
+
+class TestServeReplayAudit:
+    def test_session_that_replays_incomplete_exits_1(self, monkeypatch, capsys):
+        import dataclasses
+
+        import repro.__main__ as cli
+        from repro.serve import replay_ledger
+
+        run_serve = cli.run_serve
+
+        def losing_the_stop_event(*args, **kwargs):
+            result = run_serve(*args, **kwargs)
+            return dataclasses.replace(
+                result, replay=replay_ledger(result.events[:-1])
+            )
+
+        monkeypatch.setattr(cli, "run_serve", losing_the_stop_event)
+        assert main(["serve", "--duration", "3", "--seed", "7", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert "replays incomplete" in captured.err
+        assert not captured.out

@@ -1,13 +1,18 @@
 """Unit tests for repro.memory.persistence."""
 
+import random
+
 import pytest
 
 from repro.memory import (
+    AddressSpace,
     BackingStore,
     ProtectionFault,
     RegionBacking,
     mmap_region,
+    standard_layout,
 )
+from repro.memory.fastpath import oracle_mode
 from repro.memory.regions import PAGE_SIZE
 
 
@@ -111,3 +116,136 @@ class TestRecovery:
         backing.recover_page(heap.base)
         assert space.read(heap.base, 8) == b"v1-data!"
         assert backing.stats.flushes == 1
+
+
+def parr_twins():
+    """A fast-path space and an oracle-mode twin, each with a Par+R heap
+    mirror; the oracle has no dirty tracking, so its mirror is the full
+    copy every time."""
+    layout = dict(private_size=4 * PAGE_SIZE, heap_size=8 * PAGE_SIZE,
+                  stack_size=2 * PAGE_SIZE)
+    fast = AddressSpace(standard_layout(**layout))
+    fast.set_fast_path(True)
+    with oracle_mode():
+        full = AddressSpace(standard_layout(**layout))
+    backings = [
+        RegionBacking(space=space, region=space.region_named("heap"),
+                      store=BackingStore(), path="heap.parr", writable=True)
+        for space in (fast, full)
+    ]
+    return (fast, full), backings
+
+
+class TestMirrorExactness:
+    """The dirty-proportional mirror writes what a full copy would."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_sequences_match_the_full_copy_twin(self, seed):
+        rng = random.Random(seed)
+        spaces, backings = parr_twins()
+        fast_backing, full_backing = backings
+        heap = spaces[0].region_named("heap")
+        writable = [r for r in spaces[0].regions if r.name in ("heap", "stack")]
+        snapshots = [[space.snapshot()] for space in spaces]
+        flushed = 0
+        for _ in range(160):
+            op = rng.choice(
+                ("store", "store", "poke", "flip", "restore", "snapshot",
+                 "restore_other", "flush", "flush", "recover")
+            )
+            region = rng.choice(writable)
+            addr = region.base + rng.randrange(region.size - 64)
+            data = rng.randbytes(rng.choice((1, 1, 8, 64)))
+            pick = rng.randrange(len(snapshots[0]))
+            bit = rng.randrange(8)
+            lost = heap.base + rng.randrange(heap.size)
+            for space, backing, snaps in zip(spaces, backings, snapshots):
+                if op == "store":
+                    space.write(addr, data)
+                elif op == "poke":
+                    space.poke(addr, data)
+                elif op == "flip":
+                    space.inject_soft_flip(addr, bit)
+                elif op == "restore":
+                    space.restore(snaps[-1])
+                elif op == "snapshot":
+                    snaps.append(space.snapshot())
+                elif op == "restore_other":
+                    space.restore(snaps[pick])
+                elif op == "flush":
+                    backing.flush()
+                elif flushed:
+                    backing.recover_page(lost)
+            if op == "flush":
+                flushed += 1
+                mirror = fast_backing.store.load("heap.parr")
+                assert mirror == full_backing.store.load("heap.parr")
+                assert mirror == spaces[0].peek(heap.base, heap.size)
+            assert spaces[0].peek(heap.base, heap.size) == spaces[1].peek(
+                heap.base, heap.size
+            )
+        assert flushed and fast_backing.stats.flushes == flushed
+        assert fast_backing.stats.flushes == full_backing.stats.flushes
+        assert fast_backing.store.write_ops == full_backing.store.write_ops
+        # Oracle mode always copies the region; the fast path never more.
+        assert full_backing.stats.bytes_flushed == flushed * heap.size
+        assert fast_backing.stats.bytes_flushed <= flushed * heap.size
+
+    def test_flush_costs_what_was_dirtied(self):
+        (space, _), (backing, _) = parr_twins()
+        heap = space.region_named("heap")
+        checkpoint = space.snapshot()
+        backing.flush()  # the first mirror creates the file
+        assert backing.stats.bytes_flushed == heap.size
+        backing.flush()
+        assert backing.stats.bytes_flushed == heap.size  # nothing dirtied
+        space.write_u8(heap.base + 3 * PAGE_SIZE + 5, 0xAB)
+        space.write_u8(space.region_named("stack").base, 0xCD)  # not backed
+        backing.flush()
+        assert backing.stats.bytes_flushed == heap.size + PAGE_SIZE
+        assert backing.store.load("heap.parr") == space.peek(heap.base, heap.size)
+        # The restore puts the baseline byte back under the mirror's
+        # copy of the stored one: that page is stale, and only it.
+        space.restore(checkpoint)
+        backing.flush()
+        assert backing.stats.bytes_flushed == heap.size + 2 * PAGE_SIZE
+        assert backing.store.load("heap.parr") == checkpoint.mem[heap.base : heap.end]
+        space.restore(checkpoint)
+        backing.flush()
+        assert backing.stats.bytes_flushed == heap.size + 2 * PAGE_SIZE
+        assert backing.stats.flushes == backing.store.write_ops == 5
+
+    def test_recover_page_after_a_skipped_flush(self):
+        (space, _), (backing, _) = parr_twins()
+        heap = space.region_named("heap")
+        target = heap.base + 2 * PAGE_SIZE + 17
+        space.write(target, b"golden")
+        checkpoint = space.snapshot()
+        backing.flush()
+        space.write(target, b"epoch!")
+        space.restore(checkpoint)
+        backing.flush()  # copies nothing: the region is at the baseline
+        assert backing.stats.bytes_flushed == heap.size
+        space.inject_soft_flip(target, 3)
+        backing.recover_page(target)
+        assert space.peek(target, 6) == b"golden"
+        assert space.peek(heap.base, heap.size) == checkpoint.mem[heap.base : heap.end]
+
+    def test_a_new_baseline_or_oracle_mode_copies_the_region(self):
+        (space, oracle), (backing, full) = parr_twins()
+        heap = space.region_named("heap")
+        space.snapshot()
+        backing.flush()
+        space.write_u8(heap.base, 1)
+        space.snapshot()  # new baseline: the mirror's knowledge is void
+        backing.flush()
+        assert backing.stats.bytes_flushed == 2 * heap.size
+        space.set_fast_path(False)  # dirty tracking gone with it
+        space.write_u8(heap.base + PAGE_SIZE, 2)
+        backing.flush()
+        assert backing.stats.bytes_flushed == 3 * heap.size
+        assert backing.store.load("heap.parr") == space.peek(heap.base, heap.size)
+        oracle.snapshot()
+        for _ in range(3):
+            full.flush()
+        assert full.stats.bytes_flushed == 3 * heap.size

@@ -24,6 +24,7 @@ from repro.serve.dataplane import DECISIONS
 from tests.property.test_prop_serve_dataplane import (
     WORDS,
     MiniWorkload,
+    ShortTrace,
     build_tenant,
 )
 
@@ -267,6 +268,46 @@ class TestFusedLatency:
             assert len(set(batch)) == 1
             # The live request's 50 ms is not spread over fused ones.
             assert 0.0 <= sum(batch) < 0.05
+
+
+    def test_whole_epochs_report_one_batch(self):
+        tenant = ServeTenant("mini", ShortTrace(3))
+        tenant.build()
+        plane = BatchedDataPlane([tenant])
+        batches = []
+        tenant.latency_batch_sink = batches.append
+
+        plane.serve_requests(tenant, 3 * 4 + 2)
+
+        # Four epochs served whole, then the open one's two requests.
+        assert [len(batch) for batch in batches] == [12, 2]
+        assert tenant.epochs == 4 and tenant.cursor == 2
+        decisions(plane, fused=14)
+
+
+class ForgetfulWorkload(MiniWorkload):
+    """Answers depend on how often it was asked: no replay repeats them."""
+
+    asked = 0
+
+    def execute(self, query_index: int):
+        self.asked += 1
+        return super().execute(query_index) + self.asked
+
+
+class TestGoldenCheckedRecording:
+    def test_golden_responses_are_public_and_read_only(self):
+        tenant = build_tenant()
+        golden = tenant.golden_responses
+        assert isinstance(golden, tuple) and len(golden) == WORDS
+        assert golden == tuple(tenant.workload.golden_responses())
+
+    def test_unrepeatable_replay_raises_at_plane_construction(self):
+        tenant = ServeTenant("mini", ForgetfulWorkload())
+        tenant.build()
+        ScalarDataPlane([tenant])  # executes every request: nothing to check
+        with pytest.raises(RuntimeError, match="cannot stand in"):
+            BatchedDataPlane([tenant])
 
 
 class ScriptedWorkload(MiniWorkload):
