@@ -70,7 +70,9 @@ from repro.fleet import (
 )
 from repro.injection import MULTI_BIT_HARD, SINGLE_BIT_HARD, SINGLE_BIT_SOFT
 from repro.obs import (
+    SPAN_FLEET,
     CampaignMetrics,
+    EventBuffer,
     JsonlSink,
     MetricsRegistry,
     Observer,
@@ -78,6 +80,7 @@ from repro.obs import (
     SloConfig,
     load_events,
     parse_burn_windows,
+    render_fleet_draw_path,
     render_run_summary,
     render_serve_report,
     render_trace_report,
@@ -881,6 +884,9 @@ def _cmd_fleet(arguments) -> int:
         correlation=arguments.correlation,
     )
     observer = _build_observer(arguments)
+    # The simulate span says which draw path the chunks took and why.
+    spans = EventBuffer()
+    observer.sinks.append(spans)
     try:
         simulated = simulate_fleet(
             profile,
@@ -923,9 +929,17 @@ def _cmd_fleet(arguments) -> int:
         arguments.prom_out.write_text(observer.metrics.render_prometheus())
     verdicts = analytic_matches_simulation(analytic, simulated)
     agreement = all(verdicts.values())
+    simulate_span = next(e for e in spans.events if e.name == SPAN_FLEET)
+    draw_path = {
+        name: simulate_span.attrs[name]
+        for name in (
+            "aggregated_chunks", "per_server_chunks", "clip_log10_bound"
+        )
+    }
     if arguments.json:
         payload = {
             "simulation": simulated.to_dict(),
+            "simulation_draw_path": draw_path,
             "analytic": analytic.to_dict(),
             "analytic_within_ci": verdicts,
         }
@@ -950,6 +964,7 @@ def _cmd_fleet(arguments) -> int:
         f"p99 fleet downtime  {simulated.downtime_percentile(99):>10.0f} "
         "minutes/month"
     )
+    print(f"draw path           {render_fleet_draw_path(draw_path)}")
     print(f"\n{'design':<18} {'servers':>8} {'machine avail':>14}")
     for name, count in sorted(simulated.composition.items()):
         print(

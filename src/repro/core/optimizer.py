@@ -277,8 +277,8 @@ class MappingOptimizer:
                 policies=policies,
             )
             all_metrics.append(self.evaluator.evaluate(design))
-        points = [
-            (metrics.server_cost_savings, metrics.availability)
-            for metrics in all_metrics
-        ]
-        return [all_metrics[i] for i in pareto_indices(points)]
+        front = pareto_indices(
+            [metrics.server_cost_savings for metrics in all_metrics],
+            [metrics.availability for metrics in all_metrics],
+        )
+        return [all_metrics[i] for i in front.tolist()]

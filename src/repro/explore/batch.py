@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.availability import MINUTES_PER_MONTH
 from repro.explore.matrix import ContributionMatrix
+from repro.explore.pareto import pareto_indices
 
 __all__ = ["BatchDesignSpaceEvaluator", "DEFAULT_CHUNK_SIZE"]
 
@@ -157,13 +158,7 @@ class BatchDesignSpaceEvaluator:
         return kept_ids, feasible_count, evaluated
 
     def pareto_ids(self) -> Tuple[np.ndarray, int]:
-        """Front ids in (savings desc, id asc) order, plus evaluated count.
-
-        Same sweep as :func:`repro.explore.pareto.pareto_indices`, on
-        arrays: within an equal-savings group only the availability
-        maxima survive, and only when they strictly beat every better-
-        savings group.
-        """
+        """Front ids in (savings desc, id asc) order, plus evaluated count."""
         total = self.matrix.total_designs
         savings = np.empty(total, dtype=np.float64)
         availability = np.empty(total, dtype=np.float64)
@@ -171,22 +166,7 @@ class BatchDesignSpaceEvaluator:
             metrics = self.evaluate_ids(ids)
             savings[ids[0] : ids[-1] + 1] = metrics["savings"]
             availability[ids[0] : ids[-1] + 1] = metrics["availability"]
-        order = np.argsort(-savings, kind="stable")
-        ordered_savings = savings[order]
-        ordered_availability = availability[order]
-        new_group = np.empty(total, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = ordered_savings[1:] != ordered_savings[:-1]
-        starts = np.flatnonzero(new_group)
-        group_max = np.maximum.reduceat(ordered_availability, starts)
-        running = np.maximum.accumulate(group_max)
-        previous_best = np.concatenate(([-np.inf], running[:-1]))
-        group_survives = group_max > previous_best
-        group_index = np.cumsum(new_group) - 1
-        keep = group_survives[group_index] & (
-            ordered_availability == group_max[group_index]
-        )
-        return order[keep], total
+        return pareto_indices(savings, availability), total
 
 
 def _cap_to_k(

@@ -1,50 +1,52 @@
 """Sort-based Pareto front extraction, O(n log n) instead of O(n²).
 
 The front is over two objectives: server cost savings (maximize) and
-availability (maximize). After sorting by savings descending (stable),
-a single sweep suffices:
+availability (maximize). After a stable sort by savings descending, one
+sweep over the equal-savings groups suffices:
 
-* within a group of equal savings, only the members attaining the group
-  maximum availability can be non-dominated (anything lower is dominated
-  by a group-mate with strictly higher availability);
+* within a group, only the members attaining the group maximum
+  availability can be non-dominated (anything lower is dominated by a
+  group-mate with strictly higher availability);
 * the group maximum itself survives iff it strictly exceeds the best
   availability seen among all *strictly higher* savings groups —
   otherwise some cheaper-or-equal design with at-least-equal
   availability dominates it.
 
 Output order is (savings descending, original index ascending) — the
-same order the quadratic implementation produced via a stable sort, so
-this is a drop-in replacement (golden-tested against the old code).
+order the quadratic implementation produced via a stable sort, which
+the tests keep as the oracle.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import numpy as np
 
 __all__ = ["pareto_indices"]
 
 
-def pareto_indices(points: Sequence[Tuple[float, float]]) -> List[int]:
-    """Indices of non-dominated ``(savings, availability)`` points.
+def pareto_indices(savings, availability) -> np.ndarray:
+    """Indices of the non-dominated ``(savings[i], availability[i])``.
 
     A point is dominated when another point is >= in both coordinates
     and > in at least one. Duplicated non-dominated points all survive
     (neither dominates the other), matching the quadratic reference.
     """
-    count = len(points)
-    order = sorted(range(count), key=lambda i: (-points[i][0], i))
-    selected: List[int] = []
-    best_availability = float("-inf")
-    start = 0
-    while start < count:
-        savings = points[order[start]][0]
-        stop = start
-        while stop < count and points[order[stop]][0] == savings:
-            stop += 1
-        group = order[start:stop]
-        group_max = max(points[i][1] for i in group)
-        if group_max > best_availability:
-            selected.extend(i for i in group if points[i][1] == group_max)
-            best_availability = group_max
-        start = stop
-    return selected
+    savings = np.asarray(savings, dtype=np.float64)
+    availability = np.asarray(availability, dtype=np.float64)
+    if savings.size == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.argsort(-savings, kind="stable")
+    savings = savings[order]
+    availability = availability[order]
+    new_group = np.empty(len(order), dtype=bool)
+    new_group[0] = True
+    new_group[1:] = savings[1:] != savings[:-1]
+    group_max = np.maximum.reduceat(availability, np.flatnonzero(new_group))
+    previous_best = np.concatenate(
+        ([-np.inf], np.maximum.accumulate(group_max)[:-1])
+    )
+    group = np.cumsum(new_group) - 1
+    keep = (group_max > previous_best)[group] & (
+        availability == group_max[group]
+    )
+    return order[keep]

@@ -91,6 +91,15 @@ def _per_element(function, values: np.ndarray) -> np.ndarray:
     ).reshape(values.shape)
 
 
+#: Beyond ``|t| = 39`` the normal shortfall is ``max(0, excess)`` bit for
+#: bit: ``exp(-39² / 2) = exp(-760.5)`` is under half the smallest
+#: positive double (``exp(-745.13)``) and rounds to exactly 0.0, and
+#: ``erf(39 / √2)`` is exactly 1.0 (it is from 5.93 on), so ``cdf`` is
+#: exactly 0.0 or 1.0 and ``pdf`` exactly 0.0. No argument about the
+#: magnitudes of ``excess`` and ``std`` is needed.
+_KERNEL_REACH = 39.0
+
+
 def _routed_availability(
     mean_downtime: np.ndarray,
     var_downtime: np.ndarray,
@@ -104,7 +113,9 @@ def _routed_availability(
     is NumPy, but ``erf`` and ``exp`` go through :mod:`math` element by
     element — NumPy has no ``erf``, and ``np.exp`` is not guaranteed to
     round like ``math.exp``, which would move committed availabilities
-    in the last digit.
+    in the last digit — and only where they can change the result:
+    months with spread whose headroom is within :data:`_KERNEL_REACH`
+    standard deviations of the mean.
     """
     demand_minutes = demand_fraction * servers * MINUTES_PER_MONTH
     headroom_minutes = (1.0 - demand_fraction) * servers * MINUTES_PER_MONTH
@@ -112,13 +123,14 @@ def _routed_availability(
     std = np.sqrt(np.maximum(0.0, var_downtime))
     spread = std > 0.0
     t = np.divide(excess, std, out=np.zeros_like(std), where=spread)
+    # A degenerate (std == 0) or far-off month is its deterministic
+    # shortfall; the rest is E[max(0, X - headroom)], X ~ Normal.
+    shortfall = np.maximum(0.0, excess)
+    near = spread & (np.abs(t) < _KERNEL_REACH)
+    t = t[near]
     cdf = 0.5 * (1.0 + _per_element(math.erf, t / math.sqrt(2.0)))
     pdf = _per_element(math.exp, -0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    # E[max(0, X - headroom)] for X ~ Normal(mean, std); a degenerate
-    # (std == 0) month falls back to the deterministic shortfall.
-    shortfall = np.where(
-        spread, excess * cdf + std * pdf, np.maximum(0.0, excess)
-    )
+    shortfall[near] = excess[near] * cdf + std[near] * pdf
     return 1.0 - shortfall / demand_minutes
 
 

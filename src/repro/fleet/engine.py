@@ -17,6 +17,7 @@ imports, else the scalar reference.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.availability import AvailabilityParams, ErrorRateModel
@@ -199,11 +200,24 @@ def simulate_fleet(
             )
         if instruments is not None:
             instruments.record_simulation(result)
+        # Which rows the chunks drew, and the guard that decided it: the
+        # largest bound over the chunks, as log10 of a probability (None
+        # when nothing in the configuration can add downtime at all).
+        chunks = simulator.chunks if resolved == "vectorized" else []
+        aggregated = sum(chunk.aggregated for chunk in chunks)
+        bound = max(
+            (chunk.clip_ln_bound for chunk in chunks), default=-math.inf
+        )
         span.set(
             backend=resolved,
             servers=result.servers,
             months=result.months,
             fleet_availability=result.mean_fleet_availability,
+            aggregated_chunks=aggregated,
+            per_server_chunks=len(chunks) - aggregated,
+            clip_log10_bound=(
+                None if bound == -math.inf else bound / math.log(10.0)
+            ),
         )
     return result
 

@@ -233,6 +233,12 @@ class FleetLayout:
         ages[ages >= retirement] -= retirement
         return ages
 
+    def _aging_curve(self) -> np.ndarray:
+        """The aging multiplier at each of the distinct device ages."""
+        return self.config.aging.multiplier(
+            np.arange(self.config.retirement_age_months, dtype=np.float64)
+        )
+
     def multipliers(self, start: int, stop: int, ages=None) -> np.ndarray:
         """(servers, span) error-rate multiplier (aging × bad batch).
 
@@ -241,10 +247,7 @@ class FleetLayout:
         """
         if ages is None:
             ages = self.ages(start, stop)
-        curve = self.config.aging.multiplier(
-            np.arange(self.config.retirement_age_months, dtype=np.float64)
-        )
-        mult = curve[ages]
+        mult = self._aging_curve()[ages]
         bad_mult = self.config.correlation.bad_batch_multiplier
         if bad_mult != 1.0:
             for block in self.blocks:
@@ -262,6 +265,44 @@ class FleetLayout:
             ages = self.ages(start, stop)
         months = np.arange(start, stop, dtype=np.int64)
         return (ages == 0) & (months[None, :] > 0)
+
+    def block_months(
+        self, start: int, stop: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-block totals of months [start, stop): ``(mass, repairs, peak)``.
+
+        ``mass`` and ``repairs`` are the ``(blocks, span)`` sums over
+        each block's servers of :meth:`multipliers` and :meth:`repairs`;
+        ``peak`` is each block's largest single-server multiplier in the
+        window. A server's age is its initial age plus the month, so a
+        block is its count of servers per initial age (the bad batch
+        counted apart) against the aging curve rolled by the month — no
+        ``(servers, span)`` array is built.
+        """
+        retirement = self.config.retirement_age_months
+        months = np.arange(start, stop, dtype=np.int64)
+        # rolled[a, m]: the multiplier in month m at initial age a.
+        rolled = self._aging_curve()[
+            (np.arange(retirement)[:, None] + months[None, :]) % retirement
+        ]
+        bad_mult = self.config.correlation.bad_batch_multiplier
+        mass = np.empty((len(self.blocks), len(months)), dtype=np.float64)
+        repairs = np.empty(mass.shape, dtype=np.int64)
+        peak = np.empty(len(self.blocks), dtype=np.float64)
+        for row, block in enumerate(self.blocks):
+            census, bad = (
+                np.bincount(
+                    self.initial_ages[block.start:last], minlength=retirement
+                )
+                for last in (block.stop, block.bad_stop)
+            )
+            mass[row] = (census + (bad_mult - 1.0) * bad) @ rolled
+            # Refurbished in month m: the servers whose age wraps then.
+            repairs[row] = census[-months % retirement] * (months > 0)
+            peak[row] = (
+                np.where(bad > 0, bad_mult, 1.0)[:, None] * rolled
+            )[census > 0].max()
+        return mass, repairs, peak
 
     def composition(self) -> dict:
         """Design name -> server count (insertion order preserved)."""

@@ -20,7 +20,7 @@ the analytic model's fast path (:class:`CompositionGrid` prefix sums —
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -44,6 +44,9 @@ class CompositionMetrics:
     fleet_availability: float
     cost_savings: float
     feasible: bool
+    #: Decimals :attr:`key` prints: enough for the grid step, so two
+    #: compositions of one search never share a key (2 down to 0.01).
+    key_decimals: int = 2
 
     @property
     def mixed(self) -> bool:
@@ -54,7 +57,7 @@ class CompositionMetrics:
     def key(self) -> str:
         """Canonical label, e.g. ``'Consumer PC:0.70+Typical Server:0.30'``."""
         parts = [
-            f"{name}:{fraction:.2f}"
+            f"{name}:{fraction:.{self.key_decimals}f}"
             for name, fraction in sorted(self.fractions.items())
             if fraction > 0
         ]
@@ -119,14 +122,22 @@ class FleetOptimizationResult:
         }
 
 
-def _unit_allocations(designs: int, units: int) -> Iterator[Tuple[int, ...]]:
-    """All ways to split ``units`` across ``designs`` (stars and bars)."""
-    if designs == 1:
-        yield (units,)
-        return
-    for first in range(units + 1):
-        for rest in _unit_allocations(designs - 1, units - first):
-            yield (first,) + rest
+def _unit_allocations(designs: int, units: int) -> np.ndarray:
+    """All ways to split ``units`` across ``designs`` (stars and bars).
+
+    One ``(rows, designs)`` array in lexicographic row order. Built a
+    column at a time: a partial row with ``left`` units to place fans
+    out into ``left + 1`` rows, and the last column takes what is left.
+    """
+    rows = np.empty((1, 0), dtype=np.int64)
+    left = np.array([units], dtype=np.int64)
+    for _ in range(designs - 1):
+        fan = left + 1
+        parent = np.repeat(np.arange(len(left)), fan)
+        placed = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
+        rows = np.column_stack((rows[parent], placed))
+        left = left[parent] - placed
+    return np.column_stack((rows, left))
 
 
 class FleetOptimizer:
@@ -150,15 +161,14 @@ class FleetOptimizer:
         units = max(1, round(1.0 / step))
         names = [design.name for design in self.grid.designs]
         servers = self.grid.config.servers
-        allocations = np.array(
-            list(_unit_allocations(len(names), units)), dtype=np.int64
-        )
+        allocations = _unit_allocations(len(names), units)
         fractions = allocations / units
         counts = apportion_rows(servers, names, fractions)
-        availabilities, all_savings = (
-            column.tolist() for column in self.grid.evaluate(counts)
-        )
-        scores = list(zip(all_savings, availabilities))
+        availability, savings = self.grid.evaluate(counts)
+        feasible = availability >= self.availability_target
+        # Smallest d with 10^d >= units: distinct grid fractions print
+        # distinctly, and none that holds servers prints as zero.
+        key_decimals = max(2, len(str(units - 1)))
 
         def point(index: int) -> CompositionMetrics:
             """The scored composition at ``index``.
@@ -166,39 +176,36 @@ class FleetOptimizer:
             Built only for what the result exposes (winner, front,
             singles): a few dozen of the grid's thousands of points.
             """
-            savings, availability = scores[index]
             return CompositionMetrics(
                 fractions=dict(zip(names, fractions[index].tolist())),
                 counts=dict(zip(names, counts[index].tolist())),
-                fleet_availability=availability,
-                cost_savings=savings,
-                feasible=availability >= self.availability_target,
+                fleet_availability=float(availability[index]),
+                cost_savings=float(savings[index]),
+                feasible=bool(feasible[index]),
+                key_decimals=key_decimals,
             )
 
-        unmixed = np.flatnonzero((counts > 0).sum(axis=1) <= 1)
+        # A pure fleet is the grid row that gives one design every unit
+        # (and so every server): named by that column, never by its key.
         singles = {
-            single.key.split(":")[0]: single
-            for single in map(point, unmixed.tolist())
+            names[column]: point(index)
+            for index, column in zip(*np.nonzero(allocations == units))
         }
-        feasible = [
-            index
-            for index, availability in enumerate(availabilities)
-            if availability >= self.availability_target
-        ]
         best = None
-        if feasible:
+        if feasible.any():
             # Maximum savings, then availability; only compositions tied
             # on both need their key built to break the tie.
-            top = max(scores[index] for index in feasible)
+            tied = feasible & (savings == savings[feasible].max())
+            tied &= availability == availability[tied].max()
             best = min(
-                (point(index) for index in feasible if scores[index] == top),
-                key=lambda p: p.key,
+                map(point, np.flatnonzero(tied).tolist()), key=lambda p: p.key
             )
+        front = pareto_indices(savings, availability)
         return FleetOptimizationResult(
             availability_target=self.availability_target,
             step=1.0 / units,
             evaluated=len(allocations),
             best=best,
-            pareto=[point(index) for index in pareto_indices(scores)],
+            pareto=[point(index) for index in front.tolist()],
             singles=singles,
         )

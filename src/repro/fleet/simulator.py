@@ -14,15 +14,23 @@ is consumed without a crash; thinning a Poisson arrival stream by fixed
 probabilities yields *independent* Poissons, and independent Poissons
 superpose, so the chain is sampled at the granularity its outputs need
 (rates: :class:`repro.fleet.layout.OutcomeRates`, the numbers the
-analytic model integrates):
+analytic model integrates). Every reported series is a monthly total
+per design block, so a chunk draws one *row* per block:
 
-* per (server, month): one ``Poisson(crash_rate × mult)`` summed over
-  regions — the per-server 43 200-minute clip must see each server;
-* per (design block, region, month): one Poisson each for corrected,
-  recovered and consumed-uncrashed errors at ``rate × Σ_servers mult``
-  — they only feed fleet-wide monthly totals;
-* per (server, month): shock hits, ``Binomial(events, cohort)`` of one
-  shared monthly event count (``correlated``) or a Poisson of its own.
+* per (block, month): one ``Poisson(crash_rate × Σ_servers mult)``;
+* per (block, region, month): one Poisson each for corrected,
+  recovered and consumed-uncrashed errors at ``rate × Σ_servers mult``;
+* per (block, month): shock hits, ``Binomial(events × servers, cohort)``
+  of one shared monthly event count (``correlated``) or
+  ``Poisson(marginal × servers)``.
+
+Only the per-server 43 200-minute clip needs to see a server. Before
+any draw :func:`clip_ln_bound` bounds, from the configuration alone,
+the probability that *any* server-month of the chunk reaches the clip;
+when that is under 2^-1074 — the smallest positive double, so no
+floating-point statistic of any number of runs can depend on it — the
+chunk draws block rows as above. Otherwise its rows are servers: the
+crash and shock draws take ``(servers, span)`` rates and the clip runs.
 
 Determinism contract: results are **byte-identical** across runs and
 ``workers`` counts for a given seed and code version (not across
@@ -30,22 +38,111 @@ versions — the law is pinned, not the stream:
 ``tests/property/test_prop_fleet_simulator.py``). Months run in fixed
 ``config.month_chunk`` blocks; chunk ``i`` draws only from
 ``derive_seed(seed, "fleet-chunk-i")`` in canonical order and writes a
-disjoint month slice. The ``scalar`` backend is the per-event Python
-reference (same law, one draw per error).
+disjoint month slice. Which rows a chunk draws depends on the
+configuration only, never on a draw; chunks of one run may differ. The
+``scalar`` backend is the per-event Python reference (same law, one
+draw per error).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.availability import MINUTES_PER_MONTH, AvailabilityParams
 from repro.fleet.layout import FleetLayout
 from repro.utils.rng import derive_seed, poisson_variate
 
-__all__ = ["FleetSimulationResult", "FleetSimulator"]
+__all__ = [
+    "FleetChunk",
+    "FleetSimulationResult",
+    "FleetSimulator",
+    "LN_SMALLEST_DOUBLE",
+    "clip_ln_bound",
+]
+
+#: ``ln 2^-1074``, the smallest positive double: an event less likely
+#: than this cannot move any float64 statistic of any number of runs.
+LN_SMALLEST_DOUBLE = -1074 * math.log(2.0)
+
+
+#: Budgets in events are capped here (minutes per event may be
+#: denormal); a smaller count only loosens the bound.
+_COUNT_CAP = float(1 << 53)
+
+
+def _poisson_tail_ln(lam: float, k: int) -> float:
+    """Chernoff bound on ``ln P(Poisson(lam) >= k)`` (0 when vacuous)."""
+    if k <= lam:
+        return 0.0
+    if lam <= 0:
+        return -math.inf
+    return -lam + k - k * math.log(k / lam)
+
+
+def clip_ln_bound(
+    server_months: int,
+    crash_rates: Sequence[float],
+    recovery_minutes: float,
+    shock_rate: float,
+    shock_minutes: float,
+    repair_minutes: float,
+) -> float:
+    """Upper bound on ``ln P(any server-month exceeds the month)``.
+
+    ``crash_rates`` are the blocks' peak crashes per server-month and
+    ``shock_rate`` the marginal hits per server-month (``Poisson`` in
+    both correlation modes: a thinned Poisson). After the repair, the
+    month is split into a shock budget — the fewest hits whose overflow
+    tail is already under the per-term target — and a crash budget, the
+    rest: a server-month exceeds the clip only if it overruns one of
+    them, and the union over two terms and ``server_months`` is at most
+    ``2 × server_months ×`` the largest tail. Raising a rate or a
+    minutes argument never takes a bound that is not under
+    :data:`LN_SMALLEST_DOUBLE` under it.
+    """
+    month = MINUTES_PER_MONTH - repair_minutes
+    if month < 0:
+        return 0.0
+    union = math.log(2 * server_months)
+    hits, shock_tail = 0, -math.inf
+    if shock_rate > 0 and shock_minutes > 0:
+        # The tail is non-increasing in the budget: bisect for the
+        # fewest hits under the target (all that fit, when none is).
+        most = int(min(month // shock_minutes, _COUNT_CAP))
+        while hits < most:
+            middle = (hits + most) // 2
+            if union + _poisson_tail_ln(shock_rate, middle + 1) < (
+                LN_SMALLEST_DOUBLE
+            ):
+                most = middle
+            else:
+                hits = middle + 1
+        shock_tail = _poisson_tail_ln(shock_rate, hits + 1)
+    worst = shock_tail
+    if recovery_minutes > 0:
+        budget = month - hits * shock_minutes
+        crashes = int(min(budget // recovery_minutes, _COUNT_CAP)) + 1
+        for rate in crash_rates:
+            worst = max(worst, _poisson_tail_ln(rate, crashes))
+    return min(0.0, union + worst)
+
+
+class FleetChunk(NamedTuple):
+    """One month chunk and its clip guard (a function of the config)."""
+
+    start: int
+    stop: int
+    #: :func:`clip_ln_bound` over the chunk's server-months.
+    clip_ln_bound: float
+
+    @property
+    def aggregated(self) -> bool:
+        """Whether the chunk draws block rows (the clip cannot bind)."""
+        return self.clip_ln_bound < LN_SMALLEST_DOUBLE
 
 
 @dataclass
@@ -208,6 +305,35 @@ class FleetSimulator:
 
     # -- vectorized backend -------------------------------------------
 
+    @functools.cached_property
+    def chunks(self) -> List[FleetChunk]:
+        """The ``config.month_chunk`` blocks of the horizon, guarded."""
+        layout = self.layout
+        config = layout.config
+        correlation = config.correlation
+        found = []
+        for start in range(0, config.months, config.month_chunk):
+            stop = min(start + config.month_chunk, config.months)
+            peak = layout.block_months(start, stop)[2]
+            found.append(
+                FleetChunk(
+                    start,
+                    stop,
+                    clip_ln_bound(
+                        server_months=layout.servers * (stop - start),
+                        crash_rates=[
+                            block.outcomes.crash_rate * float(multiplier)
+                            for block, multiplier in zip(layout.blocks, peak)
+                        ],
+                        recovery_minutes=self.params.crash_recovery_minutes,
+                        shock_rate=correlation.shock_marginal_rate,
+                        shock_minutes=correlation.shock_downtime_minutes,
+                        repair_minutes=config.repair_downtime_minutes,
+                    ),
+                )
+            )
+        return found
+
     def simulate(
         self, seed: int = 0, workers: int = 1, backend: str = "vectorized"
     ) -> FleetSimulationResult:
@@ -225,50 +351,57 @@ class FleetSimulator:
             )
         import numpy as np
 
-        config = self.layout.config
-        months = config.months
-        chunk = config.month_chunk
-        starts = list(range(0, months, chunk))
-        outputs = [None] * len(starts)
+        chunks = self.chunks
+        outputs = [None] * len(chunks)
 
         def run_chunk(index: int):
-            start = starts[index]
-            stop = min(start + chunk, months)
             outputs[index] = self._simulate_chunk(
-                np, seed, index, start, stop
+                np, seed, index, chunks[index]
             )
 
-        if workers == 1 or len(starts) == 1:
-            for index in range(len(starts)):
+        if workers == 1 or len(chunks) == 1:
+            for index in range(len(chunks)):
                 run_chunk(index)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_chunk, range(len(starts))))
+                list(pool.map(run_chunk, range(len(chunks))))
         return self._merge(outputs, seed, workers)
 
-    def _simulate_chunk(self, np, seed: int, index: int, start: int, stop: int):
-        """One deterministic month chunk; draws in canonical order."""
+    def _simulate_chunk(self, np, seed: int, index: int, chunk: FleetChunk):
+        """One deterministic month chunk; draws in canonical order.
+
+        Every array is ``(rows, span)``. An aggregated chunk has one row
+        per block, standing for ``weight`` servers; otherwise a row is a
+        server and the per-server clip runs.
+        """
         layout = self.layout
         config = layout.config
+        start, stop = chunk.start, chunk.stop
         span = stop - start
         servers = layout.servers
         rng = np.random.Generator(
             np.random.PCG64(derive_seed(seed, f"fleet-chunk-{index}"))
         )
-        ages = layout.ages(start, stop)
-        mult = layout.multipliers(start, stop, ages)  # (servers, span)
-        crashed = np.empty((servers, span), dtype=np.int64)
+        if chunk.aggregated:
+            mult, repairs, _ = layout.block_months(start, stop)
+            weight = np.array([[block.servers] for block in layout.blocks])
+            rows = [slice(row, row + 1) for row in range(len(layout.blocks))]
+        else:
+            ages = layout.ages(start, stop)
+            mult = layout.multipliers(start, stop, ages)
+            repairs = layout.repairs(start, stop, ages)
+            weight = 1
+            rows = [slice(block.start, block.stop) for block in layout.blocks]
+        crashed = np.empty(mult.shape, dtype=np.int64)
         errors = np.zeros(span, dtype=np.int64)
         recoveries = np.zeros(span, dtype=np.int64)
         incorrect = np.zeros(span, dtype=np.float64)
-        for block in layout.blocks:
+        for block, block_rows in zip(layout.blocks, rows):
             rates = block.outcomes
-            block_mult = mult[block.start:block.stop, :]
+            block_mult = mult[block_rows, :]
             # Crashes, superposed over regions: the only outcome whose
             # downtime the per-server clip has to see.
-            crashed[block.start:block.stop, :] = rng.poisson(
-                rates.crash_rate * block_mult
-            )
+            crashed[block_rows, :] = rng.poisson(rates.crash_rate * block_mult)
             # The rest is reported per month only: superposed over the
             # block's servers, one draw per (outcome, region, month).
             corrected, recovered, uncrashed = rng.poisson(
@@ -289,24 +422,27 @@ class FleetSimulator:
         shock_hits = np.zeros(span, dtype=np.int64)
         if correlation.shock_rate_per_month > 0:
             if correlation.mode == "correlated":
+                # One event count a month, shared by every row: given
+                # it, servers are hit independently, so a block's hits
+                # are one binomial over events x servers.
                 events = rng.poisson(
                     lam=correlation.shock_rate_per_month, size=span
                 )
                 hits = rng.binomial(
-                    np.broadcast_to(events[None, :], (servers, span)),
+                    np.broadcast_to(events * weight, mult.shape),
                     correlation.shock_cohort_fraction,
                 )
             else:
                 hits = rng.poisson(
-                    lam=correlation.shock_marginal_rate,
-                    size=(servers, span),
+                    lam=correlation.shock_marginal_rate * weight,
+                    size=mult.shape,
                 )
             downtime += hits * correlation.shock_downtime_minutes
             shock_hits = hits.sum(axis=0)
-        repairs_mask = layout.repairs(start, stop, ages)
         if config.repair_downtime_minutes > 0:
-            downtime += repairs_mask * config.repair_downtime_minutes
-        np.clip(downtime, 0.0, MINUTES_PER_MONTH, out=downtime)
+            downtime += repairs * config.repair_downtime_minutes
+        if not chunk.aggregated:
+            np.clip(downtime, 0.0, MINUTES_PER_MONTH, out=downtime)
         downtime_by_month = downtime.sum(axis=0)
         capacity = servers - downtime_by_month / MINUTES_PER_MONTH
         demand = config.demand_fraction * servers
@@ -319,19 +455,19 @@ class FleetSimulator:
             "recoveries": recoveries,
             "incorrect": incorrect,
             "shock_hits": shock_hits,
-            "repairs": repairs_mask.sum(axis=0).astype(np.int64),
+            "repairs": repairs.sum(axis=0).astype(np.int64),
             "downtime": downtime_by_month,
             "capacity": capacity,
             "availability": availability,
-            # Per design from the clipped array, so the design totals
-            # and the month totals are sums of the same minutes.
+            # Per design from the same (clipped) rows, so the design
+            # totals and the month totals are sums of the same minutes.
             "design_downtime": {
-                block.name: float(downtime[block.start:block.stop, :].sum())
-                for block in layout.blocks
+                block.name: float(downtime[block_rows, :].sum())
+                for block, block_rows in zip(layout.blocks, rows)
             },
             "design_crashes": {
-                block.name: int(crashed[block.start:block.stop, :].sum())
-                for block in layout.blocks
+                block.name: int(crashed[block_rows, :].sum())
+                for block, block_rows in zip(layout.blocks, rows)
             },
         }
 

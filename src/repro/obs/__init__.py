@@ -79,6 +79,7 @@ from repro.obs.progress import (
 )
 from repro.obs.report import (
     TraceSummary,
+    render_fleet_draw_path,
     render_run_summary,
     render_serve_report,
     render_trace_report,
@@ -147,6 +148,7 @@ __all__ = [
     "WorkerTiming",
     "emit_progress",
     "TraceSummary",
+    "render_fleet_draw_path",
     "render_run_summary",
     "render_serve_report",
     "render_trace_report",

@@ -23,6 +23,7 @@ from repro.obs.events import (
     POINT_PROGRESS,
     SPAN_CAMPAIGN,
     SPAN_CELL,
+    SPAN_FLEET,
     SPAN_INJECTION,
     SPAN_TRIAL,
     TraceEvent,
@@ -35,6 +36,7 @@ __all__ = [
     "TraceSummary",
     "summarize_trace",
     "render_trace_report",
+    "render_fleet_draw_path",
     "render_run_summary",
     "render_serve_report",
 ]
@@ -97,6 +99,9 @@ class TraceSummary:
     #: Pruned backend: how the queries of executed trials were served
     #: (fused / live / blocked / ...), summed over the cell spans.
     query_decisions: Dict[str, int] = field(default_factory=dict)
+    #: Attributes of every ``fleet`` simulate span: which rows its chunks
+    #: drew (block totals or servers) and the clip guard behind it.
+    fleet_simulations: List[Dict[str, object]] = field(default_factory=list)
 
     @property
     def mean_injection_seconds(self) -> float:
@@ -133,6 +138,14 @@ def summarize_trace(events: List[TraceEvent]) -> TraceSummary:
         elif event.kind == KIND_SPAN and event.name == SPAN_CAMPAIGN:
             summary.app = str(event.attrs.get("app", summary.app))
             summary.campaign_seconds = event.duration_seconds
+        elif (
+            event.kind == KIND_SPAN
+            and event.name == SPAN_FLEET
+            and "aggregated_chunks" in event.attrs
+        ):
+            summary.fleet_simulations.append(
+                dict(event.attrs, seconds=event.duration_seconds)
+            )
         elif event.name == POINT_PROGRESS:
             pid = int(event.attrs.get("worker_pid", event.pid))
             summary.worker_busy_seconds[pid] = summary.worker_busy_seconds.get(
@@ -176,6 +189,14 @@ def render_trace_report(summary: TraceSummary) -> str:
         lines.append("queries of executed trials (pruned backend):")
         for decision, count in summary.query_decisions.items():
             lines.append(f"  {decision:<24} {count}")
+    if summary.fleet_simulations:
+        lines.append("")
+        lines.append("fleet simulations (chunks by draw path):")
+        for run in summary.fleet_simulations:
+            lines.append(
+                f"  {run['servers']} servers x {run['months']} months "
+                f"({run['backend']}): {render_fleet_draw_path(run)}"
+            )
     if summary.worker_busy_seconds:
         lines.append("")
         lines.append("worker busy time:")
@@ -184,6 +205,17 @@ def render_trace_report(summary: TraceSummary) -> str:
                 f"  worker {pid}: {summary.worker_busy_seconds[pid]:.2f}s"
             )
     return "\n".join(lines)
+
+
+def render_fleet_draw_path(attrs) -> str:
+    """Which rows a fleet simulation's chunks drew and the clip guard
+    behind it, from the attributes of its ``fleet`` simulate span."""
+    bound = attrs["clip_log10_bound"]
+    return (
+        f"{attrs['aggregated_chunks']} aggregated + "
+        f"{attrs['per_server_chunks']} per-server chunks, P(clip binds) <= "
+        + ("0" if bound is None else f"10^{bound:.1f}")
+    )
 
 
 def render_serve_report(replay) -> str:

@@ -9,6 +9,7 @@ cannot vary.
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,8 @@ from repro.explore import (
     explore,
     pareto_indices,
 )
+from repro.fleet import FleetConfig, FleetDesign
+from repro.fleet.optimizer import CompositionMetrics, FleetOptimizer
 
 #: A wider policy pool than DEFAULT_CANDIDATES so draws exercise every
 #: technique family (including the ones only the benchmark grid uses).
@@ -288,37 +291,159 @@ class TestAutoMatchesEveryNamedBackend:
         assert len(ranking) == min(top_k, results["scalar"].feasible_count)
 
 
-class TestParetoSweep:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        points=st.lists(
-            st.tuples(
-                st.floats(
-                    min_value=-1.0, max_value=1.0, allow_nan=False
-                ),
-                st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-            ),
-            max_size=40,
-        )
+def quadratic_front(points):
+    """The O(n^2) dominance scan the sweep replaced, output order
+    (savings descending, index ascending) included: the oracle."""
+    front = []
+    for i, (savings_a, avail_a) in enumerate(points):
+        dominated = False
+        for j, (savings_b, avail_b) in enumerate(points):
+            if i == j:
+                continue
+            if (
+                savings_b >= savings_a
+                and avail_b >= avail_a
+                and (savings_b > savings_a or avail_b > avail_a)
+            ):
+                dominated = True
+                break
+        if not dominated:
+            front.append(i)
+    front.sort(key=lambda idx: (-points[idx][0], idx))
+    return front
+
+
+#: Coordinates from a short menu next to free floats: tied savings,
+#: tied availabilities and exact duplicates in most draws.
+def coordinates(low, high, menu):
+    return st.one_of(
+        st.sampled_from(menu),
+        st.floats(min_value=low, max_value=high, allow_nan=False),
     )
+
+
+POINTS = st.lists(
+    st.tuples(
+        coordinates(-1.0, 1.0, [-0.0, 0.0, 0.25, 0.5]),
+        coordinates(0.0, 1.0, [0.0, 0.9, 0.999, 1.0]),
+    ),
+    max_size=40,
+)
+
+
+class ScoredGrid:
+    """A ``CompositionGrid`` stand-in that scores row ``i`` of a
+    two-design simplex as the ``i``-th given point."""
+
+    def __init__(self, points, servers=1000):
+        self.designs = [
+            FleetDesign(name=name, policies={"heap": DEFAULT_CANDIDATES[0]})
+            for name in ("A", "B")
+        ]
+        self.config = FleetConfig(servers=servers)
+        self.points = points
+
+    def evaluate(self, counts):
+        assert len(counts) == len(self.points)
+        savings, availability = zip(*self.points)
+        return (np.array(availability), np.array(savings))
+
+
+class TestParetoSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(points=POINTS)
     def test_matches_quadratic_front(self, points):
-        front = []
-        for i, (savings_a, avail_a) in enumerate(points):
-            dominated = False
-            for j, (savings_b, avail_b) in enumerate(points):
-                if i == j:
-                    continue
-                if (
-                    savings_b >= savings_a
-                    and avail_b >= avail_a
-                    and (savings_b > savings_a or avail_b > avail_a)
-                ):
-                    dominated = True
-                    break
-            if not dominated:
-                front.append(i)
-        front.sort(key=lambda idx: (-points[idx][0], idx))
-        assert pareto_indices(points) == front
+        front = pareto_indices(
+            [savings for savings, _ in points],
+            [availability for _, availability in points],
+        )
+        assert front.tolist() == quadratic_front(points)
+
+    @settings(max_examples=30, deadline=None)
+    @given(space=search_spaces(max_candidates=3, unique=False))
+    def test_mapping_optimizer_fronts_match_quadratic(self, space):
+        """``MappingOptimizer.pareto_front`` on both backends — the
+        scalar list and ``pareto_ids`` — over duplicated candidates."""
+        prof, candidates, fractions = space
+        regions = sorted(prof.region_sizes)
+        fronts = {
+            backend: MappingOptimizer(
+                DesignEvaluator(prof),
+                candidates=candidates,
+                recoverable_fractions=fractions,
+                backend=backend,
+            ).pareto_front(regions)
+            for backend in ("scalar", "vectorized")
+        }
+        optimizer = MappingOptimizer(
+            DesignEvaluator(prof),
+            candidates=candidates,
+            recoverable_fractions=fractions,
+        )
+        metrics = [
+            scalar_metrics(optimizer, regions, digits)
+            for digits in itertools.product(
+                range(len(candidates)), repeat=len(regions)
+            )
+        ]
+        expected = [
+            metrics[i]
+            for i in quadratic_front(
+                [(m.server_cost_savings, m.availability) for m in metrics]
+            )
+        ]
+        for front in fronts.values():
+            assert [
+                (m.design.name, m.server_cost_savings, m.availability)
+                for m in front
+            ] == [
+                (m.design.name, m.server_cost_savings, m.availability)
+                for m in expected
+            ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=POINTS.filter(lambda points: len(points) >= 2),
+        target=st.sampled_from([0.5, 0.9, 0.999, 1.0]),
+    )
+    def test_fleet_search_front_and_winner_match_reference(
+        self, points, target
+    ):
+        """``FleetOptimizer.search`` on a scored simplex: the front in
+        oracle order, and the winner by the list form of the tie-break
+        (savings, availability, then key)."""
+        units = len(points) - 1
+        result = FleetOptimizer(
+            ScoredGrid(points), availability_target=target
+        ).search(step=1.0 / units)
+        assert result.evaluated == len(points)
+
+        def row(point):
+            return round(point.fractions["A"] * units)
+
+        assert [row(p) for p in result.pareto] == quadratic_front(points)
+        for p in result.pareto:
+            assert (p.cost_savings, p.fleet_availability) == points[row(p)]
+        keys = {}
+        for index in range(len(points)):
+            fractions = {"A": index / units, "B": (units - index) / units}
+            keys[index] = CompositionMetrics(
+                fractions=fractions,
+                counts={},
+                fleet_availability=0.0,
+                cost_savings=0.0,
+                feasible=False,
+                key_decimals=max(2, len(str(units - 1))),
+            ).key
+        feasible = [i for i, (_, avail) in enumerate(points) if avail >= target]
+        if not feasible:
+            assert result.best is None
+            return
+        winner = min(
+            feasible, key=lambda i: (-points[i][0], -points[i][1], keys[i])
+        )
+        assert row(result.best) == winner
+        assert result.best.feasible
 
 
 class TestExhaustiveEnumerationOrder:

@@ -7,6 +7,12 @@ evaluator and its ``math.erf`` / ``math.exp`` month loop used to live in
 ``repro.fleet.analytic``; they are kept here, verbatim, as the oracle.
 The arithmetic did not change — same operations, same order — so the
 contract is equality of ``float.hex()``, not a tolerance.
+
+Two later replacements are pinned the same way, their old forms frozen
+here: the kernel that ran ``erf`` / ``exp`` on *every* cell (it now
+runs them only within 39 standard deviations of the headroom, where
+they can change the result) and the recursive stars-and-bars generator
+(now one array, same rows in the same order).
 """
 
 import dataclasses
@@ -32,7 +38,10 @@ from repro.fleet import (  # noqa: E402
     apportion_servers,
     optimize_fleet,
 )
-from repro.fleet.analytic import CompositionGrid  # noqa: E402
+from repro.fleet.analytic import (  # noqa: E402
+    CompositionGrid,
+    _routed_availability,
+)
 from repro.fleet.config import apportion_rows  # noqa: E402
 from repro.fleet.optimizer import (  # noqa: E402
     CompositionMetrics,
@@ -149,13 +158,28 @@ def reference_apportion(servers, fractions):
     return counts
 
 
+def reference_unit_allocations(designs, units):
+    """The recursive stars-and-bars generator the array form replaced
+    (``repro.fleet.optimizer._unit_allocations`` as of commit 8c277a3)."""
+    if designs == 1:
+        yield (units,)
+        return
+    for first in range(units + 1):
+        for rest in reference_unit_allocations(designs - 1, units - first):
+            yield (first,) + rest
+
+
 def reference_search(grid, availability_target, step):
     """The old ``FleetOptimizer.search``: every point built and scored
-    one at a time, winner and singles picked from the full list."""
+    one at a time, winner and singles picked from the full list. One
+    line differs from that source: ``singles`` took its names from
+    ``key.split(":")[0]`` over every point unmixed *by count*, which
+    filed a rounded-to-one-design fleet under the first fraction in its
+    key; a single is the point that gives one design every unit."""
     units = max(1, round(1.0 / step))
     names = [design.name for design in grid.designs]
     points = []
-    for allocation in _unit_allocations(len(names), units):
+    for allocation in reference_unit_allocations(len(names), units):
         fractions = {name: allocation[d] / units for d, name in enumerate(names)}
         counts = reference_apportion(grid.config.servers, fractions)
         availability, savings = reference_evaluate(
@@ -177,14 +201,22 @@ def reference_search(grid, availability_target, step):
             feasible,
             key=lambda p: (-p.cost_savings, -p.fleet_availability, p.key),
         )
-    front = pareto_indices([(p.cost_savings, p.fleet_availability) for p in points])
+    front = pareto_indices(
+        [p.cost_savings for p in points],
+        [p.fleet_availability for p in points],
+    ).tolist()
     return FleetOptimizationResult(
         availability_target=availability_target,
         step=1.0 / units,
         evaluated=len(points),
         best=best,
         pareto=[points[i] for i in front],
-        singles={p.key.split(":")[0]: p for p in points if not p.mixed},
+        singles={
+            name: p
+            for p in points
+            for name, fraction in p.fractions.items()
+            if fraction == 1.0
+        },
     )
 
 
@@ -356,6 +388,130 @@ class TestBatchedKernelMatchesScalarLoop:
         assert hexes(whole[0]) == hexes(blocked[0])
         assert hexes(whole[1]) == hexes(blocked[1])
         assert hexes(whole[0]) == hexes(reference_evaluate(grid, row)[0] for row in rows)
+
+
+# ----------------------------------------------------------------------
+# The kernel that ran erf / exp on every cell (the parent's source)
+# ----------------------------------------------------------------------
+def reference_per_element(function, values):
+    return np.fromiter(
+        map(function, values.ravel().tolist()),
+        dtype=np.float64,
+        count=values.size,
+    ).reshape(values.shape)
+
+
+def reference_kernel(mean_downtime, var_downtime, servers, demand_fraction):
+    """``repro.fleet.analytic._routed_availability`` as of commit
+    8c277a3, verbatim: ``erf`` and ``exp`` on every element."""
+    demand_minutes = demand_fraction * servers * MINUTES_PER_MONTH
+    headroom_minutes = (1.0 - demand_fraction) * servers * MINUTES_PER_MONTH
+    excess = mean_downtime - headroom_minutes
+    std = np.sqrt(np.maximum(0.0, var_downtime))
+    spread = std > 0.0
+    t = np.divide(excess, std, out=np.zeros_like(std), where=spread)
+    cdf = 0.5 * (1.0 + reference_per_element(math.erf, t / math.sqrt(2.0)))
+    pdf = reference_per_element(math.exp, -0.5 * t * t) / math.sqrt(
+        2.0 * math.pi
+    )
+    shortfall = np.where(
+        spread, excess * cdf + std * pdf, np.maximum(0.0, excess)
+    )
+    return 1.0 - shortfall / demand_minutes
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+        got[got.view(np.int64) != want.view(np.int64)],
+        want[got.view(np.int64) != want.view(np.int64)],
+    )
+
+
+#: Standardized distances worth hitting on purpose: the reach itself,
+#: its neighbours on both sides, the band where the pdf is denormal
+#: (``exp(-t²/2)`` between 38 and 39), where it first underflows, zero.
+EDGES = [
+    edge
+    for t in (39.0, 38.0, 38.25, 38.5, 38.75, 38.999, 38.6, 38.7, 8.3, 5.93)
+    for edge in (t, np.nextafter(t, 40.0), np.nextafter(t, 0.0))
+] + [0.0, 60.0, 1e6]
+EDGES = EDGES + [-t for t in EDGES]
+
+
+class TestKernelOnlyNearItsThreshold:
+    @pytest.mark.parametrize("var", [1.0, 4.0, 0.0])
+    def test_exact_edges(self, var):
+        """No headroom (``demand_fraction`` 1.0) and a power-of-two
+        ``std``: ``t`` is the mean over ``std`` exactly, so every edge
+        lands on the cell it names. ``var`` 0.0 is the degenerate
+        branch over the same means."""
+        std = math.sqrt(var) or 1.0
+        mean = np.array(EDGES, dtype=np.float64) * std
+        variance = np.full_like(mean, var)
+        want = reference_kernel(mean, variance, 3, 1.0)
+        assert_same_bits(_routed_availability(mean, variance, 3, 1.0), want)
+        grid = (mean.reshape(2, -1), variance.reshape(2, -1))
+        assert_same_bits(
+            _routed_availability(*grid, 3, 1.0), want.reshape(2, -1)
+        )
+        if var:
+            # The edges straddle the reach: cells on both sides of it,
+            # denormal pdfs among the near ones.
+            t = mean / std
+            pdf = reference_per_element(math.exp, -0.5 * t * t)
+            assert (np.abs(t) >= 39.0).sum() >= 8
+            assert ((pdf > 0.0) & (pdf < 2.3e-308)).sum() >= 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        servers=st.integers(1, 5000),
+        demand_fraction=st.one_of(
+            st.floats(0.5, 1.0), st.sampled_from([0.985, 1.0])
+        ),
+        cells=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(EDGES), st.floats(-60.0, 60.0)),
+                st.one_of(st.just(0.0), st.floats(1e-3, 1e7)),
+            ),
+            min_size=1,
+            max_size=48,
+        ),
+        rows=st.sampled_from([1, 2, 3, 4]),
+    )
+    def test_random_moments(self, servers, demand_fraction, cells, rows):
+        """Moments placed ``t`` standard deviations from the headroom,
+        ``std == 0`` cells among them, as ``(months,)`` and as
+        ``(rows, months)``."""
+        cells = cells * rows
+        t = np.array([cell[0] for cell in cells])
+        std = np.array([cell[1] for cell in cells])
+        headroom = (1.0 - demand_fraction) * servers * MINUTES_PER_MONTH
+        mean = headroom + t * std
+        variance = std * std
+        want = reference_kernel(mean, variance, servers, demand_fraction)
+        got = _routed_availability(mean, variance, servers, demand_fraction)
+        assert_same_bits(got, want)
+        assert_same_bits(
+            _routed_availability(
+                mean.reshape(rows, -1),
+                variance.reshape(rows, -1),
+                servers,
+                demand_fraction,
+            ),
+            want.reshape(rows, -1),
+        )
+
+
+class TestArrayStarsAndBars:
+    @pytest.mark.parametrize("designs", range(1, 7))
+    def test_rows_match_the_recursive_generator(self, designs):
+        for units in range(1, 21):
+            got = _unit_allocations(designs, units)
+            assert got.dtype == np.int64
+            assert got.tolist() == [
+                list(row) for row in reference_unit_allocations(designs, units)
+            ], (designs, units)
 
 
 class TestBatchedApportionment:

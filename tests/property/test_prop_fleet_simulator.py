@@ -2,23 +2,31 @@
 
 ``FleetSimulator._simulate_chunk`` used to sample the un-thinned chain:
 ``Poisson`` arrivals plus two ``Binomial`` thinnings per (server, region,
-month). It now draws the thinned, superposed Poissons directly — one
-crash draw per server-month, one draw per (block, region, month) for
-each outcome that only feeds a monthly total. Same joint law, different
-random stream, so "same bytes as the parent" cannot be the contract.
-This file is what replaces it:
+month). It now draws the thinned, superposed Poissons directly, and —
+when :func:`repro.fleet.simulator.clip_ln_bound` proves from the
+configuration that no server-month can reach the 43 200-minute clip —
+superposed over each design block as well: one crash draw and one shock
+draw per (block, month). Same joint law of every reported series,
+different random stream, so "same bytes as the parent" cannot be the
+contract. This file is what replaces it:
 
 * the old chain is kept here, verbatim, as the oracle, and every
-  per-month series is two-sample-tested against it over fixed seeds;
+  per-month series is two-sample-tested against it over fixed seeds, on
+  configurations that take the block-row path and on ones that take the
+  per-server path (each test asserts which one ran);
 * downtime variance is held to the closed form in both correlation
   modes, the ``N^2 q^2 lam`` term included;
-* runs are byte-identical across repeats and ``workers`` counts;
+* the guard is sound (it bounds the exact Poisson tail), monotone, and
+  never divides by a zero rate or a zero recovery time;
+* runs are byte-identical across repeats and ``workers`` counts, also
+  when the chunks of one run take different paths;
 * the accounting identities hold for every month and seed.
 
 All seeds are fixed; nothing here is flaky by construction.
 """
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +51,11 @@ from repro.fleet import (  # noqa: E402
     analyze_fleet,
     apportion_servers,
     simulate_fleet,
+)
+from repro.fleet.simulator import (  # noqa: E402
+    LN_SMALLEST_DOUBLE,
+    _poisson_tail_ln,
+    clip_ln_bound,
 )
 from repro.utils.rng import derive_seed  # noqa: E402
 
@@ -123,6 +136,25 @@ CLIPPED = FleetConfig(
         shock_downtime_minutes=1.5 * MINUTES_PER_MONTH,
     ),
 )
+
+
+#: Peak crash rates near 2 500 a server-month (58 % of the month down):
+#: the clip never binds in practice, but no bound under 2^-1074 says so.
+HEAVY = ErrorRateModel(errors_per_server_month=14600.0)
+#: One server per design, so a chunk sees a block's infant-mortality
+#: peak only if that server is refurbished in it: under :data:`HEAVY`
+#: the middle chunk alone fails the guard.
+MIXED_PATHS = FleetConfig(
+    servers=5, months=48, month_chunk=16, aging=AgingConfig()
+)
+
+
+def paths(simulator):
+    """Which rows each chunk of ``simulator`` draws."""
+    return [
+        "aggregated" if chunk.aggregated else "per-server"
+        for chunk in simulator.chunks
+    ]
 
 
 def build_simulator(config, error_model=None):
@@ -351,10 +383,17 @@ ORACLE_SEEDS = range(5000, 5120)
 
 class TestAgainstTheUnthinnedChain:
     @pytest.mark.parametrize(
-        "config", [WEAR, PLAIN], ids=["wear-shocks-bad-batch", "plain"]
+        "config, error_model, path",
+        [
+            (WEAR, None, "aggregated"),
+            (PLAIN, None, "aggregated"),
+            (WEAR, HEAVY, "per-server"),
+        ],
+        ids=["wear-shocks-bad-batch", "plain", "wear-heavy-per-server"],
     )
-    def test_every_series_has_the_same_law(self, config):
-        simulator = build_simulator(config)
+    def test_every_series_has_the_same_law(self, config, error_model, path):
+        simulator = build_simulator(config, error_model)
+        assert set(paths(simulator)) == {path}
         ours = collect(simulated_series, simulator, SEEDS)
         oracle = collect(reference_series, simulator, ORACLE_SEEDS)
         if config is WEAR:
@@ -370,8 +409,10 @@ class TestAgainstTheUnthinnedChain:
         hit server's downtime, and it is applied per server — a fleet
         total of crash minutes would not do."""
         simulator = build_simulator(CLIPPED)
+        assert set(paths(simulator)) == {"per-server"}
         ours = collect(simulated_series, simulator, SEEDS)
         oracle = collect(reference_series, simulator, ORACLE_SEEDS)
+        assert (ours["downtime"] <= CLIPPED.servers * MINUTES_PER_MONTH).all()
         unclipped = (
             ours["shock_hits"]
             * CLIPPED.correlation.shock_downtime_minutes
@@ -405,6 +446,7 @@ class TestAgainstTheUnthinnedChain:
 
     def test_design_crashes_have_the_same_means(self):
         simulator = build_simulator(WEAR)
+        assert set(paths(simulator)) == {"aggregated"}
         ours = np.array([
             list(simulator.simulate(seed=seed).crashes_by_design.values())
             for seed in SEEDS
@@ -439,6 +481,9 @@ class TestDowntimeVarianceMatchesClosedForm:
         config = FleetConfig(
             servers=200, months=24, month_chunk=16, correlation=correlation
         )
+        # Block rows: five blocks share one event count a month, which
+        # is where the quadratic term has to come from.
+        assert paths(build_simulator(config)) == ["aggregated"] * 2
         downtime = np.array([
             simulate_fleet(
                 PROFILE, designs=DESIGNS, config=config, seed=seed
@@ -482,12 +527,32 @@ class TestDowntimeVarianceMatchesClosedForm:
 class TestByteIdenticalAcrossRunsAndWorkers:
     def test_wear_config_with_several_chunks(self):
         assert WEAR.months > 2 * WEAR.month_chunk
+        self.check_several_chunks(WEAR, None, ["aggregated"] * 3)
+
+    @pytest.mark.parametrize(
+        "config, error_model, expected_paths",
+        [
+            (CLIPPED, None, ["per-server"] * 2),
+            (MIXED_PATHS, HEAVY, ["aggregated", "per-server", "aggregated"]),
+        ],
+        ids=["per-server", "mixed-paths"],
+    )
+    def test_per_server_and_mixed_path_chunks(
+        self, config, error_model, expected_paths
+    ):
+        self.check_several_chunks(config, error_model, expected_paths)
+
+    @staticmethod
+    def check_several_chunks(config, error_model, expected_paths):
+        assert config.months > config.month_chunk
+        assert paths(build_simulator(config, error_model)) == expected_paths
         runs = [
             dataclasses.asdict(
                 simulate_fleet(
                     PROFILE,
                     designs=DESIGNS,
-                    config=WEAR,
+                    config=config,
+                    error_model=error_model,
                     seed=2014,
                     workers=workers,
                 )
@@ -496,7 +561,169 @@ class TestByteIdenticalAcrossRunsAndWorkers:
         ]
         assert [run.pop("workers") for run in runs] == [1, 1, 4]
         assert runs[0] == runs[1] == runs[2]
-        assert sum(runs[0]["shock_hits_by_month"]) > 0
+        assert sum(runs[0]["crashes_by_month"]) > 0
+        if config.correlation.shock_rate_per_month:
+            assert sum(runs[0]["shock_hits_by_month"]) > 0
+        # Design totals and month totals are sums of the same rows.
+        assert sum(runs[0]["downtime_by_design"].values()) == pytest.approx(
+            sum(runs[0]["downtime_by_month"]), rel=1e-12
+        )
+        assert sum(runs[0]["crashes_by_design"].values()) == sum(
+            runs[0]["crashes_by_month"]
+        )
+
+
+# ----------------------------------------------------------------------
+# The clip guard: sound, monotone, a function of the configuration
+# ----------------------------------------------------------------------
+def exact_poisson_tail_ln(lam, k):
+    """``ln P(Poisson(lam) >= k)`` by log-sum-exp of the pmf from ``k``
+    until the terms stop mattering (they fall geometrically past
+    ``lam``)."""
+    terms = []
+    for n in range(k, k + 2000):
+        terms.append(-lam + n * math.log(lam) - math.lgamma(n + 1))
+        if n > lam and terms[-1] < terms[0] - 60.0:
+            break
+    top = max(terms)
+    return top + math.log(sum(math.exp(term - top) for term in terms))
+
+
+#: Arguments of :func:`clip_ln_bound` around the ``plan_fleet`` fleet's.
+GUARD = dict(
+    server_months=960_000,
+    crash_rates=[0.0, 205.0, 123.0, 1029.0, 443.0],
+    recovery_minutes=10.0,
+    shock_rate=0.1,
+    shock_minutes=30.0,
+    repair_minutes=30.0,
+)
+
+
+def aggregated(**overrides):
+    return clip_ln_bound(**{**GUARD, **overrides}) < LN_SMALLEST_DOUBLE
+
+
+class TestClipGuard:
+    @settings(max_examples=200, deadline=None)
+    @given(lam=st.floats(0.01, 5000.0), ratio=st.floats(1.001, 50.0))
+    def test_chernoff_bounds_the_exact_tail(self, lam, ratio):
+        k = int(lam * ratio) + 1
+        assert _poisson_tail_ln(lam, k) >= exact_poisson_tail_ln(lam, k)
+        assert _poisson_tail_ln(lam, k) < 0.0
+        # Vacuous at or under the mean, impossible without arrivals.
+        assert _poisson_tail_ln(lam, int(lam)) == 0.0
+        assert _poisson_tail_ln(0.0, 1) == -math.inf
+        assert _poisson_tail_ln(0.0, 0) == 0.0
+
+    def test_plan_fleet_numbers(self):
+        """The shock budget is the fewest hits whose overflow tail is
+        under the per-term target; the crash budget is the rest of the
+        month after the repair."""
+        target = LN_SMALLEST_DOUBLE - math.log(2 * GUARD["server_months"])
+        hits = next(
+            h for h in range(1000) if _poisson_tail_ln(0.1, h + 1) < target
+        )
+        budget = MINUTES_PER_MONTH - 30.0 - hits * 30.0
+        crashes = int(budget // 10.0) + 1
+        expected = math.log(2 * GUARD["server_months"]) + max(
+            _poisson_tail_ln(0.1, hits + 1),
+            _poisson_tail_ln(1029.0, crashes),
+        )
+        assert clip_ln_bound(**GUARD) == pytest.approx(expected)
+        assert expected < LN_SMALLEST_DOUBLE
+        assert _poisson_tail_ln(1029.0, crashes) < -2000.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        crash_rates=st.lists(st.floats(0.0, 6000.0), min_size=1, max_size=5),
+        recovery_minutes=st.floats(0.0, 600.0),
+        shock_rate=st.floats(0.0, 20.0),
+        shock_minutes=st.floats(0.0, 50000.0),
+        repair_minutes=st.floats(0.0, 50000.0),
+        server_months=st.integers(1, 10**7),
+        which=st.sampled_from(
+            ["crash_rates", "recovery_minutes", "shock_rate",
+             "shock_minutes", "repair_minutes", "server_months"]
+        ),
+        factor=st.floats(1.0, 10.0),
+    )
+    def test_raising_anything_never_flips_to_aggregated(
+        self, which, factor, **base
+    ):
+        raised = dict(base)
+        if which == "crash_rates":
+            raised[which] = [rate * factor for rate in base[which]]
+        elif which == "server_months":
+            raised[which] = int(base[which] * factor)
+        else:
+            raised[which] = base[which] * factor
+        bound = clip_ln_bound(**base)
+        assert bound <= 0.0
+        if bound >= LN_SMALLEST_DOUBLE:
+            assert clip_ln_bound(**raised) >= LN_SMALLEST_DOUBLE
+
+    def test_either_side_of_the_bound(self):
+        """Bisect the worst block's rate for the flip: just under it
+        the chunk aggregates, just over it does not, and at the flip
+        the crash tail is the per-term target."""
+        low, high = 1029.0, 4320.0
+        assert aggregated() and not aggregated(
+            crash_rates=GUARD["crash_rates"][:3] + [high]
+        )
+        for _ in range(60):
+            middle = (low + high) / 2.0
+            rates = GUARD["crash_rates"][:3] + [middle]
+            if aggregated(crash_rates=rates):
+                low = middle
+            else:
+                high = middle
+        assert 1800.0 < low < 2200.0
+        bound = clip_ln_bound(**{**GUARD, "crash_rates": [high]})
+        assert bound == pytest.approx(LN_SMALLEST_DOUBLE, abs=1e-6)
+
+    def test_simulator_picks_the_path_the_bound_names(self):
+        """Through a layout: the same fleet under two error volumes."""
+        for errors, expected in (
+            (32000.0, "aggregated"),
+            (34000.0, "per-server"),
+        ):
+            simulator = build_simulator(
+                PLAIN, ErrorRateModel(errors_per_server_month=errors)
+            )
+            assert set(paths(simulator)) == {expected}, errors
+            for chunk in simulator.chunks:
+                assert chunk.aggregated == (
+                    chunk.clip_ln_bound < LN_SMALLEST_DOUBLE
+                )
+
+    def test_zero_rates_and_zero_recovery_do_not_divide(self):
+        nothing = dict(
+            server_months=100, crash_rates=[0.0, 0.0], recovery_minutes=10.0,
+            shock_rate=0.0, shock_minutes=30.0, repair_minutes=0.0,
+        )
+        assert clip_ln_bound(**nothing) == -math.inf
+        assert clip_ln_bound(**{**nothing, "crash_rates": []}) == -math.inf
+        # Crashes that cost no time cannot reach the clip at any rate.
+        free = {**nothing, "crash_rates": [1e9], "recovery_minutes": 0.0}
+        assert clip_ln_bound(**free) == -math.inf
+        # Free shocks likewise; a repair longer than the month always can.
+        assert clip_ln_bound(
+            **{**nothing, "shock_rate": 50.0, "shock_minutes": 0.0}
+        ) == -math.inf
+        assert clip_ln_bound(
+            **{**nothing, "repair_minutes": MINUTES_PER_MONTH + 1.0}
+        ) == 0.0
+
+    def test_shocks_alone_can_fail_the_guard(self):
+        """No crash budget could save these: without the shock term in
+        the guard they would aggregate and overrun the month."""
+        assert not aggregated(shock_minutes=1.5 * MINUTES_PER_MONTH)
+        assert not aggregated(shock_minutes=30000.0, crash_rates=[0.0])
+        assert not aggregated(shock_rate=200.0, shock_minutes=300.0)
+        # ... and a shock budget that leaves too little for the crashes.
+        assert aggregated(shock_minutes=120.0)
+        assert not aggregated(shock_minutes=240.0)
 
 
 # ----------------------------------------------------------------------

@@ -342,6 +342,29 @@ class TestFleetCommand:
         assert set(payload["simulation"]["composition"]) == {
             "Typical Server", "Less-Tested (L)",
         }
+        # Which draw path ran, read from the simulate span: one chunk of
+        # block totals, because no server-month can reach the clip.
+        path = payload["simulation_draw_path"]
+        assert (path["aggregated_chunks"], path["per_server_chunks"]) == (1, 0)
+        assert path["clip_log10_bound"] is None or (
+            path["clip_log10_bound"] < -323.3
+        )
+
+    def test_clip_binding_shocks_take_the_per_server_path(self, capsys):
+        pytest.importorskip("numpy")
+        shocks = ["--correlation", "rate=1,cohort=0.3,downtime=64800"]
+        assert main(self.BASE + shocks + ["--json"]) == 0
+        path = json.loads(capsys.readouterr().out)["simulation_draw_path"]
+        assert path == {
+            "aggregated_chunks": 0,
+            "per_server_chunks": 1,
+            "clip_log10_bound": 0.0,
+        }
+        assert main(self.BASE + shocks) == 0
+        assert (
+            "0 aggregated + 1 per-server chunks, P(clip binds) <= 10^0.0"
+            in capsys.readouterr().out
+        )
 
     def test_sim_seed_reproducible_across_workers(self, capsys):
         pytest.importorskip("numpy")

@@ -171,6 +171,13 @@ class TestParetoFront:
         front.sort(key=lambda idx: (-points[idx][0], idx))
         return front
 
+    @staticmethod
+    def sweep(points):
+        return pareto_indices(
+            [savings for savings, _ in points],
+            [availability for _, availability in points],
+        ).tolist()
+
     def test_sweep_matches_quadratic_on_seed_profile(self, optimizer):
         metrics = [
             scalar_metrics_for(optimizer, digits)
@@ -179,14 +186,18 @@ class TestParetoFront:
             )
         ]
         points = [(m.server_cost_savings, m.availability) for m in metrics]
-        assert pareto_indices(points) == self.quadratic_front(points)
+        assert self.sweep(points) == self.quadratic_front(points)
 
     def test_sweep_handles_ties_and_duplicates(self):
         points = [
             (0.5, 0.9), (0.5, 0.9), (0.5, 0.8),
             (0.3, 0.99), (0.3, 0.99), (0.1, 0.99), (0.6, 0.1),
         ]
-        assert pareto_indices(points) == self.quadratic_front(points)
+        assert self.sweep(points) == self.quadratic_front(points)
+        assert self.sweep(points) == [6, 0, 1, 3, 4]
+
+    def test_sweep_of_nothing_is_empty(self):
+        assert self.sweep([]) == []
 
     def test_optimizer_front_matches_quadratic(self, evaluator):
         optimizer = MappingOptimizer(

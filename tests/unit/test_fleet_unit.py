@@ -379,6 +379,21 @@ class TestLayoutArrays:
                 (ages == 0) & (months[None, :] > 0),
             )
 
+    @pytest.mark.parametrize("window", [(0, 130), (0, 1), (47, 50), (96, 130)])
+    def test_block_months_are_the_block_sums_of_the_arrays(self, layout, window):
+        """The age census gives, per block, what summing the
+        ``(servers, span)`` arrays over its servers gives: the same
+        repair counts and peak, the same mass up to summation order."""
+        mass, repairs, peak = layout.block_months(*window)
+        mult = layout.multipliers(*window)
+        mask = layout.repairs(*window)
+        assert repairs.dtype == np.int64
+        for row, block in enumerate(layout.blocks):
+            rows = slice(block.start, block.stop)
+            assert mass[row] == pytest.approx(mult[rows].sum(axis=0), rel=1e-13)
+            assert np.array_equal(repairs[row], mask[rows].sum(axis=0))
+            assert peak[row] == mult[rows].max()
+
     def test_multipliers_do_not_alias_the_curve(self, layout):
         first = layout.multipliers(0, 12)
         first[:] = 0.0
@@ -479,6 +494,63 @@ class TestOptimizer:
                         or b.fleet_availability > a.fleet_availability
                     )
                 )
+
+    def test_keys_do_not_collide_below_one_percent_steps(
+        self, profile, designs
+    ):
+        """At step 0.005 two decimals file 5/995 and 10/990 under one
+        key and print 4/996 as 0.00/1.00; the key takes the decimals
+        the step needs. At 0.01 and coarser it is the two it always
+        was."""
+        config = FleetConfig(servers=2000, months=6, demand_fraction=0.99)
+        fine = optimize_fleet(
+            profile, designs=designs, config=config,
+            availability_target=0.9, step=0.005,
+        )
+        assert fine.evaluated == 201
+        assert fine.best.key == "Less-Tested (L):1.000"
+        keys = [point.key for point in fine.pareto]
+        assert len(set(keys)) == len(keys) > 100
+        assert "Less-Tested (L):0.995+Typical Server:0.005" in keys
+        assert "Less-Tested (L):0.990+Typical Server:0.010" in keys
+        for step, key in ((0.01, "Less-Tested (L):1.00"), (0.3, "Less-Tested (L):1.00")):
+            coarse = optimize_fleet(
+                profile, designs=designs, config=config,
+                availability_target=0.9, step=step,
+            )
+            assert coarse.best.key == key
+        third = optimize_fleet(
+            profile, designs=designs, config=config,
+            availability_target=0.99999, step=1 / 3,
+        )
+        assert [point.key for point in third.pareto][1] == (
+            "Less-Tested (L):0.67+Typical Server:0.33"
+        )
+
+    def test_singles_are_named_by_their_design_not_their_key(self, profile):
+        """A design called ``X:1`` used to be filed under ``X`` (the key
+        was split at the first colon), and on a fleet smaller than the
+        grid every composition that rounds to one design overwrote that
+        design's pure fleet under the first name in its own key."""
+        regions = sorted(profile.region_sizes)
+        named = [
+            FleetDesign(name="X:1", policies=typical_server(regions).policies),
+            FleetDesign(name="X", policies=less_tested(regions).policies),
+        ]
+        result = optimize_fleet(
+            profile, designs=named,
+            config=FleetConfig(servers=3, months=6, demand_fraction=0.9),
+            availability_target=0.9, step=0.05,
+        )
+        assert list(result.singles) == ["X", "X:1"]
+        for name, single in result.singles.items():
+            assert single.counts == {name: 3, **{
+                other: 0 for other in ("X", "X:1") if other != name
+            }}
+            assert single.fractions[name] == 1.0
+            assert not single.mixed
+        assert result.singles["X"].cost_savings > 0.0
+        assert result.singles["X:1"].cost_savings == 0.0
 
     def test_impossible_target_reports_no_best(self, profile, designs):
         config = FleetConfig(servers=50, months=12, demand_fraction=1.0)
@@ -735,6 +807,44 @@ class TestEngineResolution:
         metrics = observer.metrics.to_dict()
         totals = metrics["fleet_server_months_total"]["values"]
         assert sum(totals.values()) == 60
+
+    def test_simulate_span_says_which_path_ran_and_why(self, profile, designs):
+        from repro.obs import EventBuffer, Observer
+
+        def attrs(config, **kwargs):
+            buffer = EventBuffer()
+            simulate_fleet(
+                profile,
+                designs=designs,
+                config=config,
+                observer=Observer(sinks=[buffer]),
+                **kwargs,
+            )
+            (span,) = [e for e in buffer.events if e.name == "fleet"]
+            return span.attrs
+
+        quiet = FleetConfig(servers=10, months=20, month_chunk=8)
+        found = attrs(quiet)
+        assert (found["aggregated_chunks"], found["per_server_chunks"]) == (3, 0)
+        # log10(2^-1074) = -323.3: under it, the clip provably idles.
+        assert found["clip_log10_bound"] < -323.3
+        shocked = FleetConfig(
+            servers=10,
+            months=20,
+            month_chunk=8,
+            correlation=CorrelationConfig(
+                shock_rate_per_month=1.0,
+                shock_cohort_fraction=0.3,
+                shock_downtime_minutes=50000.0,
+            ),
+        )
+        found = attrs(shocked)
+        assert (found["aggregated_chunks"], found["per_server_chunks"]) == (0, 3)
+        assert found["clip_log10_bound"] == 0.0
+        # The scalar backend has no chunks to report.
+        found = attrs(quiet, backend="scalar")
+        assert (found["aggregated_chunks"], found["per_server_chunks"]) == (0, 0)
+        assert found["clip_log10_bound"] is None
 
 
 class TestResultStatistics:

@@ -15,6 +15,7 @@ from repro.obs.events import (
     POINT_PROGRESS,
     SPAN_CAMPAIGN,
     SPAN_CELL,
+    SPAN_FLEET,
     SPAN_INJECTION,
     SPAN_TRIAL,
     TraceEvent,
@@ -117,6 +118,48 @@ class TestRenderTraceReport:
         # Other backends set no decisions: the section is left out.
         plain = render_trace_report(summarize_trace(_small_trace()))
         assert "queries of executed trials" not in plain
+
+
+    def test_fleet_simulate_spans_say_which_path_ran(self):
+        runs = [
+            _event(KIND_SPAN, SPAN_FLEET, attrs=attrs)
+            for attrs in (
+                {
+                    "backend": "vectorized", "servers": 8000, "months": 120,
+                    "aggregated_chunks": 1, "per_server_chunks": 0,
+                    "clip_log10_bound": -326.3,
+                },
+                {
+                    "backend": "vectorized", "servers": 60, "months": 24,
+                    "aggregated_chunks": 0, "per_server_chunks": 2,
+                    "clip_log10_bound": 0.0,
+                },
+                {
+                    "backend": "scalar", "servers": 5, "months": 2,
+                    "aggregated_chunks": 0, "per_server_chunks": 0,
+                    "clip_log10_bound": None,
+                },
+                # analyze / optimize spans carry no path and are skipped.
+                {"evaluated": 10626},
+            )
+        ]
+        summary = summarize_trace(runs)
+        assert len(summary.fleet_simulations) == 3
+        text = render_trace_report(summary)
+        assert (
+            "8000 servers x 120 months (vectorized): 1 aggregated + "
+            "0 per-server chunks, P(clip binds) <= 10^-326.3"
+        ) in text
+        assert (
+            "0 aggregated + 2 per-server chunks, P(clip binds) <= 10^0.0"
+        ) in text
+        assert (
+            "(scalar): 0 aggregated + 0 per-server chunks, "
+            "P(clip binds) <= 0"
+        ) in text
+        assert "fleet simulations" not in render_trace_report(
+            summarize_trace(_small_trace())
+        )
 
 
 class TestRenderRunSummary:
