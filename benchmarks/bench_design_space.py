@@ -7,9 +7,9 @@ Times the three exploration backends on a 6-region × 12-candidate grid
 engine, and exact branch-and-bound — plus ``auto``, the default every
 caller gets, which must cost what branch-and-bound costs whenever
 ``top_k`` is set. Every timed path is first checked
-for equality against exhaustive scalar search on a reduced grid, and
-the batched Monte Carlo availability simulator is cross-checked
-statistically against the scalar event loop before their timing race.
+for equality against exhaustive scalar search on a reduced grid. (The
+Monte Carlo validation of a winner is the fleet engine's one-server
+case; its timings and analytic verdicts are in ``BENCH_fleet.json``.)
 
 The headline number is ``search.speedup_vectorized`` — batch engine vs
 scalar on the full grid — which gates CI at 3× (smoke) and the
@@ -21,8 +21,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_design_space.py --smoke
 
 ``--smoke`` keeps the same grid but timings sample the scalar side
-(20k designs, extrapolated — recorded as ``scalar.mode``) and shrink
-the simulation; the JSON schema is identical.
+(20k designs, extrapolated — recorded as ``scalar.mode``); the JSON
+schema is identical.
 """
 
 import argparse
@@ -36,11 +36,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.cluster.availability_sim import AvailabilitySimulator  # noqa: E402
 from repro.core.design_space import (  # noqa: E402
     HardwareTechnique,
     RegionPolicy,
-    SoftwareResponse,
 )
 from repro.core.mapping import DesignEvaluator, HRMDesign  # noqa: E402
 from repro.core.optimizer import DEFAULT_CANDIDATES, MappingOptimizer  # noqa: E402
@@ -262,97 +260,11 @@ def bench_search(profile, smoke):
     }
 
 
-def bench_simulation(profile, smoke):
-    """Scalar event loop vs batched Monte Carlo: equivalence + timing."""
-    from repro.explore.simulator import BatchAvailabilitySimulator
-
-    months = 200 if smoke else 1200
-    designs = [
-        {
-            region: RegionPolicy(technique=HardwareTechnique.NONE)
-            for region in REGION_SPECS
-        },
-        {
-            region: RegionPolicy(
-                technique=HardwareTechnique.PARITY,
-                response=SoftwareResponse.RECOVER,
-                recoverable_fraction=RECOVERABLE[region],
-            )
-            for region in REGION_SPECS
-        },
-        {
-            region: RegionPolicy(
-                technique=HardwareTechnique.SEC_DED
-                if region in ("private", "heap")
-                else HardwareTechnique.NONE
-            )
-            for region in REGION_SPECS
-        },
-        {
-            region: RegionPolicy(technique=HardwareTechnique.SEC_DED)
-            for region in REGION_SPECS
-        },
-    ]
-    evaluator = DesignEvaluator(profile)
-
-    start = time.perf_counter()
-    scalar_means = []
-    for policies in designs:
-        summary = AvailabilitySimulator(
-            profile, policies, region_sizes=evaluator.region_sizes
-        ).simulate(months, seed=20140623)
-        scalar_means.append(summary.mean_availability)
-    scalar_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batch = BatchAvailabilitySimulator(
-        profile, designs, region_sizes=evaluator.region_sizes
-    ).simulate(months, seed=20140623)
-    batch_seconds = time.perf_counter() - start
-    batch_means = [batch.mean_availability(d) for d in range(len(designs))]
-
-    analytic = []
-    for policies in designs:
-        name = "+".join(p.describe() for p in policies.values())
-        analytic.append(
-            evaluator.evaluate(
-                HRMDesign(name=name, policies=policies)
-            ).availability
-        )
-
-    # Statistical (not bitwise) equivalence: both estimators must sit
-    # within Monte Carlo error of each other and the analytic model.
-    for scalar_mean, batch_mean, expected in zip(
-        scalar_means, batch_means, analytic
-    ):
-        assert abs(scalar_mean - batch_mean) < 0.003, (
-            f"simulators diverge: {scalar_mean} vs {batch_mean}"
-        )
-        assert abs(batch_mean - expected) < 0.003, (
-            f"batch sim diverges from analytic: {batch_mean} vs {expected}"
-        )
-
-    return {
-        "months": months,
-        "designs": len(designs),
-        "scalar_seconds": scalar_seconds,
-        "vectorized_seconds": batch_seconds,
-        "speedup": scalar_seconds / batch_seconds,
-        "scalar_mean_availability": scalar_means,
-        "vectorized_mean_availability": batch_means,
-        "analytic_availability": analytic,
-        "max_abs_divergence": max(
-            abs(s - b) for s, b in zip(scalar_means, batch_means)
-        ),
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="sampled scalar timing / smaller simulation for CI "
-        "(same JSON schema)",
+        help="sampled scalar timing for CI (same JSON schema)",
     )
     parser.add_argument(
         "--out", type=Path, default=REPO_ROOT / "BENCH_design_space.json",
@@ -382,21 +294,10 @@ def main(argv=None):
         f"branch-and-bound {search['speedup_branch_and_bound']:.1f}x"
     )
 
-    print("simulation: scalar event loop vs batched Monte Carlo...")
-    simulation = bench_simulation(profile, arguments.smoke)
-    print(
-        f"  {simulation['designs']} designs x {simulation['months']} months: "
-        f"scalar {simulation['scalar_seconds']:.1f}s, "
-        f"vectorized {simulation['vectorized_seconds']:.2f}s "
-        f"({simulation['speedup']:.1f}x), "
-        f"max divergence {simulation['max_abs_divergence']:.5f}"
-    )
-
     report = {
         "mode": "smoke" if arguments.smoke else "full",
         "equivalence": equivalence,
         "search": search,
-        "simulation": simulation,
     }
     arguments.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {arguments.out}")

@@ -471,8 +471,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--backend", choices=FLEET_BACKENDS, default="auto",
-        help="fleet simulation engine ('auto' picks 'vectorized' when "
-        "NumPy is importable)",
+        help="fleet simulation engine ('auto' is 'vectorized'; 'scalar' "
+        "is the per-event reference)",
     )
     fleet.add_argument(
         "--sim-seed", type=int, default=0,
@@ -845,7 +845,7 @@ def _cmd_explore(arguments) -> int:
     if result.simulation is not None:
         sim = result.simulation
         print(
-            f"\nsimulated {sim.months} months ({sim.backend}, seed {sim.seed}): "
+            f"\nsimulated {sim.months} months (seed {sim.seed}): "
             f"mean availability {sim.mean_availability:.4%} "
             f"(analytic {sim.analytic_availability:.4%}), "
             f"p5 {sim.percentiles['p5']:.4%} / p95 {sim.percentiles['p95']:.4%}"

@@ -25,25 +25,18 @@ The surface is organized into documented **tiers** (see ``API_TIERS``):
 Compatibility policy: names exported from this module are the stable
 API — they keep working across internal refactors (module moves, kernel
 rewrites, cache-format bumps). ``API_VERSION`` tracks surface-breaking
-changes only. Deprecated aliases in ``deprecated_names`` still resolve
-(with a :class:`DeprecationWarning`) for one major version; the README
-migration table maps each to its replacement. Deeper imports
-(``repro.core.campaign`` etc.) continue to work but may shift between
-releases.
+changes only. Deeper imports (``repro.core.campaign`` etc.) continue to
+work but may shift between releases.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.apps.base import Workload
 from repro.apps.graphmining import GraphMining
 from repro.apps.kvstore import KVStoreWorkload
 from repro.apps.websearch import WebSearch
-from repro.cluster.availability_sim import (
-    SIMULATOR_BACKENDS as _SIMULATOR_BACKENDS,
-)
 from repro.core.availability import AvailabilityParams, ErrorRateModel
 from repro.core.campaign import (
     BACKENDS as _CAMPAIGN_BACKENDS,
@@ -220,51 +213,11 @@ API_TIERS: Dict[str, Tuple[str, ...]] = {
 
 __all__ = [name for tier in API_TIERS.values() for name in tier]
 
-#: Deprecated alias -> (replacement hint, value thunk). Access emits a
-#: DeprecationWarning via module ``__getattr__``; the aliases stay
-#: importable for one major version (see the README migration table).
-deprecated_names: Dict[str, Tuple[str, Callable[[], object]]] = {
-    "BACKENDS": (
-        'available_backends("campaign")',
-        lambda: _CAMPAIGN_BACKENDS,
-    ),
-    "SEARCH_BACKENDS": (
-        'available_backends("search")',
-        lambda: _SEARCH_BACKENDS,
-    ),
-    "EXPLORE_BACKENDS": (
-        'available_backends("explore")',
-        lambda: _EXPLORE_BACKENDS,
-    ),
-    "SIMULATOR_BACKENDS": (
-        'available_backends("simulator")',
-        lambda: _SIMULATOR_BACKENDS,
-    ),
-    "FLEET_BACKENDS": (
-        'available_backends("fleet")',
-        lambda: _FLEET_BACKENDS,
-    ),
-}
-
-
-def __getattr__(name: str):
-    if name in deprecated_names:
-        replacement, thunk = deprecated_names[name]
-        warnings.warn(
-            f"repro.api.{name} is deprecated; use repro.api.{replacement}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return thunk()
-    raise AttributeError(f"module 'repro.api' has no attribute '{name}'")
-
-
 #: Registry of backend tuples behind :func:`available_backends`.
 _BACKEND_KINDS: Dict[str, Tuple[str, ...]] = {
     "campaign": tuple(_CAMPAIGN_BACKENDS),
     "search": tuple(_SEARCH_BACKENDS),
     "explore": tuple(_EXPLORE_BACKENDS),
-    "simulator": tuple(_SIMULATOR_BACKENDS),
     "fleet": tuple(_FLEET_BACKENDS),
     "serve": tuple(_DATA_PLANES),
 }
@@ -273,14 +226,12 @@ _BACKEND_KINDS: Dict[str, Tuple[str, ...]] = {
 def available_backends(kind: str) -> Tuple[str, ...]:
     """Execution backends accepted by one subsystem's ``backend=``.
 
-    One helper replaces the per-module constants (``BACKENDS``,
-    ``SEARCH_BACKENDS``, ``EXPLORE_BACKENDS``, ``SIMULATOR_BACKENDS``):
+    One helper in place of per-module constants:
 
     ======================  =============================================
     ``"campaign"``          :func:`run_campaign`
     ``"search"``            :class:`MappingOptimizer`
     ``"explore"``           :func:`explore_design_space`
-    ``"simulator"``         ``cluster.AvailabilitySimulator``
     ``"fleet"``             :func:`simulate_fleet`
     ``"serve"``             :class:`ServeConfig` ``data_plane=``
     ======================  =============================================
@@ -364,10 +315,10 @@ def explore_design_space(
     reference, ``vectorized`` evaluates the space in NumPy chunks,
     ``branch-and-bound`` finds exact top-k without visiting the whole
     space, and ``auto`` (default) picks ``branch-and-bound`` when
-    ``top_k`` is set, else the exhaustive ``vectorized`` (``scalar``
-    without NumPy) — only an exhaustive search can return the full
-    feasible list. The result is an :class:`ExplorationResult` — a
-    backward-compatible :class:`OptimizationResult` subclass.
+    ``top_k`` is set, else the exhaustive ``vectorized`` — only an
+    exhaustive search can return the full feasible list. The result is
+    an :class:`ExplorationResult` — a backward-compatible
+    :class:`OptimizationResult` subclass.
 
     Args:
         profile: Measured vulnerability profile to evaluate against.

@@ -1,7 +1,6 @@
 """Datacenter-level cost and availability modeling."""
 
 from repro.cluster.availability_sim import (
-    SIMULATOR_BACKENDS,
     AvailabilitySimulator,
     MonthOutcome,
     SimulationSummary,
@@ -20,7 +19,6 @@ __all__ = [
     "ReliabilityDomainProvisioner",
     "Tenant",
     "TenantAssignment",
-    "SIMULATOR_BACKENDS",
     "AvailabilitySimulator",
     "MonthOutcome",
     "SimulationSummary",

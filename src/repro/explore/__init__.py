@@ -12,17 +12,14 @@ one scalar evaluation per design:
 * :mod:`repro.explore.search` — exact branch-and-bound top-k with
   admissible per-region bounds and dominance pruning;
 * :mod:`repro.explore.pareto` — the O(n log n) sort-based front sweep;
-* :mod:`repro.explore.simulator` — batched Monte Carlo availability
-  simulation (designs × regions × months);
 * :mod:`repro.explore.engine` — :func:`explore`, the orchestrating
   entry point behind ``repro.api.explore_design_space`` and the
-  ``repro explore`` CLI.
-
-Modules that need NumPy (:mod:`batch <repro.explore.batch>`,
-:mod:`simulator <repro.explore.simulator>`) are imported lazily so the
-pure-Python search path works without it.
+  ``repro explore`` CLI. Its Monte Carlo validation of a winner is the
+  fleet engine's one-server case
+  (:class:`repro.cluster.AvailabilitySimulator`).
 """
 
+from repro.explore.batch import BatchDesignSpaceEvaluator
 from repro.explore.engine import (
     EXPLORE_BACKENDS,
     ExplorationResult,
@@ -42,24 +39,5 @@ __all__ = [
     "pareto_indices",
     "BranchAndBoundResult",
     "BranchAndBoundSearcher",
-    # NumPy-backed, resolved lazily:
     "BatchDesignSpaceEvaluator",
-    "BatchAvailabilitySimulator",
-    "BatchSimulationResult",
 ]
-
-_LAZY = {
-    "BatchDesignSpaceEvaluator": "repro.explore.batch",
-    "BatchAvailabilitySimulator": "repro.explore.simulator",
-    "BatchSimulationResult": "repro.explore.simulator",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.explore' has no attribute '{name}'")
-    import importlib
-
-    module = importlib.import_module(module_name)
-    return getattr(module, name)

@@ -8,9 +8,9 @@
 2. search — exhaustive (``scalar`` / ``vectorized``, byte-identical to
    :class:`~repro.core.optimizer.MappingOptimizer`) or bounded
    (``branch-and-bound``, exact top-k with admissible pruning);
-3. optionally validate the winner with a Monte Carlo simulation
-   (vectorized when NumPy is importable) and report percentile
-   confidence bounds next to the analytic prediction.
+3. optionally validate the winner with a Monte Carlo simulation (the
+   fleet engine's one-server case) and report percentile confidence
+   bounds next to the analytic prediction.
 
 Backends return identical designs; they differ only in cost:
 
@@ -18,15 +18,14 @@ Backends return identical designs; they differ only in cost:
 ``scalar``              reference; O(space) full evaluations
 ``vectorized``          O(space) NumPy chunk evaluations
 ``branch-and-bound``    exact top-k without visiting the whole space
-``auto``                ``branch-and-bound`` when ``top_k`` is set;
-                        otherwise ``vectorized`` if NumPy imports,
-                        else ``scalar``
+``auto``                ``branch-and-bound`` when ``top_k`` is set,
+                        otherwise ``vectorized``
 ======================  ============================================
 
 ``auto`` does only the work the answer needs: a top-k answer needs the
-k best designs, which branch-and-bound finds exactly (pure Python, no
-NumPy) after evaluating a few dozen of millions of designs. The named
-exhaustive backends stay selectable as oracles for it.
+k best designs, which branch-and-bound finds exactly after evaluating a
+few dozen of millions of designs. The named exhaustive backends stay
+selectable as oracles for it.
 
 ``top_k``: when ``None``, the result carries the *full* feasible list,
 which only an exhaustive backend can produce (branch-and-bound then
@@ -49,7 +48,6 @@ from repro.core.optimizer import (
     DEFAULT_CANDIDATES,
     MappingOptimizer,
     OptimizationResult,
-    _numpy_available,
 )
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.explore.search import BranchAndBoundSearcher, _Reversed
@@ -76,7 +74,6 @@ class SimulationValidation:
     design_name: str
     months: int
     seed: int
-    backend: str
     mean_availability: float
     analytic_availability: float
     mean_crashes: float
@@ -90,7 +87,6 @@ class SimulationValidation:
             "design": self.design_name,
             "months": self.months,
             "seed": self.seed,
-            "backend": self.backend,
             "mean_availability": self.mean_availability,
             "analytic_availability": self.analytic_availability,
             "mean_crashes": self.mean_crashes,
@@ -154,9 +150,8 @@ def explore(
     """Search the HRM design space; optionally validate by simulation.
 
     ``backend="auto"`` resolves to ``branch-and-bound`` when ``top_k``
-    is set and to the exhaustive ``vectorized`` (``scalar`` without
-    NumPy) when it is ``None``, because only an exhaustive search can
-    return the full feasible list.
+    is set and to the exhaustive ``vectorized`` when it is ``None``,
+    because only an exhaustive search can return the full feasible list.
     """
     check_fraction("availability_target", availability_target)
     if backend not in EXPLORE_BACKENDS:
@@ -169,10 +164,7 @@ def explore(
         raise ValueError(f"simulate_months must be >= 0, got {simulate_months}")
     resolved = backend
     if resolved == "auto":
-        if top_k is not None:
-            resolved = "branch-and-bound"
-        else:
-            resolved = "vectorized" if _numpy_available() else "scalar"
+        resolved = "branch-and-bound" if top_k is not None else "vectorized"
     evaluator = DesignEvaluator(
         profile,
         cost_model=cost_model,
@@ -406,9 +398,10 @@ def _validate_by_simulation(
     months: int,
     seed: int,
 ) -> SimulationValidation:
+    # Imported here: repro.cluster reaches repro.fleet, whose optimizer
+    # imports this package.
     from repro.cluster.availability_sim import AvailabilitySimulator
 
-    backend = "vectorized" if _numpy_available() else "scalar"
     simulator = AvailabilitySimulator(
         profile,
         best.design.policies,
@@ -416,14 +409,12 @@ def _validate_by_simulation(
         params=evaluator.availability_params,
         error_label=evaluator.error_label,
         region_sizes=evaluator.region_sizes,
-        backend=backend,
     )
     summary = simulator.simulate(months, seed=seed)
     return SimulationValidation(
         design_name=best.design.name,
         months=months,
         seed=seed,
-        backend=backend,
         mean_availability=summary.mean_availability,
         analytic_availability=best.availability,
         mean_crashes=summary.mean_crashes,

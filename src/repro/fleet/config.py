@@ -89,11 +89,7 @@ class AgingConfig:
 
     def multiplier(self, age_months):
         """Error-rate multiplier at ``age_months`` (scalar or ndarray)."""
-        try:
-            import numpy as np
-        except ImportError:
-            np = None
-        if np is not None and isinstance(age_months, np.ndarray):
+        if isinstance(age_months, np.ndarray):
             decay = np.exp(-age_months / self.infant_tau_months)
             wear = np.maximum(0.0, age_months - self.wearout_onset_months)
             return (

@@ -552,9 +552,9 @@ class FleetSimulator:
                         mult *= bad_mult
                     server_downtime = 0.0
                     for i in range(len(table.regions)):
-                        # Poisson arrivals, then per-event thinning — the
-                        # same chain AvailabilitySimulator.simulate_month
-                        # runs, with the aging/batch multiplier applied.
+                        # Poisson arrivals, then per-event thinning: the
+                        # paper's chain, one draw per error, with the
+                        # aging/batch multiplier applied.
                         count = poisson_variate(
                             rng, float(rates.errors[i]) * mult
                         )

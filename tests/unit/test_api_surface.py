@@ -1,9 +1,9 @@
 """API-surface stability tests for :mod:`repro.api` (v2 facade).
 
 These pin the compatibility contract, not behavior: every exported name
-resolves, tiers stay sorted and disjoint, deprecated aliases resolve
-with a warning, and entry-point/config signatures stay keyword-only so
-the surface can grow fields without breaking callers.
+resolves, tiers stay sorted and disjoint, the aliases retired with 2.0
+stay gone, and entry-point/config signatures stay keyword-only so the
+surface can grow fields without breaking callers.
 """
 
 import inspect
@@ -48,31 +48,27 @@ class TestSurfaceInventory:
 
 
 class TestDeprecatedAliases:
-    #: alias -> backend kind it now routes through.
-    ALIASES = {
-        "BACKENDS": "campaign",
-        "SEARCH_BACKENDS": "search",
-        "EXPLORE_BACKENDS": "explore",
-        "SIMULATOR_BACKENDS": "simulator",
-        "FLEET_BACKENDS": "fleet",
-    }
-
-    def test_registry_matches_expected_aliases(self):
-        assert set(api.deprecated_names) == set(self.ALIASES)
-
-    @pytest.mark.parametrize("alias,kind", sorted(ALIASES.items()))
-    def test_alias_warns_and_matches_available_backends(self, alias, kind):
-        with pytest.warns(DeprecationWarning, match=alias):
-            value = getattr(api, alias)
-        assert tuple(value) == api.available_backends(kind)
+    #: The 1.x backend tuples; ``available_backends(kind)`` replaced them.
+    RETIRED = (
+        "BACKENDS",
+        "SEARCH_BACKENDS",
+        "EXPLORE_BACKENDS",
+        "SIMULATOR_BACKENDS",
+        "FLEET_BACKENDS",
+    )
 
     def test_deprecated_names_not_in_all(self):
-        assert not set(api.deprecated_names) & set(api.__all__)
+        """Nor anywhere else on the facade: the warn-and-forward
+        registry is gone and the five names raise ``AttributeError``."""
+        assert not set(self.RETIRED) & set(api.__all__)
+        for name in self.RETIRED + ("deprecated_names",):
+            with pytest.raises(AttributeError):
+                getattr(api, name)
 
 
 class TestAvailableBackends:
     def test_known_kinds(self):
-        for kind in ("campaign", "search", "explore", "simulator", "fleet", "serve"):
+        for kind in ("campaign", "search", "explore", "fleet", "serve"):
             backends = api.available_backends(kind)
             assert isinstance(backends, tuple) and backends
             assert all(isinstance(name, str) for name in backends)
@@ -91,12 +87,11 @@ class TestAvailableBackends:
             "scalar",
         )
 
-    def test_simulator_kind_includes_fleet_delegation(self):
-        assert "fleet" in api.available_backends("simulator")
-
     def test_unknown_kind_lists_valid_kinds(self):
-        with pytest.raises(ValueError, match="campaign"):
-            api.available_backends("quantum")
+        # "simulator": one availability engine, so nothing to choose.
+        for kind in ("quantum", "simulator"):
+            with pytest.raises(ValueError, match="campaign"):
+                api.available_backends(kind)
 
 
 class TestKeywordOnlySignatures:

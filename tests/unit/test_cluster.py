@@ -1,22 +1,31 @@
 """Unit tests for repro.cluster (server cost, TCO, Monte-Carlo sim)."""
 
+import math
+import tracemalloc
+
 import pytest
 
 from repro.cluster import (
     AvailabilitySimulator,
     ServerConfig,
+    SimulationSummary,
     TcoModel,
     TcoParams,
     server_cost_with_design,
 )
 from repro.core.availability import (
+    MINUTES_PER_MONTH,
+    AvailabilityParams,
     ErrorRateModel,
     availability_from_crashes,
+    design_outcome_rates,
 )
 from repro.core.cost_model import CostModel
 from repro.core.design_space import HardwareTechnique, RegionPolicy, SoftwareResponse
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
+from repro.fleet import FleetSimulator
+from tests.property.test_prop_availability_view import PerEventOracle
 
 
 @pytest.fixture
@@ -32,6 +41,27 @@ def profile():
     for _ in range(100):
         heap_cell.record(ErrorOutcome.MASKED_NEVER_ACCESSED, 100, 0, 0, None)
     return prof
+
+
+POLICIES = {
+    "private": RegionPolicy(technique=HardwareTechnique.NONE),
+    "heap": RegionPolicy(technique=HardwareTechnique.NONE),
+}
+
+SERIES = (
+    "errors",
+    "crashes",
+    "recoveries",
+    "incorrect_responses",
+    "downtime_minutes",
+)
+
+
+def series(summary):
+    return {
+        name: [getattr(month, name) for month in summary.months]
+        for name in SERIES
+    }
 
 
 class TestServerConfig:
@@ -172,33 +202,50 @@ class TestAvailabilitySimulator:
         with pytest.raises(ValueError):
             AvailabilitySimulator(profile, {"ghost": RegionPolicy(technique=HardwareTechnique.NONE)})
 
+    def test_summary_statistics_are_the_per_call_derivation(self, profile):
+        """The availability series is derived and sorted once per
+        summary; every statistic equals the one computed from scratch,
+        in whatever order it is asked for."""
+        summary = AvailabilitySimulator(profile, POLICIES).simulate(90, seed=6)
+        ordered = sorted(month.availability for month in summary.months)
+        assert len(set(ordered)) > 10
+        for percentile in (95, 0, 50, 100, 5):
+            index = max(0, math.ceil(percentile / 100 * 90) - 1)
+            assert summary.availability_percentile(percentile) == ordered[index]
+        assert summary.mean_availability == pytest.approx(
+            sum(month.availability for month in summary.months) / 90,
+            rel=1e-12,
+        )
+        with pytest.raises(ValueError):
+            SimulationSummary().mean_availability
+        with pytest.raises(ValueError):
+            SimulationSummary().availability_percentile(50)
+
     def test_unknown_backend_rejected(self, profile):
+        """There is one engine: ``backend=`` is not an argument."""
         policies = {
             "private": RegionPolicy(technique=HardwareTechnique.NONE),
             "heap": RegionPolicy(technique=HardwareTechnique.NONE),
         }
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             AvailabilitySimulator(profile, policies, backend="fpga")
 
 
 class TestVectorizedSimulatorBackend:
-    """The NumPy backend must agree with the scalar loop statistically:
-    the streams differ, so means/percentiles match within Monte Carlo
-    error, not bitwise (the contract documented in repro.explore)."""
-
-    POLICIES = {
-        "private": RegionPolicy(technique=HardwareTechnique.NONE),
-        "heap": RegionPolicy(technique=HardwareTechnique.NONE),
-    }
+    """The engine's batched draws against the per-event scalar loop they
+    replaced (frozen in tests/property/test_prop_availability_view.py,
+    which holds the full two-sample contract): the streams differ, so
+    means/percentiles match within Monte Carlo error, not bitwise."""
 
     def test_matches_scalar_statistics(self, profile):
-        pytest.importorskip("numpy")
-        scalar = AvailabilitySimulator(
-            profile, self.POLICIES, backend="scalar"
-        ).simulate(300, seed=1)
-        vectorized = AvailabilitySimulator(
-            profile, self.POLICIES, backend="vectorized"
-        ).simulate(300, seed=1)
+        scalar = SimulationSummary(
+            months=PerEventOracle(
+                profile, POLICIES, ErrorRateModel(), AvailabilityParams()
+            ).simulate(300, seed=1)
+        )
+        vectorized = AvailabilitySimulator(profile, POLICIES).simulate(
+            300, seed=1
+        )
         assert vectorized.mean_crashes == pytest.approx(
             scalar.mean_crashes, rel=0.15
         )
@@ -210,102 +257,141 @@ class TestVectorizedSimulatorBackend:
         )
 
     def test_matches_analytic_model(self, profile):
-        pytest.importorskip("numpy")
-        summary = AvailabilitySimulator(
-            profile, self.POLICIES, backend="vectorized"
-        ).simulate(300, seed=1)
-        # Same analytic anchor as the scalar test: 2000 errors * 0.9
-        # share * 2% crash = 36 crashes/month.
-        assert summary.mean_crashes == pytest.approx(36, rel=0.15)
-        analytic = availability_from_crashes(36)
-        assert summary.mean_availability == pytest.approx(analytic, abs=0.002)
+        """Every count ``design_outcome_rates`` predicts, on a design
+        that recovers part of what it detects and has a less-tested
+        region (TestAvailabilitySimulator holds the NoECC anchor)."""
+        policies = {
+            "private": RegionPolicy(
+                technique=HardwareTechnique.PARITY,
+                response=SoftwareResponse.RECOVER,
+                recoverable_fraction=0.75,
+            ),
+            "heap": RegionPolicy(
+                technique=HardwareTechnique.NONE, less_tested=True
+            ),
+        }
+        analytic = design_outcome_rates(profile, policies).values()
+        summary = AvailabilitySimulator(profile, policies).simulate(400, seed=1)
+        drawn = series(summary)
+        for name, tolerance in (
+            ("errors", 0.01), ("recoveries", 0.01), ("crashes", 0.05)
+        ):
+            expected = sum(getattr(r, f"{name}_per_month") for r in analytic)
+            assert sum(drawn[name]) / 400 == pytest.approx(
+                expected, rel=tolerance
+            ), name
+        crashes = sum(rates.crashes_per_month for rates in analytic)
+        assert crashes == pytest.approx(9)
+        assert summary.mean_availability == pytest.approx(
+            availability_from_crashes(crashes), abs=0.0002
+        )
 
     def test_recovery_reduces_crashes(self, profile):
-        pytest.importorskip("numpy")
+        """By the recoverable fraction: a quarter of the detected errors
+        are consumed, so a quarter of the crashes remain."""
         protected = {
             "private": RegionPolicy(
                 technique=HardwareTechnique.PARITY,
                 response=SoftwareResponse.RECOVER,
+                recoverable_fraction=0.75,
             ),
             "heap": RegionPolicy(technique=HardwareTechnique.NONE),
         }
-        base_summary = AvailabilitySimulator(
-            profile, self.POLICIES, backend="vectorized"
-        ).simulate(100, seed=3)
-        protected_summary = AvailabilitySimulator(
-            profile, protected, backend="vectorized"
-        ).simulate(100, seed=3)
-        assert protected_summary.mean_crashes < base_summary.mean_crashes
+        base_summary = AvailabilitySimulator(profile, POLICIES).simulate(
+            200, seed=3
+        )
+        protected_summary = AvailabilitySimulator(profile, protected).simulate(
+            200, seed=3
+        )
+        assert protected_summary.mean_crashes == pytest.approx(
+            0.25 * base_summary.mean_crashes, rel=0.1
+        )
+        recoveries = series(protected_summary)["recoveries"]
+        assert sum(recoveries) / 200 == pytest.approx(0.75 * 1800, rel=0.02)
 
     def test_seed_reproducible(self, profile):
-        pytest.importorskip("numpy")
-        first = AvailabilitySimulator(
-            profile, self.POLICIES, backend="vectorized"
-        ).simulate(50, seed=9)
-        second = AvailabilitySimulator(
-            profile, self.POLICIES, backend="vectorized"
-        ).simulate(50, seed=9)
-        assert [m.errors for m in first.months] == [
-            m.errors for m in second.months
-        ]
-        assert first.mean_availability == second.mean_availability
+        simulator = AvailabilitySimulator(profile, POLICIES)
+        first, again, other = (
+            simulator.simulate(50, seed=seed) for seed in (9, 9, 10)
+        )
+        assert series(first) == series(again)
+        assert first.mean_availability == again.mean_availability
+        assert series(first)["errors"] != series(other)["errors"]
 
 
 class TestFleetAndAutoBackends:
-    """'fleet' delegates a fleet-of-one to repro.fleet; 'auto' follows
-    the explorer convention (vectorized when NumPy imports)."""
-
-    POLICIES = {
-        "private": RegionPolicy(technique=HardwareTechnique.NONE),
-        "heap": RegionPolicy(technique=HardwareTechnique.NONE),
-    }
+    """The simulator is a view of repro.fleet's one-server case (what
+    ``backend="fleet"`` used to select; there is no other backend now):
+    it adds nothing to the engine's draws, and nothing about it grows
+    with the horizon."""
 
     def test_fleet_backend_matches_analytic_model(self, profile):
-        pytest.importorskip("numpy")
-        summary = AvailabilitySimulator(
-            profile, self.POLICIES, backend="fleet"
-        ).simulate(300, seed=1)
-        # Same analytic anchor as the scalar/vectorized tests.
-        assert summary.mean_crashes == pytest.approx(36, rel=0.15)
-        analytic = availability_from_crashes(36)
-        assert summary.mean_availability == pytest.approx(analytic, abs=0.002)
+        """Through ``design_outcome_rates``, RESTART included: the engine
+        charges a restarting region's harm as crashes, never as
+        incorrect responses, exactly like the analytic chain."""
+        policies = {
+            "private": RegionPolicy(
+                technique=HardwareTechnique.PARITY,
+                response=SoftwareResponse.RESTART,
+            ),
+            "heap": RegionPolicy(technique=HardwareTechnique.NONE),
+        }
+        analytic = design_outcome_rates(profile, policies)
+        summary = AvailabilitySimulator(profile, policies).simulate(300, seed=1)
+        crashes = sum(rates.crashes_per_month for rates in analytic.values())
+        assert crashes == pytest.approx(36)
+        assert summary.mean_crashes == pytest.approx(crashes, rel=0.05)
+        assert summary.mean_availability == pytest.approx(
+            availability_from_crashes(crashes), abs=0.0005
+        )
+        assert sum(
+            rates.incorrect_responses_per_month for rates in analytic.values()
+        ) == 0.0
+        assert series(summary)["incorrect_responses"] == [0.0] * 300
 
     def test_fleet_backend_seed_reproducible(self, profile):
-        pytest.importorskip("numpy")
-        simulate = AvailabilitySimulator(
-            profile, self.POLICIES, backend="fleet"
-        ).simulate
-        first = simulate(50, seed=9)
-        second = simulate(50, seed=9)
-        assert [m.errors for m in first.months] == [
-            m.errors for m in second.months
-        ]
-        assert [m.downtime_minutes for m in first.months] == [
-            m.downtime_minutes for m in second.months
-        ]
+        """The view's five series are ``FleetSimulator``'s own, value for
+        value, and byte-identical across runs."""
+        simulator = AvailabilitySimulator(profile, POLICIES)
+        direct = FleetSimulator(
+            simulator.layout(50), params=simulator.params
+        ).simulate(seed=9)
+        expected = {
+            "errors": direct.errors_by_month,
+            "crashes": direct.crashes_by_month,
+            "recoveries": direct.recoveries_by_month,
+            "incorrect_responses": direct.incorrect_by_month,
+            "downtime_minutes": direct.downtime_by_month,
+        }
+        first = series(simulator.simulate(50, seed=9))
+        assert first == expected
+        assert repr(first) == repr(series(simulator.simulate(50, seed=9)))
 
     def test_fleet_backend_month_count_and_no_fleet_effects(self, profile):
-        pytest.importorskip("numpy")
-        summary = AvailabilitySimulator(
-            profile, self.POLICIES, backend="fleet"
-        ).simulate(40, seed=3)
+        summary = AvailabilitySimulator(profile, POLICIES).simulate(40, seed=3)
         assert len(summary.months) == 40
-        # A fleet-of-one has no repair/retirement downtime scheduled
-        # inside the horizon, so every month is pure crash downtime.
+        # One server has no shocks and its refurbishment costs nothing,
+        # so below the clip every month is pure crash downtime.
         for month in summary.months:
+            assert month.downtime_minutes < MINUTES_PER_MONTH
             assert month.downtime_minutes == pytest.approx(
                 month.crashes * 10.0
             )
 
-    def test_auto_backend_matches_vectorized(self, profile):
-        pytest.importorskip("numpy")
-        auto = AvailabilitySimulator(
-            profile, self.POLICIES, backend="auto"
-        ).simulate(60, seed=4)
-        vectorized = AvailabilitySimulator(
-            profile, self.POLICIES, backend="vectorized"
-        ).simulate(60, seed=4)
-        assert [m.errors for m in auto.months] == [
-            m.errors for m in vectorized.months
-        ]
-        assert auto.mean_availability == vectorized.mean_availability
+    def test_cost_does_not_grow_with_the_horizon(self, profile):
+        """A retirement period tied to the horizon (``months + 1``) made
+        every 256-month chunk build ``(months + 1, 256)`` aging tables:
+        ~47 MiB at 12 000 months, against the result's own few MiB."""
+        simulator = AvailabilitySimulator(profile, POLICIES)
+        short = simulator.layout(12).config
+        long = simulator.layout(12_000).config
+        assert short.retirement_age_months == long.retirement_age_months
+        assert long.repair_downtime_minutes == 0.0
+        tracemalloc.start()
+        try:
+            summary = simulator.simulate(12_000, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(summary.months) == 12_000
+        assert peak < 12 * 2**20

@@ -6,11 +6,11 @@ The contract under test everywhere: every batch/bounded path must return
 """
 
 import itertools
-import sys
 
 import pytest
 
 from repro import api
+from repro.cluster import AvailabilitySimulator
 from repro.core.design_space import (
     HardwareTechnique,
     RegionPolicy,
@@ -353,24 +353,6 @@ class TestExploreEngine:
             m.design.name for m in reference.feasible[:3]
         ]
 
-    def test_auto_needs_no_numpy(self, profile, monkeypatch):
-        expected = explore(
-            profile, availability_target=0.999, backend="scalar", top_k=3
-        )
-        # A None entry makes ``import numpy`` raise ImportError.
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        ranked = explore(
-            profile, availability_target=0.999, top_k=3, simulate_months=24
-        )
-        assert ranked.backend == "branch-and-bound"
-        assert ranked.simulation.backend == "scalar"
-        assert [m.design.name for m in ranked.feasible] == [
-            m.design.name for m in expected.feasible
-        ]
-        full = explore(profile, availability_target=0.999)
-        assert full.backend == "scalar"
-        assert full.feasible_count > 3
-
     def test_duplicated_candidates_stay_cheap(self, profile):
         """Every design has 2^regions equal-savings twins, and the cost
         bound only cuts *strictly* worse subtrees — so this is the case
@@ -412,6 +394,7 @@ class TestExploreEngine:
         assert set(sim.percentiles) == {"p5", "p50", "p95"}
         payload = sim.to_dict()
         assert payload["design"] == sim.design_name
+        assert "backend" not in payload  # one engine, nothing to name
 
     def test_observer_instruments_and_spans(self, profile):
         registry = MetricsRegistry()
@@ -454,8 +437,8 @@ class TestApiFacade:
         assert len(result.feasible) == 2
 
     def test_backend_tuples_exported(self):
-        assert "branch-and-bound" in api.EXPLORE_BACKENDS
-        assert "vectorized" in api.SEARCH_BACKENDS
+        assert "branch-and-bound" in api.available_backends("explore")
+        assert "vectorized" in api.available_backends("search")
 
 
 class TestBatchEvaluator:
@@ -497,14 +480,15 @@ class TestBatchEvaluator:
 
 
 class TestBatchSimulator:
-    def make_simulator(self, profile, designs):
-        pytest.importorskip("numpy")
-        from repro.explore.simulator import BatchAvailabilitySimulator
+    """What the deleted batched simulator's tests still have to say,
+    on the one-server view built the way ``explore`` builds it (the
+    evaluator's models and region sizes)."""
 
+    def make_simulator(self, profile, policies):
         evaluator = DesignEvaluator(profile)
-        return BatchAvailabilitySimulator(
+        return AvailabilitySimulator(
             profile,
-            designs,
+            policies,
             error_model=evaluator.error_model,
             params=evaluator.availability_params,
             region_sizes=evaluator.region_sizes,
@@ -516,74 +500,38 @@ class TestBatchSimulator:
             for region in REGIONS
         }
 
+    def draws(self, profile, seed):
+        simulator = self.make_simulator(
+            profile, self.policies(HardwareTechnique.NONE)
+        )
+        return [
+            (month.errors, month.crashes, month.incorrect_responses)
+            for month in simulator.simulate(60, seed=seed).months
+        ]
+
     def test_seed_stable(self, profile):
-        np = pytest.importorskip("numpy")
-        designs = [self.policies(HardwareTechnique.NONE)]
-        first = self.make_simulator(profile, designs).simulate(60, seed=11)
-        second = self.make_simulator(profile, designs).simulate(60, seed=11)
-        assert np.array_equal(first.errors, second.errors)
-        assert np.array_equal(first.crashes, second.crashes)
-        assert np.array_equal(first.incorrect, second.incorrect)
-        third = self.make_simulator(profile, designs).simulate(60, seed=12)
-        assert not np.array_equal(first.errors, third.errors)
-
-    def test_chunking_contract(self, profile):
-        # Seed-stability is per (seed, month_chunk): the same chunking
-        # reproduces draws exactly; a different chunking samples the
-        # same distribution (different stream, same statistics).
-        np = pytest.importorskip("numpy")
-        from repro.explore.simulator import BatchAvailabilitySimulator
-
-        designs = [self.policies(HardwareTechnique.NONE)]
-        evaluator = DesignEvaluator(profile)
-        whole = BatchAvailabilitySimulator(
-            profile, designs, region_sizes=evaluator.region_sizes
-        ).simulate(400, seed=3)
-        rechunked = BatchAvailabilitySimulator(
-            profile, designs, region_sizes=evaluator.region_sizes, month_chunk=7
-        ).simulate(400, seed=3)
-        replayed = BatchAvailabilitySimulator(
-            profile, designs, region_sizes=evaluator.region_sizes, month_chunk=7
-        ).simulate(400, seed=3)
-        assert np.array_equal(rechunked.errors, replayed.errors)
-        assert np.array_equal(rechunked.crashes, replayed.crashes)
-        assert rechunked.errors.mean() == pytest.approx(
-            whole.errors.mean(), rel=0.05
-        )
-        assert rechunked.mean_availability(0) == pytest.approx(
-            whole.mean_availability(0), abs=0.002
-        )
+        first = self.draws(profile, 11)
+        assert first == self.draws(profile, 11)
+        assert [month[0] for month in first] != [
+            month[0] for month in self.draws(profile, 12)
+        ]
 
     def test_ecc_design_never_crashes(self, profile):
-        designs = [
-            self.policies(HardwareTechnique.NONE),
-            self.policies(HardwareTechnique.SEC_DED),
-        ]
-        result = self.make_simulator(profile, designs).simulate(50, seed=4)
-        assert result.mean_crashes(1) == 0.0
-        assert result.mean_availability(1) == 1.0
-        assert result.mean_crashes(0) > 0.0
-
-    def test_summary_is_scalar_compatible(self, profile):
-        designs = [self.policies(HardwareTechnique.NONE)]
-        result = self.make_simulator(profile, designs).simulate(80, seed=5)
-        summary = result.to_summary(0)
-        assert len(summary.months) == 80
-        assert summary.mean_availability == pytest.approx(
-            result.mean_availability(0)
+        unprotected, protected = (
+            self.make_simulator(profile, self.policies(technique)).simulate(
+                50, seed=4
+            )
+            for technique in (HardwareTechnique.NONE, HardwareTechnique.SEC_DED)
         )
-        assert summary.availability_percentile(50) == (
-            result.availability_percentile(50, 0)
-        )
+        assert protected.mean_crashes == 0.0
+        assert protected.mean_availability == 1.0
+        assert unprotected.mean_crashes > 0.0
 
     def test_validation(self, profile):
-        pytest.importorskip("numpy")
-        from repro.explore.simulator import BatchAvailabilitySimulator
-
         with pytest.raises(ValueError):
-            BatchAvailabilitySimulator(profile, [])
+            self.make_simulator(profile, {})
         simulator = self.make_simulator(
-            profile, [self.policies(HardwareTechnique.NONE)]
+            profile, self.policies(HardwareTechnique.NONE)
         )
         with pytest.raises(ValueError):
             simulator.simulate(0)
