@@ -3,9 +3,9 @@
 
 Times the batched NumPy fleet Monte Carlo against the scalar per-event
 reference on a datacenter-scale fleet (the paper's five Table 6 designs
-deployed side by side), plus the analytic composition grid behind
-``optimize_fleet``. Before any timing race the engine must pass its
-correctness gates:
+deployed side by side), plus the analytic model and the composition
+grid behind ``optimize_fleet``. Before any timing race the engine must
+pass its correctness gates:
 
 * seeded runs are byte-identical across repeats and ``workers`` counts,
   and per-design downtime sums to the per-month downtime even when
@@ -282,16 +282,24 @@ def check_scalar_equivalence(profile, designs):
 VECTORIZED_REPEATS = 5
 
 
-def timed_simulation(profile, designs, config):
-    """(median seconds, result, path) over :data:`VECTORIZED_REPEATS` runs."""
+def timed(call):
+    """(median seconds, last result) over :data:`VECTORIZED_REPEATS` calls."""
     seconds = []
     for _ in range(VECTORIZED_REPEATS):
         start = time.perf_counter()
-        result, path = simulate_with_path(
+        result = call()
+        seconds.append(time.perf_counter() - start)
+    return sorted(seconds)[len(seconds) // 2], result
+
+
+def timed_simulation(profile, designs, config):
+    """(median seconds, result, path) of the vectorized simulation."""
+    seconds, (result, path) = timed(
+        lambda: simulate_with_path(
             profile, designs, config, backend="vectorized"
         )
-        seconds.append(time.perf_counter() - start)
-    return sorted(seconds)[len(seconds) // 2], result, path
+    )
+    return seconds, result, path
 
 
 def bench_simulation(profile, designs, smoke):
@@ -394,6 +402,23 @@ def bench_simulation(profile, designs, smoke):
     }
 
 
+def bench_analytic(profile, designs):
+    """The analytic model on the pipeline benchmark's fleet: 8000
+    servers x 120 months under :data:`WEAR`. It reads per-block totals
+    off the age census, so the time does not depend on the 8000."""
+    config = FleetConfig(servers=8000, months=120, **WEAR)
+    seconds, result = timed(
+        lambda: analyze_fleet(profile, designs=designs, config=config)
+    )
+    return {
+        "servers": config.servers,
+        "months": config.months,
+        "repeats": VECTORIZED_REPEATS,
+        "analyze_seconds": seconds,
+        "mean_machine_availability": result.mean_machine_availability,
+    }
+
+
 def bench_optimizer(profile, designs):
     """Composition-grid search across the five paper designs.
 
@@ -426,6 +451,8 @@ def bench_optimizer(profile, designs):
         "step": step,
         "designs": len(designs),
         "compositions_evaluated": result.evaluated,
+        "compositions_scored": result.scored,
+        "distinct_blocks": result.distinct_blocks,
         "compositions_per_second": result.evaluated / seconds,
         "seconds": seconds,
         "availability_target": result.availability_target,
@@ -505,10 +532,20 @@ def main(argv=None):
         f"{clip_binding['server_months_per_second']:,.0f} server-months/s"
     )
 
+    print("timing: analytic model...")
+    analyze = bench_analytic(profile, designs)
+    print(
+        f"  {analyze['servers']} servers x "
+        f"{analyze['months']} months in "
+        f"{analyze['analyze_seconds'] * 1e3:.2f}ms"
+    )
+
     print("timing: composition optimizer...")
     optimizer = bench_optimizer(profile, designs)
     print(
-        f"  {optimizer['compositions_evaluated']} compositions in "
+        f"  {optimizer['compositions_evaluated']} compositions "
+        f"({optimizer['compositions_scored']} through the kernel, "
+        f"{optimizer['distinct_blocks']} distinct blocks) in "
         f"{optimizer['seconds']:.2f}s "
         f"({optimizer['compositions_per_second']:,.0f}/s); best "
         f"{optimizer['best']['key']} "
@@ -521,6 +558,7 @@ def main(argv=None):
         "analytic": analytic,
         "equivalence": equivalence,
         "simulation": simulation,
+        "analyze": analyze,
         "optimizer": optimizer,
     }
     arguments.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -28,9 +28,12 @@ fleet-wide events ``E ~ Poisson(lam)`` and per-server hit probability
 The quadratic-in-N term is the analytic signature of the heavier
 correlated tail the regression tests pin on the simulator.
 
-:class:`CompositionGrid` is the optimizer's fast path: per-month prefix
-sums over the server axis make each candidate composition an
-``O(designs x months)`` evaluation instead of a fresh layout build.
+:class:`CompositionGrid` is the optimizer's fast path. Per-month prefix
+sums over the server axis give any contiguous design block's moment
+rows in three lookups, and a grid of compositions repeats few blocks —
+735 distinct ``(design, start, count)`` among the 53 130 of a step-0.05
+grid over five designs — so :class:`BlockTables` computes each once and
+a composition's moments are one gathered row per design.
 """
 
 from __future__ import annotations
@@ -57,13 +60,33 @@ from repro.fleet.layout import (
 __all__ = [
     "AnalyticFleetModel",
     "AnalyticFleetResult",
+    "BlockTables",
     "CompositionGrid",
     "analytic_matches_simulation",
     "ci_contains",
 ]
 
-#: Elements per row block of :meth:`CompositionGrid.evaluate`.
-_BLOCK_ELEMENTS = 1 << 16
+#: Elements per row block, wherever compositions are scored
+#: (:meth:`CompositionGrid.evaluate`, ``FleetOptimizer.search``). It
+#: bounds the (rows x months) temporaries and the per-element lists of
+#: the shortfall kernel to a few hundred KiB, and it is how often the
+#: search's running best advances: at 455 rows a block (36 months) the
+#: benchmark grid sends 9 % more rows through the kernel than advancing
+#: after every row would, at four times that (64 Ki elements) 36 % more.
+_BLOCK_ELEMENTS = 1 << 14
+
+#: What :func:`_availability_bound` may fall short of the kernel by, in
+#: floating point. Exactly it never does: ``E[max(0, X - h)] >=
+#: max(0, E[X] - h)`` (Jensen). The kernel's shortfall is ``excess * cdf
+#: + std * pdf`` with an absolute error of an ulp of 1 in ``cdf``
+#: (``1 + erf`` cancels for negative ``t``) and a relative one in each
+#: product, so it can come out under ``max(0, excess)`` by a few ``2^-53
+#: x (|excess| + std)``: in availability, a few ``1e-16 x (|excess| +
+#: std) / demand minutes``. That ratio is about ``1 / demand_fraction``
+#: for a fleet that is down all month and below 1 for one worth
+#: planning; 1e-9 covers it up to 1e5. Jensen's looseness near the
+#: threshold, where it matters, is ~1e-5, so the slack costs no pruning.
+_BOUND_SLACK = 1e-9
 
 
 def _shock_moments(
@@ -131,6 +154,22 @@ def _routed_availability(
     cdf = 0.5 * (1.0 + _per_element(math.erf, t / math.sqrt(2.0)))
     pdf = _per_element(math.exp, -0.5 * t * t) / math.sqrt(2.0 * math.pi)
     shortfall[near] = excess[near] * cdf + std[near] * pdf
+    return 1.0 - shortfall / demand_minutes
+
+
+def _availability_bound(
+    mean_downtime: np.ndarray, servers: int, demand_fraction: float
+) -> np.ndarray:
+    """Upper bound on :func:`_routed_availability` from the means alone.
+
+    The kernel's own far-field value — what it returns, bit for bit, at
+    zero variance. The shortfall is convex in the downtime, so by
+    Jensen spread only lowers availability; :data:`_BOUND_SLACK` covers
+    the rounding.
+    """
+    demand_minutes = demand_fraction * servers * MINUTES_PER_MONTH
+    headroom_minutes = (1.0 - demand_fraction) * servers * MINUTES_PER_MONTH
+    shortfall = np.maximum(0.0, mean_downtime - headroom_minutes)
     return 1.0 - shortfall / demand_minutes
 
 
@@ -224,22 +263,22 @@ class AnalyticFleetModel:
         config = layout.config
         months = config.months
         recovery = self.params.crash_recovery_minutes
-        ages = layout.ages(0, months)
-        mult = layout.multipliers(0, months, ages)  # (servers, months)
+        # Per block and month, from the age census: the multiplier mass
+        # and the refurbishments. No (servers, months) array is built.
+        mass, repairs, _ = layout.block_months(0, months)
         mean_downtime = np.zeros(months, dtype=np.float64)
         var_downtime = np.zeros(months, dtype=np.float64)
         mean_errors = np.zeros(months, dtype=np.float64)
         mean_crashes = np.zeros(months, dtype=np.float64)
         mean_incorrect = np.zeros(months, dtype=np.float64)
         design_downtime: Dict[str, float] = {}
-        for block in layout.blocks:
+        for block, block_mult in zip(layout.blocks, mass):
             rates = block.outcomes
             crash_coeff = rates.crash_rate
             incorrect_coeff = float(
                 (rates.uncrashed * rates.incorrect_per_error).sum()
             )
             error_coeff = float(rates.errors.sum())
-            block_mult = mult[block.start:block.stop, :].sum(axis=0)
             crashes = crash_coeff * block_mult
             mean_errors += error_coeff * block_mult
             mean_crashes += crashes
@@ -261,14 +300,12 @@ class AnalyticFleetModel:
                     per_server * block.servers * months
                 )
         if config.repair_downtime_minutes > 0:
-            repairs = layout.repairs(0, months, ages)  # deterministic mask
             mean_downtime += (
                 repairs.sum(axis=0) * config.repair_downtime_minutes
             )
-            for block in layout.blocks:
+            for block, refurbished in zip(layout.blocks, repairs):
                 design_downtime[block.name] += float(
-                    repairs[block.start:block.stop, :].sum()
-                    * config.repair_downtime_minutes
+                    refurbished.sum() * config.repair_downtime_minutes
                 )
         return AnalyticFleetResult(
             layout,
@@ -288,8 +325,8 @@ class CompositionGrid:
     refurbishment months depend only on the server index), so aging
     multipliers and repair counts are composition-independent. Prefix
     sums along the server axis turn any contiguous design block's
-    monthly multiplier mass into two array lookups, making a candidate
-    composition an ``O(designs x months)`` evaluation.
+    monthly multiplier mass into two array lookups;
+    :class:`BlockTables` does them once per distinct block of a batch.
     """
 
     def __init__(
@@ -353,22 +390,48 @@ class CompositionGrid:
         self._bad_fraction = config.correlation.bad_batch_fraction
         self._bad_extra = config.correlation.bad_batch_multiplier - 1.0
 
+    def tabulate(self, counts) -> "BlockTables":
+        """Check ``counts`` and tabulate its distinct design blocks."""
+        return BlockTables(self, counts)
+
     def evaluate(self, counts) -> Tuple[np.ndarray, np.ndarray]:
         """(mean fleet availability, cost savings) per composition.
 
-        ``counts`` is a ``(compositions, designs)`` integer array; each
-        row aligns with the construction-time design order and must sum
-        to ``config.servers``. Blocks are contiguous in design order,
-        matching :class:`FleetLayout`. Moments accumulate design by
-        design, left to right, so every composition sees the same
-        float64 additions it would see evaluated alone.
+        The exact availability of every row, whatever else is in the
+        batch: the oracle and bench surface. ``counts`` is a
+        ``(compositions, designs)`` integer array; each row aligns with
+        the construction-time design order and must sum to
+        ``config.servers``.
         """
-        config = self.config
+        tables = self.tabulate(counts)
+        availability = np.empty(len(tables.savings), dtype=np.float64)
+        for lo in range(0, len(availability), tables.block_rows):
+            rows = slice(lo, lo + tables.block_rows)
+            availability[rows] = tables.availability(rows)
+        return (availability, tables.savings)
+
+
+class BlockTables:
+    """One batch of compositions, each distinct design block computed once.
+
+    Blocks are contiguous in design order, matching
+    :class:`FleetLayout`, so design ``d`` of a composition is the block
+    ``(start, count)`` with ``start`` the servers of the designs before
+    it. A simplex grid repeats few of them; each distinct pair's
+    ``crash_coeff * block_mult * recovery`` and ``* recovery**2`` month
+    rows are computed once, from the grid's prefix sums, and a
+    composition's moments are those rows added design by design, left
+    to right — the same float64 additions it would see evaluated alone.
+    """
+
+    def __init__(self, grid: CompositionGrid, counts) -> None:
+        config = grid.config
         servers = config.servers
+        designs = len(grid.designs)
         counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2 or counts.shape[1] != len(self.designs):
+        if counts.ndim != 2 or counts.shape[1] != designs:
             raise ValueError(
-                f"counts must be (compositions, {len(self.designs)}), "
+                f"counts must be (compositions, {designs}), "
                 f"got shape {counts.shape}"
             )
         if (counts < 0).any():
@@ -379,49 +442,89 @@ class CompositionGrid:
                 f"composition covers {int(covered[covered != servers][0])} "
                 f"servers, config.servers is {servers}"
             )
-        recovery = self.params.crash_recovery_minutes
-        starts = np.cumsum(counts, axis=1) - counts
-        bad_extra = self._bad_extra
-        bad_batch = bad_extra > 0 and self._bad_fraction > 0
-        if bad_batch:
-            bad_of = np.zeros(servers + 1, dtype=np.int64)
-            for size in np.unique(counts).tolist():
-                bad_of[size] = bad_batch_servers(self._bad_fraction, size)
-            bad_stops = starts + bad_of[counts]
-        base_mean = (
-            self.repairs_by_month * config.repair_downtime_minutes
-            + self._shock_downtime_mean
+        self._servers = servers
+        self._demand_fraction = config.demand_fraction
+        #: Moments before any design's crashes: repairs and shocks.
+        self._base_mean = (
+            grid.repairs_by_month * config.repair_downtime_minutes
+            + grid._shock_downtime_mean
         )
-        months = len(base_mean)
-        compositions = len(counts)
-        availability = np.empty(compositions, dtype=np.float64)
-        savings = np.zeros(compositions, dtype=np.float64)
-        # Row blocks keep the (rows x months) temporaries and the
-        # per-element lists of the shortfall kernel to a few MiB.
-        rows = max(1, _BLOCK_ELEMENTS // months)
-        for lo in range(0, compositions, rows):
-            block = slice(lo, min(lo + rows, compositions))
-            mean_downtime = np.tile(base_mean, (block.stop - lo, 1))
-            var_downtime = np.full_like(
-                mean_downtime, self._shock_downtime_var
+        self._base_var = np.full_like(
+            self._base_mean, grid._shock_downtime_var
+        )
+        #: Rows a caller should score at a time (see ``_BLOCK_ELEMENTS``).
+        self.block_rows = max(1, _BLOCK_ELEMENTS // len(self._base_mean))
+        #: Cost savings per composition.
+        self.savings = np.zeros(len(counts), dtype=np.float64)
+        for d in range(designs):
+            self.savings += grid.savings[d] * (counts[:, d] / servers)
+        recovery = grid.params.crash_recovery_minutes
+        bad_extra = grid._bad_extra
+        bad_batch = bad_extra > 0 and grid._bad_fraction > 0
+        starts = np.cumsum(counts, axis=1) - counts
+        #: Per design, each composition's row of the moment tables.
+        self._which = np.empty((designs, len(counts)), dtype=np.int64)
+        mean_rows, var_rows, tabulated = [], [], 0
+        for d in range(designs):
+            pairs, which = np.unique(
+                starts[:, d] * (servers + 1) + counts[:, d],
+                return_inverse=True,
             )
-            for d in range(len(self.designs)):
-                start = starts[block, d]
-                head = self.cum_mult[start, :]
-                block_mult = self.cum_mult[start + counts[block, d], :] - head
-                if bad_batch:
-                    block_mult = block_mult + bad_extra * (
-                        self.cum_mult[bad_stops[block, d], :] - head
-                    )
-                crashes = self.crash_coeff[d] * block_mult
-                mean_downtime += crashes * recovery
-                var_downtime += crashes * recovery**2
-            availability[block] = _routed_availability(
-                mean_downtime, var_downtime, servers, config.demand_fraction
+            self._which[d] = which + tabulated
+            tabulated += len(pairs)
+            start, count = np.divmod(pairs, servers + 1)
+            head = grid.cum_mult[start, :]
+            block_mult = grid.cum_mult[start + count, :] - head
+            if bad_batch:
+                bad = [
+                    bad_batch_servers(grid._bad_fraction, size)
+                    for size in count.tolist()
+                ]
+                block_mult = block_mult + bad_extra * (
+                    grid.cum_mult[start + bad, :] - head
+                )
+            # Thinned Poisson: crash-count variance equals its mean.
+            crashes = grid.crash_coeff[d] * block_mult
+            mean_rows.append(crashes * recovery)
+            var_rows.append(crashes * recovery**2)
+        self._mean_rows = np.concatenate(mean_rows)
+        self._var_rows = np.concatenate(var_rows)
+        #: Distinct ``(design, start, count)`` blocks tabulated.
+        self.distinct_blocks = tabulated
+
+    @staticmethod
+    def _moment(base, table, which) -> np.ndarray:
+        """``base`` plus one ``table`` row per design, left to right."""
+        moment = base + table[which[0]]
+        for picked in which[1:]:
+            moment += table[picked]
+        return moment
+
+    def availability(self, rows, floor=None) -> np.ndarray:
+        """Mean fleet availability of the compositions ``rows``.
+
+        ``rows`` is a slice or an index array. Without ``floor`` every
+        value is exact. With one (a scalar or a value per row), a row
+        whose availability is provably below its floor — the Jensen
+        bound of its mean downtime plus :data:`_BOUND_SLACK` is — skips
+        the variance and the shortfall kernel and reads ``-inf``; the
+        rest are exact.
+        """
+        which = self._which[:, rows]
+        availability = np.full(which.shape[1], -np.inf)
+        mean_downtime = self._moment(self._base_mean, self._mean_rows, which)
+        scored = slice(None)
+        if floor is not None:
+            bound = _availability_bound(
+                mean_downtime, self._servers, self._demand_fraction
             ).mean(axis=1)
-        for d in range(len(self.designs)):
-            savings += self.savings[d] * (counts[:, d] / servers)
-        return (availability, savings)
+            scored = bound + _BOUND_SLACK >= floor
+            which, mean_downtime = which[:, scored], mean_downtime[scored]
+        var_downtime = self._moment(self._base_var, self._var_rows, which)
+        availability[scored] = _routed_availability(
+            mean_downtime, var_downtime, self._servers, self._demand_fraction
+        ).mean(axis=1)
+        return availability
 
 
 def ci_contains(

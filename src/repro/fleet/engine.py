@@ -323,6 +323,8 @@ def optimize_fleet(
             instruments.record_optimization(result)
         span.set(
             evaluated=result.evaluated,
+            scored=result.scored,
+            distinct_blocks=result.distinct_blocks,
             found=result.best is not None,
             mixed_dominates_singles=result.mixed_dominates_singles,
         )

@@ -4,9 +4,10 @@ A datacenter is not obliged to run one HRM design everywhere: the
 cheapest design that *alone* misses the fleet availability target can
 still carry most of the fleet if a reliable design covers the
 difference. The optimizer enumerates fractional compositions on a
-simplex grid (stars and bars at ``step`` granularity), scores each with
-the analytic model's fast path (:class:`CompositionGrid` prefix sums —
-``O(designs x months)`` per candidate), and keeps:
+simplex grid (stars and bars at ``step`` granularity), scores them
+through the analytic model's fast path (:class:`CompositionGrid`: each
+distinct design block tabulated once, the shortfall kernel only on
+compositions whose Jensen bound can still reach the front), and keeps:
 
 * the **best** feasible composition — maximum cost savings, ties broken
   by higher availability then lexical composition key;
@@ -89,10 +90,16 @@ class FleetOptimizationResult:
 
     availability_target: float
     step: float
+    #: Compositions on the grid, scored or not.
     evaluated: int
     best: Optional[CompositionMetrics]
     pareto: List[CompositionMetrics]
     singles: Dict[str, CompositionMetrics] = field(default_factory=dict)
+    #: Compositions that went through the shortfall kernel, and the
+    #: distinct design blocks their moments were gathered from:
+    #: accounting for spans and benches, not part of :meth:`to_dict`.
+    scored: int = 0
+    distinct_blocks: int = 0
 
     @property
     def mixed_dominates_singles(self) -> bool:
@@ -141,7 +148,13 @@ def _unit_allocations(designs: int, units: int) -> np.ndarray:
 
 
 class FleetOptimizer:
-    """Enumerates the composition simplex against an availability target."""
+    """Enumerates the composition simplex against an availability target.
+
+    ``grid`` is a :class:`CompositionGrid` or anything with its
+    ``designs``, ``config`` and ``tabulate(counts)`` (whose result
+    offers ``savings``, ``block_rows``, ``distinct_blocks`` and
+    ``availability(rows, floor)``): the one seam tests score through.
+    """
 
     def __init__(
         self, grid: CompositionGrid, availability_target: float = 0.99
@@ -155,7 +168,18 @@ class FleetOptimizer:
         self.availability_target = availability_target
 
     def search(self, step: float = 0.1) -> FleetOptimizationResult:
-        """Score every composition at ``step`` granularity."""
+        """Winner, front and singles of the grid at ``step`` granularity.
+
+        Compositions are walked in stable savings-descending row blocks.
+        A row scored below the best exact availability of the blocks
+        before it — rows of at least its savings — is dominated, so it
+        is not on the front, and not the winner either: if it were
+        feasible so would be the row that beats it. Such a row needs no
+        exact score, and the grid is told so through ``floor``; it skips
+        the rows it can prove are below it and reports ``-inf``, which
+        loses every comparison below. Singles are exposed whatever they
+        score, so they are forced exact.
+        """
         if not 0.0 < step <= 1.0:
             raise ValueError(f"step must be in (0, 1], got {step}")
         units = max(1, round(1.0 / step))
@@ -164,7 +188,18 @@ class FleetOptimizer:
         allocations = _unit_allocations(len(names), units)
         fractions = allocations / units
         counts = apportion_rows(servers, names, fractions)
-        availability, savings = self.grid.evaluate(counts)
+        tables = self.grid.tabulate(counts)
+        savings = tables.savings
+        single = (allocations == units).any(axis=1)
+        order = np.argsort(-savings, kind="stable")
+        availability = np.empty(len(counts), dtype=np.float64)
+        best_so_far = -np.inf
+        for lo in range(0, len(order), tables.block_rows):
+            rows = order[lo:lo + tables.block_rows]
+            availability[rows] = tables.availability(
+                rows, np.where(single[rows], -np.inf, best_so_far)
+            )
+            best_so_far = max(best_so_far, availability[rows].max())
         feasible = availability >= self.availability_target
         # Smallest d with 10^d >= units: distinct grid fractions print
         # distinctly, and none that holds servers prints as zero.
@@ -208,4 +243,6 @@ class FleetOptimizer:
             best=best,
             pareto=[point(index) for index in front.tolist()],
             singles=singles,
+            scored=int((availability > -np.inf).sum()),
+            distinct_blocks=tables.distinct_blocks,
         )

@@ -287,7 +287,11 @@ class FleetInstruments:
       run (routing ignored);
     * ``fleet_downtime_minutes`` — total downtime of the last run;
     * ``fleet_compositions_evaluated_total`` — candidate compositions
-      scored by the mixed-fleet optimizer;
+      on the mixed-fleet optimizer's grids;
+    * ``fleet_compositions_scored_total`` — those that went through the
+      shortfall kernel (the rest were provably off the front);
+    * ``fleet_distinct_blocks_total`` — distinct ``(design, start,
+      count)`` blocks their moments were gathered from;
     * ``fleet_best_cost_savings`` — server-cost savings of the last
       optimizer winner (0 when no composition was feasible).
     """
@@ -313,7 +317,15 @@ class FleetInstruments:
         )
         self.compositions_evaluated = registry.counter(
             "fleet_compositions_evaluated_total",
-            "Candidate compositions scored by the fleet optimizer",
+            "Candidate compositions on the fleet optimizer's grids",
+        )
+        self.compositions_scored = registry.counter(
+            "fleet_compositions_scored_total",
+            "Compositions the fleet optimizer ran the shortfall kernel on",
+        )
+        self.distinct_blocks = registry.counter(
+            "fleet_distinct_blocks_total",
+            "Distinct design blocks tabulated by the fleet optimizer",
         )
         self.best_cost_savings = registry.gauge(
             "fleet_best_cost_savings",
@@ -334,6 +346,8 @@ class FleetInstruments:
     def record_optimization(self, result) -> None:
         """Fold one completed composition search into the registry."""
         self.compositions_evaluated.labels().inc(result.evaluated)
+        self.compositions_scored.labels().inc(result.scored)
+        self.distinct_blocks.labels().inc(result.distinct_blocks)
         self.best_cost_savings.labels().set(
             result.best.cost_savings if result.best is not None else 0.0
         )

@@ -102,6 +102,9 @@ class TraceSummary:
     #: Attributes of every ``fleet`` simulate span: which rows its chunks
     #: drew (block totals or servers) and the clip guard behind it.
     fleet_simulations: List[Dict[str, object]] = field(default_factory=list)
+    #: Attributes of every ``fleet`` optimize span: grid size, rows that
+    #: went through the shortfall kernel, distinct blocks tabulated.
+    fleet_optimizations: List[Dict[str, object]] = field(default_factory=list)
 
     @property
     def mean_injection_seconds(self) -> float:
@@ -146,6 +149,12 @@ def summarize_trace(events: List[TraceEvent]) -> TraceSummary:
             summary.fleet_simulations.append(
                 dict(event.attrs, seconds=event.duration_seconds)
             )
+        elif (
+            event.kind == KIND_SPAN
+            and event.name == SPAN_FLEET
+            and "scored" in event.attrs
+        ):
+            summary.fleet_optimizations.append(dict(event.attrs))
         elif event.name == POINT_PROGRESS:
             pid = int(event.attrs.get("worker_pid", event.pid))
             summary.worker_busy_seconds[pid] = summary.worker_busy_seconds.get(
@@ -196,6 +205,14 @@ def render_trace_report(summary: TraceSummary) -> str:
             lines.append(
                 f"  {run['servers']} servers x {run['months']} months "
                 f"({run['backend']}): {render_fleet_draw_path(run)}"
+            )
+    if summary.fleet_optimizations:
+        lines.append("")
+        for run in summary.fleet_optimizations:
+            lines.append(
+                f"fleet optimizer: scored {run['scored']} of "
+                f"{run['evaluated']} compositions "
+                f"({run['distinct_blocks']} distinct blocks)"
             )
     if summary.worker_busy_seconds:
         lines.append("")

@@ -10,7 +10,6 @@ cannot vary.
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,7 +150,6 @@ class TestMatrixMatchesScalarOracle:
     @settings(max_examples=25, deadline=None)
     @given(optimizer=optimizers(max_candidates=3))
     def test_batch_arrays_bit_identical(self, optimizer):
-        np = pytest.importorskip("numpy")
         from repro.explore.batch import BatchDesignSpaceEvaluator
 
         regions = sorted(optimizer.evaluator.region_sizes)
@@ -198,7 +196,6 @@ class TestSearchEquivalence:
         target=st.floats(min_value=0.9, max_value=1.0, allow_nan=False),
     )
     def test_vectorized_search_matches_scalar(self, optimizer, target):
-        pytest.importorskip("numpy")
         regions = sorted(optimizer.evaluator.region_sizes)
         scalar = optimizer.search(target, regions=regions)
         vectorized = MappingOptimizer(
@@ -258,7 +255,6 @@ class TestAutoMatchesEveryNamedBackend:
         top_k=st.integers(min_value=1, max_value=12),
     )
     def test_names_metrics_and_order(self, space, target, budget, top_k):
-        pytest.importorskip("numpy")
         prof, candidates, fractions = space
         results = {
             backend: explore(
@@ -333,20 +329,35 @@ POINTS = st.lists(
 
 class ScoredGrid:
     """A ``CompositionGrid`` stand-in that scores row ``i`` of a
-    two-design simplex as the ``i``-th given point."""
+    two-design simplex as the ``i``-th given point.
 
-    def __init__(self, points, servers=1000):
+    It offers what ``FleetOptimizer.search`` asks of a grid —
+    ``tabulate(counts)`` giving ``savings``, ``block_rows``,
+    ``distinct_blocks`` and ``availability(rows, floor)`` — and prunes
+    as hard as that contract allows: every row below its floor reads
+    ``-inf``, as if the bound were the exact value and the slack zero.
+    """
+
+    distinct_blocks = 0
+
+    def __init__(self, points, servers=1000, block_rows=3):
         self.designs = [
             FleetDesign(name=name, policies={"heap": DEFAULT_CANDIDATES[0]})
             for name in ("A", "B")
         ]
         self.config = FleetConfig(servers=servers)
-        self.points = points
+        self.savings, self.exact = map(np.array, zip(*points))
+        self.block_rows = block_rows
+        self.pruned = 0
 
-    def evaluate(self, counts):
-        assert len(counts) == len(self.points)
-        savings, availability = zip(*self.points)
-        return (np.array(availability), np.array(savings))
+    def tabulate(self, counts):
+        assert len(counts) == len(self.exact)
+        return self
+
+    def availability(self, rows, floor):
+        below = self.exact[rows] < floor
+        self.pruned += int(below.sum())
+        return np.where(below, -np.inf, self.exact[rows])
 
 
 class TestParetoSweep:
@@ -405,18 +416,27 @@ class TestParetoSweep:
     @given(
         points=POINTS.filter(lambda points: len(points) >= 2),
         target=st.sampled_from([0.5, 0.9, 0.999, 1.0]),
+        block_rows=st.sampled_from([1, 3, 1000]),
     )
     def test_fleet_search_front_and_winner_match_reference(
-        self, points, target
+        self, points, target, block_rows
     ):
         """``FleetOptimizer.search`` on a scored simplex: the front in
         oracle order, and the winner by the list form of the tie-break
-        (savings, availability, then key)."""
+        (savings, availability, then key) — with every row the walk
+        lets the grid skip skipped, one row, three rows or the whole
+        grid at a time."""
         units = len(points) - 1
-        result = FleetOptimizer(
-            ScoredGrid(points), availability_target=target
-        ).search(step=1.0 / units)
+        grid = ScoredGrid(points, block_rows=block_rows)
+        result = FleetOptimizer(grid, availability_target=target).search(
+            step=1.0 / units
+        )
         assert result.evaluated == len(points)
+        assert result.scored == len(points) - grid.pruned
+        # The two pure fleets are exposed whatever they score.
+        for name, index in (("A", units), ("B", 0)):
+            single = result.singles[name]
+            assert (single.cost_savings, single.fleet_availability) == points[index]
 
         def row(point):
             return round(point.fractions["A"] * units)

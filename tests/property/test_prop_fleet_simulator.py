@@ -28,20 +28,19 @@ All seeds are fixed; nothing here is flaky by construction.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro.core.availability import (  # noqa: E402
+from repro.core.availability import (
     MINUTES_PER_MONTH,
     ErrorRateModel,
 )
-from repro.core.mapping import paper_design_points  # noqa: E402
-from repro.core.taxonomy import ErrorOutcome  # noqa: E402
-from repro.core.vulnerability import VulnerabilityProfile  # noqa: E402
-from repro.fleet import (  # noqa: E402
+from repro.core.mapping import paper_design_points
+from repro.core.taxonomy import ErrorOutcome
+from repro.core.vulnerability import VulnerabilityProfile
+from repro.fleet import (
     AgingConfig,
     CorrelationConfig,
     FleetConfig,
@@ -52,12 +51,12 @@ from repro.fleet import (  # noqa: E402
     apportion_servers,
     simulate_fleet,
 )
-from repro.fleet.simulator import (  # noqa: E402
+from repro.fleet.simulator import (
     LN_SMALLEST_DOUBLE,
     _poisson_tail_ln,
     clip_ln_bound,
 )
-from repro.utils.rng import derive_seed  # noqa: E402
+from repro.utils.rng import derive_seed
 
 #: The six-region profile of ``benchmarks/bench_fleet.py`` and the
 #: pipeline's ``plan_fleet``: region -> (size, crash trials, incorrect

@@ -160,6 +160,28 @@ class TestRenderTraceReport:
         assert "fleet simulations" not in render_trace_report(
             summarize_trace(_small_trace())
         )
+        # That optimize span predates the scoring counts: nothing to say.
+        assert "optimizer" not in text
+
+    def test_fleet_optimize_spans_say_how_much_was_scored(self):
+        search = _event(
+            KIND_SPAN,
+            SPAN_FLEET,
+            attrs={
+                "evaluated": 10626, "scored": 5426, "distinct_blocks": 735,
+                "found": True, "mixed_dominates_singles": True,
+            },
+        )
+        summary = summarize_trace(_small_trace() + [search])
+        assert summary.fleet_simulations == []
+        assert len(summary.fleet_optimizations) == 1
+        assert (
+            "optimizer: scored 5426 of 10626 compositions "
+            "(735 distinct blocks)"
+        ) in render_trace_report(summary)
+        assert "optimizer" not in render_trace_report(
+            summarize_trace(_small_trace())
+        )
 
 
 class TestRenderRunSummary:
