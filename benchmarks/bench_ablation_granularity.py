@@ -10,25 +10,28 @@ region-granularity HRM at a fixed availability target.
 
 from _helpers import ANALYSIS_ERROR_LABEL
 
+from repro.core.design_space import bind_recoverable_fraction
 from repro.core.mapping import DesignEvaluator, HRMDesign
-from repro.core.optimizer import DEFAULT_CANDIDATES, MappingOptimizer
+from repro.core.optimizer import DEFAULT_CANDIDATES
+from repro.explore import explore
 
 TARGET = 0.999
 
 
-def _uniform_best(evaluator, regions, optimizer):
+def _uniform_best(evaluator, regions, fractions):
     """Cheapest uniform design meeting the target.
 
-    Region-specific recoverable fractions are applied exactly as in the
-    per-region search (via the optimizer's specialization), so uniform
-    designs are a true subset of the free search space.
+    Region-specific recoverable fractions are bound exactly as in the
+    per-region search, so uniform designs are a true subset of the free
+    search space.
     """
     best = None
     for policy in DEFAULT_CANDIDATES:
         design = HRMDesign(
             name=f"uniform:{policy.describe()}",
             policies={
-                region: optimizer._specialize(region, policy) for region in regions
+                region: bind_recoverable_fraction(policy, region, fractions)
+                for region in regions
             },
         )
         metrics = evaluator.evaluate(design)
@@ -52,11 +55,17 @@ def test_ablation_granularity(
         websearch_profile, error_label=ANALYSIS_ERROR_LABEL
     )
     regions = websearch_profile.regions()
-    optimizer = MappingOptimizer(evaluator, recoverable_fractions=fractions)
-
-    uniform = _uniform_best(evaluator, regions, optimizer)
+    uniform = _uniform_best(evaluator, regions, fractions)
     result = benchmark.pedantic(
-        lambda: optimizer.search(TARGET), rounds=1, iterations=1
+        lambda: explore(
+            websearch_profile,
+            availability_target=TARGET,
+            error_label=ANALYSIS_ERROR_LABEL,
+            recoverable_fractions=fractions,
+            top_k=1,
+        ),
+        rounds=1,
+        iterations=1,
     )
     assert result.found and uniform is not None
     per_region = result.best
@@ -69,8 +78,8 @@ def test_ablation_granularity(
         f"{'memory region':<16} {per_region.design.name:<42} "
         f"{per_region.server_cost_savings:>8.1%} {per_region.availability:>8.3%}",
         "",
-        f"designs evaluated: {result.evaluated} (region) vs "
-        f"{len(DEFAULT_CANDIDATES)} (machine)",
+        f"designs evaluated: {result.evaluated} of {result.total_designs} "
+        f"(region, branch-and-bound) vs {len(DEFAULT_CANDIDATES)} (machine)",
     ]
     report("ablation_granularity", "\n".join(lines))
 

@@ -1,33 +1,33 @@
 #!/usr/bin/env python
 """Design-space exploration throughput → ``BENCH_design_space.json``.
 
-Times the three exploration backends on a 6-region × 12-candidate grid
-(12^6 ≈ 2.99M designs): the streaming scalar reference (one
-``DesignEvaluator.evaluate`` per design, O(k) memory), the NumPy batch
-engine, and exact branch-and-bound — plus ``auto``, the default every
-caller gets, which must cost what branch-and-bound costs whenever
-``top_k`` is set. Every timed path is first checked
-for equality against exhaustive scalar search on a reduced grid. (The
-Monte Carlo validation of a winner is the fleet engine's one-server
-case; its timings and analytic verdicts are in ``BENCH_fleet.json``.)
+Times the two paths of ``repro.explore.explore`` on a 6-region ×
+12-candidate grid (12^6 ≈ 2.99M designs): the scalar oracle (one
+``DesignEvaluator.evaluate`` per design, O(k) memory) and ``auto``, the
+production path every caller gets — exact branch-and-bound over the
+contribution matrix. Before anything is timed, ``auto`` is checked for
+equality against the oracle on a reduced grid, for a top-5 and for the
+full feasible list (``top_k=None``). (The Monte Carlo validation of a
+winner is the fleet engine's one-server case; its timings and analytic
+verdicts are in ``BENCH_fleet.json``.)
 
-The headline number is ``search.speedup_vectorized`` — batch engine vs
-scalar on the full grid — which gates CI at 3× (smoke) and the
-acceptance bar at 10× (full).
+The headline is ``search.auto``: how many of the 2 985 984 designs the
+production path evaluates for an exact top-5 (CI gates it under 1/1000
+of the space) and what that costs next to the oracle
+(``search.speedup_branch_and_bound``).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_design_space.py
     PYTHONPATH=src python benchmarks/bench_design_space.py --smoke
 
-``--smoke`` keeps the same grid but timings sample the scalar side
-(20k designs, extrapolated — recorded as ``scalar.mode``); the JSON
-schema is identical.
+``--smoke`` keeps the same grid but samples the oracle: it runs on the
+first 5 candidates (5^6 = 15 625 designs, the same six regions per
+design) and the per-design cost is extrapolated to 12^6 — recorded as
+``scalar.mode``; the JSON schema is identical.
 """
 
 import argparse
-import heapq
-import itertools
 import json
 import sys
 import time
@@ -40,14 +40,13 @@ from repro.core.design_space import (  # noqa: E402
     HardwareTechnique,
     RegionPolicy,
 )
-from repro.core.mapping import DesignEvaluator, HRMDesign  # noqa: E402
-from repro.core.optimizer import DEFAULT_CANDIDATES, MappingOptimizer  # noqa: E402
+from repro.core.optimizer import DEFAULT_CANDIDATES  # noqa: E402
 from repro.core.taxonomy import ErrorOutcome  # noqa: E402
 from repro.core.vulnerability import VulnerabilityProfile  # noqa: E402
 from repro.explore import explore  # noqa: E402
 
 TOP_K = 5
-SCALAR_SAMPLE = 20_000  # designs timed in --smoke scalar extrapolation
+SCALAR_SAMPLE_CANDIDATES = 5  # --smoke times the oracle on 5^6 designs
 
 #: 6 regions spanning the size/vulnerability spread the paper measures.
 REGION_SPECS = {
@@ -80,8 +79,24 @@ CANDIDATES = DEFAULT_CANDIDATES + (
 
 TARGET = 0.99985
 
-#: ``auto`` is what ``explore()`` runs when no backend is named.
-BACKENDS = ("scalar", "vectorized", "branch-and-bound", "auto")
+#: The oracle and what ``explore()`` runs when no backend is named.
+BACKENDS = ("scalar", "auto")
+
+METRIC_FIELDS = (
+    "memory_cost_savings",
+    "server_cost_savings",
+    "crashes_per_month",
+    "availability",
+    "incorrect_per_million_queries",
+)
+
+
+def ranking(result):
+    """Names and every metric field of a result's designs, in order."""
+    return [
+        (m.design.name,) + tuple(getattr(m, field) for field in METRIC_FIELDS)
+        for m in result.feasible
+    ]
 
 
 def build_profile():
@@ -102,133 +117,75 @@ def build_profile():
 
 
 def check_search_equivalence(profile):
-    """All backends must agree with exhaustive scalar search (small grid)."""
+    """``auto`` must agree with the scalar oracle (small grid): the
+    top-5 and, with ``top_k=None``, the whole feasible list."""
     regions = list(REGION_SPECS)[:3]  # 12^3 = 1728 designs
-    result = {}
-    for backend in BACKENDS:
-        result[backend] = explore(
-            profile,
-            availability_target=TARGET,
-            recoverable_fractions=RECOVERABLE,
-            candidates=CANDIDATES,
-            regions=regions,
-            backend=backend,
-            top_k=TOP_K,
+    for top_k in (TOP_K, None):
+        result = {
+            backend: explore(
+                profile,
+                availability_target=TARGET,
+                recoverable_fractions=RECOVERABLE,
+                candidates=CANDIDATES,
+                regions=regions,
+                backend=backend,
+                top_k=top_k,
+            )
+            for backend in BACKENDS
+        }
+        assert ranking(result["auto"]) == ranking(result["scalar"]), (
+            f"top_k={top_k}: auto diverges from the scalar oracle"
         )
-    names = {
-        backend: [m.design.name for m in r.feasible]
-        for backend, r in result.items()
-    }
-    assert all(
-        ranking == names["scalar"] for ranking in names.values()
-    ), f"backend rankings diverge: {names}"
-    for backend in BACKENDS:
-        for got, want in zip(result[backend].feasible, result["scalar"].feasible):
-            assert got.server_cost_savings == want.server_cost_savings
-            assert got.availability == want.availability
+    # The last pass was the full list: auto's count is the oracle's.
+    assert result["auto"].feasible_count_exact
+    assert result["auto"].feasible_count == result["scalar"].feasible_count
     return {
         "grid": f"{len(CANDIDATES)}^{len(regions)}",
         "designs_checked": result["scalar"].total_designs,
-        "top_k": TOP_K,
+        "feasible_designs": result["scalar"].feasible_count,
+        "top_k": [TOP_K, None],
         "backends": list(BACKENDS),
         "identical": True,
     }
 
 
-def time_scalar_sampled(optimizer, regions, sample):
-    """Per-design scalar cost from a bounded sample, extrapolated.
-
-    Mirrors the streaming scalar top-k loop (specialize → HRMDesign →
-    evaluate → filter → heap) so the extrapolation prices exactly the
-    work the full scalar run would do.
-    """
-    evaluator = optimizer.evaluator
-    heap = []
-    start = time.perf_counter()
-    count = 0
-    for index, assignment in enumerate(
-        itertools.islice(
-            itertools.product(optimizer.candidates, repeat=len(regions)), sample
-        )
-    ):
-        policies = {
-            region: optimizer._specialize(region, policy)
-            for region, policy in zip(regions, assignment)
-        }
-        design = HRMDesign(
-            name="+".join(p.describe() for p in policies.values()),
-            policies=policies,
-        )
-        metrics = evaluator.evaluate(design)
-        count += 1
-        if metrics.availability < TARGET:
-            continue
-        entry = (metrics.server_cost_savings, metrics.availability, index)
-        if len(heap) < TOP_K:
-            heapq.heappush(heap, entry)
-        else:
-            heapq.heappushpop(heap, entry)
-    elapsed = time.perf_counter() - start
-    return elapsed, count
-
-
 def bench_search(profile, smoke):
-    optimizer = MappingOptimizer(
-        DesignEvaluator(profile),
-        candidates=CANDIDATES,
-        recoverable_fractions=RECOVERABLE,
-    )
     regions = list(REGION_SPECS)
     total_designs = len(CANDIDATES) ** len(regions)
 
     common = dict(
         availability_target=TARGET,
         recoverable_fractions=RECOVERABLE,
-        candidates=CANDIDATES,
         regions=regions,
         top_k=TOP_K,
     )
 
+    start = time.perf_counter()
+    scalar_result = explore(
+        profile,
+        backend="scalar",
+        candidates=CANDIDATES[:SCALAR_SAMPLE_CANDIDATES] if smoke else CANDIDATES,
+        **common,
+    )
+    scalar_seconds = time.perf_counter() - start
     if smoke:
-        sampled_seconds, sampled = time_scalar_sampled(
-            optimizer, regions, SCALAR_SAMPLE
-        )
-        scalar_seconds = sampled_seconds * (total_designs / sampled)
+        sampled = scalar_result.evaluated
         scalar = {
             "mode": "sampled-extrapolated",
             "sampled_designs": sampled,
-            "sampled_seconds": sampled_seconds,
-            "seconds": scalar_seconds,
+            "sampled_seconds": scalar_seconds,
+            "seconds": scalar_seconds * (total_designs / sampled),
         }
-        scalar_top = None
     else:
-        start = time.perf_counter()
-        scalar_result = explore(profile, backend="scalar", **common)
-        scalar_seconds = time.perf_counter() - start
         scalar = {"mode": "measured", "seconds": scalar_seconds}
-        scalar_top = [m.design.name for m in scalar_result.feasible]
 
     start = time.perf_counter()
-    vector_result = explore(profile, backend="vectorized", **common)
-    vectorized_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    bounded_result = explore(profile, backend="branch-and-bound", **common)
-    bnb_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    auto_result = explore(profile, **common)
+    auto_result = explore(profile, candidates=CANDIDATES, **common)
     auto_seconds = time.perf_counter() - start
 
-    vector_top = [m.design.name for m in vector_result.feasible]
-    bnb_top = [m.design.name for m in bounded_result.feasible]
-    auto_top = [m.design.name for m in auto_result.feasible]
-    assert vector_top == bnb_top == auto_top, (
-        f"full-grid rankings diverge: {vector_top} vs {bnb_top} vs {auto_top}"
-    )
-    if scalar_top is not None:
-        assert scalar_top == vector_top, (
-            f"scalar full-grid ranking diverges: {scalar_top} vs {vector_top}"
+    if not smoke:
+        assert ranking(scalar_result) == ranking(auto_result), (
+            "full-grid ranking diverges from the scalar oracle"
         )
 
     return {
@@ -236,27 +193,16 @@ def bench_search(profile, smoke):
         "total_designs": total_designs,
         "top_k": TOP_K,
         "availability_target": TARGET,
-        "top_designs": vector_top,
+        "top_designs": [m.design.name for m in auto_result.feasible],
         "scalar": scalar,
-        "vectorized": {
-            "seconds": vectorized_seconds,
-            "evaluated": vector_result.evaluated,
-            "feasible_count": vector_result.feasible_count,
-        },
-        "branch_and_bound": {
-            "seconds": bnb_seconds,
-            "evaluated": bounded_result.evaluated,
-            "pruned": bounded_result.pruned,
-            "pruned_by": bounded_result.pruned_by,
-        },
         "auto": {
             "resolved": auto_result.backend,
             "seconds": auto_seconds,
             "evaluated": auto_result.evaluated,
             "pruned": auto_result.pruned,
+            "pruned_by": auto_result.pruned_by,
         },
-        "speedup_vectorized": scalar_seconds / vectorized_seconds,
-        "speedup_branch_and_bound": scalar_seconds / bnb_seconds,
+        "speedup_branch_and_bound": scalar["seconds"] / auto_seconds,
     }
 
 
@@ -274,24 +220,23 @@ def main(argv=None):
 
     profile = build_profile()
 
-    print("equivalence: search backends on the reduced grid...")
+    print("equivalence: auto vs the scalar oracle on the reduced grid...")
     equivalence = check_search_equivalence(profile)
-    print(f"  identical rankings on {equivalence['designs_checked']} designs")
+    print(
+        f"  identical top-{TOP_K} and full feasible list "
+        f"({equivalence['feasible_designs']} of "
+        f"{equivalence['designs_checked']} designs)"
+    )
 
     print("timing: full 12^6 grid...")
     search = bench_search(profile, arguments.smoke)
     print(
         f"  scalar {search['scalar']['seconds']:.1f}s "
         f"({search['scalar']['mode']}), "
-        f"vectorized {search['vectorized']['seconds']:.1f}s, "
-        f"branch-and-bound {search['branch_and_bound']['seconds']:.4f}s, "
         f"auto ({search['auto']['resolved']}) "
         f"{search['auto']['seconds']:.4f}s evaluating "
-        f"{search['auto']['evaluated']} of {search['total_designs']}"
-    )
-    print(
-        f"  speedup: vectorized {search['speedup_vectorized']:.1f}x, "
-        f"branch-and-bound {search['speedup_branch_and_bound']:.1f}x"
+        f"{search['auto']['evaluated']} of {search['total_designs']} "
+        f"({search['speedup_branch_and_bound']:.0f}x)"
     )
 
     report = {

@@ -1,8 +1,9 @@
 """Extension — automated design-space search (the Figure 7 flow).
 
-The paper explores five hand-picked designs; the optimizer enumerates
+The paper explores five hand-picked designs; ``repro.explore`` searches
 the full per-region policy space and reports (a) the cheapest design
-meeting the 99.9% target and (b) the cost/availability Pareto front.
+meeting each availability target and (b) the cost/availability Pareto
+front.
 This is the "choose the design that best suits our needs" step made
 mechanical.
 """
@@ -10,7 +11,7 @@ mechanical.
 from _helpers import ANALYSIS_ERROR_LABEL
 
 from repro.core.mapping import DesignEvaluator
-from repro.core.optimizer import MappingOptimizer
+from repro.explore import explore, pareto_front
 
 TARGETS = (0.9999, 0.999, 0.99)
 
@@ -24,13 +25,17 @@ def test_optimizer_search(
         for region, data in websearch_recoverability.items()
         if region != "overall"
     }
-    evaluator = DesignEvaluator(
-        websearch_profile, error_label=ANALYSIS_ERROR_LABEL
-    )
-    optimizer = MappingOptimizer(evaluator, recoverable_fractions=fractions)
-
     results = benchmark.pedantic(
-        lambda: {target: optimizer.search(target) for target in TARGETS},
+        lambda: {
+            target: explore(
+                websearch_profile,
+                availability_target=target,
+                error_label=ANALYSIS_ERROR_LABEL,
+                recoverable_fractions=fractions,
+                top_k=1,
+            )
+            for target in TARGETS
+        },
         rounds=1,
         iterations=1,
     )
@@ -55,7 +60,10 @@ def test_optimizer_search(
             assert best.server_cost_savings >= previous_savings - 1e-9
         previous_savings = best.server_cost_savings
 
-    front = optimizer.pareto_front()
+    front = pareto_front(
+        DesignEvaluator(websearch_profile, error_label=ANALYSIS_ERROR_LABEL),
+        recoverable_fractions=fractions,
+    )
     lines.append("")
     lines.append(f"Pareto front ({len(front)} designs):")
     for metrics in front[:10]:

@@ -1,8 +1,8 @@
 """Heterogeneous-reliability design-space exploration (paper §VI).
 
 Measures WebSearch's vulnerability, then evaluates the paper's five
-Table 6 design points against it and runs the automated optimizer to
-find the cheapest design meeting a target single-server availability.
+Table 6 design points against it and searches the whole design space
+for the cheapest design meeting a target single-server availability.
 
 Run:  python examples/design_space_exploration.py [--target 0.999]
 """
@@ -15,8 +15,8 @@ from repro import (
     CampaignConfig,
     CharacterizationCampaign,
     DesignEvaluator,
-    MappingOptimizer,
     WebSearch,
+    api,
     paper_design_points,
     tolerable_errors_per_month,
 )
@@ -65,14 +65,19 @@ def main() -> None:
             f"{metrics.incorrect_per_million_queries:>7.1f}"
         )
 
-    # 4. Let the optimizer search the whole space.
-    optimizer = MappingOptimizer(evaluator, recoverable_fractions=fractions)
-    result = optimizer.search(availability_target=arguments.target)
+    # 4. Search the whole space (exact branch-and-bound).
+    result = api.explore_design_space(
+        profile,
+        availability_target=arguments.target,
+        error_label="single-bit hard",
+        recoverable_fractions=fractions,
+        top_k=1,
+    )
     if result.found:
         best = result.best
         print(
-            f"\noptimizer ({result.evaluated} designs): best for "
-            f">={arguments.target:.2%} availability:"
+            f"\nsearch ({result.evaluated} of {result.total_designs} designs "
+            f"evaluated): best for >={arguments.target:.2%} availability:"
         )
         print(f"  {best.design.name}")
         print(

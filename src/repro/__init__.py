@@ -49,7 +49,6 @@ from repro.core import (
     ErrorRateModel,
     HardwareTechnique,
     HRMDesign,
-    MappingOptimizer,
     RegionPolicy,
     SoftwareResponse,
     VulnerabilityProfile,
@@ -82,7 +81,7 @@ from repro import api
 # to --log-level); see the stdlib logging HOWTO for the convention.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "api",
@@ -101,7 +100,6 @@ __all__ = [
     "ErrorRateModel",
     "HardwareTechnique",
     "HRMDesign",
-    "MappingOptimizer",
     "RegionPolicy",
     "SoftwareResponse",
     "VulnerabilityProfile",

@@ -7,11 +7,12 @@ Thin orchestration over the library for the common reproduction tasks:
   structured JSONL trace via ``--trace-out`` and metric dumps via
   ``--metrics-out`` / ``--prom-out``);
 * ``design`` — evaluate the paper's five Table 6 design points (and
-  optionally run the optimizer) against a fresh characterization;
-* ``explore`` — batch design-space exploration: rank the top-k designs
-  meeting an availability target (exact branch-and-bound by default;
-  ``--backend`` names the scalar reference or the vectorized batch
-  engine instead) and optionally Monte Carlo-validate the winner;
+  optionally search for the cheapest design meeting ``--target``)
+  against a fresh characterization;
+* ``explore`` — design-space exploration: rank the top-k designs
+  meeting an availability target (exact branch-and-bound;
+  ``--backend scalar`` runs the exhaustive oracle instead) and
+  optionally Monte Carlo-validate the winner;
 * ``fleet`` — simulate a heterogeneous fleet of HRM servers (Monte
   Carlo + analytic cross-check) and optionally search fractional
   design compositions for the cheapest mix meeting an availability
@@ -51,7 +52,6 @@ from repro.core.mapping import (
     paper_design_points,
     typical_server,
 )
-from repro.core.optimizer import MappingOptimizer
 from repro.core.recoverability import (
     analyze_recoverability,
     overall_recoverability,
@@ -393,9 +393,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     explore_cmd.add_argument(
         "--backend", choices=EXPLORE_BACKENDS, default="auto",
-        help="search engine; all backends return identical designs "
-        "('auto' picks 'branch-and-bound', which finds the exact top-k "
-        "without enumerating the space, so 'feasible' is a lower bound)",
+        help="'auto' is exact branch-and-bound, which finds the top-k "
+        "without enumerating the space (so 'feasible' is a lower "
+        "bound); 'scalar' is the exhaustive oracle, identical designs",
     )
     explore_cmd.add_argument(
         "--top-k", type=_top_k, default=5, metavar="K",
@@ -737,8 +737,13 @@ def _cmd_design(arguments) -> int:
             f"{metrics.availability:>9.4%}"
         )
     if arguments.target is not None:
-        optimizer = MappingOptimizer(evaluator, recoverable_fractions=fractions)
-        result = optimizer.search(arguments.target)
+        result = explore(
+            profile,
+            availability_target=arguments.target,
+            error_label=evaluator.error_label,
+            recoverable_fractions=fractions,
+            top_k=1,
+        )
         if result.found:
             best = result.best
             print(

@@ -49,12 +49,7 @@ from repro.core.campaign import (
 )
 from repro.core.cost_model import CostModel
 from repro.core.mapping import DesignEvaluator, DesignMetrics, HRMDesign
-from repro.core.optimizer import (
-    DEFAULT_CANDIDATES,
-    SEARCH_BACKENDS as _SEARCH_BACKENDS,
-    MappingOptimizer,
-    OptimizationResult,
-)
+from repro.core.optimizer import DEFAULT_CANDIDATES
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.explore import (
@@ -120,7 +115,7 @@ from repro.serve import (
 
 #: Version of the *surface* (not the package): bumped on breaking
 #: changes to exported names or entry-point signatures.
-API_VERSION = "2.0"
+API_VERSION = "3.0"
 
 #: The documented tiers. Names within each tier are sorted; ``__all__``
 #: is their concatenation (the API-surface test pins both properties).
@@ -156,7 +151,6 @@ API_TIERS: Dict[str, Tuple[str, ...]] = {
         "ExplorationResult",
         "FleetOptimizationResult",
         "FleetSimulationResult",
-        "OptimizationResult",
         "ServeResult",
         "SimulationValidation",
         "TrialRecord",
@@ -192,7 +186,6 @@ API_TIERS: Dict[str, Tuple[str, ...]] = {
         "HRMDesign",
         "MULTI_BIT_HARD",
         "MULTI_BIT_SOFT",
-        "MappingOptimizer",
         "ObservabilityServer",
         "POLICY_NAMES",
         "SINGLE_BIT_HARD",
@@ -216,7 +209,6 @@ __all__ = [name for tier in API_TIERS.values() for name in tier]
 #: Registry of backend tuples behind :func:`available_backends`.
 _BACKEND_KINDS: Dict[str, Tuple[str, ...]] = {
     "campaign": tuple(_CAMPAIGN_BACKENDS),
-    "search": tuple(_SEARCH_BACKENDS),
     "explore": tuple(_EXPLORE_BACKENDS),
     "fleet": tuple(_FLEET_BACKENDS),
     "serve": tuple(_DATA_PLANES),
@@ -230,7 +222,6 @@ def available_backends(kind: str) -> Tuple[str, ...]:
 
     ======================  =============================================
     ``"campaign"``          :func:`run_campaign`
-    ``"search"``            :class:`MappingOptimizer`
     ``"explore"``           :func:`explore_design_space`
     ``"fleet"``             :func:`simulate_fleet`
     ``"serve"``             :class:`ServeConfig` ``data_plane=``
@@ -310,15 +301,11 @@ def explore_design_space(
 
     Evaluates per-region policy assignments from ``candidates`` and
     returns the cheapest design meeting the availability target (and
-    incorrectness budget, when given). All backends return identical
-    designs; they differ in cost: ``scalar`` is the one-design-at-a-time
-    reference, ``vectorized`` evaluates the space in NumPy chunks,
-    ``branch-and-bound`` finds exact top-k without visiting the whole
-    space, and ``auto`` (default) picks ``branch-and-bound`` when
-    ``top_k`` is set, else the exhaustive ``vectorized`` — only an
-    exhaustive search can return the full feasible list. The result is
-    an :class:`ExplorationResult` — a backward-compatible
-    :class:`OptimizationResult` subclass.
+    incorrectness budget, when given). ``auto`` (default) is exact
+    branch-and-bound over the per-(region, candidate) contribution
+    matrix, which visits only the subtrees that can hold an answer;
+    ``scalar`` is the one-design-at-a-time oracle it is tested against.
+    Both return identical designs, metrics and order.
 
     Args:
         profile: Measured vulnerability profile to evaluate against.
@@ -328,15 +315,15 @@ def explore_design_space(
             (bounds what Detect&Recover policies can absorb).
         candidates: Region policies to enumerate.
         max_incorrect_per_million: Optional incorrectness budget.
-        regions: Regions to assign policies to (default: all profiled).
+        regions: Regions to assign policies to (default: all sized
+            regions); a duplicate or unknown name is a ``ValueError``.
         cost_model / error_model / availability_params: Model overrides.
-        backend: ``auto`` / ``scalar`` / ``vectorized`` /
-            ``branch-and-bound``.
+        backend: ``auto`` / ``scalar``; ``result.backend`` names what
+            ran (``branch-and-bound`` or ``scalar``).
         top_k: When set, return only the k best feasible designs
             (memory-safe on huge spaces; ``feasible_count`` is then a
-            lower bound unless an exhaustive backend is named); when
-            ``None``, exhaustive backends return the full feasible
-            list.
+            lower bound unless the oracle ran); when ``None``, every
+            feasible design, in the same order.
         simulate_months: When > 0, Monte Carlo-validate the winner over
             this many server-months (``result.simulation``).
         simulation_seed: Seed for the validation simulation.

@@ -20,30 +20,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.availability import AvailabilityParams, ErrorRateModel
 from repro.core.cost_model import CostModel
-from repro.core.design_space import RegionPolicy, SoftwareResponse
+from repro.core.design_space import RegionPolicy, bind_recoverable_fraction
 from repro.core.mapping import DesignEvaluator, DesignMetrics, HRMDesign
-from repro.core.optimizer import DEFAULT_CANDIDATES, MappingOptimizer
+from repro.core.optimizer import DEFAULT_CANDIDATES
 from repro.core.vulnerability import VulnerabilityProfile
+from repro.explore import explore
 from repro.utils.validation import check_fraction, check_positive
-
-
-def _specialize_for_tenant(
-    tenant: "Tenant", region: str, policy: RegionPolicy
-) -> RegionPolicy:
-    """Bind the tenant's measured recoverable fraction into RECOVER policies."""
-    if policy.response is not SoftwareResponse.RECOVER:
-        return policy
-    if not tenant.recoverable_fractions:
-        return policy
-    fraction = tenant.recoverable_fractions.get(region)
-    if fraction is None:
-        return policy
-    return RegionPolicy(
-        technique=policy.technique,
-        response=policy.response,
-        less_tested=policy.less_tested,
-        recoverable_fraction=fraction,
-    )
 
 
 @dataclass(frozen=True)
@@ -144,12 +126,19 @@ class ReliabilityDomainProvisioner:
         plan = HostPlan()
         for tenant in tenants:
             evaluator = self._evaluator(tenant)
-            optimizer = MappingOptimizer(
-                evaluator,
-                candidates=self.candidates,
+            result = explore(
+                tenant.profile,
+                availability_target=tenant.availability_target,
                 recoverable_fractions=tenant.recoverable_fractions,
+                candidates=self.candidates,
+                # The tenant's evaluator carries the share-scaled error
+                # model; the search must plan with the same models.
+                cost_model=evaluator.cost_model,
+                error_model=evaluator.error_model,
+                availability_params=evaluator.availability_params,
+                error_label=evaluator.error_label,
+                top_k=1,
             )
-            result = optimizer.search(tenant.availability_target)
             if not result.found:
                 # Fall back to the most reliable candidate design.
                 strongest = HRMDesign(
@@ -176,7 +165,9 @@ class ReliabilityDomainProvisioner:
                 design = HRMDesign(
                     name=f"uniform:{policy.describe()}",
                     policies={
-                        region: _specialize_for_tenant(tenant, region, policy)
+                        region: bind_recoverable_fraction(
+                            policy, region, tenant.recoverable_fractions
+                        )
                         for region in tenant.profile.regions()
                     },
                 )

@@ -11,7 +11,7 @@ Submodules:
 * :mod:`cost_model` — Table 1/6 cost accounting;
 * :mod:`availability` — error-rate → crash → availability chain;
 * :mod:`mapping` — Table 6 design points and their evaluation;
-* :mod:`optimizer` — design search + Figure 8 tolerable-error analysis;
+* :mod:`optimizer` — search candidates + Figure 8 tolerable-error analysis;
 * :mod:`paper_reference` — the paper's reported values (display only).
 """
 
@@ -57,11 +57,7 @@ from repro.core.mapping import (
     paper_design_points,
     typical_server,
 )
-from repro.core.optimizer import (
-    MappingOptimizer,
-    OptimizationResult,
-    tolerable_errors_per_month,
-)
+from repro.core.optimizer import tolerable_errors_per_month
 from repro.core.recoverability import (
     RegionRecoverability,
     analyze_recoverability,
@@ -109,8 +105,6 @@ __all__ = [
     "less_tested",
     "paper_design_points",
     "typical_server",
-    "MappingOptimizer",
-    "OptimizationResult",
     "tolerable_errors_per_month",
     "RegionRecoverability",
     "analyze_recoverability",

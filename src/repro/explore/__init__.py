@@ -1,4 +1,4 @@
-"""Batch design-space exploration (paper §VI, Figure 7, Table 6 scale-up).
+"""Design-space exploration (paper §VI, Figure 7, Table 6 scale-up).
 
 Evaluating a heterogeneous-reliability-memory design is additive over
 regions, so the whole ``candidates^regions`` assignment space can be
@@ -6,27 +6,30 @@ explored from a per-(region, candidate) contribution matrix instead of
 one scalar evaluation per design:
 
 * :mod:`repro.explore.matrix` — the contribution table (pure Python,
-  scalar-oracle bit-identical);
-* :mod:`repro.explore.batch` — NumPy chunked evaluation / top-k /
-  Pareto over assignment-id ranges;
-* :mod:`repro.explore.search` — exact branch-and-bound top-k with
-  admissible per-region bounds and dominance pruning;
+  scalar-oracle bit-identical) and the per-region candidate
+  specialization it is built from;
+* :mod:`repro.explore.search` — exact branch-and-bound, top-k or the
+  full feasible list, with admissible per-region bounds and dominance
+  pruning: the production search;
+* :mod:`repro.explore.batch` — NumPy chunked evaluation over
+  assignment-id ranges and :func:`pareto_front` on top of it;
 * :mod:`repro.explore.pareto` — the O(n log n) sort-based front sweep;
-* :mod:`repro.explore.engine` — :func:`explore`, the orchestrating
-  entry point behind ``repro.api.explore_design_space`` and the
-  ``repro explore`` CLI. Its Monte Carlo validation of a winner is the
-  fleet engine's one-server case
+* :mod:`repro.explore.engine` — :func:`explore`, the one design-space
+  search (``repro.api.explore_design_space``, ``repro explore``,
+  ``repro design --target``, the tenancy provisioner): branch-and-bound
+  or the scalar oracle it is tested against. Its Monte Carlo validation
+  of a winner is the fleet engine's one-server case
   (:class:`repro.cluster.AvailabilitySimulator`).
 """
 
-from repro.explore.batch import BatchDesignSpaceEvaluator
+from repro.explore.batch import BatchDesignSpaceEvaluator, pareto_front
 from repro.explore.engine import (
     EXPLORE_BACKENDS,
     ExplorationResult,
     SimulationValidation,
     explore,
 )
-from repro.explore.matrix import ContributionMatrix
+from repro.explore.matrix import ContributionMatrix, specialize_candidates
 from repro.explore.pareto import pareto_indices
 from repro.explore.search import BranchAndBoundResult, BranchAndBoundSearcher
 
@@ -36,6 +39,8 @@ __all__ = [
     "SimulationValidation",
     "explore",
     "ContributionMatrix",
+    "specialize_candidates",
+    "pareto_front",
     "pareto_indices",
     "BranchAndBoundResult",
     "BranchAndBoundSearcher",

@@ -10,29 +10,33 @@ order as the scalar evaluator, so every derived array entry is
 bit-identical to ``DesignEvaluator.evaluate`` on that design (NumPy
 ufunc arithmetic performs no reassociation or FMA contraction).
 
-Chunked iteration bounds peak memory regardless of space size; top-k
-selection keeps only the k best (plus ties on the (savings,
-availability) key, so later name tie-breaking stays exact) per chunk.
+Chunked iteration bounds the working arrays regardless of space size.
+The one whole-space question asked this way is the (savings,
+availability) Pareto front, :func:`pareto_front`; ranked search is
+:mod:`repro.explore.search`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.availability import MINUTES_PER_MONTH
-from repro.explore.matrix import ContributionMatrix
+from repro.core.design_space import RegionPolicy
+from repro.core.mapping import DesignEvaluator, DesignMetrics
+from repro.core.optimizer import DEFAULT_CANDIDATES
+from repro.explore.matrix import ContributionMatrix, specialize_candidates
 from repro.explore.pareto import pareto_indices
 
-__all__ = ["BatchDesignSpaceEvaluator", "DEFAULT_CHUNK_SIZE"]
+__all__ = ["BatchDesignSpaceEvaluator", "DEFAULT_CHUNK_SIZE", "pareto_front"]
 
 #: Assignments evaluated per chunk (~2 MB per metric array).
 DEFAULT_CHUNK_SIZE = 1 << 18
 
 
 class BatchDesignSpaceEvaluator:
-    """Vectorized counterpart of scalar exhaustive enumeration."""
+    """Whole-space metric arrays, bit-identical to scalar enumeration."""
 
     def __init__(
         self, matrix: ContributionMatrix, chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -101,64 +105,8 @@ class BatchDesignSpaceEvaluator:
                 start, min(start + self.chunk_size, total), dtype=np.int64
             )
 
-    def feasible_ids(
-        self,
-        availability_target: float,
-        max_incorrect_per_million: Optional[float] = None,
-    ) -> Tuple[np.ndarray, int]:
-        """All feasible assignment ids (ascending) and the evaluated count."""
-        found: List[np.ndarray] = []
-        evaluated = 0
-        for ids in self.iter_chunks():
-            evaluated += len(ids)
-            metrics = self.evaluate_ids(ids)
-            mask = metrics["availability"] >= availability_target
-            if max_incorrect_per_million is not None:
-                mask &= metrics["incorrect_per_million"] <= max_incorrect_per_million
-            found.append(ids[mask])
-        if not found:
-            return np.empty(0, dtype=np.int64), evaluated
-        return np.concatenate(found), evaluated
-
-    def top_k_ids(
-        self,
-        availability_target: float,
-        max_incorrect_per_million: Optional[float] = None,
-        top_k: int = 1,
-    ) -> Tuple[np.ndarray, int, int]:
-        """Ids of the k best feasible designs, plus ties on the
-        (savings, availability) key, in ascending id order.
-
-        Ties are kept so the caller can apply the exact name tie-breaker
-        during materialization. Returns ``(ids, feasible_count,
-        evaluated)``.
-        """
-        if top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {top_k}")
-        kept_ids = np.empty(0, dtype=np.int64)
-        kept_savings = np.empty(0, dtype=np.float64)
-        kept_availability = np.empty(0, dtype=np.float64)
-        feasible_count = 0
-        evaluated = 0
-        for ids in self.iter_chunks():
-            evaluated += len(ids)
-            metrics = self.evaluate_ids(ids)
-            mask = metrics["availability"] >= availability_target
-            if max_incorrect_per_million is not None:
-                mask &= metrics["incorrect_per_million"] <= max_incorrect_per_million
-            feasible_count += int(np.count_nonzero(mask))
-            kept_ids = np.concatenate([kept_ids, ids[mask]])
-            kept_savings = np.concatenate([kept_savings, metrics["savings"][mask]])
-            kept_availability = np.concatenate(
-                [kept_availability, metrics["availability"][mask]]
-            )
-            kept_ids, kept_savings, kept_availability = _cap_to_k(
-                kept_ids, kept_savings, kept_availability, top_k
-            )
-        return kept_ids, feasible_count, evaluated
-
-    def pareto_ids(self) -> Tuple[np.ndarray, int]:
-        """Front ids in (savings desc, id asc) order, plus evaluated count."""
+    def pareto_ids(self) -> np.ndarray:
+        """Front ids in (savings desc, id asc) order."""
         total = self.matrix.total_designs
         savings = np.empty(total, dtype=np.float64)
         availability = np.empty(total, dtype=np.float64)
@@ -166,21 +114,29 @@ class BatchDesignSpaceEvaluator:
             metrics = self.evaluate_ids(ids)
             savings[ids[0] : ids[-1] + 1] = metrics["savings"]
             availability[ids[0] : ids[-1] + 1] = metrics["availability"]
-        return pareto_indices(savings, availability), total
+        return pareto_indices(savings, availability)
 
 
-def _cap_to_k(
-    ids: np.ndarray, savings: np.ndarray, availability: np.ndarray, top_k: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keep the k best rows by (savings, availability) plus exact ties
-    with the k-th row, preserving ascending id order."""
-    if len(ids) <= top_k:
-        return ids, savings, availability
-    order = np.lexsort((-availability, -savings))
-    kth = order[top_k - 1]
-    kth_savings = savings[kth]
-    kth_availability = availability[kth]
-    keep = (savings > kth_savings) | (
-        (savings == kth_savings) & (availability >= kth_availability)
+def pareto_front(
+    evaluator: DesignEvaluator,
+    candidates: Sequence[RegionPolicy] = DEFAULT_CANDIDATES,
+    recoverable_fractions: Optional[Mapping[str, float]] = None,
+    regions: Optional[Sequence[str]] = None,
+) -> List[DesignMetrics]:
+    """Designs not dominated in (server cost savings, availability).
+
+    The cost/reliability trade-off curve of the whole assignment space,
+    in (savings descending, assignment id ascending) order: the
+    O(n log n) sweep of :mod:`repro.explore.pareto` over the batch
+    arrays (the tests keep the quadratic dominance scan as its oracle).
+    """
+    if regions is None:
+        regions = sorted(evaluator.region_sizes)
+    matrix = ContributionMatrix.build(
+        evaluator,
+        regions,
+        specialize_candidates(regions, candidates, recoverable_fractions),
     )
-    return ids[keep], savings[keep], availability[keep]
+    batch = BatchDesignSpaceEvaluator(matrix)
+    return [matrix.metrics_at(digits) for digits in batch.digits(batch.pareto_ids())]
+

@@ -1,37 +1,35 @@
-"""Design-space exploration orchestration: backends, top-k, validation.
+"""Design-space exploration orchestration: search, top-k, validation.
 
-:func:`explore` is the one-call entry point behind
-``repro.api.explore_design_space`` and ``repro explore``:
+:func:`explore` is the one design-space search of the framework, behind
+``repro.api.explore_design_space``, ``repro explore`` and every caller
+that wants "the cheapest design meeting a target" (``repro design
+--target``, the tenancy provisioner):
 
-1. build a :class:`~repro.explore.matrix.ContributionMatrix` (or run
-   the scalar evaluator directly for the ``scalar`` backend);
-2. search — exhaustive (``scalar`` / ``vectorized``, byte-identical to
-   :class:`~repro.core.optimizer.MappingOptimizer`) or bounded
-   (``branch-and-bound``, exact top-k with admissible pruning);
+1. specialize the candidates per region (recoverable fractions bound
+   into RECOVER policies);
+2. search — the production path builds a
+   :class:`~repro.explore.matrix.ContributionMatrix` and runs exact
+   branch-and-bound over it; the oracle evaluates every design through
+   :class:`~repro.core.mapping.DesignEvaluator`;
 3. optionally validate the winner with a Monte Carlo simulation (the
    fleet engine's one-server case) and report percentile confidence
    bounds next to the analytic prediction.
 
-Backends return identical designs; they differ only in cost:
+Both paths return identical designs, metrics and order; they differ
+only in cost:
 
-======================  ============================================
-``scalar``              reference; O(space) full evaluations
-``vectorized``          O(space) NumPy chunk evaluations
-``branch-and-bound``    exact top-k without visiting the whole space
-``auto``                ``branch-and-bound`` when ``top_k`` is set,
-                        otherwise ``vectorized``
-======================  ============================================
+============  ======================================================
+``auto``      branch-and-bound: exact, visits only the subtrees that
+              can hold an answer (reported as ``branch-and-bound``)
+``scalar``    the oracle: one full evaluation per design, O(space)
+============  ======================================================
 
-``auto`` does only the work the answer needs: a top-k answer needs the
-k best designs, which branch-and-bound finds exactly after evaluating a
-few dozen of millions of designs. The named exhaustive backends stay
-selectable as oracles for it.
-
-``top_k``: when ``None``, the result carries the *full* feasible list,
-which only an exhaustive backend can produce (branch-and-bound then
-returns top-1), so ``auto`` stays exhaustive. When set, ``feasible``
-holds just the k best designs, which is what keeps huge spaces
-memory-safe.
+``top_k``: when set, ``feasible`` holds just the k best designs —
+branch-and-bound finds them after evaluating a few dozen of millions of
+designs. When ``None``, ``feasible`` is every feasible design in the
+same order; branch-and-bound then cuts only the subtrees that cannot be
+feasible and materializes one row per feasible design, which is what
+that answer costs on any path.
 """
 
 from __future__ import annotations
@@ -39,18 +37,16 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.availability import AvailabilityParams, ErrorRateModel
 from repro.core.cost_model import CostModel
+from repro.core.design_space import RegionPolicy
 from repro.core.mapping import DesignEvaluator, DesignMetrics, HRMDesign
-from repro.core.optimizer import (
-    DEFAULT_CANDIDATES,
-    MappingOptimizer,
-    OptimizationResult,
-)
+from repro.core.optimizer import DEFAULT_CANDIDATES
 from repro.core.vulnerability import VulnerabilityProfile
-from repro.explore.search import BranchAndBoundSearcher, _Reversed
+from repro.explore.matrix import ContributionMatrix, specialize_candidates
+from repro.explore.search import BranchAndBoundSearcher
 from repro.obs.events import SPAN_EXPLORE, SPAN_EXPLORE_PHASE
 from repro.obs.instruments import ExplorationInstruments
 from repro.obs.trace import NULL_OBSERVER, Observer
@@ -63,8 +59,9 @@ __all__ = [
     "explore",
 ]
 
-#: Backends accepted by :func:`explore`.
-EXPLORE_BACKENDS = ("auto", "scalar", "vectorized", "branch-and-bound")
+#: Backends accepted by :func:`explore`: the production path and its
+#: oracle.
+EXPLORE_BACKENDS = ("auto", "scalar")
 
 
 @dataclass
@@ -96,37 +93,36 @@ class SimulationValidation:
 
 
 @dataclass
-class ExplorationResult(OptimizationResult):
-    """Search outcome plus exploration-specific context.
+class ExplorationResult:
+    """Outcome of a design-space search."""
 
-    Extends :class:`~repro.core.optimizer.OptimizationResult`: ``best``
-    / ``feasible`` / ``evaluated`` keep their meanings (with ``feasible``
-    truncated to k entries when ``top_k`` was requested).
-    """
-
+    #: The cheapest feasible design (``feasible[0]``), if any.
+    best: Optional[DesignMetrics]
+    #: Feasible designs ordered by (-savings, -availability, name,
+    #: assignment id): all of them, or the k best under ``top_k``.
+    feasible: List[DesignMetrics]
+    #: Designs whose exact metrics were computed.
+    evaluated: int
+    #: The path that ran: ``branch-and-bound`` or ``scalar``.
     backend: str = "scalar"
     #: Size of the full assignment space.
     total_designs: int = 0
-    #: Feasible designs in the whole space for the exhaustive backends
-    #: (== len(feasible) unless a top_k cut was applied). The
-    #: branch-and-bound backend never counts designs it pruned, so there
-    #: this is just len(feasible): a lower bound, see
-    #: :attr:`feasible_count_exact`.
+    #: Feasible designs in the whole space when
+    #: :attr:`feasible_count_exact`; otherwise ``len(feasible)``, a
+    #: lower bound — branch-and-bound never counts what a top-k cut
+    #: removed.
     feasible_count: int = 0
-    #: Designs eliminated by branch-and-bound pruning (0 for
-    #: exhaustive backends).
+    feasible_count_exact: bool = True
+    #: Designs eliminated by branch-and-bound pruning (0 for the
+    #: oracle); ``evaluated + pruned == total_designs``.
     pruned: int = 0
     pruned_by: Dict[str, int] = field(default_factory=dict)
     simulation: Optional[SimulationValidation] = None
 
     @property
-    def feasible_count_exact(self) -> bool:
-        """Whether ``feasible_count`` counts the whole space.
-
-        False when the backend pruned instead of enumerating, which
-        makes ``feasible_count`` only a lower bound.
-        """
-        return self.backend != "branch-and-bound"
+    def found(self) -> bool:
+        """Whether any design met the constraints."""
+        return self.best is not None
 
 
 def explore(
@@ -135,7 +131,7 @@ def explore(
     availability_target: float,
     error_label: str = "single-bit soft",
     recoverable_fractions: Optional[Dict[str, float]] = None,
-    candidates: Sequence = DEFAULT_CANDIDATES,
+    candidates: Sequence[RegionPolicy] = DEFAULT_CANDIDATES,
     max_incorrect_per_million: Optional[float] = None,
     regions: Optional[Sequence[str]] = None,
     cost_model: Optional[CostModel] = None,
@@ -149,9 +145,9 @@ def explore(
 ) -> ExplorationResult:
     """Search the HRM design space; optionally validate by simulation.
 
-    ``backend="auto"`` resolves to ``branch-and-bound`` when ``top_k``
-    is set and to the exhaustive ``vectorized`` when it is ``None``,
-    because only an exhaustive search can return the full feasible list.
+    ``backend="auto"`` is exact branch-and-bound for every ``top_k``
+    (``None`` = the full feasible list); ``"scalar"`` is the exhaustive
+    oracle it is tested against.
     """
     check_fraction("availability_target", availability_target)
     if backend not in EXPLORE_BACKENDS:
@@ -162,9 +158,6 @@ def explore(
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     if simulate_months < 0:
         raise ValueError(f"simulate_months must be >= 0, got {simulate_months}")
-    resolved = backend
-    if resolved == "auto":
-        resolved = "branch-and-bound" if top_k is not None else "vectorized"
     evaluator = DesignEvaluator(
         profile,
         cost_model=cost_model,
@@ -172,62 +165,29 @@ def explore(
         availability_params=availability_params,
         error_label=error_label,
     )
-    optimizer = MappingOptimizer(
-        evaluator,
-        candidates=candidates,
-        recoverable_fractions=recoverable_fractions,
-        backend=resolved if resolved != "branch-and-bound" else "scalar",
-    )
     if regions is None:
         regions = sorted(evaluator.region_sizes)
+    _check_regions(profile, regions)
+    specialized = specialize_candidates(regions, candidates, recoverable_fractions)
+    if backend == "scalar":
+        resolved, search = "scalar", _search_scalar
+    else:
+        resolved, search = "branch-and-bound", _search_branch_and_bound
     instruments = (
         ExplorationInstruments(observer.metrics)
         if observer.metrics is not None
         else None
     )
     with observer.span(SPAN_EXPLORE, key=resolved) as span:
-        if resolved == "branch-and-bound":
-            result = _search_branch_and_bound(
-                optimizer,
-                regions,
-                availability_target,
-                max_incorrect_per_million,
-                top_k or 1,
-                observer,
-            )
-        elif resolved == "vectorized" and top_k is not None:
-            result = _search_vectorized_top_k(
-                optimizer,
-                regions,
-                availability_target,
-                max_incorrect_per_million,
-                top_k,
-                observer,
-            )
-        elif resolved == "scalar" and top_k is not None:
-            result = _search_scalar_top_k(
-                optimizer,
-                regions,
-                availability_target,
-                max_incorrect_per_million,
-                top_k,
-                observer,
-            )
-        else:
-            with observer.span(SPAN_EXPLORE_PHASE, key="search"):
-                search = optimizer.search(
-                    availability_target,
-                    max_incorrect_per_million=max_incorrect_per_million,
-                    regions=regions,
-                )
-            result = ExplorationResult(
-                best=search.best,
-                feasible=search.feasible,
-                evaluated=search.evaluated,
-                backend=resolved,
-                total_designs=search.evaluated,
-                feasible_count=len(search.feasible),
-            )
+        result = search(
+            evaluator,
+            regions,
+            specialized,
+            availability_target,
+            max_incorrect_per_million,
+            top_k,
+            observer,
+        )
         if instruments is not None:
             instruments.record_search(
                 backend=resolved,
@@ -255,16 +215,36 @@ def explore(
     return result
 
 
+def _check_regions(profile: VulnerabilityProfile, regions: Sequence[str]) -> None:
+    """Reject region names a search would silently miscount.
+
+    A name listed twice is one region to the oracle's policy dict and
+    two to the matrix; a name the profile has neither a size nor a cell
+    for plans a phantom region in place of the one that was meant.
+    """
+    known = set(profile.region_sizes) | set(profile.regions())
+    seen = set()
+    for region in regions:
+        if region in seen:
+            raise ValueError(f"region '{region}' is listed more than once")
+        if region not in known:
+            raise ValueError(
+                f"unknown region '{region}'; the profile has {sorted(known)}"
+            )
+        seen.add(region)
+
+
 def _search_branch_and_bound(
-    optimizer: MappingOptimizer,
+    evaluator: DesignEvaluator,
     regions: Sequence[str],
+    specialized: Sequence[Tuple[RegionPolicy, ...]],
     availability_target: float,
     max_incorrect_per_million: Optional[float],
-    top_k: int,
+    top_k: Optional[int],
     observer: Observer,
 ) -> ExplorationResult:
     with observer.span(SPAN_EXPLORE_PHASE, key="matrix"):
-        matrix = optimizer.contribution_matrix(regions)
+        matrix = ContributionMatrix.build(evaluator, regions, specialized)
     with observer.span(SPAN_EXPLORE_PHASE, key="search"):
         bounded = BranchAndBoundSearcher(matrix).search(
             availability_target,
@@ -273,82 +253,42 @@ def _search_branch_and_bound(
         )
     return ExplorationResult(
         best=bounded.top[0] if bounded.top else None,
-        feasible=list(bounded.top),
+        feasible=bounded.top,
         evaluated=bounded.evaluated,
         backend="branch-and-bound",
         total_designs=bounded.total_designs,
         feasible_count=len(bounded.top),
+        feasible_count_exact=top_k is None,
         pruned=bounded.pruned,
-        pruned_by=dict(bounded.pruned_by),
+        pruned_by=bounded.pruned_by,
     )
 
 
-def _search_vectorized_top_k(
-    optimizer: MappingOptimizer,
+def _search_scalar(
+    evaluator: DesignEvaluator,
     regions: Sequence[str],
+    specialized: Sequence[Tuple[RegionPolicy, ...]],
     availability_target: float,
     max_incorrect_per_million: Optional[float],
-    top_k: int,
+    top_k: Optional[int],
     observer: Observer,
 ) -> ExplorationResult:
-    from repro.explore.batch import BatchDesignSpaceEvaluator
+    """The oracle: every design through the scalar evaluator.
 
-    with observer.span(SPAN_EXPLORE_PHASE, key="matrix"):
-        matrix = optimizer.contribution_matrix(regions)
-        batch = BatchDesignSpaceEvaluator(matrix)
-    with observer.span(SPAN_EXPLORE_PHASE, key="search"):
-        ids, feasible_count, evaluated = batch.top_k_ids(
-            availability_target,
-            max_incorrect_per_million=max_incorrect_per_million,
-            top_k=top_k,
-        )
-        # Materialize candidates (k plus (savings, availability) ties)
-        # in ascending id order, then apply the exact result ordering —
-        # the stable sort resolves full ties by id, matching the scalar
-        # feasible-list order.
-        candidates = [matrix.metrics_at(digits) for digits in batch.digits(ids)]
-        candidates.sort(key=_result_order_key)
-        top = candidates[:top_k]
-    return ExplorationResult(
-        best=top[0] if top else None,
-        feasible=top,
-        evaluated=evaluated,
-        backend="vectorized",
-        total_designs=matrix.total_designs,
-        feasible_count=feasible_count,
-    )
-
-
-def _search_scalar_top_k(
-    optimizer: MappingOptimizer,
-    regions: Sequence[str],
-    availability_target: float,
-    max_incorrect_per_million: Optional[float],
-    top_k: int,
-    observer: Observer,
-) -> ExplorationResult:
-    """Streaming scalar reference: exhaustive evaluation, O(k) memory.
-
-    Evaluates every design through the scalar evaluator (the honest
-    baseline the benchmark times) but keeps only a k-bounded heap
-    instead of the full feasible list, so the scalar backend stays
-    memory-safe on large spaces too.
+    One enumeration serves both answers — the full feasible list
+    (a stable sort, so full ties keep assignment-id order) and the k
+    best (``heapq.nsmallest``, the same order in O(k) memory, which
+    keeps the oracle runnable on the spaces the benchmark times).
     """
-    evaluator = optimizer.evaluator
-    heap: List[Tuple[float, float, _Reversed, int, DesignMetrics]] = []
     evaluated = 0
     feasible_count = 0
-    with observer.span(SPAN_EXPLORE_PHASE, key="search"):
-        for index, assignment in enumerate(
-            itertools.product(optimizer.candidates, repeat=len(regions))
-        ):
-            policies = {
-                region: optimizer._specialize(region, policy)
-                for region, policy in zip(regions, assignment)
-            }
+
+    def feasible() -> Iterator[DesignMetrics]:
+        nonlocal evaluated, feasible_count
+        for assignment in itertools.product(*specialized):
             design = HRMDesign(
-                name="+".join(p.describe() for p in policies.values()),
-                policies=policies,
+                name="+".join(policy.describe() for policy in assignment),
+                policies=dict(zip(regions, assignment)),
             )
             metrics = evaluator.evaluate(design)
             evaluated += 1
@@ -360,21 +300,16 @@ def _search_scalar_top_k(
             ):
                 continue
             feasible_count += 1
-            entry = (
-                metrics.server_cost_savings,
-                metrics.availability,
-                _Reversed(design.name),
-                -index,
-                metrics,
-            )
-            if len(heap) < top_k:
-                heapq.heappush(heap, entry)
-            else:
-                heapq.heappushpop(heap, entry)
-        top = [entry[4] for entry in sorted(heap, reverse=True)]
+            yield metrics
+
+    with observer.span(SPAN_EXPLORE_PHASE, key="search"):
+        if top_k is None:
+            ranked = sorted(feasible(), key=_result_order_key)
+        else:
+            ranked = heapq.nsmallest(top_k, feasible(), key=_result_order_key)
     return ExplorationResult(
-        best=top[0] if top else None,
-        feasible=top,
+        best=ranked[0] if ranked else None,
+        feasible=ranked,
         evaluated=evaluated,
         backend="scalar",
         total_designs=evaluated,
@@ -399,7 +334,7 @@ def _validate_by_simulation(
     seed: int,
 ) -> SimulationValidation:
     # Imported here: repro.cluster reaches repro.fleet, whose optimizer
-    # imports this package.
+    # imports this package, and repro.cluster.tenancy imports it too.
     from repro.cluster.availability_sim import AvailabilitySimulator
 
     simulator = AvailabilitySimulator(

@@ -30,17 +30,39 @@ enforced by unit and hypothesis tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.availability import (
     RegionOutcomeRates,
     availability_from_crashes,
     region_outcome_rates,
 )
-from repro.core.design_space import RegionPolicy
+from repro.core.design_space import RegionPolicy, bind_recoverable_fraction
 from repro.core.mapping import DesignEvaluator, DesignMetrics, HRMDesign
 
-__all__ = ["ContributionMatrix"]
+__all__ = ["ContributionMatrix", "specialize_candidates"]
+
+
+def specialize_candidates(
+    regions: Sequence[str],
+    candidates: Sequence[RegionPolicy],
+    recoverable_fractions: Optional[Mapping[str, float]] = None,
+) -> List[Tuple[RegionPolicy, ...]]:
+    """One candidate tuple per region, in region order.
+
+    Each region's measured recoverable fraction is bound into its
+    RECOVER candidates, so ``itertools.product`` of the result
+    enumerates the design space in assignment-id order.
+    """
+    if not candidates:
+        raise ValueError("candidate policy list must be non-empty")
+    return [
+        tuple(
+            bind_recoverable_fraction(policy, region, recoverable_fractions)
+            for policy in candidates
+        )
+        for region in regions
+    ]
 
 
 @dataclass
@@ -48,10 +70,10 @@ class ContributionMatrix:
     """Contributions of every (region, candidate) pair to design metrics.
 
     All per-pair lists are indexed ``[region_index][candidate_index]``.
-    Candidate lists may differ per region (the optimizer binds
-    region-specific recoverable fractions before building the matrix),
-    but every region must offer the same *number* of candidates so that
-    assignments are plain digit tuples.
+    Candidate lists may differ per region (:func:`specialize_candidates`
+    binds region-specific recoverable fractions before the matrix is
+    built), but every region must offer the same *number* of candidates
+    so that assignments are plain digit tuples.
     """
 
     evaluator: DesignEvaluator
@@ -218,7 +240,7 @@ class ContributionMatrix:
         return tuple(reversed(digits))
 
     def design_name(self, digits: Sequence[int]) -> str:
-        """The scalar optimizer's design name for one assignment."""
+        """The scalar oracle's design name for one assignment."""
         return "+".join(
             self.labels[r][c] for r, c in enumerate(digits)
         )

@@ -2,7 +2,10 @@
 
 Explores the ``candidates^regions`` assignment tree region by region,
 keeping a size-k heap of the best feasible designs found so far and
-pruning subtrees that provably cannot contribute:
+pruning subtrees that provably cannot contribute. With ``top_k=None``
+the answer is every feasible design: the feasibility bounds still cut,
+the cost bound and dominance elimination (which only ever remove
+designs a top-k list has no room for) do not apply.
 
 * **Admissible bounds.** For each region still unassigned, the searcher
   adds that region's minimum possible cost / crash-rate / incorrectness
@@ -35,10 +38,11 @@ pruning subtrees that provably cannot contribute:
   hypothesis equivalence suite exercises it against exhaustive search).
 
 Results are deterministic and byte-identical to exhaustive scalar
-search: the heap orders entries by (savings, availability) descending
-with the design name ascending and the assignment digits ascending as
-final tie-breakers — exactly the feasible-list order of
-:meth:`repro.core.optimizer.MappingOptimizer.search`.
+search: entries order by (savings, availability) descending with the
+design name ascending and the assignment digits ascending as final
+tie-breakers — exactly the order of the scalar oracle in
+:func:`repro.explore.engine.explore` (a stable sort of the
+``itertools.product`` enumeration).
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ class BranchAndBoundResult:
 
 
 class BranchAndBoundSearcher:
-    """Deterministic top-k search with admissible pruning."""
+    """Deterministic top-k (or full-list) search with admissible pruning."""
 
     def __init__(self, matrix: ContributionMatrix) -> None:
         self.matrix = matrix
@@ -101,11 +105,12 @@ class BranchAndBoundSearcher:
         self,
         availability_target: float,
         max_incorrect_per_million: Optional[float] = None,
-        top_k: int = 1,
+        top_k: Optional[int] = 1,
     ) -> BranchAndBoundResult:
-        """Find the ``top_k`` feasible designs with maximum savings."""
+        """Find the ``top_k`` feasible designs with maximum savings
+        (``None``: every feasible design)."""
         check_fraction("availability_target", availability_target)
-        if top_k < 1:
+        if top_k is not None and top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
         matrix = self.matrix
         region_count = matrix.region_count
@@ -170,7 +175,9 @@ class BranchAndBoundSearcher:
                 _Reversed(matrix.design_name(digits)),
                 _Reversed(tuple(digits)),
             )
-            if len(heap) < top_k:
+            if top_k is None:
+                heap.append(entry)
+            elif len(heap) < top_k:
                 heapq.heappush(heap, entry)
             else:
                 heapq.heappushpop(heap, entry)

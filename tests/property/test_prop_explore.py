@@ -1,16 +1,18 @@
-"""Property-based equivalence tests for the batch exploration engine.
+"""Property-based equivalence tests for the design-space exploration engine.
 
-The batch paths promise *bit-identical* results to the scalar
-``DesignEvaluator`` / ``MappingOptimizer`` reference. Hypothesis drives
-that contract across random profiles, region counts, candidate subsets
-and recoverable fractions — the inputs the seed-profile unit tests
-cannot vary.
+The matrix, batch and branch-and-bound paths promise *bit-identical*
+results to the scalar reference: ``DesignEvaluator`` one design at a
+time, ``explore(backend="scalar")`` for whole searches. Hypothesis
+drives that contract across random profiles, region counts, candidate
+subsets and recoverable fractions — the inputs the seed-profile unit
+tests cannot vary.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.design_space import (
@@ -19,14 +21,18 @@ from repro.core.design_space import (
     SoftwareResponse,
 )
 from repro.core.mapping import DesignEvaluator, HRMDesign
-from repro.core.optimizer import DEFAULT_CANDIDATES, MappingOptimizer
+from repro.core.optimizer import DEFAULT_CANDIDATES
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.explore import (
     EXPLORE_BACKENDS,
+    BatchDesignSpaceEvaluator,
     BranchAndBoundSearcher,
+    ContributionMatrix,
     explore,
+    pareto_front,
     pareto_indices,
+    specialize_candidates,
 )
 from repro.fleet import FleetConfig, FleetDesign
 from repro.fleet.optimizer import CompositionMetrics, FleetOptimizer
@@ -99,41 +105,71 @@ def search_spaces(draw, max_candidates=4, pool=POLICY_POOL, unique=True):
     return prof, candidates, fractions
 
 
+class Space(NamedTuple):
+    """One random space the way ``explore`` sets it up: the evaluator,
+    the sized regions in sorted order and their candidate tuples."""
+
+    profile: VulnerabilityProfile
+    candidates: tuple
+    fractions: dict
+    evaluator: DesignEvaluator
+    regions: list
+    specialized: list
+
+    @classmethod
+    def of(cls, prof, candidates, fractions):
+        regions = sorted(prof.region_sizes)
+        return cls(
+            prof,
+            candidates,
+            fractions,
+            DesignEvaluator(prof),
+            regions,
+            specialize_candidates(regions, candidates, fractions),
+        )
+
+    def matrix(self):
+        return ContributionMatrix.build(self.evaluator, self.regions, self.specialized)
+
+    def explore(self, target, **options):
+        return explore(
+            self.profile,
+            availability_target=target,
+            recoverable_fractions=self.fractions,
+            candidates=self.candidates,
+            **options,
+        )
+
+
 @st.composite
-def optimizers(draw, max_candidates=4):
-    """A scalar-reference optimizer over a random profile + candidates."""
-    prof, candidates, fractions = draw(search_spaces(max_candidates))
-    return MappingOptimizer(
-        DesignEvaluator(prof),
-        candidates=candidates,
-        recoverable_fractions=fractions,
-    )
+def spaces(draw, max_candidates=4):
+    """A scalar-reference view of a random profile + candidates."""
+    return Space.of(*draw(search_spaces(max_candidates)))
 
 
-def scalar_metrics(optimizer, regions, digits):
+def scalar_metrics(space, digits):
     policies = {
-        region: optimizer._specialize(region, optimizer.candidates[c])
-        for region, c in zip(regions, digits)
+        region: space.specialized[r][c]
+        for r, (region, c) in enumerate(zip(space.regions, digits))
     }
     design = HRMDesign(
         name="+".join(p.describe() for p in policies.values()),
         policies=policies,
     )
-    return optimizer.evaluator.evaluate(design)
+    return space.evaluator.evaluate(design)
 
 
 class TestMatrixMatchesScalarOracle:
     @settings(max_examples=40, deadline=None)
-    @given(optimizer=optimizers(), data=st.data())
-    def test_metrics_bit_identical(self, optimizer, data):
-        regions = sorted(optimizer.evaluator.region_sizes)
-        matrix = optimizer.contribution_matrix(regions)
+    @given(space=spaces(), data=st.data())
+    def test_metrics_bit_identical(self, space, data):
+        matrix = space.matrix()
         width = matrix.candidate_count
         design_id = data.draw(
             st.integers(min_value=0, max_value=matrix.total_designs - 1)
         )
         digits = matrix.digits_of(design_id)
-        expected = scalar_metrics(optimizer, regions, digits)
+        expected = scalar_metrics(space, digits)
         got = matrix.metrics_at(digits)
         assert got.design.name == expected.design.name
         assert got.memory_cost_savings == expected.memory_cost_savings
@@ -145,22 +181,17 @@ class TestMatrixMatchesScalarOracle:
             == expected.incorrect_per_million_queries
         )
         assert got.memory_cost_savings_range == expected.memory_cost_savings_range
-        assert width ** len(regions) == matrix.total_designs
+        assert width ** len(space.regions) == matrix.total_designs
 
     @settings(max_examples=25, deadline=None)
-    @given(optimizer=optimizers(max_candidates=3))
-    def test_batch_arrays_bit_identical(self, optimizer):
-        from repro.explore.batch import BatchDesignSpaceEvaluator
-
-        regions = sorted(optimizer.evaluator.region_sizes)
-        matrix = optimizer.contribution_matrix(regions)
+    @given(space=spaces(max_candidates=3))
+    def test_batch_arrays_bit_identical(self, space):
+        matrix = space.matrix()
         batch = BatchDesignSpaceEvaluator(matrix, chunk_size=13)
         ids = np.arange(matrix.total_designs, dtype=np.int64)
         values = batch.evaluate_ids(ids)
         for design_id in range(matrix.total_designs):
-            expected = scalar_metrics(
-                optimizer, regions, matrix.digits_of(design_id)
-            )
+            expected = scalar_metrics(space, matrix.digits_of(design_id))
             assert values["savings"][design_id] == expected.server_cost_savings
             assert values["availability"][design_id] == expected.availability
             assert (
@@ -172,14 +203,13 @@ class TestMatrixMatchesScalarOracle:
 class TestSearchEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(
-        optimizer=optimizers(max_candidates=3),
+        space=spaces(max_candidates=3),
         target=st.floats(min_value=0.9, max_value=1.0, allow_nan=False),
         top_k=st.integers(min_value=1, max_value=6),
     )
-    def test_branch_and_bound_matches_exhaustive(self, optimizer, target, top_k):
-        regions = sorted(optimizer.evaluator.region_sizes)
-        exhaustive = optimizer.search(target, regions=regions)
-        matrix = optimizer.contribution_matrix(regions)
+    def test_branch_and_bound_matches_exhaustive(self, space, target, top_k):
+        exhaustive = space.explore(target, backend="scalar")
+        matrix = space.matrix()
         bounded = BranchAndBoundSearcher(matrix).search(target, top_k=top_k)
         expected = exhaustive.feasible[:top_k]
         assert [m.design.name for m in bounded.top] == [
@@ -192,22 +222,19 @@ class TestSearchEquivalence:
 
     @settings(max_examples=20, deadline=None)
     @given(
-        optimizer=optimizers(max_candidates=3),
+        space=spaces(max_candidates=3),
         target=st.floats(min_value=0.9, max_value=1.0, allow_nan=False),
     )
-    def test_vectorized_search_matches_scalar(self, optimizer, target):
-        regions = sorted(optimizer.evaluator.region_sizes)
-        scalar = optimizer.search(target, regions=regions)
-        vectorized = MappingOptimizer(
-            optimizer.evaluator,
-            candidates=optimizer.candidates,
-            recoverable_fractions=optimizer.recoverable_fractions,
-            backend="vectorized",
-        ).search(target, regions=regions)
-        assert [m.design.name for m in vectorized.feasible] == [
+    def test_vectorized_search_matches_scalar(self, space, target):
+        """The full feasible list: the production path (where the
+        exhaustive vectorized scan stood) against the oracle."""
+        scalar = space.explore(target, backend="scalar")
+        auto = space.explore(target)
+        assert [m.design.name for m in auto.feasible] == [
             m.design.name for m in scalar.feasible
         ]
-        assert vectorized.evaluated == scalar.evaluated
+        assert auto.evaluated + auto.pruned == scalar.evaluated
+        assert auto.evaluated == auto.feasible_count == scalar.feasible_count
 
 
 #: Same technique (so the same cost column) under every response, plus
@@ -221,6 +248,35 @@ EQUAL_COST_POOL = tuple(
     RegionPolicy(technique=HardwareTechnique.NONE, less_tested=True),
 )
 
+#: One name ("Parity+R"), one cost column, three recoverable fractions.
+#: In a region that never crashes and has no measured fraction to bind,
+#: designs built from these tie on (savings, availability, name) and
+#: differ in incorrectness: the assignment-id tie-break shows in the
+#: metrics, and branch-and-bound visits the tied designs in the opposite
+#: order (lowest incorrectness first). Exact duplicates cannot show it —
+#: their tied designs are indistinguishable.
+SAME_NAME_POOL = tuple(
+    RegionPolicy(
+        technique=HardwareTechnique.PARITY,
+        response=SoftwareResponse.RECOVER,
+        recoverable_fraction=fraction,
+    )
+    for fraction in (0.0, 0.5, 1.0)
+) + (RegionPolicy(technique=HardwareTechnique.NONE),)
+
+
+def crash_free_profile():
+    """One region that answers wrongly but never crashes."""
+    prof = VulnerabilityProfile(app="prop")
+    prof.region_sizes = {"heap": 100}
+    cell = prof.cell("heap", "single-bit soft")
+    for _ in range(3):
+        cell.record(ErrorOutcome.INCORRECT, 100, 3, 1, 5.0)
+    for _ in range(7):
+        cell.record(ErrorOutcome.MASKED_LOGIC, 100, 0, 0, None)
+    return prof
+
+
 METRIC_FIELDS = (
     "memory_cost_savings",
     "server_cost_savings",
@@ -231,9 +287,10 @@ METRIC_FIELDS = (
 
 
 class TestAutoMatchesEveryNamedBackend:
-    """``auto`` with ``top_k`` is branch-and-bound; the exhaustive
-    backends are its oracles — names, metrics and order must agree on
-    exactly the inputs where ties decide the ranking."""
+    """``auto`` is branch-and-bound, for the k best and (``top_k=None``)
+    for the full feasible list; ``scalar`` is its oracle — names,
+    metrics and order must agree on exactly the inputs where ties decide
+    the ranking."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -242,6 +299,9 @@ class TestAutoMatchesEveryNamedBackend:
             search_spaces(max_candidates=4, unique=False),
             search_spaces(
                 max_candidates=4, pool=EQUAL_COST_POOL, unique=False
+            ),
+            search_spaces(
+                max_candidates=4, pool=SAME_NAME_POOL, unique=False
             ),
         ),
         target=st.one_of(
@@ -252,7 +312,13 @@ class TestAutoMatchesEveryNamedBackend:
             st.none(),
             st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
         ),
-        top_k=st.integers(min_value=1, max_value=12),
+        top_k=st.none() | st.integers(min_value=1, max_value=12),
+    )
+    @example(
+        space=(crash_free_profile(), SAME_NAME_POOL[:3], {}),
+        target=0.0,
+        budget=None,
+        top_k=None,
     )
     def test_names_metrics_and_order(self, space, target, budget, top_k):
         prof, candidates, fractions = space
@@ -268,23 +334,26 @@ class TestAutoMatchesEveryNamedBackend:
             )
             for backend in EXPLORE_BACKENDS
         }
-        auto = results["auto"]
+        auto, oracle = results["auto"], results["scalar"]
         assert auto.backend == "branch-and-bound"
+        assert oracle.backend == "scalar"
         assert auto.evaluated + auto.pruned == auto.total_designs
-        assert not auto.feasible_count_exact
-        assert auto.feasible_count <= results["scalar"].feasible_count
+        assert oracle.evaluated == oracle.total_designs == auto.total_designs
+        assert oracle.feasible_count_exact
+        assert auto.feasible_count_exact == (top_k is None)
+        assert auto.feasible_count == len(auto.feasible)
         ranking = [
             (m.design.name,) + tuple(getattr(m, f) for f in METRIC_FIELDS)
             for m in auto.feasible
         ]
-        for backend in ("scalar", "vectorized", "branch-and-bound"):
-            other = results[backend]
-            assert other.total_designs == auto.total_designs
-            assert ranking == [
-                (m.design.name,) + tuple(getattr(m, f) for f in METRIC_FIELDS)
-                for m in other.feasible
-            ], backend
-        assert len(ranking) == min(top_k, results["scalar"].feasible_count)
+        assert ranking == [
+            (m.design.name,) + tuple(getattr(m, f) for f in METRIC_FIELDS)
+            for m in oracle.feasible
+        ]
+        if top_k is None:
+            assert len(ranking) == oracle.feasible_count
+        else:
+            assert len(ranking) == min(top_k, oracle.feasible_count)
 
 
 def quadratic_front(points):
@@ -373,28 +442,19 @@ class TestParetoSweep:
     @settings(max_examples=30, deadline=None)
     @given(space=search_spaces(max_candidates=3, unique=False))
     def test_mapping_optimizer_fronts_match_quadratic(self, space):
-        """``MappingOptimizer.pareto_front`` on both backends — the
-        scalar list and ``pareto_ids`` — over duplicated candidates."""
-        prof, candidates, fractions = space
-        regions = sorted(prof.region_sizes)
-        fronts = {
-            backend: MappingOptimizer(
-                DesignEvaluator(prof),
-                candidates=candidates,
-                recoverable_fractions=fractions,
-                backend=backend,
-            ).pareto_front(regions)
-            for backend in ("scalar", "vectorized")
-        }
-        optimizer = MappingOptimizer(
-            DesignEvaluator(prof),
-            candidates=candidates,
-            recoverable_fractions=fractions,
+        """``repro.explore.pareto_front`` (where ``MappingOptimizer``'s
+        stood) against the quadratic front of one scalar evaluation per
+        design, over duplicated candidates."""
+        space = Space.of(*space)
+        front = pareto_front(
+            space.evaluator,
+            candidates=space.candidates,
+            recoverable_fractions=space.fractions,
         )
         metrics = [
-            scalar_metrics(optimizer, regions, digits)
+            scalar_metrics(space, digits)
             for digits in itertools.product(
-                range(len(candidates)), repeat=len(regions)
+                range(len(space.candidates)), repeat=len(space.regions)
             )
         ]
         expected = [
@@ -403,14 +463,12 @@ class TestParetoSweep:
                 [(m.server_cost_savings, m.availability) for m in metrics]
             )
         ]
-        for front in fronts.values():
-            assert [
-                (m.design.name, m.server_cost_savings, m.availability)
-                for m in front
-            ] == [
-                (m.design.name, m.server_cost_savings, m.availability)
-                for m in expected
-            ]
+        assert [
+            (m.design.name, m.server_cost_savings, m.availability) for m in front
+        ] == [
+            (m.design.name, m.server_cost_savings, m.availability)
+            for m in expected
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -468,21 +526,15 @@ class TestParetoSweep:
 
 class TestExhaustiveEnumerationOrder:
     @settings(max_examples=20, deadline=None)
-    @given(optimizer=optimizers(max_candidates=3))
-    def test_matrix_ids_enumerate_product_order(self, optimizer):
-        regions = sorted(optimizer.evaluator.region_sizes)
-        matrix = optimizer.contribution_matrix(regions)
+    @given(space=spaces(max_candidates=3))
+    def test_matrix_ids_enumerate_product_order(self, space):
+        matrix = space.matrix()
         names = [
             matrix.design_name(matrix.digits_of(i))
             for i in range(matrix.total_designs)
         ]
         expected = [
-            "+".join(
-                optimizer._specialize(region, policy).describe()
-                for region, policy in zip(regions, assignment)
-            )
-            for assignment in itertools.product(
-                optimizer.candidates, repeat=len(regions)
-            )
+            "+".join(policy.describe() for policy in assignment)
+            for assignment in itertools.product(*space.specialized)
         ]
         assert names == expected

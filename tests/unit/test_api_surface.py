@@ -37,7 +37,7 @@ class TestSurfaceInventory:
         ]
 
     def test_api_version_tracks_package_major(self):
-        assert api.API_VERSION == "2.0"
+        assert api.API_VERSION == "3.0"
         assert (
             api.API_VERSION.split(".")[0] == repro.__version__.split(".")[0]
         )
@@ -56,19 +56,21 @@ class TestDeprecatedAliases:
         "SIMULATOR_BACKENDS",
         "FLEET_BACKENDS",
     )
+    #: Removed in 3.0: ``explore_design_space`` / ``ExplorationResult``.
+    REMOVED = ("MappingOptimizer", "OptimizationResult")
 
     def test_deprecated_names_not_in_all(self):
         """Nor anywhere else on the facade: the warn-and-forward
-        registry is gone and the five names raise ``AttributeError``."""
-        assert not set(self.RETIRED) & set(api.__all__)
-        for name in self.RETIRED + ("deprecated_names",):
+        registry is gone and the names raise ``AttributeError``."""
+        assert not set(self.RETIRED + self.REMOVED) & set(api.__all__)
+        for name in self.RETIRED + self.REMOVED + ("deprecated_names",):
             with pytest.raises(AttributeError):
                 getattr(api, name)
 
 
 class TestAvailableBackends:
     def test_known_kinds(self):
-        for kind in ("campaign", "search", "explore", "fleet", "serve"):
+        for kind in ("campaign", "explore", "fleet", "serve"):
             backends = api.available_backends(kind)
             assert isinstance(backends, tuple) and backends
             assert all(isinstance(name, str) for name in backends)
@@ -88,9 +90,12 @@ class TestAvailableBackends:
         )
 
     def test_unknown_kind_lists_valid_kinds(self):
-        # "simulator": one availability engine, so nothing to choose.
-        for kind in ("quantum", "simulator"):
-            with pytest.raises(ValueError, match="campaign"):
+        # "simulator": one availability engine, "search": one design-
+        # space search (kind "explore"), so nothing to choose.
+        for kind in ("quantum", "simulator", "search"):
+            with pytest.raises(
+                ValueError, match=r"\['campaign', 'explore', 'fleet', 'serve'\]"
+            ):
                 api.available_backends(kind)
 
 

@@ -52,7 +52,6 @@ class TestCharacterizeCommand:
         assert capsys.readouterr().out == serial
 
     def test_vectorized_backend_matches_scalar_json(self, capsys):
-        pytest.importorskip("numpy")
         base = [
             "characterize", "--app", "memcached", "--trials", "4",
             "--queries", "15", "--scale", "0.3", "--errors", "soft",
@@ -231,24 +230,25 @@ class TestExploreCommand:
         assert all(f"\n {rank} " in output for rank in (1, 2, 3))
 
     def test_backends_print_identical_rankings(self, capsys):
-        pytest.importorskip("numpy")
         payloads = {}
-        for backend in ("scalar", "vectorized", "branch-and-bound"):
+        for backend in ("auto", "scalar"):
             code = main(
                 self.BASE + ["--top-k", "3", "--backend", backend, "--json"]
             )
             assert code == 0
             payloads[backend] = json.loads(capsys.readouterr().out)
-        rankings = {
-            backend: [row["design"] for row in payload["top"]]
-            for backend, payload in payloads.items()
-        }
-        assert (
-            rankings["scalar"]
-            == rankings["vectorized"]
-            == rankings["branch-and-bound"]
-        )
-        assert payloads["branch-and-bound"]["pruned"] > 0
+        assert payloads["auto"]["top"] == payloads["scalar"]["top"]
+        assert len(payloads["auto"]["top"]) == 3
+        assert payloads["auto"]["backend"] == "branch-and-bound"
+        assert payloads["auto"]["pruned"] > 0
+        assert payloads["scalar"]["pruned"] == 0
+
+    @pytest.mark.parametrize("backend", ["vectorized", "branch-and-bound"])
+    def test_removed_backend_names_are_rejected(self, backend, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.BASE + ["--backend", backend])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_feasible_is_a_lower_bound_unless_enumerated(self, capsys):
         """The default backend prunes instead of counting, so its
@@ -331,7 +331,6 @@ class TestFleetCommand:
         assert "Less-Tested (L)" in output
 
     def test_json_includes_analytic_cross_check(self, capsys):
-        pytest.importorskip("numpy")
         assert main(self.BASE + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["simulation"]["servers"] == 40
@@ -351,7 +350,6 @@ class TestFleetCommand:
         )
 
     def test_clip_binding_shocks_take_the_per_server_path(self, capsys):
-        pytest.importorskip("numpy")
         shocks = ["--correlation", "rate=1,cohort=0.3,downtime=64800"]
         assert main(self.BASE + shocks + ["--json"]) == 0
         path = json.loads(capsys.readouterr().out)["simulation_draw_path"]
@@ -367,7 +365,6 @@ class TestFleetCommand:
         )
 
     def test_sim_seed_reproducible_across_workers(self, capsys):
-        pytest.importorskip("numpy")
         base = self.BASE + ["--json", "--sim-seed", "9"]
         assert main(base + ["--sim-workers", "1"]) == 0
         serial = json.loads(capsys.readouterr().out)
@@ -378,14 +375,12 @@ class TestFleetCommand:
         assert serial["simulation"] == threaded["simulation"]
 
     def test_optimize_target_prints_composition(self, capsys):
-        pytest.importorskip("numpy")
         code = main(self.BASE + ["--target", "0.5", "--step", "0.5"])
         assert code == 0
         output = capsys.readouterr().out
         assert "best composition for >=50.00%" in output
 
     def test_correlation_and_aging_specs(self, capsys):
-        pytest.importorskip("numpy")
         code = main(self.BASE + [
             "--correlation", "rate=0.5,cohort=0.2,downtime=30",
             "--aging", "bathtub",

@@ -1,12 +1,14 @@
 """Unit tests for repro.explore (matrix, batch, search, pareto, engine).
 
 The contract under test everywhere: every batch/bounded path must return
-*byte-identical* designs and metrics to the scalar
-``DesignEvaluator``/``MappingOptimizer`` reference on the same inputs.
+*byte-identical* designs and metrics to the scalar reference on the same
+inputs — ``DesignEvaluator`` one design at a time, and ``explore``'s
+``scalar`` oracle for whole searches.
 """
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -17,17 +19,22 @@ from repro.core.design_space import (
     SoftwareResponse,
 )
 from repro.core.mapping import DesignEvaluator, HRMDesign
-from repro.core.optimizer import DEFAULT_CANDIDATES, MappingOptimizer
+from repro.core.optimizer import DEFAULT_CANDIDATES
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.explore import (
+    BatchDesignSpaceEvaluator,
     BranchAndBoundSearcher,
+    ContributionMatrix,
     explore,
+    pareto_front,
     pareto_indices,
+    specialize_candidates,
 )
 from repro.obs import MetricsRegistry, Observer
 
 REGIONS = ("private", "heap", "stack")
+FRACTIONS = {"private": 0.7}
 
 
 @pytest.fixture
@@ -53,33 +60,34 @@ def evaluator(profile):
 
 
 @pytest.fixture
-def optimizer(evaluator):
-    return MappingOptimizer(evaluator, recoverable_fractions={"private": 0.7})
+def specialized():
+    """Per-region candidate tuples of the searches below."""
+    return specialize_candidates(REGIONS, DEFAULT_CANDIDATES, FRACTIONS)
 
 
 @pytest.fixture
-def matrix(optimizer):
-    return optimizer.contribution_matrix(REGIONS)
+def matrix(evaluator, specialized):
+    return ContributionMatrix.build(evaluator, REGIONS, specialized)
 
 
-def scalar_metrics_for(optimizer, digits):
+def scalar_metrics_for(evaluator, specialized, digits, regions=REGIONS):
     """Evaluate one assignment through the scalar reference path."""
     policies = {
-        region: optimizer._specialize(region, optimizer.candidates[c])
-        for region, c in zip(REGIONS, digits)
+        region: specialized[r][c]
+        for r, (region, c) in enumerate(zip(regions, digits))
     }
     design = HRMDesign(
         name="+".join(p.describe() for p in policies.values()),
         policies=policies,
     )
-    return optimizer.evaluator.evaluate(design)
+    return evaluator.evaluate(design)
 
 
 class TestContributionMatrix:
-    def test_metrics_identical_to_scalar_oracle(self, optimizer, matrix):
+    def test_metrics_identical_to_scalar_oracle(self, evaluator, specialized, matrix):
         width = matrix.candidate_count
         for digits in itertools.product(range(width), repeat=len(REGIONS)):
-            expected = scalar_metrics_for(optimizer, digits)
+            expected = scalar_metrics_for(evaluator, specialized, digits)
             got = matrix.metrics_at(digits)
             assert got.design.name == expected.design.name
             assert got.memory_cost_savings == expected.memory_cost_savings
@@ -104,47 +112,55 @@ class TestContributionMatrix:
         ):
             assert matrix.digits_of(design_id) == tuple(digits)
 
-    def test_rejects_empty_regions(self, optimizer):
+    def test_rejects_empty_regions(self, evaluator):
         with pytest.raises(ValueError):
-            optimizer.contribution_matrix(())
+            ContributionMatrix.build(evaluator, (), [])
 
-    def test_rejects_unsized_space(self, evaluator):
+    def test_rejects_unsized_space(self):
         prof = VulnerabilityProfile(app="empty")
         prof.region_sizes = {"heap": 0}
         cell = prof.cell("heap", "single-bit soft")
         cell.record(ErrorOutcome.MASKED_LOGIC, 10, 0, 0, None)
-        bad = MappingOptimizer(DesignEvaluator(prof))
         with pytest.raises(ValueError):
-            bad.contribution_matrix(("heap",))
+            ContributionMatrix.build(
+                DesignEvaluator(prof),
+                ("heap",),
+                specialize_candidates(("heap",), DEFAULT_CANDIDATES),
+            )
 
 
 class TestVectorizedSearch:
-    def test_search_identical_to_scalar(self, evaluator):
-        pytest.importorskip("numpy")
-        kwargs = dict(recoverable_fractions={"private": 0.7})
-        scalar = MappingOptimizer(evaluator, backend="scalar", **kwargs).search(
-            0.999, regions=REGIONS
+    """The full feasible list (``top_k=None``): the production path
+    against the scalar oracle, where the exhaustive vectorized scan
+    used to stand."""
+
+    def test_search_identical_to_scalar(self, profile):
+        kwargs = dict(
+            availability_target=0.999,
+            recoverable_fractions=FRACTIONS,
+            regions=REGIONS,
         )
-        vector = MappingOptimizer(evaluator, backend="vectorized", **kwargs).search(
-            0.999, regions=REGIONS
-        )
-        assert vector.evaluated == scalar.evaluated
-        assert len(vector.feasible) == len(scalar.feasible)
-        for got, expected in zip(vector.feasible, scalar.feasible):
+        scalar = explore(profile, backend="scalar", **kwargs)
+        auto = explore(profile, **kwargs)
+        assert auto.evaluated + auto.pruned == scalar.evaluated
+        assert auto.feasible_count == scalar.feasible_count
+        assert len(auto.feasible) == len(scalar.feasible)
+        for got, expected in zip(auto.feasible, scalar.feasible):
             assert got.design.name == expected.design.name
             assert got.server_cost_savings == expected.server_cost_savings
             assert got.availability == expected.availability
-        assert vector.best.design.name == scalar.best.design.name
+        assert auto.best.design.name == scalar.best.design.name
 
-    def test_search_with_budget_identical(self, evaluator):
-        pytest.importorskip("numpy")
-        scalar = MappingOptimizer(evaluator, backend="scalar").search(
-            0.999, max_incorrect_per_million=0.5, regions=REGIONS
+    def test_search_with_budget_identical(self, profile):
+        kwargs = dict(
+            availability_target=0.999,
+            max_incorrect_per_million=0.5,
+            regions=REGIONS,
         )
-        vector = MappingOptimizer(evaluator, backend="vectorized").search(
-            0.999, max_incorrect_per_million=0.5, regions=REGIONS
-        )
-        assert [m.design.name for m in vector.feasible] == [
+        scalar = explore(profile, backend="scalar", **kwargs)
+        auto = explore(profile, **kwargs)
+        assert auto.pruned_by["incorrectness"] > 0
+        assert [m.design.name for m in auto.feasible] == [
             m.design.name for m in scalar.feasible
         ]
 
@@ -178,9 +194,9 @@ class TestParetoFront:
             [availability for _, availability in points],
         ).tolist()
 
-    def test_sweep_matches_quadratic_on_seed_profile(self, optimizer):
+    def test_sweep_matches_quadratic_on_seed_profile(self, evaluator, specialized):
         metrics = [
-            scalar_metrics_for(optimizer, digits)
+            scalar_metrics_for(evaluator, specialized, digits)
             for digits in itertools.product(
                 range(len(DEFAULT_CANDIDATES)), repeat=len(REGIONS)
             )
@@ -199,53 +215,53 @@ class TestParetoFront:
     def test_sweep_of_nothing_is_empty(self):
         assert self.sweep([]) == []
 
-    def test_optimizer_front_matches_quadratic(self, evaluator):
-        optimizer = MappingOptimizer(
-            evaluator, candidates=DEFAULT_CANDIDATES[:4], backend="scalar"
-        )
-        front = optimizer.pareto_front(regions=("private", "heap"))
-        metrics = []
-        for assignment in itertools.product(
-            DEFAULT_CANDIDATES[:4], repeat=2
-        ):
-            policies = {
-                region: optimizer._specialize(region, policy)
-                for region, policy in zip(("private", "heap"), assignment)
-            }
-            metrics.append(
-                evaluator.evaluate(
-                    HRMDesign(
-                        name="+".join(p.describe() for p in policies.values()),
-                        policies=policies,
-                    )
-                )
+    def scalar_front(self, evaluator, candidates, fractions, regions):
+        """Names of the quadratic front over one scalar evaluation per
+        design: what ``pareto_front`` has to return, in order."""
+        specialized = specialize_candidates(regions, candidates, fractions)
+        metrics = [
+            scalar_metrics_for(evaluator, specialized, digits, regions)
+            for digits in itertools.product(
+                range(len(candidates)), repeat=len(regions)
             )
+        ]
         points = [(m.server_cost_savings, m.availability) for m in metrics]
-        expected = [metrics[i].design.name for i in self.quadratic_front(points)]
-        assert [m.design.name for m in front] == expected
+        return [metrics[i].design.name for i in self.quadratic_front(points)]
+
+    def test_optimizer_front_matches_quadratic(self, evaluator):
+        regions = ("private", "heap")
+        front = pareto_front(
+            evaluator, candidates=DEFAULT_CANDIDATES[:4], regions=regions
+        )
+        assert [m.design.name for m in front] == self.scalar_front(
+            evaluator, DEFAULT_CANDIDATES[:4], None, regions
+        )
 
     def test_vectorized_front_matches_scalar(self, evaluator):
-        pytest.importorskip("numpy")
-        scalar = MappingOptimizer(evaluator, backend="scalar").pareto_front(
-            regions=REGIONS
+        """Whole default space, recoverable fractions bound, regions
+        defaulted to the evaluator's sized ones."""
+        front = pareto_front(evaluator, recoverable_fractions=FRACTIONS)
+        assert [m.design.name for m in front] == self.scalar_front(
+            evaluator, DEFAULT_CANDIDATES, FRACTIONS, sorted(REGIONS)
         )
-        vector = MappingOptimizer(evaluator, backend="vectorized").pareto_front(
-            regions=REGIONS
-        )
-        assert [m.design.name for m in vector] == [m.design.name for m in scalar]
 
 
 class TestBranchAndBound:
-    def exhaustive_top(self, optimizer, target, k, budget=None):
-        result = optimizer.search(
-            target, max_incorrect_per_million=budget, regions=REGIONS
+    def exhaustive_top(self, profile, target, k, budget=None):
+        result = explore(
+            profile,
+            availability_target=target,
+            recoverable_fractions=FRACTIONS,
+            max_incorrect_per_million=budget,
+            regions=REGIONS,
+            backend="scalar",
         )
         return result.feasible[:k]
 
     @pytest.mark.parametrize("top_k", [1, 5, 50, 1000])
-    def test_top_k_matches_exhaustive(self, optimizer, matrix, top_k):
+    def test_top_k_matches_exhaustive(self, profile, matrix, top_k):
         bounded = BranchAndBoundSearcher(matrix).search(0.999, top_k=top_k)
-        expected = self.exhaustive_top(optimizer, 0.999, top_k)
+        expected = self.exhaustive_top(profile, 0.999, top_k)
         assert [m.design.name for m in bounded.top] == [
             m.design.name for m in expected
         ]
@@ -254,11 +270,11 @@ class TestBranchAndBound:
             assert got.availability == want.availability
         assert bounded.evaluated + bounded.pruned == bounded.total_designs
 
-    def test_budget_constrained_matches_exhaustive(self, optimizer, matrix):
+    def test_budget_constrained_matches_exhaustive(self, profile, matrix):
         bounded = BranchAndBoundSearcher(matrix).search(
             0.999, max_incorrect_per_million=0.5, top_k=3
         )
-        expected = self.exhaustive_top(optimizer, 0.999, 3, budget=0.5)
+        expected = self.exhaustive_top(profile, 0.999, 3, budget=0.5)
         assert [m.design.name for m in bounded.top] == [
             m.design.name for m in expected
         ]
@@ -285,73 +301,110 @@ class TestBranchAndBound:
 
 
 class TestExploreEngine:
-    BACKENDS = ("scalar", "branch-and-bound", "vectorized")
+    BACKENDS = ("auto", "scalar")
 
     def test_backends_agree_on_top_k(self, profile):
-        results = {}
-        for backend in self.BACKENDS:
-            if backend == "vectorized":
-                pytest.importorskip("numpy")
-            results[backend] = explore(
+        results = {
+            backend: explore(
                 profile,
                 availability_target=0.999,
-                recoverable_fractions={"private": 0.7},
+                recoverable_fractions=FRACTIONS,
                 backend=backend,
                 top_k=4,
             )
+            for backend in self.BACKENDS
+        }
         names = {
             backend: [m.design.name for m in result.feasible]
             for backend, result in results.items()
         }
-        assert names["scalar"] == names["branch-and-bound"] == names["vectorized"]
+        assert names["auto"] == names["scalar"]
         assert len(names["scalar"]) == 4
-        # Exhaustive backends agree on the whole-space feasible count;
+        assert results["auto"].backend == "branch-and-bound"
+        assert results["scalar"].backend == "scalar"
+        # The oracle counts the whole space's feasible designs;
         # branch-and-bound only proves feasibility for the designs it
         # returns (everything else was pruned away unevaluated).
-        assert results["scalar"].feasible_count == results["vectorized"].feasible_count
-        assert results["branch-and-bound"].feasible_count == 4
+        assert results["scalar"].feasible_count_exact
+        assert results["scalar"].feasible_count > 4
+        assert results["auto"].feasible_count == 4
 
-    def test_full_feasible_list_without_top_k(self, profile, optimizer):
+    def test_full_feasible_list_without_top_k(self, profile, evaluator, specialized):
+        """The oracle's full list is the filtered, sorted enumeration —
+        spelled out here, independent of ``explore``'s own loop."""
         result = explore(
             profile,
             availability_target=0.999,
-            recoverable_fractions={"private": 0.7},
+            recoverable_fractions=FRACTIONS,
             backend="scalar",
             regions=REGIONS,
         )
-        reference = optimizer.search(0.999, regions=REGIONS)
-        assert [m.design.name for m in result.feasible] == [
-            m.design.name for m in reference.feasible
+        reference = [
+            metrics
+            for metrics in (
+                scalar_metrics_for(evaluator, specialized, digits)
+                for digits in itertools.product(
+                    range(len(DEFAULT_CANDIDATES)), repeat=len(REGIONS)
+                )
+            )
+            if metrics.availability >= 0.999
         ]
-        assert result.total_designs == reference.evaluated
+        reference.sort(
+            key=lambda m: (-m.server_cost_savings, -m.availability, m.design.name)
+        )
+        assert [m.design.name for m in result.feasible] == [
+            m.design.name for m in reference
+        ]
+        assert result.total_designs == len(DEFAULT_CANDIDATES) ** len(REGIONS)
+        assert result.evaluated == result.total_designs
+        assert result.feasible_count == len(reference)
 
-    def test_auto_is_branch_and_bound_exactly_when_top_k_is_set(
-        self, profile, optimizer
+    def test_auto_is_branch_and_bound_exactly_when_top_k_is_set_or_none(
+        self, profile
     ):
-        pytest.importorskip("numpy")
+        """``auto`` means one thing: with ``top_k`` the k best and a
+        lower-bound count, without it every feasible design and an
+        exact count — branch-and-bound either way."""
         kwargs = dict(
             availability_target=0.999,
-            recoverable_fractions={"private": 0.7},
+            recoverable_fractions=FRACTIONS,
             regions=REGIONS,
         )
+        reference = explore(profile, backend="scalar", **kwargs)
         ranked = explore(profile, top_k=3, **kwargs)
         assert ranked.backend == "branch-and-bound"
         assert ranked.evaluated < ranked.total_designs
         assert not ranked.feasible_count_exact
-        # Without top_k the answer is the whole feasible list, which
-        # only an exhaustive backend can produce.
         full = explore(profile, **kwargs)
-        reference = optimizer.search(0.999, regions=REGIONS)
-        assert full.backend == "vectorized"
-        assert full.evaluated == full.total_designs
+        assert full.backend == "branch-and-bound"
+        assert full.evaluated + full.pruned == full.total_designs
+        assert full.pruned_by["cost"] == full.pruned_by["dominated"] == 0
         assert full.feasible_count_exact
-        assert full.feasible_count == len(reference.feasible) > 3
+        assert full.evaluated == full.feasible_count == reference.feasible_count > 3
         assert [m.design.name for m in full.feasible] == [
             m.design.name for m in reference.feasible
         ]
         assert [m.design.name for m in ranked.feasible] == [
             m.design.name for m in reference.feasible[:3]
         ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_regions_are_validated_before_dispatch(self, profile, backend):
+        kwargs = dict(availability_target=0.9, backend=backend, top_k=1)
+        with pytest.raises(ValueError, match="'private'.*more than once"):
+            explore(profile, regions=["private", "private"], **kwargs)
+        with pytest.raises(ValueError, match="unknown region 'nope'"):
+            explore(profile, regions=["private", "nope"], **kwargs)
+        # A region the profile has cells for but no size stays legal:
+        # it adds its crashes and no cost.
+        profile.cell("kernel", "single-bit soft").record(
+            ErrorOutcome.CRASH, 10, 0, 10, 0.5
+        )
+        sized = explore(profile, regions=["private"], **kwargs)
+        unsized = explore(profile, regions=["private", "kernel"], **kwargs)
+        assert unsized.total_designs == len(DEFAULT_CANDIDATES) ** 2
+        assert unsized.best.design.name.startswith(sized.best.design.name + "+")
+        assert unsized.best.server_cost_savings == sized.best.server_cost_savings
 
     def test_duplicated_candidates_stay_cheap(self, profile):
         """Every design has 2^regions equal-savings twins, and the cost
@@ -402,7 +455,6 @@ class TestExploreEngine:
         result = explore(
             profile,
             availability_target=0.999,
-            backend="branch-and-bound",
             top_k=2,
             observer=observer,
         )
@@ -432,20 +484,17 @@ class TestApiFacade:
             profile, availability_target=0.999, backend="scalar", top_k=2
         )
         assert isinstance(result, api.ExplorationResult)
-        assert isinstance(result, api.OptimizationResult)
         assert result.found
         assert len(result.feasible) == 2
 
     def test_backend_tuples_exported(self):
-        assert "branch-and-bound" in api.available_backends("explore")
-        assert "vectorized" in api.available_backends("search")
+        assert api.available_backends("explore") == ("auto", "scalar")
+        with pytest.raises(ValueError):
+            api.available_backends("search")
 
 
 class TestBatchEvaluator:
     def test_chunked_values_match_matrix(self, matrix):
-        np = pytest.importorskip("numpy")
-        from repro.explore.batch import BatchDesignSpaceEvaluator
-
         batch = BatchDesignSpaceEvaluator(matrix, chunk_size=37)
         ids = np.arange(matrix.total_designs, dtype=np.int64)
         values = batch.evaluate_ids(ids)
@@ -461,22 +510,6 @@ class TestBatchEvaluator:
             assert values["incorrect_per_million"][design_id] == (
                 matrix.incorrect_per_million_from_total(incorrect)
             )
-
-    def test_feasible_ids_match_scalar_filter(self, optimizer, matrix):
-        pytest.importorskip("numpy")
-        from repro.explore.batch import BatchDesignSpaceEvaluator
-
-        batch = BatchDesignSpaceEvaluator(matrix, chunk_size=100)
-        ids, evaluated = batch.feasible_ids(0.999)
-        assert evaluated == matrix.total_designs
-        expected = [
-            design_id
-            for design_id in range(matrix.total_designs)
-            if scalar_metrics_for(
-                optimizer, matrix.digits_of(design_id)
-            ).availability >= 0.999
-        ]
-        assert list(ids) == expected
 
 
 class TestBatchSimulator:

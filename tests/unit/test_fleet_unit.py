@@ -19,8 +19,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.availability import ErrorRateModel
-from repro.core.mapping import less_tested, paper_design_points, typical_server
+from repro.core.availability import ErrorRateModel, design_outcome_rates
+from repro.core.mapping import (
+    consumer_pc,
+    less_tested,
+    paper_design_points,
+    typical_server,
+)
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.fleet import (
@@ -37,7 +42,7 @@ from repro.fleet import (
     simulate_fleet,
 )
 from repro.fleet.analytic import CompositionGrid
-from repro.fleet.layout import OutcomeRates
+from repro.fleet.layout import OutcomeRates, RegionTable
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -444,6 +449,54 @@ class TestOutcomeRates:
         )
         rates = OutcomeRates(paper_designs[1], layout.table, ErrorRateModel())
         assert rates.crash_rate == layout.blocks[1].outcomes.crash_rate
+
+    def test_incorrect_rate_differs_from_the_design_evaluators_by_one_factor(self):
+        """OPEN QUESTION, pinned (ROADMAP item 1): ``core.availability``
+        charges incorrect responses per *consumed* error, ``OutcomeRates``
+        (the simulator and ``AnalyticFleetModel``) per
+        *consumed-uncrashed* error. On the all-NoECC design of the
+        pipeline's plan profile crashes and recoveries agree and the
+        incorrect responses differ by exactly the per-region factor
+        ``1 - P(crash)``: 299.1 against 292.0 a month. Whichever PR
+        decides which is the paper's flips this test; no model changed
+        to write it."""
+        plan_regions = {
+            "private": (4000, 12, 5), "heap": (2500, 8, 9),
+            "metadata": (1200, 20, 2), "buffers": (600, 4, 14),
+            "stack": (300, 50, 1), "code": (100, 100, 0),
+        }
+        prof = VulnerabilityProfile(app="plan")
+        prof.region_sizes = {name: spec[0] for name, spec in plan_regions.items()}
+        for name, (_, crash_trials, incorrect_trials) in plan_regions.items():
+            cell = prof.cell(name, "single-bit soft")
+            for _ in range(crash_trials):
+                cell.record(ErrorOutcome.CRASH, 10, 0, 10, 0.5)
+            for _ in range(incorrect_trials):
+                cell.record(ErrorOutcome.INCORRECT, 100, 2, 0, 5.0)
+            for _ in range(1000 - crash_trials - incorrect_trials):
+                cell.record(ErrorOutcome.MASKED_LOGIC, 100, 0, 0, None)
+        regions = list(plan_regions)
+        design = consumer_pc(regions)  # every region NoECC
+        evaluated = design_outcome_rates(prof, design.policies)
+        table = RegionTable(prof, regions, "single-bit soft")
+        thinned = OutcomeRates(
+            FleetDesign(name=design.name, policies=design.policies),
+            table,
+            ErrorRateModel(),
+        )
+        fleet_incorrect = thinned.uncrashed * thinned.incorrect_per_error
+        for i, region in enumerate(regions):
+            rates = evaluated[region]
+            assert rates.crashes_per_month == thinned.crash[i]
+            assert rates.recoveries_per_month == thinned.recovered[i] == 0.0
+            assert fleet_incorrect[i] == pytest.approx(
+                rates.incorrect_responses_per_month * (1.0 - table.crash_prob[i]),
+                rel=1e-12,
+            )
+        assert sum(
+            rates.incorrect_responses_per_month for rates in evaluated.values()
+        ) == pytest.approx(299.126, abs=1e-3)
+        assert float(fleet_incorrect.sum()) == pytest.approx(292.048, abs=1e-3)
 
 
 class TestOptimizer:

@@ -1,4 +1,5 @@
-"""Unit tests for repro.core.mapping and repro.core.optimizer."""
+"""Unit tests for repro.core.mapping, repro.core.optimizer and the
+design search that replaced ``MappingOptimizer`` (``repro.explore``)."""
 
 import pytest
 
@@ -17,13 +18,10 @@ from repro.core.mapping import (
     paper_design_points,
     typical_server,
 )
-from repro.core.optimizer import (
-    DEFAULT_CANDIDATES,
-    MappingOptimizer,
-    tolerable_errors_per_month,
-)
+from repro.core.optimizer import DEFAULT_CANDIDATES, tolerable_errors_per_month
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
+from repro.explore import explore, pareto_front
 
 REGIONS = ("private", "heap", "stack")
 
@@ -155,40 +153,43 @@ class TestTolerableErrors:
 
 
 class TestMappingOptimizer:
-    def test_search_finds_cheaper_than_baseline(self, evaluator):
-        optimizer = MappingOptimizer(evaluator)
-        result = optimizer.search(availability_target=0.999)
+    """The search ``MappingOptimizer`` ran, through ``explore``: without
+    ``top_k`` the result is the full feasible list."""
+
+    def test_search_finds_cheaper_than_baseline(self, profile):
+        result = explore(profile, availability_target=0.999)
         assert result.found
         assert result.best.availability >= 0.999
         assert result.best.server_cost_savings > 0
-        assert result.evaluated == len(DEFAULT_CANDIDATES) ** 3
+        assert result.total_designs == len(DEFAULT_CANDIDATES) ** 3
+        assert result.evaluated + result.pruned == result.total_designs
 
     def test_impossible_target_fails_gracefully(self, profile):
         # With a huge error rate nothing unprotected can hit 5 nines...
-        evaluator = DesignEvaluator(
-            profile, error_model=ErrorRateModel(errors_per_server_month=10**9)
-        )
-        optimizer = MappingOptimizer(
-            evaluator,
+        result = explore(
+            profile,
+            availability_target=0.99999,
+            error_model=ErrorRateModel(errors_per_server_month=10**9),
             candidates=(RegionPolicy(technique=HardwareTechnique.NONE),),
         )
-        result = optimizer.search(availability_target=0.99999)
         assert not result.found
         assert result.feasible == []
 
-    def test_incorrectness_budget_filters(self, evaluator):
-        optimizer = MappingOptimizer(evaluator)
-        unconstrained = optimizer.search(0.999)
-        constrained = optimizer.search(0.999, max_incorrect_per_million=0.0)
+    def test_incorrectness_budget_filters(self, profile):
+        unconstrained = explore(profile, availability_target=0.999)
+        constrained = explore(
+            profile, availability_target=0.999, max_incorrect_per_million=0.0
+        )
         assert len(constrained.feasible) <= len(unconstrained.feasible)
         if constrained.found:
             assert constrained.best.incorrect_per_million_queries == 0.0
 
-    def test_recoverable_fractions_bound(self, evaluator):
-        optimizer = MappingOptimizer(
-            evaluator, recoverable_fractions={"private": 0.5}
+    def test_recoverable_fractions_bound(self, profile):
+        result = explore(
+            profile,
+            availability_target=0.99,
+            recoverable_fractions={"private": 0.5},
         )
-        result = optimizer.search(0.99)
         assert result.found
         for metrics in result.feasible:
             private = metrics.design.policies["private"]
@@ -196,10 +197,11 @@ class TestMappingOptimizer:
                 assert private.recoverable_fraction == 0.5
 
     def test_pareto_front_is_nondominated(self, evaluator):
-        optimizer = MappingOptimizer(
-            evaluator, candidates=DEFAULT_CANDIDATES[:4]
+        front = pareto_front(
+            evaluator,
+            candidates=DEFAULT_CANDIDATES[:4],
+            regions=("private", "heap"),
         )
-        front = optimizer.pareto_front(regions=("private", "heap"))
         assert front
         for a in front:
             for b in front:
@@ -215,17 +217,15 @@ class TestMappingOptimizer:
                 )
                 assert not dominates
 
-    def test_empty_candidates_rejected(self, evaluator):
-        with pytest.raises(ValueError):
-            MappingOptimizer(evaluator, candidates=())
-
-    def test_unknown_backend_rejected(self, evaluator):
-        with pytest.raises(ValueError):
-            MappingOptimizer(evaluator, backend="gpu")
-
-    def test_auto_backend_resolves(self, evaluator):
-        optimizer = MappingOptimizer(evaluator)
-        assert optimizer.resolved_backend() in ("scalar", "vectorized")
+    def test_empty_candidates_rejected(self, profile):
+        for backend in ("auto", "scalar"):
+            with pytest.raises(ValueError):
+                explore(
+                    profile,
+                    availability_target=0.999,
+                    candidates=(),
+                    backend=backend,
+                )
 
 
 class TestDeterministicTieBreaking:
@@ -249,9 +249,10 @@ class TestDeterministicTieBreaking:
         RegionPolicy(technique=HardwareTechnique.SEC_DED),
     )
 
-    def test_feasible_order_follows_sort_key(self, evaluator):
-        optimizer = MappingOptimizer(evaluator, candidates=self.TIE_CANDIDATES)
-        result = optimizer.search(0.9)
+    def test_feasible_order_follows_sort_key(self, profile):
+        result = explore(
+            profile, availability_target=0.9, candidates=self.TIE_CANDIDATES
+        )
         assert result.found
         keys = [
             (-m.server_cost_savings, -m.availability, m.design.name)
@@ -262,13 +263,15 @@ class TestDeterministicTieBreaking:
         # two key components and are separated by name alone.
         assert len({key[:2] for key in keys}) < len(keys)
 
-    def test_order_independent_of_candidate_ordering(self, evaluator):
-        forward = MappingOptimizer(
-            evaluator, candidates=self.TIE_CANDIDATES
-        ).search(0.9)
-        backward = MappingOptimizer(
-            evaluator, candidates=tuple(reversed(self.TIE_CANDIDATES))
-        ).search(0.9)
+    def test_order_independent_of_candidate_ordering(self, profile):
+        forward = explore(
+            profile, availability_target=0.9, candidates=self.TIE_CANDIDATES
+        )
+        backward = explore(
+            profile,
+            availability_target=0.9,
+            candidates=tuple(reversed(self.TIE_CANDIDATES)),
+        )
         assert [m.design.name for m in forward.feasible] == [
             m.design.name for m in backward.feasible
         ]
@@ -276,14 +279,14 @@ class TestDeterministicTieBreaking:
 
 
 class TestBackendEquality:
-    def test_vectorized_search_matches_scalar(self, evaluator):
-        pytest.importorskip("numpy")
-        scalar = MappingOptimizer(evaluator, backend="scalar").search(0.999)
-        vectorized = MappingOptimizer(evaluator, backend="vectorized").search(0.999)
-        assert [m.design.name for m in vectorized.feasible] == [
+    def test_vectorized_search_matches_scalar(self, profile):
+        """The production path against the oracle, full feasible list."""
+        scalar = explore(profile, availability_target=0.999, backend="scalar")
+        auto = explore(profile, availability_target=0.999)
+        assert [m.design.name for m in auto.feasible] == [
             m.design.name for m in scalar.feasible
         ]
-        assert vectorized.evaluated == scalar.evaluated
-        assert vectorized.best.server_cost_savings == (
+        assert auto.evaluated + auto.pruned == scalar.evaluated
+        assert auto.best.server_cost_savings == (
             scalar.best.server_cost_savings
         )
