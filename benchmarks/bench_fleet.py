@@ -257,7 +257,7 @@ def check_scalar_equivalence(profile, designs):
         designs=designs,
         config=config,
         seed=SEED,
-        backend="vectorized",
+        backend="auto",
     )
     divergence = abs(
         scalar.mean_machine_availability
@@ -296,7 +296,7 @@ def timed_simulation(profile, designs, config):
     """(median seconds, result, path) of the vectorized simulation."""
     seconds, (result, path) = timed(
         lambda: simulate_with_path(
-            profile, designs, config, backend="vectorized"
+            profile, designs, config, backend="auto"
         )
     )
     return seconds, result, path

@@ -55,7 +55,8 @@ from repro.serve import (  # noqa: E402
 
 SMOKE_GATE_SPEEDUP = 2.0
 FULL_TARGET_SPEEDUP = 5.0
-PLANES = ("scalar", "batched")
+#: Report label -> ``ServeConfig(data_plane=)``.
+PLANES = {"scalar": "scalar", "batched": "auto"}
 
 FULL = dict(duration_ticks=400, error_rate=0.25, seed=20140622)
 SMOKE = dict(duration_ticks=60, error_rate=0.25, seed=20140622)
@@ -66,7 +67,7 @@ LOAD = {"full": 16.0, "smoke": 16.0}
 
 def run_session(base: dict, plane: str, ledger: Path, scale: float, load: float):
     """One seeded session under ``plane``; tenants are built fresh."""
-    config = ServeConfig(**base, data_plane=plane)
+    config = ServeConfig(**base, data_plane=PLANES[plane])
     tenants = default_tenants(scale=scale, load=load)
     start = time.perf_counter()
     result = run_serve(config, tenants=tenants, ledger_path=ledger)

@@ -4,12 +4,12 @@
 Runs full characterization campaigns (restart → inject → drive →
 classify, Figure 2) for all three paper workloads in three modes:
 
-* ``oracle``  — backend="vectorized", memory fast path disabled: every
-  access walks the full guard cascade, every restore copies the whole
-  space. The scalar-equivalent ground truth.
-* ``fast``    — backend="vectorized", fast path enabled (dirty-page
+* ``oracle``  — backend="scalar" under ``oracle_mode()``: every access
+  walks the full guard cascade, every restore copies the whole space.
+  The ground truth.
+* ``fast``    — backend="scalar", fast path enabled (dirty-page
   snapshot restore, fused accessors, batched drivers, pristine-replay
-  fusion).
+  fusion): every trial executed, at the fast path's cost.
 * ``pruned``  — backend="pruned", fast path enabled: the access trace
   pre-classifies whole trial batches and analytically resolves trials
   whose flips land only in never-read, dead-window, or
@@ -62,6 +62,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -73,7 +74,7 @@ from repro.apps.websearch.workload import WebSearch  # noqa: E402
 from repro.core.campaign import CampaignConfig, CharacterizationCampaign  # noqa: E402
 from repro.exec.cells import CampaignCell  # noqa: E402
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT  # noqa: E402
-from repro.memory.fastpath import set_fastpath  # noqa: E402
+from repro.memory.fastpath import oracle_mode  # noqa: E402
 
 SPECS = (SINGLE_BIT_SOFT, SINGLE_BIT_HARD)
 
@@ -106,33 +107,30 @@ def _region_codecs(app_factory, protection):
 
 def _run_campaign(app_factory, config, mode, region_codecs):
     """One full campaign in the given mode; returns timing + profile JSON."""
-    previous = set_fastpath(mode != "oracle")
-    try:
+    with oracle_mode() if mode == "oracle" else nullcontext():
         workload = app_factory()
         campaign = CharacterizationCampaign(
             workload,
             config=config,
-            backend="pruned" if mode == "pruned" else "vectorized",
+            backend="pruned" if mode == "pruned" else "scalar",
             region_codecs=region_codecs,
         )
         campaign.prepare()
-        region_count = len(workload.space.regions)
-        start = time.perf_counter()
-        if mode == "pruned":
-            campaign.golden_trace()  # run() would record it; split it out
-        trace_seconds = time.perf_counter() - start
-        profile = campaign.run(specs=SPECS)
-        elapsed = time.perf_counter() - start
-        return {
-            "profile_json": _profile_json(profile),
-            "seconds": elapsed,
-            "golden_trace_seconds": trace_seconds,
-            "regions": region_count,
-            "memory_stats": workload.space.fast_path_stats(),
-            "campaign": campaign,
-        }
-    finally:
-        set_fastpath(previous)
+    region_count = len(workload.space.regions)
+    start = time.perf_counter()
+    if mode == "pruned":
+        campaign.golden_trace()  # run() would record it; split it out
+    trace_seconds = time.perf_counter() - start
+    profile = campaign.run(specs=SPECS)
+    elapsed = time.perf_counter() - start
+    return {
+        "profile_json": _profile_json(profile),
+        "seconds": elapsed,
+        "golden_trace_seconds": trace_seconds,
+        "regions": region_count,
+        "memory_stats": workload.space.fast_path_stats(),
+        "campaign": campaign,
+    }
 
 
 def _time_planning(campaign):
@@ -180,7 +178,7 @@ def bench_all_live(name, region, spec, config, passes):
         campaign._trial_replay = engine if mode == "fused" else (lambda: None)
         start = time.perf_counter()
         for trial_index, flips in executed:
-            campaign.measure_planned_trial(cell, trial_index, flips)
+            campaign.measure_trial(cell, trial_index, flips)
         best[mode] = min(best[mode], time.perf_counter() - start)
     campaign._trial_replay = engine
     return {

@@ -321,11 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "usable CPU count (result is identical for any worker count)",
     )
     characterize.add_argument(
-        "--backend", choices=BACKENDS, default="scalar",
-        help="trial execution engine; 'vectorized' batches injection "
-        "planning through the NumPy kernels, 'pruned' additionally "
-        "resolves footprint-decidable trials from one golden trace "
-        "(bit-identical profile either way)",
+        "--backend", choices=BACKENDS, default="pruned",
+        help="trial execution engine; 'pruned' plans injections in "
+        "batches, resolves footprint-decidable trials from one golden "
+        "trace and executes only what a fault can reach; 'scalar' is "
+        "the serial trial-by-trial oracle (bit-identical profile)",
     )
     characterize.add_argument(
         "--region-codec", type=_region_codec, action="append", default=None,
@@ -471,8 +471,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--backend", choices=FLEET_BACKENDS, default="auto",
-        help="fleet simulation engine ('auto' is 'vectorized'; 'scalar' "
-        "is the per-event reference)",
+        help="fleet simulation engine ('auto' is the chunked NumPy "
+        "simulator; 'scalar' is the per-event reference)",
     )
     fleet.add_argument(
         "--sim-seed", type=int, default=0,
@@ -532,10 +532,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--data-plane", type=_data_plane, default="auto", metavar="PLANE",
-        help="request-execution strategy: scalar (per-request loop), "
-        "batched (span-fused golden runs), or auto (batched when the "
-        "memory fast path is on); the seeded ledger is byte-identical "
-        "either way (default auto)",
+        help="request-execution strategy: auto (span-fused golden runs, "
+        "live only where a fault can reach) or scalar (the per-request "
+        "loop); the seeded ledger is byte-identical either way "
+        "(default auto)",
     )
     serve.add_argument("--seed", type=int, default=2014)
     serve.add_argument("--scale", type=float, default=0.5)
@@ -651,7 +651,57 @@ def _build_observer(arguments) -> Observer:
     return Observer(sinks=sinks, metrics=registry)
 
 
+def _write_metrics(arguments, observer: Observer, **sections) -> None:
+    """Honour ``--metrics-out`` / ``--prom-out`` after the run.
+
+    ``sections`` join the instrument registry in the JSON payload.
+    """
+    if arguments.metrics_out is not None:
+        payload = {**sections, "instruments": observer.metrics.to_dict()}
+        arguments.metrics_out.write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+    if arguments.prom_out is not None:
+        arguments.prom_out.write_text(observer.metrics.render_prometheus())
+
+
+def _characterize_hard_errors(arguments):
+    """The profile the planning subcommands run on.
+
+    Characterizes the chosen app's single-bit hard errors, then measures
+    how much of each region is recoverable; returns ``(profile,
+    recoverable fraction by region)``.
+    """
+    workload, factory = _make_workload(arguments)
+    campaign = CharacterizationCampaign(
+        workload,
+        config=CampaignConfig(
+            trials_per_cell=arguments.trials,
+            queries_per_trial=120,
+            seed=arguments.seed,
+        ),
+    )
+    print(f"characterizing {workload.name} (hard errors)...", file=sys.stderr)
+    campaign.prepare()
+    profile = campaign.run(
+        specs=(SINGLE_BIT_HARD,),
+        workers=arguments.workers,
+        workload_factory=factory,
+    )
+    recovery = analyze_recoverability(workload, queries=150)
+    return profile, {
+        name: entry.best_fraction for name, entry in recovery.items()
+    }
+
+
 def _cmd_characterize(arguments) -> int:
+    if arguments.backend == "scalar" and arguments.workers > 1:
+        print(
+            "repro characterize: --backend scalar is single-threaded; "
+            "drop --workers or use --backend pruned",
+            file=sys.stderr,
+        )
+        return 2
     workload, factory = _make_workload(arguments)
     observer = _build_observer(arguments)
     campaign = CharacterizationCampaign(
@@ -684,15 +734,8 @@ def _cmd_characterize(arguments) -> int:
         observer.close()
     if arguments.metrics:
         print(render_run_summary(metrics), file=sys.stderr)
-    if arguments.metrics_out is not None:
-        payload = {"campaign": metrics.to_dict()}
-        if observer.metrics is not None:
-            payload["instruments"] = observer.metrics.to_dict()
-        arguments.metrics_out.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-    if arguments.prom_out is not None:
-        arguments.prom_out.write_text(observer.metrics.render_prometheus())
+    sections = {"campaign": metrics.to_dict()} if metrics is not None else {}
+    _write_metrics(arguments, observer, **sections)
     if arguments.json:
         print(json.dumps(profile.to_dict(), indent=2))
         return 0
@@ -707,24 +750,7 @@ def _cmd_characterize(arguments) -> int:
 
 
 def _cmd_design(arguments) -> int:
-    workload, factory = _make_workload(arguments)
-    campaign = CharacterizationCampaign(
-        workload,
-        config=CampaignConfig(
-            trials_per_cell=arguments.trials,
-            queries_per_trial=120,
-            seed=arguments.seed,
-        ),
-    )
-    print(f"characterizing {workload.name} (hard errors)...", file=sys.stderr)
-    campaign.prepare()
-    profile = campaign.run(
-        specs=(SINGLE_BIT_HARD,),
-        workers=arguments.workers,
-        workload_factory=factory,
-    )
-    recovery = analyze_recoverability(workload, queries=150)
-    fractions = {name: entry.best_fraction for name, entry in recovery.items()}
+    profile, fractions = _characterize_hard_errors(arguments)
     evaluator = DesignEvaluator(profile, error_label="single-bit hard")
     print(f"{'design':<18} {'mem save':>9} {'srv save':>9} "
           f"{'crashes/mo':>11} {'avail':>10}")
@@ -758,24 +784,7 @@ def _cmd_design(arguments) -> int:
 
 
 def _cmd_explore(arguments) -> int:
-    workload, factory = _make_workload(arguments)
-    campaign = CharacterizationCampaign(
-        workload,
-        config=CampaignConfig(
-            trials_per_cell=arguments.trials,
-            queries_per_trial=120,
-            seed=arguments.seed,
-        ),
-    )
-    print(f"characterizing {workload.name} (hard errors)...", file=sys.stderr)
-    campaign.prepare()
-    profile = campaign.run(
-        specs=(SINGLE_BIT_HARD,),
-        workers=arguments.workers,
-        workload_factory=factory,
-    )
-    recovery = analyze_recoverability(workload, queries=150)
-    fractions = {name: entry.best_fraction for name, entry in recovery.items()}
+    profile, fractions = _characterize_hard_errors(arguments)
     observer = _build_observer(arguments)
     try:
         result = explore(
@@ -792,15 +801,7 @@ def _cmd_explore(arguments) -> int:
         )
     finally:
         observer.close()
-    if arguments.metrics_out is not None:
-        arguments.metrics_out.write_text(
-            json.dumps(
-                {"instruments": observer.metrics.to_dict()},
-                indent=2, sort_keys=True,
-            ) + "\n"
-        )
-    if arguments.prom_out is not None:
-        arguments.prom_out.write_text(observer.metrics.render_prometheus())
+    _write_metrics(arguments, observer)
     if arguments.json:
         payload = {
             "backend": result.backend,
@@ -859,24 +860,7 @@ def _cmd_explore(arguments) -> int:
 
 
 def _cmd_fleet(arguments) -> int:
-    workload, factory = _make_workload(arguments)
-    campaign = CharacterizationCampaign(
-        workload,
-        config=CampaignConfig(
-            trials_per_cell=arguments.trials,
-            queries_per_trial=120,
-            seed=arguments.seed,
-        ),
-    )
-    print(f"characterizing {workload.name} (hard errors)...", file=sys.stderr)
-    campaign.prepare()
-    profile = campaign.run(
-        specs=(SINGLE_BIT_HARD,),
-        workers=arguments.workers,
-        workload_factory=factory,
-    )
-    recovery = analyze_recoverability(workload, queries=150)
-    fractions = {name: entry.best_fraction for name, entry in recovery.items()}
+    profile, fractions = _characterize_hard_errors(arguments)
     regions = sorted(profile.region_sizes)
     designs = [
         FLEET_DESIGNS[key](regions, fractions) for key in arguments.designs
@@ -923,15 +907,7 @@ def _cmd_fleet(arguments) -> int:
             )
     finally:
         observer.close()
-    if arguments.metrics_out is not None:
-        arguments.metrics_out.write_text(
-            json.dumps(
-                {"instruments": observer.metrics.to_dict()},
-                indent=2, sort_keys=True,
-            ) + "\n"
-        )
-    if arguments.prom_out is not None:
-        arguments.prom_out.write_text(observer.metrics.render_prometheus())
+    _write_metrics(arguments, observer)
     verdicts = analytic_matches_simulation(analytic, simulated)
     agreement = all(verdicts.values())
     simulate_span = next(e for e in spans.events if e.name == SPAN_FLEET)
@@ -1075,15 +1051,7 @@ def _cmd_serve(arguments) -> int:
             )
     finally:
         observer.close()
-    if arguments.metrics_out is not None:
-        arguments.metrics_out.write_text(
-            json.dumps(
-                {"instruments": observer.metrics.to_dict()},
-                indent=2, sort_keys=True,
-            ) + "\n"
-        )
-    if arguments.prom_out is not None:
-        arguments.prom_out.write_text(observer.metrics.render_prometheus())
+    _write_metrics(arguments, observer)
     replay = result.replay
     if not replay.complete:
         # The table below is defined by the replay; a session that ran

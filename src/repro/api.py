@@ -7,7 +7,7 @@ here::
     from repro import api
 
     profile = api.run_campaign(api.WebSearch(), config=api.CampaignConfig(
-        trials_per_cell=30), backend="vectorized", workers=4)
+        trials_per_cell=30), workers=4)
     result = api.explore_design_space(profile, availability_target=0.999)
     fleet = api.simulate_fleet(profile, config=api.FleetConfig(
         servers=2000, months=60))
@@ -115,7 +115,7 @@ from repro.serve import (
 
 #: Version of the *surface* (not the package): bumped on breaking
 #: changes to exported names or entry-point signatures.
-API_VERSION = "3.0"
+API_VERSION = "4.0"
 
 #: The documented tiers. Names within each tier are sorted; ``__all__``
 #: is their concatenation (the API-surface test pins both properties).
@@ -241,7 +241,7 @@ def run_campaign(
     *,
     config: Optional[CampaignConfig] = None,
     observer: Observer = NULL_OBSERVER,
-    backend: str = "scalar",
+    backend: str = "pruned",
     regions: Optional[Sequence[str]] = None,
     specs: Sequence[ErrorSpec] = DEFAULT_SPECS,
     trials_per_cell: Optional[int] = None,
@@ -254,15 +254,16 @@ def run_campaign(
 
     Wraps construct → :meth:`~CharacterizationCampaign.prepare` →
     :meth:`~CharacterizationCampaign.run`. The profile is bit-identical
-    for any ``workers`` count and any ``backend``; use
-    ``backend="vectorized"`` (batched injection planning, batched
-    instrument updates) for large trial budgets, or ``backend="pruned"``
-    to additionally resolve footprint-decidable trials analytically from
-    one golden trace. ``workers`` accepts a count, ``"auto"``, or ``0``
-    (both resolve to the usable CPU count with a deterministic fallback
-    to 1). ``region_codecs`` maps region names to hardware codecs
-    (e.g. ``{"heap": "SEC-DED"}``); corrected single-bit trials are
-    tracked virtually instead of corrupting memory, on every backend.
+    for any ``workers`` count and either ``backend``: ``"pruned"`` (the
+    default) plans injections in batches, resolves footprint-decidable
+    trials analytically from one golden trace and executes only what a
+    fault can reach; ``"scalar"`` is the serial trial-by-trial oracle
+    (``workers`` > 1 is a ``ValueError`` there). ``workers`` accepts a
+    count, ``"auto"``, or ``0`` (both resolve to the usable CPU count
+    with a deterministic fallback to 1). ``region_codecs`` maps region
+    names to hardware codecs (e.g. ``{"heap": "SEC-DED"}``); corrected
+    single-bit trials are tracked virtually instead of corrupting
+    memory, on either backend.
     """
     campaign = CharacterizationCampaign(
         workload, config=config, observer=observer, backend=backend,

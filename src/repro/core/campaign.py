@@ -79,14 +79,14 @@ CACHE_FORMAT_VERSION = 3
 #: written before a redesign can never alias caches written after it.
 FINGERPRINT_SCHEMA_VERSION = 3
 
-#: Trial-execution backends accepted by the campaign: the scalar
-#: reference loop, the vectorized path that pre-plans whole trial
-#: shards through :mod:`repro.kernels`, and the pruned path that
-#: additionally resolves footprint-decidable trials analytically from
-#: one access trace (:mod:`repro.exec.pruning`) and serves the clean
-#: queries of the trials it executes from the same trace — all
-#: bit-identical.
-BACKENDS = ("scalar", "vectorized", "pruned")
+#: Trial-execution backends accepted by the campaign. ``pruned`` (the
+#: default, and the only one a worker pool runs) pre-plans each cell's
+#: trials through :mod:`repro.kernels`, resolves footprint-decidable
+#: trials analytically from one access trace
+#: (:mod:`repro.exec.pruning`) and serves the clean queries of the
+#: trials it executes from the same trace; ``scalar`` is the serial
+#: trial-by-trial loop it is pinned to, byte for byte.
+BACKENDS = ("pruned", "scalar")
 
 
 @dataclass(frozen=True)
@@ -189,17 +189,15 @@ class CharacterizationCampaign:
         observer: Telemetry hub (tracing spans + metrics). The default
             disabled observer makes instrumentation free; see
             :mod:`repro.obs`.
-        backend: ``"scalar"`` runs the reference trial-by-trial loop;
-            ``"vectorized"`` pre-plans whole trial shards through
-            :class:`~repro.kernels.planner.BatchInjectionPlanner` and
-            batches instrument updates, returning a bit-identical
-            profile faster; ``"pruned"`` composes with the vectorized
-            path and additionally resolves footprint-decidable trials
-            analytically from one access trace
-            (:mod:`repro.exec.pruning`) without executing the workload,
-            and on a fast-path space executes, of the remaining trials,
-            only the queries a fault can reach
-            (:meth:`~repro.apps.clients.ClientDriver.run_fused`).
+        backend: ``"pruned"`` (default) pre-plans each cell's trials
+            through :class:`~repro.kernels.planner.BatchInjectionPlanner`,
+            resolves footprint-decidable trials analytically from one
+            access trace (:mod:`repro.exec.pruning`) without executing
+            the workload, and on a fast-path space executes, of the
+            remaining trials, only the queries a fault can reach
+            (:meth:`~repro.apps.clients.ClientDriver.run_fused`);
+            ``"scalar"`` is the reference trial-by-trial loop — serial
+            only — that returns the same profile bytes.
         region_codecs: Optional {region name: hardware codec} mapping
             (:class:`~repro.core.design_space.HardwareTechnique` or its
             value/name string). Regions whose codec corrects single-bit
@@ -214,7 +212,7 @@ class CharacterizationCampaign:
         *,
         config: Optional[CampaignConfig] = None,
         observer: Observer = NULL_OBSERVER,
-        backend: str = "scalar",
+        backend: str = "pruned",
         region_codecs: Optional[Mapping[str, Union[str, HardwareTechnique]]] = None,
     ) -> None:
         if backend not in BACKENDS:
@@ -312,10 +310,10 @@ class CharacterizationCampaign:
     ) -> TrialRecord:
         """Inject→drive→classify against pre-reset state.
 
-        With ``positions`` (the vectorized backend) the pre-planned
-        flips are installed without consuming any RNG; otherwise the
-        anchor is sampled from ``spans`` and flips drawn from ``rng``,
-        the scalar reference sequence.
+        With ``positions`` (the pruned backend) the pre-planned flips
+        are installed without consuming any RNG; otherwise the anchor is
+        sampled from ``spans`` and flips drawn from ``rng``, the scalar
+        reference sequence.
         """
         if self._driver is None:
             raise RuntimeError("prepare() must be called before running trials")
@@ -418,29 +416,44 @@ class CharacterizationCampaign:
         self.trials.append(trial)
         return trial
 
-    def measure_trial(self, cell: CampaignCell, trial_index: int) -> TrialRecord:
-        """Measure one trial of one campaign cell with its derived seed.
+    def measure_trial(
+        self,
+        cell: CampaignCell,
+        trial_index: int,
+        positions: Optional[List[Tuple[int, int]]] = None,
+    ) -> TrialRecord:
+        """Measure one trial of one campaign cell.
 
-        The unit of work shared by the serial loop and pool workers:
-        region cells re-sample live spans after every reset; custom
-        cells use their fixed spans. The whole restart→inject→drive→
-        classify cycle is wrapped in a ``trial`` tracing span whose path
-        is derived from the grid identity, never execution order.
+        The unit of work shared by the serial loops and pool workers.
+        With ``positions`` — one trial's flips from an
+        :class:`~repro.kernels.planner.InjectionPlan` — the injection is
+        installed as planned; without, it is drawn inside the trial from
+        the trial's derived seed: region cells re-sample live spans
+        after the reset, custom cells use their fixed spans. Either way
+        the whole restart→inject→drive→classify cycle is wrapped in a
+        ``trial`` tracing span whose path is derived from the grid
+        identity, never execution order, and region-cell trials are
+        kept in ``self.trials`` (custom cells never were).
         """
-        rng = self.trial_rng(cell.name, cell.spec.label, trial_index)
+        workload = self.workload
         cell_key = f"{cell.name}|{cell.spec.label}"
         with self.observer.span(
             SPAN_TRIAL,
             key=str(trial_index),
             attrs={"cell": cell_key, "trial_index": trial_index},
         ) as span:
-            if cell.spans is None:
-                trial = self.run_trial(cell.name, cell.spec, rng=rng)
-            else:
-                self.workload.reset()
-                trial = self._execute_trial(
-                    cell.name, list(cell.spans), cell.spec, rng
+            workload.reset()
+            spans = rng = None
+            if positions is None:
+                rng = self.trial_rng(cell.name, cell.spec.label, trial_index)
+                spans = (
+                    list(cell.spans)
+                    if cell.spans is not None
+                    else workload.sample_ranges(
+                        workload.space.region_named(cell.name)
+                    )
                 )
+            trial = self._execute_trial(cell.name, spans, cell.spec, rng, positions)
             span.set(
                 outcome=trial.outcome.value,
                 masked=trial.outcome.is_masked,
@@ -450,10 +463,12 @@ class CharacterizationCampaign:
                 failed=trial.failed,
                 effect_delay_minutes=trial.effect_delay_minutes,
             )
+        if cell.spans is None:
+            self.trials.append(trial)
         return trial
 
     def plan_cell_trials(self, cell: CampaignCell, trial_indices: Sequence[int]):
-        """Pre-draw a whole shard's injections (vectorized backend).
+        """Pre-draw a whole shard's injections (pruned backend).
 
         Replays each trial's derived seed stream through the scalar draw
         sequence ahead of execution, so the returned
@@ -641,65 +656,8 @@ class CharacterizationCampaign:
                 count=count,
             )
 
-    def measure_planned_trial(
-        self,
-        cell: CampaignCell,
-        trial_index: int,
-        positions: List[Tuple[int, int]],
-    ) -> TrialRecord:
-        """Measure one pre-planned trial (vectorized unit of work).
-
-        The planned counterpart of :meth:`measure_trial`: the injection
-        positions come from an :class:`InjectionPlan` instead of being
-        drawn inside the trial, but the span shape, profile
-        contribution, and ``self.trials`` bookkeeping are identical.
-        """
-        cell_key = f"{cell.name}|{cell.spec.label}"
-        with self.observer.span(
-            SPAN_TRIAL,
-            key=str(trial_index),
-            attrs={"cell": cell_key, "trial_index": trial_index},
-        ) as span:
-            self.workload.reset()
-            trial = self._execute_trial(
-                cell.name, None, cell.spec, None, positions=positions
-            )
-            span.set(
-                outcome=trial.outcome.value,
-                masked=trial.outcome.is_masked,
-                anchor_addr=trial.anchor_addr,
-                responded=trial.responded,
-                incorrect=trial.incorrect,
-                failed=trial.failed,
-                effect_delay_minutes=trial.effect_delay_minutes,
-            )
-        if cell.spans is None:
-            self.trials.append(trial)
-        return trial
-
-    def note_parallel_trial(self, cell: CampaignCell, result) -> None:
-        """Mirror one worker-side region trial into ``self.trials``.
-
-        Keeps parity with the serial path, where ``run_trial`` appends
-        every region-cell trial (custom cells never did).
-        """
-        if cell.spans is not None:
-            return
-        self.trials.append(
-            TrialRecord(
-                region=cell.name,
-                error_label=cell.spec.label,
-                anchor_addr=result.anchor_addr,
-                outcome=ErrorOutcome(result.outcome),
-                responded=result.responded,
-                incorrect=result.incorrect,
-                failed=result.failed,
-                effect_delay_minutes=result.effect_delay_minutes,
-            )
-        )
-
     def _run_planned_cell(
-        self, cell_def: CampaignCell, stats, plan, classification=None
+        self, cell_def: CampaignCell, stats, plan, classification
     ) -> None:
         """Fold one cell's pre-planned trials into ``stats``.
 
@@ -709,10 +667,11 @@ class CharacterizationCampaign:
         while the metrics instruments take one batched update per cell
         instead of one per trial.
 
-        With a ``classification`` (the pruned backend), each maximal run
-        of decided trials is folded by :meth:`fold_decided_run`; only
-        the rest execute. Trials stay in canonical index order either
-        way, so the profile fold is byte-identical to the unpruned run.
+        Each maximal run of decided trials is folded by
+        :meth:`fold_decided_run`; only the rest execute (all of them
+        when ``classification`` is ``None``: the spec has no analytic
+        model). Trials stay in canonical index order either way, so the
+        profile fold is byte-identical to the scalar loop's.
         """
         observer = self.observer
         buffer = None
@@ -738,7 +697,7 @@ class CharacterizationCampaign:
                 for local in range(start, stop):
                     _record_trial(
                         stats,
-                        self.measure_planned_trial(
+                        self.measure_trial(
                             cell_def,
                             int(plan.trial_indices[local]),
                             plan.flips_for(local),
@@ -766,6 +725,11 @@ class CharacterizationCampaign:
         parallel runner opens its cell spans at merge time so relayed
         worker events land in canonical order).
         """
+        if workers > 1 and self.backend == "scalar":
+            raise ValueError(
+                "the scalar backend is single-threaded; "
+                "workers > 1 needs backend='pruned'"
+            )
         observer = self.observer
         trials_total = len(cells) * budget
         logger.info(
@@ -801,21 +765,16 @@ class CharacterizationCampaign:
             profile.region_sizes = dict(region_sizes)
             clock = ProgressClock()
             trials_done = 0
-            vectorized = self.backend in ("vectorized", "pruned")
             pruning = self.backend == "pruned"
             for cell_def in cells:
                 cell = profile.cell(cell_def.name, cell_def.spec.label)
                 cell_key = f"{cell_def.name}|{cell_def.spec.label}"
                 memory_before = self.workload.fast_path_stats()
                 cell_start = time.perf_counter()
-                plan = (
-                    self.plan_cell_trials(cell_def, range(budget))
-                    if vectorized
-                    else None
-                )
-                classification = (
-                    self.classify_plan_trials(plan) if pruning else None
-                )
+                if pruning:
+                    plan, classification = self.classify_cell_trials(
+                        cell_def, range(budget)
+                    )
                 with observer.span(
                     SPAN_CELL,
                     key=cell_key,
@@ -825,21 +784,20 @@ class CharacterizationCampaign:
                         "trials": budget,
                     },
                 ) as cell_span:
-                    if plan is not None:
+                    if pruning:
                         self._run_planned_cell(
                             cell_def, cell, plan, classification
+                        )
+                        cell_span.set(
+                            decisions=self.note_decisions(
+                                cell_def, [self.take_decisions()]
+                            )
                         )
                     else:
                         for trial_index in range(budget):
                             _record_trial(
                                 cell, self.measure_trial(cell_def, trial_index)
                             )
-                    if pruning:
-                        cell_span.set(
-                            decisions=self.note_decisions(
-                                cell_def, [self.take_decisions()]
-                            )
-                        )
                 instruments = observer.instruments
                 if pruning:
                     cell_pruned = (
@@ -990,7 +948,7 @@ def campaign_fingerprint(
     config: CampaignConfig,
     specs: Sequence[ErrorSpec] = DEFAULT_SPECS,
     regions: Optional[Sequence[str]] = None,
-    backend: str = "scalar",
+    backend: str = "pruned",
     region_codecs: Optional[Mapping[str, Union[str, HardwareTechnique]]] = None,
 ) -> str:
     """Stable digest of every knob that shapes a measured profile.
@@ -1003,9 +961,9 @@ def campaign_fingerprint(
     The payload carries two versioning fields: ``format`` (the cache /
     seeding scheme version) and ``schema`` (the fingerprint payload
     shape itself), plus the trial-execution ``backend`` — so caches
-    written by scalar and vectorized runs, or by releases before and
-    after a payload redesign, can never collide even though the profile
-    bytes are expected to match.
+    written by scalar and pruned runs, or by releases before and after
+    a payload redesign, can never collide even though the profile bytes
+    are expected to match.
     """
     if backend not in BACKENDS:
         raise ValueError(
@@ -1036,7 +994,7 @@ def load_or_run_profile(
     regions: Optional[Sequence[str]] = None,
     workers: Optional[Union[int, str]] = None,
     progress: Optional[Callable] = None,
-    backend: str = "scalar",
+    backend: str = "pruned",
     region_codecs: Optional[Mapping[str, Union[str, HardwareTechnique]]] = None,
 ) -> VulnerabilityProfile:
     """Return a (possibly cached) vulnerability profile.
@@ -1045,10 +1003,10 @@ def load_or_run_profile(
     fingerprint does not match the requested knobs — including legacy
     caches written before fingerprinting existed — is re-measured and
     rewritten. Corrupt cache files are likewise ignored. ``workers``
-    parallelizes (``"auto"`` / ``0`` resolve to the usable CPU count via
-    :func:`repro.exec.workers.resolve_workers`) and
-    ``backend="vectorized"``/``"pruned"`` accelerate the
-    (re-)measurement without affecting the result.
+    parallelizes the (re-)measurement (``"auto"`` / ``0`` resolve to the
+    usable CPU count via :func:`repro.exec.workers.resolve_workers`)
+    without affecting the result; ``backend="scalar"`` measures on the
+    serial oracle loop instead.
     """
     from repro.exec.workers import resolve_workers
 
@@ -1061,7 +1019,7 @@ def load_or_run_profile(
             data = json.loads(cache_path.read_text())
             if data.get("fingerprint") == fingerprint:
                 return VulnerabilityProfile.from_dict(data["profile"])
-        except (ValueError, KeyError, AttributeError):
+        except (ValueError, KeyError, AttributeError, TypeError):
             pass  # fall through to a fresh run
     campaign = CharacterizationCampaign(
         workload_factory(), config=config, backend=backend,

@@ -7,12 +7,7 @@ behind ``backend="pruned"`` (the trace itself is
 :mod:`repro.memory.trace`).
 """
 
-from repro.exec.cells import (
-    CampaignCell,
-    CellShard,
-    plan_shards,
-    plan_shards_indexed,
-)
+from repro.exec.cells import CampaignCell, CellShard, plan_shards_indexed
 from repro.exec.parallel import (
     ParallelCampaignRunner,
     ShardResult,
@@ -37,7 +32,6 @@ from repro.obs.progress import (
 __all__ = [
     "CampaignCell",
     "CellShard",
-    "plan_shards",
     "plan_shards_indexed",
     "ParallelCampaignRunner",
     "ShardResult",

@@ -5,14 +5,14 @@ error type), or (custom address-span set × error type) — each measured
 with ``trials_per_cell`` independent injection trials. Because every
 trial draws from its own derived seed stream (see
 :meth:`repro.core.campaign.CharacterizationCampaign.trial_rng`), the
-grid can be cut into arbitrary *shards* of contiguous trial ranges and
-executed in any order, on any number of workers, without changing the
-merged profile.
+trials of the grid that still need a workload execution can be cut into
+arbitrary *shards* and executed in any order, on any number of workers,
+without changing the merged profile.
 
-:func:`plan_shards` performs that cut deterministically: cells are
-enumerated in campaign order (regions outer, specs inner) and each
-cell's trial range is split into chunks sized so that every worker gets
-several shards to balance load.
+:func:`plan_shards_indexed` performs that cut deterministically: cells
+are enumerated in campaign order (regions outer, specs inner) and each
+cell's trial indices are split into chunks sized so that every worker
+gets several shards to balance load.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.injection.injector import ErrorSpec
+
+#: Shards targeted per worker, so stragglers do not serialize the pool.
+SHARDS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -41,74 +44,32 @@ class CampaignCell:
 class CellShard:
     """A trial subset of one cell, the unit of worker dispatch.
 
-    Plain shards cover the contiguous range ``[trial_start,
-    trial_start + trial_count)``; cost-aware shards (the pruned
-    backend, where decidable trials were removed up front) carry an
-    explicit ``indices`` tuple instead — still sorted, but not
-    necessarily contiguous.
+    ``indices`` are the cell's trial indices the shard executes: sorted,
+    non-empty, and not necessarily contiguous (the trials decided from
+    the access trace were removed up front).
     """
 
     cell_index: int
     cell: CampaignCell
-    trial_start: int
-    trial_count: int
-    indices: Optional[Tuple[int, ...]] = None
-
-    def trial_indices(self) -> Sequence[int]:
-        """Global trial indices covered by this shard."""
-        if self.indices is not None:
-            return self.indices
-        return range(self.trial_start, self.trial_start + self.trial_count)
-
-
-def plan_shards(
-    cells: Sequence[CampaignCell],
-    trials_per_cell: int,
-    workers: int,
-    shards_per_worker: int = 4,
-) -> List[CellShard]:
-    """Split the campaign grid into balanced, deterministic shards.
-
-    The chunk size targets ``workers * shards_per_worker`` total shards
-    so stragglers do not serialize the pool, while never splitting below
-    one trial. Shards are returned in canonical (cell, trial range)
-    order; executing them in any order yields the same merged profile.
-    """
-    if trials_per_cell <= 0:
-        raise ValueError(f"trials_per_cell must be positive, got {trials_per_cell}")
-    if workers <= 0:
-        raise ValueError(f"workers must be positive, got {workers}")
-    if not cells:
-        return []
-    total_trials = len(cells) * trials_per_cell
-    target_shards = max(1, workers * shards_per_worker)
-    chunk = max(1, -(-total_trials // target_shards))  # ceil division
-    shards: List[CellShard] = []
-    for cell_index, cell in enumerate(cells):
-        start = 0
-        while start < trials_per_cell:
-            count = min(chunk, trials_per_cell - start)
-            shards.append(CellShard(cell_index, cell, start, count))
-            start += count
-    return shards
+    indices: Tuple[int, ...]
 
 
 def plan_shards_indexed(
     cells: Sequence[CampaignCell],
     indices_by_cell: Sequence[Sequence[int]],
     workers: int,
-    shards_per_worker: int = 4,
 ) -> List[CellShard]:
     """Cost-aware shard cut over explicit per-cell trial index lists.
 
-    The pruned backend resolves most trials analytically in the parent
+    The campaign resolves most trials analytically in the parent
     process, leaving each cell a (possibly empty, possibly sparse) list
     of trial indices that still cost a workload execution. Only those
     are sharded here — so the pool is balanced by *executed* trials, not
-    nominal budget — using the same deterministic chunking rule as
-    :func:`plan_shards`. Canonical (cell, index) order is preserved;
-    pruned trials are folded back at merge time in that same order,
-    which is what keeps ``workers=N`` byte-identical to serial.
+    nominal budget. The chunk size targets ``workers *
+    SHARDS_PER_WORKER`` total shards while never splitting below one
+    trial. Canonical (cell, index) order is preserved; pruned trials are
+    folded back at merge time in that same order, which is what keeps
+    ``workers=N`` byte-identical to serial.
     """
     if workers <= 0:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -117,22 +78,13 @@ def plan_shards_indexed(
             f"got {len(cells)} cells but {len(indices_by_cell)} index lists"
         )
     total_trials = sum(len(indices) for indices in indices_by_cell)
-    if total_trials == 0:
-        return []
-    target_shards = max(1, workers * shards_per_worker)
+    target_shards = workers * SHARDS_PER_WORKER
     chunk = max(1, -(-total_trials // target_shards))  # ceil division
     shards: List[CellShard] = []
     for cell_index, (cell, indices) in enumerate(zip(cells, indices_by_cell)):
         ordered = sorted(int(index) for index in indices)
         for offset in range(0, len(ordered), chunk):
-            part = tuple(ordered[offset : offset + chunk])
             shards.append(
-                CellShard(
-                    cell_index,
-                    cell,
-                    trial_start=part[0],
-                    trial_count=len(part),
-                    indices=part,
-                )
+                CellShard(cell_index, cell, tuple(ordered[offset : offset + chunk]))
             )
     return shards

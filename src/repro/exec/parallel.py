@@ -3,11 +3,13 @@
 The paper ran its characterization on 40+ servers for two months
 because the Figure 2 loop is embarrassingly parallel across
 (region × error type × trial) cells. This module reproduces that
-scale-out in-process: :class:`ParallelCampaignRunner` shards the
-campaign grid (:func:`repro.exec.cells.plan_shards`), executes the
-shards on a ``multiprocessing`` pool, and merges the per-trial results
-back into a :class:`~repro.core.vulnerability.VulnerabilityProfile` in
-canonical campaign order.
+scale-out in-process: :class:`ParallelCampaignRunner` pre-classifies
+every cell against the golden access trace, shards the trials that
+still need executing (:func:`repro.exec.cells.plan_shards_indexed`),
+executes the shards on a ``multiprocessing`` pool, and merges decided
+and executed trials back into a
+:class:`~repro.core.vulnerability.VulnerabilityProfile` in canonical
+campaign order.
 
 Determinism guarantee
 ---------------------
@@ -44,12 +46,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
-from repro.exec.cells import (
-    CampaignCell,
-    CellShard,
-    plan_shards,
-    plan_shards_indexed,
-)
+from repro.exec.cells import CampaignCell, CellShard, plan_shards_indexed
 from repro.obs.events import SPAN_CELL, TraceEvent
 from repro.obs.progress import ProgressClock, emit_progress
 from repro.obs.sinks import EventBuffer
@@ -97,12 +94,10 @@ class ShardResult:
     ``memory_stats`` is the shard's delta of the worker space's
     ``fast_path_stats()`` counters, folded into the parent's metrics
     registry at merge time; ``decisions`` is the worker campaign's
-    query-level tally of the shard (all zero unless the backend is
-    pruned), folded into the parent campaign's.
+    query-level tally of the shard, folded into the parent campaign's.
     """
 
     cell_index: int
-    trial_start: int
     cell_name: str
     error_label: str
     results: Tuple[TrialResult, ...]
@@ -114,8 +109,7 @@ class ShardResult:
 
 
 def _worker_initializer(
-    workload_factory, config, trace_enabled=False, backend="scalar",
-    region_codecs=None,
+    workload_factory, config, trace_enabled=False, region_codecs=None
 ) -> None:
     """Build and prepare a fresh campaign in a spawned worker.
 
@@ -127,8 +121,7 @@ def _worker_initializer(
     _WORKER_TRACE = trace_enabled
     try:
         campaign = CharacterizationCampaign(
-            workload_factory(), config=config, backend=backend,
-            region_codecs=region_codecs,
+            workload_factory(), config=config, region_codecs=region_codecs
         )
         campaign.prepare()
     except BaseException as exc:  # surfaced by _execute_shard
@@ -149,13 +142,11 @@ def run_shard_on(
     worker process) and returned inside the :class:`ShardResult` for
     canonical-order replay by the parent.
     """
-    plan = None
-    if getattr(campaign, "backend", "scalar") in ("vectorized", "pruned"):
-        # Pre-draw the whole shard's injections before the trial loop
-        # (positions identical to what the scalar loop would draw). The
-        # pruned backend dispatches only undecidable trials to workers,
-        # so shards execute their plan unconditionally here.
-        plan = campaign.plan_cell_trials(shard.cell, list(shard.trial_indices()))
+    # Pre-draw the whole shard's injections before the trial loop
+    # (positions identical to what the scalar loop would draw). Only
+    # undecidable trials are dispatched to workers, so shards execute
+    # their plan unconditionally here.
+    plan = campaign.plan_cell_trials(shard.cell, shard.indices)
     buffer: Optional[EventBuffer] = None
     original_observer = campaign.observer
     if capture_events:
@@ -168,13 +159,10 @@ def run_shard_on(
     start = time.perf_counter()
     results = []
     try:
-        for local, trial_index in enumerate(shard.trial_indices()):
-            if plan is not None:
-                trial = campaign.measure_planned_trial(
-                    shard.cell, trial_index, plan.flips_for(local)
-                )
-            else:
-                trial = campaign.measure_trial(shard.cell, trial_index)
+        for local, trial_index in enumerate(shard.indices):
+            trial = campaign.measure_trial(
+                shard.cell, trial_index, plan.flips_for(local)
+            )
             results.append(
                 TrialResult(
                     cell_index=shard.cell_index,
@@ -193,7 +181,6 @@ def run_shard_on(
     stats_after = campaign.workload.fast_path_stats()
     return ShardResult(
         cell_index=shard.cell_index,
-        trial_start=shard.trial_start,
         cell_name=shard.cell.name,
         error_label=shard.cell.spec.label,
         results=tuple(results),
@@ -204,7 +191,7 @@ def run_shard_on(
             key: stats_after[key] - stats_before.get(key, 0)
             for key in stats_after
         },
-        decisions=campaign.take_decisions() if plan is not None else {},
+        decisions=campaign.take_decisions(),
     )
 
 
@@ -227,6 +214,7 @@ def merge_shard_results(
     shard_results: Iterable[ShardResult],
     campaign=None,
     classified: Optional[Dict[int, Tuple]] = None,
+    decided_progress: Optional[Callable[[str, str, int, float], None]] = None,
 ) -> List[TrialResult]:
     """Fold shard results into ``profile`` in canonical campaign order.
 
@@ -235,24 +223,30 @@ def merge_shard_results(
     merged profile independent of pool scheduling — the property pinned
     by the determinism test harness.
 
-    ``classified`` carries the pruned backend's verdicts as
+    ``classified`` carries the trace's verdicts as
     ``{cell index: (plan, classification)}``. Each maximal run of
     decided trials is folded by the campaign's
     :meth:`~repro.core.campaign.CharacterizationCampaign.fold_decided_run`
     — the routine the serial cell loop uses — at its place in trial
     order between the executed results, which is what keeps
-    ``workers=N`` byte-identical to the serial pruned run.
+    ``workers=N`` byte-identical to the serial pruned run. A cell that
+    folded decided trials reports them to ``decided_progress`` as
+    ``(cell name, error label, decided trials, seconds its merge
+    took)``: no worker ever saw them, so this is where they count as
+    done.
 
     With a ``campaign``, each cell's merge is wrapped in a ``cell``
     tracing span on its observer, worker-captured events are replayed
     into the parent's sinks when their shard is first reached in
     canonical order — so a parallel run's trace has the same span paths
     as a serial run's — executed trials are mirrored into
-    ``campaign.trials`` at their place in that order, and a pruned
-    campaign takes each cell's worker-side query decisions.
+    ``campaign.trials`` at their place in that order, and the campaign
+    takes each cell's worker-side query decisions.
 
     Returns the executed trial results, flattened in canonical order.
     """
+    from repro.core.campaign import TrialRecord
+
     obs = campaign.observer if campaign is not None else NULL_OBSERVER
     by_cell: Dict[int, List[ShardResult]] = {}
     for shard_result in shard_results:
@@ -261,6 +255,7 @@ def merge_shard_results(
     for cell_index, cell_def in enumerate(cells):
         cell = profile.cell(cell_def.name, cell_def.spec.label)
         cell_key = f"{cell_def.name}|{cell_def.spec.label}"
+        merge_start = time.perf_counter()
         entries = sorted(
             (
                 (shard_result, result)
@@ -280,7 +275,7 @@ def merge_shard_results(
             key=cell_key,
             attrs={"region": cell_def.name, "error_label": cell_def.spec.label},
         ) as cell_span:
-            if getattr(campaign, "backend", "scalar") == "pruned":
+            if campaign is not None:
                 cell_span.set(
                     decisions=campaign.note_decisions(
                         cell_def,
@@ -302,16 +297,36 @@ def merge_shard_results(
                         instruments = obs.instruments
                         if instruments is not None and shard_result.memory_stats:
                             instruments.record_memory(shard_result.memory_stats)
+                    outcome = ErrorOutcome(result.outcome)
                     cell.record(
-                        outcome=ErrorOutcome(result.outcome),
+                        outcome=outcome,
                         responded=result.responded,
                         incorrect=result.incorrect,
                         failed=result.failed,
                         effect_delay_minutes=result.effect_delay_minutes,
                     )
-                    if campaign is not None:
-                        campaign.note_parallel_trial(cell_def, result)
+                    if campaign is not None and cell_def.spans is None:
+                        campaign.trials.append(
+                            TrialRecord(
+                                region=cell_def.name,
+                                error_label=cell_def.spec.label,
+                                anchor_addr=result.anchor_addr,
+                                outcome=outcome,
+                                responded=result.responded,
+                                incorrect=result.incorrect,
+                                failed=result.failed,
+                                effect_delay_minutes=result.effect_delay_minutes,
+                            )
+                        )
                     ordered.append(result)
+        folded = classification.pruned_count if classification is not None else 0
+        if folded and decided_progress is not None:
+            decided_progress(
+                cell_def.name,
+                cell_def.spec.label,
+                folded,
+                time.perf_counter() - merge_start,
+            )
     return ordered
 
 
@@ -335,7 +350,6 @@ class ParallelCampaignRunner:
         workers: int,
         workload_factory: Optional[Callable] = None,
         progress: Optional[Callable] = None,
-        shards_per_worker: int = 4,
         start_method: Optional[str] = None,
     ) -> None:
         if workers < 1:
@@ -343,7 +357,6 @@ class ParallelCampaignRunner:
         self.workers = workers
         self.workload_factory = workload_factory
         self.progress = progress
-        self.shards_per_worker = shards_per_worker
         self.start_method = resolve_start_method(start_method)
 
     def run(
@@ -357,32 +370,42 @@ class ParallelCampaignRunner:
 
         ``campaign`` must already be prepared; its workload is never
         mutated by the pool (workers operate on forked or rebuilt
-        copies), so shared workload fixtures stay pristine.
+        copies), so shared workload fixtures stay pristine. Progress
+        accounts for the whole budget, as the serial loop does: executed
+        trials as their shards complete, decided ones as their cell is
+        merged. No pool is built when the trace decides every trial.
         """
         global _WORKER_CAMPAIGN, _WORKER_TRACE
         observer = campaign.observer
-        backend = getattr(campaign, "backend", "scalar")
-        classified: Dict[int, Tuple] = {}
-        if backend == "pruned":
-            shards = self._plan_pruned_shards(
-                campaign, cells, trials_per_cell, classified
-            )
-        else:
-            shards = plan_shards(
-                cells, trials_per_cell, self.workers, self.shards_per_worker
-            )
+        shards, classified = self._plan_pruned_shards(
+            campaign, cells, trials_per_cell
+        )
         profile = VulnerabilityProfile(app=campaign.workload.name)
         profile.region_sizes = dict(region_sizes)
-        if not shards and not classified:
-            return profile
 
-        trials_total = (
-            sum(shard.trial_count for shard in shards)
-            if backend == "pruned"
-            else len(cells) * trials_per_cell
-        )
+        trials_total = len(cells) * trials_per_cell
         trials_done = 0
         clock = ProgressClock()
+
+        def report(
+            cell_name, error_label, trials, seconds, worker_pid=os.getpid()
+        ) -> None:
+            """One progress event; the parent's pid for decided trials."""
+            nonlocal trials_done
+            trials_done += trials
+            emit_progress(
+                self.progress,
+                clock,
+                trials_done=trials_done,
+                trials_total=trials_total,
+                worker_pid=worker_pid,
+                shard_trials=trials,
+                shard_seconds=seconds,
+                cell_name=cell_name,
+                error_label=error_label,
+                observer=observer,
+            )
+
         shard_results: List[ShardResult] = []
         if shards:
             context = multiprocessing.get_context(self.start_method)
@@ -401,14 +424,14 @@ class ParallelCampaignRunner:
                     self.workload_factory,
                     campaign.config,
                     observer.enabled,
-                    backend,
-                    getattr(campaign, "region_codecs", None),
+                    campaign.region_codecs,
                 )
 
             pool_size = min(self.workers, len(shards))
             logger.info(
                 "pool: %d workers (%s), %d shards, %d trials",
-                pool_size, self.start_method, len(shards), trials_total,
+                pool_size, self.start_method, len(shards),
+                sum(len(shard.indices) for shard in shards),
             )
             try:
                 with context.Pool(
@@ -416,25 +439,21 @@ class ParallelCampaignRunner:
                 ) as pool:
                     for shard_result in pool.imap_unordered(_execute_shard, shards):
                         shard_results.append(shard_result)
-                        trials_done += len(shard_result.results)
-                        emit_progress(
-                            self.progress,
-                            clock,
-                            trials_done=trials_done,
-                            trials_total=trials_total,
-                            worker_pid=shard_result.worker_pid,
-                            shard_trials=len(shard_result.results),
-                            shard_seconds=shard_result.seconds,
-                            cell_name=shard_result.cell_name,
-                            error_label=shard_result.error_label,
-                            observer=observer,
+                        report(
+                            shard_result.cell_name,
+                            shard_result.error_label,
+                            len(shard_result.results),
+                            shard_result.seconds,
+                            shard_result.worker_pid,
                         )
             finally:
                 if self.start_method == "fork":
                     _WORKER_CAMPAIGN = None
                     _WORKER_TRACE = False
 
-        merge_shard_results(profile, cells, shard_results, campaign, classified)
+        merge_shard_results(
+            profile, cells, shard_results, campaign, classified, report
+        )
         return profile
 
     def _plan_pruned_shards(
@@ -442,16 +461,17 @@ class ParallelCampaignRunner:
         campaign,
         cells: Sequence[CampaignCell],
         trials_per_cell: int,
-        classified: Dict[int, Tuple],
-    ) -> List[CellShard]:
+    ) -> Tuple[List[CellShard], Dict[int, Tuple]]:
         """Pre-classify every cell and shard only the executed residue.
 
         Runs in the parent process before the pool exists: the golden
-        trace is recorded once, each cell's ``(plan, classification)``
-        lands in ``classified`` (its decided runs are folded at merge
-        time), and the remaining trial indices are cut into cost-aware
-        shards so the pool is balanced by actual execution work.
+        trace is recorded once, each classified cell's ``(plan,
+        classification)`` is returned by cell index (its decided runs
+        are folded at merge time), and the remaining trial indices are
+        cut into cost-aware shards so the pool is balanced by actual
+        execution work.
         """
+        classified: Dict[int, Tuple] = {}
         indices_by_cell: List[List[int]] = []
         run_pruned = run_executed = run_fallback = 0
         for cell_index, cell_def in enumerate(cells):
@@ -485,6 +505,5 @@ class ParallelCampaignRunner:
             "pruning: %d/%d trials resolved analytically (%d fallback)",
             run_pruned, run_pruned + run_executed, run_fallback,
         )
-        return plan_shards_indexed(
-            cells, indices_by_cell, self.workers, self.shards_per_worker
-        )
+        shards = plan_shards_indexed(cells, indices_by_cell, self.workers)
+        return shards, classified

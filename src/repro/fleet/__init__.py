@@ -9,7 +9,7 @@ Layers (each usable on its own):
   by simulator and analytic model (design blocks, staggered ages,
   bad-DIMM batches, refurbishment months);
 * :mod:`repro.fleet.simulator` — batched Monte Carlo over servers ×
-  months (vectorized + scalar reference), byte-identical for any
+  months (chunked NumPy draws + scalar reference), byte-identical for any
   ``workers`` count;
 * :mod:`repro.fleet.analytic` — exact downtime moments plus
   normal-approximated routed availability; cross-validates the MC;

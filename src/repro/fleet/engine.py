@@ -11,8 +11,8 @@ cheapest fleet meeting an availability target. All three accept
 five Table 6 design points) and resolve missing ``server_cost_savings``
 through the standard :class:`~repro.core.mapping.DesignEvaluator`.
 
-Backend convention: ``auto`` is ``vectorized``; ``scalar`` names the
-per-event reference.
+Backend convention: ``auto`` is the chunked NumPy simulator; ``scalar``
+names the per-event reference.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ __all__ = [
     "simulate_fleet",
 ]
 
-#: Backends accepted by :func:`simulate_fleet` (``auto`` resolves to
-#: ``vectorized``).
-FLEET_BACKENDS = ("auto", "scalar", "vectorized")
+#: Backends accepted by :func:`simulate_fleet`.
+FLEET_BACKENDS = ("auto", "scalar")
 
 DesignLike = Union[FleetDesign, HRMDesign]
 
@@ -115,14 +114,6 @@ def _resolve_composition(
     return dict(apportion_servers(servers, fractions))
 
 
-def _resolve_backend(backend: str) -> str:
-    if backend not in FLEET_BACKENDS:
-        raise ValueError(
-            f"unknown backend '{backend}'; expected one of {FLEET_BACKENDS}"
-        )
-    return "vectorized" if backend == "auto" else backend
-
-
 def simulate_fleet(
     profile: VulnerabilityProfile,
     *,
@@ -154,14 +145,18 @@ def simulate_fleet(
         seed: Root seed; results are byte-identical across runs and
             ``workers`` counts.
         workers: Threads simulating month chunks concurrently.
-        backend: ``auto`` / ``scalar`` / ``vectorized``.
+        backend: ``auto`` / ``scalar``; ``result.backend`` names what
+            ran (``vectorized`` or ``scalar``).
         observer: Receives ``fleet`` spans and fleet instruments.
         cost_model / error_model / availability_params: Model overrides.
         error_label: Which characterized error type drives the rates.
         region_sizes: Region size overrides (default: profiled sizes).
     """
+    if backend not in FLEET_BACKENDS:
+        raise ValueError(
+            f"unknown backend '{backend}'; expected one of {FLEET_BACKENDS}"
+        )
     config = config or FleetConfig()
-    resolved = _resolve_backend(backend)
     instruments = (
         FleetInstruments(observer.metrics)
         if observer.metrics is not None
@@ -193,20 +188,20 @@ def simulate_fleet(
         with observer.span(SPAN_FLEET_PHASE, key="simulate"):
             simulator = FleetSimulator(layout, params=availability_params)
             result = simulator.simulate(
-                seed=seed, workers=workers, backend=resolved
+                seed=seed, workers=workers, backend=backend
             )
         if instruments is not None:
             instruments.record_simulation(result)
         # Which rows the chunks drew, and the guard that decided it: the
         # largest bound over the chunks, as log10 of a probability (None
         # when nothing in the configuration can add downtime at all).
-        chunks = simulator.chunks if resolved == "vectorized" else []
+        chunks = simulator.chunks if backend == "auto" else []
         aggregated = sum(chunk.aggregated for chunk in chunks)
         bound = max(
             (chunk.clip_ln_bound for chunk in chunks), default=-math.inf
         )
         span.set(
-            backend=resolved,
+            backend=result.backend,
             servers=result.servers,
             months=result.months,
             fleet_availability=result.mean_fleet_availability,

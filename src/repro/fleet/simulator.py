@@ -303,7 +303,7 @@ class FleetSimulator:
         self.layout = layout
         self.params = params or AvailabilityParams()
 
-    # -- vectorized backend -------------------------------------------
+    # -- auto backend (chunked NumPy draws) -----------------------------
 
     @functools.cached_property
     def chunks(self) -> List[FleetChunk]:
@@ -335,7 +335,7 @@ class FleetSimulator:
         return found
 
     def simulate(
-        self, seed: int = 0, workers: int = 1, backend: str = "vectorized"
+        self, seed: int = 0, workers: int = 1, backend: str = "auto"
     ) -> FleetSimulationResult:
         """Run the full horizon; deterministic for any ``workers``."""
         if workers < 1:
@@ -344,10 +344,9 @@ class FleetSimulator:
             if workers != 1:
                 raise ValueError("the scalar backend is single-threaded")
             return self._simulate_scalar(seed)
-        if backend != "vectorized":
+        if backend != "auto":
             raise ValueError(
-                f"unknown backend '{backend}'; "
-                "expected 'scalar' or 'vectorized'"
+                f"unknown backend '{backend}'; expected 'auto' or 'scalar'"
             )
         import numpy as np
 
@@ -501,6 +500,7 @@ class FleetSimulator:
         )
 
     def _merge(self, outputs, seed, workers):
+        # The label is part of to_dict(), hence of committed result digests.
         result = self._empty_result("vectorized", seed, workers)
         for chunk in outputs:
             start = chunk["start"]

@@ -94,7 +94,7 @@ def plan_flip_positions(
     shared by the scalar :class:`ErrorInjector` and the batched
     :class:`~repro.kernels.planner.BatchInjectionPlanner` — both consume
     exactly ``randrange(8)`` followed, for multi-bit specs, by one
-    ``sample`` call from ``rng``, which is what keeps vectorized
+    ``sample`` call from ``rng``, which is what keeps planned
     profiles bit-identical to scalar ones.
 
     Flips land within the 64-bit word containing the anchor byte,
@@ -234,7 +234,7 @@ class ErrorInjector:
     ) -> InjectionRecord:
         """Inject pre-planned flips, wrapped in the same tracing span.
 
-        Emits a span identical in shape to :meth:`inject` so vectorized
+        Emits a span identical in shape to :meth:`inject` so pruned
         campaigns trace exactly like scalar ones.
         """
         with self._observer.span(

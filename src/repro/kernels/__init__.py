@@ -12,9 +12,9 @@ Entry points:
 * :func:`get_kernel` — memoized batch kernel per technique name;
 * :class:`BatchInjectionPlanner` — draws a whole trial shard's flip
   masks from the derived per-trial seed streams, scalar-identically;
-* ``backend="vectorized"`` on
-  :class:`~repro.core.campaign.CharacterizationCampaign` wires both
-  into the characterization loop.
+* the default ``backend="pruned"`` of
+  :class:`~repro.core.campaign.CharacterizationCampaign` wires the
+  planner into the characterization loop.
 """
 
 from repro.kernels.base import (

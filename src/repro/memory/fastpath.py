@@ -1,15 +1,13 @@
-"""Process-wide toggle for the trial-loop memory fast path.
+"""Process-wide default for the trial-loop memory fast path.
 
 The fast path (fused typed accessors, dirty-page snapshot restore, bulk
 array kernels — see DESIGN.md "Memory fast path") is bit-identical to
-the scalar access path by construction, so it defaults to **on**. The
-toggle exists so benchmarks and equivalence tests can pin a space to
-the legacy scalar-oracle behaviour:
+the scalar access path by construction, so it is **on** unless a
+benchmark or equivalence test pins a space to the legacy scalar-oracle
+behaviour, which it can do in two ways:
 
-* environment: ``REPRO_MEMORY_FASTPATH=0`` disables it for a whole
-  process before any space is built;
-* :func:`set_fastpath` flips the default for spaces built afterwards;
-* :func:`oracle_mode` scopes the legacy behaviour to a ``with`` block;
+* :func:`oracle_mode` scopes the legacy behaviour to a ``with`` block,
+  for every space built inside it;
 * ``AddressSpace.set_fast_path`` repins one existing space.
 
 The flag is sampled at :class:`~repro.memory.address_space.AddressSpace`
@@ -19,16 +17,12 @@ mid-trial.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
-__all__ = ["fastpath_enabled", "set_fastpath", "oracle_mode"]
+__all__ = ["fastpath_enabled", "oracle_mode"]
 
-_ENV_VAR = "REPRO_MEMORY_FASTPATH"
-_FALSEY = {"0", "false", "no", "off", ""}
-
-_enabled = os.environ.get(_ENV_VAR, "1").strip().lower() not in _FALSEY
+_enabled = True
 
 
 def fastpath_enabled() -> bool:
@@ -36,19 +30,12 @@ def fastpath_enabled() -> bool:
     return _enabled
 
 
-def set_fastpath(enabled: bool) -> bool:
-    """Set the process-wide default; returns the previous value."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
 @contextmanager
 def oracle_mode() -> Iterator[None]:
     """Build spaces on the legacy scalar oracle path within the block."""
-    previous = set_fastpath(False)
+    global _enabled
+    previous, _enabled = _enabled, False
     try:
         yield
     finally:
-        set_fastpath(previous)
+        _enabled = previous

@@ -481,7 +481,7 @@ class CampaignInstruments:
         """Fold many events with one registry touch per aggregate.
 
         The batch counterpart of :meth:`update`, used when whole trial
-        shards land at once (vectorized campaigns, parallel merges):
+        shards land at once (a pruned campaign's cells, parallel merges):
         trial outcomes and response dispositions are pre-summed in plain
         dicts so each counter label is incremented once per batch, and
         each cell's safe-ratio gauge is set once with its final value.

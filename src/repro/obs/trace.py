@@ -193,13 +193,13 @@ class Observer:
             self._instruments.update(event)
 
     def replay(self, events: Iterable[TraceEvent]) -> None:
-        """Re-emit buffered events (parallel merge / vectorized batches).
+        """Re-emit buffered events (parallel merge / planned cells).
 
         Sinks receive the events one by one in order, but the metrics
         instruments are updated once for the whole batch
         (:meth:`CampaignInstruments.update_batch`) — one registry touch
         per aggregate instead of per trial, which is what keeps
-        instrument overhead off the vectorized hot path. The registry
+        instrument overhead off the planned-cell hot path. The registry
         end-state is identical to per-event emission.
         """
         events = list(events)

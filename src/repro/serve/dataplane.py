@@ -53,7 +53,6 @@ import difflib
 import time
 from typing import Dict, Sequence, Tuple
 
-from repro.memory.fastpath import fastpath_enabled
 from repro.memory.trace import (
     DECISIONS,
     TraceReplay,
@@ -71,9 +70,11 @@ __all__ = [
     "BatchedDataPlane",
 ]
 
-#: Valid ``--data-plane`` names. ``auto`` resolves to ``batched`` when
-#: the process-wide memory fast path is enabled, else ``scalar``.
-DATA_PLANES: Tuple[str, ...] = ("auto", "batched", "scalar")
+#: Valid ``--data-plane`` names: ``auto`` is :class:`BatchedDataPlane`
+#: (which serves a tenant whose space is off the memory fast path
+#: through the scalar loop), ``scalar`` the oracle it is pinned to.
+DATA_PLANES: Tuple[str, ...] = ("auto", "scalar")
+
 
 class UnknownDataPlaneError(ValueError):
     """Raised for a data-plane name outside :data:`DATA_PLANES`."""
@@ -101,11 +102,9 @@ def make_data_plane(name: str, tenants: Sequence[ServeTenant]):
     """
     if name not in DATA_PLANES:
         raise UnknownDataPlaneError(name)
-    if name == "auto":
-        name = "batched" if fastpath_enabled() else "scalar"
-    if name == "batched":
-        return BatchedDataPlane(tenants)
-    return ScalarDataPlane(tenants)
+    if name == "scalar":
+        return ScalarDataPlane(tenants)
+    return BatchedDataPlane(tenants)
 
 
 def _new_decisions(tenants: Sequence[ServeTenant]) -> Dict[str, Dict[str, int]]:

@@ -104,12 +104,12 @@ class ServeConfig:
         restart_downtime_ticks: Downtime charged by a restart response.
         admission_high_water: Backlog depth that starts load shedding.
         admission_low_water: Backlog depth that stops it.
-        data_plane: Request-execution strategy: ``"scalar"`` (the
-            per-request Python loop), ``"batched"`` (span-fused golden
-            runs, live only where a fault can reach), or ``"auto"``
-            (batched when the memory fast path is enabled). Both planes write
-            byte-identical ledgers for the same seed, so the choice is
-            pure throughput and never appears in ledger attrs.
+        data_plane: Request-execution strategy: ``"auto"`` (span-fused
+            golden runs, live only where a fault can reach) or
+            ``"scalar"`` (the per-request Python loop it is pinned to).
+            Both planes write byte-identical ledgers for the same seed,
+            so the choice is pure throughput and never appears in
+            ledger attrs.
     """
 
     duration_ticks: int = 60

@@ -115,9 +115,6 @@ class TestProfileCache:
         assert second.to_dict() == first.to_dict()
 
     def test_corrupt_cache_remeasured(self, tmp_path):
-        cache = tmp_path / "profile.json"
-        cache.write_text("{not json")
-
         def factory():
             return WebSearch(
                 vocabulary_size=300, doc_count=200, query_count=80,
@@ -125,11 +122,21 @@ class TestProfileCache:
             )
 
         config = CampaignConfig(trials_per_cell=2, queries_per_trial=20, seed=5)
-        profile = load_or_run_profile(
-            factory, config, cache_path=cache, regions=["stack"]
-        )
-        assert isinstance(profile, VulnerabilityProfile)
-        json.loads(cache.read_text())  # cache rewritten valid
+        fingerprint = campaign_fingerprint(config, regions=["stack"])
+        cache = tmp_path / "profile.json"
+        for payload in (
+            "{not json",
+            # Well-formed, fingerprint matches, profile unusable.
+            json.dumps({"fingerprint": fingerprint, "profile": None}),
+            json.dumps({"fingerprint": fingerprint, "profile": []}),
+        ):
+            cache.write_text(payload)
+            profile = load_or_run_profile(
+                factory, config, cache_path=cache, regions=["stack"]
+            )
+            assert isinstance(profile, VulnerabilityProfile)
+            # cache rewritten valid
+            assert json.loads(cache.read_text())["profile"] == profile.to_dict()
 
 
 class TestCacheInvalidation:

@@ -14,8 +14,6 @@ import json
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.core.campaign import CampaignConfig, CharacterizationCampaign
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT
 
@@ -27,7 +25,7 @@ def _profile_json(profile):
     return json.dumps(profile.to_dict(), sort_keys=True)
 
 
-def _run(workload, *, fast, backend="vectorized", workers=None):
+def _run(workload, *, fast, backend="pruned", workers=None):
     previous = workload.space.fast_path_enabled
     workload.space.set_fast_path(fast)
     try:

@@ -42,8 +42,9 @@ def _profile_bytes(profile):
     return json.dumps(profile.to_dict(), sort_keys=True).encode()
 
 
-def _run(workload, observer=None, workers=None):
-    kwargs = {"observer": observer} if observer is not None else {}
+def _run(workload, observer=None, workers=None, **kwargs):
+    if observer is not None:
+        kwargs["observer"] = observer
     campaign = CharacterizationCampaign(workload, config=CONFIG, **kwargs)
     campaign.prepare()
     return campaign.run(specs=SPECS, workers=workers)
@@ -104,8 +105,10 @@ class TestTracedCampaignDeterminism:
         assert serial_paths == parallel_paths
 
     def test_span_hierarchy_shape(self, websearch_small):
+        # The oracle executes every trial: each has its inject /
+        # consume / verify spans, which a decided trial does not.
         buffer = EventBuffer()
-        _run(websearch_small, observer=Observer(sinks=[buffer]))
+        _run(websearch_small, observer=Observer(sinks=[buffer]), backend="scalar")
         by_name = {}
         for event in buffer.events:
             by_name.setdefault(event.name, []).append(event)

@@ -65,6 +65,17 @@ async def _run_session_with_server(ledger_path=None, probe=None):
     registry = MetricsRegistry()
     server = ObservabilityServer(registry, port=0)
     await server.start()
+    # The session outruns four HTTP fetches: hold its last tick until
+    # the probe is done, so "mid-session" is not a race. (Tenants
+    # stagger by hook only; the ledger does not depend on it.)
+    probed = asyncio.Event()
+    if probe is None:
+        probed.set()
+
+    async def hold_last_tick(tenant: str, tick: int) -> None:
+        if tick == CONFIG.duration_ticks - 1:
+            await probed.wait()
+
     try:
         task = asyncio.ensure_future(
             serve_session(
@@ -73,6 +84,7 @@ async def _run_session_with_server(ledger_path=None, probe=None):
                 registry=registry,
                 server=server,
                 scale=SCALE,
+                stagger=hold_last_tick,
             )
         )
         # Wait for the first tick barrier to publish a snapshot.
@@ -84,6 +96,7 @@ async def _run_session_with_server(ledger_path=None, probe=None):
             await asyncio.sleep(0.01)
         if probe is not None:
             await probe(server)
+            probed.set()
         result = await task
         final = {}
         for path in ("/metrics", "/status", "/slo", "/healthz"):

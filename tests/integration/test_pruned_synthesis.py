@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.apps.websearch import WebSearch
 from repro.core.campaign import CampaignConfig, CharacterizationCampaign
@@ -109,7 +108,8 @@ def runs(request):
     return {
         "scenario": scenario,
         "scalar": Run(scenario, "scalar", oracle=True),
-        "vectorized": Run(scenario, "vectorized"),
+        # Every trial executed, on the fast path.
+        "scalar_fast": Run(scenario, "scalar"),
         "pruned": Run(scenario, "pruned"),
         "pruned_w2": Run(scenario, "pruned", workers=2),
     }
@@ -143,20 +143,20 @@ def test_scenarios_cover_the_run_shapes():
 
 def test_profile_bytes_identical(runs):
     reference = runs["scalar"].profile_json
-    for name in ("vectorized", "pruned", "pruned_w2"):
+    for name in ("scalar_fast", "pruned", "pruned_w2"):
         assert runs[name].profile_json == reference, name
 
 
 def test_trial_records_identical(runs):
     reference = runs["scalar"].trials
     assert len(reference) == 3 * len(SCENARIOS[runs["scenario"]][1]) * TRIALS
-    for name in ("vectorized", "pruned", "pruned_w2"):
+    for name in ("scalar_fast", "pruned", "pruned_w2"):
         assert runs[name].trials == reference, name
 
 
 def test_clock_and_counters_identical(runs):
     reference = runs["scalar"]
-    for name in ("vectorized", "pruned"):
+    for name in ("scalar_fast", "pruned"):
         assert runs[name].time == reference.time, name
         assert runs[name].access_stats == reference.access_stats, name
     if runs["scenario"] == "all_decided":
@@ -168,7 +168,7 @@ def test_clock_and_counters_identical(runs):
 
 def test_every_access_is_credited_once(runs):
     """fast + checked accesses of a pruned run equal an executed run's."""
-    assert runs["pruned"].accesses == runs["vectorized"].accesses
+    assert runs["pruned"].accesses == runs["scalar_fast"].accesses
 
 
 def test_pruning_tallies_identical(runs):
@@ -184,7 +184,7 @@ def test_pruning_tallies_identical(runs):
 def test_trial_spans_identical(runs):
     reference = runs["scalar"].trial_spans()
     assert len(reference) == len(runs["scalar"].trials)
-    for name in ("vectorized", "pruned", "pruned_w2"):
+    for name in ("scalar_fast", "pruned", "pruned_w2"):
         assert runs[name].trial_spans() == reference, name
     pruned_paths = {
         event.path
@@ -199,7 +199,7 @@ def test_decided_cell_credits_the_fast_path_once():
     """A cell of never-accessed bytes: fast_accesses ≡ executing it.
 
     Faults in bytes the replay never touches leave every access on the
-    fast path, so the executed (vectorized) run's ``fast_accesses`` is
+    fast path, so the executed (scalar) run's ``fast_accesses`` is
     exactly trials × the replay's access count — which is what the
     settle of a decided run must credit, once.
     """
@@ -214,7 +214,7 @@ def test_decided_cell_credits_the_fast_path_once():
     assert cold.size >= 64
     spans = [(heap.base + int(at), heap.base + int(at) + 1) for at in cold[:64]]
     deltas = {}
-    for backend in ("vectorized", "pruned"):
+    for backend in ("scalar", "pruned"):
         campaign = CharacterizationCampaign(
             make_workload(), config=CONFIG, backend=backend
         )
@@ -229,6 +229,6 @@ def test_decided_cell_credits_the_fast_path_once():
         for cell in profile.to_dict()["cells"].values():
             assert cell["outcome_counts"] == {"masked_never_accessed": TRIALS}
     assert campaign.pruning_stats.executed == 0
-    assert deltas["vectorized"]["checked_accesses"] == 0
-    assert deltas["pruned"]["fast_accesses"] == deltas["vectorized"]["fast_accesses"]
+    assert deltas["scalar"]["checked_accesses"] == 0
+    assert deltas["pruned"]["fast_accesses"] == deltas["scalar"]["fast_accesses"]
     assert deltas["pruned"]["fast_accesses"] > 0

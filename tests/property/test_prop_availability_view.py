@@ -23,25 +23,24 @@ All seeds are fixed; nothing here is flaky by construction.
 import functools
 import random
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.cluster import AvailabilitySimulator, MonthOutcome  # noqa: E402
-from repro.core.availability import (  # noqa: E402
+from repro.cluster import AvailabilitySimulator, MonthOutcome
+from repro.core.availability import (
     MINUTES_PER_MONTH,
     AvailabilityParams,
     ErrorRateModel,
     design_outcome_rates,
 )
-from repro.core.design_space import (  # noqa: E402
+from repro.core.design_space import (
     HardwareTechnique,
     RegionPolicy,
     SoftwareResponse,
 )
-from repro.fleet import FleetSimulator  # noqa: E402
-from repro.utils.rng import poisson_variate  # noqa: E402
-from tests.property.test_prop_fleet_simulator import (  # noqa: E402
+from repro.fleet import FleetSimulator
+from repro.utils.rng import poisson_variate
+from tests.property.test_prop_fleet_simulator import (
     PROFILE,
     RECOVERABLE,
     REGIONS,

@@ -26,8 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
 from repro.core.campaign import CampaignConfig, CharacterizationCampaign
 from repro.exec.cells import CampaignCell
 from repro.injection.injector import ErrorSpec, plan_flip_positions
@@ -266,7 +264,6 @@ def test_campaign_plan_matches_frozen_oracle(request, app, bits):
     campaign = CharacterizationCampaign(
         workload,
         config=CampaignConfig(trials_per_cell=5, queries_per_trial=8, seed=2014),
-        backend="vectorized",
     )
     campaign.prepare()
     spec = ErrorSpec(FaultKind.HARD, bits)

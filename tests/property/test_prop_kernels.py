@@ -9,8 +9,6 @@ output and decode (data, status, corrected-bit) results.
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

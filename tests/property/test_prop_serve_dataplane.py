@@ -253,7 +253,7 @@ class TestSeededSessionLedgers:
         """Full multiplexer sessions write byte-identical ledgers."""
         base = tmp_path_factory.mktemp("ledgers")
         ledgers = {}
-        for plane in ("scalar", "batched"):
+        for plane in ("scalar", "auto"):
             config = ServeConfig(
                 duration_ticks=ticks,
                 error_rate=error_rate,
@@ -267,7 +267,7 @@ class TestSeededSessionLedgers:
                 ledger_path=path,
             )
             ledgers[plane] = path.read_bytes()
-        assert ledgers["scalar"] == ledgers["batched"]
+        assert ledgers["scalar"] == ledgers["auto"]
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +506,7 @@ class TestSessionEpochs:
     def test_serve_stop_epochs_equal_across_planes(self, tmp_path):
         """Several wraps a tick (graphmining: 3 jobs, 16 requests)."""
         stops = {}
-        for plane in ("scalar", "batched"):
+        for plane in ("scalar", "auto"):
             result = run_serve(
                 ServeConfig(
                     duration_ticks=12, error_rate=0.5, seed=19, data_plane=plane
@@ -516,8 +516,8 @@ class TestSessionEpochs:
             )
             assert result.replay.complete
             stops[plane] = result.events[-1].attrs
-        assert stops["scalar"]["epochs"] == stops["batched"]["epochs"]
-        assert stops["batched"]["epochs"]["graphmining"] >= 12 * 5
+        assert stops["scalar"]["epochs"] == stops["auto"]["epochs"]
+        assert stops["auto"]["epochs"]["graphmining"] >= 12 * 5
         assert (tmp_path / "scalar.jsonl").read_bytes() == (
-            tmp_path / "batched.jsonl"
+            tmp_path / "auto.jsonl"
         ).read_bytes()

@@ -3,7 +3,7 @@
 ``backend="pruned"`` on a fast-path space executes, of a trial it cannot
 decide, only the queries a fault can reach and serves the clean runs
 between them from the campaign's access trace. This module pins that to
-the plain loop (``backend="vectorized"``, same planned flips, every query
+the plain loop (``backend="scalar"``, same planned flips, every query
 executed) on twin campaigns of each application: for random (region,
 kind ∈ soft / hard / multi-bit hard, address, bit) the two must agree on
 the ``TrialRecord``, the ``ClientReport`` field for field, the clock,
@@ -93,7 +93,7 @@ class Twin:
 
     def trial(self, region, spec, positions):
         """Everything observable about one planned trial."""
-        record = self.campaign.measure_planned_trial(
+        record = self.campaign.measure_trial(
             CampaignCell(name=region, spec=spec), 0, positions
         )
         space = self.space
@@ -115,7 +115,7 @@ class Twins:
     def __init__(self, factory, queries):
         self.queries = queries
         self.fused = Twin(factory, queries, "pruned")
-        self.plain = Twin(factory, queries, "vectorized")
+        self.plain = Twin(factory, queries, "scalar")
         self.trace = self.fused.campaign.golden_trace()
         self.trials = 0
         self.totals = dict.fromkeys(DECISIONS, 0)

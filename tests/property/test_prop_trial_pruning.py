@@ -159,7 +159,7 @@ def test_classifier_never_prunes_a_harmful_trial(seed, spec_index, codec_index):
                 analytic = classification.outcomes[local]
                 if analytic is None:
                     continue
-                executed = campaign.measure_planned_trial(
+                executed = campaign.measure_trial(
                     cell, int(trial_index), plan.flips_for(local)
                 )
                 assert executed.outcome.is_masked, (

@@ -91,7 +91,7 @@ class TestFingerprintVersioning:
         )
 
     def test_backends_never_share_cache_entries(self):
-        assert self._fingerprint("scalar") != self._fingerprint("vectorized")
+        assert self._fingerprint("scalar") != self._fingerprint("pruned")
 
     def test_schema_version_bumped_for_redesign(self):
         assert FINGERPRINT_SCHEMA_VERSION >= 2

@@ -37,7 +37,7 @@ class TestSurfaceInventory:
         ]
 
     def test_api_version_tracks_package_major(self):
-        assert api.API_VERSION == "3.0"
+        assert api.API_VERSION == "4.0"
         assert (
             api.API_VERSION.split(".")[0] == repro.__version__.split(".")[0]
         )
@@ -75,19 +75,49 @@ class TestAvailableBackends:
             assert isinstance(backends, tuple) and backends
             assert all(isinstance(name, str) for name in backends)
 
+    def test_campaign_backends(self):
+        assert api.available_backends("campaign") == ("pruned", "scalar")
+
     def test_fleet_backends(self):
-        assert api.available_backends("fleet") == (
-            "auto",
-            "scalar",
-            "vectorized",
-        )
+        assert api.available_backends("fleet") == ("auto", "scalar")
 
     def test_serve_backends_are_the_data_planes(self):
-        assert api.available_backends("serve") == (
-            "auto",
-            "batched",
-            "scalar",
-        )
+        assert api.available_backends("serve") == ("auto", "scalar")
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            api.CharacterizationCampaign.__init__,
+            api.run_campaign,
+            api.load_or_run_profile,
+            api.campaign_fingerprint,
+        ],
+    )
+    def test_campaigns_default_to_the_production_backend(self, function):
+        default = inspect.signature(function).parameters["backend"].default
+        assert default == "pruned"
+
+    def test_names_removed_in_4_0_are_rejected(self):
+        """``vectorized`` (campaign, fleet) and ``batched`` (serve)
+        selected nothing the defaults do not."""
+        with pytest.raises(ValueError, match="unknown backend 'vectorized'"):
+            api.run_campaign(api.WebSearch(), backend="vectorized")
+        with pytest.raises(ValueError, match="unknown backend 'vectorized'"):
+            api.campaign_fingerprint(api.CampaignConfig(), backend="vectorized")
+        with pytest.raises(ValueError, match="unknown backend 'vectorized'"):
+            api.simulate_fleet(
+                api.VulnerabilityProfile(app="none"), backend="vectorized"
+            )
+        with pytest.raises(ValueError, match="unknown serve data plane 'batched'"):
+            api.ServeConfig(data_plane="batched")
+
+    def test_the_scalar_oracle_is_serial(self):
+        config = api.CampaignConfig(trials_per_cell=1, queries_per_trial=2)
+        workload = api.KVStoreWorkload(key_count=50, op_count=10)
+        with pytest.raises(ValueError, match="single-threaded"):
+            api.run_campaign(
+                workload, config=config, backend="scalar", workers=2
+            )
 
     def test_unknown_kind_lists_valid_kinds(self):
         # "simulator": one availability engine, "search": one design-

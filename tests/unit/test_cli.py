@@ -57,10 +57,26 @@ class TestCharacterizeCommand:
             "--queries", "15", "--scale", "0.3", "--errors", "soft",
             "--json",
         ]
-        assert main(base) == 0
+        assert main(base + ["--backend", "scalar"]) == 0
         scalar = capsys.readouterr().out
-        assert main(base + ["--backend", "vectorized"]) == 0
+        assert main(base) == 0  # the default: pruned
         assert capsys.readouterr().out == scalar
+
+    def test_default_backend_is_pruned(self):
+        from repro.__main__ import _build_parser
+
+        assert _build_parser().parse_args(["characterize"]).backend == "pruned"
+
+    def test_removed_vectorized_backend_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["characterize", "--backend", "vectorized"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_scalar_backend_is_serial_only(self, capsys):
+        code = main(["characterize", "--backend", "scalar", "--workers", "2"])
+        assert code == 2
+        assert "single-threaded" in capsys.readouterr().err
 
     def test_metrics_accounts_every_trial(self, capsys):
         code = main([
@@ -90,10 +106,13 @@ class TestObservabilityFlags:
         "characterize", "--app", "memcached", "--trials", "2",
         "--queries", "15", "--scale", "0.3", "--errors", "soft",
     ]
+    #: Per-trial injection telemetry needs trials that execute.
+    EXECUTED = BASE + ["--backend", "scalar"]
 
     def test_trace_out_writes_parseable_jsonl(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
-        assert main(self.BASE + ["--trace-out", str(trace)]) == 0
+        # The oracle executes every trial, so each has an injection span.
+        assert main(self.EXECUTED + ["--trace-out", str(trace)]) == 0
         capsys.readouterr()
         events = [json.loads(line) for line in trace.read_text().splitlines()]
         assert events
@@ -114,7 +133,7 @@ class TestObservabilityFlags:
 
     def test_prom_out_renders_exposition_format(self, capsys, tmp_path):
         prom = tmp_path / "metrics.prom"
-        assert main(self.BASE + ["--prom-out", str(prom)]) == 0
+        assert main(self.EXECUTED + ["--prom-out", str(prom)]) == 0
         capsys.readouterr()
         text = prom.read_text()
         assert "# TYPE repro_campaign_trials_total counter" in text
@@ -436,20 +455,26 @@ class TestParser:
 class TestServeDataPlaneFlag:
     def test_unknown_plane_suggests_and_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--data-plane", "bacthed"])
+            main(["serve", "--data-plane", "sclaar"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "valid planes" in err
-        assert "did you mean 'batched'?" in err
+        assert "did you mean 'scalar'?" in err
 
     def test_far_off_plane_still_lists_valid_names(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--data-plane", "quantum"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "auto, batched, scalar" in err
+        assert "auto, scalar" in err
 
-    @pytest.mark.parametrize("plane", ["auto", "batched", "scalar"])
+    def test_removed_batched_plane_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--data-plane", "batched"])
+        assert excinfo.value.code == 2
+        assert "valid planes: auto, scalar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plane", ["auto", "scalar"])
     def test_valid_planes_serve_identical_summaries(self, plane, capsys):
         assert main([
             "serve", "--duration", "4", "--seed", "7",

@@ -275,7 +275,7 @@ class TestBackends:
             designs=designs,
             config=config,
             seed=11,
-            backend="vectorized",
+            backend="auto",
             error_model=error_model,
         )
         assert scalar.backend == "scalar"
@@ -295,8 +295,11 @@ class TestBackends:
         assert result.backend == "vectorized"
 
     def test_unknown_backend_rejected(self, profile, designs):
-        with pytest.raises(ValueError):
-            simulate_fleet(profile, designs=designs, backend="fpga")
+        """``vectorized`` was an alias of ``auto`` until 4.0; it is still
+        what ``result.backend`` reads."""
+        for backend in ("fpga", "vectorized"):
+            with pytest.raises(ValueError, match="expected one of"):
+                simulate_fleet(profile, designs=designs, backend=backend)
 
 
 class TestDesignDowntimeReconciles:
@@ -315,7 +318,9 @@ class TestDesignDowntimeReconciles:
         ),
     )
 
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
+    @pytest.mark.parametrize(
+        "backend", [pytest.param("auto", id="vectorized"), "scalar"]
+    )
     def test_design_and_month_totals_are_the_same_minutes(
         self, profile, designs, backend
     ):

@@ -265,7 +265,7 @@ class TestSweepDispositionCounters:
         def run(observer):
             before = workload.fast_path_stats()
             campaign = CharacterizationCampaign(
-                workload, config=config, backend="vectorized", observer=observer
+                workload, config=config, backend="scalar", observer=observer
             )
             campaign.prepare()
             profile = campaign.run(specs=specs)

@@ -8,9 +8,8 @@ sequence, and the flip-mask materialization.
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.ecc import UnknownTechniqueError, available_techniques
 from repro.injection import SINGLE_BIT_SOFT, ErrorInjector, ErrorSpec

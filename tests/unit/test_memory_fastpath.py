@@ -314,3 +314,33 @@ class TestProtectedBatchBulkLoad:
         expected = [scalar.read(i) for i in subset]
         assert batch.read_batch(subset) == expected
         assert space_b.time == space_a.time
+
+
+class TestOracleSelectors:
+    """Two ways to pin a space to the oracle path: ``oracle_mode()`` for
+    spaces built inside it, ``set_fast_path`` for one that exists."""
+
+    def test_oracle_mode_scopes_the_default_and_restores_it(self):
+        from repro.memory.fastpath import fastpath_enabled, oracle_mode
+
+        assert fastpath_enabled()
+        with oracle_mode():
+            assert not fastpath_enabled()
+            inner = AddressSpace(standard_layout(heap_size=4096, stack_size=4096))
+            with oracle_mode():
+                assert not fastpath_enabled()
+            assert not fastpath_enabled()
+        assert fastpath_enabled()
+        assert not inner.fast_path_enabled
+        assert make_space().fast_path_enabled
+
+    def test_the_environment_does_not_select_the_path(self, monkeypatch):
+        """``REPRO_MEMORY_FASTPATH`` was read at import until 4.0."""
+        import importlib
+
+        from repro.memory import fastpath
+
+        monkeypatch.setenv("REPRO_MEMORY_FASTPATH", "0")
+        reloaded = importlib.reload(fastpath)
+        assert reloaded.fastpath_enabled()
+        assert not hasattr(reloaded, "set_fastpath")

@@ -32,7 +32,7 @@ from repro.exec import (
     ShardResult,
     TrialResult,
     merge_shard_results,
-    plan_shards,
+    plan_shards_indexed,
 )
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT
 from repro.utils.rng import derive_seed
@@ -161,6 +161,12 @@ class TestShardPlanning:
             for i in range(count)
         ]
 
+    def _plan(self, cells, budget, workers):
+        """The full grid: what a campaign whose trace decides nothing shards."""
+        return plan_shards_indexed(
+            self._cells(cells), [range(budget)] * cells, workers
+        )
+
     @pytest.mark.parametrize("cells,budget,workers", [
         (1, 1, 1),
         (2, 7, 3),
@@ -168,10 +174,10 @@ class TestShardPlanning:
         (6, 5, 16),
     ])
     def test_every_trial_covered_exactly_once(self, cells, budget, workers):
-        shards = plan_shards(self._cells(cells), budget, workers)
+        shards = self._plan(cells, budget, workers)
         seen = set()
         for shard in shards:
-            for index in shard.trial_indices():
+            for index in shard.indices:
                 key = (shard.cell_index, index)
                 assert key not in seen
                 seen.add(key)
@@ -180,20 +186,21 @@ class TestShardPlanning:
         }
 
     def test_shards_in_canonical_order(self):
-        shards = plan_shards(self._cells(3), 10, 2)
-        keys = [(s.cell_index, s.trial_start) for s in shards]
+        shards = self._plan(3, 10, 2)
+        keys = [(s.cell_index, s.indices[0]) for s in shards]
         assert keys == sorted(keys)
 
     def test_enough_shards_to_feed_the_pool(self):
-        shards = plan_shards(self._cells(2), 64, 4)
+        shards = self._plan(2, 64, 4)
         assert len(shards) >= 4
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            plan_shards(self._cells(1), 0, 2)
+            plan_shards_indexed(self._cells(1), [range(5), range(5)], 2)
         with pytest.raises(ValueError):
-            plan_shards(self._cells(1), 5, 0)
-        assert plan_shards([], 5, 2) == []
+            self._plan(1, 5, 0)
+        assert self._plan(0, 5, 2) == []
+        assert self._plan(1, 0, 2) == []
 
 
 class TestMerge:
@@ -229,7 +236,6 @@ class TestMerge:
                 shard_results.append(
                     ShardResult(
                         cell_index=cell_index,
-                        trial_start=start,
                         cell_name=cells[cell_index].name,
                         error_label="single-bit soft",
                         results=results,
@@ -266,6 +272,11 @@ class TestMerge:
         assert cell.crash_delay_minutes == [0.0]
 
 
+#: A cell whose first trial the golden trace cannot decide (a stuck-at
+#: bit under a read): a pool is only built for trials that execute.
+EXECUTING_CELL = CampaignCell(name="private", spec=SINGLE_BIT_HARD)
+
+
 class TestWorkerFailures:
     def test_crash_in_worker_surfaces_as_exception(self):
         campaign = _fresh_campaign()
@@ -278,12 +289,7 @@ class TestWorkerFailures:
         campaign.prepare()
         runner = ParallelCampaignRunner(workers=2, start_method="spawn")
         with pytest.raises(RuntimeError, match="workload_factory"):
-            runner.run(
-                campaign,
-                [CampaignCell(name="stack", spec=SINGLE_BIT_SOFT)],
-                2,
-                {"stack": 1},
-            )
+            runner.run(campaign, [EXECUTING_CELL], 2, {"private": 1})
 
     def test_broken_factory_surfaces_from_spawned_pool(self):
         campaign = _fresh_campaign()
@@ -292,12 +298,7 @@ class TestWorkerFailures:
             workers=2, start_method="spawn", workload_factory=broken_factory
         )
         with pytest.raises(OSError, match="simulated workload build failure"):
-            runner.run(
-                campaign,
-                [CampaignCell(name="stack", spec=SINGLE_BIT_SOFT)],
-                2,
-                {"stack": 1},
-            )
+            runner.run(campaign, [EXECUTING_CELL], 2, {"private": 1})
 
     def test_invalid_worker_counts_rejected(self):
         campaign = _fresh_campaign()

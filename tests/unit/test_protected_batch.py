@@ -10,8 +10,6 @@ import random
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.ecc import available_techniques, make_codec
 from repro.hrm import ProtectedArray, UncorrectableMemoryError
 from repro.memory import AddressSpace, standard_layout

@@ -595,22 +595,20 @@ class TestPlanShardsIndexed:
             [self.CELL, self.CELL], [[0, 3, 7], [2]], workers=2
         )
         covered = sorted(
-            (s.cell_index, i) for s in shards for i in s.trial_indices()
+            (s.cell_index, i) for s in shards for i in s.indices
         )
         assert covered == [(0, 0), (0, 3), (0, 7), (1, 2)]
-        for shard in shards:
-            assert shard.trial_count == len(shard.indices)
-            assert shard.trial_start == shard.indices[0]
+        assert all(shard.indices for shard in shards)
 
     def test_empty_lists_yield_no_shards(self):
         assert plan_shards_indexed([self.CELL], [[]], workers=4) == []
 
     def test_chunking_balances_by_executed_count(self):
         shards = plan_shards_indexed(
-            [self.CELL], [list(range(100))], workers=4, shards_per_worker=4
+            [self.CELL], [list(range(100))], workers=4
         )
         assert len(shards) == 15  # ceil(100/ceil(100/16)) chunks of 7
-        assert max(s.trial_count for s in shards) <= 7
+        assert max(len(s.indices) for s in shards) <= 7
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -666,7 +664,8 @@ class TestCampaignPlumbing:
     def test_fingerprint_distinguishes_codecs_and_backend(self):
         config = CampaignConfig(trials_per_cell=2, queries_per_trial=10)
         base = campaign_fingerprint(config, backend="pruned")
-        assert base != campaign_fingerprint(config, backend="vectorized")
+        assert base == campaign_fingerprint(config)  # the default
+        assert base != campaign_fingerprint(config, backend="scalar")
         assert base != campaign_fingerprint(
             config, backend="pruned", region_codecs={"heap": "SEC-DED"}
         )
