@@ -1,39 +1,35 @@
 """Figure 5(b) — safe-ratio distribution per WebSearch memory region.
 
-Samples addresses proportionally to live region sizes, watches them
-through a client session (Algorithm 1b), and renders the per-region
-safe-ratio density that the paper draws as violins. The benchmark times
-the monitored session.
+Samples addresses proportionally to live region sizes, reads their
+access streams off one recorded client session (Algorithm 1b), and
+renders the per-region safe-ratio density that the paper draws as
+violins. The benchmark times the monitored session.
 """
 
 import json
 import random
+import zlib
 
 from _helpers import CACHE_DIR, make_websearch
 
-from repro.monitoring import AccessMonitor, safe_ratio_report
+from repro.monitoring import monitor, safe_ratio_report
 
 
 def _measure():
     workload = make_websearch()
     workload.build()
     workload.checkpoint()
-    monitor = AccessMonitor(workload.space, random.Random(23))
     addresses = []
     for region in workload.space.regions:
         spans = workload.sample_ranges(region)
         total = sum(end - base for base, end in spans)
         want = max(8, min(160, total // 256))
-        rng = random.Random(hash(region.name) & 0xFFFF)
+        rng = random.Random(zlib.crc32(region.name.encode()))
         for _ in range(want):
             base, end = rng.choice(spans)
             addresses.append(base + rng.randrange(end - base))
 
-    def driver():
-        for index in range(200):
-            workload.execute(index % workload.query_count)
-
-    result = monitor.monitor(driver, addresses=addresses)
+    result = monitor(workload, addresses, queries=200)
     reports = safe_ratio_report(result, bins=10)
     return {
         region: {

@@ -2,8 +2,8 @@
 
 Measures the fraction of each region's live data that is implicitly
 recoverable (clean copy on simulated disk) and explicitly recoverable
-(written less than once per 5 simulated minutes on average), using the
-page-write monitoring framework. The benchmark times one full
+(written less than once per 5 simulated minutes on average), from the
+per-page store times of one recorded replay. The benchmark times one full
 recoverability analysis pass.
 """
 

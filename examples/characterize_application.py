@@ -20,7 +20,7 @@ from repro.core.recoverability import (
     overall_recoverability,
 )
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT
-from repro.monitoring import AccessMonitor, safe_ratio_report
+from repro.monitoring import monitor, safe_ratio_report
 
 APPS = {
     "websearch": lambda: WebSearch(vocabulary_size=600, doc_count=400, query_count=200),
@@ -66,7 +66,6 @@ def main() -> None:
     # Safe-ratio analysis (Figure 5b's mechanism).
     print("\n== safe ratios (sampled addresses) ==")
     workload.reset()
-    monitor = AccessMonitor(workload.space, random.Random(7))
     addresses = []
     for region in workload.space.regions:
         spans = workload.sample_ranges(region)
@@ -75,11 +74,9 @@ def main() -> None:
             base, end = rng.choice(spans)
             addresses.append(base + rng.randrange(end - base))
 
-    def drive():
-        for index in range(120):
-            workload.execute(index % workload.query_count)
-
-    reports = safe_ratio_report(monitor.monitor(drive, addresses=addresses))
+    # One recorded replay of up to 120 queries; each address's access
+    # stream is read off its log.
+    reports = safe_ratio_report(monitor(workload, addresses, queries=120))
     for region, entry in sorted(reports.items()):
         mean = entry.mean_safe_ratio
         print(

@@ -5,7 +5,8 @@ Application Memory Error Vulnerability to Optimize Datacenter Cost via
 Heterogeneous-Reliability Memory" (DSN 2014):
 
 * a simulated byte-addressable memory substrate with soft/hard fault
-  injection, watchpoints, and region semantics (:mod:`repro.memory`);
+  injection, a recorded access trace, and region semantics
+  (:mod:`repro.memory`);
 * a DRAM device/fault model with scrubbing and page retirement
   (:mod:`repro.dram`);
 * real ECC codecs for every Table 1 technique (:mod:`repro.ecc`);

@@ -225,7 +225,7 @@ class SyncEngine:
         """One sweep that replays every run of vertices it can prove clean.
 
         Guarantee (not "the same accesses"): the clock, counters, fault
-        consumption, watchpoint firings, disturbance draws, exceptions and
+        consumption, disturbance draws, exceptions and
         resulting values equal :meth:`_sweep_scalar`'s. Vertices in a
         replayed run (see :meth:`CsrGraph.sweep_runs`) issue no loads at
         all — their clock/counter debt is charged in bulk before the next

@@ -193,11 +193,11 @@ class CsrGraph:
         run is yielded. Every other run must be swept vertex at a time
         through the live accessors by the caller before it asks for the
         next run; the clock is therefore exact at every run boundary,
-        which is all a watchpoint, disturbance or crash inside a live
+        which is all a disturbance or crash inside a live
         vertex can observe.
 
         Runs are cut at the vertices that can read a *suspect* byte — a
-        guarded address (fault, watchpoint, disturbance aggressor) or a
+        guarded address (fault, disturbance aggressor) or a
         stored byte that differs from build time: offset entry i is read
         by vertices i-1 and i, edge e by its owner under the build-time
         offsets. A clean vertex's offsets are pristine, so it reads

@@ -349,7 +349,7 @@ class SearchEngine:
     def _index_pristine(self) -> bool:
         """True while the serialized index is provably untouched.
 
-        Clean span (no fault, watchpoint, or disturbance interaction per
+        Clean span (no fault or disturbance interaction per
         the space's guard logic) plus stored bytes equal to build time.
         The byte comparison is keyed on the region's content version, so
         it reruns only after a mutation somewhere in the region. Checked

@@ -725,11 +725,6 @@ class CharacterizationCampaign:
         parallel runner opens its cell spans at merge time so relayed
         worker events land in canonical order).
         """
-        if workers > 1 and self.backend == "scalar":
-            raise ValueError(
-                "the scalar backend is single-threaded; "
-                "workers > 1 needs backend='pruned'"
-            )
         observer = self.observer
         trials_total = len(cells) * budget
         logger.info(

@@ -12,8 +12,10 @@ the Figure 1 taxonomy:
 * an error is **never accessed** iff its address is not referenced
   during the exposure window.
 
-Both are functions of the access stream alone, so a watchpoint sample
-over one session predicts them without any injection. What monitoring
+Both are functions of the access stream alone: the first-access census
+of one recorded fault-free replay (``AccessTrace.first_access``, the
+memory-vulnerability-factor view of arXiv:1810.06472) predicts them
+without any injection. What monitoring
 *cannot* see is application-logic masking versus harm among consumed
 errors — so the estimator brackets vulnerability: the consumed fraction
 is an upper bound on the visible-failure probability.
@@ -30,10 +32,11 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.apps.base import Workload
 from repro.core.vulnerability import VulnerabilityProfile
-from repro.memory.tracing import AccessEvent
-from repro.monitoring.monitor import AccessMonitor
+from repro.monitoring.monitor import record_monitored
 
 
 @dataclass(frozen=True)
@@ -57,13 +60,6 @@ class MaskingEstimate:
         return self.consumed_fraction
 
 
-def _classify_first_access(events: List[AccessEvent]) -> str:
-    """'never' | 'overwrite' | 'consumed' from an address's event stream."""
-    if not events:
-        return "never"
-    return "overwrite" if events[0].is_store else "consumed"
-
-
 def estimate_masking(
     workload: Workload,
     queries: int = 150,
@@ -73,7 +69,7 @@ def estimate_masking(
 ) -> Dict[str, MaskingEstimate]:
     """Predict per-region masking from one monitored session.
 
-    Resets the workload, watches sampled live addresses while replaying
+    Resets the workload, samples live addresses, records one replay of
     the first ``queries`` trace entries (the same exposure window the
     campaign uses), and classifies each address by its first access.
 
@@ -111,30 +107,24 @@ def estimate_masking(
                 addresses.append(addr)
                 region_of[addr] = name
 
-    monitor = AccessMonitor(space, rng)
-    budget = min(queries, workload.query_count)
-
-    def driver() -> None:
-        for index in range(budget):
-            workload.execute(index)
-
-    result = monitor.monitor(driver, addresses=addresses)
+    trace = record_monitored(workload, queries)
 
     estimates: Dict[str, MaskingEstimate] = {}
     for name in region_names:
         region_addresses = [a for a in addresses if region_of[a] == name]
         if not region_addresses:
             continue
-        counts = {"never": 0, "overwrite": 0, "consumed": 0}
-        for addr in region_addresses:
-            counts[_classify_first_access(result.traces.get(addr, []))] += 1
+        # first_access: 0 never accessed, 1 loaded (consumed), 2 stored.
+        never, consumed, overwrite = np.bincount(
+            trace.first_access[region_addresses], minlength=3
+        ).tolist()
         total = len(region_addresses)
         estimates[name] = MaskingEstimate(
             region=name,
             sampled_addresses=total,
-            never_accessed_fraction=counts["never"] / total,
-            masked_overwrite_fraction=counts["overwrite"] / total,
-            consumed_fraction=counts["consumed"] / total,
+            never_accessed_fraction=never / total,
+            masked_overwrite_fraction=overwrite / total,
+            consumed_fraction=consumed / total,
         )
     return estimates
 

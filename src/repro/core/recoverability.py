@@ -21,6 +21,7 @@ from typing import Dict, List, Tuple
 from repro.apps.base import Workload
 from repro.memory.regions import PAGE_SIZE, Region
 from repro.monitoring.analysis import page_write_intervals
+from repro.monitoring.monitor import page_writes, record_monitored
 from repro.utils.timescale import TimeScale
 
 #: The paper's explicit-recoverability threshold.
@@ -72,24 +73,17 @@ def analyze_recoverability(
 ) -> Dict[str, RegionRecoverability]:
     """Measure implicit/explicit recoverable fractions per region.
 
-    Resets the workload, replays ``queries`` trace entries with
-    page-write tracking enabled, and classifies each live page.
+    Records one replay of ``queries`` trace entries, derives each page's
+    write interval from its stores, and classifies each live page.
     """
     if queries <= 0:
         raise ValueError(f"queries must be positive, got {queries}")
-    workload.reset()
+    trace = record_monitored(workload, queries)
     space = workload.space
-    space.enable_page_write_tracking()
-    try:
-        budget = min(queries, workload.query_count)
-        for index in range(budget):
-            workload.execute(index)
-    finally:
-        space.disable_page_write_tracking()
     scale: TimeScale = workload.time_scale
     intervals = {
         interval.page: interval
-        for interval in page_write_intervals(space.page_write_stats())
+        for interval in page_write_intervals(page_writes(trace))
     }
 
     reports: Dict[str, RegionRecoverability] = {}

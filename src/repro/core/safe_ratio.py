@@ -21,8 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.memory.tracing import AccessEvent
 from repro.utils.stats import SampleSummary, summarize_samples
+
+
+@dataclass(frozen=True)
+class AccessEvent:
+    """One load or store touching a sampled byte, at a logical time."""
+
+    addr: int
+    is_store: bool
+    time: int
 
 
 @dataclass(frozen=True)

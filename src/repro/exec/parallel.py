@@ -374,8 +374,16 @@ class ParallelCampaignRunner:
         accounts for the whole budget, as the serial loop does: executed
         trials as their shards complete, decided ones as their cell is
         merged. No pool is built when the trace decides every trial.
+
+        Raises:
+            ValueError: for a ``scalar`` campaign, which runs serially.
         """
         global _WORKER_CAMPAIGN, _WORKER_TRACE
+        if campaign.backend == "scalar":
+            raise ValueError(
+                "the scalar backend is single-threaded; "
+                "workers > 1 needs backend='pruned'"
+            )
         observer = campaign.observer
         shards, classified = self._plan_pruned_shards(
             campaign, cells, trials_per_cell

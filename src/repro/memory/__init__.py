@@ -37,7 +37,6 @@ from repro.memory.regions import (
     standard_layout,
 )
 from repro.memory.stack import StackFrame, StackManager
-from repro.memory.tracing import AccessEvent, AccessTrace
 
 __all__ = [
     "AddressSpace",
@@ -70,6 +69,4 @@ __all__ = [
     "standard_layout",
     "StackFrame",
     "StackManager",
-    "AccessEvent",
-    "AccessTrace",
 ]

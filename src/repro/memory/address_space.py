@@ -19,19 +19,17 @@ Facilities provided:
 * a logical clock that advances on every access (used for safe-ratio and
   recoverability analyses),
 * soft bit flips and stuck-at hard faults (:mod:`repro.memory.faults`),
-* software watchpoints equivalent to the paper's ``awatch`` usage,
-* per-region access counters and optional per-page write tracking,
+* per-region access counters,
 * snapshot/restore for fast campaign trial resets, with page-granular
   dirty tracking so restores copy only what a trial touched.
 
 Two access paths implement one semantics. The *checked* path
 (`_read_guarded`/`_write_guarded`) is the scalar oracle: it validates,
 advances the clock, updates counters, applies the hard-fault overlay,
-and fires tracked-fault / disturbance / watchpoint hooks per access.
+and fires tracked-fault / disturbance hooks per access.
 The *fast* path handles the overwhelmingly common case — a validated,
-in-region access that overlaps no fault, watchpoint, or disturbance
-aggressor (tracked via a single ``[_guard_lo, _guard_hi]`` interval) —
-with the exact same clock/counter updates but none of the hook
+in-region access that overlaps no fault or disturbance aggressor
+(tracked via a single ``[_guard_lo, _guard_hi]`` interval) — with the exact same clock/counter updates but none of the hook
 dispatch. Any access the fast path cannot prove clean falls through to
 the checked path, so results, exceptions, and side effects are
 bit-identical by construction (enforced by the hypothesis equivalence
@@ -42,7 +40,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -55,9 +53,6 @@ from repro.memory.regions import (
     Region,
     RegionSpec,
 )
-
-#: Signature of a watchpoint callback: (addr, is_store, byte_value, time).
-WatchCallback = Callable[[int, bool, int, int], None]
 
 _STRUCT_F32 = struct.Struct("<f")
 _STRUCT_F64 = struct.Struct("<d")
@@ -74,9 +69,9 @@ assert 1 << _PAGE_SHIFT == PAGE_SIZE, "dirty tracking needs a power-of-two page"
 class MemorySnapshot:
     """Opaque snapshot of an address space's contents and clock.
 
-    Captures raw memory and the logical clock but *not* injected faults,
-    watchpoints, or access statistics — restoring a snapshot models
-    restarting the application with pristine data (step 1 of the paper's
+    Captures raw memory and the logical clock but *not* injected faults
+    or access statistics — restoring a snapshot models restarting the
+    application with pristine data (step 1 of the paper's
     Figure 2 loop), after which fresh faults are injected.
     """
 
@@ -112,22 +107,14 @@ class AddressSpace:
         # Fault machinery.
         self._overlay = HardFaultOverlay()
         self.fault_log = FaultLog()
-        # Watchpoints: addr -> list of callbacks.
-        self._watchpoints: Dict[int, List[WatchCallback]] = {}
         # Disturbance couplings: aggressor addr -> [(victim, bit, prob, rng)].
         self._disturbances: Dict[int, List] = {}
         # Consumption tracking for injected fault addresses (used by the
         # outcome taxonomy): addr -> [reads_before_overwrite, overwritten].
         self._tracked_faults: Dict[int, List[int]] = {}
-        # Optional per-page write tracking for recoverability analysis.
-        self._page_write_tracking = False
-        self._page_write_counts: Dict[int, int] = {}
-        self._page_last_write: Dict[int, int] = {}
-        self._page_first_write: Dict[int, int] = {}
         # Fast path state. `_guard_lo/_guard_hi` bound every address that
-        # needs per-access hook dispatch (faults, watchpoints, disturbance
-        # aggressors); an access that does not overlap the interval is
-        # provably clean. `_overlay_keys`/`_tracked_keys` are the sorted
+        # needs per-access hook dispatch (faults, disturbance aggressors);
+        # an access that does not overlap the interval is provably clean. `_overlay_keys`/`_tracked_keys` are the sorted
         # fault addresses the checked path bisects instead of scanning.
         self._fast = fastpath_enabled()
         self._overlay_keys: List[int] = []
@@ -252,7 +239,7 @@ class AddressSpace:
         """Fast-path admission check: region index, or -1 to fall back.
 
         Accepts exactly the accesses the checked path would complete
-        without touching a fault, watchpoint, or disturbance aggressor;
+        without touching a fault or disturbance aggressor;
         everything else (including invalid accesses, which must raise
         with the oracle's exact exception) returns -1.
         """
@@ -266,7 +253,7 @@ class AddressSpace:
         return index
 
     def read(self, addr: int, n: int) -> bytes:
-        """Load ``n`` bytes from ``addr`` with full fault/watch semantics."""
+        """Load ``n`` bytes from ``addr`` with full fault semantics."""
         if self._fast and n > 0:
             index = self._fast_index(addr, n)
             if index >= 0:
@@ -291,12 +278,10 @@ class AddressSpace:
             self._note_tracked(addr, n, is_store=False)
         if self._disturbances:
             self._fire_disturbances(addr, n)
-        if self._watchpoints:
-            self._fire_watchpoints(addr, data, is_store=False)
         return data
 
     def write(self, addr: int, data: bytes) -> None:
-        """Store ``data`` at ``addr`` with full fault/watch semantics.
+        """Store ``data`` at ``addr`` with full fault semantics.
 
         Raises:
             ProtectionFault: if the target region is frozen.
@@ -305,15 +290,14 @@ class AddressSpace:
         if self._fast and n > 0:
             index = self._fast_index(addr, n)
             if index >= 0 and not self.regions[index].frozen:
-                if not self._page_write_tracking:
-                    self._time += 1
-                    self._store_ops[index] += 1
-                    self._store_bytes[index] += n
-                    self._mem[addr : addr + n] = data
-                    self._mark_dirty(addr, n)
-                    self._region_versions[index] += 1
-                    self._fast_hits += 1
-                    return
+                self._time += 1
+                self._store_ops[index] += 1
+                self._store_bytes[index] += n
+                self._mem[addr : addr + n] = data
+                self._mark_dirty(addr, n)
+                self._region_versions[index] += 1
+                self._fast_hits += 1
+                return
         self._write_guarded(addr, data)
 
     def _write_guarded(self, addr: int, data: bytes) -> None:
@@ -333,10 +317,6 @@ class AddressSpace:
             self._mark_dirty(addr, n)
         if self._tracked_faults:
             self._note_tracked(addr, n, is_store=True)
-        if self._page_write_tracking:
-            self._note_page_writes(addr, n)
-        if self._watchpoints:
-            self._fire_watchpoints(addr, data, is_store=True)
 
     def _apply_overlay(self, addr: int, data: bytes) -> bytes:
         keys = self._overlay_keys
@@ -373,14 +353,6 @@ class AddressSpace:
                 state[0] += 1
             i += 1
 
-    def _note_page_writes(self, addr: int, n: int) -> None:
-        now = self._time
-        for page in range(addr // PAGE_SIZE, (addr + n - 1) // PAGE_SIZE + 1):
-            self._page_write_counts[page] = self._page_write_counts.get(page, 0) + 1
-            self._page_last_write[page] = now
-            if page not in self._page_first_write:
-                self._page_first_write[page] = now
-
     def _fire_disturbances(self, addr: int, n: int) -> None:
         end = addr + n
         for aggressor, couplings in self._disturbances.items():
@@ -406,37 +378,20 @@ class AddressSpace:
                             self._tracked_faults[victim] = [0, 0]
                             self._refresh_guards()
 
-    def _fire_watchpoints(self, addr: int, data: bytes, is_store: bool) -> None:
-        now = self._time
-        watchpoints = self._watchpoints
-        for offset, byte in enumerate(data):
-            callbacks = watchpoints.get(addr + offset)
-            if callbacks:
-                for callback in callbacks:
-                    callback(addr + offset, is_store, byte, now)
-
     def _refresh_guards(self) -> None:
         """Rebuild sorted fault-key lists and the guarded-address interval."""
         self._overlay_keys = sorted(self._overlay.masks)
         self._tracked_keys = sorted(self._tracked_faults)
-        lo: Optional[int] = None
-        hi: Optional[int] = None
+        ends: List[int] = []
         for keys in (self._overlay_keys, self._tracked_keys):
             if keys:
-                lo = keys[0] if lo is None else min(lo, keys[0])
-                hi = keys[-1] if hi is None else max(hi, keys[-1])
-        for addrs in (self._watchpoints, self._disturbances):
-            if addrs:
-                first = min(addrs)
-                last = max(addrs)
-                lo = first if lo is None else min(lo, first)
-                hi = last if hi is None else max(hi, last)
-        if lo is None:
-            self._guard_lo = self._size + 1
-            self._guard_hi = -1
+                ends += (keys[0], keys[-1])
+        if self._disturbances:
+            ends += (min(self._disturbances), max(self._disturbances))
+        if ends:
+            self._guard_lo, self._guard_hi = min(ends), max(ends)
         else:
-            self._guard_lo = lo
-            self._guard_hi = hi
+            self._guard_lo, self._guard_hi = self._size + 1, -1
 
     def _mark_dirty(self, addr: int, n: int) -> None:
         first = addr >> _PAGE_SHIFT
@@ -482,7 +437,7 @@ class AddressSpace:
         """True when reads of ``[addr, addr+n)`` are provably unobserved.
 
         A clean span lies inside one region and intersects no stuck-at
-        overlay, tracked fault, watchpoint, or disturbance aggressor, so a
+        overlay, tracked fault, or disturbance aggressor, so a
         batch of loads from it returns stored bytes verbatim and has no
         side effects beyond clock/counter accounting (which callers settle
         separately via :meth:`charge_reads`). Always False in oracle mode.
@@ -501,7 +456,7 @@ class AddressSpace:
         Settles the exact clock/counter debt of a batch of loads that a
         driver satisfied from a pristine-data cache instead of issuing
         individually. Only valid for spans vetted via :meth:`span_is_clean`
-        (same region, no fault/watchpoint interaction), where deferred
+        (same region, no fault interaction), where deferred
         bulk accounting is observationally identical to per-access updates.
         ``spans`` names the bytes those loads read, as ``(offset,
         length)`` pairs relative to ``addr`` (default: the ``nbytes`` at
@@ -578,37 +533,33 @@ class AddressSpace:
     def guarded_addresses(self) -> Tuple[int, ...]:
         """Sorted addresses that need per-access hook dispatch.
 
-        The union of stuck-at overlay bytes, tracked soft faults,
-        watchpoints, and disturbance aggressors — exactly the bytes
+        The union of stuck-at overlay bytes, tracked soft faults and
+        disturbance aggressors — exactly the bytes
         where an access can observe or cause something other than
         plain stored memory. Fused drivers replay recorded work only
         for spans that avoid every one of these addresses.
         """
         addrs = set(self._overlay.masks)
         addrs.update(self._tracked_faults)
-        addrs.update(self._watchpoints)
         addrs.update(self._disturbances)
         return tuple(sorted(addrs))
 
     def soft_guard_addresses(self) -> Tuple[int, ...]:
-        """Sorted tracked-fault, watchpoint, and disturbance addresses.
+        """Sorted tracked-fault and disturbance-aggressor addresses.
 
         The guarded bytes a fused query must never touch: every injected
         fault is tracked (soft flips corrupt reads, stuck-at overlays
         reassert on reads, and a store to either is consumption
-        bookkeeping), watchpoints have arbitrary callbacks, and
-        disturbance aggressors flip victim bytes when touched.
+        bookkeeping), and disturbance aggressors flip victim bytes when
+        touched.
         """
-        addrs = set(self._tracked_faults)
-        addrs.update(self._watchpoints)
-        addrs.update(self._disturbances)
-        return tuple(sorted(addrs))
+        return tuple(sorted(set(self._tracked_faults).union(self._disturbances)))
 
     def tracked_addresses(self) -> Tuple[int, ...]:
         """Sorted tracked soft-fault addresses — the only bytes whose
         *stored* value legitimately differs from a pristine image (a
-        soft flip XORs storage in place; overlays, watchpoints, and
-        disturbance aggressors never mutate stored bytes)."""
+        soft flip XORs storage in place; overlays and disturbance
+        aggressors never mutate stored bytes)."""
         return tuple(sorted(self._tracked_faults))
 
     def accounting_state(self) -> tuple:
@@ -818,7 +769,7 @@ class AddressSpace:
         Semantically identical to ``count`` consecutive element-sized
         loads in ascending address order — ``count`` clock ticks,
         ``count`` load ops, ``count * itemsize`` load bytes, identical
-        fault/overlay/watchpoint behaviour and exceptions — but a single
+        fault/overlay behaviour and exceptions — but a single
         dispatch and one buffer copy on the fast path. ``count == 0``
         performs no access (an empty loop) and returns an empty array.
         Accepts any NumPy dtype string, including void records such as
@@ -863,7 +814,7 @@ class AddressSpace:
         total = count * width
         if count == 0:
             return
-        if self._fast and not self._page_write_tracking:
+        if self._fast:
             index = self._fast_index(addr, total)
             if index >= 0 and not self.regions[index].frozen:
                 self._time += count
@@ -892,7 +843,7 @@ class AddressSpace:
     # Raw access path (hardware / framework side, bypasses all semantics)
     # ------------------------------------------------------------------
     def peek(self, addr: int, n: int = 1) -> bytes:
-        """Read raw stored bytes without clock, counters, faults, or watchpoints.
+        """Read raw stored bytes without clock, counters, or faults.
 
         This is the debugger's-eye view used by the injector and by
         recovery code: it sees the *stored* value, before any stuck-at
@@ -903,7 +854,7 @@ class AddressSpace:
         return bytes(self._mem[addr : addr + n])
 
     def poke(self, addr: int, data: bytes) -> None:
-        """Write raw bytes, ignoring frozen regions and watchpoints.
+        """Write raw bytes, ignoring frozen regions.
 
         Used by the injector (hardware errors do not respect page
         protection) and by software recovery (restoring a clean copy).
@@ -1123,35 +1074,6 @@ class AddressSpace:
         self.region_named(name).frozen = False
 
     # ------------------------------------------------------------------
-    # Watchpoints
-    # ------------------------------------------------------------------
-    def add_watchpoint(self, addr: int, callback: WatchCallback) -> None:
-        """Invoke ``callback`` on every load/store touching byte ``addr``.
-
-        Equivalent to GDB's ``awatch`` used by the paper's monitoring
-        framework (Algorithm 1(b)).
-        """
-        if self.region_at(addr) is None:
-            raise SegmentationFault(addr, 1, "watchpoint at unmapped address")
-        self._watchpoints.setdefault(addr, []).append(callback)
-        self._refresh_guards()
-
-    def remove_watchpoint(self, addr: int, callback: WatchCallback) -> None:
-        """Remove a previously registered watchpoint callback."""
-        callbacks = self._watchpoints.get(addr)
-        if not callbacks or callback not in callbacks:
-            raise KeyError(f"no such watchpoint at 0x{addr:x}")
-        callbacks.remove(callback)
-        if not callbacks:
-            del self._watchpoints[addr]
-        self._refresh_guards()
-
-    def clear_watchpoints(self) -> None:
-        """Remove all watchpoints."""
-        self._watchpoints.clear()
-        self._refresh_guards()
-
-    # ------------------------------------------------------------------
     # Access statistics
     # ------------------------------------------------------------------
     def access_stats(self) -> Dict[str, Dict[str, int]]:
@@ -1168,34 +1090,12 @@ class AddressSpace:
         return stats
 
     def reset_access_stats(self) -> None:
-        """Zero all per-region counters and page write tracking."""
+        """Zero all per-region counters."""
         n = len(self.regions)
         self._load_bytes = [0] * n
         self._store_bytes = [0] * n
         self._load_ops = [0] * n
         self._store_ops = [0] * n
-        self._page_write_counts.clear()
-        self._page_last_write.clear()
-        self._page_first_write.clear()
-
-    def enable_page_write_tracking(self) -> None:
-        """Start recording per-page write counts and timestamps."""
-        self._page_write_tracking = True
-
-    def disable_page_write_tracking(self) -> None:
-        """Stop recording per-page write statistics (data is retained)."""
-        self._page_write_tracking = False
-
-    def page_write_stats(self) -> Dict[int, Dict[str, int]]:
-        """Return {page_index: {count, first_write, last_write}}."""
-        return {
-            page: {
-                "count": count,
-                "first_write": self._page_first_write[page],
-                "last_write": self._page_last_write[page],
-            }
-            for page, count in self._page_write_counts.items()
-        }
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -1214,7 +1114,7 @@ class AddressSpace:
         return snap
 
     def restore(self, snap: MemorySnapshot) -> None:
-        """Restore a snapshot: clears faults, keeps watchpoints/stats.
+        """Restore a snapshot: clears faults, keeps access stats.
 
         Models an application restart with pristine data (Figure 2 step 1).
         Restoring the current baseline snapshot copies only dirty pages;

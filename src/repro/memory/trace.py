@@ -3,10 +3,11 @@
 A fault matters only to the accesses that reach it (delayed error
 reporting, arXiv:1810.06472). Trial pruning (:mod:`repro.exec.pruning`),
 the campaign's executed trials (:meth:`~repro.apps.clients.ClientDriver.
-run_fused`) and the serve plane (:mod:`repro.serve.dataplane`) all read
-one :class:`AccessTrace` of one fault-free replay. (Not
-:class:`repro.memory.tracing.AccessTrace`, the watchpoint log of single
-bytes.) DESIGN.md, "Access trace", has the long form.
+run_fused`), the serve plane (:mod:`repro.serve.dataplane`) and the
+monitoring analyses (:mod:`repro.monitoring.monitor`: safe ratios, the
+masking estimate, page-write intervals) all read one
+:class:`AccessTrace` of one fault-free replay. DESIGN.md, "Access
+trace", has the long form.
 
 **Event log.** :func:`record_access_trace` shadows the space's two
 admission chokepoints (``_fast_index`` / ``_region_index_for``: every

@@ -14,7 +14,13 @@ from repro.monitoring.analysis import (
     page_write_intervals,
     safe_ratio_report,
 )
-from repro.monitoring.monitor import AccessMonitor, MonitoringResult
+from repro.monitoring.monitor import (
+    MonitoringResult,
+    event_times,
+    monitor,
+    page_writes,
+    record_monitored,
+)
 
 __all__ = [
     "PageWriteInterval",
@@ -22,8 +28,11 @@ __all__ = [
     "TimeScale",
     "page_write_intervals",
     "safe_ratio_report",
-    "AccessMonitor",
     "MonitoringResult",
+    "event_times",
+    "monitor",
+    "page_writes",
+    "record_monitored",
     "CampaignMetrics",
     "ProgressEvent",
     "WorkerTiming",

@@ -1,9 +1,9 @@
 """Analyses over monitoring results: safe ratios and write intervals.
 
-Bridges the raw event streams produced by
-:class:`~repro.monitoring.monitor.AccessMonitor` to the paper's derived
-quantities: per-region safe-ratio distributions (Figure 5b) and
-page-level write-interval statistics feeding the explicit-recoverability
+Bridges the per-byte event streams and per-page store statistics of
+:mod:`repro.monitoring.monitor` to the paper's derived quantities:
+per-region safe-ratio distributions (Figure 5b) and page-level
+write-interval statistics feeding the explicit-recoverability
 classification (Table 5).
 """
 

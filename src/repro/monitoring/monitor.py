@@ -1,29 +1,42 @@
-"""Access monitoring over sampled addresses (paper Algorithm 1b).
+"""Access monitoring as views of one recorded replay (paper Algorithm 1b).
 
-:class:`AccessMonitor` is the software-watchpoint counterpart of the
-paper's debugger framework: it samples addresses (proportionally to
-region sizes), installs watchpoints, runs a caller-provided workload
-driver, and returns the per-address event streams for safe-ratio and
-recoverability analysis.
+The paper attaches a debugger watchpoint to each sampled address and
+logs ``(load-or-store, time)`` on every access. The production recorder,
+:func:`repro.memory.trace.record_access_trace`, already logs every
+access of a fault-free replay as an ordered byte span.
+:func:`record_monitored` records it on the space's checked path, where
+every logged access is exactly one clock tick, so event ``k`` happened
+at logical time ``start + 1 + k`` (:func:`event_times`). The analyses
+read that one log:
+
+* :func:`monitor` — per sampled byte, the ``(time, is_store)`` stream of
+  the events whose span covers it (safe ratios, Figure 5b);
+* :func:`page_writes` — per page, the count and the first and last time
+  of the stores that touch it (explicit recoverability, Table 5);
+* ``trace.first_access`` — never accessed, loaded first or stored first
+  (:func:`repro.core.lightweight.estimate_masking`).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from repro.injection.sampler import AddressSampler
-from repro.memory.address_space import AddressSpace
-from repro.memory.regions import Region
-from repro.memory.tracing import AccessEvent, AccessTrace
+import numpy as np
+
+from repro.apps.base import Workload
+from repro.core.safe_ratio import AccessEvent
+from repro.memory.regions import PAGE_SIZE
+from repro.memory.trace import AccessTrace, record_access_trace
 from repro.obs.events import SPAN_MONITOR
 from repro.obs.trace import NULL_OBSERVER, Observer
+
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 
 
 @dataclass
 class MonitoringResult:
-    """Traces gathered by one monitoring session."""
+    """Event streams of the sampled bytes over one monitored replay."""
 
     start_time: int
     end_time: int
@@ -51,94 +64,99 @@ class MonitoringResult:
         }
 
 
-class AccessMonitor:
-    """Samples addresses, watches them, and records their access events."""
+def record_monitored(workload: Workload, queries: int) -> AccessTrace:
+    """Record the first ``queries`` trace entries (at most the workload's
+    query count) on the checked path (see above).
 
-    def __init__(
-        self,
-        space: AddressSpace,
-        rng: random.Random,
-        observer: Observer = NULL_OBSERVER,
-    ) -> None:
-        self._space = space
-        self._rng = rng
-        self._observer = observer
-        self._sampler = AddressSampler(space, rng)
+    The space returns to its own access path afterwards.
 
-    def monitor(
-        self,
-        driver: Callable[[], None],
-        sample_count: int = 256,
-        addresses: Optional[Sequence[int]] = None,
-        regions: Optional[Sequence[Region]] = None,
-    ) -> MonitoringResult:
-        """Run ``driver()`` while watching sampled addresses.
+    Raises:
+        RuntimeError: if the replay moved the clock other than one tick
+            per logged access, which :func:`event_times` relies on.
+    """
+    space = workload.space
+    fast = space.fast_path_enabled
+    space.set_fast_path(False)
+    try:
+        trace = record_access_trace(workload, min(queries, workload.query_count))
+    finally:
+        space.set_fast_path(fast)
+    if int(trace.clock[-1]) != trace.event_lo.size:
+        raise RuntimeError(
+            f"{trace.event_lo.size} accesses logged over {int(trace.clock[-1])} "
+            "clock ticks; the monitored replay must tick once per access"
+        )
+    return trace
 
-        Args:
-            driver: Callable that exercises the application (e.g. replays
-                a client workload).
-            sample_count: Number of addresses to sample when explicit
-                ``addresses`` are not given.
-            addresses: Exact addresses to watch (overrides sampling).
-            regions: Restrict sampling to these regions (split
-                proportionally to size).
 
-        Returns:
-            The per-address event streams and session time bounds.
-        """
-        if addresses is None:
-            if regions:
-                addresses = []
-                total = sum(region.size for region in regions)
-                for region in regions:
-                    share = max(1, round(sample_count * region.size / total))
-                    addresses.extend(self._sampler.sample_many(share, region))
-            else:
-                addresses = self._sampler.sample_many(sample_count)
-        with self._observer.span(
-            SPAN_MONITOR, attrs={"mode": "watchpoints"}
-        ) as span:
-            trace = AccessTrace()
-            watched: List[int] = []
-            for addr in addresses:
-                if addr not in watched:
-                    trace.attach(self._space, addr)
-                    watched.append(addr)
-            start_time = self._space.time
-            try:
-                driver()
-            finally:
-                trace.detach_all()
-            end_time = self._space.time
-            result = MonitoringResult(start_time=start_time, end_time=end_time)
-            grouped = trace.by_address()
-            events = 0
-            for addr in watched:
-                result.traces[addr] = grouped.get(addr, [])
-                events += len(result.traces[addr])
-                region = self._space.region_at(addr)
-                result.region_of_addr[addr] = region.name if region else "?"
-            span.set(
-                watched=len(watched),
-                events=events,
-                duration_units=result.duration,
-            )
-        return result
+def event_times(trace: AccessTrace) -> np.ndarray:
+    """Logical time of every event of a :func:`record_monitored` trace."""
+    return np.arange(trace.end_time - trace.event_lo.size + 1, trace.end_time + 1)
 
-    def monitor_page_writes(self, driver: Callable[[], None]) -> Dict[int, Dict[str, int]]:
-        """Run ``driver()`` with page-granularity write tracking enabled.
 
-        Returns the per-page write statistics used by the explicit-
-        recoverability analysis (write interval >= 5 minutes on average).
-        """
-        with self._observer.span(
-            SPAN_MONITOR, attrs={"mode": "page_writes"}
-        ) as span:
-            self._space.enable_page_write_tracking()
-            try:
-                driver()
-            finally:
-                self._space.disable_page_write_tracking()
-            stats = self._space.page_write_stats()
-            span.set(pages=len(stats))
-        return stats
+def _expand(starts: np.ndarray, stops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every value of the ranges ``[starts[i], stops[i])``, in range order,
+    with the index ``i`` of the range it came from."""
+    counts = stops - starts
+    owner = np.repeat(np.arange(starts.size), counts)
+    return owner, np.arange(owner.size) + (starts - np.cumsum(counts) + counts)[owner]
+
+
+def monitor(
+    workload: Workload,
+    addresses: Sequence[int],
+    queries: int,
+    observer: Observer = NULL_OBSERVER,
+) -> MonitoringResult:
+    """Event streams of ``addresses`` over one :func:`record_monitored`
+    replay of ``queries`` trace entries."""
+    with observer.span(SPAN_MONITOR) as span:
+        trace = record_monitored(workload, queries)
+        watched = np.unique(np.asarray(addresses, dtype=np.int64))
+        event, key = _expand(
+            np.searchsorted(watched, trace.event_lo),
+            np.searchsorted(watched, trace.event_hi),
+        )
+        order = np.argsort(key, kind="stable")
+        event, key = event[order], key[order]
+        times = event_times(trace)[event].tolist()
+        stores = trace.event_write[event].tolist()
+        bounds = np.searchsorted(key, np.arange(watched.size + 1)).tolist()
+        result = MonitoringResult(
+            start_time=trace.end_time - trace.event_lo.size, end_time=trace.end_time
+        )
+        for addr in dict.fromkeys(addresses):
+            at = int(np.searchsorted(watched, addr))
+            result.traces[addr] = [
+                AccessEvent(addr, stores[k], times[k])
+                for k in range(bounds[at], bounds[at + 1])
+            ]
+            region = workload.space.region_at(addr)
+            result.region_of_addr[addr] = region.name if region else "?"
+        span.set(
+            watched=int(watched.size), events=int(event.size), duration_units=result.duration
+        )
+    return result
+
+
+def page_writes(trace: AccessTrace) -> Dict[int, Dict[str, int]]:
+    """``{page: {count, first_write, last_write}}`` over the stores of a
+    :func:`record_monitored` trace; a store spanning pages counts on each."""
+    stores = trace.event_write
+    event, pages = _expand(
+        trace.event_lo[stores] >> _PAGE_SHIFT,
+        ((trace.event_hi[stores] - 1) >> _PAGE_SHIFT) + 1,
+    )
+    # Stable by page: each page's stores stay in time order.
+    order = np.argsort(pages, kind="stable")
+    pages, times = pages[order], event_times(trace)[stores][event][order]
+    unique, first, count = np.unique(pages, return_index=True, return_counts=True)
+    return {
+        page: {"count": n, "first_write": first_write, "last_write": last_write}
+        for page, n, first_write, last_write in zip(
+            unique.tolist(),
+            count.tolist(),
+            times[first].tolist(),
+            times[first + count - 1].tolist(),
+        )
+    }

@@ -33,7 +33,7 @@ SPAN_TRIAL = "trial"
 SPAN_INJECTION = "injection"
 SPAN_CONSUME = "consume"
 SPAN_VERIFY = "verify"
-#: Span name for one :class:`~repro.monitoring.AccessMonitor` session.
+#: Span name for one :func:`~repro.monitoring.monitor` session.
 SPAN_MONITOR = "monitor"
 #: Span wrapping one design-space exploration (``repro.explore``), and
 #: its phases (``matrix`` build, ``search``, ``simulate``).

@@ -13,7 +13,7 @@ from repro.apps.websearch import WebSearch
 from repro.core.campaign import CampaignConfig, CharacterizationCampaign
 from repro.core.taxonomy import ErrorOutcome
 from repro.injection import MULTI_BIT_HARD, SINGLE_BIT_HARD, SINGLE_BIT_SOFT
-from repro.monitoring import AccessMonitor, safe_ratio_report
+from repro.monitoring import monitor, safe_ratio_report
 
 CONFIG = CampaignConfig(trials_per_cell=20, queries_per_trial=60, seed=43)
 
@@ -70,21 +70,13 @@ class TestFinding4SafeRegions:
         campaign, _profile = websearch_profile
         workload = campaign.workload
         workload.reset()
-        import random
-
-        monitor = AccessMonitor(workload.space, random.Random(3))
         stack_region = workload.space.region_named("stack")
         stack_window = workload.sample_ranges(stack_region)[0]
         addresses = list(range(stack_window[0], stack_window[1], 16))
         private = workload.space.region_named("private")
         addresses += [private.base + 64 + i * 512 for i in range(16)]
 
-        def driver():
-            for index in range(60):
-                workload.execute(index % workload.query_count)
-
-        result = monitor.monitor(driver, addresses=addresses)
-        reports = safe_ratio_report(result)
+        reports = safe_ratio_report(monitor(workload, addresses, queries=60))
         stack_ratio = reports["stack"].mean_safe_ratio
         private_ratio = reports["private"].mean_safe_ratio
         assert stack_ratio is not None and private_ratio is not None

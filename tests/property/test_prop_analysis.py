@@ -10,10 +10,9 @@ from repro.core.availability import (
 )
 from repro.core.cost_model import CostModel
 from repro.core.design_space import HardwareTechnique, RegionPolicy
-from repro.core.safe_ratio import durations_from_events
+from repro.core.safe_ratio import AccessEvent, durations_from_events
 from repro.dram import DramGeometry
 from repro.ecc.galois import GF128, GF256
-from repro.memory.tracing import AccessEvent
 from repro.utils.stats import wilson_interval
 
 
@@ -34,7 +33,7 @@ def event_stream(draw):
         st.lists(st.booleans(), min_size=count, max_size=count)
     )
     return [
-        AccessEvent(addr=7, is_store=is_store, value=0, time=time)
+        AccessEvent(addr=7, is_store=is_store, time=time)
         for time, is_store in zip(times, kinds)
     ]
 
@@ -54,7 +53,7 @@ class TestSafeRatioProperties:
     @given(events=event_stream())
     def test_all_stores_gives_ratio_one(self, events):
         stores = [
-            AccessEvent(addr=7, is_store=True, value=0, time=event.time)
+            AccessEvent(addr=7, is_store=True, time=event.time)
             for event in events
         ]
         sample = durations_from_events(stores, 0)

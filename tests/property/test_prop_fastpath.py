@@ -6,10 +6,10 @@ path. This module enforces that claim mechanically: a stateful machine
 drives two address spaces — one pinned to the fast path, one pinned to
 the oracle — through the same randomized operation sequence (reads,
 writes, typed and bulk accessors, fault injection, disturbance
-couplings, watchpoints, freezes, snapshot/restore) and asserts after
-every step that return values, raised exceptions, stored bytes, the
-logical clock, per-region access counters, the fault log, watchpoint
-firings, and fault-consumption tracking all match exactly.
+couplings, freezes, snapshot/restore) and asserts after every step that
+return values, raised exceptions, stored bytes, the logical clock,
+per-region access counters, the fault log, and fault-consumption
+tracking all match exactly.
 """
 
 import random
@@ -70,8 +70,6 @@ class FastOracleMachine(RuleBasedStateMachine):
         self.heap = self.fast.region_named("heap")
         self.snaps = []  # [(fast_snap, oracle_snap)]
         self.injected = set()  # addrs with live tracked faults
-        self.fast_events = []
-        self.oracle_events = []
 
     # -- helpers -------------------------------------------------------
     def both(self, op):
@@ -186,21 +184,7 @@ class FastOracleMachine(RuleBasedStateMachine):
         self.both(lambda space: space.clear_faults())
         self.injected.clear()
 
-    # -- watchpoints and protection ------------------------------------
-    @rule(offset=st.integers(min_value=0, max_value=32767))
-    def add_watchpoint(self, offset):
-        addr = self.heap_addr(offset)
-        self.fast.add_watchpoint(
-            addr, lambda *event: self.fast_events.append(event)
-        )
-        self.oracle.add_watchpoint(
-            addr, lambda *event: self.oracle_events.append(event)
-        )
-
-    @rule()
-    def clear_watchpoints(self):
-        self.both(lambda space: space.clear_watchpoints())
-
+    # -- protection ------------------------------------------------------
     @rule(frozen=st.booleans())
     def set_heap_frozen(self, frozen):
         method = "freeze_region" if frozen else "thaw_region"
@@ -253,10 +237,6 @@ class FastOracleMachine(RuleBasedStateMachine):
             assert self.fast.fault_consumption(
                 addr
             ) == self.oracle.fault_consumption(addr)
-
-    @invariant()
-    def same_watch_events(self):
-        assert self.fast_events == self.oracle_events
 
     @invariant()
     def accesses_partitioned(self):

@@ -6,11 +6,10 @@ resident fault live (``CsrGraph.sweep_runs``). This module pins that to
 the oracle: twin graph-mining workloads — one on the fast path, one built
 under ``oracle_mode()`` — get the same fault at every *class* of CSR
 location, and after every job their responses (or exceptions), logical
-clock, access counters, fault log, fault consumption, watchpoint firings
-and stored bytes must be equal. Watchpoint timestamps and disturbance
-``injected_at`` stamps are what pin the clock *at* a dirty vertex: charging
-a replayed run after, instead of before, the live vertex that follows it
-fails here.
+clock, access counters, fault log, fault consumption and stored bytes
+must be equal. Disturbance ``injected_at`` stamps are what pin the clock
+*at* a dirty vertex: charging a replayed run after, instead of before,
+the live vertex that follows it fails here.
 """
 
 import random
@@ -56,17 +55,15 @@ def _observe(workload, job):
 
 
 def run_twins(twins, inject):
-    """Reset both twins, apply ``inject(workload, events)``, compare per job.
+    """Reset both twins, apply ``inject(workload)``, compare per job.
 
     Returns the fast twin's sweep-disposition delta so callers can assert
     the scenario actually exercised the path it is named after.
     """
-    events = ([], [])
-    for workload, log in zip(twins, events):
-        workload.reset()  # restore keeps watchpoints and counters
-        workload.space.clear_watchpoints()
+    for workload in twins:
+        workload.reset()  # restore keeps counters
         workload.space.reset_access_stats()
-        inject(workload, log)
+        inject(workload)
     fast, oracle = twins
     before = fast.engine.sweep_stats()
     for job in range(JOBS):
@@ -82,7 +79,6 @@ def run_twins(twins, inject):
             assert fast.space.fault_consumption(
                 addr
             ) == oracle.space.fault_consumption(addr)
-        assert events[0] == events[1]
         size = fast.space.size
         assert fast.space.peek(0, size) == oracle.space.peek(0, size)
     after = fast.engine.sweep_stats()
@@ -130,44 +126,37 @@ def entry_between_busy_vertices(workload):
 
 
 def soft(addr_of, bit=0):
-    return lambda workload, _log: workload.space.inject_soft_flip(
+    return lambda workload: workload.space.inject_soft_flip(
         addr_of(workload), bit
     )
 
 
 def hard(addr_of, bit=0, stuck=None):
-    return lambda workload, _log: workload.space.inject_hard_fault(
+    return lambda workload: workload.space.inject_hard_fault(
         addr_of(workload), bit, stuck_value=stuck
     )
 
 
-def silent_stuck_at(workload, _log):
+def silent_stuck_at(workload):
     addr = edge(workload, workload.csr.edge_count // 2)
     workload.space.inject_hard_fault(
         addr, 3, stuck_value=stored_bit(workload, addr, 3)
     )
 
 
-def two_bits_one_word(workload, _log):
+def two_bits_one_word(workload):
     base = edge(workload, workload.csr.edge_count // 3)
     workload.space.inject_hard_fault(base, 1)
     workload.space.inject_hard_fault(base + 1, 2)
 
 
-def two_distant_soft_flips(workload, _log):
+def two_distant_soft_flips(workload):
     workload.space.inject_soft_flip(edge(workload, 3), 0)
     workload.space.inject_soft_flip(edge(workload, workload.csr.edge_count - 4), 1)
 
 
-def watchpoint_in_edges(workload, log):
-    workload.space.add_watchpoint(
-        edge(workload, workload.csr.edge_count // 2) + 1,
-        lambda *event: log.append(event),
-    )
-
-
 def disturbance_in_edges(probability, victim_of):
-    def inject(workload, _log):
+    def inject(workload):
         workload.space.install_disturbance(
             edge(workload, workload.csr.edge_count // 4),
             victim_of(workload),
@@ -220,7 +209,6 @@ SCENARIOS = {
         soft(lambda w: offset_entry(w, entry_between_busy_vertices(w)), 0),
         True,
     ),
-    "watchpoint_in_edges": (watchpoint_in_edges, True),
     "disturbance_victim_in_later_run": (
         disturbance_in_edges(1.0, lambda w: edge(w, 3 * w.csr.edge_count // 4)),
         True,
@@ -238,7 +226,7 @@ SCENARIOS = {
 
 class TestPartialFusionMatchesOracle:
     def test_fault_free_sweeps_fuse_whole(self, twins):
-        stats = run_twins(twins, lambda workload, log: None)
+        stats = run_twins(twins, lambda workload: None)
         assert stats["sweeps_fused"] > 0
         assert stats["sweeps_partial"] == stats["sweeps_per_vertex"] == 0
         assert stats["sweep_live_vertices"] == 0
@@ -262,7 +250,7 @@ class TestPartialFusionMatchesOracle:
         """Bytes that differ from build time with no guard left (a repair
         cleared the fault but not the data) are found by the byte compare."""
 
-        def inject(workload, _log):
+        def inject(workload):
             addr = edge(workload, 5)
             workload.space.inject_soft_flip(addr, 2)
             workload.space.clear_faults_in_range(addr, 1)
@@ -274,7 +262,7 @@ class TestPartialFusionMatchesOracle:
     @given(
         faults=st.lists(
             st.tuples(
-                st.sampled_from(["soft", "hard", "stuck0", "stuck1", "watch", "disturb"]),
+                st.sampled_from(["soft", "hard", "stuck0", "stuck1", "disturb"]),
                 st.sampled_from(["offsets", "edges"]),
                 st.integers(min_value=0, max_value=10_000),
                 st.integers(min_value=0, max_value=7),
@@ -285,7 +273,7 @@ class TestPartialFusionMatchesOracle:
     )
     @settings(max_examples=60, deadline=None)
     def test_random_csr_faults(self, twins, faults):
-        def inject(workload, log):
+        def inject(workload):
             csr = workload.csr
             spans = {
                 "offsets": (csr.offsets_addr, 4 * (csr.vertex_count + 1)),
@@ -301,10 +289,6 @@ class TestPartialFusionMatchesOracle:
                 elif kind in ("stuck0", "stuck1"):
                     workload.space.inject_hard_fault(
                         addr, bit, stuck_value=int(kind[-1])
-                    )
-                elif kind == "watch":
-                    workload.space.add_watchpoint(
-                        addr, lambda *event: log.append(event)
                     )
                 else:
                     victim = csr.edges_addr + (position * 7) % (4 * csr.edge_count)

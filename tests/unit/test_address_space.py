@@ -160,37 +160,6 @@ class TestFaultInjection:
         assert len(space.fault_log) == 0
 
 
-class TestWatchpoints:
-    def test_fires_on_load_and_store(self, space, heap_base):
-        events = []
-        space.add_watchpoint(
-            heap_base, lambda a, s, v, t: events.append((a, s, v))
-        )
-        space.write_u8(heap_base, 9)
-        space.read_u8(heap_base)
-        assert events == [(heap_base, True, 9), (heap_base, False, 9)]
-
-    def test_fires_inside_block_access(self, space, heap_base):
-        events = []
-        space.add_watchpoint(heap_base + 3, lambda a, s, v, t: events.append(v))
-        space.write(heap_base, bytes([0, 1, 2, 3, 4]))
-        assert events == [3]
-
-    def test_remove_watchpoint(self, space, heap_base):
-        callback = lambda a, s, v, t: (_ for _ in ()).throw(AssertionError)
-        space.add_watchpoint(heap_base, callback)
-        space.remove_watchpoint(heap_base, callback)
-        space.write_u8(heap_base, 1)  # must not fire
-
-    def test_remove_unknown_raises(self, space, heap_base):
-        with pytest.raises(KeyError):
-            space.remove_watchpoint(heap_base, lambda *a: None)
-
-    def test_watchpoint_unmapped_rejected(self, space):
-        with pytest.raises(SegmentationFault):
-            space.add_watchpoint(0, lambda *a: None)
-
-
 class TestStatsAndSnapshots:
     def test_access_stats_count_per_region(self, space, heap_base):
         space.reset_access_stats()
@@ -200,16 +169,6 @@ class TestStatsAndSnapshots:
         assert stats["store_ops"] == 1
         assert stats["load_ops"] == 1
         assert stats["load_bytes"] == 4
-
-    def test_page_write_tracking(self, space, heap_base):
-        space.enable_page_write_tracking()
-        space.write_u8(heap_base, 1)
-        space.write_u8(heap_base, 2)
-        space.disable_page_write_tracking()
-        stats = space.page_write_stats()
-        page = heap_base // 4096
-        assert stats[page]["count"] == 2
-        assert stats[page]["last_write"] >= stats[page]["first_write"]
 
     def test_snapshot_restore_roundtrip(self, space, heap_base):
         space.write_u8(heap_base, 55)

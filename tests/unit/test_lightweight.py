@@ -6,28 +6,44 @@ import pytest
 
 from repro.core.lightweight import (
     MaskingEstimate,
-    _classify_first_access,
     estimate_masking,
     validate_against_profile,
 )
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
-from repro.memory.tracing import AccessEvent
+from tests.unit.test_monitoring import scripted
+
+HEAP = 8192
 
 
-def ev(kind, time):
-    return AccessEvent(addr=1, is_store=(kind == "w"), value=0, time=time)
+def heap_estimate(*accesses):
+    """Masking estimate of the heap under one query of ``accesses``."""
+    workload = scripted(list(accesses))
+    estimates = estimate_masking(
+        workload, queries=1, samples_per_region=16, rng=random.Random(1),
+        regions=["heap"],
+    )
+    return estimates["heap"]
 
 
 class TestFirstAccessClassification:
     def test_never(self):
-        assert _classify_first_access([]) == "never"
+        estimate = heap_estimate()
+        assert estimate.never_accessed_fraction == 1.0
 
     def test_overwrite(self):
-        assert _classify_first_access([ev("w", 1), ev("r", 2)]) == "overwrite"
+        estimate = heap_estimate(
+            lambda space, heap: space.write(heap, bytes(HEAP)),
+            lambda space, heap: space.read(heap, HEAP),
+        )
+        assert estimate.masked_overwrite_fraction == 1.0
 
     def test_consumed(self):
-        assert _classify_first_access([ev("r", 1), ev("w", 2)]) == "consumed"
+        estimate = heap_estimate(
+            lambda space, heap: space.read(heap, HEAP),
+            lambda space, heap: space.write(heap, bytes(HEAP)),
+        )
+        assert estimate.consumed_fraction == 1.0
 
 
 class TestMaskingEstimate:

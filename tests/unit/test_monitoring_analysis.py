@@ -5,22 +5,22 @@ traces, pages written at most once, and addresses that are only ever
 stored to (safe ratio exactly 1).
 """
 
+from repro.core.safe_ratio import AccessEvent
 from repro.monitoring.analysis import (
     PageWriteInterval,
     page_write_intervals,
     safe_ratio_report,
 )
-from repro.memory.tracing import AccessEvent
 from repro.monitoring.monitor import MonitoringResult
 from repro.utils.timescale import TimeScale
 
 
 def _store(addr, time):
-    return AccessEvent(addr=addr, is_store=True, value=1, time=time)
+    return AccessEvent(addr=addr, is_store=True, time=time)
 
 
 def _load(addr, time):
-    return AccessEvent(addr=addr, is_store=False, value=1, time=time)
+    return AccessEvent(addr=addr, is_store=False, time=time)
 
 
 class TestSafeRatioReport:

@@ -300,6 +300,15 @@ class TestWorkerFailures:
         with pytest.raises(OSError, match="simulated workload build failure"):
             runner.run(campaign, [EXECUTING_CELL], 2, {"private": 1})
 
+    def test_scalar_campaign_rejected(self):
+        campaign = CharacterizationCampaign(
+            make_tiny_websearch(), config=CONFIG, backend="scalar"
+        )
+        campaign.prepare()
+        runner = ParallelCampaignRunner(workers=2)
+        with pytest.raises(ValueError, match="single-threaded"):
+            runner.run(campaign, [EXECUTING_CELL], 2, {"private": 1})
+
     def test_invalid_worker_counts_rejected(self):
         campaign = _fresh_campaign()
         with pytest.raises(ValueError):

@@ -3,17 +3,17 @@
 import pytest
 
 from repro.core.safe_ratio import (
+    AccessEvent,
     SafeRatioSample,
     durations_from_events,
     ratio_histogram,
     region_safe_ratio,
     safe_ratio_samples,
 )
-from repro.memory.tracing import AccessEvent
 
 
 def ev(addr, kind, time):
-    return AccessEvent(addr=addr, is_store=(kind == "w"), value=0, time=time)
+    return AccessEvent(addr=addr, is_store=(kind == "w"), time=time)
 
 
 class TestDurations:

@@ -55,8 +55,16 @@ def word_addr(tenant, index):
     return heap_word(tenant.space, index)
 
 
-def raise_segfault(addr, is_store, byte, now):
-    raise SegmentationFault(addr, 1, "watchpoint trap")
+def fail_at(tenant, index):
+    """Make query ``index`` die with a segmentation fault when executed."""
+    execute = tenant.workload.execute
+
+    def failing(query_index):
+        if query_index == index:
+            raise SegmentationFault(word_addr(tenant, index), 1, "test trap")
+        return execute(query_index)
+
+    tenant.workload.execute = failing
 
 
 class CounterWorkload(MiniWorkload):
@@ -101,7 +109,9 @@ class TestRunCutting:
         for plane_type in (ScalarDataPlane, BatchedDataPlane):
             tenant = build_tenant()
             plane = plane_type([tenant])
-            tenant.space.add_watchpoint(word_addr(tenant, 3), raise_segfault)
+            # The fault blocks query 3 from fusion; executed, it dies.
+            tenant.apply_fault(word_addr(tenant, 3), 0, FaultKind.SOFT)
+            fail_at(tenant, 3)
             calls = count_executes(tenant)
             counts = plane.serve_requests(tenant, 8)
             twins[plane.name] = (tenant, plane, calls, counts)

@@ -1,14 +1,16 @@
-"""Unit tests for repro.memory.tracing and repro.memory.faults."""
+"""Unit tests for recorded access streams and repro.memory.faults."""
 
 import pytest
 
-from repro.memory import AccessTrace
+from repro.core.safe_ratio import AccessEvent
 from repro.memory.faults import (
     FaultKind,
     FaultLog,
     HardFaultOverlay,
     InjectedFault,
 )
+from repro.monitoring import monitor, record_monitored
+from tests.unit.test_monitoring import scripted
 
 
 class TestHardFaultOverlay:
@@ -71,45 +73,49 @@ class TestInjectedFault:
 
 
 class TestAccessTrace:
-    def test_attach_records_events(self, space):
-        heap = space.region_named("heap")
-        trace = AccessTrace()
-        trace.attach(space, heap.base)
-        space.write_u8(heap.base, 3)
-        space.read_u8(heap.base)
-        assert [event.kind for event in trace] == ["store", "load"]
-        assert all(event.addr == heap.base for event in trace)
+    """Per-byte streams read off one recorded replay (repro.monitoring)."""
 
-    def test_detach_stops_recording(self, space):
-        heap = space.region_named("heap")
-        trace = AccessTrace()
-        trace.attach(space, heap.base)
-        trace.detach_all()
-        space.write_u8(heap.base, 3)
-        assert len(trace) == 0
+    def test_attach_records_events(self):
+        workload = scripted(
+            [
+                lambda space, heap: space.write_u8(heap, 3),
+                lambda space, heap: space.read_u8(heap),
+            ]
+        )
+        heap = workload.space.region_named("heap").base
+        events = monitor(workload, [heap], queries=1).traces[heap]
+        assert [event.is_store for event in events] == [True, False]
+        assert all(event.addr == heap for event in events)
 
-    def test_by_address_grouping(self, space):
-        heap = space.region_named("heap")
-        trace = AccessTrace()
-        trace.attach(space, heap.base)
-        trace.attach(space, heap.base + 1)
-        space.write(heap.base, b"ab")  # touches both watched bytes
-        grouped = trace.by_address()
-        assert set(grouped) == {heap.base, heap.base + 1}
+    def test_detach_stops_recording(self):
+        # The recorder shadows the space only for the replay.
+        workload = scripted([lambda space, heap: space.write_u8(heap, 3)])
+        space = workload.space
+        record_monitored(workload, 1)
+        assert not {"_region_index_for", "write", "write_array"} & set(vars(space))
 
-    def test_events_for_filters(self, space):
-        heap = space.region_named("heap")
-        trace = AccessTrace()
-        trace.attach(space, heap.base)
-        space.write_u8(heap.base, 1)
-        assert len(trace.events_for(heap.base)) == 1
-        assert trace.events_for(heap.base + 1) == []
+    def test_by_address_grouping(self):
+        # One two-byte store is one event on each byte it spans.
+        workload = scripted([lambda space, heap: space.write(heap, b"ab")])
+        heap = workload.space.region_named("heap").base
+        traces = monitor(workload, [heap, heap + 1], queries=1).traces
+        assert set(traces) == {heap, heap + 1}
+        assert traces[heap] == [
+            AccessEvent(heap, True, event.time) for event in traces[heap + 1]
+        ]
 
-    def test_event_times_monotonic(self, space):
-        heap = space.region_named("heap")
-        trace = AccessTrace()
-        trace.attach(space, heap.base)
-        for value in range(5):
-            space.write_u8(heap.base, value)
-        times = [event.time for event in trace]
-        assert times == sorted(times)
+    def test_events_for_filters(self):
+        workload = scripted([lambda space, heap: space.write_u8(heap, 1)])
+        heap = workload.space.region_named("heap").base
+        traces = monitor(workload, [heap, heap + 1], queries=1).traces
+        assert len(traces[heap]) == 1
+        assert traces[heap + 1] == []
+
+    def test_event_times_monotonic(self):
+        workload = scripted(
+            [lambda space, heap: [space.write_u8(heap, v) for v in range(5)]]
+        )
+        heap = workload.space.region_named("heap").base
+        result = monitor(workload, [heap], queries=1)
+        times = [event.time for event in result.traces[heap]]
+        assert times == list(range(result.start_time + 1, result.end_time + 1))
