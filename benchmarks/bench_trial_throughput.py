@@ -35,12 +35,17 @@ cheaper, so it is reported beside the absolute trials/s, not alone.
 
 Every row also records ``planning_us_per_trial``: the wall of
 ``plan_cell_trials`` over every cell of the row divided by the trials
-planned, at a fixed 512 trials per cell (``--smoke`` included) so the
-per-shard work — reset, live spans, span table — is amortized as a real
-campaign amortizes it. Planning is what a decided trial costs, and it
-must not depend on how many live spans a cell has: kvstore's heap holds
-one span per key (``planning_spans``), websearch's one to three, and CI
-gates kvstore at ≤ 2× websearch.
+planned, at a fixed 2 000 trials per cell (``--smoke`` included) — the
+protected pipeline sweep's cell size, above the batched MT19937
+kernel's break-even, so the per-shard work (reset, live spans, span
+table, the kernel's fixed cost) is amortized as a real campaign
+amortizes it. ``planning_loop_us_per_trial`` times the same cells with
+the kernel held off, i.e. the per-trial ``random.Random`` loop that is
+its oracle; CI gates kernel ≥ 1.5× loop within the run. Planning is
+what a decided trial costs, and it must not depend on how many live
+spans a cell has: kvstore's heap holds one span per key
+(``planning_spans``), websearch's one to three, and CI gates kvstore at
+≤ 2× websearch.
 
 ``all_live`` rows time the executed trials of cells where fusion has
 nothing to fuse (every graph job reads every CSR byte; a stuck-at in the
@@ -64,6 +69,7 @@ import sys
 import time
 from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -74,6 +80,7 @@ from repro.apps.websearch.workload import WebSearch  # noqa: E402
 from repro.core.campaign import CampaignConfig, CharacterizationCampaign  # noqa: E402
 from repro.exec.cells import CampaignCell  # noqa: E402
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT  # noqa: E402
+from repro.kernels import planner  # noqa: E402
 from repro.memory.fastpath import oracle_mode  # noqa: E402
 
 SPECS = (SINGLE_BIT_SOFT, SINGLE_BIT_HARD)
@@ -88,8 +95,9 @@ PROTECTIONS = ("none", "secded")
 
 MODES = ("oracle", "fast", "pruned")
 
-#: Trials planned per cell when timing ``plan_cell_trials``.
-PLANNING_TRIALS_PER_CELL = 512
+#: Trials planned per cell when timing ``plan_cell_trials``: the
+#: protected pipeline sweep's cell size.
+PLANNING_TRIALS_PER_CELL = 2000
 
 
 def _profile_json(profile):
@@ -134,7 +142,8 @@ def _run_campaign(app_factory, config, mode, region_codecs):
 
 
 def _time_planning(campaign):
-    """``plan_cell_trials`` over every cell: µs per trial, most live spans."""
+    """``plan_cell_trials`` over every cell: µs per trial with the kernel,
+    µs per trial on the per-trial loop, and the most live spans."""
     workload = campaign.workload
     trials = range(PLANNING_TRIALS_PER_CELL)
     cells = [
@@ -142,15 +151,21 @@ def _time_planning(campaign):
         for region in workload.space.regions
         for spec in SPECS
     ]
-    start = time.perf_counter()
-    for cell in cells:
-        campaign.plan_cell_trials(cell, trials)
-    elapsed = time.perf_counter() - start
+
+    def per_trial_us():
+        start = time.perf_counter()
+        for cell in cells:
+            campaign.plan_cell_trials(cell, trials)
+        return (time.perf_counter() - start) * 1e6 / (len(cells) * len(trials))
+
+    kernel_us = per_trial_us()
+    with mock.patch.object(planner, "KERNEL_MIN_TRIALS", len(trials) + 1):
+        loop_us = per_trial_us()
     workload.reset()
     spans = max(
         len(workload.sample_ranges(region)) for region in workload.space.regions
     )
-    return elapsed * 1e6 / (len(cells) * len(trials)), spans
+    return kernel_us, loop_us, spans
 
 
 #: (app, region, spec) cells whose executed trials cannot fuse.
@@ -215,7 +230,9 @@ def bench_app(name, app_factory, config, protection):
     # must tally exactly the same.
     again = _run_campaign(app_factory, config, "pruned", codecs)
     decisions_repeat = again["campaign"].pruning_stats.to_dict() == pruning.to_dict()
-    planning_us, planning_spans = _time_planning(runs["pruned"]["campaign"])
+    planning_us, planning_loop_us, planning_spans = _time_planning(
+        runs["pruned"]["campaign"]
+    )
     row = {
         "app": name,
         "protection": protection,
@@ -224,6 +241,7 @@ def bench_app(name, app_factory, config, protection):
         "query_budget": runs["pruned"]["campaign"].golden_trace().query_count,
         "golden_trace_seconds": runs["pruned"]["golden_trace_seconds"],
         "planning_us_per_trial": planning_us,
+        "planning_loop_us_per_trial": planning_loop_us,
         "planning_spans": planning_spans,
         "profiles_identical": True,
         "pruning": pruning.to_dict(),
@@ -292,6 +310,7 @@ def main(argv=None):
                 f"pruned {stats['pruned']}/{budget} "
                 f"({row['pruning_rate']:.0%})  "
                 f"planning {row['planning_us_per_trial']:.1f} us/trial "
+                f"(loop {row['planning_loop_us_per_trial']:.1f}) "
                 f"over {row['planning_spans']} spans"
             )
 
@@ -322,6 +341,12 @@ def main(argv=None):
         "pruned_vs_fast": totals["fast"] / totals["pruned"],
         "pruned_vs_oracle": totals["oracle"] / totals["pruned"],
         "profiles_identical": all(row["profiles_identical"] for row in rows),
+        # Same-run ratio: the per-trial loop's planning cost over the
+        # kernel's, summed over every row.
+        "planning_kernel_vs_loop": (
+            sum(row["planning_loop_us_per_trial"] for row in rows)
+            / sum(row["planning_us_per_trial"] for row in rows)
+        ),
     }
     arguments.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {arguments.out}")
@@ -331,7 +356,8 @@ def main(argv=None):
         f"oracle->pruned {report['pruned_vs_oracle']:.2f}x  "
         f"({report['oracle_trials_per_sec']:.1f} -> "
         f"{report['fast_trials_per_sec']:.1f} -> "
-        f"{report['pruned_trials_per_sec']:.1f} trials/s)"
+        f"{report['pruned_trials_per_sec']:.1f} trials/s); "
+        f"planning kernel vs loop {report['planning_kernel_vs_loop']:.2f}x"
     )
     return 0
 

@@ -278,18 +278,18 @@ class CharacterizationCampaign:
     # ------------------------------------------------------------------
     # Trial seeding
     # ------------------------------------------------------------------
-    def trial_streams(self, cell_name: str, error_label: str):
-        """Map a trial index to its independent seed stream for one cell.
+    def trial_seeds(self, cell_name: str, error_label: str):
+        """Map a trial index to its independent stream seed for one cell.
 
         The stream identity is (root seed, app, cell, error type, trial
         index) — never execution order — which is the foundation of the
         serial ≡ parallel determinism guarantee. Everything but the
         index is constant across a cell, so it is hashed once here (see
-        :meth:`~repro.utils.rng.SeedSequenceFactory.indexed_streams`).
+        :meth:`~repro.utils.rng.SeedSequenceFactory.indexed_seeds`).
         """
         if self._seed_factory is None:
             raise RuntimeError("prepare() must be called before trial_rng()")
-        return self._seed_factory.indexed_streams(
+        return self._seed_factory.indexed_seeds(
             f"trial:{self.workload.name}:{cell_name}:{error_label}:"
         )
 
@@ -297,7 +297,7 @@ class CharacterizationCampaign:
         self, cell_name: str, error_label: str, trial_index: int
     ) -> random.Random:
         """Independent seed stream for one trial of one cell."""
-        return self.trial_streams(cell_name, error_label)(trial_index)
+        return random.Random(self.trial_seeds(cell_name, error_label)(trial_index))
 
     # ------------------------------------------------------------------
     def _execute_trial(
@@ -491,7 +491,7 @@ class CharacterizationCampaign:
         return planner.plan(
             cell.spec,
             spans,
-            self.trial_streams(cell.name, cell.spec.label),
+            self.trial_seeds(cell.name, cell.spec.label),
             trial_indices,
         )
 

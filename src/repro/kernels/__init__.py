@@ -12,6 +12,9 @@ Entry points:
 * :func:`get_kernel` — memoized batch kernel per technique name;
 * :class:`BatchInjectionPlanner` — draws a whole trial shard's flip
   masks from the derived per-trial seed streams, scalar-identically;
+* :mod:`repro.kernels.mt19937` — seeds thousands of ``random.Random``
+  streams at once and replays the planner's draws on them, which the
+  planner uses for large single-bit shards;
 * the default ``backend="pruned"`` of
   :class:`~repro.core.campaign.CharacterizationCampaign` wires the
   planner into the characterization loop.

@@ -41,22 +41,22 @@ class SeedSequenceFactory:
         """Return a fresh ``random.Random`` seeded for ``label``."""
         return random.Random(derive_seed(self.root_seed, label))
 
-    def indexed_streams(self, label_prefix: str) -> Callable[[int], random.Random]:
-        """Map ``index`` to ``stream(f"{label_prefix}{index}")``.
+    def indexed_seeds(self, label_prefix: str) -> Callable[[int], int]:
+        """Map ``index`` to the seed of ``stream(f"{label_prefix}{index}")``.
 
         The SHA-256 state of everything before the index is computed
-        once; each stream copies it and absorbs only the index digits —
-        the same bytes hashed, so the same seed, as :meth:`stream` on
-        the whole label.
+        once; each seed copies it and absorbs only the index digits —
+        the same bytes hashed, so the same seed, as :func:`derive_seed`
+        on the whole label.
         """
         prefix = hashlib.sha256(f"{self.root_seed}:{label_prefix}".encode("utf-8"))
 
-        def stream(index: int) -> random.Random:
+        def seed(index: int) -> int:
             state = prefix.copy()
             state.update(str(index).encode("utf-8"))
-            return random.Random(int.from_bytes(state.digest()[:8], "little"))
+            return int.from_bytes(state.digest()[:8], "little")
 
-        return stream
+        return seed
 
     def child(self, label: str) -> "SeedSequenceFactory":
         """Return a sub-factory whose streams are namespaced under ``label``."""

@@ -10,6 +10,13 @@ per-trial code — ``trial_rng`` → ``sample_from_ranges`` →
 test-local reference and pins the production path to it on anchors,
 flips *and* the stream state left behind.
 
+Cells of at least ``KERNEL_MIN_TRIALS`` single-bit trials are planned by
+the batched MT19937 kernel, which keeps no stream per trial: for them
+anchors and flips are pinned, and the stream state only for the trials
+the kernel hands back to the per-trial loop. Trial counts, span widths
+(``2**k`` and ``2**k + 1``, half of whose draws are rejected), 1-word
+seeds and a shortened output budget drive both paths and the fallback.
+
 Run on every interpreter of the CI matrix, the same property pins two
 facts about ``random`` the hoists lean on: ``sample(population, 0)``
 consumes no randomness, and ``choices(cum_weights=)`` draws what
@@ -20,8 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +39,8 @@ from repro.core.campaign import CampaignConfig, CharacterizationCampaign
 from repro.exec.cells import CampaignCell
 from repro.injection.injector import ErrorSpec, plan_flip_positions
 from repro.injection.sampler import AddressSampler
-from repro.kernels.planner import BatchInjectionPlanner
+from repro.kernels import mt19937, planner
+from repro.kernels.planner import KERNEL_CHUNK, KERNEL_MIN_TRIALS, BatchInjectionPlanner
 from repro.memory.faults import FaultKind
 from repro.utils.rng import SeedSequenceFactory
 
@@ -137,11 +147,55 @@ def build_space_and_spans(layout_seed: int, span_count: int):
     return space, spans
 
 
+class RecordingRandom(random.Random):
+    """``random.Random`` that remembers every stream built, by seed."""
+
+    built: Dict[int, random.Random] = {}
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        RecordingRandom.built[seed] = self
+
+
+def plan_recording_streams(space, spec, spans, seed_for_trial, trials):
+    """Plan ``trials`` and return the plan plus the streams the loop built."""
+    RecordingRandom.built = {}
+    with mock.patch.object(planner, "Random", RecordingRandom):
+        plan = BatchInjectionPlanner(space).plan(
+            spec, spans, seed_for_trial, range(trials)
+        )
+    return plan, RecordingRandom.built
+
+
+def uses_kernel(spec: ErrorSpec, trials: int) -> bool:
+    return spec.bits == 1 and trials >= KERNEL_MIN_TRIALS
+
+
+def assert_plan_matches_oracle(space, spec, spans, seeds, plan, streams):
+    """Every trial's anchor and flips are the oracle's; every stream the
+    per-trial loop built was left in the oracle's state."""
+    for local, seed in enumerate(seeds):
+        oracle_rng = random.Random(seed)
+        anchor = oracle_sample_from_ranges(oracle_rng, spans)
+        positions = oracle_plan_flip_positions(space, oracle_rng, spec, anchor)
+        assert int(plan.anchor_addrs[local]) == anchor
+        assert plan.flips_for(local) == positions
+        if seed in streams:
+            assert streams[seed].getstate() == oracle_rng.getstate()
+
+
 BITS = st.sampled_from([1, 2, 8, 64])
 SPAN_COUNTS = st.one_of(
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=1, max_value=2001),
     st.just(2001),
+)
+TRIALS = st.one_of(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=KERNEL_CHUNK),
+    st.sampled_from(
+        [KERNEL_MIN_TRIALS - 1, KERNEL_MIN_TRIALS, KERNEL_CHUNK, KERNEL_CHUNK + 1]
+    ),
 )
 
 
@@ -152,7 +206,7 @@ SPAN_COUNTS = st.one_of(
     span_count=SPAN_COUNTS,
     bits=BITS,
     kind=st.sampled_from([FaultKind.SOFT, FaultKind.HARD]),
-    trials=st.integers(min_value=1, max_value=6),
+    trials=TRIALS,
 )
 def test_planner_and_scalar_path_match_frozen_oracle(
     root_seed, layout_seed, span_count, bits, kind, trials
@@ -160,29 +214,145 @@ def test_planner_and_scalar_path_match_frozen_oracle(
     space, spans = build_space_and_spans(layout_seed, span_count)
     spec = ErrorSpec(kind, bits)
     prefix = f"trial:app:cell:{spec.label}:"
-    streams = SeedSequenceFactory(root_seed).indexed_streams(prefix)
-    handed_out = {}
-
-    def rng_for_trial(index: int) -> random.Random:
-        handed_out[index] = streams(index)
-        return handed_out[index]
-
-    plan = BatchInjectionPlanner(space).plan(
-        spec, spans, rng_for_trial, range(trials)
-    )
+    seeds = SeedSequenceFactory(root_seed).indexed_seeds(prefix)
+    plan, streams = plan_recording_streams(space, spec, spans, seeds, trials)
+    if not uses_kernel(spec, trials):
+        assert len(streams) == trials  # the loop: one stream per trial
     for local in range(trials):
         oracle_rng = oracle_trial_rng(root_seed, "app", "cell", spec.label, local)
         anchor = oracle_sample_from_ranges(oracle_rng, spans)
         positions = oracle_plan_flip_positions(space, oracle_rng, spec, anchor)
         assert int(plan.anchor_addrs[local]) == anchor
         assert plan.flips_for(local) == positions
-        assert handed_out[local].getstate() == oracle_rng.getstate()
+        if seeds(local) in streams:
+            assert streams[seeds(local)].getstate() == oracle_rng.getstate()
+        if local >= 6:
+            continue  # the scalar path's helpers are the loop's: spot-check
         # The scalar path (what the injector does per trial) agrees too.
         scalar_rng = SeedSequenceFactory(root_seed).stream(f"{prefix}{local}")
         scalar_anchor = AddressSampler(space, scalar_rng).sample_from_ranges(spans)
         assert scalar_anchor == anchor
         assert plan_flip_positions(space, scalar_rng, spec, anchor) == positions
         assert scalar_rng.getstate() == oracle_rng.getstate()
+
+
+SPAN_WIDTHS = [
+    width
+    for k in (0, 1, 3, 7, 16, 31)
+    for width in (2**k, 2**k + 1)
+] + [2**32 - 1, 2**32, 2**32 + 1]
+
+
+@pytest.mark.parametrize("width", SPAN_WIDTHS)
+def test_rejection_heavy_spans_match_frozen_oracle(width):
+    """``randrange(2**k + 1)`` rejects about half its draws and
+    ``randrange(2**k)`` none; widths of ``2**32`` and more are beyond the
+    kernel's 32-bit draw and go to the per-trial loop."""
+    gap = 4096
+    space = StubSpace([(gap, gap + width + 1), (2 * gap + width, 3 * gap + 2 * width)])
+    spans = [(gap, gap + width), (2 * gap + width, 2 * gap + 2 * width + 1)]
+    spec = ErrorSpec(FaultKind.SOFT, 1)
+    seeds = SeedSequenceFactory(width).indexed_seeds("trial:app:cell:")
+    plan, streams = plan_recording_streams(space, spec, spans, seeds, KERNEL_CHUNK)
+    assert_plan_matches_oracle(
+        space, spec, spans, [seeds(i) for i in range(KERNEL_CHUNK)], plan, streams
+    )
+    if width >= 2**32:
+        assert len(streams) == KERNEL_CHUNK
+
+
+def untemper(output: int) -> int:
+    """The MT19937 state word that tempers to ``output``."""
+    y = output ^ (output >> 18)
+    y ^= (y << 15) & 0xEFC60000
+    word = y
+    for _ in range(4):
+        word = y ^ ((word << 7) & 0x9D2C5680)
+    y = word & 0xFFFFFFFF
+    word = y
+    for _ in range(2):
+        word = y ^ (word >> 11)
+    return word
+
+
+def stream_emitting(outputs: Sequence[int]) -> random.Random:
+    """A ``random.Random`` whose next 32-bit outputs are ``outputs``."""
+    words = [untemper(output) for output in outputs]
+    rng = random.Random()
+    rng.setstate((3, tuple(words + [0] * (624 - len(words))) + (0,), None))
+    return rng
+
+
+def test_draws_on_exact_weight_boundaries_match_frozen_oracle():
+    """``random() * total`` landing exactly on a cumulative weight, which
+    a real stream does with probability ~2**-53 per boundary: patched
+    outputs put every trial there (or at 0, or just under 1), and force
+    a rejection in both ``randrange`` calls."""
+    space = StubSpace([(64, 128)])
+    spans = [(64, 68), (96, 100)]  # cumulative weights 4, 8
+    # random() = (a * 2**26 + b) / 2**53 for a = out0 >> 5, b = out1 >> 6.
+    floats = [(2**26, 0), (0, 0), (2**27 - 1, 2**26 - 1), (2**25, 0)]
+    streams = []
+    for index in range(KERNEL_MIN_TRIALS):
+        high, low = floats[index % len(floats)]
+        draws = [
+            high << 5 | index % 32, low << 6 | index % 64,
+            7 << 29, (index % 4) << 29,  # randrange(4): k = 3, reject 7
+            9 << 28, (index % 8) << 28,  # randrange(8): k = 4, reject 9
+        ]
+        streams.append(draws + [0] * (mt19937.OUTPUTS - len(draws)))
+    outputs = np.array(streams, dtype=np.uint32).T
+    spec = ErrorSpec(FaultKind.SOFT, 1)
+    with mock.patch.object(mt19937, "first_outputs", lambda seeds, count: outputs):
+        plan, handed_back = plan_recording_streams(
+            space, spec, spans, int, KERNEL_MIN_TRIALS
+        )
+    assert not handed_back
+    for local, draws in enumerate(streams):
+        rng = stream_emitting(draws)
+        anchor = oracle_sample_from_ranges(rng, spans)
+        assert int(plan.anchor_addrs[local]) == anchor
+        assert plan.flips_for(local) == oracle_plan_flip_positions(
+            space, rng, spec, anchor
+        )
+    assert set(plan.anchor_addrs.tolist()) & {96, 97, 98, 99}  # the 0.5 trials
+
+
+def test_one_word_seeds_match_frozen_oracle():
+    """Seeds below ``2**32`` are 1-word ``init_by_array`` keys."""
+    space, spans = build_space_and_spans(5, 40)
+    spec = ErrorSpec(FaultKind.HARD, 1)
+    seeds = [0, 1, 2**32 - 1, 2**32] + [
+        (index * 2654435761) % (2**32 if index % 2 else 2**64)
+        for index in range(4, 1000)
+    ]
+    plan, streams = plan_recording_streams(
+        space, spec, spans, seeds.__getitem__, len(seeds)
+    )
+    assert_plan_matches_oracle(space, spec, spans, seeds, plan, streams)
+
+
+@pytest.mark.parametrize("outputs", [3, 5])
+def test_exhausted_streams_fall_back_to_the_loop(outputs):
+    """With 3 outputs no stream reaches ``randrange(8)``; with 5 some do.
+    Either way the plan is the loop's, and so are the handed-back streams."""
+    space, spans = build_space_and_spans(11, 200)
+    spec = ErrorSpec(FaultKind.SOFT, 1)
+    seeds = SeedSequenceFactory(3).indexed_seeds("trial:app:cell:")
+    trials = KERNEL_MIN_TRIALS + 100
+    with mock.patch.object(mt19937, "OUTPUTS", outputs):
+        plan, streams = plan_recording_streams(space, spec, spans, seeds, trials)
+    with mock.patch.object(planner, "KERNEL_MIN_TRIALS", trials + 1):
+        loop, _ = plan_recording_streams(space, spec, spans, seeds, trials)
+    for field in ("anchor_addrs", "flip_addrs", "flip_bits", "flip_offsets"):
+        assert np.array_equal(getattr(plan, field), getattr(loop, field))
+    if outputs == 3:
+        assert len(streams) == trials
+    else:
+        assert 0 < len(streams) < trials
+    assert_plan_matches_oracle(
+        space, spec, spans, [seeds(i) for i in range(trials)], plan, streams
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,7 +400,7 @@ def test_all_empty_spans_raise_the_oracle_error():
     )
     assert expected == _error_text(
         lambda: BatchInjectionPlanner(space).plan(
-            ErrorSpec(FaultKind.SOFT, 1), spans, random.Random, range(2)
+            ErrorSpec(FaultKind.SOFT, 1), spans, int, range(2)
         )
     )
 
@@ -246,10 +416,35 @@ def test_unmapped_anchor_raises_the_oracle_error():
         lambda: plan_flip_positions(space, random.Random(1), spec, 200)
     )
     assert expected == _error_text(
-        lambda: BatchInjectionPlanner(space).plan(
-            spec, spans, random.Random, range(1)
-        )
+        lambda: BatchInjectionPlanner(space).plan(spec, spans, int, range(1))
     )
+
+
+def test_unmapped_anchor_raises_the_oracle_error_above_break_even():
+    """A span over a gap: the kernel hands its trials to the loop, which
+    raises at the first trial (in index order) whose anchor is unmapped;
+    a span over two adjacent regions plans like the oracle."""
+    spec = ErrorSpec(FaultKind.SOFT, 1)
+    trials = KERNEL_MIN_TRIALS + 1
+    gapped = StubSpace([(8, 80), (100, 180)])
+    spans = [(8, 80), (70, 110)]
+    expected = None
+    for seed in range(trials):
+        rng = random.Random(seed)
+        anchor = oracle_sample_from_ranges(rng, spans)
+        if gapped.region_at(anchor) is None:
+            expected = _error_text(
+                lambda: oracle_plan_flip_positions(gapped, rng, spec, anchor)
+            )
+            break
+    assert expected is not None
+    assert expected == _error_text(
+        lambda: BatchInjectionPlanner(gapped).plan(spec, spans, int, range(trials))
+    )
+    adjacent = StubSpace([(8, 80), (80, 180)])
+    plan, streams = plan_recording_streams(adjacent, spec, spans, int, trials)
+    assert 0 < len(streams) < trials
+    assert_plan_matches_oracle(adjacent, spec, spans, range(trials), plan, streams)
 
 
 @pytest.mark.parametrize("app", ["websearch_small", "kvstore_small"])
@@ -287,3 +482,28 @@ def test_campaign_plan_matches_frozen_oracle(request, app, bits):
                     2014, workload.name, region.name, spec.label, local
                 ).getstate()
             )
+
+
+@pytest.mark.parametrize("app", ["websearch_small", "kvstore_small"])
+def test_campaign_plan_above_break_even_matches_frozen_oracle(request, app):
+    """A real heap cell planned by the kernel: one chunk of streams."""
+    workload = request.getfixturevalue(app)
+    campaign = CharacterizationCampaign(
+        workload,
+        config=CampaignConfig(trials_per_cell=KERNEL_CHUNK, queries_per_trial=8, seed=2014),
+    )
+    campaign.prepare()
+    spec = ErrorSpec(FaultKind.SOFT, 1)
+    region = workload.space.region_named("heap")
+    plan = campaign.plan_cell_trials(
+        CampaignCell(name=region.name, spec=spec), range(KERNEL_CHUNK)
+    )
+    workload.reset()
+    spans = workload.sample_ranges(region)
+    for local in range(KERNEL_CHUNK):
+        rng = oracle_trial_rng(2014, workload.name, region.name, spec.label, local)
+        anchor = oracle_sample_from_ranges(rng, spans)
+        assert int(plan.anchor_addrs[local]) == anchor
+        assert plan.flips_for(local) == oracle_plan_flip_positions(
+            workload.space, rng, spec, anchor
+        )

@@ -69,7 +69,7 @@ class TestBatchInjectionPlanner:
         for spec in (SINGLE_BIT_SOFT, EIGHT_BIT_HARD):
             plan = BatchInjectionPlanner(space).plan(
                 spec, spans,
-                rng_for_trial=lambda i: random.Random(1000 + i),
+                seed_for_trial=lambda i: 1000 + i,
                 trial_indices=range(8),
             )
             for local, trial_index in enumerate(range(8)):
@@ -85,7 +85,7 @@ class TestBatchInjectionPlanner:
         plans = [
             BatchInjectionPlanner(space).plan(
                 EIGHT_BIT_HARD, spans,
-                rng_for_trial=lambda i: random.Random(7 * i + 3),
+                seed_for_trial=lambda i: 7 * i + 3,
                 trial_indices=range(5),
             )
             for _ in range(2)
@@ -94,11 +94,28 @@ class TestBatchInjectionPlanner:
         assert np.array_equal(plans[0].flip_addrs, plans[1].flip_addrs)
         assert np.array_equal(plans[0].flip_bits, plans[1].flip_bits)
 
+    @pytest.mark.parametrize("trials", [5, 700])
+    def test_plan_accepts_an_iterator(self, space, trials):
+        """Trial indices are read once, so a one-shot iterator plans them all."""
+        spans = self._spans(space)
+        expected = BatchInjectionPlanner(space).plan(
+            SINGLE_BIT_SOFT, spans, seed_for_trial=lambda i: i,
+            trial_indices=range(trials),
+        )
+        plan = BatchInjectionPlanner(space).plan(
+            SINGLE_BIT_SOFT, spans, seed_for_trial=lambda i: i,
+            trial_indices=iter(range(trials)),
+        )
+        assert len(plan) == trials
+        assert np.array_equal(plan.trial_indices, np.arange(trials))
+        assert np.array_equal(plan.anchor_addrs, expected.anchor_addrs)
+        assert np.array_equal(plan.flip_bits, expected.flip_bits)
+
     def test_word_flip_masks_match_per_flip_reconstruction(self, space):
         spans = self._spans(space)
         plan = BatchInjectionPlanner(space).plan(
             EIGHT_BIT_HARD, spans,
-            rng_for_trial=lambda i: random.Random(i),
+            seed_for_trial=lambda i: i,
             trial_indices=range(16),
         )
         word_addrs, masks = plan.word_flip_masks()
