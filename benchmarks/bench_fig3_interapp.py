@@ -5,9 +5,12 @@ for single-bit soft and hard errors across the three applications. The
 benchmark times one injection trial (the unit of campaign work).
 """
 
+from itertools import count
+
 from _helpers import WEBSEARCH_CONFIG, make_websearch
 
 from repro.core.campaign import CharacterizationCampaign
+from repro.exec.cells import CampaignCell
 from repro.injection import SINGLE_BIT_SOFT
 
 LABELS = ("single-bit soft", "single-bit hard")
@@ -50,7 +53,13 @@ def test_fig3_reproduction(benchmark, all_profiles, report):
 
 
 def test_fig3_trial_cost(benchmark):
-    """Benchmark one restart→inject→drive→classify cycle (WebSearch)."""
+    """Benchmark one restart→inject→drive→classify cycle (WebSearch).
+
+    Each round measures the next trial index of one cell, so every round
+    injects at a fresh address drawn from that trial's own seed.
+    """
     campaign = CharacterizationCampaign(make_websearch(), config=WEBSEARCH_CONFIG)
     campaign.prepare()
-    benchmark(lambda: campaign.run_trial("private", SINGLE_BIT_SOFT))
+    cell = CampaignCell(name="private", spec=SINGLE_BIT_SOFT)
+    trial_indices = count()
+    benchmark(lambda: campaign.measure_trial(cell, next(trial_indices)))

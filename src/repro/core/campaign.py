@@ -107,12 +107,16 @@ class CampaignConfig:
             raise ValueError("failure_fraction must be in (0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialRecord:
-    """Raw result of a single injection trial."""
+    """One measured trial of a campaign cell.
 
-    region: str
-    error_label: str
+    What :meth:`CharacterizationCampaign.measure_trial` returns and
+    worker shards carry back (picklable). The cell is the caller's; the
+    trial's ``trial`` span carries the same fields under the cell's path.
+    """
+
+    trial_index: int
     anchor_addr: int
     outcome: ErrorOutcome
     responded: int
@@ -120,16 +124,15 @@ class TrialRecord:
     failed: int
     effect_delay_minutes: Optional[float]
 
-
-def _record_trial(stats, trial: TrialRecord) -> None:
-    """Fold one executed trial into its cell's statistics."""
-    stats.record(
-        outcome=trial.outcome,
-        responded=trial.responded,
-        incorrect=trial.incorrect,
-        failed=trial.failed,
-        effect_delay_minutes=trial.effect_delay_minutes,
-    )
+    def record_into(self, stats) -> None:
+        """Fold this trial into its cell's statistics."""
+        stats.record(
+            outcome=self.outcome,
+            responded=self.responded,
+            incorrect=self.incorrect,
+            failed=self.failed,
+            effect_delay_minutes=self.effect_delay_minutes,
+        )
 
 
 def _normalize_workers(workers: Optional[int]) -> int:
@@ -226,13 +229,11 @@ class CharacterizationCampaign:
         self.region_codecs = _normalize_region_codecs(region_codecs)
         self._corrected_regions: frozenset = frozenset()
         self._driver: Optional[ClientDriver] = None
-        self._rng: Optional[random.Random] = None
         self._seed_factory: Optional[SeedSequenceFactory] = None
         self._golden: Optional[List] = None
         self._golden_trace = None
         self._replay = None
         self._corrected_mask = None
-        self.trials: List[TrialRecord] = []
         from repro.exec.pruning import PruningStats
 
         self.pruning_stats = PruningStats()
@@ -261,7 +262,6 @@ class CharacterizationCampaign:
             self.workload, self._golden, failure_fraction=self.config.failure_fraction
         )
         self._seed_factory = SeedSequenceFactory(self.config.seed)
-        self._rng = self._seed_factory.stream(f"campaign:{self.workload.name}")
         if self.region_codecs:
             known = {region.name for region in self.workload.space.regions}
             unknown = sorted(set(self.region_codecs) - known)
@@ -300,88 +300,114 @@ class CharacterizationCampaign:
         return random.Random(self.trial_seeds(cell_name, error_label)(trial_index))
 
     # ------------------------------------------------------------------
-    def _execute_trial(
+    def measure_trial(
         self,
-        cell_name: str,
-        spans: Optional[List[Tuple[int, int]]],
-        spec: ErrorSpec,
-        rng: Optional[random.Random],
+        cell: CampaignCell,
+        trial_index: int,
         positions: Optional[List[Tuple[int, int]]] = None,
     ) -> TrialRecord:
-        """Inject→drive→classify against pre-reset state.
+        """One restart→inject→drive→classify cycle of one campaign cell.
 
-        With ``positions`` (the pruned backend) the pre-planned flips
-        are installed without consuming any RNG; otherwise the anchor is
-        sampled from ``spans`` and flips drawn from ``rng``, the scalar
-        reference sequence.
+        The one way to run a trial: the scalar loop, the pruned walker
+        (:func:`repro.exec.parallel.fold_cells`) and pool workers all
+        call it. With ``positions`` — one trial's flips from an
+        :class:`~repro.kernels.planner.InjectionPlan` — the injection is
+        installed as planned without consuming any RNG; without, it is
+        drawn inside the trial from the trial's derived seed: region
+        cells re-sample live spans after the reset, custom cells use
+        their fixed spans. Either way the cycle is wrapped in a
+        ``trial`` tracing span whose path is derived from the grid
+        identity, never execution order, and which carries every field
+        of the returned record.
         """
         if self._driver is None:
-            raise RuntimeError("prepare() must be called before running trials")
+            raise RuntimeError("prepare() must be called before measure_trial()")
         workload = self.workload
         space = workload.space
-        # Before the injection: recording the trace resets the workload.
-        replay = self._trial_replay()
-        if positions is not None:
-            injector = ErrorInjector(
-                space,
-                random.Random(0),
-                observer=self.observer,
-                corrected_regions=self._corrected_regions,
-            )
-            record = injector.inject_planned(spec, positions)
-        else:
+        spec = cell.spec
+        cell_key = f"{cell.name}|{spec.label}"
+        with self.observer.span(
+            SPAN_TRIAL,
+            key=str(trial_index),
+            attrs={"cell": cell_key, "trial_index": trial_index},
+        ) as span:
+            workload.reset()
+            if positions is None:
+                rng = self.trial_rng(cell.name, spec.label, trial_index)
+                spans = (
+                    list(cell.spans)
+                    if cell.spans is not None
+                    else workload.sample_ranges(space.region_named(cell.name))
+                )
+            else:
+                rng = random.Random(0)
+            # Before the injection: recording the trace resets the workload.
+            replay = self._trial_replay()
             injector = ErrorInjector(
                 space,
                 rng,
                 observer=self.observer,
                 corrected_regions=self._corrected_regions,
             )
-            record = injector.inject(spec, ranges=spans)
-        injected_at = space.time
-
-        query_budget = min(self.config.queries_per_trial, workload.query_count)
-        with self.observer.span(SPAN_CONSUME) as consume_span:
-            if replay is not None:
-                report = self._driver.run_fused(replay, self._served)
+            if positions is None:
+                record = injector.inject(spec, ranges=spans)
             else:
-                report = self._driver.run(range(query_budget))
-                if self.backend == "pruned":
-                    self._served["live"] += query_budget
-                    self._served["fatal_tail"] += query_budget - report.attempted
-            consume_span.set(
-                queries=query_budget,
+                record = injector.inject_planned(spec, positions)
+            injected_at = space.time
+
+            query_budget = min(self.config.queries_per_trial, workload.query_count)
+            with self.observer.span(SPAN_CONSUME) as consume_span:
+                if replay is not None:
+                    report = self._driver.run_fused(replay, self._served)
+                else:
+                    report = self._driver.run(range(query_budget))
+                    if self.backend == "pruned":
+                        self._served["live"] += query_budget
+                        self._served["fatal_tail"] += (
+                            query_budget - report.attempted
+                        )
+                consume_span.set(
+                    queries=query_budget,
+                    responded=report.responded,
+                    incorrect=report.incorrect,
+                    failed=report.failed,
+                )
+
+            with self.observer.span(SPAN_VERIFY) as verify_span:
+                consumed = False
+                overwritten = False
+                for addr in set(record.addresses):
+                    reads, was_overwritten = space.fault_consumption(addr)
+                    consumed = consumed or reads > 0
+                    overwritten = overwritten or was_overwritten
+                outcome = classify_outcome(
+                    report, consumed, overwritten, self.config.failure_fraction
+                )
+                verify_span.set(
+                    consumed=consumed, overwritten=overwritten, outcome=outcome.value
+                )
+
+            effect_times = [
+                t
+                for t in (report.first_incorrect_time, report.first_failure_time)
+                if t is not None
+            ]
+            delay_minutes: Optional[float] = None
+            if effect_times:
+                delay_minutes = workload.time_scale.minutes(
+                    max(0, min(effect_times) - injected_at)
+                )
+            span.set(
+                outcome=outcome.value,
+                masked=outcome.is_masked,
+                anchor_addr=record.anchor_addr,
                 responded=report.responded,
                 incorrect=report.incorrect,
                 failed=report.failed,
-            )
-
-        with self.observer.span(SPAN_VERIFY) as verify_span:
-            consumed = False
-            overwritten = False
-            for addr in set(record.addresses):
-                reads, was_overwritten = space.fault_consumption(addr)
-                consumed = consumed or reads > 0
-                overwritten = overwritten or was_overwritten
-            outcome = classify_outcome(
-                report, consumed, overwritten, self.config.failure_fraction
-            )
-            verify_span.set(
-                consumed=consumed, overwritten=overwritten, outcome=outcome.value
-            )
-
-        effect_times = [
-            t
-            for t in (report.first_incorrect_time, report.first_failure_time)
-            if t is not None
-        ]
-        delay_minutes: Optional[float] = None
-        if effect_times:
-            delay_minutes = workload.time_scale.minutes(
-                max(0, min(effect_times) - injected_at)
+                effect_delay_minutes=delay_minutes,
             )
         return TrialRecord(
-            region=cell_name,
-            error_label=spec.label,
+            trial_index=trial_index,
             anchor_addr=record.anchor_addr,
             outcome=outcome,
             responded=report.responded,
@@ -389,83 +415,6 @@ class CharacterizationCampaign:
             failed=report.failed,
             effect_delay_minutes=delay_minutes,
         )
-
-    def run_trial(
-        self,
-        region_name: str,
-        spec: ErrorSpec,
-        rng: Optional[random.Random] = None,
-    ) -> TrialRecord:
-        """One restart→inject→drive→classify cycle.
-
-        Without an explicit ``rng`` the campaign's legacy sequential
-        stream is used (handy for ad-hoc single trials); ``run`` passes
-        per-trial derived streams instead.
-        """
-        if self._driver is None or self._rng is None:
-            raise RuntimeError("prepare() must be called before run_trial()")
-        workload = self.workload
-        workload.reset()
-        region = workload.space.region_named(region_name)
-        trial = self._execute_trial(
-            region_name,
-            workload.sample_ranges(region),
-            spec,
-            rng if rng is not None else self._rng,
-        )
-        self.trials.append(trial)
-        return trial
-
-    def measure_trial(
-        self,
-        cell: CampaignCell,
-        trial_index: int,
-        positions: Optional[List[Tuple[int, int]]] = None,
-    ) -> TrialRecord:
-        """Measure one trial of one campaign cell.
-
-        The unit of work shared by the serial loops and pool workers.
-        With ``positions`` — one trial's flips from an
-        :class:`~repro.kernels.planner.InjectionPlan` — the injection is
-        installed as planned; without, it is drawn inside the trial from
-        the trial's derived seed: region cells re-sample live spans
-        after the reset, custom cells use their fixed spans. Either way
-        the whole restart→inject→drive→classify cycle is wrapped in a
-        ``trial`` tracing span whose path is derived from the grid
-        identity, never execution order, and region-cell trials are
-        kept in ``self.trials`` (custom cells never were).
-        """
-        workload = self.workload
-        cell_key = f"{cell.name}|{cell.spec.label}"
-        with self.observer.span(
-            SPAN_TRIAL,
-            key=str(trial_index),
-            attrs={"cell": cell_key, "trial_index": trial_index},
-        ) as span:
-            workload.reset()
-            spans = rng = None
-            if positions is None:
-                rng = self.trial_rng(cell.name, cell.spec.label, trial_index)
-                spans = (
-                    list(cell.spans)
-                    if cell.spans is not None
-                    else workload.sample_ranges(
-                        workload.space.region_named(cell.name)
-                    )
-                )
-            trial = self._execute_trial(cell.name, spans, cell.spec, rng, positions)
-            span.set(
-                outcome=trial.outcome.value,
-                masked=trial.outcome.is_masked,
-                anchor_addr=trial.anchor_addr,
-                responded=trial.responded,
-                incorrect=trial.incorrect,
-                failed=trial.failed,
-                effect_delay_minutes=trial.effect_delay_minutes,
-            )
-        if cell.spans is None:
-            self.trials.append(trial)
-        return trial
 
     def plan_cell_trials(self, cell: CampaignCell, trial_indices: Sequence[int]):
         """Pre-draw a whole shard's injections (pruned backend).
@@ -595,13 +544,12 @@ class CharacterizationCampaign:
     ) -> None:
         """Fold local trials ``[start, stop)`` — all decided — unexecuted.
 
-        The one synthesis routine of the pruned backend, shared by the
-        serial cell loop and the parallel merge. Everything a decided
-        trial contributes is known from the golden trace, so a whole run
-        costs one counted settle of the replay's clock/counter deltas on
-        the address space, one bulk build of the run's
-        :class:`TrialRecord` entries, and one counted ``stats`` update
-        per outcome (in first-seen order, which is the order per-trial
+        The one synthesis routine of the pruned backend, called by its
+        cell walker (:func:`repro.exec.parallel.fold_cells`). Everything
+        a decided trial contributes is known from the golden trace, so a
+        whole run costs one counted settle of the replay's clock/counter
+        deltas on the address space and one counted ``stats`` update per
+        outcome (in first-seen order, which is the order per-trial
         folding would have inserted them). With an enabled observer each
         trial still emits its ``trial`` span (tagged ``pruned=True``)
         carrying the exact attributes an executed golden-identical trial
@@ -615,13 +563,14 @@ class CharacterizationCampaign:
             trace.end_time, trace.per_region, trials=stop - start
         )
         codes = classification.codes[start:stop].tolist()
-        anchors = plan.anchor_addrs[start:stop].tolist()
-        outcomes = [OUTCOME_BY_CODE[code] for code in codes]
         if self.observer.enabled:
             cell_key = f"{cell.name}|{cell.spec.label}"
-            for trial_index, anchor_addr, outcome in zip(
-                plan.trial_indices[start:stop].tolist(), anchors, outcomes
+            for trial_index, anchor_addr, code in zip(
+                plan.trial_indices[start:stop].tolist(),
+                plan.anchor_addrs[start:stop].tolist(),
+                codes,
             ):
+                outcome = OUTCOME_BY_CODE[code]
                 with self.observer.span(
                     SPAN_TRIAL,
                     key=str(trial_index),
@@ -640,12 +589,6 @@ class CharacterizationCampaign:
                         failed=0,
                         effect_delay_minutes=None,
                     )
-        if cell.spans is None:
-            name, label = cell.name, cell.spec.label
-            self.trials.extend(
-                TrialRecord(name, label, anchor_addr, outcome, responded, 0, 0, None)
-                for anchor_addr, outcome in zip(anchors, outcomes)
-            )
         for code, count in Counter(codes).items():
             stats.record(
                 outcome=OUTCOME_BY_CODE[code],
@@ -655,58 +598,6 @@ class CharacterizationCampaign:
                 effect_delay_minutes=None,
                 count=count,
             )
-
-    def _run_planned_cell(
-        self, cell_def: CampaignCell, stats, plan, classification
-    ) -> None:
-        """Fold one cell's pre-planned trials into ``stats``.
-
-        When tracing is enabled the trials emit into an in-memory buffer
-        rooted at the open cell span's path, and the buffer is replayed
-        into the real observer in one call — sinks see identical events
-        while the metrics instruments take one batched update per cell
-        instead of one per trial.
-
-        Each maximal run of decided trials is folded by
-        :meth:`fold_decided_run`; only the rest execute (all of them
-        when ``classification`` is ``None``: the spec has no analytic
-        model). Trials stay in canonical index order either way, so the
-        profile fold is byte-identical to the scalar loop's.
-        """
-        observer = self.observer
-        buffer = None
-        if observer.enabled:
-            from repro.obs.sinks import EventBuffer
-
-            buffer = EventBuffer()
-            self.observer = Observer(
-                sinks=[buffer], root_path=observer.current_path()
-            )
-        runs = (
-            classification.runs()
-            if classification is not None
-            else [(0, len(plan), False)]
-        )
-        try:
-            for start, stop, decided in runs:
-                if decided:
-                    self.fold_decided_run(
-                        cell_def, stats, plan, classification, start, stop
-                    )
-                    continue
-                for local in range(start, stop):
-                    _record_trial(
-                        stats,
-                        self.measure_trial(
-                            cell_def,
-                            int(plan.trial_indices[local]),
-                            plan.flips_for(local),
-                        ),
-                    )
-        finally:
-            self.observer = observer
-        if buffer is not None:
-            observer.replay(buffer.events)
 
     # ------------------------------------------------------------------
     def _run_cells(
@@ -718,20 +609,20 @@ class CharacterizationCampaign:
         workload_factory: Optional[Callable[[], Workload]],
         progress: Optional[Callable],
     ) -> VulnerabilityProfile:
-        """Execute a cell grid serially or on a worker pool.
+        """Run a cell grid inside one ``campaign`` tracing span.
 
-        Both paths run inside one ``campaign`` tracing span; the serial
-        loop additionally opens a ``cell`` span per grid cell (the
-        parallel runner opens its cell spans at merge time so relayed
-        worker events land in canonical order).
+        A pruned campaign runs through
+        :class:`~repro.exec.parallel.ParallelCampaignRunner` on any
+        worker count (one worker measures in this process; the runner
+        rejects a scalar campaign on a pool). The scalar oracle runs
+        :meth:`_run_scalar_cells`.
         """
-        observer = self.observer
-        trials_total = len(cells) * budget
         logger.info(
             "campaign %s: %d cells x %d trials on %d worker(s)",
             self.workload.name, len(cells), budget, workers,
         )
-        with observer.span(
+        trials_total = len(cells) * budget
+        with self.observer.span(
             SPAN_CAMPAIGN,
             attrs={
                 "app": self.workload.name,
@@ -740,7 +631,9 @@ class CharacterizationCampaign:
                 "workers": workers,
             },
         ) as campaign_span:
-            if workers > 1:
+            if self.backend == "scalar" and workers == 1:
+                profile = self._run_scalar_cells(cells, budget, region_sizes, progress)
+            else:
                 from repro.exec.parallel import ParallelCampaignRunner
 
                 runner = ParallelCampaignRunner(
@@ -749,93 +642,68 @@ class CharacterizationCampaign:
                     progress=progress,
                 )
                 profile = runner.run(self, cells, budget, region_sizes)
-                campaign_span.set(trials=trials_total)
-                logger.info(
-                    "campaign %s: %d trials complete",
-                    self.workload.name, trials_total,
-                )
-                return profile
-
-            profile = VulnerabilityProfile(app=self.workload.name)
-            profile.region_sizes = dict(region_sizes)
-            clock = ProgressClock()
-            trials_done = 0
-            pruning = self.backend == "pruned"
-            for cell_def in cells:
-                cell = profile.cell(cell_def.name, cell_def.spec.label)
-                cell_key = f"{cell_def.name}|{cell_def.spec.label}"
-                memory_before = self.workload.fast_path_stats()
-                cell_start = time.perf_counter()
-                if pruning:
-                    plan, classification = self.classify_cell_trials(
-                        cell_def, range(budget)
-                    )
-                with observer.span(
-                    SPAN_CELL,
-                    key=cell_key,
-                    attrs={
-                        "region": cell_def.name,
-                        "error_label": cell_def.spec.label,
-                        "trials": budget,
-                    },
-                ) as cell_span:
-                    if pruning:
-                        self._run_planned_cell(
-                            cell_def, cell, plan, classification
-                        )
-                        cell_span.set(
-                            decisions=self.note_decisions(
-                                cell_def, [self.take_decisions()]
-                            )
-                        )
-                    else:
-                        for trial_index in range(budget):
-                            _record_trial(
-                                cell, self.measure_trial(cell_def, trial_index)
-                            )
-                instruments = observer.instruments
-                if pruning:
-                    cell_pruned = (
-                        classification.pruned_count
-                        if classification is not None
-                        else 0
-                    )
-                    tally = {
-                        "pruned": cell_pruned,
-                        "executed": budget - cell_pruned,
-                        "fallback": budget if classification is None else 0,
-                    }
-                    self.pruning_stats.add(**tally)
-                    if instruments is not None:
-                        instruments.record_pruning(tally)
-                if instruments is not None:
-                    memory_after = self.workload.fast_path_stats()
-                    instruments.record_memory(
-                        {
-                            key: memory_after[key] - memory_before.get(key, 0)
-                            for key in memory_after
-                        }
-                    )
-                trials_done += budget
-                logger.debug(
-                    "cell %s done (%d/%d trials)",
-                    cell_key, trials_done, trials_total,
-                )
-                emit_progress(
-                    progress,
-                    clock,
-                    trials_done=trials_done,
-                    trials_total=trials_total,
-                    worker_pid=os.getpid(),
-                    shard_trials=budget,
-                    shard_seconds=time.perf_counter() - cell_start,
-                    cell_name=cell_def.name,
-                    error_label=cell_def.spec.label,
-                    observer=observer,
-                )
             campaign_span.set(trials=trials_total)
         logger.info("campaign %s: %d trials complete", self.workload.name, trials_total)
         return profile
+
+    def _run_scalar_cells(
+        self,
+        cells: Sequence[CampaignCell],
+        budget: int,
+        region_sizes: Dict[str, int],
+        progress: Optional[Callable],
+    ) -> VulnerabilityProfile:
+        """The scalar oracle: every trial of every cell, one by one.
+
+        Each cell runs in a ``cell`` tracing span and reports one
+        progress event; the run's memory fast-path delta is folded into
+        the instruments.
+        """
+        observer = self.observer
+        profile = VulnerabilityProfile(app=self.workload.name)
+        profile.region_sizes = dict(region_sizes)
+        clock = ProgressClock()
+        trials_total = len(cells) * budget
+        memory_before = self.workload.fast_path_stats()
+        for done, cell_def in enumerate(cells, 1):
+            cell = profile.cell(cell_def.name, cell_def.spec.label)
+            cell_start = time.perf_counter()
+            with observer.span(
+                SPAN_CELL,
+                key=f"{cell_def.name}|{cell_def.spec.label}",
+                attrs={
+                    "region": cell_def.name,
+                    "error_label": cell_def.spec.label,
+                    "trials": budget,
+                },
+            ):
+                for trial_index in range(budget):
+                    self.measure_trial(cell_def, trial_index).record_into(cell)
+            emit_progress(
+                progress,
+                clock,
+                trials_done=done * budget,
+                trials_total=trials_total,
+                worker_pid=os.getpid(),
+                shard_trials=budget,
+                shard_seconds=time.perf_counter() - cell_start,
+                cell_name=cell_def.name,
+                error_label=cell_def.spec.label,
+                observer=observer,
+            )
+        self.record_memory_since(memory_before)
+        return profile
+
+    def record_memory_since(self, before: Dict[str, int]) -> None:
+        """Fold the workload's memory fast-path counters moved since
+        ``before`` into the instruments (no-op without a registry)."""
+        instruments = self.observer.instruments
+        if instruments is None:
+            return
+        after = self.workload.fast_path_stats()
+        instruments.record_memory(
+            {key: after[key] - before.get(key, 0) for key in after}
+        )
 
     def run(
         self,
@@ -905,7 +773,7 @@ class CharacterizationCampaign:
         ``workload_factory`` / ``progress`` arguments as :meth:`run`.
         """
         worker_count = _normalize_workers(workers)
-        if self._driver is None or self._rng is None:
+        if self._driver is None:
             self.prepare()
         budget = trials_per_cell or self.config.trials_per_cell
         region_sizes = {

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.apps.base import Workload
 from repro.core.vulnerability import VulnerabilityProfile
-from repro.monitoring.monitor import record_monitored
+from repro.memory.trace import record_access_trace
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,8 @@ def estimate_masking(
     Resets the workload, samples live addresses, records one replay of
     the first ``queries`` trace entries (the same exposure window the
     campaign uses), and classifies each address by its first access.
+    The replay runs on the space's own access path: the recorder's
+    first-access census is the same on either path.
 
     Raises:
         ValueError: for non-positive budgets.
@@ -107,7 +109,7 @@ def estimate_masking(
                 addresses.append(addr)
                 region_of[addr] = name
 
-    trace = record_monitored(workload, queries)
+    trace = record_access_trace(workload, min(queries, workload.query_count))
 
     estimates: Dict[str, MaskingEstimate] = {}
     for name in region_names:

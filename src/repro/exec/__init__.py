@@ -11,8 +11,7 @@ from repro.exec.cells import CampaignCell, CellShard, plan_shards_indexed
 from repro.exec.parallel import (
     ParallelCampaignRunner,
     ShardResult,
-    TrialResult,
-    merge_shard_results,
+    fold_cells,
     resolve_start_method,
     run_shard_on,
 )
@@ -35,8 +34,7 @@ __all__ = [
     "plan_shards_indexed",
     "ParallelCampaignRunner",
     "ShardResult",
-    "TrialResult",
-    "merge_shard_results",
+    "fold_cells",
     "resolve_start_method",
     "run_shard_on",
     "PlanClassification",

@@ -1,33 +1,37 @@
-"""Parallel campaign execution over a multiprocessing worker pool.
+"""Pruned campaign execution: one cell walker, in process or on a pool.
 
 The paper ran its characterization on 40+ servers for two months
 because the Figure 2 loop is embarrassingly parallel across
-(region × error type × trial) cells. This module reproduces that
-scale-out in-process: :class:`ParallelCampaignRunner` pre-classifies
-every cell against the golden access trace, shards the trials that
-still need executing (:func:`repro.exec.cells.plan_shards_indexed`),
-executes the shards on a ``multiprocessing`` pool, and merges decided
-and executed trials back into a
-:class:`~repro.core.vulnerability.VulnerabilityProfile` in canonical
-campaign order.
+(region × error type × trial) cells. :class:`ParallelCampaignRunner`
+runs every pruned campaign, on any worker count: it pre-classifies
+every cell against the golden access trace, then :func:`fold_cells`
+walks the cells in canonical campaign order, folds each run of decided
+trials analytically and takes the executed trials from one of two
+sources. With one worker it measures each executed trial in this
+process when the walk reaches it. With more, the executed trials are
+sharded (:func:`repro.exec.cells.plan_shards_indexed`) and run on a
+``multiprocessing`` pool first, and the walk takes their results in
+trial order.
 
 Determinism guarantee
 ---------------------
 Every trial draws from its own seed stream, derived from the campaign
 root seed and the trial's (app, cell, error type, trial index) identity
-— never from pool scheduling. Merging replays trial results in
-canonical (cell, trial index) order, so the profile returned for *any*
-worker count — including the serial path — is bit-identical:
-``profile.to_dict()`` serializes to the same JSON bytes.
+— never from pool scheduling — and the walker folds trials in canonical
+(cell, trial index) order whatever their source. So the profile
+returned for *any* worker count is bit-identical (``profile.to_dict()``
+serializes to the same JSON bytes), and a traced run emits the same
+``cell`` and ``trial`` spans.
 
 Worker bootstrap
 ----------------
 On platforms with the ``fork`` start method (Linux), workers inherit
-the parent's fully prepared campaign — built workload, checkpoint, and
-golden responses — at zero marshalling cost. Elsewhere (``spawn``),
-each worker rebuilds the campaign from a picklable
-``workload_factory``; the build is deterministic, so the inherited and
-rebuilt campaigns measure identical trials.
+the parent's fully prepared campaign — built workload, checkpoint,
+golden responses and the golden access trace recorded while
+classifying — at zero marshalling cost. Elsewhere (``spawn``), each
+worker rebuilds the campaign from a picklable ``workload_factory``; the
+build is deterministic, so the inherited and rebuilt campaigns measure
+identical trials.
 
 Failures inside a worker (a bad region name, a broken workload factory)
 propagate: the pool is torn down and the original exception is raised
@@ -42,15 +46,27 @@ import os
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.exec.cells import CampaignCell, CellShard, plan_shards_indexed
 from repro.obs.events import SPAN_CELL, TraceEvent
 from repro.obs.progress import ProgressClock, emit_progress
 from repro.obs.sinks import EventBuffer
-from repro.obs.trace import NULL_OBSERVER, Observer
+from repro.obs.trace import Observer
+
+if TYPE_CHECKING:
+    from repro.core.campaign import TrialRecord
 
 logger = logging.getLogger("repro.parallel")
 
@@ -72,20 +88,6 @@ _WORKER_TRACE = False
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    """Picklable result of one trial, tagged with its grid position."""
-
-    cell_index: int
-    trial_index: int
-    anchor_addr: int
-    outcome: str
-    responded: int
-    incorrect: int
-    failed: int
-    effect_delay_minutes: Optional[float]
-
-
-@dataclass(frozen=True)
 class ShardResult:
     """All trial results of one shard plus worker timing and telemetry.
 
@@ -100,7 +102,7 @@ class ShardResult:
     cell_index: int
     cell_name: str
     error_label: str
-    results: Tuple[TrialResult, ...]
+    results: Tuple["TrialRecord", ...]
     worker_pid: int
     seconds: float
     events: Tuple[TraceEvent, ...] = field(default=())
@@ -157,24 +159,11 @@ def run_shard_on(
         )
     stats_before = campaign.workload.fast_path_stats()
     start = time.perf_counter()
-    results = []
     try:
-        for local, trial_index in enumerate(shard.indices):
-            trial = campaign.measure_trial(
-                shard.cell, trial_index, plan.flips_for(local)
-            )
-            results.append(
-                TrialResult(
-                    cell_index=shard.cell_index,
-                    trial_index=trial_index,
-                    anchor_addr=trial.anchor_addr,
-                    outcome=trial.outcome.value,
-                    responded=trial.responded,
-                    incorrect=trial.incorrect,
-                    failed=trial.failed,
-                    effect_delay_minutes=trial.effect_delay_minutes,
-                )
-            )
+        results = tuple(
+            campaign.measure_trial(shard.cell, trial_index, plan.flips_for(local))
+            for local, trial_index in enumerate(shard.indices)
+        )
     finally:
         if capture_events:
             campaign.observer = original_observer
@@ -183,7 +172,7 @@ def run_shard_on(
         cell_index=shard.cell_index,
         cell_name=shard.cell.name,
         error_label=shard.cell.spec.label,
-        results=tuple(results),
+        results=results,
         worker_pid=os.getpid(),
         seconds=time.perf_counter() - start,
         events=tuple(buffer.events) if buffer is not None else (),
@@ -208,126 +197,141 @@ def _execute_shard(shard: CellShard) -> ShardResult:
     return run_shard_on(campaign, shard, capture_events=_WORKER_TRACE)
 
 
-def merge_shard_results(
+def _measured(campaign, cell: CampaignCell, plan, classification) -> Iterator:
+    """A cell's executed trials, each measured in this process when the
+    walk reaches it."""
+    locals_ = (
+        range(len(plan))
+        if classification is None
+        else (~classification.decidable).nonzero()[0].tolist()
+    )
+    for local in locals_:
+        yield campaign.measure_trial(
+            cell, int(plan.trial_indices[local]), plan.flips_for(local)
+        )
+
+
+def _replayed(
+    shard_results: Sequence[ShardResult], observer: Observer, instruments
+) -> Iterator:
+    """A cell's executed trials from the pool, in trial order; a shard's
+    captured events and memory stats are replayed when its first trial
+    is reached."""
+    entries = sorted(
+        (
+            (shard_result, trial)
+            for shard_result in shard_results
+            for trial in shard_result.results
+        ),
+        key=lambda entry: entry[1].trial_index,
+    )
+    replayed: set = set()
+    for shard_result, trial in entries:
+        if id(shard_result) not in replayed:
+            replayed.add(id(shard_result))
+            observer.replay(shard_result.events)
+            if instruments is not None and shard_result.memory_stats:
+                instruments.record_memory(shard_result.memory_stats)
+        yield trial
+
+
+def fold_cells(
+    campaign,
     profile: VulnerabilityProfile,
     cells: Sequence[CampaignCell],
-    shard_results: Iterable[ShardResult],
-    campaign=None,
-    classified: Optional[Dict[int, Tuple]] = None,
-    decided_progress: Optional[Callable[[str, str, int, float], None]] = None,
-) -> List[TrialResult]:
-    """Fold shard results into ``profile`` in canonical campaign order.
+    classified: Sequence[Tuple],
+    trials_per_cell: int,
+    shard_results: Optional[Iterable[ShardResult]] = None,
+    report: Optional[Callable[[str, str, int, float], None]] = None,
+) -> None:
+    """Fold every cell of a pruned campaign into ``profile``, in order.
 
-    Results may arrive in any completion order; they are re-sorted by
-    (cell index, trial index) before being recorded, which makes the
-    merged profile independent of pool scheduling — the property pinned
-    by the determinism test harness.
+    The one walker of the pruned backend, for any worker count.
+    ``classified`` holds each cell's ``(plan, classification)``; a
+    ``None`` classification (no analytic model for the spec) executes
+    the whole cell. Each maximal run of decided trials is folded by
+    :meth:`~repro.core.campaign.CharacterizationCampaign.fold_decided_run`;
+    each run of the rest takes that many executed trials, in trial
+    order, from one of two sources:
 
-    ``classified`` carries the trace's verdicts as
-    ``{cell index: (plan, classification)}``. Each maximal run of
-    decided trials is folded by the campaign's
-    :meth:`~repro.core.campaign.CharacterizationCampaign.fold_decided_run`
-    — the routine the serial cell loop uses — at its place in trial
-    order between the executed results, which is what keeps
-    ``workers=N`` byte-identical to the serial pruned run. A cell that
-    folded decided trials reports them to ``decided_progress`` as
-    ``(cell name, error label, decided trials, seconds its merge
-    took)``: no worker ever saw them, so this is where they count as
-    done.
+    * ``shard_results is None``: ``campaign.measure_trial``, called when
+      the walk reaches the trial — so the space's clock and counters
+      advance exactly as trial-by-trial execution advances them;
+    * otherwise the pool's shard results, in any completion order: they
+      are sorted by trial index, which makes the profile independent of
+      pool scheduling.
 
-    With a ``campaign``, each cell's merge is wrapped in a ``cell``
-    tracing span on its observer, worker-captured events are replayed
-    into the parent's sinks when their shard is first reached in
-    canonical order — so a parallel run's trace has the same span paths
-    as a serial run's — executed trials are mirrored into
-    ``campaign.trials`` at their place in that order, and the campaign
-    takes each cell's worker-side query decisions.
+    Each cell is walked inside a ``cell`` span (carrying the cell's
+    query decisions). Its trial-level events are buffered and replayed
+    into the campaign's observer in one call: sinks see them in order,
+    and the metrics instruments take one batched update per cell.
 
-    Returns the executed trial results, flattened in canonical order.
+    ``report`` is called after each cell with ``(cell name, error label,
+    trials, seconds)`` for the trials the walk itself settled: decided
+    ones, and those it measured. Pool trials were reported as their
+    shards completed.
     """
-    from repro.core.campaign import TrialRecord
-
-    obs = campaign.observer if campaign is not None else NULL_OBSERVER
+    observer = campaign.observer
     by_cell: Dict[int, List[ShardResult]] = {}
-    for shard_result in shard_results:
+    for shard_result in shard_results or ():
         by_cell.setdefault(shard_result.cell_index, []).append(shard_result)
-    ordered: List[TrialResult] = []
     for cell_index, cell_def in enumerate(cells):
-        cell = profile.cell(cell_def.name, cell_def.spec.label)
-        cell_key = f"{cell_def.name}|{cell_def.spec.label}"
-        merge_start = time.perf_counter()
-        entries = sorted(
-            (
-                (shard_result, result)
-                for shard_result in by_cell.get(cell_index, [])
-                for result in shard_result.results
-            ),
-            key=lambda entry: entry[1].trial_index,
-        )
-        plan, classification = (classified or {}).get(cell_index, (None, None))
+        stats = profile.cell(cell_def.name, cell_def.spec.label)
+        plan, classification = classified[cell_index]
+        shards = by_cell.get(cell_index, [])
         runs = (
             classification.runs()
             if classification is not None
-            else [(0, len(entries), False)]
+            else [(0, trials_per_cell, False)]
         )
-        with obs.span(
+        walk_start = time.perf_counter()
+        with observer.span(
             SPAN_CELL,
-            key=cell_key,
-            attrs={"region": cell_def.name, "error_label": cell_def.spec.label},
+            key=f"{cell_def.name}|{cell_def.spec.label}",
+            attrs={
+                "region": cell_def.name,
+                "error_label": cell_def.spec.label,
+                "trials": trials_per_cell,
+            },
         ) as cell_span:
-            if campaign is not None:
-                cell_span.set(
-                    decisions=campaign.note_decisions(
-                        cell_def,
-                        [shard.decisions for shard in by_cell.get(cell_index, [])],
-                    )
+            buffer = None
+            if observer.enabled:
+                buffer = EventBuffer()
+                campaign.observer = Observer(
+                    sinks=[buffer], root_path=observer.current_path()
                 )
-            pending = iter(entries)
-            replayed: set = set()
-            for start, stop, decided in runs:
-                if decided:
-                    campaign.fold_decided_run(
-                        cell_def, cell, plan, classification, start, stop
-                    )
-                    continue
-                for shard_result, result in islice(pending, stop - start):
-                    if id(shard_result) not in replayed:
-                        replayed.add(id(shard_result))
-                        obs.replay(shard_result.events)
-                        instruments = obs.instruments
-                        if instruments is not None and shard_result.memory_stats:
-                            instruments.record_memory(shard_result.memory_stats)
-                    outcome = ErrorOutcome(result.outcome)
-                    cell.record(
-                        outcome=outcome,
-                        responded=result.responded,
-                        incorrect=result.incorrect,
-                        failed=result.failed,
-                        effect_delay_minutes=result.effect_delay_minutes,
-                    )
-                    if campaign is not None and cell_def.spans is None:
-                        campaign.trials.append(
-                            TrialRecord(
-                                region=cell_def.name,
-                                error_label=cell_def.spec.label,
-                                anchor_addr=result.anchor_addr,
-                                outcome=outcome,
-                                responded=result.responded,
-                                incorrect=result.incorrect,
-                                failed=result.failed,
-                                effect_delay_minutes=result.effect_delay_minutes,
-                            )
+            if shard_results is None:
+                executed = _measured(campaign, cell_def, plan, classification)
+            else:
+                executed = _replayed(shards, campaign.observer, observer.instruments)
+            try:
+                for start, stop, decided in runs:
+                    if decided:
+                        campaign.fold_decided_run(
+                            cell_def, stats, plan, classification, start, stop
                         )
-                    ordered.append(result)
-        folded = classification.pruned_count if classification is not None else 0
-        if folded and decided_progress is not None:
-            decided_progress(
+                        continue
+                    for trial in islice(executed, stop - start):
+                        trial.record_into(stats)
+            finally:
+                campaign.observer = observer
+            if buffer is not None:
+                observer.replay(buffer.events)
+            cell_span.set(
+                decisions=campaign.note_decisions(
+                    cell_def,
+                    [shard.decisions for shard in shards]
+                    + [campaign.take_decisions()],
+                )
+            )
+        settled = trials_per_cell - sum(len(shard.results) for shard in shards)
+        if settled and report is not None:
+            report(
                 cell_def.name,
                 cell_def.spec.label,
-                folded,
-                time.perf_counter() - merge_start,
+                settled,
+                time.perf_counter() - walk_start,
             )
-    return ordered
 
 
 def resolve_start_method(preferred: Optional[str] = None) -> str:
@@ -343,7 +347,8 @@ def resolve_start_method(preferred: Optional[str] = None) -> str:
 
 
 class ParallelCampaignRunner:
-    """Runs a campaign's cell grid on a multiprocessing worker pool."""
+    """Runs a pruned campaign's cell grid: executed trials in this
+    process on one worker, on a multiprocessing pool on more."""
 
     def __init__(
         self,
@@ -366,26 +371,31 @@ class ParallelCampaignRunner:
         trials_per_cell: int,
         region_sizes: Dict[str, int],
     ) -> VulnerabilityProfile:
-        """Execute the grid and return the merged profile.
+        """Classify, execute and fold the grid; return the profile.
 
-        ``campaign`` must already be prepared; its workload is never
-        mutated by the pool (workers operate on forked or rebuilt
-        copies), so shared workload fixtures stay pristine. Progress
-        accounts for the whole budget, as the serial loop does: executed
-        trials as their shards complete, decided ones as their cell is
-        merged. No pool is built when the trace decides every trial.
+        ``campaign`` must already be prepared. With one worker the
+        executed trials run in this process as :func:`fold_cells`
+        reaches them. With more they run on a pool first: its workers
+        operate on forked or rebuilt copies, so the parent's workload is
+        never mutated by them (shared fixtures stay pristine), and no
+        pool is built when the trace decides every trial. Progress
+        accounts for the whole budget on any worker count: pool trials
+        as their shards complete, the rest as their cell is walked. The
+        instruments take the memory fast-path delta of this process's
+        space over the run (classification, settles, in-process trials)
+        and each shard's.
 
         Raises:
             ValueError: for a ``scalar`` campaign, which runs serially.
         """
-        global _WORKER_CAMPAIGN, _WORKER_TRACE
         if campaign.backend == "scalar":
             raise ValueError(
                 "the scalar backend is single-threaded; "
                 "workers > 1 needs backend='pruned'"
             )
         observer = campaign.observer
-        shards, classified = self._plan_pruned_shards(
+        memory_before = campaign.workload.fast_path_stats()
+        classified, indices_by_cell = self._classify(
             campaign, cells, trials_per_cell
         )
         profile = VulnerabilityProfile(app=campaign.workload.name)
@@ -398,7 +408,7 @@ class ParallelCampaignRunner:
         def report(
             cell_name, error_label, trials, seconds, worker_pid=os.getpid()
         ) -> None:
-            """One progress event; the parent's pid for decided trials."""
+            """One progress event; this process's pid for walked trials."""
             nonlocal trials_done
             trials_done += trials
             emit_progress(
@@ -414,104 +424,120 @@ class ParallelCampaignRunner:
                 observer=observer,
             )
 
-        shard_results: List[ShardResult] = []
-        if shards:
-            context = multiprocessing.get_context(self.start_method)
-            if self.start_method == "fork":
-                initializer, initargs = None, ()
-                _WORKER_CAMPAIGN = campaign  # inherited by forked workers
-                _WORKER_TRACE = observer.enabled
-            else:
-                if self.workload_factory is None:
-                    raise RuntimeError(
-                        f"start method {self.start_method!r} cannot inherit the "
-                        "prepared campaign; pass a picklable workload_factory"
-                    )
-                initializer = _worker_initializer
-                initargs = (
-                    self.workload_factory,
-                    campaign.config,
-                    observer.enabled,
-                    campaign.region_codecs,
-                )
-
-            pool_size = min(self.workers, len(shards))
-            logger.info(
-                "pool: %d workers (%s), %d shards, %d trials",
-                pool_size, self.start_method, len(shards),
-                sum(len(shard.indices) for shard in shards),
+        shard_results = None
+        if self.workers > 1:
+            shard_results = self._run_pool(
+                campaign,
+                plan_shards_indexed(cells, indices_by_cell, self.workers),
+                report,
             )
-            try:
-                with context.Pool(
-                    processes=pool_size, initializer=initializer, initargs=initargs
-                ) as pool:
-                    for shard_result in pool.imap_unordered(_execute_shard, shards):
-                        shard_results.append(shard_result)
-                        report(
-                            shard_result.cell_name,
-                            shard_result.error_label,
-                            len(shard_result.results),
-                            shard_result.seconds,
-                            shard_result.worker_pid,
-                        )
-            finally:
-                if self.start_method == "fork":
-                    _WORKER_CAMPAIGN = None
-                    _WORKER_TRACE = False
-
-        merge_shard_results(
-            profile, cells, shard_results, campaign, classified, report
+        fold_cells(
+            campaign,
+            profile,
+            cells,
+            classified,
+            trials_per_cell,
+            shard_results,
+            report,
         )
+        campaign.record_memory_since(memory_before)
         return profile
 
-    def _plan_pruned_shards(
-        self,
+    def _run_pool(
+        self, campaign, shards: List[CellShard], report: Callable
+    ) -> List[ShardResult]:
+        """Run ``shards`` on a worker pool, reporting each as it completes."""
+        global _WORKER_CAMPAIGN, _WORKER_TRACE
+        shard_results: List[ShardResult] = []
+        if not shards:
+            return shard_results
+        trace_enabled = campaign.observer.enabled
+        context = multiprocessing.get_context(self.start_method)
+        if self.start_method == "fork":
+            initializer, initargs = None, ()
+            _WORKER_CAMPAIGN = campaign  # inherited by forked workers
+            _WORKER_TRACE = trace_enabled
+        else:
+            if self.workload_factory is None:
+                raise RuntimeError(
+                    f"start method {self.start_method!r} cannot inherit the "
+                    "prepared campaign; pass a picklable workload_factory"
+                )
+            initializer = _worker_initializer
+            initargs = (
+                self.workload_factory,
+                campaign.config,
+                trace_enabled,
+                campaign.region_codecs,
+            )
+
+        pool_size = min(self.workers, len(shards))
+        logger.info(
+            "pool: %d workers (%s), %d shards, %d trials",
+            pool_size, self.start_method, len(shards),
+            sum(len(shard.indices) for shard in shards),
+        )
+        try:
+            with context.Pool(
+                processes=pool_size, initializer=initializer, initargs=initargs
+            ) as pool:
+                for shard_result in pool.imap_unordered(_execute_shard, shards):
+                    shard_results.append(shard_result)
+                    report(
+                        shard_result.cell_name,
+                        shard_result.error_label,
+                        len(shard_result.results),
+                        shard_result.seconds,
+                        shard_result.worker_pid,
+                    )
+        finally:
+            if self.start_method == "fork":
+                _WORKER_CAMPAIGN = None
+                _WORKER_TRACE = False
+        return shard_results
+
+    @staticmethod
+    def _classify(
         campaign,
         cells: Sequence[CampaignCell],
         trials_per_cell: int,
-    ) -> Tuple[List[CellShard], Dict[int, Tuple]]:
-        """Pre-classify every cell and shard only the executed residue.
+    ) -> Tuple[List[Tuple], List[List[int]]]:
+        """Pre-classify every cell: its ``(plan, classification)`` and the
+        trial indices that still execute.
 
-        Runs in the parent process before the pool exists: the golden
-        trace is recorded once, each classified cell's ``(plan,
-        classification)`` is returned by cell index (its decided runs
-        are folded at merge time), and the remaining trial indices are
-        cut into cost-aware shards so the pool is balanced by actual
-        execution work.
+        Runs in this process before any trial executes (and before a
+        pool exists): the golden trace is recorded once, and the
+        pruning tallies of the whole run are added in one step.
         """
-        classified: Dict[int, Tuple] = {}
+        classified: List[Tuple] = []
         indices_by_cell: List[List[int]] = []
         run_pruned = run_executed = run_fallback = 0
-        for cell_index, cell_def in enumerate(cells):
+        for cell_def in cells:
             plan, classification = campaign.classify_cell_trials(
                 cell_def, range(trials_per_cell)
             )
+            classified.append((plan, classification))
             if classification is None:
                 indices_by_cell.append(list(range(trials_per_cell)))
                 run_executed += trials_per_cell
                 run_fallback += trials_per_cell
                 continue
-            classified[cell_index] = (plan, classification)
             indices_by_cell.append(
                 plan.trial_indices[~classification.decidable].tolist()
             )
             run_pruned += classification.pruned_count
             run_executed += classification.executed_count
-        campaign.pruning_stats.add(
-            pruned=run_pruned, executed=run_executed, fallback=run_fallback
-        )
+        tally = {
+            "pruned": run_pruned,
+            "executed": run_executed,
+            "fallback": run_fallback,
+        }
+        campaign.pruning_stats.add(**tally)
         instruments = campaign.observer.instruments
         if instruments is not None:
-            instruments.record_pruning(
-                {
-                    "pruned": run_pruned,
-                    "executed": run_executed,
-                    "fallback": run_fallback,
-                }
-            )
+            instruments.record_pruning(tally)
         logger.info(
             "pruning: %d/%d trials resolved analytically (%d fallback)",
             run_pruned, run_pruned + run_executed, run_fallback,
         )
-        shards = plan_shards_indexed(cells, indices_by_cell, self.workers)
-        return shards, classified
+        return classified, indices_by_cell

@@ -6,15 +6,17 @@ logs ``(load-or-store, time)`` on every access. The production recorder,
 access of a fault-free replay as an ordered byte span.
 :func:`record_monitored` records it on the space's checked path, where
 every logged access is exactly one clock tick, so event ``k`` happened
-at logical time ``start + 1 + k`` (:func:`event_times`). The analyses
-read that one log:
+at logical time ``start + 1 + k`` (:func:`event_times`). Two analyses
+read event times from that one log:
 
 * :func:`monitor` — per sampled byte, the ``(time, is_store)`` stream of
   the events whose span covers it (safe ratios, Figure 5b);
 * :func:`page_writes` — per page, the count and the first and last time
-  of the stores that touch it (explicit recoverability, Table 5);
-* ``trace.first_access`` — never accessed, loaded first or stored first
-  (:func:`repro.core.lightweight.estimate_masking`).
+  of the stores that touch it (explicit recoverability, Table 5).
+
+The masking estimate (:func:`repro.core.lightweight.estimate_masking`)
+needs no event times, only ``trace.first_access``, so it records on the
+space's own path.
 """
 
 from __future__ import annotations

@@ -541,8 +541,8 @@ class CampaignInstruments:
         Updated directly (like :meth:`ExplorationInstruments.record_search`)
         rather than from the event stream: the address space counts
         accesses and restore bytes itself, and campaigns fold the deltas
-        at cell/shard boundaries to keep instrument cost off the trial
-        hot path. Keys match ``Workload.fast_path_stats()``: the
+        at scalar-cell, shard and pruned-run boundaries to keep
+        instrument cost off the trial hot path. Keys match ``Workload.fast_path_stats()``: the
         ``AddressSpace`` counters plus, for the graph engine, its sweep
         dispositions (why a graph trial was slow: ``per_vertex`` sweeps
         and many live vertices mean faults kept runs from replaying).
@@ -582,8 +582,9 @@ class CampaignInstruments:
         """Fold one pruning tally into the registry.
 
         Updated directly (like :meth:`record_memory`): the campaign's
-        pre-classifier counts dispositions itself and folds them at
-        cell (serial) or run (parallel) boundaries. Keys match
+        pre-classifier counts dispositions itself and folds them once
+        per run, after classifying every cell; the walker folds each
+        cell's query decisions. Keys match
         ``PruningStats.to_dict()`` — ``pruned`` trials were resolved
         analytically, ``executed`` ran the workload, and ``fallback``
         (a subset of executed) had no analytic model for their fault

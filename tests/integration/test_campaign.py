@@ -15,6 +15,7 @@ from repro.injection.injector import ErrorSpec
 from repro.memory.faults import FaultKind
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
+from repro.exec.cells import CampaignCell
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT
 
 CONFIG = CampaignConfig(trials_per_cell=6, queries_per_trial=40, seed=7)
@@ -37,9 +38,9 @@ def websearch_small_module():
 
 class TestCampaign:
     def test_trials_classified_exhaustively(self, campaign):
-        trial = campaign.run_trial("private", SINGLE_BIT_SOFT)
+        trial = campaign.measure_trial(CampaignCell("private", SINGLE_BIT_SOFT), 0)
         assert isinstance(trial.outcome, ErrorOutcome)
-        assert trial.region == "private"
+        assert trial.trial_index == 0
         assert trial.responded + trial.failed <= CONFIG.queries_per_trial
 
     def test_run_produces_full_profile(self, campaign):
@@ -78,7 +79,7 @@ class TestCampaign:
         assert sizes["heap"] < heap.size  # live data only, not slack
 
     def test_trial_resets_leave_no_faults(self, campaign):
-        campaign.run_trial("heap", SINGLE_BIT_SOFT)
+        campaign.measure_trial(CampaignCell("heap", SINGLE_BIT_SOFT), 0)
         campaign.workload.reset()
         assert len(campaign.workload.space.fault_log) == 0
 

@@ -1,13 +1,14 @@
 """Run-length synthesis ≡ per-trial execution, serial and parallel.
 
 The pruned backend folds each maximal run of decided trials in one step
-(:meth:`CharacterizationCampaign.fold_decided_run`, shared by the serial
-cell loop and the parallel merge). Everything observable about a
-campaign must be what trial-by-trial execution produces: profile bytes
-(``outcome_counts`` insertion order and delay lists included),
-``campaign.trials``, the address space's clock and counters, the pruning
-tallies and the emitted trial spans — for cells that mix decided and
-executed trials and for cells where nothing executes.
+(:meth:`CharacterizationCampaign.fold_decided_run`, called by the one
+cell walker, :func:`repro.exec.parallel.fold_cells`, on any worker
+count). Everything observable about a campaign must be what
+trial-by-trial execution produces: profile bytes (``outcome_counts``
+insertion order and delay lists included), the address space's clock and
+counters, the pruning tallies and the emitted trial spans — for cells
+that mix decided and executed trials and for cells where nothing
+executes. Serial and pooled pruned runs also emit the same cell spans.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.injection.injector import (
     SINGLE_BIT_SOFT,
 )
 from repro.memory.fastpath import oracle_mode
-from repro.obs.events import SPAN_TRIAL
+from repro.obs.events import SPAN_CELL, SPAN_TRIAL
 from repro.obs.sinks import EventBuffer
 from repro.obs.trace import Observer
 
@@ -75,7 +76,6 @@ class Run:
         after = space.fast_path_stats()
         # No sort_keys: dict insertion order is part of the contract.
         self.profile_json = json.dumps(profile.to_dict())
-        self.trials = list(self.campaign.trials)
         self.time = space.time
         self.access_stats = space.access_stats()
         self.accesses = sum(
@@ -94,11 +94,12 @@ class Run:
         }
 
     def below_cell(self):
-        """Every trial-level and deeper event, order-free."""
+        """Every cell span and every trial-level and deeper event,
+        order-free, without ts, duration and pid."""
         return sorted(
             (event.path, event.kind, event.parent, json.dumps(event.attrs))
             for event in self.events
-            if "/trial:" in event.path
+            if event.name == SPAN_CELL or "/trial:" in event.path
         )
 
 
@@ -147,13 +148,6 @@ def test_profile_bytes_identical(runs):
         assert runs[name].profile_json == reference, name
 
 
-def test_trial_records_identical(runs):
-    reference = runs["scalar"].trials
-    assert len(reference) == 3 * len(SCENARIOS[runs["scenario"]][1]) * TRIALS
-    for name in ("scalar_fast", "pruned", "pruned_w2"):
-        assert runs[name].trials == reference, name
-
-
 def test_clock_and_counters_identical(runs):
     reference = runs["scalar"]
     for name in ("scalar_fast", "pruned"):
@@ -174,7 +168,9 @@ def test_every_access_is_credited_once(runs):
 def test_pruning_tallies_identical(runs):
     serial = runs["pruned"].campaign.pruning_stats.to_dict()
     assert runs["pruned_w2"].campaign.pruning_stats.to_dict() == serial
-    assert serial["pruned"] + serial["executed"] == len(runs["pruned"].trials)
+    assert serial["pruned"] + serial["executed"] == len(
+        runs["pruned"].trial_spans()
+    )
     if runs["scenario"] == "all_decided":
         assert serial["executed"] == 0
     else:
@@ -183,9 +179,12 @@ def test_pruning_tallies_identical(runs):
 
 def test_trial_spans_identical(runs):
     reference = runs["scalar"].trial_spans()
-    assert len(reference) == len(runs["scalar"].trials)
+    assert len(reference) == 3 * len(SCENARIOS[runs["scenario"]][1]) * TRIALS
     for name in ("scalar_fast", "pruned", "pruned_w2"):
         assert runs[name].trial_spans() == reference, name
+    # The serial walk measures each executed trial where it reaches it:
+    # trials run, and emit, in canonical order, as in the scalar loop.
+    assert list(runs["pruned"].trial_spans()) == list(reference)
     pruned_paths = {
         event.path
         for event in runs["pruned"].events

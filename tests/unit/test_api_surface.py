@@ -6,6 +6,7 @@ stay gone, and entry-point/config signatures stay keyword-only so the
 surface can grow fields without breaking callers.
 """
 
+import dataclasses
 import inspect
 import warnings
 
@@ -37,7 +38,7 @@ class TestSurfaceInventory:
         ]
 
     def test_api_version_tracks_package_major(self):
-        assert api.API_VERSION == "4.0"
+        assert api.API_VERSION == "5.0"
         assert (
             api.API_VERSION.split(".")[0] == repro.__version__.split(".")[0]
         )
@@ -110,6 +111,28 @@ class TestAvailableBackends:
             )
         with pytest.raises(ValueError, match="unknown serve data plane 'batched'"):
             api.ServeConfig(data_plane="batched")
+
+    def test_names_removed_in_5_0_are_gone(self):
+        """One per-trial record (``TrialRecord``, which ``measure_trial``
+        returns and shards carry) and one pruned cell walker
+        (``repro.exec.fold_cells``): nothing keeps trials on the
+        campaign."""
+        import repro.exec
+
+        for name in ("TrialResult", "merge_shard_results"):
+            assert not hasattr(repro.exec, name), name
+        for name in ("run_trial", "_run_planned_cell", "trials"):
+            assert not hasattr(api.CharacterizationCampaign, name), name
+        fields = [field.name for field in dataclasses.fields(api.TrialRecord)]
+        assert fields == [
+            "trial_index",
+            "anchor_addr",
+            "outcome",
+            "responded",
+            "incorrect",
+            "failed",
+            "effect_delay_minutes",
+        ]
 
     def test_the_scalar_oracle_is_serial(self):
         config = api.CampaignConfig(trials_per_cell=1, queries_per_trial=2)

@@ -1,5 +1,7 @@
 """Unit tests for campaign plumbing (config, trials, custom cells)."""
 
+import pickle
+
 import pytest
 
 from repro.core.campaign import (
@@ -8,6 +10,7 @@ from repro.core.campaign import (
     TrialRecord,
 )
 from repro.core.taxonomy import ErrorOutcome
+from repro.exec.cells import CampaignCell
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT
 
 
@@ -26,10 +29,10 @@ class TestCampaignConfig:
 
 
 class TestCampaignLifecycle:
-    def test_run_trial_requires_prepare(self, websearch_small):
+    def test_measure_trial_requires_prepare(self, websearch_small):
         campaign = CharacterizationCampaign(websearch_small, config=CampaignConfig())
         with pytest.raises(RuntimeError):
-            campaign.run_trial("private", SINGLE_BIT_SOFT)
+            campaign.measure_trial(CampaignCell("private", SINGLE_BIT_SOFT), 0)
 
     def test_prepare_reuses_built_workload(self, websearch_small):
         space_before = websearch_small.space
@@ -37,23 +40,28 @@ class TestCampaignLifecycle:
         campaign.prepare()
         assert websearch_small.space is space_before  # not rebuilt
 
-    def test_trials_recorded_on_campaign(self, websearch_small):
+    def test_measure_trial_returns_a_picklable_record(self, websearch_small):
+        """The one per-trial record: returned, never kept on the campaign."""
         campaign = CharacterizationCampaign(
             websearch_small,
             config=CampaignConfig(trials_per_cell=2, queries_per_trial=20, seed=3),
         )
         campaign.prepare()
-        trial = campaign.run_trial("stack", SINGLE_BIT_HARD)
+        cell = CampaignCell("stack", SINGLE_BIT_HARD)
+        trial = campaign.measure_trial(cell, 1)
         assert isinstance(trial, TrialRecord)
-        assert campaign.trials[-1] is trial
-        assert trial.error_label == "single-bit hard"
+        assert trial.trial_index == 1
         assert isinstance(trial.outcome, ErrorOutcome)
+        assert pickle.loads(pickle.dumps(trial)) == trial
+        assert campaign.measure_trial(cell, 1) == trial  # derived seed
+        for removed in ("trials", "run_trial", "_rng"):
+            assert not hasattr(campaign, removed), removed
 
     def test_unknown_region_rejected(self, websearch_small):
         campaign = CharacterizationCampaign(websearch_small, config=CampaignConfig())
         campaign.prepare()
         with pytest.raises(KeyError):
-            campaign.run_trial("nope", SINGLE_BIT_SOFT)
+            campaign.measure_trial(CampaignCell("nope", SINGLE_BIT_SOFT), 0)
 
 
 class TestCustomCells:

@@ -15,6 +15,7 @@ The headline guarantees of repro.exec, pinned as tests:
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.apps.websearch import WebSearch
 from repro.core.campaign import (
     CampaignConfig,
     CharacterizationCampaign,
+    TrialRecord,
 )
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
@@ -30,11 +32,13 @@ from repro.exec import (
     CampaignMetrics,
     ParallelCampaignRunner,
     ShardResult,
-    TrialResult,
-    merge_shard_results,
+    fold_cells,
     plan_shards_indexed,
 )
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT
+from repro.obs.events import SPAN_TRIAL
+from repro.obs.sinks import EventBuffer
+from repro.obs.trace import Observer
 from repro.utils.rng import derive_seed
 
 CONFIG = CampaignConfig(trials_per_cell=4, queries_per_trial=15, seed=77)
@@ -82,18 +86,58 @@ class TestSerialParallelEquality:
         four = _fresh_campaign().run(specs=(SINGLE_BIT_SOFT,), workers=4)
         assert _profile_bytes(two) == _profile_bytes(four)
 
-    def test_parallel_trials_mirrored_on_campaign(self):
-        serial = _fresh_campaign()
-        serial.run(regions=["stack"], specs=(SINGLE_BIT_SOFT,))
-        parallel = _fresh_campaign()
-        parallel.run(regions=["stack"], specs=(SINGLE_BIT_SOFT,), workers=2)
-        assert len(parallel.trials) == len(serial.trials)
-        assert [t.outcome for t in parallel.trials] == [
-            t.outcome for t in serial.trials
-        ]
-        assert [t.anchor_addr for t in parallel.trials] == [
-            t.anchor_addr for t in serial.trials
-        ]
+    def test_parallel_trial_spans_match_serial(self):
+        """The trial span is the per-trial record: the same paths and
+        attributes for any worker count."""
+
+        def trial_spans(workers):
+            buffer = EventBuffer()
+            campaign = CharacterizationCampaign(
+                make_tiny_websearch(),
+                config=CONFIG,
+                observer=Observer(sinks=[buffer]),
+            )
+            campaign.run(
+                regions=["stack"], specs=(SINGLE_BIT_SOFT,), workers=workers
+            )
+            return {
+                event.path: event.attrs
+                for event in buffer.events
+                if event.name == SPAN_TRIAL
+            }
+
+        serial = trial_spans(None)
+        assert len(serial) == CONFIG.trials_per_cell
+        assert trial_spans(2) == serial
+
+    def test_one_walker_for_every_worker_count(self):
+        """A pruned campaign folds its cells through ``fold_cells`` with
+        one worker (measuring in process) and on a pool (shard results);
+        the scalar oracle keeps its own loop."""
+        from repro.exec import parallel
+
+        sources = []
+        walk = parallel.fold_cells
+
+        def spy(*args):
+            sources.append(args[5])
+            return walk(*args)
+
+        with mock.patch.object(parallel, "fold_cells", spy):
+            for workers in (None, 2):
+                _fresh_campaign().run(
+                    regions=[EXECUTING_CELL.name],
+                    specs=(EXECUTING_CELL.spec,),
+                    workers=workers,
+                )
+            CharacterizationCampaign(
+                make_tiny_websearch(), config=CONFIG, backend="scalar"
+            ).run(regions=[EXECUTING_CELL.name], specs=(EXECUTING_CELL.spec,))
+        assert len(sources) == 2
+        assert sources[0] is None
+        assert sources[1] and all(
+            isinstance(shard, ShardResult) for shard in sources[1]
+        )
 
     def test_custom_cells_parallel_equality(self):
         def run_custom(workers):
@@ -219,11 +263,10 @@ class TestMerge:
         for cell_index in range(2):
             for start in (0, 2):
                 results = tuple(
-                    TrialResult(
-                        cell_index=cell_index,
+                    TrialRecord(
                         trial_index=start + offset,
                         anchor_addr=1000 * cell_index + start + offset,
-                        outcome=outcomes[start + offset].value,
+                        outcome=outcomes[start + offset],
                         responded=10,
                         incorrect=1 if start + offset == 2 else 0,
                         failed=0,
@@ -245,6 +288,20 @@ class TestMerge:
                 )
         return cells, shard_results
 
+    @staticmethod
+    def _fold(cells, shard_results) -> VulnerabilityProfile:
+        """Walk ``cells`` whose every trial executed on the pool."""
+        profile = VulnerabilityProfile(app="fake")
+        fold_cells(
+            _fresh_campaign(),
+            profile,
+            cells,
+            [(None, None)] * len(cells),
+            4,
+            shard_results,
+        )
+        return profile
+
     def test_merge_independent_of_completion_order(self):
         cells, shard_results = self._fake_results()
         baseline = None
@@ -252,8 +309,7 @@ class TestMerge:
         for _ in range(10):
             shuffled = list(shard_results)
             rng.shuffle(shuffled)
-            profile = VulnerabilityProfile(app="fake")
-            merge_shard_results(profile, cells, shuffled)
+            profile = self._fold(cells, shuffled)
             encoded = json.dumps(profile.to_dict())
             if baseline is None:
                 baseline = encoded
@@ -261,15 +317,15 @@ class TestMerge:
 
     def test_merge_replays_in_trial_order(self):
         cells, shard_results = self._fake_results()
-        profile = VulnerabilityProfile(app="fake")
-        ordered = merge_shard_results(profile, cells, reversed(shard_results))
-        assert [(r.cell_index, r.trial_index) for r in ordered] == [
-            (c, t) for c in range(2) for t in range(4)
-        ]
-        cell = profile.cell("stack", "single-bit soft")
-        assert cell.trials == 4
-        assert cell.effect_delay_minutes == [0.0, 2.0, 3.0]
-        assert cell.crash_delay_minutes == [0.0]
+        profile = self._fold(cells, reversed(shard_results))
+        for name in ("stack", "heap"):
+            cell = profile.cell(name, "single-bit soft")
+            assert cell.trials == 4
+            assert list(cell.outcome_counts) == [
+                "crash", "masked_overwrite", "incorrect", "masked_logic"
+            ]
+            assert cell.effect_delay_minutes == [0.0, 2.0, 3.0]
+            assert cell.crash_delay_minutes == [0.0]
 
 
 #: A cell whose first trial the golden trace cannot decide (a stuck-at
