@@ -7,9 +7,9 @@ deployed side by side), plus the analytic model and the composition
 grid behind ``optimize_fleet``. Before any timing race the engine must
 pass its correctness gates:
 
-* seeded runs are byte-identical across repeats and ``workers`` counts,
-  and per-design downtime sums to the per-month downtime even when
-  shocks outlast the month (both are taken after the per-server clip);
+* seeded runs are byte-identical across repeats, and per-design
+  downtime sums to the per-month downtime even when shocks outlast the
+  month (both are taken after the per-server clip);
 * the analytic model's means sit inside the Monte Carlo CI95 on an
   uncorrelated fleet (where routed availability saturates at 1.0) and
   on the optimizer's scenario — shocks at 1.5 % headroom — where it
@@ -80,6 +80,9 @@ RECOVERABLE = {
 
 SEED = 20140623
 
+#: Seeded runs the determinism gate compares.
+REPEATS = 3
+
 #: Aging, one shock a month on a 10% cohort, and a bad procurement
 #: batch: the wear the pipeline benchmark's plan_fleet workload uses.
 WEAR = dict(
@@ -146,29 +149,25 @@ def fleet_designs(profile):
 
 
 def check_determinism(profile, designs):
-    """Seeded runs must be byte-identical across repeats and workers."""
+    """Seeded runs over several month chunks must be byte-identical
+    across repeats."""
     config = FleetConfig(servers=80, months=48, month_chunk=16)
     runs = [
-        simulate_fleet(
-            profile, designs=designs, config=config, seed=SEED, workers=workers
-        )
-        for workers in (1, 1, 4)
+        simulate_fleet(profile, designs=designs, config=config, seed=SEED)
+        for _ in range(REPEATS)
     ]
     baseline = runs[0]
     for run in runs[1:]:
         assert run.downtime_by_month == baseline.downtime_by_month
         assert run.errors_by_month == baseline.errors_by_month
         assert run.availability_by_month == baseline.availability_by_month
-        left, right = baseline.to_dict(), run.to_dict()
-        left.pop("workers")
-        right.pop("workers")
-        assert left == right, "summaries diverge beyond the workers field"
+        assert run.to_dict() == baseline.to_dict(), "summaries diverge"
     return {
         "byte_identical": True,
         "design_downtime_reconciles": design_downtime_reconciles(
             profile, designs
         ),
-        "workers_checked": [1, 4],
+        "repeats": REPEATS,
         "servers": config.servers,
         "months": config.months,
     }
@@ -478,11 +477,11 @@ def main(argv=None):
     profile = build_profile()
     designs = fleet_designs(profile)
 
-    print("gate: seeded determinism across repeats and workers...")
+    print("gate: seeded determinism across repeats...")
     determinism = check_determinism(profile, designs)
     print(
         f"  byte-identical over {determinism['servers']} servers x "
-        f"{determinism['months']} months (workers 1 vs 4); design "
+        f"{determinism['months']} months ({determinism['repeats']} runs); design "
         "downtime reconciles with month downtime under a binding clip"
     )
 

@@ -16,8 +16,8 @@ import time
 
 from _helpers import make_websearch
 from repro.core.campaign import CampaignConfig, CharacterizationCampaign
-from repro.exec import CampaignMetrics
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT
+from repro.obs import CampaignMetrics
 
 CONFIG = CampaignConfig(trials_per_cell=30, queries_per_trial=80, seed=41)
 WORKER_COUNTS = (1, 2, 4)

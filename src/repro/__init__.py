@@ -82,7 +82,7 @@ from repro import api
 # to --log-level); see the stdlib logging HOWTO for the convention.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "api",

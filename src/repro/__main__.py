@@ -477,11 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--sim-seed", type=int, default=0,
         help="root seed for the fleet simulation (results are "
-        "byte-identical across runs and --sim-workers counts)",
-    )
-    fleet.add_argument(
-        "--sim-workers", type=_worker_count, default=1,
-        help="threads simulating month chunks concurrently",
+        "byte-identical across runs)",
     )
     fleet.add_argument(
         "--target", type=float, default=None, metavar="FRACTION",
@@ -882,7 +878,6 @@ def _cmd_fleet(arguments) -> int:
             designs=designs,
             config=config,
             seed=arguments.sim_seed,
-            workers=arguments.sim_workers,
             backend=arguments.backend,
             observer=observer,
             error_label="single-bit hard",

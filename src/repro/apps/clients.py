@@ -20,7 +20,6 @@ is equal field for field.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence
 
@@ -48,6 +47,10 @@ FUSION_MIN_SHARE = 0.05
 #: loop) are survivable per-request failures.
 FATAL_ERRORS = (FatalWorkloadError, SimulatedMemoryError)
 
+#: The paper's crash rule (§IV-A step 4): a session in which at least
+#: this fraction of the attempted requests failed is a crash.
+CRASH_FAILURE_FRACTION = 0.5
+
 
 @dataclass
 class ClientReport:
@@ -67,13 +70,14 @@ class ClientReport:
         """Requests that produced any response."""
         return self.correct + self.incorrect
 
-    def crashed(self, failure_fraction: float = 0.5) -> bool:
-        """The paper's crash rule: fatal error or >=50 % failed requests."""
+    def crashed(self) -> bool:
+        """The paper's crash rule: fatal error or >=50 % failed requests
+        (:data:`CRASH_FAILURE_FRACTION`)."""
         if self.fatal:
             return True
         if self.attempted == 0:
             return False
-        return self.failed / self.attempted >= failure_fraction
+        return self.failed / self.attempted >= CRASH_FAILURE_FRACTION
 
     @property
     def incorrect_fraction(self) -> float:
@@ -84,26 +88,21 @@ class ClientReport:
 
 
 class ClientDriver:
-    """Replays queries and scores responses against golden outputs."""
+    """Replays queries and scores responses against golden outputs.
 
-    def __init__(
-        self,
-        workload: Workload,
-        golden: Sequence[Hashable],
-        failure_fraction: float = 0.5,
-    ) -> None:
-        if len(golden) != workload.query_count:
+    ``golden`` holds the fault-free responses of a prefix of the trace
+    (a campaign records only its query budget); only the queries it
+    covers may be issued.
+    """
+
+    def __init__(self, workload: Workload, golden: Sequence[Hashable]) -> None:
+        if len(golden) > workload.query_count:
             raise ValueError(
-                f"golden responses ({len(golden)}) do not cover the "
+                f"golden responses ({len(golden)}) are longer than the "
                 f"workload trace ({workload.query_count} queries)"
-            )
-        if not 0.0 < failure_fraction <= 1.0:
-            raise ValueError(
-                f"failure_fraction must be in (0, 1], got {failure_fraction}"
             )
         self._workload = workload
         self._golden = list(golden)
-        self._failure_fraction = failure_fraction
 
     def run(
         self,
@@ -189,17 +188,3 @@ class ClientDriver:
                 report.incorrect_queries.append(query_index)
                 if report.first_incorrect_time is None:
                     report.first_incorrect_time = space.time
-
-    def run_random(
-        self, count: int, rng: random.Random, stop_on_fatal: bool = True
-    ) -> ClientReport:
-        """Issue ``count`` queries sampled uniformly from the trace."""
-        indices = [
-            rng.randrange(self._workload.query_count) for _ in range(count)
-        ]
-        return self.run(indices, stop_on_fatal=stop_on_fatal)
-
-    @property
-    def failure_fraction(self) -> float:
-        """Crash threshold used by :meth:`ClientReport.crashed`."""
-        return self._failure_fraction

@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.apps.base import Workload
-from repro.apps.clients import ClientDriver
+from repro.apps.clients import CRASH_FAILURE_FRACTION, ClientDriver
 from repro.core.design_space import HardwareTechnique
 from repro.core.taxonomy import ErrorOutcome, classify_outcome
 from repro.core.vulnerability import VulnerabilityProfile
@@ -96,15 +96,12 @@ class CampaignConfig:
     trials_per_cell: int = 60
     queries_per_trial: int = 150
     seed: int = 99
-    failure_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.trials_per_cell <= 0:
             raise ValueError("trials_per_cell must be positive")
         if self.queries_per_trial <= 0:
             raise ValueError("queries_per_trial must be positive")
-        if not 0.0 < self.failure_fraction <= 1.0:
-            raise ValueError("failure_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -248,19 +245,27 @@ class CharacterizationCampaign:
     def prepare(self) -> None:
         """Build the workload, checkpoint it, and record golden outputs.
 
+        Trials issue only the query budget, so only the budget is
+        replayed for golden responses; the golden access trace is then
+        recorded against them. The second replay must answer as the
+        first did, or it cannot stand in for clean execution
+        (:func:`~repro.memory.trace.record_access_trace` raises).
+
         An already-built workload (e.g. a shared test fixture) is reused:
         it is reset to its checkpoint instead of rebuilt.
         """
-        if self.workload.is_built:
-            self.workload.reset()
+        workload = self.workload
+        if workload.is_built:
+            workload.reset()
         else:
-            self.workload.build()
-            self.workload.checkpoint()
-        self._golden = self.workload.golden_responses()
-        self.workload.reset()
-        self._driver = ClientDriver(
-            self.workload, self._golden, failure_fraction=self.config.failure_fraction
+            workload.build()
+            workload.checkpoint()
+        query_budget = min(self.config.queries_per_trial, workload.query_count)
+        self._golden = [workload.execute(index) for index in range(query_budget)]
+        self._golden_trace = record_access_trace(
+            workload, query_budget, golden=self._golden
         )
+        self._driver = ClientDriver(workload, self._golden)
         self._seed_factory = SeedSequenceFactory(self.config.seed)
         if self.region_codecs:
             known = {region.name for region in self.workload.space.regions}
@@ -380,9 +385,7 @@ class CharacterizationCampaign:
                     reads, was_overwritten = space.fault_consumption(addr)
                     consumed = consumed or reads > 0
                     overwritten = overwritten or was_overwritten
-                outcome = classify_outcome(
-                    report, consumed, overwritten, self.config.failure_fraction
-                )
+                outcome = classify_outcome(report, consumed, overwritten)
                 verify_span.set(
                     consumed=consumed, overwritten=overwritten, outcome=outcome.value
                 )
@@ -448,7 +451,7 @@ class CharacterizationCampaign:
     # Trial pruning (backend="pruned")
     # ------------------------------------------------------------------
     def golden_trace(self):
-        """Record (once) and return the campaign's golden access trace.
+        """The campaign's golden access trace, recorded by :meth:`prepare`.
 
         One :class:`~repro.memory.trace.AccessTrace` of the query budget
         serves every cell — classification and fused trial execution
@@ -456,14 +459,7 @@ class CharacterizationCampaign:
         is injection-independent.
         """
         if self._golden_trace is None:
-            if self._driver is None:
-                self.prepare()
-            query_budget = min(
-                self.config.queries_per_trial, self.workload.query_count
-            )
-            self._golden_trace = record_access_trace(
-                self.workload, query_budget, golden=self._golden
-            )
+            raise RuntimeError("prepare() must be called before golden_trace()")
         return self._golden_trace
 
     def _trial_replay(self):
@@ -840,7 +836,7 @@ def campaign_fingerprint(
         "trials_per_cell": config.trials_per_cell,
         "queries_per_trial": config.queries_per_trial,
         "seed": config.seed,
-        "failure_fraction": config.failure_fraction,
+        "failure_fraction": CRASH_FAILURE_FRACTION,
         "specs": [{"kind": spec.kind.value, "bits": spec.bits} for spec in specs],
         "regions": list(regions) if regions is not None else None,
         "region_codecs": sorted(codecs.items()) if codecs else None,

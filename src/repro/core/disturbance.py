@@ -34,7 +34,6 @@ def characterize_disturbance(
     victim_offset: int = 64,
     regions: Optional[Sequence[str]] = None,
     seed: int = 606,
-    failure_fraction: float = 0.5,
 ) -> VulnerabilityProfile:
     """Run a disturbance campaign; one cell per region.
 
@@ -59,7 +58,7 @@ def characterize_disturbance(
         workload.checkpoint()
     golden = workload.golden_responses()
     workload.reset()
-    driver = ClientDriver(workload, golden, failure_fraction=failure_fraction)
+    driver = ClientDriver(workload, golden)
     space = workload.space
     if regions is None:
         regions = [region.name for region in space.regions]
@@ -106,11 +105,9 @@ def characterize_disturbance(
                 # The aggressor was never hammered hard enough to flip
                 # anything: by construction a masked (never-materialized)
                 # outcome.
-                outcome = classify_outcome(report, False, False, failure_fraction)
+                outcome = classify_outcome(report, False, False)
             else:
-                outcome = classify_outcome(
-                    report, reads > 0, overwritten, failure_fraction
-                )
+                outcome = classify_outcome(report, reads > 0, overwritten)
             effect_times = [
                 t
                 for t in (report.first_incorrect_time, report.first_failure_time)

@@ -44,7 +44,6 @@ def characterize_failure_modes(
     modes: Sequence[FailureMode] = DEFAULT_MODES,
     seed: int = 404,
     geometry: Optional[DramGeometry] = None,
-    failure_fraction: float = 0.5,
 ) -> VulnerabilityProfile:
     """Run footprint-injection campaigns, one cell per failure mode.
 
@@ -69,7 +68,7 @@ def characterize_failure_modes(
         workload.checkpoint()
     golden = workload.golden_responses()
     workload.reset()
-    driver = ClientDriver(workload, golden, failure_fraction=failure_fraction)
+    driver = ClientDriver(workload, golden)
     space = workload.space
     query_budget = min(queries_per_trial, workload.query_count)
 
@@ -97,9 +96,7 @@ def characterize_failure_modes(
                 reads, was_overwritten = space.fault_consumption(addr)
                 consumed = consumed or reads > 0
                 overwritten = overwritten or was_overwritten
-            outcome = classify_outcome(
-                report, consumed, overwritten, failure_fraction
-            )
+            outcome = classify_outcome(report, consumed, overwritten)
             effect_times = [
                 t
                 for t in (report.first_incorrect_time, report.first_failure_time)

@@ -52,19 +52,19 @@ def classify_outcome(
     report: ClientReport,
     consumed: bool,
     overwritten: bool,
-    failure_fraction: float = 0.5,
 ) -> ErrorOutcome:
     """Map a client session + fault-consumption facts to an outcome.
 
     Args:
-        report: The client's view of the session after injection.
+        report: The client's view of the session after injection;
+            whether it crashed is the paper's ≥50 % rule
+            (:meth:`~repro.apps.clients.ClientReport.crashed`).
         consumed: Whether any faulty byte was read before being
             overwritten (from
             :meth:`~repro.memory.AddressSpace.fault_consumption`).
         overwritten: Whether the faulty byte(s) were overwritten.
-        failure_fraction: Crash threshold for the ≥50 % rule.
     """
-    if report.crashed(failure_fraction):
+    if report.crashed():
         return ErrorOutcome.CRASH
     if report.incorrect or report.failed:
         # Failed requests short of the crash threshold are visible to the

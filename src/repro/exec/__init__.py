@@ -1,10 +1,11 @@
-"""Campaign execution engine: sharding, worker pools, progress metrics.
+"""Campaign execution engine: sharding and worker pools.
 
 See :mod:`repro.exec.parallel` for the determinism guarantee that makes
 parallel characterization bit-identical to serial runs, and
 :mod:`repro.exec.pruning` for the access-trace trial pre-classifier
 behind ``backend="pruned"`` (the trace itself is
-:mod:`repro.memory.trace`).
+:mod:`repro.memory.trace`). Progress metrics live in
+:mod:`repro.obs.progress` (exported by :mod:`repro.obs`).
 """
 
 from repro.exec.cells import CampaignCell, CellShard, plan_shards_indexed
@@ -22,11 +23,6 @@ from repro.exec.pruning import (
     corrected_byte_mask,
 )
 from repro.exec.workers import resolve_workers
-from repro.obs.progress import (
-    CampaignMetrics,
-    ProgressEvent,
-    WorkerTiming,
-)
 
 __all__ = [
     "CampaignCell",
@@ -42,9 +38,6 @@ __all__ = [
     "classify_plan",
     "corrected_byte_mask",
     "resolve_workers",
-    "CampaignMetrics",
-    "ProgressEvent",
-    "WorkerTiming",
 ]
 
 

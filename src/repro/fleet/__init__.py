@@ -9,8 +9,8 @@ Layers (each usable on its own):
   by simulator and analytic model (design blocks, staggered ages,
   bad-DIMM batches, refurbishment months);
 * :mod:`repro.fleet.simulator` — batched Monte Carlo over servers ×
-  months (chunked NumPy draws + scalar reference), byte-identical for any
-  ``workers`` count;
+  months (chunked NumPy draws + scalar reference), byte-identical across
+  runs of one seed;
 * :mod:`repro.fleet.analytic` — exact downtime moments plus
   normal-approximated routed availability; cross-validates the MC;
 * :mod:`repro.fleet.optimizer` — fractional-composition search against

@@ -221,9 +221,9 @@ class FleetConfig:
         correlation: Cross-server failure structure
             (``CorrelationConfig.disabled()`` for independence).
         month_chunk: Months simulated per deterministic chunk — the
-            parallel work unit. Results are byte-identical for any
-            ``workers`` count because chunk seeds derive only from
-            (seed, chunk index).
+            unit of draw-path choice and seeding: chunk seeds derive
+            only from (seed, chunk index), and each chunk's clip guard
+            picks block rows or per-server rows for its months.
     """
 
     servers: int = 1000

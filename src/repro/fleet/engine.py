@@ -121,7 +121,6 @@ def simulate_fleet(
     composition: Optional[Mapping[str, float]] = None,
     config: Optional[FleetConfig] = None,
     seed: int = 0,
-    workers: int = 1,
     backend: str = "auto",
     observer: Observer = NULL_OBSERVER,
     cost_model: Optional[CostModel] = None,
@@ -142,9 +141,7 @@ def simulate_fleet(
             largest-remainder apportionment.
         config: Fleet shape (:class:`FleetConfig`): size, horizon,
             demand headroom, aging, correlation, repair cadence.
-        seed: Root seed; results are byte-identical across runs and
-            ``workers`` counts.
-        workers: Threads simulating month chunks concurrently.
+        seed: Root seed; results are byte-identical across runs.
         backend: ``auto`` / ``scalar``; ``result.backend`` names what
             ran (``vectorized`` or ``scalar``).
         observer: Receives ``fleet`` spans and fleet instruments.
@@ -187,9 +184,7 @@ def simulate_fleet(
             )
         with observer.span(SPAN_FLEET_PHASE, key="simulate"):
             simulator = FleetSimulator(layout, params=availability_params)
-            result = simulator.simulate(
-                seed=seed, workers=workers, backend=backend
-            )
+            result = simulator.simulate(seed=seed, backend=backend)
         if instruments is not None:
             instruments.record_simulation(result)
         # Which rows the chunks drew, and the guard that decided it: the

@@ -32,23 +32,21 @@ floating-point statistic of any number of runs can depend on it — the
 chunk draws block rows as above. Otherwise its rows are servers: the
 crash and shock draws take ``(servers, span)`` rates and the clip runs.
 
-Determinism contract: results are **byte-identical** across runs and
-``workers`` counts for a given seed and code version (not across
-versions — the law is pinned, not the stream:
-``tests/property/test_prop_fleet_simulator.py``). Months run in fixed
-``config.month_chunk`` blocks; chunk ``i`` draws only from
-``derive_seed(seed, "fleet-chunk-i")`` in canonical order and writes a
-disjoint month slice. Which rows a chunk draws depends on the
-configuration only, never on a draw; chunks of one run may differ. The
-``scalar`` backend is the per-event Python reference (same law, one
-draw per error).
+Determinism contract: results are **byte-identical** across runs for
+a given seed and code version (not across versions — the law is
+pinned, not the stream: ``tests/property/test_prop_fleet_simulator.py``).
+Months run in fixed ``config.month_chunk`` blocks, one after another;
+chunk ``i`` draws only from ``derive_seed(seed, "fleet-chunk-i")`` in
+canonical order and writes a disjoint month slice. Which rows a chunk
+draws depends on the configuration only, never on a draw; chunks of one
+run may differ. The ``scalar`` backend is the per-event Python
+reference (same law, one draw per error).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -156,7 +154,6 @@ class FleetSimulationResult:
 
     backend: str
     seed: int
-    workers: int
     servers: int
     months: int
     demand_fraction: float
@@ -237,7 +234,6 @@ class FleetSimulationResult:
         return {
             "backend": self.backend,
             "seed": self.seed,
-            "workers": self.workers,
             "servers": self.servers,
             "months": self.months,
             "demand_fraction": self.demand_fraction,
@@ -335,14 +331,10 @@ class FleetSimulator:
         return found
 
     def simulate(
-        self, seed: int = 0, workers: int = 1, backend: str = "auto"
+        self, seed: int = 0, backend: str = "auto"
     ) -> FleetSimulationResult:
-        """Run the full horizon; deterministic for any ``workers``."""
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        """Run the full horizon, chunk by chunk in month order."""
         if backend == "scalar":
-            if workers != 1:
-                raise ValueError("the scalar backend is single-threaded")
             return self._simulate_scalar(seed)
         if backend != "auto":
             raise ValueError(
@@ -350,21 +342,13 @@ class FleetSimulator:
             )
         import numpy as np
 
-        chunks = self.chunks
-        outputs = [None] * len(chunks)
-
-        def run_chunk(index: int):
-            outputs[index] = self._simulate_chunk(
-                np, seed, index, chunks[index]
-            )
-
-        if workers == 1 or len(chunks) == 1:
-            for index in range(len(chunks)):
-                run_chunk(index)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_chunk, range(len(chunks))))
-        return self._merge(outputs, seed, workers)
+        return self._merge(
+            [
+                self._simulate_chunk(np, seed, index, chunk)
+                for index, chunk in enumerate(self.chunks)
+            ],
+            seed,
+        )
 
     def _simulate_chunk(self, np, seed: int, index: int, chunk: FleetChunk):
         """One deterministic month chunk; draws in canonical order.
@@ -470,15 +454,12 @@ class FleetSimulator:
             },
         }
 
-    def _empty_result(
-        self, backend: str, seed: int, workers: int
-    ) -> FleetSimulationResult:
+    def _empty_result(self, backend: str, seed: int) -> FleetSimulationResult:
         months = self.layout.config.months
         composition = self.layout.composition()
         return FleetSimulationResult(
             backend=backend,
             seed=seed,
-            workers=workers,
             servers=self.layout.servers,
             months=months,
             demand_fraction=self.layout.config.demand_fraction,
@@ -499,9 +480,9 @@ class FleetSimulator:
             },
         )
 
-    def _merge(self, outputs, seed, workers):
+    def _merge(self, outputs, seed):
         # The label is part of to_dict(), hence of committed result digests.
-        result = self._empty_result("vectorized", seed, workers)
+        result = self._empty_result("vectorized", seed)
         for chunk in outputs:
             start = chunk["start"]
             span = slice(start, start + len(chunk["errors"]))
@@ -537,7 +518,7 @@ class FleetSimulator:
         servers = layout.servers
         rng = random.Random(derive_seed(seed, "fleet-scalar"))
         recovery_minutes = self.params.crash_recovery_minutes
-        result = self._empty_result("scalar", seed, 1)
+        result = self._empty_result("scalar", seed)
         table = layout.table
         retirement = config.retirement_age_months
         bad_mult = correlation.bad_batch_multiplier

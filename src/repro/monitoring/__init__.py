@@ -1,12 +1,5 @@
-"""Memory access monitoring framework (paper §IV-B).
+"""Memory access monitoring framework (paper §IV-B)."""
 
-Also re-exports the campaign progress/throughput instrumentation
-(:class:`CampaignMetrics`, :class:`ProgressEvent`) so callers can watch
-characterization campaigns — serial or parallel — alongside memory
-accesses.
-"""
-
-from repro.obs.progress import CampaignMetrics, ProgressEvent, WorkerTiming
 from repro.monitoring.analysis import (
     PageWriteInterval,
     RegionSafeRatioReport,
@@ -33,7 +26,4 @@ __all__ = [
     "monitor",
     "page_writes",
     "record_monitored",
-    "CampaignMetrics",
-    "ProgressEvent",
-    "WorkerTiming",
 ]

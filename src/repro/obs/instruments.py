@@ -183,24 +183,19 @@ class ServeInstruments:
         """Publish a tenant's admission-control state."""
         self.shedding.labels(tenant=tenant).set(1.0 if shedding else 0.0)
 
-    def record_latency(self, tenant: str, seconds: float) -> None:
-        """Observe one request's wall-clock execution latency.
+    def record_latency_many(
+        self, tenant: str, seconds: Sequence[float]
+    ) -> None:
+        """Observe requests' wall-clock execution latencies in one fold.
+
+        The tenant's one latency sink: the scalar loop reports each
+        request as a one-element list, the batched data plane a fused
+        run's requests at once. :meth:`Histogram.observe_many` leaves the
+        same state as one ``observe`` per request, in one bucket pass.
 
         Observational only: latency is wall-clock and therefore lives in
         the registry (a convenience view), never in the ledger — the
         determinism invariant covers ledger bytes, not these buckets.
-        """
-        self.request_latency.labels(tenant=tenant).observe(seconds)
-
-    def record_latency_many(
-        self, tenant: str, seconds: Sequence[float]
-    ) -> None:
-        """Observe a whole quantum's request latencies in one fold.
-
-        The batched data plane serves fused request runs without a
-        per-request Python loop, so it reports latency once per run via
-        :meth:`Histogram.observe_many` — identical histogram state to
-        per-request :meth:`record_latency` calls, one bucket pass.
         """
         if seconds:
             self.request_latency.labels(tenant=tenant).observe_many(seconds)

@@ -8,8 +8,8 @@ sheds them at the door, which the ledger records honestly as ``shed``
 dispositions counting against availability.
 
 The controller is a per-tenant hysteresis loop: shedding starts when
-the backlog crosses ``high_water`` and stops only once it drains to
-``low_water``, avoiding open/close flapping at the threshold.
+the backlog crosses :data:`HIGH_WATER` and stops only once it drains to
+:data:`LOW_WATER`, avoiding open/close flapping at the threshold.
 """
 
 from __future__ import annotations
@@ -17,6 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["AdmissionController", "AdmissionDecision"]
+
+#: Backlog depth that starts load shedding.
+HIGH_WATER = 8
+
+#: Backlog depth that stops it.
+LOW_WATER = 2
 
 
 @dataclass(frozen=True)
@@ -31,15 +37,7 @@ class AdmissionDecision:
 class AdmissionController:
     """Hysteresis gate over one tenant's error-response backlog."""
 
-    def __init__(self, high_water: int = 8, low_water: int = 2) -> None:
-        if high_water < 1:
-            raise ValueError(f"high_water must be >= 1, got {high_water}")
-        if not 0 <= low_water < high_water:
-            raise ValueError(
-                f"low_water must be in [0, high_water), got {low_water}"
-            )
-        self.high_water = high_water
-        self.low_water = low_water
+    def __init__(self) -> None:
         self._shedding = False
 
     @property
@@ -51,10 +49,10 @@ class AdmissionController:
         """Decide whether to admit this tick's requests."""
         changed = False
         if self._shedding:
-            if backlog <= self.low_water:
+            if backlog <= LOW_WATER:
                 self._shedding = False
                 changed = True
-        elif backlog >= self.high_water:
+        elif backlog >= HIGH_WATER:
             self._shedding = True
             changed = True
         return AdmissionDecision(

@@ -158,10 +158,7 @@ class BatchedDataPlane:
         counts = ServeCounts()
         remaining = count
         fused = 0
-        timed = (
-            tenant.latency_batch_sink is not None
-            or tenant.latency_sink is not None
-        )
+        timed = tenant.latency_sink is not None
         while remaining:
             if tenant.cursor >= trace.query_count:
                 tenant.wrap_epoch()
@@ -224,9 +221,4 @@ class BatchedDataPlane:
     @staticmethod
     def _report_latency(tenant: ServeTenant, elapsed: float, run: int) -> None:
         """Bill one fused run's wall time evenly to its requests."""
-        per_request = [elapsed / run] * run
-        if tenant.latency_batch_sink is not None:
-            tenant.latency_batch_sink(per_request)
-        elif tenant.latency_sink is not None:
-            for seconds in per_request:
-                tenant.latency_sink(seconds)
+        tenant.latency_sink([elapsed / run] * run)

@@ -44,7 +44,7 @@ from repro.obs import (
     SloEngine,
 )
 from repro.obs.live import ObservabilityServer
-from repro.serve.admission import AdmissionController
+from repro.serve.admission import HIGH_WATER, LOW_WATER, AdmissionController
 from repro.serve.dataplane import DATA_PLANES, UnknownDataPlaneError, make_data_plane
 from repro.serve.ledger import (
     DISPOSITIONS,
@@ -64,9 +64,9 @@ from repro.serve.ledger import (
 from repro.serve.partition import ServePartition
 from repro.serve.policies import (
     ACTION_RESTART,
+    RESTART_DOWNTIME_TICKS,
     ErrorResponsePolicy,
     FaultEvent,
-    RestartRankPolicy,
     default_policy_name_for_region,
     make_policy,
 )
@@ -86,6 +86,10 @@ __all__ = [
 #: determinism tests use it to force adversarial interleavings.
 StaggerHook = Callable[[str, int], Awaitable[None]]
 
+#: Backlog items each tenant may respond to per tick (the software
+#: repair bandwidth).
+RESPONSES_PER_TICK = 2
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -99,11 +103,6 @@ class ServeConfig:
             ``POLICY_NAMES``), or ``None`` to pick per region by its
             recoverability class.
         seed: Root seed for the arrival process.
-        responses_per_tick: Backlog items each tenant may respond to
-            per tick (the software repair bandwidth).
-        restart_downtime_ticks: Downtime charged by a restart response.
-        admission_high_water: Backlog depth that starts load shedding.
-        admission_low_water: Backlog depth that stops it.
         data_plane: Request-execution strategy: ``"auto"`` (span-fused
             golden runs, live only where a fault can reach) or
             ``"scalar"`` (the per-request Python loop it is pinned to).
@@ -116,10 +115,6 @@ class ServeConfig:
     error_rate: float = 0.5
     policy: Optional[str] = None
     seed: int = 2014
-    responses_per_tick: int = 2
-    restart_downtime_ticks: int = 3
-    admission_high_water: int = 8
-    admission_low_water: int = 2
     data_plane: str = "auto"
 
     def __post_init__(self) -> None:
@@ -129,10 +124,6 @@ class ServeConfig:
             )
         if self.error_rate < 0:
             raise ValueError(f"error_rate must be >= 0, got {self.error_rate}")
-        if self.responses_per_tick < 1:
-            raise ValueError(
-                f"responses_per_tick must be >= 1, got {self.responses_per_tick}"
-            )
         if self.policy is not None:
             make_policy(self.policy)  # validates the name
         if self.data_plane not in DATA_PLANES:
@@ -176,13 +167,9 @@ class _TenantState:
         self.backlog: Deque[FaultEvent] = deque()
         self.down_until = 0
         self.accept = True
-        self.admission = AdmissionController(
-            high_water=config.admission_high_water,
-            low_water=config.admission_low_water,
-        )
+        self.admission = AdmissionController()
         self._policies: Dict[str, ErrorResponsePolicy] = {}
         self._forced = config.policy
-        self._restart_downtime = config.restart_downtime_ticks
 
     def policy_for(self, region_name: str) -> ErrorResponsePolicy:
         policy = self._policies.get(region_name)
@@ -192,10 +179,7 @@ class _TenantState:
             else:
                 region = self.tenant.space.region_named(region_name)
                 name = default_policy_name_for_region(region)
-            if name == ACTION_RESTART:
-                policy = RestartRankPolicy(self._restart_downtime)
-            else:
-                policy = make_policy(name)
+            policy = make_policy(name)
             self._policies[region_name] = policy
         return policy
 
@@ -240,11 +224,7 @@ def default_tenants(scale: float = 0.5, load: float = 1.0) -> List[ServeTenant]:
     ]
 
 
-def _drain_backlog(
-    state: _TenantState,
-    tick: int,
-    config: ServeConfig,
-) -> List[Tuple[str, dict]]:
+def _drain_backlog(state: _TenantState, tick: int) -> List[Tuple[str, dict]]:
     """Respond to queued faults within this tick's repair budget.
 
     Runs on the coordinator, one tenant at a time in canonical order:
@@ -256,7 +236,7 @@ def _drain_backlog(
     if tick < state.down_until:
         return buffer
     tenant = state.tenant
-    budget = config.responses_per_tick
+    budget = RESPONSES_PER_TICK
     while budget > 0 and state.backlog:
         fault = state.backlog.popleft()
         policy = state.policy_for(fault.region)
@@ -344,7 +324,6 @@ def _build_snapshot(
 async def _tenant_tick(
     state: _TenantState,
     tick: int,
-    config: ServeConfig,
     stagger: Optional[StaggerHook],
     plane,
 ) -> List[Tuple[str, dict]]:
@@ -365,8 +344,8 @@ async def _tenant_tick(
         if tenant.needs_restart:
             # A request died fatally: the process is gone, and the only
             # possible response is a restart, whatever the policy says.
-            cleared = tenant.restart(config.restart_downtime_ticks)
-            state.down_until = tick + config.restart_downtime_ticks
+            cleared = tenant.restart(RESTART_DOWNTIME_TICKS)
+            state.down_until = tick + RESTART_DOWNTIME_TICKS
             state.backlog.clear()
             buffer.append(
                 (
@@ -374,7 +353,7 @@ async def _tenant_tick(
                     {
                         "action": ACTION_RESTART,
                         "faults_cleared": cleared,
-                        "downtime_ticks": config.restart_downtime_ticks,
+                        "downtime_ticks": RESTART_DOWNTIME_TICKS,
                         "note": "fatal request error",
                     },
                 )
@@ -423,9 +402,6 @@ async def serve_session(
         server.slo = slo_engine
         for tenant in tenants:
             tenant.latency_sink = partial(
-                instruments.record_latency, tenant.name
-            )
-            tenant.latency_batch_sink = partial(
                 instruments.record_latency_many, tenant.name
             )
 
@@ -453,12 +429,9 @@ async def serve_session(
                 "duration_ticks": config.duration_ticks,
                 "error_rate": config.error_rate,
                 "policy": config.policy or "auto",
-                "responses_per_tick": config.responses_per_tick,
-                "restart_downtime_ticks": config.restart_downtime_ticks,
-                "admission": {
-                    "high_water": config.admission_high_water,
-                    "low_water": config.admission_low_water,
-                },
+                "responses_per_tick": RESPONSES_PER_TICK,
+                "restart_downtime_ticks": RESTART_DOWNTIME_TICKS,
+                "admission": {"high_water": HIGH_WATER, "low_water": LOW_WATER},
                 "tenants": [t.name for t in tenants],
                 "requests_per_tick": {
                     t.name: t.requests_per_tick for t in tenants
@@ -500,9 +473,7 @@ async def serve_session(
             # Phase 1b: drain error-response backlogs in canonical
             # order — policies mutate host-shared retirement state.
             for tenant in tenants:
-                for kind, attrs in _drain_backlog(
-                    states[tenant.name], tick, config
-                ):
+                for kind, attrs in _drain_backlog(states[tenant.name], tick):
                     writer.append(tick, kind, tenant=tenant.name, attrs=attrs)
                     if kind == EVENT_RESPONSE:
                         action = str(attrs.get("action", "?"))
@@ -521,9 +492,7 @@ async def serve_session(
             # Phase 2: concurrent tenant tasks (task-local state only).
             buffers = await asyncio.gather(
                 *(
-                    _tenant_tick(
-                        states[tenant.name], tick, config, stagger, plane
-                    )
+                    _tenant_tick(states[tenant.name], tick, stagger, plane)
                     for tenant in tenants
                 )
             )

@@ -49,6 +49,9 @@ ACTION_RECOVER = "recover-from-disk"
 #: CLI-facing policy names, in escalation-cost order (Table 2).
 POLICY_NAMES = (ACTION_CONSUME, ACTION_RESTART, ACTION_RETIRE, ACTION_RECOVER)
 
+#: Downtime charged by a restart response.
+RESTART_DOWNTIME_TICKS = 3
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -145,7 +148,7 @@ class RestartRankPolicy(ErrorResponsePolicy):
     is unavailable for ``downtime_ticks`` ticks of virtual time.
     """
 
-    def __init__(self, downtime_ticks: int = 3) -> None:
+    def __init__(self, downtime_ticks: int = RESTART_DOWNTIME_TICKS) -> None:
         if downtime_ticks < 1:
             raise ValueError(f"downtime_ticks must be >= 1, got {downtime_ticks}")
         self.downtime_ticks = downtime_ticks

@@ -69,13 +69,12 @@ class ServeTenant:
         self.pending_downtime = 0
         #: Epochs completed (trace wraps).
         self.epochs = 0
-        #: Optional wall-clock sink called with each request's execution
-        #: latency in seconds. Observational telemetry only — latency
-        #: never reaches the ledger, so the determinism invariant holds.
-        self.latency_sink: Optional[Callable[[float], None]] = None
-        #: Optional batch variant: called once per fused run with the
-        #: per-request latencies, folding telemetry off the hot path.
-        self.latency_batch_sink: Optional[Callable[[List[float]], None]] = None
+        #: Optional wall-clock sink called with per-request execution
+        #: latencies in seconds: one element per request the scalar loop
+        #: executes, one list per run the batched plane fuses.
+        #: Observational telemetry only — latency never reaches the
+        #: ledger, so the determinism invariant holds.
+        self.latency_sink: Optional[Callable[[List[float]], None]] = None
         #: Bumped on every checkpoint restore (restart or epoch wrap);
         #: the batched data plane keys its rolling golden image on this.
         self.generation = 0
@@ -278,17 +277,17 @@ class ServeTenant:
                 response = self.workload.execute(index)
             except FATAL_ERRORS:
                 if self.latency_sink is not None:
-                    self.latency_sink(time.perf_counter() - started)
+                    self.latency_sink([time.perf_counter() - started])
                 counts["failed"] += count - attempt
                 self.needs_restart = True
                 return counts
             except WorkloadError:
                 if self.latency_sink is not None:
-                    self.latency_sink(time.perf_counter() - started)
+                    self.latency_sink([time.perf_counter() - started])
                 counts["failed"] += 1
             else:
                 if self.latency_sink is not None:
-                    self.latency_sink(time.perf_counter() - started)
+                    self.latency_sink([time.perf_counter() - started])
                 if response == self._golden[index]:
                     counts["ok"] += 1
                 else:

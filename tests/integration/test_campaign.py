@@ -183,9 +183,8 @@ class TestCacheInvalidation:
             {"trials_per_cell": 3},
             {"queries_per_trial": 25},
             {"seed": 6},
-            {"failure_fraction": 0.4},
         ],
-        ids=["trials", "queries", "seed", "failure-fraction"],
+        ids=["trials", "queries", "seed"],
     )
     def test_config_change_invalidates_cache(self, tmp_path, changed):
         cache = tmp_path / "profile.json"
@@ -196,7 +195,6 @@ class TestCacheInvalidation:
             "trials_per_cell": self.BASE.trials_per_cell,
             "queries_per_trial": self.BASE.queries_per_trial,
             "seed": self.BASE.seed,
-            "failure_fraction": self.BASE.failure_fraction,
             **changed,
         })
         profile = load_or_run_profile(

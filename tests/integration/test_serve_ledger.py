@@ -233,9 +233,6 @@ class TestForcedPolicies:
             error_rate=6.0,
             seed=11,
             policy="consume",
-            responses_per_tick=1,
-            admission_high_water=3,
-            admission_low_water=1,
         )
         result = run_serve(config, ledger_path=tmp_path / "shed.jsonl",
                            scale=SCALE)

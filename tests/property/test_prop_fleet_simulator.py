@@ -521,9 +521,12 @@ class TestDowntimeVarianceMatchesClosedForm:
 
 
 # ----------------------------------------------------------------------
-# Determinism: same bytes per seed, whatever the worker count
+# Determinism: same bytes per seed, run after run
 # ----------------------------------------------------------------------
 class TestByteIdenticalAcrossRunsAndWorkers:
+    """Repeated runs of one seed give the same bytes (chunks run in
+    month order on one thread; there is no worker count since 6.0)."""
+
     def test_wear_config_with_several_chunks(self):
         assert WEAR.months > 2 * WEAR.month_chunk
         self.check_several_chunks(WEAR, None, ["aggregated"] * 3)
@@ -553,12 +556,10 @@ class TestByteIdenticalAcrossRunsAndWorkers:
                     config=config,
                     error_model=error_model,
                     seed=2014,
-                    workers=workers,
                 )
             )
-            for workers in (1, 1, 4)
+            for _ in range(3)
         ]
-        assert [run.pop("workers") for run in runs] == [1, 1, 4]
         assert runs[0] == runs[1] == runs[2]
         assert sum(runs[0]["crashes_by_month"]) > 0
         if config.correlation.shock_rate_per_month:

@@ -38,7 +38,7 @@ class TestSurfaceInventory:
         ]
 
     def test_api_version_tracks_package_major(self):
-        assert api.API_VERSION == "5.0"
+        assert api.API_VERSION == "6.0"
         assert (
             api.API_VERSION.split(".")[0] == repro.__version__.split(".")[0]
         )
@@ -133,6 +133,55 @@ class TestAvailableBackends:
             "failed",
             "effect_delay_minutes",
         ]
+
+    def test_values_removed_in_6_0_are_gone(self):
+        """Options nothing varied are module constants: the fleet
+        thread pool, the crash-rule fraction (``CRASH_FAILURE_FRACTION``)
+        and the serve repair / admission thresholds. One latency sink
+        per tenant; progress classes import from ``repro.obs`` only."""
+        import repro.exec
+        import repro.monitoring
+        from repro.apps.clients import ClientDriver, ClientReport
+        from repro.core.disturbance import characterize_disturbance
+        from repro.core.failure_modes import characterize_failure_modes
+        from repro.core.taxonomy import classify_outcome
+        from repro.fleet import FleetSimulationResult, FleetSimulator
+        from repro.obs import ServeInstruments
+        from repro.serve import AdmissionController, ServeTenant
+
+        def parameters(function):
+            return set(inspect.signature(function).parameters)
+
+        def fields(cls):
+            return {field.name for field in dataclasses.fields(cls)}
+
+        assert "workers" not in parameters(api.simulate_fleet)
+        assert "workers" not in parameters(FleetSimulator.simulate)
+        assert "workers" not in fields(FleetSimulationResult)
+        assert "failure_fraction" not in fields(api.CampaignConfig)
+        for function in (
+            ClientDriver.__init__,
+            ClientReport.crashed,
+            classify_outcome,
+            characterize_disturbance,
+            characterize_failure_modes,
+        ):
+            assert "failure_fraction" not in parameters(function), function
+        for name in ("failure_fraction", "run_random"):
+            assert not hasattr(ClientDriver, name), name
+        assert not fields(api.ServeConfig) & {
+            "responses_per_tick",
+            "restart_downtime_ticks",
+            "admission_high_water",
+            "admission_low_water",
+        }
+        assert parameters(AdmissionController.__init__) == {"self"}
+        tenant = ServeTenant("kv", api.KVStoreWorkload(key_count=50, op_count=10))
+        assert not hasattr(tenant, "latency_batch_sink")
+        assert not hasattr(ServeInstruments, "record_latency")
+        for module in (repro.exec, repro.monitoring):
+            for name in ("CampaignMetrics", "ProgressEvent", "WorkerTiming"):
+                assert not hasattr(module, name), (module.__name__, name)
 
     def test_the_scalar_oracle_is_serial(self):
         config = api.CampaignConfig(trials_per_cell=1, queries_per_trial=2)

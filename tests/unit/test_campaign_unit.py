@@ -24,8 +24,6 @@ class TestCampaignConfig:
             CampaignConfig(trials_per_cell=0)
         with pytest.raises(ValueError):
             CampaignConfig(queries_per_trial=0)
-        with pytest.raises(ValueError):
-            CampaignConfig(failure_fraction=0.0)
 
 
 class TestCampaignLifecycle:

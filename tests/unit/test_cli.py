@@ -384,14 +384,19 @@ class TestFleetCommand:
         )
 
     def test_sim_seed_reproducible_across_workers(self, capsys):
+        # No worker count to vary since 6.0: --sim-workers is gone, and
+        # the same --sim-seed repeats the simulation byte for byte.
         base = self.BASE + ["--json", "--sim-seed", "9"]
-        assert main(base + ["--sim-workers", "1"]) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert main(base + ["--sim-workers", "3"]) == 0
-        threaded = json.loads(capsys.readouterr().out)
-        serial["simulation"].pop("workers")
-        threaded["simulation"].pop("workers")
-        assert serial["simulation"] == threaded["simulation"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(base + ["--sim-workers", "3"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert main(base) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main(base) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert "workers" not in first["simulation"]
+        assert first["simulation"] == second["simulation"]
 
     def test_optimize_target_prints_composition(self, capsys):
         code = main(self.BASE + ["--target", "0.5", "--step", "0.5"])

@@ -88,23 +88,17 @@ class TestClientDriver:
         assert report.attempted == 2
         assert report.fatal
 
-    def test_run_random_stays_in_trace(self, rng):
-        _w, driver = make_driver(["a"] * 10)
-        report = driver.run_random(50, rng)
-        assert report.attempted == 50
-        assert report.correct == 50
-
     def test_golden_length_mismatch_rejected(self):
         workload = ScriptedWorkload(["a", "b"])
         workload.build()
-        with pytest.raises(ValueError):
-            ClientDriver(workload, ["a"])
+        with pytest.raises(ValueError, match="longer than the workload trace"):
+            ClientDriver(workload, ["a", "b", "c"])
 
-    def test_invalid_failure_fraction(self):
-        workload = ScriptedWorkload(["a"])
+    def test_golden_prefix_scores_the_queries_it_covers(self):
+        workload = ScriptedWorkload(["a", "b", "c"])
         workload.build()
-        with pytest.raises(ValueError):
-            ClientDriver(workload, ["a"], failure_fraction=0.0)
+        report = ClientDriver(workload, ["a", "b"]).run(range(2))
+        assert report.correct == 2 and not report.crashed()
 
 
 class TestWorkloadBase:

@@ -83,23 +83,6 @@ class TestDeterminism:
         )
         assert first.to_dict() == second.to_dict()
 
-    def test_workers_do_not_change_results(self, profile, designs):
-        serial = simulate_fleet(
-            profile, designs=designs, config=self.CONFIG, seed=5, workers=1
-        )
-        threaded = simulate_fleet(
-            profile, designs=designs, config=self.CONFIG, seed=5, workers=3
-        )
-        # Byte-identical per-month series...
-        assert serial.downtime_by_month == threaded.downtime_by_month
-        assert serial.errors_by_month == threaded.errors_by_month
-        assert serial.availability_by_month == threaded.availability_by_month
-        # ...and only the workers metadata field may differ in the dict.
-        serial_dict, threaded_dict = serial.to_dict(), threaded.to_dict()
-        assert serial_dict.pop("workers") == 1
-        assert threaded_dict.pop("workers") == 3
-        assert serial_dict == threaded_dict
-
     def test_different_seeds_differ(self, profile, designs):
         first = simulate_fleet(
             profile, designs=designs, config=self.CONFIG, seed=5

@@ -29,13 +29,13 @@ from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.exec import (
     CampaignCell,
-    CampaignMetrics,
     ParallelCampaignRunner,
     ShardResult,
     fold_cells,
     plan_shards_indexed,
 )
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT
+from repro.obs import CampaignMetrics
 from repro.obs.events import SPAN_TRIAL
 from repro.obs.sinks import EventBuffer
 from repro.obs.trace import Observer

@@ -259,9 +259,8 @@ class TestFusedLatency:
         tenant = build_tenant()
         plane = BatchedDataPlane([tenant])
         tenant.apply_fault(word_addr(tenant, 3), 0, FaultKind.SOFT)
-        batches, singles = [], []
-        tenant.latency_batch_sink = batches.append
-        tenant.latency_sink = singles.append
+        reports = []
+        tenant.latency_sink = reports.append
         execute = tenant.workload.execute
 
         def slow_execute(index):
@@ -272,20 +271,30 @@ class TestFusedLatency:
 
         plane.serve_requests(tenant, 8)
 
-        assert [len(batch) for batch in batches] == [3, 4]
-        assert len(singles) == 1 and singles[0] >= 0.05
-        for batch in batches:
-            assert len(set(batch)) == 1
+        # Fused run of 3, the live request alone, fused run of 4.
+        assert [len(report) for report in reports] == [3, 1, 4]
+        fused_runs = [reports[0], reports[2]]
+        assert reports[1][0] >= 0.05
+        for run in fused_runs:
+            assert len(set(run)) == 1
             # The live request's 50 ms is not spread over fused ones.
-            assert 0.0 <= sum(batch) < 0.05
+            assert 0.0 <= sum(run) < 0.05
 
+    def test_scalar_loop_reports_one_element_per_request(self):
+        tenant = build_tenant()
+        reports = []
+        tenant.latency_sink = reports.append
+
+        ScalarDataPlane([tenant]).serve_requests(tenant, 5)
+
+        assert [len(report) for report in reports] == [1] * 5
 
     def test_whole_epochs_report_one_batch(self):
         tenant = ServeTenant("mini", ShortTrace(3))
         tenant.build()
         plane = BatchedDataPlane([tenant])
         batches = []
-        tenant.latency_batch_sink = batches.append
+        tenant.latency_sink = batches.append
 
         plane.serve_requests(tenant, 3 * 4 + 2)
 

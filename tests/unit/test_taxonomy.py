@@ -46,11 +46,6 @@ class TestClassification:
             is ErrorOutcome.MASKED_NEVER_ACCESSED
         )
 
-    def test_custom_failure_fraction(self):
-        session = report(correct=70, failed=30)
-        assert classify_outcome(session, True, False, 0.25) is ErrorOutcome.CRASH
-        assert classify_outcome(session, True, False, 0.5) is ErrorOutcome.INCORRECT
-
 
 class TestTaxonomyProperties:
     def test_masked_vulnerable_partition(self):
@@ -74,7 +69,7 @@ class TestTaxonomyProperties:
 class TestClientReport:
     def test_crash_rule_exact_threshold(self):
         session = ClientReport(attempted=10, correct=5, failed=5)
-        assert session.crashed(0.5)  # >= threshold
+        assert session.crashed()  # >= threshold
 
     def test_no_crash_when_nothing_attempted(self):
         assert not ClientReport().crashed()
