@@ -1,13 +1,11 @@
 """Advanced characterization: the paper's future-work items, runnable.
 
-Demonstrates four extensions beyond the paper's evaluation, all on one
+Demonstrates two extensions beyond the paper's evaluation, both on one
 WebSearch instance:
 
 1. **lightweight estimation** — masking predicted from monitoring alone
    (no injection), validated bound on vulnerability;
-2. **correlated failure modes** — whole rows/chips failing at once;
-3. **disturbance errors** — access-pattern-dependent victim flips;
-4. **structure granularity** — per-data-structure vulnerability, the
+2. **structure granularity** — per-data-structure vulnerability, the
    basis for ECC-on-metadata-only designs.
 
 Run:  python examples/advanced_characterization.py
@@ -19,10 +17,7 @@ import random
 
 from repro import WebSearch
 from repro.core.campaign import CampaignConfig, CharacterizationCampaign
-from repro.core.disturbance import DISTURBANCE_LABEL, characterize_disturbance
-from repro.core.failure_modes import characterize_failure_modes, mode_summary
 from repro.core.lightweight import estimate_masking
-from repro.dram.fault_models import FailureMode
 from repro.injection import SINGLE_BIT_HARD
 
 
@@ -43,37 +38,7 @@ def main() -> None:
             f"vulnerability <= {estimate.vulnerability_upper_bound:>6.1%}"
         )
 
-    # 2. Correlated failure modes.
-    print("\n== correlated failure modes (20 trials each) ==")
-    footprint_profile = characterize_failure_modes(
-        workload,
-        trials_per_mode=20,
-        queries_per_trial=80,
-        modes=(FailureMode.SINGLE_BIT, FailureMode.ROW, FailureMode.CHIP),
-    )
-    for mode, row in sorted(mode_summary(footprint_profile).items()):
-        print(
-            f"{mode:<12} crash {row['crash']:>6.1%}  incorrect "
-            f"{row['incorrect']:>6.1%}  masked {row['masked']:>6.1%}"
-        )
-
-    # 3. Disturbance (access-pattern-dependent) errors.
-    print("\n== disturbance errors (private region, 20 trials) ==")
-    disturbance = characterize_disturbance(
-        workload,
-        trials_per_region=20,
-        queries_per_trial=80,
-        flip_probability=0.25,
-        regions=["private"],
-    )
-    cell = disturbance.cells[("private", DISTURBANCE_LABEL)]
-    print(
-        f"private  crash {cell.crashes / cell.trials:>6.1%}  incorrect "
-        f"{cell.incorrect_trials / cell.trials:>6.1%}  masked "
-        f"{cell.masked_trials / cell.trials:>6.1%}"
-    )
-
-    # 4. Structure-granularity characterization.
+    # 2. Structure-granularity characterization.
     print("\n== per-data-structure vulnerability (hard errors, 15 trials) ==")
     campaign = CharacterizationCampaign(
         workload, config=CampaignConfig(trials_per_cell=15, queries_per_trial=80))

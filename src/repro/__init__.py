@@ -7,7 +7,7 @@ Heterogeneous-Reliability Memory" (DSN 2014):
 * a simulated byte-addressable memory substrate with soft/hard fault
   injection, a recorded access trace, and region semantics
   (:mod:`repro.memory`);
-* a DRAM device/fault model with scrubbing and page retirement
+* a DRAM fault-footprint model and page retirement
   (:mod:`repro.dram`);
 * real ECC codecs for every Table 1 technique (:mod:`repro.ecc`);
 * the error-injection and access-monitoring frameworks of §IV
@@ -82,7 +82,7 @@ from repro import api
 # to --log-level); see the stdlib logging HOWTO for the convention.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "api",

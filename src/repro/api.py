@@ -115,7 +115,7 @@ from repro.serve import (
 
 #: Version of the *surface* (not the package): bumped on breaking
 #: changes to exported names or entry-point signatures.
-API_VERSION = "6.0"
+API_VERSION = "7.0"
 
 #: The documented tiers. Names within each tier are sorted; ``__all__``
 #: is their concatenation (the API-surface test pins both properties).

@@ -225,11 +225,11 @@ class SyncEngine:
         """One sweep that replays every run of vertices it can prove clean.
 
         Guarantee (not "the same accesses"): the clock, counters, fault
-        consumption, disturbance draws, exceptions and
-        resulting values equal :meth:`_sweep_scalar`'s. Vertices in a
-        replayed run (see :meth:`CsrGraph.sweep_runs`) issue no loads at
-        all — their clock/counter debt is charged in bulk before the next
-        live vertex runs, which is unobservable because nothing hooks a
+        consumption, exceptions and resulting values equal
+        :meth:`_sweep_scalar`'s. Vertices in a replayed run (see
+        :meth:`CsrGraph.sweep_runs`) issue no loads at all — their
+        clock/counter debt is charged in bulk before the next live
+        vertex runs, which is unobservable because nothing hooks a
         clean span. Every other vertex issues the scalar sweep's exact
         loads in its exact order — offset pair, follower block, and for
         out-of-range ids the per-follower stray loads. The gather/apply

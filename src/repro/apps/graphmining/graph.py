@@ -193,17 +193,15 @@ class CsrGraph:
         run is yielded. Every other run must be swept vertex at a time
         through the live accessors by the caller before it asks for the
         next run; the clock is therefore exact at every run boundary,
-        which is all a disturbance or crash inside a live
-        vertex can observe.
+        which is all a crash inside a live vertex can observe.
 
         Runs are cut at the vertices that can read a *suspect* byte — a
-        guarded address (fault, disturbance aggressor) or a
-        stored byte that differs from build time: offset entry i is read
-        by vertices i-1 and i, edge e by its owner under the build-time
-        offsets. A clean vertex's offsets are pristine, so it reads
-        nothing else. Each run is verified when it is reached, not when
-        the sweep is split, so a disturbance that fires inside a live
-        vertex demotes the later runs it touches.
+        tracked fault address or a stored byte that differs from build
+        time: offset entry i is read by vertices i-1 and i, edge e by its
+        owner under the build-time offsets. A clean vertex's offsets are
+        pristine, so it reads nothing else. Each run is verified when it
+        is reached, not when the sweep is split, so a store that a live
+        vertex makes into the arrays demotes the later runs it touches.
         """
         n = self.vertex_count
         versions = self._versions()
@@ -221,7 +219,7 @@ class CsrGraph:
 
     def _suspect_vertices(self) -> List[int]:
         """Sorted vertices whose loads can touch a suspect CSR byte."""
-        guarded = self._space.guarded_addresses()
+        guarded = self._space.tracked_addresses()
         n = self.vertex_count
         suspects = set()
         for position in self._suspect_bytes(
@@ -262,7 +260,7 @@ class CsrGraph:
 
         The stored bytes were compared when the sweep was split; they are
         compared again only if a store has bumped the content version
-        since (i.e. something fired inside an earlier live vertex).
+        since (a store inside an earlier live vertex).
         """
         space = self._space
         stale = self._versions() != versions

@@ -349,13 +349,12 @@ class SearchEngine:
     def _index_pristine(self) -> bool:
         """True while the serialized index is provably untouched.
 
-        Clean span (no fault or disturbance interaction per
-        the space's guard logic) plus stored bytes equal to build time.
-        The byte comparison is keyed on the region's content version, so
-        it reruns only after a mutation somewhere in the region. Checked
-        before every fused lookup/scan because an access in between (e.g.
-        a stack read hitting a disturbance aggressor) can corrupt index
-        bytes mid-query.
+        Clean span (no tracked fault per the space's guard logic) plus
+        stored bytes equal to build time. The byte comparison is keyed on
+        the region's content version, so it reruns only after a mutation
+        somewhere in the region. Checked before every fused lookup/scan,
+        not once per query: when nothing changed it costs a version
+        compare, and it keeps each proof next to the access it admits.
         """
         space = self._space
         length = self._index_len

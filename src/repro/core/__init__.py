@@ -31,10 +31,6 @@ from repro.core.campaign import (
     load_or_run_profile,
 )
 from repro.core.cost_model import CostModel, CostModelParams
-from repro.core.failure_modes import (
-    characterize_failure_modes,
-    mode_summary,
-)
 from repro.core.lightweight import (
     MaskingEstimate,
     estimate_masking,
@@ -87,8 +83,6 @@ __all__ = [
     "load_or_run_profile",
     "CostModel",
     "CostModelParams",
-    "characterize_failure_modes",
-    "mode_summary",
     "MaskingEstimate",
     "estimate_masking",
     "validate_against_profile",

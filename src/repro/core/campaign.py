@@ -517,9 +517,7 @@ class CharacterizationCampaign:
     def classify_plan_trials(self, plan):
         """Pre-classify one planned batch against the golden trace.
 
-        Returns a :class:`~repro.exec.pruning.PlanClassification`, or
-        ``None`` when the spec's fault kind has no analytic model (the
-        whole cell falls back to execution).
+        Returns a :class:`~repro.exec.pruning.PlanClassification`.
         """
         from repro.exec.pruning import classify_plan
 

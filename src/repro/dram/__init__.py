@@ -1,6 +1,5 @@
-"""DRAM device model: geometry, fault populations, scrubbing, retirement."""
+"""DRAM host model: geometry, fault-footprint arrivals, page retirement."""
 
-from repro.dram.device import CellFault, DramDevice
 from repro.dram.fault_models import (
     DEFAULT_MODE_WEIGHTS,
     DramFaultModel,
@@ -9,11 +8,8 @@ from repro.dram.fault_models import (
 )
 from repro.dram.geometry import CACHE_LINE_SIZE, DramCoordinates, DramGeometry
 from repro.dram.retirement import PageRetirementPolicy, RetirementOutcome
-from repro.dram.scrubber import PatrolScrubber, ScrubReport, SoftwareScrubber
 
 __all__ = [
-    "CellFault",
-    "DramDevice",
     "DEFAULT_MODE_WEIGHTS",
     "DramFaultModel",
     "FailureMode",
@@ -23,7 +19,4 @@ __all__ = [
     "DramGeometry",
     "PageRetirementPolicy",
     "RetirementOutcome",
-    "PatrolScrubber",
-    "ScrubReport",
-    "SoftwareScrubber",
 ]

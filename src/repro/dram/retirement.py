@@ -4,23 +4,23 @@ Retiring pages that repeatedly produce errors eliminates up to 96.8 % of
 detected errors according to the studies the paper cites, at the price of
 a small amount of lost capacity. :class:`PageRetirementPolicy` implements
 the standard threshold policy (retire after N errors on a page, bounded
-by a capacity budget) over a :class:`~repro.dram.device.DramDevice`.
+by a capacity budget) over the pages of a
+:class:`~repro.dram.geometry.DramGeometry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Set
 
-from repro.dram.device import DramDevice
+from repro.dram.geometry import DramGeometry
 
 
 @dataclass
 class RetirementOutcome:
-    """Result of offering a batch of observed errors to the policy."""
+    """Result of offering one observed error to the policy."""
 
     pages_retired: List[int] = field(default_factory=list)
-    faults_neutralized: int = 0
     budget_exhausted: bool = False
 
 
@@ -29,7 +29,7 @@ class PageRetirementPolicy:
     """Retire pages whose observed error count crosses a threshold.
 
     Attributes:
-        device: The DRAM device whose pages may be retired.
+        geometry: The memory system whose 4 KB pages may be retired.
         error_threshold: Observed errors on a page before retirement
             (1 = retire on first error, the aggressive policy).
         max_retired_fraction: Capacity budget — the maximum fraction of
@@ -37,10 +37,11 @@ class PageRetirementPolicy:
             notes retirement "reduces memory space (usually very little)").
     """
 
-    device: DramDevice
+    geometry: DramGeometry
     error_threshold: int = 2
     max_retired_fraction: float = 0.001
 
+    retired_pages: Set[int] = field(default_factory=set, init=False)
     _observed: Dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -57,37 +58,27 @@ class PageRetirementPolicy:
     @property
     def max_retired_pages(self) -> int:
         """Absolute page budget derived from the capacity fraction."""
-        total_pages = self.device.geometry.total_size // 4096
+        total_pages = self.geometry.total_size // 4096
         return max(1, int(total_pages * self.max_retired_fraction))
 
     def observe_error(self, addr: int) -> RetirementOutcome:
         """Report one detected error at ``addr``; may retire its page."""
         outcome = RetirementOutcome()
         page = addr // 4096
-        if page in self.device.retired_pages:
+        if page in self.retired_pages:
             return outcome
         count = self._observed.get(page, 0) + 1
         self._observed[page] = count
         if count >= self.error_threshold:
-            if len(self.device.retired_pages) >= self.max_retired_pages:
+            if len(self.retired_pages) >= self.max_retired_pages:
                 outcome.budget_exhausted = True
                 return outcome
-            outcome.faults_neutralized = self.device.retire_page(page)
+            self.retired_pages.add(page)
             outcome.pages_retired.append(page)
         return outcome
-
-    def observe_errors(self, addrs: List[int]) -> RetirementOutcome:
-        """Report a batch of detected errors; aggregates the outcomes."""
-        total = RetirementOutcome()
-        for addr in addrs:
-            outcome = self.observe_error(addr)
-            total.pages_retired.extend(outcome.pages_retired)
-            total.faults_neutralized += outcome.faults_neutralized
-            total.budget_exhausted = total.budget_exhausted or outcome.budget_exhausted
-        return total
 
     @property
     def retired_capacity_fraction(self) -> float:
         """Fraction of total capacity currently retired."""
-        total_pages = self.device.geometry.total_size // 4096
-        return len(self.device.retired_pages) / total_pages
+        total_pages = self.geometry.total_size // 4096
+        return len(self.retired_pages) / total_pages

@@ -200,12 +200,7 @@ def _execute_shard(shard: CellShard) -> ShardResult:
 def _measured(campaign, cell: CampaignCell, plan, classification) -> Iterator:
     """A cell's executed trials, each measured in this process when the
     walk reaches it."""
-    locals_ = (
-        range(len(plan))
-        if classification is None
-        else (~classification.decidable).nonzero()[0].tolist()
-    )
-    for local in locals_:
+    for local in (~classification.decidable).nonzero()[0].tolist():
         yield campaign.measure_trial(
             cell, int(plan.trial_indices[local]), plan.flips_for(local)
         )
@@ -247,9 +242,8 @@ def fold_cells(
     """Fold every cell of a pruned campaign into ``profile``, in order.
 
     The one walker of the pruned backend, for any worker count.
-    ``classified`` holds each cell's ``(plan, classification)``; a
-    ``None`` classification (no analytic model for the spec) executes
-    the whole cell. Each maximal run of decided trials is folded by
+    ``classified`` holds each cell's ``(plan, classification)``. Each
+    maximal run of decided trials is folded by
     :meth:`~repro.core.campaign.CharacterizationCampaign.fold_decided_run`;
     each run of the rest takes that many executed trials, in trial
     order, from one of two sources:
@@ -279,11 +273,7 @@ def fold_cells(
         stats = profile.cell(cell_def.name, cell_def.spec.label)
         plan, classification = classified[cell_index]
         shards = by_cell.get(cell_index, [])
-        runs = (
-            classification.runs()
-            if classification is not None
-            else [(0, trials_per_cell, False)]
-        )
+        runs = classification.runs()
         walk_start = time.perf_counter()
         with observer.span(
             SPAN_CELL,
@@ -511,17 +501,12 @@ class ParallelCampaignRunner:
         """
         classified: List[Tuple] = []
         indices_by_cell: List[List[int]] = []
-        run_pruned = run_executed = run_fallback = 0
+        run_pruned = run_executed = 0
         for cell_def in cells:
             plan, classification = campaign.classify_cell_trials(
                 cell_def, range(trials_per_cell)
             )
             classified.append((plan, classification))
-            if classification is None:
-                indices_by_cell.append(list(range(trials_per_cell)))
-                run_executed += trials_per_cell
-                run_fallback += trials_per_cell
-                continue
             indices_by_cell.append(
                 plan.trial_indices[~classification.decidable].tolist()
             )
@@ -530,14 +515,14 @@ class ParallelCampaignRunner:
         tally = {
             "pruned": run_pruned,
             "executed": run_executed,
-            "fallback": run_fallback,
+            "fallback": 0,
         }
         campaign.pruning_stats.add(**tally)
         instruments = campaign.observer.instruments
         if instruments is not None:
             instruments.record_pruning(tally)
         logger.info(
-            "pruning: %d/%d trials resolved analytically (%d fallback)",
-            run_pruned, run_pruned + run_executed, run_fallback,
+            "pruning: %d/%d trials resolved analytically",
+            run_pruned, run_pruned + run_executed,
         )
         return classified, indices_by_cell

@@ -161,19 +161,15 @@ def classify_plan(
     plan: "InjectionPlan",
     trace: AccessTrace,
     corrected: Optional[np.ndarray] = None,
-) -> Optional[PlanClassification]:
+) -> PlanClassification:
     """Vectorized pre-classification of a whole trial batch.
 
     Applies the module's decidability rules to every planned flip in one
     pass over the plan's flat arrays, then folds per-flip verdicts into
     per-trial ones with ``reduceat`` over the plan's prefix offsets
     (decidability by minimum, outcome code by maximum — the taxonomy
-    precedence). Returns ``None`` when the spec's fault kind has no
-    analytic model (the campaign counts those trials as *fallback*).
+    precedence). Every fault kind has a rule, so every plan is classified.
     """
-    kind = plan.spec.kind
-    if kind not in (FaultKind.SOFT, FaultKind.HARD):
-        return None
     trials = len(plan)
     if trials == 0:
         return PlanClassification(
@@ -181,7 +177,7 @@ def classify_plan(
         )
     flip_addrs = plan.flip_addrs
     first = trace.first_access[flip_addrs]
-    if kind is FaultKind.SOFT:
+    if plan.spec.kind is FaultKind.SOFT:
         flip_ok = first != 1
     else:
         flip_ok = trace.read_seen[flip_addrs] == 0
@@ -209,9 +205,10 @@ def classify_plan(
 class PruningStats:
     """Running trial- and query-level tallies of a pruned campaign.
 
-    Trials: ``executed`` counts every trial that ran the workload,
-    including the ``fallback`` subset for which no classification was
-    available (an unsupported fault kind). Queries of executed trials:
+    Trials: ``executed`` counts every trial that ran the workload.
+    ``fallback`` (trials run because no rule classified them) stays in
+    the tally for its readers and is always 0: every fault kind has a
+    rule. Queries of executed trials:
     ``decisions`` says how each was served, in the serve plane's
     :data:`~repro.memory.trace.DECISIONS` vocabulary — ``fused`` +
     ``live`` = executed trials x query budget, ``fatal_tail`` of them

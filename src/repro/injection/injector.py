@@ -7,10 +7,7 @@ simulated address space:
 * **multi-bit soft** — lines 3-4 of Algorithm 1(a) repeated with
   different bit indices within the same 64-bit word;
 * **single-/multi-bit hard** — the same patterns installed as stuck-at
-  faults that survive overwrites (see :mod:`repro.memory.faults`);
-* **correlated footprints** — optional DRAM-geometry-aware patterns
-  (whole row/chip) drawn from :class:`~repro.dram.DramFaultModel` for
-  the extension experiments.
+  faults that survive overwrites (see :mod:`repro.memory.faults`).
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Tuple
 
-from repro.dram.fault_models import DramFaultModel
 from repro.injection.sampler import AddressSampler
 from repro.memory.address_space import AddressSpace
 from repro.memory.faults import FaultKind, InjectedFault
@@ -208,11 +204,7 @@ class ErrorInjector:
         installed raw.
         """
         record = InjectionRecord(spec=spec)
-        corrected = (
-            self._corrected_regions
-            and len(positions) == 1
-            and spec.kind in (FaultKind.SOFT, FaultKind.HARD)
-        )
+        corrected = self._corrected_regions and len(positions) == 1
         for byte_addr, bit in positions:
             if corrected:
                 region = self._space.region_at(byte_addr)
@@ -245,34 +237,4 @@ class ErrorInjector:
             span.set(
                 anchor_addr=record.anchor_addr, faults=len(record.faults)
             )
-        return record
-
-    def inject_footprint(self, model: DramFaultModel, scale_to_space: bool = True) -> InjectionRecord:
-        """Inject a geometry-correlated fault footprint (extension).
-
-        Draws a footprint from ``model`` (whose geometry is typically far
-        larger than the simulated space) and, when ``scale_to_space`` is
-        set, maps each footprint address onto the mapped portion of this
-        space by modular folding — preserving the footprint's spatial
-        *pattern density* while landing inside real application data.
-        """
-        footprint = model.draw(self._rng)
-        record = InjectionRecord(spec=ErrorSpec(footprint.kind, 1))
-        mapped = self._space.mapped_ranges()
-        total_mapped = sum(end - base for base, end in mapped)
-        for raw_addr, bit in zip(footprint.addresses, footprint.bits):
-            addr = raw_addr
-            if scale_to_space:
-                offset = raw_addr % total_mapped
-                for base, end in mapped:
-                    span = end - base
-                    if offset < span:
-                        addr = base + offset
-                        break
-                    offset -= span
-            if footprint.kind is FaultKind.SOFT:
-                fault = self._space.inject_soft_flip(addr, bit)
-            else:
-                fault = self._space.inject_hard_fault(addr, bit)
-            record.faults.append(fault)
         return record

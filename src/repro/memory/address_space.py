@@ -26,14 +26,15 @@ Facilities provided:
 Two access paths implement one semantics. The *checked* path
 (`_read_guarded`/`_write_guarded`) is the scalar oracle: it validates,
 advances the clock, updates counters, applies the hard-fault overlay,
-and fires tracked-fault / disturbance hooks per access.
+and counts tracked-fault consumption per access.
 The *fast* path handles the overwhelmingly common case — a validated,
-in-region access that overlaps no fault or disturbance aggressor
-(tracked via a single ``[_guard_lo, _guard_hi]`` interval) — with the exact same clock/counter updates but none of the hook
-dispatch. Any access the fast path cannot prove clean falls through to
-the checked path, so results, exceptions, and side effects are
-bit-identical by construction (enforced by the hypothesis equivalence
-suite in ``tests/property/test_prop_fastpath.py``).
+in-region access that overlaps no tracked fault (bounded by a single
+``[_guard_lo, _guard_hi]`` interval) — with the exact same clock/counter
+updates but none of the fault bookkeeping. Any access the fast path
+cannot prove clean falls through to the checked path, so results,
+exceptions, and side effects are bit-identical by construction
+(enforced by the hypothesis equivalence suite in
+``tests/property/test_prop_fastpath.py``).
 """
 
 from __future__ import annotations
@@ -107,15 +108,14 @@ class AddressSpace:
         # Fault machinery.
         self._overlay = HardFaultOverlay()
         self.fault_log = FaultLog()
-        # Disturbance couplings: aggressor addr -> [(victim, bit, prob, rng)].
-        self._disturbances: Dict[int, List] = {}
         # Consumption tracking for injected fault addresses (used by the
         # outcome taxonomy): addr -> [reads_before_overwrite, overwritten].
         self._tracked_faults: Dict[int, List[int]] = {}
-        # Fast path state. `_guard_lo/_guard_hi` bound every address that
-        # needs per-access hook dispatch (faults, disturbance aggressors);
-        # an access that does not overlap the interval is provably clean. `_overlay_keys`/`_tracked_keys` are the sorted
-        # fault addresses the checked path bisects instead of scanning.
+        # Fast path state. `_guard_lo/_guard_hi` bound every tracked fault
+        # address (every stuck-at overlay byte is tracked too); an access
+        # that does not overlap the interval is provably clean.
+        # `_overlay_keys`/`_tracked_keys` are the sorted fault addresses
+        # the checked path bisects instead of scanning.
         self._fast = fastpath_enabled()
         self._overlay_keys: List[int] = []
         self._tracked_keys: List[int] = []
@@ -239,9 +239,9 @@ class AddressSpace:
         """Fast-path admission check: region index, or -1 to fall back.
 
         Accepts exactly the accesses the checked path would complete
-        without touching a fault or disturbance aggressor;
-        everything else (including invalid accesses, which must raise
-        with the oracle's exact exception) returns -1.
+        without touching a tracked fault; everything else (including
+        invalid accesses, which must raise with the oracle's exact
+        exception) returns -1.
         """
         if addr < 0 or addr + n > self._size:
             return -1
@@ -276,8 +276,6 @@ class AddressSpace:
             data = self._apply_overlay(addr, data)
         if self._tracked_faults:
             self._note_tracked(addr, n, is_store=False)
-        if self._disturbances:
-            self._fire_disturbances(addr, n)
         return data
 
     def write(self, addr: int, data: bytes) -> None:
@@ -353,43 +351,17 @@ class AddressSpace:
                 state[0] += 1
             i += 1
 
-    def _fire_disturbances(self, addr: int, n: int) -> None:
-        end = addr + n
-        for aggressor, couplings in self._disturbances.items():
-            if addr <= aggressor < end:
-                for coupling in couplings:
-                    victim, bit, probability, rng = coupling
-                    if rng.random() < probability:
-                        self._mem[victim] ^= 1 << bit
-                        victim_region = self._page_map[victim >> _PAGE_SHIFT]
-                        if victim_region >= 0:
-                            self._region_versions[victim_region] += 1
-                        if self._fast:
-                            self._mark_dirty(victim, 1)
-                        fault = InjectedFault(
-                            addr=victim,
-                            bit=bit,
-                            kind=FaultKind.DISTURBANCE,
-                            stuck_value=(self._mem[victim] >> bit) & 1,
-                            injected_at=self._time,
-                        )
-                        self.fault_log.record(fault)
-                        if victim not in self._tracked_faults:
-                            self._tracked_faults[victim] = [0, 0]
-                            self._refresh_guards()
-
     def _refresh_guards(self) -> None:
-        """Rebuild sorted fault-key lists and the guarded-address interval."""
+        """Rebuild sorted fault-key lists and the guarded-address interval.
+
+        The interval spans the tracked keys alone: every overlay byte is
+        also tracked (:meth:`inject_hard_fault` tracks it, and both clear
+        methods clear the two sets over the same range).
+        """
         self._overlay_keys = sorted(self._overlay.masks)
-        self._tracked_keys = sorted(self._tracked_faults)
-        ends: List[int] = []
-        for keys in (self._overlay_keys, self._tracked_keys):
-            if keys:
-                ends += (keys[0], keys[-1])
-        if self._disturbances:
-            ends += (min(self._disturbances), max(self._disturbances))
-        if ends:
-            self._guard_lo, self._guard_hi = min(ends), max(ends)
+        self._tracked_keys = keys = sorted(self._tracked_faults)
+        if keys:
+            self._guard_lo, self._guard_hi = keys[0], keys[-1]
         else:
             self._guard_lo, self._guard_hi = self._size + 1, -1
 
@@ -424,8 +396,8 @@ class AddressSpace:
         """Content version of the region containing ``addr``.
 
         Bumped on every mutation of that region's stored bytes (stores,
-        pokes, soft flips, disturbance flips, snapshot restores). Callers
-        key caches of decoded pristine data on this counter so expensive
+        pokes, soft flips, snapshot restores). Callers key caches of
+        decoded pristine data on this counter so expensive
         re-verification only happens after an actual mutation.
         """
         index = self._page_map[addr >> _PAGE_SHIFT]
@@ -436,11 +408,11 @@ class AddressSpace:
     def span_is_clean(self, addr: int, n: int) -> bool:
         """True when reads of ``[addr, addr+n)`` are provably unobserved.
 
-        A clean span lies inside one region and intersects no stuck-at
-        overlay, tracked fault, or disturbance aggressor, so a
-        batch of loads from it returns stored bytes verbatim and has no
-        side effects beyond clock/counter accounting (which callers settle
-        separately via :meth:`charge_reads`). Always False in oracle mode.
+        A clean span lies inside one region and intersects no tracked
+        fault (stuck-at overlays included), so a batch of loads from it
+        returns stored bytes verbatim and has no side effects beyond
+        clock/counter accounting (which callers settle separately via
+        :meth:`charge_reads`). Always False in oracle mode.
         """
         return self._fast and n > 0 and self._fast_index(addr, n) >= 0
 
@@ -509,8 +481,8 @@ class AddressSpace:
         """Sorted pages written since the last snapshot or restore.
 
         Every mutation of stored bytes on the fast path (stores, pokes,
-        soft and disturbance flips) marks its pages, so a page outside
-        this list still holds its baseline bytes — fused replay confines
+        soft flips) marks its pages, so a page outside this list still
+        holds its baseline bytes — fused replay confines
         its golden-image comparison to these pages. Empty in oracle mode
         (the slow path does not track dirty pages).
         """
@@ -530,37 +502,16 @@ class AddressSpace:
         """Add pages to the dirty set (restore copies them, see above)."""
         self._dirty_pages.update(pages)
 
-    def guarded_addresses(self) -> Tuple[int, ...]:
-        """Sorted addresses that need per-access hook dispatch.
+    def tracked_addresses(self) -> Tuple[int, ...]:
+        """Sorted tracked fault addresses — every byte where an access can
+        observe or cause something other than plain stored memory.
 
-        The union of stuck-at overlay bytes, tracked soft faults and
-        disturbance aggressors — exactly the bytes
-        where an access can observe or cause something other than
-        plain stored memory. Fused drivers replay recorded work only
+        Soft flips corrupt reads, stuck-at overlays reassert on reads
+        (every overlay byte is tracked), and a store to either is
+        consumption bookkeeping. Fused drivers replay recorded work only
         for spans that avoid every one of these addresses.
         """
-        addrs = set(self._overlay.masks)
-        addrs.update(self._tracked_faults)
-        addrs.update(self._disturbances)
-        return tuple(sorted(addrs))
-
-    def soft_guard_addresses(self) -> Tuple[int, ...]:
-        """Sorted tracked-fault and disturbance-aggressor addresses.
-
-        The guarded bytes a fused query must never touch: every injected
-        fault is tracked (soft flips corrupt reads, stuck-at overlays
-        reassert on reads, and a store to either is consumption
-        bookkeeping), and disturbance aggressors flip victim bytes when
-        touched.
-        """
-        return tuple(sorted(set(self._tracked_faults).union(self._disturbances)))
-
-    def tracked_addresses(self) -> Tuple[int, ...]:
-        """Sorted tracked soft-fault addresses — the only bytes whose
-        *stored* value legitimately differs from a pristine image (a
-        soft flip XORs storage in place; overlays and disturbance
-        aggressors never mutate stored bytes)."""
-        return tuple(sorted(self._tracked_faults))
+        return tuple(self._tracked_keys)
 
     def accounting_state(self) -> tuple:
         """Clock, per-region counters and path counters, by value.
@@ -975,47 +926,11 @@ class AddressSpace:
         self._refresh_guards()
         return fault
 
-    def install_disturbance(
-        self,
-        aggressor_addr: int,
-        victim_addr: int,
-        bit: int,
-        probability: float,
-        rng,
-    ) -> None:
-        """Couple an aggressor and a victim cell (disturbance fault).
-
-        Every *load* touching ``aggressor_addr`` flips ``bit`` of the
-        byte at ``victim_addr`` with the given probability — the
-        access-pattern-dependent failure mode (RowHammer-style
-        disturbance, data-retention weakness under neighbouring
-        activations) the paper's footnote 2 highlights. Flips are
-        recorded in the fault log as :attr:`FaultKind.DISTURBANCE`.
-
-        Raises:
-            SegmentationFault: if either address is unmapped.
-            ValueError: for an invalid bit index or probability.
-        """
-        if not 0 <= bit < 8:
-            raise ValueError(f"bit index must be in [0, 8), got {bit}")
-        if not 0.0 < probability <= 1.0:
-            raise ValueError(f"probability must be in (0, 1], got {probability}")
-        for label, check_addr in (("aggressor", aggressor_addr), ("victim", victim_addr)):
-            if self.region_at(check_addr) is None:
-                raise SegmentationFault(
-                    check_addr, 1, f"disturbance {label} at unmapped address"
-                )
-        self._disturbances.setdefault(aggressor_addr, []).append(
-            (victim_addr, bit, probability, rng)
-        )
-        self._refresh_guards()
-
     def clear_faults(self) -> None:
         """Remove all injected faults, their log, and consumption tracking."""
         self._overlay.clear()
         self.fault_log.clear()
         self._tracked_faults.clear()
-        self._disturbances.clear()
         self._refresh_guards()
 
     def clear_faults_in_range(self, addr: int, n: int) -> int:

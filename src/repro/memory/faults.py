@@ -10,6 +10,11 @@ Two fault classes mirror the paper's §II-A distinction:
   overwrite. The paper emulated this by re-applying the flip every 30 ms;
   the overlay used here is the limit of that process (see DESIGN.md and
   the ``bench_ablation_hard_fault`` ablation for the comparison).
+
+The address space also *tracks* every fault it installs — soft flips,
+stuck-at bytes and codec-corrected virtual faults — for consumption
+accounting, so its tracked addresses are the one guarded-address set
+the fast path and the fused drivers consult.
 """
 
 from __future__ import annotations
@@ -20,14 +25,10 @@ from typing import Dict, Iterable, List, Tuple
 
 
 class FaultKind(enum.Enum):
-    """Transient, recurring, or access-pattern-dependent memory error."""
+    """Transient or recurring memory error."""
 
     SOFT = "soft"
     HARD = "hard"
-    #: Disturbance (RowHammer/retention-style) errors, flagged by the
-    #: paper's footnote 2 as increasingly common in scaled DRAM: reads
-    #: of an *aggressor* location probabilistically flip a *victim* bit.
-    DISTURBANCE = "disturbance"
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value

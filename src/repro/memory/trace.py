@@ -489,7 +489,7 @@ class TraceReplay:
     def blocked_queries(self) -> Optional[np.ndarray]:
         """Per query, whether its footprint holds a guarded byte (None:
         nothing is guarded); retaken only when the guarded set changes."""
-        guarded = self.workload.space.soft_guard_addresses()
+        guarded = self.workload.space.tracked_addresses()
         if guarded != self._guarded:
             self._guarded = guarded
             self._blocked = (

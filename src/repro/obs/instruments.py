@@ -582,8 +582,8 @@ class CampaignInstruments:
         cell's query decisions. Keys match
         ``PruningStats.to_dict()`` — ``pruned`` trials were resolved
         analytically, ``executed`` ran the workload, and ``fallback``
-        (a subset of executed) had no analytic model for their fault
-        kind; the :data:`~repro.memory.trace.DECISIONS` keys say how the
+        is always 0 (every fault kind has a pruning rule); the
+        :data:`~repro.memory.trace.DECISIONS` keys say how the
         queries of executed trials were served.
         """
         for name, count in stats.items():

@@ -18,8 +18,7 @@ Admission to a fused run requires proof, not hope (the induction is in
 state at this cursor (memory comparison cannot see a heap ``free``); the
 request is not *blocked* — one rule: a tracked byte blocks every query
 whose recorded footprint touches it, a stuck-at overlay that is silent
-on the current stored byte included, and disturbance aggressors are
-guarded alike; and it is not *diverged* — none of its
+on the current stored byte included; and it is not *diverged* — none of its
 *exposed reads* (recorded bytes whose first access inside the request
 is a load) holds a byte that differs from the rolling golden image.
 Diverged bytes the request stores to first do not matter: the fused run

@@ -312,7 +312,7 @@ def _build_snapshot(
         "error_rate": config.error_rate,
         "policy": config.policy or "auto",
         "retirement": {
-            "retired_pages": len(retirement.device.retired_pages),
+            "retired_pages": len(retirement.retired_pages),
             "max_retired_pages": retirement.max_retired_pages,
             "retired_capacity_fraction": retirement.retired_capacity_fraction,
         },

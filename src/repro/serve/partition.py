@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.design_space import HardwareTechnique
-from repro.dram.device import DramDevice
 from repro.dram.fault_models import DramFaultModel, FailureMode
 from repro.dram.geometry import CACHE_LINE_SIZE, DramGeometry
 from repro.dram.retirement import PageRetirementPolicy
@@ -137,9 +136,8 @@ class ServePartition:
         self.geometry = self._size_geometry(headroom)
         self.memory = ChannelProvisionedMemory(self.geometry, self.plan)
         self.fault_model = DramFaultModel(geometry=self.geometry)
-        self.device = DramDevice(geometry=self.geometry, fault_model=self.fault_model)
         self.retirement = PageRetirementPolicy(
-            device=self.device,
+            geometry=self.geometry,
             error_threshold=retirement_threshold,
             max_retired_fraction=max_retired_fraction,
         )
@@ -256,7 +254,7 @@ class ServePartition:
 
     def _retired_pages_array(self) -> np.ndarray:
         """Sorted retired pages; refreshed only when retirement grew."""
-        pages = self.device.retired_pages
+        pages = self.retirement.retired_pages
         if self._retired_cache[0] != len(pages):
             self._retired_cache = (
                 len(pages),

@@ -5,14 +5,15 @@ snapshot restore) claims to be *bit-identical* to the checked scalar
 path. This module enforces that claim mechanically: a stateful machine
 drives two address spaces — one pinned to the fast path, one pinned to
 the oracle — through the same randomized operation sequence (reads,
-writes, typed and bulk accessors, fault injection, disturbance
-couplings, freezes, snapshot/restore) and asserts after every step that
-return values, raised exceptions, stored bytes, the logical clock,
-per-region access counters, the fault log, and fault-consumption
-tracking all match exactly.
+writes, typed and bulk accessors, fault injection and clearing,
+freezes, snapshot/restore) and asserts after every step that return
+values, raised exceptions, stored bytes, the logical clock, per-region
+access counters, the fault log, and fault-consumption tracking all match
+exactly — and that the one guarded-address set the fast path admits
+against is sound: every stuck-at overlay byte is tracked, and the guard
+interval spans exactly the tracked addresses.
 """
 
-import random
 import struct
 
 import numpy as np
@@ -161,23 +162,10 @@ class FastOracleMachine(RuleBasedStateMachine):
         if status[0] == "ok":
             self.injected.add(addr)
 
-    @rule(
-        aggressor=st.integers(min_value=0, max_value=4096),
-        victim=st.integers(min_value=0, max_value=4096),
-        bit=BITS,
-        probability=st.sampled_from([0.3, 0.7, 1.0]),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def disturbance(self, aggressor, victim, bit, probability, seed):
-        # Each space gets its own RNG with the same seed: identical
-        # access sequences must consume identical random draws.
-        aggr = self.heap_addr(aggressor)
-        vict = self.heap_addr(victim)
-        self.both(
-            lambda space: space.install_disturbance(
-                aggr, vict, bit, probability, random.Random(seed)
-            )
-        )
+    @rule(addr=ADDRS, n=st.integers(min_value=0, max_value=64))
+    def clear_faults_in_range(self, addr, n):
+        self.both(lambda space: space.clear_faults_in_range(addr, n))
+        self.injected = {a for a in self.injected if not addr <= a < addr + n}
 
     @rule()
     def clear_faults(self):
@@ -237,6 +225,24 @@ class FastOracleMachine(RuleBasedStateMachine):
             assert self.fast.fault_consumption(
                 addr
             ) == self.oracle.fault_consumption(addr)
+
+    @invariant()
+    def one_guarded_address_set(self):
+        """Overlay bytes are a subset of the tracked addresses, and the
+        fast path's guard interval spans exactly the tracked keys: the
+        tracked set alone is what an access must avoid to be clean."""
+        assert self.fast.tracked_addresses() == self.oracle.tracked_addresses()
+        for space in (self.fast, self.oracle):
+            tracked = space.tracked_addresses()
+            assert tracked == tuple(sorted(space._tracked_faults))
+            assert set(space._overlay.masks) <= set(tracked)
+            if tracked:
+                assert (space._guard_lo, space._guard_hi) == (
+                    tracked[0],
+                    tracked[-1],
+                )
+            else:
+                assert space._guard_lo > space._guard_hi
 
     @invariant()
     def accesses_partitioned(self):

@@ -339,7 +339,7 @@ class EpochTwins:
         # Each fault's stuck value and injection time: apply_fault read
         # the stored bit and the clock the quantum before it left.
         assert scalar.space.fault_log.entries == batched.space.fault_log.entries
-        assert scalar.space.guarded_addresses() == batched.space.guarded_addresses()
+        assert scalar.space.tracked_addresses() == batched.space.tracked_addresses()
         for region in scalar.space.regions:
             assert scalar.space.peek(region.base, region.size) == batched.space.peek(
                 region.base, region.size
@@ -436,7 +436,7 @@ class TestEpochBoundaries:
             event = fault_at(tenant, "heap", READ_BYTE, 0, FaultKind.SOFT)
             tenant.apply_fault(event.addr, event.bit, FaultKind.SOFT)
             RetirePagePolicy().respond(tenant, event)
-        assert not twins.tenants[1].space.guarded_addresses()
+        assert not twins.tenants[1].space.tracked_addresses()
         twins.serve(4 * queries + 1)
         assert twins.tally["diverged"] == 1
         assert twins.tally["fused"] == twins.served - 1

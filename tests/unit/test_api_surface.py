@@ -38,7 +38,7 @@ class TestSurfaceInventory:
         ]
 
     def test_api_version_tracks_package_major(self):
-        assert api.API_VERSION == "6.0"
+        assert api.API_VERSION == "7.0"
         assert (
             api.API_VERSION.split(".")[0] == repro.__version__.split(".")[0]
         )
@@ -142,8 +142,6 @@ class TestAvailableBackends:
         import repro.exec
         import repro.monitoring
         from repro.apps.clients import ClientDriver, ClientReport
-        from repro.core.disturbance import characterize_disturbance
-        from repro.core.failure_modes import characterize_failure_modes
         from repro.core.taxonomy import classify_outcome
         from repro.fleet import FleetSimulationResult, FleetSimulator
         from repro.obs import ServeInstruments
@@ -163,8 +161,6 @@ class TestAvailableBackends:
             ClientDriver.__init__,
             ClientReport.crashed,
             classify_outcome,
-            characterize_disturbance,
-            characterize_failure_modes,
         ):
             assert "failure_fraction" not in parameters(function), function
         for name in ("failure_fraction", "run_random"):
@@ -182,6 +178,53 @@ class TestAvailableBackends:
         for module in (repro.exec, repro.monitoring):
             for name in ("CampaignMetrics", "ProgressEvent", "WorkerTiming"):
                 assert not hasattr(module, name), (module.__name__, name)
+
+    def test_names_removed_in_7_0_are_gone(self):
+        """What the one flow never reached: disturbance faults, the
+        correlated-failure-mode campaign, the DRAM lifetime simulator,
+        the scrubbers and the device model. The address space keeps one
+        guarded-address view, and retirement owns its retired pages."""
+        import importlib
+
+        import repro.core
+        import repro.dram
+        from repro.injection import ErrorInjector
+        from repro.memory import AddressSpace
+        from repro.memory.faults import FaultKind
+
+        for module in (
+            "repro.core.disturbance",
+            "repro.core.failure_modes",
+            "repro.dram.device",
+            "repro.dram.lifetime",
+            "repro.dram.scrubber",
+        ):
+            with pytest.raises(ImportError):
+                importlib.import_module(module)
+        for name in ("characterize_failure_modes", "mode_summary"):
+            assert not hasattr(repro.core, name), name
+        for name in (
+            "DramDevice",
+            "CellFault",
+            "PatrolScrubber",
+            "SoftwareScrubber",
+            "ScrubReport",
+        ):
+            assert not hasattr(repro.dram, name), name
+        for name in (
+            "install_disturbance",
+            "guarded_addresses",
+            "soft_guard_addresses",
+        ):
+            assert not hasattr(AddressSpace, name), name
+        assert hasattr(AddressSpace, "tracked_addresses")
+        assert not hasattr(ErrorInjector, "inject_footprint")
+        assert [kind.name for kind in FaultKind] == ["SOFT", "HARD"]
+        policy = inspect.signature(repro.dram.PageRetirementPolicy)
+        assert "device" not in policy.parameters
+        assert "geometry" in policy.parameters
+        assert not hasattr(repro.dram.RetirementOutcome(), "faults_neutralized")
+        assert not hasattr(repro.dram.PageRetirementPolicy, "observe_errors")
 
     def test_the_scalar_oracle_is_serial(self):
         config = api.CampaignConfig(trials_per_cell=1, queries_per_trial=2)

@@ -1,75 +1,26 @@
-"""Unit tests for repro.dram.device, scrubber, and retirement."""
+"""Unit tests for repro.dram fault models and page retirement."""
 
 import random
 
 import pytest
 
 from repro.dram import (
-    DramDevice,
     DramFaultModel,
     DramGeometry,
     FailureMode,
     PageRetirementPolicy,
-    PatrolScrubber,
-    SoftwareScrubber,
 )
 from repro.memory.faults import FaultKind
 
 
 @pytest.fixture
-def device():
-    geometry = DramGeometry(channels=1, dimms_per_channel=1, rows_per_bank=256)
-    return DramDevice(geometry=geometry)
+def geometry():
+    return DramGeometry(channels=1, dimms_per_channel=1, rows_per_bank=256)
 
 
 @pytest.fixture
 def rng():
     return random.Random(7)
-
-
-class TestDevice:
-    def test_inject_arrival_accumulates(self, device, rng):
-        footprint = device.inject_arrival(rng)
-        assert device.fault_count == len(footprint.addresses)
-        assert device.faults_at(footprint.addresses[0])
-
-    def test_faults_at_clean_address(self, device):
-        assert device.faults_at(12345) == []
-
-    def test_retire_page_neutralizes(self, device, rng):
-        footprint = device.inject_arrival(rng)
-        page = footprint.addresses[0] // 4096
-        removed = device.retire_page(page)
-        assert removed >= 1
-        assert all(fault.addr // 4096 != page for fault in device.faults)
-
-    def test_retired_page_blocks_new_faults(self, device, rng):
-        footprint = device.inject_arrival(rng)
-        page = footprint.addresses[0] // 4096
-        device.retire_page(page)
-        before = device.fault_count
-        # Force arrivals; any landing on the retired page must be inert.
-        for _ in range(50):
-            device.inject_arrival(rng)
-        assert all(fault.addr // 4096 != page for fault in device.faults)
-        assert device.fault_count >= before
-
-    def test_scrub_soft_faults_keeps_hard(self, device, rng):
-        for _ in range(30):
-            device.inject_arrival(rng)
-        hard_before = sum(
-            1 for fault in device.faults if fault.kind is FaultKind.HARD
-        )
-        device.scrub_soft_faults()
-        assert device.fault_count == hard_before
-        assert all(fault.kind is FaultKind.HARD for fault in device.faults)
-
-    def test_mismatched_fault_model_rejected(self):
-        with pytest.raises(ValueError):
-            DramDevice(
-                geometry=DramGeometry(channels=1),
-                fault_model=DramFaultModel(geometry=DramGeometry(channels=2)),
-            )
 
 
 class TestFaultModel:
@@ -121,86 +72,48 @@ class TestFaultModel:
             DramFaultModel(hard_fraction=1.5)
 
 
-class TestPatrolScrubber:
-    def test_corrects_isolated_soft_faults(self, device, rng):
-        model = DramFaultModel(
-            geometry=device.geometry,
-            mode_weights={FailureMode.SINGLE_BIT: 1.0},
-            hard_fraction=0.0,
-        )
-        device.fault_model = model
-        for _ in range(10):
-            device.inject_arrival(rng)
-        report = PatrolScrubber(device, correctable_bits_per_word=1).scrub()
-        assert report.corrected_soft >= 1
-        assert device.fault_count == report.detected_hard  # soft gone
-
-    def test_flags_multi_bit_words_uncorrectable(self, device, rng):
-        device.fault_model = DramFaultModel(
-            geometry=device.geometry,
-            mode_weights={FailureMode.SINGLE_WORD: 1.0},
-        )
-        device.inject_arrival(rng)
-        report = PatrolScrubber(device, correctable_bits_per_word=1).scrub()
-        assert report.uncorrectable >= 2
-        assert report.pages_flagged
-
-
-class TestSoftwareScrubber:
-    def test_detects_hard_faults_probabilistically(self, device, rng):
-        device.fault_model = DramFaultModel(
-            geometry=device.geometry,
-            mode_weights={FailureMode.SINGLE_BIT: 1.0},
-            hard_fraction=1.0,
-        )
-        for _ in range(20):
-            device.inject_arrival(rng)
-        report = SoftwareScrubber(device, detection_probability=1.0).scrub(rng)
-        assert report.detected_hard == device.fault_count
-
-    def test_invalid_probability_rejected(self, device):
-        with pytest.raises(ValueError):
-            SoftwareScrubber(device, detection_probability=2.0)
-
-
 class TestPageRetirementPolicy:
-    def test_threshold_retirement(self, device, rng):
-        device.fault_model = DramFaultModel(
-            geometry=device.geometry,
+    def test_threshold_retirement(self, geometry, rng):
+        model = DramFaultModel(
+            geometry=geometry,
             mode_weights={FailureMode.SINGLE_BIT: 1.0},
             hard_fraction=1.0,
         )
-        footprint = device.inject_arrival(rng)
-        addr = footprint.addresses[0]
-        policy = PageRetirementPolicy(device, error_threshold=2)
+        addr = model.draw(rng).addresses[0]
+        policy = PageRetirementPolicy(geometry=geometry, error_threshold=2)
         first = policy.observe_error(addr)
         assert not first.pages_retired
         second = policy.observe_error(addr)
         assert second.pages_retired == [addr // 4096]
-        assert second.faults_neutralized >= 1
+        assert policy.retired_pages == {addr // 4096}
 
-    def test_budget_exhaustion(self, device, rng):
+    def test_budget_exhaustion(self, geometry):
         policy = PageRetirementPolicy(
-            device, error_threshold=1, max_retired_fraction=1e-9
+            geometry=geometry, error_threshold=1, max_retired_fraction=1e-9
         )
         assert policy.max_retired_pages == 1
-        outcome = policy.observe_errors([0, 4096, 8192])
-        assert outcome.budget_exhausted
-        assert len(device.retired_pages) == 1
+        outcomes = [policy.observe_error(addr) for addr in (0, 4096, 8192)]
+        assert [outcome.pages_retired for outcome in outcomes] == [[0], [], []]
+        assert [outcome.budget_exhausted for outcome in outcomes] == [
+            False,
+            True,
+            True,
+        ]
+        assert len(policy.retired_pages) == 1
 
-    def test_retired_page_not_recounted(self, device):
-        policy = PageRetirementPolicy(device, error_threshold=1)
+    def test_retired_page_not_recounted(self, geometry):
+        policy = PageRetirementPolicy(geometry=geometry, error_threshold=1)
         policy.observe_error(0)
         outcome = policy.observe_error(0)
         assert not outcome.pages_retired
 
-    def test_capacity_fraction(self, device):
-        policy = PageRetirementPolicy(device, error_threshold=1)
+    def test_capacity_fraction(self, geometry):
+        policy = PageRetirementPolicy(geometry=geometry, error_threshold=1)
         policy.observe_error(0)
         assert policy.retired_capacity_fraction > 0
 
-    def test_invalid_params_rejected(self, device):
+    def test_invalid_params_rejected(self, geometry):
         with pytest.raises(ValueError):
-            PageRetirementPolicy(device, error_threshold=0)
+            PageRetirementPolicy(geometry=geometry, error_threshold=0)
         with pytest.raises(ValueError):
-            PageRetirementPolicy(device, max_retired_fraction=0.0)
+            PageRetirementPolicy(geometry=geometry, max_retired_fraction=0.0)

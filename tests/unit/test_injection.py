@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.dram import DramFaultModel, DramGeometry
 from repro.injection import (
     MULTI_BIT_HARD,
     SINGLE_BIT_HARD,
@@ -141,15 +140,6 @@ class TestErrorInjector:
             space.clear_faults()
             record = injector.inject(SINGLE_BIT_SOFT, ranges=ranges)
             assert heap.base + 64 <= record.anchor_addr < heap.base + 96
-
-    def test_footprint_injection_lands_mapped(self, space, rng):
-        injector = ErrorInjector(space, rng)
-        model = DramFaultModel(geometry=DramGeometry(channels=1))
-        for _ in range(10):
-            space.clear_faults()
-            record = injector.inject_footprint(model)
-            for addr in record.addresses:
-                assert space.region_at(addr) is not None
 
 
 class TestPeriodicReapplier:

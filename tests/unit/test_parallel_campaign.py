@@ -17,6 +17,7 @@ import random
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.apps.websearch import WebSearch
@@ -34,6 +35,7 @@ from repro.exec import (
     fold_cells,
     plan_shards_indexed,
 )
+from repro.exec.pruning import PlanClassification
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT
 from repro.obs import CampaignMetrics
 from repro.obs.events import SPAN_TRIAL
@@ -292,11 +294,14 @@ class TestMerge:
     def _fold(cells, shard_results) -> VulnerabilityProfile:
         """Walk ``cells`` whose every trial executed on the pool."""
         profile = VulnerabilityProfile(app="fake")
+        undecided = PlanClassification(
+            decidable=np.zeros(4, dtype=bool), codes=np.zeros(4, dtype=np.uint8)
+        )
         fold_cells(
             _fresh_campaign(),
             profile,
             cells,
-            [(None, None)] * len(cells),
+            [(None, undecided)] * len(cells),
             4,
             shard_results,
         )

@@ -162,11 +162,6 @@ class TestClassifyPlan:
         cls = classify_plan(plan, trace, corrected)
         assert cls.outcomes == (None,)
 
-    def test_unsupported_kind_returns_none(self):
-        trace = make_trace()
-        plan = make_plan(ErrorSpec(FaultKind.DISTURBANCE, 1), [[(10, 0)]])
-        assert classify_plan(plan, trace) is None
-
     def test_empty_plan(self):
         cls = classify_plan(make_plan(SINGLE_BIT_SOFT, []), make_trace())
         assert cls.outcomes == ()
