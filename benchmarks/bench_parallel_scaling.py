@@ -17,7 +17,6 @@ import time
 from _helpers import make_websearch
 from repro.core.campaign import CampaignConfig, CharacterizationCampaign
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT
-from repro.obs import CampaignMetrics
 
 CONFIG = CampaignConfig(trials_per_cell=30, queries_per_trial=80, seed=41)
 WORKER_COUNTS = (1, 2, 4)
@@ -26,16 +25,13 @@ WORKER_COUNTS = (1, 2, 4)
 def _run(workers: int):
     campaign = CharacterizationCampaign(make_websearch(), config=CONFIG)
     campaign.prepare()
-    metrics = CampaignMetrics()
     start = time.perf_counter()
     profile = campaign.run(
         specs=(SINGLE_BIT_SOFT, SINGLE_BIT_HARD),
         workers=workers,
         workload_factory=make_websearch,
-        progress=metrics,
     )
-    elapsed = time.perf_counter() - start
-    return profile, elapsed, metrics
+    return profile, time.perf_counter() - start
 
 
 def test_parallel_scaling(report):
@@ -52,7 +48,8 @@ def test_parallel_scaling(report):
     baseline_json = None
     baseline_seconds = None
     for workers in WORKER_COUNTS:
-        profile, elapsed, metrics = _run(workers)
+        profile, elapsed = _run(workers)
+        trials = sum(cell.trials for cell in profile.cells.values())
         encoded = json.dumps(profile.to_dict())
         if baseline_json is None:
             baseline_json, baseline_seconds = encoded, elapsed
@@ -60,7 +57,7 @@ def test_parallel_scaling(report):
         assert identical, f"profile diverged at workers={workers}"
         lines.append(
             f"{workers:>8} {elapsed:>9.2f} "
-            f"{metrics.trials_done / elapsed:>11.1f} "
+            f"{trials / elapsed:>11.1f} "
             f"{baseline_seconds / elapsed:>7.2f}x {str(identical):>10}"
         )
     report("parallel_scaling", "\n".join(lines))

@@ -66,7 +66,6 @@ from repro.injection import (
 )
 from repro.memory import AddressSpace, RegionKind
 from repro.obs import (
-    CampaignMetrics,
     JsonlSink,
     MetricsRegistry,
     Observer,
@@ -82,7 +81,7 @@ from repro import api
 # to --log-level); see the stdlib logging HOWTO for the convention.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "api",
@@ -114,7 +113,6 @@ __all__ = [
     "ErrorSpec",
     "AddressSpace",
     "RegionKind",
-    "CampaignMetrics",
     "JsonlSink",
     "MetricsRegistry",
     "Observer",

@@ -71,7 +71,6 @@ from repro.fleet import (
 from repro.injection import MULTI_BIT_HARD, SINGLE_BIT_HARD, SINGLE_BIT_SOFT
 from repro.obs import (
     SPAN_FLEET,
-    CampaignMetrics,
     EventBuffer,
     JsonlSink,
     MetricsRegistry,
@@ -349,8 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     characterize.add_argument(
         "--metrics-out", type=_out_path, default=None, metavar="PATH",
-        help="write campaign metrics (throughput, per-worker timing, "
-        "instrument registry) as JSON",
+        help="write the instrument registry (trials, throughput, "
+        "per-worker timing) as JSON",
     )
     characterize.add_argument(
         "--prom-out", type=_out_path, default=None, metavar="PATH",
@@ -636,24 +635,25 @@ def _make_workload(arguments):
     return factory(), factory
 
 
-def _build_observer(arguments) -> Observer:
-    """Assemble sinks + metrics registry from the characterize flags."""
+def _build_observer(arguments, summary: bool = False) -> Observer:
+    """Assemble sinks + metrics registry from the telemetry flags.
+
+    ``summary`` asks for a registry without a metrics file (the
+    ``characterize --metrics`` table reads it).
+    """
     sinks = []
     if arguments.trace_out is not None:
         sinks.append(JsonlSink(arguments.trace_out))
     registry = None
-    if arguments.metrics_out is not None or arguments.prom_out is not None:
+    if summary or arguments.metrics_out is not None or arguments.prom_out is not None:
         registry = MetricsRegistry()
     return Observer(sinks=sinks, metrics=registry)
 
 
-def _write_metrics(arguments, observer: Observer, **sections) -> None:
-    """Honour ``--metrics-out`` / ``--prom-out`` after the run.
-
-    ``sections`` join the instrument registry in the JSON payload.
-    """
+def _write_metrics(arguments, observer: Observer) -> None:
+    """Honour ``--metrics-out`` / ``--prom-out`` after the run."""
     if arguments.metrics_out is not None:
-        payload = {**sections, "instruments": observer.metrics.to_dict()}
+        payload = {"instruments": observer.metrics.to_dict()}
         arguments.metrics_out.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
@@ -699,7 +699,7 @@ def _cmd_characterize(arguments) -> int:
         )
         return 2
     workload, factory = _make_workload(arguments)
-    observer = _build_observer(arguments)
+    observer = _build_observer(arguments, summary=arguments.metrics)
     campaign = CharacterizationCampaign(
         workload,
         config=CampaignConfig(
@@ -717,21 +717,17 @@ def _cmd_characterize(arguments) -> int:
     suffix = f" ({workers} workers)" if workers > 1 else ""
     print(f"characterizing {workload.name}{suffix}...", file=sys.stderr)
     campaign.prepare()
-    want_metrics = arguments.metrics or arguments.metrics_out is not None
-    metrics = CampaignMetrics() if want_metrics else None
     try:
         profile = campaign.run(
             specs=tuple(SPECS[name] for name in arguments.errors),
             workers=workers,
             workload_factory=factory,
-            progress=metrics,
         )
     finally:
         observer.close()
     if arguments.metrics:
-        print(render_run_summary(metrics), file=sys.stderr)
-    sections = {"campaign": metrics.to_dict()} if metrics is not None else {}
-    _write_metrics(arguments, observer, **sections)
+        print(render_run_summary(observer.instruments), file=sys.stderr)
+    _write_metrics(arguments, observer)
     if arguments.json:
         print(json.dumps(profile.to_dict(), indent=2))
         return 0

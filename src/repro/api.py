@@ -115,7 +115,7 @@ from repro.serve import (
 
 #: Version of the *surface* (not the package): bumped on breaking
 #: changes to exported names or entry-point signatures.
-API_VERSION = "7.0"
+API_VERSION = "8.0"
 
 #: The documented tiers. Names within each tier are sorted; ``__all__``
 #: is their concatenation (the API-surface test pins both properties).
@@ -247,7 +247,6 @@ def run_campaign(
     trials_per_cell: Optional[int] = None,
     workers: Optional[object] = None,
     workload_factory: Optional[Callable[[], Workload]] = None,
-    progress: Optional[Callable] = None,
     region_codecs: Optional[Dict[str, str]] = None,
 ) -> VulnerabilityProfile:
     """Characterize ``workload`` in one call and return its profile.
@@ -276,7 +275,6 @@ def run_campaign(
         trials_per_cell=trials_per_cell,
         workers=resolve_workers(workers),
         workload_factory=workload_factory,
-        progress=progress,
     )
 
 

@@ -55,13 +55,13 @@ from repro.injection.injector import (
 )
 from repro.memory.trace import DECISIONS, TraceReplay, record_access_trace
 from repro.obs.events import (
+    POINT_PROGRESS,
     SPAN_CAMPAIGN,
     SPAN_CELL,
     SPAN_CONSUME,
     SPAN_TRIAL,
     SPAN_VERIFY,
 )
-from repro.obs.progress import ProgressClock, emit_progress
 from repro.obs.trace import NULL_OBSERVER, Observer
 from repro.utils.rng import SeedSequenceFactory
 
@@ -601,7 +601,6 @@ class CharacterizationCampaign:
         region_sizes: Dict[str, int],
         workers: int,
         workload_factory: Optional[Callable[[], Workload]],
-        progress: Optional[Callable],
     ) -> VulnerabilityProfile:
         """Run a cell grid inside one ``campaign`` tracing span.
 
@@ -626,14 +625,13 @@ class CharacterizationCampaign:
             },
         ) as campaign_span:
             if self.backend == "scalar" and workers == 1:
-                profile = self._run_scalar_cells(cells, budget, region_sizes, progress)
+                profile = self._run_scalar_cells(cells, budget, region_sizes)
             else:
                 from repro.exec.parallel import ParallelCampaignRunner
 
                 runner = ParallelCampaignRunner(
                     workers=workers,
                     workload_factory=workload_factory,
-                    progress=progress,
                 )
                 profile = runner.run(self, cells, budget, region_sizes)
             campaign_span.set(trials=trials_total)
@@ -645,18 +643,17 @@ class CharacterizationCampaign:
         cells: Sequence[CampaignCell],
         budget: int,
         region_sizes: Dict[str, int],
-        progress: Optional[Callable],
     ) -> VulnerabilityProfile:
         """The scalar oracle: every trial of every cell, one by one.
 
-        Each cell runs in a ``cell`` tracing span and reports one
-        progress event; the run's memory fast-path delta is folded into
+        Each cell runs in a ``cell`` tracing span followed by one
+        ``progress`` point; the run's memory fast-path delta is folded into
         the instruments.
         """
         observer = self.observer
         profile = VulnerabilityProfile(app=self.workload.name)
         profile.region_sizes = dict(region_sizes)
-        clock = ProgressClock()
+        start = time.perf_counter()
         trials_total = len(cells) * budget
         memory_before = self.workload.fast_path_stats()
         for done, cell_def in enumerate(cells, 1):
@@ -673,17 +670,19 @@ class CharacterizationCampaign:
             ):
                 for trial_index in range(budget):
                     self.measure_trial(cell_def, trial_index).record_into(cell)
-            emit_progress(
-                progress,
-                clock,
-                trials_done=done * budget,
-                trials_total=trials_total,
-                worker_pid=os.getpid(),
-                shard_trials=budget,
-                shard_seconds=time.perf_counter() - cell_start,
-                cell_name=cell_def.name,
-                error_label=cell_def.spec.label,
-                observer=observer,
+            now = time.perf_counter()
+            observer.point(
+                POINT_PROGRESS,
+                attrs={
+                    "trials_done": done * budget,
+                    "trials_total": trials_total,
+                    "elapsed_seconds": now - start,
+                    "worker_pid": os.getpid(),
+                    "shard_trials": budget,
+                    "shard_seconds": now - cell_start,
+                    "cell_name": cell_def.name,
+                    "error_label": cell_def.spec.label,
+                },
             )
         self.record_memory_since(memory_before)
         return profile
@@ -706,7 +705,6 @@ class CharacterizationCampaign:
         trials_per_cell: Optional[int] = None,
         workers: Optional[int] = None,
         workload_factory: Optional[Callable[[], Workload]] = None,
-        progress: Optional[Callable] = None,
     ) -> VulnerabilityProfile:
         """Run the full campaign and return the vulnerability profile.
 
@@ -721,10 +719,11 @@ class CharacterizationCampaign:
                 rebuild the workload in spawned workers (not needed on
                 fork platforms, where workers inherit the prepared
                 campaign).
-            progress: Optional hook called with
-                :class:`~repro.obs.progress.ProgressEvent` after each
-                completed shard (e.g. a
-                :class:`~repro.obs.progress.CampaignMetrics`).
+
+        Progress reaches callers through the campaign's observer: one
+        ``progress`` point per completed cell or shard, folded into the
+        ``campaign_trials_done`` / ``worker_*`` instruments when a
+        metrics registry is attached.
         """
         worker_count = _normalize_workers(workers)
         if self._driver is None:
@@ -744,7 +743,6 @@ class CharacterizationCampaign:
             self.live_region_sizes(),
             worker_count,
             workload_factory,
-            progress,
         )
 
     def run_custom_cells(
@@ -754,7 +752,6 @@ class CharacterizationCampaign:
         trials_per_cell: Optional[int] = None,
         workers: Optional[int] = None,
         workload_factory: Optional[Callable[[], Workload]] = None,
-        progress: Optional[Callable] = None,
     ) -> VulnerabilityProfile:
         """Characterize arbitrary named address-span sets.
 
@@ -764,7 +761,7 @@ class CharacterizationCampaign:
         :meth:`repro.apps.websearch.WebSearch.data_structure_ranges` —
         and each gets its own profile cell, sampled and classified
         exactly like a region. Accepts the same ``workers`` /
-        ``workload_factory`` / ``progress`` arguments as :meth:`run`.
+        ``workload_factory`` arguments as :meth:`run`.
         """
         worker_count = _normalize_workers(workers)
         if self._driver is None:
@@ -789,7 +786,6 @@ class CharacterizationCampaign:
             region_sizes,
             worker_count,
             workload_factory,
-            progress,
         )
 
     def live_region_sizes(self) -> Dict[str, int]:
@@ -850,7 +846,6 @@ def load_or_run_profile(
     specs: Sequence[ErrorSpec] = DEFAULT_SPECS,
     regions: Optional[Sequence[str]] = None,
     workers: Optional[Union[int, str]] = None,
-    progress: Optional[Callable] = None,
     backend: str = "pruned",
     region_codecs: Optional[Mapping[str, Union[str, HardwareTechnique]]] = None,
 ) -> VulnerabilityProfile:
@@ -888,7 +883,6 @@ def load_or_run_profile(
         specs=specs,
         workers=workers,
         workload_factory=workload_factory,
-        progress=progress,
     )
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)

@@ -4,8 +4,8 @@ See :mod:`repro.exec.parallel` for the determinism guarantee that makes
 parallel characterization bit-identical to serial runs, and
 :mod:`repro.exec.pruning` for the access-trace trial pre-classifier
 behind ``backend="pruned"`` (the trace itself is
-:mod:`repro.memory.trace`). Progress metrics live in
-:mod:`repro.obs.progress` (exported by :mod:`repro.obs`).
+:mod:`repro.memory.trace`). Progress reaches callers as ``progress``
+points on the campaign's :class:`~repro.obs.trace.Observer`.
 """
 
 from repro.exec.cells import CampaignCell, CellShard, plan_shards_indexed
@@ -40,11 +40,3 @@ __all__ = [
     "resolve_workers",
 ]
 
-
-def __getattr__(name: str):
-    if name == "progress":
-        raise ImportError(
-            "repro.exec.progress was removed in 2.0; "
-            "import from repro.obs.progress instead"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

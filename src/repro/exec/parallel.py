@@ -60,8 +60,7 @@ from typing import (
 
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.exec.cells import CampaignCell, CellShard, plan_shards_indexed
-from repro.obs.events import SPAN_CELL, TraceEvent
-from repro.obs.progress import ProgressClock, emit_progress
+from repro.obs.events import POINT_PROGRESS, SPAN_CELL, TraceEvent
 from repro.obs.sinks import EventBuffer
 from repro.obs.trace import Observer
 
@@ -344,14 +343,12 @@ class ParallelCampaignRunner:
         self,
         workers: int,
         workload_factory: Optional[Callable] = None,
-        progress: Optional[Callable] = None,
         start_method: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.workload_factory = workload_factory
-        self.progress = progress
         self.start_method = resolve_start_method(start_method)
 
     def run(
@@ -393,25 +390,26 @@ class ParallelCampaignRunner:
 
         trials_total = len(cells) * trials_per_cell
         trials_done = 0
-        clock = ProgressClock()
+        start = time.perf_counter()
 
         def report(
             cell_name, error_label, trials, seconds, worker_pid=os.getpid()
         ) -> None:
-            """One progress event; this process's pid for walked trials."""
+            """One ``progress`` point; this process's pid for walked trials."""
             nonlocal trials_done
             trials_done += trials
-            emit_progress(
-                self.progress,
-                clock,
-                trials_done=trials_done,
-                trials_total=trials_total,
-                worker_pid=worker_pid,
-                shard_trials=trials,
-                shard_seconds=seconds,
-                cell_name=cell_name,
-                error_label=error_label,
-                observer=observer,
+            observer.point(
+                POINT_PROGRESS,
+                attrs={
+                    "trials_done": trials_done,
+                    "trials_total": trials_total,
+                    "elapsed_seconds": time.perf_counter() - start,
+                    "worker_pid": worker_pid,
+                    "shard_trials": trials,
+                    "shard_seconds": seconds,
+                    "cell_name": cell_name,
+                    "error_label": error_label,
+                },
             )
 
         shard_results = None

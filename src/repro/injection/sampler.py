@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.memory.address_space import AddressSpace
-from repro.memory.regions import Region, RegionKind
+from repro.memory.regions import Region
 
 
 class SpanTable:
@@ -79,58 +79,3 @@ class AddressSampler:
             ValueError: for empty or degenerate spans.
         """
         return SpanTable(ranges).sample(self._rng)
-
-    def sample_many(self, count: int, region: Optional[Region] = None) -> List[int]:
-        """Return ``count`` sample addresses (with replacement)."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        return [self.sample(region) for _ in range(count)]
-
-    def sample_unique(self, count: int, region: Optional[Region] = None) -> List[int]:
-        """Return ``count`` distinct addresses.
-
-        Raises:
-            ValueError: if the region cannot supply that many addresses.
-        """
-        capacity = region.size if region is not None else sum(
-            candidate.size for candidate in self._space.regions
-        )
-        if count > capacity:
-            raise ValueError(
-                f"cannot sample {count} unique addresses from {capacity} bytes"
-            )
-        seen: set = set()
-        result: List[int] = []
-        while len(result) < count:
-            addr = self.sample(region)
-            if addr not in seen:
-                seen.add(addr)
-                result.append(addr)
-        return result
-
-    def sample_per_region(
-        self, total: int, kinds: Optional[Sequence[RegionKind]] = None
-    ) -> dict:
-        """Sample ``total`` addresses split across regions by size.
-
-        Mirrors the paper's Figure 5(b) methodology ("the number of
-        sampled addresses in each memory region roughly proportional to
-        the size of that region"), with every region receiving at least
-        one sample.
-
-        Returns:
-            Mapping of region name to list of sampled addresses.
-        """
-        regions = [
-            region
-            for region in self._space.regions
-            if kinds is None or region.kind in kinds
-        ]
-        if not regions:
-            raise ValueError("no regions match the requested kinds")
-        total_size = sum(region.size for region in regions)
-        plan = {}
-        for region in regions:
-            share = max(1, round(total * region.size / total_size))
-            plan[region.name] = self.sample_many(share, region)
-        return plan

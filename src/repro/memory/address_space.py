@@ -208,10 +208,6 @@ class AddressSpace:
                 return self.regions[index]
         return None
 
-    def mapped_ranges(self) -> List[Tuple[int, int]]:
-        """Return (base, end) for every mapped region, in address order."""
-        return [(region.base, region.end) for region in self.regions]
-
     # ------------------------------------------------------------------
     # Checked access path (the scalar oracle)
     # ------------------------------------------------------------------
@@ -966,16 +962,6 @@ class AddressSpace:
         """
         state = self._tracked_faults[addr]
         return state[0], bool(state[1])
-
-    def correct_value_of(self, addr: int) -> int:
-        """Return the value the byte at ``addr`` *should* hold.
-
-        For soft faults this is unknowable after the fact, so callers
-        needing golden data must consult a snapshot or backing store; this
-        helper simply exposes the stored byte without the hard-fault
-        overlay, which is what a repair of the stuck cell would reveal.
-        """
-        return self._mem[addr]
 
     # ------------------------------------------------------------------
     # Region protection

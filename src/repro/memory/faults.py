@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 
 class FaultKind(enum.Enum):
@@ -93,10 +93,6 @@ class HardFaultOverlay:
             return value
         and_mask, or_mask = masks
         return (value & and_mask) | or_mask
-
-    def faulty_addresses(self) -> Iterable[int]:
-        """Addresses that currently have at least one stuck bit."""
-        return self.masks.keys()
 
     def clear(self) -> None:
         """Remove all stuck bits."""

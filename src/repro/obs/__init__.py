@@ -20,9 +20,13 @@ reproduction:
   (:mod:`repro.obs.live`), the deterministic multi-window SLO
   burn-rate engine feeding it (:mod:`repro.obs.slo`), and a minimal
   exposition-format parser for scrape sanity checks
-  (:mod:`repro.obs.promtext`);
-* the **progress hook** layer (:mod:`repro.obs.progress`), still
-  re-exported from :mod:`repro.exec` for backward compatibility.
+  (:mod:`repro.obs.promtext`).
+
+The observer is the one campaign telemetry channel: each completed cell
+or shard is a ``progress`` point event, which sinks receive like any
+span and the instruments fold into ``campaign_trials_done`` and the
+per-worker ``worker_*`` series. A caller that wants live progress
+passes a sink.
 
 Instrumentation is zero-cost when disabled (the default
 :data:`NULL_OBSERVER` allocates nothing on the hot path) and never
@@ -69,13 +73,6 @@ from repro.obs.promtext import (
     assert_scrape_parses,
     parse_prometheus,
     sample_value,
-)
-from repro.obs.progress import (
-    CampaignMetrics,
-    ProgressClock,
-    ProgressEvent,
-    WorkerTiming,
-    emit_progress,
 )
 from repro.obs.report import (
     TraceSummary,
@@ -142,11 +139,6 @@ __all__ = [
     "audit_slo",
     "parse_burn_windows",
     "slo_from_ledger",
-    "CampaignMetrics",
-    "ProgressClock",
-    "ProgressEvent",
-    "WorkerTiming",
-    "emit_progress",
     "TraceSummary",
     "render_fleet_draw_path",
     "render_run_summary",

@@ -2,8 +2,10 @@
 
 :class:`CampaignInstruments` is the bridge from the event stream to the
 registry: an :class:`~repro.obs.trace.Observer` with a metrics registry
-attached routes every emitted event through :meth:`update`, which keeps
-the paper-relevant aggregates current:
+attached routes every emitted event through
+:meth:`~CampaignInstruments.update_batch` (a one-event batch for a
+single span or point), which keeps the paper-relevant aggregates
+current:
 
 * ``campaign_trials_total{outcome}`` — the Figure 1 outcome taxonomy;
 * ``campaign_responses_total{disposition}`` — responded / incorrect /
@@ -13,7 +15,8 @@ the paper-relevant aggregates current:
 * ``cell_safe_ratio{cell}`` — running masked-fraction estimate per
   campaign cell (the live counterpart of Figure 5b);
 * ``worker_busy_seconds_total{pid}`` / ``worker_idle_seconds{pid}`` /
-  ``worker_trials_total{pid}`` — pool utilization;
+  ``worker_trials_total{pid}`` / ``worker_shards_total{pid}`` — pool
+  utilization;
 * ``campaign_trials_done`` / ``campaign_trials_budget`` /
   ``campaign_elapsed_seconds`` — overall progress gauges.
 """
@@ -388,6 +391,11 @@ class CampaignInstruments:
             "Trials completed per worker",
             labels=("pid",),
         )
+        self.worker_shards = registry.counter(
+            "worker_shards_total",
+            "Progress points (completed shards or walked cells) per worker",
+            labels=("pid",),
+        )
         self.memory_fastpath = registry.counter(
             "memory_fastpath_accesses_total",
             "Simulated-memory accesses by dispatch path",
@@ -443,47 +451,19 @@ class CampaignInstruments:
         # cell key -> (trials, masked) backing the running safe ratio.
         self._cell_counts: Dict[str, Tuple[int, int]] = {}
 
-    def update(self, event: TraceEvent) -> None:
-        """Fold one telemetry event into the registry."""
-        if event.kind == KIND_SPAN:
-            if event.name == SPAN_TRIAL:
-                self._update_trial(event)
-            elif event.name == SPAN_INJECTION:
-                if event.duration_seconds is not None:
-                    self.injection_latency.labels().observe(
-                        event.duration_seconds
-                    )
-        elif event.kind == KIND_POINT and event.name == POINT_PROGRESS:
-            self._update_progress(event)
-
-    def _update_trial(self, event: TraceEvent) -> None:
-        attrs = event.attrs
-        outcome = str(attrs.get("outcome", "unknown"))
-        self.trials.labels(outcome=outcome).inc()
-        for disposition in ("responded", "incorrect", "failed"):
-            count = attrs.get(disposition)
-            if count:
-                self.responses.labels(disposition=disposition).inc(float(count))
-        cell = str(attrs.get("cell", "?"))
-        trials, masked = self._cell_counts.get(cell, (0, 0))
-        trials += 1
-        if attrs.get("masked"):
-            masked += 1
-        self._cell_counts[cell] = (trials, masked)
-        self.cell_safe_ratio.labels(cell=cell).set(safe_div(masked, trials))
-
     def update_batch(self, events: Iterable[TraceEvent]) -> None:
-        """Fold many events with one registry touch per aggregate.
+        """Fold telemetry events into the registry, one touch per aggregate.
 
-        The batch counterpart of :meth:`update`, used when whole trial
-        shards land at once (a pruned campaign's cells, parallel merges):
-        trial outcomes and response dispositions are pre-summed in plain
-        dicts so each counter label is incremented once per batch, and
-        each cell's safe-ratio gauge is set once with its final value.
-        Counter sums commute and gauges take the last write, so the
-        registry end-state is identical to folding the events one by
-        one; progress points are replayed in order because the idle
-        gauge reads the busy counter as it goes.
+        The one fold: :meth:`Observer.emit` hands it a one-event batch,
+        :meth:`Observer.replay` whole trial shards (a pruned campaign's
+        cells, parallel merges). Trial outcomes and response
+        dispositions are pre-summed in plain dicts so each counter label
+        is incremented once per batch, and each cell's safe-ratio gauge
+        is set once with its final value. Counter sums commute and
+        gauges take the last write, so the registry end-state does not
+        depend on how a stream is split into batches; progress points
+        are replayed in order because the idle gauge reads the busy
+        counter as it goes.
         """
         outcome_counts: Dict[str, int] = {}
         disposition_totals: Dict[str, float] = {}
@@ -607,6 +587,7 @@ class CampaignInstruments:
         self.worker_trials.labels(pid=pid).inc(
             float(attrs.get("shard_trials", 0))
         )
+        self.worker_shards.labels(pid=pid).inc()
         elapsed = float(attrs.get("elapsed_seconds", 0.0))
         self.worker_idle.labels(pid=pid).set(max(0.0, elapsed - busy.value))
         self.trials_done.labels().set(float(attrs.get("trials_done", 0)))

@@ -9,8 +9,8 @@ Three consumers:
   (per-tenant availability, responses, SLO alert history) via
   :func:`render_serve_report`. Duck-typed over the replay object so
   this module stays independent of :mod:`repro.serve`.
-* The ``characterize --metrics`` end-of-run summary table, built from a
-  :class:`~repro.obs.progress.CampaignMetrics` aggregate.
+* The ``characterize --metrics`` end-of-run summary table, read from
+  the campaign instruments' registry series.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.obs.events import (
     SPAN_TRIAL,
     TraceEvent,
 )
-from repro.obs.progress import CampaignMetrics
+from repro.obs.instruments import CampaignInstruments
 from repro.utils.stats import safe_div
 
 __all__ = [
@@ -279,18 +279,30 @@ def render_serve_report(replay) -> str:
     return "\n".join(lines)
 
 
-def render_run_summary(metrics: CampaignMetrics) -> str:
-    """End-of-run summary table for a live campaign's metrics hook."""
+def render_run_summary(instruments: CampaignInstruments) -> str:
+    """End-of-run summary table of a campaign's registry series.
+
+    Totals come from the ``campaign_*`` gauges, per-worker rows from the
+    ``worker_*{pid}`` series; idle is the final elapsed time minus the
+    worker's busy time.
+    """
+    elapsed = instruments.elapsed.labels().value
+    done = int(instruments.trials_done.labels().value)
+    pids = sorted(
+        (key[0] for key, _ in instruments.worker_shards.children()), key=int
+    )
     lines = [
-        f"{metrics.trials_done}/{metrics.trials_total} trials in "
-        f"{metrics.elapsed_seconds:.1f}s "
-        f"({metrics.trials_per_second:.1f} trials/sec, "
-        f"{metrics.worker_count} workers)"
+        f"{done}/{int(instruments.trials_budget.labels().value)} trials in "
+        f"{elapsed:.1f}s "
+        f"({safe_div(done, elapsed):.1f} trials/sec, "
+        f"{len(pids)} workers)"
     ]
-    for pid, timing in sorted(metrics.per_worker.items()):
-        idle = max(0.0, metrics.elapsed_seconds - timing.busy_seconds)
+    for pid in pids:
+        shards = int(instruments.worker_shards.labels(pid=pid).value)
+        trials = int(instruments.worker_trials.labels(pid=pid).value)
+        busy = instruments.worker_busy.labels(pid=pid).value
         lines.append(
-            f"  worker {pid}: {timing.shards} shards, {timing.trials} trials, "
-            f"{timing.busy_seconds:.1f}s busy, {idle:.1f}s idle"
+            f"  worker {pid}: {shards} shards, {trials} trials, "
+            f"{busy:.1f}s busy, {max(0.0, elapsed - busy):.1f}s idle"
         )
     return "\n".join(lines)

@@ -187,20 +187,17 @@ class Observer:
 
     def emit(self, event: TraceEvent) -> None:
         """Deliver one event to every sink and the metrics instruments."""
-        for sink in self.sinks:
-            sink.write(event)
-        if self._instruments is not None:
-            self._instruments.update(event)
+        self.replay((event,))
 
     def replay(self, events: Iterable[TraceEvent]) -> None:
         """Re-emit buffered events (parallel merge / planned cells).
 
         Sinks receive the events one by one in order, but the metrics
-        instruments are updated once for the whole batch
+        instruments fold the whole batch at once
         (:meth:`CampaignInstruments.update_batch`) — one registry touch
         per aggregate instead of per trial, which is what keeps
         instrument overhead off the planned-cell hot path. The registry
-        end-state is identical to per-event emission.
+        end-state is identical to emitting the events one by one.
         """
         events = list(events)
         for event in events:

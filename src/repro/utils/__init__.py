@@ -1,16 +1,6 @@
-"""Shared low-level utilities: bit manipulation, statistics, seeded RNG."""
+"""Shared low-level utilities: parity, statistics, seeded RNG."""
 
-from repro.utils.bitops import (
-    bit_count,
-    extract_bit,
-    flip_bit,
-    flip_bits,
-    hamming_distance,
-    parity64,
-    set_bit,
-    to_bits,
-    from_bits,
-)
+from repro.utils.bitops import parity64
 from repro.utils.rng import SeedSequenceFactory, derive_seed
 from repro.utils.stats import (
     ConfidenceInterval,
@@ -25,15 +15,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "bit_count",
-    "extract_bit",
-    "flip_bit",
-    "flip_bits",
-    "hamming_distance",
     "parity64",
-    "set_bit",
-    "to_bits",
-    "from_bits",
     "SeedSequenceFactory",
     "derive_seed",
     "ConfidenceInterval",

@@ -1,65 +1,10 @@
-"""Bit-level helpers used by the ECC codecs and the error injector.
+"""Bit-level helper used by the ECC codecs.
 
-All functions operate on non-negative Python integers interpreted as
-fixed-width little-endian bit vectors (bit 0 is the least-significant bit).
-They are deliberately free of numpy so they can be used on arbitrary-width
-words (e.g. 72-bit SEC-DED codewords).
+Operates on non-negative Python integers of any width (e.g. 72-bit
+SEC-DED codewords), so it stays free of numpy.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, List
-
-
-def bit_count(value: int) -> int:
-    """Return the number of set bits (population count) of ``value``.
-
-    Raises:
-        ValueError: if ``value`` is negative.
-    """
-    if value < 0:
-        raise ValueError(f"bit_count requires a non-negative value, got {value}")
-    return bin(value).count("1")
-
-
-def extract_bit(value: int, index: int) -> int:
-    """Return bit ``index`` (0 = LSB) of ``value`` as 0 or 1."""
-    if index < 0:
-        raise ValueError(f"bit index must be non-negative, got {index}")
-    return (value >> index) & 1
-
-
-def set_bit(value: int, index: int, bit: int) -> int:
-    """Return ``value`` with bit ``index`` forced to ``bit`` (0 or 1)."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    mask = 1 << index
-    if bit:
-        return value | mask
-    return value & ~mask
-
-
-def flip_bit(value: int, index: int) -> int:
-    """Return ``value`` with bit ``index`` inverted."""
-    if index < 0:
-        raise ValueError(f"bit index must be non-negative, got {index}")
-    return value ^ (1 << index)
-
-
-def flip_bits(value: int, indices: Iterable[int]) -> int:
-    """Return ``value`` with every bit position in ``indices`` inverted.
-
-    Duplicate indices cancel out, matching the physics of repeated flips.
-    """
-    result = value
-    for index in indices:
-        result = flip_bit(result, index)
-    return result
-
-
-def hamming_distance(a: int, b: int) -> int:
-    """Return the number of bit positions in which ``a`` and ``b`` differ."""
-    return bit_count(a ^ b)
 
 
 def parity64(value: int) -> int:
@@ -71,26 +16,3 @@ def parity64(value: int) -> int:
         parity ^= 1
         value &= value - 1
     return parity
-
-
-def to_bits(value: int, width: int) -> List[int]:
-    """Decompose ``value`` into ``width`` bits, LSB first.
-
-    Raises:
-        ValueError: if ``value`` does not fit in ``width`` bits.
-    """
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    if value < 0 or value >> width:
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return [(value >> i) & 1 for i in range(width)]
-
-
-def from_bits(bits: Iterable[int]) -> int:
-    """Recompose an integer from bits given LSB first (inverse of to_bits)."""
-    value = 0
-    for i, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {bit} at position {i}")
-        value |= bit << i
-    return value

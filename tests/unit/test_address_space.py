@@ -90,11 +90,6 @@ class TestRegionLookup:
         assert space.region_at(0) is None  # null guard
         assert space.region_at(space.size + 10) is None
 
-    def test_mapped_ranges_ordered(self, space):
-        ranges = space.mapped_ranges()
-        assert ranges == sorted(ranges)
-        assert len(ranges) == 3
-
 
 class TestFaultInjection:
     def test_soft_flip_changes_bit(self, space, heap_base):

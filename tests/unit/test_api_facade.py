@@ -3,8 +3,7 @@
 The facade is the supported surface for applications: everything in
 its ``__all__`` must import, the convenience entry points must work
 end-to-end, and the compatibility rules (kw-only constructors, the
-removed ``repro.exec.progress`` alias pointing at its new home,
-versioned cache fingerprints) must behave as documented in DESIGN.md.
+removed progress modules staying gone, versioned cache fingerprints) must behave as documented in DESIGN.md.
 """
 
 import importlib
@@ -64,12 +63,12 @@ class TestKeywordOnlyConstructors:
 
 
 class TestProgressShim:
-    def test_removed_shim_import_names_new_home(self):
-        """The 1.x alias module is gone in 2.0; the error says where to go."""
-        with pytest.raises(ImportError, match=r"repro\.obs\.progress"):
-            from repro.exec import progress  # noqa: F401
-        with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.exec.progress")
+    def test_removed_progress_modules_do_not_import(self):
+        """``repro.exec.progress`` went in 2.0, ``repro.obs.progress`` in
+        8.0: progress is a ``progress`` point on the observer."""
+        for module in ("repro.exec.progress", "repro.obs.progress"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
 
     def test_package_imports_do_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:

@@ -38,7 +38,7 @@ class TestSurfaceInventory:
         ]
 
     def test_api_version_tracks_package_major(self):
-        assert api.API_VERSION == "7.0"
+        assert api.API_VERSION == "8.0"
         assert (
             api.API_VERSION.split(".")[0] == repro.__version__.split(".")[0]
         )
@@ -225,6 +225,58 @@ class TestAvailableBackends:
         assert "geometry" in policy.parameters
         assert not hasattr(repro.dram.RetirementOutcome(), "faults_neutralized")
         assert not hasattr(repro.dram.PageRetirementPolicy, "observe_errors")
+
+    def test_names_removed_in_8_0_are_gone(self):
+        """One campaign telemetry channel: progress is a ``progress``
+        point on the observer, folded by the instruments' one fold. The
+        helpers only their own tests reached are gone too."""
+        import importlib
+
+        import repro.exec
+        import repro.obs
+        import repro.utils.bitops
+        from repro.core.campaign import load_or_run_profile
+        from repro.exec import ParallelCampaignRunner
+        from repro.injection import AddressSampler
+        from repro.memory import AddressSpace
+        from repro.memory.faults import HardFaultOverlay
+        from repro.obs import CampaignInstruments
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.obs.progress")
+        for module in (repro, repro.obs, api):
+            for name in (
+                "CampaignMetrics",
+                "ProgressEvent",
+                "WorkerTiming",
+                "emit_progress",
+                "ProgressClock",
+            ):
+                assert not hasattr(module, name), (module.__name__, name)
+        for function in (
+            api.CharacterizationCampaign.run,
+            api.CharacterizationCampaign.run_custom_cells,
+            load_or_run_profile,
+            api.run_campaign,
+            ParallelCampaignRunner.__init__,
+        ):
+            assert "progress" not in inspect.signature(function).parameters
+        folds = [
+            name for name in vars(CampaignInstruments)
+            if name.startswith(("update", "_update_trial"))
+        ]
+        assert folds == ["update_batch"]
+        assert "__getattr__" not in vars(repro.exec)
+        for name in ("mapped_ranges", "correct_value_of"):
+            assert not hasattr(AddressSpace, name), name
+        assert not hasattr(HardFaultOverlay, "faulty_addresses")
+        for name in ("sample_many", "sample_unique", "sample_per_region"):
+            assert not hasattr(AddressSampler, name), name
+        assert [
+            name for name in vars(repro.utils.bitops)
+            if callable(getattr(repro.utils.bitops, name))
+            and not name.startswith("_")
+        ] == ["parity64"]
 
     def test_the_scalar_oracle_is_serial(self):
         config = api.CampaignConfig(trials_per_cell=1, queries_per_trial=2)

@@ -2,68 +2,7 @@
 
 import pytest
 
-from repro.utils.bitops import (
-    bit_count,
-    extract_bit,
-    flip_bit,
-    flip_bits,
-    from_bits,
-    hamming_distance,
-    parity64,
-    set_bit,
-    to_bits,
-)
-
-
-class TestBitCount:
-    def test_zero(self):
-        assert bit_count(0) == 0
-
-    def test_all_ones_byte(self):
-        assert bit_count(0xFF) == 8
-
-    def test_large_value(self):
-        assert bit_count((1 << 200) | 1) == 2
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bit_count(-1)
-
-
-class TestExtractSetFlip:
-    def test_extract(self):
-        assert extract_bit(0b1010, 1) == 1
-        assert extract_bit(0b1010, 0) == 0
-
-    def test_extract_negative_index(self):
-        with pytest.raises(ValueError):
-            extract_bit(1, -1)
-
-    def test_set_to_one(self):
-        assert set_bit(0, 3, 1) == 0b1000
-
-    def test_set_to_zero(self):
-        assert set_bit(0b1111, 2, 0) == 0b1011
-
-    def test_set_idempotent(self):
-        assert set_bit(set_bit(5, 1, 1), 1, 1) == set_bit(5, 1, 1)
-
-    def test_set_invalid_bit(self):
-        with pytest.raises(ValueError):
-            set_bit(0, 0, 2)
-
-    def test_flip_twice_is_identity(self):
-        assert flip_bit(flip_bit(0xDEAD, 7), 7) == 0xDEAD
-
-    def test_flip_negative_index(self):
-        with pytest.raises(ValueError):
-            flip_bit(1, -2)
-
-    def test_flip_bits_duplicates_cancel(self):
-        assert flip_bits(0, [3, 3]) == 0
-
-    def test_flip_bits_distinct(self):
-        assert flip_bits(0, [0, 2]) == 0b101
+from repro.utils.bitops import parity64
 
 
 class TestParityAndDistance:
@@ -79,30 +18,3 @@ class TestParityAndDistance:
     def test_parity_negative_rejected(self):
         with pytest.raises(ValueError):
             parity64(-5)
-
-    def test_hamming_distance_self(self):
-        assert hamming_distance(123456, 123456) == 0
-
-    def test_hamming_distance_single_flip(self):
-        assert hamming_distance(8, 0) == 1
-
-
-class TestBitsConversion:
-    def test_roundtrip(self):
-        value = 0b1011001
-        assert from_bits(to_bits(value, 7)) == value
-
-    def test_to_bits_width_check(self):
-        with pytest.raises(ValueError):
-            to_bits(256, 8)
-
-    def test_to_bits_bad_width(self):
-        with pytest.raises(ValueError):
-            to_bits(1, 0)
-
-    def test_from_bits_validates(self):
-        with pytest.raises(ValueError):
-            from_bits([0, 2, 1])
-
-    def test_lsb_first(self):
-        assert to_bits(0b10, 2) == [0, 1]

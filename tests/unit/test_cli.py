@@ -86,8 +86,10 @@ class TestCharacterizeCommand:
         ])
         assert code == 0
         err = capsys.readouterr().err
+        assert "6/6 trials in" in err
         assert "trials/sec" in err
-        assert "worker" in err
+        assert "workers)" in err
+        assert " shards, " in err and "s busy, " in err and "s idle" in err
 
     def test_json_output_parses(self, capsys):
         code = main([
@@ -121,15 +123,21 @@ class TestObservabilityFlags:
         trials = [e for e in events if e["name"] == "trial"]
         assert all("outcome" in e["attrs"] for e in trials)
 
-    def test_metrics_out_writes_campaign_and_instruments(self, capsys, tmp_path):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_metrics_out_writes_instruments(self, capsys, tmp_path, workers):
+        """The registry accounts for the whole budget: 2 regions x 2
+        trials of soft errors."""
         metrics = tmp_path / "metrics.json"
-        assert main(self.BASE + ["--metrics-out", str(metrics)]) == 0
+        argv = self.BASE + ["--workers", workers, "--metrics-out", str(metrics)]
+        assert main(argv) == 0
         capsys.readouterr()
         payload = json.loads(metrics.read_text())
-        assert set(payload) == {"campaign", "instruments"}
-        assert "campaign_trials_total" in payload["instruments"]
-        totals = payload["instruments"]["campaign_trials_total"]["values"]
-        assert sum(totals.values()) == payload["campaign"]["trials_done"]
+        assert set(payload) == {"instruments"}
+        instruments = payload["instruments"]
+        assert instruments["campaign_trials_done"]["values"] == {"": 4}
+        assert instruments["campaign_trials_budget"]["values"] == {"": 4}
+        for name in ("campaign_trials_total", "worker_trials_total"):
+            assert sum(instruments[name]["values"].values()) == 4, name
 
     def test_prom_out_renders_exposition_format(self, capsys, tmp_path):
         prom = tmp_path / "metrics.prom"

@@ -1,8 +1,9 @@
-"""``CampaignInstruments.update_batch`` == folding events one by one.
+"""``CampaignInstruments.update_batch`` does not depend on batching.
 
-The batch path pre-sums counters and writes each gauge once; the
-registry end-state must be identical to the scalar ``update`` loop for
-any event mix (trial spans, injection spans, progress points).
+The fold pre-sums counters and writes each gauge once; the registry
+end-state of one whole-stream batch (``Observer.replay``) must be
+identical to one-event batches (``Observer.emit``) for any event mix
+(trial spans, injection spans, progress points).
 """
 
 import random
@@ -83,7 +84,7 @@ class TestUpdateBatchEquivalence:
         scalar_registry = MetricsRegistry()
         scalar = CampaignInstruments(scalar_registry)
         for event in events:
-            scalar.update(event)
+            scalar.update_batch((event,))
 
         batch_registry = MetricsRegistry()
         batch = CampaignInstruments(batch_registry)

@@ -5,12 +5,10 @@ import pytest
 from repro.obs import (
     INJECTION_LATENCY_BUCKETS,
     CampaignInstruments,
-    CampaignMetrics,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    ProgressEvent,
 )
 from repro.obs.events import (
     KIND_POINT,
@@ -128,7 +126,7 @@ class TestCampaignInstruments:
             ("masked_overwrite", True),
             ("crash", False),
         ):
-            instruments.update(
+            instruments.update_batch([
                 _span(
                     SPAN_TRIAL,
                     attrs={
@@ -140,7 +138,7 @@ class TestCampaignInstruments:
                         "failed": 0,
                     },
                 )
-            )
+            ])
         dump = registry.to_dict()
         assert dump["campaign_trials_total"]["values"] == {
             "outcome=crash": 1,
@@ -152,7 +150,7 @@ class TestCampaignInstruments:
     def test_injection_span_feeds_latency_histogram(self):
         registry = MetricsRegistry()
         instruments = CampaignInstruments(registry)
-        instruments.update(_span(SPAN_INJECTION, duration=5e-4))
+        instruments.update_batch([_span(SPAN_INJECTION, duration=5e-4)])
         family = registry.to_dict()["injection_latency_seconds"]["values"][""]
         assert family["count"] == 1
         assert family["sum"] == pytest.approx(5e-4)
@@ -172,41 +170,17 @@ class TestCampaignInstruments:
                 "trials_total": 8,
             },
         )
-        instruments.update(event)
-        instruments.update(event)
+        instruments.update_batch([event])
+        instruments.update_batch([event])
         dump = registry.to_dict()
         assert dump["worker_busy_seconds_total"]["values"]["pid=42"] == 3.0
         assert dump["worker_trials_total"]["values"]["pid=42"] == 8
+        assert dump["worker_shards_total"]["values"]["pid=42"] == 2
         assert dump["campaign_trials_done"]["values"][""] == 4
         assert dump["campaign_trials_budget"]["values"][""] == 8
 
 
-class TestCampaignMetricsDict:
-    def test_to_dict_matches_snapshot(self):
-        metrics = CampaignMetrics()
-        metrics(
-            ProgressEvent(
-                trials_done=4, trials_total=8, elapsed_seconds=2.0,
-                worker_pid=7, shard_trials=4, shard_seconds=1.9,
-                cell_name="heap", error_label="single-bit soft",
-            )
-        )
-        payload = metrics.to_dict()
-        assert payload == metrics.snapshot()
-        assert payload["trials_per_second"] == 2.0
-        assert payload["workers"]["7"]["busy_seconds"] == 1.9
-
-    def test_safe_div_guards_empty_metrics(self):
-        metrics = CampaignMetrics()
-        assert metrics.trials_per_second == 0.0
-        empty = ProgressEvent(
-            trials_done=0, trials_total=0, elapsed_seconds=0.0,
-            worker_pid=0, shard_trials=0, shard_seconds=0.0,
-            cell_name="", error_label="",
-        )
-        assert empty.trials_per_second == 0.0
-        assert empty.fraction_done == 1.0  # empty budget counts as done
-
+class TestSafeDiv:
     def test_safe_div_defaults(self):
         assert safe_div(1.0, 0.0) == 0.0
         assert safe_div(1.0, 0.0, default=1.0) == 1.0

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.obs import (
-    CampaignMetrics,
-    ProgressEvent,
+    CampaignInstruments,
+    MetricsRegistry,
     render_run_summary,
     render_trace_report,
     summarize_trace,
@@ -186,16 +186,21 @@ class TestRenderTraceReport:
 
 class TestRenderRunSummary:
     def test_summary_lists_workers_with_idle(self):
-        metrics = CampaignMetrics()
-        metrics(
-            ProgressEvent(
-                trials_done=8, trials_total=8, elapsed_seconds=4.0,
-                worker_pid=7, shard_trials=8, shard_seconds=3.0,
-                cell_name="heap", error_label="single-bit soft",
-            )
-        )
-        text = render_run_summary(metrics)
-        assert "8/8 trials" in text
-        assert "trials/sec" in text
-        assert "worker 7:" in text
-        assert "1.0s idle" in text
+        """Read from the registry the progress points were folded into;
+        idle is measured against the final elapsed time."""
+        instruments = CampaignInstruments(MetricsRegistry())
+        instruments.update_batch([
+            _event(KIND_POINT, POINT_PROGRESS, duration=None, attrs={
+                "trials_done": done, "trials_total": 8,
+                "elapsed_seconds": elapsed, "worker_pid": pid,
+                "shard_trials": 4, "shard_seconds": 1.5,
+                "cell_name": "heap", "error_label": "single-bit soft",
+            })
+            for done, elapsed, pid in ((4, 2.0, 11), (8, 4.0, 7))
+        ])
+        lines = render_run_summary(instruments).splitlines()
+        assert lines == [
+            "8/8 trials in 4.0s (2.0 trials/sec, 2 workers)",
+            "  worker 7: 1 shards, 4 trials, 1.5s busy, 2.5s idle",
+            "  worker 11: 1 shards, 4 trials, 1.5s busy, 2.5s idle",
+        ]

@@ -9,7 +9,7 @@ The headline guarantees of repro.exec, pinned as tests:
 * shard planning covers every (cell, trial) exactly once and merging is
   order-independent;
 * worker failures surface as exceptions in the caller;
-* progress/metrics hooks account for every trial.
+* the progress points the registry folds account for every trial.
 """
 
 import json
@@ -37,8 +37,8 @@ from repro.exec import (
 )
 from repro.exec.pruning import PlanClassification
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT
-from repro.obs import CampaignMetrics
-from repro.obs.events import SPAN_TRIAL
+from repro.obs import MetricsRegistry
+from repro.obs.events import POINT_PROGRESS, SPAN_TRIAL
 from repro.obs.sinks import EventBuffer
 from repro.obs.trace import Observer
 from repro.utils.rng import derive_seed
@@ -415,35 +415,60 @@ class TestSeedStability:
         assert self._measure(workers=2).to_dict() == golden
 
 
+def _metered_run(workers, regions, sinks=()):
+    """Run on a metrics registry; return its plain-dict dump."""
+    registry = MetricsRegistry()
+    campaign = CharacterizationCampaign(
+        make_tiny_websearch(),
+        config=CONFIG,
+        observer=Observer(sinks=list(sinks), metrics=registry),
+    )
+    campaign.run(regions=regions, specs=(SINGLE_BIT_SOFT,), workers=workers)
+    return registry.to_dict()
+
+
+def _values(dump, name):
+    return dump[name]["values"]
+
+
 class TestProgressMetrics:
     def test_serial_progress_accounts_for_every_trial(self):
-        metrics = CampaignMetrics()
-        _fresh_campaign().run(
-            regions=["stack", "heap"], specs=(SINGLE_BIT_SOFT,), progress=metrics
-        )
-        assert metrics.trials_done == metrics.trials_total == 2 * CONFIG.trials_per_cell
-        assert metrics.worker_count == 1
-        assert metrics.trials_per_second > 0
-        assert sum(t.trials for t in metrics.per_worker.values()) == 8
+        dump = _metered_run(1, ["stack", "heap"])
+        budget = 2 * CONFIG.trials_per_cell
+        assert _values(dump, "campaign_trials_done") == {"": budget}
+        assert _values(dump, "campaign_trials_budget") == {"": budget}
+        assert _values(dump, "campaign_elapsed_seconds")[""] > 0
+        workers = _values(dump, "worker_trials_total")
+        assert len(workers) == 1
+        assert sum(workers.values()) == budget
 
     def test_parallel_progress_accounts_for_every_trial(self):
-        metrics = CampaignMetrics()
-        _fresh_campaign().run(
-            regions=["stack", "heap"],
-            specs=(SINGLE_BIT_SOFT,),
-            workers=2,
-            progress=metrics,
-        )
-        assert metrics.trials_done == metrics.trials_total == 8
-        assert sum(t.trials for t in metrics.per_worker.values()) == 8
-        assert metrics.events  # one event per completed shard
-        assert metrics.events[-1].fraction_done == 1.0
+        dump = _metered_run(2, ["stack", "heap"])
+        assert _values(dump, "campaign_trials_done") == {"": 8}
+        assert sum(_values(dump, "worker_trials_total").values()) == 8
+        assert sum(_values(dump, "worker_shards_total").values()) >= 2
 
     def test_snapshot_shape(self):
-        metrics = CampaignMetrics()
-        _fresh_campaign().run(regions=["stack"], specs=(SINGLE_BIT_SOFT,),
-                              workers=2, progress=metrics)
-        snap = metrics.snapshot()
-        assert snap["trials_done"] == snap["trials_total"] == 4
-        assert snap["trials_per_second"] >= 0
-        assert all("trials" in w for w in snap["workers"].values())
+        """Every worker that reported has all four per-worker series."""
+        dump = _metered_run(2, ["stack"])
+        assert _values(dump, "campaign_trials_done") == {"": 4}
+        pids = set(_values(dump, "worker_trials_total"))
+        assert pids
+        for name in (
+            "worker_busy_seconds_total",
+            "worker_idle_seconds",
+            "worker_shards_total",
+        ):
+            assert set(_values(dump, name)) == pids, name
+
+    def test_a_sink_sees_the_progress_points(self):
+        buffer = EventBuffer()
+        dump = _metered_run(2, ["stack", "heap"], sinks=[buffer])
+        points = [e for e in buffer.events if e.name == POINT_PROGRESS]
+        assert list(points[0].attrs) == [
+            "trials_done", "trials_total", "elapsed_seconds", "worker_pid",
+            "shard_trials", "shard_seconds", "cell_name", "error_label",
+        ]
+        assert points[-1].attrs["trials_done"] == 8
+        assert sum(p.attrs["shard_trials"] for p in points) == 8
+        assert len(points) == sum(_values(dump, "worker_shards_total").values())
