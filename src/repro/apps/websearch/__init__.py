@@ -3,6 +3,7 @@
 from repro.apps.websearch.corpus import (
     Corpus,
     Document,
+    Postings,
     ZipfSampler,
     fnv1a64,
     generate_corpus,
@@ -16,6 +17,7 @@ from repro.apps.websearch.workload import WebSearch
 __all__ = [
     "Corpus",
     "Document",
+    "Postings",
     "ZipfSampler",
     "fnv1a64",
     "generate_corpus",

@@ -14,8 +14,12 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from itertools import chain, repeat
+from typing import Dict, List, Optional
+
+import numpy as np
 
 
 #: Memo for :func:`fnv1a64` — workloads rehash a fixed population of
@@ -56,10 +60,22 @@ class ZipfSampler:
             total += weight
             self._cumulative.append(total)
         self._total = total
+        self._cumulative_array = np.array(self._cumulative, dtype=np.float64)
 
     def sample(self, rng: random.Random) -> int:
         """Draw one rank."""
         return bisect.bisect_left(self._cumulative, rng.random() * self._total)
+
+    def ranks(self, uniforms: np.ndarray) -> np.ndarray:
+        """The ranks :meth:`sample` draws from these ``rng.random()`` values.
+
+        ``searchsorted(side="left")`` is ``bisect_left``, and the float64
+        product is the one :meth:`sample` forms, so a uniform that lands
+        exactly on a cumulative weight maps to the same rank.
+        """
+        return np.searchsorted(
+            self._cumulative_array, uniforms * self._total, side="left"
+        )
 
 
 @dataclass
@@ -77,34 +93,85 @@ class Document:
         return sum(self.term_frequencies.values())
 
 
+def inverse_document_frequency(doc_count: int, document_frequency: int) -> float:
+    """Inverse document frequency with add-one smoothing."""
+    return math.log((1 + doc_count) / (1 + document_frequency)) + 1.0
+
+
+@dataclass(frozen=True, eq=False)
+class Postings:
+    """Inverted lists as flat arrays: term-major, doc-ordered within a term.
+
+    ``terms`` holds the distinct term ids in ascending order and
+    ``counts`` the length of each one's posting list — its document
+    frequency. Posting ``k`` is ``(doc_ids[k], frequencies[k])``; the
+    list of ``terms[t]`` is the slice starting at ``counts[:t].sum()``.
+    """
+
+    terms: np.ndarray
+    counts: np.ndarray
+    doc_ids: np.ndarray
+    frequencies: np.ndarray
+
+    @classmethod
+    def from_pairs(
+        cls, doc_ids: np.ndarray, terms: np.ndarray, frequencies: np.ndarray
+    ) -> "Postings":
+        """Invert one ``(doc_id, term, frequency)`` triple per posting."""
+        order = np.lexsort((doc_ids, terms))
+        distinct, counts = np.unique(terms[order], return_counts=True)
+        return cls(distinct, counts, doc_ids[order], frequencies[order])
+
+    @classmethod
+    def from_documents(cls, documents: List[Document]) -> "Postings":
+        """Invert the term-frequency maps of ``documents``."""
+        sizes = [len(document.term_frequencies) for document in documents]
+        total = sum(sizes)
+        maps = [document.term_frequencies for document in documents]
+        return cls.from_pairs(
+            np.repeat(
+                np.array([document.doc_id for document in documents], np.int64),
+                sizes,
+            ),
+            np.fromiter(chain.from_iterable(maps), np.int64, total),
+            np.fromiter(
+                chain.from_iterable(tf.values() for tf in maps), np.int64, total
+            ),
+        )
+
+
 @dataclass
 class Corpus:
-    """A generated corpus with its vocabulary statistics."""
+    """A generated corpus with its vocabulary statistics.
+
+    The documents do not change once the corpus exists: the inverted
+    lists are computed once (by :func:`generate_corpus`, or on the first
+    :meth:`postings` call) and every document frequency is read from them.
+    """
 
     vocabulary_size: int
     documents: List[Document] = field(default_factory=list)
+    inverted: Optional[Postings] = field(default=None, repr=False, compare=False)
 
     @property
     def doc_count(self) -> int:
         """Number of documents."""
         return len(self.documents)
 
-    def postings(self) -> Dict[int, List[Tuple[int, int]]]:
-        """Inverted lists: term -> [(doc_id, term frequency)], doc-ordered."""
-        inverted: Dict[int, List[Tuple[int, int]]] = {}
-        for document in self.documents:
-            for term, frequency in document.term_frequencies.items():
-                inverted.setdefault(term, []).append((document.doc_id, frequency))
-        for posting_list in inverted.values():
-            posting_list.sort()
-        return inverted
+    def postings(self) -> Postings:
+        """Inverted lists of the corpus."""
+        if self.inverted is None:
+            self.inverted = Postings.from_documents(self.documents)
+        return self.inverted
 
     def idf(self, term: int) -> float:
-        """Inverse document frequency with add-one smoothing."""
-        document_frequency = sum(
-            1 for document in self.documents if term in document.term_frequencies
+        """Inverse document frequency of ``term`` (0 documents if absent)."""
+        postings = self.postings()
+        index = int(np.searchsorted(postings.terms, term))
+        present = index < len(postings.terms) and postings.terms[index] == term
+        return inverse_document_frequency(
+            self.doc_count, int(postings.counts[index]) if present else 0
         )
-        return math.log((1 + self.doc_count) / (1 + document_frequency)) + 1.0
 
 
 def generate_corpus(
@@ -120,28 +187,52 @@ def generate_corpus(
     Popularity follows a heavy-tailed distribution so that the ranking
     signal (relevance + popularity) resembles web search; snippet digests
     are deterministic per document and stand in for result text.
+
+    Each document consumes ``rng`` as ``randint`` (its length), ``length``
+    uniforms (its terms, through :meth:`ZipfSampler.ranks`) and one
+    ``paretovariate`` (its popularity). The uniforms of all documents map
+    to ranks in one pass, and the terms of every document are counted in
+    one more.
     """
     if min_doc_length <= 0 or max_doc_length < min_doc_length:
         raise ValueError("document length bounds must satisfy 0 < min <= max")
     sampler = ZipfSampler(vocabulary_size, zipf_skew)
-    corpus = Corpus(vocabulary_size=vocabulary_size)
-    for doc_id in range(doc_count):
+    draw = rng.random
+    lengths: List[int] = []
+    uniforms = array("d")
+    popularities: List[float] = []
+    for _ in range(doc_count):
         length = rng.randint(min_doc_length, max_doc_length)
-        term_frequencies: Dict[int, int] = {}
-        for _ in range(length):
-            term = sampler.sample(rng)
-            term_frequencies[term] = term_frequencies.get(term, 0) + 1
-        popularity = round(rng.paretovariate(1.8), 4)
-        snippet_digest = fnv1a64(f"doc-{doc_id}".encode()) & 0xFFFFFFFF
-        corpus.documents.append(
-            Document(
-                doc_id=doc_id,
-                term_frequencies=term_frequencies,
-                popularity=popularity,
-                snippet_digest=snippet_digest,
-            )
+        lengths.append(length)
+        uniforms.extend([draw() for _ in repeat(None, length)])
+        popularities.append(round(rng.paretovariate(1.8), 4))
+    terms = sampler.ranks(np.frombuffer(uniforms, dtype=np.float64))
+    occurrences = np.repeat(np.arange(doc_count, dtype=np.int64), lengths)
+    pairs, frequencies = np.unique(
+        occurrences * vocabulary_size + terms, return_counts=True
+    )
+    pair_docs, pair_terms = np.divmod(pairs, vocabulary_size)
+    bounds = np.searchsorted(pair_docs, np.arange(doc_count + 1)).tolist()
+    term_list, frequency_list = pair_terms.tolist(), frequencies.tolist()
+    documents = [
+        Document(
+            doc_id=doc_id,
+            term_frequencies=dict(
+                zip(
+                    term_list[bounds[doc_id] : bounds[doc_id + 1]],
+                    frequency_list[bounds[doc_id] : bounds[doc_id + 1]],
+                )
+            ),
+            popularity=popularities[doc_id],
+            snippet_digest=fnv1a64(f"doc-{doc_id}".encode()) & 0xFFFFFFFF,
         )
-    return corpus
+        for doc_id in range(doc_count)
+    ]
+    return Corpus(
+        vocabulary_size=vocabulary_size,
+        documents=documents,
+        inverted=Postings.from_pairs(pair_docs, pair_terms, frequencies),
+    )
 
 
 def generate_query_trace(

@@ -30,6 +30,7 @@ from repro.apps.websearch.index_layout import (
     END_OF_CHAIN,
     MAX_BLOCKS_PER_TERM,
     MAX_POSTINGS_PER_TERM,
+    POSTING_DTYPE,
     POSTING_SIZE,
     TERM_ENTRY_SIZE,
     IndexHeader,
@@ -54,7 +55,6 @@ _TERM_ENTRY = struct.Struct("<IIIf")
 _CACHE_HEADER = struct.Struct("<QII")
 _RESULT = struct.Struct("<If")
 _F32 = struct.Struct("<f")
-_POSTING_DTYPE = np.dtype([("doc", "<u4"), ("tf", "<u2"), ("pad", "<u2")])
 
 _LOG1P_FACTORS: Optional[np.ndarray] = None
 
@@ -73,8 +73,8 @@ def _log1p_factor_table() -> np.ndarray:
     """
     global _LOG1P_FACTORS
     if _LOG1P_FACTORS is None:
-        _LOG1P_FACTORS = np.array(
-            [1.0 + math.log1p(tf) for tf in range(65536)], dtype=np.float64
+        _LOG1P_FACTORS = 1.0 + np.fromiter(
+            map(math.log1p, range(65536)), dtype=np.float64, count=65536
         )
     return _LOG1P_FACTORS
 
@@ -338,7 +338,7 @@ class SearchEngine:
                 payload = space.read(
                     block_addr + BLOCK_HEADER_SIZE, count * POSTING_SIZE
                 )
-                postings = np.frombuffer(payload, dtype=_POSTING_DTYPE)
+                postings = np.frombuffer(payload, dtype=POSTING_DTYPE)
                 doc_chunks.append(postings["doc"])
                 contrib_chunks.append(idf * factors[postings["tf"]])
             block_rel = next_rel
@@ -511,7 +511,7 @@ class SearchEngine:
                     return _LIVE
                 postings = np.frombuffer(
                     raw[payload_start : payload_start + payload_len],
-                    dtype=_POSTING_DTYPE,
+                    dtype=POSTING_DTYPE,
                 )
                 doc_parts.append(postings["doc"])
                 factor_parts.append(factors[postings["tf"]])

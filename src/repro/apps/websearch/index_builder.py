@@ -12,19 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.apps.websearch.corpus import Corpus
+import numpy as np
+
+from repro.apps.websearch.corpus import Corpus, inverse_document_frequency
 from repro.apps.websearch.index_layout import (
     BLOCK_CAPACITY,
+    BLOCK_HEADER_DTYPE,
     BLOCK_HEADER_SIZE,
     END_OF_CHAIN,
     HEADER_SIZE,
+    POSTING_DTYPE,
     POSTING_SIZE,
+    TERM_ENTRY_DTYPE,
     TERM_ENTRY_SIZE,
     IndexHeader,
-    pack_block_header,
     pack_header,
-    pack_posting,
-    pack_term_entry,
 )
 
 
@@ -63,59 +65,83 @@ class IndexStructureMap:
 
 
 def build_index_with_map(corpus: Corpus) -> Tuple[bytes, IndexStructureMap]:
-    """Serialize ``corpus``; also return the structure map."""
-    inverted: Dict[int, List[Tuple[int, int]]] = corpus.postings()
-    term_ids = sorted(inverted)
+    """Serialize ``corpus``; also return the structure map.
+
+    Whole-table fills, linear in the postings. A term of ``count``
+    postings owns ``max(1, ceil(count / BLOCK_CAPACITY))`` consecutive
+    blocks, full but for its last; block offsets are the running sum of
+    block sizes, and a block links to the offset after it unless it ends
+    its term's chain.
+    """
+    postings = corpus.postings()
+    counts = postings.counts
+    term_count = len(counts)
     term_table_off = HEADER_SIZE
-    postings_off = term_table_off + len(term_ids) * TERM_ENTRY_SIZE
-    structure = IndexStructureMap(term_table=(term_table_off, postings_off))
+    postings_off = term_table_off + term_count * TERM_ENTRY_SIZE
 
-    term_table = bytearray()
-    postings = bytearray()
-    for term_id in term_ids:
-        posting_list = inverted[term_id]
-        first_block_rel = len(postings)
-        term_table += pack_term_entry(
-            term_id, first_block_rel, len(posting_list), corpus.idf(term_id)
-        )
-        chunks = [
-            posting_list[i : i + BLOCK_CAPACITY]
-            for i in range(0, len(posting_list), BLOCK_CAPACITY)
-        ] or [[]]
-        for index, chunk in enumerate(chunks):
-            block_size = BLOCK_HEADER_SIZE + len(chunk) * POSTING_SIZE
-            if index + 1 < len(chunks):
-                next_rel = len(postings) + block_size
-            else:
-                next_rel = END_OF_CHAIN
-            header_start = postings_off + len(postings)
-            structure.block_headers.append(
-                (header_start, header_start + BLOCK_HEADER_SIZE)
+    blocks_per_term = np.maximum(1, -(-counts // BLOCK_CAPACITY))
+    first_block = np.cumsum(blocks_per_term) - blocks_per_term
+    block_term = np.repeat(np.arange(term_count), blocks_per_term)
+    block_rank = np.arange(len(block_term)) - first_block[block_term]
+    block_fill = np.minimum(
+        BLOCK_CAPACITY, counts[block_term] - block_rank * BLOCK_CAPACITY
+    )
+    block_size = BLOCK_HEADER_SIZE + block_fill * POSTING_SIZE
+    block_end = np.cumsum(block_size)
+    block_start = block_end - block_size
+    postings_bytes = int(block_end[-1]) if term_count else 0
+
+    entries = np.zeros(term_count, dtype=TERM_ENTRY_DTYPE)
+    entries["term_id"] = postings.terms
+    entries["first_block_rel"] = block_start[first_block]
+    entries["total_count"] = counts
+    entries["idf"] = [
+        inverse_document_frequency(corpus.doc_count, count)
+        for count in counts.tolist()
+    ]
+
+    # Block headers and postings are both 8-byte records. Block b's header
+    # is record block_start[b] // 8; posting k follows k earlier postings
+    # and the headers of its own block and of every block before it.
+    area = np.zeros(postings_bytes, dtype=np.uint8)
+    headers = np.zeros(len(block_term), dtype=BLOCK_HEADER_DTYPE)
+    headers["next_block_rel"] = block_end
+    headers["next_block_rel"][first_block + blocks_per_term - 1] = END_OF_CHAIN
+    headers["count"] = block_fill
+    area.view(BLOCK_HEADER_DTYPE)[block_start // BLOCK_HEADER_SIZE] = headers
+    posting_term = np.repeat(np.arange(term_count), counts)
+    first_posting = np.cumsum(counts) - counts
+    posting_rank = np.arange(len(posting_term)) - first_posting[posting_term]
+    posting_block = first_block[posting_term] + posting_rank // BLOCK_CAPACITY
+    slots = np.arange(len(posting_term)) + posting_block + 1
+    records = area.view(POSTING_DTYPE)
+    records["doc"][slots] = postings.doc_ids
+    records["tf"][slots] = np.minimum(postings.frequencies, 0xFFFF)
+
+    header_starts = postings_off + block_start
+    payload_starts = header_starts + BLOCK_HEADER_SIZE
+    filled = block_fill > 0
+    structure = IndexStructureMap(
+        term_table=(term_table_off, postings_off),
+        block_headers=list(zip(header_starts.tolist(), payload_starts.tolist())),
+        posting_payloads=list(
+            zip(
+                payload_starts[filled].tolist(),
+                (postings_off + block_end)[filled].tolist(),
             )
-            if chunk:
-                structure.posting_payloads.append(
-                    (
-                        header_start + BLOCK_HEADER_SIZE,
-                        header_start + block_size,
-                    )
-                )
-            postings += pack_block_header(next_rel, len(chunk))
-            for doc_id, term_frequency in chunk:
-                postings += pack_posting(doc_id, min(term_frequency, 0xFFFF))
-
+        ),
+    )
     header = IndexHeader(
-        term_count=len(term_ids),
+        term_count=term_count,
         doc_count=corpus.doc_count,
         term_table_off=term_table_off,
         postings_off=postings_off,
-        postings_bytes=len(postings),
+        postings_bytes=postings_bytes,
     )
-    image = bytearray(pack_header(header))
-    image += term_table
-    image += postings
-    if len(image) != postings_off + len(postings):
+    image = pack_header(header) + entries.tobytes() + area.tobytes()
+    if len(image) != postings_off + postings_bytes:
         raise AssertionError("index image layout accounting is inconsistent")
-    return bytes(image), structure
+    return image, structure
 
 
 def build_index_bytes(corpus: Corpus) -> bytes:
@@ -125,13 +151,15 @@ def build_index_bytes(corpus: Corpus) -> bytes:
 
 
 def expected_index_size(corpus: Corpus) -> int:
-    """Size in bytes the serialized index will occupy."""
-    inverted = corpus.postings()
-    posting_total = sum(len(pl) for pl in inverted.values())
-    block_total = sum(_blocks_for(len(pl)) for pl in inverted.values())
+    """Size in bytes the serialized index will occupy.
+
+    Counted block by block from the posting-list lengths, independently
+    of the serializer's offset arithmetic.
+    """
+    counts = corpus.postings().counts.tolist()
     return (
         HEADER_SIZE
-        + len(inverted) * TERM_ENTRY_SIZE
-        + posting_total * POSTING_SIZE
-        + block_total * BLOCK_HEADER_SIZE
+        + len(counts) * TERM_ENTRY_SIZE
+        + sum(counts) * POSTING_SIZE
+        + sum(_blocks_for(count) for count in counts) * BLOCK_HEADER_SIZE
     )

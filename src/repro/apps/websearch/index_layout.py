@@ -35,6 +35,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 INDEX_MAGIC = 0x48435253  # "SRCH"
 HEADER_SIZE = 24
 TERM_ENTRY_SIZE = 16
@@ -51,9 +53,16 @@ MAX_POSTINGS_PER_TERM = 65536
 MAX_BLOCKS_PER_TERM = 128
 
 _HEADER = struct.Struct("<IIIIII")
-_TERM_ENTRY = struct.Struct("<IIIf")
 _BLOCK_HEADER = struct.Struct("<IHH")
 _POSTING = struct.Struct("<IHH")
+
+#: The term entry, block header and posting layouts as record dtypes,
+#: for whole-table fills and vectorized decodes.
+TERM_ENTRY_DTYPE = np.dtype([
+    ("term_id", "<u4"), ("first_block_rel", "<u4"), ("total_count", "<u4"), ("idf", "<f4"),
+])
+BLOCK_HEADER_DTYPE = np.dtype([("next_block_rel", "<u4"), ("count", "<u2"), ("pad", "<u2")])
+POSTING_DTYPE = np.dtype([("doc", "<u4"), ("tf", "<u2"), ("pad", "<u2")])
 
 
 @dataclass(frozen=True)
@@ -100,31 +109,9 @@ def unpack_header(data: bytes) -> IndexHeader:
     )
 
 
-def pack_term_entry(
-    term_id: int, first_block_rel: int, total_count: int, idf: float
-) -> bytes:
-    """Serialize one term-table entry."""
-    return _TERM_ENTRY.pack(term_id, first_block_rel, total_count, idf)
-
-
-def unpack_term_entry(data: bytes):
-    """Parse one entry -> (term_id, first_block_rel, total_count, idf)."""
-    return _TERM_ENTRY.unpack(data)
-
-
-def pack_block_header(next_block_rel: int, count: int) -> bytes:
-    """Serialize one posting-block header."""
-    return _BLOCK_HEADER.pack(next_block_rel, count, 0)
-
-
 def unpack_block_header(data: bytes):
     """Parse a block header -> (next_block_rel, count, pad)."""
     return _BLOCK_HEADER.unpack(data)
-
-
-def pack_posting(doc_id: int, term_frequency: int) -> bytes:
-    """Serialize one posting."""
-    return _POSTING.pack(doc_id, term_frequency, 0)
 
 
 def iter_unpack_postings(data: bytes):

@@ -61,14 +61,17 @@ class TestCorpus:
         assert corpus.doc_count == 150
 
     def test_postings_sorted_by_doc(self, corpus):
-        for posting_list in corpus.postings().values():
-            docs = [doc for doc, _tf in posting_list]
+        postings = corpus.postings()
+        start = 0
+        for count in postings.counts.tolist():
+            docs = postings.doc_ids[start : start + count].tolist()
             assert docs == sorted(docs)
+            start += count
 
     def test_idf_decreases_with_frequency(self, corpus):
         postings = corpus.postings()
-        common = max(postings, key=lambda term: len(postings[term]))
-        rare = min(postings, key=lambda term: len(postings[term]))
+        common = int(postings.terms[postings.counts.argmax()])
+        rare = int(postings.terms[postings.counts.argmin()])
         assert corpus.idf(common) < corpus.idf(rare)
 
     def test_popularity_positive(self, corpus):
@@ -96,7 +99,7 @@ class TestIndexImage:
         image = build_index_bytes(corpus)
         header = unpack_header(image)
         assert header.doc_count == corpus.doc_count
-        assert header.term_count == len(corpus.postings())
+        assert header.term_count == len(corpus.postings().terms)
         assert header.postings_off + header.postings_bytes == len(image)
 
     def test_bad_magic_rejected(self, corpus):
