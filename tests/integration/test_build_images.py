@@ -1,12 +1,17 @@
 """Fresh application builds reproduce the images of the loop-based builders.
 
-``tests/golden/build_images.json`` was written at commit 02df36e, before
-the WebSearch corpus and index builders were vectorized, by
-:func:`record` below. Per build it holds the sha256 of the checkpoint
-image, of the backing-store files (WebSearch's ``INDEX_PATH`` and
-``DOCMETA_PATH``), of the structure map, of the query trace and of
-``accounting_state()`` at checkpoint. A build must reproduce every digest
-exactly, under any ``PYTHONHASHSEED``.
+``tests/golden/build_images.json`` was written by :func:`record` below.
+Per build it holds the sha256 of the checkpoint image, of the
+backing-store files (WebSearch's ``INDEX_PATH`` and ``DOCMETA_PATH``), of
+the structure map, of the query trace and of ``accounting_state()`` at
+checkpoint. The entries of :data:`BUILDS` were written at commit 02df36e,
+before the WebSearch corpus and index builders were vectorized. The
+``*_oracle`` entries of :data:`ORACLE_BUILDS` — the same builds, built and
+checkpointed inside ``oracle_mode()``, where accounting credits no fast-path
+hits — were written at commit 00ce6b4, while the KVStore preload still
+inserted key by key and WebSearch still wrote its ranking tables word by
+word. A build must reproduce every digest exactly, under any
+``PYTHONHASHSEED``.
 
 Regenerating the file is never the fix for a mismatch here; to see what
 a tree builds, run ``PYTHONPATH=src python tests/integration/test_build_images.py``
@@ -24,6 +29,7 @@ from repro.apps.graphmining import GraphMining
 from repro.apps.kvstore import KVStoreWorkload
 from repro.apps.websearch import WebSearch
 from repro.apps.websearch.workload import DOCMETA_PATH, INDEX_PATH
+from repro.memory.fastpath import oracle_mode
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "build_images.json"
 
@@ -59,6 +65,9 @@ BUILDS = {
     ),
 }
 
+#: Builds also pinned on the scalar oracle path, recorded as ``<name>_oracle``.
+ORACLE_BUILDS = ("kvstore_campaign_s29", "kvstore_small", "websearch_campaign_s29")
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -92,11 +101,30 @@ def record(workload) -> dict:
     return entry
 
 
+def record_oracle(name: str) -> dict:
+    """:func:`record` of build ``name`` with its space on the oracle path."""
+    with oracle_mode():
+        return record(BUILDS[name]())
+
+
+def record_all() -> dict:
+    """Every golden entry as this tree builds it."""
+    records = {name: record(BUILDS[name]()) for name in BUILDS}
+    records.update({f"{name}_oracle": record_oracle(name) for name in ORACLE_BUILDS})
+    return records
+
+
 @pytest.mark.parametrize("name", sorted(BUILDS))
 def test_build_reproduces_golden_image(name):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert record(BUILDS[name]()) == golden[name]
 
 
+@pytest.mark.parametrize("name", ORACLE_BUILDS)
+def test_oracle_mode_build_reproduces_golden_image(name):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert record_oracle(name) == golden[f"{name}_oracle"]
+
+
 if __name__ == "__main__":
-    print(json.dumps({name: record(BUILDS[name]()) for name in sorted(BUILDS)}, indent=2, sort_keys=True))
+    print(json.dumps(record_all(), indent=2, sort_keys=True))
