@@ -110,8 +110,9 @@ class KVStoreWorkload(Workload):
         self.store = KVStore(
             space, allocator, stack, bucket_count=self._bucket_count
         )
-        for key_id in range(self._key_count):
-            self.store.set(key_bytes(key_id), value_bytes(key_id, 0))
+        self.store.preload(
+            [(key_bytes(key_id), value_bytes(key_id, 0)) for key_id in range(self._key_count)]
+        )
         self._generate_trace()
         self._calibrate_clock()
 

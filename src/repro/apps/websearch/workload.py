@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Hashable, List, Optional
 
+import numpy as np
+
 from repro.apps.base import Workload
 from repro.apps.websearch.corpus import Corpus, generate_corpus, generate_query_trace
 from repro.apps.websearch.engine import (
@@ -96,13 +98,17 @@ class WebSearch(Workload):
         doc_table_addr = heap.malloc(self.corpus.doc_count * 8)
         snippet_table_addr = heap.malloc(self.corpus.doc_count * 4)
         cache_addr = heap.calloc(CACHE_SLOTS * CACHE_SLOT_SIZE)
-        for document in self.corpus.documents:
-            base = doc_table_addr + document.doc_id * 8
-            space.write_f32(base, document.popularity)
-            space.write_u32(base + 4, document.length)
-            space.write_u32(
-                snippet_table_addr + document.doc_id * 4, document.snippet_digest
-            )
+        documents = self.corpus.documents  # in doc-id order
+        doc_table = np.empty(2 * len(documents), dtype="<u4")
+        doc_table[0::2] = np.array(
+            [document.popularity for document in documents], dtype="<f4"
+        ).view("<u4")
+        doc_table[1::2] = [document.length for document in documents]
+        space.write_array(doc_table_addr, doc_table)
+        space.write_array(
+            snippet_table_addr,
+            np.array([document.snippet_digest for document in documents], dtype="<u4"),
+        )
         # The ranking tables are derived from on-disk corpus metadata, so
         # a clean copy exists in persistent storage: store it, making
         # those heap spans *implicitly recoverable* (paper §III-C — this

@@ -452,14 +452,18 @@ class AddressSpace:
     def charge_recorded(
         self, time_units: int, per_region: Sequence[Sequence[int]]
     ) -> None:
-        """Settle the exact clock/counter debt of a fused request run.
+        """Settle the exact clock/counter debt of accesses not issued.
 
         ``per_region`` is aligned with :attr:`regions` order; each entry
-        is ``(load_ops, load_bytes, store_ops, store_bytes)``. The
-        access trace records these deltas during the golden replay and
-        fused replay applies them here when a clean run is served
-        without execution, so clock and per-region counters end up
-        byte-for-byte where live execution would have left them.
+        is ``(load_ops, load_bytes, store_ops, store_bytes)``. Callers
+        that stand in for a run of clean accesses apply its deltas here,
+        so clock and per-region counters end up byte-for-byte where live
+        execution would have left them: fused replay (deltas recorded by
+        the access trace during the golden replay) and bulk builds such
+        as :meth:`~repro.apps.kvstore.store.KVStore.preload` (deltas
+        computed from the layout they write). The accesses are credited
+        to the fast path only when it is on; in oracle mode, like the
+        checked path, nothing is counted as a hit or a fallback.
         """
         self._time += int(time_units)
         ops = 0
@@ -471,7 +475,8 @@ class AddressSpace:
                 self._store_ops[index] += int(sops)
                 self._store_bytes[index] += int(sbytes)
             ops += int(lops) + int(sops)
-        self._fast_hits += ops
+        if self._fast:
+            self._fast_hits += ops
 
     def dirty_pages(self) -> List[int]:
         """Sorted pages written since the last snapshot or restore.
@@ -549,8 +554,7 @@ class AddressSpace:
         end time (every trial starts from the same snapshot restore, so
         the end time is an absolute, idempotent fact — correct after any
         interleaving of pruned and executed trials). The skipped
-        accesses are credited to the fast path once each, like
-        :meth:`charge_recorded`.
+        accesses are credited to the fast path once each.
         """
         ops = 0
         for index, (lops, lbytes, sops, sbytes) in enumerate(per_region):
@@ -836,7 +840,7 @@ class AddressSpace:
         if addrs.size == 0:
             return
         np.frombuffer(self._mem, dtype=np.uint8)[addrs] = values
-        pages = np.unique(addrs >> _PAGE_SHIFT).tolist()
+        pages = np.flatnonzero(np.bincount(addrs >> _PAGE_SHIFT)).tolist()
         for index in {self._page_map[page] for page in pages}:
             if index >= 0:
                 self._region_versions[index] += 1

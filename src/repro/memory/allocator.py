@@ -17,7 +17,9 @@ speed; only per-block headers are exposed to fault injection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.memory.address_space import AddressSpace
 from repro.memory.errors import AllocationError, HeapCorruptionError
@@ -159,27 +161,35 @@ class HeapAllocator:
         Raises:
             AllocationError: for non-positive sizes or exhausted heap.
         """
-        if size <= 0:
-            raise AllocationError(f"allocation size must be positive, got {size}")
-        padded = HEADER_SIZE + ((size + ALIGNMENT - 1) // ALIGNMENT) * ALIGNMENT
-        self._mutations += 1
-        for index, (base, span) in enumerate(self._free):
-            if span >= padded:
-                remainder = span - padded
-                if remainder:
-                    self._free[index] = (base + padded, remainder)
-                else:
-                    del self._free[index]
-                payload = base + HEADER_SIZE
-                self._write_header(base, padded)
-                self._live[payload] = padded
-                self._allocated_bytes += padded - HEADER_SIZE
-                self._peak_bytes = max(self._peak_bytes, self._allocated_bytes)
-                return payload
-        raise AllocationError(
-            f"out of heap memory: requested {size} B, {self.free_bytes} B free "
-            f"(fragmented across {len(self._free)} spans)"
-        )
+        base, padded = self._claim(size)
+        self._write_header(base, padded)
+        return base + HEADER_SIZE
+
+    def malloc_many(self, sizes: Sequence[int]) -> List[int]:
+        """Allocate one block per size, as successive :meth:`malloc` calls.
+
+        Same payload addresses, bookkeeping and header bytes, and the same
+        :class:`AllocationError` at the first size that does not fit (the
+        blocks before it stay allocated), but the headers are stored raw,
+        in one :meth:`~AddressSpace.poke_scattered`: no clock, counters
+        or fault semantics. A caller settles the two u32 header stores
+        per block itself and uses this only where no fault is tracked.
+        """
+        bases: List[int] = []
+        headers: List[int] = []
+        try:
+            for size in sizes:
+                base, padded = self._claim(size)
+                bases.append(base)
+                headers += (padded, _header_magic(padded))
+        finally:
+            if bases:
+                offsets = np.arange(HEADER_SIZE, dtype=np.int64)
+                self._space.poke_scattered(
+                    (np.array(bases, dtype=np.int64)[:, None] + offsets).ravel(),
+                    np.array(headers, dtype="<u4").view(np.uint8),
+                )
+        return [base + HEADER_SIZE for base in bases]
 
     def calloc(self, size: int) -> int:
         """Allocate ``size`` zeroed payload bytes."""
@@ -257,6 +267,32 @@ class HeapAllocator:
             self._validate_header(addr - HEADER_SIZE, padded)
 
     # ------------------------------------------------------------------
+    def _claim(self, size: int) -> Tuple[int, int]:
+        """First-fit bookkeeping of one allocation: (block base, padded size).
+
+        Raises:
+            AllocationError: for non-positive sizes or exhausted heap.
+        """
+        if size <= 0:
+            raise AllocationError(f"allocation size must be positive, got {size}")
+        padded = HEADER_SIZE + ((size + ALIGNMENT - 1) // ALIGNMENT) * ALIGNMENT
+        self._mutations += 1
+        for index, (base, span) in enumerate(self._free):
+            if span >= padded:
+                remainder = span - padded
+                if remainder:
+                    self._free[index] = (base + padded, remainder)
+                else:
+                    del self._free[index]
+                self._live[base + HEADER_SIZE] = padded
+                self._allocated_bytes += padded - HEADER_SIZE
+                self._peak_bytes = max(self._peak_bytes, self._allocated_bytes)
+                return base, padded
+        raise AllocationError(
+            f"out of heap memory: requested {size} B, {self.free_bytes} B free "
+            f"(fragmented across {len(self._free)} spans)"
+        )
+
     def _write_header(self, base: int, padded: int) -> None:
         space = self._space
         space.write_u32(base, padded)

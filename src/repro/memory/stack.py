@@ -64,6 +64,11 @@ class StackManager:
         return self._region
 
     @property
+    def zero_on_push(self) -> bool:
+        """Whether :meth:`push` zeroes the new frame (one store)."""
+        return self._zero_on_push
+
+    @property
     def depth(self) -> int:
         """Number of active frames."""
         return len(self._frames)

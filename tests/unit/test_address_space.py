@@ -184,3 +184,22 @@ class TestStatsAndSnapshots:
         space.advance_time(1000)
         space.restore(snap)
         assert space.time == snap.time
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_charge_recorded_matches_live_accesses(self, fast):
+        layout = standard_layout(heap_size=4096, stack_size=4096)
+        live, charged = AddressSpace(layout), AddressSpace(layout)
+        live.set_fast_path(fast)
+        charged.set_fast_path(fast)
+        heap = live.region_named("heap").base
+        stack = live.region_named("stack").base
+        live.write(stack, bytes(64))
+        live.write_u32(heap, 7)
+        live.read_u32(heap)
+        live.read(heap, 8)
+        per_region = [[0, 0, 0, 0] for _ in charged.regions]
+        per_region[charged.region_named("heap").index] = [2, 12, 1, 4]
+        per_region[charged.region_named("stack").index] = [0, 0, 1, 64]
+        charged.charge_recorded(4, per_region)
+        assert charged.accounting_state() == live.accounting_state()
+        assert charged.fast_path_stats()["fast_accesses"] == (4 if fast else 0)
