@@ -35,19 +35,20 @@ smoke — pruning must never lose to executing — acceptance bar 2.5×
 full). The fast→pruned ratio shrinks whenever executed trials get
 cheaper, so it is reported beside the absolute trials/s, not alone.
 
-Every row also records ``planning_us_per_trial``: the wall of
-``plan_cell_trials`` over every cell of the row divided by the trials
-planned, at a fixed 2 000 trials per cell (``--smoke`` included) — the
-protected pipeline sweep's cell size, above the batched MT19937
-kernel's break-even, so the per-shard work (reset, live spans, span
-table, the kernel's fixed cost) is amortized as a real campaign
-amortizes it. ``planning_loop_us_per_trial`` times the same cells with
-the kernel held off, i.e. the per-trial ``random.Random`` loop that is
-its oracle; CI gates kernel ≥ 1.5× loop within the run. Planning is
-what a decided trial costs, and it must not depend on how many live
-spans a cell has: kvstore's heap holds one span per key
-(``planning_spans``), websearch's one to three, and CI gates kvstore at
-≤ 2× websearch.
+Every row also records ``planning_us_per_trial``: the wall of one
+``plan_cells`` call over every cell of the row — the campaign-level
+entry point the pruned runner calls, which seeds all the row's
+single-bit streams in one MT19937 kernel pass — divided by the trials
+planned (best of three calls), at a fixed 2 000 trials per cell
+(``--smoke`` included), the protected pipeline sweep's cell size. That
+amortizes the per-campaign work (resets, live spans, span tables, the
+kernel's fixed cost) as a real campaign amortizes it. ``planning_loop_us_per_trial`` times the
+same call with the kernel held off, i.e. the per-trial
+``random.Random`` loop that is its oracle; CI gates kernel ≥ 1.5× loop
+within the run. Planning is what a decided trial costs, and it must not
+depend on how many live spans a cell has: kvstore's heap holds one span
+per key (``planning_spans``), websearch's one to three, and CI gates
+kvstore at ≤ 2× websearch.
 
 ``all_live`` rows time the executed trials of cells where fusion has
 nothing to fuse (every graph job reads every CSR byte; a stuck-at in the
@@ -97,9 +98,12 @@ PROTECTIONS = ("none", "secded")
 
 MODES = ("oracle", "fast", "pruned")
 
-#: Trials planned per cell when timing ``plan_cell_trials``: the
-#: protected pipeline sweep's cell size.
+#: Trials planned per cell when timing ``plan_cells``: the protected
+#: pipeline sweep's cell size.
 PLANNING_TRIALS_PER_CELL = 2000
+#: Calls timed per planning figure, best taken: one call is ~50 ms with
+#: the kernel, short enough for a busy host to double it.
+PLANNING_REPEATS = 3
 
 
 def _profile_json(profile):
@@ -148,24 +152,27 @@ def _run_campaign(app_factory, config, mode, region_codecs):
 
 
 def _time_planning(campaign):
-    """``plan_cell_trials`` over every cell: µs per trial with the kernel,
-    µs per trial on the per-trial loop, and the most live spans."""
+    """One ``plan_cells`` call over every cell: µs per trial with the
+    kernel, µs per trial on the per-trial loop, and the most live spans."""
     workload = campaign.workload
     trials = range(PLANNING_TRIALS_PER_CELL)
-    cells = [
-        CampaignCell(name=region.name, spec=spec)
+    batches = [
+        (CampaignCell(name=region.name, spec=spec), trials)
         for region in workload.space.regions
         for spec in SPECS
     ]
+    planned = len(batches) * len(trials)
 
     def per_trial_us():
-        start = time.perf_counter()
-        for cell in cells:
-            campaign.plan_cell_trials(cell, trials)
-        return (time.perf_counter() - start) * 1e6 / (len(cells) * len(trials))
+        best = float("inf")
+        for _ in range(PLANNING_REPEATS):
+            start = time.perf_counter()
+            campaign.plan_cells(batches)
+            best = min(best, time.perf_counter() - start)
+        return best * 1e6 / planned
 
     kernel_us = per_trial_us()
-    with mock.patch.object(planner, "KERNEL_MIN_TRIALS", len(trials) + 1):
+    with mock.patch.object(planner, "KERNEL_MIN_TRIALS", planned + 1):
         loop_us = per_trial_us()
     workload.reset()
     spans = max(

@@ -39,7 +39,19 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from repro.apps.base import Workload
 from repro.apps.clients import CRASH_FAILURE_FRACTION, ClientDriver
@@ -53,6 +65,7 @@ from repro.injection.injector import (
     ErrorInjector,
     ErrorSpec,
 )
+from repro.injection.sampler import SpanTable
 from repro.memory.trace import DECISIONS, TraceReplay, record_access_trace
 from repro.obs.events import (
     POINT_PROGRESS,
@@ -64,6 +77,9 @@ from repro.obs.events import (
 )
 from repro.obs.trace import NULL_OBSERVER, Observer
 from repro.utils.rng import SeedSequenceFactory
+
+if TYPE_CHECKING:
+    from repro.kernels.planner import InjectionPlan
 
 logger = logging.getLogger("repro.campaign")
 
@@ -292,11 +308,17 @@ class CharacterizationCampaign:
         index is constant across a cell, so it is hashed once here (see
         :meth:`~repro.utils.rng.SeedSequenceFactory.indexed_seeds`).
         """
+        return self._trial_seed_factory().indexed_seeds(
+            self._trial_label_prefix(cell_name, error_label)
+        )
+
+    def _trial_seed_factory(self) -> SeedSequenceFactory:
         if self._seed_factory is None:
             raise RuntimeError("prepare() must be called before trial_rng()")
-        return self._seed_factory.indexed_seeds(
-            f"trial:{self.workload.name}:{cell_name}:{error_label}:"
-        )
+        return self._seed_factory
+
+    def _trial_label_prefix(self, cell_name: str, error_label: str) -> str:
+        return f"trial:{self.workload.name}:{cell_name}:{error_label}:"
 
     def trial_rng(
         self, cell_name: str, error_label: str, trial_index: int
@@ -419,33 +441,51 @@ class CharacterizationCampaign:
             effect_delay_minutes=delay_minutes,
         )
 
-    def plan_cell_trials(self, cell: CampaignCell, trial_indices: Sequence[int]):
-        """Pre-draw a whole shard's injections (pruned backend).
+    def plan_cells(
+        self, batches: Sequence[Tuple[CampaignCell, Sequence[int]]]
+    ) -> List[InjectionPlan]:
+        """Pre-draw the injections of many cells' trials (pruned backend).
 
-        Replays each trial's derived seed stream through the scalar draw
-        sequence ahead of execution, so the returned
-        :class:`~repro.kernels.planner.InjectionPlan` holds exactly the
-        anchors and flips the scalar loop would have drawn trial by
-        trial. Region cells sample their live spans once from the
-        pristine checkpoint — valid for every trial because each trial
-        resets to that same checkpoint.
+        ``batches`` holds ``(cell, trial indices)`` pairs; one
+        :class:`~repro.kernels.planner.InjectionPlan` comes back per
+        pair, holding exactly the anchors and flips the scalar loop
+        would have drawn trial by trial from each trial's derived seed.
+        The cells are planned together
+        (:meth:`~repro.kernels.planner.BatchInjectionPlanner.plan_cells`),
+        so a campaign that hands over all its cells seeds all their
+        single-bit streams in one pass. A region's live spans are
+        sampled once from the pristine checkpoint — valid for every
+        trial because each trial resets to that same checkpoint — and
+        its cells share one span table.
         """
-        from repro.kernels.planner import BatchInjectionPlanner
+        from repro.kernels.planner import BatchInjectionPlanner, CellRequest
 
         workload = self.workload
-        if cell.spans is None:
-            workload.reset()
-            region = workload.space.region_named(cell.name)
-            spans = workload.sample_ranges(region)
-        else:
-            spans = list(cell.spans)
-        planner = BatchInjectionPlanner(workload.space)
-        return planner.plan(
-            cell.spec,
-            spans,
-            self.trial_seeds(cell.name, cell.spec.label),
-            trial_indices,
-        )
+        tables: Dict[Tuple, SpanTable] = {}
+        requests = []
+        for cell, trial_indices in batches:
+            table = tables.get((cell.name, cell.spans))
+            if table is None:
+                if cell.spans is None:
+                    workload.reset()
+                    region = workload.space.region_named(cell.name)
+                    spans = workload.sample_ranges(region)
+                else:
+                    spans = cell.spans
+                table = tables[cell.name, cell.spans] = SpanTable(spans)
+            indices = list(trial_indices)
+            seeds = self._trial_seed_factory().indexed_seed_array(
+                self._trial_label_prefix(cell.name, cell.spec.label), indices
+            )
+            requests.append(
+                CellRequest(cell.spec, table, np.asarray(indices, dtype=np.int64), seeds)
+            )
+        return BatchInjectionPlanner(workload.space).plan_cells(requests)
+
+    def plan_cell_trials(self, cell: CampaignCell, trial_indices: Sequence[int]):
+        """Pre-draw one cell's (or shard's) injections: the one-cell
+        case of :meth:`plan_cells`."""
+        return self.plan_cells([(cell, trial_indices)])[0]
 
     # ------------------------------------------------------------------
     # Trial pruning (backend="pruned")
@@ -523,15 +563,23 @@ class CharacterizationCampaign:
 
         return classify_plan(plan, self.golden_trace(), self.corrected_mask())
 
-    def classify_cell_trials(self, cell: CampaignCell, trial_indices: Sequence[int]):
-        """Plan + pre-classify one cell's trials in a single call.
+    def classify_cells(
+        self, batches: Sequence[Tuple[CampaignCell, Sequence[int]]]
+    ) -> List[Tuple]:
+        """Plan + pre-classify many cells' trials: ``(plan,
+        classification)`` per ``(cell, trial indices)`` pair.
 
-        The parent-process entry point used by the parallel runner:
-        planning and classification both happen before any shard is
-        dispatched, so only undecidable trials are shipped to workers.
+        The parent-process entry point of the parallel runner, which
+        hands it every cell at once: planning and classification both
+        happen before any shard is dispatched, so only undecidable
+        trials are shipped to workers.
         """
-        plan = self.plan_cell_trials(cell, trial_indices)
-        return plan, self.classify_plan_trials(plan)
+        plans = self.plan_cells(batches)
+        return [(plan, self.classify_plan_trials(plan)) for plan in plans]
+
+    def classify_cell_trials(self, cell: CampaignCell, trial_indices: Sequence[int]):
+        """The one-cell case of :meth:`classify_cells`."""
+        return self.classify_cells([(cell, trial_indices)])[0]
 
     def fold_decided_run(
         self, cell: CampaignCell, stats, plan, classification, start: int, stop: int

@@ -494,17 +494,17 @@ class ParallelCampaignRunner:
         trial indices that still execute.
 
         Runs in this process before any trial executes (and before a
-        pool exists): the golden trace is recorded once, and the
-        pruning tallies of the whole run are added in one step.
+        pool exists): the golden trace is recorded once, every cell is
+        planned in one call (so all single-bit streams of the campaign
+        are seeded in one pass), and the pruning tallies of the whole
+        run are added in one step.
         """
-        classified: List[Tuple] = []
+        classified = campaign.classify_cells(
+            [(cell_def, range(trials_per_cell)) for cell_def in cells]
+        )
         indices_by_cell: List[List[int]] = []
         run_pruned = run_executed = 0
-        for cell_def in cells:
-            plan, classification = campaign.classify_cell_trials(
-                cell_def, range(trials_per_cell)
-            )
-            classified.append((plan, classification))
+        for plan, classification in classified:
             indices_by_cell.append(
                 plan.trial_indices[~classification.decidable].tolist()
             )

@@ -10,11 +10,14 @@ are property-tested bit-identical to them).
 Entry points:
 
 * :func:`get_kernel` — memoized batch kernel per technique name;
-* :class:`BatchInjectionPlanner` — draws a whole trial shard's flip
-  masks from the derived per-trial seed streams, scalar-identically;
-* :mod:`repro.kernels.mt19937` — seeds thousands of ``random.Random``
-  streams at once and replays the planner's draws on them, which the
-  planner uses for large single-bit shards;
+* :class:`BatchInjectionPlanner` — draws the flip masks of any number
+  of cells' trials from the derived per-trial seed streams,
+  scalar-identically (a campaign plans all its cells in one call);
+* :mod:`repro.kernels.mt19937` — seeds tens of thousands of
+  ``random.Random`` streams per call in ~170 bytes of state each
+  (``init_by_array`` streamed, keeping only the rows the first outputs
+  read) and replays the planner's draws on them, which the planner
+  uses for every single-bit trial of a batch at or above break-even;
 * the default ``backend="pruned"`` of
   :class:`~repro.core.campaign.CharacterizationCampaign` wires the
   planner into the characterization loop.

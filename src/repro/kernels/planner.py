@@ -1,36 +1,41 @@
-"""Batched injection planning for a cell's trial shard.
+"""Batched injection planning for a campaign's cells.
 
 :class:`BatchInjectionPlanner` draws every trial's anchor address and
-flip positions for a whole shard up front and stores them in flat NumPy
-arrays. Trial ``i`` draws from ``random.Random(seed_i)``, its own
-derived seed — the per-trial stream that makes serial ≡ parallel hold —
-and a plan's positions are bit-identical to what the scalar path would
-have drawn trial by trial: the plan *is* the scalar plan, batched.
+flip positions up front and stores them, per cell, in flat NumPy arrays.
+Trial ``i`` draws from ``random.Random(seed_i)``, its own derived seed —
+the per-trial stream that makes serial ≡ parallel hold — and a plan's
+positions are bit-identical to what the scalar path would have drawn
+trial by trial: the plan *is* the scalar plan, batched.
 
-Two paths produce it. The per-trial loop replays each stream through
-the scalar draw sequence (:meth:`~repro.injection.sampler.SpanTable.sample`
-followed by :func:`~repro.injection.injector.plan_flip_positions`); it
-is the oracle, and it plans multi-bit specs and small shards. Single-bit
-shards of at least :data:`KERNEL_MIN_TRIALS` trials instead seed all
-their streams at once through :mod:`repro.kernels.mt19937` — seeding one
-MT19937 stream per trial was most of a decided trial's cost — and
-replay the same draws (``random()`` bisected into the cumulative span
-weights, ``randrange(span)``, ``randrange(8)``) on the streams' first
+One path plans any number of cells at once
+(:meth:`BatchInjectionPlanner.plan_cells`): a campaign hands it every
+cell before any trial runs, a pool worker one shard, and
+:meth:`~BatchInjectionPlanner.plan` is the one-cell case. Two engines
+draw. The per-trial loop replays each stream through the scalar draw
+sequence (:meth:`~repro.injection.sampler.SpanTable.sample` followed by
+:func:`~repro.injection.injector.plan_flip_positions`); it is the
+oracle, and it plans multi-bit cells and small batches. When a batch's
+single-bit cells hold at least :data:`KERNEL_MIN_TRIALS` trials between
+them, all their streams are seeded together through
+:mod:`repro.kernels.mt19937` — seeding one MT19937 stream per trial was
+most of a decided trial's cost — and each cell replays the same draws
+(``random()`` bisected into its cumulative span weights,
+``randrange(span)``, ``randrange(8)``) on its own columns of the
 outputs with per-stream cursors. A trial the kernel cannot finish goes
-through the loop. The :class:`~repro.injection.sampler.SpanTable` is
-built once per shard on either path.
+through the loop. Each cell's :class:`~repro.injection.sampler.SpanTable`
+is built once, by the caller, on either engine.
 
-Materializing masks is vectorized too: the whole shard's 64-bit word
-flip masks come out of one ``np.bitwise_or.reduceat`` over the flat
-flip arrays (:meth:`InjectionPlan.word_flip_masks`), and per-trial
-position lists are cheap slices of the same arrays.
+Materializing masks is vectorized too: a plan's 64-bit word flip masks
+come out of one ``np.bitwise_or.reduceat`` over the flat flip arrays
+(:meth:`InjectionPlan.word_flip_masks`), and per-trial position lists
+are cheap slices of the same arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from repro.kernels import mt19937
 from repro.injection.sampler import SpanTable
 from repro.memory.address_space import AddressSpace
 
-__all__ = ["InjectionPlan", "BatchInjectionPlanner"]
+__all__ = ["CellRequest", "InjectionPlan", "BatchInjectionPlanner"]
 
 
 @dataclass(frozen=True)
@@ -99,18 +104,37 @@ class InjectionPlan:
         return word_addrs, masks
 
 
-#: Cells of at least this many single-bit trials seed their streams
-#: through the batched MT19937 kernel. Below it the kernel's fixed cost
-#: (~6 200 ufunc calls, ~2.5 ms on a 2-CPU host) loses to seeding one
-#: ``random.Random`` per trial: the two break even at ~300 trials there.
-KERNEL_MIN_TRIALS = 400
-#: Streams per kernel call: bounds the ``(624, streams)`` uint32 seeding
-#: state at ~5 MiB however large the cell.
-KERNEL_CHUNK = 2048
+#: Batches whose single-bit cells hold at least this many trials between
+#: them seed those streams through the batched MT19937 kernel. Below it
+#: the kernel's fixed cost (~7 700 ufunc calls, ~3.5-4.2 ms on a 2-CPU
+#: host, ~1.15x the materialized-state kernel's) loses to seeding one
+#: ``random.Random`` per trial: the two break even at ~420-450 trials
+#: there, and 500 keeps an unprotected sweep's cells (<= 360 single-bit
+#: trials per application) on the loop.
+KERNEL_MIN_TRIALS = 500
+#: Streams per kernel call: bounds the kernel's streamed state (168
+#: bytes per stream) at ~5 MiB however large the batch.
+KERNEL_CHUNK = 32_768
+
+
+@dataclass(frozen=True)
+class CellRequest:
+    """One cell's trials for :meth:`BatchInjectionPlanner.plan_cells`."""
+
+    spec: ErrorSpec
+    #: The live-data spans to sample anchors from — constant across the
+    #: cell because every trial resets the workload to the same
+    #: checkpoint; cells of one region can share one table.
+    table: SpanTable
+    #: Campaign-level trial indices, ``(trials,)`` int64.
+    trial_indices: np.ndarray
+    #: Each trial's derived seed, ``(trials,)`` uint64: trial ``k``
+    #: draws from ``random.Random(seeds[k])``.
+    seeds: np.ndarray
 
 
 class BatchInjectionPlanner:
-    """Plans a shard's injections from derived per-trial seeds."""
+    """Plans cells' injections from derived per-trial seeds."""
 
     def __init__(self, space: AddressSpace) -> None:
         self._space = space
@@ -122,34 +146,65 @@ class BatchInjectionPlanner:
         seed_for_trial: Callable[[int], int],
         trial_indices: Iterable[int],
     ) -> InjectionPlan:
-        """Draw anchor + flips for every trial index, scalar-identically.
+        """Draw anchor + flips for every trial index of one cell.
+
+        The one-cell case of :meth:`plan_cells`.
 
         Args:
-            spec: Error kind and multiplicity shared by the shard.
-            spans: Live-data (base, end) spans to sample anchors from —
-                constant across the shard because every trial resets the
-                workload to the same checkpoint.
+            spec: Error kind and multiplicity shared by the cell.
+            spans: Live-data (base, end) spans to sample anchors from.
             seed_for_trial: Maps a campaign trial index to its derived
-                seed (``CharacterizationCampaign.trial_seeds`` for the
-                cell); trial ``i`` draws from ``random.Random(seed)``.
+                seed; trial ``i`` draws from ``random.Random(seed)``.
             trial_indices: Campaign-level trial indices to plan.
         """
         indices = list(trial_indices)
-        seeds = [seed_for_trial(index) for index in indices]
-        table = SpanTable(spans)
-        if spec.bits == 1 and len(seeds) >= KERNEL_MIN_TRIALS:
-            anchors, bits = self._plan_single_bit(table, spec, seeds)
-            flip_addrs, offsets = anchors, np.arange(len(seeds) + 1)
-        else:
-            anchors, flip_addrs, bits, offsets = self._plan_loop(table, spec, seeds)
-        return InjectionPlan(
-            spec=spec,
-            trial_indices=np.asarray(indices, dtype=np.int64),
-            anchor_addrs=np.asarray(anchors, dtype=np.int64),
-            flip_addrs=np.asarray(flip_addrs, dtype=np.int64),
-            flip_bits=np.asarray(bits, dtype=np.int64),
-            flip_offsets=np.asarray(offsets, dtype=np.int64),
+        seeds = np.array([seed_for_trial(index) for index in indices], dtype=np.uint64)
+        request = CellRequest(
+            spec, SpanTable(spans), np.asarray(indices, dtype=np.int64), seeds
         )
+        return self.plan_cells([request])[0]
+
+    def plan_cells(self, requests: Sequence[CellRequest]) -> List[InjectionPlan]:
+        """One :class:`InjectionPlan` per request, scalar-identically.
+
+        The single-bit cells' streams go through the MT19937 kernel
+        together when they hold at least :data:`KERNEL_MIN_TRIALS`
+        trials between them. Every other cell, and every trial the
+        kernel cannot finish, goes through the per-trial loop, cell by
+        cell in request order.
+        """
+        single = {
+            number: (request.table, request.seeds)
+            for number, request in enumerate(requests)
+            if request.spec.bits == 1
+        }
+        drawn: Dict[int, Tuple[np.ndarray, ...]] = {}
+        if sum(len(seeds) for _, seeds in single.values()) >= KERNEL_MIN_TRIALS:
+            drawn = self._kernel_cells(single)
+        plans = []
+        for number, request in enumerate(requests):
+            if number in drawn:
+                anchors, bits, finished = drawn[number]
+                for local in np.flatnonzero(~finished).tolist():
+                    ((anchors[local], bits[local]),) = self._draw(
+                        request.table, request.spec, int(request.seeds[local])
+                    )
+                flip_addrs, offsets = anchors, np.arange(len(request.seeds) + 1)
+            else:
+                anchors, flip_addrs, bits, offsets = self._plan_loop(
+                    request.table, request.spec, request.seeds.tolist()
+                )
+            plans.append(
+                InjectionPlan(
+                    spec=request.spec,
+                    trial_indices=np.asarray(request.trial_indices, dtype=np.int64),
+                    anchor_addrs=np.asarray(anchors, dtype=np.int64),
+                    flip_addrs=np.asarray(flip_addrs, dtype=np.int64),
+                    flip_bits=np.asarray(bits, dtype=np.int64),
+                    flip_offsets=np.asarray(offsets, dtype=np.int64),
+                )
+            )
+        return plans
 
     def _draw(self, table: SpanTable, spec: ErrorSpec, seed: int):
         """One trial through the scalar draw sequence: the oracle."""
@@ -171,41 +226,55 @@ class BatchInjectionPlanner:
             offsets.append(len(flat_addrs))
         return anchors, flat_addrs, flat_bits, offsets
 
-    def _plan_single_bit(self, table: SpanTable, spec: ErrorSpec, seeds: List[int]):
-        """Anchor + bit per trial through the MT19937 kernel.
+    def _kernel_cells(self, cells: Dict[int, Tuple[SpanTable, np.ndarray]]):
+        """Anchor + bit for every trial of ``{cell: (table, seeds)}``.
 
-        Streams are seeded :data:`KERNEL_CHUNK` at a time. A trial the
-        kernel cannot finish — a span of ``2**32`` bytes or more, a span
-        not inside one mapped region (the scalar path raises for an
-        unmapped anchor), or a stream whose draws outrun
-        :data:`~repro.kernels.mt19937.OUTPUTS` — goes through
-        :meth:`_draw`.
+        All the cells' streams are seeded together, :data:`KERNEL_CHUNK`
+        at a time (chunks balanced); each cell replays its draws on its
+        own columns of a call's outputs — a cell that straddles two
+        calls, on its columns of each. Returns ``{cell: (anchors, bits,
+        finished)}``.
         """
-        seed_array = np.array(seeds, dtype=np.uint64)
+        seeds = np.concatenate([cell_seeds for _, cell_seeds in cells.values()])
         total = len(seeds)
         chunks = -(-total // KERNEL_CHUNK)
         size = -(-total // chunks)
-        anchors = np.empty(total, dtype=np.int64)
-        bits = np.empty(total, dtype=np.int64)
-        finished = np.empty(total, dtype=bool)
+        drawn = {}
+        columns = []  # (cell, table, its first stream, its end)
+        offset = 0
+        for number, (table, cell_seeds) in cells.items():
+            trials = len(cell_seeds)
+            columns.append((number, table, offset, offset + trials))
+            offset += trials
+            drawn[number] = (
+                np.empty(trials, dtype=np.int64),
+                np.empty(trials, dtype=np.int64),
+                np.empty(trials, dtype=bool),
+            )
         for start in range(0, total, size):
             stop = min(start + size, total)
-            anchors[start:stop], bits[start:stop], finished[start:stop] = (
-                self._kernel_draws(table, seed_array[start:stop])
-            )
-        for local in np.flatnonzero(~finished).tolist():
-            ((anchors[local], bits[local]),) = self._draw(table, spec, seeds[local])
-        return anchors, bits
+            outputs = mt19937.first_outputs(seeds[start:stop], mt19937.OUTPUTS)
+            for number, table, first, end in columns:
+                low, high = max(first, start), min(end, stop)
+                if low >= high:
+                    continue
+                draws = self._kernel_draws(table, outputs[:, low - start : high - start])
+                for into, values in zip(drawn[number], draws):
+                    into[low - first : high - first] = values
+        return drawn
 
-    def _kernel_draws(self, table: SpanTable, seeds: np.ndarray):
-        """``table.sample`` then ``randrange(8)`` for every seed at once.
+    def _kernel_draws(self, table: SpanTable, outputs: np.ndarray):
+        """``table.sample`` then ``randrange(8)`` on every stream's outputs.
 
-        Returns ``(anchors, bits, finished)``; values are meaningless
-        where ``finished`` is false.
+        Returns ``(anchors, bits, finished)``. A trial the kernel cannot
+        finish — a span of ``2**32`` bytes or more, a span not inside
+        one mapped region (the scalar path raises for an unmapped
+        anchor), or a stream whose draws outrun its outputs — is not
+        finished, and its values are meaningless.
         """
-        outputs = mt19937.first_outputs(seeds, mt19937.OUTPUTS)
-        cursor = np.zeros(len(seeds), dtype=np.int64)
-        finished = np.ones(len(seeds), dtype=bool)
+        streams = outputs.shape[1]
+        cursor = np.zeros(streams, dtype=np.int64)
+        finished = np.ones(streams, dtype=bool)
         # choices(cum_weights=): bisect(cum_weights, random() * total, 0, n - 1).
         spans = np.asarray(table.spans, dtype=np.int64).reshape(-1, 2)
         # Exact in float64: an address space's byte counts are far below 2**53.
@@ -225,6 +294,6 @@ class BatchInjectionPlanner:
                 finished &= chosen != index
         anchors = base + mt19937.randbelow(outputs, cursor, finished, width)
         bits = mt19937.randbelow(
-            outputs, cursor, finished, np.full(len(seeds), 8, dtype=np.int64)
+            outputs, cursor, finished, np.full(streams, 8, dtype=np.int64)
         )
         return anchors, bits, finished

@@ -554,7 +554,9 @@ class AddressSpace:
         end time (every trial starts from the same snapshot restore, so
         the end time is an absolute, idempotent fact — correct after any
         interleaving of pruned and executed trials). The skipped
-        accesses are credited to the fast path once each.
+        accesses are credited to the fast path once each when it is on;
+        in oracle mode, like :meth:`charge_recorded`, nothing is counted
+        as a hit or a fallback.
         """
         ops = 0
         for index, (lops, lbytes, sops, sbytes) in enumerate(per_region):
@@ -566,7 +568,8 @@ class AddressSpace:
                 self._store_bytes[index] += int(sbytes) * trials
             ops += int(lops) + int(sops)
         self._time = int(end_time)
-        self._fast_hits += ops * trials
+        if self._fast:
+            self._fast_hits += ops * trials
 
     # ------------------------------------------------------------------
     # Typed accessors

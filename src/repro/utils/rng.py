@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Callable
+from typing import Callable, Iterable
+
+import numpy as np
 
 
 def derive_seed(root_seed: int, label: str) -> int:
@@ -41,6 +43,10 @@ class SeedSequenceFactory:
         """Return a fresh ``random.Random`` seeded for ``label``."""
         return random.Random(derive_seed(self.root_seed, label))
 
+    def _prefix_state(self, label_prefix: str):
+        """SHA-256 state after absorbing everything before the index."""
+        return hashlib.sha256(f"{self.root_seed}:{label_prefix}".encode("utf-8"))
+
     def indexed_seeds(self, label_prefix: str) -> Callable[[int], int]:
         """Map ``index`` to the seed of ``stream(f"{label_prefix}{index}")``.
 
@@ -49,7 +55,7 @@ class SeedSequenceFactory:
         the same bytes hashed, so the same seed, as :func:`derive_seed`
         on the whole label.
         """
-        prefix = hashlib.sha256(f"{self.root_seed}:{label_prefix}".encode("utf-8"))
+        prefix = self._prefix_state(label_prefix)
 
         def seed(index: int) -> int:
             state = prefix.copy()
@@ -57,6 +63,25 @@ class SeedSequenceFactory:
             return int.from_bytes(state.digest()[:8], "little")
 
         return seed
+
+    def indexed_seed_array(
+        self, label_prefix: str, indices: Iterable[int]
+    ) -> np.ndarray:
+        """:meth:`indexed_seeds` for many indices at once: ``(n,)`` uint64.
+
+        Same midstate, same bytes hashed, so the same seeds; the digests
+        are joined and read as one little-endian array instead of being
+        converted one Python int at a time.
+        """
+        copy = self._prefix_state(label_prefix).copy
+        digests = []
+        for index in indices:
+            state = copy()
+            state.update(b"%d" % index)
+            digests.append(state.digest())
+        # A digest is 32 bytes, four words; the seed is the first.
+        words = np.frombuffer(b"".join(digests), dtype="<u8")
+        return words[::4].astype(np.uint64)
 
     def child(self, label: str) -> "SeedSequenceFactory":
         """Return a sub-factory whose streams are namespaced under ``label``."""

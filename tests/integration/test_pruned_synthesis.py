@@ -81,6 +81,7 @@ class Run:
         self.accesses = sum(
             after[key] - before[key] for key in ("fast_accesses", "checked_accesses")
         )
+        self.fast_accesses = after["fast_accesses"]
         self.events = buffer.events
 
     def trial_spans(self):
@@ -113,6 +114,8 @@ def runs(request):
         "scalar_fast": Run(scenario, "scalar"),
         "pruned": Run(scenario, "pruned"),
         "pruned_w2": Run(scenario, "pruned", workers=2),
+        # Decided runs settled, executed trials run unfused, no fast path.
+        "pruned_oracle": Run(scenario, "pruned", oracle=True),
     }
 
 
@@ -163,6 +166,19 @@ def test_clock_and_counters_identical(runs):
 def test_every_access_is_credited_once(runs):
     """fast + checked accesses of a pruned run equal an executed run's."""
     assert runs["pruned"].accesses == runs["scalar_fast"].accesses
+
+
+def test_pruned_run_in_oracle_mode_credits_no_fast_hits(runs):
+    """Settling decided runs in oracle mode counts no fast-path hit, and
+    leaves clock, counters and profile where the fast-mode run does."""
+    oracle, fast = runs["pruned_oracle"], runs["pruned"]
+    assert not oracle.campaign.workload.space.fast_path_enabled
+    assert oracle.campaign.pruning_stats.pruned > 0
+    assert oracle.fast_accesses == 0
+    assert fast.fast_accesses > 0
+    assert oracle.time == fast.time == runs["scalar"].time
+    assert oracle.access_stats == fast.access_stats
+    assert oracle.profile_json == fast.profile_json
 
 
 def test_pruning_tallies_identical(runs):

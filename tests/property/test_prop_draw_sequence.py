@@ -10,12 +10,19 @@ per-trial code — ``trial_rng`` → ``sample_from_ranges`` →
 test-local reference and pins the production path to it on anchors,
 flips *and* the stream state left behind.
 
-Cells of at least ``KERNEL_MIN_TRIALS`` single-bit trials are planned by
-the batched MT19937 kernel, which keeps no stream per trial: for them
-anchors and flips are pinned, and the stream state only for the trials
-the kernel hands back to the per-trial loop. Trial counts, span widths
-(``2**k`` and ``2**k + 1``, half of whose draws are rejected), 1-word
-seeds and a shortened output budget drive both paths and the fallback.
+Batches whose single-bit cells hold at least ``KERNEL_MIN_TRIALS``
+trials between them are planned by the batched MT19937 kernel, which
+keeps no stream per trial: for them anchors and flips are pinned, and
+the stream state only for the trials the kernel hands back to the
+per-trial loop. Trial counts, span widths (``2**k`` and ``2**k + 1``,
+half of whose draws are rejected), 1-word seeds, a shortened output
+budget and multi-cell batches drive both paths and the fallback. Most
+planner tests run with a test-local chunk of :data:`CHUNK` streams per
+kernel call, so chunk boundaries cost what they did at the old chunk
+size; the real chunk is exercised by the multi-cell and campaign tests
+here and by ``tests/unit/test_mt19937.py``. Campaigns derive every
+cell's seeds in bulk (``indexed_seed_array``), pinned here to
+``derive_seed`` on the whole label.
 
 Run on every interpreter of the CI matrix, the same property pins two
 facts about ``random`` the hoists lean on: ``sample(population, 0)``
@@ -38,11 +45,21 @@ from hypothesis import strategies as st
 from repro.core.campaign import CampaignConfig, CharacterizationCampaign
 from repro.exec.cells import CampaignCell
 from repro.injection.injector import ErrorSpec, plan_flip_positions
-from repro.injection.sampler import AddressSampler
+from repro.injection.sampler import AddressSampler, SpanTable
 from repro.kernels import mt19937, planner
-from repro.kernels.planner import KERNEL_CHUNK, KERNEL_MIN_TRIALS, BatchInjectionPlanner
+from repro.kernels.planner import (
+    KERNEL_CHUNK,
+    KERNEL_MIN_TRIALS,
+    BatchInjectionPlanner,
+    CellRequest,
+)
 from repro.memory.faults import FaultKind
-from repro.utils.rng import SeedSequenceFactory
+from repro.utils.rng import SeedSequenceFactory, derive_seed
+
+#: Streams per kernel call in the tests that plan through
+#: :func:`plan_recording_streams`: small enough that a test can afford
+#: the oracle on a chunk boundary's trials.
+CHUNK = 1024
 
 
 # ----------------------------------------------------------------------
@@ -158,9 +175,12 @@ class RecordingRandom(random.Random):
 
 
 def plan_recording_streams(space, spec, spans, seed_for_trial, trials):
-    """Plan ``trials`` and return the plan plus the streams the loop built."""
+    """Plan ``trials`` (:data:`CHUNK` streams per kernel call) and return
+    the plan plus the streams the loop built."""
     RecordingRandom.built = {}
-    with mock.patch.object(planner, "Random", RecordingRandom):
+    with mock.patch.object(planner, "Random", RecordingRandom), mock.patch.object(
+        planner, "KERNEL_CHUNK", CHUNK
+    ):
         plan = BatchInjectionPlanner(space).plan(
             spec, spans, seed_for_trial, range(trials)
         )
@@ -192,10 +212,8 @@ SPAN_COUNTS = st.one_of(
 )
 TRIALS = st.one_of(
     st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=KERNEL_CHUNK),
-    st.sampled_from(
-        [KERNEL_MIN_TRIALS - 1, KERNEL_MIN_TRIALS, KERNEL_CHUNK, KERNEL_CHUNK + 1]
-    ),
+    st.integers(min_value=1, max_value=CHUNK),
+    st.sampled_from([KERNEL_MIN_TRIALS - 1, KERNEL_MIN_TRIALS, CHUNK, CHUNK + 1]),
 )
 
 
@@ -253,12 +271,12 @@ def test_rejection_heavy_spans_match_frozen_oracle(width):
     spans = [(gap, gap + width), (2 * gap + width, 2 * gap + 2 * width + 1)]
     spec = ErrorSpec(FaultKind.SOFT, 1)
     seeds = SeedSequenceFactory(width).indexed_seeds("trial:app:cell:")
-    plan, streams = plan_recording_streams(space, spec, spans, seeds, KERNEL_CHUNK)
+    plan, streams = plan_recording_streams(space, spec, spans, seeds, CHUNK)
     assert_plan_matches_oracle(
-        space, spec, spans, [seeds(i) for i in range(KERNEL_CHUNK)], plan, streams
+        space, spec, spans, [seeds(i) for i in range(CHUNK)], plan, streams
     )
     if width >= 2**32:
-        assert len(streams) == KERNEL_CHUNK
+        assert len(streams) == CHUNK
 
 
 def untemper(output: int) -> int:
@@ -486,24 +504,164 @@ def test_campaign_plan_matches_frozen_oracle(request, app, bits):
 
 @pytest.mark.parametrize("app", ["websearch_small", "kvstore_small"])
 def test_campaign_plan_above_break_even_matches_frozen_oracle(request, app):
-    """A real heap cell planned by the kernel: one chunk of streams."""
+    """A real heap cell of the protected sweep's size, planned by the
+    kernel in one call."""
+    trials = 2000
     workload = request.getfixturevalue(app)
     campaign = CharacterizationCampaign(
         workload,
-        config=CampaignConfig(trials_per_cell=KERNEL_CHUNK, queries_per_trial=8, seed=2014),
+        config=CampaignConfig(trials_per_cell=trials, queries_per_trial=8, seed=2014),
     )
     campaign.prepare()
     spec = ErrorSpec(FaultKind.SOFT, 1)
     region = workload.space.region_named("heap")
     plan = campaign.plan_cell_trials(
-        CampaignCell(name=region.name, spec=spec), range(KERNEL_CHUNK)
+        CampaignCell(name=region.name, spec=spec), range(trials)
     )
     workload.reset()
     spans = workload.sample_ranges(region)
-    for local in range(KERNEL_CHUNK):
+    for local in range(trials):
         rng = oracle_trial_rng(2014, workload.name, region.name, spec.label, local)
         anchor = oracle_sample_from_ranges(rng, spans)
         assert int(plan.anchor_addrs[local]) == anchor
         assert plan.flips_for(local) == oracle_plan_flip_positions(
             workload.space, rng, spec, anchor
         )
+
+
+# ----------------------------------------------------------------------
+# Multi-cell batches: what a campaign plans in one call.
+# ----------------------------------------------------------------------
+def recording_kernel_calls():
+    """Patch ``first_outputs`` to record each call's stream count."""
+    calls: List[int] = []
+    real = mt19937.first_outputs
+
+    def recorded(seeds, count):
+        calls.append(len(seeds))
+        return real(seeds, count)
+
+    return calls, mock.patch.object(mt19937, "first_outputs", recorded)
+
+
+#: Regions 0 and 1 touch, so a span across their boundary is mapped
+#: byte for byte yet not inside one region: the kernel hands its trials
+#: to the loop, which plans them.
+MULTI_CELL_SPACE = StubSpace([(8, 4000), (4000, 9000), (9100, 20000)])
+
+#: (name, spec, spans, trial indices): single-bit cells above and below
+#: break-even on their own, multi-bit cells between them, a different
+#: span table per cell, one shard that does not start at trial 0, and
+#: one cell whose first span straddles regions 0 and 1.
+MULTI_CELLS = [
+    ("above", ErrorSpec(FaultKind.SOFT, 1),
+     [(8, 1000), (2000, 2100), (9200, 15000)], range(KERNEL_MIN_TRIALS + 37)),
+    ("double", ErrorSpec(FaultKind.SOFT, 2), [(100, 3000)], range(30)),
+    ("below", ErrorSpec(FaultKind.HARD, 1),
+     [(9100, 9101), (9500, 19999)], range(40)),
+    ("wide", ErrorSpec(FaultKind.HARD, 64), [(8, 1000), (9200, 15000)], range(10)),
+    ("straddling", ErrorSpec(FaultKind.HARD, 1),
+     [(3900, 4100), (10000, 10500)], range(500, 620)),
+]
+
+
+def multi_cell_requests(root_seed: int) -> List[CellRequest]:
+    factory = SeedSequenceFactory(root_seed)
+    return [
+        CellRequest(
+            spec,
+            SpanTable(spans),
+            np.asarray(indices, dtype=np.int64),
+            factory.indexed_seed_array(f"trial:app:{name}:{spec.label}:", indices),
+        )
+        for name, spec, spans, indices in MULTI_CELLS
+    ]
+
+
+@pytest.mark.parametrize("chunk", [KERNEL_CHUNK, 300])
+def test_multi_cell_plan_matches_per_cell_plans_and_frozen_oracle(chunk):
+    """All single-bit cells are seeded together — in one kernel call at
+    the real chunk; at 300 streams per call, cells straddle calls — and
+    each cell's plan is the one it gets alone, and the oracle's."""
+    space = MULTI_CELL_SPACE
+    requests = multi_cell_requests(29)
+    single = sum(len(r.seeds) for r in requests if r.spec.bits == 1)
+    calls, recording = recording_kernel_calls()
+    RecordingRandom.built = {}
+    with recording, mock.patch.object(planner, "KERNEL_CHUNK", chunk), (
+        mock.patch.object(planner, "Random", RecordingRandom)
+    ):
+        plans = BatchInjectionPlanner(space).plan_cells(requests)
+    streams = RecordingRandom.built
+    chunks = -(-single // chunk)
+    assert sum(calls) == single and len(calls) == chunks
+    assert max(calls) <= chunk and max(calls) - min(calls) < chunks  # balanced
+    handed_back = {}
+    for request, plan, (name, _, spans, indices) in zip(requests, plans, MULTI_CELLS):
+        seeds = request.seeds.tolist()
+        assert plan.trial_indices.tolist() == list(indices)
+        assert_plan_matches_oracle(space, request.spec, spans, seeds, plan, streams)
+        alone = BatchInjectionPlanner(space).plan_cells([request])[0]
+        for field in ("anchor_addrs", "flip_addrs", "flip_bits", "flip_offsets"):
+            assert np.array_equal(getattr(plan, field), getattr(alone, field)), name
+        handed_back[name] = sum(seed in streams for seed in seeds)
+    assert handed_back["double"] == 30 and handed_back["wide"] == 10
+    assert handed_back["above"] == 0 and handed_back["below"] == 0
+    # Trials anchored in the straddling span go to the loop; the others
+    # the kernel finishes.
+    assert 0 < handed_back["straddling"] < 120
+
+
+def test_campaign_plans_every_cell_in_one_kernel_call(websearch_small):
+    """``plan_cells`` over a real space: every region x three specs at
+    200 trials a cell. No single-bit cell reaches break-even alone; their
+    1 200 streams between them are seeded in one call, and every cell's
+    plan is its one-cell plan (the loop's) and the oracle's."""
+    trials = 200
+    campaign = CharacterizationCampaign(
+        websearch_small,
+        config=CampaignConfig(trials_per_cell=trials, queries_per_trial=8, seed=2014),
+    )
+    campaign.prepare()
+    specs = [ErrorSpec(FaultKind.SOFT, 1), ErrorSpec(FaultKind.HARD, 1),
+             ErrorSpec(FaultKind.HARD, 2)]
+    space = websearch_small.space
+    cells = [
+        CampaignCell(name=region.name, spec=spec)
+        for region in space.regions
+        for spec in specs
+    ]
+    calls, recording = recording_kernel_calls()
+    with recording:
+        plans = campaign.plan_cells([(cell, range(trials)) for cell in cells])
+    assert calls == [2 * len(space.regions) * trials]
+    for cell, plan in zip(cells, plans):
+        alone = campaign.plan_cell_trials(cell, range(trials))
+        for field in ("anchor_addrs", "flip_addrs", "flip_bits", "flip_offsets"):
+            assert np.array_equal(getattr(plan, field), getattr(alone, field))
+        websearch_small.reset()
+        spans = websearch_small.sample_ranges(space.region_named(cell.name))
+        for local in range(trials):
+            rng = oracle_trial_rng(
+                2014, websearch_small.name, cell.name, cell.spec.label, local
+            )
+            anchor = oracle_sample_from_ranges(rng, spans)
+            assert plan.flips_for(local) == oracle_plan_flip_positions(
+                space, rng, cell.spec, anchor
+            )
+
+
+@pytest.mark.parametrize("root_seed", [0, 29, 2**63 - 1])
+def test_bulk_seeds_match_derive_seed(root_seed):
+    """Index digits of every length the midstate copy absorbs, including
+    one past a 64-byte SHA-256 block for the long prefix."""
+    indices = [0, 9, 10, 99, 100, 1999, 10**6]
+    for prefix in ("trial:websearch:heap:single-bit soft:", "t" * 40 + ":"):
+        factory = SeedSequenceFactory(root_seed)
+        seeds = factory.indexed_seed_array(prefix, indices)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [
+            derive_seed(root_seed, f"{prefix}{index}") for index in indices
+        ]
+        assert seeds.tolist() == [factory.indexed_seeds(prefix)(i) for i in indices]
+    assert SeedSequenceFactory(root_seed).indexed_seed_array("p:", []).shape == (0,)

@@ -3,10 +3,11 @@
 :mod:`repro.kernels.mt19937` claims CPython's seeding, tempering,
 ``random()`` and ``randrange(n)`` output for output; each is compared
 here with the interpreter's own generator, on edge seeds of both key
-lengths and on hypothesis seeds.
+lengths, on hypothesis seeds and on a planner chunk's worth of seeds.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import mt19937
+from repro.kernels.planner import KERNEL_CHUNK
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
@@ -88,3 +90,37 @@ def test_randbelow_reports_exhausted_streams():
     assert live.tolist() == (first < n).tolist()
     assert values[live].tolist() == first[live].tolist()
     assert 0 < live.sum() < len(seeds)
+
+
+def test_streamed_kernel_matches_getrandbits_around_the_planner_chunk():
+    """The planner seeds up to ``KERNEL_CHUNK`` streams per call: every
+    column of a call one short of, at and one past it is the
+    interpreter's."""
+    seeds = [(index * 0x9E3779B97F4A7C15) % 2**64 for index in range(KERNEL_CHUNK + 1)]
+    seeds[::7] = [seed % 2**32 for seed in seeds[::7]]  # 1-word keys too
+    expected = np.array(
+        [scalar_outputs(seed, mt19937.OUTPUTS) for seed in seeds], dtype=np.uint32
+    ).T
+    for streams in (KERNEL_CHUNK - 1, KERNEL_CHUNK, KERNEL_CHUNK + 1):
+        outputs = kernel_outputs(seeds[:streams])
+        assert outputs.shape == (mt19937.OUTPUTS, streams)
+        assert np.array_equal(outputs, expected[:, :streams])
+
+
+def test_streamed_state_stays_within_the_chunk_budget():
+    """``KERNEL_CHUNK`` is sized so one call's state stays near 5 MiB;
+    the ``(624, streams)`` state it replaced would be 78 MiB here."""
+    seeds = np.arange(KERNEL_CHUNK, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    tracemalloc.start()
+    try:
+        mt19937.first_outputs(seeds, mt19937.OUTPUTS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
+
+@pytest.mark.parametrize("outputs", [0, 228])
+def test_outputs_beyond_the_first_twist_half_are_rejected(outputs):
+    with pytest.raises(ValueError):
+        kernel_outputs(EDGE_SEEDS, outputs)

@@ -487,8 +487,15 @@ class TestAccessTrace:
         for region in ("private", "heap", "stack"):
             for key in ("load_ops", "load_bytes", "store_ops", "store_bytes"):
                 assert other_stats[region][key] == executed_stats[region][key]
-        # The two skipped accesses are credited to the fast path once.
-        assert other.fast_path_stats()["fast_accesses"] == 2
+        # In oracle mode no access is counted as a hit or a fallback; on
+        # the fast path the two skipped accesses are credited to it once.
+        assert other.fast_path_stats()["fast_accesses"] == 0
+        assert other.fast_path_stats()["checked_accesses"] == 0
+        fast = self.make_space()
+        fast.settle_recorded_trial(trace.end_time, trace.per_region)
+        assert fast.time == executed_time
+        assert fast.access_stats() == other_stats
+        assert fast.fast_path_stats()["fast_accesses"] == 2
 
     def test_counted_settle_equals_repeated_settles(self):
         per_region = ((3, 24, 1, 8), (0, 0, 0, 0), (2, 2, 5, 40))
