@@ -26,6 +26,9 @@ from repro.memory.stack import StackManager
 #: Magnitudes beyond this saturate to +-inf when values are packed as f32.
 _F32_LIMIT = 3.0e38
 
+#: Batch-kernel results one engine keeps for reuse, first in first out.
+KERNEL_MEMO_ENTRIES = 32
+
 
 class VertexProgram(abc.ABC):
     """One synchronous vertex computation."""
@@ -53,15 +56,20 @@ class VertexProgram(abc.ABC):
 
     # Programs may additionally provide
     #
-    #     compute_batch(values, degrees, follower_ids, segments) -> ndarray
+    #     compute_batch(values, degrees, segments) -> ndarray
+    #     batch_parameters() -> hashable
     #
-    # over float64 arrays of all current values/degrees, the concatenated
-    # in-range follower ids of every vertex, and their
-    # :class:`~repro.apps.graphmining.graph.Segments`. It must return, per
-    # segment, exactly the float ``compute`` would. The engine calls it
-    # once per sweep on the build-time gather and re-computes with
-    # ``compute`` only the vertices it saw read anything else; without
-    # ``compute_batch`` every sweep runs vertex at a time.
+    # ``compute_batch`` takes float64 arrays of all current values and
+    # out-degrees, one entry per vertex, and the graph's
+    # :class:`~repro.apps.graphmining.graph.Segments` (every vertex's
+    # in-range follower ids); it must return, per segment, exactly the
+    # float ``compute`` would, and read nothing else but the parameters
+    # ``batch_parameters`` returns, exactly (bytes, not floats). The engine
+    # calls it once per sweep on the build-time gather and re-computes
+    # with ``compute`` only the vertices it saw read anything else; it
+    # reuses a result when the value bytes, out-degree bytes and
+    # parameters repeat. Without ``compute_batch`` every sweep runs vertex
+    # at a time.
 
 
 class SyncEngine:
@@ -87,7 +95,12 @@ class SyncEngine:
             "sweeps_partial": 0,
             "sweeps_per_vertex": 0,
             "sweep_live_vertices": 0,
+            "sweep_kernel_reused": 0,
+            "sweep_kernel_computed": 0,
         }
+        # (program type, parameters, out-degree bytes, value bytes) ->
+        # batch-kernel result; insertion order is eviction order.
+        self._kernel_memo: Dict[tuple, np.ndarray] = {}
 
     @property
     def value_buffer_addrs(self):
@@ -100,13 +113,17 @@ class SyncEngine:
         ``sweeps_fused`` replayed every vertex from the build-time
         gather, ``sweeps_partial`` replayed some runs and swept the rest
         live, ``sweeps_per_vertex`` replayed nothing;
-        ``sweep_live_vertices`` totals the vertices swept live. Oracle-mode
-        sweeps and sweeps that crashed are not counted.
+        ``sweep_live_vertices`` totals the vertices swept live.
+        ``sweep_kernel_reused`` / ``sweep_kernel_computed`` count sweeps
+        whose batch kernel came from the engine's memo or ran; reuse
+        depends on what the engine ran before, not only on the sweep.
+        Oracle-mode sweeps and sweeps that crashed are not counted.
         """
         return dict(self._sweep_stats)
 
-    def run(self, program: VertexProgram, iterations: int = 6) -> List[float]:
-        """Execute ``iterations`` sweeps; returns the final values.
+    def run(self, program: VertexProgram, iterations: int = 6) -> np.ndarray:
+        """Execute ``iterations`` sweeps; returns the final values (float64,
+        decoded from the stored f32 buffer).
 
         Raises:
             QueryTimeout: when corrupted CSR metadata yields an
@@ -130,8 +147,12 @@ class SyncEngine:
                 *(program.initial_value(v) for v in range(n))
             )
         space.write(self._value_addrs[0], initial)
-        out_degrees = graph.read_out_degrees()
-        degrees_f64 = np.array(out_degrees, dtype=np.float64) if fused else None
+        raw_degrees = graph.read_out_degrees()
+        if fused:
+            degrees = np.frombuffer(raw_degrees, dtype="<u4")
+            kernel_key = (type(program), program.batch_parameters(), raw_degrees)
+        else:
+            out_degrees = list(struct.unpack(f"<{n}I", raw_degrees))
         frame = self._stack.push(64)
         try:
             for iteration in range(iterations):
@@ -145,8 +166,8 @@ class SyncEngine:
                 if fused:
                     packed = self._pack_array(
                         self._sweep_fused(
-                            program, batch_compute, raw, out_degrees,
-                            degrees_f64, current,
+                            program, batch_compute, raw, degrees, kernel_key,
+                            current,
                         )
                     )
                 else:
@@ -162,7 +183,10 @@ class SyncEngine:
         finally:
             self._stack.pop()
         final = self._value_addrs[iterations & 1]
-        return list(self._pack_all.unpack(space.read(final, n * 4)))
+        with np.errstate(invalid="ignore"):  # a signalling NaN is quieted
+            return np.frombuffer(space.read(final, n * 4), dtype="<f4").astype(
+                np.float64
+            )
 
     def _sweep_scalar(
         self,
@@ -218,8 +242,8 @@ class SyncEngine:
         program: VertexProgram,
         batch_compute,
         raw: bytes,
-        out_degrees: List[int],
-        degrees_f64: np.ndarray,
+        degrees: np.ndarray,
+        kernel_key: tuple,
         current: int,
     ) -> np.ndarray:
         """One sweep that replays every run of vertices it can prove clean.
@@ -236,12 +260,20 @@ class SyncEngine:
         arithmetic runs once per sweep over the build-time gather; only
         live vertices that observed something else go through
         ``program.compute``.
+
+        The batch kernel reads nothing but the value bytes ``raw``, the
+        out-degree bytes and the program's parameters (``kernel_key``
+        holds the latter two) plus the build-time gather, so its result is
+        reused whenever those bytes repeat — from a memo of
+        :data:`KERNEL_MEMO_ENTRIES` results that hands out copies, since
+        the sweep overwrites recomputed vertices and
+        :meth:`_pack_array` clamps in place. Only arithmetic is reused:
+        every load, store and charge above happens either way.
         """
         space = self._space
         graph = self._graph
         n = graph.vertex_count
         edge_count = graph.edge_count
-        values_f64 = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         values_list = None  # decoded lazily, only if a vertex is recomputed
         recomputed: Dict[int, float] = {}
         replayed_runs = 0
@@ -263,13 +295,14 @@ class SyncEngine:
                 if graph.holds_pristine_block(vertex, start, count, block):
                     continue
                 if values_list is None:
-                    values_list = values_f64.tolist()
+                    values_list = np.frombuffer(raw, dtype="<f4").tolist()
+                    degrees_list = degrees.tolist()
                 follower_values = []
                 follower_degrees = []
                 for follower in struct.unpack(f"<{count}I", block):
                     if follower < n:
                         follower_values.append(values_list[follower])
-                        follower_degrees.append(out_degrees[follower])
+                        follower_degrees.append(degrees_list[follower])
                     else:
                         follower_values.append(
                             space.read_f32(current + follower * 4)
@@ -280,9 +313,23 @@ class SyncEngine:
                 recomputed[vertex] = program.compute(
                     vertex, follower_values, follower_degrees
                 )
-        new_values = batch_compute(
-            values_f64, degrees_f64, graph.gathered, graph.segments
-        )
+        stats = self._sweep_stats
+        memo = self._kernel_memo
+        key = (kernel_key, raw)
+        result = memo.get(key)
+        if result is None:
+            with np.errstate(invalid="ignore"):  # a signalling NaN is quieted
+                values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            result = batch_compute(
+                values, degrees.astype(np.float64), graph.segments
+            )
+            if len(memo) >= KERNEL_MEMO_ENTRIES:
+                del memo[next(iter(memo))]
+            memo[key] = result
+            stats["sweep_kernel_computed"] += 1
+        else:
+            stats["sweep_kernel_reused"] += 1
+        new_values = result.copy()
         for vertex, value in recomputed.items():
             new_values[vertex] = value
         if not live:
@@ -291,8 +338,8 @@ class SyncEngine:
             disposition = "sweeps_partial"
         else:
             disposition = "sweeps_per_vertex"
-        self._sweep_stats[disposition] += 1
-        self._sweep_stats["sweep_live_vertices"] += live
+        stats[disposition] += 1
+        stats["sweep_live_vertices"] += live
         return new_values
 
     @staticmethod

@@ -88,48 +88,43 @@ def generate_follower_graph(
 
 
 class Segments:
-    """Ragged segments of one flat array, laid out for left-to-right sums.
+    """Ragged id lists laid out for left-to-right sums of gathered values.
 
-    Segment ``v`` owns ``counts[v]`` consecutive entries of a flat
-    (row-major) array. :meth:`sums` folds every segment strictly left to
-    right — ``((0.0 + x0) + x1) + ...``, the order of a scalar
-    ``total += x`` loop — but as one NumPy add per *column*: segments are
-    sorted by decreasing length, so the segments that still have a k-th
-    entry form a prefix and column k is one contiguous slice add. The
-    result is bit-identical to the scalar loop on every interpreter
-    (builtin ``sum`` is not: CPython >= 3.12 compensates it).
+    Segment ``v`` owns ``counts[v]`` consecutive entries of a flat id
+    array; every id indexes a per-slot value array of ``slots`` entries.
+    The layout is one padded ``(max count, segments)`` index table, built
+    once: column ``v`` holds segment ``v``'s ids in order, then the pad
+    index ``slots``. :meth:`sums` appends a ``+0.0`` to the values,
+    gathers them through the table and folds it with one
+    ``np.add.reduce(axis=0, initial=0.0)``, which adds row after row:
+    ``((0.0 + x0) + x1) + ...``, the order of a scalar ``total += x``
+    loop, so the result is bit-identical to that loop on every
+    interpreter (builtin ``sum`` is not: CPython >= 3.12 compensates
+    it). Padding is exact: the accumulator starts at ``+0.0`` and
+    round-to-nearest never turns a sum into ``-0.0``, and ``x + 0.0 ==
+    x`` for every other ``x``, NaN and +-inf included.
     """
 
-    def __init__(self, counts) -> None:
+    def __init__(self, counts, ids, slots: int) -> None:
         counts = np.asarray(counts, dtype=np.int64)
-        order = np.argsort(-counts, kind="stable")
-        lengths = counts[order]
-        depth = int(lengths[0]) if lengths.size else 0
-        columns = np.arange(depth)
-        # widths[k] = number of segments longer than k (a prefix of order).
-        widths = np.searchsorted(-lengths, -columns, side="left")
-        starts = (np.cumsum(counts) - counts)[order]
-        ends = np.cumsum(widths)
-        rank = np.arange(int(widths.sum())) - np.repeat(ends - widths, widths)
-        self._order = order
-        self._take = starts[rank] + np.repeat(columns, widths)
-        # Per column: (active segments, slice of the column-major array).
-        self._columns = list(
-            zip(widths.tolist(), (ends - widths).tolist(), ends.tolist())
-        )
+        ids = np.asarray(ids, dtype=np.intp)
+        segments = counts.size
+        depth = int(counts.max()) if segments else 0
+        # At least two columns: NumPy folds a lone column pairwise (eight
+        # partial sums), not row after row.
+        layout = np.full((depth, max(segments, 2)), slots, dtype=np.intp)
+        starts = np.cumsum(counts) - counts
+        rows = np.arange(ids.size) - np.repeat(starts, counts)
+        layout[rows, np.repeat(np.arange(segments), counts)] = ids
+        self._segments = segments
+        self._layout = layout
 
-    def sums(self, flat: np.ndarray) -> np.ndarray:
-        """Per-segment left-to-right float64 sums of ``flat``."""
-        columns = flat[self._take]
-        totals = np.zeros(self._order.size)
-        add = np.add
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-segment left-to-right float64 sums of ``values[ids]``."""
+        padded = np.append(values, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # inf, inf - inf
-            for width, low, high in self._columns:
-                active = totals[:width]
-                add(active, columns[low:high], out=active)
-        sums = np.empty_like(totals)
-        sums[self._order] = totals
-        return sums
+            totals = np.add.reduce(padded.take(self._layout), axis=0, initial=0.0)
+        return totals[: self._segments]
 
 
 class CsrGraph:
@@ -164,21 +159,22 @@ class CsrGraph:
             struct.pack(f"<{graph.vertex_count}I", *graph.out_degree),
         )
         # The one pristine-data cache: the build-time bytes of both
-        # arrays and the gather a sweep over them decodes. A sweep replays
-        # it for every vertex run it can prove still reads these bytes
-        # (:meth:`sweep_runs`); ``segments`` is None when a build-time id
-        # is out of range (such a graph always sweeps vertex at a time).
+        # arrays and the gather a sweep over them decodes (``segments``:
+        # every vertex's follower ids, padded into one table). A sweep
+        # replays it for every vertex run it can prove still reads these
+        # bytes (:meth:`sweep_runs`); ``segments`` is None when a
+        # build-time id is out of range (such a graph always sweeps vertex
+        # at a time).
         self._offsets = offsets
         self._offsets_raw = offsets_raw
         self._edges_raw = edges_raw
-        # (intp: a fancy index of any other dtype is cast on every use)
-        self.gathered = np.frombuffer(edges_raw, dtype="<u4").astype(np.intp)
+        gathered = np.frombuffer(edges_raw, dtype="<u4")
         counts = np.diff(np.asarray(offsets, dtype=np.int64))
         # Non-empty vertices before each vertex: one block load apiece.
         self._block_reads = [0] + np.cumsum(counts > 0).tolist()
         self.segments: Optional[Segments] = None
-        if not edge_values or int(self.gathered.max()) < graph.vertex_count:
-            self.segments = Segments(counts)
+        if not edge_values or int(gathered.max()) < graph.vertex_count:
+            self.segments = Segments(counts, gathered, graph.vertex_count)
 
     def sweep_runs(self) -> Iterator[Tuple[int, int, bool]]:
         """Split one sweep into vertex runs ``(first, stop, replayed)``.
@@ -317,7 +313,7 @@ class CsrGraph:
         """Block-read ``count`` follower ids beginning at edge ``start``."""
         return self._space.read(self.edges_addr + start * 4, count * 4)
 
-    def read_out_degrees(self) -> List[int]:
-        """Stream the whole out-degree array (one block load)."""
-        raw = self._space.read(self.out_degree_addr, self.vertex_count * 4)
-        return list(struct.unpack(f"<{self.vertex_count}I", raw))
+    def read_out_degrees(self) -> bytes:
+        """Stream the whole out-degree array (one block load): its raw
+        little-endian u32 bytes, as the space returned them."""
+        return self._space.read(self.out_degree_addr, self.vertex_count * 4)

@@ -11,6 +11,8 @@ fixed sweep budget.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from repro.apps.graphmining.framework import VertexProgram
@@ -51,21 +53,27 @@ class TunkRank(VertexProgram):
         """Uniform starting influence, as an array."""
         return np.ones(count, dtype=np.float64)
 
-    def compute_batch(self, values, degrees, follower_ids, segments):
+    def batch_parameters(self) -> bytes:
+        """Every value :meth:`compute_batch` reads besides its arguments,
+        exactly (the bytes of ``p``: a float key would equate 0.0 and -0.0)."""
+        return struct.pack("<d", self.retweet_probability)
+
+    def compute_batch(self, values, degrees, segments):
         """Vectorized gather-apply over every vertex's follower segment.
 
-        Bit-identical to calling :meth:`compute` per segment: elementwise
-        float64 multiply/add/divide match scalar IEEE arithmetic exactly,
-        the zero-degree fixup replicates the scalar branch (including its
-        NaN-contribution → -inf behaviour), and :meth:`Segments.sums`
-        accumulates each segment in the scalar loop's left-to-right order
-        (builtin ``sum`` would not: CPython >= 3.12 compensates it).
+        Bit-identical to calling :meth:`compute` per segment. An edge's
+        quotient ``(1 + p * values[f]) / degrees[f]`` depends only on its
+        follower ``f``, so it is computed once per vertex and gathered by
+        :meth:`Segments.sums`, which accumulates each segment in the
+        scalar loop's left-to-right order. Elementwise float64
+        multiply/add/divide match scalar IEEE arithmetic exactly, and the
+        zero-degree fixup replicates the scalar branch (including its
+        NaN-contribution -> -inf behaviour).
         """
-        gathered_degrees = degrees[follower_ids]
         with np.errstate(divide="ignore", invalid="ignore"):
-            contributions = 1.0 + self.retweet_probability * values[follower_ids]
-            quotients = contributions / gathered_degrees
-        zero_degree = gathered_degrees == 0.0
+            contributions = 1.0 + self.retweet_probability * values
+            quotients = contributions / degrees
+        zero_degree = degrees == 0.0
         if zero_degree.any():
             positive = contributions > 0.0
             quotients[zero_degree & positive] = np.inf

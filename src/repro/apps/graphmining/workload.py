@@ -13,8 +13,7 @@ graph + vertex values) plus a small stack.
 
 from __future__ import annotations
 
-import struct
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,16 +33,12 @@ from repro.utils.rng import SeedSequenceFactory
 JOBS_PER_MINUTE = 2.0
 TOP_INFLUENCERS = 100
 
-_F32 = struct.Struct("<f")
 
-
-def _quantize(score: float) -> float:
-    """f32-narrow then round, identically on every code path."""
-    try:
-        narrowed = _F32.unpack(_F32.pack(score))[0]
-    except (OverflowError, ValueError):
-        narrowed = float("inf") if score > 0 else float("-inf")
-    return round(narrowed, 4)
+def _quantize_scores(scores: np.ndarray) -> List[float]:
+    """f32-narrow (overflow saturates to +-inf) then round to 4 places."""
+    with np.errstate(over="ignore"):
+        narrowed = scores.astype(np.float32)
+    return [round(score, 4) for score in narrowed.tolist()]
 
 
 class GraphMining(Workload):
@@ -101,16 +96,12 @@ class GraphMining(Workload):
 
     # ------------------------------------------------------------------
     def _run_job(self) -> Tuple[Tuple[int, float], ...]:
-        values = self.engine.run(self.program, iterations=self._iterations)
-        scores = np.array(values, dtype=np.float64)
+        scores = self.engine.run(self.program, iterations=self._iterations)
         # NaNs sort unpredictably; replace with -inf so ordering is total.
         scores[np.isnan(scores)] = -np.inf
         # Descending score, ties by ascending vertex id (stable sort).
         top = np.argsort(-scores, kind="stable")[:TOP_INFLUENCERS]
-        return tuple(
-            (vertex, _quantize(score))
-            for vertex, score in zip(top.tolist(), scores[top].tolist())
-        )
+        return tuple(zip(top.tolist(), _quantize_scores(scores[top])))
 
     @property
     def query_count(self) -> int:

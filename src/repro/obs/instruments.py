@@ -424,6 +424,12 @@ class CampaignInstruments:
             "graph_sweep_live_vertices_total",
             "Vertices swept live (not replayed) by the graph engine",
         )
+        self.graph_sweep_kernel = registry.counter(
+            "graph_sweep_kernel_total",
+            "Graph-engine sweeps by where their batch kernel result came "
+            "from (reused from the engine's memo, or computed)",
+            labels=("source",),
+        )
         self.pruning_trials = registry.counter(
             "campaign_pruning_trials_total",
             "Trials by pruning disposition (pruned backend only)",
@@ -520,7 +526,12 @@ class CampaignInstruments:
         instrument cost off the trial hot path. Keys match ``Workload.fast_path_stats()``: the
         ``AddressSpace`` counters plus, for the graph engine, its sweep
         dispositions (why a graph trial was slow: ``per_vertex`` sweeps
-        and many live vertices mean faults kept runs from replaying).
+        and many live vertices mean faults kept runs from replaying),
+        and where each sweep's batch-kernel result came from
+        (``graph_sweep_kernel_total{source=reused|computed}``). Reuse
+        depends on process history — each engine, so each pool worker,
+        warms its own memo — so that counter is reported, never compared
+        between serial and pooled runs (their sum is history-free).
         """
         fast = int(stats.get("fast_accesses", 0))
         checked = int(stats.get("checked_accesses", 0))
@@ -547,6 +558,10 @@ class CampaignInstruments:
         live = int(stats.get("sweep_live_vertices", 0))
         if live:
             self.graph_sweep_live_vertices.labels().inc(live)
+        for source in ("reused", "computed"):
+            sweeps = int(stats.get(f"sweep_kernel_{source}", 0))
+            if sweeps:
+                self.graph_sweep_kernel.labels(source=source).inc(sweeps)
         fast_total = self.memory_fastpath.labels(path="fast").value
         checked_total = self.memory_fastpath.labels(path="checked").value
         self.memory_fastpath_hit_ratio.labels().set(

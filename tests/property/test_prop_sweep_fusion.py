@@ -10,6 +10,13 @@ clock, access counters, fault log, fault consumption and stored bytes
 must be equal. The crash scenarios pin the clock *at* a dirty vertex: a
 replayed run charged after, instead of before, the live vertex that
 follows it would go uncharged when that vertex raises.
+
+The engine also reuses a sweep's batch-kernel result when the value
+bytes, out-degree bytes and program parameters it reads repeat. The
+reuse scenarios pin that the key changes with every input (a stuck-at
+in a value buffer, in the out-degree array), that a reused result is a
+copy (a fault-free run after a reusing one still matches), and that a
+heavy-tailed graph's padded layout sums like the scalar loop.
 """
 
 import struct
@@ -22,24 +29,33 @@ from repro.apps.graphmining import GraphMining
 from repro.memory.fastpath import oracle_mode
 
 JOBS = 2
+ITERATIONS = 3
 
 
-def _build():
+def _build(seed=77, vertex_count=60, edges_per_vertex=4):
     workload = GraphMining(
-        seed=77, vertex_count=60, edges_per_vertex=4, iterations=3, jobs=JOBS
+        seed=seed,
+        vertex_count=vertex_count,
+        edges_per_vertex=edges_per_vertex,
+        iterations=ITERATIONS,
+        jobs=JOBS,
     )
     workload.build()
     workload.checkpoint()
     return workload
 
 
-@pytest.fixture(scope="module")
-def twins():
-    fast = _build()
+def _build_twins(**graph):
+    fast = _build(**graph)
     with oracle_mode():
-        oracle = _build()
+        oracle = _build(**graph)
     assert fast.space.fast_path_enabled and not oracle.space.fast_path_enabled
     return fast, oracle
+
+
+@pytest.fixture(scope="module")
+def twins():
+    return _build_twins()
 
 
 def _fault_key(fault):
@@ -53,11 +69,12 @@ def _observe(workload, job):
         return ("raise", type(error).__name__, str(error))
 
 
-def run_twins(twins, inject):
+def run_twins(twins, inject, jobs=None):
     """Reset both twins, apply ``inject(workload)``, compare per job.
 
     Returns the fast twin's sweep-disposition delta so callers can assert
-    the scenario actually exercised the path it is named after.
+    the scenario actually exercised the path it is named after; a
+    ``jobs`` list receives the delta of each job.
     """
     for workload in twins:
         workload.reset()  # restore keeps counters
@@ -66,7 +83,11 @@ def run_twins(twins, inject):
     fast, oracle = twins
     before = fast.engine.sweep_stats()
     for job in range(JOBS):
+        job_before = fast.engine.sweep_stats()
         assert _observe(fast, job) == _observe(oracle, job)
+        if jobs is not None:
+            job_after = fast.engine.sweep_stats()
+            jobs.append({key: job_after[key] - job_before[key] for key in job_after})
         assert fast.space.time == oracle.space.time
         assert fast.space.access_stats() == oracle.space.access_stats()
         assert [_fault_key(f) for f in fast.space.fault_log.entries] == [
@@ -266,3 +287,94 @@ class TestPartialFusionMatchesOracle:
                     )
 
         run_twins(twins, inject)
+
+
+# -- batch-kernel reuse ---------------------------------------------------
+def value_slot(workload, buffer, vertex):
+    return workload.engine.value_buffer_addrs[buffer] + 4 * vertex
+
+
+def out_degree(workload, vertex):
+    return workload.csr.out_degree_addr + 4 * vertex
+
+
+def kernel_counts(stats):
+    return stats["sweep_kernel_reused"], stats["sweep_kernel_computed"]
+
+
+class TestKernelReuseMatchesOracle:
+    def test_persistent_fault_reuses_kernel_in_later_jobs(self, twins):
+        """(a) One hard fault across both jobs: the second job reads the
+        first job's inputs sweep for sweep, so it reuses every kernel."""
+        jobs = []
+        run_twins(twins, hard(lambda w: edge(w, 0), 0), jobs=jobs)
+        assert kernel_counts(jobs[1]) == (ITERATIONS, 0)
+        assert jobs[1]["sweeps_partial"] == ITERATIONS  # the fault is live
+        # The reusing job wrote its live vertices into a copy: the
+        # fault-free results it started from must still be intact.
+        jobs = []
+        run_twins(twins, lambda workload: None, jobs=jobs)
+        assert all(kernel_counts(job) == (ITERATIONS, 0) for job in jobs)
+
+    def test_value_buffer_stuck_at_changes_the_key(self, twins):
+        """(b) A stuck-at in the value buffer the first sweep reads: no
+        sweep of the first job may reuse a fault-free result."""
+        run_twins(twins, lambda workload: None)  # fault-free results cached
+        jobs = []
+        # The sign bit of vertex 7's initial 1.0 reads as set: -1.0.
+        run_twins(
+            twins, hard(lambda w: value_slot(w, 0, 7) + 3, 7, stuck=1), jobs=jobs
+        )
+        assert kernel_counts(jobs[0]) == (0, ITERATIONS)
+        assert kernel_counts(jobs[1]) == (ITERATIONS, 0)
+
+    def test_out_degree_stuck_at_changes_the_key(self, twins):
+        """(c) A stuck-at in the out-degree array: the first sweep reads
+        fault-free values, so only the degree bytes tell its key apart."""
+        run_twins(twins, lambda workload: None)  # fault-free results cached
+        jobs = []
+
+        def inject(workload):
+            addr = out_degree(workload, 11)
+            workload.space.inject_hard_fault(
+                addr, 0, stuck_value=1 - stored_bit(workload, addr, 0)
+            )
+
+        run_twins(twins, inject, jobs=jobs)
+        assert kernel_counts(jobs[0]) == (0, ITERATIONS)
+        assert jobs[0]["sweeps_fused"] == ITERATIONS  # CSR arrays are clean
+
+
+@pytest.fixture(scope="module")
+def heavy_twins():
+    """(d) A heavy-tailed graph: the padded layout is mostly padding."""
+    twins = _build_twins(seed=5, vertex_count=150, edges_per_vertex=3)
+    offsets = offsets_of(twins[0])
+    in_degrees = [high - low for low, high in zip(offsets, offsets[1:])]
+    mean = sum(in_degrees) / len(in_degrees)
+    assert max(in_degrees) >= 5 * mean
+    assert in_degrees.count(0) > 0
+    return twins
+
+
+HEAVY_SCENARIOS = {
+    "fault_free": lambda workload: None,
+    "edge_hard": hard(lambda w: edge(w, w.csr.edge_count // 2), 1),
+    "offset_soft": soft(lambda w: offset_entry(w, entry_between_busy_vertices(w))),
+    "neighbour_of_empty_vertex": hard(
+        lambda w: edge(w, first_edge_after_empty_vertex(w)), 2
+    ),
+    "out_degree_hard": hard(lambda w: out_degree(w, 3), 1),
+    "value_buffer_hard": hard(lambda w: value_slot(w, 1, 0) + 2, 0),
+}
+
+
+class TestHeavyTailedGraphMatchesOracle:
+    @pytest.mark.parametrize("name", sorted(HEAVY_SCENARIOS))
+    def test_scenario(self, heavy_twins, name):
+        stats = run_twins(heavy_twins, HEAVY_SCENARIOS[name])
+        sweeps = sum(
+            stats[key] for key in ("sweeps_fused", "sweeps_partial", "sweeps_per_vertex")
+        )
+        assert sweeps > 0
+        assert sum(kernel_counts(stats)) == sweeps

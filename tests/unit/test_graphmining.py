@@ -14,7 +14,9 @@ from repro.apps.graphmining import (
     TunkRank,
     generate_follower_graph,
 )
+from repro.apps.graphmining.framework import KERNEL_MEMO_ENTRIES
 from repro.apps.graphmining.graph import Segments
+from repro.apps.graphmining.workload import _quantize_scores
 from repro.core.campaign import CampaignConfig, CharacterizationCampaign
 from repro.injection import SINGLE_BIT_HARD, SINGLE_BIT_SOFT
 from repro.memory import HeapAllocator, StackManager
@@ -87,7 +89,8 @@ class TestCsrGraph:
 
     def test_out_degrees_roundtrip(self, graph, engine_setup):
         csr, _engine = engine_setup
-        assert csr.read_out_degrees() == graph.out_degree
+        raw = csr.read_out_degrees()
+        assert np.frombuffer(raw, dtype="<u4").tolist() == graph.out_degree
 
 
 class TestSyncEngine:
@@ -105,9 +108,9 @@ class TestSyncEngine:
 
     def test_deterministic(self, graph, engine_setup):
         _csr, engine = engine_setup
-        assert engine.run(TunkRank(), iterations=4) == engine.run(
-            TunkRank(), iterations=4
-        )
+        first = engine.run(TunkRank(), iterations=4)
+        assert first.dtype == np.float64
+        assert first.tobytes() == engine.run(TunkRank(), iterations=4).tobytes()
 
     def test_vertex_with_no_followers_scores_zero(self, space, rng):
         from repro.apps.graphmining.graph import FollowerGraph
@@ -157,8 +160,7 @@ def _batch_vs_scalar(program, values, degrees, segments_ids):
     batch = program.compute_batch(
         np.array(values, dtype=np.float64),
         np.array(degrees, dtype=np.float64),
-        flat,
-        Segments(counts),
+        Segments(counts, flat, len(values)),
     )
     scalar = [
         program.compute(
@@ -203,6 +205,36 @@ class TestComputeBatchMatchesCompute:
         assert batch[0] == (0.9999999999999999).hex() != (1.0).hex()
         assert batch[1:] == [(0.0).hex(), (0.1).hex()]
 
+    def test_negative_zero_quotient_at_max_in_degree_one(self):
+        # (1 + 1.0 * -(1 + 2**-52)) / 1e308 underflows to -0.0; the scalar
+        # loop's 0.0 + -0.0 is +0.0. A fold of the one-row layout seeded
+        # with its first row (NumPy versions differ on that without
+        # initial=0.0) would return the -0.0 itself.
+        program = TunkRank(retweet_probability=1.0)
+        values = [0.0, -1.0000000000000002, 2.0]
+        degrees = [1, 1e308, 3]
+        batch, scalar = _batch_vs_scalar(program, values, degrees, [[1], [], [2]])
+        assert batch == scalar
+        assert batch[0] == (0.0).hex() != (-0.0).hex()
+
+    def test_graph_without_edges(self):
+        program = TunkRank()
+        batch, scalar = _batch_vs_scalar(
+            program, [1.0, float("nan"), -3.0], [1, 0, 2], [[], [], []]
+        )
+        assert batch == scalar == [(0.0).hex()] * 3
+
+    def test_one_vertex_followed_by_every_other(self):
+        rng = random.Random(8)
+        program = TunkRank(retweet_probability=0.21)
+        n = 64
+        values = [rng.uniform(-1e6, 1e6) for _ in range(n)]
+        degrees = [rng.choice([1, 2, 3, 7, 1000]) for _ in range(n)]
+        segments_ids = [[]] * n
+        segments_ids[5] = [v for v in range(n) if v != 5]
+        batch, scalar = _batch_vs_scalar(program, values, degrees, segments_ids)
+        assert batch == scalar
+
     def test_segments_sum_left_to_right(self):
         rng = random.Random(3)
         counts = [rng.choice([0, 1, 2, 3, 8, 17]) for _ in range(50)]
@@ -214,8 +246,32 @@ class TestComputeBatchMatchesCompute:
             for _ in range(count):
                 total += next(chunks)
             expected.append(total.hex())
-        assert [x.hex() for x in Segments(counts).sums(flat).tolist()] == expected
-        assert Segments([]).sums(np.empty(0)).size == 0
+        segments = Segments(counts, np.arange(flat.size), flat.size)
+        assert [x.hex() for x in segments.sums(flat).tolist()] == expected
+        assert Segments([], [], 0).sums(np.empty(0)).size == 0
+
+    def test_lone_segment_sums_left_to_right(self):
+        """NumPy reduces a one-column table pairwise (eight partial sums);
+        the layout keeps a second column so one segment still folds row
+        after row."""
+        rng = random.Random(4)
+        flat = [rng.uniform(-1e16, 1e16) * 10.0 ** rng.randrange(-5, 5)
+                for _ in range(200)]
+        total = 0.0
+        for value in flat:
+            total += value
+        sums = Segments([len(flat)], np.arange(len(flat)), len(flat)).sums(
+            np.array(flat)
+        )
+        assert [x.hex() for x in sums.tolist()] == [total.hex()]
+
+    def test_ids_gather_per_slot_values(self):
+        """Ids index the per-slot values; repeated ids re-read a slot."""
+        values = np.array([0.5, -2.0, 1e308, float("inf")])
+        segments = Segments([3, 0, 2, 1], [1, 0, 0, 2, 2, 3], 4)
+        assert segments.sums(values).tolist() == [
+            -1.0, 0.0, float("inf"), float("inf")
+        ]
 
 
 class TestPackArrayMatchesClamp:
@@ -229,6 +285,42 @@ class TestPackArrayMatchesClamp:
         ] + [rng.uniform(-4e38, 4e38) for _ in range(200)]
         expected = struct.pack(f"<{len(values)}f", *SyncEngine._clamp(values))
         assert SyncEngine._pack_array(np.array(values)) == expected
+
+
+def _scalar_quantize(score: float) -> float:
+    """The per-score narrowing the workload used before it narrowed the
+    top scores in one array cast (frozen oracle)."""
+    try:
+        narrowed = struct.unpack("<f", struct.pack("<f", score))[0]
+    except (OverflowError, ValueError):
+        narrowed = float("inf") if score > 0 else float("-inf")
+    return round(narrowed, 4)
+
+
+class TestQuantizeScoresMatchesScalar:
+    def test_f32_boundary_subnormals_infinities_and_signed_zero(self):
+        """The array cast + round must equal the scalar struct round trip
+        on every float64, by float.hex (so -0.0 is told from 0.0)."""
+        f32_max = 3.4028234663852886e38
+        half_ulp = 2.0 ** 103  # half an f32 ulp at the top binade
+        rng = random.Random(9)
+        values = [
+            0.0, -0.0, 1.0, -1.0, 0.12345678, -0.00004999, 0.00005,
+            f32_max, -f32_max, 3.4028235e38, -3.4028235e38,
+            f32_max + half_ulp * 0.99, -(f32_max + half_ulp * 0.99),
+            f32_max + half_ulp, -(f32_max + half_ulp),  # ties round to inf
+            3.5e38, -3.5e38, 1e39, -1e300, 1.7976931348623157e308,
+            1e-45, 1.401298464324817e-45, -1e-45, 7e-46, -7e-46, 1e-46,
+            1.1754943508222875e-38, 1.17549421e-38, 5e-324, -5e-324,
+            float("inf"), float("-inf"),
+        ] + [rng.uniform(-4e38, 4e38) for _ in range(200)] + [
+            rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-46, -30)
+            for _ in range(200)
+        ]
+        expected = [_scalar_quantize(value).hex() for value in values]
+        narrowed = _quantize_scores(np.array(values, dtype=np.float64))
+        assert [value.hex() for value in narrowed] == expected
+        assert all(type(value) is float for value in narrowed)
 
 
 class TestSweepDispositionCounters:
@@ -278,8 +370,17 @@ class TestSweepDispositionCounters:
         observer = Observer(metrics=MetricsRegistry())
         loud_profile, loud = run(observer)
         assert quiet_profile == loud_profile
-        sweep_keys = [key for key in quiet if key.startswith("sweep")]
+        # Kernel reuse depends on what the engine ran before (the loud
+        # run finds the quiet run's results in the memo); the number of
+        # sweeps that reached the kernel does not.
+        kernel_keys = ("sweep_kernel_reused", "sweep_kernel_computed")
+        sweep_keys = [
+            key for key in quiet if key.startswith("sweep") and key not in kernel_keys
+        ]
         assert sweep_keys and all(quiet[key] == loud[key] for key in sweep_keys)
+        assert sum(quiet[key] for key in kernel_keys) == sum(
+            loud[key] for key in kernel_keys
+        )
         instruments = observer.instruments
         # prepare()'s golden run happens outside any cell, so the folded
         # cell deltas are bounded by (and here nearly all of) the total.
@@ -293,6 +394,72 @@ class TestSweepDispositionCounters:
             instruments.graph_sweep_live_vertices.labels().value
             <= loud["sweep_live_vertices"]
         )
+        kernel = {
+            source: instruments.graph_sweep_kernel.labels(source=source).value
+            for source in ("reused", "computed")
+        }
+        assert kernel["reused"] <= loud["sweep_kernel_reused"]
+        assert kernel["computed"] <= loud["sweep_kernel_computed"]
+        # Every sweep that did not crash reached the kernel exactly once.
+        assert kernel["reused"] + kernel["computed"] == folded
+
+
+class TestKernelMemo:
+    @pytest.fixture
+    def workload(self):
+        workload = GraphMining(
+            seed=4, vertex_count=70, edges_per_vertex=4, iterations=4, jobs=2
+        )
+        workload.build()
+        workload.checkpoint()
+        return workload
+
+    def test_repeated_job_reuses_every_sweep(self, workload):
+        workload.reset()
+        before = workload.engine.sweep_stats()
+        first = workload.execute(0)
+        workload.reset()
+        middle = workload.engine.sweep_stats()
+        assert workload.execute(1) == first
+        after = workload.engine.sweep_stats()
+        # build() ran the same fault-free job: every sweep is in the memo.
+        assert after["sweep_kernel_reused"] - before["sweep_kernel_reused"] == 8
+        assert after["sweep_kernel_computed"] == middle["sweep_kernel_computed"]
+
+    def test_memo_is_bounded_first_in_first_out(self, workload):
+        engine = workload.engine
+        memo = engine._kernel_memo
+        workload.reset()
+        oldest = next(iter(memo))
+        values_addr = engine.value_buffer_addrs[0]
+        for round_ in range(KERNEL_MEMO_ENTRIES):
+            workload.reset()
+            # 1.0f with vertex round_'s mantissa LSB stuck at 1: a first
+            # sweep no other job reads, so every job inserts a fresh key
+            # and none re-inserts a fault-free one.
+            workload.space.inject_hard_fault(
+                values_addr + 4 * round_, 0, stuck_value=1
+            )
+            workload.execute(0)
+            assert len(memo) <= KERNEL_MEMO_ENTRIES
+        assert len(memo) == KERNEL_MEMO_ENTRIES
+        assert oldest not in memo
+
+    def test_memo_hands_out_copies(self, workload):
+        """The sweep writes recomputed vertices into the kernel result;
+        the memo's entry must not see them."""
+        workload.reset()
+        workload.execute(0)
+        snapshot = {key: value.tobytes() for key, value in
+                    workload.engine._kernel_memo.items()}
+        workload.reset()
+        workload.space.inject_hard_fault(workload.csr.edges_addr + 4 * 9, 2)
+        workload.execute(0)
+        workload.execute(1)
+        memo = workload.engine._kernel_memo
+        for key, raw in snapshot.items():
+            if key in memo:
+                assert memo[key].tobytes() == raw
 
 
 class TestWorkload:
