@@ -23,8 +23,11 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.memory.address_space import AddressSpace
+from repro.memory.address_space import AddressSpace, Record
 from repro.memory.allocator import HeapAllocator
+
+#: One vertex's follower-list bounds: offsets entries i and i + 1.
+_OFFSET_PAIR = Record("II")
 
 
 @dataclass
@@ -307,11 +310,21 @@ class CsrGraph:
 
     def follower_slice(self, vertex: int):
         """Read this vertex's follower-list bounds (two u32 loads)."""
-        return self._space.read_u32_pair(self.offsets_addr + vertex * 4)
+        return self._space.read_record(self.offsets_addr + vertex * 4, _OFFSET_PAIR)
 
     def read_followers_block(self, start: int, count: int) -> bytes:
         """Block-read ``count`` follower ids beginning at edge ``start``."""
         return self._space.read(self.edges_addr + start * 4, count * 4)
+
+    def stored_bytes(self) -> Tuple[bytes, bytes, bytes]:
+        """Stored bytes of the offsets, edges and out-degree arrays, raw
+        (what a sweep reads of them, before any stuck-at overlay)."""
+        peek = self._space.peek
+        return (
+            peek(self.offsets_addr, 4 * (self.vertex_count + 1)),
+            peek(self.edges_addr, 4 * self.edge_count),
+            peek(self.out_degree_addr, 4 * self.vertex_count),
+        )
 
     def read_out_degrees(self) -> bytes:
         """Stream the whole out-degree array (one block load): its raw

@@ -41,6 +41,15 @@ def _quantize_scores(scores: np.ndarray) -> List[float]:
     return [round(score, 4) for score in narrowed.tolist()]
 
 
+def _rank(scores: np.ndarray) -> Tuple[Tuple[int, float], ...]:
+    """A job's response: the top influencers of its final scores."""
+    # NaNs sort unpredictably; replace with -inf so ordering is total.
+    scores[np.isnan(scores)] = -np.inf
+    # Descending score, ties by ascending vertex id (stable sort).
+    top = np.argsort(-scores, kind="stable")[:TOP_INFLUENCERS]
+    return tuple(zip(top.tolist(), _quantize_scores(scores[top])))
+
+
 class GraphMining(Workload):
     """TunkRank over a synthetic follower graph on simulated memory."""
 
@@ -96,12 +105,10 @@ class GraphMining(Workload):
 
     # ------------------------------------------------------------------
     def _run_job(self) -> Tuple[Tuple[int, float], ...]:
-        scores = self.engine.run(self.program, iterations=self._iterations)
-        # NaNs sort unpredictably; replace with -inf so ordering is total.
-        scores[np.isnan(scores)] = -np.inf
-        # Descending score, ties by ascending vertex id (stable sort).
-        top = np.argsort(-scores, kind="stable")[:TOP_INFLUENCERS]
-        return tuple(zip(top.tolist(), _quantize_scores(scores[top])))
+        # A job the engine replays returns the response ranked when it ran.
+        return self.engine.run(
+            self.program, iterations=self._iterations, finish=_rank
+        )
 
     @property
     def query_count(self) -> int:

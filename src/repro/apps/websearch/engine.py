@@ -38,7 +38,7 @@ from repro.apps.websearch.index_layout import (
     unpack_block_header,
     unpack_header,
 )
-from repro.memory.address_space import AddressSpace
+from repro.memory.address_space import AddressSpace, Record
 from repro.memory.stack import StackManager
 
 #: Weight of the popularity signal in the final ranking score.
@@ -56,12 +56,77 @@ _CACHE_HEADER = struct.Struct("<QII")
 _RESULT = struct.Struct("<If")
 _F32 = struct.Struct("<f")
 
+#: A term's entry in the query dispatch table (stack frame), staged after
+#: its lookup: first block, posting count, idf, term id.
+_TERM_SLOT = Record("IIfI")
+#: The fields the scan reads back from a staged term entry.
+_TERM_SCAN = Record("IIf")
+#: The staged results buffer of a response with ``k`` results: ``k``
+#: (doc id, score) pairs.
+_RESULT_SLOTS = tuple(Record("If" * k) for k in range(TOP_K + 1))
+
 _LOG1P_FACTORS: Optional[np.ndarray] = None
 
 #: Memo sentinel: this chain/lookup cannot be replayed offline (it walks
 #: outside the pristine index bytes or trips a sanity cap) — the caller
 #: must issue the real simulated-memory accesses.
 _LIVE = object()
+
+
+class _RankingTable:
+    """Build-time bytes of one heap ranking table and the field its loads
+    read: a 4-byte value at ``base + doc * stride`` per document, decoded
+    from those bytes exactly as the live load would (``values[doc]``).
+    ``version`` is the content version the stored bytes last matched at.
+    """
+
+    __slots__ = ("base", "stride", "raw", "values", "version")
+
+    def __init__(self, space: AddressSpace, base: int, stride: int, fields: str, docs: int):
+        self.base = base
+        self.stride = stride
+        self.raw = space.peek(base, docs * stride)
+        self.values = [row[0] for row in struct.iter_unpack(fields, self.raw)]
+        self.version: Optional[int] = None
+
+
+class _Chain:
+    """Replay memo of one pristine posting chain, block by block.
+
+    ``rels`` / ``spans`` name each block (its ``next``-link offset, and
+    ``(offset, length)`` of the bytes it reads relative to the index
+    base); ``postings`` / ``ops`` / ``nbytes`` are prefix sums over the
+    blocks, so blocks ``[lo, hi)`` hold decoded postings
+    ``postings[lo]:postings[hi]`` of ``docs`` / ``factors`` and cost
+    ``ops[hi] - ops[lo]`` loads. ``extent`` is the byte range the blocks
+    span. A partial scan (rare: a fault near the chain) adds ``index``,
+    each block's position by its link offset, and ``changed``, the blocks
+    whose stored bytes differ from build time, valid at content
+    ``version``.
+    """
+
+    __slots__ = (
+        "rels", "spans", "postings", "ops", "nbytes", "docs", "factors",
+        "blocks", "extent", "index", "version", "changed",
+    )
+
+    def __init__(self, rels, spans, postings, ops, nbytes, doc_parts, factor_parts):
+        self.rels = rels
+        self.spans = spans
+        self.postings = postings
+        self.ops = ops
+        self.nbytes = nbytes
+        self.docs = np.concatenate(doc_parts) if doc_parts else np.empty(0, dtype="<u4")
+        self.factors = np.concatenate(factor_parts) if factor_parts else np.empty(0)
+        self.blocks = len(rels)
+        self.extent = (
+            (min(start for start, _ in spans), max(start + length for start, length in spans))
+            if spans
+            else (0, 0)
+        )
+        self.index: Optional[Dict[int, int]] = None
+        self.version: Optional[int] = None
+        self.changed: List[int] = []
 
 
 def _log1p_factor_table() -> np.ndarray:
@@ -142,11 +207,31 @@ class SearchEngine:
         # from the stack frame (not the query terms) keeps a corrupted
         # frame from aliasing a cached selection. Bounded defensively.
         self._select_memo: Dict[Tuple, List[Tuple[int, float]]] = {}
+        # Chain scans served block by block (see :meth:`scan_stats`).
+        self._scans_partial = 0
+        # The ranking tables' build-time bytes (the workload writes them
+        # before it builds the engine): popularity and snippet loads of a
+        # query are served from these while each table is clean and
+        # unchanged, in one charge (:meth:`_table_loads`).
+        docs = self._header.doc_count
+        self._popularity = _RankingTable(space, doc_table_addr, 8, "<fI", docs)
+        self._snippets = _RankingTable(space, snippet_table_addr, 4, "<I", docs)
 
     @property
     def header(self) -> IndexHeader:
         """The decoded index header."""
         return self._header
+
+    def scan_stats(self) -> Dict[str, int]:
+        """How the fast path's chain scans were served, cumulatively.
+
+        ``scans_partial`` counts scans of a memoized chain that was not
+        wholly pristine: its pristine leading blocks, and its trailing
+        ones once the walk rejoins them, are served from the memo, the
+        rest walked live (all of it, when the first and last block are
+        faulty). Oracle-mode scans are not counted.
+        """
+        return {"scans_partial": self._scans_partial}
 
     # ------------------------------------------------------------------
     def search(self, terms: Sequence[int]) -> SearchResponse:
@@ -172,17 +257,10 @@ class SearchEngine:
                 entry = self._find_term_fused(term) if batched else _LIVE
                 if entry is _LIVE:
                     entry = self._find_term(term)
-                base = position * 16
-                if entry is None:
-                    space.write_u32(frame.slot(base), 0)
-                    space.write_u32(frame.slot(base + 4), 0)
-                    space.write_f32(frame.slot(base + 8), 0.0)
-                else:
-                    rel_off, count, idf = entry
-                    space.write_u32(frame.slot(base), rel_off)
-                    space.write_u32(frame.slot(base + 4), count)
-                    space.write_f32(frame.slot(base + 8), idf)
-                space.write_u32(frame.slot(base + 12), terms[position] if position < len(terms) else 0)
+                rel_off, count, idf = (0, 0, 0.0) if entry is None else entry
+                space.write_record(
+                    frame.slot(position * 16), _TERM_SLOT, (rel_off, count, idf, term)
+                )
 
             relevance: dict = {}
             doc_chunks: List[np.ndarray] = []
@@ -194,10 +272,9 @@ class SearchEngine:
                     f"query dispatch table reports {stored_count} terms"
                 )
             for position in range(stored_count):
-                base = position * 16
-                first_block_rel = space.read_u32(frame.slot(base))
-                count = space.read_u32(frame.slot(base + 4))
-                idf = space.read_f32(frame.slot(base + 8))
+                first_block_rel, count, idf = space.read_record(
+                    frame.slot(position * 16), _TERM_SCAN
+                )
                 if count == 0:
                     continue
                 if count > MAX_POSTINGS_PER_TERM:
@@ -206,16 +283,12 @@ class SearchEngine:
                         f"(cap {MAX_POSTINGS_PER_TERM})"
                     )
                 if batched:
-                    if self._scan_fused(
+                    if not self._scan_fused(
                         first_block_rel, idf, doc_chunks, contrib_chunks
                     ):
-                        if fused_scans is not None:
-                            fused_scans.append((first_block_rel, idf))
-                    else:
                         fused_scans = None
-                        self._scan_postings_batched(
-                            first_block_rel, idf, doc_chunks, contrib_chunks
-                        )
+                    elif fused_scans is not None:
+                        fused_scans.append((first_block_rel, idf))
                 else:
                     self._scan_postings(first_block_rel, idf, relevance)
 
@@ -237,26 +310,32 @@ class SearchEngine:
                 candidates = sorted(
                     relevance.items(), key=lambda item: (-item[1], item[0])
                 )[:CANDIDATE_POOL]
-            ranked: List[Tuple[float, int]] = []
-            for doc_id, score in candidates:
-                popularity = space.read_f32(self._doc_table_addr + doc_id * 8)
-                ranked.append((score + POPULARITY_WEIGHT * popularity, doc_id))
+            popularity = self._table_loads(self._popularity, [doc for doc, _ in candidates])
+            if popularity is None:
+                popularity = [
+                    space.read_f32(self._doc_table_addr + doc_id * 8)
+                    for doc_id, _score in candidates
+                ]
+            ranked: List[Tuple[float, int]] = [
+                (score + POPULARITY_WEIGHT * value, doc_id)
+                for (doc_id, score), value in zip(candidates, popularity)
+            ]
             ranked.sort(key=lambda item: (-item[0], item[1]))
             top = ranked[:TOP_K]
 
             # Stage the results through the stack frame (results buffer),
             # then read them back to build the response — consumed stack
             # data, as in a real call chain returning by reference.
-            for slot_index, (score, doc_id) in enumerate(top):
-                offset = 64 + slot_index * 8
-                space.write_u32(frame.slot(offset), doc_id)
-                space.write_f32(frame.slot(offset + 4), score)
             results: List[Tuple[int, float]] = []
-            for slot_index in range(len(top)):
-                offset = 64 + slot_index * 8
-                doc_id = space.read_u32(frame.slot(offset))
-                score = space.read_f32(frame.slot(offset + 4))
-                results.append((doc_id, score))
+            if top:
+                record = _RESULT_SLOTS[len(top)]
+                space.write_record(
+                    frame.slot(64),
+                    record,
+                    [field for score, doc_id in top for field in (doc_id, score)],
+                )
+                staged = space.read_record(frame.slot(64), record)
+                results = list(zip(staged[0::2], staged[1::2]))
         finally:
             self._stack.pop()
 
@@ -304,10 +383,13 @@ class SearchEngine:
 
     def _scan_postings_batched(
         self,
-        first_block_rel: int,
+        block_rel: int,
         idf: float,
         doc_chunks: List[np.ndarray],
         contrib_chunks: List[np.ndarray],
+        blocks_walked: int = 0,
+        chain: Optional[_Chain] = None,
+        last_dirty: int = -1,
     ) -> None:
         """Chain walk of :meth:`_scan_postings` with vectorized decode.
 
@@ -318,13 +400,28 @@ class SearchEngine:
         table lookup instead of per-posting ``struct``/``log1p`` calls.
         Accumulation into per-document sums is deferred to
         :meth:`_select_candidates`.
+
+        A walk resumed mid-chain by :meth:`_scan_fused` starts at
+        ``block_rel`` with ``blocks_walked`` blocks already served, and
+        serves the rest of ``chain`` from its memo as soon as it reaches
+        a block of it after ``last_dirty`` (every later block pristine)
+        with the cap still out of reach.
         """
         space = self._space
         postings_base = self._index_base + self._header.postings_off
         factors = _log1p_factor_table()
-        block_rel = first_block_rel
-        blocks_walked = 0
         while block_rel != END_OF_CHAIN:
+            if chain is not None:
+                at = chain.index.get(block_rel)
+                if (
+                    at is not None
+                    and at > last_dirty
+                    and blocks_walked + chain.blocks - at <= MAX_BLOCKS_PER_TERM
+                ):
+                    self._serve_blocks(
+                        chain, at, chain.blocks, idf, doc_chunks, contrib_chunks
+                    )
+                    return
             blocks_walked += 1
             if blocks_walked > MAX_BLOCKS_PER_TERM:
                 raise QueryTimeout(
@@ -453,47 +550,123 @@ class SearchEngine:
         doc_chunks: List[np.ndarray],
         contrib_chunks: List[np.ndarray],
     ) -> bool:
-        """Serve one chain scan from the pristine-index replay memo.
+        """Scan one chain, serving every block it can from the replay memo.
 
-        Appends the memoized decode (contributions scaled by ``idf`` with
-        the same elementwise multiply the live decode uses) and settles
-        the chain's exact read accounting in one charge. Returns False
-        when the chain cannot be replayed offline; the caller then issues
-        the real scan.
+        A wholly pristine chain appends the memoized decode (contributions
+        scaled by ``idf`` with the same elementwise multiply the live
+        decode uses), settles the chain's exact read accounting in one
+        charge and returns True. Otherwise it returns False after serving
+        the chain's pristine leading blocks with one charge and walking
+        live from the first block that is not clean or not byte-identical
+        to build time; that walk serves the rest from the memo once it
+        rejoins the chain past its last such block. A chain the memo
+        cannot stand for at all is walked live throughout.
         """
-        memo = self._scan_memo.get(first_block_rel)
-        if memo is None:
-            memo = self._replay_scan(first_block_rel)
-            self._scan_memo[first_block_rel] = memo
-        if memo is _LIVE:
+        chain = self._scan_memo.get(first_block_rel)
+        if chain is None:
+            chain = self._replay_scan(first_block_rel)
+            self._scan_memo[first_block_rel] = chain
+        if chain is _LIVE:
+            self._scan_postings_batched(first_block_rel, idf, doc_chunks, contrib_chunks)
             return False
-        docs, factor_values, ops, nbytes, spans, state = memo
-        if not (self._index_pristine() or self._spans_pristine(spans, state)):
-            return False
-        if docs.size:
-            doc_chunks.append(docs)
-            contrib_chunks.append(idf * factor_values)
-        self._space.charge_reads(self._index_base, ops, nbytes, spans)
-        return True
+        if self._index_pristine():
+            first = chain.blocks
+        else:
+            first, last = self._dirty_blocks(chain)
+        if first == chain.blocks:
+            self._serve_blocks(chain, 0, first, idf, doc_chunks, contrib_chunks)
+            return True
+        self._scans_partial += 1
+        if chain.index is None:
+            chain.index = {rel: at for at, rel in enumerate(chain.rels)}
+        if first:
+            self._serve_blocks(chain, 0, first, idf, doc_chunks, contrib_chunks)
+        self._scan_postings_batched(
+            chain.rels[first], idf, doc_chunks, contrib_chunks, first, chain, last
+        )
+        return False
+
+    def _serve_blocks(
+        self,
+        chain: _Chain,
+        lo: int,
+        hi: int,
+        idf: float,
+        doc_chunks: List[np.ndarray],
+        contrib_chunks: List[np.ndarray],
+    ) -> None:
+        """Append the memoized decode of blocks ``[lo, hi)`` and charge
+        their reads. Contributions are sliced from the chain's, so the
+        concatenation :meth:`_select_candidates` folds is the live walk's."""
+        first, stop = chain.postings[lo], chain.postings[hi]
+        if stop > first:
+            doc_chunks.append(chain.docs[first:stop])
+            contrib_chunks.append(idf * chain.factors[first:stop])
+        self._space.charge_reads(
+            self._index_base,
+            chain.ops[hi] - chain.ops[lo],
+            chain.nbytes[hi] - chain.nbytes[lo],
+            chain.spans[lo:hi],
+        )
+
+    def _dirty_blocks(self, chain: _Chain) -> Tuple[int, int]:
+        """Indices of the chain's first and last block that is not clean
+        or not byte-identical to build time (``(blocks, -1)``: none).
+
+        The byte comparison covers the chain's extent at once and is
+        keyed on the region content version; the clean check asks the
+        space about the extent, then block by block only if it fails.
+        """
+        space = self._space
+        base = self._index_base
+        version = space.version_at(base)
+        if chain.version != version:
+            lo, hi = chain.extent
+            stored = space.peek(base + lo, hi - lo)
+            pristine = self._index_raw[lo:hi]
+            if stored == pristine:
+                chain.changed = []
+            else:
+                diff = lo + np.flatnonzero(
+                    np.frombuffer(stored, dtype=np.uint8)
+                    != np.frombuffer(pristine, dtype=np.uint8)
+                )
+                starts, lengths = np.asarray(chain.spans, dtype=np.int64).T
+                changed = np.searchsorted(diff, starts) < np.searchsorted(
+                    diff, starts + lengths
+                )
+                chain.changed = np.flatnonzero(changed).tolist()
+            chain.version = version
+        dirty = list(chain.changed)
+        lo, hi = chain.extent
+        if not space.span_is_clean(base + lo, hi - lo):
+            dirty.extend(
+                index
+                for index, (start, length) in enumerate(chain.spans)
+                if not space.span_is_clean(base + start, length)
+            )
+        if not dirty:
+            return chain.blocks, -1
+        return min(dirty), max(dirty)
 
     def _replay_scan(self, first_block_rel: int):
         """Walk one posting chain over the pristine bytes, collecting the
         concatenated doc ids, per-posting ``1 + log1p(tf)`` factors, and
-        the exact loads the live walk would issue."""
+        the exact loads the live walk would issue, block by block."""
         raw = self._index_raw
         postings_off = self._header.postings_off
         limit = len(raw)
         factors = _log1p_factor_table()
         doc_parts: List[np.ndarray] = []
         factor_parts: List[np.ndarray] = []
-        ops = 0
-        nbytes = 0
+        rels: List[int] = []
         spans: List[Tuple[int, int]] = []
+        postings = [0]
+        ops = [0]
+        nbytes = [0]
         block_rel = first_block_rel
-        blocks_walked = 0
         while block_rel != END_OF_CHAIN:
-            blocks_walked += 1
-            if blocks_walked > MAX_BLOCKS_PER_TERM:
+            if len(rels) == MAX_BLOCKS_PER_TERM:
                 return _LIVE  # live path raises QueryTimeout identically
             start = postings_off + block_rel
             if start + BLOCK_HEADER_SIZE > limit:
@@ -501,34 +674,27 @@ class SearchEngine:
             next_rel, count, _pad = unpack_block_header(
                 raw[start : start + BLOCK_HEADER_SIZE]
             )
-            ops += 1
-            nbytes += BLOCK_HEADER_SIZE
-            block_len = BLOCK_HEADER_SIZE
+            block_ops, block_len = 1, BLOCK_HEADER_SIZE
             if count:
                 payload_start = start + BLOCK_HEADER_SIZE
                 payload_len = count * POSTING_SIZE
                 if payload_start + payload_len > limit:
                     return _LIVE
-                postings = np.frombuffer(
+                decoded = np.frombuffer(
                     raw[payload_start : payload_start + payload_len],
                     dtype=POSTING_DTYPE,
                 )
-                doc_parts.append(postings["doc"])
-                factor_parts.append(factors[postings["tf"]])
-                ops += 1
-                nbytes += payload_len
+                doc_parts.append(decoded["doc"])
+                factor_parts.append(factors[decoded["tf"]])
+                block_ops += 1
                 block_len += payload_len
+            rels.append(block_rel)
             spans.append((start, block_len))
+            postings.append(postings[-1] + count)
+            ops.append(ops[-1] + block_ops)
+            nbytes.append(nbytes[-1] + block_len)
             block_rel = next_rel
-        docs = (
-            np.concatenate(doc_parts)
-            if doc_parts
-            else np.empty(0, dtype="<u4")
-        )
-        factor_values = (
-            np.concatenate(factor_parts) if factor_parts else np.empty(0)
-        )
-        return (docs, factor_values, ops, nbytes, spans, [None])
+        return _Chain(rels, spans, postings, ops, nbytes, doc_parts, factor_parts)
 
     @staticmethod
     def _select_candidates(
@@ -560,10 +726,12 @@ class SearchEngine:
             else contrib_chunks[0]
         )
         max_doc = int(docs.max())
-        if max_doc < (1 << 20):
+        if max_doc <= 4 * docs.size + 4096:
             # Dense accumulation: np.bincount adds weights in input order
             # exactly like repeated ``+=`` (and like np.add.at), but runs
-            # in O(n + max_doc) instead of unique's O(n log n) sort.
+            # in O(n + max_doc) instead of unique's O(n log n) sort — only
+            # while max_doc is within a small multiple of n: a corrupted
+            # doc id would size the bins by itself.
             docs_int = docs.astype(np.intp)
             occupancy = np.bincount(docs_int)
             dense = np.bincount(docs_int, weights=contribs)
@@ -587,7 +755,7 @@ class SearchEngine:
                 relevance.items(), key=lambda item: (-item[1], item[0])
             )[:CANDIDATE_POOL]
         order = np.lexsort((touched, np.negative(sums)))[:CANDIDATE_POOL]
-        return [(int(touched[i]), float(sums[i])) for i in order]
+        return list(zip(touched[order].tolist(), sums[order].tolist()))
 
     def _find_term(self, term_id: int):
         """Binary search of the term table through simulated memory."""
@@ -642,8 +810,41 @@ class SearchEngine:
     def _finalize(self, results) -> SearchResponse:
         """Attach snippet digests and quantize scores."""
         space = self._space
-        response = []
-        for doc_id, score in results:
-            digest = space.read_u32(self._snippet_table_addr + doc_id * 4)
-            response.append((doc_id, _quantize(score), digest))
-        return tuple(response)
+        digests = self._table_loads(self._snippets, [doc for doc, _ in results])
+        if digests is None:
+            digests = [
+                space.read_u32(self._snippet_table_addr + doc_id * 4)
+                for doc_id, _score in results
+            ]
+        return tuple(
+            (doc_id, _quantize(score), digest)
+            for (doc_id, score), digest in zip(results, digests)
+        )
+
+    def _table_loads(self, table: _RankingTable, doc_ids: List[int]) -> Optional[list]:
+        """The 4-byte loads of ``doc_ids``' entries, in order, served from
+        the table's build-time bytes after one charge for all of them —
+        or None (nothing charged) when they must be issued live: oracle
+        mode, an id past the table, or a table span that is not clean or
+        not byte-identical to build time. The loads are consecutive in
+        the live code (nothing else is accessed between them), so the
+        charge stands for them exactly."""
+        space = self._space
+        values = table.values
+        if not doc_ids or max(doc_ids) >= len(values):
+            return None
+        if not space.span_is_clean(table.base, len(table.raw)):
+            return None
+        version = space.version_at(table.base)
+        if version != table.version:
+            if space.peek(table.base, len(table.raw)) != table.raw:
+                return None
+            table.version = version
+        stride = table.stride
+        space.charge_reads(
+            table.base,
+            len(doc_ids),
+            4 * len(doc_ids),
+            [(doc * stride, 4) for doc in doc_ids],
+        )
+        return [values[doc] for doc in doc_ids]

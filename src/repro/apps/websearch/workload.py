@@ -157,6 +157,10 @@ class WebSearch(Workload):
             raise RuntimeError("WebSearch: build() must be called first")
         return self.engine.search(self.queries[query_index])
 
+    def fast_path_stats(self):
+        """Space counters plus the engine's chain-scan dispositions."""
+        return {**self.space.fast_path_stats(), **self.engine.scan_stats()}
+
     @property
     def time_scale(self) -> TimeScale:
         """Logical-clock units per simulated minute at the modeled load."""

@@ -14,8 +14,13 @@ Facilities provided:
 
 * region-mapped reads/writes with guard-gap fault semantics,
 * typed accessors (``read_u32``, ``write_f64``, ...),
+* record accessors (``read_record``, ``write_record``): a packed run of
+  typed fields in one dispatch, each field still its own access,
 * bulk array kernels (``read_array``, ``write_array``) with identical
   fault/region semantics and per-element accounting,
+* capture and replay of a stretch of accesses (``start_capture``,
+  ``finish_capture``, ``can_replay``, ``replay``) for drivers that can
+  prove a stretch repeats exactly,
 * a logical clock that advances on every access (used for safe-ratio and
   recoverability analyses),
 * soft bit flips and stuck-at hard faults (:mod:`repro.memory.faults`),
@@ -61,10 +66,42 @@ _STRUCT_U16 = struct.Struct("<H")
 _STRUCT_U32 = struct.Struct("<I")
 _STRUCT_U64 = struct.Struct("<Q")
 _STRUCT_I32 = struct.Struct("<i")
-_STRUCT_U32X2 = struct.Struct("<II")
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 assert 1 << _PAGE_SHIFT == PAGE_SIZE, "dirty tracking needs a power-of-two page"
+
+#: Record field codes -> the scalar accessor suffix each field decomposes to.
+_FIELD_KINDS = {"B": "u8", "H": "u16", "I": "u32", "Q": "u64", "f": "f32", "d": "f64"}
+
+
+class Record:
+    """A packed run of little-endian scalar fields, no padding.
+
+    ``Record("IIf")`` is a u32, a u32 and an f32 at byte offsets 0, 4
+    and 8 — the layout :meth:`AddressSpace.read_record` and
+    :meth:`AddressSpace.write_record` move as one dispatch. Field codes
+    are :mod:`struct`'s: ``B H I Q`` unsigned, ``f d`` IEEE single and
+    double.
+    """
+
+    __slots__ = ("fields", "struct", "size", "count", "_readers", "_writers")
+
+    def __init__(self, fields: str) -> None:
+        unknown = set(fields) - set(_FIELD_KINDS)
+        if unknown:
+            raise ValueError(f"unsupported record field codes {sorted(unknown)}")
+        self.fields = fields
+        self.struct = struct.Struct("<" + fields)
+        self.size = self.struct.size
+        self.count = len(fields)
+        offsets = [struct.calcsize("<" + fields[:i]) for i in range(len(fields))]
+        kinds = [_FIELD_KINDS[code] for code in fields]
+        #: (offset, accessor name) per field, in address order.
+        self._readers = tuple(zip(offsets, ["read_" + kind for kind in kinds]))
+        self._writers = tuple(zip(offsets, ["write_" + kind for kind in kinds]))
+
+    def __repr__(self) -> str:
+        return f"Record({self.fields!r})"
 
 
 class MemorySnapshot:
@@ -81,6 +118,20 @@ class MemorySnapshot:
     def __init__(self, mem: bytes, time: int) -> None:
         self.mem = mem
         self.time = time
+
+
+class RecordedEffects:
+    """What one stretch of accesses did to an address space.
+
+    Built by :meth:`AddressSpace.finish_capture`, applied again by
+    :meth:`AddressSpace.replay`: the clock delta, per-region counter
+    deltas (load ops, load bytes, store ops, store bytes — one tuple each,
+    in region order), path-counter deltas, per tracked byte ``(addr,
+    overwritten at start, reads added, overwritten at end)``, and the
+    final bytes of the spans the stretch stored to.
+    """
+
+    __slots__ = ("time", "counters", "fast_hits", "fast_fallbacks", "consumption", "writes")
 
 
 class AddressSpace:
@@ -571,6 +622,105 @@ class AddressSpace:
         if self._fast:
             self._fast_hits += ops * trials
 
+    def start_capture(self) -> tuple:
+        """Mark the start of a stretch of accesses to record (opaque).
+
+        :meth:`finish_capture` turns the accesses since the mark into
+        :class:`RecordedEffects` that :meth:`replay` applies again.
+        """
+        consumption = {addr: tuple(state) for addr, state in self._tracked_faults.items()}
+        return self.accounting_state(), consumption
+
+    def finish_capture(
+        self, mark: tuple, spans: Iterable[Tuple[int, int]]
+    ) -> RecordedEffects:
+        """Record what the accesses since ``mark`` did to this space.
+
+        The clock, per-region counters and path counters move by deltas;
+        each tracked byte's consumption is recorded as (overwritten at the
+        mark, reads added since, overwritten now). ``spans`` are the
+        ``(addr, length)`` spans the stretch stored to, all of their
+        bytes: their contents now are what a replay writes back. Stores
+        elsewhere are not recorded — the caller vouches there were none.
+        """
+        (time, lops, lbytes, sops, sbytes, hits, fallbacks), consumed = mark
+        effects = RecordedEffects()
+        effects.time = self._time - time
+        effects.counters = tuple(
+            tuple(now - then for now, then in zip(current, start))
+            for current, start in (
+                (self._load_ops, lops),
+                (self._load_bytes, lbytes),
+                (self._store_ops, sops),
+                (self._store_bytes, sbytes),
+            )
+        )
+        effects.fast_hits = self._fast_hits - hits
+        effects.fast_fallbacks = self._fast_fallbacks - fallbacks
+        effects.consumption = tuple(
+            (addr, bool(consumed[addr][1]), state[0] - consumed[addr][0], state[1])
+            for addr, state in self._tracked_faults.items()
+            if addr in consumed
+        )
+        effects.writes = tuple(
+            (addr, bytes(self._mem[addr : addr + length])) for addr, length in spans
+        )
+        return effects
+
+    def can_replay(self, effects: RecordedEffects) -> bool:
+        """Whether :meth:`replay` reproduces ``effects`` exactly now.
+
+        Consumption is the one state a recorded stretch may not have
+        seen: reads of a byte count only until its first overwrite, so a
+        stretch that started with a byte overwritten does not say how
+        many reads a fresh byte would take. Such a stretch replays only
+        where the byte is overwritten now too; a byte no longer tracked
+        refuses it.
+        """
+        tracked = self._tracked_faults
+        for addr, started_overwritten, _reads, _ended in effects.consumption:
+            state = tracked.get(addr)
+            if state is None or (started_overwritten and not state[1]):
+                return False
+        return True
+
+    def replay(self, effects: RecordedEffects) -> None:
+        """Apply recorded effects as if their accesses ran again.
+
+        Only where :meth:`can_replay` holds, the stretch's inputs repeat
+        exactly (the caller's key) and on the fast path: the clock,
+        counters and path counters move by the recorded deltas, each
+        tracked byte not overwritten now takes the recorded reads and
+        overwrite, and the recorded spans get their final bytes back —
+        pages marked dirty and content versions bumped like any store.
+        """
+        self._time += effects.time
+        for counter, deltas in zip(
+            (self._load_ops, self._load_bytes, self._store_ops, self._store_bytes),
+            effects.counters,
+        ):
+            for index, delta in enumerate(deltas):
+                counter[index] += delta
+        self._fast_hits += effects.fast_hits
+        self._fast_fallbacks += effects.fast_fallbacks
+        tracked = self._tracked_faults
+        for addr, _started, reads, ended in effects.consumption:
+            state = tracked[addr]
+            if not state[1]:
+                state[0] += reads
+                state[1] = ended
+        for addr, data in effects.writes:
+            self._mem[addr : addr + len(data)] = data
+            self._bump_span_versions(addr, len(data))
+            self._mark_dirty(addr, len(data))
+
+    def fault_state(self) -> tuple:
+        """Every resident fault, by value: the sorted tracked addresses and
+        the stuck-at masks of every overlay byte. Equal states make every
+        load and store behave alike on equal stored bytes."""
+        masks = self._overlay.masks
+        return tuple(self._tracked_keys), tuple((addr, masks[addr]) for addr in self._overlay_keys)
+
     # ------------------------------------------------------------------
     # Typed accessors
     # ------------------------------------------------------------------
@@ -658,27 +808,61 @@ class AddressSpace:
                 return _STRUCT_F64.unpack_from(self._mem, addr)[0]
         return _STRUCT_F64.unpack(self._read_guarded(addr, 8))[0]
 
-    def read_u32_pair(self, addr: int) -> Tuple[int, int]:
-        """Load two consecutive u32s, fused into one bounds/guard check.
+    def read_record(self, addr: int, record: Record) -> tuple:
+        """Load every field of a packed ``record`` at ``addr``, as a tuple.
 
-        Semantically identical to ``(read_u32(addr), read_u32(addr+4))``
-        — two clock ticks, two load ops, eight load bytes — but a single
-        dispatch on the fast path. Any case the fused check cannot admit
-        (straddle, guard overlap, oracle mode) decomposes into the two
-        scalar loads, preserving exception identity and hook order.
+        Semantically identical to one typed scalar load per field in
+        address order — one clock tick, one load op and the field's
+        width in load bytes each — but one admission check and one
+        unpack on the fast path. Whatever that check cannot admit (guard
+        overlap, straddle, oracle mode) decomposes into the scalar
+        accessors, so exceptions, overlay and consumption are theirs.
         """
         if self._fast:
-            index = self._fast_index(addr, 8)
+            index = self._fast_index(addr, record.size)
             if index >= 0:
-                self._time += 2
-                self._load_ops[index] += 2
-                self._load_bytes[index] += 8
-                self._fast_hits += 2
-                return _STRUCT_U32X2.unpack_from(self._mem, addr)
-        return (
-            int.from_bytes(self.read(addr, 4), "little"),
-            int.from_bytes(self.read(addr + 4, 4), "little"),
-        )
+                count = record.count
+                self._time += count
+                self._load_ops[index] += count
+                self._load_bytes[index] += record.size
+                self._fast_hits += count
+                return record.struct.unpack_from(self._mem, addr)
+        return tuple(getattr(self, name)(addr + offset) for offset, name in record._readers)
+
+    def write_record(self, addr: int, record: Record, values: Sequence) -> None:
+        """Store ``values`` into the fields of a packed ``record`` at ``addr``.
+
+        Semantically identical to one typed scalar store per field in
+        address order (one tick, one store op, the field's width in
+        bytes each) with one admission check on the fast path. It
+        decomposes into the scalar stores on a guard overlap, a frozen
+        region, a straddle, in oracle mode, and when a value does not
+        pack as the field stores it: an f32 beyond single range (the
+        scalar store saturates it to infinity) or an integer outside the
+        field's range (the scalar store masks it).
+        """
+        if self._fast:
+            index = self._fast_index(addr, record.size)
+            if index >= 0 and not self.regions[index].frozen:
+                try:
+                    packed = record.struct.pack(*values)
+                except (struct.error, OverflowError):
+                    packed = None
+                if packed is not None:
+                    count = record.count
+                    size = record.size
+                    self._time += count
+                    self._store_ops[index] += count
+                    self._store_bytes[index] += size
+                    self._mem[addr : addr + size] = packed
+                    self._mark_dirty(addr, size)
+                    self._region_versions[index] += 1
+                    self._fast_hits += count
+                    return
+        if len(values) != record.count:
+            raise ValueError(f"{record!r} takes {record.count} values, got {len(values)}")
+        for (offset, name), value in zip(record._writers, values):
+            getattr(self, name)(addr + offset, value)
 
     def write_u8(self, addr: int, value: int) -> None:
         """Store one unsigned byte."""

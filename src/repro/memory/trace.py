@@ -11,11 +11,14 @@ trace", has the long form.
 
 **Event log.** :func:`record_access_trace` shadows the space's two
 admission chokepoints (``_fast_index`` / ``_region_index_for``: every
-load and store validates through one of them), its two store entry
-points and ``charge_reads`` (whose ``spans`` name the bytes a driver's
-fused reads stand for) for one replay on whatever access path the space
-runs — drivers keep their fused paths. Every access becomes an ordered
-``(query, lo, hi, is_write)`` span; accounting is rolled back after.
+load and store validates through one of them), its three store entry
+points (``write``, ``write_array``, ``write_record``) and
+``charge_reads`` (whose ``spans`` name the bytes a driver's fused reads
+stand for) for one replay on whatever access path the space runs —
+drivers keep their fused paths. Every access becomes an ordered
+``(query, lo, hi, is_write)`` span; a fused array or record access is
+one span over its adjacent elements, which paints like theirs.
+Accounting is rolled back after.
 
 **Derived views.** All NumPy over that log, never a second replay:
 :func:`_first_cover` paints the spans first come first kept, which gives
@@ -67,6 +70,10 @@ _REASONS: Tuple[str, ...] = ("", "blocked", "diverged", "progress")
 _BLOCKED, _DIVERGED, _PROGRESS = 1, 2, 3
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 _NO_BYTES = np.zeros(0, dtype=np.int64)
+#: Up to this many addresses, :meth:`AccessTrace.touching` stabs the
+#: intervals with each address; past it, it searches once per interval
+#: (on ~1 600 intervals the two break even at six addresses).
+_FEW_ADDRS = 5
 
 
 def tally_reasons(tally: Dict[str, int], reasons: np.ndarray) -> None:
@@ -214,13 +221,30 @@ class AccessTrace:
         a load, in the same CSR form."""
         return self._windows[1]
 
+    @cached_property
+    def _interval_queries(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The query of each footprint / exposed-read interval."""
+        queries = np.arange(self.query_count)
+        return tuple(
+            np.repeat(queries, np.diff(offsets)) for _lo, _hi, offsets in self._windows
+        )
+
     def touching(self, addrs: np.ndarray, exposed: bool = False) -> np.ndarray:
         """Per query: does its footprint (or, with ``exposed``, do its
         exposed reads) contain one of the sorted ``addrs``?"""
         lo, hi, offsets = self._windows[int(exposed)]
-        hit = np.searchsorted(addrs, hi) > np.searchsorted(addrs, lo)
-        total = np.concatenate(([0], np.cumsum(hit)))
-        return total[offsets[1:]] > total[offsets[:-1]]
+        if addrs.size > _FEW_ADDRS:
+            hit = np.searchsorted(addrs, hi) > np.searchsorted(addrs, lo)
+            total = np.concatenate(([0], np.cumsum(hit)))
+            return total[offsets[1:]] > total[offsets[:-1]]
+        # A few addresses (one fault, a handful of diverged bytes): stab
+        # the intervals with each instead of searching for every interval.
+        hit = np.zeros(lo.size, dtype=bool)
+        for addr in addrs.tolist():
+            hit |= (lo <= addr) & (hi > addr)
+        touched = np.zeros(self.query_count, dtype=bool)
+        touched[self._interval_queries[int(exposed)][hit]] = True
+        return touched
 
     def write_image(self, start: int, end: int) -> Tuple[np.ndarray, np.ndarray]:
         """Distinct ``(addresses, values)`` left by queries ``[start, end)``."""
@@ -274,9 +298,9 @@ def record_access_trace(
         return clean
 
     def logged_store(store):
-        def logged(addr, data) -> None:
+        def logged(addr, *args) -> None:
             mark = len(los)
-            store(addr, data)
+            store(addr, *args)
             stores.extend(range(mark, len(los)))
 
         return logged
@@ -293,6 +317,7 @@ def record_access_trace(
         "_region_index_for": logged_region_index_for,
         "write": logged_store(space.write),
         "write_array": logged_store(space.write_array),
+        "write_record": logged_store(space.write_record),
         "charge_reads": logged_charge_reads,
         "span_is_clean": unlogged_span_is_clean,
     }
@@ -512,13 +537,24 @@ class TraceReplay:
     def _diverged_bytes(self, cursor: int) -> np.ndarray:
         """Sorted addresses whose stored byte differs from golden, compared
         over the dirty pages and memoized on the content versions (a
-        fused run moves memory and image together and re-keys the memo)."""
+        fused run moves memory and image together and re-keys the memo).
+        Each dirty page is compared as bytes first; only the pages that
+        differ are searched for their differing bytes."""
         space = self.workload.space
         key = (cursor, space.region_versions())
         if self._diverged_key != key:
-            pages = np.asarray(space.dirty_pages(), dtype=np.int64)
-            rows, cols = np.nonzero(self._stored[pages] != self._image[pages])
-            self._diverged = (pages[rows] << _PAGE_SHIFT) + cols
+            stored, image = self._stored, self._image
+            pages = [
+                page
+                for page in space.dirty_pages()
+                if stored[page].tobytes() != image[page].tobytes()
+            ]
+            if pages:
+                pages = np.asarray(pages, dtype=np.int64)
+                rows, cols = np.nonzero(stored[pages] != image[pages])
+                self._diverged = (pages[rows] << _PAGE_SHIFT) + cols
+            else:
+                self._diverged = _NO_BYTES
             self._diverged_key = key
         return self._diverged
 

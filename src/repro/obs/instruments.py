@@ -430,6 +430,18 @@ class CampaignInstruments:
             "from (reused from the engine's memo, or computed)",
             labels=("source",),
         )
+        self.graph_jobs = registry.counter(
+            "graph_jobs_total",
+            "Graph-engine fast-path jobs by how they were served (replayed "
+            "from the engine's one-job memo, or run)",
+            labels=("source",),
+        )
+        self.websearch_scans_partial = registry.counter(
+            "websearch_scans_partial_total",
+            "WebSearch posting-chain scans of a chain that was not wholly "
+            "pristine, served block by block: pristine blocks from the "
+            "memo, the others live",
+        )
         self.pruning_trials = registry.counter(
             "campaign_pruning_trials_total",
             "Trials by pruning disposition (pruned backend only)",
@@ -528,10 +540,14 @@ class CampaignInstruments:
         dispositions (why a graph trial was slow: ``per_vertex`` sweeps
         and many live vertices mean faults kept runs from replaying),
         and where each sweep's batch-kernel result came from
-        (``graph_sweep_kernel_total{source=reused|computed}``). Reuse
-        depends on process history — each engine, so each pool worker,
-        warms its own memo — so that counter is reported, never compared
-        between serial and pooled runs (their sum is history-free).
+        (``graph_sweep_kernel_total{source=reused|computed}``) and each
+        job (``graph_jobs_total{source=replayed|run}``); for the search
+        engine, its chain scans served partially from the memo
+        (``websearch_scans_partial_total``). Kernel reuse and job replay
+        depend on process history — each engine, so each pool worker,
+        warms its own memo — so those counters are reported, never
+        compared between serial and pooled runs (each one's sum is
+        history-free).
         """
         fast = int(stats.get("fast_accesses", 0))
         checked = int(stats.get("checked_accesses", 0))
@@ -562,6 +578,13 @@ class CampaignInstruments:
             sweeps = int(stats.get(f"sweep_kernel_{source}", 0))
             if sweeps:
                 self.graph_sweep_kernel.labels(source=source).inc(sweeps)
+        for source in ("replayed", "run"):
+            jobs = int(stats.get(f"jobs_{source}", 0))
+            if jobs:
+                self.graph_jobs.labels(source=source).inc(jobs)
+        partial = int(stats.get("scans_partial", 0))
+        if partial:
+            self.websearch_scans_partial.labels().inc(partial)
         fast_total = self.memory_fastpath.labels(path="fast").value
         checked_total = self.memory_fastpath.labels(path="checked").value
         self.memory_fastpath_hit_ratio.labels().set(

@@ -5,7 +5,9 @@ snapshot restore) claims to be *bit-identical* to the checked scalar
 path. This module enforces that claim mechanically: a stateful machine
 drives two address spaces — one pinned to the fast path, one pinned to
 the oracle — through the same randomized operation sequence (reads,
-writes, typed and bulk accessors, fault injection and clearing,
+writes, typed, record and bulk accessors — records of random formats
+placed across resident faults and region edges, with values that do not
+pack as stored — fault injection and clearing,
 freezes, snapshot/restore) and asserts after every step that return
 values, raised exceptions, stored bytes, the logical clock, per-region
 access counters, the fault log, and fault-consumption tracking all match
@@ -27,6 +29,7 @@ from hypothesis.stateful import (
 )
 
 from repro.memory import AddressSpace, standard_layout
+from repro.memory.address_space import Record
 
 
 def _layout():
@@ -58,6 +61,30 @@ def _canonical(value):
 # too. The layout above is ~tens of KiB; 65536 safely overshoots.
 ADDRS = st.integers(min_value=0, max_value=65536)
 BITS = st.integers(min_value=0, max_value=7)
+U32_PAIR = Record("II")
+RECORD_FIELDS = st.text(alphabet="BHIQfd", min_size=1, max_size=6)
+# Mostly values a record packs as stored, sometimes ones it cannot: an
+# integer out of the field's range (the scalar store masks it), an f32
+# overflow (the scalar store saturates it), NaN and infinities.
+_OUT_OF_RANGE = st.integers(min_value=-(2**65), max_value=2**65)
+
+
+def _unsigned(bits):
+    fits = st.integers(min_value=0, max_value=2**bits - 1)
+    return st.one_of(fits, fits, fits, _OUT_OF_RANGE)
+
+
+_F32 = st.floats(width=32)
+_FLOATS = st.one_of(
+    _F32,
+    _F32,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([3.5e38, -1e39, 3.4028235e38, float("nan")]),
+)
+FIELD_VALUES = {
+    "B": _unsigned(8), "H": _unsigned(16), "I": _unsigned(32), "Q": _unsigned(64),
+    "f": _FLOATS, "d": _FLOATS,
+}
 
 
 class FastOracleMachine(RuleBasedStateMachine):
@@ -69,6 +96,9 @@ class FastOracleMachine(RuleBasedStateMachine):
         assert self.fast.size == self.oracle.size
         self.size = self.fast.size
         self.heap = self.fast.region_named("heap")
+        self.edges = sorted(
+            {edge for region in self.fast.regions for edge in (region.base, region.end)}
+        )
         self.snaps = []  # [(fast_snap, oracle_snap)]
         self.injected = set()  # addrs with live tracked faults
 
@@ -113,8 +143,29 @@ class FastOracleMachine(RuleBasedStateMachine):
         self.both(lambda space: space.write_f64(addr, value))
 
     @rule(addr=ADDRS)
-    def read_u32_pair(self, addr):
-        self.both(lambda space: space.read_u32_pair(addr))
+    def read_record_pair(self, addr):
+        self.both(lambda space: space.read_record(addr, U32_PAIR))
+
+    # -- records ---------------------------------------------------------
+    def record_addr(self, data, record):
+        """An address where a record of this size meets something: a
+        resident fault inside it, a region edge across it, or anywhere."""
+        near = [addr - data.draw(st.integers(0, record.size - 1)) for addr in self.injected]
+        near += [edge - data.draw(st.integers(0, record.size)) for edge in self.edges]
+        return data.draw(st.one_of(ADDRS, st.sampled_from(near)))
+
+    @rule(data=st.data(), fields=RECORD_FIELDS)
+    def read_record(self, data, fields):
+        record = Record(fields)
+        addr = self.record_addr(data, record)
+        self.both(lambda space: space.read_record(addr, record))
+
+    @rule(data=st.data(), fields=RECORD_FIELDS)
+    def write_record(self, data, fields):
+        record = Record(fields)
+        addr = self.record_addr(data, record)
+        values = [data.draw(FIELD_VALUES[code]) for code in fields]
+        self.both(lambda space: space.write_record(addr, record, values))
 
     # -- bulk kernels --------------------------------------------------
     @rule(
@@ -260,6 +311,58 @@ TestFastOracleMachine = FastOracleMachine.TestCase
 TestFastOracleMachine.settings = settings(
     max_examples=30, stateful_step_count=50, deadline=None
 )
+
+
+def _outcome(op, space):
+    try:
+        return ("ok", _canonical(op(space)))
+    except Exception as error:  # noqa: BLE001 - compared between the spaces
+        return ("raise", type(error).__name__, str(error))
+
+
+class TestRecordsMatchScalarFields:
+    """A record access ≡ its fields' scalar accesses in address order."""
+
+    @given(
+        fields=RECORD_FIELDS,
+        place=st.sampled_from(["inside", "over_fault", "region_end", "region_base"]),
+        offset=st.integers(min_value=0, max_value=30000),
+        shift=st.integers(min_value=0, max_value=64),
+        fault=st.sampled_from([None, "soft", "hard"]),
+        frozen=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_write_then_read(self, fields, place, offset, shift, fault, frozen, data):
+        fast, oracle = make_pair()
+        heap = fast.region_named("heap")
+        record = Record(fields)
+        fault_addr = heap.base + offset % heap.size
+        addr = {
+            "inside": heap.base + offset % (heap.size - record.size),
+            "over_fault": fault_addr - shift % record.size,
+            "region_end": heap.end - shift % (record.size + 1),
+            "region_base": heap.base - shift % (record.size + 1),
+        }[place]
+        for space in (fast, oracle):
+            space.write(heap.base, bytes(range(256)) * 8)
+            if fault == "soft":
+                space.inject_soft_flip(fault_addr, shift % 8)
+            elif fault == "hard":
+                space.inject_hard_fault(fault_addr, shift % 8)
+            if frozen:
+                space.freeze_region("heap")
+        values = [data.draw(FIELD_VALUES[code]) for code in fields]
+        for op in (
+            lambda space: space.write_record(addr, record, values),
+            lambda space: space.read_record(addr, record),
+        ):
+            assert _outcome(op, fast) == _outcome(op, oracle)
+            assert fast.time == oracle.time
+            assert fast.access_stats() == oracle.access_stats()
+            assert fast.peek(0, fast.size) == oracle.peek(0, oracle.size)
+            for tracked in fast.tracked_addresses():
+                assert fast.fault_consumption(tracked) == oracle.fault_consumption(tracked)
 
 
 class TestFastPathProperties:

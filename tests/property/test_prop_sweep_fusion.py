@@ -58,6 +58,14 @@ def twins():
     return _build_twins()
 
 
+@pytest.fixture(scope="module")
+def random_twins():
+    """Twins of their own for the random faults: their results would
+    otherwise crowd the shared twins' 32-entry kernel memo, on which
+    the kernel-reuse tests below build."""
+    return _build_twins()
+
+
 def _fault_key(fault):
     return (fault.addr, fault.bit, fault.kind, fault.stuck_value, fault.injected_at)
 
@@ -267,7 +275,7 @@ class TestPartialFusionMatchesOracle:
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_csr_faults(self, twins, faults):
+    def test_random_csr_faults(self, random_twins, faults):
         def inject(workload):
             csr = workload.csr
             spans = {
@@ -286,7 +294,7 @@ class TestPartialFusionMatchesOracle:
                         addr, bit, stuck_value=int(kind[-1])
                     )
 
-        run_twins(twins, inject)
+        run_twins(random_twins, inject)
 
 
 # -- batch-kernel reuse ---------------------------------------------------

@@ -1,8 +1,10 @@
 """Edge-case tests for the WebSearch engine and index format."""
 
+import numpy as np
 import pytest
 
 from repro.apps.base import QueryTimeout
+from repro.apps.websearch.engine import CANDIDATE_POOL, SearchEngine
 from repro.apps.websearch.index_builder import _blocks_for, build_index_with_map
 from repro.apps.websearch.index_layout import (
     BLOCK_CAPACITY,
@@ -116,3 +118,56 @@ class TestEngineEdgeCases:
 
     def test_posting_size_constant_consistent(self):
         assert POSTING_SIZE == 8
+
+
+class TestSelectCandidates:
+    @staticmethod
+    def _scalar(doc_chunks, contrib_chunks):
+        """The oracle's dict accumulation, then its sort."""
+        relevance = {}
+        for docs, contribs in zip(doc_chunks, contrib_chunks):
+            for doc_id, contribution in zip(docs.tolist(), contribs.tolist()):
+                if doc_id in relevance:
+                    relevance[doc_id] += contribution
+                else:
+                    relevance[doc_id] = contribution
+        return sorted(relevance.items(), key=lambda item: (-item[1], item[0]))[
+            :CANDIDATE_POOL
+        ]
+
+    def test_corrupted_doc_id_takes_the_sparse_path(self, monkeypatch):
+        """One id of 2**19 among a few hundred postings: the dense path
+        would size two bincounts by it. The sparse path must answer, and
+        like the scalar accumulation."""
+        rng = np.random.default_rng(3)
+        docs = [rng.integers(0, 300, 120).astype("<u4") for _ in range(3)]
+        docs[1][17] = 1 << 19
+        contribs = [rng.random(chunk.size) * 4.0 for chunk in docs]
+        bins = []
+        bincount = np.bincount
+
+        def counting(values, *args, **kwargs):
+            bins.append(int(values.max()) + 1)
+            return bincount(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        got = SearchEngine._select_candidates(docs, contribs)
+        assert bins == []
+        assert got == self._scalar(docs, contribs)
+
+    def test_in_range_ids_take_the_dense_path(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        docs = [rng.integers(0, 900, 200).astype("<u4") for _ in range(2)]
+        contribs = [rng.random(chunk.size) for chunk in docs]
+        bins = []
+        bincount = np.bincount
+
+        def counting(values, *args, **kwargs):
+            bins.append(int(values.max()) + 1)
+            return bincount(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        assert SearchEngine._select_candidates(docs, contribs) == self._scalar(
+            docs, contribs
+        )
+        assert bins and max(bins) <= 900

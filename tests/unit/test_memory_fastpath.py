@@ -1,12 +1,14 @@
 """Unit tests for the trial-loop memory fast path.
 
 Covers the pieces the hypothesis equivalence suite exercises only
-statistically: dirty-page restore accounting, the fused pair/bulk
+statistically: dirty-page restore accounting, the record/bulk
 accessors' exact clock and counter debts, the clean-span fusion hooks
 (``span_is_clean`` / ``version_at`` / ``charge_reads``), fast-path hit
 statistics, the campaign memory instruments, and the contiguous
 ``ProtectedArray.read_batch`` bulk load.
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from repro.ecc import make_codec
 from repro.hrm import ProtectedArray
 from repro.memory import AddressSpace, standard_layout
+from repro.memory.address_space import Record
 from repro.memory.errors import ProtectionFault, SegmentationFault
 from repro.memory.regions import PAGE_SIZE
 from repro.obs import CampaignInstruments, MetricsRegistry
@@ -93,20 +96,20 @@ class TestDirtyPageRestore:
 
 
 class TestFusedAccessors:
-    def test_read_u32_pair_values_and_accounting(self):
+    def test_read_record_values_and_accounting(self):
         space = make_space()
         heap = space.region_named("heap")
         space.write_u32(heap.base, 0xDEADBEEF)
         space.write_u32(heap.base + 4, 0x12345678)
         before = space.time
-        pair = space.read_u32_pair(heap.base)
+        pair = space.read_record(heap.base, Record("II"))
         assert pair == (0xDEADBEEF, 0x12345678)
         assert space.time - before == 2
         stats = space.access_stats()["heap"]
         assert stats["load_ops"] == 2
         assert stats["load_bytes"] == 8
 
-    def test_read_u32_pair_decomposes_on_guard_overlap(self):
+    def test_read_record_decomposes_on_guard_overlap(self):
         fused = make_space()
         scalar = make_space()
         for space in (fused, scalar):
@@ -115,11 +118,43 @@ class TestFusedAccessors:
             space.write_u32(heap.base + 4, 43)
             space.inject_hard_fault(heap.base + 4, 1, stuck_value=1)
         heap = fused.region_named("heap")
-        assert fused.read_u32_pair(heap.base) == (
+        assert fused.read_record(heap.base, Record("II")) == (
             scalar.read_u32(heap.base),
             scalar.read_u32(heap.base + 4),
         )
         assert fused.time == scalar.time
+
+    def test_write_record_values_and_accounting(self):
+        space = make_space()
+        heap = space.region_named("heap")
+        space.reset_access_stats()
+        before = space.time
+        space.write_record(heap.base, Record("IfH"), (7, 1.5, 9))
+        assert space.time - before == 3
+        stats = space.access_stats()["heap"]
+        assert (stats["store_ops"], stats["store_bytes"]) == (3, 10)
+        assert space.peek(heap.base, 10) == struct.pack("<IfH", 7, 1.5, 9)
+        assert space.fast_path_stats()["fast_accesses"] >= 3
+
+    def test_write_record_saturates_and_masks_like_scalar_stores(self):
+        """Values that do not pack decompose into the scalar stores: an
+        f32 beyond single range saturates, a u32 out of range is masked."""
+        record = Record("fI")
+        fused, scalar = make_space(), make_space()
+        heap = fused.region_named("heap")
+        for values in ((1e39, 2**32 + 5), (-1e39, -1)):
+            fused.write_record(heap.base, record, values)
+            scalar.write_f32(heap.base, values[0])
+            scalar.write_u32(heap.base + 4, values[1])
+            assert fused.peek(heap.base, 8) == scalar.peek(heap.base, 8)
+            assert fused.time == scalar.time
+        assert fused.read_record(heap.base, record) == (float("-inf"), 2**32 - 1)
+
+    def test_write_record_rejects_a_value_count_mismatch(self):
+        space = make_space()
+        heap = space.region_named("heap")
+        with pytest.raises(ValueError):
+            space.write_record(heap.base, Record("II"), (1, 2, 3))
 
     def test_read_array_accounting_is_per_element(self):
         space = make_space()
@@ -208,6 +243,74 @@ class TestCleanSpanFusion:
         assert space.fast_path_stats()["fast_accesses"] == 10
 
 
+class TestCaptureReplay:
+    """``start_capture`` / ``finish_capture`` / ``replay``: a recorded
+    stretch applied again equals running it again."""
+
+    @staticmethod
+    def _stretch(space, base):
+        """Read a byte, then store over it and its neighbours, then read."""
+        space.read_u8(base + 1)
+        space.write(base, b"\x11\x22\x33\x44")
+        space.read_u32(base)
+        space.read(base + 64, 8)
+
+    def _twins(self, kind):
+        spaces = [make_space(), make_space()]
+        for space in spaces:
+            base = space.region_named("heap").base
+            space.write(base + 64, b"abcdefgh")
+            if kind == "soft":
+                space.inject_soft_flip(base + 1, 3)
+            else:
+                space.inject_hard_fault(base + 65, 2, stuck_value=1)
+        return spaces
+
+    @pytest.mark.parametrize("kind", ["soft", "hard"])
+    def test_replay_equals_running_again(self, kind):
+        recorded, rerun = self._twins(kind)
+        base = recorded.region_named("heap").base
+        mark = recorded.start_capture()
+        self._stretch(recorded, base)
+        effects = recorded.finish_capture(mark, [(base, 4)])
+        self._stretch(rerun, base)
+        # Scribble where the stretch stores: the replay writes it back.
+        recorded.poke(base, b"\x00\x00\x00\x00")
+        rerun.poke(base, b"\x00\x00\x00\x00")
+        assert recorded.can_replay(effects)
+        recorded.replay(effects)
+        self._stretch(rerun, base)
+        assert recorded.time == rerun.time
+        assert recorded.access_stats() == rerun.access_stats()
+        assert recorded.fast_path_stats() == rerun.fast_path_stats()
+        assert recorded.peek(0, recorded.size) == rerun.peek(0, rerun.size)
+        for addr in rerun.tracked_addresses():
+            assert recorded.fault_consumption(addr) == rerun.fault_consumption(addr)
+
+    def test_started_overwritten_does_not_replay_on_a_fresh_byte(self):
+        """Recorded with the byte already overwritten, the stretch's reads
+        of it were not counted: a fresh byte would count them."""
+        space = make_space()
+        base = space.region_named("heap").base
+        space.inject_soft_flip(base + 1, 3)
+        space.write(base, b"\x00\x00")
+        mark = space.start_capture()
+        self._stretch(space, base)
+        effects = space.finish_capture(mark, [(base, 4)])
+        assert space.can_replay(effects)  # still overwritten
+        space.clear_faults()
+        space.inject_soft_flip(base + 1, 3)
+        assert not space.can_replay(effects)
+
+    def test_fault_state_names_tracked_bytes_and_masks(self):
+        space = make_space()
+        base = space.region_named("heap").base
+        assert space.fault_state() == ((), ())
+        space.inject_soft_flip(base + 9, 1)
+        space.inject_hard_fault(base + 2, 0, stuck_value=1)
+        assert space.fault_state() == ((base + 2, base + 9), ((base + 2, (0xFF, 0x01)),))
+
+
 class TestFastPathStats:
     def test_accesses_partition_by_path(self):
         space = make_space()
@@ -263,6 +366,17 @@ class TestRecordMemoryInstruments:
         assert restore_bytes.labels(disposition="copied").value == 4096
         assert restore_bytes.labels(disposition="saved").value == 28672
         assert instruments.memory_fastpath_hit_ratio.labels().value == 0.75
+
+    def test_job_and_scan_counters_fold(self):
+        instruments = CampaignInstruments(MetricsRegistry())
+        instruments.record_memory(
+            self._stats(jobs_run=5, jobs_replayed=3, scans_partial=7)
+        )
+        instruments.record_memory(self._stats(jobs_replayed=2, scans_partial=1))
+        jobs = instruments.graph_jobs
+        assert jobs.labels(source="run").value == 5
+        assert jobs.labels(source="replayed").value == 5
+        assert instruments.websearch_scans_partial.labels().value == 8
 
     def test_matches_live_space_counters(self):
         instruments = CampaignInstruments(MetricsRegistry())

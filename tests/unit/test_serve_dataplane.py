@@ -18,6 +18,8 @@ import pytest
 
 from repro.memory.errors import SegmentationFault
 from repro.memory.faults import FaultKind
+from repro.memory.regions import PAGE_SIZE
+from repro.memory import trace as trace_module
 from repro.memory.trace import TraceReplay, record_access_trace
 from repro.serve import BatchedDataPlane, ScalarDataPlane, ServeTenant
 from repro.serve.dataplane import DECISIONS
@@ -396,6 +398,37 @@ class TestAccessCapture:
         assert trace.first_access[heap : heap + 12].tolist() == [1] * 4 + [2] * 4 + [1] * 4
         assert trace.read_seen[heap : heap + 12].all()
 
+    def test_touching_stabs_a_few_addresses_like_it_searches_many(self, monkeypatch):
+        """A few addresses are stabbed interval by interval; the
+        per-interval search answers every size. Both say the same."""
+        workload, trace = record_scripts(
+            [
+                lambda space, heap: space.read_u32(heap + 8),
+                lambda space, heap: space.write_u32(heap + 100, 7),
+            ],
+            [lambda space, heap: space.read(heap + 96, 12)],
+            [],
+            [lambda space, heap: space.write(heap + 4, b"ab")],
+        )
+        heap = workload.space.region_named("heap").base
+        cases = [[heap + offset] for offset in (3, 4, 5, 8, 11, 12, 96, 100, 107, 108)]
+        cases += [[heap + 4, heap + 100], [heap + 12, heap + 108]]
+        found = [
+            (trace.touching(np.asarray(addrs)), trace.touching(np.asarray(addrs), True))
+            for addrs in cases
+        ]
+        monkeypatch.setattr(trace_module, "_FEW_ADDRS", 0)
+        searched = [
+            (trace.touching(np.asarray(addrs)), trace.touching(np.asarray(addrs), True))
+            for addrs in cases
+        ]
+        for (a, b), (c, d) in zip(found, searched):
+            assert a.tolist() == c.tolist() and b.tolist() == d.tolist()
+        assert found[0][0].tolist() == [False, False, False, False]
+        assert found[1][0].tolist() == [False, False, False, True]
+        assert found[6][1].tolist() == [False, True, False, False]
+        assert found[7][0].tolist() == [True, True, False, False]
+
     def test_poke_scattered_marks_pages_and_versions(self):
         space = build_tenant().space
         heap = space.region_named("heap")
@@ -409,6 +442,27 @@ class TestAccessCapture:
         after = space.region_versions()
         changed = [a != b for a, b in zip(after, before)]
         assert changed.count(True) == 1
+
+
+class TestDivergedBytes:
+    def test_only_differing_pages_contribute_their_differing_bytes(self):
+        """A dirty page that still holds golden bytes contributes nothing;
+        a differing one exactly the bytes that differ."""
+        workload = MiniWorkload()
+        workload.build()
+        workload.checkpoint()
+        replay = TraceReplay(record_access_trace(workload, 4), workload)
+        space = workload.space
+        heap, private = space.region_named("heap"), space.region_named("private")
+        space.poke(heap.base, space.peek(heap.base, 64))  # dirty, unchanged
+        assert replay._diverged_bytes(0).size == 0
+        changed = [private.base + 5, private.base + 700]
+        for addr in changed:
+            space.poke(addr, bytes([space.peek(addr)[0] ^ 0x41]))
+        assert space.dirty_pages() == sorted(
+            {heap.base // PAGE_SIZE, private.base // PAGE_SIZE}
+        )
+        assert replay._diverged_bytes(0).tolist() == changed
 
 
 @pytest.mark.parametrize("plane_type", [ScalarDataPlane, BatchedDataPlane])
