@@ -451,6 +451,7 @@ def bench_optimizer(profile, designs):
         "designs": len(designs),
         "compositions_evaluated": result.evaluated,
         "compositions_scored": result.scored,
+        "compositions_skipped_at_ceiling": result.skipped_at_ceiling,
         "distinct_blocks": result.distinct_blocks,
         "compositions_per_second": result.evaluated / seconds,
         "seconds": seconds,
@@ -544,6 +545,8 @@ def main(argv=None):
     print(
         f"  {optimizer['compositions_evaluated']} compositions "
         f"({optimizer['compositions_scored']} through the kernel, "
+        f"{optimizer['compositions_skipped_at_ceiling']} skipped at the "
+        "1.0 ceiling, "
         f"{optimizer['distinct_blocks']} distinct blocks) in "
         f"{optimizer['seconds']:.2f}s "
         f"({optimizer['compositions_per_second']:,.0f}/s); best "

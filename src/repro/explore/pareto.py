@@ -35,7 +35,18 @@ def pareto_indices(savings, availability) -> np.ndarray:
     availability = np.asarray(availability, dtype=np.float64)
     if savings.size == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.argsort(-savings, kind="stable")
+    return _front_in_order(
+        np.argsort(-savings, kind="stable"), savings, availability
+    )
+
+
+def _front_in_order(order, savings, availability) -> np.ndarray:
+    """:func:`pareto_indices` given its sort: ``order`` must be the
+    stable savings-descending ``argsort`` of a non-empty ``savings``.
+
+    The fleet optimizer walks its grid in that order already and hands
+    it over rather than sorting the grid twice.
+    """
     savings = savings[order]
     availability = availability[order]
     new_group = np.empty(len(order), dtype=bool)

@@ -70,9 +70,12 @@ __all__ = [
 #: (:meth:`CompositionGrid.evaluate`, ``FleetOptimizer.search``). It
 #: bounds the (rows x months) temporaries and the per-element lists of
 #: the shortfall kernel to a few hundred KiB, and it is how often the
-#: search's running best advances: at 455 rows a block (36 months) the
-#: benchmark grid sends 9 % more rows through the kernel than advancing
-#: after every row would, at four times that (64 Ki elements) 36 % more.
+#: search's running best advances and how soon it sees the 1.0 ceiling.
+#: At 455 rows a block (36 months) the pipeline benchmark's grid sends
+#: 533 of its 10 626 rows through the kernel; advancing after every row
+#: would send 64, blocks four times as large 2 005. At 64 or 128 rows a
+#: block the search took no less time than at 455 (each block is a
+#: kernel call with its own fixed cost).
 _BLOCK_ELEMENTS = 1 << 14
 
 #: What :func:`_availability_bound` may fall short of the kernel by, in
@@ -139,6 +142,14 @@ def _routed_availability(
     in the last digit — and only where they can change the result:
     months with spread whose headroom is within :data:`_KERNEL_REACH`
     standard deviations of the mean.
+
+    No month is above 1.0. The normal shortfall ``std * psi(t)``, with
+    ``psi(t) = t * Phi(t) + phi(t)``, is never negative, but ``1 + erf``
+    cancels near ``t = -8`` and the computed ``psi`` can come out a few
+    ``1e-16`` below zero; the kernel clamps it there. A mean of months
+    that are each at most 1.0 is at most 1.0 too (rounding is monotone
+    and ``n`` ones sum exactly), which is what lets the optimizer stop
+    at the ceiling.
     """
     demand_minutes = demand_fraction * servers * MINUTES_PER_MONTH
     headroom_minutes = (1.0 - demand_fraction) * servers * MINUTES_PER_MONTH
@@ -153,7 +164,7 @@ def _routed_availability(
     t = t[near]
     cdf = 0.5 * (1.0 + _per_element(math.erf, t / math.sqrt(2.0)))
     pdf = _per_element(math.exp, -0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    shortfall[near] = excess[near] * cdf + std[near] * pdf
+    shortfall[near] = np.maximum(0.0, excess[near] * cdf + std[near] * pdf)
     return 1.0 - shortfall / demand_minutes
 
 

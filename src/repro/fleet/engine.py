@@ -314,6 +314,7 @@ def optimize_fleet(
         span.set(
             evaluated=result.evaluated,
             scored=result.scored,
+            skipped_at_ceiling=result.skipped_at_ceiling,
             distinct_blocks=result.distinct_blocks,
             found=result.best is not None,
             mixed_dominates_singles=result.mixed_dominates_singles,

@@ -7,12 +7,15 @@ difference. The optimizer enumerates fractional compositions on a
 simplex grid (stars and bars at ``step`` granularity), scores them
 through the analytic model's fast path (:class:`CompositionGrid`: each
 distinct design block tabulated once, the shortfall kernel only on
-compositions whose Jensen bound can still reach the front), and keeps:
+compositions whose Jensen bound can still reach the front, and none
+below the savings of the first composition to reach availability 1.0,
+the ceiling no composition can pass), and keeps:
 
 * the **best** feasible composition — maximum cost savings, ties broken
   by higher availability then lexical composition key;
 * the cost-savings vs availability **Pareto front** over every
-  candidate (reusing :func:`repro.explore.pareto.pareto_indices`);
+  candidate (the sweep of :func:`repro.explore.pareto.pareto_indices`,
+  over the savings order the search walked);
 * each **single-design** fleet for the dominance comparison —
   ``mixed_dominates_singles`` is True when the winner is a genuine mix
   and every pure fleet is either infeasible or strictly cheaper-saving.
@@ -25,7 +28,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.explore.pareto import pareto_indices
+from repro.explore.pareto import _front_in_order
 from repro.fleet.analytic import CompositionGrid
 from repro.fleet.config import apportion_rows
 
@@ -95,10 +98,12 @@ class FleetOptimizationResult:
     best: Optional[CompositionMetrics]
     pareto: List[CompositionMetrics]
     singles: Dict[str, CompositionMetrics] = field(default_factory=dict)
-    #: Compositions that went through the shortfall kernel, and the
-    #: distinct design blocks their moments were gathered from:
+    #: Compositions that went through the shortfall kernel, those never
+    #: asked about because a composition saving more had reached 1.0,
+    #: and the distinct design blocks the moments were gathered from:
     #: accounting for spans and benches, not part of :meth:`to_dict`.
     scored: int = 0
+    skipped_at_ceiling: int = 0
     distinct_blocks: int = 0
 
     @property
@@ -154,6 +159,8 @@ class FleetOptimizer:
     ``designs``, ``config`` and ``tabulate(counts)`` (whose result
     offers ``savings``, ``block_rows``, ``distinct_blocks`` and
     ``availability(rows, floor)``): the one seam tests score through.
+    A grid never reports an availability above 1.0 — the search stops
+    at that ceiling.
     """
 
     def __init__(
@@ -179,6 +186,14 @@ class FleetOptimizer:
         the rows it can prove are below it and reports ``-inf``, which
         loses every comparison below. Singles are exposed whatever they
         score, so they are forced exact.
+
+        Once a row reaches 1.0, no later row can beat it: the grid never
+        reports more. Every later row of strictly lower savings is then
+        dominated, and not the winner (the 1.0 row is feasible for any
+        target), so the grid is not asked about it at all; it reads
+        ``-inf`` and counts as ``skipped_at_ceiling``. Later rows that
+        tie the 1.0 row on savings are still asked (a duplicate of a
+        front point is on the front too), and so are the singles.
         """
         if not 0.0 < step <= 1.0:
             raise ValueError(f"step must be in (0, 1], got {step}")
@@ -192,14 +207,22 @@ class FleetOptimizer:
         savings = tables.savings
         single = (allocations == units).any(axis=1)
         order = np.argsort(-savings, kind="stable")
-        availability = np.empty(len(counts), dtype=np.float64)
-        best_so_far = -np.inf
-        for lo in range(0, len(order), tables.block_rows):
-            rows = order[lo:lo + tables.block_rows]
+        availability = np.full(len(counts), -np.inf)
+        best_so_far, skipped, todo = -np.inf, 0, order
+        while len(todo):
+            rows, todo = todo[:tables.block_rows], todo[tables.block_rows:]
             availability[rows] = tables.availability(
                 rows, np.where(single[rows], -np.inf, best_so_far)
             )
-            best_so_far = max(best_so_far, availability[rows].max())
+            top = availability[rows].max()
+            if best_so_far < 1.0 <= top:
+                # The first row at the ceiling: ``rows`` is in savings
+                # order, so it saves the most of those at 1.0.
+                ceiling = savings[rows[availability[rows] >= 1.0][0]]
+                kept = single[todo] | (savings[todo] == ceiling)
+                skipped = len(todo) - int(kept.sum())
+                todo = todo[kept]
+            best_so_far = max(best_so_far, top)
         feasible = availability >= self.availability_target
         # Smallest d with 10^d >= units: distinct grid fractions print
         # distinctly, and none that holds servers prints as zero.
@@ -235,7 +258,7 @@ class FleetOptimizer:
             best = min(
                 map(point, np.flatnonzero(tied).tolist()), key=lambda p: p.key
             )
-        front = pareto_indices(savings, availability)
+        front = _front_in_order(order, savings, availability)
         return FleetOptimizationResult(
             availability_target=self.availability_target,
             step=1.0 / units,
@@ -244,5 +267,6 @@ class FleetOptimizer:
             pareto=[point(index) for index in front.tolist()],
             singles=singles,
             scored=int((availability > -np.inf).sum()),
+            skipped_at_ceiling=skipped,
             distinct_blocks=tables.distinct_blocks,
         )

@@ -288,6 +288,9 @@ class FleetInstruments:
       on the mixed-fleet optimizer's grids;
     * ``fleet_compositions_scored_total`` — those that went through the
       shortfall kernel (the rest were provably off the front);
+    * ``fleet_compositions_skipped_at_ceiling_total`` — those never
+      scored or bounded because a composition saving more had already
+      reached availability 1.0;
     * ``fleet_distinct_blocks_total`` — distinct ``(design, start,
       count)`` blocks their moments were gathered from;
     * ``fleet_best_cost_savings`` — server-cost savings of the last
@@ -321,6 +324,10 @@ class FleetInstruments:
             "fleet_compositions_scored_total",
             "Compositions the fleet optimizer ran the shortfall kernel on",
         )
+        self.compositions_skipped_at_ceiling = registry.counter(
+            "fleet_compositions_skipped_at_ceiling_total",
+            "Compositions the fleet optimizer skipped at the 1.0 ceiling",
+        )
         self.distinct_blocks = registry.counter(
             "fleet_distinct_blocks_total",
             "Distinct design blocks tabulated by the fleet optimizer",
@@ -345,6 +352,9 @@ class FleetInstruments:
         """Fold one completed composition search into the registry."""
         self.compositions_evaluated.labels().inc(result.evaluated)
         self.compositions_scored.labels().inc(result.scored)
+        self.compositions_skipped_at_ceiling.labels().inc(
+            result.skipped_at_ceiling
+        )
         self.distinct_blocks.labels().inc(result.distinct_blocks)
         self.best_cost_savings.labels().set(
             result.best.cost_savings if result.best is not None else 0.0

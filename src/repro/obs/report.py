@@ -209,10 +209,16 @@ def render_trace_report(summary: TraceSummary) -> str:
     if summary.fleet_optimizations:
         lines.append("")
         for run in summary.fleet_optimizations:
+            # Spans from before the ceiling stop have no skipped count.
+            skipped = (
+                f"{run['skipped_at_ceiling']} skipped at the 1.0 ceiling, "
+                if "skipped_at_ceiling" in run
+                else ""
+            )
             lines.append(
                 f"fleet optimizer: scored {run['scored']} of "
                 f"{run['evaluated']} compositions "
-                f"({run['distinct_blocks']} distinct blocks)"
+                f"({skipped}{run['distinct_blocks']} distinct blocks)"
             )
     if summary.worker_busy_seconds:
         lines.append("")

@@ -396,6 +396,23 @@ POINTS = st.lists(
 )
 
 
+def ceiling_skipped(points, block_rows):
+    """Rows of a two-design simplex scored as ``points`` that the fleet
+    search never asks about: those in row blocks after the one where
+    availability first reaches 1.0, neither pure fleets (rows 0 and
+    ``len(points) - 1``) nor tied on savings with that first 1.0 row."""
+    savings = np.array([p[0] for p in points])
+    availability = np.array([p[1] for p in points])
+    order = np.argsort(-savings, kind="stable")
+    reached = np.flatnonzero(availability[order] == 1.0)
+    if not len(reached):
+        return 0
+    later = order[(reached[0] // block_rows + 1) * block_rows:]
+    single = (later == 0) | (later == len(points) - 1)
+    tie = savings[later] == savings[order[reached[0]]]
+    return int((~single & ~tie).sum())
+
+
 class ScoredGrid:
     """A ``CompositionGrid`` stand-in that scores row ``i`` of a
     two-design simplex as the ``i``-th given point.
@@ -405,6 +422,7 @@ class ScoredGrid:
     ``distinct_blocks`` and ``availability(rows, floor)`` — and prunes
     as hard as that contract allows: every row below its floor reads
     ``-inf``, as if the bound were the exact value and the slack zero.
+    ``POINTS`` keep availability within [0, 1], as the contract asks.
     """
 
     distinct_blocks = 0
@@ -483,14 +501,16 @@ class TestParetoSweep:
         oracle order, and the winner by the list form of the tie-break
         (savings, availability, then key) — with every row the walk
         lets the grid skip skipped, one row, three rows or the whole
-        grid at a time."""
+        grid at a time. Rows past the ceiling are not asked at all."""
         units = len(points) - 1
         grid = ScoredGrid(points, block_rows=block_rows)
         result = FleetOptimizer(grid, availability_target=target).search(
             step=1.0 / units
         )
         assert result.evaluated == len(points)
-        assert result.scored == len(points) - grid.pruned
+        skipped = ceiling_skipped(points, block_rows)
+        assert result.skipped_at_ceiling == skipped
+        assert result.scored == len(points) - grid.pruned - skipped
         # The two pure fleets are exposed whatever they score.
         for name, index in (("A", units), ("B", 0)):
             single = result.singles[name]

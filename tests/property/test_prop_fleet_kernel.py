@@ -183,13 +183,9 @@ def reference_unit_allocations(designs, units):
             yield (first,) + rest
 
 
-def reference_search(grid, availability_target, step):
-    """The old ``FleetOptimizer.search``: every point built and scored
-    one at a time, winner and singles picked from the full list. One
-    line differs from that source: ``singles`` took its names from
-    ``key.split(":")[0]`` over every point unmixed *by count*, which
-    filed a rounded-to-one-design fleet under the first fraction in its
-    key; a single is the point that gives one design every unit."""
+def reference_points(grid, availability_target, step):
+    """Every point of the old ``FleetOptimizer.search``, built and scored
+    one at a time, in grid row order."""
     units = max(1, round(1.0 / step))
     names = [design.name for design in grid.designs]
     points = []
@@ -208,6 +204,20 @@ def reference_search(grid, availability_target, step):
                 feasible=availability >= availability_target,
             )
         )
+    return points
+
+
+def reference_search(grid, availability_target, step, points=None):
+    """The old ``FleetOptimizer.search``: winner and singles picked from
+    the full list of :func:`reference_points` (``points``, when they are
+    built already). One line differs from that source: ``singles`` took
+    its names from ``key.split(":")[0]`` over every point unmixed *by
+    count*, which filed a rounded-to-one-design fleet under the first
+    fraction in its key; a single is the point that gives one design
+    every unit."""
+    units = max(1, round(1.0 / step))
+    if points is None:
+        points = reference_points(grid, availability_target, step)
     feasible = [point for point in points if point.feasible]
     best = None
     if feasible:
@@ -519,7 +529,11 @@ class TestKernelOnlyNearItsThreshold:
         headroom = (1.0 - demand_fraction) * servers * MINUTES_PER_MONTH
         mean = headroom + t * std
         variance = std * std
-        want = reference_kernel(mean, variance, servers, demand_fraction)
+        # The kernel clamps a shortfall that rounds below zero: where the
+        # frozen kernel reads above 1.0, it reads exactly 1.0.
+        want = np.minimum(
+            reference_kernel(mean, variance, servers, demand_fraction), 1.0
+        )
         got = _routed_availability(mean, variance, servers, demand_fraction)
         assert_same_bits(got, want)
         assert_same_bits(
@@ -573,10 +587,30 @@ def row_blocks(rows, months):
     return mock.patch.object(analytic, "_BLOCK_ELEMENTS", rows * months)
 
 
+def ceiling_accounting(points, block_rows):
+    """``(scored, skipped_at_ceiling)`` of a search over the reference
+    ``points`` whose first row block holds the whole grid or reaches
+    1.0 with every savings tie of its first 1.0 row at 1.0: that block
+    is scored in full (nothing is below a floor yet), and of the later
+    rows the singles and those ties are scored, the rest skipped."""
+    savings = np.array([p.cost_savings for p in points])
+    availability = np.array([p.fleet_availability for p in points])
+    single = np.array([max(p.fractions.values()) == 1.0 for p in points])
+    order = np.argsort(-savings, kind="stable")
+    first, later = order[:block_rows], order[block_rows:]
+    if not len(later):
+        return (len(first), 0)
+    tie = savings[later] == savings[first[availability[first] == 1.0][0]]
+    assert (availability[later[tie]] == 1.0).all()
+    kept = single[later] | tie
+    return (len(first) + int(kept.sum()), int((~kept).sum()))
+
+
 class TestBoundedSearchMatchesReference:
     """``FleetOptimizer.search`` scores only the compositions whose
-    Jensen bound can reach the front; what it exposes must be what
-    scoring every composition one at a time exposes, bit for bit."""
+    Jensen bound can reach the front, and none below the savings of the
+    first one at 1.0; what it exposes must be what scoring every
+    composition one at a time exposes, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -591,20 +625,23 @@ class TestBoundedSearchMatchesReference:
     def test_best_front_and_singles(
         self, config, designs, regime, twins, step, target, block
     ):
-        """Tense, saturated (every availability exactly 1.0: all rows
-        tie and nothing can be pruned) and spread-free (no shocks, no
-        bad batch: ``std == 0`` cells wherever Typical Server holds the
-        fleet) grids; twins tie whole savings groups across row blocks;
-        at step 0.02 the fleet is smaller than the grid and rounding
-        makes duplicate rows; row blocks of one composition, a few, the
-        default and the whole grid."""
+        """Tense, saturated (every availability exactly 1.0: the first
+        row reaches the ceiling, so past the first row block only the
+        singles and its savings ties are scored) and spread-free (no
+        shocks, no bad batch: ``std == 0`` cells wherever Typical Server
+        holds the fleet) grids; twins tie whole savings groups across
+        row blocks; at step 0.02 the fleet is smaller than the grid and
+        rounding makes duplicate rows; row blocks of one composition, a
+        few, the default and the whole grid."""
         if regime == "saturated":
             config = dataclasses.replace(config, demand_fraction=0.5)
         elif regime == "no spread":
             config = dataclasses.replace(config, correlation=CorrelationConfig())
         if twins:
             designs = with_twins(designs[: 2 if step >= 0.05 else 1])
-        want = reference_search(resolved_grid(designs, config), target, step)
+        grid = resolved_grid(designs, config)
+        points = reference_points(grid, target, step)
+        want = reference_search(grid, target, step, points)
         if regime == "saturated":
             assert {p.fleet_availability for p in want.singles.values()} == {1.0}
         with row_blocks(block, config.months) if block else nullcontext():
@@ -617,7 +654,12 @@ class TestBoundedSearchMatchesReference:
             )
         assert_same_search(got, want)
         if regime == "saturated" or block == 10**6:
-            assert got.scored == got.evaluated
+            from repro.fleet import analytic
+
+            rows = block or analytic._BLOCK_ELEMENTS // config.months
+            assert (got.scored, got.skipped_at_ceiling) == ceiling_accounting(
+                points, rows
+            )
 
     def test_tense_grid_prunes_but_scores_its_dominated_single(self):
         """The benchmark's wear at half a percent of headroom: same
@@ -679,6 +721,73 @@ class TestBoundedSearchMatchesReference:
         assert len(got.pareto) == got.scored == got.evaluated == 21
         assert got.pareto[0].fleet_availability < 1.0
 
+    def test_saturated_grid_scores_its_singles_and_the_ceiling_ties(self):
+        """Half the fleet idle: every composition reads exactly 1.0, so
+        the first row scored is at the ceiling. With one row a block,
+        what is scored is exactly the singles and the rows that tie the
+        first on savings; the rest are skipped, the result unchanged."""
+        config = FleetConfig(
+            servers=60, months=12, demand_fraction=0.5,
+            correlation=CorrelationConfig(shock_rate_per_month=1.0),
+        )
+        grid = resolved_grid(list(DESIGNS), config)
+        points = reference_points(grid, 0.9995, 0.1)
+        assert {p.fleet_availability for p in points} == {1.0}
+        with row_blocks(1, config.months):
+            got = optimize_fleet(
+                PROFILE, designs=DESIGNS, config=config,
+                availability_target=0.9995, step=0.1,
+            )
+        assert_same_search(
+            got, reference_search(grid, 0.9995, 0.1, points)
+        )
+        top = max(p.cost_savings for p in points)
+        kept = [
+            p for p in points
+            if p.cost_savings == top or max(p.fractions.values()) == 1.0
+        ]
+        assert got.scored == len(kept) == len(DESIGNS)
+        assert got.skipped_at_ceiling == got.evaluated - got.scored == 996
+        assert (got.scored, got.skipped_at_ceiling) == ceiling_accounting(
+            points, 1
+        )
+
+    def test_tied_twins_at_the_ceiling_survive_its_block_boundary(self):
+        """Two names each for Typical Server and Less-Tested (L) at 2 %
+        headroom: the richest savings groups miss 1.0, and the first to
+        reach it has nine members, all at 1.0. The row block ends just
+        after the first of them: the other eight come after the ceiling
+        is reached, tie it on savings, and must stay on the front."""
+        designs = with_twins([DESIGNS[0], DESIGNS[3]])
+        config = FleetConfig(
+            servers=40, months=12, demand_fraction=0.98,
+            repair_downtime_minutes=45.0, retirement_age_months=6,
+        )
+        grid = resolved_grid(designs, config)
+        points = reference_points(grid, 0.9, 0.25)
+        savings = np.array([p.cost_savings for p in points])
+        availability = np.array([p.fleet_availability for p in points])
+        order = np.argsort(-savings, kind="stable")
+        first = int(np.flatnonzero(availability[order] == 1.0)[0])
+        ceiling = savings[order[first]]
+        twins = order[savings[order] == ceiling]
+        assert first == 13 and len(twins) == 9
+        assert (availability[twins] == 1.0).all()
+        assert (availability[order[:first]] < 1.0).all()
+        with row_blocks(first + 1, config.months):
+            got = optimize_fleet(
+                PROFILE, designs=designs, config=config,
+                availability_target=0.9, step=0.25,
+            )
+        assert_same_search(got, reference_search(grid, 0.9, 0.25, points))
+        on_front = [p for p in got.pareto if p.cost_savings == ceiling]
+        assert len(on_front) == 9
+        assert {p.fleet_availability for p in on_front} == {1.0}
+        assert (got.scored, got.skipped_at_ceiling) == ceiling_accounting(
+            points, first + 1
+        )
+        assert got.skipped_at_ceiling > 0
+
 
 class TestJensenBound:
     def check_cells(self, mean, variance, servers, demand_fraction):
@@ -702,6 +811,23 @@ class TestJensenBound:
         std = math.sqrt(var) or 1.0
         mean = np.array(EDGES, dtype=np.float64) * std
         self.check_cells(mean, np.full_like(mean, var), 3, 1.0)
+
+    def test_a_negative_psi_rounds_to_the_ceiling_not_past_it(self):
+        """At ``t = -8.359375`` the computed ``psi(t)`` is about
+        ``-2e-16`` (``1 + erf`` cancels); with ``std = 2^23`` minutes
+        against one server's month the frozen kernel reads
+        ``1 + 3.8e-14``. The kernel's clamp holds it at 1.0, and the
+        Jensen bound, 1.0 there too, still covers it."""
+        std = 2.0**23
+        mean = np.array([-8.359375 * std])
+        variance = np.array([std * std])
+        assert (reference_kernel(mean, variance, 1, 1.0) > 1.0).all()
+        got = _routed_availability(mean, variance, 1, 1.0)
+        assert got.tolist() == [1.0]
+        assert _routed_availability(
+            np.tile(mean, (2, 3)), np.tile(variance, (2, 3)), 1, 1.0
+        ).max() == 1.0
+        self.check_cells(mean, variance, 1, 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -896,10 +896,14 @@ class TestEngineResolution:
         assert found["clip_log10_bound"] is None
 
     def test_optimize_span_and_counters_say_how_much_was_scored(
-        self, profile, designs
+        self, profile, designs, monkeypatch
     ):
+        from repro.fleet import analytic
         from repro.obs import EventBuffer, MetricsRegistry, Observer
 
+        # One composition a row block: the walk sees the ceiling the row
+        # it is reached.
+        monkeypatch.setattr(analytic, "_BLOCK_ELEMENTS", 24)
         buffer = EventBuffer()
         observer = Observer(sinks=[buffer], metrics=MetricsRegistry())
         result = optimize_fleet(
@@ -912,16 +916,22 @@ class TestEngineResolution:
         )
         observer.close()
         (span,) = [e for e in buffer.events if e.name == "fleet"]
-        # Two designs at step 0.05: 21 rows, each design 21 blocks.
+        # Two designs at step 0.05: 21 rows, each design 21 blocks. In
+        # savings order availability rises to 1.0 at the 15th row; of
+        # the six after it only the pure Typical Server fleet is scored.
         assert span.attrs["evaluated"] == result.evaluated == 21
         assert span.attrs["distinct_blocks"] == result.distinct_blocks == 42
-        assert span.attrs["scored"] == result.scored
-        assert 0 < result.scored <= 21
+        assert span.attrs["scored"] == result.scored == 16
+        assert span.attrs["skipped_at_ceiling"] == result.skipped_at_ceiling
+        assert result.skipped_at_ceiling == 5
+        assert result.singles["Typical Server"].fleet_availability == 1.0
         assert "scored" not in result.to_dict()
+        assert "skipped_at_ceiling" not in result.to_dict()
         metrics = observer.metrics.to_dict()
         for name, count in (
             ("fleet_compositions_evaluated_total", 21),
-            ("fleet_compositions_scored_total", result.scored),
+            ("fleet_compositions_scored_total", 16),
+            ("fleet_compositions_skipped_at_ceiling_total", 5),
             ("fleet_distinct_blocks_total", 42),
         ):
             assert sum(metrics[name]["values"].values()) == count

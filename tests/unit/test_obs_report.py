@@ -168,17 +168,32 @@ class TestRenderTraceReport:
             KIND_SPAN,
             SPAN_FLEET,
             attrs={
+                "evaluated": 10626, "scored": 533,
+                "skipped_at_ceiling": 8348, "distinct_blocks": 735,
+                "found": True, "mixed_dominates_singles": True,
+            },
+        )
+        # A span from before the ceiling stop has no skipped count.
+        older = _event(
+            KIND_SPAN,
+            SPAN_FLEET,
+            attrs={
                 "evaluated": 10626, "scored": 5426, "distinct_blocks": 735,
                 "found": True, "mixed_dominates_singles": True,
             },
         )
-        summary = summarize_trace(_small_trace() + [search])
+        summary = summarize_trace(_small_trace() + [search, older])
         assert summary.fleet_simulations == []
-        assert len(summary.fleet_optimizations) == 1
+        assert len(summary.fleet_optimizations) == 2
+        text = render_trace_report(summary)
+        assert (
+            "optimizer: scored 533 of 10626 compositions "
+            "(8348 skipped at the 1.0 ceiling, 735 distinct blocks)"
+        ) in text
         assert (
             "optimizer: scored 5426 of 10626 compositions "
             "(735 distinct blocks)"
-        ) in render_trace_report(summary)
+        ) in text
         assert "optimizer" not in render_trace_report(
             summarize_trace(_small_trace())
         )
