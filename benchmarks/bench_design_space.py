@@ -8,8 +8,8 @@ production path every caller gets — exact branch-and-bound over the
 contribution matrix. Before anything is timed, ``auto`` is checked for
 equality against the oracle on a reduced grid, for a top-5 and for the
 full feasible list (``top_k=None``). (The Monte Carlo validation of a
-winner is the fleet engine's one-server case; its timings and analytic
-verdicts are in ``BENCH_fleet.json``.)
+winner is the fleet engine's one-server case; its timing, statistics
+and analytic availability are ``BENCH_fleet.json``'s ``validation`` row.)
 
 The headline is ``search.auto``: how many of the 2 985 984 designs the
 production path evaluates for an exact top-5 (CI gates it under 1/1000

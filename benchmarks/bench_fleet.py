@@ -20,6 +20,12 @@ Every simulated row records which draw path its chunks took
 (``aggregated`` block totals, or ``per-server`` when the 43 200-minute
 clip can bind), read from the ``fleet`` simulate span.
 
+The ``validation`` row times ``explore``'s Monte Carlo check of a
+winner — the engine's one-server case over 1 200 months, the same in
+smoke and full runs — and records its months/s, mean, analytic and
+percentile availabilities; its repeats must be byte-identical and its
+statistics those the per-month ``MonthOutcome`` objects give.
+
 The headline number is ``simulation.speedup_vectorized`` — vectorized
 vs (sampled, extrapolated) scalar — which gates CI at 3x. The scalar
 reference resolves every error event in a Python loop, so running it at
@@ -35,6 +41,7 @@ Usage::
 
 import argparse
 import json
+import math
 import resource
 import sys
 import time
@@ -43,7 +50,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.mapping import paper_design_points  # noqa: E402
+from repro.cluster import AvailabilitySimulator  # noqa: E402
+from repro.core.mapping import DesignEvaluator, paper_design_points  # noqa: E402
 from repro.core.taxonomy import ErrorOutcome  # noqa: E402
 from repro.core.vulnerability import VulnerabilityProfile  # noqa: E402
 from repro.fleet import (  # noqa: E402
@@ -462,6 +470,85 @@ def bench_optimizer(profile, designs):
     }
 
 
+#: The design whose one-server validation is timed, and its horizon:
+#: the pipeline benchmark's (explore's ``simulate_months``), in smoke
+#: runs too, so the statistics are comparable between the two modes.
+VALIDATED_DESIGN = "Detect&Recover/L"
+VALIDATION_MONTHS = 1200
+
+
+def validation_statistics(summary):
+    """What ``explore`` reports of a one-server validation."""
+    return {
+        "mean_availability": summary.mean_availability,
+        "mean_crashes": summary.mean_crashes,
+        "percentiles": {
+            f"p{p}": summary.availability_percentile(p) for p in (5, 50, 95)
+        },
+    }
+
+
+def month_outcome_statistics(months):
+    """:func:`validation_statistics` derived from the ``MonthOutcome``
+    objects one at a time, the summary's rule spelled out."""
+    ordered = sorted(month.availability for month in months)
+    count = len(ordered)
+
+    def percentile(p):
+        return ordered[min(count - 1, max(0, math.ceil(p / 100 * count) - 1))]
+
+    return {
+        "mean_availability": sum(ordered) / count,
+        "mean_crashes": sum(month.crashes for month in months) / count,
+        "percentiles": {f"p{p}": percentile(p) for p in (5, 50, 95)},
+    }
+
+
+def bench_validation(profile, designs):
+    """``explore``'s Monte Carlo check of a winner: the fleet engine's
+    one-server case over :data:`VALIDATION_MONTHS`, then the summary's
+    mean and percentiles. Gates, untimed: every repeat's statistics are
+    byte-identical, and equal the ones the ``MonthOutcome`` objects
+    give."""
+    design = next(d for d in designs if d.name == VALIDATED_DESIGN)
+    evaluator = DesignEvaluator(profile)
+    simulator = AvailabilitySimulator(
+        profile,
+        design.policies,
+        error_model=evaluator.error_model,
+        params=evaluator.availability_params,
+        error_label=evaluator.error_label,
+        region_sizes=evaluator.region_sizes,
+    )
+    seconds, rows = [], []
+    for _ in range(VECTORIZED_REPEATS):
+        start = time.perf_counter()
+        summary = simulator.simulate(VALIDATION_MONTHS, seed=SEED)
+        statistics = validation_statistics(summary)
+        seconds.append(time.perf_counter() - start)
+        rows.append(json.dumps(statistics, sort_keys=True))
+    median = sorted(seconds)[len(seconds) // 2]
+    analytic = evaluator.evaluate(design)
+    distinct = len({month.availability for month in summary.months})
+    return {
+        "design": design.name,
+        "months": VALIDATION_MONTHS,
+        "seed": SEED,
+        "repeats": VECTORIZED_REPEATS,
+        "seconds_per_validation": median,
+        "months_per_second": VALIDATION_MONTHS / median,
+        **statistics,
+        "analytic_availability": analytic.availability,
+        "analytic_crashes": analytic.crashes_per_month,
+        "distinct_monthly_availabilities": distinct,
+        "byte_identical": len(set(rows)) == 1,
+        "matches_month_outcomes": (
+            json.dumps(month_outcome_statistics(summary.months), sort_keys=True)
+            == rows[0]
+        ),
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -554,6 +641,18 @@ def main(argv=None):
         f"(savings {optimizer['best']['cost_savings']:.3f})"
     )
 
+    print("timing: one-server validation...")
+    validation = bench_validation(profile, designs)
+    print(
+        f"  {validation['design']} over {validation['months']} months: "
+        f"{validation['seconds_per_validation'] * 1e3:.2f}ms "
+        f"({validation['months_per_second']:,.0f} months/s); mean "
+        f"availability {validation['mean_availability']:.6f} (analytic "
+        f"{validation['analytic_availability']:.6f}); repeats "
+        f"byte-identical: {validation['byte_identical']}, equal to the "
+        f"MonthOutcome statistics: {validation['matches_month_outcomes']}"
+    )
+
     report = {
         "mode": "smoke" if arguments.smoke else "full",
         "determinism": determinism,
@@ -562,6 +661,7 @@ def main(argv=None):
         "simulation": simulation,
         "analyze": analyze,
         "optimizer": optimizer,
+        "validation": validation,
     }
     arguments.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {arguments.out}")

@@ -13,10 +13,11 @@ months also give distributional quantities the analytic model cannot
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import List, Mapping, Optional
+from typing import List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.core.availability import (
     MINUTES_PER_MONTH,
@@ -27,7 +28,7 @@ from repro.core.design_space import RegionPolicy
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.fleet.config import FleetConfig, FleetDesign
 from repro.fleet.layout import FleetLayout
-from repro.fleet.simulator import FleetSimulator
+from repro.fleet.simulator import FleetSimulator, _percentile_index
 
 _DESIGN_NAME = "one-server"
 
@@ -48,41 +49,85 @@ class MonthOutcome:
         return max(0.0, 1.0 - self.downtime_minutes / MINUTES_PER_MONTH)
 
 
-@dataclass
-class SimulationSummary:
-    """Aggregate over many simulated months."""
+#: :class:`MonthOutcome` fields, in order: the simulator's month series.
+_SERIES = tuple(series.name for series in fields(MonthOutcome))
 
-    months: List[MonthOutcome] = field(default_factory=list)
+
+class SimulationSummary:
+    """Aggregate over many simulated months.
+
+    Holds the five month series (:data:`_SERIES`); every statistic reads
+    the ``crashes`` and ``downtime_minutes`` series, and :attr:`months`,
+    one :class:`MonthOutcome` per month, is derived on first access.
+    Built from ``months`` (``SimulationSummary(months=[...])``), the
+    series are read off them.
+    """
+
+    def __init__(self, months: Optional[List[MonthOutcome]] = None) -> None:
+        self.__dict__["months"] = [] if months is None else months
+        self._series = {
+            name: [getattr(month, name) for month in self.months]
+            for name in _SERIES
+        }
+
+    @classmethod
+    def _of_series(cls, *series: Sequence) -> "SimulationSummary":
+        """A summary of month series given in :data:`_SERIES` order."""
+        summary = cls.__new__(cls)
+        summary._series = dict(zip(_SERIES, series))
+        return summary
+
+    def __eq__(self, other: object) -> bool:
+        # Equal months, as the dataclass it replaced compared them.
+        if not isinstance(other, SimulationSummary):
+            return NotImplemented
+        return self._series == other._series
+
+    __hash__ = None  # mutable like the dataclass: unhashable
+
+    def __repr__(self) -> str:
+        return f"SimulationSummary({len(self._series['downtime_minutes'])} months)"
+
+    @cached_property
+    def months(self) -> List[MonthOutcome]:
+        """One :class:`MonthOutcome` per simulated month."""
+        return [MonthOutcome(*month) for month in zip(*self._series.values())]
+
+    def _month_count(self) -> int:
+        count = len(self._series["downtime_minutes"])
+        if not count:
+            raise ValueError("no months simulated")
+        return count
 
     @cached_property
     def _ordered_availability(self) -> List[float]:
-        """Monthly availabilities in ascending order, derived once."""
-        if not self.months:
-            raise ValueError("no months simulated")
-        return sorted(month.availability for month in self.months)
+        """Monthly availabilities in ascending order, derived once.
+
+        Element for element the :attr:`MonthOutcome.availability` values:
+        the same IEEE operations on the same downtime.
+        """
+        self._month_count()
+        downtime = np.asarray(self._series["downtime_minutes"], dtype=np.float64)
+        return np.sort(np.maximum(0.0, 1.0 - downtime / MINUTES_PER_MONTH)).tolist()
 
     @property
     def mean_availability(self) -> float:
         """Average availability across months."""
         ordered = self._ordered_availability
+        # The builtin sum over the ascending list: the bits do not
+        # depend on how a vector sum happens to be blocked.
         return sum(ordered) / len(ordered)
 
     @property
     def mean_crashes(self) -> float:
         """Average crashes per month."""
-        if not self.months:
-            raise ValueError("no months simulated")
-        return sum(month.crashes for month in self.months) / len(self.months)
+        count = self._month_count()
+        return sum(self._series["crashes"]) / count
 
     def availability_percentile(self, percentile: float) -> float:
         """Availability at a given percentile of months (0-100)."""
-        if not 0 <= percentile <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {percentile}")
         ordered = self._ordered_availability
-        index = min(
-            len(ordered) - 1, max(0, math.ceil(percentile / 100 * len(ordered)) - 1)
-        )
-        return ordered[index]
+        return ordered[_percentile_index(percentile, len(ordered))]
 
 
 class AvailabilitySimulator:
@@ -143,15 +188,10 @@ class AvailabilitySimulator:
         result = FleetSimulator(self.layout(months), params=self.params).simulate(
             seed=seed
         )
-        return SimulationSummary(
-            months=[
-                MonthOutcome(*month)
-                for month in zip(
-                    result.errors_by_month,
-                    result.crashes_by_month,
-                    result.recoveries_by_month,
-                    result.incorrect_by_month,
-                    result.downtime_by_month,
-                )
-            ]
+        return SimulationSummary._of_series(
+            result.errors_by_month,
+            result.crashes_by_month,
+            result.recoveries_by_month,
+            result.incorrect_by_month,
+            result.downtime_by_month,
         )

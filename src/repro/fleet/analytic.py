@@ -487,10 +487,7 @@ class BlockTables:
             head = grid.cum_mult[start, :]
             block_mult = grid.cum_mult[start + count, :] - head
             if bad_batch:
-                bad = [
-                    bad_batch_servers(grid._bad_fraction, size)
-                    for size in count.tolist()
-                ]
+                bad = bad_batch_servers(grid._bad_fraction, count)
                 block_mult = block_mult + bad_extra * (
                     grid.cum_mult[start + bad, :] - head
                 )

@@ -304,6 +304,11 @@ def apportion_rows(
     floors = np.floor(quotas)
     counts = floors.astype(np.int64)
     leftover = servers - counts.sum(axis=1)
+    if not leftover.any():
+        return counts
+    # Only rows with servers left over need the remainder order.
+    rows = np.flatnonzero(leftover)
+    quotas, floors, leftover = quotas[rows], floors[rows], leftover[rows]
     rank_of = {name: rank for rank, name in enumerate(sorted(names))}
     name_ranks = np.broadcast_to(
         [rank_of[name] for name in names], quotas.shape
@@ -312,5 +317,5 @@ def apportion_rows(
     # remainder, name); the first ``leftover`` positions get a server.
     order = np.lexsort((name_ranks, floors - quotas), axis=1)
     position = np.argsort(order, axis=1)
-    counts += position < leftover[:, None]
+    counts[rows] += position < leftover[:, None]
     return counts

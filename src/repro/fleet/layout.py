@@ -32,13 +32,17 @@ from repro.fleet.config import FleetConfig, FleetDesign
 __all__ = ["DesignBlock", "FleetLayout", "OutcomeRates", "RegionTable"]
 
 
-def bad_batch_servers(bad_batch_fraction: float, block_servers: int) -> int:
+def bad_batch_servers(bad_batch_fraction: float, block_servers):
     """Servers at the head of a design block that carry the bad batch.
 
     The one rounding rule for bad-batch membership: the simulator's
     layout and the analytic composition grid must agree on it server
-    for server, or their means stop cross-validating.
+    for server, or their means stop cross-validating. ``block_servers``
+    is an int or an int ndarray (an int64 array back): ``np.round``
+    rounds halves to even, as ``round`` does.
     """
+    if isinstance(block_servers, np.ndarray):
+        return np.round(bad_batch_fraction * block_servers).astype(np.int64)
     return int(round(bad_batch_fraction * block_servers))
 
 

@@ -194,12 +194,7 @@ class FleetSimulationResult:
         return 1.0 - downtime / (server_months * MINUTES_PER_MONTH)
 
     def downtime_percentile(self, percentile: float) -> float:
-        """Fleet downtime minutes at a percentile of months (0-100).
-
-        Same ceil-index convention as
-        :meth:`repro.cluster.availability_sim.SimulationSummary.
-        availability_percentile`.
-        """
+        """Fleet downtime minutes at a percentile of months (0-100)."""
         return _percentile(self.downtime_by_month, percentile)
 
     def availability_percentile(self, percentile: float) -> float:
@@ -272,15 +267,21 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
-def _percentile(values, percentile: float) -> float:
+def _percentile_index(percentile: float, count: int) -> int:
+    """Where ``percentile`` (0-100) of ``count`` ascending values sits.
+
+    The one percentile rule of the simulators: the ceil index, the
+    smallest value with at least ``percentile`` % of the values at or
+    below it (the first value at 0, the last at 100).
+    """
     if not 0 <= percentile <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {percentile}")
-    ordered = sorted(values)
-    index = min(
-        len(ordered) - 1,
-        max(0, math.ceil(percentile / 100 * len(ordered)) - 1),
-    )
-    return ordered[index]
+    return min(count - 1, max(0, math.ceil(percentile / 100 * count) - 1))
+
+
+def _percentile(values, percentile: float) -> float:
+    index = _percentile_index(percentile, len(values))
+    return sorted(values)[index]
 
 
 class FleetSimulator:
@@ -298,6 +299,9 @@ class FleetSimulator:
     ) -> None:
         self.layout = layout
         self.params = params or AvailabilityParams()
+        #: ``(mass, repairs)`` of each aggregated chunk, by its start:
+        #: :meth:`FleetLayout.block_months` as :attr:`chunks` guarded it.
+        self._block_months: Dict[int, tuple] = {}
 
     # -- auto backend (chunked NumPy draws) -----------------------------
 
@@ -310,24 +314,26 @@ class FleetSimulator:
         found = []
         for start in range(0, config.months, config.month_chunk):
             stop = min(start + config.month_chunk, config.months)
-            peak = layout.block_months(start, stop)[2]
-            found.append(
-                FleetChunk(
-                    start,
-                    stop,
-                    clip_ln_bound(
-                        server_months=layout.servers * (stop - start),
-                        crash_rates=[
-                            block.outcomes.crash_rate * float(multiplier)
-                            for block, multiplier in zip(layout.blocks, peak)
-                        ],
-                        recovery_minutes=self.params.crash_recovery_minutes,
-                        shock_rate=correlation.shock_marginal_rate,
-                        shock_minutes=correlation.shock_downtime_minutes,
-                        repair_minutes=config.repair_downtime_minutes,
-                    ),
-                )
+            mass, repairs, peak = layout.block_months(start, stop)
+            chunk = FleetChunk(
+                start,
+                stop,
+                clip_ln_bound(
+                    server_months=layout.servers * (stop - start),
+                    crash_rates=[
+                        block.outcomes.crash_rate * float(multiplier)
+                        for block, multiplier in zip(layout.blocks, peak)
+                    ],
+                    recovery_minutes=self.params.crash_recovery_minutes,
+                    shock_rate=correlation.shock_marginal_rate,
+                    shock_minutes=correlation.shock_downtime_minutes,
+                    repair_minutes=config.repair_downtime_minutes,
+                ),
             )
+            if chunk.aggregated:
+                # Its draws read these block totals: one census a chunk.
+                self._block_months[start] = (mass, repairs)
+            found.append(chunk)
         return found
 
     def simulate(
@@ -366,7 +372,7 @@ class FleetSimulator:
             np.random.PCG64(derive_seed(seed, f"fleet-chunk-{index}"))
         )
         if chunk.aggregated:
-            mult, repairs, _ = layout.block_months(start, stop)
+            mult, repairs = self._block_months[start]
             weight = np.array([[block.servers] for block in layout.blocks])
             rows = [slice(row, row + 1) for row in range(len(layout.blocks))]
         else:

@@ -1073,6 +1073,78 @@ class TestBatchedApportionment:
             assert counts == list(reference_apportion(servers, fractions).values())
             assert apportion_servers(servers, fractions) == dict(zip(names, counts))
 
+    #: Insertion order is not name order, so the name tie-break shows.
+    GRID_NAMES = ("e", "b", "d", "a", "c")
+
+    @staticmethod
+    def reference_rows(servers, names, fractions):
+        return [
+            list(reference_apportion(servers, dict(zip(names, row))).values())
+            for row in fractions.tolist()
+        ]
+
+    @pytest.mark.parametrize(
+        "servers, step, leftover_rows",
+        [
+            # At 1 000 servers every quota of the 0.1 and 0.05 grids is
+            # whole: nothing is left over, and nothing needs sorting.
+            (1000, 0.1, 0),
+            (1000, 0.05, 0),
+            (1000, 0.03, 66040),
+            (997, 0.1, 996),
+            (997, 0.05, 10621),
+            (997, 0.03, 66040),
+            (7, 0.1, 996),
+            (7, 0.05, 10621),
+            (7, 0.03, 66040),
+            # Quotas a rounding error short of whole: a minority of rows
+            # has a leftover, and only those are sorted.
+            (90, 0.1, 100),
+            (180, 0.05, 2940),
+        ],
+    )
+    def test_simplex_grids_match_the_per_composition_rule(
+        self, servers, step, leftover_rows
+    ):
+        """The optimizer's own grids, every row against the frozen
+        rule: rows with leftover servers sit among rows without."""
+        names = self.GRID_NAMES
+        units = max(1, round(1.0 / step))
+        fractions = _unit_allocations(len(names), units) / units
+        floors = np.floor(servers * fractions).astype(np.int64)
+        assert int((floors.sum(axis=1) < servers).sum()) == leftover_rows
+        got = apportion_rows(servers, names, fractions)
+        assert got.dtype == np.int64
+        assert got.tolist() == self.reference_rows(servers, names, fractions)
+
+    @settings(max_examples=100, deadline=None)
+    @given(servers=st.integers(1, 2000), data=st.data())
+    def test_random_rows_among_whole_quota_rows(self, servers, data):
+        """Random fractions (almost always a leftover) shuffled in with
+        rows whose quotas are whole (none): each row gets its own
+        remainder order, wherever it sits in the batch."""
+        names = self.GRID_NAMES
+        weights = st.lists(
+            st.floats(0.0, 1.0, allow_subnormal=False),
+            min_size=len(names),
+            max_size=len(names),
+        ).filter(lambda row: sum(row) > 0.01)
+        random_rows = [
+            [weight / sum(row) for weight in row]
+            for row in data.draw(st.lists(weights, min_size=1, max_size=6))
+        ]
+        random_rows = [row for row in random_rows if abs(sum(row) - 1.0) <= 1e-9]
+        whole_rows = [
+            [float(design == d) for design in range(len(names))]
+            for d in data.draw(st.lists(st.integers(0, len(names) - 1), max_size=6))
+        ]
+        rows = data.draw(st.permutations(random_rows + whole_rows))
+        if not rows:
+            return
+        fractions = np.array(rows, dtype=np.float64)
+        got = apportion_rows(servers, names, fractions)
+        assert got.tolist() == self.reference_rows(servers, names, fractions)
+
     def test_checks_name_the_offending_row(self):
         with pytest.raises(ValueError, match="sum to 1, got 0.9"):
             apportion_rows(10, ["a", "b"], np.array([[0.5, 0.5], [0.5, 0.4]]))

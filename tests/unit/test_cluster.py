@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster import (
     AvailabilitySimulator,
+    MonthOutcome,
     ServerConfig,
     SimulationSummary,
     TcoModel,
@@ -395,3 +396,80 @@ class TestFleetAndAutoBackends:
             tracemalloc.stop()
         assert len(summary.months) == 12_000
         assert peak < 12 * 2**20
+
+
+def month_statistics(months):
+    """The summary's statistics derived month by month from
+    ``MonthOutcome`` objects (how the summary computed them before it
+    read the series as arrays)."""
+    ordered = sorted(month.availability for month in months)
+    count = len(ordered)
+    stats = {
+        "mean_availability": sum(ordered) / count,
+        "mean_crashes": sum(month.crashes for month in months) / count,
+    }
+    for percentile in (0, 5, 50, 95, 100):
+        index = min(count - 1, max(0, math.ceil(percentile / 100 * count) - 1))
+        stats[f"p{percentile}"] = ordered[index]
+    return stats
+
+
+def summary_statistics(summary):
+    stats = {
+        "mean_availability": summary.mean_availability,
+        "mean_crashes": summary.mean_crashes,
+    }
+    for percentile in (0, 5, 50, 95, 100):
+        stats[f"p{percentile}"] = summary.availability_percentile(percentile)
+    return stats
+
+
+class TestArraySummary:
+    """``simulate`` hands the summary the engine's month series; no
+    ``MonthOutcome`` exists until ``months`` is read, and every statistic
+    is bit for bit the one the objects give."""
+
+    @pytest.mark.parametrize("months", [1, 255, 256, 257, 1200])
+    @pytest.mark.parametrize("seed", [0, 5, 29])
+    def test_statistics_are_the_month_by_month_ones(
+        self, profile, months, seed
+    ):
+        simulator = AvailabilitySimulator(profile, POLICIES)
+        got = summary_statistics(simulator.simulate(months, seed=seed))
+        outcomes = simulator.simulate(months, seed=seed).months
+        assert len(outcomes) == months
+        if months >= 255:
+            assert len({month.availability for month in outcomes}) >= 10
+        want = month_statistics(outcomes)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    def test_months_are_built_on_first_read_only(self, profile):
+        summary = AvailabilitySimulator(profile, POLICIES).simulate(300, seed=4)
+        summary_statistics(summary)
+        assert "months" not in vars(summary)
+        months = summary.months
+        assert summary.months is months
+        assert all(isinstance(month, MonthOutcome) for month in months)
+
+    def test_built_from_months_keeps_them_and_agrees(self, profile):
+        simulated = AvailabilitySimulator(profile, POLICIES).simulate(
+            300, seed=8
+        )
+        months = list(simulated.months)
+        rebuilt = SimulationSummary(months=months)
+        assert rebuilt.months is months
+        got = summary_statistics(rebuilt)
+        assert got == summary_statistics(simulated) == month_statistics(months)
+        assert repr(got) == repr(month_statistics(months))
+
+    def test_summaries_compare_by_their_months(self, profile):
+        simulator = AvailabilitySimulator(profile, POLICIES)
+        simulated = simulator.simulate(300, seed=8)
+        assert simulated == SimulationSummary(months=list(simulated.months))
+        assert simulated == simulator.simulate(300, seed=8)
+        assert simulated != simulator.simulate(300, seed=9)
+        assert simulated != simulator.simulate(299, seed=8)
+        assert repr(simulated) == "SimulationSummary(300 months)"
+        with pytest.raises(TypeError):
+            hash(simulated)

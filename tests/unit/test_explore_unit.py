@@ -7,6 +7,7 @@ inputs — ``DesignEvaluator`` one design at a time, and ``explore``'s
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -448,6 +449,52 @@ class TestExploreEngine:
         payload = sim.to_dict()
         assert payload["design"] == sim.design_name
         assert "backend" not in payload  # one engine, nothing to name
+
+    def test_simulation_validation_is_the_month_by_month_reference(
+        self, profile
+    ):
+        """At the pipeline's 1 200 months, the validation the array
+        summary gives equals one built from ``MonthOutcome`` objects."""
+        result = explore(
+            profile,
+            availability_target=0.99,
+            top_k=1,
+            simulate_months=1200,
+            simulation_seed=29,
+        )
+        best = result.best
+        evaluator = DesignEvaluator(profile)
+        months = AvailabilitySimulator(
+            profile,
+            best.design.policies,
+            error_model=evaluator.error_model,
+            params=evaluator.availability_params,
+            error_label=evaluator.error_label,
+            region_sizes=evaluator.region_sizes,
+        ).simulate(1200, seed=29).months
+        ordered = sorted(month.availability for month in months)
+        assert len(set(ordered)) >= 10
+
+        def percentile(p):
+            return ordered[max(0, math.ceil(p / 100 * 1200) - 1)]
+
+        reference = {
+            "design": best.design.name,
+            "months": 1200,
+            "seed": 29,
+            "mean_availability": sum(ordered) / 1200,
+            "analytic_availability": best.availability,
+            "mean_crashes": sum(month.crashes for month in months) / 1200,
+            "analytic_crashes": best.crashes_per_month,
+            "percentiles": {
+                "p5": percentile(5),
+                "p50": percentile(50),
+                "p95": percentile(95),
+            },
+        }
+        got = result.simulation.to_dict()
+        assert got == reference
+        assert repr(got) == repr(reference)
 
     def test_observer_instruments_and_spans(self, profile):
         registry = MetricsRegistry()

@@ -34,6 +34,7 @@ from repro.fleet import (
     FleetConfig,
     FleetDesign,
     FleetLayout,
+    FleetSimulator,
     analytic_matches_simulation,
     analyze_fleet,
     apportion_servers,
@@ -42,7 +43,7 @@ from repro.fleet import (
     simulate_fleet,
 )
 from repro.fleet.analytic import CompositionGrid
-from repro.fleet.layout import OutcomeRates, RegionTable
+from repro.fleet.layout import OutcomeRates, RegionTable, bad_batch_servers
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -385,6 +386,67 @@ class TestLayoutArrays:
             assert mass[row] == pytest.approx(mult[rows].sum(axis=0), rel=1e-13)
             assert np.array_equal(repairs[row], mask[rows].sum(axis=0))
             assert peak[row] == mult[rows].max()
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.25, 0.125, 0.05, 0.1])
+    def test_bad_batch_rule_on_arrays_is_the_scalar_rule(self, fraction):
+        """``np.round`` on the whole block-size vector rounds halves to
+        even exactly as ``round`` does on one size."""
+        sizes = np.arange(1001, dtype=np.int64)
+        got = bad_batch_servers(fraction, sizes)
+        assert got.dtype == np.int64
+        want = [int(round(fraction * size)) for size in range(1001)]
+        assert got.tolist() == want
+        assert [bad_batch_servers(fraction, size) for size in range(1001)] == want
+        halves = [size for size in range(1001) if fraction * size % 1 == 0.5]
+        if fraction in (0.5, 0.25, 0.125):
+            assert len(halves) > 100
+            # Halves go to the even neighbour: 0.5 -> 0, 1.5 -> 2, 2.5 -> 2.
+            assert [int(got[size]) % 2 for size in halves] == [0] * len(halves)
+
+    @pytest.mark.parametrize(
+        "config, aggregated",
+        [
+            (CONFIG, True),
+            # Shocks that take a whole month: the clip can bind, so the
+            # chunks draw per-server rows and read no census.
+            (
+                dataclasses.replace(
+                    CONFIG,
+                    correlation=CorrelationConfig(
+                        shock_rate_per_month=1.0,
+                        shock_downtime_minutes=43_200.0,
+                    ),
+                ),
+                False,
+            ),
+        ],
+    )
+    def test_one_age_census_per_chunk(
+        self, profile, designs, monkeypatch, config, aggregated
+    ):
+        """The guard's ``block_months`` is the one an aggregated chunk
+        draws from: one census per chunk, however often it simulates."""
+        counts = apportion_servers(
+            config.servers, {design.name: 0.5 for design in designs}
+        )
+        layout = FleetLayout(
+            profile, designs, counts, dataclasses.replace(config, month_chunk=32)
+        )
+        calls = []
+        census = FleetLayout.block_months
+
+        def counted(self, start, stop):
+            calls.append((start, stop))
+            return census(self, start, stop)
+
+        monkeypatch.setattr(FleetLayout, "block_months", counted)
+        simulator = FleetSimulator(layout)
+        first = simulator.simulate(seed=3).to_dict()
+        assert simulator.simulate(seed=3).to_dict() == first
+        chunks = simulator.chunks
+        assert len(chunks) == 5
+        assert [chunk.aggregated for chunk in chunks] == [aggregated] * 5
+        assert calls == [(chunk.start, chunk.stop) for chunk in chunks]
 
     def test_multipliers_do_not_alias_the_curve(self, layout):
         first = layout.multipliers(0, 12)
