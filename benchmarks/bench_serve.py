@@ -16,7 +16,13 @@ quantum live. Reported numbers, per session and plane:
 * the plane's own decision counts (fused / live, and why live);
 * per tenant, ``epochs`` (trace wraps), and the ``flushes`` and
   ``bytes_flushed`` of its Par+R mirror — the bytes copied after the
-  build-time mirror, which alone copies the whole region.
+  build-time mirror, which alone copies the whole region;
+* per tenant, ``heap_copies``: how many times its heap allocator copied
+  bookkeeping that a restore adopted (``HeapAllocator.materialized``,
+  build included). A checkpoint reset or a fused run's end adopts the
+  recorded state; only a malloc or free after it copies, so the batched
+  plane, which executes few key-value requests live, copies at most as
+  often as the scalar plane (an exact count, gated in CI for kvstore).
 
 Across planes, the scalar and batched ledgers must be byte-identical
 (asserted before any timing is reported — a speedup over a divergent
@@ -94,6 +100,12 @@ def par_r_counts(tenant) -> dict:
     }
 
 
+def heap_copies(tenant) -> int:
+    """Copies the tenant's heap allocator made of adopted bookkeeping."""
+    # Every workload keeps its HeapAllocator here; there is no public handle.
+    return tenant.workload._allocator.materialized
+
+
 def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float):
     """Timed run + determinism twin + replay audit for one plane."""
     result, elapsed, tenants = run_session(base, plane, ledger, scale, load)
@@ -115,6 +127,7 @@ def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float)
     }
     return {
         "par_r": {tenant.name: par_r_counts(tenant) for tenant in tenants},
+        "heap_copies": {tenant.name: heap_copies(tenant) for tenant in tenants},
         "decisions": decisions,
         "decisions_total": {
             decision: sum(tally[decision] for tally in decisions.values())
@@ -150,6 +163,7 @@ def bench_session(
             f"  {plane:8s} {report['requests_total']} requests in "
             f"{report['wall_seconds']:.2f}s -> {report['requests_per_sec']} "
             f"req/s, fused={tally['fused']} live={tally['live']} "
+            f"heap_copies={report['heap_copies']} "
             f"byte_identical={report['determinism']['byte_identical']} "
             f"replay_audit={report['replay_audit']['exact']}"
         )

@@ -154,14 +154,13 @@ class KVStoreWorkload(Workload):
     def on_checkpoint(self) -> None:
         """Capture allocator bookkeeping: DELETEs free and SETs re-malloc
         after the checkpoint, so Python-side heap state must travel with
-        the memory snapshot."""
-        self._alloc_state = self._allocator.state()
-        self._item_count = self.store.item_count
+        the memory snapshot. It is kept in its :meth:`progress_state`
+        form, built once; every reset restores that same tuple."""
+        self._checkpoint_progress = self.progress_state()
 
     def on_reset(self) -> None:
-        """Restore allocator bookkeeping captured at checkpoint."""
-        self._allocator.restore_state(self._alloc_state)
-        self.store.item_count = self._item_count
+        """Restore the bookkeeping captured at checkpoint."""
+        self.restore_progress(self._checkpoint_progress)
 
     def progress_state(self):
         """Allocator bookkeeping plus item count, by value.
@@ -170,7 +169,10 @@ class KVStoreWorkload(Workload):
         identical memory bytes can still differ in Python-side heap
         state — a ``free`` issues no store. Fused replay compares this
         against the golden replay before serving a run. The allocator
-        part is rebuilt only after a malloc or free (one op in ten).
+        part is rebuilt only after a malloc or free (one op in ten);
+        after a reset or :meth:`restore_progress` it is the tuple that
+        was restored, so comparing it with the recorded state it came
+        from finds the same objects element by element.
         """
         mutations, heap = self._progress
         if mutations != self._allocator.mutations:
@@ -185,16 +187,18 @@ class KVStoreWorkload(Workload):
         return heap + (self.store.item_count,)
 
     def restore_progress(self, state) -> None:
-        """Adopt the allocator bookkeeping recorded at a fused run's end."""
+        """Adopt the allocator bookkeeping recorded at a fused run's end,
+        by reference: the recorded tuples become the allocator's state."""
         free, live, allocated_bytes, peak_bytes, item_count = state
         self._allocator.restore_state(
             {
-                "free": list(free),
-                "live": dict(live),
+                "free": free,
+                "live": live,
                 "allocated_bytes": allocated_bytes,
                 "peak_bytes": peak_bytes,
             }
         )
+        self._progress = (self._allocator.mutations, state[:4])
         self.store.item_count = item_count
 
     @property

@@ -67,6 +67,20 @@ __all__ = [
 LN_SMALLEST_DOUBLE = -1074 * math.log(2.0)
 
 
+#: The per-month series of a :class:`FleetSimulationResult`, as
+#: ``<series>_by_month``.
+_MONTH_SERIES = (
+    "errors",
+    "crashes",
+    "recoveries",
+    "incorrect",
+    "shock_hits",
+    "repairs",
+    "downtime",
+    "capacity",
+    "availability",
+)
+
 #: Budgets in events are capped here (minutes per event may be
 #: denormal); a smaller count only loosens the bound.
 _COUNT_CAP = float(1 << 53)
@@ -460,9 +474,23 @@ class FleetSimulator:
             },
         }
 
-    def _empty_result(self, backend: str, seed: int) -> FleetSimulationResult:
+    def _empty_result(self, backend: str, seed: int, **by_month) -> FleetSimulationResult:
+        """A result whose month series are zeros, or the nine ``*_by_month``
+        lists given."""
         months = self.layout.config.months
         composition = self.layout.composition()
+        if not by_month:
+            by_month = dict(
+                errors_by_month=[0] * months,
+                crashes_by_month=[0] * months,
+                recoveries_by_month=[0] * months,
+                incorrect_by_month=[0.0] * months,
+                shock_hits_by_month=[0] * months,
+                repairs_by_month=[0] * months,
+                downtime_by_month=[0.0] * months,
+                capacity_by_month=[0.0] * months,
+                availability_by_month=[0.0] * months,
+            )
         return FleetSimulationResult(
             backend=backend,
             seed=seed,
@@ -470,15 +498,7 @@ class FleetSimulator:
             months=months,
             demand_fraction=self.layout.config.demand_fraction,
             composition=composition,
-            errors_by_month=[0] * months,
-            crashes_by_month=[0] * months,
-            recoveries_by_month=[0] * months,
-            incorrect_by_month=[0.0] * months,
-            shock_hits_by_month=[0] * months,
-            repairs_by_month=[0] * months,
-            downtime_by_month=[0.0] * months,
-            capacity_by_month=[0.0] * months,
-            availability_by_month=[0.0] * months,
+            **by_month,
             downtime_by_design={name: 0.0 for name in composition},
             crashes_by_design={name: 0 for name in composition},
             server_months_by_design={
@@ -487,24 +507,22 @@ class FleetSimulator:
         )
 
     def _merge(self, outputs, seed):
+        import numpy as np
+
+        # Chunks come in start order and tile the horizon: each series is
+        # one concatenation and one tolist().
         # The label is part of to_dict(), hence of committed result digests.
-        result = self._empty_result("vectorized", seed)
+        result = self._empty_result(
+            "vectorized",
+            seed,
+            **{
+                f"{series}_by_month": np.concatenate(
+                    [chunk[series] for chunk in outputs]
+                ).tolist()
+                for series in _MONTH_SERIES
+            },
+        )
         for chunk in outputs:
-            start = chunk["start"]
-            span = slice(start, start + len(chunk["errors"]))
-            for series in (
-                "errors",
-                "crashes",
-                "recoveries",
-                "incorrect",
-                "shock_hits",
-                "repairs",
-                "downtime",
-                "capacity",
-                "availability",
-            ):
-                by_month = getattr(result, f"{series}_by_month")
-                by_month[span] = chunk[series].tolist()
             for name, value in chunk["design_downtime"].items():
                 result.downtime_by_design[name] += value
             for name, value in chunk["design_crashes"].items():

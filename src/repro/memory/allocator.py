@@ -123,6 +123,10 @@ class HeapAllocator:
         self._peak_bytes = 0
         self._allocated_bytes = 0
         self._mutations = 0
+        # Set by restore_state: `_free` / `_live` are the caller's
+        # containers, copied by `_own` before the first operation on them.
+        self._adopted = False
+        self._materialized = 0
 
     @property
     def region(self) -> Region:
@@ -132,6 +136,8 @@ class HeapAllocator:
     @property
     def live_allocations(self) -> int:
         """Number of currently live blocks."""
+        if self._adopted:
+            self._own()
         return len(self._live)
 
     @property
@@ -147,6 +153,8 @@ class HeapAllocator:
     @property
     def free_bytes(self) -> int:
         """Total bytes available in the free list (excludes headers)."""
+        if self._adopted:
+            self._own()
         return sum(size for _, size in self._free)
 
     @property
@@ -155,12 +163,20 @@ class HeapAllocator:
         unchanged count proves :meth:`state` is unchanged."""
         return self._mutations
 
+    @property
+    def materialized(self) -> int:
+        """Private copies taken of containers :meth:`restore_state` adopted:
+        at most one per restore, none for a restore nothing reads."""
+        return self._materialized
+
     def malloc(self, size: int) -> int:
         """Allocate ``size`` payload bytes; returns the payload address.
 
         Raises:
             AllocationError: for non-positive sizes or exhausted heap.
         """
+        if self._adopted:
+            self._own()
         base, padded = self._claim(size)
         self._write_header(base, padded)
         return base + HEADER_SIZE
@@ -175,6 +191,8 @@ class HeapAllocator:
         or fault semantics. A caller settles the two u32 header stores
         per block itself and uses this only where no fault is tracked.
         """
+        if self._adopted:
+            self._own()
         bases: List[int] = []
         headers: List[int] = []
         try:
@@ -205,6 +223,8 @@ class HeapAllocator:
             HeapCorruptionError: if the block header fails validation —
                 the simulated-memory analogue of a glibc heap abort.
         """
+        if self._adopted:
+            self._own()
         self._mutations += 1
         padded = self._live.pop(addr, None)
         if padded is None:
@@ -215,6 +235,8 @@ class HeapAllocator:
 
     def usable_size(self, addr: int) -> int:
         """Return the payload capacity of a live block."""
+        if self._adopted:
+            self._own()
         padded = self._live.get(addr)
         if padded is None:
             raise AllocationError(f"usable_size of non-allocated address 0x{addr:x}")
@@ -228,6 +250,8 @@ class HeapAllocator:
         state (used by workload checkpoints when operations allocate and
         free after build, e.g. key-value DELETEs).
         """
+        if self._adopted:
+            self._own()
         return {
             "free": list(self._free),
             "live": dict(self._live),
@@ -236,9 +260,18 @@ class HeapAllocator:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore bookkeeping captured by :meth:`state`."""
-        self._free = list(state["free"])
-        self._live = dict(state["live"])
+        """Restore bookkeeping captured by :meth:`state`.
+
+        ``state["free"]`` / ``state["live"]`` are adopted by reference
+        and never mutated: the first operation that reads them takes
+        private copies (:attr:`materialized`). ``free`` may be any
+        sequence of ``(base, size)`` spans and ``live`` a mapping or a
+        sequence of ``(addr, padded)`` pairs; the caller must not change
+        them afterwards.
+        """
+        self._free = state["free"]
+        self._live = state["live"]
+        self._adopted = True
         self._allocated_bytes = state["allocated_bytes"]
         self._peak_bytes = state["peak_bytes"]
         self._mutations += 1
@@ -250,6 +283,8 @@ class HeapAllocator:
         free heap space (the paper's ``getMappedAddr`` only returns
         addresses where "a program has data stored").
         """
+        if self._adopted:
+            self._own()
         spans = [
             (addr - HEADER_SIZE, addr - HEADER_SIZE + padded)
             for addr, padded in self._live.items()
@@ -263,10 +298,19 @@ class HeapAllocator:
         Raises:
             HeapCorruptionError: on the first corrupted header found.
         """
+        if self._adopted:
+            self._own()
         for addr, padded in self._live.items():
             self._validate_header(addr - HEADER_SIZE, padded)
 
     # ------------------------------------------------------------------
+    def _own(self) -> None:
+        """Replace the containers :meth:`restore_state` adopted by copies."""
+        self._free = list(self._free)
+        self._live = dict(self._live)
+        self._adopted = False
+        self._materialized += 1
+
     def _claim(self, size: int) -> Tuple[int, int]:
         """First-fit bookkeeping of one allocation: (block base, padded size).
 

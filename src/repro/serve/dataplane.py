@@ -203,10 +203,13 @@ class BatchedDataPlane:
             replay.progress_dirty = True
             for key, value in live.items():
                 counts[key] += value
-            if tenant.needs_restart:
-                # The fatal request took the process down: whatever the
-                # quantum still held fails unexecuted, as in the scalar loop.
-                executed = tenant.cursor - cursor + 1
+            served = tenant.cursor - cursor
+            if served < reasons.size:
+                # A fatal request (it leaves the cursor on itself) took
+                # the process down: whatever the quantum still held fails
+                # unexecuted, as in the scalar loop. ``needs_restart`` may
+                # be left over from an earlier quantum, so it cannot tell.
+                executed = served + 1
                 counts["failed"] += remaining
                 tally["fatal_tail"] += reasons.size - executed + remaining
                 reasons = reasons[:executed]

@@ -27,6 +27,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.apps.base import Workload
+from repro.apps.kvstore import KVStoreWorkload, key_bytes
+from repro.apps.kvstore.store import _ENTRY_HEADER, ENTRY_HEADER_SIZE
 from repro.memory import AddressSpace, standard_layout
 from repro.memory.faults import FaultKind
 from repro.memory.regions import PAGE_SIZE
@@ -41,7 +43,7 @@ from repro.serve import (
     default_tenants,
     run_serve,
 )
-from repro.serve.policies import FaultEvent
+from repro.serve.policies import POLICY_NAMES, FaultEvent
 from repro.utils.timescale import TimeScale
 
 PRIVATE_SIZE = 2 * PAGE_SIZE
@@ -269,6 +271,33 @@ class TestSeededSessionLedgers:
             ledgers[plane] = path.read_bytes()
         assert ledgers["scalar"] == ledgers["auto"]
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        error_rate=st.sampled_from([0.0, 1.0, 4.0]),
+        policy=st.sampled_from([None, *POLICY_NAMES]),
+        ticks=st.integers(min_value=3, max_value=10),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_kvstore_with_deletes_ledgers_identical(
+        self, tmp_path_factory, seed, error_rate, policy, ticks
+    ):
+        """A key-value tenant that wraps its deleting trace every tick."""
+        base = tmp_path_factory.mktemp("kv-ledgers")
+        ledgers = {}
+        for plane in ("scalar", "auto"):
+            config = ServeConfig(
+                duration_ticks=ticks,
+                error_rate=error_rate,
+                policy=policy,
+                seed=seed,
+                data_plane=plane,
+            )
+            path = base / f"{plane}-{seed}-{ticks}.jsonl"
+            tenant = ServeTenant("kvstore", kv_trace(12), requests_per_tick=30)
+            run_serve(config, tenants=[tenant], ledger_path=path)
+            ledgers[plane] = path.read_bytes()
+        assert ledgers["scalar"] == ledgers["auto"]
+
 
 # ----------------------------------------------------------------------
 # Epoch boundaries (ISSUE 19): short traces wrap several times a quantum,
@@ -287,14 +316,36 @@ class ShortTrace(MiniWorkload):
         return self.queries
 
 
+def kv_trace(queries: int) -> KVStoreWorkload:
+    """A small key-value store whose trace opens with delete key 0, get
+    key 6, get key 0 (a miss), set key 0 again (a malloc into the freed
+    block), so fused runs end on allocator states a delete produced."""
+    return KVStoreWorkload(
+        seed=10, key_count=40, op_count=queries, bucket_count=16,
+        heap_size=4 * PAGE_SIZE, stack_size=PAGE_SIZE,
+    )
+
+
+def value_offset(workload: KVStoreWorkload, key_id: int) -> int:
+    """Heap offset of the first value byte of ``key_id``, found with
+    peeks alone (no clock tick, no counter)."""
+    space, key = workload.space, key_bytes(key_id)
+    entry = int.from_bytes(space.peek(workload.store._bucket_addr(key), 4), "little")
+    while True:
+        following, keylen, _ = _ENTRY_HEADER.unpack(space.peek(entry, ENTRY_HEADER_SIZE))
+        if space.peek(entry + ENTRY_HEADER_SIZE, keylen) == key:
+            return entry + ENTRY_HEADER_SIZE + keylen - space.region_named("heap").base
+        entry = following
+
+
 class EpochTwins:
     """A scalar and a batched tenant of one short trace, driven alike."""
 
-    def __init__(self, queries: int, oracle: bool = False) -> None:
+    def __init__(self, queries: int, oracle: bool = False, trace=ShortTrace) -> None:
         self.queries = queries
         self.tenants = []
         for _ in range(2):
-            tenant = ServeTenant("mini", ShortTrace(queries))
+            tenant = ServeTenant("mini", trace(queries))
             tenant.build()
             if oracle:
                 tenant.space.set_fast_path(False)
@@ -340,6 +391,9 @@ class EpochTwins:
         # the stored bit and the clock the quantum before it left.
         assert scalar.space.fault_log.entries == batched.space.fault_log.entries
         assert scalar.space.tracked_addresses() == batched.space.tracked_addresses()
+        # Python-side progress (the key-value store's allocator and
+        # item count) as well as memory.
+        assert scalar.workload.progress_state() == batched.workload.progress_state()
         for region in scalar.space.regions:
             assert scalar.space.peek(region.base, region.size) == batched.space.peek(
                 region.base, region.size
@@ -497,6 +551,102 @@ class TestEpochBoundaries:
             elif name == "recover":
                 twins.recover("heap", first)
             else:  # back to cursor 0 without an epoch wrap
+                for tenant in twins.tenants:
+                    tenant.restart(1)
+                twins.check()
+
+
+class TestKVStoreEpochs:
+    """The twins over a key-value trace with a delete: fused runs end by
+    adopting recorded allocator states, wraps restore the checkpoint's."""
+
+    @pytest.mark.parametrize("queries", [4, 12])
+    def test_wraps_restart_hard_fault_and_recover(self, queries):
+        twins = EpochTwins(queries, trace=kv_trace)
+        kinds = [op.kind for op in twins.tenants[1].workload.trace]
+        assert kinds[:4] == ["delete", "get", "get", "set"]
+        for count in (queries - 1, 1, 3 * queries + 1, 2 * queries):
+            twins.serve(count)
+        assert twins.tally["fused"] == twins.served
+        for tenant in twins.tenants:
+            tenant.restart(1)
+        twins.check()
+        twins.serve(queries + 2)
+        # A byte of key 6's value (read by two gets): those requests are
+        # blocked, and the fault is re-applied at each wrap.
+        value = value_offset(twins.tenants[1].workload, 6)
+        twins.fault("heap", value, 0, FaultKind.HARD)
+        for count in (2 * queries + 1, queries, 3 * queries):
+            twins.serve(count)
+        assert twins.tally["live"] > 0
+        assert twins.tenants[1].resident_fault_count == 1
+        twins.fault("heap", value, 1, FaultKind.SOFT)
+        twins.recover("heap", value)
+        assert twins.heap_mirror().stats.pages_recovered == 1
+        for count in (1, 4 * queries + 1, queries):
+            twins.serve(count)
+        assert twins.tenants[1].resident_fault_count == 0
+        assert twins.tenants[1].epochs >= 10
+        # Every flush followed a restore: only the build copied bytes.
+        mirror = twins.heap_mirror()
+        assert mirror.stats.flushes == twins.tenants[1].epochs + 1
+        assert mirror.stats.bytes_flushed == mirror.region.size
+
+    def test_serving_on_after_a_fatal_request_without_a_restart(self):
+        """A library caller may serve a tenant whose process died without
+        restarting it: both planes then serve the quantum as the scalar
+        loop does, since a ``needs_restart`` left set is no death of the
+        next live stretch."""
+        queries = 4
+        twins = EpochTwins(queries, trace=kv_trace)
+        twins.serve(queries + 2)
+        workload = twins.tenants[1].workload
+        # A stuck bit in key 0's bucket head: the chain walk dereferences
+        # a wild pointer, which kills the process.
+        head = workload.store._bucket_addr(key_bytes(0)) - workload.space.region_named("heap").base
+        twins.fault("heap", head, 3, FaultKind.HARD)
+        for count in (2 * queries + 1, queries, 3 * queries):
+            twins.serve(count)
+        assert all(tenant.needs_restart for tenant in twins.tenants)
+        assert twins.tally["fatal_tail"] > 0
+        twins.fault("heap", head, 3, FaultKind.SOFT)
+        twins.recover("heap", head)
+        twins.serve(1)
+        tail = twins.tally["fatal_tail"]
+        twins.serve(4 * queries + 1)
+        assert twins.tally["fatal_tail"] == tail
+        assert twins.tally["live"] > 0
+
+    @given(
+        queries=st.sampled_from([1, 3, 4, 12]),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("serve"), st.integers(0, 4), st.integers(-1, 1)),
+                st.tuples(
+                    st.just("fault"),
+                    st.sampled_from([8, 40, 150, 600, 2000, 4 * PAGE_SIZE - 1]),
+                    st.sampled_from([FaultKind.SOFT, FaultKind.HARD]),
+                ),
+                st.tuples(
+                    st.just("recover"), st.sampled_from([8, PAGE_SIZE]), st.none()
+                ),
+                st.tuples(st.just("restart"), st.none(), st.none()),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_walks_over_kvstore_traces(self, queries, steps):
+        twins = EpochTwins(queries, trace=kv_trace)
+        for name, first, second in steps:
+            if name == "serve":
+                twins.serve(max(1, first * queries + second))
+            elif name == "fault":
+                twins.fault("heap", first, 0, second)
+            elif name == "recover":
+                twins.recover("heap", first)
+            else:
                 for tenant in twins.tenants:
                     tenant.restart(1)
                 twins.check()

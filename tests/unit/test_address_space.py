@@ -154,6 +154,25 @@ class TestFaultInjection:
         assert space.read_u8(heap_base) == 0
         assert len(space.fault_log) == 0
 
+    @staticmethod
+    def assert_nothing_guarded(space):
+        assert space.tracked_addresses() == ()
+        assert not space._overlay
+        assert len(space.fault_log) == 0
+        assert space._guard_lo > space._guard_hi
+
+    def test_clear_faults_with_nothing_tracked(self, space, heap_base):
+        space.clear_faults()  # a fresh space
+        self.assert_nothing_guarded(space)
+        space.inject_hard_fault(heap_base, 0)
+        space.inject_soft_flip(heap_base + 1, 0)
+        space.clear_faults()
+        self.assert_nothing_guarded(space)
+        space.clear_faults()  # again, with nothing left to clear
+        self.assert_nothing_guarded(space)
+        space.write_u8(heap_base, 0xFF)
+        assert space.read_u8(heap_base) == 0xFF
+
 
 class TestStatsAndSnapshots:
     def test_access_stats_count_per_region(self, space, heap_base):

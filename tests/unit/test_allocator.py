@@ -134,3 +134,84 @@ class TestLiveSpans:
         spans = allocator.live_spans()
         assert spans == sorted(spans)
         assert len(spans) == 3
+
+
+class TestRestoreCopyOnWrite:
+    """restore_state adopts the containers it is given; the first
+    operation that reads or changes them works on private copies."""
+
+    def test_restore_defers_the_copy_to_the_first_operation(self, allocator):
+        a = allocator.malloc(32)
+        saved = allocator.state()
+        before = allocator.mutations
+        allocator.restore_state(saved)
+        assert allocator.materialized == 0
+        allocator.restore_state(saved)  # a restore nothing read: no copy
+        assert allocator.materialized == 0
+        assert allocator.mutations == before + 2  # every restore counts
+        allocator.free(a)
+        assert allocator.materialized == 1
+        allocator.malloc(16)
+        assert allocator.materialized == 1
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda alloc, addr: alloc.malloc(24),
+            lambda alloc, addr: alloc.malloc_many([24, 40]),
+            lambda alloc, addr: alloc.calloc(24),
+            lambda alloc, addr: alloc.free(addr),
+            lambda alloc, addr: alloc.usable_size(addr),
+            lambda alloc, addr: alloc.live_spans(),
+            lambda alloc, addr: alloc.check_integrity(),
+            lambda alloc, addr: alloc.state(),
+            lambda alloc, addr: alloc.free_bytes,
+            lambda alloc, addr: alloc.live_allocations,
+        ],
+    )
+    def test_every_entry_point_leaves_adopted_containers_alone(
+        self, allocator, operation
+    ):
+        addr = allocator.malloc(32)
+        saved = allocator.state()
+        free, live = list(saved["free"]), dict(saved["live"])
+        allocator.restore_state(saved)
+        operation(allocator, addr)
+        assert allocator.materialized == 1
+        assert saved["free"] == free and saved["live"] == live
+        # Later operations keep working on the private copies.
+        allocator.malloc(8)
+        assert saved["free"] == free and saved["live"] == live
+
+    def test_recorded_tuples_are_adopted_as_they_are(self, allocator):
+        a = allocator.malloc(32)
+        allocator.malloc(48)
+        state = allocator.state()
+        recorded = {
+            "free": tuple(state["free"]),
+            "live": tuple(sorted(state["live"].items())),
+            "allocated_bytes": state["allocated_bytes"],
+            "peak_bytes": state["peak_bytes"],
+        }
+        allocator.free(a)
+        before = allocator.mutations
+        allocator.restore_state(recorded)
+        assert allocator.mutations == before + 1
+        assert allocator.live_spans() == [
+            (addr - HEADER_SIZE, addr - HEADER_SIZE + padded)
+            for addr, padded in recorded["live"]
+        ]
+        allocator.free(a)  # the recorded heap still holds it
+        assert allocator.state()["live"] == dict(recorded["live"][1:])
+
+    def test_state_returns_independent_copies(self, allocator):
+        allocator.malloc(32)
+        saved = allocator.state()
+        allocator.restore_state(saved)
+        copy = allocator.state()
+        assert copy == saved
+        assert copy["free"] is not saved["free"]
+        assert copy["live"] is not saved["live"]
+        copy["free"].clear()
+        copy["live"].clear()
+        assert allocator.state() == saved

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.base import QueryTimeout
-from repro.apps.kvstore import KVStore, key_bytes, value_bytes
+from repro.apps.kvstore import KVStore, KVStoreWorkload, key_bytes, value_bytes
 from repro.apps.kvstore.store import MAX_CHAIN_LENGTH
 from repro.memory import HeapAllocator, StackManager
 
@@ -162,3 +162,71 @@ class TestWorkload:
         sizes = kvstore_small.region_sizes()
         assert "private" not in sizes
         assert sizes["heap"] > sizes["stack"]
+
+
+class TestProgressByReference:
+    """progress_state() after a restore is the state restored, read
+    without rebuilding the allocator's bookkeeping."""
+
+    @staticmethod
+    def forbid_state(monkeypatch):
+        def state(self):
+            raise AssertionError("HeapAllocator.state called")
+
+        monkeypatch.setattr(HeapAllocator, "state", state)
+
+    @pytest.fixture
+    def workload(self):
+        # Seed 10: delete key 0, get key 6, miss key 0, set key 0 again.
+        workload = KVStoreWorkload(
+            seed=10, key_count=40, op_count=12, bucket_count=16,
+            heap_size=16384, stack_size=4096,
+        )
+        workload.build()
+        workload.checkpoint()
+        assert [op.kind for op in workload.trace[:4]] == ["delete", "get", "get", "set"]
+        return workload
+
+    def test_after_restore_progress(self, workload, monkeypatch):
+        for index in range(3):
+            workload.execute(index)
+        recorded = workload.progress_state()
+        workload.reset()
+        self.forbid_state(monkeypatch)
+        workload.restore_progress(recorded)
+        state = workload.progress_state()
+        assert state == recorded
+        # The recorded tuples themselves: comparing is an identity check.
+        assert all(mine is theirs for mine, theirs in zip(state, recorded))
+
+    def test_after_reset(self, workload, monkeypatch):
+        checkpoint = workload.progress_state()
+        for index in range(3):  # the delete's block is still free
+            workload.execute(index)
+        assert workload.progress_state() != checkpoint
+        self.forbid_state(monkeypatch)
+        workload.reset()
+        state = workload.progress_state()
+        assert state == checkpoint
+        assert all(mine is theirs for mine, theirs in zip(state[:2], checkpoint))
+
+    def test_restored_progress_serves_the_rest_of_the_trace(self, workload):
+        golden = [workload.execute(index) for index in range(workload.query_count)]
+        workload.reset()
+        recorded = []
+        for index in range(workload.query_count):
+            workload.execute(index)
+            recorded.append(workload.progress_state())
+        # Resume from each recorded position: the allocator adopted the
+        # recorded tuples and must copy them before the next malloc/free.
+        for index in range(workload.query_count - 1):
+            workload.reset()
+            for replayed in range(index + 1):
+                workload.execute(replayed)
+            workload.restore_progress(recorded[index])
+            tail = [
+                workload.execute(later)
+                for later in range(index + 1, workload.query_count)
+            ]
+            assert tail == golden[index + 1 :]
+            assert workload.progress_state() == recorded[-1]

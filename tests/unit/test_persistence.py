@@ -249,3 +249,41 @@ class TestMirrorExactness:
         for _ in range(3):
             full.flush()
         assert full.stats.bytes_flushed == 3 * heap.size
+
+
+class TestCleanFlush:
+    """A flush right after a restore (a clean epoch wrap) does the full
+    copy's bookkeeping and leaves its file, while copying nothing."""
+
+    def test_matches_the_full_copy_twin(self):
+        spaces, backings = parr_twins()
+        fast, full = backings
+        heap = spaces[0].region_named("heap")
+        stack = spaces[0].region_named("stack")
+        checkpoints = [space.snapshot() for space in spaces]
+
+        def each(step):
+            for space, backing, checkpoint in zip(spaces, backings, checkpoints):
+                step(space, backing, checkpoint)
+
+        def restore(space, _, checkpoint):
+            space.restore(checkpoint)
+
+        each(lambda space, backing, _: backing.flush())  # the first mirror
+        each(lambda space, _, __: space.write_u8(heap.base + 3 * PAGE_SIZE, 7))
+        each(lambda space, _, __: space.write_u8(stack.base, 9))  # not backed
+        each(lambda space, backing, _: backing.flush())
+        each(restore)
+        each(lambda space, backing, _: backing.flush())  # the stale page
+        copied = fast.stats.bytes_flushed
+        assert copied == heap.size + 2 * PAGE_SIZE
+        for wrap in range(1, 4):  # clean: nothing dirty, nothing stale
+            each(restore)
+            each(lambda space, backing, _: backing.flush())
+            assert fast.stats.flushes == full.stats.flushes == 3 + wrap
+            assert fast.store.write_ops == full.store.write_ops == 3 + wrap
+            assert fast.stats.bytes_flushed == copied
+            assert full.stats.bytes_flushed == (3 + wrap) * heap.size
+            image = fast.store.load(fast.path)
+            assert image == full.store.load(full.path)
+            assert image == checkpoints[0].mem[heap.base : heap.end]
