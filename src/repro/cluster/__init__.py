@@ -1,12 +1,10 @@
-"""Datacenter-level cost and availability modeling."""
+"""Datacenter-level availability simulation and tenant provisioning."""
 
 from repro.cluster.availability_sim import (
     AvailabilitySimulator,
     MonthOutcome,
     SimulationSummary,
 )
-from repro.cluster.server import ServerConfig, server_cost_with_design
-from repro.cluster.tco import TcoBreakdown, TcoModel, TcoParams
 from repro.cluster.tenancy import (
     HostPlan,
     ReliabilityDomainProvisioner,
@@ -22,9 +20,4 @@ __all__ = [
     "AvailabilitySimulator",
     "MonthOutcome",
     "SimulationSummary",
-    "ServerConfig",
-    "server_cost_with_design",
-    "TcoBreakdown",
-    "TcoModel",
-    "TcoParams",
 ]

@@ -127,25 +127,6 @@ class ChannelProvisionedMemory:
             f"{size} bytes"
         )
 
-    def allocation_at(
-        self, channel: int, channel_addr: int
-    ) -> Optional[ChannelAllocation]:
-        """The allocation holding ``channel_addr`` on ``channel``, if any.
-
-        This is the reverse lookup fault routing needs: a physical error
-        lands at a channel-relative address, and the owner (if the byte
-        is reserved at all) determines which region/tenant is afflicted.
-        Returns ``None`` for unreserved capacity — a fault there hits
-        free memory and no software ever observes it.
-        """
-        for allocation in self.allocations:
-            if (
-                allocation.channel == channel
-                and allocation.offset <= channel_addr < allocation.offset + allocation.size
-            ):
-                return allocation
-        return None
-
     def placement_summary(self) -> Dict[int, Dict[str, object]]:
         """Per-channel technique, grade, and utilisation."""
         summary: Dict[int, Dict[str, object]] = {}

@@ -221,8 +221,7 @@ class ServePartition:
         Keyed on the global coordinate ``channel * channel_size +
         channel_addr``: per-channel allocations are disjoint, so the
         global intervals are too, and one ``np.searchsorted`` resolves a
-        whole footprint's owners at once where the scalar router walked
-        ``allocation_at``'s linear scan per erroneous byte.
+        whole footprint's owners at once.
         """
         channel_size = self.geometry.channel_size
         entries = []

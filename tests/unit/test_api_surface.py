@@ -232,11 +232,13 @@ class TestAvailableBackends:
         helpers only their own tests reached are gone too."""
         import importlib
 
+        import repro.cluster
         import repro.exec
         import repro.obs
         import repro.utils.bitops
         from repro.core.campaign import load_or_run_profile
         from repro.exec import ParallelCampaignRunner
+        from repro.hrm.channels import ChannelProvisionedMemory
         from repro.injection import AddressSampler
         from repro.memory import AddressSpace
         from repro.memory.faults import HardFaultOverlay
@@ -277,6 +279,20 @@ class TestAvailableBackends:
             if callable(getattr(repro.utils.bitops, name))
             and not name.startswith("_")
         ] == ["parity64"]
+        # The dollar models restated the hardware-cost fraction; the
+        # per-byte channel router gave way to the partition's interval map.
+        for module in ("repro.cluster.server", "repro.cluster.tco"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        for name in (
+            "ServerConfig",
+            "server_cost_with_design",
+            "TcoParams",
+            "TcoModel",
+            "TcoBreakdown",
+        ):
+            assert not hasattr(repro.cluster, name), name
+        assert not hasattr(ChannelProvisionedMemory, "allocation_at")
 
     def test_the_scalar_oracle_is_serial(self):
         config = api.CampaignConfig(trials_per_cell=1, queries_per_trial=2)

@@ -1,4 +1,4 @@
-"""Unit tests for repro.cluster (server cost, TCO, Monte-Carlo sim)."""
+"""Unit tests for repro.cluster (Monte-Carlo availability simulator)."""
 
 import math
 import tracemalloc
@@ -8,11 +8,7 @@ import pytest
 from repro.cluster import (
     AvailabilitySimulator,
     MonthOutcome,
-    ServerConfig,
     SimulationSummary,
-    TcoModel,
-    TcoParams,
-    server_cost_with_design,
 )
 from repro.core.availability import (
     MINUTES_PER_MONTH,
@@ -21,7 +17,6 @@ from repro.core.availability import (
     availability_from_crashes,
     design_outcome_rates,
 )
-from repro.core.cost_model import CostModel
 from repro.core.design_space import HardwareTechnique, RegionPolicy, SoftwareResponse
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
@@ -63,61 +58,6 @@ def series(summary):
         name: [getattr(month, name) for month in summary.months]
         for name in SERIES
     }
-
-
-class TestServerConfig:
-    def test_cost_split(self):
-        config = ServerConfig()
-        assert config.dram_cost_dollars == pytest.approx(1200.0)
-        assert config.non_dram_cost_dollars == pytest.approx(2800.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ServerConfig(base_cost_dollars=0)
-        with pytest.raises(ValueError):
-            ServerConfig(dram_fraction=2.0)
-
-    def test_design_cost(self):
-        config = ServerConfig()
-        policies = {"all": RegionPolicy(technique=HardwareTechnique.NONE)}
-        cost = server_cost_with_design(
-            config, CostModel(), policies, {"all": 100}
-        )
-        # NoECC saves 11.1% of DRAM cost.
-        expected = 2800 + 1200 * (1 - 0.111)
-        assert cost == pytest.approx(expected, rel=0.001)
-
-    def test_baseline_design_costs_base(self):
-        config = ServerConfig()
-        policies = {"all": RegionPolicy(technique=HardwareTechnique.SEC_DED)}
-        cost = server_cost_with_design(config, CostModel(), policies, {"all": 1})
-        assert cost == pytest.approx(config.base_cost_dollars)
-
-
-class TestTcoModel:
-    def test_breakdown_structure(self):
-        model = TcoModel()
-        breakdown = model.breakdown(4000.0)
-        assert breakdown.total_per_year > breakdown.server_capex_per_year
-        capex = breakdown.server_capex_per_year + breakdown.other_capex_per_year
-        assert capex / breakdown.total_per_year == pytest.approx(0.57)
-
-    def test_savings_fraction(self):
-        model = TcoModel()
-        savings = model.tco_savings_fraction(4000.0, 4000.0 * (1 - 0.047 * 0.3))
-        assert 0 < savings < 0.047  # diluted by non-server TCO
-
-    def test_cheaper_server_saves_more(self):
-        model = TcoModel()
-        assert model.tco_savings_fraction(4000, 3800) > model.tco_savings_fraction(
-            4000, 3900
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TcoParams(server_count=0)
-        with pytest.raises(ValueError):
-            TcoModel().breakdown(0)
 
 
 class TestAvailabilitySimulator:
