@@ -22,7 +22,12 @@ quantum live. Reported numbers, per session and plane:
   build included). A checkpoint reset or a fused run's end adopts the
   recorded state; only a malloc or free after it copies, so the batched
   plane, which executes few key-value requests live, copies at most as
-  often as the scalar plane (an exact count, gated in CI for kvstore).
+  often as the scalar plane (an exact count, gated in CI for kvstore);
+* per tenant, ``checkpoint_restores``: the checkpoint restores its space
+  made from tick 0 on (``fast_path_stats()``; the build and the batched
+  plane's trace recording come before). The scalar loop restores at
+  every wrap and restart; the batched plane at most once a quantum plus
+  restarts, so never more often (an exact count, gated in CI).
 
 Across planes, the scalar and batched ledgers must be byte-identical
 (asserted before any timing is reported — a speedup over a divergent
@@ -71,14 +76,36 @@ SCALE = {"full": 0.5, "smoke": 0.3}
 LOAD = {"full": 16.0, "smoke": 16.0}
 
 
+def restores(tenant) -> int:
+    """Checkpoint restores the tenant's space has made so far."""
+    stats = tenant.space.fast_path_stats()
+    return stats["restores_full"] + stats["restores_incremental"]
+
+
 def run_session(base: dict, plane: str, ledger: Path, scale: float, load: float):
-    """One seeded session under ``plane``; tenants are built fresh."""
+    """One seeded session under ``plane``; tenants are built fresh.
+
+    Returns the result, the wall time, the tenants, and per tenant the
+    checkpoint restores made from tick 0 on.
+    """
     config = ServeConfig(**base, data_plane=PLANES[plane])
     tenants = default_tenants(scale=scale, load=load)
+    by_name = {tenant.name: tenant for tenant in tenants}
+    at_tick_0 = {}
+
+    async def note_restores(tenant: str, tick: int) -> None:
+        if tick == 0:
+            at_tick_0[tenant] = restores(by_name[tenant])
+
     start = time.perf_counter()
-    result = run_serve(config, tenants=tenants, ledger_path=ledger)
+    result = run_serve(
+        config, tenants=tenants, ledger_path=ledger, stagger=note_restores
+    )
     elapsed = time.perf_counter() - start
-    return result, elapsed, tenants
+    served = {
+        name: restores(tenant) - at_tick_0[name] for name, tenant in by_name.items()
+    }
+    return result, elapsed, tenants, served
 
 
 def par_r_counts(tenant) -> dict:
@@ -108,7 +135,9 @@ def heap_copies(tenant) -> int:
 
 def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float):
     """Timed run + determinism twin + replay audit for one plane."""
-    result, elapsed, tenants = run_session(base, plane, ledger, scale, load)
+    result, elapsed, tenants, served_restores = run_session(
+        base, plane, ledger, scale, load
+    )
 
     twin_path = ledger.with_suffix(".twin.jsonl")
     run_session(base, plane, twin_path, scale, load)
@@ -128,6 +157,7 @@ def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float)
     return {
         "par_r": {tenant.name: par_r_counts(tenant) for tenant in tenants},
         "heap_copies": {tenant.name: heap_copies(tenant) for tenant in tenants},
+        "checkpoint_restores": served_restores,
         "decisions": decisions,
         "decisions_total": {
             decision: sum(tally[decision] for tally in decisions.values())
@@ -164,6 +194,7 @@ def bench_session(
             f"{report['wall_seconds']:.2f}s -> {report['requests_per_sec']} "
             f"req/s, fused={tally['fused']} live={tally['live']} "
             f"heap_copies={report['heap_copies']} "
+            f"checkpoint_restores={report['checkpoint_restores']} "
             f"byte_identical={report['determinism']['byte_identical']} "
             f"replay_audit={report['replay_audit']['exact']}"
         )
@@ -212,6 +243,12 @@ def bench_session(
             for plane in PLANES
             for counts in planes[plane]["par_r"].values()
         ),
+        # Exact, untimed: at most one restore a quantum plus restarts
+        # never exceeds one per wrap plus restarts.
+        "restores_at_most_scalar": all(
+            count <= planes["scalar"]["checkpoint_restores"][name]
+            for name, count in planes["batched"]["checkpoint_restores"].items()
+        ),
     }
 
 
@@ -228,6 +265,8 @@ def session_failures(label: str, session: dict):
         ("epochs or flushes differ across planes",
          session["epoch_boundaries_agree"]),
         ("a serve flush copied bytes", session["serve_flushes_copy_nothing"]),
+        ("batched plane restored a checkpoint more often than scalar",
+         session["restores_at_most_scalar"]),
     )
     return [f"{label}: {text}" for text, ok in checks if not ok]
 

@@ -1016,18 +1016,25 @@ class AddressSpace:
         view.flags.writeable = False
         return view
 
-    def poke_scattered(self, addrs: np.ndarray, values: np.ndarray) -> None:
+    def poke_scattered(
+        self,
+        addrs: np.ndarray,
+        values: np.ndarray,
+        pages: Optional[List[int]] = None,
+    ) -> None:
         """Raw-store ``values[i]`` at byte ``addrs[i]`` in one assignment.
 
         :meth:`poke` for a scattered byte set (the batched data plane's
         fused write image): addresses must be distinct and in bounds.
         Every touched page is marked dirty and every touched region's
-        content version bumped once.
+        content version bumped once. ``pages``, when the caller already
+        has them, are the distinct pages of ``addrs``.
         """
         if addrs.size == 0:
             return
         np.frombuffer(self._mem, dtype=np.uint8)[addrs] = values
-        pages = np.flatnonzero(np.bincount(addrs >> _PAGE_SHIFT)).tolist()
+        if pages is None:
+            pages = np.flatnonzero(np.bincount(addrs >> _PAGE_SHIFT)).tolist()
         for index in {self._page_map[page] for page in pages}:
             if index >= 0:
                 self._region_versions[index] += 1

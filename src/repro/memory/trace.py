@@ -43,6 +43,7 @@ the byte already had.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -74,6 +75,9 @@ _NO_BYTES = np.zeros(0, dtype=np.int64)
 #: intervals with each address; past it, it searches once per interval
 #: (on ~1 600 intervals the two break even at six addresses).
 _FEW_ADDRS = 5
+#: Write-image bytes (addresses and values) a :class:`TraceReplay` keeps
+#: in memoized run plans; the least recently used plans go first.
+_PLAN_MEMO_BYTES = 1 << 21
 
 
 def tally_reasons(tally: Dict[str, int], reasons: np.ndarray) -> None:
@@ -392,6 +396,24 @@ def record_access_trace(
     )
 
 
+@dataclass(frozen=True)
+class _RunPlan:
+    """What serving queries ``[start, end)`` unexecuted changes: the
+    write image, its distinct pages, and the clock and counter debt in
+    the form :meth:`~repro.memory.address_space.AddressSpace.
+    charge_recorded` takes."""
+
+    addrs: np.ndarray
+    values: np.ndarray
+    pages: List[int]
+    time: int
+    deltas: List[List[int]]
+
+    @property
+    def nbytes(self) -> int:
+        return self.addrs.nbytes + self.values.nbytes
+
+
 class TraceReplay:
     """Serves clean runs of a recorded trace on a live workload, unexecuted.
 
@@ -404,6 +426,10 @@ class TraceReplay:
     tracking: every page where stored memory or the rolling golden image
     differs from the checkpoint is a dirty page, so divergence is looked
     for there and nowhere else.
+
+    A run's plan (:class:`_RunPlan`) depends on ``(start, end)`` alone,
+    so it is memoized: a session serves the same few runs over and over.
+    The memo holds at most :data:`_PLAN_MEMO_BYTES` of write image.
     """
 
     def __init__(self, trace: AccessTrace, workload: "Workload") -> None:
@@ -427,11 +453,35 @@ class TraceReplay:
         self._diverged_key: Optional[tuple] = None
         self._verdicts: Optional[np.ndarray] = None
         self._verdict_key: Optional[tuple] = None
+        self._plans: "OrderedDict[Tuple[int, int], _RunPlan]" = OrderedDict()
+        self._plan_bytes = 0
+
+    def _plan(self, start: int, end: int) -> _RunPlan:
+        """The memoized plan of queries ``[start, end)``."""
+        key = (start, end)
+        plan = self._plans.get(key)
+        if plan is not None:
+            self._plans.move_to_end(key)
+            return plan
+        trace = self.trace
+        addrs, values = trace.write_image(start, end)
+        plan = _RunPlan(
+            addrs=addrs,
+            values=values,
+            pages=np.unique(addrs >> _PAGE_SHIFT).tolist(),
+            time=int(trace.clock[end] - trace.clock[start]),
+            deltas=(trace.counters[end] - trace.counters[start]).reshape(-1, 4).tolist(),
+        )
+        self._plans[key] = plan
+        self._plan_bytes += plan.nbytes
+        while self._plan_bytes > _PLAN_MEMO_BYTES:
+            self._plan_bytes -= self._plans.popitem(last=False)[1].nbytes
+        return plan
 
     def rewind(self) -> None:
         """Memory was restored to the checkpoint: the image follows."""
         if self._image_cursor:
-            addrs, _ = self.trace.write_image(0, self._image_cursor)
+            addrs = self._plan(0, self._image_cursor).addrs
             self._flat_image[addrs] = self._checkpoint[addrs]
             self._image_cursor = 0
         self._diverged_key = None
@@ -482,27 +532,37 @@ class TraceReplay:
         and a little more: every query fuses *and* the checkpoint
         restore that closes the epoch changes no stored byte, clears no
         fault and leaves this same state — so a whole epoch is its
-        recorded accounting and a reset (:meth:`charge_epoch`).
+        recorded accounting and a reset (:meth:`charge_epochs`).
         """
         if self.blocked_queries() is not None:
             return False
         return self._progress_ok(0) and not self._diverged_bytes(0).size
 
-    def charge_epoch(self) -> None:
-        """Settle the clock and counters of the whole trace, unexecuted.
+    def charge_epochs(self, epochs: int) -> None:
+        """Settle the counters of ``epochs`` whole traces, unexecuted.
 
-        Only in a :meth:`pristine` state, and only when the caller then
-        resets to the checkpoint: the trace's stores are not applied.
+        Only in a :meth:`pristine` state, whose epochs the caller closes
+        with a checkpoint reset: the trace's stores are not applied, and
+        the clock is left alone — the reset sets it to the checkpoint's.
         """
-        self._charge(0, self.trace.query_count)
-
-    def _charge(self, start: int, end: int) -> None:
-        """Settle the recorded clock/counter debt of queries ``[start, end)``."""
-        trace = self.trace
-        deltas = (trace.counters[end] - trace.counters[start]).reshape(-1, 4)
+        deltas = self._plan(0, self.trace.query_count).deltas
         self.workload.space.charge_recorded(
-            int(trace.clock[end] - trace.clock[start]), deltas.tolist()
+            0, [[epochs * value for value in row] for row in deltas]
         )
+
+    def charge_run(self, start: int, run: int) -> None:
+        """Serve queries ``[start, start + run)`` by their accounting alone.
+
+        Only for a run :meth:`next_runs` just returned at ``start`` that
+        the caller follows with a checkpoint reset, before anything
+        reads stored memory or Python-side progress: the reset restores
+        every byte and the progress the run's write image, heal and
+        recorded state would have set, so only the counters the reset
+        keeps are settled. Nothing is re-keyed: the reset is a
+        :meth:`rewind`.
+        """
+        plan = self._plan(start, start + run)
+        self.workload.space.charge_recorded(plan.time, plan.deltas)
 
     def _progress_ok(self, cursor: int) -> bool:
         if self.progress_dirty:
@@ -561,18 +621,20 @@ class TraceReplay:
     def apply_run(self, start: int, run: int) -> None:
         """Serve queries ``[start, start + run)`` without executing them.
 
-        Only for a run :meth:`next_runs` just returned at ``start``.
+        Only for a run :meth:`next_runs` just returned at ``start``: the
+        run's plan is scattered into memory and the rolling image, and
+        its debt charged in one call.
         """
-        trace, space = self.trace, self.workload.space
+        space = self.workload.space
         end = start + run
-        addrs, values = trace.write_image(start, end)
-        space.poke_scattered(addrs, values)
-        self._flat_image[addrs] = values
+        plan = self._plan(start, end)
+        space.poke_scattered(plan.addrs, plan.values, plan.pages)
+        self._flat_image[plan.addrs] = plan.values
         self._image_cursor = end
         if self._diverged.size:
             self._heal(start, end)
-        self._charge(start, end)
-        self.workload.restore_progress(trace.progress[end])
+        space.charge_recorded(plan.time, plan.deltas)
+        self.workload.restore_progress(self.trace.progress[end])
         self._diverged_key = (end, space.region_versions())
 
     def _heal(self, start: int, end: int) -> None:

@@ -23,7 +23,7 @@ current:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.obs.events import (
     KIND_POINT,
@@ -35,6 +35,7 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import (
     INJECTION_LATENCY_BUCKETS,
+    InstrumentFamily,
     MetricsRegistry,
 )
 from repro.utils.stats import safe_div
@@ -129,23 +130,33 @@ class ServeInstruments:
             "and the reason a live request was not fused)",
             labels=("tenant", "decision"),
         )
+        # (family name, *label values) -> child, resolved once.
+        self._children: Dict[Tuple[str, ...], Any] = {}
         # tenant -> (ok, offered) backing the availability gauge.
         self._counts: Dict[str, Tuple[int, int]] = {}
         # tenant -> data-plane decision totals published so far.
         self._decisions: Dict[str, Dict[str, int]] = {}
+
+    def _child(self, family: InstrumentFamily, *values: str):
+        """``family.labels(...)`` with the label values in declared order."""
+        key = (family.name, *values)
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = family.labels(
+                **dict(zip(family.label_names, values))
+            )
+        return child
 
     def record_requests(self, tenant: str, counts: Dict[str, int]) -> None:
         """Fold one tick's request dispositions for a tenant."""
         ok, offered = self._counts.get(tenant, (0, 0))
         for disposition, count in counts.items():
             if count:
-                self.requests.labels(
-                    tenant=tenant, disposition=disposition
-                ).inc(count)
+                self._child(self.requests, tenant, disposition).inc(count)
             offered += int(count)
         ok += int(counts.get("ok", 0))
         self._counts[tenant] = (ok, offered)
-        self.availability.labels(tenant=tenant).set(
+        self._child(self.availability, tenant).set(
             ok / offered if offered else 1.0
         )
 
@@ -157,9 +168,9 @@ class ServeInstruments:
         seen = self._decisions.setdefault(tenant, {})
         for decision, total in totals.items():
             if total != seen.get(decision):
-                self.plane_requests.labels(
-                    tenant=tenant, decision=decision
-                ).inc(total - seen.get(decision, 0))
+                self._child(self.plane_requests, tenant, decision).inc(
+                    total - seen.get(decision, 0)
+                )
                 seen[decision] = total
 
     def decisions_of(self, tenant: str) -> Dict[str, int]:
@@ -168,23 +179,23 @@ class ServeInstruments:
 
     def record_fault(self, tenant: str, kind: str) -> None:
         """Count one routed fault event."""
-        self.faults.labels(tenant=tenant, kind=kind).inc()
+        self._child(self.faults, tenant, kind).inc()
 
     def record_response(
         self, tenant: str, action: str, pages_retired: int = 0
     ) -> None:
         """Count one applied Table 2 response."""
-        self.responses_total.labels(tenant=tenant, action=action).inc()
+        self._child(self.responses_total, tenant, action).inc()
         if pages_retired:
-            self.pages_retired.labels(tenant=tenant).inc(pages_retired)
+            self._child(self.pages_retired, tenant).inc(pages_retired)
 
     def set_backlog(self, tenant: str, depth: int) -> None:
         """Publish a tenant's current error-response backlog depth."""
-        self.backlog_depth.labels(tenant=tenant).set(float(depth))
+        self._child(self.backlog_depth, tenant).set(float(depth))
 
     def set_shedding(self, tenant: str, shedding: bool) -> None:
         """Publish a tenant's admission-control state."""
-        self.shedding.labels(tenant=tenant).set(1.0 if shedding else 0.0)
+        self._child(self.shedding, tenant).set(1.0 if shedding else 0.0)
 
     def record_latency_many(
         self, tenant: str, seconds: Sequence[float]
@@ -201,11 +212,11 @@ class ServeInstruments:
         determinism invariant covers ledger bytes, not these buckets.
         """
         if seconds:
-            self.request_latency.labels(tenant=tenant).observe_many(seconds)
+            self._child(self.request_latency, tenant).observe_many(seconds)
 
     def latency_quantiles(self, tenant: str) -> Dict[str, float]:
         """p50/p99 request latency for one tenant (0.0 when unobserved)."""
-        histogram = self.request_latency.labels(tenant=tenant)
+        histogram = self._child(self.request_latency, tenant)
         return {
             "p50": histogram.quantile(0.50),
             "p99": histogram.quantile(0.99),

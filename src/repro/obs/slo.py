@@ -219,6 +219,10 @@ class _TenantSlo:
     """Per-tenant engine state: tick history + per-rule alert states."""
 
     history: Deque[Tuple[int, int]]  # (ok, offered) per tick, newest last
+    #: Running (ok, offered) totals before every retained tick and after
+    #: the newest: one entry more than ``history``, so a window's sums
+    #: are one subtraction.
+    totals: Deque[Tuple[int, int]]
     rules: Dict[str, _RuleState] = field(default_factory=dict)
 
 
@@ -242,8 +246,10 @@ class SloEngine:
     def _tenant(self, tenant: str) -> _TenantSlo:
         state = self._tenants.get(tenant)
         if state is None:
+            depth = self.config.max_window_ticks
             state = self._tenants[tenant] = _TenantSlo(
-                history=deque(maxlen=self.config.max_window_ticks)
+                history=deque(maxlen=depth),
+                totals=deque([(0, 0)], maxlen=depth + 1),
             )
         return state
 
@@ -260,6 +266,8 @@ class SloEngine:
         offered = sum(int(v) for v in counts.values())  # type: ignore[arg-type]
         state = self._tenant(tenant)
         state.history.append((ok, offered))
+        ok_total, offered_total = state.totals[-1]
+        state.totals.append((ok_total + ok, offered_total + offered))
         transitions: List[dict] = []
         for window in self.config.windows:
             burn_short = self._burn(state, window.short_ticks)
@@ -291,18 +299,15 @@ class SloEngine:
 
     def _burn(self, state: _TenantSlo, window_ticks: int) -> float:
         """Burn rate over the trailing ``window_ticks`` of history."""
-        history = state.history
-        span = min(window_ticks, len(history))
+        span = min(window_ticks, len(state.history))
         if span == 0:
             return 0.0
-        ok = offered = 0
-        for index in range(len(history) - span, len(history)):
-            tick_ok, tick_offered = history[index]
-            ok += tick_ok
-            offered += tick_offered
+        ok_now, offered_now = state.totals[-1]
+        ok_then, offered_then = state.totals[-1 - span]
+        offered = offered_now - offered_then
         if offered == 0:
             return 0.0
-        bad_fraction = (offered - ok) / offered
+        bad_fraction = (offered - (ok_now - ok_then)) / offered
         return bad_fraction / self.config.error_budget
 
     # ------------------------------------------------------------------

@@ -35,11 +35,35 @@ execution would provably produce the golden response, advance the same
 cursor, and wrap the same epoch — which is why seeded sessions write
 byte-identical ledgers under either plane.
 
-Epoch boundaries cost what changed (DESIGN.md, "Epoch boundaries"): from
-a pristine state at cursor 0 a whole epoch and its closing wrap are the
-trace's total accounting plus a reset that finds nothing dirty, so a
-tenant whose trace is shorter than its quantum stops paying a write
-image and an image rewind per wrap.
+A clean quantum is one step (DESIGN.md, "Epoch boundaries"): at most
+one checkpoint restore, at most one write-image scatter, and accounting.
+
+* *Whole epochs.* From a pristine state at cursor 0 (no tracked byte,
+  golden progress, memory at the checkpoint) ``N`` whole epochs charge
+  ``N`` times the trace's counters in one call and close with one wrap.
+  The plane serves them without touching memory, so once one real reset
+  has run — the wrap just before them in this quantum, or else the first
+  epoch's own — each other closing reset would restore exactly what is
+  there and is its accounting alone
+  (:meth:`~repro.serve.tenants.ServeTenant.fused_epochs`). The clock is
+  not charged: every reset sets it to the checkpoint's.
+* *No scatter before a wrap.* A fused run that reaches the trace end
+  while the quantum still has requests only charges its counters
+  (:meth:`~repro.memory.trace.TraceReplay.charge_run`). Proof: the loop
+  wraps next, before any other step. The wrap restores every page
+  dirtied since the checkpoint, which covers every byte the run's write
+  image or heal would have set, and the reset hook replaces the
+  progress state the run would have adopted. It re-injects the
+  resident faults with their recorded stuck values, so it reads no
+  stored bit. It stamps fault-log times from the clock it has just
+  reset. It flushes only pages dirtied since the restore, and there are
+  none. So no stored byte, image byte or progress state the run skipped
+  is ever read. A run that ends the quantum on the trace end still
+  scatters: faults arrive and policies run at the tick boundary, before
+  the wrap, and ``apply_fault`` reads the stored bit.
+* *Memoized plans.* :class:`~repro.memory.trace.TraceReplay` keeps each
+  ``(start, end)`` run's write image, pages and counter deltas, so a
+  fused run costs two indexed stores and one ``charge_recorded``.
 
 Both planes count, per tenant, how each request was served
 (:data:`DECISIONS`); the counts are deterministic for a seed and never
@@ -159,7 +183,10 @@ class BatchedDataPlane:
         fused = 0
         timed = tenant.latency_sink is not None
         while remaining:
-            if tenant.cursor >= trace.query_count:
+            # The one reset of a clean quantum: nothing runs between it
+            # and the checks below.
+            wrapped = tenant.cursor >= trace.query_count
+            if wrapped:
                 tenant.wrap_epoch()
             if self._generations[tenant.name] != tenant.generation:
                 # A restart or epoch wrap restored the checkpoint.
@@ -171,11 +198,16 @@ class BatchedDataPlane:
                 # Whole epochs whose closing wrap also falls inside the
                 # quantum: the scalar loop wraps only when a request follows.
                 epochs = (remaining - 1) // trace.query_count
-                for _ in range(epochs):
-                    replay.charge_epoch()
+                clean = epochs * trace.query_count
+                replay.charge_epochs(epochs)
+                if not wrapped:
+                    # Faults, repairs or a restart may have touched the
+                    # tenant since its last reset: the first epoch
+                    # closes with a real one.
                     tenant.fused_advance(trace.query_count)
                     tenant.wrap_epoch()
-                clean = epochs * trace.query_count
+                    epochs -= 1
+                tenant.fused_epochs(epochs)
                 fused += clean
                 remaining -= clean
                 if timed:
@@ -187,7 +219,12 @@ class BatchedDataPlane:
                 cursor, min(remaining, trace.query_count - cursor)
             )
             if clean:
-                replay.apply_run(cursor, clean)
+                if cursor + clean == trace.query_count and clean < remaining:
+                    # The wrap comes next, in this quantum, and restores
+                    # every byte and the progress the run would set.
+                    replay.charge_run(cursor, clean)
+                else:
+                    replay.apply_run(cursor, clean)
                 tenant.fused_advance(clean)
                 fused += clean
                 remaining -= clean

@@ -61,6 +61,9 @@ EVENT_STOP = "serve_stop"
 #: restart downtime.
 DISPOSITIONS = ("ok", "incorrect", "failed", "shed", "down")
 
+# The encoder json.dumps would build for these arguments on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class LedgerEvent:
@@ -82,16 +85,14 @@ class LedgerEvent:
 
     def to_json(self) -> str:
         """Canonical single-line JSON form (sorted keys, no whitespace)."""
-        return json.dumps(
+        return _ENCODER.encode(
             {
                 "seq": self.seq,
                 "tick": self.tick,
                 "kind": self.kind,
                 "tenant": self.tenant,
                 "attrs": self.attrs,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
     @classmethod

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Awaitable, Callable, Deque, Dict, List, Optional, Tuple, Union
@@ -136,7 +136,9 @@ class ServeResult:
 
     config: ServeConfig
     ledger_path: Optional[Path]
-    events: list
+    #: Every ledger event, in order; left out of the repr (thousands of
+    #: lines, and asyncio formats the finished main task at teardown).
+    events: list = field(repr=False)
     replay: LedgerReplay
     instruments: ServeInstruments
     registry: MetricsRegistry

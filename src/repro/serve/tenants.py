@@ -315,6 +315,28 @@ class ServeTenant:
         """
         self._cursor += count
 
+    def fused_epochs(self, count: int) -> None:
+        """Close ``count`` whole epochs served by fusion, right after a wrap.
+
+        For the batched data plane, which calls this only at cursor 0
+        with nothing run since the checkpoint restore, in a state it
+        proved pristine (no tracked byte, so no resident fault; golden
+        progress; memory at the checkpoint). The plane serves those
+        epochs without touching memory, so each closing reset would
+        restore exactly what is there and leaves only its accounting:
+        ``epochs`` and ``generation`` advance, and every Par+R mirror
+        takes its flush, which finds nothing dirty to copy.
+        """
+        self.epochs += count
+        self.generation += count
+        for _ in range(count):
+            self._flush_writable()
+
+    def _flush_writable(self) -> None:
+        for backing in self._backings.values():
+            if backing.writable:
+                backing.flush()
+
     def _epoch_reset(self) -> None:
         """Wrap the trace: restore the checkpoint, keep resident faults.
 
@@ -333,6 +355,4 @@ class ServeTenant:
         self.generation += 1
         for addr, (bit, stuck_value) in self._resident.items():
             self.space.inject_hard_fault(addr, bit, stuck_value)
-        for backing in self._backings.values():
-            if backing.writable:
-                backing.flush()
+        self._flush_writable()

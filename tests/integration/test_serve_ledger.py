@@ -123,6 +123,15 @@ class TestLedgerAudit:
         ticks = [event.tick for event in events]
         assert ticks == sorted(ticks)
 
+    def test_repr_leaves_out_the_events(self, session):
+        """asyncio formats the finished main task, hence the result, at
+        teardown: its repr must not grow with the ledger."""
+        result, _, _ = session
+        text = repr(result)
+        assert "LedgerEvent(" not in text
+        assert len(text) < 10_000
+        assert len(text) < sum(len(repr(event)) for event in result.events) / 3
+
     def test_faults_and_policies_fire(self, session):
         result, _, _ = session
         replay = result.replay

@@ -556,6 +556,162 @@ class TestEpochBoundaries:
                 twins.check()
 
 
+def restores(tenant: ServeTenant) -> int:
+    """Checkpoint restores the tenant's space has made so far."""
+    stats = tenant.space.fast_path_stats()
+    return stats["restores_full"] + stats["restores_incremental"]
+
+
+def spy(monkeypatch, replay, name: str) -> list:
+    """Record the arguments of every call to ``replay.<name>``."""
+    calls = []
+    method = getattr(replay, name)
+    monkeypatch.setattr(
+        replay, name, lambda *args: (calls.append(args), method(*args))[1]
+    )
+    return calls
+
+
+class TestOneStepQuantum:
+    """A clean quantum is one accounting step, at most one restore and at
+    most one scatter: whole epochs close with one wrap, a run that reaches
+    the trace end before a wrap in the same quantum only charges, and run
+    plans are memoized."""
+
+    @pytest.mark.parametrize("queries", [1, 2, 3])
+    @pytest.mark.parametrize("epochs", [2, 3])
+    @pytest.mark.parametrize("start", ["wrap_pending", "restarted"])
+    @pytest.mark.parametrize("kind", [FaultKind.SOFT, FaultKind.HARD])
+    @pytest.mark.parametrize("offset", [READ_BYTE, WRITTEN_BYTE])
+    def test_whole_epochs_then_a_fault_at_the_next_boundary(
+        self, queries, epochs, start, kind, offset, monkeypatch
+    ):
+        twins = EpochTwins(queries)
+        if start == "wrap_pending":
+            twins.serve(queries)
+        else:  # at cursor 0, with a restore since the last wrap
+            twins.serve(1)
+            for tenant in twins.tenants:
+                tenant.restart(1)
+            twins.check()
+        charged = spy(monkeypatch, twins.planes[1]._replays["mini"], "charge_epochs")
+        before = twins.tenants[1].epochs
+        twins.serve((epochs + 1) * queries)  # ends on the trace end
+        assert charged == [(epochs,)]
+        assert twins.tenants[1].epochs == before + epochs + (start == "wrap_pending")
+        assert twins.tenants[1].cursor == queries
+        twins.fault("heap", offset, 0, kind)
+        for count in (1, epochs * queries + 1, queries):
+            twins.serve(count)
+        assert twins.tenants[1].resident_fault_count == (kind is FaultKind.HARD)
+
+    @pytest.mark.parametrize("queries", [2, 3])
+    @pytest.mark.parametrize(
+        "hazard", ["resident", "diverged_outside_run", "diverged_in_run"]
+    )
+    def test_run_to_the_trace_end_before_a_wrap_only_charges(
+        self, queries, hazard, monkeypatch
+    ):
+        twins = EpochTwins(queries)
+        twins.serve(1)
+        if hazard == "resident":
+            # Guarded but never read: every request still fuses.
+            twins.fault("heap", HEAP_SIZE - 1, 5, FaultKind.HARD)
+        else:
+            # Query 0's slot (already stored) or query 1's (stored by the
+            # run before any load): retirement leaves the flipped byte
+            # untracked, a difference from golden only.
+            slot = WRITTEN_BYTE + 4 * (hazard == "diverged_in_run")
+            for tenant in twins.tenants:
+                event = fault_at(tenant, "heap", slot, 0, FaultKind.SOFT)
+                tenant.apply_fault(event.addr, event.bit, FaultKind.SOFT)
+                RetirePagePolicy().respond(tenant, event)
+            twins.check()
+            assert not twins.tenants[1].space.tracked_addresses()
+        replay = twins.planes[1]._replays["mini"]
+        charged = spy(monkeypatch, replay, "charge_run")
+        applied = spy(monkeypatch, replay, "apply_run")
+        twins.serve(queries + 1)
+        assert charged == [(1, queries - 1)]
+        assert applied == [(0, 2)]
+        assert twins.tally["fused"] == twins.served
+        for count in (2 * queries, 1, 3 * queries + 1):
+            twins.serve(count)
+        assert twins.tally["live"] == 0
+        assert twins.tenants[1].resident_fault_count == (hazard == "resident")
+
+    @pytest.mark.parametrize("queries", [2, 3])
+    def test_memoized_plan_reused_across_a_restart(self, queries):
+        twins = EpochTwins(queries)
+        replay = twins.planes[1]._replays["mini"]
+        twins.serve(queries - 1)
+        plan = replay._plans[(0, queries - 1)]
+        assert plan.addrs.size  # the mini trace stores what it loads
+        for tenant in twins.tenants:
+            tenant.restart(1)
+        twins.check()
+        twins.serve(queries - 1)  # the rewind and the run read one plan
+        assert replay._plans[(0, queries - 1)] is plan
+        twins.serve(2 * queries + 1)
+
+    def test_memo_evicts_to_its_bound(self, monkeypatch):
+        monkeypatch.setattr("repro.memory.trace._PLAN_MEMO_BYTES", 40)
+        twins = EpochTwins(3)
+        replay = twins.planes[1]._replays["mini"]
+        for count in (1, 1, 2, 3, 1, 4, 2, 5):
+            twins.serve(count)
+            assert replay._plan_bytes == sum(p.nbytes for p in replay._plans.values())
+            assert replay._plan_bytes <= 40
+        assert twins.tally["fused"] == twins.served
+
+    @pytest.mark.parametrize("queries", [1, 2, 3])
+    def test_one_restore_per_quantum_plus_restarts(self, queries):
+        """Exact, from ``fast_path_stats()``: the batched twin restores
+        once for each quantum that wraps and once per restart; the
+        scalar twin once per wrap and per restart."""
+        twins = EpochTwins(queries)
+        scalar, batched = twins.tenants
+        base = [restores(tenant) for tenant in twins.tenants]
+        wrapping = restarts = 0
+        epochs = scalar.epochs
+        steps = [1, 5 * queries + 2, queries, 1, 7 * queries, "restart",
+                 4 * queries + 1, queries - 1 or 1, "restart", 2, 9 * queries]
+        for step in steps:
+            if step == "restart":
+                for tenant in twins.tenants:
+                    tenant.restart(1)
+                twins.check()
+                restarts += 1
+                continue
+            wrapping += batched.cursor + step > queries
+            twins.serve(step)
+        assert restores(batched) - base[1] == wrapping + restarts
+        assert restores(scalar) - base[0] == scalar.epochs - epochs + restarts
+        assert wrapping < scalar.epochs - epochs
+
+    @given(
+        queries=st.integers(min_value=1, max_value=3),
+        quanta=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=12),
+        diverged=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_quanta_match_the_scalar_twin(self, queries, quanta, diverged):
+        twins = EpochTwins(queries)
+        if diverged:  # an untracked flipped byte the next wrap heals
+            for tenant in twins.tenants:
+                event = fault_at(tenant, "heap", WRITTEN_BYTE, 0, FaultKind.SOFT)
+                tenant.apply_fault(event.addr, event.bit, FaultKind.SOFT)
+                RetirePagePolicy().respond(tenant, event)
+            twins.check()
+        base = restores(twins.tenants[1])
+        wrapping = 0
+        for count in quanta:
+            wrapping += twins.tenants[1].cursor + count > queries
+            twins.serve(count)
+        assert restores(twins.tenants[1]) - base == wrapping
+        assert twins.tally["fused"] == twins.served
+
+
 class TestKVStoreEpochs:
     """The twins over a key-value trace with a delete: fused runs end by
     adopting recorded allocator states, wraps restore the checkpoint's."""

@@ -1,6 +1,8 @@
 """Unit tests for the deterministic SLO burn-rate engine (repro.obs.slo)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.slo import (
     DEFAULT_BURN_WINDOWS,
@@ -123,6 +125,45 @@ class TestBurnRateMath:
         assert [t["state"] for t in transitions] == ["firing"]
         transitions = engine.observe("t", 4, {"ok": 10})
         assert [t["state"] for t in transitions] == ["resolved"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ticks=st.lists(
+            st.tuples(st.integers(0, 50), st.integers(0, 50)), max_size=60
+        ),
+        windows=st.lists(
+            st.tuples(st.integers(1, 40), st.integers(1, 40)),
+            min_size=1, max_size=3,
+        ),
+        target=st.sampled_from([0.9, 0.99, 0.999]),
+    )
+    def test_running_totals_equal_the_window_sum(self, ticks, windows, target):
+        """The burn rate read from running totals is the float the
+        brute-force sum over the trailing ticks gives, bit for bit."""
+        config = SloConfig(
+            target=target,
+            windows=tuple(
+                BurnWindow(f"w{i}", min(a, b), max(a, b), 1.0)
+                for i, (a, b) in enumerate(windows)
+            ),
+        )
+        engine = SloEngine(config)
+        seen = []
+        for tick, (ok, bad) in enumerate(ticks):
+            engine.observe("t", tick, {"ok": ok, "failed": bad})
+            seen.append((ok, ok + bad))
+            retained = seen[-config.max_window_ticks:]
+            for window in config.windows:
+                expected = []
+                for length in (window.short_ticks, window.long_ticks):
+                    tail = retained[len(retained) - min(length, len(retained)):]
+                    good = sum(ok for ok, _ in tail)
+                    offered = sum(offered for _, offered in tail)
+                    expected.append(
+                        (offered - good) / offered / config.error_budget
+                        if offered else 0.0
+                    )
+                assert engine.burn_rates("t")[window.name] == tuple(expected)
 
     def test_transition_attrs_carry_exemplar_span_path(self):
         engine = self._engine(short=1, long=1, threshold=1.0)
