@@ -27,15 +27,23 @@ quantum live. Reported numbers, per session and plane:
   made from tick 0 on (``fast_path_stats()``; the build and the batched
   plane's trace recording come before). The scalar loop restores at
   every wrap and restart; the batched plane at most once a quantum plus
-  restarts, so never more often (an exact count, gated in CI).
+  restarts, so never more often (an exact count, gated in CI);
+* ``arrivals``: what the coordinator's arrival phase
+  (``ServePartition.tick_arrivals``) drew and routed over the session —
+  ``footprints``, their ``footprint_bytes``, the ``unmapped_bytes`` and
+  ``retired_bytes`` among them (summed from each tick's
+  ``ArrivalBatch``) — and its wall ``seconds``. Arrivals do not depend
+  on the data plane, so the counts agree across planes (exact, gated
+  in CI).
 
 Across planes, the scalar and batched ledgers must be byte-identical
 (asserted before any timing is reported — a speedup over a divergent
 execution would be meaningless), and the batched plane may execute live
 only requests whose recorded footprint meets a blocked byte, plus fatal
 tails (an exact count, no timing). Also exact and untimed: ``epochs``
-and ``flushes`` agree across planes, and ``bytes_flushed`` is 0 — every
-serve flush follows a checkpoint restore, so it has nothing to copy.
+and ``flushes`` agree across planes, ``bytes_flushed`` is 0 — every
+serve flush follows a checkpoint restore, so it has nothing to copy —
+and so do the arrival counts.
 The headline number is ``speedup``
 (batched req/s over scalar req/s at the moderate rate), which gates CI
 at 2x in ``--smoke`` mode; the committed full run targets 5x.
@@ -51,6 +59,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -63,11 +72,14 @@ from repro.serve import (  # noqa: E402
     replay_ledger,
     run_serve,
 )
+from repro.serve.partition import ServePartition  # noqa: E402
 
 SMOKE_GATE_SPEEDUP = 2.0
 FULL_TARGET_SPEEDUP = 5.0
 #: Report label -> ``ServeConfig(data_plane=)``.
 PLANES = {"scalar": "scalar", "batched": "auto"}
+#: The arrival counts, which must agree across planes.
+ARRIVAL_COUNTS = ("footprints", "footprint_bytes", "unmapped_bytes", "retired_bytes")
 
 FULL = dict(duration_ticks=400, error_rate=0.25, seed=20140622)
 SMOKE = dict(duration_ticks=60, error_rate=0.25, seed=20140622)
@@ -82,11 +94,33 @@ def restores(tenant) -> int:
     return stats["restores_full"] + stats["restores_incremental"]
 
 
+def metered_arrivals(arrivals: dict):
+    """Patch ``ServePartition.tick_arrivals`` to sum into ``arrivals``
+    what each tick's batch holds, and the phase's wall seconds."""
+    tick_arrivals = ServePartition.tick_arrivals
+
+    def metered(partition, rng, error_rate):
+        started = time.perf_counter()
+        batch = tick_arrivals(partition, rng, error_rate)
+        arrivals["seconds"] += time.perf_counter() - started
+        routed = sum(fault.injected + fault.corrected for fault in batch.routed)
+        arrivals["footprints"] += batch.footprints
+        arrivals["footprint_bytes"] += (
+            routed + batch.unmapped_bytes + batch.retired_bytes
+        )
+        arrivals["unmapped_bytes"] += batch.unmapped_bytes
+        arrivals["retired_bytes"] += batch.retired_bytes
+        return batch
+
+    return mock.patch.object(ServePartition, "tick_arrivals", metered)
+
+
 def run_session(base: dict, plane: str, ledger: Path, scale: float, load: float):
     """One seeded session under ``plane``; tenants are built fresh.
 
-    Returns the result, the wall time, the tenants, and per tenant the
-    checkpoint restores made from tick 0 on.
+    Returns the result, the wall time, the tenants, per tenant the
+    checkpoint restores made from tick 0 on, and the arrival phase's
+    counts and seconds.
     """
     config = ServeConfig(**base, data_plane=PLANES[plane])
     tenants = default_tenants(scale=scale, load=load)
@@ -97,15 +131,19 @@ def run_session(base: dict, plane: str, ledger: Path, scale: float, load: float)
         if tick == 0:
             at_tick_0[tenant] = restores(by_name[tenant])
 
+    arrivals = dict.fromkeys(ARRIVAL_COUNTS, 0)
+    arrivals["seconds"] = 0.0
     start = time.perf_counter()
-    result = run_serve(
-        config, tenants=tenants, ledger_path=ledger, stagger=note_restores
-    )
+    with metered_arrivals(arrivals):
+        result = run_serve(
+            config, tenants=tenants, ledger_path=ledger, stagger=note_restores
+        )
     elapsed = time.perf_counter() - start
     served = {
         name: restores(tenant) - at_tick_0[name] for name, tenant in by_name.items()
     }
-    return result, elapsed, tenants, served
+    arrivals["seconds"] = round(arrivals["seconds"], 4)
+    return result, elapsed, tenants, served, arrivals
 
 
 def par_r_counts(tenant) -> dict:
@@ -135,7 +173,7 @@ def heap_copies(tenant) -> int:
 
 def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float):
     """Timed run + determinism twin + replay audit for one plane."""
-    result, elapsed, tenants, served_restores = run_session(
+    result, elapsed, tenants, served_restores, arrivals = run_session(
         base, plane, ledger, scale, load
     )
 
@@ -158,6 +196,7 @@ def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float)
         "par_r": {tenant.name: par_r_counts(tenant) for tenant in tenants},
         "heap_copies": {tenant.name: heap_copies(tenant) for tenant in tenants},
         "checkpoint_restores": served_restores,
+        "arrivals": arrivals,
         "decisions": decisions,
         "decisions_total": {
             decision: sum(tally[decision] for tally in decisions.values())
@@ -195,6 +234,7 @@ def bench_session(
             f"req/s, fused={tally['fused']} live={tally['live']} "
             f"heap_copies={report['heap_copies']} "
             f"checkpoint_restores={report['checkpoint_restores']} "
+            f"arrivals={report['arrivals']} "
             f"byte_identical={report['determinism']['byte_identical']} "
             f"replay_audit={report['replay_audit']['exact']}"
         )
@@ -249,6 +289,11 @@ def bench_session(
             count <= planes["scalar"]["checkpoint_restores"][name]
             for name, count in planes["batched"]["checkpoint_restores"].items()
         ),
+        # Exact, untimed: arrivals do not depend on the data plane.
+        "arrivals_agree": all(
+            planes["scalar"]["arrivals"][key] == planes["batched"]["arrivals"][key]
+            for key in ARRIVAL_COUNTS
+        ),
     }
 
 
@@ -267,6 +312,7 @@ def session_failures(label: str, session: dict):
         ("a serve flush copied bytes", session["serve_flushes_copy_nothing"]),
         ("batched plane restored a checkpoint more often than scalar",
          session["restores_at_most_scalar"]),
+        ("arrival counts differ across planes", session["arrivals_agree"]),
     )
     return [f"{label}: {text}" for text, ok in checks if not ok]
 

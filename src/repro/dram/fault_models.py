@@ -14,9 +14,10 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List
 
-from repro.dram.geometry import DramCoordinates, DramGeometry
+from repro.dram.geometry import CACHE_LINE_SIZE, DramGeometry
 from repro.memory.faults import FaultKind
 from repro.utils.validation import check_fraction
 
@@ -78,6 +79,9 @@ class DramFaultModel:
         hard_fraction: Probability that a drawn fault is hard (stuck-at)
             rather than soft; field studies attribute the majority of
             errors to hard faults, hence the 0.7 default.
+
+    The fields are read once, at construction: the mode table and the
+    geometry's strides are derived there, not per draw.
     """
 
     geometry: DramGeometry = field(default_factory=DramGeometry)
@@ -94,12 +98,21 @@ class DramFaultModel:
             raise ValueError("mode weights must be non-negative")
         if sum(self.mode_weights.values()) <= 0:
             raise ValueError("mode weights must sum to a positive value")
+        self._modes = list(self.mode_weights)
+        self._cum_weights = list(accumulate(self.mode_weights.values()))
+        geom = self.geometry
+        sizes = (geom.channels, geom.dimms_per_channel, geom.ranks_per_dimm,
+                 geom.banks_per_rank, geom.rows_per_bank, geom.columns_per_row,
+                 geom.bytes_per_column)
+        # (size, bit width) of each coordinate, in draw order.
+        self._dims = [(size, size.bit_length()) for size in sizes]
+        self._channels = geom.channels
+        self._strides = (geom.dimm_size, geom.rank_size, geom.bank_size,
+                         geom.row_size, geom.bytes_per_column)
 
     def draw(self, rng: random.Random) -> FaultFootprint:
         """Draw one fault footprint."""
-        modes = list(self.mode_weights)
-        weights = [self.mode_weights[mode] for mode in modes]
-        mode = rng.choices(modes, weights=weights, k=1)[0]
+        mode = rng.choices(self._modes, cum_weights=self._cum_weights)[0]
         kind = FaultKind.HARD if rng.random() < self.hard_fraction else FaultKind.SOFT
         # Large-footprint faults are persistent by nature.
         if mode not in (FailureMode.SINGLE_BIT, FailureMode.SINGLE_WORD):
@@ -119,23 +132,41 @@ class DramFaultModel:
         return [self.draw(rng) for _ in range(count)]
 
     # ------------------------------------------------------------------
-    def _random_coords(self, rng: random.Random) -> DramCoordinates:
-        geom = self.geometry
-        return DramCoordinates(
-            channel=rng.randrange(geom.channels),
-            dimm=rng.randrange(geom.dimms_per_channel),
-            rank=rng.randrange(geom.ranks_per_dimm),
-            bank=rng.randrange(geom.banks_per_rank),
-            row=rng.randrange(geom.rows_per_bank),
-            column=rng.randrange(geom.columns_per_row),
-        )
+    def _coords(self, getrandbits) -> List[int]:
+        """A uniform [channel, dimm, rank, bank, row, column, byte]."""
+        coords = []
+        for size, width in self._dims:
+            # _randbelow, inlined: bank and chip faults draw 64 of these.
+            r = getrandbits(width)
+            while r >= size:
+                r = getrandbits(width)
+            coords.append(r)
+        return coords
 
     def _materialize(self, mode: FailureMode, rng: random.Random):
-        geom = self.geometry
-        coords = self._random_coords(rng)
-        base = geom.compose(coords, rng.randrange(geom.bytes_per_column))
+        """Addresses and bits of one footprint.
+
+        Each coordinate is a ``randrange`` of its dimension, and an
+        address is what ``DramGeometry.compose`` returns for it, in
+        plain integer arithmetic: every drawn coordinate is in range by
+        construction, so there is nothing to check
+        (``tests/property/test_prop_fault_draw.py`` pins the draws and
+        the stream state to ``compose`` over ``DramCoordinates``).
+        """
+        getrandbits = rng.getrandbits
+        channels = self._channels
+        dimm_size, rank_size, bank_size, row_size, column_size = self._strides
+        channel, dimm, rank, bank, row, column, byte = self._coords(getrandbits)
+
+        def place(channel_addr: int) -> int:
+            line, offset = divmod(channel_addr, CACHE_LINE_SIZE)
+            return (line * channels + channel) * CACHE_LINE_SIZE + offset
+
+        rank_base = dimm * dimm_size + rank * rank_size
+        row_base = rank_base + bank * bank_size + row * row_size
+        base = place(row_base + column * column_size + byte)
         if mode is FailureMode.SINGLE_BIT:
-            return [base], [rng.randrange(8)]
+            return [base], _randbelow(getrandbits, 8, 1)
         if mode is FailureMode.SINGLE_WORD:
             word_base = base - base % 8
             count = rng.randint(2, 4)
@@ -144,54 +175,59 @@ class DramFaultModel:
                 [word_base + position // 8 for position in positions],
                 [position % 8 for position in positions],
             )
+        geom = self.geometry
         if mode is FailureMode.ROW:
-            columns = self._sample_columns(rng)
+            columns = rng.sample(
+                range(geom.columns_per_row),
+                min(MAX_FOOTPRINT_BYTES, geom.columns_per_row),
+            )
+            offsets = _randbelow(getrandbits, column_size, len(columns))
             addrs = [
-                geom.compose(
-                    DramCoordinates(
-                        coords.channel, coords.dimm, coords.rank, coords.bank,
-                        coords.row, column,
-                    ),
-                    rng.randrange(geom.bytes_per_column),
-                )
-                for column in columns
+                place(row_base + col * column_size + offset)
+                for col, offset in zip(columns, offsets)
             ]
         elif mode is FailureMode.COLUMN:
             rows = rng.sample(
                 range(geom.rows_per_bank),
                 min(MAX_FOOTPRINT_BYTES, geom.rows_per_bank),
             )
+            offsets = _randbelow(getrandbits, column_size, len(rows))
+            column_base = rank_base + bank * bank_size + column * column_size
             addrs = [
-                geom.compose(
-                    DramCoordinates(
-                        coords.channel, coords.dimm, coords.rank, coords.bank,
-                        row, coords.column,
-                    ),
-                    rng.randrange(geom.bytes_per_column),
-                )
-                for row in rows
+                place(column_base + r * row_size + offset)
+                for r, offset in zip(rows, offsets)
             ]
-        elif mode is FailureMode.BANK:
+        else:
+            # BANK pins the bank; CHIP (a whole rank slice, the chip
+            # granularity proxy) lets each byte's bank vary too. Both
+            # draw a full coordinate per byte and keep what they need.
             addrs = []
             for _ in range(MAX_FOOTPRINT_BYTES):
-                point = self._random_coords(rng)
-                pinned = DramCoordinates(
-                    coords.channel, coords.dimm, coords.rank, coords.bank,
-                    point.row, point.column,
+                _, _, _, b, r, c, byte = self._coords(getrandbits)
+                if mode is FailureMode.BANK:
+                    b = bank
+                addrs.append(
+                    place(
+                        rank_base + b * bank_size + r * row_size
+                        + c * column_size + byte
+                    )
                 )
-                addrs.append(geom.compose(pinned, rng.randrange(geom.bytes_per_column)))
-        else:  # FailureMode.CHIP: whole rank slice (chip granularity proxy)
-            addrs = []
-            for _ in range(MAX_FOOTPRINT_BYTES):
-                point = self._random_coords(rng)
-                pinned = DramCoordinates(
-                    coords.channel, coords.dimm, coords.rank, point.bank,
-                    point.row, point.column,
-                )
-                addrs.append(geom.compose(pinned, rng.randrange(geom.bytes_per_column)))
-        bits = [rng.randrange(8) for _ in addrs]
-        return addrs, bits
+        return addrs, _randbelow(getrandbits, 8, len(addrs))
 
-    def _sample_columns(self, rng: random.Random) -> List[int]:
-        count = min(MAX_FOOTPRINT_BYTES, self.geometry.columns_per_row)
-        return rng.sample(range(self.geometry.columns_per_row), count)
+
+def _randbelow(getrandbits, n: int, count: int) -> List[int]:
+    """``count`` successive ``random.Random.randrange(n)``, for ``n >= 1``.
+
+    CPython's ``_randbelow_with_getrandbits``, which ``randrange`` calls
+    on a ``random.Random``: draw ``n.bit_length()`` bits, reject while
+    ``r >= n``. ``n == 1`` still draws (one bit, always accepted). The
+    same rule drives :func:`repro.kernels.mt19937.randbelow`.
+    """
+    width = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(width)
+        while r >= n:
+            r = getrandbits(width)
+        out.append(r)
+    return out

@@ -492,12 +492,17 @@ async def serve_session(
                         )
 
             # Phase 2: concurrent tenant tasks (task-local state only).
-            buffers = await asyncio.gather(
-                *(
-                    _tenant_tick(states[tenant.name], tick, stagger, plane)
-                    for tenant in tenants
-                )
+            ticks = (
+                _tenant_tick(states[tenant.name], tick, stagger, plane)
+                for tenant in tenants
             )
+            if stagger is None and server is None:
+                # Nothing can yield inside a tenant tick and nothing else
+                # runs on the loop: awaiting each in canonical order is
+                # the schedule a gather would run, without its tasks.
+                buffers = [await tenant_tick for tenant_tick in ticks]
+            else:
+                buffers = await asyncio.gather(*ticks)
 
             # Phase 3: barrier — merge in canonical tenant order. The
             # SLO engine observes each tenant's request counts right

@@ -25,10 +25,9 @@ phase; the per-tenant asyncio tasks only ever see the routed results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Tuple
 
 from repro.core.design_space import HardwareTechnique
 from repro.dram.fault_models import DramFaultModel, FailureMode
@@ -36,7 +35,7 @@ from repro.dram.geometry import CACHE_LINE_SIZE, DramGeometry
 from repro.dram.retirement import PageRetirementPolicy
 from repro.hrm.channels import ChannelPlan, ChannelProvisionedMemory
 from repro.memory.faults import FaultKind
-from repro.memory.regions import RegionKind
+from repro.memory.regions import PAGE_SIZE, RegionKind
 from repro.serve.policies import FaultEvent
 from repro.serve.tenants import ServeTenant
 from repro.utils.rng import poisson_variate
@@ -145,12 +144,6 @@ class ServePartition:
         self._owners: Dict[int, Tuple[ServeTenant, object]] = {}
         self._place_regions()
         self._build_interval_map()
-        # Sorted retired-page array for vectorized filtering, cached by
-        # the (monotonically growing) retired-page count.
-        self._retired_cache: Tuple[int, np.ndarray] = (
-            0,
-            np.empty(0, dtype=np.int64),
-        )
 
     # ------------------------------------------------------------------
     # Placement
@@ -197,15 +190,7 @@ class ServePartition:
             per_channel = int(total * headroom / share) + 1
             rows = -(-per_channel // per_row_capacity)  # ceil
             needed_rows = max(needed_rows, rows)
-        return DramGeometry(
-            channels=base.channels,
-            dimms_per_channel=base.dimms_per_channel,
-            ranks_per_dimm=base.ranks_per_dimm,
-            banks_per_rank=base.banks_per_rank,
-            rows_per_bank=needed_rows,
-            columns_per_row=base.columns_per_row,
-            bytes_per_column=base.bytes_per_column,
-        )
+        return replace(base, rows_per_bank=needed_rows)
 
     def _place_regions(self) -> None:
         for tenant in self.tenants:
@@ -216,50 +201,26 @@ class ServePartition:
             tenant.attach_retirement(self.retirement, self.host_addr_of(tenant))
 
     def _build_interval_map(self) -> None:
-        """Flatten allocations into one sorted interval map.
+        """Per channel, ``(starts, ends, routes)`` of its allocations.
 
-        Keyed on the global coordinate ``channel * channel_size +
-        channel_addr``: per-channel allocations are disjoint, so the
-        global intervals are too, and one ``np.searchsorted`` resolves a
-        whole footprint's owners at once.
+        Sorted by channel offset: allocations on a channel are disjoint,
+        so one ``bisect`` over the starts finds a byte's owner. A route
+        is what routing a byte there needs: the tenant, its ``(tenant,
+        region)`` names, the technique's name, whether it detects, whether
+        it corrects single bits, and the channel-to-tenant address shift.
         """
-        channel_size = self.geometry.channel_size
-        entries = []
-        for allocation in self.memory.allocations:
-            tenant, region = self._owners[id(allocation)]
-            start = allocation.channel * channel_size + allocation.offset
-            entries.append((start, allocation, tenant, region))
-        entries.sort(key=lambda e: e[0])
-        self._alloc_starts = np.asarray(
-            [start for start, _, _, _ in entries], dtype=np.int64
-        )
-        self._alloc_ends = self._alloc_starts + np.asarray(
-            [alloc.size for _, alloc, _, _ in entries], dtype=np.int64
-        )
-        self._alloc_offsets = np.asarray(
-            [alloc.offset for _, alloc, _, _ in entries], dtype=np.int64
-        )
-        self._alloc_bases = np.asarray(
-            [region.base for _, _, _, region in entries], dtype=np.int64
-        )
-        self._alloc_corrects = np.asarray(
-            [alloc.technique.corrects_single_bit for _, alloc, _, _ in entries],
-            dtype=bool,
-        )
-        self._alloc_owner = [
-            (tenant, region, alloc.technique)
-            for _, alloc, tenant, region in entries
-        ]
-
-    def _retired_pages_array(self) -> np.ndarray:
-        """Sorted retired pages; refreshed only when retirement grew."""
-        pages = self.retirement.retired_pages
-        if self._retired_cache[0] != len(pages):
-            self._retired_cache = (
-                len(pages),
-                np.asarray(sorted(pages), dtype=np.int64),
-            )
-        return self._retired_cache[1]
+        self._channel_maps = [([], [], []) for _ in range(self.geometry.channels)]
+        for alloc in sorted(self.memory.allocations, key=lambda a: a.offset):
+            tenant, region = self._owners[id(alloc)]
+            starts, ends, routes = self._channel_maps[alloc.channel]
+            starts.append(alloc.offset)
+            ends.append(alloc.offset + alloc.size)
+            technique = alloc.technique
+            routes.append((
+                tenant, (tenant.name, region.name), technique.value,
+                technique is not HardwareTechnique.NONE, technique.corrects_single_bit,
+                region.base - alloc.offset,
+            ))
 
     def host_addr_of(self, tenant: ServeTenant):
         """Mapping from a tenant address to its host physical address."""
@@ -325,82 +286,64 @@ class ServePartition:
         if error_rate <= 0:
             return batch
         count = poisson_variate(rng, error_rate)
-        channels = self.geometry.channels
-        channel_size = self.geometry.channel_size
+        channels, maps = self.geometry.channels, self._channel_maps
+        # Retirement grows only in the policy phase, never while a
+        # tick's arrivals are routed.
+        retired_pages = self.retirement.retired_pages
+        retired = unmapped = 0
+        batch.footprints = count
         for footprint in self.fault_model.draw_batch(rng, count):
-            batch.footprints += 1
-            addrs = np.asarray(footprint.addresses, dtype=np.int64)
-            if addrs.size == 0:
-                continue
-            # Vectorized routing: page filter, channel interleave, and
-            # allocation lookup for the whole footprint at once.
-            retired_pages = self._retired_pages_array()
-            if retired_pages.size:
-                pages = addrs // 4096
-                found = np.minimum(
-                    np.searchsorted(retired_pages, pages),
-                    retired_pages.size - 1,
-                )
-                retired_mask = retired_pages[found] == pages
-            else:
-                retired_mask = np.zeros(addrs.size, dtype=bool)
-            lines, offsets = np.divmod(addrs, CACHE_LINE_SIZE)
-            byte_channels = lines % channels
-            channel_addrs = (lines // channels) * CACHE_LINE_SIZE + offsets
-            keys = byte_channels * channel_size + channel_addrs
-            slots = np.searchsorted(self._alloc_starts, keys, side="right") - 1
-            clipped = np.clip(slots, 0, None)
-            mapped_mask = (
-                ~retired_mask
-                & (slots >= 0)
-                & (keys < self._alloc_ends[clipped])
-            )
-            batch.retired_bytes += int(retired_mask.sum())
-            batch.unmapped_bytes += int((~retired_mask & ~mapped_mask).sum())
-            # Batched hardware filter: SEC-DED absorbs single-bit bytes
-            # on correcting channels; everything else reaches software.
-            if footprint.mode is FailureMode.SINGLE_BIT:
-                corrected_mask = mapped_mask & self._alloc_corrects[clipped]
-            else:
-                corrected_mask = np.zeros(addrs.size, dtype=bool)
-            tenant_addrs = self._alloc_bases[clipped] + (
-                channel_addrs - self._alloc_offsets[clipped]
-            )
+            kind = footprint.kind
+            # SEC-DED absorbs single-bit bytes on correcting channels;
+            # everything else reaches software.
+            correctable = footprint.mode is FailureMode.SINGLE_BIT
             routed_by_owner: Dict[Tuple[str, str], RoutedFault] = {}
-            # Scalar tail in original byte order: fault application and
-            # FaultEvent emission must match the draw order exactly.
-            for index in np.flatnonzero(mapped_mask):
-                tenant, region, technique = self._alloc_owner[slots[index]]
-                key = (tenant.name, region.name)
-                routed = routed_by_owner.get(key)
-                if routed is None:
+            # Per byte, in draw order (fault application and FaultEvent
+            # emission follow it exactly). At the field mix a footprint
+            # is ~10 bytes (60 % single bits, 15 % 2-4 byte words), so a
+            # bisect a byte costs less than any per-footprint array pass.
+            for addr, bit in zip(footprint.addresses, footprint.bits):
+                if addr // PAGE_SIZE in retired_pages:
+                    retired += 1
+                    continue
+                line = addr // CACHE_LINE_SIZE
+                channel = line % channels
+                channel_addr = line // channels * CACHE_LINE_SIZE + addr % CACHE_LINE_SIZE
+                starts, ends, routes = maps[channel]
+                slot = bisect_right(starts, channel_addr) - 1
+                if slot < 0 or channel_addr >= ends[slot]:
+                    unmapped += 1
+                    continue
+                tenant, owner, technique, detects, corrects, shift = routes[slot]
+                if owner in routed_by_owner:
+                    routed = routed_by_owner[owner]
+                else:
                     routed = RoutedFault(
-                        tenant=tenant.name,
+                        tenant=owner[0],
                         mode=footprint.mode.value,
-                        kind=footprint.kind,
-                        channel=int(byte_channels[index]),
-                        technique=technique.value,
-                        region=region.name,
+                        kind=kind,
+                        channel=channel,
+                        technique=technique,
+                        region=owner[1],
                     )
-                    routed_by_owner[key] = routed
-                if corrected_mask[index]:
+                    routed_by_owner[owner] = routed
+                if correctable and corrects:
                     # Corrected in hardware; software never sees it.
                     routed.corrected += 1
                     continue
-                tenant_addr = int(tenant_addrs[index])
-                bit = footprint.bits[index]
-                tenant.apply_fault(tenant_addr, bit, footprint.kind)
+                tenant_addr = channel_addr + shift
+                tenant.apply_fault(tenant_addr, bit, kind)
                 routed.injected += 1
-                if technique is not HardwareTechnique.NONE:
+                if detects:
                     routed.detected.append(
                         FaultEvent(
                             addr=tenant_addr,
                             bit=bit,
-                            kind=footprint.kind,
-                            mode=footprint.mode.value,
-                            channel=int(byte_channels[index]),
-                            technique=technique.value,
-                            region=region.name,
+                            kind=kind,
+                            mode=routed.mode,
+                            channel=channel,
+                            technique=technique,
+                            region=owner[1],
                             detected=True,
                         )
                     )
@@ -408,7 +351,7 @@ class ServePartition:
                     routed.silent += 1
             # Canonical order: tenant name then region name, so the
             # ledger sequence is independent of dict insertion quirks.
-            batch.routed.extend(
-                routed_by_owner[key] for key in sorted(routed_by_owner)
-            )
+            if routed_by_owner:
+                batch.routed.extend(routed_by_owner[owner] for owner in sorted(routed_by_owner))
+        batch.retired_bytes, batch.unmapped_bytes = retired, unmapped
         return batch

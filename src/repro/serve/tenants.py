@@ -325,17 +325,23 @@ class ServeTenant:
         epochs without touching memory, so each closing reset would
         restore exactly what is there and leaves only its accounting:
         ``epochs`` and ``generation`` advance, and every Par+R mirror
-        takes its flush, which finds nothing dirty to copy.
+        takes its ``count`` flushes. One real flush stands for them all:
+        it finds nothing dirty to copy and leaves the mirror as it was,
+        so each of the others would be one more store write of nothing.
         """
-        self.epochs += count
-        self.generation += count
-        for _ in range(count):
-            self._flush_writable()
+        if count > 0:
+            self.epochs += count
+            self.generation += count
+            self._flush_writable(count)
 
-    def _flush_writable(self) -> None:
+    def _flush_writable(self, count: int = 1) -> None:
+        """``count`` Par+R flushes right after a restore: one runs, the
+        rest would find the mirror exact and write nothing."""
         for backing in self._backings.values():
             if backing.writable:
                 backing.flush()
+                backing.stats.flushes += count - 1
+                backing.store.write_ops += count - 1
 
     def _epoch_reset(self) -> None:
         """Wrap the trace: restore the checkpoint, keep resident faults.

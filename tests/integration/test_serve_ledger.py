@@ -69,6 +69,32 @@ class TestDeterminism:
         _, perturbed = run_once(tmp_path, "perturbed", stagger=stagger)
         assert baseline == perturbed
 
+    def test_tenant_phase_makes_tasks_only_for_a_hook(self, tmp_path):
+        """Without a stagger hook (or server) nothing can interleave the
+        tenant ticks, so the session awaits them in order and creates
+        no task; with a hook, one per tenant per tick."""
+
+        async def count_tasks(stagger):
+            created = []
+            loop = asyncio.get_running_loop()
+
+            def factory(loop, coro, **kwargs):
+                created.append(coro)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            loop.set_task_factory(factory)
+            await serve_session(
+                CONFIG, ledger_path=tmp_path / "tasks.jsonl",
+                stagger=stagger, scale=SCALE,
+            )
+            return len(created)
+
+        async def stagger(tenant: str, tick: int) -> None:
+            pass
+
+        assert asyncio.run(count_tasks(None)) == 0
+        assert asyncio.run(count_tasks(stagger)) == 3 * CONFIG.duration_ticks
+
     def test_replay_equal_across_runs(self, tmp_path):
         first, _ = run_once(tmp_path, "ra")
         second, _ = run_once(tmp_path, "rb")

@@ -56,7 +56,7 @@ from repro.fleet.analytic import (
     _routed_availability,
     _shock_moments,
 )
-from repro.fleet.config import apportion_rows
+from repro.fleet.config import _row_sums, apportion_rows
 from repro.fleet.optimizer import (
     CompositionMetrics,
     FleetOptimizationResult,
@@ -1144,6 +1144,23 @@ class TestBatchedApportionment:
         fractions = np.array(rows, dtype=np.float64)
         got = apportion_rows(servers, names, fractions)
         assert got.tolist() == self.reference_rows(servers, names, fractions)
+
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_row_sums_equal_the_numpy_reduce(self, width):
+        """The column adds behind the sum-to-one check and the leftover
+        count equal NumPy's reduce up to 7 columns, on the optimizer's
+        own (10 626, 5) grid and on random rows of every scale."""
+        rng = np.random.default_rng(width)
+        scales = rng.choice([1e-12, 1e-3, 1.0, 1e9], size=(4000, width))
+        floats = rng.random((4000, width)) * scales
+        ints = rng.integers(0, 2**40, size=(4000, width))
+        for rows in (floats, ints, floats.T.copy().T):
+            assert np.array_equal(_row_sums(rows), rows.sum(axis=1))
+        grid = _unit_allocations(len(self.GRID_NAMES), 20) / 20
+        assert grid.shape == (10626, 5)
+        assert np.array_equal(_row_sums(grid), grid.sum(axis=1))
+        counts = np.floor(1000 * grid).astype(np.int64)
+        assert np.array_equal(_row_sums(counts), counts.sum(axis=1))
 
     def test_checks_name_the_offending_row(self):
         with pytest.raises(ValueError, match="sum to 1, got 0.9"):

@@ -433,6 +433,31 @@ class TestEpochBoundaries:
         assert mirror.stats.bytes_flushed == mirror.region.size
 
     @pytest.mark.parametrize("queries", [1, 2, 3])
+    def test_whole_epochs_take_one_mirror(self, queries, monkeypatch):
+        """k whole epochs after a wrap count k flushes and k store writes,
+        but run one mirror, which copies nothing (the scalar twin runs
+        one a wrap)."""
+        twins = EpochTwins(queries)
+        twins.serve(queries)  # at the trace end: the next quantum wraps first
+        mirrors = [tenant.backing_for("heap") for tenant in twins.tenants]
+        before = [(m.stats.flushes, m.store.write_ops, m.stats.bytes_flushed) for m in mirrors]
+        calls = []
+        mirror_current_contents = type(mirrors[0]).mirror_current_contents
+
+        def counted(backing):
+            calls.append(backing)
+            return mirror_current_contents(backing)
+
+        monkeypatch.setattr(type(mirrors[0]), "mirror_current_contents", counted)
+        twins.serve(5 * queries + 1)  # the wrap, 5 whole epochs, one request
+        for mirror, (flushes, writes, copied) in zip(mirrors, before):
+            assert mirror.stats.flushes == flushes + 6
+            assert mirror.store.write_ops == writes + 6
+            assert mirror.stats.bytes_flushed == copied
+        scalar, batched = mirrors
+        assert [calls.count(scalar), calls.count(batched)] == [6, 2]
+
+    @pytest.mark.parametrize("queries", [1, 2, 3])
     def test_whole_epochs_skip_the_write_image(self, queries, monkeypatch):
         twins = EpochTwins(queries)
         runs = []
