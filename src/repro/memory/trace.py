@@ -78,6 +78,10 @@ _FEW_ADDRS = 5
 #: Write-image bytes (addresses and values) a :class:`TraceReplay` keeps
 #: in memoized run plans; the least recently used plans go first.
 _PLAN_MEMO_BYTES = 1 << 21
+#: Quantum steps (:meth:`TraceReplay.charge_quantum`) a replay keeps; a
+#: session serves one quantum size, so it visits at most the trace's
+#: cursors.
+_QUANTA_MEMO = 4096
 
 
 def tally_reasons(tally: Dict[str, int], reasons: np.ndarray) -> None:
@@ -455,6 +459,7 @@ class TraceReplay:
         self._verdict_key: Optional[tuple] = None
         self._plans: "OrderedDict[Tuple[int, int], _RunPlan]" = OrderedDict()
         self._plan_bytes = 0
+        self._quanta: Dict[Tuple[int, int], tuple] = {}
 
     def _plan(self, start: int, end: int) -> _RunPlan:
         """The memoized plan of queries ``[start, end)``."""
@@ -525,30 +530,85 @@ class TraceReplay:
         stretch = int(gaps[0]) + 1 if gaps.size else live.size
         return clean, window[clean : clean + stretch]
 
-    def pristine(self) -> bool:
-        """At cursor 0: no guarded byte, golden progress, no diverged byte.
+    def pristine(self, cursor: int = 0) -> bool:
+        """At ``cursor``: no query meets a guarded byte, golden progress,
+        no diverged byte.
 
-        The proofs :meth:`next_runs` takes, for the whole trace at once
-        and a little more: every query fuses *and* the checkpoint
-        restore that closes the epoch changes no stored byte, clears no
-        fault and leaves this same state — so a whole epoch is its
-        recorded accounting and a reset (:meth:`charge_epochs`).
+        The proofs :meth:`next_runs` takes, for the rest of the trace at
+        once: every query from ``cursor`` fuses. And the checkpoint
+        restore that closes the epoch leaves this same state at cursor
+        0: it re-installs only resident faults, a subset of the guarded
+        bytes no query touches. So every later query is its recorded
+        accounting and every later wrap a reset (:meth:`charge_quantum`),
+        until something touches the workload. A guarded byte no query
+        reads is as good as none: fused runs never store to it.
         """
-        if self.blocked_queries() is not None:
+        blocked = self.blocked_queries()
+        if blocked is not None and blocked.any():
             return False
-        return self._progress_ok(0) and not self._diverged_bytes(0).size
+        self._sync(cursor)
+        return self._progress_ok(cursor) and not self._diverged_bytes(cursor).size
 
-    def charge_epochs(self, epochs: int) -> None:
-        """Settle the counters of ``epochs`` whole traces, unexecuted.
+    def charge_quantum(self, cursor: int, count: int) -> Tuple[int, int]:
+        """Serve ``count`` queries from ``cursor`` by their accounting alone.
 
-        Only in a :meth:`pristine` state, whose epochs the caller closes
-        with a checkpoint reset: the trace's stores are not applied, and
-        the clock is left alone — the reset sets it to the checkpoint's.
+        The serving loop's walk around the trace: a query at the trace
+        end first wraps to query 0, and a wrap restores the checkpoint,
+        which sets the clock to the checkpoint's. Returns ``(wraps,
+        end)``, the wraps crossed and the cursor after the last query.
+        Counters add the recorded deltas of every query served; after a
+        wrap the clock is the checkpoint's plus the recorded clock at
+        ``end``, else it advances by the recorded clock of the run.
+
+        Only for a caller that proved the workload :meth:`pristine` at
+        ``cursor`` (or at a wrap that no query's guarded byte blocks, which
+        leaves it so) and owes it memory
+        and progress from then on: stored bytes, the rolling image and
+        progress stay where they were until :meth:`settle`. The step of a
+        ``(cursor, count)`` pair is memoized.
         """
-        deltas = self._plan(0, self.trace.query_count).deltas
-        self.workload.space.charge_recorded(
-            0, [[epochs * value for value in row] for row in deltas]
-        )
+        key = (cursor, count)
+        step = self._quanta.get(key)
+        if step is None:
+            trace, total = self.trace, self.trace.query_count
+            counters = trace.counters
+            if cursor + count <= total:
+                wraps, end = 0, cursor + count
+                deltas = counters[end] - counters[cursor]
+                clock = int(trace.clock[end] - trace.clock[cursor])
+            else:
+                after = count - (total - cursor)
+                wraps = (after - 1) // total + 1
+                end = after - (wraps - 1) * total
+                deltas = counters[total] * wraps - counters[cursor] + counters[end]
+                # Every replay starts from the checkpoint restore.
+                clock = trace.end_time - int(trace.clock[-1] - trace.clock[end])
+            if len(self._quanta) >= _QUANTA_MEMO:
+                self._quanta.clear()
+            step = self._quanta[key] = (wraps, end, clock, deltas.reshape(-1, 4).tolist())
+        wraps, end, clock, deltas = step
+        if wraps:
+            self.workload.space.settle_recorded_trial(clock, deltas)
+        else:
+            self.workload.space.charge_recorded(clock, deltas)
+        return wraps, end
+
+    def settle(self, cursor: int) -> None:
+        """Bring stored memory, the image and progress to ``cursor``.
+
+        For the owed state :meth:`charge_quantum` leaves, once memory
+        holds the golden state of the image cursor again (as it was, or
+        after a checkpoint restore and :meth:`rewind`): the write image
+        of the queries in between is scattered into memory and the
+        image, and the progress recorded at ``cursor`` adopted. Nothing
+        is charged; the accounting was. The state stays pristine, so the
+        divergence memo is re-keyed empty.
+        """
+        if self._image_cursor < cursor:
+            self._advance(self._image_cursor, cursor)
+        self._diverged = _NO_BYTES
+        self.workload.restore_progress(self.trace.progress[cursor])
+        self._diverged_key = (cursor, self.workload.space.region_versions())
 
     def charge_run(self, start: int, run: int) -> None:
         """Serve queries ``[start, start + run)`` by their accounting alone.
@@ -627,15 +687,21 @@ class TraceReplay:
         """
         space = self.workload.space
         end = start + run
-        plan = self._plan(start, end)
-        space.poke_scattered(plan.addrs, plan.values, plan.pages)
-        self._flat_image[plan.addrs] = plan.values
-        self._image_cursor = end
+        plan = self._advance(start, end)
         if self._diverged.size:
             self._heal(start, end)
         space.charge_recorded(plan.time, plan.deltas)
         self.workload.restore_progress(self.trace.progress[end])
         self._diverged_key = (end, space.region_versions())
+
+    def _advance(self, start: int, end: int) -> _RunPlan:
+        """Scatter the write image of ``[start, end)`` into memory and the
+        rolling image, which moves to ``end``."""
+        plan = self._plan(start, end)
+        self.workload.space.poke_scattered(plan.addrs, plan.values, plan.pages)
+        self._flat_image[plan.addrs] = plan.values
+        self._image_cursor = end
+        return plan
 
     def _heal(self, start: int, end: int) -> None:
         """Give the diverged bytes a fused run stored to their golden value:

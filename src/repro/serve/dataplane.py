@@ -35,18 +35,23 @@ execution would provably produce the golden response, advance the same
 cursor, and wrap the same epoch — which is why seeded sessions write
 byte-identical ledgers under either plane.
 
-A clean quantum is one step (DESIGN.md, "Epoch boundaries"): at most
-one checkpoint restore, at most one write-image scatter, and accounting.
+A clean stretch of quanta costs its accounting (DESIGN.md, "Epoch
+boundaries"):
 
-* *Whole epochs.* From a pristine state at cursor 0 (no tracked byte,
-  golden progress, memory at the checkpoint) ``N`` whole epochs charge
-  ``N`` times the trace's counters in one call and close with one wrap.
-  The plane serves them without touching memory, so once one real reset
-  has run — the wrap just before them in this quantum, or else the first
-  epoch's own — each other closing reset would restore exactly what is
-  there and is its accounting alone
-  (:meth:`~repro.serve.tenants.ServeTenant.fused_epochs`). The clock is
-  not charged: every reset sets it to the checkpoint's.
+* *Owed memory.* Once the proofs hold for the rest of the trace (no
+  query meets a guarded byte, nothing diverged, golden progress:
+  :meth:`~repro.memory.trace.TraceReplay.pristine`), or a wrap is due
+  while no query meets a guarded byte, the tenant is left owing its
+  memory and progress (:meth:`~repro.serve.tenants.ServeTenant.defer`).
+  Each quantum is then one accounting step:
+  :meth:`~repro.memory.trace.TraceReplay.charge_quantum` charges the
+  recorded counters and sets the clock, and
+  :meth:`~repro.serve.tenants.ServeTenant.owed_quantum` advances cursor,
+  ``epochs``, ``generation`` and the Par+R flush counts. Nothing is
+  restored, scattered, rolled, rewound or checked again: the state
+  stays clean because nothing touches the tenant without settling it
+  first, which costs at most one restore, one scatter and one progress
+  adoption (:meth:`BatchedDataPlane._settle`).
 * *No scatter before a wrap.* A fused run that reaches the trace end
   while the quantum still has requests only charges its counters
   (:meth:`~repro.memory.trace.TraceReplay.charge_run`). Proof: the loop
@@ -63,7 +68,9 @@ one checkpoint restore, at most one write-image scatter, and accounting.
   the wrap, and ``apply_fault`` reads the stored bit.
 * *Memoized plans.* :class:`~repro.memory.trace.TraceReplay` keeps each
   ``(start, end)`` run's write image, pages and counter deltas, so a
-  fused run costs two indexed stores and one ``charge_recorded``.
+  fused run costs two indexed stores and one ``charge_recorded``, and
+  each ``(cursor, count)`` quantum step, so an owed quantum costs a
+  lookup and one charge.
 
 Both planes count, per tenant, how each request was served
 (:data:`DECISIONS`); the counts are deterministic for a seed and never
@@ -74,6 +81,7 @@ from __future__ import annotations
 
 import difflib
 import time
+from functools import partial
 from typing import Dict, Sequence, Tuple
 
 from repro.memory.trace import (
@@ -183,38 +191,19 @@ class BatchedDataPlane:
         fused = 0
         timed = tenant.latency_sink is not None
         while remaining:
-            # The one reset of a clean quantum: nothing runs between it
-            # and the checks below.
-            wrapped = tenant.cursor >= trace.query_count
-            if wrapped:
-                tenant.wrap_epoch()
-            if self._generations[tenant.name] != tenant.generation:
-                # A restart or epoch wrap restored the checkpoint.
-                replay.rewind()
-                self._generations[tenant.name] = tenant.generation
             started = time.perf_counter() if timed else 0.0
-            cursor = tenant.cursor
-            if cursor == 0 and remaining > trace.query_count and replay.pristine():
-                # Whole epochs whose closing wrap also falls inside the
-                # quantum: the scalar loop wraps only when a request follows.
-                epochs = (remaining - 1) // trace.query_count
-                clean = epochs * trace.query_count
-                replay.charge_epochs(epochs)
-                if not wrapped:
-                    # Faults, repairs or a restart may have touched the
-                    # tenant since its last reset: the first epoch
-                    # closes with a real one.
-                    tenant.fused_advance(trace.query_count)
-                    tenant.wrap_epoch()
-                    epochs -= 1
-                tenant.fused_epochs(epochs)
-                fused += clean
-                remaining -= clean
+            if tenant.owes or self._defers(tenant, replay):
+                # Clean: the rest of the quantum is its accounting,
+                # and memory and progress stay owed.
+                wraps, end = replay.charge_quantum(tenant.cursor, remaining)
+                tenant.owed_quantum(wraps, end)
+                fused += remaining
                 if timed:
                     self._report_latency(
-                        tenant, time.perf_counter() - started, clean
+                        tenant, time.perf_counter() - started, remaining
                     )
-                continue
+                break
+            cursor = tenant.cursor
             clean, reasons = replay.next_runs(
                 cursor, min(remaining, trace.query_count - cursor)
             )
@@ -256,6 +245,50 @@ class BatchedDataPlane:
         tally["fused"] += fused
         tally["live"] += count - fused
         return counts
+
+    def _defers(self, tenant: ServeTenant, replay: TraceReplay) -> bool:
+        """Take the next request's wrap, if due, and leave the tenant owing
+        its memory when it is pristine there (DESIGN.md, "Epoch
+        boundaries").
+
+        A wrap is deferred too when no query meets a guarded byte: the
+        resident faults it re-installs are among those bytes, so the
+        restore it stands for leaves a pristine state at cursor 0
+        whatever faults, repairs or live requests did to memory and
+        progress before it.
+        """
+        if tenant.cursor >= replay.trace.query_count:
+            blocked = replay.blocked_queries()
+            if blocked is None or not blocked.any():
+                tenant.defer(partial(self._settle, tenant))
+                return True
+            tenant.wrap_epoch()
+        if self._generations[tenant.name] != tenant.generation:
+            # A restart or epoch wrap restored the checkpoint.
+            replay.rewind()
+            self._generations[tenant.name] = tenant.generation
+        if replay.pristine(tenant.cursor):
+            tenant.defer(partial(self._settle, tenant))
+            return True
+        return False
+
+    def _settle(self, tenant: ServeTenant) -> None:
+        """Pay an owing tenant's memory and progress: at most one restore,
+        one scatter and one progress adoption.
+
+        Memory holds the golden state of the replay's image cursor in
+        the generation the plane last saw. A wrap since (the generation
+        moved on) owes the checkpoint first: the tenant restores it with
+        its resident faults and keeps the accounting, which is charged
+        already, and the image rewinds. Then the write image up to the
+        cursor is scattered.
+        """
+        replay = self._replays[tenant.name]
+        if self._generations[tenant.name] != tenant.generation:
+            tenant.owed_restore()
+            replay.rewind()
+            self._generations[tenant.name] = tenant.generation
+        replay.settle(tenant.cursor)
 
     @staticmethod
     def _report_latency(tenant: ServeTenant, elapsed: float, run: int) -> None:

@@ -136,8 +136,7 @@ class LedgerWriter:
         )
         self.events.append(event)
         if self._file is not None:
-            self._file.write(event.to_json())
-            self._file.write("\n")
+            self._file.write(event.to_json() + "\n")
         return event
 
     def close(self) -> None:

@@ -179,7 +179,8 @@ class _TenantState:
             if self._forced is not None:
                 name = self._forced
             else:
-                region = self.tenant.space.region_named(region_name)
+                # The layout, not memory: nothing owed is settled.
+                region = self.tenant.workload.space.region_named(region_name)
                 name = default_policy_name_for_region(region)
             policy = make_policy(name)
             self._policies[region_name] = policy
@@ -559,6 +560,10 @@ async def serve_session(
                     ),
                     ledger_lines=new_lines,
                 )
+        # The session is over: pay what the batched plane left owed, so
+        # every tenant's memory is where its counters say.
+        for tenant in tenants:
+            tenant.settle()
         writer.append(
             config.duration_ticks,
             EVENT_STOP,

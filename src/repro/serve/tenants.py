@@ -15,6 +15,13 @@ graphmining) with the mechanics the serving layer needs:
 * **Table 2 repair mechanics** — ``restart``, ``retire_page``, and
   ``recover_from_disk`` implement what the policies in
   :mod:`repro.serve.policies` decide.
+* **Owed memory** — the batched data plane may serve a clean tenant
+  by accounting alone and leave its memory and Python-side progress
+  *owed* (:meth:`ServeTenant.defer`). Cursor, epochs, generation, Par+R
+  flush counts and the space's clock and counters stay exact; the
+  first call here that reads or changes memory — ``apply_fault``,
+  ``retire_page``, ``recover_from_disk``, ``serve_requests``, the
+  ``space`` property — settles it first, and ``restart`` discards it.
 
 Determinism: a tenant only ever mutates its own workload, space, and
 counters, so concurrent tenant tasks cannot observe each other's state
@@ -78,6 +85,9 @@ class ServeTenant:
         #: Bumped on every checkpoint restore (restart or epoch wrap);
         #: the batched data plane keys its rolling golden image on this.
         self.generation = 0
+        #: What brings owed memory and progress to the cursor (None: the
+        #: workload is where the counters say).
+        self._owed: Optional[Callable[[], None]] = None
 
         self._cursor = 0
         self._golden: List[object] = []
@@ -139,8 +149,32 @@ class ServeTenant:
 
     @property
     def space(self):
-        """The tenant's address space."""
+        """The tenant's address space, with nothing owed."""
+        self.settle()
         return self.workload.space
+
+    @property
+    def owes(self) -> bool:
+        """Whether memory and progress are owed (:meth:`defer`)."""
+        return self._owed is not None
+
+    def defer(self, settle: Callable[[], None]) -> None:
+        """Leave memory and Python-side progress owed to ``settle``.
+
+        For the batched data plane, in a state it proved clean (no
+        query meets a guarded byte, nothing diverged, golden progress):
+        it then serves quanta by accounting alone (:meth:`owed_quantum`),
+        and ``settle`` brings memory and progress to the cursor when
+        something reads or changes the tenant.
+        """
+        self._owed = settle
+
+    def settle(self) -> None:
+        """Pay what is owed, if anything: memory and progress at the cursor."""
+        owed = self._owed
+        if owed is not None:
+            self._owed = None
+            owed()
 
     @property
     def cursor(self) -> int:
@@ -171,11 +205,12 @@ class ServeTenant:
         resets; a repeated hard fault at the same address updates the
         stuck bit (last writer wins, like the overlay itself).
         """
+        space = self.space
         if kind is FaultKind.HARD:
-            fault = self.space.inject_hard_fault(addr, bit)
+            fault = space.inject_hard_fault(addr, bit)
             self._resident[addr] = (bit, fault.stuck_value)
         else:
-            self.space.inject_soft_flip(addr, bit)
+            space.inject_soft_flip(addr, bit)
 
     # ------------------------------------------------------------------
     # Table 2 repair mechanics (called by policies)
@@ -185,10 +220,13 @@ class ServeTenant:
 
         Returns the number of resident hard faults repaired. The caller
         (the multiplexer) converts ``downtime_ticks`` into ``down``
-        request dispositions via :attr:`down_until`.
+        request dispositions via :attr:`down_until`. Whatever memory is
+        owed is dropped: the restore overwrites it, and progress and
+        clock with it.
         """
         cleared = len(self._resident)
         self._resident.clear()
+        self._owed = None
         self.workload.reset()  # restore() clears all faults
         self._cursor = 0
         self.generation += 1
@@ -206,6 +244,7 @@ class ServeTenant:
         hard fault. Soft-flipped bytes stay corrupted (their clean value
         is unknowable without a disk copy).
         """
+        self.settle()
         page_base = (addr // PAGE_SIZE) * PAGE_SIZE
         if self._retirement is not None and self._to_host is not None:
             outcome = self._retirement.observe_error(self._to_host(addr))
@@ -250,7 +289,7 @@ class ServeTenant:
         return {"pages_recovered": 1, "faults_cleared": cleared}
 
     def _clear_page_faults(self, page_base: int) -> int:
-        cleared = self.space.clear_faults_in_range(page_base, PAGE_SIZE)
+        cleared = self.workload.space.clear_faults_in_range(page_base, PAGE_SIZE)
         for fault_addr in [
             a for a in self._resident if page_base <= a < page_base + PAGE_SIZE
         ]:
@@ -267,6 +306,7 @@ class ServeTenant:
         rest of the batch, and flags :attr:`needs_restart` for the
         multiplexer to respond to.
         """
+        self.settle()
         counts = ServeCounts()
         for attempt in range(count):
             if self._cursor >= self.workload.query_count:
@@ -315,50 +355,65 @@ class ServeTenant:
         """
         self._cursor += count
 
-    def fused_epochs(self, count: int) -> None:
-        """Close ``count`` whole epochs served by fusion, right after a wrap.
+    def owed_quantum(self, wraps: int, cursor: int) -> None:
+        """Account a quantum served while memory is owed (:meth:`defer`).
 
-        For the batched data plane, which calls this only at cursor 0
-        with nothing run since the checkpoint restore, in a state it
-        proved pristine (no tracked byte, so no resident fault; golden
-        progress; memory at the checkpoint). The plane serves those
-        epochs without touching memory, so each closing reset would
-        restore exactly what is there and leaves only its accounting:
-        ``epochs`` and ``generation`` advance, and every Par+R mirror
-        takes its ``count`` flushes. One real flush stands for them all:
-        it finds nothing dirty to copy and leaves the mirror as it was,
-        so each of the others would be one more store write of nothing.
+        ``wraps`` epoch wraps were crossed and the cursor ends at
+        ``cursor``. Each wrap is its accounting: ``epochs`` and
+        ``generation`` advance, and every Par+R mirror counts its flush
+        and store write. The flush would follow a checkpoint restore:
+        nothing is dirty then and the mirror already holds the
+        checkpoint, so it would copy nothing and leave the mirror as it
+        is. The restore itself is owed (:meth:`owed_restore`).
         """
-        if count > 0:
-            self.epochs += count
-            self.generation += count
-            self._flush_writable(count)
+        if wraps:
+            self.epochs += wraps
+            self.generation += wraps
+            for backing in self._backings.values():
+                if backing.writable:
+                    backing.stats.flushes += wraps
+                    backing.store.write_ops += wraps
+        self._cursor = cursor
 
-    def _flush_writable(self, count: int = 1) -> None:
-        """``count`` Par+R flushes right after a restore: one runs, the
-        rest would find the mirror exact and write nothing."""
-        for backing in self._backings.values():
-            if backing.writable:
-                backing.flush()
-                backing.stats.flushes += count - 1
-                backing.store.write_ops += count - 1
+    def owed_restore(self) -> None:
+        """The checkpoint restore that owed wraps stand for (:meth:`defer`).
 
-    def _epoch_reset(self) -> None:
-        """Wrap the trace: restore the checkpoint, keep resident faults.
+        For a settle after wraps served by accounting alone: memory
+        returns to the checkpoint and the resident hard faults are
+        re-applied at the checkpoint's clock, as the last wrap left
+        them. The accounting, which those wraps charged, is kept.
+        """
+        space = self.workload.space
+        accounting = space.accounting_state()
+        self._restore_checkpoint()
+        space.restore_accounting(accounting)
+
+    def _restore_checkpoint(self) -> None:
+        """Restore the checkpoint, keep resident faults.
 
         ``restore`` clears the fault overlay, so resident hard faults
         are re-applied — the trace wrapping is an accounting artifact,
         not a repair. Soft flips are healed by the restore, modeling
         corrupted data being overwritten by fresh application writes.
+        """
+        self.workload.reset()
+        space = self.workload.space
+        for addr, (bit, stuck_value) in self._resident.items():
+            space.inject_hard_fault(addr, bit, stuck_value)
+
+    def _epoch_reset(self) -> None:
+        """Wrap the trace: restore the checkpoint, keep resident faults.
+
         Par+R writable backings take their periodic flush here (the
         restored image *is* the checkpoint, so the mirror stays exact —
         and, nothing being dirty after the restore, the flush copies
-        nothing).
+        nothing). Memory owed is dropped, as by :meth:`restart`.
         """
-        self.workload.reset()
+        self._owed = None
+        self._restore_checkpoint()
         self._cursor = 0
         self.epochs += 1
         self.generation += 1
-        for addr, (bit, stuck_value) in self._resident.items():
-            self.space.inject_hard_fault(addr, bit, stuck_value)
-        self._flush_writable()
+        for backing in self._backings.values():
+            if backing.writable:
+                backing.flush()

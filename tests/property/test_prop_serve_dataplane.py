@@ -355,7 +355,7 @@ class EpochTwins:
         self.served = 0
         self.check()
 
-    def serve(self, count: int) -> None:
+    def serve(self, count: int, check: bool = True) -> None:
         counts = [
             plane.serve_requests(tenant, count)
             for plane, tenant in zip(self.planes, self.tenants)
@@ -363,7 +363,8 @@ class EpochTwins:
         assert counts[0] == counts[1]
         assert sum(counts[0].values()) == count
         self.served += count
-        self.check()
+        if check:
+            self.check()
 
     def fault(self, region: str, offset: int, bit: int, kind: FaultKind) -> None:
         for tenant in self.tenants:
@@ -380,6 +381,8 @@ class EpochTwins:
         self.check()
 
     def check(self) -> None:
+        """Compare the twins. Reading ``tenant.space`` settles what the
+        batched plane left owed, so a check is also a settle point."""
         scalar, batched = self.tenants
         assert scalar.cursor == batched.cursor
         assert scalar.epochs == batched.epochs
@@ -435,8 +438,9 @@ class TestEpochBoundaries:
     @pytest.mark.parametrize("queries", [1, 2, 3])
     def test_whole_epochs_take_one_mirror(self, queries, monkeypatch):
         """k whole epochs after a wrap count k flushes and k store writes,
-        but run one mirror, which copies nothing (the scalar twin runs
-        one a wrap)."""
+        but run no mirror: a pristine tenant's wraps are accounting, and
+        its settle is a restore, not a flush (the scalar twin runs one a
+        wrap)."""
         twins = EpochTwins(queries)
         twins.serve(queries)  # at the trace end: the next quantum wraps first
         mirrors = [tenant.backing_for("heap") for tenant in twins.tenants]
@@ -455,7 +459,7 @@ class TestEpochBoundaries:
             assert mirror.store.write_ops == writes + 6
             assert mirror.stats.bytes_flushed == copied
         scalar, batched = mirrors
-        assert [calls.count(scalar), calls.count(batched)] == [6, 2]
+        assert [calls.count(scalar), calls.count(batched)] == [6, 0]
 
     @pytest.mark.parametrize("queries", [1, 2, 3])
     def test_whole_epochs_skip_the_write_image(self, queries, monkeypatch):
@@ -468,7 +472,7 @@ class TestEpochBoundaries:
             lambda start, run: (runs.append((start, run)), apply_run(start, run))[1],
         )
         twins.serve(7 * queries)  # six whole epochs, then one that stays open
-        assert runs == [(0, queries)]
+        assert runs == []  # accounting; the settle scatters [0, queries) once
         assert twins.tenants[1].epochs == 6
         assert twins.tenants[1].cursor == queries
         twins.serve(1)  # the pending wrap, then a partial epoch
@@ -619,10 +623,18 @@ class TestOneStepQuantum:
             for tenant in twins.tenants:
                 tenant.restart(1)
             twins.check()
-        charged = spy(monkeypatch, twins.planes[1]._replays["mini"], "charge_epochs")
+        replay = twins.planes[1]._replays["mini"]
+        charged = spy(monkeypatch, replay, "charge_quantum")
+        applied = spy(monkeypatch, replay, "apply_run")
         before = twins.tenants[1].epochs
+        cursor = twins.tenants[1].cursor
+        restored = restores(twins.tenants[1])
         twins.serve((epochs + 1) * queries)  # ends on the trace end
-        assert charged == [(epochs,)]
+        # One accounting step and no scatter; the check's settle is the
+        # one restore.
+        assert charged == [(cursor, (epochs + 1) * queries)]
+        assert applied == []
+        assert restores(twins.tenants[1]) == restored + 1
         assert twins.tenants[1].epochs == before + epochs + (start == "wrap_pending")
         assert twins.tenants[1].cursor == queries
         twins.fault("heap", offset, 0, kind)
@@ -657,8 +669,12 @@ class TestOneStepQuantum:
         charged = spy(monkeypatch, replay, "charge_run")
         applied = spy(monkeypatch, replay, "apply_run")
         twins.serve(queries + 1)
-        assert charged == [(1, queries - 1)]
-        assert applied == [(0, 2)]
+        # A resident fault no query reads leaves the tenant clean: the
+        # whole quantum is accounting and its memory is owed. A diverged
+        # byte is cleaned up by the wrap, which is owed along with the
+        # two requests after it.
+        assert charged == ([] if hazard == "resident" else [(1, queries - 1)])
+        assert applied == []
         assert twins.tally["fused"] == twins.served
         for count in (2 * queries, 1, 3 * queries + 1):
             twins.serve(count)
@@ -735,6 +751,138 @@ class TestOneStepQuantum:
             twins.serve(count)
         assert restores(twins.tenants[1]) - base == wrapping
         assert twins.tally["fused"] == twins.served
+
+
+def event_at(tenant: ServeTenant, offset: int, kind: FaultKind) -> FaultEvent:
+    """A heap fault event, addressed through the layout alone: unlike
+    :func:`fault_at` it reads no ``tenant.space``, so it settles nothing."""
+    heap = tenant.workload.space.region_named("heap")
+    return FaultEvent(
+        addr=heap.base + offset % heap.size, bit=0, kind=kind, mode="single_bit",
+        channel=0, technique="Parity", region="heap", detected=True,
+    )
+
+
+def deferred_walk(twins: EpochTwins, offsets, steps, every: int) -> None:
+    """Drive both twins through ``steps`` and compare them only after every
+    ``every``-th step and at the end: in between, quanta, faults, repairs
+    and restarts meet a batched tenant whose memory is owed."""
+    queries = twins.queries
+    for index, (name, first, second) in enumerate(steps):
+        if name == "serve":
+            twins.serve(max(1, first * queries + second), check=False)
+        elif name == "restart":
+            for tenant in twins.tenants:
+                tenant.restart(1)
+        else:
+            policy = {"retire": RetirePagePolicy, "recover": RecoverFromDiskPolicy}.get(name)
+            results = []
+            for tenant in twins.tenants:
+                event = event_at(tenant, offsets[first], second)
+                if policy is None:
+                    tenant.apply_fault(event.addr, event.bit, event.kind)
+                else:
+                    results.append(policy().respond(tenant, event))
+            if results:
+                assert results[0] == results[1]
+        if index % every == every - 1:
+            twins.check()
+    twins.check()
+
+
+def walk_steps(offsets: int):
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("serve"), st.integers(0, 4), st.integers(-1, 1)),
+            st.tuples(
+                st.sampled_from(["fault", "fault", "retire", "recover"]),
+                st.integers(0, offsets - 1),
+                st.sampled_from([FaultKind.SOFT, FaultKind.HARD]),
+            ),
+            st.tuples(st.just("restart"), st.none(), st.none()),
+        ),
+        min_size=1,
+        max_size=14,
+    )
+
+
+class TestDeferredTwins:
+    """A pristine batched tenant serves quanta by accounting alone and
+    owes its memory and progress until something reads or changes it.
+    These walks read the twins only every few steps, so faults, repairs,
+    restarts and further quanta arrive while memory is owed."""
+
+    #: The slot query 0 stores to and the word it loads, another query's
+    #: slot, an unread heap byte and a byte on the second heap page.
+    SHORT_OFFSETS = (READ_BYTE, WRITTEN_BYTE, WRITTEN_BYTE + 4, 8, HEAP_SIZE - 1)
+
+    @given(
+        queries=st.integers(min_value=1, max_value=3),
+        steps=walk_steps(len(SHORT_OFFSETS)),
+        every=st.integers(min_value=2, max_value=5),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_walks_over_short_traces(self, queries, steps, every):
+        deferred_walk(EpochTwins(queries), self.SHORT_OFFSETS, steps, every)
+
+    @given(
+        queries=st.sampled_from([1, 4, 12]),
+        steps=walk_steps(5),
+        every=st.integers(min_value=2, max_value=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_walks_over_kvstore_traces(self, queries, steps, every):
+        twins = EpochTwins(queries, trace=kv_trace)
+        # Key 6's value (two gets read it), key 0's (deleted, then set
+        # again), a bucket head, an unused byte, the last heap byte.
+        workload = twins.tenants[1].workload
+        head = workload.store._bucket_addr(key_bytes(0)) - workload.space.region_named("heap").base
+        offsets = (
+            value_offset(workload, 6), value_offset(workload, 0), head, 2000,
+            4 * PAGE_SIZE - 1,
+        )
+        deferred_walk(twins, offsets, steps, every)
+
+    @pytest.mark.parametrize("trace, queries", [(ShortTrace, 3), (kv_trace, 12)])
+    def test_settle_behind_the_last_real_cursor(self, trace, queries):
+        """Memory was last real at cursor ``queries - 1``; owed quanta wrap
+        and stop at cursor 1. The settle restores the checkpoint before it
+        scatters ``[0, 1)`` and adopts progress 1 (the key-value trace
+        deletes at query 0), or the old epoch's stores survive."""
+        twins = EpochTwins(queries, trace=trace)
+        twins.serve(queries - 1)  # the check settles here
+        twins.serve(2, check=False)  # the trace end, a wrap, query 0
+        assert twins.tenants[1].owes and twins.tenants[1].cursor == 1
+        twins.check()
+
+    @pytest.mark.parametrize("queries", [1, 2, 3])
+    def test_owed_wraps_keep_a_resident_fault(self, queries):
+        """A hard fault no query reads leaves the tenant clean, so its
+        wraps are owed: the settle re-installs the fault as each wrap
+        would have, stuck value and injection time included."""
+        twins = EpochTwins(queries)
+        twins.fault("heap", HEAP_SIZE - 1, 5, FaultKind.HARD)
+        for count in (1, 3 * queries + 1, 2 * queries):
+            twins.serve(count, check=False)
+            assert twins.tenants[1].owes
+        twins.check()
+        assert twins.tally["fused"] == twins.served
+        assert twins.tenants[1].resident_fault_count == 1
+
+    @pytest.mark.parametrize("queries", [4, 12])
+    def test_settles_are_the_restores(self, queries):
+        """Exact: over a clean stretch of quanta the batched twin restores
+        only when a read settles memory owed across a wrap."""
+        twins = EpochTwins(queries, trace=kv_trace)
+        scalar, batched = twins.tenants
+        restored = restores(batched)
+        for count in (1, 3 * queries + 1, queries, 2, 5 * queries):
+            twins.serve(count, check=False)
+        assert batched.owes
+        assert restores(batched) == restored + 1  # the read here settles
+        assert not batched.owes
+        twins.check()
+        assert scalar.epochs == batched.epochs >= 9
 
 
 class TestKVStoreEpochs:

@@ -300,8 +300,9 @@ class TestFusedLatency:
 
         plane.serve_requests(tenant, 3 * 4 + 2)
 
-        # Four epochs served whole, then the open one's two requests.
-        assert [len(batch) for batch in batches] == [12, 2]
+        # Pristine from the start: four whole epochs and the open one's
+        # two requests are one accounting step, billed as one batch.
+        assert [len(batch) for batch in batches] == [14]
         assert tenant.epochs == 4 and tenant.cursor == 2
         decisions(plane, fused=14)
 
