@@ -44,7 +44,12 @@ quantum live. Reported numbers, per session and plane:
   ``retired_bytes`` among them (summed from each tick's
   ``ArrivalBatch``) — and its wall ``seconds``. Arrivals do not depend
   on the data plane, so the counts agree across planes (exact, gated
-  in CI).
+  in CI);
+* per batched tenant, ``memo_counts``: the live stretches the plane
+  recorded and replayed (a stretch recurs at every wrap that installs
+  the same fault state, nothing having reached the tenant since) and
+  the verdict lookups its trace replay's memo answered. CI fails unless
+  websearch replays a stretch in the faulty session.
 
 Across planes, the scalar and batched ledgers must be byte-identical
 (asserted before any timing is reported — a speedup over a divergent
@@ -83,6 +88,7 @@ from repro.serve import (  # noqa: E402
     replay_ledger,
     run_serve,
 )
+from repro.serve import multiplexer  # noqa: E402
 from repro.serve.ledger import EVENT_FAULT, EVENT_POLICY, EVENT_RESPONSE  # noqa: E402
 from repro.serve.partition import ServePartition  # noqa: E402
 from repro.serve.policies import ACTION_RESTART  # noqa: E402
@@ -96,7 +102,10 @@ PLANES = {"scalar": "scalar", "batched": "auto"}
 ARRIVAL_COUNTS = ("footprints", "footprint_bytes", "unmapped_bytes", "retired_bytes")
 
 FULL = dict(duration_ticks=400, error_rate=0.25, seed=20140622)
-SMOKE = dict(duration_ticks=60, error_rate=0.25, seed=20140622)
+#: Long enough that in the faulty session a fault websearch's queries
+#: read stays resident across real wraps (the first arrives near tick
+#: 60), so its recorded live stretches replay.
+SMOKE = dict(duration_ticks=120, error_rate=0.25, seed=20140622)
 FAULTY_ERROR_RATE = 1.0
 SCALE = {"full": 0.5, "smoke": 0.3}
 LOAD = {"full": 16.0, "smoke": 16.0}
@@ -127,6 +136,19 @@ def metered_arrivals(arrivals: dict):
         return batch
 
     return mock.patch.object(ServePartition, "tick_arrivals", metered)
+
+
+def captured_plane(planes: list):
+    """Patch the session's data-plane factory to keep the plane it
+    builds in ``planes``."""
+    make_data_plane = multiplexer.make_data_plane
+
+    def capturing(name, tenants):
+        plane = make_data_plane(name, tenants)
+        planes.append(plane)
+        return plane
+
+    return mock.patch.object(multiplexer, "make_data_plane", capturing)
 
 
 def counted_restores(settles: Counter, guarded_wraps: Counter):
@@ -178,8 +200,8 @@ def run_session(base: dict, plane: str, ledger: Path, scale: float, load: float)
     """One seeded session under ``plane``; tenants are built fresh.
 
     Returns the result, the wall time, the tenants, per tenant the
-    checkpoint restores made from tick 0 on and what explains them, and
-    the arrival phase's counts and seconds.
+    checkpoint restores made from tick 0 on and what explains them, the
+    arrival phase's counts and seconds, and the data plane.
     """
     config = ServeConfig(**base, data_plane=PLANES[plane])
     tenants = default_tenants(scale=scale, load=load)
@@ -193,8 +215,11 @@ def run_session(base: dict, plane: str, ledger: Path, scale: float, load: float)
     arrivals = dict.fromkeys(ARRIVAL_COUNTS, 0)
     arrivals["seconds"] = 0.0
     settles, guarded_wraps = Counter(), Counter()
+    planes = []
     start = time.perf_counter()
-    with metered_arrivals(arrivals), counted_restores(settles, guarded_wraps):
+    with metered_arrivals(arrivals), counted_restores(
+        settles, guarded_wraps
+    ), captured_plane(planes):
         result = run_serve(
             config, tenants=tenants, ledger_path=ledger, stagger=note_restores
         )
@@ -210,7 +235,7 @@ def run_session(base: dict, plane: str, ledger: Path, scale: float, load: float)
         for name, tenant in by_name.items()
     }
     arrivals["seconds"] = round(arrivals["seconds"], 4)
-    return result, elapsed, tenants, served, arrivals
+    return result, elapsed, tenants, served, arrivals, planes[0]
 
 
 def par_r_counts(tenant) -> dict:
@@ -240,7 +265,7 @@ def heap_copies(tenant) -> int:
 
 def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float):
     """Timed run + determinism twin + replay audit for one plane."""
-    result, elapsed, tenants, restore_causes, arrivals = run_session(
+    result, elapsed, tenants, restore_causes, arrivals, data_plane = run_session(
         base, plane, ledger, scale, load
     )
 
@@ -259,7 +284,13 @@ def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float)
     decisions = {
         name: result.instruments.decisions_of(name) for name in replay.tenants
     }
+    memo = {}
+    if plane == "batched":
+        memo["memo_counts"] = {
+            tenant.name: data_plane.memo_counts(tenant.name) for tenant in tenants
+        }
     return {
+        **memo,
         "par_r": {tenant.name: par_r_counts(tenant) for tenant in tenants},
         "heap_copies": {tenant.name: heap_copies(tenant) for tenant in tenants},
         "checkpoint_restores": {
@@ -305,6 +336,7 @@ def bench_session(
             f"heap_copies={report['heap_copies']} "
             f"checkpoint_restores={report['checkpoint_restores']} "
             f"settles={ {n: c['settles'] for n, c in report['restore_causes'].items()} } "
+            f"memo_counts={report.get('memo_counts', '-')} "
             f"arrivals={report['arrivals']} "
             f"byte_identical={report['determinism']['byte_identical']} "
             f"replay_audit={report['replay_audit']['exact']}"

@@ -78,6 +78,11 @@ _FEW_ADDRS = 5
 #: Write-image bytes (addresses and values) a :class:`TraceReplay` keeps
 #: in memoized run plans; the least recently used plans go first.
 _PLAN_MEMO_BYTES = 1 << 21
+#: Verdict arrays (one code per query) a :class:`TraceReplay` keeps per
+#: guarded and diverged set, keys included; the least recently used go
+#: first. A serve tenant whose resident faults recur at every wrap meets
+#: the same few sets epoch after epoch.
+_VERDICT_MEMO_BYTES = 1 << 20
 #: Quantum steps (:meth:`TraceReplay.charge_quantum`) a replay keeps; a
 #: session serves one quantum size, so it visits at most the trace's
 #: cursors.
@@ -400,6 +405,13 @@ def record_access_trace(
     )
 
 
+def _verdict_nbytes(key: tuple, verdicts: np.ndarray) -> int:
+    """What one verdict-memo entry holds: the array, the guarded
+    addresses and the diverged bytes of its key."""
+    guarded, diverged = key
+    return verdicts.nbytes + 8 * len(guarded) + len(diverged or b"")
+
+
 @dataclass(frozen=True)
 class _RunPlan:
     """What serving queries ``[start, end)`` unexecuted changes: the
@@ -433,7 +445,11 @@ class TraceReplay:
 
     A run's plan (:class:`_RunPlan`) depends on ``(start, end)`` alone,
     so it is memoized: a session serves the same few runs over and over.
-    The memo holds at most :data:`_PLAN_MEMO_BYTES` of write image.
+    The memo holds at most :data:`_PLAN_MEMO_BYTES` of write image. The
+    per-query verdicts depend on the guarded set (and, for the full
+    verdicts, the diverged bytes) alone, so they are memoized too, up to
+    :data:`_VERDICT_MEMO_BYTES`; :attr:`verdict_hits` counts the lookups
+    the memo answered.
     """
 
     def __init__(self, trace: AccessTrace, workload: "Workload") -> None:
@@ -455,8 +471,12 @@ class TraceReplay:
         # ``_diverged_key = (cursor, region_versions)``.
         self._diverged = _NO_BYTES
         self._diverged_key: Optional[tuple] = None
-        self._verdicts: Optional[np.ndarray] = None
-        self._verdict_key: Optional[tuple] = None
+        # (guarded, diverged bytes or None) -> per-query verdict codes
+        # (None: blocked flags); the memo's bytes, keys included.
+        self._verdicts: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        self._verdict_bytes = 0
+        #: Verdict lookups the memo answered without a rebuild.
+        self.verdict_hits = 0
         self._plans: "OrderedDict[Tuple[int, int], _RunPlan]" = OrderedDict()
         self._plan_bytes = 0
         self._quanta: Dict[Tuple[int, int], tuple] = {}
@@ -513,14 +533,15 @@ class TraceReplay:
         if blocked is None and not diverged.size:
             return limit, np.zeros(0, dtype=np.int8)
         key = (self._guarded, diverged.tobytes())
-        if self._verdict_key != key:
+        verdicts = self._recall(key)
+        if verdicts is None:
             verdicts = np.zeros(self.trace.query_count, dtype=np.int8)
             if diverged.size:
                 verdicts[self.trace.touching(diverged, exposed=True)] = _DIVERGED
             if blocked is not None:
                 verdicts[blocked] = _BLOCKED
-            self._verdicts, self._verdict_key = verdicts, key
-        window = self._verdicts[cursor : cursor + limit]
+            self._remember(key, verdicts)
+        window = verdicts[cursor : cursor + limit]
         live = np.flatnonzero(window)
         if not live.size:
             return limit, window[:0]
@@ -637,12 +658,33 @@ class TraceReplay:
         guarded = self.workload.space.tracked_addresses()
         if guarded != self._guarded:
             self._guarded = guarded
-            self._blocked = (
-                self.trace.touching(np.asarray(guarded, dtype=np.int64))
-                if guarded
-                else None
-            )
+            blocked = None
+            if guarded:
+                key = (guarded, None)
+                blocked = self._recall(key)
+                if blocked is None:
+                    blocked = self.trace.touching(np.asarray(guarded, dtype=np.int64))
+                    self._remember(key, blocked)
+            self._blocked = blocked
         return self._blocked
+
+    def _recall(self, key: tuple) -> Optional[np.ndarray]:
+        """The memoized verdicts of ``key``, if kept."""
+        verdicts = self._verdicts.get(key)
+        if verdicts is not None:
+            self._verdicts.move_to_end(key)
+            self.verdict_hits += 1
+        return verdicts
+
+    def _remember(self, key: tuple, verdicts: np.ndarray) -> None:
+        """Keep ``verdicts`` (read-only from now on) under ``key``,
+        evicting to the byte bound."""
+        verdicts.flags.writeable = False
+        self._verdicts[key] = verdicts
+        self._verdict_bytes += _verdict_nbytes(key, verdicts)
+        while self._verdict_bytes > _VERDICT_MEMO_BYTES:
+            old_key, old = self._verdicts.popitem(last=False)
+            self._verdict_bytes -= _verdict_nbytes(old_key, old)
 
     def _sync(self, cursor: int) -> None:
         """Roll the golden image over the queries executed live since, and

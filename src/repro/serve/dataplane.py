@@ -72,6 +72,19 @@ boundaries"):
   each ``(cursor, count)`` quantum step, so an owed quantum costs a
   lookup and one charge.
 
+A faulty tenant's repeated epochs are served from a record (DESIGN.md,
+"Repeated faulty epochs"). While the tenant has an
+:attr:`~repro.serve.tenants.ServeTenant.epoch_key` — the fault state
+its last wrap installed, nothing having reached it since — its state at
+a cursor is the same at every wrap with that key. So the first live
+stretch ``(key, cursor, length)`` runs through the scalar loop inside
+:meth:`~repro.memory.address_space.AddressSpace.start_capture` /
+``finish_capture`` over the pages it changed, and keeps its effects,
+the progress it left and its dispositions; the same stretch in a later
+epoch is :meth:`~repro.memory.address_space.AddressSpace.replay`, one
+``restore_progress`` and the recorded counts. A stretch that ends in a
+fatal request drops the key and is not kept.
+
 Both planes count, per tenant, how each request was served
 (:data:`DECISIONS`); the counts are deterministic for a seed and never
 reach the ledger.
@@ -81,9 +94,14 @@ from __future__ import annotations
 
 import difflib
 import time
+from collections import OrderedDict
 from functools import partial
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.memory.address_space import AddressSpace, RecordedEffects
+from repro.memory.regions import PAGE_SIZE
 from repro.memory.trace import (
     DECISIONS,
     TraceReplay,
@@ -105,6 +123,11 @@ __all__ = [
 #: (which serves a tenant whose space is off the memory fast path
 #: through the scalar loop), ``scalar`` the oracle it is pinned to.
 DATA_PLANES: Tuple[str, ...] = ("auto", "scalar")
+
+#: Stored bytes a :class:`BatchedDataPlane` keeps per tenant in recorded
+#: live stretches; the least recently used stretches go first.
+_STRETCH_MEMO_BYTES = 1 << 21
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 
 
 class UnknownDataPlaneError(ValueError):
@@ -156,6 +179,83 @@ class ScalarDataPlane:
         return tenant.serve_requests(count)
 
 
+class _Stretch:
+    """One live stretch as it ran from an epoch's state: its effects on
+    the space, the progress it left and its dispositions."""
+
+    __slots__ = ("effects", "progress", "counts", "nbytes")
+
+    def __init__(self, effects: RecordedEffects, progress, counts: ServeCounts) -> None:
+        self.effects = effects
+        self.progress = progress
+        self.counts = dict(counts)
+        self.nbytes = sum(len(data) for _addr, data in effects.writes)
+
+
+class _StretchMemo:
+    """A tenant's recorded live stretches, keyed ``(epoch key, cursor,
+    length)``: least recently used first out, at most
+    :data:`_STRETCH_MEMO_BYTES` of written-back bytes."""
+
+    def __init__(self) -> None:
+        self.stretches: "OrderedDict[tuple, _Stretch]" = OrderedDict()
+        self.nbytes = 0
+        self.recorded = 0
+        self.replayed = 0
+
+    def get(self, key: tuple) -> Optional[_Stretch]:
+        stretch = self.stretches.get(key)
+        if stretch is not None:
+            self.stretches.move_to_end(key)
+        return stretch
+
+    def keep(self, key: tuple, stretch: _Stretch) -> None:
+        replaced = self.stretches.pop(key, None)
+        if replaced is not None:
+            self.nbytes -= replaced.nbytes
+        self.stretches[key] = stretch
+        self.recorded += 1
+        self.nbytes += stretch.nbytes
+        while self.nbytes > _STRETCH_MEMO_BYTES:
+            self.nbytes -= self.stretches.popitem(last=False)[1].nbytes
+
+
+def _pages(flat: np.ndarray) -> np.ndarray:
+    """A whole-space byte array as one row per page."""
+    return flat.reshape(-1, PAGE_SIZE)
+
+
+def _dirty_bytes(space: AddressSpace) -> Tuple[np.ndarray, np.ndarray]:
+    """The dirty pages and a copy of their stored bytes."""
+    pages = np.asarray(space.dirty_pages(), dtype=np.int64)
+    return pages, _pages(space.stored_view())[pages]
+
+
+def _changed_spans(
+    space: AddressSpace, before: Tuple[np.ndarray, np.ndarray]
+) -> List[Tuple[int, int]]:
+    """Per page changed since ``before`` (:func:`_dirty_bytes`), the span
+    from its first to its last changed byte.
+
+    A page is changed only if a store marked it dirty; a page dirty
+    neither then nor now holds the dirty baseline. No restore may come
+    in between: the dirty set only grows.
+    """
+    pages_before, saved = before
+    pages = np.asarray(space.dirty_pages(), dtype=np.int64)
+    old = _pages(np.frombuffer(space.dirty_baseline.mem, dtype=np.uint8))[pages]
+    old[np.searchsorted(pages, pages_before)] = saved
+    changed = _pages(space.stored_view())[pages] != old
+    spans = []
+    for row in np.flatnonzero(changed.any(axis=1)).tolist():
+        columns = np.flatnonzero(changed[row])
+        first = int(columns[0])
+        spans.append(
+            ((int(pages[row]) << _PAGE_SHIFT) + first, int(columns[-1]) + 1 - first)
+        )
+    return spans
+
+
 class BatchedDataPlane:
     """Fused trace replay, live only where a fault can reach."""
 
@@ -166,6 +266,7 @@ class BatchedDataPlane:
         self._replays: Dict[str, TraceReplay] = {}
         # Tenant generation each replay's golden image is rolled from.
         self._generations: Dict[str, int] = {}
+        self._stretches: Dict[str, _StretchMemo] = {}
         for tenant in tenants:
             workload = tenant.workload
             # Without the fast path there is no dirty-page tracking to
@@ -176,6 +277,19 @@ class BatchedDataPlane:
                 )
                 self._replays[tenant.name] = TraceReplay(trace, workload)
                 self._generations[tenant.name] = tenant.generation
+                self._stretches[tenant.name] = _StretchMemo()
+
+    def memo_counts(self, name: str) -> Dict[str, int]:
+        """How the memos served tenant ``name``: live stretches recorded
+        and replayed, and verdict lookups the trace replay's memo
+        answered (all 0 for a tenant served scalar). Deterministic for a
+        seed, like :attr:`decisions`."""
+        memo, replay = self._stretches.get(name), self._replays.get(name)
+        return {
+            "stretches_recorded": memo.recorded if memo else 0,
+            "stretches_replayed": memo.replayed if memo else 0,
+            "verdict_memo_hits": replay.verdict_hits if replay else 0,
+        }
 
     # ------------------------------------------------------------------
     def serve_requests(self, tenant: ServeTenant, count: int) -> ServeCounts:
@@ -225,7 +339,7 @@ class BatchedDataPlane:
                 continue
             cursor = tenant.cursor
             remaining -= reasons.size
-            live = tenant.serve_requests(reasons.size)
+            live = self._serve_live(tenant, reasons.size)
             replay.progress_dirty = True
             for key, value in live.items():
                 counts[key] += value
@@ -244,6 +358,42 @@ class BatchedDataPlane:
         counts["ok"] += fused
         tally["fused"] += fused
         tally["live"] += count - fused
+        return counts
+
+    def _serve_live(self, tenant: ServeTenant, count: int) -> ServeCounts:
+        """Serve the ``count`` requests the proofs sent live.
+
+        Under an epoch key, a stretch recorded at the same key, cursor
+        and length is replayed: the state it starts from is the one it
+        was recorded from, so its effects, progress and dispositions
+        are what executing it again gives. Otherwise the scalar loop
+        executes it, recorded while the key holds; a fatal request drops
+        the key and the stretch is not kept.
+        """
+        epoch = tenant.epoch_key
+        if epoch is None:
+            return tenant.serve_requests(count)
+        memo = self._stretches[tenant.name]
+        key = (epoch, tenant.cursor, count)
+        space = tenant.workload.space
+        stretch = memo.get(key)
+        if stretch is not None and space.can_replay(stretch.effects):
+            started = time.perf_counter()
+            space.replay(stretch.effects)
+            tenant.workload.restore_progress(stretch.progress)
+            tenant.fused_advance(count)
+            memo.replayed += 1
+            if tenant.latency_sink is not None:
+                self._report_latency(tenant, time.perf_counter() - started, count)
+            counts = ServeCounts()
+            counts.update(stretch.counts)
+            return counts
+        before = _dirty_bytes(space)
+        mark = space.start_capture()
+        counts = tenant.serve_requests(count)
+        if tenant.epoch_key is epoch:
+            effects = space.finish_capture(mark, _changed_spans(space, before))
+            memo.keep(key, _Stretch(effects, tenant.workload.progress_state(), counts))
         return counts
 
     def _defers(self, tenant: ServeTenant, replay: TraceReplay) -> bool:

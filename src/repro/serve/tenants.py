@@ -22,6 +22,13 @@ graphmining) with the mechanics the serving layer needs:
   first call here that reads or changes memory — ``apply_fault``,
   ``retire_page``, ``recover_from_disk``, ``serve_requests``, the
   ``space`` property — settles it first, and ``restart`` discards it.
+* **Epoch key** — after a wrap, memory, progress and fault consumption
+  at cursor ``c`` are a function of the fault state the wrap installed
+  and of ``c`` alone, as long as nothing reaches the tenant. The key
+  (:attr:`ServeTenant.epoch_key`) names that fault state while it holds:
+  the wrap sets it, and a fault, a repair, a restart, the restore that
+  settles owed wraps and a fatal request drop it. The batched data plane
+  keys its recorded live stretches on it.
 
 Determinism: a tenant only ever mutates its own workload, space, and
 counters, so concurrent tenant tasks cannot observe each other's state
@@ -88,6 +95,9 @@ class ServeTenant:
         #: What brings owed memory and progress to the cursor (None: the
         #: workload is where the counters say).
         self._owed: Optional[Callable[[], None]] = None
+        #: The fault state the last wrap installed, while nothing has
+        #: reached the tenant since (:attr:`epoch_key`).
+        self._epoch_key: Optional[tuple] = None
 
         self._cursor = 0
         self._golden: List[object] = []
@@ -177,6 +187,18 @@ class ServeTenant:
             owed()
 
     @property
+    def epoch_key(self) -> Optional[tuple]:
+        """The fault state (:meth:`~repro.memory.address_space.AddressSpace.
+        fault_state`) the last epoch wrap installed, or None once anything
+        reached the tenant since: a fault, a page retirement, a disk
+        recovery, a restart, the restore that settles owed wraps, or a
+        fatal request. While it is set, the state at a cursor — stored
+        bytes, Python-side progress, fault consumption, the clock — is
+        what serving from the wrap to that cursor leaves, the same at
+        every wrap with this key."""
+        return self._epoch_key
+
+    @property
     def cursor(self) -> int:
         """Next trace index to serve."""
         return self._cursor
@@ -206,6 +228,7 @@ class ServeTenant:
         stuck bit (last writer wins, like the overlay itself).
         """
         space = self.space
+        self._epoch_key = None
         if kind is FaultKind.HARD:
             fault = space.inject_hard_fault(addr, bit)
             self._resident[addr] = (bit, fault.stuck_value)
@@ -227,6 +250,7 @@ class ServeTenant:
         cleared = len(self._resident)
         self._resident.clear()
         self._owed = None
+        self._epoch_key = None
         self.workload.reset()  # restore() clears all faults
         self._cursor = 0
         self.generation += 1
@@ -245,6 +269,7 @@ class ServeTenant:
         is unknowable without a disk copy).
         """
         self.settle()
+        self._epoch_key = None
         page_base = (addr // PAGE_SIZE) * PAGE_SIZE
         if self._retirement is not None and self._to_host is not None:
             outcome = self._retirement.observe_error(self._to_host(addr))
@@ -277,6 +302,7 @@ class ServeTenant:
         — the one response that can undo silent data corruption.
         """
         region = self.space.region_at(addr)
+        self._epoch_key = None
         if region is None:
             return None
         backing = self._backings.get(region.name)
@@ -320,6 +346,8 @@ class ServeTenant:
                     self.latency_sink([time.perf_counter() - started])
                 counts["failed"] += count - attempt
                 self.needs_restart = True
+                # What the dead request left is no epoch's state.
+                self._epoch_key = None
                 return counts
             except WorkloadError:
                 if self.latency_sink is not None:
@@ -347,7 +375,8 @@ class ServeTenant:
             self._epoch_reset()
 
     def fused_advance(self, count: int) -> None:
-        """Advance the cursor past ``count`` requests served by fusion.
+        """Advance the cursor past ``count`` requests served by fusion or
+        by a recorded live stretch.
 
         The batched data plane has already applied the requests' memory
         effects and counted their dispositions; only the trace position
@@ -387,6 +416,7 @@ class ServeTenant:
         accounting = space.accounting_state()
         self._restore_checkpoint()
         space.restore_accounting(accounting)
+        self._epoch_key = None
 
     def _restore_checkpoint(self) -> None:
         """Restore the checkpoint, keep resident faults.
@@ -407,10 +437,12 @@ class ServeTenant:
         Par+R writable backings take their periodic flush here (the
         restored image *is* the checkpoint, so the mirror stays exact —
         and, nothing being dirty after the restore, the flush copies
-        nothing). Memory owed is dropped, as by :meth:`restart`.
+        nothing). Memory owed is dropped, as by :meth:`restart`. The
+        installed fault state becomes the :attr:`epoch_key`.
         """
         self._owed = None
         self._restore_checkpoint()
+        self._epoch_key = self.workload.space.fault_state()
         self._cursor = 0
         self.epochs += 1
         self.generation += 1

@@ -394,6 +394,9 @@ class EpochTwins:
         # the stored bit and the clock the quantum before it left.
         assert scalar.space.fault_log.entries == batched.space.fault_log.entries
         assert scalar.space.tracked_addresses() == batched.space.tracked_addresses()
+        # How often each tracked byte was read before its first overwrite.
+        for addr in scalar.space.tracked_addresses():
+            assert scalar.space.fault_consumption(addr) == batched.space.fault_consumption(addr)
         # Python-side progress (the key-value store's allocator and
         # item count) as well as memory.
         assert scalar.workload.progress_state() == batched.workload.progress_state()
@@ -1000,3 +1003,138 @@ class TestSessionEpochs:
         assert (tmp_path / "scalar.jsonl").read_bytes() == (
             tmp_path / "auto.jsonl"
         ).read_bytes()
+
+
+# ----------------------------------------------------------------------
+# Repeated faulty epochs: a live stretch is recorded once per epoch key
+# (the fault state the last wrap installed, nothing having reached the
+# tenant since) and replayed at every later wrap that installs the same
+# state, until a fault, repair, restart or fatal request drops the key.
+# ----------------------------------------------------------------------
+#: Heap offset of the word query 1 loads.
+WORD_1 = 4
+
+
+def memo(twins: EpochTwins) -> dict:
+    """The batched twin's stretch and verdict memo counts."""
+    return twins.planes[1].memo_counts("mini")
+
+
+def recurring_steps(offsets: int):
+    """Walks where quanta cross several wraps, so a fault that stays
+    resident recurs at each, between faults, repairs and restarts."""
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("serve"), st.integers(0, 5), st.integers(-1, 1)),
+            st.tuples(st.just("serve"), st.integers(0, 5), st.integers(-1, 1)),
+            st.tuples(
+                st.sampled_from(["fault", "fault", "retire", "recover"]),
+                st.integers(0, offsets - 1),
+                st.sampled_from([FaultKind.HARD, FaultKind.HARD, FaultKind.SOFT]),
+            ),
+            st.tuples(st.just("restart"), st.none(), st.none()),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+
+
+class TestRepeatedFaultyEpochs:
+    """The batched twin replays recorded live stretches; after every step
+    both twins agree on counts, stored bytes, accounting, fault
+    consumption and progress (:meth:`EpochTwins.check`)."""
+
+    #: Words queries 0 and 1 load, query 0's slot, an unread heap byte.
+    SHORT_OFFSETS = (READ_BYTE, WORD_1, WRITTEN_BYTE, HEAP_SIZE - 1)
+
+    @given(
+        queries=st.integers(min_value=2, max_value=5),
+        steps=recurring_steps(len(SHORT_OFFSETS)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_walks_over_short_traces(self, queries, steps):
+        deferred_walk(EpochTwins(queries), self.SHORT_OFFSETS, steps, every=1)
+
+    @given(
+        queries=st.sampled_from([4, 12]),
+        steps=recurring_steps(4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_walks_over_kvstore_traces(self, queries, steps):
+        twins = EpochTwins(queries, trace=kv_trace)
+        workload = twins.tenants[1].workload
+        head = workload.store._bucket_addr(key_bytes(0)) - workload.space.region_named("heap").base
+        # Key 6's value (two gets read it), key 0's (deleted, then set
+        # again), a bucket head, the last heap byte.
+        offsets = (value_offset(workload, 6), value_offset(workload, 0), head, 4 * PAGE_SIZE - 1)
+        deferred_walk(twins, offsets, steps, every=1)
+
+    @pytest.mark.parametrize("pattern", [(1, 1, 2), (2, 2), (4,), (1, 3), (9, 3)])
+    def test_a_stretch_recurs_at_every_wrap(self, pattern):
+        """Query 1 loads a stuck word. The first epoch has no key (no
+        wrap installed its faults); the wrap after it records the
+        stretch, and every later one replays it."""
+        twins = EpochTwins(4)
+        twins.fault("heap", WORD_1, 0, FaultKind.HARD)
+        for _ in range(12 // sum(pattern)):
+            for count in pattern:
+                twins.serve(count)
+        counts = memo(twins)
+        assert counts["stretches_recorded"] >= 1
+        assert counts["stretches_replayed"] >= 1
+        tally = twins.tally
+        assert tally["live"] == tally["blocked"] > 0
+
+    def test_kvstore_stretches_replay_with_their_progress(self):
+        """Two gets of key 6 read a stuck byte of its value: they run live
+        each epoch; the trace deletes and re-sets key 0, so the allocator
+        state a replay adopts must be the one executing leaves."""
+        queries = 12
+        twins = EpochTwins(queries, trace=kv_trace)
+        value = value_offset(twins.tenants[1].workload, 6)
+        twins.fault("heap", value, 0, FaultKind.HARD)
+        for count in (queries, 2 * queries + 1, queries - 1, 3 * queries, 5):
+            twins.serve(count)
+        assert memo(twins)["stretches_replayed"] > 0
+
+    def test_a_fault_after_the_wrap_is_not_replayed_over(self):
+        """A fault that arrives after the wrap changes the state the next
+        stretch starts from: it must execute, not replay the record."""
+        twins = EpochTwins(4)
+        twins.fault("heap", WORD_1, 0, FaultKind.HARD)
+        for _ in range(2):
+            for count in (1, 1, 2):
+                twins.serve(count)
+        assert memo(twins)["stretches_recorded"] == 1
+        twins.serve(1)  # the wrap (the key is set again) and query 0
+        assert twins.tenants[1].epoch_key is not None
+        # A flip in the salt byte query 1 loads.
+        for tenant in twins.tenants:
+            private = tenant.space.region_named("private")
+            tenant.apply_fault(private.base + 1, 3, FaultKind.SOFT)
+        twins.serve(1)
+        assert memo(twins)["stretches_replayed"] == 0
+        assert twins.tenants[1].epoch_key is None
+
+    @pytest.mark.parametrize("queries", [4, 12])
+    def test_a_fatal_stretch_serves_and_restarts_like_the_scalar_loop(self, queries):
+        """A stuck bit in key 0's bucket head installed before a wrap: the
+        first request after it (delete key 0) walks a wild pointer and
+        kills the process while the key is set. It is not kept, the key
+        goes, and the restart and the rounds after it match the scalar
+        twin."""
+        twins = EpochTwins(queries, trace=kv_trace)
+        workload = twins.tenants[1].workload
+        head = workload.store._bucket_addr(key_bytes(0)) - workload.space.region_named("heap").base
+        for _ in range(3):
+            twins.serve(queries)  # to the trace end: the wrap is next
+            twins.fault("heap", head, 3, FaultKind.HARD)
+            twins.serve(2 * queries)
+            assert all(tenant.needs_restart for tenant in twins.tenants)
+            assert twins.tenants[1].epoch_key is None
+            twins.serve(3)  # served on, not restarted
+            for tenant in twins.tenants:
+                tenant.restart(1)
+            twins.check()
+        assert memo(twins)["stretches_recorded"] == 0
+        assert twins.tally["fatal_tail"] > 0
