@@ -26,14 +26,15 @@ quantum live. Reported numbers, per session and plane:
 * per tenant, ``checkpoint_restores``: the checkpoint restores its space
   made from tick 0 on (``fast_path_stats()``; the build and the batched
   plane's trace recording come before). The scalar loop restores at
-  every wrap and restart. The batched plane leaves a pristine tenant's
-  memory owed across quanta and restores only when a settle pays a
-  wrap, at a restart, or at a wrap while a fault is guarded — never
-  more often than the scalar loop (an exact count, gated in CI);
+  every wrap and restart. The batched plane leaves a tenant's memory
+  owed across quanta and restores only when a settle pays a wrap, at a
+  restart, or at a wrap while a fault is guarded and no epoch record
+  of the state it installs is kept — never more often than the scalar
+  loop (an exact count, gated in CI);
 * per tenant, what explains the batched restores: ``settles`` (memory
   the plane left owed and something then read), ``restarts``,
-  ``guarded_wraps`` (wraps taken while a byte was guarded, which the
-  plane does not defer), and from the ledger ``faults_routed`` (fault
+  ``guarded_wraps`` (wraps restored while a byte was guarded, which the
+  plane owes only to a kept record), and from the ledger ``faults_routed`` (fault
   events that injected a byte: one per footprint and region of the
   tenant) and ``touched_ticks`` (ticks with such a fault or a policy
   response). Exact and gated in CI: restores <= settles + restarts +
@@ -45,11 +46,13 @@ quantum live. Reported numbers, per session and plane:
   ``ArrivalBatch``) — and its wall ``seconds``. Arrivals do not depend
   on the data plane, so the counts agree across planes (exact, gated
   in CI);
-* per batched tenant, ``memo_counts``: the live stretches the plane
-  recorded and replayed (a stretch recurs at every wrap that installs
-  the same fault state, nothing having reached the tenant since) and
-  the verdict lookups its trace replay's memo answered. CI fails unless
-  websearch replays a stretch in the faulty session.
+* per batched tenant, ``record_counts``: ``epochs_recorded`` (epochs
+  served from the wrap that installed a fault state some query meets
+  to the trace end, kept as an epoch record) and ``guarded_epochs_owed``
+  (later wraps installing a recorded state, owed to the record instead
+  of restored), with ``restores`` (the checkpoint restores above) next
+  to ``touch_bound`` = ``faults_routed + restarts + 1``. CI fails unless
+  websearch owes a guarded wrap in the faulty session.
 
 Across planes, the scalar and batched ledgers must be byte-identical
 (asserted before any timing is reported — a speedup over a divergent
@@ -284,13 +287,18 @@ def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float)
     decisions = {
         name: result.instruments.decisions_of(name) for name in replay.tenants
     }
-    memo = {}
+    records = {}
     if plane == "batched":
-        memo["memo_counts"] = {
-            tenant.name: data_plane.memo_counts(tenant.name) for tenant in tenants
+        records["record_counts"] = {
+            name: {
+                **data_plane.record_counts(name),
+                "restores": causes["checkpoint_restores"],
+                "touch_bound": causes["faults_routed"] + causes["restarts"] + 1,
+            }
+            for name, causes in restore_causes.items()
         }
     return {
-        **memo,
+        **records,
         "par_r": {tenant.name: par_r_counts(tenant) for tenant in tenants},
         "heap_copies": {tenant.name: heap_copies(tenant) for tenant in tenants},
         "checkpoint_restores": {
@@ -336,7 +344,7 @@ def bench_session(
             f"heap_copies={report['heap_copies']} "
             f"checkpoint_restores={report['checkpoint_restores']} "
             f"settles={ {n: c['settles'] for n, c in report['restore_causes'].items()} } "
-            f"memo_counts={report.get('memo_counts', '-')} "
+            f"record_counts={report.get('record_counts', '-')} "
             f"arrivals={report['arrivals']} "
             f"byte_identical={report['determinism']['byte_identical']} "
             f"replay_audit={report['replay_audit']['exact']}"

@@ -501,7 +501,10 @@ class AddressSpace:
         return tuple(self._region_versions)
 
     def charge_recorded(
-        self, time_units: int, per_region: Sequence[Sequence[int]]
+        self,
+        time_units: int,
+        per_region: Sequence[Sequence[int]],
+        path: Optional[Tuple[int, int]] = None,
     ) -> None:
         """Settle the exact clock/counter debt of accesses not issued.
 
@@ -514,7 +517,10 @@ class AddressSpace:
         as :meth:`~repro.apps.kvstore.store.KVStore.preload` (deltas
         computed from the layout they write). The accesses are credited
         to the fast path only when it is on; in oracle mode, like the
-        checked path, nothing is counted as a hit or a fallback.
+        checked path, nothing is counted as a hit or a fallback. ``path``
+        overrides that credit with the fast-path hits and fallbacks the
+        accesses were recorded making (a serve epoch record's live
+        requests, :mod:`repro.memory.trace`).
         """
         self._time += int(time_units)
         ops = 0
@@ -526,7 +532,10 @@ class AddressSpace:
                 self._store_ops[index] += int(sops)
                 self._store_bytes[index] += int(sbytes)
             ops += int(lops) + int(sops)
-        if self._fast:
+        if path is not None:
+            self._fast_hits += path[0]
+            self._fast_fallbacks += path[1]
+        elif self._fast:
             self._fast_hits += ops
 
     def dirty_pages(self) -> List[int]:

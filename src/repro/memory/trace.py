@@ -43,9 +43,11 @@ the byte already had.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,7 +57,15 @@ from repro.memory.regions import PAGE_SIZE
 if TYPE_CHECKING:  # apps imports memory, not the other way round
     from repro.apps.base import Workload
 
-__all__ = ["DECISIONS", "AccessTrace", "TraceReplay", "record_access_trace", "tally_reasons"]
+__all__ = [
+    "DECISIONS",
+    "RECORD_TALLIES",
+    "AccessTrace",
+    "EpochRecord",
+    "TraceReplay",
+    "record_access_trace",
+    "tally_reasons",
+]
 
 #: Query provenance a fused consumer keeps per tenant or per cell:
 #: ``fused`` + ``live`` = queries offered; the other four say why a live
@@ -78,15 +88,15 @@ _FEW_ADDRS = 5
 #: Write-image bytes (addresses and values) a :class:`TraceReplay` keeps
 #: in memoized run plans; the least recently used plans go first.
 _PLAN_MEMO_BYTES = 1 << 21
-#: Verdict arrays (one code per query) a :class:`TraceReplay` keeps per
-#: guarded and diverged set, keys included; the least recently used go
-#: first. A serve tenant whose resident faults recur at every wrap meets
-#: the same few sets epoch after epoch.
-_VERDICT_MEMO_BYTES = 1 << 20
-#: Quantum steps (:meth:`TraceReplay.charge_quantum`) a replay keeps; a
-#: session serves one quantum size, so it visits at most the trace's
-#: cursors.
-_QUANTA_MEMO = 4096
+#: Bytes of epoch records (:class:`EpochRecord`) a :class:`TraceReplay`
+#: keeps over all fault states; the least recently used state goes first.
+_RECORD_BYTES = 1 << 21
+#: What an epoch record counts per query after the accounting: the
+#: verdict (fused or the reason it ran live) and a live query's
+#: disposition.
+RECORD_TALLIES: Tuple[str, ...] = (
+    "fused", "blocked", "diverged", "progress", "ok", "incorrect", "failed",
+)
 
 
 def tally_reasons(tally: Dict[str, int], reasons: np.ndarray) -> None:
@@ -405,13 +415,6 @@ def record_access_trace(
     )
 
 
-def _verdict_nbytes(key: tuple, verdicts: np.ndarray) -> int:
-    """What one verdict-memo entry holds: the array, the guarded
-    addresses and the diverged bytes of its key."""
-    guarded, diverged = key
-    return verdicts.nbytes + 8 * len(guarded) + len(diverged or b"")
-
-
 @dataclass(frozen=True)
 class _RunPlan:
     """What serving queries ``[start, end)`` unexecuted changes: the
@@ -430,6 +433,45 @@ class _RunPlan:
         return self.addrs.nbytes + self.values.nbytes
 
 
+class EpochRecord:
+    """One epoch as a workload served it, from the wrap that installed its
+    fault state to the trace end (DESIGN.md, "Epoch records").
+
+    ``prefix[c]`` sums queries ``[0, c)`` column by column, with a
+    leading zero row: the clock, four counters per region in the
+    :class:`AccessTrace` ``counters`` layout, fast-path hits and
+    fallbacks, then :data:`RECORD_TALLIES`. ``live`` maps each cursor a
+    live query ended on to what rebuilds the state there: effects with
+    no accounting (fault consumption since the wrap, and the stored
+    bytes that differ from golden), those bytes and Python-side
+    progress. Any other cursor follows fused queries: golden progress,
+    and the bytes that differed at the last live cursor before it, less
+    those a fused query since stored to. ``steps`` memoizes
+    :meth:`TraceReplay.charge_quantum`, at most one step per cursor.
+    """
+
+    __slots__ = ("prefix", "live", "cuts", "steps", "nbytes")
+
+    def __init__(self, prefix: np.ndarray, live: Dict[int, tuple]) -> None:
+        self.prefix, self.live, self.cuts = prefix, live, sorted(live)
+        self.steps: Dict[Tuple[int, int], tuple] = {}
+        # A memoized step, in lists, holds about seven prefix rows.
+        self.nbytes = 8 * prefix.nbytes + sum(
+            9 * diverged.size + 64 * len(effects.consumption) + 256
+            for effects, diverged, _progress in live.values()
+        )
+
+
+def _golden_record(trace: AccessTrace) -> EpochRecord:
+    """The record of a fault state no query meets: every query fused."""
+    rows = trace.query_count + 1
+    ops = trace.counters[:, 0::4].sum(axis=1) + trace.counters[:, 2::4].sum(axis=1)
+    tallies = np.zeros((rows, len(RECORD_TALLIES)), dtype=np.int64)
+    tallies[:, 0] = np.arange(rows)
+    fallbacks = np.zeros((rows, 1), dtype=np.int64)
+    return EpochRecord(np.column_stack((trace.clock, trace.counters, ops, fallbacks, tallies)), {})
+
+
 class TraceReplay:
     """Serves clean runs of a recorded trace on a live workload, unexecuted.
 
@@ -445,11 +487,14 @@ class TraceReplay:
 
     A run's plan (:class:`_RunPlan`) depends on ``(start, end)`` alone,
     so it is memoized: a session serves the same few runs over and over.
-    The memo holds at most :data:`_PLAN_MEMO_BYTES` of write image. The
-    per-query verdicts depend on the guarded set (and, for the full
-    verdicts, the diverged bytes) alone, so they are memoized too, up to
-    :data:`_VERDICT_MEMO_BYTES`; :attr:`verdict_hits` counts the lookups
-    the memo answered.
+    The memo holds at most :data:`_PLAN_MEMO_BYTES` of write image.
+
+    The caller may leave the workload owing its memory and progress to
+    an :class:`EpochRecord` (:attr:`owed`, :meth:`charge_quantum`,
+    :meth:`settle`); :attr:`golden` stands for every fault state no
+    query meets, and the caller records the others (:meth:`begin_record`
+    at the wrap, then :meth:`record_run` / :meth:`record_live` up to the
+    trace end), at most :data:`_RECORD_BYTES` of them.
     """
 
     def __init__(self, trace: AccessTrace, workload: "Workload") -> None:
@@ -471,15 +516,20 @@ class TraceReplay:
         # ``_diverged_key = (cursor, region_versions)``.
         self._diverged = _NO_BYTES
         self._diverged_key: Optional[tuple] = None
-        # (guarded, diverged bytes or None) -> per-query verdict codes
-        # (None: blocked flags); the memo's bytes, keys included.
-        self._verdicts: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self._verdict_bytes = 0
-        #: Verdict lookups the memo answered without a rebuild.
-        self.verdict_hits = 0
         self._plans: "OrderedDict[Tuple[int, int], _RunPlan]" = OrderedDict()
         self._plan_bytes = 0
-        self._quanta: Dict[Tuple[int, int], tuple] = {}
+        self.golden = _golden_record(trace)
+        #: The record the workload's owed memory and progress follow.
+        self.owed = self.golden
+        # Every wrap restores the checkpoint's clock.
+        self._checkpoint_time = trace.end_time - int(trace.clock[-1])
+        self._records: "OrderedDict[Hashable, EpochRecord]" = OrderedDict()
+        self._record_bytes = 0
+        # (key, capture mark, prefix, live, next cursor) while recording.
+        self._recording: Optional[list] = None
+        #: Epochs recorded, and wraps owed to a record other than golden.
+        self.epochs_recorded = 0
+        self.guarded_epochs_owed = 0
 
     def _plan(self, start: int, end: int) -> _RunPlan:
         """The memoized plan of queries ``[start, end)``."""
@@ -532,15 +582,11 @@ class TraceReplay:
         diverged = self._diverged_bytes(cursor)
         if blocked is None and not diverged.size:
             return limit, np.zeros(0, dtype=np.int8)
-        key = (self._guarded, diverged.tobytes())
-        verdicts = self._recall(key)
-        if verdicts is None:
-            verdicts = np.zeros(self.trace.query_count, dtype=np.int8)
-            if diverged.size:
-                verdicts[self.trace.touching(diverged, exposed=True)] = _DIVERGED
-            if blocked is not None:
-                verdicts[blocked] = _BLOCKED
-            self._remember(key, verdicts)
+        verdicts = np.zeros(self.trace.query_count, dtype=np.int8)
+        if diverged.size:
+            verdicts[self.trace.touching(diverged, exposed=True)] = _DIVERGED
+        if blocked is not None:
+            verdicts[blocked] = _BLOCKED
         window = verdicts[cursor : cursor + limit]
         live = np.flatnonzero(window)
         if not live.size:
@@ -570,66 +616,148 @@ class TraceReplay:
         self._sync(cursor)
         return self._progress_ok(cursor) and not self._diverged_bytes(cursor).size
 
-    def charge_quantum(self, cursor: int, count: int) -> Tuple[int, int]:
-        """Serve ``count`` queries from ``cursor`` by their accounting alone.
+    def charge_quantum(self, cursor: int, count: int) -> Tuple[int, int, List[int]]:
+        """Serve ``count`` queries from ``cursor`` by the :attr:`owed`
+        record's accounting alone; returns ``(wraps, end, tallies)``: the
+        wraps crossed, the cursor after the last query and the
+        :data:`RECORD_TALLIES` of the queries served.
 
-        The serving loop's walk around the trace: a query at the trace
-        end first wraps to query 0, and a wrap restores the checkpoint,
-        which sets the clock to the checkpoint's. Returns ``(wraps,
-        end)``, the wraps crossed and the cursor after the last query.
-        Counters add the recorded deltas of every query served; after a
-        wrap the clock is the checkpoint's plus the recorded clock at
-        ``end``, else it advances by the recorded clock of the run.
-
-        Only for a caller that proved the workload :meth:`pristine` at
-        ``cursor`` (or at a wrap that no query's guarded byte blocks, which
-        leaves it so) and owes it memory
-        and progress from then on: stored bytes, the rolling image and
-        progress stay where they were until :meth:`settle`. The step of a
-        ``(cursor, count)`` pair is memoized.
+        The walk of the serving loop: a query at the trace end first
+        wraps to query 0, and a wrap sets the clock to the checkpoint's.
+        Only for a caller that owes the workload its memory and progress
+        from a state the record stands for (:attr:`golden` at a cursor
+        proved :meth:`pristine` or at a wrap no guarded byte blocks, any
+        other at the wrap that installs its fault state): memory, image
+        and progress stay where they were until :meth:`settle`.
         """
-        key = (cursor, count)
-        step = self._quanta.get(key)
+        record, total = self.owed, self.trace.query_count
+        step = record.steps.get((cursor, count))
         if step is None:
-            trace, total = self.trace, self.trace.query_count
-            counters = trace.counters
+            prefix = record.prefix
             if cursor + count <= total:
                 wraps, end = 0, cursor + count
-                deltas = counters[end] - counters[cursor]
-                clock = int(trace.clock[end] - trace.clock[cursor])
+                row = (prefix[end] - prefix[cursor]).tolist()
             else:
                 after = count - (total - cursor)
                 wraps = (after - 1) // total + 1
                 end = after - (wraps - 1) * total
-                deltas = counters[total] * wraps - counters[cursor] + counters[end]
-                # Every replay starts from the checkpoint restore.
-                clock = trace.end_time - int(trace.clock[-1] - trace.clock[end])
-            if len(self._quanta) >= _QUANTA_MEMO:
-                self._quanta.clear()
-            step = self._quanta[key] = (wraps, end, clock, deltas.reshape(-1, 4).tolist())
-        wraps, end, clock, deltas = step
+                row = (prefix[total] * wraps - prefix[cursor] + prefix[end]).tolist()
+                # The clock since the checkpoint's, which the last wrap set.
+                row[0] = int(prefix[end, 0])
+            width = prefix.shape[1] - len(RECORD_TALLIES)
+            deltas = [row[i : i + 4] for i in range(1, width - 2, 4)]
+            # The golden record's accesses are all fast-path hits.
+            path = None if record is self.golden else row[width - 2 : width]
+            if len(record.steps) > total:
+                record.steps.clear()
+            step = record.steps[cursor, count] = (wraps, end, row[0], deltas, path, row[width:])
+        wraps, end, clock, deltas, path, tallies = step
+        space = self.workload.space
         if wraps:
-            self.workload.space.settle_recorded_trial(clock, deltas)
-        else:
-            self.workload.space.charge_recorded(clock, deltas)
-        return wraps, end
+            clock += self._checkpoint_time - space.time
+            if record is not self.golden:
+                self.guarded_epochs_owed += wraps
+        space.charge_recorded(clock, deltas, path)
+        return wraps, end, tallies
 
     def settle(self, cursor: int) -> None:
         """Bring stored memory, the image and progress to ``cursor``.
 
         For the owed state :meth:`charge_quantum` leaves, once memory
-        holds the golden state of the image cursor again (as it was, or
-        after a checkpoint restore and :meth:`rewind`): the write image
-        of the queries in between is scattered into memory and the
-        image, and the progress recorded at ``cursor`` adopted. Nothing
-        is charged; the accounting was. The state stays pristine, so the
-        divergence memo is re-keyed empty.
+        holds the state the :attr:`owed` record started from (as it was,
+        or after a restore with the record's faults and :meth:`rewind`):
+        the golden write image up to ``cursor`` is scattered and golden
+        progress adopted, then the record's state after its last live
+        query before ``cursor``, if any, goes on top (its progress only
+        at that cursor; fused queries since heal what they stored to).
+        Nothing is charged; the accounting was.
         """
         if self._image_cursor < cursor:
             self._advance(self._image_cursor, cursor)
         self._diverged = _NO_BYTES
-        self.workload.restore_progress(self.trace.progress[cursor])
+        progress = self.trace.progress[cursor]
+        record = self.owed
+        at = bisect_right(record.cuts, cursor) - 1
+        if at >= 0:
+            cut = record.cuts[at]
+            effects, diverged, state = record.live[cut]
+            self.workload.space.replay(effects)
+            self._diverged = diverged
+            if cut < cursor:
+                self._heal(cut, cursor)
+            else:
+                progress = state
+            self.progress_dirty = True
+        self.workload.restore_progress(progress)
         self._diverged_key = (cursor, self.workload.space.region_versions())
+
+    def record(self, key: Hashable) -> Optional[EpochRecord]:
+        """The kept record of fault state ``key``, if any."""
+        record = self._records.get(key)
+        if record is not None:
+            self._records.move_to_end(key)
+        return record
+
+    def begin_record(self, key: Hashable) -> None:
+        """Record the epoch a wrap has just started under fault state
+        ``key``, nothing served since."""
+        prefix = np.zeros_like(self.golden.prefix)
+        self._recording = [key, self.workload.space.start_capture(), prefix, {}, 0]
+
+    def recording(self, key: Hashable, cursor: int) -> bool:
+        """Whether the epoch under ``key`` is being recorded up to
+        ``cursor``; a recording under another key, or one that missed
+        queries, is dropped."""
+        recording = self._recording
+        if recording is not None and (recording[0] is not key or recording[4] != cursor):
+            self._recording = recording = None
+        return recording is not None
+
+    def record_run(self, start: int, end: int) -> None:
+        """Record fused queries ``[start, end)`` of the epoch: the golden
+        record's sums over them."""
+        prefix, golden = self._recording[2], self.golden.prefix
+        prefix[start + 1 : end + 1] = prefix[start] + golden[start + 1 : end + 1] - golden[start]
+        self._recorded(end)
+
+    def record_live(self, cursor: int, code: int, counts: Dict[str, int]) -> None:
+        """Record live query ``cursor``, just executed with verdict
+        ``code`` and dispositions ``counts``: the accounting since the
+        wrap, and what rebuilds the state after it."""
+        _key, mark, prefix, live, _next = self._recording
+        end = cursor + 1
+        self._sync(end)
+        diverged = self._diverged_bytes(end)
+        effects = self.workload.space.finish_capture(mark, [(a, 1) for a in diverged.tolist()])
+        accounting = [
+            effects.time, *chain.from_iterable(zip(*effects.counters)),
+            effects.fast_hits, effects.fast_fallbacks,
+        ]
+        # The prefix sums charge the accounting; the effects keep the state.
+        effects.time = effects.fast_hits = effects.fast_fallbacks = 0
+        effects.counters = tuple((0,) * len(deltas) for deltas in effects.counters)
+        width = len(accounting)
+        prefix[end, :width] = accounting
+        prefix[end, width:] = prefix[cursor, width:]
+        prefix[end, width + code] += 1
+        prefix[end, -3:] += (counts["ok"], counts["incorrect"], counts["failed"])
+        live[end] = (effects, diverged, self.workload.progress_state())
+        self._recorded(end)
+
+    def _recorded(self, end: int) -> None:
+        """Queries up to ``end`` are recorded: at the trace end the record
+        is kept, evicting the least recently used to the byte bound."""
+        recording = self._recording
+        recording[4] = end
+        if end < self.trace.query_count:
+            return
+        self._recording = None
+        key, _mark, prefix, live, _end = recording
+        record = self._records[key] = EpochRecord(prefix, live)
+        self._record_bytes += record.nbytes
+        self.epochs_recorded += 1
+        while self._record_bytes > _RECORD_BYTES:
+            self._record_bytes -= self._records.popitem(last=False)[1].nbytes
 
     def charge_run(self, start: int, run: int) -> None:
         """Serve queries ``[start, start + run)`` by their accounting alone.
@@ -658,33 +786,10 @@ class TraceReplay:
         guarded = self.workload.space.tracked_addresses()
         if guarded != self._guarded:
             self._guarded = guarded
-            blocked = None
-            if guarded:
-                key = (guarded, None)
-                blocked = self._recall(key)
-                if blocked is None:
-                    blocked = self.trace.touching(np.asarray(guarded, dtype=np.int64))
-                    self._remember(key, blocked)
-            self._blocked = blocked
+            self._blocked = (
+                self.trace.touching(np.asarray(guarded, dtype=np.int64)) if guarded else None
+            )
         return self._blocked
-
-    def _recall(self, key: tuple) -> Optional[np.ndarray]:
-        """The memoized verdicts of ``key``, if kept."""
-        verdicts = self._verdicts.get(key)
-        if verdicts is not None:
-            self._verdicts.move_to_end(key)
-            self.verdict_hits += 1
-        return verdicts
-
-    def _remember(self, key: tuple, verdicts: np.ndarray) -> None:
-        """Keep ``verdicts`` (read-only from now on) under ``key``,
-        evicting to the byte bound."""
-        verdicts.flags.writeable = False
-        self._verdicts[key] = verdicts
-        self._verdict_bytes += _verdict_nbytes(key, verdicts)
-        while self._verdict_bytes > _VERDICT_MEMO_BYTES:
-            old_key, old = self._verdicts.popitem(last=False)
-            self._verdict_bytes -= _verdict_nbytes(old_key, old)
 
     def _sync(self, cursor: int) -> None:
         """Roll the golden image over the queries executed live since, and

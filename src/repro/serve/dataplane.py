@@ -35,55 +35,26 @@ execution would provably produce the golden response, advance the same
 cursor, and wrap the same epoch — which is why seeded sessions write
 byte-identical ledgers under either plane.
 
-A clean stretch of quanta costs its accounting (DESIGN.md, "Epoch
-boundaries"):
-
-* *Owed memory.* Once the proofs hold for the rest of the trace (no
-  query meets a guarded byte, nothing diverged, golden progress:
-  :meth:`~repro.memory.trace.TraceReplay.pristine`), or a wrap is due
-  while no query meets a guarded byte, the tenant is left owing its
-  memory and progress (:meth:`~repro.serve.tenants.ServeTenant.defer`).
-  Each quantum is then one accounting step:
-  :meth:`~repro.memory.trace.TraceReplay.charge_quantum` charges the
-  recorded counters and sets the clock, and
-  :meth:`~repro.serve.tenants.ServeTenant.owed_quantum` advances cursor,
-  ``epochs``, ``generation`` and the Par+R flush counts. Nothing is
-  restored, scattered, rolled, rewound or checked again: the state
-  stays clean because nothing touches the tenant without settling it
-  first, which costs at most one restore, one scatter and one progress
-  adoption (:meth:`BatchedDataPlane._settle`).
-* *No scatter before a wrap.* A fused run that reaches the trace end
-  while the quantum still has requests only charges its counters
-  (:meth:`~repro.memory.trace.TraceReplay.charge_run`). Proof: the loop
-  wraps next, before any other step. The wrap restores every page
-  dirtied since the checkpoint, which covers every byte the run's write
-  image or heal would have set, and the reset hook replaces the
-  progress state the run would have adopted. It re-injects the
-  resident faults with their recorded stuck values, so it reads no
-  stored bit. It stamps fault-log times from the clock it has just
-  reset. It flushes only pages dirtied since the restore, and there are
-  none. So no stored byte, image byte or progress state the run skipped
-  is ever read. A run that ends the quantum on the trace end still
-  scatters: faults arrive and policies run at the tick boundary, before
-  the wrap, and ``apply_fault`` reads the stored bit.
-* *Memoized plans.* :class:`~repro.memory.trace.TraceReplay` keeps each
-  ``(start, end)`` run's write image, pages and counter deltas, so a
-  fused run costs two indexed stores and one ``charge_recorded``, and
-  each ``(cursor, count)`` quantum step, so an owed quantum costs a
-  lookup and one charge.
-
-A faulty tenant's repeated epochs are served from a record (DESIGN.md,
-"Repeated faulty epochs"). While the tenant has an
-:attr:`~repro.serve.tenants.ServeTenant.epoch_key` — the fault state
-its last wrap installed, nothing having reached it since — its state at
-a cursor is the same at every wrap with that key. So the first live
-stretch ``(key, cursor, length)`` runs through the scalar loop inside
-:meth:`~repro.memory.address_space.AddressSpace.start_capture` /
-``finish_capture`` over the pages it changed, and keeps its effects,
-the progress it left and its dispositions; the same stretch in a later
-epoch is :meth:`~repro.memory.address_space.AddressSpace.replay`, one
-``restore_progress`` and the recorded counts. A stretch that ends in a
-fatal request drops the key and is not kept.
+Quanta an epoch record stands for cost their accounting (DESIGN.md,
+"Epoch records", has the proofs). After a wrap, a tenant's state at a
+cursor depends only on the fault state the wrap installed and on the
+cursor, as long as nothing reaches the tenant. So the first epoch served
+under a fault state some query meets is kept as an
+:class:`~repro.memory.trace.EpochRecord`, and every later wrap that
+installs the same state (:attr:`~repro.serve.tenants.ServeTenant.
+epoch_key`) leaves the tenant owing its memory and progress to it
+(:meth:`~repro.serve.tenants.ServeTenant.defer`); the golden record
+stands for a cursor :meth:`~repro.memory.trace.TraceReplay.pristine`
+proves clean and for a wrap while no query meets a guarded byte. An owed
+quantum is :meth:`~repro.memory.trace.TraceReplay.charge_quantum` (the
+record's prefix sums) and :meth:`~repro.serve.tenants.ServeTenant.
+owed_quantum` (cursor, ``epochs``, ``generation``, Par+R flush counts).
+Nothing touches the tenant without settling it first, which costs at
+most one restore with the record's faults, one scatter and the recorded
+state at the cursor (:meth:`BatchedDataPlane._settle`). A fused run that
+reaches the trace end while the quantum still has requests only charges
+its counters (:meth:`~repro.memory.trace.TraceReplay.charge_run`): the
+wrap next restores everything the run would set, and reads none of it.
 
 Both planes count, per tenant, how each request was served
 (:data:`DECISIONS`); the counts are deterministic for a seed and never
@@ -94,16 +65,15 @@ from __future__ import annotations
 
 import difflib
 import time
-from collections import OrderedDict
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.memory.address_space import AddressSpace, RecordedEffects
-from repro.memory.regions import PAGE_SIZE
 from repro.memory.trace import (
     DECISIONS,
+    RECORD_TALLIES,
+    EpochRecord,
     TraceReplay,
     record_access_trace,
     tally_reasons,
@@ -123,11 +93,6 @@ __all__ = [
 #: (which serves a tenant whose space is off the memory fast path
 #: through the scalar loop), ``scalar`` the oracle it is pinned to.
 DATA_PLANES: Tuple[str, ...] = ("auto", "scalar")
-
-#: Stored bytes a :class:`BatchedDataPlane` keeps per tenant in recorded
-#: live stretches; the least recently used stretches go first.
-_STRETCH_MEMO_BYTES = 1 << 21
-_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 
 
 class UnknownDataPlaneError(ValueError):
@@ -179,83 +144,6 @@ class ScalarDataPlane:
         return tenant.serve_requests(count)
 
 
-class _Stretch:
-    """One live stretch as it ran from an epoch's state: its effects on
-    the space, the progress it left and its dispositions."""
-
-    __slots__ = ("effects", "progress", "counts", "nbytes")
-
-    def __init__(self, effects: RecordedEffects, progress, counts: ServeCounts) -> None:
-        self.effects = effects
-        self.progress = progress
-        self.counts = dict(counts)
-        self.nbytes = sum(len(data) for _addr, data in effects.writes)
-
-
-class _StretchMemo:
-    """A tenant's recorded live stretches, keyed ``(epoch key, cursor,
-    length)``: least recently used first out, at most
-    :data:`_STRETCH_MEMO_BYTES` of written-back bytes."""
-
-    def __init__(self) -> None:
-        self.stretches: "OrderedDict[tuple, _Stretch]" = OrderedDict()
-        self.nbytes = 0
-        self.recorded = 0
-        self.replayed = 0
-
-    def get(self, key: tuple) -> Optional[_Stretch]:
-        stretch = self.stretches.get(key)
-        if stretch is not None:
-            self.stretches.move_to_end(key)
-        return stretch
-
-    def keep(self, key: tuple, stretch: _Stretch) -> None:
-        replaced = self.stretches.pop(key, None)
-        if replaced is not None:
-            self.nbytes -= replaced.nbytes
-        self.stretches[key] = stretch
-        self.recorded += 1
-        self.nbytes += stretch.nbytes
-        while self.nbytes > _STRETCH_MEMO_BYTES:
-            self.nbytes -= self.stretches.popitem(last=False)[1].nbytes
-
-
-def _pages(flat: np.ndarray) -> np.ndarray:
-    """A whole-space byte array as one row per page."""
-    return flat.reshape(-1, PAGE_SIZE)
-
-
-def _dirty_bytes(space: AddressSpace) -> Tuple[np.ndarray, np.ndarray]:
-    """The dirty pages and a copy of their stored bytes."""
-    pages = np.asarray(space.dirty_pages(), dtype=np.int64)
-    return pages, _pages(space.stored_view())[pages]
-
-
-def _changed_spans(
-    space: AddressSpace, before: Tuple[np.ndarray, np.ndarray]
-) -> List[Tuple[int, int]]:
-    """Per page changed since ``before`` (:func:`_dirty_bytes`), the span
-    from its first to its last changed byte.
-
-    A page is changed only if a store marked it dirty; a page dirty
-    neither then nor now holds the dirty baseline. No restore may come
-    in between: the dirty set only grows.
-    """
-    pages_before, saved = before
-    pages = np.asarray(space.dirty_pages(), dtype=np.int64)
-    old = _pages(np.frombuffer(space.dirty_baseline.mem, dtype=np.uint8))[pages]
-    old[np.searchsorted(pages, pages_before)] = saved
-    changed = _pages(space.stored_view())[pages] != old
-    spans = []
-    for row in np.flatnonzero(changed.any(axis=1)).tolist():
-        columns = np.flatnonzero(changed[row])
-        first = int(columns[0])
-        spans.append(
-            ((int(pages[row]) << _PAGE_SHIFT) + first, int(columns[-1]) + 1 - first)
-        )
-    return spans
-
-
 class BatchedDataPlane:
     """Fused trace replay, live only where a fault can reach."""
 
@@ -266,7 +154,6 @@ class BatchedDataPlane:
         self._replays: Dict[str, TraceReplay] = {}
         # Tenant generation each replay's golden image is rolled from.
         self._generations: Dict[str, int] = {}
-        self._stretches: Dict[str, _StretchMemo] = {}
         for tenant in tenants:
             workload = tenant.workload
             # Without the fast path there is no dirty-page tracking to
@@ -277,18 +164,15 @@ class BatchedDataPlane:
                 )
                 self._replays[tenant.name] = TraceReplay(trace, workload)
                 self._generations[tenant.name] = tenant.generation
-                self._stretches[tenant.name] = _StretchMemo()
 
-    def memo_counts(self, name: str) -> Dict[str, int]:
-        """How the memos served tenant ``name``: live stretches recorded
-        and replayed, and verdict lookups the trace replay's memo
-        answered (all 0 for a tenant served scalar). Deterministic for a
-        seed, like :attr:`decisions`."""
-        memo, replay = self._stretches.get(name), self._replays.get(name)
+    def record_counts(self, name: str) -> Dict[str, int]:
+        """Epochs of tenant ``name`` recorded under a fault state some
+        query meets, and wraps owed to such a record (0 for a tenant
+        served scalar). Deterministic for a seed, like :attr:`decisions`."""
+        replay = self._replays.get(name)
         return {
-            "stretches_recorded": memo.recorded if memo else 0,
-            "stretches_replayed": memo.replayed if memo else 0,
-            "verdict_memo_hits": replay.verdict_hits if replay else 0,
+            "epochs_recorded": replay.epochs_recorded if replay else 0,
+            "guarded_epochs_owed": replay.guarded_epochs_owed if replay else 0,
         }
 
     # ------------------------------------------------------------------
@@ -307,17 +191,21 @@ class BatchedDataPlane:
         while remaining:
             started = time.perf_counter() if timed else 0.0
             if tenant.owes or self._defers(tenant, replay):
-                # Clean: the rest of the quantum is its accounting,
-                # and memory and progress stay owed.
-                wraps, end = replay.charge_quantum(tenant.cursor, remaining)
+                # A record stands for the rest of the quantum: it is its
+                # accounting, and memory and progress stay owed.
+                wraps, end, tallies = replay.charge_quantum(tenant.cursor, remaining)
                 tenant.owed_quantum(wraps, end)
-                fused += remaining
+                fused += tallies[0]
+                if tallies[0] < remaining:
+                    for name, value in zip(RECORD_TALLIES[1:], tallies[1:]):
+                        (tally if name in tally else counts)[name] += value
                 if timed:
                     self._report_latency(
                         tenant, time.perf_counter() - started, remaining
                     )
                 break
             cursor = tenant.cursor
+            recording = replay.recording(tenant.epoch_key, cursor)
             clean, reasons = replay.next_runs(
                 cursor, min(remaining, trace.query_count - cursor)
             )
@@ -328,6 +216,8 @@ class BatchedDataPlane:
                     replay.charge_run(cursor, clean)
                 else:
                     replay.apply_run(cursor, clean)
+                if recording:
+                    replay.record_run(cursor, cursor + clean)
                 tenant.fused_advance(clean)
                 fused += clean
                 remaining -= clean
@@ -339,7 +229,7 @@ class BatchedDataPlane:
                 continue
             cursor = tenant.cursor
             remaining -= reasons.size
-            live = self._serve_live(tenant, reasons.size)
+            live = self._serve_live(tenant, replay, reasons, recording)
             replay.progress_dirty = True
             for key, value in live.items():
                 counts[key] += value
@@ -360,78 +250,81 @@ class BatchedDataPlane:
         tally["live"] += count - fused
         return counts
 
-    def _serve_live(self, tenant: ServeTenant, count: int) -> ServeCounts:
-        """Serve the ``count`` requests the proofs sent live.
-
-        Under an epoch key, a stretch recorded at the same key, cursor
-        and length is replayed: the state it starts from is the one it
-        was recorded from, so its effects, progress and dispositions
-        are what executing it again gives. Otherwise the scalar loop
-        executes it, recorded while the key holds; a fatal request drops
-        the key and the stretch is not kept.
-        """
-        epoch = tenant.epoch_key
-        if epoch is None:
-            return tenant.serve_requests(count)
-        memo = self._stretches[tenant.name]
-        key = (epoch, tenant.cursor, count)
-        space = tenant.workload.space
-        stretch = memo.get(key)
-        if stretch is not None and space.can_replay(stretch.effects):
-            started = time.perf_counter()
-            space.replay(stretch.effects)
-            tenant.workload.restore_progress(stretch.progress)
-            tenant.fused_advance(count)
-            memo.replayed += 1
-            if tenant.latency_sink is not None:
-                self._report_latency(tenant, time.perf_counter() - started, count)
-            counts = ServeCounts()
-            counts.update(stretch.counts)
-            return counts
-        before = _dirty_bytes(space)
-        mark = space.start_capture()
-        counts = tenant.serve_requests(count)
-        if tenant.epoch_key is epoch:
-            effects = space.finish_capture(mark, _changed_spans(space, before))
-            memo.keep(key, _Stretch(effects, tenant.workload.progress_state(), counts))
+    @staticmethod
+    def _serve_live(
+        tenant: ServeTenant, replay: TraceReplay, reasons: np.ndarray, recording: bool
+    ) -> ServeCounts:
+        """Execute the stretch the proofs sent live: in one go, or while
+        the epoch is recorded one request at a time, each recorded. A
+        fatal request drops the key, so the recording with it, and fails
+        the rest of the stretch unexecuted, as the scalar loop does."""
+        if not recording:
+            return tenant.serve_requests(reasons.size)
+        counts = ServeCounts()
+        for index, code in enumerate(reasons.tolist()):
+            cursor = tenant.cursor
+            served = tenant.serve_requests(1)
+            for key, value in served.items():
+                counts[key] += value
+            if tenant.cursor == cursor:
+                counts["failed"] += reasons.size - index - 1
+                break
+            replay.record_live(cursor, code, served)
         return counts
 
     def _defers(self, tenant: ServeTenant, replay: TraceReplay) -> bool:
         """Take the next request's wrap, if due, and leave the tenant owing
-        its memory when it is pristine there (DESIGN.md, "Epoch
-        boundaries").
+        its memory to a record that stands for serving on from here
+        (DESIGN.md, "Epoch records").
 
-        A wrap is deferred too when no query meets a guarded byte: the
-        resident faults it re-installs are among those bytes, so the
-        restore it stands for leaves a pristine state at cursor 0
-        whatever faults, repairs or live requests did to memory and
-        progress before it.
+        A due wrap is owed to the golden record when no query meets a
+        guarded byte: the resident faults it re-installs are among those
+        bytes, so the restore it stands for leaves a pristine state at
+        cursor 0 whatever faults, repairs or live requests did to memory
+        and progress before it. It is owed to the record of the
+        tenant's epoch key when one is kept: nothing reached the tenant
+        since the last wrap, so this one installs the same faults.
+        Otherwise it is taken, and the epoch it starts is owed to the
+        record of the fault state it installs, or recorded.
         """
         if tenant.cursor >= replay.trace.query_count:
             blocked = replay.blocked_queries()
             if blocked is None or not blocked.any():
-                tenant.defer(partial(self._settle, tenant))
-                return True
+                return self._owe(tenant, replay, replay.golden)
+            record = replay.record(tenant.epoch_key)
+            if record is not None:
+                return self._owe(tenant, replay, record)
             tenant.wrap_epoch()
         if self._generations[tenant.name] != tenant.generation:
             # A restart or epoch wrap restored the checkpoint.
             replay.rewind()
             self._generations[tenant.name] = tenant.generation
         if replay.pristine(tenant.cursor):
-            tenant.defer(partial(self._settle, tenant))
-            return True
+            return self._owe(tenant, replay, replay.golden)
+        if tenant.cursor == 0 and tenant.epoch_key is not None:
+            # A wrap has just installed the key: nothing ran since.
+            record = replay.record(tenant.epoch_key)
+            if record is not None:
+                return self._owe(tenant, replay, record)
+            replay.begin_record(tenant.epoch_key)
         return False
+
+    def _owe(self, tenant: ServeTenant, replay: TraceReplay, record: EpochRecord) -> bool:
+        """Leave the tenant owing its memory and progress to ``record``."""
+        replay.owed = record
+        tenant.defer(partial(self._settle, tenant))
+        return True
 
     def _settle(self, tenant: ServeTenant) -> None:
         """Pay an owing tenant's memory and progress: at most one restore,
-        one scatter and one progress adoption.
+        one scatter and the recorded state at the cursor.
 
-        Memory holds the golden state of the replay's image cursor in
-        the generation the plane last saw. A wrap since (the generation
+        Memory holds the state the owed record started from, in the
+        generation the plane last saw. A wrap since (the generation
         moved on) owes the checkpoint first: the tenant restores it with
-        its resident faults and keeps the accounting, which is charged
-        already, and the image rewinds. Then the write image up to the
-        cursor is scattered.
+        its resident faults — the record's — and keeps the accounting,
+        which is charged already, and the image rewinds. Then the
+        replay applies the record up to the cursor.
         """
         replay = self._replays[tenant.name]
         if self._generations[tenant.name] != tenant.generation:

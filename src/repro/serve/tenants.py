@@ -15,20 +15,13 @@ graphmining) with the mechanics the serving layer needs:
 * **Table 2 repair mechanics** — ``restart``, ``retire_page``, and
   ``recover_from_disk`` implement what the policies in
   :mod:`repro.serve.policies` decide.
-* **Owed memory** — the batched data plane may serve a clean tenant
-  by accounting alone and leave its memory and Python-side progress
-  *owed* (:meth:`ServeTenant.defer`). Cursor, epochs, generation, Par+R
-  flush counts and the space's clock and counters stay exact; the
-  first call here that reads or changes memory — ``apply_fault``,
-  ``retire_page``, ``recover_from_disk``, ``serve_requests``, the
-  ``space`` property — settles it first, and ``restart`` discards it.
-* **Epoch key** — after a wrap, memory, progress and fault consumption
-  at cursor ``c`` are a function of the fault state the wrap installed
-  and of ``c`` alone, as long as nothing reaches the tenant. The key
-  (:attr:`ServeTenant.epoch_key`) names that fault state while it holds:
-  the wrap sets it, and a fault, a repair, a restart, the restore that
-  settles owed wraps and a fatal request drop it. The batched data plane
-  keys its recorded live stretches on it.
+* **Owed memory** — the batched data plane may serve quanta by an
+  epoch record's accounting alone and leave memory and Python-side
+  progress *owed* (:meth:`ServeTenant.defer`); counters stay exact, the
+  first call here that reads or changes memory settles it, and
+  ``restart`` discards it. Records are keyed on
+  :attr:`ServeTenant.epoch_key`, the fault state the last wrap
+  installed, while nothing has reached the tenant since.
 
 Determinism: a tenant only ever mutates its own workload, space, and
 counters, so concurrent tenant tasks cannot observe each other's state
@@ -171,11 +164,10 @@ class ServeTenant:
     def defer(self, settle: Callable[[], None]) -> None:
         """Leave memory and Python-side progress owed to ``settle``.
 
-        For the batched data plane, in a state it proved clean (no
-        query meets a guarded byte, nothing diverged, golden progress):
-        it then serves quanta by accounting alone (:meth:`owed_quantum`),
-        and ``settle`` brings memory and progress to the cursor when
-        something reads or changes the tenant.
+        For the batched data plane, in a state an epoch record stands
+        for: it then serves quanta by accounting alone
+        (:meth:`owed_quantum`), and ``settle`` brings memory and progress
+        to the cursor when something reads or changes the tenant.
         """
         self._owed = settle
 
@@ -375,8 +367,7 @@ class ServeTenant:
             self._epoch_reset()
 
     def fused_advance(self, count: int) -> None:
-        """Advance the cursor past ``count`` requests served by fusion or
-        by a recorded live stretch.
+        """Advance the cursor past ``count`` requests served by fusion.
 
         The batched data plane has already applied the requests' memory
         effects and counted their dispositions; only the trace position

@@ -316,6 +316,21 @@ class ShortTrace(MiniWorkload):
         return self.queries
 
 
+class SharedSlotTrace(ShortTrace):
+    """The short trace with every query storing its result to one shared
+    slot: a wrong result a live query leaves there differs from golden
+    until the next fused query stores over it (the fused run heals it)."""
+
+    def execute(self, query_index: int):
+        heap = self._space.region_named("heap")
+        private = self._space.region_named("private")
+        word = self._space.read_u32(heap.base + 4 * query_index)
+        salt = self._space.read_u8(private.base + query_index)
+        mixed = (word + salt) & 0xFFFFFFFF
+        self._space.write_u32(heap.base + 4 * WORDS, mixed)
+        return mixed
+
+
 def kv_trace(queries: int) -> KVStoreWorkload:
     """A small key-value store whose trace opens with delete key 0, get
     key 6, get key 0 (a miss), set key 0 again (a malloc into the freed
@@ -766,6 +781,25 @@ def event_at(tenant: ServeTenant, offset: int, kind: FaultKind) -> FaultEvent:
     )
 
 
+def reach(twins: EpochTwins, name: str, offset: int, kind: FaultKind) -> None:
+    """Reach both twins alike, unchecked: a restart, or a fault
+    (``"fault"``), retirement or disk recovery at heap ``offset``."""
+    if name == "restart":
+        for tenant in twins.tenants:
+            tenant.restart(1)
+        return
+    policy = {"retire": RetirePagePolicy, "recover": RecoverFromDiskPolicy}.get(name)
+    results = []
+    for tenant in twins.tenants:
+        event = event_at(tenant, offset, kind)
+        if policy is None:
+            tenant.apply_fault(event.addr, event.bit, event.kind)
+        else:
+            results.append(policy().respond(tenant, event))
+    if results:
+        assert results[0] == results[1]
+
+
 def deferred_walk(twins: EpochTwins, offsets, steps, every: int) -> None:
     """Drive both twins through ``steps`` and compare them only after every
     ``every``-th step and at the end: in between, quanta, faults, repairs
@@ -774,20 +808,8 @@ def deferred_walk(twins: EpochTwins, offsets, steps, every: int) -> None:
     for index, (name, first, second) in enumerate(steps):
         if name == "serve":
             twins.serve(max(1, first * queries + second), check=False)
-        elif name == "restart":
-            for tenant in twins.tenants:
-                tenant.restart(1)
         else:
-            policy = {"retire": RetirePagePolicy, "recover": RecoverFromDiskPolicy}.get(name)
-            results = []
-            for tenant in twins.tenants:
-                event = event_at(tenant, offsets[first], second)
-                if policy is None:
-                    tenant.apply_fault(event.addr, event.bit, event.kind)
-                else:
-                    results.append(policy().respond(tenant, event))
-            if results:
-                assert results[0] == results[1]
+            reach(twins, name, offsets[first or 0], second)
         if index % every == every - 1:
             twins.check()
     twins.check()
@@ -1006,18 +1028,19 @@ class TestSessionEpochs:
 
 
 # ----------------------------------------------------------------------
-# Repeated faulty epochs: a live stretch is recorded once per epoch key
-# (the fault state the last wrap installed, nothing having reached the
-# tenant since) and replayed at every later wrap that installs the same
-# state, until a fault, repair, restart or fatal request drops the key.
+# Repeated faulty epochs: an epoch served from the wrap that installed a
+# fault state is recorded once per state (the epoch key), and every later
+# wrap that installs the same state, nothing having reached the tenant
+# since, is owed to the record until a fault, repair, restart, settle or
+# fatal request ends it.
 # ----------------------------------------------------------------------
 #: Heap offset of the word query 1 loads.
 WORD_1 = 4
 
 
-def memo(twins: EpochTwins) -> dict:
-    """The batched twin's stretch and verdict memo counts."""
-    return twins.planes[1].memo_counts("mini")
+def records(twins: EpochTwins) -> dict:
+    """The batched twin's epoch-record counts."""
+    return twins.planes[1].record_counts("mini")
 
 
 def recurring_steps(offsets: int):
@@ -1039,9 +1062,50 @@ def recurring_steps(offsets: int):
     )
 
 
+#: Heap offset of the word query 2 loads.
+WORD_2 = 8
+
+
+def guarded_rounds(offsets: int):
+    """Rounds of unchecked quanta that cross several wraps, each closed by
+    one thing that reaches the tenant: a fault, a page retirement, a disk
+    recovery, a restart or a plain read of ``tenant.space``."""
+    return st.lists(
+        st.tuples(
+            st.lists(
+                st.tuples(st.integers(0, 4), st.integers(-1, 1)), min_size=1, max_size=4
+            ),
+            st.sampled_from(["fault", "retire", "recover", "restart", "read"]),
+            st.integers(0, offsets - 1),
+            st.sampled_from([FaultKind.HARD, FaultKind.HARD, FaultKind.SOFT]),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+
+def owed_guarded_walk(twins: EpochTwins, stuck, offsets, rounds) -> None:
+    """Install hard faults at the heap offsets ``stuck``, then serve each
+    round's quanta unchecked, so that epochs under one resident fault
+    state recur and may be owed, and end the round with its forcing step
+    and a full comparison of the twins (:meth:`EpochTwins.check`, which
+    reads ``tenant.space``). The quanta end at arbitrary cursors, so the
+    forcing step meets the batched twin anywhere in an epoch, inside a
+    live stretch included."""
+    for offset in stuck:
+        reach(twins, "fault", offset, FaultKind.HARD)
+    twins.check()
+    for quanta, force, index, kind in rounds:
+        for whole, extra in quanta:
+            twins.serve(max(1, whole * twins.queries + extra), check=False)
+        if force != "read":
+            reach(twins, force, offsets[index], kind)
+        twins.check()
+
+
 class TestRepeatedFaultyEpochs:
-    """The batched twin replays recorded live stretches; after every step
-    both twins agree on counts, stored bytes, accounting, fault
+    """The batched twin owes repeated faulty epochs to their record; after
+    every step both twins agree on counts, stored bytes, accounting, fault
     consumption and progress (:meth:`EpochTwins.check`)."""
 
     #: Words queries 0 and 1 load, query 0's slot, an unread heap byte.
@@ -1069,60 +1133,192 @@ class TestRepeatedFaultyEpochs:
         offsets = (value_offset(workload, 6), value_offset(workload, 0), head, 4 * PAGE_SIZE - 1)
         deferred_walk(twins, offsets, steps, every=1)
 
+    #: Words queries 0, 1 and 2 load and query 1's slot: stuck bits in
+    #: adjacent words make a live stretch longer than one request, so a
+    #: later settle can fall inside it.
+    STUCK_OFFSETS = (READ_BYTE, WORD_1, WORD_2, WRITTEN_BYTE + 4)
+
+    @given(
+        queries=st.integers(min_value=3, max_value=6),
+        trace=st.sampled_from([ShortTrace, SharedSlotTrace]),
+        stuck=st.lists(st.sampled_from(STUCK_OFFSETS), min_size=1, max_size=3, unique=True),
+        rounds=guarded_rounds(len(SHORT_OFFSETS)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_owed_guarded_epochs_settle_at_any_cursor(self, queries, trace, stuck, rounds):
+        twins = EpochTwins(queries, trace=trace)
+        owed_guarded_walk(twins, stuck, self.SHORT_OFFSETS, rounds)
+
+    @given(
+        queries=st.sampled_from([4, 12]),
+        stuck=st.lists(st.integers(0, 1), min_size=1, max_size=2, unique=True),
+        rounds=guarded_rounds(4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_owed_guarded_kvstore_epochs_settle_at_any_cursor(self, queries, stuck, rounds):
+        twins = EpochTwins(queries, trace=kv_trace)
+        workload = twins.tenants[1].workload
+        head = workload.store._bucket_addr(key_bytes(0)) - workload.space.region_named("heap").base
+        # Key 6's value (two gets read it), key 0's (deleted, then set
+        # again), a bucket head, the last heap byte.
+        offsets = (value_offset(workload, 6), value_offset(workload, 0), head, 4 * PAGE_SIZE - 1)
+        owed_guarded_walk(twins, [offsets[index] for index in stuck], offsets, rounds)
+
+    def test_owed_guarded_wraps_restore_nothing_until_a_settle(self):
+        """After the recorded epoch, quanta that cross six wraps under the
+        same fault state are accounting only; the read that settles them
+        pays one restore."""
+        twins = EpochTwins(4)
+        scalar, batched = twins.tenants
+        twins.fault("heap", WORD_1, 0, FaultKind.HARD)
+        twins.serve(4)  # no key yet: nothing installed the fault
+        twins.serve(4)  # the wrap installs it: the recorded epoch
+        assert records(twins) == {"epochs_recorded": 1, "guarded_epochs_owed": 0}
+        restored, epochs = restores(batched), scalar.epochs
+        for count in (5, 3, 9, 1, 6):
+            twins.serve(count, check=False)
+            assert batched.owes
+        stats = batched.workload.space.fast_path_stats()  # reads without settling
+        assert stats["restores_full"] + stats["restores_incremental"] == restored
+        twins.check()
+        assert restores(batched) == restored + 1
+        assert records(twins)["guarded_epochs_owed"] == scalar.epochs - epochs == 6
+        assert twins.tally["fused"] + twins.tally["live"] == twins.served
+
+    @pytest.mark.parametrize("stop", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("force", ["fault", "retire", "recover", "restart", "read"])
+    def test_a_settle_anywhere_in_an_owed_guarded_epoch(self, stop, force):
+        """Queries 1 and 2 load stuck words, so the recorded epoch holds a
+        two-request live stretch; owed quanta stop at every cursor, inside
+        that stretch (2) included, and each way of reaching the tenant
+        settles it to what the scalar twin holds."""
+        twins = EpochTwins(5)
+        for offset in (WORD_1, WORD_2):
+            twins.fault("heap", offset, 0, FaultKind.HARD)
+        twins.serve(5)
+        twins.serve(5)
+        twins.serve(10 + stop, check=False)
+        assert twins.tenants[1].owes and twins.tenants[1].cursor == stop
+        assert records(twins)["guarded_epochs_owed"] == 3
+        owed_guarded_walk(twins, [], self.SHORT_OFFSETS, [([(0, 1)], force, 1, FaultKind.HARD)])
+        for count in (7, 5, 12):
+            twins.serve(count)
+
+    @pytest.mark.parametrize("stop", [2, 3, 4])
+    def test_a_settle_after_a_live_query_heals_what_fused_queries_stored(self, stop):
+        """Query 1 loads a stuck word and stores a wrong result to the
+        shared slot; query 2, fused, stores over it. A settle at cursor 2
+        keeps the recorded wrong bytes, one past query 2 heals them."""
+        twins = EpochTwins(4, trace=SharedSlotTrace)
+        twins.fault("heap", WORD_1, 0, FaultKind.HARD)
+        twins.serve(4)
+        twins.serve(4)
+        twins.serve(4 + stop, check=False)
+        assert twins.tenants[1].owes and twins.tenants[1].cursor == stop
+        assert twins.tally["live"] == twins.tally["blocked"] == 4
+        twins.check()
+
+    def test_a_fault_with_the_wrap_pending_ends_the_record(self):
+        """A second stuck word arrives at the trace end, the key still
+        set: the wrap after it installs another fault state, so it is
+        restored and recorded anew, not owed to the first record."""
+        twins = EpochTwins(4)
+        twins.fault("heap", WORD_1, 0, FaultKind.HARD)
+        twins.serve(4)
+        twins.serve(4)
+        assert records(twins)["epochs_recorded"] == 1
+        twins.fault("heap", WORD_2, 0, FaultKind.HARD)
+        twins.serve(4)
+        assert records(twins) == {"epochs_recorded": 2, "guarded_epochs_owed": 0}
+        twins.serve(9)
+        assert records(twins)["guarded_epochs_owed"] == 3
+
+    def test_a_fault_mid_recording_drops_the_epoch(self):
+        """A flip query 2 reads arrives halfway through the epoch being
+        recorded: that epoch is not kept. The wrap after it heals the flip
+        and installs the first fault state again, which is recorded then,
+        and the wraps after that are owed to it."""
+        twins = EpochTwins(4)
+        twins.fault("heap", WORD_1, 0, FaultKind.HARD)
+        twins.serve(4)
+        twins.serve(2)
+        twins.fault("heap", WORD_2, 0, FaultKind.SOFT)
+        twins.serve(2)
+        assert records(twins)["epochs_recorded"] == 0
+        twins.serve(4)
+        twins.serve(9)
+        assert records(twins) == {"epochs_recorded": 1, "guarded_epochs_owed": 3}
+
+    def test_records_evicted_at_once_leave_every_wrap_real(self, monkeypatch):
+        """With a byte bound no record fits, each is dropped as it is
+        kept: nothing is owed to one, and the twins still agree."""
+        monkeypatch.setattr("repro.memory.trace._RECORD_BYTES", 1)
+        twins = EpochTwins(4)
+        twins.fault("heap", WORD_1, 0, FaultKind.HARD)
+        for count in (4, 4, 5, 3, 9, 1, 6):
+            twins.serve(count)
+        replay = twins.planes[1]._replays["mini"]
+        assert not replay._records and replay._record_bytes == 0
+        # Every wrap restored, and recorded the epoch it started.
+        assert records(twins)["epochs_recorded"] == twins.tenants[0].epochs == 7
+        assert records(twins)["guarded_epochs_owed"] == 0
+
     @pytest.mark.parametrize("pattern", [(1, 1, 2), (2, 2), (4,), (1, 3), (9, 3)])
     def test_a_stretch_recurs_at_every_wrap(self, pattern):
         """Query 1 loads a stuck word. The first epoch has no key (no
-        wrap installed its faults); the wrap after it records the
-        stretch, and every later one replays it."""
+        wrap installed its faults); the wrap after it starts the record,
+        and later wraps are owed to it."""
         twins = EpochTwins(4)
         twins.fault("heap", WORD_1, 0, FaultKind.HARD)
         for _ in range(12 // sum(pattern)):
             for count in pattern:
                 twins.serve(count)
-        counts = memo(twins)
-        assert counts["stretches_recorded"] >= 1
-        assert counts["stretches_replayed"] >= 1
+        counts = records(twins)
+        assert counts["epochs_recorded"] == 1
+        assert counts["guarded_epochs_owed"] >= 1
         tally = twins.tally
         assert tally["live"] == tally["blocked"] > 0
 
     def test_kvstore_stretches_replay_with_their_progress(self):
         """Two gets of key 6 read a stuck byte of its value: they run live
-        each epoch; the trace deletes and re-sets key 0, so the allocator
-        state a replay adopts must be the one executing leaves."""
+        in the recorded epoch; the trace deletes and re-sets key 0, so the
+        allocator state a settle adopts must be the one executing leaves."""
         queries = 12
         twins = EpochTwins(queries, trace=kv_trace)
         value = value_offset(twins.tenants[1].workload, 6)
         twins.fault("heap", value, 0, FaultKind.HARD)
         for count in (queries, 2 * queries + 1, queries - 1, 3 * queries, 5):
             twins.serve(count)
-        assert memo(twins)["stretches_replayed"] > 0
+        assert records(twins)["guarded_epochs_owed"] > 0
 
     def test_a_fault_after_the_wrap_is_not_replayed_over(self):
         """A fault that arrives after the wrap changes the state the next
-        stretch starts from: it must execute, not replay the record."""
+        request starts from: it must execute, not follow the record."""
         twins = EpochTwins(4)
         twins.fault("heap", WORD_1, 0, FaultKind.HARD)
         for _ in range(2):
             for count in (1, 1, 2):
                 twins.serve(count)
-        assert memo(twins)["stretches_recorded"] == 1
-        twins.serve(1)  # the wrap (the key is set again) and query 0
-        assert twins.tenants[1].epoch_key is not None
+        assert records(twins)["epochs_recorded"] == 1
+        twins.serve(1)  # the wrap, owed to the record, and query 0
+        assert records(twins)["guarded_epochs_owed"] == 1
+        live = twins.tally["live"]
         # A flip in the salt byte query 1 loads.
         for tenant in twins.tenants:
             private = tenant.space.region_named("private")
             tenant.apply_fault(private.base + 1, 3, FaultKind.SOFT)
         twins.serve(1)
-        assert memo(twins)["stretches_replayed"] == 0
+        assert twins.tally["live"] == live + 1
         assert twins.tenants[1].epoch_key is None
+        assert not twins.tenants[1].owes
 
     @pytest.mark.parametrize("queries", [4, 12])
     def test_a_fatal_stretch_serves_and_restarts_like_the_scalar_loop(self, queries):
         """A stuck bit in key 0's bucket head installed before a wrap: the
         first request after it (delete key 0) walks a wild pointer and
-        kills the process while the key is set. It is not kept, the key
-        goes, and the restart and the rounds after it match the scalar
-        twin."""
+        kills the process while the key is set. The epoch is not kept,
+        the key goes, and the restart and the rounds after it match the
+        scalar twin."""
         twins = EpochTwins(queries, trace=kv_trace)
         workload = twins.tenants[1].workload
         head = workload.store._bucket_addr(key_bytes(0)) - workload.space.region_named("heap").base
@@ -1136,5 +1332,5 @@ class TestRepeatedFaultyEpochs:
             for tenant in twins.tenants:
                 tenant.restart(1)
             twins.check()
-        assert memo(twins)["stretches_recorded"] == 0
+        assert records(twins)["epochs_recorded"] == 0
         assert twins.tally["fatal_tail"] > 0

@@ -15,8 +15,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.memory.errors import SegmentationFault
 from repro.memory.faults import FaultKind
@@ -466,93 +464,6 @@ class TestDivergedBytes:
             {heap.base // PAGE_SIZE, private.base // PAGE_SIZE}
         )
         assert replay._diverged_bytes(0).tolist() == changed
-
-
-#: Heap bytes a verdict-memo state may guard or corrupt: words the
-#: first queries load, slots they store to, and an unread byte.
-MEMO_OFFSETS = (0, 2, 5, 9, 4 * WORDS, 4 * WORDS + 6, 1000)
-
-
-def memo_state(offsets):
-    """A guarded set and a diverged set, as heap offsets."""
-    return st.tuples(
-        st.frozensets(st.sampled_from(offsets), max_size=3),
-        st.frozensets(st.sampled_from(offsets), max_size=3),
-    )
-
-
-class TestVerdictMemo:
-    """``TraceReplay.next_runs`` keeps verdicts per ``(guarded,
-    diverged)`` key, and ``blocked_queries`` per guarded set."""
-
-    @staticmethod
-    def enter(workload, replay, guarded, diverged):
-        """Put the workload in a state: checkpoint memory, stuck bits at
-        ``guarded``, flipped stored bytes at ``diverged`` (heap offsets)."""
-        workload.reset()
-        replay.rewind()
-        space = workload.space
-        heap = space.region_named("heap").base
-        for offset in sorted(guarded):
-            space.inject_hard_fault(heap + offset, 1)
-        for offset in sorted(diverged):
-            space.poke(heap + offset, bytes([space.peek(heap + offset)[0] ^ 0x10]))
-
-    @given(
-        states=st.lists(memo_state(MEMO_OFFSETS), min_size=1, max_size=6),
-        repeats=st.integers(min_value=1, max_value=3),
-        bound=st.sampled_from([40, 200, 1 << 20]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_a_hit_answers_like_a_fresh_rebuild_within_the_bound(
-        self, states, repeats, bound
-    ):
-        workload = MiniWorkload()
-        workload.build()
-        workload.checkpoint()
-        trace = record_access_trace(workload, 16)
-        replay = TraceReplay(trace, workload)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(trace_module, "_VERDICT_MEMO_BYTES", bound)
-            for guarded, diverged in states * repeats:
-                self.enter(workload, replay, guarded, diverged)
-                clean, reasons = replay.next_runs(0, 16)
-                blocked = replay.blocked_queries()
-                # A replay with nothing memoized rebuilds from touching().
-                fresh = TraceReplay(trace, workload)
-                fresh_clean, fresh_reasons = fresh.next_runs(0, 16)
-                assert (clean, reasons.tolist()) == (fresh_clean, fresh_reasons.tolist())
-                fresh_blocked = fresh.blocked_queries()
-                assert (blocked is None) == (fresh_blocked is None)
-                if blocked is not None:
-                    assert blocked.tolist() == fresh_blocked.tolist()
-                kept = replay._verdicts
-                assert replay._verdict_bytes == sum(
-                    trace_module._verdict_nbytes(key, value) for key, value in kept.items()
-                )
-                assert replay._verdict_bytes <= bound
-
-    def test_memoized_verdicts_are_the_touching_rebuild(self):
-        workload = MiniWorkload()
-        workload.build()
-        workload.checkpoint()
-        trace = record_access_trace(workload, 16)
-        replay = TraceReplay(trace, workload)
-        for guarded, diverged in [({0}, {4 * WORDS + 6}), ({5}, set()), ({0}, {4 * WORDS + 6})]:
-            self.enter(workload, replay, guarded, diverged)
-            replay.next_runs(0, 16)
-        assert replay.verdict_hits == 2  # the blocked flags and the verdicts
-        for (guarded, diverged), kept in replay._verdicts.items():
-            assert not kept.flags.writeable
-            blocked = trace.touching(np.asarray(guarded, dtype=np.int64))
-            if diverged is None:
-                assert kept.tolist() == blocked.tolist()
-                continue
-            expected = np.zeros(16, dtype=np.int8)
-            stale = np.frombuffer(diverged, dtype=np.int64)
-            expected[trace.touching(stale, exposed=True)] = 2
-            expected[blocked] = 1
-            assert kept.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("plane_type", [ScalarDataPlane, BatchedDataPlane])

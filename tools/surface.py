@@ -291,8 +291,11 @@ def cli_flows(tmp: Path) -> List[List[str]]:
             "fleet", "--app", "memcached", *small, "--servers", "20", "--months", "6",
             "--backend", "scalar",
         ),
+        # Long enough that a resident fault websearch's queries read
+        # outlives a wrap: the epoch after it is served live and recorded,
+        # and later wraps are owed to the record.
         repro_cli(
-            "serve", "--duration", "20", "--error-rate", "1.5", "--scale", "0.3",
+            "serve", "--duration", "1400", "--error-rate", "1.5", "--scale", "0.3",
             "--ledger-out", ledger, "--trace-out", str(tmp / "serve_trace.jsonl"),
             "--metrics-out", str(tmp / "serve.json"), "--prom-out", str(tmp / "serve.prom"),
             "--slo-target", "0.99", "--burn-windows", "fast:2:8:6",
