@@ -1,19 +1,23 @@
 #!/usr/bin/env python
-"""Serve data-plane throughput + determinism → ``BENCH_serve.json``.
+"""Serve throughput + determinism → ``BENCH_serve.json``.
 
-Times the same seeded ``repro serve`` session under both data planes —
-the scalar per-request loop and the span-fused batched plane — at a
-high offered load (so serving work, not per-tick coordination,
-dominates), once at a moderate error rate and once (``faulty``) at one
-fault footprint per tick, where resident faults keep part of every
-quantum live. Reported numbers, per session and plane:
+Times the same seeded ``repro serve`` session on two planes —
+``scalar``, the per-request loop (``ServeTenant.serve_requests``) on
+fast-path memory, where a bench-local patch leaves every tenant's
+serving entry without a trace to fuse from, and ``batched``, the
+span-fused entry ``ServeTenant.serve`` as it ships — at a high offered
+load (so serving work, not per-tick coordination, dominates), once at a
+moderate error rate and once (``faulty``) at one fault footprint per
+tick, where resident faults keep part of every quantum live. Reported
+numbers, per session and plane:
 
 * sustained requests/second and ticks/second over the session;
 * a determinism check — the session runs twice and the two ledgers
   must be byte-identical (recorded, and a hard failure here);
 * a replay audit — availability recomputed from the ledger alone must
   equal the live instruments;
-* the plane's own decision counts (fused / live, and why live);
+* each tenant's decision counts (fused / live, and why live; the
+  ``scalar`` plane counts every request live);
 * per tenant, ``epochs`` (trace wraps), and the ``flushes`` and
   ``bytes_flushed`` of its Par+R mirror — the bytes copied after the
   build-time mirror, which alone copies the whole region;
@@ -24,8 +28,8 @@ quantum live. Reported numbers, per session and plane:
   plane, which executes few key-value requests live, copies at most as
   often as the scalar plane (an exact count, gated in CI for kvstore);
 * per tenant, ``checkpoint_restores``: the checkpoint restores its space
-  made from tick 0 on (``fast_path_stats()``; the build and the batched
-  plane's trace recording come before). The scalar loop restores at
+  made from tick 0 on (``fast_path_stats()``; the build and the trace
+  recording at session start come before). The scalar loop restores at
   every wrap and restart. The batched plane leaves a tenant's memory
   owed across quanta and restores only when a settle pays a wrap, at a
   restart, or at a wrap while a fault is guarded and no epoch record
@@ -44,7 +48,7 @@ quantum live. Reported numbers, per session and plane:
   ``footprints``, their ``footprint_bytes``, the ``unmapped_bytes`` and
   ``retired_bytes`` among them (summed from each tick's
   ``ArrivalBatch``) — and its wall ``seconds``. Arrivals do not depend
-  on the data plane, so the counts agree across planes (exact, gated
+  on the plane, so the counts agree across planes (exact, gated
   in CI);
 * per batched tenant, ``record_counts``: ``epochs_recorded`` (epochs
   served from the wrap that installed a fault state some query meets
@@ -77,13 +81,14 @@ import json
 import sys
 import time
 from collections import Counter, defaultdict
+from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.serve.dataplane import DECISIONS  # noqa: E402
+from repro.memory.trace import DECISIONS  # noqa: E402
 from repro.serve import (  # noqa: E402
     ServeConfig,
     default_tenants,
@@ -91,7 +96,6 @@ from repro.serve import (  # noqa: E402
     replay_ledger,
     run_serve,
 )
-from repro.serve import multiplexer  # noqa: E402
 from repro.serve.ledger import EVENT_FAULT, EVENT_POLICY, EVENT_RESPONSE  # noqa: E402
 from repro.serve.partition import ServePartition  # noqa: E402
 from repro.serve.policies import ACTION_RESTART  # noqa: E402
@@ -99,8 +103,8 @@ from repro.serve.tenants import ServeTenant  # noqa: E402
 
 SMOKE_GATE_SPEEDUP = 2.0
 FULL_TARGET_SPEEDUP = 5.0
-#: Report label -> ``ServeConfig(data_plane=)``.
-PLANES = {"scalar": "scalar", "batched": "auto"}
+#: Report labels: the scalar loop, and the fused entry as it ships.
+PLANES = ("scalar", "batched")
 #: The arrival counts, which must agree across planes.
 ARRIVAL_COUNTS = ("footprints", "footprint_bytes", "unmapped_bytes", "retired_bytes")
 
@@ -141,17 +145,11 @@ def metered_arrivals(arrivals: dict):
     return mock.patch.object(ServePartition, "tick_arrivals", metered)
 
 
-def captured_plane(planes: list):
-    """Patch the session's data-plane factory to keep the plane it
-    builds in ``planes``."""
-    make_data_plane = multiplexer.make_data_plane
-
-    def capturing(name, tenants):
-        plane = make_data_plane(name, tenants)
-        planes.append(plane)
-        return plane
-
-    return mock.patch.object(multiplexer, "make_data_plane", capturing)
+def scalar_loop():
+    """Patch ``ServeTenant.record_trace`` to record nothing: with no trace
+    to fuse from, the serving entry sends every request to the scalar
+    loop and counts it live — the ``scalar`` plane, on fast-path memory."""
+    return mock.patch.object(ServeTenant, "record_trace", lambda tenant: None)
 
 
 def counted_restores(settles: Counter, guarded_wraps: Counter):
@@ -203,10 +201,10 @@ def run_session(base: dict, plane: str, ledger: Path, scale: float, load: float)
     """One seeded session under ``plane``; tenants are built fresh.
 
     Returns the result, the wall time, the tenants, per tenant the
-    checkpoint restores made from tick 0 on and what explains them, the
-    arrival phase's counts and seconds, and the data plane.
+    checkpoint restores made from tick 0 on and what explains them, and
+    the arrival phase's counts and seconds.
     """
-    config = ServeConfig(**base, data_plane=PLANES[plane])
+    config = ServeConfig(**base)
     tenants = default_tenants(scale=scale, load=load)
     by_name = {tenant.name: tenant for tenant in tenants}
     at_tick_0 = {}
@@ -218,11 +216,11 @@ def run_session(base: dict, plane: str, ledger: Path, scale: float, load: float)
     arrivals = dict.fromkeys(ARRIVAL_COUNTS, 0)
     arrivals["seconds"] = 0.0
     settles, guarded_wraps = Counter(), Counter()
-    planes = []
+    serving = scalar_loop() if plane == "scalar" else nullcontext()
     start = time.perf_counter()
     with metered_arrivals(arrivals), counted_restores(
         settles, guarded_wraps
-    ), captured_plane(planes):
+    ), serving:
         result = run_serve(
             config, tenants=tenants, ledger_path=ledger, stagger=note_restores
         )
@@ -238,7 +236,7 @@ def run_session(base: dict, plane: str, ledger: Path, scale: float, load: float)
         for name, tenant in by_name.items()
     }
     arrivals["seconds"] = round(arrivals["seconds"], 4)
-    return result, elapsed, tenants, served, arrivals, planes[0]
+    return result, elapsed, tenants, served, arrivals
 
 
 def par_r_counts(tenant) -> dict:
@@ -268,7 +266,7 @@ def heap_copies(tenant) -> int:
 
 def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float):
     """Timed run + determinism twin + replay audit for one plane."""
-    result, elapsed, tenants, restore_causes, arrivals, data_plane = run_session(
+    result, elapsed, tenants, restore_causes, arrivals = run_session(
         base, plane, ledger, scale, load
     )
 
@@ -284,19 +282,18 @@ def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float)
     )
 
     requests_total = result.total_requests()
-    decisions = {
-        name: result.instruments.decisions_of(name) for name in replay.tenants
-    }
+    decisions = {tenant.name: dict(tenant.decisions) for tenant in tenants}
     records = {}
     if plane == "batched":
-        records["record_counts"] = {
-            name: {
-                **data_plane.record_counts(name),
+        records["record_counts"] = {}
+        for tenant in tenants:
+            causes = restore_causes[tenant.name]
+            records["record_counts"][tenant.name] = {
+                "epochs_recorded": tenant.replay.epochs_recorded,
+                "guarded_epochs_owed": tenant.replay.guarded_epochs_owed,
                 "restores": causes["checkpoint_restores"],
                 "touch_bound": causes["faults_routed"] + causes["restarts"] + 1,
             }
-            for name, causes in restore_causes.items()
-        }
     return {
         **records,
         "par_r": {tenant.name: par_r_counts(tenant) for tenant in tenants},
@@ -410,7 +407,7 @@ def bench_session(
             and counts["settles"] <= counts["touched_ticks"] + 1
             for counts in planes["batched"]["restore_causes"].values()
         ),
-        # Exact, untimed: arrivals do not depend on the data plane.
+        # Exact, untimed: arrivals do not depend on the plane.
         "arrivals_agree": all(
             planes["scalar"]["arrivals"][key] == planes["batched"]["arrivals"][key]
             for key in ARRIVAL_COUNTS

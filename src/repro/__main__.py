@@ -85,13 +85,7 @@ from repro.obs import (
     render_trace_report,
     summarize_trace,
 )
-from repro.serve import (
-    DATA_PLANES,
-    POLICY_NAMES,
-    ServeConfig,
-    UnknownDataPlaneError,
-    run_serve,
-)
+from repro.serve import POLICY_NAMES, ServeConfig, run_serve
 from repro.serve.multiplexer import serve_session
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
@@ -147,11 +141,31 @@ def _tick_count(value: str) -> int:
     return count
 
 
-def _data_plane(value: str) -> str:
-    """Validate ``--data-plane`` with the registry's did-you-mean text."""
-    if value not in DATA_PLANES:
-        raise argparse.ArgumentTypeError(str(UnknownDataPlaneError(value)))
-    return value
+def _error_rate(value: str) -> float:
+    rate = float(value)
+    if not 0 <= rate < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"--error-rate must be a finite rate >= 0, got {value}"
+        )
+    return rate
+
+
+def _serve_scale(value: str) -> float:
+    scale = float(value)
+    if not 0 < scale < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"--scale must be a finite number > 0, got {value}"
+        )
+    return scale
+
+
+def _port(value: str) -> int:
+    port = int(value)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"--http-port must be in 0..65535, got {port}"
+        )
+    return port
 
 
 def _server_count(value: str) -> int:
@@ -512,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="virtual-time ticks to serve (default 60)",
     )
     serve.add_argument(
-        "--error-rate", type=float, default=0.5, metavar="RATE",
+        "--error-rate", type=_error_rate, default=0.5, metavar="RATE",
         help="expected fault footprints per tick (default 0.5)",
     )
     serve.add_argument(
@@ -525,15 +539,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append every fault/policy/response event to this JSONL "
         "ledger (availability is recomputed from it on shutdown)",
     )
-    serve.add_argument(
-        "--data-plane", type=_data_plane, default="auto", metavar="PLANE",
-        help="request-execution strategy: auto (span-fused golden runs, "
-        "live only where a fault can reach) or scalar (the per-request "
-        "loop); the seeded ledger is byte-identical either way "
-        "(default auto)",
-    )
     serve.add_argument("--seed", type=int, default=2014)
-    serve.add_argument("--scale", type=float, default=0.5)
+    serve.add_argument("--scale", type=_serve_scale, default=0.5)
     serve.add_argument(
         "--json", action="store_true", help="emit the session summary as JSON"
     )
@@ -550,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the metrics registry as Prometheus text exposition",
     )
     serve.add_argument(
-        "--http-port", type=int, default=None, metavar="PORT",
+        "--http-port", type=_port, default=None, metavar="PORT",
         help="host the live telemetry plane on this port (0 = ephemeral): "
         "/metrics, /healthz, /readyz, /status, /slo, /ledger/tail",
     )
@@ -1017,7 +1024,6 @@ def _cmd_serve(arguments) -> int:
         error_rate=arguments.error_rate,
         policy=arguments.policy,
         seed=arguments.seed,
-        data_plane=arguments.data_plane,
     )
     slo_config = _serve_slo_config(arguments)
     print(

@@ -101,7 +101,6 @@ from repro.obs.slo import (
 )
 from repro.obs.trace import NULL_OBSERVER, Observer
 from repro.serve import (
-    DATA_PLANES as _DATA_PLANES,
     POLICY_NAMES,
     ServeConfig,
     ServeResult,
@@ -115,7 +114,7 @@ from repro.serve import (
 
 #: Version of the *surface* (not the package): bumped on breaking
 #: changes to exported names or entry-point signatures.
-API_VERSION = "8.0"
+API_VERSION = "9.0"
 
 #: The documented tiers. Names within each tier are sorted; ``__all__``
 #: is their concatenation (the API-surface test pins both properties).
@@ -211,7 +210,8 @@ _BACKEND_KINDS: Dict[str, Tuple[str, ...]] = {
     "campaign": tuple(_CAMPAIGN_BACKENDS),
     "explore": tuple(_EXPLORE_BACKENDS),
     "fleet": tuple(_FLEET_BACKENDS),
-    "serve": tuple(_DATA_PLANES),
+    # Serving has one path since 9.0 (ServeTenant.serve).
+    "serve": ("auto",),
 }
 
 
@@ -224,7 +224,7 @@ def available_backends(kind: str) -> Tuple[str, ...]:
     ``"campaign"``          :func:`run_campaign`
     ``"explore"``           :func:`explore_design_space`
     ``"fleet"``             :func:`simulate_fleet`
-    ``"serve"``             :class:`ServeConfig` ``data_plane=``
+    ``"serve"``             ``("auto",)``: no selector since 9.0
     ======================  =============================================
     """
     try:

@@ -110,7 +110,7 @@ class Workload(abc.ABC):
     def checkpoint_image(self) -> Optional[bytes]:
         """Raw memory bytes of the pristine checkpoint (None before it).
 
-        The batched serve data plane seeds its rolling golden image from
+        A serve tenant's fused replay seeds its rolling golden image from
         this — the byte-exact state live execution returns to at every
         epoch reset.
         """
@@ -122,7 +122,7 @@ class Workload(abc.ABC):
         Counterpart of :meth:`on_checkpoint`/:meth:`on_reset` for
         *mid-trace* positions: whatever bookkeeping those hooks capture
         and restore at the checkpoint must be observable here at any
-        query index, by value, so the batched serve data plane can prove
+        query index, by value, so a serve tenant's fused replay can prove
         "this workload is exactly where the golden replay was" before
         fusing a pristine run — memory comparison alone cannot see
         Python-side bookkeeping (a heap free changes the allocator
@@ -134,7 +134,7 @@ class Workload(abc.ABC):
     def restore_progress(self, state: Optional[Hashable]) -> None:
         """Restore Python-side state captured by :meth:`progress_state`.
 
-        Called by the batched data plane after serving a fused run, with
+        Called by the fused replay after serving a fused run, with
         the state recorded at the run's end index. The default is a
         no-op, matching the default :meth:`progress_state` of ``None``.
         """

@@ -1033,8 +1033,8 @@ class AddressSpace:
     ) -> None:
         """Raw-store ``values[i]`` at byte ``addrs[i]`` in one assignment.
 
-        :meth:`poke` for a scattered byte set (the batched data plane's
-        fused write image): addresses must be distinct and in bounds.
+        :meth:`poke` for a scattered byte set (a fused run's write
+        image): addresses must be distinct and in bounds.
         Every touched page is marked dirty and every touched region's
         content version bumped once. ``pages``, when the caller already
         has them, are the distinct pages of ``addrs``.

@@ -3,9 +3,9 @@
 A fault matters only to the accesses that reach it (delayed error
 reporting, arXiv:1810.06472). Trial pruning (:mod:`repro.exec.pruning`),
 the campaign's executed trials (:meth:`~repro.apps.clients.ClientDriver.
-run_fused`), the serve plane (:mod:`repro.serve.dataplane`) and the
-monitoring analyses (:mod:`repro.monitoring.monitor`: safe ratios, the
-masking estimate, page-write intervals) all read one
+run_fused`), serve tenants (:meth:`~repro.serve.tenants.ServeTenant.
+serve`) and the monitoring analyses (:mod:`repro.monitoring.monitor`:
+safe ratios, the masking estimate, page-write intervals) all read one
 :class:`AccessTrace` of one fault-free replay. DESIGN.md, "Access
 trace", has the long form.
 

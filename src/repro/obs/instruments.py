@@ -75,8 +75,8 @@ class ServeInstruments:
     * ``serve_tenant_availability{tenant}`` — ok / offered so far;
     * ``serve_backlog_depth{tenant}`` — pending error-response work;
     * ``serve_shedding{tenant}`` — 1 while admission control sheds;
-    * ``serve_plane_requests_total{tenant,decision}`` — how the data
-      plane served each request (``repro.serve.dataplane.DECISIONS``:
+    * ``serve_plane_requests_total{tenant,decision}`` — how the tenant
+      served each request (``repro.memory.trace.DECISIONS``:
       fused / live, and why a live one was not fused). Provenance only:
       deterministic for a seed, never written to the ledger.
     """
@@ -203,7 +203,7 @@ class ServeInstruments:
         """Observe requests' wall-clock execution latencies in one fold.
 
         The tenant's one latency sink: the scalar loop reports each
-        request as a one-element list, the batched data plane a fused
+        request as a one-element list, ``ServeTenant.serve`` a fused
         run's requests at once. :meth:`Histogram.observe_many` leaves the
         same state as one ``observe`` per request, in one bucket pass.
 

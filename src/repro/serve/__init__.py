@@ -14,13 +14,6 @@ event schema.
 """
 
 from repro.serve.admission import AdmissionController, AdmissionDecision
-from repro.serve.dataplane import (
-    DATA_PLANES,
-    BatchedDataPlane,
-    ScalarDataPlane,
-    UnknownDataPlaneError,
-    make_data_plane,
-)
 from repro.serve.ledger import (
     DISPOSITIONS,
     EVENT_SLO,
@@ -63,11 +56,6 @@ from repro.serve.tenants import ServeCounts, ServeTenant
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "DATA_PLANES",
-    "BatchedDataPlane",
-    "ScalarDataPlane",
-    "UnknownDataPlaneError",
-    "make_data_plane",
     "DISPOSITIONS",
     "EVENT_SLO",
     "LEDGER_VERSION",

@@ -45,7 +45,6 @@ from repro.obs import (
 )
 from repro.obs.live import ObservabilityServer
 from repro.serve.admission import HIGH_WATER, LOW_WATER, AdmissionController
-from repro.serve.dataplane import DATA_PLANES, UnknownDataPlaneError, make_data_plane
 from repro.serve.ledger import (
     DISPOSITIONS,
     EVENT_ADMISSION,
@@ -103,19 +102,12 @@ class ServeConfig:
             ``POLICY_NAMES``), or ``None`` to pick per region by its
             recoverability class.
         seed: Root seed for the arrival process.
-        data_plane: Request-execution strategy: ``"auto"`` (span-fused
-            golden runs, live only where a fault can reach) or
-            ``"scalar"`` (the per-request Python loop it is pinned to).
-            Both planes write byte-identical ledgers for the same seed,
-            so the choice is pure throughput and never appears in
-            ledger attrs.
     """
 
     duration_ticks: int = 60
     error_rate: float = 0.5
     policy: Optional[str] = None
     seed: int = 2014
-    data_plane: str = "auto"
 
     def __post_init__(self) -> None:
         if self.duration_ticks < 1:
@@ -126,8 +118,6 @@ class ServeConfig:
             raise ValueError(f"error_rate must be >= 0, got {self.error_rate}")
         if self.policy is not None:
             make_policy(self.policy)  # validates the name
-        if self.data_plane not in DATA_PLANES:
-            raise UnknownDataPlaneError(self.data_plane)
 
 
 @dataclass
@@ -328,7 +318,6 @@ async def _tenant_tick(
     state: _TenantState,
     tick: int,
     stagger: Optional[StaggerHook],
-    plane,
 ) -> List[Tuple[str, dict]]:
     """One tenant's request serving for one tick; returns its events."""
     if stagger is not None:
@@ -343,7 +332,7 @@ async def _tenant_tick(
         counts = ServeCounts()
         counts["shed"] = tenant.requests_per_tick
     else:
-        counts = plane.serve_requests(tenant, tenant.requests_per_tick)
+        counts = tenant.serve(tenant.requests_per_tick)
         if tenant.needs_restart:
             # A request died fatally: the process is gone, and the only
             # possible response is a restart, whatever the policy says.
@@ -390,9 +379,10 @@ async def serve_session(
         tenant.build()
     tenants = sorted(tenants, key=lambda t: t.name)
     partition = ServePartition(tenants)
-    # Build the data plane while every tenant is pristine at its
-    # checkpoint — the batched plane records its golden traces here.
-    plane = make_data_plane(config.data_plane, tenants)
+    # Every tenant is pristine at its checkpoint: record the traces
+    # ServeTenant.serve fuses from.
+    for tenant in tenants:
+        tenant.record_trace()
     registry = registry if registry is not None else MetricsRegistry()
     instruments = ServeInstruments(registry)
     states = {tenant.name: _TenantState(tenant, config) for tenant in tenants}
@@ -494,7 +484,7 @@ async def serve_session(
 
             # Phase 2: concurrent tenant tasks (task-local state only).
             ticks = (
-                _tenant_tick(states[tenant.name], tick, stagger, plane)
+                _tenant_tick(states[tenant.name], tick, stagger)
                 for tenant in tenants
             )
             if stagger is None and server is None:
@@ -541,9 +531,7 @@ async def serve_session(
                 instruments.set_backlog(
                     tenant.name, len(states[tenant.name].backlog)
                 )
-                instruments.record_decisions(
-                    tenant.name, plane.decisions[tenant.name]
-                )
+                instruments.record_decisions(tenant.name, tenant.decisions)
 
             if server is not None:
                 new_lines = [
@@ -560,7 +548,7 @@ async def serve_session(
                     ),
                     ledger_lines=new_lines,
                 )
-        # The session is over: pay what the batched plane left owed, so
+        # The session is over: pay what serving left owed, so
         # every tenant's memory is where its counters say.
         for tenant in tenants:
             tenant.settle()

@@ -15,11 +15,21 @@ graphmining) with the mechanics the serving layer needs:
 * **Table 2 repair mechanics** — ``restart``, ``retire_page``, and
   ``recover_from_disk`` implement what the policies in
   :mod:`repro.serve.policies` decide.
-* **Owed memory** — the batched data plane may serve quanta by an
-  epoch record's accounting alone and leave memory and Python-side
-  progress *owed* (:meth:`ServeTenant.defer`); counters stay exact, the
-  first call here that reads or changes memory settles it, and
-  ``restart`` discards it. Records are keyed on
+* **Fused serving** — a fault matters only to the accesses that reach
+  it (delayed error reporting, arXiv:1810.06472). :meth:`ServeTenant.
+  serve` hands the tenant's golden access trace, recorded at session
+  start (:meth:`ServeTenant.record_trace`), to the fusion core,
+  :class:`~repro.memory.trace.TraceReplay`, which serves a clean run of
+  requests unexecuted (recorded write image, clock and counter deltas,
+  progress) only where it proves (:mod:`repro.memory.trace`) that the
+  scalar loop, :meth:`ServeTenant.serve_requests`, would answer golden;
+  the rest executes through that loop. Seeded sessions therefore write
+  the ledger the scalar loop writes, byte for byte.
+* **Owed memory** — quanta an epoch record stands for cost their
+  accounting alone (DESIGN.md, "Epoch records", has the proofs): memory
+  and Python-side progress stay *owed* (:attr:`ServeTenant.owes`),
+  counters stay exact, the first call here that reads or changes memory
+  settles it, and ``restart`` discards it. Records are keyed on
   :attr:`ServeTenant.epoch_key`, the fault state the last wrap
   installed, while nothing has reached the tenant since.
 
@@ -33,12 +43,22 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.apps.base import Workload, WorkloadError
 from repro.apps.clients import FATAL_ERRORS
 from repro.dram.retirement import PageRetirementPolicy
 from repro.memory.faults import FaultKind
 from repro.memory.persistence import BackingStore, RegionBacking
-from repro.memory.regions import PAGE_SIZE, Region, RegionKind
+from repro.memory.regions import PAGE_SIZE, RegionKind
+from repro.memory.trace import (
+    DECISIONS,
+    RECORD_TALLIES,
+    EpochRecord,
+    TraceReplay,
+    record_access_trace,
+    tally_reasons,
+)
 
 __all__ = ["ServeTenant", "ServeCounts"]
 
@@ -78,16 +98,23 @@ class ServeTenant:
         self.epochs = 0
         #: Optional wall-clock sink called with per-request execution
         #: latencies in seconds: one element per request the scalar loop
-        #: executes, one list per run the batched plane fuses.
+        #: executes, one list per run :meth:`serve` fuses.
         #: Observational telemetry only — latency never reaches the
         #: ledger, so the determinism invariant holds.
         self.latency_sink: Optional[Callable[[List[float]], None]] = None
-        #: Bumped on every checkpoint restore (restart or epoch wrap);
-        #: the batched data plane keys its rolling golden image on this.
+        #: Checkpoint restores the counters stand for (restarts and epoch
+        #: wraps, owed ones included).
         self.generation = 0
-        #: What brings owed memory and progress to the cursor (None: the
-        #: workload is where the counters say).
-        self._owed: Optional[Callable[[], None]] = None
+        #: How :meth:`serve` served each request (:data:`~repro.memory.
+        #: trace.DECISIONS`); deterministic for a seed, never in the ledger.
+        self.decisions: Dict[str, int] = dict.fromkeys(DECISIONS, 0)
+        #: The fusion core over the golden access trace
+        #: (:meth:`record_trace`); None serves every request live.
+        self.replay: Optional[TraceReplay] = None
+        # Memory and progress are owed to ``replay.owed`` (:attr:`owes`),
+        # and with them the checkpoint restore of the wraps served since.
+        self._owes = False
+        self._restore_owed = False
         #: The fault state the last wrap installed, while nothing has
         #: reached the tenant since (:attr:`epoch_key`).
         self._epoch_key: Optional[tuple] = None
@@ -143,6 +170,23 @@ class ServeTenant:
                 backing.mirror_current_contents()
                 self._backings[region.name] = backing
 
+    def record_trace(self) -> None:
+        """Record the golden access trace :meth:`serve` fuses from.
+
+        The tenant must be built and pristine, as ``serve_session``
+        leaves it before the first tick. Without the memory fast path
+        there is no dirty-page tracking to confine the divergence check
+        to, so such a tenant serves every request through the scalar
+        loop. Raises ``RuntimeError`` when the replay does not repeat
+        the golden responses.
+        """
+        workload = self.workload
+        if workload.space.fast_path_enabled:
+            trace = record_access_trace(
+                workload, workload.query_count, golden=self.golden_responses
+            )
+            self.replay = TraceReplay(trace, workload)
+
     def attach_retirement(
         self, retirement: PageRetirementPolicy, to_host: Callable[[int], int]
     ) -> None:
@@ -158,25 +202,31 @@ class ServeTenant:
 
     @property
     def owes(self) -> bool:
-        """Whether memory and progress are owed (:meth:`defer`)."""
-        return self._owed is not None
-
-    def defer(self, settle: Callable[[], None]) -> None:
-        """Leave memory and Python-side progress owed to ``settle``.
-
-        For the batched data plane, in a state an epoch record stands
-        for: it then serves quanta by accounting alone
-        (:meth:`owed_quantum`), and ``settle`` brings memory and progress
-        to the cursor when something reads or changes the tenant.
-        """
-        self._owed = settle
+        """Whether memory and Python-side progress are owed to an epoch
+        record, which :meth:`serve` then serves quanta by."""
+        return self._owes
 
     def settle(self) -> None:
-        """Pay what is owed, if anything: memory and progress at the cursor."""
-        owed = self._owed
-        if owed is not None:
-            self._owed = None
-            owed()
+        """Pay what is owed, if anything: at most one restore, one
+        scatter and the recorded state at the cursor.
+
+        Memory holds the state the owed record started from. A wrap
+        served since owes the checkpoint first: it is restored with the
+        resident faults — the record's — at the checkpoint's clock, as
+        the last wrap left them, and the accounting those wraps charged
+        is kept. Then the replay applies the record up to the cursor.
+        """
+        if not self._owes:
+            return
+        self._owes = False
+        if self._restore_owed:
+            self._restore_owed = False
+            space = self.workload.space
+            accounting = space.accounting_state()
+            self._restore_checkpoint()
+            space.restore_accounting(accounting)
+            self._epoch_key = None
+        self.replay.settle(self._cursor)
 
     @property
     def epoch_key(self) -> Optional[tuple]:
@@ -241,9 +291,9 @@ class ServeTenant:
         """
         cleared = len(self._resident)
         self._resident.clear()
-        self._owed = None
+        self._owes = self._restore_owed = False
         self._epoch_key = None
-        self.workload.reset()  # restore() clears all faults
+        self._restore_checkpoint()
         self._cursor = 0
         self.generation += 1
         self.needs_restart = False
@@ -318,11 +368,14 @@ class ServeTenant:
     # Request serving
     # ------------------------------------------------------------------
     def serve_requests(self, count: int) -> ServeCounts:
-        """Serve ``count`` trace requests; returns their dispositions.
+        """Execute ``count`` trace requests; returns their dispositions.
 
-        A fatal error (process death) fails the current request and the
-        rest of the batch, and flags :attr:`needs_restart` for the
-        multiplexer to respond to.
+        The scalar loop: one ``execute`` per request, every access
+        walking the memory model. :meth:`serve` runs through it where
+        its proofs do not reach, and it is the oracle :meth:`serve` is
+        pinned to. A fatal error (process death) fails the current
+        request and the rest of the batch, and flags
+        :attr:`needs_restart` for the multiplexer to respond to.
         """
         self.settle()
         counts = ServeCounts()
@@ -355,59 +408,157 @@ class ServeTenant:
             self._cursor += 1
         return counts
 
-    def wrap_epoch(self) -> None:
-        """Perform the epoch reset the scalar loop does implicitly.
+    def serve(self, count: int) -> ServeCounts:
+        """Serve a quantum: fused clean runs around live blocked stretches.
 
-        The batched data plane checks the wrap condition before fusing
-        a run; calling this keeps the reset mechanics (and their
-        observable effects: generation bump, resident re-injection,
-        backing flushes) in one place.
+        The production entry; returns what :meth:`serve_requests` would.
+        The replay cuts the quantum into maximal clean runs, each fused
+        (or, reaching the trace end while the quantum goes on, only
+        charged: the wrap restores all it would set), and maximal
+        stretches the proofs send live, which execute through the scalar
+        loop; the proofs are taken again after each. A fatal request
+        fails the rest of the quantum unexecuted, as in the scalar loop.
+        A quantum an epoch record stands for is its accounting alone.
         """
-        if self._cursor >= self.workload.query_count:
+        replay = self.replay
+        tally = self.decisions
+        if replay is None or count <= 0:
+            tally["live"] += max(count, 0)
+            return self.serve_requests(count)
+        trace = replay.trace
+        counts = ServeCounts()
+        remaining = count
+        fused = 0
+        timed = self.latency_sink is not None
+        while remaining:
+            started = time.perf_counter() if timed else 0.0
+            if self.owes or self._defers(replay):
+                # A record stands for the rest of the quantum: it is its
+                # accounting, and memory and progress stay owed. Each
+                # wrap crossed counts its Par+R flush and store write;
+                # after a restore nothing is dirty and the mirror holds
+                # the checkpoint, so the flush would copy nothing.
+                wraps, self._cursor, tallies = replay.charge_quantum(
+                    self.cursor, remaining
+                )
+                if wraps:
+                    self.epochs += wraps
+                    self.generation += wraps
+                    self._restore_owed = True
+                    for backing in self._backings.values():
+                        if backing.writable:
+                            backing.stats.flushes += wraps
+                            backing.store.write_ops += wraps
+                fused += tallies[0]
+                if tallies[0] < remaining:
+                    for name, value in zip(RECORD_TALLIES[1:], tallies[1:]):
+                        (tally if name in tally else counts)[name] += value
+                if timed:
+                    elapsed = time.perf_counter() - started
+                    self.latency_sink([elapsed / remaining] * remaining)
+                break
+            cursor = self.cursor
+            recording = replay.recording(self.epoch_key, cursor)
+            clean, reasons = replay.next_runs(
+                cursor, min(remaining, trace.query_count - cursor)
+            )
+            if clean:
+                if cursor + clean == trace.query_count and clean < remaining:
+                    replay.charge_run(cursor, clean)
+                else:
+                    replay.apply_run(cursor, clean)
+                if recording:
+                    replay.record_run(cursor, cursor + clean)
+                self._cursor += clean
+                fused += clean
+                remaining -= clean
+                if timed:
+                    elapsed = time.perf_counter() - started
+                    self.latency_sink([elapsed / clean] * clean)
+            if not reasons.size:
+                continue
+            cursor = self.cursor
+            remaining -= reasons.size
+            live = self._serve_live(replay, reasons, recording)
+            replay.progress_dirty = True
+            for key, value in live.items():
+                counts[key] += value
+            served = self.cursor - cursor
+            if served < reasons.size:
+                # A fatal request (it leaves the cursor on itself) took
+                # the process down: whatever the quantum still held fails
+                # unexecuted. ``needs_restart`` may be left over from an
+                # earlier quantum, so it cannot tell.
+                executed = served + 1
+                counts["failed"] += remaining
+                tally["fatal_tail"] += reasons.size - executed + remaining
+                reasons = reasons[:executed]
+                remaining = 0
+            tally_reasons(tally, reasons)
+        counts["ok"] += fused
+        tally["fused"] += fused
+        tally["live"] += count - fused
+        return counts
+
+    def _serve_live(
+        self, replay: TraceReplay, reasons: np.ndarray, recording: bool
+    ) -> ServeCounts:
+        """Execute the stretch the proofs sent live: in one go, or while
+        the epoch is recorded one request at a time, each recorded. A
+        fatal request drops the key, so the recording with it, and fails
+        the rest of the stretch unexecuted, as the scalar loop does."""
+        if not recording:
+            return self.serve_requests(reasons.size)
+        counts = ServeCounts()
+        for index, code in enumerate(reasons.tolist()):
+            cursor = self.cursor
+            served = self.serve_requests(1)
+            for key, value in served.items():
+                counts[key] += value
+            if self.cursor == cursor:
+                counts["failed"] += reasons.size - index - 1
+                break
+            replay.record_live(cursor, code, served)
+        return counts
+
+    def _defers(self, replay: TraceReplay) -> bool:
+        """Take the next request's wrap, if due, and leave the tenant owing
+        its memory to a record that stands for serving on from here
+        (DESIGN.md, "Epoch records").
+
+        A due wrap is owed to the golden record when no query meets a
+        guarded byte: the resident faults it re-installs are among those
+        bytes, so the restore it stands for leaves a pristine state at
+        cursor 0 whatever faults, repairs or live requests did to memory
+        and progress before it. It is owed to the record of the epoch
+        key when one is kept: nothing reached the tenant since the last
+        wrap, so this one installs the same faults. Otherwise it is
+        taken, and the epoch it starts is owed to the record of the
+        fault state it installs, or recorded.
+        """
+        if self.cursor >= replay.trace.query_count:
+            blocked = replay.blocked_queries()
+            if blocked is None or not blocked.any():
+                return self._owe(replay, replay.golden)
+            record = replay.record(self.epoch_key)
+            if record is not None:
+                return self._owe(replay, record)
             self._epoch_reset()
+        if replay.pristine(self.cursor):
+            return self._owe(replay, replay.golden)
+        if self.cursor == 0 and self.epoch_key is not None:
+            # A wrap has just installed the key: nothing ran since.
+            record = replay.record(self.epoch_key)
+            if record is not None:
+                return self._owe(replay, record)
+            replay.begin_record(self.epoch_key)
+        return False
 
-    def fused_advance(self, count: int) -> None:
-        """Advance the cursor past ``count`` requests served by fusion.
-
-        The batched data plane has already applied the requests' memory
-        effects and counted their dispositions; only the trace position
-        moves here.
-        """
-        self._cursor += count
-
-    def owed_quantum(self, wraps: int, cursor: int) -> None:
-        """Account a quantum served while memory is owed (:meth:`defer`).
-
-        ``wraps`` epoch wraps were crossed and the cursor ends at
-        ``cursor``. Each wrap is its accounting: ``epochs`` and
-        ``generation`` advance, and every Par+R mirror counts its flush
-        and store write. The flush would follow a checkpoint restore:
-        nothing is dirty then and the mirror already holds the
-        checkpoint, so it would copy nothing and leave the mirror as it
-        is. The restore itself is owed (:meth:`owed_restore`).
-        """
-        if wraps:
-            self.epochs += wraps
-            self.generation += wraps
-            for backing in self._backings.values():
-                if backing.writable:
-                    backing.stats.flushes += wraps
-                    backing.store.write_ops += wraps
-        self._cursor = cursor
-
-    def owed_restore(self) -> None:
-        """The checkpoint restore that owed wraps stand for (:meth:`defer`).
-
-        For a settle after wraps served by accounting alone: memory
-        returns to the checkpoint and the resident hard faults are
-        re-applied at the checkpoint's clock, as the last wrap left
-        them. The accounting, which those wraps charged, is kept.
-        """
-        space = self.workload.space
-        accounting = space.accounting_state()
-        self._restore_checkpoint()
-        space.restore_accounting(accounting)
-        self._epoch_key = None
+    def _owe(self, replay: TraceReplay, record: EpochRecord) -> bool:
+        """Leave memory and progress owed to ``record``."""
+        replay.owed = record
+        self._owes = True
+        return True
 
     def _restore_checkpoint(self) -> None:
         """Restore the checkpoint, keep resident faults.
@@ -416,11 +567,14 @@ class ServeTenant:
         are re-applied — the trace wrapping is an accounting artifact,
         not a repair. Soft flips are healed by the restore, modeling
         corrupted data being overwritten by fresh application writes.
+        The replay's golden image follows memory back.
         """
         self.workload.reset()
         space = self.workload.space
         for addr, (bit, stuck_value) in self._resident.items():
             space.inject_hard_fault(addr, bit, stuck_value)
+        if self.replay is not None:
+            self.replay.rewind()
 
     def _epoch_reset(self) -> None:
         """Wrap the trace: restore the checkpoint, keep resident faults.
@@ -431,7 +585,7 @@ class ServeTenant:
         nothing). Memory owed is dropped, as by :meth:`restart`. The
         installed fault state becomes the :attr:`epoch_key`.
         """
-        self._owed = None
+        self._owes = self._restore_owed = False
         self._restore_checkpoint()
         self._epoch_key = self.workload.space.fault_state()
         self._cursor = 0

@@ -1,25 +1,28 @@
-"""Property tests for the batched serve data plane (ISSUE 9, ISSUE 16).
+"""Property tests for a tenant's fused serving (``ServeTenant.serve``).
 
 A hypothesis state machine drives *identical* random operation
 sequences — fault arrivals (hard and soft), page retirements (also of
 a page under a fresh soft flip, which leaves a corrupted byte nobody
 tracks), disk recoveries, rank restarts, request quanta, and the epoch
 resets they trigger — through two twin tenants, one served by the
-scalar data plane and one by the span-fused batched plane. After every
-step the twins must be indistinguishable:
+scalar loop (``serve_requests``) and one by the span-fused entry
+(``serve``). After every step the twins must be indistinguishable:
 
-* ``serve_requests`` returns identical ``ServeCounts``;
+* both return identical ``ServeCounts``;
 * cursor, epoch, generation, and resident-fault bookkeeping agree;
 * the memory clock and every region's stored bytes agree byte-for-byte
   (fused runs charge recorded deltas and scatter recorded write images —
   any drift from live execution shows up here);
-* the batched plane executed live only requests whose recorded
-  footprint meets a blocked byte, plus fatal tails.
+* the fused twin executed live only requests whose recorded footprint
+  meets a blocked byte, plus fatal tails.
 
 A separate seeded-session property runs the full asyncio multiplexer
-under both planes across random seeds and error rates and asserts the
-two JSONL ledgers are byte-identical.
+across random seeds and error rates, once as it ships and once under
+``oracle_mode()`` (every space off the fast path, so every request runs
+the scalar loop), and asserts the two JSONL ledgers are byte-identical.
 """
+
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -30,14 +33,13 @@ from repro.apps.base import Workload
 from repro.apps.kvstore import KVStoreWorkload, key_bytes
 from repro.apps.kvstore.store import _ENTRY_HEADER, ENTRY_HEADER_SIZE
 from repro.memory import AddressSpace, standard_layout
+from repro.memory.fastpath import oracle_mode
 from repro.memory.faults import FaultKind
 from repro.memory.regions import PAGE_SIZE
 from repro.serve import (
-    BatchedDataPlane,
     RecoverFromDiskPolicy,
     RestartRankPolicy,
     RetirePagePolicy,
-    ScalarDataPlane,
     ServeConfig,
     ServeTenant,
     default_tenants,
@@ -116,14 +118,14 @@ def fault_at(tenant: ServeTenant, region_name: str, offset: int, bit: int,
 
 
 class DataPlaneTwinMachine(RuleBasedStateMachine):
-    """Identical operation streams through both data planes."""
+    """Identical operation streams through the scalar loop and the fused
+    entry."""
 
     def __init__(self) -> None:
         super().__init__()
         self.scalar_tenant = build_tenant()
         self.batched_tenant = build_tenant()
-        self.scalar_plane = ScalarDataPlane([self.scalar_tenant])
-        self.batched_plane = BatchedDataPlane([self.batched_tenant])
+        self.batched_tenant.record_trace()
         self.served = 0
 
     @property
@@ -196,13 +198,9 @@ class DataPlaneTwinMachine(RuleBasedStateMachine):
 
     @rule(count=st.integers(min_value=1, max_value=2 * WORDS))
     def serve(self, count):
-        # Large counts force epoch wraps inside both planes.
-        scalar_counts = self.scalar_plane.serve_requests(
-            self.scalar_tenant, count
-        )
-        batched_counts = self.batched_plane.serve_requests(
-            self.batched_tenant, count
-        )
+        # Large counts force epoch wraps inside both twins.
+        scalar_counts = self.scalar_tenant.serve_requests(count)
+        batched_counts = self.batched_tenant.serve(count)
         assert scalar_counts == batched_counts
         assert sum(scalar_counts.values()) == count
         self.served += count
@@ -219,12 +217,11 @@ class DataPlaneTwinMachine(RuleBasedStateMachine):
 
     @invariant()
     def live_only_where_a_fault_reaches(self):
-        tally = self.batched_plane.decisions["mini"]
+        tally = self.batched_tenant.decisions
         assert tally["fused"] + tally["live"] == self.served
         assert tally["live"] <= (
             tally["blocked"] + tally["diverged"] + tally["fatal_tail"]
         )
-        assert self.scalar_plane.decisions["mini"]["live"] == self.served
 
     @invariant()
     def memory_agrees(self):
@@ -240,6 +237,13 @@ DataPlaneTwinMachine.TestCase.settings = settings(
     max_examples=15, stateful_step_count=30, deadline=None
 )
 TestDataPlaneTwinMachine = DataPlaneTwinMachine.TestCase
+
+
+def session(config: ServeConfig, tenants, path, oracle: bool):
+    """Run one seeded session into ``path``; ``oracle`` builds every
+    tenant's space off the fast path, so every request runs live."""
+    with oracle_mode() if oracle else nullcontext():
+        return run_serve(config, tenants=tenants, ledger_path=path)
 
 
 class TestSeededSessionLedgers:
@@ -260,14 +264,9 @@ class TestSeededSessionLedgers:
                 duration_ticks=ticks,
                 error_rate=error_rate,
                 seed=seed,
-                data_plane=plane,
             )
             path = base / f"{plane}-{seed}-{ticks}.jsonl"
-            run_serve(
-                config,
-                tenants=default_tenants(scale=0.1),
-                ledger_path=path,
-            )
+            session(config, default_tenants(scale=0.1), path, plane == "scalar")
             ledgers[plane] = path.read_bytes()
         assert ledgers["scalar"] == ledgers["auto"]
 
@@ -290,18 +289,17 @@ class TestSeededSessionLedgers:
                 error_rate=error_rate,
                 policy=policy,
                 seed=seed,
-                data_plane=plane,
             )
             path = base / f"{plane}-{seed}-{ticks}.jsonl"
             tenant = ServeTenant("kvstore", kv_trace(12), requests_per_tick=30)
-            run_serve(config, tenants=[tenant], ledger_path=path)
+            session(config, [tenant], path, plane == "scalar")
             ledgers[plane] = path.read_bytes()
         assert ledgers["scalar"] == ledgers["auto"]
 
 
 # ----------------------------------------------------------------------
 # Epoch boundaries (ISSUE 19): short traces wrap several times a quantum,
-# the batched plane serves whole clean epochs without touching memory,
+# the fused entry serves whole clean epochs without touching memory,
 # and a flush copies only what was dirtied since the last mirror.
 # ----------------------------------------------------------------------
 class ShortTrace(MiniWorkload):
@@ -354,7 +352,8 @@ def value_offset(workload: KVStoreWorkload, key_id: int) -> int:
 
 
 class EpochTwins:
-    """A scalar and a batched tenant of one short trace, driven alike."""
+    """A tenant served by the scalar loop and one by the fused entry, of
+    one short trace, driven alike."""
 
     def __init__(self, queries: int, oracle: bool = False, trace=ShortTrace) -> None:
         self.queries = queries
@@ -366,15 +365,13 @@ class EpochTwins:
                 tenant.space.set_fast_path(False)
             self.tenants.append(tenant)
         scalar, batched = self.tenants
-        self.planes = (ScalarDataPlane([scalar]), BatchedDataPlane([batched]))
+        batched.record_trace()
         self.served = 0
         self.check()
 
     def serve(self, count: int, check: bool = True) -> None:
-        counts = [
-            plane.serve_requests(tenant, count)
-            for plane, tenant in zip(self.planes, self.tenants)
-        ]
+        scalar, batched = self.tenants
+        counts = [scalar.serve_requests(count), batched.serve(count)]
         assert counts[0] == counts[1]
         assert sum(counts[0].values()) == count
         self.served += count
@@ -397,7 +394,7 @@ class EpochTwins:
 
     def check(self) -> None:
         """Compare the twins. Reading ``tenant.space`` settles what the
-        batched plane left owed, so a check is also a settle point."""
+        fused twin left owed, so a check is also a settle point."""
         scalar, batched = self.tenants
         assert scalar.cursor == batched.cursor
         assert scalar.epochs == batched.epochs
@@ -427,7 +424,11 @@ class EpochTwins:
 
     @property
     def tally(self):
-        return self.planes[1].decisions["mini"]
+        return self.tenants[1].decisions
+
+    @property
+    def replay(self):
+        return self.tenants[1].replay
 
     def heap_mirror(self, tenant_index: int = 1):
         return self.tenants[tenant_index].backing_for("heap")
@@ -483,7 +484,7 @@ class TestEpochBoundaries:
     def test_whole_epochs_skip_the_write_image(self, queries, monkeypatch):
         twins = EpochTwins(queries)
         runs = []
-        replay = twins.planes[1]._replays["mini"]
+        replay = twins.replay
         apply_run = replay.apply_run
         monkeypatch.setattr(
             replay, "apply_run",
@@ -641,7 +642,7 @@ class TestOneStepQuantum:
             for tenant in twins.tenants:
                 tenant.restart(1)
             twins.check()
-        replay = twins.planes[1]._replays["mini"]
+        replay = twins.replay
         charged = spy(monkeypatch, replay, "charge_quantum")
         applied = spy(monkeypatch, replay, "apply_run")
         before = twins.tenants[1].epochs
@@ -683,7 +684,7 @@ class TestOneStepQuantum:
                 RetirePagePolicy().respond(tenant, event)
             twins.check()
             assert not twins.tenants[1].space.tracked_addresses()
-        replay = twins.planes[1]._replays["mini"]
+        replay = twins.replay
         charged = spy(monkeypatch, replay, "charge_run")
         applied = spy(monkeypatch, replay, "apply_run")
         twins.serve(queries + 1)
@@ -702,7 +703,7 @@ class TestOneStepQuantum:
     @pytest.mark.parametrize("queries", [2, 3])
     def test_memoized_plan_reused_across_a_restart(self, queries):
         twins = EpochTwins(queries)
-        replay = twins.planes[1]._replays["mini"]
+        replay = twins.replay
         twins.serve(queries - 1)
         plan = replay._plans[(0, queries - 1)]
         assert plan.addrs.size  # the mini trace stores what it loads
@@ -716,7 +717,7 @@ class TestOneStepQuantum:
     def test_memo_evicts_to_its_bound(self, monkeypatch):
         monkeypatch.setattr("repro.memory.trace._PLAN_MEMO_BYTES", 40)
         twins = EpochTwins(3)
-        replay = twins.planes[1]._replays["mini"]
+        replay = twins.replay
         for count in (1, 1, 2, 3, 1, 4, 2, 5):
             twins.serve(count)
             assert replay._plan_bytes == sum(p.nbytes for p in replay._plans.values())
@@ -948,7 +949,7 @@ class TestKVStoreEpochs:
 
     def test_serving_on_after_a_fatal_request_without_a_restart(self):
         """A library caller may serve a tenant whose process died without
-        restarting it: both planes then serve the quantum as the scalar
+        restarting it: both twins then serve the quantum as the scalar
         loop does, since a ``needs_restart`` left set is no death of the
         next live stretch."""
         queries = 4
@@ -1011,12 +1012,11 @@ class TestSessionEpochs:
         """Several wraps a tick (graphmining: 3 jobs, 16 requests)."""
         stops = {}
         for plane in ("scalar", "auto"):
-            result = run_serve(
-                ServeConfig(
-                    duration_ticks=12, error_rate=0.5, seed=19, data_plane=plane
-                ),
-                tenants=default_tenants(scale=0.1, load=16.0),
-                ledger_path=tmp_path / f"{plane}.jsonl",
+            result = session(
+                ServeConfig(duration_ticks=12, error_rate=0.5, seed=19),
+                default_tenants(scale=0.1, load=16.0),
+                tmp_path / f"{plane}.jsonl",
+                plane == "scalar",
             )
             assert result.replay.complete
             stops[plane] = result.events[-1].attrs
@@ -1039,8 +1039,12 @@ WORD_1 = 4
 
 
 def records(twins: EpochTwins) -> dict:
-    """The batched twin's epoch-record counts."""
-    return twins.planes[1].record_counts("mini")
+    """The fused twin's epoch-record counts."""
+    replay = twins.replay
+    return {
+        "epochs_recorded": replay.epochs_recorded,
+        "guarded_epochs_owed": replay.guarded_epochs_owed,
+    }
 
 
 def recurring_steps(offsets: int):
@@ -1257,7 +1261,7 @@ class TestRepeatedFaultyEpochs:
         twins.fault("heap", WORD_1, 0, FaultKind.HARD)
         for count in (4, 4, 5, 3, 9, 1, 6):
             twins.serve(count)
-        replay = twins.planes[1]._replays["mini"]
+        replay = twins.replay
         assert not replay._records and replay._record_bytes == 0
         # Every wrap restored, and recorded the epoch it started.
         assert records(twins)["epochs_recorded"] == twins.tenants[0].epochs == 7

@@ -38,7 +38,7 @@ class TestSurfaceInventory:
         ]
 
     def test_api_version_tracks_package_major(self):
-        assert api.API_VERSION == "8.0"
+        assert api.API_VERSION == "9.0"
         assert (
             api.API_VERSION.split(".")[0] == repro.__version__.split(".")[0]
         )
@@ -82,8 +82,8 @@ class TestAvailableBackends:
     def test_fleet_backends(self):
         assert api.available_backends("fleet") == ("auto", "scalar")
 
-    def test_serve_backends_are_the_data_planes(self):
-        assert api.available_backends("serve") == ("auto", "scalar")
+    def test_serve_has_one_backend(self):
+        assert api.available_backends("serve") == ("auto",)
 
     @pytest.mark.parametrize(
         "function",
@@ -99,8 +99,8 @@ class TestAvailableBackends:
         assert default == "pruned"
 
     def test_names_removed_in_4_0_are_rejected(self):
-        """``vectorized`` (campaign, fleet) and ``batched`` (serve)
-        selected nothing the defaults do not."""
+        """``vectorized`` (campaign, fleet) selected nothing the defaults
+        do not. Serve's ``batched`` went with the whole selector in 9.0."""
         with pytest.raises(ValueError, match="unknown backend 'vectorized'"):
             api.run_campaign(api.WebSearch(), backend="vectorized")
         with pytest.raises(ValueError, match="unknown backend 'vectorized'"):
@@ -109,8 +109,6 @@ class TestAvailableBackends:
             api.simulate_fleet(
                 api.VulnerabilityProfile(app="none"), backend="vectorized"
             )
-        with pytest.raises(ValueError, match="unknown serve data plane 'batched'"):
-            api.ServeConfig(data_plane="batched")
 
     def test_names_removed_in_5_0_are_gone(self):
         """One per-trial record (``TrialRecord``, which ``measure_trial``
@@ -293,6 +291,36 @@ class TestAvailableBackends:
         ):
             assert not hasattr(repro.cluster, name), name
         assert not hasattr(ChannelProvisionedMemory, "allocation_at")
+
+    def test_names_removed_in_9_0_are_gone(self):
+        """One serving path: a tenant serves through ``ServeTenant.serve``,
+        and the scalar loop it is pinned to is ``serve_requests``. The
+        data-plane selector and the plane objects are gone."""
+        import importlib
+
+        import repro.serve
+        from repro.serve import ServeTenant
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.serve.dataplane")
+        for name in (
+            "DATA_PLANES",
+            "BatchedDataPlane",
+            "ScalarDataPlane",
+            "UnknownDataPlaneError",
+            "make_data_plane",
+        ):
+            assert not hasattr(repro.serve, name), name
+            assert not hasattr(api, name), name
+        assert "data_plane" not in {
+            field.name for field in dataclasses.fields(api.ServeConfig)
+        }
+        with pytest.raises(TypeError):
+            api.ServeConfig(data_plane="scalar")
+        for name in (
+            "defer", "wrap_epoch", "fused_advance", "owed_quantum", "owed_restore",
+        ):
+            assert not hasattr(ServeTenant, name), name
 
     def test_the_scalar_oracle_is_serial(self):
         config = api.CampaignConfig(trials_per_cell=1, queries_per_trial=2)

@@ -465,36 +465,31 @@ class TestParser:
             main(["characterize", "--app", "nope"])
 
 
-class TestServeDataPlaneFlag:
-    def test_unknown_plane_suggests_and_exits_2(self, capsys):
+class TestServeUsageErrors:
+    @pytest.mark.parametrize(
+        "flag, value, text",
+        [
+            ("--http-port", "70000", "0..65535"),
+            ("--http-port", "-5", "0..65535"),
+            ("--error-rate", "-1", ">= 0"),
+            ("--error-rate", "nan", ">= 0"),
+            ("--scale", "0", "> 0"),
+            ("--scale", "-0.5", "> 0"),
+        ],
+    )
+    def test_out_of_range_values_exit_2(self, flag, value, text, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--data-plane", "sclaar"])
+            main(["serve", flag, value])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "valid planes" in err
-        assert "did you mean 'scalar'?" in err
+        assert flag in err and text in err
 
-    def test_far_off_plane_still_lists_valid_names(self, capsys):
+    @pytest.mark.parametrize("plane", ["auto", "scalar", "batched"])
+    def test_data_plane_flag_removed_in_9_0(self, plane, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--data-plane", "quantum"])
+            main(["serve", "--data-plane", plane])
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "auto, scalar" in err
-
-    def test_removed_batched_plane_is_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--data-plane", "batched"])
-        assert excinfo.value.code == 2
-        assert "valid planes: auto, scalar" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("plane", ["auto", "scalar"])
-    def test_valid_planes_serve_identical_summaries(self, plane, capsys):
-        assert main([
-            "serve", "--duration", "4", "--seed", "7",
-            "--data-plane", plane, "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["config"]["duration_ticks"] == 4
+        assert "unrecognized arguments: --data-plane" in capsys.readouterr().err
 
 
 class TestServeReplayAudit:

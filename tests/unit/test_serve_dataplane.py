@@ -1,4 +1,4 @@
-"""Unit tests for the batched serve data plane's run cutting (ISSUE 16, 18).
+"""Unit tests for the run cutting of ``ServeTenant.serve``.
 
 Each case pins one clause of the fusion contract on the tiny workload
 of the property suite: only the request a fault can reach executes, a
@@ -20,9 +20,8 @@ from repro.memory.errors import SegmentationFault
 from repro.memory.faults import FaultKind
 from repro.memory.regions import PAGE_SIZE
 from repro.memory import trace as trace_module
-from repro.memory.trace import TraceReplay, record_access_trace
-from repro.serve import BatchedDataPlane, ScalarDataPlane, ServeTenant
-from repro.serve.dataplane import DECISIONS
+from repro.memory.trace import DECISIONS, TraceReplay, record_access_trace
+from repro.serve import ServeTenant
 from tests.property.test_prop_serve_dataplane import (
     WORDS,
     MiniWorkload,
@@ -31,9 +30,19 @@ from tests.property.test_prop_serve_dataplane import (
 )
 
 
-def decisions(plane, **nonzero):
-    """Assert the plane's ``mini`` tenant counts: ``nonzero``, rest 0."""
-    assert plane.decisions["mini"] == {**dict.fromkeys(DECISIONS, 0), **nonzero}
+def decisions(tenant, **nonzero):
+    """Assert the tenant's decision counts: ``nonzero``, rest 0."""
+    assert tenant.decisions == {**dict.fromkeys(DECISIONS, 0), **nonzero}
+
+
+def fused_tenant(workload=None):
+    """A built tenant (of the mini workload by default) with its trace
+    recorded, as a session starts it."""
+    tenant = build_tenant() if workload is None else ServeTenant("mini", workload)
+    if workload is not None:
+        tenant.build()
+    tenant.record_trace()
+    return tenant
 
 
 def count_executes(tenant):
@@ -79,67 +88,60 @@ class CounterWorkload(MiniWorkload):
 
 class TestRunCutting:
     def test_one_blocked_request_executes_alone(self):
-        tenant = build_tenant()
-        plane = BatchedDataPlane([tenant])
+        tenant = fused_tenant()
         tenant.apply_fault(word_addr(tenant, 3), 0, FaultKind.SOFT)
         calls = count_executes(tenant)
 
-        counts = plane.serve_requests(tenant, 8)
+        counts = tenant.serve(8)
 
         assert calls == [3]
         assert counts == {"ok": 7, "incorrect": 1, "failed": 0, "shed": 0, "down": 0}
         assert tenant.cursor == 8
-        decisions(plane, fused=7, live=1, blocked=1)
+        decisions(tenant, fused=7, live=1, blocked=1)
 
     def test_request_reading_diverged_byte_is_live(self):
-        tenant = build_tenant()
-        plane = BatchedDataPlane([tenant])
+        tenant = fused_tenant()
         addr = word_addr(tenant, 5)
         tenant.apply_fault(addr, 2, FaultKind.SOFT)
         tenant.retire_page(addr)  # untracked now, stored byte still flipped
         assert addr not in tenant.space.tracked_addresses()
         calls = count_executes(tenant)
 
-        counts = plane.serve_requests(tenant, 8)
+        counts = tenant.serve(8)
 
         assert calls == [5]
         assert counts["incorrect"] == 1 and counts["ok"] == 7
-        decisions(plane, fused=7, live=1, diverged=1)
+        decisions(tenant, fused=7, live=1, diverged=1)
 
     def test_fatal_request_fails_the_rest_like_the_scalar_loop(self):
         twins = {}
-        for plane_type in (ScalarDataPlane, BatchedDataPlane):
-            tenant = build_tenant()
-            plane = plane_type([tenant])
+        for name in ("scalar", "batched"):
+            tenant = build_tenant() if name == "scalar" else fused_tenant()
             # The fault blocks query 3 from fusion; executed, it dies.
             tenant.apply_fault(word_addr(tenant, 3), 0, FaultKind.SOFT)
             fail_at(tenant, 3)
             calls = count_executes(tenant)
-            counts = plane.serve_requests(tenant, 8)
-            twins[plane.name] = (tenant, plane, calls, counts)
+            serve = tenant.serve_requests if name == "scalar" else tenant.serve
+            twins[name] = (tenant, calls, serve(8))
 
-        scalar, _, scalar_calls, scalar_counts = twins["scalar"]
-        batched, plane, batched_calls, batched_counts = twins["batched"]
+        scalar, scalar_calls, scalar_counts = twins["scalar"]
+        batched, batched_calls, batched_counts = twins["batched"]
         assert scalar_calls == [0, 1, 2, 3] and batched_calls == [3]
         assert batched_counts == scalar_counts
         assert batched_counts["ok"] == 3 and batched_counts["failed"] == 5
         assert batched.needs_restart and scalar.needs_restart
         assert batched.cursor == scalar.cursor == 3
         assert batched.space.time == scalar.space.time
-        decisions(plane, fused=3, live=5, blocked=1, fatal_tail=4)
+        decisions(batched, fused=3, live=5, blocked=1, fatal_tail=4)
 
     def test_wrap_inside_a_quantum(self):
-        scalar, batched = build_tenant(), build_tenant()
-        scalar_plane = ScalarDataPlane([scalar])
-        plane = BatchedDataPlane([batched])
+        scalar, batched = build_tenant(), fused_tenant()
         for tenant in (scalar, batched):
             tenant.apply_fault(word_addr(tenant, 2), 1, FaultKind.HARD)
         calls = count_executes(batched)
 
         for count in (WORDS - 4, 10):
-            assert plane.serve_requests(batched, count) == (
-                scalar_plane.serve_requests(scalar, count)
-            )
+            assert batched.serve(count) == scalar.serve_requests(count)
 
         # The resident hard fault is re-applied by the wrap, so query 2
         # executes once per epoch and nothing else does.
@@ -147,7 +149,7 @@ class TestRunCutting:
         assert batched.epochs == scalar.epochs == 1
         assert batched.cursor == scalar.cursor == 6
         assert batched.space.time == scalar.space.time
-        decisions(plane, fused=WORDS + 4, live=2, blocked=2)
+        decisions(batched, fused=WORDS + 4, live=2, blocked=2)
 
 
 class TestTrackedBytesBlock:
@@ -159,19 +161,18 @@ class TestTrackedBytesBlock:
         the request still executes, because its load is consumption the
         fault bookkeeping has to see.
         """
-        tenant = build_tenant()
-        plane = BatchedDataPlane([tenant])
+        tenant = fused_tenant()
         addr = word_addr(tenant, 0)
         stored_bit = tenant.space.peek(addr)[0] & 1
         tenant.space.inject_hard_fault(addr, 0, stuck_value=stored_bit)
         calls = count_executes(tenant)
 
-        counts = plane.serve_requests(tenant, 40)
+        counts = tenant.serve(40)
 
         assert calls == [0]
         assert counts["ok"] == 40
         assert tenant.space.fault_consumption(addr) == (1, False)
-        decisions(plane, fused=39, live=1, blocked=1)
+        decisions(tenant, fused=39, live=1, blocked=1)
 
 
 class ScratchWorkload(MiniWorkload):
@@ -188,33 +189,31 @@ class ScratchWorkload(MiniWorkload):
 
 class TestHealing:
     def diverge_scratch(self):
-        tenant = ServeTenant("mini", ScratchWorkload(), requests_per_tick=4)
-        tenant.build()
-        plane = BatchedDataPlane([tenant])
-        plane.serve_requests(tenant, 4)
+        tenant = fused_tenant(ScratchWorkload())
+        tenant.serve(4)
         scratch = word_addr(tenant, 0) + ScratchWorkload.SCRATCH
         assert tenant.space.peek(scratch) == b"\xab"
         tenant.space.poke(scratch, b"\x11")  # what a faulty live query leaves
-        return tenant, plane, scratch, count_executes(tenant)
+        return tenant, scratch, count_executes(tenant)
 
     def test_store_first_divergence_fuses_and_is_healed(self):
-        tenant, plane, scratch, calls = self.diverge_scratch()
+        tenant, scratch, calls = self.diverge_scratch()
 
-        counts = plane.serve_requests(tenant, 4)
+        counts = tenant.serve(4)
 
         # The scratch byte is in every footprint but in no exposed read.
         assert calls == [] and counts["ok"] == 4
         assert tenant.space.peek(scratch) == b"\xab"
-        decisions(plane, fused=8)
+        decisions(tenant, fused=8)
 
     def test_the_changed_bytes_image_alone_cannot_heal(self, monkeypatch):
         """Golden re-stores 0xAB over 0xAB, so the write image omits it."""
         monkeypatch.setattr(TraceReplay, "_heal", lambda self, start, end: None)
-        tenant, plane, scratch, calls = self.diverge_scratch()
-        trace = plane._replays["mini"].trace
+        tenant, scratch, calls = self.diverge_scratch()
+        trace = tenant.replay.trace
         assert scratch not in trace.write_image(4, 8)[0]
 
-        plane.serve_requests(tenant, 4)
+        tenant.serve(4)
 
         assert calls == [] and tenant.space.peek(scratch) == b"\x11"
 
@@ -229,18 +228,17 @@ class TestWriteImage:
         # order: the image of a run must name each address once.
         assert np.unique(addrs).size == addrs.size
 
-        plane = BatchedDataPlane([tenant])
+        tenant.record_trace()
         calls = count_executes(tenant)
-        plane.serve_requests(tenant, 5)
+        tenant.serve(5)
 
         assert calls == []
         assert tenant.space.read_u32(word_addr(tenant, WORDS)) == 5
-        plane.serve_requests(tenant, 3)
+        tenant.serve(3)
         assert tenant.space.read_u32(word_addr(tenant, WORDS)) == 8
 
     def test_flip_survives_fused_writes_to_its_page(self):
-        tenant = build_tenant()
-        plane = BatchedDataPlane([tenant])
+        tenant = fused_tenant()
         # Same heap page as every word the queries read and write, but a
         # byte no query touches.
         addr = word_addr(tenant, 2 * WORDS + 7)
@@ -248,18 +246,17 @@ class TestWriteImage:
         tenant.apply_fault(addr, 4, FaultKind.SOFT)
         calls = count_executes(tenant)
 
-        counts = plane.serve_requests(tenant, 8)
+        counts = tenant.serve(8)
 
         assert calls == [] and counts["ok"] == 8
         assert tenant.space.peek(addr)[0] == golden ^ (1 << 4)
         assert addr in tenant.space.tracked_addresses()
-        decisions(plane, fused=8)
+        decisions(tenant, fused=8)
 
 
 class TestFusedLatency:
     def test_one_batch_report_per_fused_run_and_live_time_billed_live(self):
-        tenant = build_tenant()
-        plane = BatchedDataPlane([tenant])
+        tenant = fused_tenant()
         tenant.apply_fault(word_addr(tenant, 3), 0, FaultKind.SOFT)
         reports = []
         tenant.latency_sink = reports.append
@@ -271,7 +268,7 @@ class TestFusedLatency:
 
         tenant.workload.execute = slow_execute
 
-        plane.serve_requests(tenant, 8)
+        tenant.serve(8)
 
         # Fused run of 3, the live request alone, fused run of 4.
         assert [len(report) for report in reports] == [3, 1, 4]
@@ -287,24 +284,22 @@ class TestFusedLatency:
         reports = []
         tenant.latency_sink = reports.append
 
-        ScalarDataPlane([tenant]).serve_requests(tenant, 5)
+        tenant.serve_requests(5)
 
         assert [len(report) for report in reports] == [1] * 5
 
     def test_whole_epochs_report_one_batch(self):
-        tenant = ServeTenant("mini", ShortTrace(3))
-        tenant.build()
-        plane = BatchedDataPlane([tenant])
+        tenant = fused_tenant(ShortTrace(3))
         batches = []
         tenant.latency_sink = batches.append
 
-        plane.serve_requests(tenant, 3 * 4 + 2)
+        tenant.serve(3 * 4 + 2)
 
         # Pristine from the start: four whole epochs and the open one's
         # two requests are one accounting step, billed as one batch.
         assert [len(batch) for batch in batches] == [14]
         assert tenant.epochs == 4 and tenant.cursor == 2
-        decisions(plane, fused=14)
+        decisions(tenant, fused=14)
 
 
 class ForgetfulWorkload(MiniWorkload):
@@ -324,12 +319,11 @@ class TestGoldenCheckedRecording:
         assert isinstance(golden, tuple) and len(golden) == WORDS
         assert golden == tuple(tenant.workload.golden_responses())
 
-    def test_unrepeatable_replay_raises_at_plane_construction(self):
+    def test_unrepeatable_replay_raises_when_the_trace_is_recorded(self):
         tenant = ServeTenant("mini", ForgetfulWorkload())
         tenant.build()
-        ScalarDataPlane([tenant])  # executes every request: nothing to check
         with pytest.raises(RuntimeError, match="cannot stand in"):
-            BatchedDataPlane([tenant])
+            tenant.record_trace()
 
 
 class ScriptedWorkload(MiniWorkload):
@@ -466,11 +460,13 @@ class TestDivergedBytes:
         assert replay._diverged_bytes(0).tolist() == changed
 
 
-@pytest.mark.parametrize("plane_type", [ScalarDataPlane, BatchedDataPlane])
-def test_every_request_is_fused_or_live(plane_type):
+@pytest.mark.parametrize("fast_path", [False, True])
+def test_every_request_is_fused_or_live(fast_path):
+    """Off the fast path the trace is not recorded: every request is live."""
     tenant = build_tenant()
-    plane = plane_type([tenant])
-    plane.serve_requests(tenant, 6)
-    tally = plane.decisions["mini"]
+    tenant.space.set_fast_path(fast_path)
+    tenant.record_trace()
+    tenant.serve(6)
+    tally = tenant.decisions
     assert tally["fused"] + tally["live"] == 6
-    assert tally["live"] == (6 if plane_type is ScalarDataPlane else 0)
+    assert tally["live"] == (0 if fast_path else 6)

@@ -302,7 +302,7 @@ def cli_flows(tmp: Path) -> List[List[str]]:
         ),
         repro_cli(
             "serve", "--duration", "10", "--error-rate", "2.0", "--scale", "0.3",
-            "--policy", "recover-from-disk", "--data-plane", "scalar", "--json",
+            "--policy", "recover-from-disk", "--json",
         ),
         repro_cli("report", trace),
         repro_cli("report", ledger),
