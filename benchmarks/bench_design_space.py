@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Design-space exploration throughput → ``BENCH_design_space.json``.
 
-Times the two paths of ``repro.explore.explore`` on a 6-region ×
-12-candidate grid (12^6 ≈ 2.99M designs): the scalar oracle (one
-``DesignEvaluator.evaluate`` per design, O(k) memory) and ``auto``, the
-production path every caller gets — exact branch-and-bound over the
-contribution matrix. Before anything is timed, ``auto`` is checked for
+Times the design-space search on a 6-region × 12-candidate grid
+(12^6 ≈ 2.99M designs): the scalar oracle ``repro.oracles.explore`` (one
+``DesignEvaluator.evaluate`` per design, O(k) memory) and ``auto``,
+``repro.explore.explore``, the production path every caller gets —
+exact branch-and-bound over the contribution matrix. Before anything is timed, ``auto`` is checked for
 equality against the oracle on a reduced grid, for a top-5 and for the
 full feasible list (``top_k=None``). (The Monte Carlo validation of a
 winner is the fleet engine's one-server case; its timing, statistics
@@ -36,6 +36,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro import oracles  # noqa: E402
 from repro.core.design_space import (  # noqa: E402
     HardwareTechnique,
     RegionPolicy,
@@ -79,8 +80,8 @@ CANDIDATES = DEFAULT_CANDIDATES + (
 
 TARGET = 0.99985
 
-#: The oracle and what ``explore()`` runs when no backend is named.
-BACKENDS = ("scalar", "auto")
+#: The oracle and the production search, by their report labels.
+SEARCHES = {"scalar": oracles.explore, "auto": explore}
 
 METRIC_FIELDS = (
     "memory_cost_savings",
@@ -122,16 +123,15 @@ def check_search_equivalence(profile):
     regions = list(REGION_SPECS)[:3]  # 12^3 = 1728 designs
     for top_k in (TOP_K, None):
         result = {
-            backend: explore(
+            backend: search(
                 profile,
                 availability_target=TARGET,
                 recoverable_fractions=RECOVERABLE,
                 candidates=CANDIDATES,
                 regions=regions,
-                backend=backend,
                 top_k=top_k,
             )
-            for backend in BACKENDS
+            for backend, search in SEARCHES.items()
         }
         assert ranking(result["auto"]) == ranking(result["scalar"]), (
             f"top_k={top_k}: auto diverges from the scalar oracle"
@@ -144,7 +144,7 @@ def check_search_equivalence(profile):
         "designs_checked": result["scalar"].total_designs,
         "feasible_designs": result["scalar"].feasible_count,
         "top_k": [TOP_K, None],
-        "backends": list(BACKENDS),
+        "backends": list(SEARCHES),
         "identical": True,
     }
 
@@ -161,9 +161,8 @@ def bench_search(profile, smoke):
     )
 
     start = time.perf_counter()
-    scalar_result = explore(
+    scalar_result = oracles.explore(
         profile,
-        backend="scalar",
         candidates=CANDIDATES[:SCALAR_SAMPLE_CANDIDATES] if smoke else CANDIDATES,
         **common,
     )

@@ -14,7 +14,8 @@ pass its correctness gates:
   uncorrelated fleet (where routed availability saturates at 1.0) and
   on the optimizer's scenario — shocks at 1.5 % headroom — where it
   does not;
-* scalar and vectorized backends agree statistically on a small fleet.
+* the per-event reference (``repro.oracles.simulate_fleet``) and the
+  vectorized simulator agree statistically on a small fleet.
 
 Every simulated row records which draw path its chunks took
 (``aggregated`` block totals, or ``per-server`` when the 43 200-minute
@@ -50,6 +51,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro import oracles  # noqa: E402
 from repro.cluster import AvailabilitySimulator  # noqa: E402
 from repro.core.mapping import DesignEvaluator, paper_design_points  # noqa: E402
 from repro.core.taxonomy import ErrorOutcome  # noqa: E402
@@ -117,7 +119,7 @@ CLIP_BINDING = CorrelationConfig(
 )
 
 
-def simulate_with_path(profile, designs, config, **kwargs):
+def simulate_with_path(profile, designs, config):
     """``(result, path)`` of one vectorized run; ``path`` names the rows
     its chunks drew: ``aggregated``, ``per-server`` or ``mixed``."""
     spans = EventBuffer()
@@ -127,7 +129,6 @@ def simulate_with_path(profile, designs, config, **kwargs):
         config=config,
         seed=SEED,
         observer=Observer(sinks=[spans]),
-        **kwargs,
     )
     attrs = next(e.attrs for e in spans.events if e.name == "fleet")
     if not attrs["per_server_chunks"]:
@@ -256,15 +257,14 @@ def check_analytic(profile, designs):
 def check_scalar_equivalence(profile, designs):
     """Scalar and vectorized draws differ; their statistics must not."""
     config = FleetConfig(servers=10, months=48, month_chunk=16)
-    scalar = simulate_fleet(
-        profile, designs=designs, config=config, seed=SEED, backend="scalar"
+    scalar = oracles.simulate_fleet(
+        profile, designs=designs, config=config, seed=SEED
     )
     vectorized = simulate_fleet(
         profile,
         designs=designs,
         config=config,
         seed=SEED,
-        backend="auto",
     )
     divergence = abs(
         scalar.mean_machine_availability
@@ -302,9 +302,7 @@ def timed(call):
 def timed_simulation(profile, designs, config):
     """(median seconds, result, path) of the vectorized simulation."""
     seconds, (result, path) = timed(
-        lambda: simulate_with_path(
-            profile, designs, config, backend="auto"
-        )
+        lambda: simulate_with_path(profile, designs, config)
     )
     return seconds, result, path
 
@@ -325,8 +323,8 @@ def bench_simulation(profile, designs, smoke):
     # in a Python loop; time a composition-proportional sample and
     # extrapolate (the per-server-month work is constant).
     start = time.perf_counter()
-    simulate_fleet(
-        profile, designs=designs, config=sample, seed=SEED, backend="scalar"
+    oracles.simulate_fleet(
+        profile, designs=designs, config=sample, seed=SEED
     )
     sampled_seconds = time.perf_counter() - start
     sample_server_months = sample.servers * sample.months

@@ -11,9 +11,12 @@ moderate error rate and once (``faulty``) at one fault footprint per
 tick, where resident faults keep part of every quantum live. Reported
 numbers, per session and plane:
 
-* sustained requests/second and ticks/second over the session;
-* a determinism check — the session runs twice and the two ledgers
-  must be byte-identical (recorded, and a hard failure here);
+* sustained requests/second and ticks/second over the session, from
+  the median of :data:`REPEATS` (3) timed runs per plane, the planes
+  alternating which runs first; ``wall_seconds`` is that median and
+  ``wall_seconds_range`` the fastest and slowest run;
+* a determinism check — the ledgers of a plane's runs must be
+  byte-identical (recorded, and a hard failure here);
 * a replay audit — availability recomputed from the ledger alone must
   equal the live instruments;
 * each tenant's decision counts (fused / live, and why live; the
@@ -67,8 +70,9 @@ and ``flushes`` agree across planes, ``bytes_flushed`` is 0 — every
 serve flush follows a checkpoint restore, so it has nothing to copy —
 and so do the arrival counts.
 The headline number is ``speedup``
-(batched req/s over scalar req/s at the moderate rate), which gates CI
-at 2x in ``--smoke`` mode; the committed full run targets 5x.
+(batched req/s over scalar req/s at the moderate rate, both medians),
+which gates CI at 2x in ``--smoke`` mode; the committed full run
+targets 5x.
 
 Usage::
 
@@ -105,6 +109,8 @@ SMOKE_GATE_SPEEDUP = 2.0
 FULL_TARGET_SPEEDUP = 5.0
 #: Report labels: the scalar loop, and the fused entry as it ships.
 PLANES = ("scalar", "batched")
+#: Timed runs per plane (odd, so the median is one of them).
+REPEATS = 3
 #: The arrival counts, which must agree across planes.
 ARRIVAL_COUNTS = ("footprints", "footprint_bytes", "unmapped_bytes", "retired_bytes")
 
@@ -264,24 +270,18 @@ def heap_copies(tenant) -> int:
     return tenant.workload._allocator.materialized
 
 
-def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float):
-    """Timed run + determinism twin + replay audit for one plane."""
+def bench_run(base: dict, plane: str, ledger: Path, scale: float, load: float):
+    """One run of ``plane`` with its replay audit: ``(untimed report,
+    wall seconds)``."""
     result, elapsed, tenants, restore_causes, arrivals = run_session(
         base, plane, ledger, scale, load
     )
-
-    twin_path = ledger.with_suffix(".twin.jsonl")
-    run_session(base, plane, twin_path, scale, load)
-    byte_identical = ledger.read_bytes() == twin_path.read_bytes()
-    twin_path.unlink()
-
     replay = replay_ledger(load_ledger(ledger))
     audit_exact = all(
         summary.availability == result.instruments.availability_of(name)
         for name, summary in replay.tenants.items()
     )
 
-    requests_total = result.total_requests()
     decisions = {tenant.name: dict(tenant.decisions) for tenant in tenants}
     records = {}
     if plane == "batched":
@@ -294,7 +294,7 @@ def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float)
                 "restores": causes["checkpoint_restores"],
                 "touch_bound": causes["faults_routed"] + causes["restarts"] + 1,
             }
-    return {
+    report = {
         **records,
         "par_r": {tenant.name: par_r_counts(tenant) for tenant in tenants},
         "heap_copies": {tenant.name: heap_copies(tenant) for tenant in tenants},
@@ -308,14 +308,41 @@ def bench_plane(base: dict, plane: str, ledger: Path, scale: float, load: float)
             decision: sum(tally[decision] for tally in decisions.values())
             for decision in DECISIONS
         },
-        "wall_seconds": round(elapsed, 4),
-        "ticks_per_sec": round(base["duration_ticks"] / elapsed, 2),
-        "requests_per_sec": round(requests_total / elapsed, 2),
-        "requests_total": requests_total,
+        "requests_total": result.total_requests(),
         "ledger_events": len(result.events),
         "availability": result.availability(),
-        "determinism": {"byte_identical": byte_identical},
         "replay_audit": {"exact": audit_exact},
+    }
+    return report, elapsed
+
+
+def median(values):
+    """The middle of an odd number of samples."""
+    return sorted(values)[len(values) // 2]
+
+
+def timed_plane(base: dict, runs: list, ledgers: list) -> dict:
+    """One plane's report from its :data:`REPEATS` runs: the untimed
+    leaves of the first, the median wall time and its min-max, and
+    whether every run wrote the same ledger."""
+    report, _ = runs[0]
+    seconds = [elapsed for _, elapsed in runs]
+    middle = median(seconds)
+    first = ledgers[0].read_bytes()
+    report["arrivals"]["seconds"] = round(
+        median([run["arrivals"]["seconds"] for run, _ in runs]), 4
+    )
+    return {
+        **report,
+        "wall_seconds": round(middle, 4),
+        "wall_seconds_range": [round(min(seconds), 4), round(max(seconds), 4)],
+        "ticks_per_sec": round(base["duration_ticks"] / middle, 2),
+        "requests_per_sec": round(report["requests_total"] / middle, 2),
+        "determinism": {
+            "byte_identical": all(
+                ledger.read_bytes() == first for ledger in ledgers[1:]
+            )
+        },
     }
 
 
@@ -324,19 +351,33 @@ def bench_session(
 ):
     """Both planes over one seeded session, with the cross-plane checks.
 
-    The (identical) ledger stays at ``ledger_stem`` when ``keep_ledger``.
+    Each plane runs :data:`REPEATS` times, the planes alternating which
+    goes first. The (identical) ledger stays at ``ledger_stem`` when
+    ``keep_ledger``.
     """
     ledgers = {
-        plane: ledger_stem.with_suffix(f".{plane}.jsonl") for plane in PLANES
+        plane: [
+            ledger_stem.with_suffix(f".{plane}.{repeat}.jsonl")
+            for repeat in range(REPEATS)
+        ]
+        for plane in PLANES
     }
+    runs = {plane: [] for plane in PLANES}
+    for repeat in range(REPEATS):
+        for plane in PLANES if repeat % 2 == 0 else PLANES[::-1]:
+            runs[plane].append(
+                bench_run(base, plane, ledgers[plane][repeat], scale, load)
+            )
     planes = {}
     for plane in PLANES:
-        planes[plane] = bench_plane(base, plane, ledgers[plane], scale, load)
+        planes[plane] = timed_plane(base, runs[plane], ledgers[plane])
         report = planes[plane]
         tally = report["decisions_total"]
+        low, high = report["wall_seconds_range"]
         print(
             f"  {plane:8s} {report['requests_total']} requests in "
-            f"{report['wall_seconds']:.2f}s -> {report['requests_per_sec']} "
+            f"{report['wall_seconds']:.2f}s (median; {low:.2f}-{high:.2f}s) "
+            f"-> {report['requests_per_sec']} "
             f"req/s, fused={tally['fused']} live={tally['live']} "
             f"heap_copies={report['heap_copies']} "
             f"checkpoint_restores={report['checkpoint_restores']} "
@@ -350,13 +391,15 @@ def bench_session(
     # The speedup is only meaningful over identical executions: the two
     # planes must have written byte-identical ledgers.
     ledger_identical = (
-        ledgers["scalar"].read_bytes() == ledgers["batched"].read_bytes()
+        ledgers["scalar"][0].read_bytes() == ledgers["batched"][0].read_bytes()
     )
-    ledgers["batched"].unlink()
+    kept = ledgers["scalar"][0]
+    for path in ledgers["scalar"][1:] + ledgers["batched"]:
+        path.unlink()
     if keep_ledger:
-        ledgers["scalar"].rename(ledger_stem)
+        kept.rename(ledger_stem)
     else:
-        ledgers["scalar"].unlink()
+        kept.unlink()
     tally = planes["batched"]["decisions_total"]
     return {
         "error_rate": base["error_rate"],

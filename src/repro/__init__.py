@@ -81,7 +81,7 @@ from repro import api
 # to --log-level); see the stdlib logging HOWTO for the convention.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "api",

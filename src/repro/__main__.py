@@ -10,8 +10,7 @@ Thin orchestration over the library for the common reproduction tasks:
   optionally search for the cheapest design meeting ``--target``)
   against a fresh characterization;
 * ``explore`` — design-space exploration: rank the top-k designs
-  meeting an availability target (exact branch-and-bound;
-  ``--backend scalar`` runs the exhaustive oracle instead) and
+  meeting an availability target (exact branch-and-bound) and
   optionally Monte Carlo-validate the winner;
 * ``fleet`` — simulate a heterogeneous fleet of HRM servers (Monte
   Carlo + analytic cross-check) and optionally search fractional
@@ -57,9 +56,8 @@ from repro.core.recoverability import (
     overall_recoverability,
 )
 from repro.ecc import UnknownTechniqueError, available_techniques, make_codec
-from repro.explore import EXPLORE_BACKENDS, explore
+from repro.explore import explore
 from repro.fleet import (
-    FLEET_BACKENDS,
     AgingConfig,
     CorrelationConfig,
     FleetConfig,
@@ -405,14 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="optional incorrectness budget (errors per million queries)",
     )
     explore_cmd.add_argument(
-        "--backend", choices=EXPLORE_BACKENDS, default="auto",
-        help="'auto' is exact branch-and-bound, which finds the top-k "
-        "without enumerating the space (so 'feasible' is a lower "
-        "bound); 'scalar' is the exhaustive oracle, identical designs",
-    )
-    explore_cmd.add_argument(
         "--top-k", type=_top_k, default=5, metavar="K",
-        help="number of best feasible designs to rank (default 5)",
+        help="number of best feasible designs to rank (default 5); "
+        "branch-and-bound finds them without enumerating the space, so "
+        "'feasible' is a lower bound",
     )
     explore_cmd.add_argument(
         "--simulate-months", type=_month_count, default=0, metavar="N",
@@ -481,11 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="DRAM aging curve: 'flat', 'bathtub', or key=value pairs "
         "(infant, tau, onset, slope)",
-    )
-    fleet.add_argument(
-        "--backend", choices=FLEET_BACKENDS, default="auto",
-        help="fleet simulation engine ('auto' is the chunked NumPy "
-        "simulator; 'scalar' is the per-event reference)",
     )
     fleet.add_argument(
         "--sim-seed", type=int, default=0,
@@ -792,7 +781,6 @@ def _cmd_explore(arguments) -> int:
             error_label="single-bit hard",
             recoverable_fractions=fractions,
             max_incorrect_per_million=arguments.max_incorrect,
-            backend=arguments.backend,
             top_k=arguments.top_k,
             simulate_months=arguments.simulate_months,
             simulation_seed=arguments.sim_seed,
@@ -881,7 +869,6 @@ def _cmd_fleet(arguments) -> int:
             designs=designs,
             config=config,
             seed=arguments.sim_seed,
-            backend=arguments.backend,
             observer=observer,
             error_label="single-bit hard",
         )

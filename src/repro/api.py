@@ -52,11 +52,7 @@ from repro.core.mapping import DesignEvaluator, DesignMetrics, HRMDesign
 from repro.core.optimizer import DEFAULT_CANDIDATES
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
-from repro.explore import (
-    EXPLORE_BACKENDS as _EXPLORE_BACKENDS,
-    ExplorationResult,
-    SimulationValidation,
-)
+from repro.explore import ExplorationResult, SimulationValidation
 from repro.explore.engine import explore as _explore
 from repro.ecc.base import Codec, DecodeResult, DecodeStatus
 from repro.ecc.registry import (
@@ -71,12 +67,7 @@ from repro.fleet.config import (
     FleetConfig,
     FleetDesign,
 )
-from repro.fleet.engine import (
-    FLEET_BACKENDS as _FLEET_BACKENDS,
-    analyze_fleet,
-    optimize_fleet,
-    simulate_fleet,
-)
+from repro.fleet.engine import analyze_fleet, optimize_fleet, simulate_fleet
 from repro.exec.workers import resolve_workers
 from repro.fleet.analytic import AnalyticFleetResult
 from repro.fleet.optimizer import CompositionMetrics, FleetOptimizationResult
@@ -89,7 +80,7 @@ from repro.injection.injector import (
     ErrorSpec,
 )
 from repro.kernels.registry import available_kernels, get_kernel
-from repro.obs.live import BackgroundTelemetryServer, ObservabilityServer
+from repro.obs.live import ObservabilityServer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     BurnWindow,
@@ -114,7 +105,7 @@ from repro.serve import (
 
 #: Version of the *surface* (not the package): bumped on breaking
 #: changes to exported names or entry-point signatures.
-API_VERSION = "9.0"
+API_VERSION = "10.0"
 
 #: The documented tiers. Names within each tier are sorted; ``__all__``
 #: is their concatenation (the API-surface test pins both properties).
@@ -174,7 +165,6 @@ API_TIERS: Dict[str, Tuple[str, ...]] = {
         "Workload",
     ),
     "advanced": (
-        "BackgroundTelemetryServer",
         "CharacterizationCampaign",
         "Codec",
         "DEFAULT_CANDIDATES",
@@ -208,9 +198,11 @@ __all__ = [name for tier in API_TIERS.values() for name in tier]
 #: Registry of backend tuples behind :func:`available_backends`.
 _BACKEND_KINDS: Dict[str, Tuple[str, ...]] = {
     "campaign": tuple(_CAMPAIGN_BACKENDS),
-    "explore": tuple(_EXPLORE_BACKENDS),
-    "fleet": tuple(_FLEET_BACKENDS),
-    # Serving has one path since 9.0 (ServeTenant.serve).
+    # One path each: the search since 10.0 (branch-and-bound), the fleet
+    # simulator since 10.0 (chunked draws), serving since 9.0
+    # (ServeTenant.serve). Their oracles live in repro.oracles.
+    "explore": ("auto",),
+    "fleet": ("auto",),
     "serve": ("auto",),
 }
 
@@ -222,8 +214,8 @@ def available_backends(kind: str) -> Tuple[str, ...]:
 
     ======================  =============================================
     ``"campaign"``          :func:`run_campaign`
-    ``"explore"``           :func:`explore_design_space`
-    ``"fleet"``             :func:`simulate_fleet`
+    ``"explore"``           ``("auto",)``: no selector since 10.0
+    ``"fleet"``             ``("auto",)``: no selector since 10.0
     ``"serve"``             ``("auto",)``: no selector since 9.0
     ======================  =============================================
     """
@@ -290,7 +282,6 @@ def explore_design_space(
     cost_model: Optional[CostModel] = None,
     error_model: Optional[ErrorRateModel] = None,
     availability_params: Optional[AvailabilityParams] = None,
-    backend: str = "auto",
     top_k: Optional[int] = None,
     simulate_months: int = 0,
     simulation_seed: int = 0,
@@ -300,11 +291,11 @@ def explore_design_space(
 
     Evaluates per-region policy assignments from ``candidates`` and
     returns the cheapest design meeting the availability target (and
-    incorrectness budget, when given). ``auto`` (default) is exact
-    branch-and-bound over the per-(region, candidate) contribution
-    matrix, which visits only the subtrees that can hold an answer;
-    ``scalar`` is the one-design-at-a-time oracle it is tested against.
-    Both return identical designs, metrics and order.
+    incorrectness budget, when given): exact branch-and-bound over the
+    per-(region, candidate) contribution matrix, which visits only the
+    subtrees that can hold an answer. ``repro.oracles.explore`` is the
+    one-design-at-a-time oracle it is tested against; both return
+    identical designs, metrics and order.
 
     Args:
         profile: Measured vulnerability profile to evaluate against.
@@ -317,12 +308,10 @@ def explore_design_space(
         regions: Regions to assign policies to (default: all sized
             regions); a duplicate or unknown name is a ``ValueError``.
         cost_model / error_model / availability_params: Model overrides.
-        backend: ``auto`` / ``scalar``; ``result.backend`` names what
-            ran (``branch-and-bound`` or ``scalar``).
         top_k: When set, return only the k best feasible designs
             (memory-safe on huge spaces; ``feasible_count`` is then a
-            lower bound unless the oracle ran); when ``None``, every
-            feasible design, in the same order.
+            lower bound); when ``None``, every feasible design, in the
+            same order.
         simulate_months: When > 0, Monte Carlo-validate the winner over
             this many server-months (``result.simulation``).
         simulation_seed: Seed for the validation simulation.
@@ -340,7 +329,6 @@ def explore_design_space(
         cost_model=cost_model,
         error_model=error_model,
         availability_params=availability_params,
-        backend=backend,
         top_k=top_k,
         simulate_months=simulate_months,
         simulation_seed=simulation_seed,

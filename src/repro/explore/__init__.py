@@ -16,25 +16,19 @@ one scalar evaluation per design:
 * :mod:`repro.explore.pareto` — the O(n log n) sort-based front sweep;
 * :mod:`repro.explore.engine` — :func:`explore`, the one design-space
   search (``repro.api.explore_design_space``, ``repro explore``,
-  ``repro design --target``, the tenancy provisioner): branch-and-bound
-  or the scalar oracle it is tested against. Its Monte Carlo validation
-  of a winner is the fleet engine's one-server case
-  (:class:`repro.cluster.AvailabilitySimulator`).
+  ``repro design --target``, the tenancy provisioner): branch-and-bound,
+  tested against the scalar oracle :func:`repro.oracles.explore`. Its
+  Monte Carlo validation of a winner is the fleet engine's one-server
+  case (:class:`repro.cluster.AvailabilitySimulator`).
 """
 
 from repro.explore.batch import BatchDesignSpaceEvaluator, pareto_front
-from repro.explore.engine import (
-    EXPLORE_BACKENDS,
-    ExplorationResult,
-    SimulationValidation,
-    explore,
-)
+from repro.explore.engine import ExplorationResult, SimulationValidation, explore
 from repro.explore.matrix import ContributionMatrix, specialize_candidates
 from repro.explore.pareto import pareto_indices
 from repro.explore.search import BranchAndBoundResult, BranchAndBoundSearcher
 
 __all__ = [
-    "EXPLORE_BACKENDS",
     "ExplorationResult",
     "SimulationValidation",
     "explore",

@@ -7,22 +7,18 @@ that wants "the cheapest design meeting a target" (``repro design
 
 1. specialize the candidates per region (recoverable fractions bound
    into RECOVER policies);
-2. search — the production path builds a
-   :class:`~repro.explore.matrix.ContributionMatrix` and runs exact
-   branch-and-bound over it; the oracle evaluates every design through
-   :class:`~repro.core.mapping.DesignEvaluator`;
+2. search — build a :class:`~repro.explore.matrix.ContributionMatrix`
+   and run exact branch-and-bound over it (reported as
+   ``branch-and-bound``): it visits only the subtrees that can hold an
+   answer;
 3. optionally validate the winner with a Monte Carlo simulation (the
    fleet engine's one-server case) and report percentile confidence
    bounds next to the analytic prediction.
 
-Both paths return identical designs, metrics and order; they differ
-only in cost:
-
-============  ======================================================
-``auto``      branch-and-bound: exact, visits only the subtrees that
-              can hold an answer (reported as ``branch-and-bound``)
-``scalar``    the oracle: one full evaluation per design, O(space)
-============  ======================================================
+The oracle, one :class:`~repro.core.mapping.DesignEvaluator` evaluation
+per design, is :func:`repro.oracles.explore`: the same orchestration
+with :func:`_search_scalar` as the search step. Both return identical
+designs, metrics and order.
 
 ``top_k``: when set, ``feasible`` holds just the k best designs —
 branch-and-bound finds them after evaluating a few dozen of millions of
@@ -37,7 +33,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.availability import AvailabilityParams, ErrorRateModel
 from repro.core.cost_model import CostModel
@@ -53,15 +49,14 @@ from repro.obs.trace import NULL_OBSERVER, Observer
 from repro.utils.validation import check_fraction
 
 __all__ = [
-    "EXPLORE_BACKENDS",
     "ExplorationResult",
     "SimulationValidation",
     "explore",
 ]
 
-#: Backends accepted by :func:`explore`: the production path and its
-#: oracle.
-EXPLORE_BACKENDS = ("auto", "scalar")
+#: A search step: ``(evaluator, regions, specialized, availability_target,
+#: max_incorrect_per_million, top_k, observer) -> ExplorationResult``.
+SearchStep = Callable[..., "ExplorationResult"]
 
 
 @dataclass
@@ -137,7 +132,6 @@ def explore(
     cost_model: Optional[CostModel] = None,
     error_model: Optional[ErrorRateModel] = None,
     availability_params: Optional[AvailabilityParams] = None,
-    backend: str = "auto",
     top_k: Optional[int] = None,
     simulate_months: int = 0,
     simulation_seed: int = 0,
@@ -145,15 +139,52 @@ def explore(
 ) -> ExplorationResult:
     """Search the HRM design space; optionally validate by simulation.
 
-    ``backend="auto"`` is exact branch-and-bound for every ``top_k``
-    (``None`` = the full feasible list); ``"scalar"`` is the exhaustive
+    Exact branch-and-bound for every ``top_k`` (``None`` = the full
+    feasible list); :func:`repro.oracles.explore` is the exhaustive
     oracle it is tested against.
     """
+    return _explore(
+        "branch-and-bound",
+        _search_branch_and_bound,
+        profile,
+        availability_target=availability_target,
+        error_label=error_label,
+        recoverable_fractions=recoverable_fractions,
+        candidates=candidates,
+        max_incorrect_per_million=max_incorrect_per_million,
+        regions=regions,
+        cost_model=cost_model,
+        error_model=error_model,
+        availability_params=availability_params,
+        top_k=top_k,
+        simulate_months=simulate_months,
+        simulation_seed=simulation_seed,
+        observer=observer,
+    )
+
+
+def _explore(
+    resolved: str,
+    search: SearchStep,
+    profile: VulnerabilityProfile,
+    *,
+    availability_target: float,
+    error_label: str = "single-bit soft",
+    recoverable_fractions: Optional[Dict[str, float]] = None,
+    candidates: Sequence[RegionPolicy] = DEFAULT_CANDIDATES,
+    max_incorrect_per_million: Optional[float] = None,
+    regions: Optional[Sequence[str]] = None,
+    cost_model: Optional[CostModel] = None,
+    error_model: Optional[ErrorRateModel] = None,
+    availability_params: Optional[AvailabilityParams] = None,
+    top_k: Optional[int] = None,
+    simulate_months: int = 0,
+    simulation_seed: int = 0,
+    observer: Observer = NULL_OBSERVER,
+) -> ExplorationResult:
+    """:func:`explore` with ``search`` (named ``resolved`` in spans and
+    instruments) as its search step."""
     check_fraction("availability_target", availability_target)
-    if backend not in EXPLORE_BACKENDS:
-        raise ValueError(
-            f"unknown backend '{backend}'; expected one of {EXPLORE_BACKENDS}"
-        )
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     if simulate_months < 0:
@@ -169,10 +200,6 @@ def explore(
         regions = sorted(evaluator.region_sizes)
     _check_regions(profile, regions)
     specialized = specialize_candidates(regions, candidates, recoverable_fractions)
-    if backend == "scalar":
-        resolved, search = "scalar", _search_scalar
-    else:
-        resolved, search = "branch-and-bound", _search_branch_and_bound
     instruments = (
         ExplorationInstruments(observer.metrics)
         if observer.metrics is not None

@@ -9,8 +9,9 @@ Layers (each usable on its own):
   by simulator and analytic model (design blocks, staggered ages,
   bad-DIMM batches, refurbishment months);
 * :mod:`repro.fleet.simulator` — batched Monte Carlo over servers ×
-  months (chunked NumPy draws + scalar reference), byte-identical across
-  runs of one seed;
+  months (chunked NumPy draws; the per-event reference is
+  :func:`repro.oracles.simulate_fleet`), byte-identical across runs of
+  one seed;
 * :mod:`repro.fleet.analytic` — exact downtime moments plus
   normal-approximated routed availability; cross-validates the MC;
 * :mod:`repro.fleet.optimizer` — fractional-composition search against
@@ -34,12 +35,7 @@ from repro.fleet.config import (
     FleetDesign,
     apportion_servers,
 )
-from repro.fleet.engine import (
-    FLEET_BACKENDS,
-    analyze_fleet,
-    optimize_fleet,
-    simulate_fleet,
-)
+from repro.fleet.engine import analyze_fleet, optimize_fleet, simulate_fleet
 from repro.fleet.layout import DesignBlock, FleetLayout, RegionTable
 from repro.fleet.optimizer import (
     CompositionMetrics,
@@ -57,7 +53,6 @@ __all__ = [
     "CompositionMetrics",
     "CorrelationConfig",
     "DesignBlock",
-    "FLEET_BACKENDS",
     "FleetConfig",
     "FleetDesign",
     "FleetLayout",

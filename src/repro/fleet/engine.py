@@ -11,14 +11,15 @@ cheapest fleet meeting an availability target. All three accept
 five Table 6 design points) and resolve missing ``server_cost_savings``
 through the standard :class:`~repro.core.mapping.DesignEvaluator`.
 
-Backend convention: ``auto`` is the chunked NumPy simulator; ``scalar``
-names the per-event reference.
+:func:`simulate_fleet` draws with the chunked NumPy simulator;
+:func:`repro.oracles.simulate_fleet` is the same call with the per-event
+reference as its draw step.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.availability import AvailabilityParams, ErrorRateModel
 from repro.core.cost_model import CostModel
@@ -32,22 +33,23 @@ from repro.fleet.analytic import (
 from repro.fleet.config import FleetConfig, FleetDesign, apportion_servers
 from repro.fleet.layout import FleetLayout
 from repro.fleet.optimizer import FleetOptimizationResult, FleetOptimizer
-from repro.fleet.simulator import FleetSimulationResult, FleetSimulator
+from repro.fleet.simulator import FleetChunk, FleetSimulationResult, FleetSimulator
 from repro.obs.events import SPAN_FLEET, SPAN_FLEET_PHASE
 from repro.obs.instruments import FleetInstruments
 from repro.obs.trace import NULL_OBSERVER, Observer
 
 __all__ = [
-    "FLEET_BACKENDS",
     "analyze_fleet",
     "optimize_fleet",
     "simulate_fleet",
 ]
 
-#: Backends accepted by :func:`simulate_fleet`.
-FLEET_BACKENDS = ("auto", "scalar")
-
 DesignLike = Union[FleetDesign, HRMDesign]
+
+#: A draw step: ``(simulator, seed) -> (result, the chunks it drew)``.
+DrawStep = Callable[
+    [FleetSimulator, int], Tuple[FleetSimulationResult, List[FleetChunk]]
+]
 
 
 def _resolve_designs(
@@ -121,7 +123,6 @@ def simulate_fleet(
     composition: Optional[Mapping[str, float]] = None,
     config: Optional[FleetConfig] = None,
     seed: int = 0,
-    backend: str = "auto",
     observer: Observer = NULL_OBSERVER,
     cost_model: Optional[CostModel] = None,
     error_model: Optional[ErrorRateModel] = None,
@@ -142,17 +143,50 @@ def simulate_fleet(
         config: Fleet shape (:class:`FleetConfig`): size, horizon,
             demand headroom, aging, correlation, repair cadence.
         seed: Root seed; results are byte-identical across runs.
-        backend: ``auto`` / ``scalar``; ``result.backend`` names what
-            ran (``vectorized`` or ``scalar``).
         observer: Receives ``fleet`` spans and fleet instruments.
         cost_model / error_model / availability_params: Model overrides.
         error_label: Which characterized error type drives the rates.
         region_sizes: Region size overrides (default: profiled sizes).
     """
-    if backend not in FLEET_BACKENDS:
-        raise ValueError(
-            f"unknown backend '{backend}'; expected one of {FLEET_BACKENDS}"
-        )
+    return _simulate_fleet(
+        _draw_chunks,
+        profile,
+        designs=designs,
+        composition=composition,
+        config=config,
+        seed=seed,
+        observer=observer,
+        cost_model=cost_model,
+        error_model=error_model,
+        availability_params=availability_params,
+        error_label=error_label,
+        region_sizes=region_sizes,
+    )
+
+
+def _draw_chunks(
+    simulator: FleetSimulator, seed: int
+) -> Tuple[FleetSimulationResult, List[FleetChunk]]:
+    """The production draw step: chunked NumPy draws."""
+    return simulator.simulate(seed=seed), simulator.chunks
+
+
+def _simulate_fleet(
+    draw: DrawStep,
+    profile: VulnerabilityProfile,
+    *,
+    designs: Optional[Sequence[DesignLike]] = None,
+    composition: Optional[Mapping[str, float]] = None,
+    config: Optional[FleetConfig] = None,
+    seed: int = 0,
+    observer: Observer = NULL_OBSERVER,
+    cost_model: Optional[CostModel] = None,
+    error_model: Optional[ErrorRateModel] = None,
+    availability_params: Optional[AvailabilityParams] = None,
+    error_label: str = "single-bit soft",
+    region_sizes: Optional[Mapping[str, int]] = None,
+) -> FleetSimulationResult:
+    """:func:`simulate_fleet` with ``draw`` as its draw step."""
     config = config or FleetConfig()
     instruments = (
         FleetInstruments(observer.metrics)
@@ -184,13 +218,12 @@ def simulate_fleet(
             )
         with observer.span(SPAN_FLEET_PHASE, key="simulate"):
             simulator = FleetSimulator(layout, params=availability_params)
-            result = simulator.simulate(seed=seed, backend=backend)
+            result, chunks = draw(simulator, seed)
         if instruments is not None:
             instruments.record_simulation(result)
         # Which rows the chunks drew, and the guard that decided it: the
         # largest bound over the chunks, as log10 of a probability (None
         # when nothing in the configuration can add downtime at all).
-        chunks = simulator.chunks if backend == "auto" else []
         aggregated = sum(chunk.aggregated for chunk in chunks)
         bound = max(
             (chunk.clip_ln_bound for chunk in chunks), default=-math.inf

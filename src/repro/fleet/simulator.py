@@ -39,8 +39,9 @@ Months run in fixed ``config.month_chunk`` blocks, one after another;
 chunk ``i`` draws only from ``derive_seed(seed, "fleet-chunk-i")`` in
 canonical order and writes a disjoint month slice. Which rows a chunk
 draws depends on the configuration only, never on a draw; chunks of one
-run may differ. The ``scalar`` backend is the per-event Python
-reference (same law, one draw per error).
+run may differ. :meth:`FleetSimulator._simulate_scalar` is the
+per-event Python reference (same law, one draw per error), reached
+through :func:`repro.oracles.simulate_fleet`.
 """
 
 from __future__ import annotations
@@ -317,7 +318,7 @@ class FleetSimulator:
         #: :meth:`FleetLayout.block_months` as :attr:`chunks` guarded it.
         self._block_months: Dict[int, tuple] = {}
 
-    # -- auto backend (chunked NumPy draws) -----------------------------
+    # -- chunked NumPy draws -------------------------------------------
 
     @functools.cached_property
     def chunks(self) -> List[FleetChunk]:
@@ -350,16 +351,8 @@ class FleetSimulator:
             found.append(chunk)
         return found
 
-    def simulate(
-        self, seed: int = 0, backend: str = "auto"
-    ) -> FleetSimulationResult:
+    def simulate(self, seed: int = 0) -> FleetSimulationResult:
         """Run the full horizon, chunk by chunk in month order."""
-        if backend == "scalar":
-            return self._simulate_scalar(seed)
-        if backend != "auto":
-            raise ValueError(
-                f"unknown backend '{backend}'; expected 'auto' or 'scalar'"
-            )
         import numpy as np
 
         return self._merge(
@@ -529,7 +522,7 @@ class FleetSimulator:
                 result.crashes_by_design[name] += value
         return result
 
-    # -- scalar reference backend -------------------------------------
+    # -- per-event reference (repro.oracles.simulate_fleet) ------------
 
     def _simulate_scalar(self, seed: int) -> FleetSimulationResult:
         """Per-event Python loop (statistically equivalent reference)."""

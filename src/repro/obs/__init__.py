@@ -59,7 +59,7 @@ from repro.obs.instruments import (
     FleetInstruments,
     ServeInstruments,
 )
-from repro.obs.live import BackgroundTelemetryServer, ObservabilityServer
+from repro.obs.live import ObservabilityServer
 from repro.obs.metrics import (
     INJECTION_LATENCY_BUCKETS,
     Counter,
@@ -118,7 +118,6 @@ __all__ = [
     "FleetInstruments",
     "SERVE_LATENCY_BUCKETS",
     "ServeInstruments",
-    "BackgroundTelemetryServer",
     "ObservabilityServer",
     "INJECTION_LATENCY_BUCKETS",
     "Counter",

@@ -31,10 +31,6 @@ are scrape endpoints, not a web framework). ``port=0`` binds an
 ephemeral port, exposed via :attr:`ObservabilityServer.port` after
 :meth:`~ObservabilityServer.start`.
 
-:class:`BackgroundTelemetryServer` wraps the same server in a daemon
-thread with its own event loop for synchronous hosts (long
-``characterize`` campaigns) that have no loop of their own.
-
 Layering: this module must not import :mod:`repro.serve` — snapshots
 arrive as plain dicts from whoever hosts the server.
 """
@@ -43,14 +39,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloEngine
 
-__all__ = ["BackgroundTelemetryServer", "ObservabilityServer"]
+__all__ = ["ObservabilityServer"]
 
 _MAX_REQUEST_BYTES = 65536
 _SERVER_NAME = "repro-obs"
@@ -274,92 +269,3 @@ async def _respond_json(writer: asyncio.StreamWriter, payload: object) -> None:
         "application/json",
         json.dumps(payload, sort_keys=True) + "\n",
     )
-
-
-class BackgroundTelemetryServer:
-    """Host an :class:`ObservabilityServer` from synchronous code.
-
-    Spins a daemon thread running its own event loop; ``publish`` and
-    the lifecycle methods marshal onto that loop with
-    ``run_coroutine_threadsafe``. For long synchronous campaigns that
-    want a scrape endpoint without adopting asyncio themselves.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        slo: Optional[SloEngine] = None,
-    ) -> None:
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-obs-http", daemon=True
-        )
-        self._registry = registry
-        self._host = host
-        self._port = port
-        self._slo = slo
-        self.server: Optional[ObservabilityServer] = None
-
-    def start(self) -> "BackgroundTelemetryServer":
-        """Start the thread, loop, and HTTP server; returns self."""
-        self._thread.start()
-
-        async def _boot() -> ObservabilityServer:
-            server = ObservabilityServer(
-                self._registry, host=self._host, port=self._port, slo=self._slo
-            )
-            await server.start()
-            server.mark_ready()
-            return server
-
-        self.server = asyncio.run_coroutine_threadsafe(
-            _boot(), self._loop
-        ).result(timeout=10.0)
-        return self
-
-    @property
-    def port(self) -> int:
-        """The bound port."""
-        if self.server is None:
-            raise RuntimeError("background telemetry server not started")
-        return self.server.port
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running server."""
-        if self.server is None:
-            raise RuntimeError("background telemetry server not started")
-        return self.server.url
-
-    def publish(
-        self,
-        snapshot: Optional[Dict[str, object]] = None,
-        ledger_lines: Optional[List[str]] = None,
-    ) -> None:
-        """Thread-safe snapshot/ledger publish."""
-        if self.server is None:
-            raise RuntimeError("background telemetry server not started")
-        asyncio.run_coroutine_threadsafe(
-            self.server.publish(snapshot=snapshot, ledger_lines=ledger_lines),
-            self._loop,
-        ).result(timeout=10.0)
-
-    def stop(self) -> None:
-        """Stop the server, loop, and thread (idempotent)."""
-        if self.server is not None:
-            asyncio.run_coroutine_threadsafe(
-                self.server.stop(), self._loop
-            ).result(timeout=10.0)
-            self.server = None
-        if self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
-            self._loop.close()
-
-    def __enter__(self) -> "BackgroundTelemetryServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -87,8 +87,35 @@ class ServeTenant:
         self.workload = workload
         self.requests_per_tick = requests_per_tick
 
-        #: Tick until which the tenant is unavailable (exclusive).
-        self.down_until = 0
+        #: Optional wall-clock sink called with per-request execution
+        #: latencies in seconds: one element per request the scalar loop
+        #: executes, one list per run :meth:`serve` fuses.
+        #: Observational telemetry only — latency never reaches the
+        #: ledger, so the determinism invariant holds.
+        self.latency_sink: Optional[Callable[[List[float]], None]] = None
+        # Attached by the partition (physical budget shared across tenants).
+        self._retirement: Optional[PageRetirementPolicy] = None
+        self._to_host: Optional[Callable[[int], int]] = None
+        # The serving state is set by build(), so a rebuilt tenant starts
+        # a session exactly as a new one does.
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def build(self) -> None:
+        """Build the workload, record golden responses, create backings.
+
+        Golden responses are captured by a full fault-free trace replay,
+        then the workload is reset to its checkpoint so serving starts
+        pristine. Backings: file-backed regions get a read-only golden
+        mirror (implicit recoverability); the heap gets a Par+R writable
+        mirror flushed at every epoch boundary. Stack and other regions
+        get none — recover-from-disk escalates there.
+
+        Every call starts the tenant afresh: the serving state is set
+        here, so a tenant that served a session serves the next one as
+        a new tenant would.
+        """
         #: Set when a request died fatally; the multiplexer must respond.
         self.needs_restart = False
         #: Ticks of downtime requested by the last restart; consumed by
@@ -96,12 +123,6 @@ class ServeTenant:
         self.pending_downtime = 0
         #: Epochs completed (trace wraps).
         self.epochs = 0
-        #: Optional wall-clock sink called with per-request execution
-        #: latencies in seconds: one element per request the scalar loop
-        #: executes, one list per run :meth:`serve` fuses.
-        #: Observational telemetry only — latency never reaches the
-        #: ledger, so the determinism invariant holds.
-        self.latency_sink: Optional[Callable[[List[float]], None]] = None
         #: Checkpoint restores the counters stand for (restarts and epoch
         #: wraps, owed ones included).
         self.generation = 0
@@ -118,31 +139,12 @@ class ServeTenant:
         #: The fault state the last wrap installed, while nothing has
         #: reached the tenant since (:attr:`epoch_key`).
         self._epoch_key: Optional[tuple] = None
-
         self._cursor = 0
-        self._golden: List[object] = []
         #: Resident hard faults: addr -> (bit, stuck_value).
         self._resident: Dict[int, Tuple[int, int]] = {}
         self._store = BackingStore()
         self._backings: Dict[str, RegionBacking] = {}
 
-        # Attached by the partition (physical budget shared across tenants).
-        self._retirement: Optional[PageRetirementPolicy] = None
-        self._to_host: Optional[Callable[[int], int]] = None
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def build(self) -> None:
-        """Build the workload, record golden responses, create backings.
-
-        Golden responses are captured by a full fault-free trace replay,
-        then the workload is reset to its checkpoint so serving starts
-        pristine. Backings: file-backed regions get a read-only golden
-        mirror (implicit recoverability); the heap gets a Par+R writable
-        mirror flushed at every epoch boundary. Stack and other regions
-        get none — recover-from-disk escalates there.
-        """
         self.workload.build()
         self.workload.checkpoint()
         self._golden = self.workload.golden_responses()
@@ -285,7 +287,7 @@ class ServeTenant:
 
         Returns the number of resident hard faults repaired. The caller
         (the multiplexer) converts ``downtime_ticks`` into ``down``
-        request dispositions via :attr:`down_until`. Whatever memory is
+        request dispositions. Whatever memory is
         owed is dropped: the restore overwrites it, and progress and
         clock with it.
         """

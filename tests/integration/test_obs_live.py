@@ -14,7 +14,6 @@ import io
 import json
 import subprocess
 import sys
-import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -22,7 +21,6 @@ from pathlib import Path
 import pytest
 
 from repro.obs import (
-    BackgroundTelemetryServer,
     MetricsRegistry,
     ObservabilityServer,
     assert_scrape_parses,
@@ -201,22 +199,6 @@ class TestLiveEndpoints:
             assert server.quit_event.is_set()
 
         asyncio.run(_run_session_with_server(probe=probe))
-
-
-class TestBackgroundTelemetryServer:
-    def test_serves_healthz_and_stops_without_a_thread_left(self):
-        before = set(threading.enumerate())
-        server = BackgroundTelemetryServer(MetricsRegistry(), port=0).start()
-        try:
-            assert server.port > 0
-            status, body = _fetch(server.url + "/healthz")
-        finally:
-            server.stop()
-        assert status == 200
-        assert body.strip() == "ok"
-        assert server.server is None
-        assert set(threading.enumerate()) <= before
-        server.stop()  # idempotent
 
 
 class TestLedgerTail:

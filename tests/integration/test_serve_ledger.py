@@ -30,6 +30,7 @@ from repro.obs.top import run_top, snapshot_from_ledger
 from repro.serve import (
     LEDGER_VERSION,
     ServeConfig,
+    default_tenants,
     load_ledger,
     replay_ledger,
     run_serve,
@@ -94,6 +95,25 @@ class TestDeterminism:
 
         assert asyncio.run(count_tasks(None)) == 0
         assert asyncio.run(count_tasks(stagger)) == 3 * CONFIG.duration_ticks
+
+    def test_a_reused_tenant_list_serves_as_a_fresh_one(self, tmp_path):
+        """A second session on the same tenant objects must not start
+        from the first one's cursor, epochs, resident faults, owed
+        memory or decisions: ``build()`` makes every tenant new."""
+        config = ServeConfig(duration_ticks=20, error_rate=1.0, seed=5)
+
+        def session(tenants, name):
+            ledger = tmp_path / f"{name}.jsonl"
+            run_serve(config, tenants=tenants, ledger_path=ledger, scale=0.1)
+            decisions = {t.name: dict(t.decisions) for t in tenants}
+            return ledger.read_bytes(), decisions
+
+        reused = default_tenants(scale=0.1)
+        first = session(reused, "first")
+        second = session(reused, "second")
+        fresh = session(default_tenants(scale=0.1), "fresh")
+        assert first == fresh
+        assert second == fresh
 
     def test_replay_equal_across_runs(self, tmp_path):
         first, _ = run_once(tmp_path, "ra")

@@ -2,7 +2,7 @@
 
 The matrix, batch and branch-and-bound paths promise *bit-identical*
 results to the scalar reference: ``DesignEvaluator`` one design at a
-time, ``explore(backend="scalar")`` for whole searches. Hypothesis
+time, ``repro.oracles.explore`` for whole searches. Hypothesis
 drives that contract across random profiles, region counts, candidate
 subsets and recoverable fractions — the inputs the seed-profile unit
 tests cannot vary.
@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import oracles
 from repro.core.design_space import (
     HardwareTechnique,
     RegionPolicy,
@@ -25,7 +26,6 @@ from repro.core.optimizer import DEFAULT_CANDIDATES
 from repro.core.taxonomy import ErrorOutcome
 from repro.core.vulnerability import VulnerabilityProfile
 from repro.explore import (
-    EXPLORE_BACKENDS,
     BatchDesignSpaceEvaluator,
     BranchAndBoundSearcher,
     ContributionMatrix,
@@ -131,8 +131,8 @@ class Space(NamedTuple):
     def matrix(self):
         return ContributionMatrix.build(self.evaluator, self.regions, self.specialized)
 
-    def explore(self, target, **options):
-        return explore(
+    def explore(self, target, search=explore, **options):
+        return search(
             self.profile,
             availability_target=target,
             recoverable_fractions=self.fractions,
@@ -208,7 +208,7 @@ class TestSearchEquivalence:
         top_k=st.integers(min_value=1, max_value=6),
     )
     def test_branch_and_bound_matches_exhaustive(self, space, target, top_k):
-        exhaustive = space.explore(target, backend="scalar")
+        exhaustive = space.explore(target, search=oracles.explore)
         matrix = space.matrix()
         bounded = BranchAndBoundSearcher(matrix).search(target, top_k=top_k)
         expected = exhaustive.feasible[:top_k]
@@ -228,7 +228,7 @@ class TestSearchEquivalence:
     def test_vectorized_search_matches_scalar(self, space, target):
         """The full feasible list: the production path (where the
         exhaustive vectorized scan stood) against the oracle."""
-        scalar = space.explore(target, backend="scalar")
+        scalar = space.explore(target, search=oracles.explore)
         auto = space.explore(target)
         assert [m.design.name for m in auto.feasible] == [
             m.design.name for m in scalar.feasible
@@ -323,16 +323,17 @@ class TestAutoMatchesEveryNamedBackend:
     def test_names_metrics_and_order(self, space, target, budget, top_k):
         prof, candidates, fractions = space
         results = {
-            backend: explore(
+            backend: search(
                 prof,
                 availability_target=target,
                 recoverable_fractions=fractions,
                 candidates=candidates,
                 max_incorrect_per_million=budget,
-                backend=backend,
                 top_k=top_k,
             )
-            for backend in EXPLORE_BACKENDS
+            for backend, search in (
+                ("auto", explore), ("scalar", oracles.explore)
+            )
         }
         auto, oracle = results["auto"], results["scalar"]
         assert auto.backend == "branch-and-bound"

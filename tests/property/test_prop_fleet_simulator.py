@@ -33,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import oracles
 from repro.core.availability import (
     MINUTES_PER_MONTH,
     ErrorRateModel,
@@ -434,7 +435,13 @@ class TestAgainstTheUnthinnedChain:
         ours, scalar = [], []
         for seed in range(40):
             fast = simulator.simulate(seed=seed)
-            slow = simulator.simulate(seed=seed, backend="scalar")
+            slow = oracles.simulate_fleet(
+                PROFILE,
+                designs=DESIGNS,
+                config=config,
+                seed=seed,
+                error_model=error_model,
+            )
             ours.append(list(fast.downtime_by_design.values()))
             scalar.append(list(slow.downtime_by_design.values()))
             for result in (fast, slow):

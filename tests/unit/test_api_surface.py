@@ -38,7 +38,7 @@ class TestSurfaceInventory:
         ]
 
     def test_api_version_tracks_package_major(self):
-        assert api.API_VERSION == "9.0"
+        assert api.API_VERSION == "10.0"
         assert (
             api.API_VERSION.split(".")[0] == repro.__version__.split(".")[0]
         )
@@ -80,7 +80,7 @@ class TestAvailableBackends:
         assert api.available_backends("campaign") == ("pruned", "scalar")
 
     def test_fleet_backends(self):
-        assert api.available_backends("fleet") == ("auto", "scalar")
+        assert api.available_backends("fleet") == ("auto",)
 
     def test_serve_has_one_backend(self):
         assert api.available_backends("serve") == ("auto",)
@@ -100,15 +100,12 @@ class TestAvailableBackends:
 
     def test_names_removed_in_4_0_are_rejected(self):
         """``vectorized`` (campaign, fleet) selected nothing the defaults
-        do not. Serve's ``batched`` went with the whole selector in 9.0."""
+        do not. Serve's ``batched`` went with the whole selector in 9.0,
+        the fleet's selector in 10.0."""
         with pytest.raises(ValueError, match="unknown backend 'vectorized'"):
             api.run_campaign(api.WebSearch(), backend="vectorized")
         with pytest.raises(ValueError, match="unknown backend 'vectorized'"):
             api.campaign_fingerprint(api.CampaignConfig(), backend="vectorized")
-        with pytest.raises(ValueError, match="unknown backend 'vectorized'"):
-            api.simulate_fleet(
-                api.VulnerabilityProfile(app="none"), backend="vectorized"
-            )
 
     def test_names_removed_in_5_0_are_gone(self):
         """One per-trial record (``TrialRecord``, which ``measure_trial``
@@ -321,6 +318,35 @@ class TestAvailableBackends:
             "defer", "wrap_epoch", "fused_advance", "owed_quantum", "owed_restore",
         ):
             assert not hasattr(ServeTenant, name), name
+
+    def test_names_removed_in_10_0_are_gone(self):
+        """One design-space search and one fleet simulator: their
+        oracles are ``repro.oracles``, outside the API, with no selector
+        left to pass. The unused threaded telemetry host is gone too."""
+        import repro.explore
+        import repro.fleet
+        import repro.obs
+        from repro import oracles
+
+        for module, name in (
+            (repro.explore, "EXPLORE_BACKENDS"),
+            (repro.fleet, "FLEET_BACKENDS"),
+            (repro.obs, "BackgroundTelemetryServer"),
+        ):
+            assert not hasattr(module, name), name
+            assert not hasattr(api, name), name
+        profile = api.VulnerabilityProfile(app="none")
+        for backend in ("auto", "scalar"):
+            with pytest.raises(TypeError):
+                api.explore_design_space(
+                    profile, availability_target=0.9, backend=backend
+                )
+            with pytest.raises(TypeError):
+                api.simulate_fleet(profile, backend=backend)
+        assert api.available_backends("explore") == ("auto",)
+        assert api.available_backends("fleet") == ("auto",)
+        assert "oracles" not in api.__all__ and not hasattr(api, "oracles")
+        assert oracles.__all__ == ["explore", "simulate_fleet"]
 
     def test_the_scalar_oracle_is_serial(self):
         config = api.CampaignConfig(trials_per_cell=1, queries_per_trial=2)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import repro.__main__ as cli
+from repro import oracles
 from repro.__main__ import main
 
 
@@ -248,20 +250,30 @@ class TestExploreCommand:
         "--scale", "0.3", "--target", "0.5",
     ]
 
-    def test_table_lists_top_k(self, capsys):
-        assert main(self.BASE + ["--top-k", "3", "--backend", "scalar"]) == 0
+    @staticmethod
+    def run_oracle(argv, monkeypatch):
+        """``main(argv)`` with the exhaustive oracle as the CLI's search
+        (there is no flag for it since 10.0)."""
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "explore", oracles.explore)
+            return main(argv)
+
+    def test_table_lists_top_k(self, capsys, monkeypatch):
+        assert self.run_oracle(self.BASE + ["--top-k", "3"], monkeypatch) == 0
         output = capsys.readouterr().out
         assert "backend=scalar" in output
         assert "srv save" in output
         # Three ranked rows.
         assert all(f"\n {rank} " in output for rank in (1, 2, 3))
 
-    def test_backends_print_identical_rankings(self, capsys):
+    def test_backends_print_identical_rankings(self, capsys, monkeypatch):
         payloads = {}
-        for backend in ("auto", "scalar"):
-            code = main(
-                self.BASE + ["--top-k", "3", "--backend", backend, "--json"]
-            )
+        argv = self.BASE + ["--top-k", "3", "--json"]
+        for backend, run in (
+            ("auto", main),
+            ("scalar", lambda argv: self.run_oracle(argv, monkeypatch)),
+        ):
+            code = run(argv)
             assert code == 0
             payloads[backend] = json.loads(capsys.readouterr().out)
         assert payloads["auto"]["top"] == payloads["scalar"]["top"]
@@ -270,28 +282,34 @@ class TestExploreCommand:
         assert payloads["auto"]["pruned"] > 0
         assert payloads["scalar"]["pruned"] == 0
 
-    @pytest.mark.parametrize("backend", ["vectorized", "branch-and-bound"])
-    def test_removed_backend_names_are_rejected(self, backend, capsys):
+    @pytest.mark.parametrize(
+        "backend", ["auto", "scalar", "vectorized", "branch-and-bound"]
+    )
+    def test_backend_flag_removed_in_10_0(self, backend, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(self.BASE + ["--backend", backend])
         assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
-    def test_feasible_is_a_lower_bound_unless_enumerated(self, capsys):
-        """The default backend prunes instead of counting, so its
+    def test_feasible_is_a_lower_bound_unless_enumerated(
+        self, capsys, monkeypatch
+    ):
+        """The production search prunes instead of counting, so its
         feasible count must not read like the exhaustive one."""
         assert main(self.BASE + ["--top-k", "3"]) == 0
         output = capsys.readouterr().out
         assert "backend=branch-and-bound" in output
         assert "feasible>=3" in output
-        assert main(self.BASE + ["--top-k", "3", "--backend", "scalar"]) == 0
+        assert self.run_oracle(self.BASE + ["--top-k", "3"], monkeypatch) == 0
         output = capsys.readouterr().out
         assert "feasible>=" not in output and "feasible=" in output
         exact = {}
-        for backend in ("auto", "scalar"):
-            code = main(
-                self.BASE + ["--top-k", "3", "--backend", backend, "--json"]
-            )
+        argv = self.BASE + ["--top-k", "3", "--json"]
+        for backend, run in (
+            ("auto", main),
+            ("scalar", lambda argv: self.run_oracle(argv, monkeypatch)),
+        ):
+            code = run(argv)
             assert code == 0
             exact[backend] = json.loads(capsys.readouterr().out)
         assert exact["auto"]["feasible_count_exact"] is False
@@ -302,8 +320,7 @@ class TestExploreCommand:
 
     def test_simulation_summary_printed(self, capsys):
         code = main(
-            self.BASE + ["--top-k", "1", "--backend", "scalar",
-                         "--simulate-months", "60"]
+            self.BASE + ["--top-k", "1", "--simulate-months", "60"]
         )
         assert code == 0
         output = capsys.readouterr().out
@@ -312,8 +329,7 @@ class TestExploreCommand:
 
     def test_json_includes_simulation(self, capsys):
         code = main(
-            self.BASE + ["--top-k", "1", "--backend", "scalar",
-                         "--simulate-months", "40", "--json"]
+            self.BASE + ["--top-k", "1", "--simulate-months", "40", "--json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -323,8 +339,7 @@ class TestExploreCommand:
     def test_metrics_out_records_instruments(self, capsys, tmp_path):
         metrics = tmp_path / "explore.json"
         code = main(
-            self.BASE + ["--top-k", "2", "--backend", "scalar",
-                         "--metrics-out", str(metrics)]
+            self.BASE + ["--top-k", "2", "--metrics-out", str(metrics)]
         )
         assert code == 0
         capsys.readouterr()
@@ -390,6 +405,13 @@ class TestFleetCommand:
             "0 aggregated + 1 per-server chunks, P(clip binds) <= 10^0.0"
             in capsys.readouterr().out
         )
+
+    @pytest.mark.parametrize("backend", ["auto", "scalar", "vectorized"])
+    def test_backend_flag_removed_in_10_0(self, backend, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.BASE + ["--backend", backend])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_sim_seed_reproducible_across_workers(self, capsys):
         # No worker count to vary since 6.0: --sim-workers is gone, and

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import api
+from repro import api, oracles
 from repro.cluster import AvailabilitySimulator
 from repro.core.design_space import (
     HardwareTechnique,
@@ -141,7 +141,7 @@ class TestVectorizedSearch:
             recoverable_fractions=FRACTIONS,
             regions=REGIONS,
         )
-        scalar = explore(profile, backend="scalar", **kwargs)
+        scalar = oracles.explore(profile, **kwargs)
         auto = explore(profile, **kwargs)
         assert auto.evaluated + auto.pruned == scalar.evaluated
         assert auto.feasible_count == scalar.feasible_count
@@ -158,7 +158,7 @@ class TestVectorizedSearch:
             max_incorrect_per_million=0.5,
             regions=REGIONS,
         )
-        scalar = explore(profile, backend="scalar", **kwargs)
+        scalar = oracles.explore(profile, **kwargs)
         auto = explore(profile, **kwargs)
         assert auto.pruned_by["incorrectness"] > 0
         assert [m.design.name for m in auto.feasible] == [
@@ -249,13 +249,12 @@ class TestParetoFront:
 
 class TestBranchAndBound:
     def exhaustive_top(self, profile, target, k, budget=None):
-        result = explore(
+        result = oracles.explore(
             profile,
             availability_target=target,
             recoverable_fractions=FRACTIONS,
             max_incorrect_per_million=budget,
             regions=REGIONS,
-            backend="scalar",
         )
         return result.feasible[:k]
 
@@ -302,18 +301,18 @@ class TestBranchAndBound:
 
 
 class TestExploreEngine:
-    BACKENDS = ("auto", "scalar")
+    #: The production search and its oracle.
+    SEARCHES = {"auto": explore, "scalar": oracles.explore}
 
     def test_backends_agree_on_top_k(self, profile):
         results = {
-            backend: explore(
+            backend: search(
                 profile,
                 availability_target=0.999,
                 recoverable_fractions=FRACTIONS,
-                backend=backend,
                 top_k=4,
             )
-            for backend in self.BACKENDS
+            for backend, search in self.SEARCHES.items()
         }
         names = {
             backend: [m.design.name for m in result.feasible]
@@ -333,11 +332,10 @@ class TestExploreEngine:
     def test_full_feasible_list_without_top_k(self, profile, evaluator, specialized):
         """The oracle's full list is the filtered, sorted enumeration —
         spelled out here, independent of ``explore``'s own loop."""
-        result = explore(
+        result = oracles.explore(
             profile,
             availability_target=0.999,
             recoverable_fractions=FRACTIONS,
-            backend="scalar",
             regions=REGIONS,
         )
         reference = [
@@ -371,7 +369,7 @@ class TestExploreEngine:
             recoverable_fractions=FRACTIONS,
             regions=REGIONS,
         )
-        reference = explore(profile, backend="scalar", **kwargs)
+        reference = oracles.explore(profile, **kwargs)
         ranked = explore(profile, top_k=3, **kwargs)
         assert ranked.backend == "branch-and-bound"
         assert ranked.evaluated < ranked.total_designs
@@ -389,9 +387,10 @@ class TestExploreEngine:
             m.design.name for m in reference.feasible[:3]
         ]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", SEARCHES)
     def test_regions_are_validated_before_dispatch(self, profile, backend):
-        kwargs = dict(availability_target=0.9, backend=backend, top_k=1)
+        explore = self.SEARCHES[backend]
+        kwargs = dict(availability_target=0.9, top_k=1)
         with pytest.raises(ValueError, match="'private'.*more than once"):
             explore(profile, regions=["private", "private"], **kwargs)
         with pytest.raises(ValueError, match="unknown region 'nope'"):
@@ -420,7 +419,7 @@ class TestExploreEngine:
                 top_k=top_k,
             )
             ranked = explore(profile, **kwargs)
-            oracle = explore(profile, backend="scalar", **kwargs)
+            oracle = oracles.explore(profile, **kwargs)
             assert [m.design.name for m in ranked.feasible] == [
                 m.design.name for m in oracle.feasible
             ]
@@ -429,10 +428,9 @@ class TestExploreEngine:
             assert ranked.evaluated == evaluated
 
     def test_simulation_validation(self, profile):
-        result = explore(
+        result = oracles.explore(
             profile,
             availability_target=0.999,
-            backend="scalar",
             top_k=1,
             simulate_months=150,
             simulation_seed=7,
@@ -516,8 +514,6 @@ class TestExploreEngine:
 
     def test_validation_errors(self, profile):
         with pytest.raises(ValueError):
-            explore(profile, availability_target=0.999, backend="quantum")
-        with pytest.raises(ValueError):
             explore(profile, availability_target=0.999, top_k=0)
         with pytest.raises(ValueError):
             explore(profile, availability_target=0.999, simulate_months=-1)
@@ -528,14 +524,14 @@ class TestExploreEngine:
 class TestApiFacade:
     def test_explore_design_space_delegates(self, profile):
         result = api.explore_design_space(
-            profile, availability_target=0.999, backend="scalar", top_k=2
+            profile, availability_target=0.999, top_k=2
         )
         assert isinstance(result, api.ExplorationResult)
         assert result.found
         assert len(result.feasible) == 2
 
     def test_backend_tuples_exported(self):
-        assert api.available_backends("explore") == ("auto", "scalar")
+        assert api.available_backends("explore") == ("auto",)
         with pytest.raises(ValueError):
             api.available_backends("search")
 

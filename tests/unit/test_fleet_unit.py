@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import oracles
 from repro.core.availability import ErrorRateModel, design_outcome_rates
 from repro.core.mapping import (
     consumer_pc,
@@ -246,12 +247,11 @@ class TestBackends:
     def test_scalar_matches_vectorized_statistics(self, profile, designs):
         error_model = ErrorRateModel(errors_per_server_month=40.0)
         config = FleetConfig(servers=8, months=60, month_chunk=16)
-        scalar = simulate_fleet(
+        scalar = oracles.simulate_fleet(
             profile,
             designs=designs,
             config=config,
             seed=11,
-            backend="scalar",
             error_model=error_model,
         )
         vectorized = simulate_fleet(
@@ -259,7 +259,6 @@ class TestBackends:
             designs=designs,
             config=config,
             seed=11,
-            backend="auto",
             error_model=error_model,
         )
         assert scalar.backend == "scalar"
@@ -273,17 +272,8 @@ class TestBackends:
 
     def test_auto_resolves_to_vectorized_with_numpy(self, profile, designs):
         config = FleetConfig(servers=10, months=12, month_chunk=8)
-        result = simulate_fleet(
-            profile, designs=designs, config=config, backend="auto"
-        )
+        result = simulate_fleet(profile, designs=designs, config=config)
         assert result.backend == "vectorized"
-
-    def test_unknown_backend_rejected(self, profile, designs):
-        """``vectorized`` was an alias of ``auto`` until 4.0; it is still
-        what ``result.backend`` reads."""
-        for backend in ("fpga", "vectorized"):
-            with pytest.raises(ValueError, match="expected one of"):
-                simulate_fleet(profile, designs=designs, backend=backend)
 
 
 class TestDesignDowntimeReconciles:
@@ -303,17 +293,20 @@ class TestDesignDowntimeReconciles:
     )
 
     @pytest.mark.parametrize(
-        "backend", [pytest.param("auto", id="vectorized"), "scalar"]
+        "simulate",
+        [
+            pytest.param(simulate_fleet, id="vectorized"),
+            pytest.param(oracles.simulate_fleet, id="scalar"),
+        ],
     )
     def test_design_and_month_totals_are_the_same_minutes(
-        self, profile, designs, backend
+        self, profile, designs, simulate
     ):
-        result = simulate_fleet(
+        result = simulate(
             profile,
             designs=designs,
             config=self.CONFIG,
             seed=4,
-            backend=backend,
             error_model=ErrorRateModel(errors_per_server_month=40.0),
         )
         # The clip binds: far more shock minutes were drawn than fit.
@@ -922,14 +915,13 @@ class TestEngineResolution:
     def test_simulate_span_says_which_path_ran_and_why(self, profile, designs):
         from repro.obs import EventBuffer, Observer
 
-        def attrs(config, **kwargs):
+        def attrs(config, simulate=simulate_fleet):
             buffer = EventBuffer()
-            simulate_fleet(
+            simulate(
                 profile,
                 designs=designs,
                 config=config,
                 observer=Observer(sinks=[buffer]),
-                **kwargs,
             )
             (span,) = [e for e in buffer.events if e.name == "fleet"]
             return span.attrs
@@ -952,8 +944,8 @@ class TestEngineResolution:
         found = attrs(shocked)
         assert (found["aggregated_chunks"], found["per_server_chunks"]) == (0, 3)
         assert found["clip_log10_bound"] == 0.0
-        # The scalar backend has no chunks to report.
-        found = attrs(quiet, backend="scalar")
+        # The per-event oracle has no chunks to report.
+        found = attrs(quiet, simulate=oracles.simulate_fleet)
         assert (found["aggregated_chunks"], found["per_server_chunks"]) == (0, 0)
         assert found["clip_log10_bound"] is None
 

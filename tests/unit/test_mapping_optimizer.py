@@ -3,6 +3,7 @@ design search that replaced ``MappingOptimizer`` (``repro.explore``)."""
 
 import pytest
 
+from repro import oracles
 from repro.core.availability import ErrorRateModel
 from repro.core.design_space import (
     HardwareTechnique,
@@ -218,13 +219,12 @@ class TestMappingOptimizer:
                 assert not dominates
 
     def test_empty_candidates_rejected(self, profile):
-        for backend in ("auto", "scalar"):
+        for search in (explore, oracles.explore):
             with pytest.raises(ValueError):
-                explore(
+                search(
                     profile,
                     availability_target=0.999,
                     candidates=(),
-                    backend=backend,
                 )
 
 
@@ -281,7 +281,7 @@ class TestDeterministicTieBreaking:
 class TestBackendEquality:
     def test_vectorized_search_matches_scalar(self, profile):
         """The production path against the oracle, full feasible list."""
-        scalar = explore(profile, availability_target=0.999, backend="scalar")
+        scalar = oracles.explore(profile, availability_target=0.999)
         auto = explore(profile, availability_target=0.999)
         assert [m.design.name for m in auto.feasible] == [
             m.design.name for m in scalar.feasible

@@ -273,12 +273,9 @@ def cli_flows(tmp: Path) -> List[List[str]]:
         repro_cli("design", "--app", "memcached", *small, "--target", "0.5", "--workers", "2"),
         repro_cli(
             "explore", "--app", "memcached", *small, "--target", "0.5", "--top-k", "3",
-            "--simulate-months", "60", "--json", "--trace-out", str(tmp / "explore.jsonl"),
-            "--metrics-out", str(tmp / "explore.json"), "--prom-out", str(tmp / "explore.prom"),
-        ),
-        repro_cli(
-            "explore", "--app", "memcached", *small, "--target", "0.5",
-            "--max-incorrect", "1000", "--backend", "scalar",
+            "--max-incorrect", "1000", "--simulate-months", "60", "--json",
+            "--trace-out", str(tmp / "explore.jsonl"), "--metrics-out",
+            str(tmp / "explore.json"), "--prom-out", str(tmp / "explore.prom"),
         ),
         repro_cli(
             "fleet", "--app", "memcached", *small, "--servers", "100", "--months", "24",
@@ -287,10 +284,7 @@ def cli_flows(tmp: Path) -> List[List[str]]:
             "--target", "0.99", "--json", "--trace-out", str(tmp / "fleet.jsonl"),
             "--metrics-out", str(tmp / "fleet.json"), "--prom-out", str(tmp / "fleet.prom"),
         ),
-        repro_cli(
-            "fleet", "--app", "memcached", *small, "--servers", "20", "--months", "6",
-            "--backend", "scalar",
-        ),
+        repro_cli("fleet", "--app", "memcached", *small, "--servers", "20", "--months", "6"),
         # Long enough that a resident fault websearch's queries read
         # outlives a wrap: the epoch after it is served live and recorded,
         # and later wraps are owed to the record.
