@@ -1107,16 +1107,23 @@ def _is_serve_ledger(path: Path) -> bool:
 
 
 def _cmd_report(arguments) -> int:
-    if _is_serve_ledger(arguments.trace):
-        from repro.serve import load_ledger, replay_ledger
+    from repro.serve import load_ledger, replay_ledger
 
-        replay = replay_ledger(load_ledger(arguments.trace))
+    serve = _is_serve_ledger(arguments.trace)
+    try:
+        if serve:
+            replay = replay_ledger(load_ledger(arguments.trace))
+        else:
+            events = load_events(arguments.trace)
+    except ValueError as exc:
+        print(f"repro report: {exc}", file=sys.stderr)
+        return 2
+    if serve:
         if arguments.json:
             print(json.dumps(replay.to_dict(), indent=2, sort_keys=True))
             return 0
         print(render_serve_report(replay))
         return 0
-    events = load_events(arguments.trace)
     summary = summarize_trace(events)
     if arguments.json:
         print(json.dumps(dataclasses.asdict(summary), indent=2, sort_keys=True))

@@ -8,8 +8,12 @@ the most recent policy actions — against either source:
 * a **live endpoint** (``repro top http://127.0.0.1:9100``): scrapes
   ``/status`` and ``/slo`` each frame;
 * a **ledger file** (``repro top serve_ledger.jsonl``): replays the
-  ledger offline and synthesizes the identical snapshot shape, so a
-  finished session can be inspected with the same dashboard.
+  ledger offline and builds ``/status`` with the live session's own
+  builder (``repro.serve.ledger.LedgerReplay.status``), so every key
+  the ledger determines reads as the live endpoint's final snapshot;
+  only the live-only keys (latency, backlog, retirement budget) are
+  absent. A ledger whose last line is cut mid-write renders as
+  running; a malformed one is a one-line error (exit 2).
 
 Rendering is a pure function of the snapshot dicts (``render_top``), so
 tests exercise it without a terminal. This module imports
@@ -24,9 +28,9 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.obs.slo import SloEngine, slo_from_ledger
+from repro.obs.slo import slo_from_ledger
 from repro.serve.ledger import load_ledger, replay_ledger
 
 __all__ = [
@@ -81,59 +85,29 @@ def fetch_live(base_url: str, timeout: float = 5.0) -> Tuple[dict, dict]:
 def snapshot_from_ledger(path: Path) -> Tuple[dict, dict]:
     """Synthesize (/status, /slo)-shaped payloads from a ledger file.
 
-    Replays the ledger and re-derives the SLO state offline, producing
-    the same snapshot shape the live endpoint publishes at its final
-    tick barrier (latency quantiles are absent offline — wall-clock
-    latency never reaches the ledger). ``complete`` is the replay's: a
-    truncated ledger, or one still being written, renders as running.
+    Replays the ledger and its SLO state offline and builds ``/status``
+    with the live session's builder (``LedgerReplay.status``), adding
+    only what the stop event records: per-tenant epochs and resident
+    faults, and the retired capacity fraction. Latency quantiles, backlog
+    depths and the retirement budget never reach the ledger, so those
+    keys are absent. ``complete`` is the replay's: a truncated ledger,
+    or one still being written, renders as running.
+
+    Raises:
+        ValueError: on a malformed ledger (see ``load_ledger``).
     """
     events = load_ledger(path)
     replay = replay_ledger(events)
-    slo_replay = slo_from_ledger(events)
-    engine: SloEngine = slo_replay.engine
-    tenants: Dict[str, dict] = {}
-    for name, summary in replay.tenants.items():
-        tenants[name] = {
-            "availability": summary.availability,
-            "requests": dict(summary.requests),
-            "offered": summary.offered,
-            "backlog": 0,
-            "shedding": False,
-            "down": False,
-            "epochs": 0,
-            "resident_faults": 0,
-            "responses": dict(summary.responses),
-            "faults": dict(summary.faults),
-            "latency": {},
-            "availability_spark": engine.availability_history(name),
-            "slo_firing": engine.firing(name),
-        }
+    engine = slo_from_ledger(events).engine
+    status = replay.status(replay.ticks, engine)
     stop = replay.stop_attrs
-    tenants_meta = stop.get("epochs", {})
-    resident = stop.get("resident_faults", {})
-    for name, snapshot in tenants.items():
-        snapshot["epochs"] = int(tenants_meta.get(name, 0))
-        snapshot["resident_faults"] = int(resident.get(name, 0))
-    recent = [
-        {"tick": alert["tick"], "tenant": alert["tenant"],
-         "action": f"slo:{alert.get('rule', '?')}:{alert.get('state', '?')}"}
-        for alert in replay.slo_alerts[-12:]
-    ]
-    status = {
-        "tick": replay.ticks,
-        "duration_ticks": replay.config.get("duration_ticks", replay.ticks),
-        "complete": replay.complete,
-        "seed": replay.config.get("seed"),
-        "error_rate": replay.config.get("error_rate"),
-        "policy": replay.config.get("policy", "auto"),
-        "retirement": {
-            "retired_capacity_fraction": stop.get(
-                "retired_capacity_fraction", 0.0
-            ),
-        },
-        "tenants": tenants,
-        "recent_actions": recent,
-    }
+    for key in ("epochs", "resident_faults"):
+        for name, value in stop.get(key, {}).items():
+            status["tenants"][name][key] = value
+    if "retired_capacity_fraction" in stop:
+        status["retirement"] = {
+            "retired_capacity_fraction": stop["retired_capacity_fraction"]
+        }
     return status, engine.to_dict()
 
 
@@ -260,7 +234,11 @@ def run_top(
         if not path.is_file():
             print(f"repro top: no such file: {target}", file=sys.stderr)
             return 2
-        status, slo = snapshot_from_ledger(path)
+        try:
+            status, slo = snapshot_from_ledger(path)
+        except ValueError as exc:
+            print(f"repro top: {exc}", file=sys.stderr)
+            return 2
         stream.write(render_top(status, slo, source=str(path)))
         if not status["complete"]:
             print(

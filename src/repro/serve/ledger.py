@@ -9,18 +9,23 @@ scheduler state — so a seeded session produces a byte-identical ledger
 regardless of asyncio task interleaving.
 
 The ledger is the system of record: per-tenant availability and SLO
-numbers are *defined* as what :func:`replay_ledger` computes from the
-event stream. The live :class:`~repro.obs.instruments.ServeInstruments`
-gauges are a convenience view that must agree exactly (enforced by
+numbers are *defined* as what :class:`LedgerReplay` folds from the
+event stream. The fold is incremental (:meth:`LedgerReplay.add` takes
+one event): a live session folds each event as it appends it,
+:func:`replay_ledger` folds a file's events, and both build ``/status``
+from it (:meth:`LedgerReplay.status`). The live
+:class:`~repro.obs.instruments.ServeInstruments` gauges keep their own
+count, an independent view that must agree exactly (enforced by
 ``tests/integration/test_serve_ledger.py``).
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, Deque, Dict, List, Optional, Union
 
 __all__ = [
     "LEDGER_VERSION",
@@ -60,6 +65,9 @@ EVENT_STOP = "serve_stop"
 #: control refusing the request; ``down`` is a request arriving during
 #: restart downtime.
 DISPOSITIONS = ("ok", "incorrect", "failed", "shed", "down")
+
+# Software responses a fold keeps for ``/status``'s ``recent_actions``.
+_RECENT_ACTIONS = 12
 
 # The encoder json.dumps would build for these arguments on every call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -155,6 +163,10 @@ class LedgerWriter:
 def load_ledger(path: Union[str, Path]) -> List[LedgerEvent]:
     """Read a JSONL ledger back into events.
 
+    A last line with no terminating newline is a write in progress (the
+    writer ends every event with one): it is dropped, so the prefix
+    replays as an incomplete ledger.
+
     Raises:
         ValueError: on malformed lines or sequence-number gaps (a gap
             means the ledger was truncated or tampered with — the
@@ -163,6 +175,8 @@ def load_ledger(path: Union[str, Path]) -> List[LedgerEvent]:
     events: List[LedgerEvent] = []
     with Path(path).open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
+            if not line.endswith("\n"):
+                break
             line = line.strip()
             if not line:
                 continue
@@ -194,6 +208,11 @@ class TenantLedgerSummary:
     pages_retired: int = 0
     down_ticks: int = 0
     shed_ticks: int = 0
+    #: Admission state after the tenant's last ``admission`` event.
+    shedding: bool = False
+    #: First tick after the last restart's downtime (a ``response``
+    #: event's ``downtime_ticks`` past its tick).
+    down_until: int = 0
 
     @property
     def offered(self) -> int:
@@ -220,7 +239,7 @@ class TenantLedgerSummary:
             return 1.0
         return self._ticks_ok / self._ticks_seen
 
-    # Internal tick bookkeeping (set by replay_ledger).
+    # Internal tick bookkeeping (set by LedgerReplay.add).
     _ticks_seen: int = 0
     _ticks_ok: int = 0
 
@@ -242,22 +261,142 @@ class TenantLedgerSummary:
 
 @dataclass
 class LedgerReplay:
-    """Result of replaying a ledger: per-tenant summaries + session facts."""
+    """Incremental fold of a ledger: per-tenant summaries + session facts.
+
+    :meth:`start` opens the fold on the ``serve_start`` event and
+    :meth:`add` folds each later event in ledger order. The live session
+    folds every event as it appends it, and :func:`replay_ledger` folds
+    a finished event list: both are this one loop, so the numbers a
+    session reports are the numbers its ledger replays to.
+    """
 
     tenants: Dict[str, TenantLedgerSummary]
-    ticks: int
     config: Dict[str, object]
-    stop_attrs: Dict[str, object]
+    ticks: int = 0
+    stop_attrs: Dict[str, object] = field(default_factory=dict)
     #: Recorded SLO alert transitions ({"tick", "tenant", **attrs}), in
     #: ledger order. ``repro.obs.slo.audit_slo`` checks these against an
     #: offline recomputation from the ``requests`` events.
     slo_alerts: List[dict] = field(default_factory=list)
-    #: Whether the ledger holds a whole session: a ``serve_stop`` at the
-    #: tick the start event announced as ``duration_ticks``, and one
-    #: ``requests`` event per tenant for every tick before it. False for
-    #: a truncated file and for a session still running — both replay
-    #: legally, to the numbers of the ticks they hold.
-    complete: bool = False
+    #: The last twelve software responses ({"tick", "tenant",
+    #: "action"}), oldest first.
+    recent_actions: Deque[dict] = field(
+        default_factory=lambda: deque(maxlen=_RECENT_ACTIONS), repr=False
+    )
+    _stop_tick: Optional[int] = field(default=None, repr=False)
+    _gap_free: bool = field(default=True, repr=False)
+
+    @classmethod
+    def start(cls, event: LedgerEvent) -> "LedgerReplay":
+        """Open a fold on ``serve_start`` (anything else: ValueError)."""
+        if event.kind != EVENT_START:
+            raise ValueError("ledger must begin with a serve_start event")
+        config = dict(event.attrs)
+        return cls(
+            tenants={
+                str(name): TenantLedgerSummary()
+                for name in config.get("tenants", [])
+            },
+            config=config,
+        )
+
+    @property
+    def complete(self) -> bool:
+        """Whether the fold holds a whole session.
+
+        A ``serve_stop`` at the tick the start event announced as
+        ``duration_ticks``, and one ``requests`` event per tenant for
+        every tick before it. False for a truncated file and for a
+        session still running — both replay legally, to the numbers of
+        the ticks they hold.
+        """
+        stop_tick = self._stop_tick
+        return (
+            stop_tick is not None
+            and stop_tick == self.config.get("duration_ticks")
+            and self._gap_free
+            and all(s._ticks_seen == stop_tick for s in self.tenants.values())
+        )
+
+    def add(self, event: LedgerEvent) -> None:
+        """Fold one event (every event after ``serve_start``, in order)."""
+        summary = self.tenants.get(event.tenant)
+        attrs = event.attrs
+        if event.kind == EVENT_REQUESTS and summary is not None:
+            # One per tenant per tick, so the n-th carries tick n.
+            self._gap_free = (
+                self._gap_free and event.tick == summary._ticks_seen
+            )
+            tick_bad = 0
+            for name in DISPOSITIONS:
+                count = int(attrs.get(name, 0))
+                summary.requests[name] += count
+                if name != "ok" and name != "incorrect":
+                    tick_bad += count
+            summary._ticks_seen += 1
+            if tick_bad == 0:
+                summary._ticks_ok += 1
+            if int(attrs.get("down", 0)):
+                summary.down_ticks += 1
+            if int(attrs.get("shed", 0)):
+                summary.shed_ticks += 1
+        elif event.kind == EVENT_FAULT and summary is not None:
+            kind = str(attrs.get("kind", "?"))
+            summary.faults[kind] = summary.faults.get(kind, 0) + 1
+        elif event.kind == EVENT_RESPONSE and summary is not None:
+            action = str(attrs.get("action", "?"))
+            summary.responses[action] = summary.responses.get(action, 0) + 1
+            if action == "restart-rank":
+                summary.restarts += 1
+            summary.pages_retired += len(attrs.get("pages_retired", ()))
+            downtime = int(attrs.get("downtime_ticks", 0))
+            if downtime:
+                summary.down_until = event.tick + downtime
+            self.recent_actions.append(
+                {"tick": event.tick, "tenant": event.tenant, "action": action}
+            )
+        elif event.kind == EVENT_ADMISSION and summary is not None:
+            summary.shedding = bool(attrs.get("shedding", False))
+        elif event.kind == EVENT_SLO:
+            self.slo_alerts.append(
+                {"tick": event.tick, "tenant": event.tenant, **attrs}
+            )
+        elif event.kind == EVENT_STOP:
+            self.ticks = self._stop_tick = event.tick
+            self.stop_attrs = dict(attrs)
+        self.ticks = max(self.ticks, event.tick)
+
+    def status(self, tick: int, slo) -> dict:
+        """The ``/status`` payload as far as the ledger determines it.
+
+        The one builder of the live endpoint and ``repro top <ledger>``;
+        ``slo`` is the live or replayed ``repro.obs.slo.SloEngine``.
+        Callers add what the ledger cannot say (see DESIGN.md, "One
+        ``/status`` builder").
+        """
+        return {
+            "tick": tick,
+            "duration_ticks": self.config.get("duration_ticks", self.ticks),
+            "complete": self.complete,
+            "seed": self.config.get("seed"),
+            "error_rate": self.config.get("error_rate"),
+            "policy": self.config.get("policy", "auto"),
+            "tenants": {
+                name: {
+                    "availability": summary.availability,
+                    "requests": dict(summary.requests),
+                    "offered": summary.offered,
+                    "shedding": summary.shedding,
+                    "down": tick < summary.down_until,
+                    "responses": dict(summary.responses),
+                    "faults": dict(summary.faults),
+                    "availability_spark": slo.availability_history(name),
+                    "slo_firing": slo.firing(name),
+                }
+                for name, summary in self.tenants.items()
+            },
+            "recent_actions": list(self.recent_actions),
+        }
 
     def to_dict(self) -> dict:
         """JSON-serializable replay result."""
@@ -282,63 +421,9 @@ def replay_ledger(events: List[LedgerEvent]) -> LedgerReplay:
     Raises:
         ValueError: if the ledger does not start with ``serve_start``.
     """
-    if not events or events[0].kind != EVENT_START:
+    if not events:
         raise ValueError("ledger must begin with a serve_start event")
-    config = dict(events[0].attrs)
-    tenants: Dict[str, TenantLedgerSummary] = {
-        str(name): TenantLedgerSummary() for name in config.get("tenants", [])
-    }
-    ticks = 0
-    stop_tick: Optional[int] = None
-    stop_attrs: Dict[str, object] = {}
-    slo_alerts: List[dict] = []
-    gap_free = True
+    replay = LedgerReplay.start(events[0])
     for event in events[1:]:
-        summary = tenants.get(event.tenant)
-        if event.kind == EVENT_REQUESTS and summary is not None:
-            # One per tenant per tick, so the n-th carries tick n.
-            gap_free = gap_free and event.tick == summary._ticks_seen
-            counts = event.attrs
-            tick_bad = 0
-            for name in DISPOSITIONS:
-                count = int(counts.get(name, 0))
-                summary.requests[name] += count
-                if name != "ok" and name != "incorrect":
-                    tick_bad += count
-            summary._ticks_seen += 1
-            if tick_bad == 0:
-                summary._ticks_ok += 1
-            if int(counts.get("down", 0)):
-                summary.down_ticks += 1
-            if int(counts.get("shed", 0)):
-                summary.shed_ticks += 1
-        elif event.kind == EVENT_FAULT and summary is not None:
-            kind = str(event.attrs.get("kind", "?"))
-            summary.faults[kind] = summary.faults.get(kind, 0) + 1
-        elif event.kind == EVENT_RESPONSE and summary is not None:
-            action = str(event.attrs.get("action", "?"))
-            summary.responses[action] = summary.responses.get(action, 0) + 1
-            if action == "restart-rank":
-                summary.restarts += 1
-            summary.pages_retired += len(event.attrs.get("pages_retired", ()))
-        elif event.kind == EVENT_SLO:
-            slo_alerts.append(
-                {"tick": event.tick, "tenant": event.tenant, **event.attrs}
-            )
-        elif event.kind == EVENT_STOP:
-            ticks = stop_tick = event.tick
-            stop_attrs = dict(event.attrs)
-        ticks = max(ticks, event.tick)
-    return LedgerReplay(
-        tenants=tenants,
-        ticks=ticks,
-        config=config,
-        stop_attrs=stop_attrs,
-        slo_alerts=slo_alerts,
-        complete=(
-            stop_tick is not None
-            and stop_tick == config.get("duration_ticks")
-            and gap_free
-            and all(s._ticks_seen == stop_tick for s in tenants.values())
-        ),
-    )
+        replay.add(event)
+    return replay

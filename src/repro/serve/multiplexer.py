@@ -15,8 +15,16 @@ The long-lived serving loop (``repro serve``). Time is discrete: each
 2. **Tenant tasks (concurrent)** — one asyncio task per tenant serves
    its slice of the request trace, buffering ledger events locally.
    Tasks touch only their own tenant's state.
-3. **Barrier** — buffers are merged in canonical tenant order, appended
-   to the ledger, and folded into the live instruments.
+3. **Barrier** — buffers are merged in canonical tenant order and
+   appended to the ledger.
+
+Every event takes one path: it is written, folded into the session's
+:class:`~repro.serve.ledger.LedgerReplay` (the same fold
+``replay_ledger`` runs over a file, so ``ServeResult.replay`` is the
+session's own), and fed to the live instruments and, for request
+counts, the SLO engine. The ``/status`` payload is built from that fold
+(``LedgerReplay.status``) plus the few live-only facts the ledger
+cannot hold.
 
 Because events carry only virtual time (tick + sequence number) and the
 merge order is canonical, a seeded session writes a byte-identical
@@ -46,7 +54,6 @@ from repro.obs import (
 from repro.obs.live import ObservabilityServer
 from repro.serve.admission import HIGH_WATER, LOW_WATER, AdmissionController
 from repro.serve.ledger import (
-    DISPOSITIONS,
     EVENT_ADMISSION,
     EVENT_FAULT,
     EVENT_POLICY,
@@ -58,7 +65,6 @@ from repro.serve.ledger import (
     LEDGER_VERSION,
     LedgerReplay,
     LedgerWriter,
-    replay_ledger,
 )
 from repro.serve.partition import ServePartition
 from repro.serve.policies import (
@@ -256,64 +262,6 @@ def _drain_backlog(state: _TenantState, tick: int) -> List[Tuple[str, dict]]:
     return buffer
 
 
-def _build_snapshot(
-    tick: int,
-    config: ServeConfig,
-    tenants: List[ServeTenant],
-    states: Dict[str, "_TenantState"],
-    partition: ServePartition,
-    instruments: ServeInstruments,
-    slo_engine: "SloEngine",
-    req_totals: Dict[str, Dict[str, int]],
-    resp_totals: Dict[str, Dict[str, int]],
-    fault_totals: Dict[str, Dict[str, int]],
-    recent_actions: "Deque[dict]",
-    complete: bool,
-) -> dict:
-    """Build the immutable ``/status`` payload for one tick barrier.
-
-    Availability uses the same integers the ledger replay recomputes
-    (``ok / offered`` via the instruments), so a scraped ``/status``
-    agrees exactly with ``replay_ledger`` over the streamed ledger — the
-    consistency CI asserts.
-    """
-    snapshot_tenants: Dict[str, dict] = {}
-    for tenant in tenants:
-        name = tenant.name
-        state = states[name]
-        snapshot_tenants[name] = {
-            "availability": instruments.availability_of(name),
-            "requests": dict(req_totals[name]),
-            "offered": sum(req_totals[name].values()),
-            "backlog": len(state.backlog),
-            "shedding": not state.accept,
-            "down": tick < state.down_until,
-            "epochs": tenant.epochs,
-            "resident_faults": tenant.resident_fault_count,
-            "responses": dict(resp_totals[name]),
-            "faults": dict(fault_totals[name]),
-            "latency": instruments.latency_quantiles(name),
-            "availability_spark": slo_engine.availability_history(name),
-            "slo_firing": slo_engine.firing(name),
-        }
-    retirement = partition.retirement
-    return {
-        "tick": tick,
-        "duration_ticks": config.duration_ticks,
-        "complete": complete,
-        "seed": config.seed,
-        "error_rate": config.error_rate,
-        "policy": config.policy or "auto",
-        "retirement": {
-            "retired_pages": len(retirement.retired_pages),
-            "max_retired_pages": retirement.max_retired_pages,
-            "retired_capacity_fraction": retirement.retired_capacity_fraction,
-        },
-        "tenants": snapshot_tenants,
-        "recent_actions": list(recent_actions),
-    }
-
-
 async def _tenant_tick(
     state: _TenantState,
     tick: int,
@@ -398,22 +346,12 @@ async def serve_session(
                 instruments.record_latency_many, tenant.name
             )
 
-    # Cumulative views backing the /status snapshot (same integers the
-    # ledger replay recomputes, folded as events are appended).
-    req_totals: Dict[str, Dict[str, int]] = {
-        t.name: {name: 0 for name in DISPOSITIONS} for t in tenants
-    }
-    resp_totals: Dict[str, Dict[str, int]] = {t.name: {} for t in tenants}
-    fault_totals: Dict[str, Dict[str, int]] = {t.name: {} for t in tenants}
-    recent_actions: Deque[dict] = deque(maxlen=12)
-    published_seq = 0
-
     writer = LedgerWriter(ledger_path)
     footprints = unmapped = retired = 0
     with writer, observer.span(
         SPAN_SERVE, attrs={"tenants": [t.name for t in tenants]}
     ):
-        writer.append(
+        start = writer.append(
             -1,
             EVENT_START,
             attrs={
@@ -433,6 +371,59 @@ async def serve_session(
                 "slo": slo_engine.config.to_dict(),
             },
         )
+        fold = LedgerReplay.start(start)
+        published_seq = 0
+
+        def append(tick: int, kind: str, tenant: str, attrs: dict) -> None:
+            """The one event path: write, fold, feed the instruments.
+
+            The SLO engine observes each tenant's request counts right
+            after they are appended, so its alert transitions land in
+            the ledger at exactly the position the offline replay
+            (repro.obs.slo.slo_from_ledger) recomputes them.
+            """
+            fold.add(writer.append(tick, kind, tenant=tenant, attrs=attrs))
+            if kind == EVENT_REQUESTS:
+                instruments.record_requests(tenant, attrs)
+                for alert in slo_engine.observe(tenant, tick, attrs):
+                    append(tick, EVENT_SLO, tenant, alert)
+            elif kind == EVENT_FAULT:
+                instruments.record_fault(tenant, str(attrs["kind"]))
+            elif kind == EVENT_RESPONSE:
+                instruments.record_response(
+                    tenant,
+                    str(attrs.get("action", "?")),
+                    pages_retired=len(attrs.get("pages_retired", ())),
+                )
+
+        async def publish(tick: int) -> None:
+            """Hand the server this barrier's ``/status`` and new lines.
+
+            The fold builds every key the ledger determines, so a scraped
+            ``/status`` agrees with ``repro top`` over the streamed
+            ledger; only what the ledger cannot say is added here.
+            """
+            nonlocal published_seq
+            status = fold.status(tick, slo_engine)
+            for name, entry in status["tenants"].items():
+                tenant = states[name].tenant
+                entry["backlog"] = len(states[name].backlog)
+                entry["epochs"] = tenant.epochs
+                entry["resident_faults"] = tenant.resident_fault_count
+                entry["latency"] = instruments.latency_quantiles(name)
+            retirement = partition.retirement
+            status["retirement"] = {
+                "retired_pages": len(retirement.retired_pages),
+                "max_retired_pages": retirement.max_retired_pages,
+                "retired_capacity_fraction": (
+                    retirement.retired_capacity_fraction
+                ),
+            }
+            lines = [e.to_json() for e in writer.events[published_seq:]]
+            published_seq = len(writer.events)
+            server.mark_ready()
+            await server.publish(snapshot=status, ledger_lines=lines)
+
         for tick in range(config.duration_ticks):
             # Phase 1: coordinator — arrivals, routing, admission.
             batch = partition.tick_arrivals(rng, config.error_rate)
@@ -440,23 +431,16 @@ async def serve_session(
             unmapped += batch.unmapped_bytes
             retired += batch.retired_bytes
             for routed in batch.routed:
-                writer.append(
-                    tick, EVENT_FAULT, tenant=routed.tenant,
-                    attrs=routed.to_attrs(),
-                )
-                instruments.record_fault(routed.tenant, routed.kind.value)
-                kind_name = routed.kind.value
-                totals = fault_totals[routed.tenant]
-                totals[kind_name] = totals.get(kind_name, 0) + 1
+                append(tick, EVENT_FAULT, routed.tenant, routed.to_attrs())
                 states[routed.tenant].backlog.extend(routed.detected)
             for tenant in tenants:
                 state = states[tenant.name]
                 decision = state.admission.check(len(state.backlog))
                 state.accept = decision.accept
                 if decision.changed:
-                    writer.append(
-                        tick, EVENT_ADMISSION, tenant=tenant.name,
-                        attrs={
+                    append(
+                        tick, EVENT_ADMISSION, tenant.name,
+                        {
                             "shedding": not decision.accept,
                             "backlog": decision.backlog,
                         },
@@ -467,20 +451,7 @@ async def serve_session(
             # order — policies mutate host-shared retirement state.
             for tenant in tenants:
                 for kind, attrs in _drain_backlog(states[tenant.name], tick):
-                    writer.append(tick, kind, tenant=tenant.name, attrs=attrs)
-                    if kind == EVENT_RESPONSE:
-                        action = str(attrs.get("action", "?"))
-                        instruments.record_response(
-                            tenant.name,
-                            action,
-                            pages_retired=len(attrs.get("pages_retired", ())),
-                        )
-                        totals = resp_totals[tenant.name]
-                        totals[action] = totals.get(action, 0) + 1
-                        recent_actions.append(
-                            {"tick": tick, "tenant": tenant.name,
-                             "action": action}
-                        )
+                    append(tick, kind, tenant.name, attrs)
 
             # Phase 2: concurrent tenant tasks (task-local state only).
             ticks = (
@@ -495,67 +466,26 @@ async def serve_session(
             else:
                 buffers = await asyncio.gather(*ticks)
 
-            # Phase 3: barrier — merge in canonical tenant order. The
-            # SLO engine observes each tenant's request counts right
-            # after they are appended, so its alert transitions land in
-            # the ledger at exactly the position the offline replay
-            # (repro.obs.slo.slo_from_ledger) recomputes them.
+            # Phase 3: barrier — merge in canonical tenant order.
             for tenant, buffer in zip(tenants, buffers):
                 for kind, attrs in buffer:
-                    writer.append(tick, kind, tenant=tenant.name, attrs=attrs)
-                    if kind == EVENT_REQUESTS:
-                        instruments.record_requests(tenant.name, attrs)
-                        totals = req_totals[tenant.name]
-                        for name, count in attrs.items():
-                            totals[name] = totals.get(name, 0) + int(count)
-                        for alert in slo_engine.observe(
-                            tenant.name, tick, attrs
-                        ):
-                            writer.append(
-                                tick, EVENT_SLO, tenant=tenant.name,
-                                attrs=alert,
-                            )
-                    elif kind == EVENT_RESPONSE:
-                        action = str(attrs.get("action", "?"))
-                        instruments.record_response(
-                            tenant.name,
-                            action,
-                            pages_retired=len(attrs.get("pages_retired", ())),
-                        )
-                        totals = resp_totals[tenant.name]
-                        totals[action] = totals.get(action, 0) + 1
-                        recent_actions.append(
-                            {"tick": tick, "tenant": tenant.name,
-                             "action": action}
-                        )
+                    append(tick, kind, tenant.name, attrs)
                 instruments.set_backlog(
                     tenant.name, len(states[tenant.name].backlog)
                 )
                 instruments.record_decisions(tenant.name, tenant.decisions)
 
             if server is not None:
-                new_lines = [
-                    event.to_json()
-                    for event in writer.events[published_seq:]
-                ]
-                published_seq = len(writer.events)
-                server.mark_ready()
-                await server.publish(
-                    snapshot=_build_snapshot(
-                        tick, config, tenants, states, partition,
-                        instruments, slo_engine, req_totals, resp_totals,
-                        fault_totals, recent_actions, complete=False,
-                    ),
-                    ledger_lines=new_lines,
-                )
+                await publish(tick)
         # The session is over: pay what serving left owed, so
         # every tenant's memory is where its counters say.
         for tenant in tenants:
             tenant.settle()
-        writer.append(
+        append(
             config.duration_ticks,
             EVENT_STOP,
-            attrs={
+            "",
+            {
                 "availability": {
                     t.name: instruments.availability_of(t.name) for t in tenants
                 },
@@ -572,25 +502,13 @@ async def serve_session(
             },
         )
         if server is not None:
-            await server.publish(
-                snapshot=_build_snapshot(
-                    config.duration_ticks, config, tenants, states,
-                    partition, instruments, slo_engine, req_totals,
-                    resp_totals, fault_totals, recent_actions,
-                    complete=True,
-                ),
-                ledger_lines=[
-                    event.to_json()
-                    for event in writer.events[published_seq:]
-                ],
-            )
+            await publish(config.duration_ticks)
             await server.mark_complete()
-    replay = replay_ledger(writer.events)
     return ServeResult(
         config=config,
         ledger_path=writer.path,
         events=writer.events,
-        replay=replay,
+        replay=fold,
         instruments=instruments,
         registry=registry,
         slo=slo_engine,

@@ -292,6 +292,66 @@ class TestSloLiveVsReplay:
             assert live["requests"] == dict(summary.requests)
 
 
+class _StubServer:
+    """Captures each published ``/status`` as the endpoint serves it."""
+
+    started = True
+    slo = None
+
+    def __init__(self):
+        self.snapshots = []
+
+    def mark_ready(self):
+        pass
+
+    async def publish(self, snapshot=None, ledger_lines=None):
+        if snapshot is not None:
+            self.snapshots.append(json.loads(json.dumps(snapshot)))
+
+    async def mark_complete(self):
+        pass
+
+
+def assert_live_covers(live, offline):
+    """``live`` equals ``offline`` on every key ``offline`` has, down
+    through the tenant entries and the retirement block."""
+    for key, value in offline.items():
+        if key == "tenants":
+            assert set(live[key]) == set(value)
+            for name, entry in value.items():
+                assert {k: live[key][name][k] for k in entry} == entry, name
+        elif key == "retirement":
+            assert {k: live[key][k] for k in value} == value
+        else:
+            assert live[key] == value, key
+
+
+class TestStatusLiveVsOffline:
+    def test_final_live_status_is_the_offline_snapshot(self, tmp_path):
+        """One builder: ``repro top <ledger>`` shows the final live
+        ``/status`` on every key the ledger determines — the recent
+        response actions, down and shedding included."""
+        ledger = tmp_path / "serve.jsonl"
+        stub = _StubServer()
+        asyncio.run(
+            serve_session(
+                ServeConfig(duration_ticks=60, error_rate=1.0, seed=5),
+                ledger_path=ledger,
+                server=stub,
+                scale=0.1,
+            )
+        )
+        live = stub.snapshots[-1]
+        offline, _ = snapshot_from_ledger(ledger)
+        assert live["complete"] and offline["complete"]
+        assert offline["recent_actions"], "expected response actions"
+        assert any(t["down"] for t in offline["tenants"].values())
+        assert_live_covers(live, offline)
+        assert set(offline["tenants"]["kvstore"]) >= {
+            "shedding", "down", "epochs", "resident_faults",
+        }
+
+
 class TestServeCliTelemetry:
     def test_serve_with_http_port_announces_url(self, tmp_path):
         ledger = tmp_path / "cli.jsonl"

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.top import run_top, snapshot_from_ledger
 from repro.serve import (
@@ -243,6 +244,40 @@ class TestTruncatedLedger:
         assert "running]" in out.getvalue()
         assert "incomplete" in capsys.readouterr().err
 
+    def cut_mid_line(self, ledger: Path) -> Path:
+        """The ledger as a reader sees it while the writer is mid-line."""
+        data = ledger.read_bytes()
+        half = data.index(b"\n", len(data) // 2) + 1
+        path = ledger.with_name("cut-mid-line.jsonl")
+        path.write_bytes(data[: half + 20])
+        return path
+
+    def test_mid_line_cut_drops_the_write_in_progress(self, ledger, capsys):
+        cut = self.cut_mid_line(ledger)
+        whole_lines = ledger.read_text().count("\n")
+        events = load_ledger(cut)
+        assert 0 < len(events) == cut.read_text().count("\n") < whole_lines
+        assert not replay_ledger(events).complete
+        out = io.StringIO()
+        assert run_top(str(cut), out=out) == 0
+        assert "running]" in out.getvalue()
+        assert "incomplete" in capsys.readouterr().err
+        assert main(["report", str(cut)]) == 0
+        assert "INCOMPLETE LEDGER" in capsys.readouterr().out
+
+    def test_malformed_whole_line_is_a_one_line_error(self, ledger, capsys):
+        lines = ledger.read_text().splitlines(keepends=True)
+        lines[3] = lines[3][:20] + "\n"
+        bad = ledger.with_name("malformed.jsonl")
+        bad.write_text("".join(lines))
+        with pytest.raises(ValueError, match=":4: malformed ledger event"):
+            load_ledger(bad)
+        for command in (["top", str(bad), "--once"], ["report", str(bad)]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert "malformed ledger event" in err
+            assert err.count("\n") == 1, err
+
     def test_missing_requests_event_is_incomplete(self, ledger):
         events = load_ledger(ledger)
         hole = next(
@@ -259,6 +294,47 @@ class TestTruncatedLedger:
             start, attrs={**start.attrs, "duration_ticks": self.TICKS + 5}
         )
         assert not replay_ledger([longer] + events[1:]).complete
+
+
+class TestSessionFold:
+    """The session folds its own events: ``ServeResult.replay`` is the
+    fold the live session built while appending, never a re-read."""
+
+    @pytest.mark.parametrize(
+        "seed, error_rate, policy, staggered",
+        [
+            (3, 0.05, None, False),
+            (7, 1.0, None, True),
+            (29, 2.0, None, False),
+            (5, 1.0, "restart-rank", False),
+            (11, 2.0, "restart-rank", True),
+            (2014, 0.05, None, True),
+        ],
+    )
+    def test_session_fold_is_the_offline_replay(
+        self, tmp_path, seed, error_rate, policy, staggered
+    ):
+        chaos = random.Random(seed)
+
+        async def stagger(tenant: str, tick: int) -> None:
+            for _ in range(chaos.randrange(4)):
+                await asyncio.sleep(0)
+
+        ledger = tmp_path / "fold.jsonl"
+        config = ServeConfig(
+            duration_ticks=20, error_rate=error_rate, seed=seed, policy=policy
+        )
+        result = run_serve(
+            config,
+            ledger_path=ledger,
+            stagger=stagger if staggered else None,
+            scale=0.1,
+        )
+        offline = replay_ledger(load_ledger(ledger))
+        assert result.replay.to_dict() == offline.to_dict()
+        assert result.replay.complete
+        # The /status facts too: recent actions, shedding, downtime ends.
+        assert result.replay == offline
 
 
 class TestForcedPolicies:
